@@ -1,10 +1,18 @@
-// allocprof is the transaction-path allocation profiler: it drives the same
-// small in-process deployment as tigabench's -simbench txn-path table with the
-// Go heap profiler armed and writes a pprof profile attributing every
-// allocation on the serving path (generator, coordinator, protocol,
-// replication, metrics). Inspect with
+// allocprof is the transaction-path profiler: it drives the same in-process
+// deployment as tigabench's -simbench txn-path table with the Go heap profiler
+// armed and writes a pprof profile attributing every allocation on the serving
+// path (generator, coordinator, protocol, replication, metrics). Inspect with
 //
 //	go tool pprof -top -sample_index=alloc_objects allocprof.out
+//
+// With -cpuprofile it also writes a CPU profile of the RunLoad call, so a
+// regression in a layer row of the benchmark localises to a function. The
+// defaults are the small simbench deployment; the shape of the benchmark's
+// tiga-micro-sat workload (bench/workloads.go), where costs that scale with
+// the keyspace show, is
+//
+//	go run ./cmd/allocprof -keys 100000 -rate 3000 -outstanding 300 \
+//	    -duration 2s -cpuprofile cpu.out
 //
 // The per-txn allocation budget is a first-class serving-path metric (see
 // EXPERIMENTS.md "Allocation budget"); this harness is how regressions get
@@ -29,14 +37,21 @@ func main() {
 	arrival := flag.String("arrival", "", "arrival process (empty = closed loop)")
 	rate := flag.Float64("rate", 500, "offered rate per coordinator (txn/s)")
 	dur := flag.Duration("duration", time.Second, "measured window of simulated time")
+	keys := flag.Int("keys", 2000, "keys per shard")
+	outstanding := flag.Int("outstanding", 100, "closed-loop outstanding transactions per coordinator")
+	cpuOut := flag.String("cpuprofile", "", "also write a pprof CPU profile of the run to this path")
 	flag.Parse()
 
 	// MemProfileRate 1 records every allocation, so small runs attribute the
-	// full budget instead of a sample.
-	runtime.MemProfileRate = 1
+	// full budget instead of a sample. Under -cpuprofile the heap profile stays
+	// at the runtime's sampling rate: recording every allocation would put the
+	// profiler's own bookkeeping at the top of the CPU profile.
+	if *cpuOut == "" {
+		runtime.MemProfileRate = 1
+	}
 
 	spec := harness.ClusterSpec{
-		Protocol: *proto, Workload: "micro", WorkloadKeys: 2000,
+		Protocol: *proto, Workload: "micro", WorkloadKeys: *keys,
 		Shards: 3, F: 1, Clock: clocks.ModelChrony,
 		CoordsPerRegion: 1, CoordsRemote: 1, Seed: 42,
 		CostScale: harness.CPUScale,
@@ -45,16 +60,33 @@ func main() {
 		fmt.Fprintln(os.Stderr, "allocprof:", err)
 		os.Exit(2)
 	}
+	// Both profile files are opened up front, so an unwritable path fails
+	// before the run rather than after it.
+	f, err := os.Create(*out)
+	check(err)
+	var cpuFile *os.File
+	if *cpuOut != "" {
+		cpuFile, err = os.Create(*cpuOut)
+		check(err)
+	}
 	d := harness.Build(spec)
 	load := harness.LoadSpec{
-		RatePerCoord: *rate, Outstanding: 100, Arrival: *arrival,
+		RatePerCoord: *rate, Outstanding: *outstanding, Arrival: *arrival,
 		Warmup: 200 * time.Millisecond, Duration: *dur, Seed: 43,
 	}
 	runtime.GC()
+	if cpuFile != nil {
+		check(pprof.StartCPUProfile(cpuFile))
+	}
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
 	res := harness.RunLoad(d, spec.Gen, load)
 	runtime.ReadMemStats(&m1)
+	if cpuFile != nil {
+		pprof.StopCPUProfile()
+		check(cpuFile.Close())
+		fmt.Printf("wrote %s\n", *cpuOut)
+	}
 
 	committed := res.Run.Counters.Committed
 	if committed > 0 {
@@ -63,16 +95,16 @@ func main() {
 			float64(m1.TotalAlloc-m0.TotalAlloc)/float64(committed))
 	}
 
-	f, err := os.Create(*out)
+	runtime.GC() // flush outstanding profile records
+	check(pprof.Lookup("allocs").WriteTo(f, 0))
+	check(f.Close())
+	fmt.Printf("wrote %s\n", *out)
+}
+
+// check exits on an error from writing a profile.
+func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "allocprof:", err)
 		os.Exit(1)
 	}
-	defer f.Close()
-	runtime.GC() // flush outstanding profile records
-	if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
-		fmt.Fprintln(os.Stderr, "allocprof:", err)
-		os.Exit(1)
-	}
-	fmt.Printf("wrote %s\n", *out)
 }

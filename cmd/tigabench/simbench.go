@@ -126,14 +126,34 @@ type txnPathStats struct {
 	peakHeap  uint64  // max HeapAlloc sampled mid-run, bytes
 }
 
+// txnPathCase is one row of the transaction-path table: an arrival process
+// (empty = closed loop), a keyspace per shard, and a measured window.
+type txnPathCase struct {
+	loop, arrival string
+	keys          int
+	window        time.Duration
+}
+
+// txnPathCases are the two small budget rows (2 000 keys, 1 s: no checkpoint
+// fires inside them) and one row at 100 000 keys over 2 s, where every shard's
+// log crosses a checkpoint-every = 2000 boundary inside the run: a
+// per-checkpoint cost that scales with the keyspace shows in its B/txn (60 KB
+// against 17 KB while checkpoints deep-copied the store) and nowhere in the
+// other two.
+var txnPathCases = []txnPathCase{
+	{"closed", "", 2000, time.Second},
+	{"open", "poisson", 2000, time.Second},
+	{"closed-100k", "", 100_000, 2 * time.Second},
+}
+
 // measureTxnPath runs one small deployment and attributes the allocator
 // deltas to its committed transactions. The run is serial and self-contained,
 // so Mallocs/TotalAlloc deltas are the run's own; peak HeapAlloc is sampled
 // every 100 ms of simulated time (live heap is GC-timing dependent, so the
 // peak is indicative — allocs/txn is the stable signal benchdiff tracks).
-func measureTxnPath(arrival string) txnPathStats {
+func measureTxnPath(c txnPathCase) txnPathStats {
 	spec := harness.ClusterSpec{
-		Protocol: "Tiga", Workload: "micro", WorkloadKeys: 2000,
+		Protocol: "Tiga", Workload: "micro", WorkloadKeys: c.keys,
 		Shards: 3, F: 1, Clock: clocks.ModelChrony,
 		CoordsPerRegion: 1, CoordsRemote: 1, Seed: 42,
 		CostScale: harness.CPUScale,
@@ -154,8 +174,8 @@ func measureTxnPath(arrival string) txnPathStats {
 	}
 	d.Sim.At(0, sample)
 	load := harness.LoadSpec{
-		RatePerCoord: 500, Outstanding: 100, Arrival: arrival,
-		Warmup: 200 * time.Millisecond, Duration: time.Second, Seed: 43,
+		RatePerCoord: 500, Outstanding: 100, Arrival: c.arrival,
+		Warmup: 200 * time.Millisecond, Duration: c.window, Seed: 43,
 	}
 	runtime.GC()
 	var m0, m1 runtime.MemStats
@@ -173,13 +193,14 @@ func measureTxnPath(arrival string) txnPathStats {
 // txnPathBench builds the transaction-path allocation table: the full
 // deployment cost per committed transaction (generator, coordinator,
 // protocol, replication, metrics — everything the serving path allocates),
-// measured on the closed loop and on the open-loop Poisson path the
-// scale-out sweeps drive.
+// measured on the closed loop, on the open-loop Poisson path the scale-out
+// sweeps drive, and on a closed loop long and wide enough to cross checkpoint
+// boundaries.
 func txnPathBench() *report.Report {
 	rep := report.New("simbench-txnpath")
 	t := rep.Add(&report.Table{
 		ID: "txnpath", Gap: true,
-		Title: "Transaction-path allocation (Tiga, micro 3-shard, one short in-process run)",
+		Title: "Transaction-path allocation (Tiga, micro 3-shard, one short in-process run per row)",
 		Columns: []report.Column{
 			report.Col("loop", "Loop", report.String, report.None, 11).AlignLeft(),
 			report.Col("committed", "Committed", report.Int, report.None, 10),
@@ -188,15 +209,13 @@ func txnPathBench() *report.Report {
 			report.Col("peak_heap", "PeakHeap", report.Int, report.Bytes, 12),
 		},
 	})
-	for _, c := range []struct{ loop, arrival string }{
-		{"closed", ""},
-		{"open", "poisson"},
-	} {
-		st := measureTxnPath(c.arrival)
+	for _, c := range txnPathCases {
+		st := measureTxnPath(c)
 		t.AddRow(report.Str(c.loop), report.CountOf(st.committed),
 			report.Num(st.allocs), report.Num(st.bytes),
 			report.CountOf(int64(st.peakHeap)))
 	}
 	t.Note("(allocs/txn and B/txn are allocator deltas over the whole run divided by commits; peak heap is sampled every 100 ms of sim time)")
+	t.Note("(closed and open: 2 000 keys/shard for 1 s; closed-100k: 100 000 keys/shard for 2 s, so checkpoint boundaries fall inside the run)")
 	return rep
 }

@@ -95,39 +95,3 @@ func TestInternedRevokeAndRetain(t *testing.T) {
 		t.Fatal("prune damaged newest version")
 	}
 }
-
-// TestSnapshotRoundTrip100k is the satellite pin: a 100k-key snapshot must
-// round-trip Equal against its source, preserve the ID index, and stay
-// isolated from later writes on either side.
-func TestSnapshotRoundTrip100k(t *testing.T) {
-	s, keys := seedN(100_000)
-	// Dirty a few keys so the copy carries real version chains and pending
-	// state, not just seeds.
-	for i := uint64(1); i <= 50; i++ {
-		s.Execute(id(i), ts(int64(i)), txn.IncrementPiece(keys[i*7%100_000]))
-		if i%2 == 0 {
-			s.Commit(id(i))
-		}
-	}
-	cp := s.Snapshot()
-	if !s.Equal(cp) || !cp.Equal(s) {
-		t.Fatal("snapshot does not round-trip Equal")
-	}
-	if cp.Interned() != s.Interned() {
-		t.Fatalf("snapshot lost the ID index: %d vs %d", cp.Interned(), s.Interned())
-	}
-	if txn.DecodeInt(cp.GetID(777)) != txn.DecodeInt(s.GetID(777)) {
-		t.Fatal("snapshot GetID disagrees")
-	}
-	// Pending state carried over: committing an odd (uncommitted) txn on the
-	// copy must work and must not touch the original.
-	before := txn.DecodeInt(s.Get(keys[7]))
-	cp.Commit(id(1))
-	if txn.DecodeInt(s.Get(keys[7])) != before {
-		t.Fatal("copy commit leaked into original")
-	}
-	cp.Execute(id(1000), ts(1000), txn.IncrementPiece(keys[0]))
-	if s.Equal(cp) {
-		t.Fatal("Equal blind to post-snapshot divergence")
-	}
-}

@@ -13,6 +13,12 @@
 // the default-mode Commit garbage-collects in place, reusing each key's
 // version slice instead of reallocating it; and Execute reuses one
 // transaction view plus freelisted write-set slices across transactions.
+//
+// There is no deep copy: a store's committed state is a pure function of its
+// seed and the Execute/Commit sequence applied to it, which is what Tiga's
+// checkpoints (§4) rely on — they record a log position and rebuild the image
+// by replay on the rare recovery instead of copying the keyspace on the
+// commit path.
 package store
 
 import (
@@ -483,68 +489,6 @@ func (s *Store) PruneTo(horizon time.Duration) int {
 		}
 	}
 	return pruned
-}
-
-// Snapshot deep-copies the store — the checkpoint mechanism used to
-// accelerate failure recovery (§4). Every destination structure is pre-sized
-// from the source and the copied version chains share one backing array
-// (capacity-clipped per key), so checkpointing a replica costs a few large
-// allocations instead of re-hashing and re-allocating the whole keyspace.
-func (s *Store) Snapshot() *Store {
-	cp := &Store{
-		data:     make(map[string]*slot, len(s.data)),
-		pending:  make(map[txn.ID]pend, len(s.pending)),
-		executed: make(map[txn.ID]bool, len(s.executed)),
-	}
-	slots := make([]slot, len(s.data))
-	all := make([]version, 0, s.Versions())
-	n := 0
-	copySlot := func(e *slot) *slot {
-		ne := &slots[n]
-		n++
-		start := len(all)
-		all = append(all, e.vs...)
-		ne.vs = all[start:len(all):len(all)]
-		return ne
-	}
-	// Copy the interned keys through the dense index first (their names come
-	// from idNames, so no reverse map is needed), then sweep the string map
-	// for whatever keys arrived outside SeedBulk.
-	if s.byID != nil {
-		cp.byID = make([]*slot, len(s.byID))
-		cp.idNames = s.idNames
-		for i, e := range s.byID {
-			ne := copySlot(e)
-			cp.data[s.idNames[i]] = ne
-			cp.byID[i] = ne
-		}
-	}
-	for k, e := range s.data {
-		if _, done := cp.data[k]; !done {
-			cp.data[k] = copySlot(e)
-		}
-	}
-	for id, wp := range s.pending {
-		cp.pending[id] = pend{
-			keys: append([]string(nil), wp.keys...),
-			ids:  append([]txn.KeyID(nil), wp.ids...),
-		}
-	}
-	for id := range s.executed {
-		cp.executed[id] = true
-	}
-	if s.retain {
-		cp.retain = true
-		cp.high = make(map[string]txn.Timestamp, len(s.high))
-		cp.multi = make(map[string]struct{}, len(s.multi))
-		for k, ts := range s.high {
-			cp.high[k] = ts
-		}
-		for k := range s.multi {
-			cp.multi[k] = struct{}{}
-		}
-	}
-	return cp
 }
 
 // Keys returns all keys in sorted order (test/debug helper).

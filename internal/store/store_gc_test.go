@@ -143,17 +143,3 @@ func TestVersionsPlateauUnderPruning(t *testing.T) {
 		t.Fatalf("plateau %d exceeds %d (horizon lag ×2)", s.Versions(), limit)
 	}
 }
-
-// TestSnapshotCopiesDirtySet: checkpoint/restore keeps pruning working on
-// the copy.
-func TestSnapshotCopiesDirtySet(t *testing.T) {
-	s := gcStore(t, 10, 20)
-	cp := s.Snapshot()
-	if n := cp.PruneTo(30); n != 2 {
-		t.Fatalf("pruning a snapshot copy dropped %d, want 2", n)
-	}
-	// The original is untouched.
-	if _, _, ok := s.GetAt("k", 5); !ok {
-		t.Fatal("pruning the copy mutated the original's history")
-	}
-}

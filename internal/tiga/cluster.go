@@ -46,8 +46,8 @@ func RotatedPlacement(coordRegions []simnet.Region, regions int) Placement {
 type Cluster struct {
 	Cfg Config
 	Net *simnet.Network
-	// Seed pre-populates a shard's store; it is also used to rebuild stores
-	// during recovery replay.
+	// Seed pre-populates a shard's store, at start-up and whenever recovery
+	// rebuilds one by replay (newStore).
 	Seed func(shard int, st *store.Store)
 
 	Servers [][]*Server // [shard][replica]
@@ -89,9 +89,6 @@ func NewCluster(net *simnet.Network, cfg Config, pl Placement, cf *clocks.Factor
 			node := net.AddNode(pl.ServerRegion(s, r), nil)
 			c.serverNodes[s][r] = node.ID()
 			c.Servers[s][r] = newServer(c, s, r, node, cf.New())
-			if seed != nil {
-				seed(s, c.Servers[s][r].st)
-			}
 		}
 	}
 	for i, reg := range pl.CoordRegions {
@@ -109,6 +106,20 @@ func NewCluster(net *simnet.Network, cfg Config, pl Placement, cf *clocks.Factor
 		c.VMs = append(c.VMs, newVMReplica(c, i, node))
 	}
 	return c
+}
+
+// newStore builds a shard's seeded store, version-retaining when local reads
+// are on. It is the only store constructor: the stores servers start with and
+// the ones recovery replays into (installLog) must be configured alike.
+func (c *Cluster) newStore(shard int) *store.Store {
+	st := store.New()
+	if c.Cfg.LocalReads {
+		st.EnableSnapshots()
+	}
+	if c.Seed != nil {
+		c.Seed(shard, st)
+	}
+	return st
 }
 
 func (c *Cluster) initialModeFromPlacement(pl Placement, leaders []int) {

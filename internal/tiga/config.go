@@ -88,7 +88,11 @@ type Config struct {
 	// BatchSlowReplies enables the Appendix E optimization: followers answer
 	// periodic coordinator inquiries instead of pushing per-entry replies.
 	BatchSlowReplies bool
-	// CheckpointEvery triggers a store snapshot every N committed entries.
+	// CheckpointEvery advances the checkpoint position every N committed
+	// entries (§4); 0 disables checkpoints. Recovery charges simulated replay
+	// time only for the log entries past the checkpoint. The checkpoint's
+	// store image is not kept: it is rebuilt from the seed and the log prefix
+	// when a recovery uses it.
 	CheckpointEvery int
 	// LocalReads enables the local snapshot-read path: servers retain
 	// committed version history, maintain monotonic safe-time watermarks

@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"tiga/internal/simnet"
-	"tiga/internal/store"
 	"tiga/internal/txn"
 )
 
@@ -259,12 +258,16 @@ func (s *Server) onStartView(m startViewMsg) {
 }
 
 // installLog replaces the server's log and rebuilds all derived state: the
-// store (from the latest valid checkpoint, else full replay), conflict maps,
-// incremental hash, and commit/sync points.
+// store, conflict maps, incremental hash, and commit/sync points. The store is
+// replayed from the shard seed; entries before a valid checkpoint materialise
+// the checkpoint's image (§4) and cost no simulated time, exactly as if the
+// image had been kept, so only the entries after it charge ExecCost.
 func (s *Server) installLog(log []logEntry) {
 	s.log = append([]logEntry(nil), log...)
 	s.tail = make(map[txn.ID]logEntry)
 	s.pq = prioQueue{}
+	clear(s.parkR)
+	clear(s.parkW)
 	s.pendingSync = make(map[int]logSyncMsg)
 	s.followerSP = make(map[int]int)
 	s.recs = make(map[txn.ID]*rec)
@@ -272,27 +275,21 @@ func (s *Server) installLog(log []logEntry) {
 	s.wMap = make(map[string]txn.Timestamp)
 	s.relHash.Reset()
 
-	start := 0
-	if s.checkpointPos > 0 && s.checkpointPos <= len(s.log) && s.checkpointValid() {
-		s.st = s.checkpoint.Snapshot()
-		start = s.checkpointPos
-	} else {
-		s.st = store.New()
-		if s.cluster.Seed != nil {
-			s.cluster.Seed(s.shard, s.st)
-		}
+	if !s.checkpointValid() {
 		s.checkpointPos = 0
+		s.checkpointIDs = s.checkpointIDs[:0]
 	}
+	s.st = s.cluster.newStore(s.shard)
 	for i := 0; i < len(s.log); i++ {
 		e := s.log[i]
 		var res []byte
-		if i >= start {
-			if p := e.T.Pieces[s.shard]; p != nil {
+		if p := e.T.Pieces[s.shard]; p != nil {
+			if i >= s.checkpointPos {
 				s.node.Work(s.cfg.ExecCost)
-				res = s.st.Execute(e.ID, e.TS, p)
 			}
-			s.st.Commit(e.ID)
+			res = s.st.Execute(e.ID, e.TS, p)
 		}
+		s.st.Commit(e.ID)
 		s.relHash.Add(e.ID, e.TS)
 		if p := e.T.Pieces[s.shard]; p != nil {
 			for _, k := range p.ReadSet {
@@ -315,9 +312,9 @@ func (s *Server) installLog(log []logEntry) {
 }
 
 // checkpointValid reports whether the recovered log prefix matches the basis
-// of the last checkpoint (so the snapshot can seed the replay).
+// of the last checkpoint (so replaying it rebuilds the checkpoint's image).
 func (s *Server) checkpointValid() bool {
-	if len(s.checkpointIDs) != s.checkpointPos || s.checkpointPos > len(s.log) {
+	if s.checkpointPos > len(s.log) {
 		return false
 	}
 	for i, id := range s.checkpointIDs {

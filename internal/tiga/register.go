@@ -34,7 +34,7 @@ func init() {
 			{Name: "batch-slow-replies", Type: protocol.KnobBool, Default: false,
 				Doc: "Appendix E: followers answer periodic coordinator inquiries instead of per-entry slow replies"},
 			{Name: "checkpoint-every", Type: protocol.KnobInt, Default: 2000,
-				Doc: "store snapshot every N committed entries (recovery replay bound)"},
+				Doc: "checkpoint position advances every N committed entries (§4): recovery charges replay time only for entries past it; the store image is rebuilt on recovery, never copied on the commit path"},
 			{Name: "local-reads", Type: protocol.KnobBool, Default: false,
 				Doc: "serve read-only transactions from the nearest replica at 0 WRTT, gated by per-replica safe-time watermarks"},
 			{Name: "read-staleness", Type: protocol.KnobDuration, Default: time.Duration(0),

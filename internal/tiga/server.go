@@ -39,6 +39,7 @@ type rec struct {
 	coord simnet.NodeID
 
 	inPQ     bool
+	parked   bool // leader: in pq awaiting agreement; its keys are in parkR/parkW
 	held     bool // follower: arrived too late, waiting for log-sync
 	executed bool
 	released bool
@@ -186,7 +187,9 @@ type Server struct {
 
 	followerSP map[int]int // leader: replica -> reported sync-point
 
-	checkpoint    *store.Store
+	// Checkpoint (§4): a position in the committed log and the identity of
+	// the prefix before it, len(checkpointIDs) == checkpointPos. No store image
+	// is kept; installLog rebuilds it by replay when a recovery needs it.
 	checkpointPos int
 	checkpointIDs []txn.ID
 
@@ -195,11 +198,22 @@ type Server struct {
 	pumping bool
 	repump  bool
 
+	// parkR/parkW count, per key, the parked records reading/writing it: pq
+	// records whose process call is a no-op until §3.5 agreement completes
+	// (detective: executed; preventive: proposed). They are maintained at the
+	// state transitions (park, unpark), so pumpOnce steps over parked records
+	// instead of re-deriving their keys on every pump.
+	parkR map[string]int
+	parkW map[string]int
+	// onPark is a test hook called after every park (nil outside tests).
+	onPark func(*rec)
+
 	// Reused hot-path scratch. blockedR/blockedW are pumpOnce's conflict
-	// shadow sets (cleared after each pump instead of reallocated per pump);
-	// spScratch backs the commit-point quantile in onSyncPoint; idScratch
-	// backs resendAgreements' deterministic ID ordering; pumpFire/flushFire
-	// are the persistent bodies of the gated pump and safe-flush timers.
+	// shadow sets for blocked records that are not parked (cleared after each
+	// pump instead of reallocated per pump); spScratch backs the commit-point
+	// quantile in onSyncPoint; idScratch backs resendAgreements' deterministic
+	// ID ordering; pumpFire/flushFire are the persistent bodies of the gated
+	// pump and safe-flush timers.
 	blockedR  map[string]bool
 	blockedW  map[string]bool
 	spScratch []int
@@ -236,7 +250,7 @@ func newServer(c *Cluster, shard, replica int, node *simnet.Node, clk clocks.Clo
 		shard: shard, replica: replica,
 		gvec:  make([]int, c.Cfg.Shards),
 		gmode: c.initialMode,
-		st:    store.New(),
+		st:    c.newStore(shard),
 		recs:  make(map[txn.ID]*rec),
 		rMap:  make(map[string]txn.Timestamp),
 		wMap:  make(map[string]txn.Timestamp),
@@ -245,13 +259,11 @@ func newServer(c *Cluster, shard, replica int, node *simnet.Node, clk clocks.Clo
 		pendingSync: make(map[int]logSyncMsg),
 		followerSP:  make(map[int]int),
 		followerW:   make(map[int]time.Duration),
-		checkpoint:  store.New(),
+		parkR:       make(map[string]int),
+		parkW:       make(map[string]int),
 	}
 	copy(s.gvec, c.initialGVec)
 	s.lview = s.gvec[shard]
-	if c.Cfg.LocalReads {
-		s.st.EnableSnapshots()
-	}
 	s.pumpFire = func() { s.pumpAt = 0; s.pump() }
 	s.flushFire = func() { s.flushAt = 0; s.advanceSafeTime() }
 	node.SetHandler(s.handle)
@@ -459,8 +471,7 @@ func (s *Server) onTxn(from simnet.NodeID, m *txnMsg) {
 				s.Rollbacks++
 			}
 			if r.inPQ {
-				s.pq.reposition(r, m.TS)
-				s.node.Work(s.cfg.PQCost)
+				s.reposition(r, m.TS)
 			} else {
 				r.ts = m.TS
 				if r.held && s.conflictOK(r.piece, r.ts) {
@@ -619,6 +630,13 @@ func (s *Server) pumpOnce() {
 		if r.ts.Time+hold > now {
 			break
 		}
+		if r.parked {
+			// Re-examining it cannot make it runnable (process is a no-op
+			// until agreement, which unparks it), nothing before it conflicts
+			// with it, and its keys already block later records via parkR/W.
+			i++
+			continue
+		}
 		s.PumpScan++
 		if r.eligS == 0 {
 			// First expired-prefix scan that reached the record: the
@@ -636,9 +654,15 @@ func (s *Server) pumpOnce() {
 		before := len(s.pq.items)
 		s.process(r)
 		if len(s.pq.items) == before && s.pq.items[i] == r {
-			// Still pending (e.g. awaiting agreement): it blocks conflicts.
-			s.addBlocked(r.piece)
-			dirty = true
+			// Still pending: it blocks conflicts — durably if all it waits
+			// for is agreement, for this scan only if it is runnable again
+			// next pump (agreed but unexecuted, or revoked in place).
+			if (r.executed || r.proposed) && !r.agreed {
+				s.park(r)
+			} else {
+				s.addBlocked(r.piece)
+				dirty = true
+			}
 			i++
 		}
 		// If process released or repositioned r, re-examine index i.
@@ -652,20 +676,21 @@ func (s *Server) pumpOnce() {
 	}
 }
 
+// blockedBy reports whether an earlier pending record conflicts with p: a
+// parked one (parkR/parkW) or one this scan found blocked (blockedR/blockedW).
+// Consulting the parked sets without regard to queue position is sound because
+// a parked record never sits after a conflicting unparked record: nothing
+// before it conflicted when it was processed (it would have been blocked),
+// recordMaps at that point pushes every later conflicting admission past its
+// timestamp, and repositioning only moves records later — and unparks them.
 func (s *Server) blockedBy(p *txn.Piece) bool {
-	br, bw := s.blockedR, s.blockedW
-	if bw != nil {
-		for _, k := range p.ReadSet {
-			if bw[k] {
-				return true
-			}
+	for _, k := range p.ReadSet {
+		if s.parkW[k] > 0 || s.blockedW[k] {
+			return true
 		}
 	}
 	for _, k := range p.WriteSet {
-		if bw != nil && bw[k] {
-			return true
-		}
-		if br != nil && br[k] {
+		if s.parkW[k] > 0 || s.blockedW[k] || s.parkR[k] > 0 || s.blockedR[k] {
 			return true
 		}
 	}
@@ -683,6 +708,61 @@ func (s *Server) addBlocked(p *txn.Piece) {
 	for _, k := range p.WriteSet {
 		s.blockedW[k] = true
 	}
+}
+
+// park marks a pq record as waiting for agreement only and adds its keys to
+// the parked sets.
+func (s *Server) park(r *rec) {
+	r.parked = true
+	for _, k := range r.piece.ReadSet {
+		s.parkR[k]++
+	}
+	for _, k := range r.piece.WriteSet {
+		s.parkW[k]++
+	}
+	if s.onPark != nil {
+		s.onPark(r)
+	}
+}
+
+// unpark undoes park; every transition that makes a parked record runnable
+// again or takes it out of the queue calls it (agreement, release, erase,
+// reposition). A no-op for records that are not parked.
+func (s *Server) unpark(r *rec) {
+	if !r.parked {
+		return
+	}
+	r.parked = false
+	for _, k := range r.piece.ReadSet {
+		uncount(s.parkR, k)
+	}
+	for _, k := range r.piece.WriteSet {
+		uncount(s.parkW, k)
+	}
+}
+
+// uncount decrements a counted set's entry, dropping it at zero so the set's
+// size stays the number of keys actually parked.
+func uncount(m map[string]int, k string) {
+	if n := m[k]; n > 1 {
+		m[k] = n - 1
+	} else {
+		delete(m, k)
+	}
+}
+
+// erase removes r from the queue (and from the parked sets).
+func (s *Server) erase(r *rec) {
+	s.unpark(r)
+	s.pq.erase(r)
+}
+
+// reposition moves a pending record to a larger timestamp (Case-3, retry). It
+// may now sit after conflicting unparked records, so it is no longer parked.
+func (s *Server) reposition(r *rec, ts txn.Timestamp) {
+	s.unpark(r)
+	s.pq.reposition(r, ts)
+	s.node.Work(s.cfg.PQCost)
 }
 
 // process handles one expired, unblocked transaction.
@@ -776,7 +856,7 @@ func (s *Server) sendFastReply(r *rec) {
 // from the queue (Alg. 1 lines 24–25).
 func (s *Server) releaseLeader(r *rec) {
 	s.recordMaps(r) // timestamps may have grown during agreement
-	s.pq.erase(r)
+	s.erase(r)
 	s.node.Work(s.cfg.PQCost)
 	r.released = true
 	e := logEntry{ID: r.id, TS: r.ts, T: r.t}
@@ -804,7 +884,7 @@ func (s *Server) releaseLeader(r *rec) {
 // releaseFollower appends to the optimistic tail and fast-replies (§3.3).
 func (s *Server) releaseFollower(r *rec) {
 	r.relS = s.cluster.Net.Sim().Now()
-	s.pq.erase(r)
+	s.erase(r)
 	s.node.Work(s.cfg.PQCost)
 	r.released = true
 	s.tail[r.id] = logEntry{ID: r.id, TS: r.ts, T: r.t}
@@ -910,8 +990,7 @@ func (s *Server) checkAgreement(r *rec) {
 				r.result = nil
 				s.Rollbacks++
 			}
-			s.pq.reposition(r, agreed)
-			s.node.Work(s.cfg.PQCost)
+			s.reposition(r, agreed)
 			s.schedulePump(agreed.Time)
 		}
 		// Case-2 (r.ts == agreed): execution stays valid but we must not
@@ -927,6 +1006,7 @@ func (s *Server) checkAgreement(r *rec) {
 // finishAgreement releases the transaction if it is already (re-)executed;
 // otherwise pump will execute and release it when it reaches the head again.
 func (s *Server) finishAgreement(r *rec) {
+	s.unpark(r)
 	if r.executed && !r.released {
 		s.releaseLeader(r)
 	}
@@ -1043,7 +1123,7 @@ func (s *Server) applySync(m logSyncMsg) {
 		r := s.recs[m.ID]
 		switch {
 		case r != nil && r.inPQ:
-			s.pq.erase(r)
+			s.erase(r)
 			s.relHash.Add(m.ID, m.TS)
 		case r != nil && r.held:
 			r.held = false
@@ -1081,8 +1161,8 @@ func (s *Server) applySync(m logSyncMsg) {
 	}
 }
 
-// advanceCommitPoint lets the follower execute committed entries and
-// checkpoint (§3.7, §4).
+// advanceCommitPoint lets the follower execute committed entries and move
+// its checkpoint position (§3.7, §4).
 func (s *Server) advanceCommitPoint(cp int) {
 	if cp > s.syncPoint {
 		cp = s.syncPoint
@@ -1106,21 +1186,20 @@ func (s *Server) advanceCommitPoint(cp int) {
 	}
 }
 
+// maybeCheckpoint moves the checkpoint to pos once CheckpointEvery more
+// entries have committed (§4). The checkpoint's store image is a pure function
+// of the shard seed and log[:pos], both of which the server retains, so only
+// the position and the prefix identity are recorded here — O(new entries), the
+// committed prefix being immutable — and installLog materialises the image by
+// replay if a recovery ever asks for it.
 func (s *Server) maybeCheckpoint(pos int) {
 	if s.cfg.CheckpointEvery <= 0 || pos-s.checkpointPos < s.cfg.CheckpointEvery {
 		return
 	}
-	s.checkpoint = s.st.Snapshot()
+	for _, e := range s.log[s.checkpointPos:pos] {
+		s.checkpointIDs = append(s.checkpointIDs, e.ID)
+	}
 	s.checkpointPos = pos
-	// Reuse the previous checkpoint's ID slice when it has the capacity.
-	if cap(s.checkpointIDs) < pos {
-		s.checkpointIDs = make([]txn.ID, pos)
-	} else {
-		s.checkpointIDs = s.checkpointIDs[:pos]
-	}
-	for i := 0; i < pos && i < len(s.log); i++ {
-		s.checkpointIDs[i] = s.log[i].ID
-	}
 }
 
 // onSyncPoint is the leader's handler for follower sync-point reports: it
