@@ -40,6 +40,7 @@ type rec struct {
 
 	inPQ     bool
 	parked   bool // leader: in pq awaiting agreement; its keys are in parkR/parkW
+	mapped   bool // rMap/wMap record the access sets at the current ts (recordMaps ran since ts last moved)
 	held     bool // follower: arrived too late, waiting for log-sync
 	executed bool
 	released bool
@@ -200,13 +201,15 @@ type Server struct {
 
 	// parkR/parkW count, per key, the parked records reading/writing it: pq
 	// records whose process call is a no-op until §3.5 agreement completes
-	// (detective: executed; preventive: proposed). They are maintained at the
-	// state transitions (park, unpark), so pumpOnce steps over parked records
-	// instead of re-deriving their keys on every pump.
+	// (detective: executed; preventive: proposed) and whose timestamp rMap/wMap
+	// cover (rec.mapped). They are maintained at the state transitions (park,
+	// unpark), so pumpOnce steps over parked records instead of re-deriving
+	// their keys on every pump.
 	parkR map[string]int
 	parkW map[string]int
-	// onPark is a test hook called after every park (nil outside tests).
-	onPark func(*rec)
+	// onScan is a test hook called with every blockedBy verdict of pumpOnce:
+	// the queue index examined and the verdict (nil outside tests).
+	onScan func(i int, blocked bool)
 
 	// Reused hot-path scratch. blockedR/blockedW are pumpOnce's conflict
 	// shadow sets for blocked records that are not parked (cleared after each
@@ -643,7 +646,11 @@ func (s *Server) pumpOnce() {
 			// future-timestamp headroom wait ends here.
 			r.eligS = simNow
 		}
-		if s.blockedBy(r.piece) {
+		blocked := s.blockedBy(r.piece)
+		if s.onScan != nil {
+			s.onScan(i, blocked)
+		}
+		if blocked {
 			// Blocked behind an earlier conflicting transaction: it stays,
 			// and its own keys block later conflicting transactions too.
 			s.addBlocked(r.piece)
@@ -655,9 +662,12 @@ func (s *Server) pumpOnce() {
 		s.process(r)
 		if len(s.pq.items) == before && s.pq.items[i] == r {
 			// Still pending: it blocks conflicts — durably if all it waits
-			// for is agreement, for this scan only if it is runnable again
-			// next pump (agreed but unexecuted, or revoked in place).
-			if (r.executed || r.proposed) && !r.agreed {
+			// for is agreement and the conflict maps cover its timestamp, for
+			// this scan only otherwise: it is runnable again next pump (agreed
+			// but unexecuted), or it proposed and was then repositioned, so a
+			// conflicting record may still be admitted ahead of it and must
+			// not find it in the parked sets.
+			if (r.executed || r.proposed) && !r.agreed && r.mapped {
 				s.park(r)
 			} else {
 				s.addBlocked(r.piece)
@@ -679,10 +689,13 @@ func (s *Server) pumpOnce() {
 // blockedBy reports whether an earlier pending record conflicts with p: a
 // parked one (parkR/parkW) or one this scan found blocked (blockedR/blockedW).
 // Consulting the parked sets without regard to queue position is sound because
-// a parked record never sits after a conflicting unparked record: nothing
-// before it conflicted when it was processed (it would have been blocked),
-// recordMaps at that point pushes every later conflicting admission past its
-// timestamp, and repositioning only moves records later — and unparks them.
+// no record ever sits before a conflicting parked one: nothing before it
+// conflicted when it was processed (it would have been blocked), it is parked
+// only while rMap/wMap record its current timestamp (rec.mapped), which pushes
+// every later conflicting admission past it, and repositioning only moves
+// records later — unparking them, and leaving them unmapped until recordMaps
+// runs again (a preventive-mode record repositioned after proposing is never
+// re-parked: its maps stay at the proposal timestamp until release).
 func (s *Server) blockedBy(p *txn.Piece) bool {
 	for _, k := range p.ReadSet {
 		if s.parkW[k] > 0 || s.blockedW[k] {
@@ -720,9 +733,6 @@ func (s *Server) park(r *rec) {
 	for _, k := range r.piece.WriteSet {
 		s.parkW[k]++
 	}
-	if s.onPark != nil {
-		s.onPark(r)
-	}
 }
 
 // unpark undoes park; every transition that makes a parked record runnable
@@ -758,9 +768,11 @@ func (s *Server) erase(r *rec) {
 }
 
 // reposition moves a pending record to a larger timestamp (Case-3, retry). It
-// may now sit after conflicting unparked records, so it is no longer parked.
+// may now sit after conflicting unparked records and rMap/wMap no longer cover
+// its timestamp, so it is no longer parked and cannot be until it is re-mapped.
 func (s *Server) reposition(r *rec, ts txn.Timestamp) {
 	s.unpark(r)
+	r.mapped = false
 	s.pq.reposition(r, ts)
 	s.node.Work(s.cfg.PQCost)
 }
@@ -818,6 +830,7 @@ func (s *Server) process(r *rec) {
 
 // recordMaps updates rMap/wMap with r's access sets (Alg. 1 lines 14–15).
 func (s *Server) recordMaps(r *rec) {
+	r.mapped = true
 	for _, k := range r.piece.ReadSet {
 		if cur, ok := s.rMap[k]; !ok || cur.Less(r.ts) {
 			s.rMap[k] = r.ts
