@@ -104,6 +104,23 @@ func TestGoldenTextRenderer(t *testing.T) {
 			rep, _ := Breakdown(goldenOpts())
 			return rep
 		}},
+		{"localreads", func(t *testing.T) *report.Report {
+			// Captured at PR 12, before the read path moved into
+			// internal/snapread: the only pin of lockocc's local reads, and of
+			// both coordinators' re-drive through a partition (chaos section).
+			o := goldenOpts()
+			o.Protocols = []string{"Tiga", "2PL+Paxos", "OCC+Paxos"}
+			rep, _ := LocalReads(o)
+			return rep
+		}},
+		{"scaleout", func(t *testing.T) *report.Report {
+			// Captured at PR 12: open-loop arrivals, admission shedding and
+			// the QueueLat / service-latency split.
+			o := goldenOpts()
+			o.Protocols = []string{"Tiga"}
+			rep, _ := ScaleOut(o)
+			return rep
+		}},
 		{"emptysel", func(t *testing.T) *report.Report {
 			// The by-design exclusion remark: Detock-only against Table 2
 			// renders the title, the header, and the explanatory note.
