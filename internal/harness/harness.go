@@ -1,8 +1,9 @@
 // Package harness assembles complete deployments of Tiga and every baseline
-// protocol on the simulated WAN and drives them with the paper's open-loop
-// evaluation method (§5.1): each coordinator submits transactions at a fixed
-// rate with a cap on outstanding transactions, and the harness measures
-// throughput, commit rate, and per-region latency percentiles.
+// protocol on the simulated WAN and drives them with the paper's evaluation
+// method (§5.1): each coordinator submits transactions at a fixed rate with a
+// cap on outstanding transactions — or, for the serving experiments, on an
+// open-loop arrival curve — and the harness measures throughput, commit rate,
+// and per-region latency percentiles.
 //
 // The harness knows no concrete protocol type: deployments are resolved
 // through the protocol registry (see internal/protocol), which each protocol
@@ -257,7 +258,7 @@ func Build(spec ClusterSpec) *Deployment {
 		Protocol: spec.Protocol, Topology: topo, Clocks: clockFactory}
 }
 
-// LoadSpec drives the open-loop workload.
+// LoadSpec describes the load RunLoad offers.
 type LoadSpec struct {
 	RatePerCoord float64 // txns/s per coordinator
 	Outstanding  int     // cap on in-flight transactions per coordinator
@@ -281,13 +282,13 @@ type LoadSpec struct {
 	LocalReads bool
 	// Arrival selects a registered open-loop arrival process
 	// (workload.ArrivalNames: poisson, diurnal, flashcrowd, surge). When
-	// set, RunLoad switches to true open-loop mode (see openloop.go): jobs
-	// arrive on the process's rate curve with RatePerCoord as the base
-	// rate, regardless of completions, and Outstanding is ignored —
+	// set, jobs arrive on the process's rate curve with RatePerCoord as the
+	// base rate, regardless of completions, and Outstanding is ignored —
 	// backpressure belongs to the protocol's admission gate. Queueing
 	// delay (Result.Queued) is then accounted in Run.QueueLat separately
-	// from service latency in Run.Lat. Empty keeps the default
-	// fixed-interval, outstanding-capped loop untouched.
+	// from service latency in Run.Lat, and shed transactions count in
+	// Counters.Shed (and Aborted). Empty selects the fixed-interval,
+	// outstanding-capped closed loop.
 	Arrival string
 	// ArrivalParams are typed parameter overrides for the named arrival
 	// process (validated against its registered schema).
@@ -332,26 +333,36 @@ type RunResult struct {
 	Trace *trace.Summary
 }
 
-// clState is the closed loop's per-run shared context, mirroring olState in
-// openloop.go (the two loops account completions differently, so each keeps
-// its own envelope type).
-type clState struct {
+// loadState is one run's shared context: everything a job's completion needs
+// that is not per-arrival.
+type loadState struct {
 	d          *Deployment
 	spec       LoadSpec
 	run        *metrics.Run
 	res        *RunResult
 	checkReads bool
-	jobs       *pool.Free[clJob]
+	// open is spec.Arrival != "": completions then split admission-queue
+	// wait (Run.QueueLat) from service latency (Run.Lat) and count sheds.
+	open bool
+	// jobs recycles envelopes. One pool per run, touched only from the run's
+	// single-threaded simulator loop (see internal/pool).
+	jobs *pool.Free[loadJob]
 	// tracer is the run's span recorder; nil on untraced runs (the
 	// default), making every per-job hook a pointer test.
 	tracer *trace.Tracer
 }
 
-// clJob is one closed-loop submission's envelope — pooled like olJob, bound
-// callbacks amortized to the pool's high-water mark — plus a pointer to its
-// coordinator's outstanding counter, which completion decrements.
-type clJob struct {
-	st          *clState
+// loadJob is one submission's envelope: the submit-time facts its completion
+// needs, plus the completion callbacks themselves. They are bound once per
+// envelope lifetime (first get) and survive recycling — the fields are
+// rewritten each arrival — so per-arrival closures are amortized down to the
+// pool's high-water mark. An envelope whose transaction never completes (lost
+// in an outage, or still in flight when the horizon ends) never returns to
+// the pool.
+type loadJob struct {
+	st *loadState
+	// outstanding is the closed loop's per-coordinator in-flight count,
+	// which completion decrements; nil in open-loop runs.
 	outstanding *int
 	region      string
 	start       time.Duration
@@ -364,67 +375,93 @@ type clJob struct {
 	finishLocal func(txn.Result)
 }
 
-// finishTrace seals a traced job's span record: the breakdown of a committed
-// in-window transaction feeds Run.Phase, and the trace is retained or
-// recycled by the tracer. Called before the in-window early-outs so every
-// trace is sealed exactly once.
-func finishTrace(tracer *trace.Tracer, tr *trace.T, t *txn.Txn,
-	run *metrics.Run, now time.Duration, keep bool) {
-	if t != nil {
-		t.Trace = nil
-	}
-	bd := tracer.Finish(tr, now, keep)
-	if keep {
-		run.Phase.Add(bd)
-	}
-}
-
-func (st *clState) get() *clJob {
+func (st *loadState) get() *loadJob {
 	j := st.jobs.Get()
 	if j.st == nil {
 		j.st = st
-		j.finish = j.onFinish
-		j.finishSub = func(r txn.Result) { j.onFinish(r, j.t) }
-		j.finishLocal = j.onFinishLocal
+		j.finish = func(r txn.Result, t *txn.Txn) { j.complete(r, t, false) }
+		j.finishSub = func(r txn.Result) { j.complete(r, j.t, false) }
+		j.finishLocal = func(r txn.Result) { j.complete(r, j.t, true) }
 	}
 	return j
 }
 
-func (j *clJob) onFinish(r txn.Result, t *txn.Txn) {
+// complete accounts one finished job. local marks a local snapshot read,
+// which bypasses the commit protocol (and its admission gate) entirely: its
+// result carries read observations instead of a serialization timestamp, so it
+// is validated by the snapshot-read checker, not the strict-serializability
+// one.
+func (j *loadJob) complete(r txn.Result, t *txn.Txn, local bool) {
 	st := j.st
 	defer st.jobs.Put(j)
-	*j.outstanding--
+	if j.outstanding != nil {
+		*j.outstanding--
+	}
 	run, res, spec := st.run, st.res, &st.spec
 	now := st.d.Sim.Now()
 	if j.tr != nil {
-		finishTrace(st.tracer, j.tr, t, run, now, r.OK && j.inWindow)
+		// Seal the span record before the in-window early-outs, so every
+		// trace is sealed exactly once; the breakdown of a committed
+		// in-window transaction feeds Run.Phase.
+		keep := r.OK && j.inWindow
+		if t != nil {
+			t.Trace = nil
+		}
+		bd := st.tracer.Finish(j.tr, now, keep)
+		if keep {
+			run.Phase.Add(bd)
+		}
 		j.tr = nil
 	}
 	if !j.inWindow {
 		return
 	}
+	if st.open && r.Shed {
+		run.Counters.Shed++
+	}
+	lat := now - j.start
 	if !r.OK {
 		run.Counters.Aborted++
 		if spec.TrackSamples {
-			res.Aborts = append(res.Aborts, Sample{At: now, Lat: now - j.start, Region: j.region})
+			res.Aborts = append(res.Aborts, Sample{At: now, Lat: lat, Region: j.region})
 		}
 		return
 	}
+	if st.open && !local {
+		// Service latency excludes the admission-queue wait, which is
+		// accounted separately.
+		lat -= r.Queued
+		run.QueueLat.Add(r.Queued)
+	}
 	if spec.TrackSamples {
-		res.Samples = append(res.Samples, Sample{At: now, Lat: now - j.start, Region: j.region})
+		res.Samples = append(res.Samples, Sample{At: now, Lat: lat, Region: j.region})
 	}
-	run.RecordCommit(now, now-j.start, j.region, r.FastPath)
 	run.Counters.Retries += int64(r.Retries)
-	if t != nil && t.ReadOnly {
-		run.ReadLat.Add(now - j.start)
+	if local {
+		run.RecordLocalRead(now, lat, r.Waited, j.region)
+		if st.checkReads {
+			for _, ro := range r.Reads {
+				res.SnapReads = append(res.SnapReads, checker.SnapshotRead{
+					Key: ro.Key, At: r.SnapshotAt, Saw: ro.TS,
+				})
+			}
+		}
+		return
 	}
-	if spec.Check && t != nil {
+	run.RecordCommit(now, lat, j.region, r.FastPath)
+	if t == nil {
+		return
+	}
+	if t.ReadOnly {
+		run.ReadLat.Add(lat)
+	}
+	if spec.Check {
 		res.Counter.Committed(t)
 		res.Commits = append(res.Commits, checker.Commit{
 			ID: t.ID, TS: r.TS, Submit: j.start, Complete: now,
 		})
 	}
-	if st.checkReads && t != nil && !t.ReadOnly && !r.TS.IsZero() {
+	if st.checkReads && !t.ReadOnly && !r.TS.IsZero() {
 		for _, p := range t.Pieces {
 			for _, k := range p.WriteSet {
 				res.Writes = append(res.Writes, checker.WriteEvent{Key: k, TS: r.TS})
@@ -433,50 +470,29 @@ func (j *clJob) onFinish(r txn.Result, t *txn.Txn) {
 	}
 }
 
-// onFinishLocal handles a local snapshot read, which bypasses the commit
-// protocol entirely: its result carries read observations instead of a
-// serialization timestamp, so it is validated by the snapshot-read checker,
-// not the strict-serializability one.
-func (j *clJob) onFinishLocal(r txn.Result) {
-	st := j.st
-	defer st.jobs.Put(j)
-	*j.outstanding--
-	run, res, spec := st.run, st.res, &st.spec
-	now := st.d.Sim.Now()
-	if j.tr != nil {
-		finishTrace(st.tracer, j.tr, j.t, run, now, r.OK && j.inWindow)
-		j.tr = nil
-	}
-	if !j.inWindow {
-		return
-	}
-	if !r.OK {
-		run.Counters.Aborted++
-		if spec.TrackSamples {
-			res.Aborts = append(res.Aborts, Sample{At: now, Lat: now - j.start, Region: j.region})
-		}
-		return
-	}
-	if spec.TrackSamples {
-		res.Samples = append(res.Samples, Sample{At: now, Lat: now - j.start, Region: j.region})
-	}
-	run.RecordLocalRead(now, now-j.start, r.Waited, j.region)
-	run.Counters.Retries += int64(r.Retries)
-	if st.checkReads {
-		for _, ro := range r.Reads {
-			res.SnapReads = append(res.SnapReads, checker.SnapshotRead{
-				Key: ro.Key, At: r.SnapshotAt, Saw: ro.TS,
-			})
-		}
-	}
-}
+// fixedGap is the closed loop's arrival process: one arrival per interval.
+type fixedGap time.Duration
 
-// RunLoad executes the open-loop workload against a built deployment and
-// returns its metrics. The simulator is advanced to warmup+duration.
+func (g fixedGap) Next(time.Duration, *rand.Rand) time.Duration { return time.Duration(g) }
+
+// RunLoad drives the workload against a built deployment and returns its
+// metrics; the simulator is advanced to warmup+duration (plus a drain tail).
+// Each coordinator runs one arrival loop, and the two load models differ only
+// in its policy. Closed (spec.Arrival empty, the paper's §5.1 method): one
+// arrival per fixed interval, skipped while Outstanding transactions are in
+// flight, so a slow system is offered less. Open (spec.Arrival names a
+// registered process): gaps are drawn from the process and completions never
+// gate arrivals, so offered load is a property of the curve, not of the
+// system under test. That is what makes overload measurable: a
+// congestion-collapsing protocol keeps receiving work, and the coordinator
+// admission gate (admit-cap/admit-queue knobs) is what turns the excess into
+// bounded-latency shedding.
+//
+// Determinism: one rng per coordinator seeded from (Seed, coordinator index),
+// all scheduling through the simulator, so a fixed seed is byte-identical
+// across -workers.
 func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
-	if spec.Arrival != "" {
-		return runOpenLoop(d, gen, spec)
-	}
+	open := spec.Arrival != ""
 	if spec.Outstanding == 0 {
 		spec.Outstanding = 1000
 	}
@@ -501,36 +517,63 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 	run.End = spec.Warmup + spec.Duration
 	res := &RunResult{Run: run, Counter: checker.NewCounter(), Deployment: d}
 	tracer, publish := newRunTracer(d, &spec)
-	st := &clState{d: d, spec: spec, run: run, res: res, checkReads: checkReads,
-		jobs: pool.New[clJob](), tracer: tracer}
+	st := &loadState{d: d, spec: spec, run: run, res: res, checkReads: checkReads,
+		open: open, jobs: pool.New[loadJob](), tracer: tracer}
 
-	// Pre-size the sample buffers: the open loop submits about rate ×
-	// duration transactions per coordinator inside the measurement window,
-	// so steady-state recording never reallocates mid-run.
+	// Pre-size the sample buffers: about rate × duration transactions per
+	// coordinator arrive inside the measurement window (open-loop curves
+	// swing around that base rate), so steady-state recording rarely
+	// reallocates mid-run.
 	if expected := int(spec.RatePerCoord*spec.Duration.Seconds()) * d.Sys.NumCoords(); expected > 0 {
 		run.Lat.Grow(expected)
+		if open {
+			run.QueueLat.Grow(expected)
+		}
 		if spec.TrackSamples {
 			res.Samples = make([]Sample, 0, expected)
 		}
 	}
 
-	interval := time.Duration(float64(time.Second) / spec.RatePerCoord)
 	for ci := 0; ci < d.Sys.NumCoords(); ci++ {
-		ci := ci
 		region := d.Topology.RegionName(d.CoordRegions[ci])
 		rng := rand.New(rand.NewSource(spec.Seed + int64(ci)*7919))
-		outstanding := new(int)
+		var (
+			arr         workload.Arrival
+			first       time.Duration
+			outstanding *int
+		)
+		if open {
+			var err error
+			arr, err = workload.BuildArrival(spec.Arrival, spec.RatePerCoord,
+				ci, d.Sys.NumCoords(), int(d.CoordRegions[ci]), spec.ArrivalParams)
+			if err != nil {
+				panic(fmt.Sprintf("open-loop load: %v", err))
+			}
+			// The first arrival is itself a draw from the process, so the
+			// coordinators de-phase exactly like the steady state.
+			first = arr.Next(0, rng)
+		} else {
+			interval := time.Duration(float64(time.Second) / spec.RatePerCoord)
+			arr = fixedGap(interval)
+			// Stagger coordinator start offsets deterministically.
+			first = time.Duration(rng.Int63n(int64(interval) + 1))
+			outstanding = new(int)
+		}
 		var tick func()
 		tick = func() {
 			if d.Sim.Now() >= run.End {
 				return
 			}
-			d.Sim.After(interval, tick)
-			if *outstanding >= spec.Outstanding {
-				return
+			// Schedule the next arrival before submitting: the gap draw
+			// must not depend on what the submission does with rng.
+			d.Sim.After(arr.Next(d.Sim.Now(), rng), tick)
+			if outstanding != nil {
+				if *outstanding >= spec.Outstanding {
+					return
+				}
+				*outstanding++
 			}
 			job := gen.Next(rng)
-			*outstanding++
 			j := st.get()
 			j.outstanding = outstanding
 			j.region = region
@@ -555,8 +598,7 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 				runChain(d, ci, job.I, 0, spec.MaxChainRestarts, j.finish)
 			}
 		}
-		// Stagger coordinator start offsets deterministically.
-		d.Sim.After(time.Duration(rng.Int63n(int64(interval)+1)), tick)
+		d.Sim.After(first, tick)
 	}
 	d.Sim.Run(run.End + 2*time.Second) // drain tail completions
 	sealTrace(res, tracer, publish)

@@ -151,3 +151,36 @@ func TestTigaLocalReadLatency(t *testing.T) {
 		t.Errorf("local-read p50 = %v, want < 1 OWD (%v)", p50, owd)
 	}
 }
+
+// TestReadBelowGCHorizonRestarts is the regression test for a replica
+// answering a snapshot read below its own version-GC horizon. Under 5 % loss a
+// read can lose its request or reply and be re-driven (every retry-timeout,
+// the same snapshot each time) until the horizon — min watermark − staleness −
+// 1 s — has passed it; a pruned store answers "not found" there, a silently
+// wrong value once the key was rewritten in between. On the PR 12 code this
+// run fails the checker ("snapshot read of k0-0 at 2.969646301s returned a
+// stale version"); now the replica answers "pruned" and the coordinator
+// restarts the read at a fresh snapshot. Thirty keys per shard make every key
+// hot enough to have been rewritten, so a wrong answer cannot hide behind a
+// never-written key.
+func TestReadBelowGCHorizonRestarts(t *testing.T) {
+	spec := localReadTestSpec(t, "Tiga", 0.8)
+	spec.WorkloadKeys = 30
+	spec.Gen = nil
+	if err := spec.EnsureGen(); err != nil {
+		t.Fatal(err)
+	}
+	spec.SetKnob("Tiga", "version-gc", true)
+	spec.Loss = 0.05
+	d := Build(spec)
+	res := RunLoad(d, spec.Gen, LoadSpec{
+		RatePerCoord: 150, Outstanding: 200, Duration: 12 * time.Second,
+		Seed: 5, Check: true, LocalReads: true,
+	})
+	if res.Run.Counters.LocalReads == 0 || res.Run.Counters.Retries == 0 {
+		t.Fatalf("vacuous run: %d local reads, %d retries", res.Run.Counters.LocalReads, res.Run.Counters.Retries)
+	}
+	if err := checker.SnapshotReads(res.SnapReads, res.Writes); err != nil {
+		t.Fatalf("a replica answered below its GC horizon: %v", err)
+	}
+}

@@ -232,13 +232,9 @@ type server struct {
 	recovered  map[int]recoverRep
 	catchingUp bool
 
-	// Local snapshot-read state (Spec.LocalReads, see snapreads.go).
-	safeTime  time.Duration
-	safeLie   time.Duration // test hook: fault-injected watermark inflation
-	safePairs []safeT       // follower: (W, N) pairs awaiting applied >= N
-	waiters   snapread.Waiters
-	followerW map[int]time.Duration // leader: replica -> acked watermark (version GC)
-	gcHorizon time.Duration         // monotonic version-GC horizon (Spec.VersionGC)
+	// reads is the replica's local snapshot-read state (Spec.LocalReads, see
+	// snapreads.go).
+	reads snapread.Replica
 }
 
 // System is a running 2PL/OCC deployment.
@@ -284,8 +280,12 @@ func New(spec Spec) *System {
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
 		co := &coordinator{sys: sys, node: node, idx: int32(len(sys.coords) + 1),
-			pending: make(map[txn.ID]*pendingCo), pend: pool.New[pendingCo](),
-			reads: make(map[uint64]*pendingRead)}
+			pending: make(map[txn.ID]*pendingCo), pend: pool.New[pendingCo]()}
+		co.reads = snapread.Coordinator{
+			Node: node, Net: spec.Net,
+			Clock: spec.Net.Sim().Now, Staleness: spec.ReadStaleness, RetryEvery: readRetryEvery,
+			Replicas: n, Replica: func(shard, replica int) simnet.NodeID { return sys.nodes[shard][replica] },
+		}
 		co.gate = admit.Gate{
 			Cap: spec.AdmitCap, Queue: spec.AdmitQueue, ShedOldest: spec.ShedOldest,
 			Now: func() time.Duration { return spec.Net.Sim().Now() },
@@ -314,7 +314,11 @@ func newServer(sys *System, s, r int) *server {
 	srv.lt.Wound = srv.onWound
 	if sys.spec.LocalReads {
 		srv.st.EnableSnapshots()
-		srv.followerW = make(map[int]time.Duration)
+		srv.reads = snapread.Replica{
+			Node: node, Sim: sys.spec.Net.Sim(), Store: srv.st,
+			Shard: s, Self: r, Replicas: len(sys.nodes[s]),
+			ExecCost: sys.spec.ExecCost, Staleness: sys.spec.ReadStaleness,
+		}
 		if r == 0 {
 			// Leader watermark broadcast; re-armed here so a restarted
 			// leader (whose crash cancelled all timers) resumes publishing.
@@ -751,7 +755,7 @@ func (s *server) onPaxosCommit(slot int, cmd paxos.Command) {
 	}
 	if s.replica != 0 {
 		if s.sys.spec.LocalReads {
-			s.adoptSafeT()
+			s.reads.Applied(s.pax.Applied())
 		}
 		return
 	}
@@ -832,9 +836,8 @@ type coordinator struct {
 	// default, it passes submissions straight through.
 	gate admit.Gate
 
-	// Local snapshot reads (Spec.LocalReads, see snapreads.go).
-	reads   map[uint64]*pendingRead
-	nearest []int
+	// reads drives local snapshot reads (Spec.LocalReads, see snapreads.go).
+	reads snapread.Coordinator
 }
 
 // Submit runs the layered commit protocol for t, behind the coordinator's
@@ -918,7 +921,7 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	case committedMsg:
 		co.onCommitted(m)
 	case snapread.Rep:
-		co.onSnapRep(m)
+		co.reads.OnRep(m)
 	case decisionQuery:
 		co.onDecisionQuery(from, m)
 	}

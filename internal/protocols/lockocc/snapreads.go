@@ -6,7 +6,6 @@ import (
 	"tiga/internal/protocol"
 	"tiga/internal/simnet"
 	"tiga/internal/snapread"
-	"tiga/internal/trace"
 	"tiga/internal/txn"
 )
 
@@ -29,11 +28,7 @@ import (
 // argument above). GC piggybacks the leader's version-GC horizon (zero
 // unless Spec.VersionGC): followers prune committed history to it when they
 // adopt the watermark.
-type safeT struct {
-	W  time.Duration
-	N  int
-	GC time.Duration
-}
+type safeT snapread.Pair
 
 // safeTAck is a follower's watermark report back to the leader, sent only
 // with Spec.VersionGC (so default local-read runs keep their exact message
@@ -45,15 +40,6 @@ type safeTAck struct {
 	W       time.Duration
 }
 
-// gcSlack is the fixed safety margin subtracted from the version-GC horizon
-// on top of the read-staleness bound. It covers snapshot reads already in
-// flight when the horizon advances: between minting a read's snapshot
-// timestamp and serving it lie one network delivery plus at most one
-// coordinator re-drive (readRetryEvery, 400 ms), both well under a second.
-// Strictly more conservative than the min-watermark − staleness horizon
-// alone — see EXPERIMENTS.md deviations.
-const gcSlack = time.Second
-
 // advanceSafeT recomputes the leader watermark: one tick below now, capped
 // below every in-flight transaction's arrival time. Monotonic — prepTS
 // entries only disappear forward in time, and now only grows.
@@ -64,10 +50,7 @@ func (s *server) advanceSafeT() {
 			w = p.prepTS - 1
 		}
 	}
-	if w > s.safeTime {
-		s.safeTime = w
-		s.flushWaiters()
-	}
+	s.reads.Advance(w)
 }
 
 func (s *server) broadcastSafeT() {
@@ -82,9 +65,9 @@ func (s *server) broadcastSafeT() {
 	s.pax.Tick()
 	s.advanceSafeT()
 	if s.sys.spec.VersionGC {
-		s.advanceGCHorizon()
+		s.reads.AdvanceGC()
 	}
-	m := safeT{W: s.safeTime, N: s.pax.Applied(), GC: s.gcHorizon}
+	m := safeT{W: s.reads.Watermark(), N: s.pax.Applied(), GC: s.reads.GCHorizon()}
 	for r, id := range s.sys.nodes[s.shard] {
 		if r != s.replica {
 			s.node.Send(id, m)
@@ -92,98 +75,24 @@ func (s *server) broadcastSafeT() {
 	}
 }
 
-// advanceGCHorizon recomputes the leader's version-GC horizon: the minimum
-// watermark across all replicas (followers ack theirs via safeTAck) minus
-// the read-staleness bound and gcSlack. Any snapshot read, live or future,
-// carries a snapshot timestamp above that, and store.PruneTo keeps the
-// newest committed version at or below the horizon, so GetAt results are
-// invariant under the prune. Until every follower has acked, there is no
-// safe horizon and the leader keeps full history.
-func (s *server) advanceGCHorizon() {
-	h := s.safeTime
-	for r := range s.sys.nodes[s.shard] {
-		if r == s.replica {
-			continue
-		}
-		w, ok := s.followerW[r]
-		if !ok {
-			return
-		}
-		if w < h {
-			h = w
-		}
-	}
-	h -= s.sys.spec.ReadStaleness + gcSlack
-	if h > s.gcHorizon {
-		s.gcHorizon = h
-		s.st.PruneTo(h)
-	}
-}
-
 // onSafeTAck records a follower's watermark at the leader (Spec.VersionGC).
 func (s *server) onSafeTAck(m safeTAck) {
-	if !s.sys.spec.VersionGC || s.replica != 0 {
-		return
-	}
-	if m.W > s.followerW[m.Replica] {
-		s.followerW[m.Replica] = m.W
+	if s.sys.spec.VersionGC && s.replica == 0 {
+		s.reads.Report(m.Replica, m.W)
 	}
 }
 
-// pruneTo applies a leader-published GC horizon on a follower (monotonic).
-func (s *server) pruneTo(gc time.Duration) {
-	if !s.sys.spec.VersionGC || gc <= s.gcHorizon {
-		return
-	}
-	s.gcHorizon = gc
-	s.st.PruneTo(gc)
-}
-
+// onSafeT is the follower side: adopt the leader's watermark once the
+// promised Paxos prefix is applied locally (adoption of buffered pairs is
+// driven from onPaxosCommit).
 func (s *server) onSafeT(m safeT) {
 	if !s.sys.spec.LocalReads || s.replica == 0 {
 		return
 	}
+	s.reads.Offer(snapread.Pair(m), s.pax.Applied())
 	if s.sys.spec.VersionGC {
-		defer s.node.Send(s.sys.nodes[s.shard][0], safeTAck{Replica: s.replica, W: s.safeTime})
+		s.node.Send(s.sys.nodes[s.shard][0], safeTAck{Replica: s.replica, W: s.reads.Watermark()})
 	}
-	if s.pax.Applied() >= m.N {
-		if m.W > s.safeTime {
-			s.safeTime = m.W
-			s.flushWaiters()
-		}
-		s.pruneTo(m.GC)
-		return
-	}
-	s.safePairs = append(s.safePairs, m)
-}
-
-// adoptSafeT folds buffered watermark pairs whose Paxos prefixes this
-// follower has now applied (called from onPaxosCommit).
-func (s *server) adoptSafeT() {
-	if len(s.safePairs) == 0 {
-		return
-	}
-	keep := s.safePairs[:0]
-	advanced := false
-	gc := time.Duration(0)
-	for _, p := range s.safePairs {
-		if s.pax.Applied() >= p.N {
-			if p.W > s.safeTime {
-				s.safeTime = p.W
-				advanced = true
-			}
-			if p.GC > gc {
-				gc = p.GC
-			}
-		} else {
-			keep = append(keep, p)
-		}
-	}
-	s.safePairs = keep
-	if advanced {
-		s.flushWaiters()
-	}
-	s.pruneTo(gc)
 }
 
 // decisionQuery asks a coordinator for the outcome of a voted prepare whose
@@ -221,13 +130,6 @@ func (s *server) armDecisionQuery(id txn.ID) {
 	})
 }
 
-func (s *server) flushWaiters() {
-	if s.waiters.Len() == 0 {
-		return
-	}
-	s.waiters.Flush(s.safeTime+s.safeLie, s.sys.spec.Net.Sim().Now())
-}
-
 // onSnapRead serves a snapshot read once the watermark covers it. Leaders
 // blocked only on wall-clock progress are flushed by the periodic broadcast
 // tick; followers are flushed by watermark adoption.
@@ -238,155 +140,19 @@ func (s *server) onSnapRead(from simnet.NodeID, m snapread.Req) {
 	if s.replica == 0 {
 		s.advanceSafeT()
 	}
-	arriveS := s.sys.spec.Net.Sim().Now()
-	if m.At <= s.safeTime+s.safeLie {
-		s.serveSnapRead(from, m, 0, arriveS)
-		return
-	}
-	s.waiters.Add(m.At, arriveS, func(waited time.Duration) {
-		s.serveSnapRead(from, m, waited, arriveS)
-	})
+	s.reads.OnReq(from, m)
 }
-
-func (s *server) serveSnapRead(to simnet.NodeID, m snapread.Req, waited time.Duration, arriveS time.Duration) {
-	s.node.Work(s.sys.spec.ExecCost)
-	vals := make([][]byte, len(m.Keys))
-	seen := make([]txn.Timestamp, len(m.Keys))
-	if len(m.KeyIDs) == len(m.Keys) {
-		for i, id := range m.KeyIDs {
-			vals[i], seen[i], _ = s.st.GetAtID(id, m.At)
-		}
-	} else {
-		for i, k := range m.Keys {
-			vals[i], seen[i], _ = s.st.GetAt(k, m.At)
-		}
-	}
-	s.node.Send(to, snapread.Rep{Shard: s.shard, Seq: m.Seq, Vals: vals, Seen: seen, Waited: waited,
-		ArriveS: arriveS, ServedS: s.node.Busy()})
-}
-
-// ---- coordinator read path ----
 
 // readRetryEvery re-drives snapshot requests lost to a crashed or
 // partitioned replica: delayed until the fault heals, never silently lost.
 const readRetryEvery = 400 * time.Millisecond
 
-type pendingRead struct {
-	t       *txn.Txn
-	at      time.Duration
-	start   time.Duration
-	done    func(txn.Result)
-	got     map[int]bool
-	vals    map[int][]byte
-	waited  time.Duration
-	reads   []txn.ReadObs
-	retries int
-}
-
-func (co *coordinator) submitRead(t *txn.Txn, done func(txn.Result)) {
-	co.seq++
-	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
-	at := co.sys.spec.Net.Sim().Now() - co.sys.spec.ReadStaleness
-	if at < 0 {
-		at = 0
-	}
-	pr := &pendingRead{
-		t: t, at: at, start: co.sys.spec.Net.Sim().Now(), done: done,
-		got: make(map[int]bool),
-	}
-	co.reads[co.seq] = pr
-	co.sendReadReqs(pr)
-	co.armReadRetry(pr)
-}
-
-func (co *coordinator) sendReadReqs(pr *pendingRead) {
-	for _, sh := range pr.t.Shards() {
-		if pr.got[sh] {
-			continue
-		}
-		piece := pr.t.Pieces[sh]
-		req := snapread.Req{
-			Shard: sh, Coord: co.idx, Seq: pr.t.ID.Seq, At: pr.at, Keys: piece.ReadSet,
-		}
-		if piece.Interned() {
-			req.KeyIDs = piece.ReadIDs
-		}
-		co.node.Send(co.sys.nodes[sh][co.nearestReplica(sh)], req)
-	}
-}
-
-func (co *coordinator) armReadRetry(pr *pendingRead) {
-	seq := pr.t.ID.Seq
-	co.node.After(readRetryEvery, func() {
-		cur, ok := co.reads[seq]
-		if !ok || cur != pr {
-			return
-		}
-		pr.retries++
-		pr.t.Trace.Mark(co.sys.spec.Net.Sim().Now(), trace.PhaseRetry)
-		co.sendReadReqs(pr)
-		co.armReadRetry(pr)
-	})
-}
-
-func (co *coordinator) onSnapRep(m snapread.Rep) {
-	pr, ok := co.reads[m.Seq]
-	if !ok || pr.got[m.Shard] {
-		return
-	}
-	pr.got[m.Shard] = true
-	if m.Waited > pr.waited {
-		pr.waited = m.Waited
-	}
-	keys := pr.t.Pieces[m.Shard].ReadSet
-	for i := range keys {
-		if i < len(m.Seen) {
-			pr.reads = append(pr.reads, txn.ReadObs{Key: keys[i], TS: m.Seen[i]})
-		}
-	}
-	if pr.vals == nil {
-		pr.vals = make(map[int][]byte, len(pr.t.Pieces))
-	}
-	if len(m.Vals) > 0 {
-		pr.vals[m.Shard] = m.Vals[0]
-	}
-	if len(pr.got) < len(pr.t.Pieces) {
-		return
-	}
-	delete(co.reads, m.Seq)
-	// Decisive reply = this one (it completed the read): flight out,
-	// SAFETIME wait at the replica, flight back.
-	if tr := pr.t.Trace; tr != nil {
-		tr.Mark(m.ArriveS, trace.PhaseFlight)
-		tr.Mark(m.ServedS, trace.PhaseSafeTime)
-		tr.Mark(co.sys.spec.Net.Sim().Now(), trace.PhaseFlight)
-	}
-	pr.done(txn.Result{
-		OK: true, FastPath: true, Retries: pr.retries, PerShard: pr.vals,
-		SnapshotAt: pr.at, Waited: pr.waited, Reads: pr.reads,
-	})
-}
-
-func (co *coordinator) nearestReplica(sh int) int {
-	if co.nearest == nil {
-		co.nearest = make([]int, co.sys.spec.Shards)
-		for i := range co.nearest {
-			co.nearest[i] = -1
-		}
-	}
-	if co.nearest[sh] < 0 {
-		net := co.sys.spec.Net
-		co.nearest[sh] = snapread.Nearest(net, co.node.Region(), 2*co.sys.spec.F+1,
-			func(rep int) simnet.Region {
-				return net.Node(co.sys.nodes[sh][rep]).Region()
-			})
-	}
-	return co.nearest[sh]
-}
-
 // SubmitLocalRead implements protocol.SnapshotReadable.
 func (sys *System) SubmitLocalRead(coord int, t *txn.Txn, done func(txn.Result)) {
-	sys.coords[coord].submitRead(t, done)
+	co := sys.coords[coord]
+	co.seq++
+	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
+	co.reads.Submit(t, done)
 }
 
 // SafeTimes implements protocol.SnapshotReadable: every replica's current
@@ -396,7 +162,7 @@ func (sys *System) SafeTimes() []time.Duration {
 	out := make([]time.Duration, 0, sys.spec.Shards*n)
 	for _, shard := range sys.servers {
 		for _, s := range shard {
-			out = append(out, s.safeTime)
+			out = append(out, s.reads.Watermark())
 		}
 	}
 	return out
@@ -405,7 +171,7 @@ func (sys *System) SafeTimes() []time.Duration {
 // LieSafeTime makes one replica advertise a watermark ahead of its real one —
 // fault injection for the snapshot-read checker tests.
 func (sys *System) LieSafeTime(shard, replica int, ahead time.Duration) {
-	sys.servers[shard][replica].safeLie = ahead
+	sys.servers[shard][replica].reads.Lie(ahead)
 }
 
 var _ protocol.SnapshotReadable = (*System)(nil)

@@ -88,7 +88,7 @@ func NewCluster(net *simnet.Network, cfg Config, pl Placement, cf *clocks.Factor
 		for r := 0; r < cfg.Replicas(); r++ {
 			node := net.AddNode(pl.ServerRegion(s, r), nil)
 			c.serverNodes[s][r] = node.ID()
-			c.Servers[s][r] = newServer(c, s, r, node, cf.New())
+			c.Servers[s][r] = newServer(c, s, r, node, cf.New(), c.newStore(s))
 		}
 	}
 	for i, reg := range pl.CoordRegions {
@@ -200,7 +200,9 @@ func (c *Cluster) KillServer(shard, replica int) {
 func (c *Cluster) RestartServer(shard, replica int) {
 	s := c.Servers[shard][replica]
 	s.node.Restart()
-	fresh := newServer(c, shard, replica, s.node, s.clock)
+	// The store stays empty while the server is recovering (it serves
+	// nothing); the rejoin's installLog replays the log into a seeded one.
+	fresh := newServer(c, shard, replica, s.node, s.clock, store.New())
 	c.Servers[shard][replica] = fresh
 	fresh.start()
 	fresh.Rejoin()

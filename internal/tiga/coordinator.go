@@ -66,10 +66,8 @@ type Coordinator struct {
 
 	pending map[txn.ID]*pendingTxn
 
-	// Local snapshot reads (Config.LocalReads): outstanding reads by Seq
-	// and the cached nearest replica per shard (see snapreads.go).
-	reads   map[uint64]*pendingRead
-	nearest []int
+	// reads drives local snapshot reads (Config.LocalReads, snapreads.go).
+	reads snapread.Coordinator
 
 	// gate is the admission-control gate (Config.AdmitCap etc.); disabled
 	// by default, it passes submissions straight through.
@@ -97,12 +95,16 @@ func newCoordinator(c *Cluster, idx int32, node *simnet.Node, clk clocks.Clock) 
 		gmode:   c.initialMode,
 		owd:     make(map[simnet.NodeID]time.Duration),
 		pending: make(map[txn.ID]*pendingTxn),
-		reads:   make(map[uint64]*pendingRead),
 		ptPool:  pool.New[pendingTxn](),
 	}
 	co.gate = admit.Gate{
 		Cap: c.Cfg.AdmitCap, Queue: c.Cfg.AdmitQueue, ShedOldest: c.Cfg.ShedOldest,
 		Now: func() time.Duration { return c.Net.Sim().Now() },
+	}
+	co.reads = snapread.Coordinator{
+		Node: node, Net: c.Net,
+		Clock: co.now, Staleness: c.Cfg.ReadStaleness, RetryEvery: c.Cfg.RetryTimeout,
+		Replicas: c.Cfg.Replicas(), Replica: c.serverNode,
 	}
 	copy(co.gvec, c.initialGVec)
 	node.SetHandler(co.handle)
@@ -144,7 +146,7 @@ func (co *Coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	case slowInquiryRep:
 		co.onSlowInquiryRep(from, m)
 	case snapread.Rep:
-		co.onSnapRep(m)
+		co.reads.OnRep(m)
 	case probeRep:
 		co.updateOWD(from, m.OWD)
 	case vmInfo:

@@ -280,6 +280,7 @@ func (s *Server) installLog(log []logEntry) {
 		s.checkpointIDs = s.checkpointIDs[:0]
 	}
 	s.st = s.cluster.newStore(s.shard)
+	s.reads.Store = s.st
 	for i := 0; i < len(s.log); i++ {
 		e := s.log[i]
 		var res []byte

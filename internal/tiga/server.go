@@ -224,15 +224,12 @@ type Server struct {
 	pumpFire  func()
 	flushFire func()
 
-	// Local snapshot-read state (active only with Config.LocalReads).
-	safeTime  time.Duration    // monotonic safe-time watermark (clock domain)
-	safeLie   time.Duration    // test hook: fault-injected watermark inflation
-	safePairs []safeTimeMsg    // follower: (W, N) pairs awaiting applied >= N
-	waiters   snapread.Waiters // reads blocked behind the watermark
-	flushSeq  uint64           // dedup for the leader's waiter-flush timer
-	flushAt   time.Duration
-	followerW map[int]time.Duration // leader: replica -> reported watermark (version GC)
-	gcHorizon time.Duration         // monotonic version-GC horizon (Config.VersionGC)
+	// Local snapshot reads (active only with Config.LocalReads): reads holds
+	// the watermark (in the clock domain), the reads waiting behind it and the
+	// version-GC horizon; flushSeq/flushAt dedup the leader's waiter-flush timer.
+	reads    snapread.Replica
+	flushSeq uint64
+	flushAt  time.Duration
 
 	// View change state (Algorithm 5).
 	vQuorum map[int]*viewChangeMsg
@@ -246,14 +243,14 @@ type Server struct {
 	PumpScan   int64
 }
 
-// newServer wires a server into the cluster (called by NewCluster).
-func newServer(c *Cluster, shard, replica int, node *simnet.Node, clk clocks.Clock) *Server {
+// newServer wires a server, serving from st, into the cluster.
+func newServer(c *Cluster, shard, replica int, node *simnet.Node, clk clocks.Clock, st *store.Store) *Server {
 	s := &Server{
 		cfg: c.Cfg, cluster: c, node: node, clock: clk,
 		shard: shard, replica: replica,
 		gvec:  make([]int, c.Cfg.Shards),
 		gmode: c.initialMode,
-		st:    c.newStore(shard),
+		st:    st,
 		recs:  make(map[txn.ID]*rec),
 		rMap:  make(map[string]txn.Timestamp),
 		wMap:  make(map[string]txn.Timestamp),
@@ -261,9 +258,13 @@ func newServer(c *Cluster, shard, replica int, node *simnet.Node, clk clocks.Clo
 
 		pendingSync: make(map[int]logSyncMsg),
 		followerSP:  make(map[int]int),
-		followerW:   make(map[int]time.Duration),
 		parkR:       make(map[string]int),
 		parkW:       make(map[string]int),
+	}
+	s.reads = snapread.Replica{
+		Node: node, Sim: c.Net.Sim(), Store: s.st,
+		Shard: shard, Self: replica, Replicas: c.Cfg.Replicas(),
+		ExecCost: c.Cfg.ExecCost, Staleness: c.Cfg.ReadStaleness,
 	}
 	copy(s.gvec, c.initialGVec)
 	s.lview = s.gvec[shard]
@@ -317,7 +318,7 @@ func (s *Server) start() {
 				Shard:     s.shard,
 				Replica:   s.replica,
 				SyncPoint: s.syncPoint,
-				W:         s.safeTime,
+				W:         s.reads.Watermark(),
 			}
 			s.node.Send(s.leaderNode(), m)
 		}
@@ -506,12 +507,12 @@ func (s *Server) onTxn(from simnet.NodeID, m *txnMsg) {
 // (Alg. 1 lines 1–5).
 func (s *Server) admit(r *rec) {
 	s.node.Work(s.cfg.PQCost)
-	if s.cfg.LocalReads && s.IsLeader() && r.ts.Time <= s.safeTime {
+	if s.cfg.LocalReads && s.IsLeader() && r.ts.Time <= s.reads.Watermark() {
 		// A straggler below the published safe-time watermark: lift it
 		// above the watermark so no transaction ever commits under a
 		// snapshot already served. The coordinator sees the changed
 		// timestamp and falls back to the slow path, as with any bump.
-		r.ts = txn.Timestamp{Time: s.safeTime + 1, Coord: r.ts.Coord, Seq: r.ts.Seq}
+		r.ts = txn.Timestamp{Time: s.reads.Watermark() + 1, Coord: r.ts.Coord, Seq: r.ts.Seq}
 	}
 	if s.conflictOK(r.piece, r.ts) {
 		s.pq.insert(r)
@@ -1195,7 +1196,7 @@ func (s *Server) advanceCommitPoint(cp int) {
 	}
 	s.maybeCheckpoint(s.applied)
 	if s.cfg.LocalReads {
-		s.adoptSafePairs()
+		s.reads.Applied(s.applied)
 	}
 }
 
@@ -1242,9 +1243,7 @@ func (s *Server) onSyncPoint(m *syncPointMsg) {
 	if m.SyncPoint > s.followerSP[m.Replica] {
 		s.followerSP[m.Replica] = m.SyncPoint
 	}
-	if m.W > s.followerW[m.Replica] {
-		s.followerW[m.Replica] = m.W
-	}
+	s.reads.Report(m.Replica, m.W)
 	sps := s.spScratch[:0]
 	for _, sp := range s.followerSP {
 		sps = append(sps, sp)
@@ -1306,10 +1305,7 @@ func (s *Server) advanceSafeTime() {
 			}
 		}
 	}
-	if w > s.safeTime {
-		s.safeTime = w
-		s.flushWaiters()
-	}
+	s.reads.Advance(w)
 }
 
 // broadcastSafeTime is the leader's periodic watermark publication, riding
@@ -1320,7 +1316,7 @@ func (s *Server) advanceSafeTime() {
 func (s *Server) broadcastSafeTime() {
 	s.advanceSafeTime()
 	if s.cfg.VersionGC {
-		s.advanceGCHorizon()
+		s.reads.AdvanceGC()
 	}
 	for rep := 0; rep < s.cfg.Replicas(); rep++ {
 		if rep == s.replica {
@@ -1329,7 +1325,7 @@ func (s *Server) broadcastSafeTime() {
 		m := s.cluster.msgs.safeTime.Get()
 		*m = safeTimeMsg{
 			viewInfo: s.views(), Shard: s.shard,
-			W: s.safeTime, N: len(s.log), CP: s.commitPoint, GC: s.gcHorizon,
+			W: s.reads.Watermark(), N: len(s.log), CP: s.commitPoint, GC: s.reads.GCHorizon(),
 		}
 		s.node.Send(s.cluster.serverNode(s.shard, rep), m)
 	}
@@ -1345,138 +1341,22 @@ func (s *Server) onSafeTime(m *safeTimeMsg) {
 		return
 	}
 	s.advanceCommitPoint(m.CP)
-	if s.applied >= m.N {
-		if m.W > s.safeTime {
-			s.safeTime = m.W
-			s.flushWaiters()
-		}
-		s.pruneTo(m.GC)
-		return
-	}
-	s.safePairs = append(s.safePairs, *m) // copy: m is recycled after return
+	s.reads.Offer(snapread.Pair{W: m.W, N: m.N, GC: m.GC}, s.applied)
 }
 
-// adoptSafePairs folds buffered (W, N) watermark pairs whose log prefixes
-// this follower has now applied; called whenever the applied prefix grows.
-func (s *Server) adoptSafePairs() {
-	if len(s.safePairs) == 0 {
-		return
-	}
-	keep := s.safePairs[:0]
-	advanced := false
-	gc := time.Duration(0)
-	for _, p := range s.safePairs {
-		if s.applied >= p.N {
-			if p.W > s.safeTime {
-				s.safeTime = p.W
-				advanced = true
-			}
-			if p.GC > gc {
-				gc = p.GC
-			}
-		} else {
-			keep = append(keep, p)
-		}
-	}
-	s.safePairs = keep
-	if advanced {
-		s.flushWaiters()
-	}
-	s.pruneTo(gc)
-}
-
-// gcSlack is the fixed safety margin subtracted from the version-GC horizon
-// on top of the read-staleness bound. It covers snapshot reads that are
-// already in flight when the horizon advances: a read carries a snapshot
-// timestamp minted when it was issued, and between minting and serving lie
-// one network delivery plus at most one coordinator re-drive (400 ms retry
-// interval), both well under a second. Strictly more conservative than the
-// min-watermark − staleness horizon alone — see EXPERIMENTS.md deviations.
-const gcSlack = time.Second
-
-// advanceGCHorizon recomputes the leader's version-GC horizon: the minimum
-// watermark across all replicas (followers report theirs on the sync-point
-// tick) minus the read-staleness bound and gcSlack. Any snapshot read, live
-// or future, uses a snapshot timestamp above that, and PruneTo keeps the
-// newest committed version at or below the horizon, so GetAt results are
-// invariant under the prune. Until every follower has reported, there is no
-// safe horizon and the leader keeps full history.
-func (s *Server) advanceGCHorizon() {
-	h := s.safeTime
-	for rep := 0; rep < s.cfg.Replicas(); rep++ {
-		if rep == s.replica {
-			continue
-		}
-		w, ok := s.followerW[rep]
-		if !ok {
-			return
-		}
-		if w < h {
-			h = w
-		}
-	}
-	h -= s.cfg.ReadStaleness + gcSlack
-	if h > s.gcHorizon {
-		s.gcHorizon = h
-		s.st.PruneTo(h)
-	}
-}
-
-// pruneTo applies a leader-published GC horizon on a follower (monotonic).
-func (s *Server) pruneTo(gc time.Duration) {
-	if !s.cfg.VersionGC || gc <= s.gcHorizon {
-		return
-	}
-	s.gcHorizon = gc
-	s.st.PruneTo(gc)
-}
-
-func (s *Server) flushWaiters() {
-	if s.waiters.Len() == 0 {
-		return
-	}
-	s.waiters.Flush(s.safeTime+s.safeLie, s.cluster.Net.Sim().Now())
-}
-
-// onSnapRead serves a local snapshot read: immediately when the watermark
-// already covers the requested snapshot, otherwise after the SAFETIME delay.
-// Reads arriving during a view change are dropped — the read path has no
-// retransmission, so a partitioned or recovering replica simply stalls its
-// coordinator (delay, never lie; the chaos experiment exercises this).
+// onSnapRead serves a local snapshot read through the shared replica path.
+// Reads arriving during a view change are dropped — the coordinator re-drives
+// them — so a partitioned or recovering replica delays a read and never lies
+// (the chaos experiment exercises this).
 func (s *Server) onSnapRead(from simnet.NodeID, m snapread.Req) {
 	if !s.cfg.LocalReads || s.status != statusNormal {
 		return
 	}
 	// Leaders answer at clock freshness rather than tick freshness.
 	s.advanceSafeTime()
-	arriveS := s.cluster.Net.Sim().Now()
-	if m.At <= s.safeTime+s.safeLie {
-		s.serveSnapRead(from, m, 0, arriveS)
-		return
-	}
-	s.waiters.Add(m.At, arriveS, func(waited time.Duration) {
-		s.serveSnapRead(from, m, waited, arriveS)
-	})
-	if s.IsLeader() {
+	if s.reads.OnReq(from, m) && s.IsLeader() {
 		s.scheduleSafeFlush(m.At)
 	}
-}
-
-func (s *Server) serveSnapRead(to simnet.NodeID, m snapread.Req, waited time.Duration, arriveS time.Duration) {
-	s.node.Work(s.cfg.ExecCost)
-	vals := make([][]byte, len(m.Keys))
-	seen := make([]txn.Timestamp, len(m.Keys))
-	if len(m.KeyIDs) == len(m.Keys) {
-		for i, id := range m.KeyIDs {
-			vals[i], seen[i], _ = s.st.GetAtID(id, m.At)
-		}
-	} else {
-		for i, k := range m.Keys {
-			vals[i], seen[i], _ = s.st.GetAt(k, m.At)
-		}
-	}
-	s.node.Send(to, snapread.Rep{Shard: s.shard, Seq: m.Seq, Vals: vals, Seen: seen, Waited: waited,
-		ArriveS: arriveS, ServedS: s.node.Busy()})
 }
 
 // scheduleSafeFlush arms a timer for the moment the leader's clock passes at,
@@ -1498,14 +1378,8 @@ func (s *Server) scheduleSafeFlush(at time.Duration) {
 	s.node.AfterGate(when-simNow, &s.flushSeq, s.flushSeq, s.flushFire)
 }
 
-// SafeTime exposes the replica's current watermark (harness staleness
-// probes, tests).
-func (s *Server) SafeTime() time.Duration { return s.safeTime }
-
-// LieSafeTime inflates the served watermark by ahead without moving the real
-// one — a fault-injection hook that makes the replica answer reads it cannot
-// yet cover, which the snapshot-read checker must catch (tests only).
-func (s *Server) LieSafeTime(ahead time.Duration) { s.safeLie = ahead }
+// SafeTime exposes the replica's current watermark (tests).
+func (s *Server) SafeTime() time.Duration { return s.reads.Watermark() }
 
 // PQLen returns the priority queue length (diagnostics).
 func (s *Server) PQLen() int { return s.pq.len() }

@@ -4,152 +4,23 @@ import (
 	"time"
 
 	"tiga/internal/protocol"
-	"tiga/internal/simnet"
-	"tiga/internal/snapread"
-	"tiga/internal/trace"
 	"tiga/internal/txn"
 )
 
-// This file is the coordinator side of the local snapshot-read path
-// (Config.LocalReads): read-only transactions skip the timestamp-agreement
-// machinery entirely and instead ask the nearest replica of each touched
-// shard for a consistent snapshot at one timestamp — 0 WRTT when the
-// replicas are local, against the coordinator path's 1 WRTT floor.
-
-// pendingRead tracks one outstanding local read-only transaction: one
-// snapshot request per involved shard, each sent to that shard's nearest
-// replica.
-type pendingRead struct {
-	t       *txn.Txn
-	at      time.Duration // snapshot timestamp (coordinator clock domain)
-	start   time.Duration
-	done    func(txn.Result)
-	got     map[int]bool // shards answered (dedups retried replies)
-	vals    map[int][]byte
-	waited  time.Duration // max SAFETIME delay across shards
-	reads   []txn.ReadObs
-	retries int
-}
-
-// SubmitLocalRead serves t (which must be read-only) at a single snapshot
-// timestamp: the coordinator's clock minus the configured staleness bound.
-// With ReadStaleness 0 the read is strong — the serving replicas block until
-// their watermarks cover "now", which costs watermark lag (tiny at leaders
-// with Tiga's synchronized clocks, a durability round-trip at followers). A
-// positive bound trades that wait for bounded staleness.
-func (co *Coordinator) SubmitLocalRead(t *txn.Txn, done func(txn.Result)) {
-	co.seq++
-	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
-	at := co.now() - co.cfg.ReadStaleness
-	if at < 0 {
-		at = 0
-	}
-	pr := &pendingRead{
-		t: t, at: at, start: co.cluster.Net.Sim().Now(), done: done,
-		got: make(map[int]bool),
-	}
-	co.reads[co.seq] = pr
-	co.sendSnapReqs(pr)
-	co.armReadRetry(pr)
-}
-
-func (co *Coordinator) sendSnapReqs(pr *pendingRead) {
-	for _, sh := range pr.t.Shards() {
-		if pr.got[sh] {
-			continue
-		}
-		piece := pr.t.Pieces[sh]
-		req := snapread.Req{
-			Shard: sh, Coord: co.idx, Seq: pr.t.ID.Seq, At: pr.at, Keys: piece.ReadSet,
-		}
-		if piece.Interned() {
-			req.KeyIDs = piece.ReadIDs
-		}
-		co.node.Send(co.cluster.serverNode(sh, co.nearestReplica(sh)), req)
-	}
-}
-
-// armReadRetry re-sends unanswered snapshot requests after the retry
-// timeout. A read to a partitioned or crashed replica is therefore delayed
-// until the fault heals, never answered wrongly and never silently lost —
-// the property the chaos-armed localreads experiment checks.
-func (co *Coordinator) armReadRetry(pr *pendingRead) {
-	seq := pr.t.ID.Seq
-	co.node.After(co.cfg.RetryTimeout, func() {
-		cur, ok := co.reads[seq]
-		if !ok || cur != pr {
-			return
-		}
-		pr.retries++
-		co.Retries++
-		pr.t.Trace.Mark(co.cluster.Net.Sim().Now(), trace.PhaseRetry)
-		co.sendSnapReqs(pr)
-		co.armReadRetry(pr)
-	})
-}
-
-func (co *Coordinator) onSnapRep(m snapread.Rep) {
-	pr, ok := co.reads[m.Seq]
-	if !ok || pr.got[m.Shard] {
-		return
-	}
-	pr.got[m.Shard] = true
-	if m.Waited > pr.waited {
-		pr.waited = m.Waited
-	}
-	keys := pr.t.Pieces[m.Shard].ReadSet
-	for i := range keys {
-		if i < len(m.Seen) {
-			pr.reads = append(pr.reads, txn.ReadObs{Key: keys[i], TS: m.Seen[i]})
-		}
-	}
-	if pr.vals == nil {
-		pr.vals = make(map[int][]byte, len(pr.t.Pieces))
-	}
-	if len(m.Vals) > 0 {
-		pr.vals[m.Shard] = m.Vals[0]
-	}
-	if len(pr.got) < len(pr.t.Pieces) {
-		return
-	}
-	delete(co.reads, m.Seq)
-	// The decisive reply is this one — it completed the read. Its stamps
-	// split the round trip into flight out, SAFETIME wait at the replica
-	// (watermark lag, including the serve cost), and flight back.
-	if tr := pr.t.Trace; tr != nil {
-		tr.Mark(m.ArriveS, trace.PhaseFlight)
-		tr.Mark(m.ServedS, trace.PhaseSafeTime)
-		tr.Mark(co.cluster.Net.Sim().Now(), trace.PhaseFlight)
-	}
-	pr.done(txn.Result{
-		OK: true, FastPath: true, Retries: pr.retries, PerShard: pr.vals,
-		SnapshotAt: pr.at, Waited: pr.waited, Reads: pr.reads,
-	})
-}
-
-// nearestReplica picks (and caches) the lowest-RTT replica of a shard from
-// this coordinator's region, using the network's base delays — the same
-// ground truth the OWD probes converge to.
-func (co *Coordinator) nearestReplica(sh int) int {
-	if co.nearest == nil {
-		co.nearest = make([]int, co.cfg.Shards)
-		for i := range co.nearest {
-			co.nearest[i] = -1
-		}
-	}
-	if co.nearest[sh] < 0 {
-		net := co.cluster.Net
-		co.nearest[sh] = snapread.Nearest(net, co.node.Region(), co.cfg.Replicas(),
-			func(rep int) simnet.Region {
-				return net.Node(co.cluster.serverNode(sh, rep)).Region()
-			})
-	}
-	return co.nearest[sh]
-}
+// Local snapshot reads (Config.LocalReads): read-only transactions skip the
+// timestamp-agreement machinery entirely and ask the nearest replica of each
+// touched shard for a consistent snapshot at one timestamp — 0 WRTT when the
+// replicas are local, against the coordinator path's 1 WRTT floor. The read
+// path itself is internal/snapread; what is Tiga's is the snapshot clock (the
+// coordinator's synchronized clock), the re-drive interval (RetryTimeout) and
+// the leader's watermark rule (advanceSafeTime in server.go).
 
 // SubmitLocalRead implements protocol.SnapshotReadable.
 func (c *Cluster) SubmitLocalRead(coord int, t *txn.Txn, done func(txn.Result)) {
-	c.Coords[coord].SubmitLocalRead(t, done)
+	co := c.Coords[coord]
+	co.seq++
+	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
+	co.reads.Submit(t, done)
 }
 
 // SafeTimes implements protocol.SnapshotReadable: every replica's current
@@ -158,7 +29,7 @@ func (c *Cluster) SafeTimes() []time.Duration {
 	out := make([]time.Duration, 0, c.Cfg.Shards*c.Cfg.Replicas())
 	for _, shard := range c.Servers {
 		for _, s := range shard {
-			out = append(out, s.safeTime)
+			out = append(out, s.reads.Watermark())
 		}
 	}
 	return out
@@ -167,7 +38,7 @@ func (c *Cluster) SafeTimes() []time.Duration {
 // LieSafeTime makes one replica advertise a watermark ahead of its real one —
 // fault injection for the snapshot-read checker tests.
 func (c *Cluster) LieSafeTime(shard, replica int, ahead time.Duration) {
-	c.Servers[shard][replica].LieSafeTime(ahead)
+	c.Servers[shard][replica].reads.Lie(ahead)
 }
 
 var _ protocol.SnapshotReadable = (*Cluster)(nil)
