@@ -164,8 +164,9 @@ func TestCoordinatorRestartsAtOneFreshSnapshotWhenPruned(t *testing.T) {
 		case m.Shard == 1 && nth == 1:
 			rep.Send(from, Rep{Shard: 1, Seq: m.Seq, At: m.At, Pruned: true})
 		case m.Shard == 0 && nth == 1:
-			// Answers the dead snapshot, late: arrives after the restart.
-			rep.After(40*ms, func() { answer(rep, from, m) })
+			// Answers the dead snapshot late: its reply lands after the restart
+			// (pruned reply at +20 ms) and before the fresh answers (+40 ms).
+			rep.After(15*ms, func() { answer(rep, from, m) })
 		default:
 			answer(rep, from, m)
 		}
