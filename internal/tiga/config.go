@@ -108,12 +108,13 @@ type Config struct {
 	// watermark lags the coordinator's clock; a positive bound trades
 	// staleness for near-zero waits.
 	ReadStaleness time.Duration
-	// VersionGC prunes committed version history that no snapshot read can
-	// observe anymore: the leader's safe-time tick computes a GC horizon
-	// from the minimum replica watermark minus ReadStaleness (and a fixed
-	// in-flight slack) and piggybacks it on the existing safe-time
-	// broadcast. Only meaningful with LocalReads (the default mode already
-	// garbage-collects at commit time).
+	// VersionGC prunes old committed version history: the leader's safe-time
+	// tick computes a GC horizon from the minimum replica watermark minus
+	// ReadStaleness (and a fixed retention slack) and piggybacks it on the
+	// existing safe-time broadcast; a read re-driven until the horizon has
+	// passed its snapshot is answered "pruned" and restarted
+	// (internal/snapread). Only meaningful with LocalReads (the default mode
+	// already garbage-collects at commit time).
 	VersionGC bool
 	// AdmitCap bounds a coordinator's admitted in-flight transactions;
 	// <= 0 disables admission control (default). Under open-loop arrival
@@ -165,8 +166,8 @@ func (c Config) SuperQuorum() int { return 1 + c.F + (c.F+1)/2 }
 //     shared across Sends, so a multicast is N pooled copies;
 //   - the receiver's handle() recycles the object after its handler returns,
 //     which requires handlers to copy (never alias) anything they retain —
-//     pendingSync, safePairs, and the coordinator reply arrays all store
-//     struct copies, while pointers reaching THROUGH a message (*txn.Txn,
+//     pendingSync, the buffered watermark pairs, and the coordinator reply
+//     arrays all store struct copies, while pointers reaching THROUGH a message (*txn.Txn,
 //     result bytes) are not pool-owned and may be kept;
 //   - messages dropped in flight (loss, partitions, crashes) simply leak from
 //     the freelist and are re-allocated on demand.
@@ -287,9 +288,8 @@ type syncPointMsg struct {
 // the published watermark). CP piggybacks the leader's commit-point so
 // followers can apply without waiting for the next log-sync message.
 // GC piggybacks the leader's version-GC horizon (zero unless
-// Config.VersionGC): every committed version with a strictly older
-// replacement at or below GC is unobservable by any live or future snapshot
-// read, so followers prune to it when they adopt the watermark.
+// Config.VersionGC): followers prune to it when they adopt the watermark, and
+// from then on answer "pruned" to any read below it.
 type safeTimeMsg struct {
 	viewInfo
 	Shard int
