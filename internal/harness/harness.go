@@ -470,11 +470,6 @@ func (j *loadJob) complete(r txn.Result, t *txn.Txn, local bool) {
 	}
 }
 
-// fixedGap is the closed loop's arrival process: one arrival per interval.
-type fixedGap time.Duration
-
-func (g fixedGap) Next(time.Duration, *rand.Rand) time.Duration { return time.Duration(g) }
-
 // RunLoad drives the workload against a built deployment and returns its
 // metrics; the simulator is advanced to warmup+duration (plus a drain tail).
 // Each coordinator runs one arrival loop, and the two load models differ only
@@ -538,7 +533,8 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 		region := d.Topology.RegionName(d.CoordRegions[ci])
 		rng := rand.New(rand.NewSource(spec.Seed + int64(ci)*7919))
 		var (
-			arr         workload.Arrival
+			arr         workload.Arrival // open loop: the gap process
+			gap         time.Duration    // closed loop: the fixed gap
 			first       time.Duration
 			outstanding *int
 		)
@@ -553,10 +549,9 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 			// coordinators de-phase exactly like the steady state.
 			first = arr.Next(0, rng)
 		} else {
-			interval := time.Duration(float64(time.Second) / spec.RatePerCoord)
-			arr = fixedGap(interval)
+			gap = time.Duration(float64(time.Second) / spec.RatePerCoord)
 			// Stagger coordinator start offsets deterministically.
-			first = time.Duration(rng.Int63n(int64(interval) + 1))
+			first = time.Duration(rng.Int63n(int64(gap) + 1))
 			outstanding = new(int)
 		}
 		var tick func()
@@ -566,7 +561,11 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 			}
 			// Schedule the next arrival before submitting: the gap draw
 			// must not depend on what the submission does with rng.
-			d.Sim.After(arr.Next(d.Sim.Now(), rng), tick)
+			next := gap
+			if open {
+				next = arr.Next(d.Sim.Now(), rng)
+			}
+			d.Sim.After(next, tick)
 			if outstanding != nil {
 				if *outstanding >= spec.Outstanding {
 					return
