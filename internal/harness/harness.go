@@ -341,9 +341,6 @@ type loadState struct {
 	run        *metrics.Run
 	res        *RunResult
 	checkReads bool
-	// open is spec.Arrival != "": completions then split admission-queue
-	// wait (Run.QueueLat) from service latency (Run.Lat) and count sheds.
-	open bool
 	// jobs recycles envelopes. One pool per run, touched only from the run's
 	// single-threaded simulator loop (see internal/pool).
 	jobs *pool.Free[loadJob]
@@ -398,6 +395,9 @@ func (j *loadJob) complete(r txn.Result, t *txn.Txn, local bool) {
 		*j.outstanding--
 	}
 	run, res, spec := st.run, st.res, &st.spec
+	// Open-loop runs split admission-queue wait (Run.QueueLat) from service
+	// latency (Run.Lat) and count sheds; nothing else differs.
+	open := spec.Arrival != ""
 	now := st.d.Sim.Now()
 	if j.tr != nil {
 		// Seal the span record before the in-window early-outs, so every
@@ -416,7 +416,7 @@ func (j *loadJob) complete(r txn.Result, t *txn.Txn, local bool) {
 	if !j.inWindow {
 		return
 	}
-	if st.open && r.Shed {
+	if open && r.Shed {
 		run.Counters.Shed++
 	}
 	lat := now - j.start
@@ -427,9 +427,7 @@ func (j *loadJob) complete(r txn.Result, t *txn.Txn, local bool) {
 		}
 		return
 	}
-	if st.open && !local {
-		// Service latency excludes the admission-queue wait, which is
-		// accounted separately.
+	if open && !local {
 		lat -= r.Queued
 		run.QueueLat.Add(r.Queued)
 	}
@@ -513,7 +511,7 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 	res := &RunResult{Run: run, Counter: checker.NewCounter(), Deployment: d}
 	tracer, publish := newRunTracer(d, &spec)
 	st := &loadState{d: d, spec: spec, run: run, res: res, checkReads: checkReads,
-		open: open, jobs: pool.New[loadJob](), tracer: tracer}
+		jobs: pool.New[loadJob](), tracer: tracer}
 
 	// Pre-size the sample buffers: about rate × duration transactions per
 	// coordinator arrive inside the measurement window (open-loop curves
@@ -566,7 +564,7 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 				next = arr.Next(d.Sim.Now(), rng)
 			}
 			d.Sim.After(next, tick)
-			if outstanding != nil {
+			if !open {
 				if *outstanding >= spec.Outstanding {
 					return
 				}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"tiga/internal/checker"
+	"tiga/internal/metrics"
 )
 
 // TestOpenLoopLocalReadsPinned pins the one combination no golden covers and
@@ -30,10 +31,7 @@ func TestOpenLoopLocalReadsPinned(t *testing.T) {
 	}
 	run := res.Run
 	c := run.Counters
-	pct := func(name string, l interface {
-		Count() int
-		Percentile(float64) time.Duration
-	}) string {
+	pct := func(name string, l *metrics.Latency) string {
 		return fmt.Sprintf("%s n=%d p50=%v p90=%v p99=%v", name, l.Count(),
 			l.Percentile(50), l.Percentile(90), l.Percentile(99))
 	}

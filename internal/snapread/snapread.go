@@ -121,12 +121,7 @@ func (c *Coordinator) Submit(t *txn.Txn, done func(txn.Result)) {
 	c.armRetry(pr)
 }
 
-func (c *Coordinator) snapshot() time.Duration {
-	if at := c.Clock() - c.Staleness; at > 0 {
-		return at
-	}
-	return 0
-}
+func (c *Coordinator) snapshot() time.Duration { return max(c.Clock()-c.Staleness, 0) }
 
 // send asks every shard that has not answered pr's current snapshot.
 func (c *Coordinator) send(pr *pendingRead) {
