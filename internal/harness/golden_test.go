@@ -27,15 +27,37 @@ func goldenOpts() Options {
 
 func checkGolden(t *testing.T, name string, rep *report.Report) {
 	t.Helper()
-	want, err := os.ReadFile(filepath.Join("testdata", name+".golden"))
+	var text bytes.Buffer
+	report.Render(&text, rep)
+	compareGolden(t, name+".golden", text.Bytes())
+	// The JSON rendering of the same report pins what the text drops: table
+	// ids, column units, full-precision cells and the Meta stamps.
+	compareGolden(t, name+".json.golden", goldenJSON(t, rep))
+}
+
+func goldenJSON(t *testing.T, rep *report.Report) []byte {
+	t.Helper()
+	doc := &report.Document{
+		Generated:   report.Generated{Seed: 42, Quick: true, CPUScale: CPUScale},
+		Experiments: []*report.Report{rep},
+	}
+	var buf bytes.Buffer
+	if err := doc.Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+func compareGolden(t *testing.T, file string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", file)
+	want, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden: %v", err)
 	}
-	var buf bytes.Buffer
-	report.Render(&buf, rep)
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("%s: rendered text differs from the pre-refactor golden\n--- got ---\n%s\n--- want ---\n%s",
-			name, buf.String(), want)
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: rendering differs from the golden\n--- got ---\n%s\n--- want ---\n%s",
+			file, got, want)
 	}
 }
 
@@ -68,6 +90,12 @@ func TestGoldenTextRenderer(t *testing.T) {
 			rep, _ := Fig9(o)
 			return rep
 		}},
+		{"fig10", func(t *testing.T) *report.Report {
+			o := goldenOpts()
+			o.Protocols = []string{"Tiga", "Janus"}
+			rep, _ := Fig10(o)
+			return rep
+		}},
 		{"fig11b", func(t *testing.T) *report.Report {
 			rep, _ := Fig11Baseline(goldenOpts())
 			return rep
@@ -78,12 +106,22 @@ func TestGoldenTextRenderer(t *testing.T) {
 			rep, _ := Fig11NCC(goldenOpts())
 			return rep
 		}},
+		{"table2", func(t *testing.T) *report.Report {
+			o := goldenOpts()
+			o.Protocols = []string{"Tiga", "Janus"}
+			rep, _ := Table2(o)
+			return rep
+		}},
 		{"fig12", func(t *testing.T) *report.Report {
 			rep, _ := Fig12(goldenOpts())
 			return rep
 		}},
 		{"fig13", func(t *testing.T) *report.Report {
 			rep, _ := Fig13(goldenOpts())
+			return rep
+		}},
+		{"table3", func(t *testing.T) *report.Report {
+			rep, _ := Table3(goldenOpts())
 			return rep
 		}},
 		{"ablations", func(t *testing.T) *report.Report {
@@ -95,6 +133,15 @@ func TestGoldenTextRenderer(t *testing.T) {
 			o.Topologies = []string{"us-eu3", "geo4-degraded"}
 			o.Workloads = []string{"micro", "ycsbt"}
 			rep, _ := ScenarioMatrix(o)
+			return rep
+		}},
+		{"chaos", func(t *testing.T) *report.Report {
+			// The cheapest configuration that renders the per-plan phase
+			// table and the planet5 rider: one protocol, one plan, two runs.
+			o := goldenOpts()
+			o.Protocols = []string{"Tiga"}
+			o.Plans = []string{"wan-partition"}
+			rep, _ := ChaosMatrix(o)
 			return rep
 		}},
 		{"breakdown", func(t *testing.T) *report.Report {
