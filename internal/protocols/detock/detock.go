@@ -328,12 +328,10 @@ func (en *engine) execute(d *dtxn) {
 		}
 		en.node.Work(en.sys.spec.ExecCost)
 		piece := d.t.Pieces[sh]
-		v := &bufView{st: en.sts[sh], writes: make(map[string][]byte)}
-		d.rets[sh] = piece.Exec(v)
-		for k, val := range v.writes {
+		d.rets[sh], writes[sh] = en.sts[sh].ExecuteBuffered(piece)
+		for k, val := range writes[sh] {
 			en.sts[sh].Seed(k, val)
 		}
-		writes[sh] = v.writes
 	}
 	// Synchronous geo-replication: wait for f=1 remote ack before reporting.
 	// Replicate in shard order — send order feeds the simulation's event
@@ -372,20 +370,6 @@ func (en *engine) onReplAck(m replAck) {
 		d.rets = make(map[int][]byte) // reply once
 	}
 }
-
-type bufView struct {
-	st     *store.Store
-	writes map[string][]byte
-}
-
-func (v *bufView) Get(k string) []byte {
-	if w, ok := v.writes[k]; ok {
-		return w
-	}
-	return v.st.Get(k)
-}
-
-func (v *bufView) Put(k string, val []byte) { v.writes[k] = val }
 
 // ---- coordinator ----
 

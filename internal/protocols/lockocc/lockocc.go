@@ -548,7 +548,7 @@ func (s *server) onReqExec(m reqExec) {
 			p.occRead = append(p.occRead, k)
 		}
 		p.voted = true
-		ret, writes := executeBuffered(s.st, piece)
+		ret, writes := s.st.ExecuteBuffered(piece)
 		p.writes = writes
 		s.node.Send(m.Coord, voteMsg{Shard: s.shard, ID: id, OK: true, Ret: ret, Writes: writes,
 			ArriveS: p.prepTS, LockS: p.prepTS, DoneS: s.node.Busy()})
@@ -588,7 +588,7 @@ func (s *server) finishLock(id txn.ID) {
 	p.voted = true
 	p.lockS = s.sys.spec.Net.Sim().Now()
 	s.node.Work(s.sys.spec.ExecCost)
-	ret, writes := executeBuffered(s.st, p.t.Pieces[s.shard])
+	ret, writes := s.st.ExecuteBuffered(p.t.Pieces[s.shard])
 	p.writes = writes
 	s.node.Send(p.coord, voteMsg{Shard: s.shard, ID: id, OK: true, Ret: ret, Writes: writes,
 		ArriveS: p.prepTS, LockS: p.lockS, DoneS: s.node.Busy()})
@@ -690,7 +690,7 @@ func (s *server) finishRelock(id txn.ID) {
 		return
 	}
 	s.node.Work(s.sys.spec.ExecCost)
-	ret, writes := executeBuffered(s.st, p.t.Pieces[s.shard])
+	ret, writes := s.st.ExecuteBuffered(p.t.Pieces[s.shard])
 	_ = ret // the coordinator already holds the pre-crash vote result
 	p.writes = writes
 	p.proposed = true
@@ -775,27 +775,6 @@ func (s *server) onPaxosCommit(slot int, cmd paxos.Command) {
 		}
 	}
 }
-
-// executeBuffered runs a piece reading the store but buffering writes.
-func executeBuffered(st *store.Store, p *txn.Piece) ([]byte, map[string][]byte) {
-	v := &bufView{st: st, writes: make(map[string][]byte)}
-	ret := p.Exec(v)
-	return ret, v.writes
-}
-
-type bufView struct {
-	st     *store.Store
-	writes map[string][]byte
-}
-
-func (v *bufView) Get(k string) []byte {
-	if w, ok := v.writes[k]; ok {
-		return w
-	}
-	return v.st.Get(k)
-}
-
-func (v *bufView) Put(k string, val []byte) { v.writes[k] = val }
 
 func contains(set []string, k string) bool {
 	for _, s := range set {

@@ -179,7 +179,7 @@ func (rp *replica) onPrepare(m prepareMsg) {
 		for _, k := range piece.ReadSet {
 			rep.Reads[k] = rp.vers[k]
 		}
-		ret, _ := executeBuffered(rp.st, piece)
+		ret, _ := rp.st.ExecuteBuffered(piece)
 		rep.Ret = ret
 	}
 	rp.node.Send(m.Coord, rep)
@@ -199,7 +199,7 @@ func (rp *replica) onDecide(m decideMsg) {
 	if m.Commit && !rp.applied[id] {
 		rp.applied[id] = true
 		piece := m.T.Pieces[rp.shard]
-		_, writes := executeBuffered(rp.st, piece)
+		_, writes := rp.st.ExecuteBuffered(piece)
 		for k, v := range writes {
 			rp.st.Seed(k, v)
 			rp.vers[k]++
@@ -209,26 +209,6 @@ func (rp *replica) onDecide(m decideMsg) {
 		rp.node.Send(m.Coord, decideAck{Shard: rp.shard, Replica: rp.rep, ID: id, Try: m.Try})
 	}
 }
-
-func executeBuffered(st *store.Store, p *txn.Piece) ([]byte, map[string][]byte) {
-	v := &bufView{st: st, writes: make(map[string][]byte)}
-	ret := p.Exec(v)
-	return ret, v.writes
-}
-
-type bufView struct {
-	st     *store.Store
-	writes map[string][]byte
-}
-
-func (v *bufView) Get(k string) []byte {
-	if w, ok := v.writes[k]; ok {
-		return w
-	}
-	return v.st.Get(k)
-}
-
-func (v *bufView) Put(k string, val []byte) { v.writes[k] = val }
 
 // ---- coordinator ----
 

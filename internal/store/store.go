@@ -215,6 +215,30 @@ func (v *txnView) PutID(id txn.KeyID, val []byte) {
 	v.ids = append(v.ids, id)
 }
 
+// ExecuteBuffered runs a piece that reads the store but buffers its writes:
+// the store is left untouched and the write set comes back with the piece's
+// result, for protocols that apply (or discard) writes at their own commit
+// point.
+func (s *Store) ExecuteBuffered(p *txn.Piece) ([]byte, map[string][]byte) {
+	v := &bufView{st: s, writes: make(map[string][]byte)}
+	ret := p.Exec(v)
+	return ret, v.writes
+}
+
+type bufView struct {
+	st     *Store
+	writes map[string][]byte
+}
+
+func (v *bufView) Get(k string) []byte {
+	if w, ok := v.writes[k]; ok {
+		return w
+	}
+	return v.st.Get(k)
+}
+
+func (v *bufView) Put(k string, val []byte) { v.writes[k] = val }
+
 // GetAt returns the newest committed version of key with a timestamp at or
 // below at, together with that version's commit timestamp (zero for seeded
 // initial values). Uncommitted versions are invisible: a snapshot read never
