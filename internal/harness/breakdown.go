@@ -1,10 +1,11 @@
 package harness
 
 import (
-	"fmt"
+	"slices"
 	"time"
 
 	"tiga/internal/clocks"
+	"tiga/internal/protocol"
 	"tiga/internal/report"
 	"tiga/internal/trace"
 )
@@ -25,15 +26,12 @@ import (
 // contention. The read table decomposes the 0-WRTT local-read path, where
 // the SAFETIME share measures what the safe-time watermark's lag actually
 // costs — including the commit-point (durability) hold on leader watermarks.
-func Breakdown(o Options) (*report.Report, map[string]trace.Breakdown) {
+func Breakdown(o Options) *report.Report {
 	rep := report.New("breakdown")
 	topo := o.classicTopology()
-	out := map[string]trace.Breakdown{}
-	warm, dur := o.durations()
 
 	bucketCols := func(lead ...report.Column) []report.Column {
-		cols := append([]report.Column{}, lead...)
-		cols = append(cols,
+		return append(lead,
 			report.Col("mean", "Mean", report.Duration, report.Nanos, 11),
 			report.Col("wrtt", "WRTT", report.Duration, report.Nanos, 11),
 			report.Col("queue", "Queue", report.Duration, report.Nanos, 10),
@@ -43,16 +41,21 @@ func Breakdown(o Options) (*report.Report, map[string]trace.Breakdown) {
 			report.Col("other", "Other", report.Duration, report.Nanos, 10),
 			report.Col("domshare", "Top share", report.Float, report.Percent, 10).WithPrec(1),
 		)
-		return cols
 	}
-	bucketCells := func(s *trace.Summary) []report.Cell {
+	// bucketRow appends one run's decomposition under the lead cells. A run
+	// that committed nothing (or was not traced) renders as a zero row.
+	bucketRow := func(tab *report.Table, s *trace.Summary, lead ...report.Cell) {
+		if s == nil {
+			s = &trace.Summary{}
+		}
 		var dom trace.Bucket
 		for b := trace.Bucket(0); b < trace.Bucket(trace.NumBuckets); b++ {
 			if s.Phase[b] > s.Phase[dom] {
 				dom = b
 			}
 		}
-		return []report.Cell{
+		tab.AddRow(append(lead,
+			report.Num(float64(s.Count)),
 			report.Dur(s.MeanTotal()),
 			report.Dur(s.Mean(trace.BucketWRTT)),
 			report.Dur(s.Mean(trace.BucketQueue)),
@@ -61,42 +64,48 @@ func Breakdown(o Options) (*report.Report, map[string]trace.Breakdown) {
 			report.Dur(s.Mean(trace.BucketRepl)),
 			report.Dur(s.Mean(trace.BucketOther)),
 			report.Num(s.Share(dom)),
-		}
+		)...)
 	}
+	// instrumented filters the protocols a table's traces decompose through
+	// -protocols, leaving the usual remark on the table when none is left.
+	instrumented := func(tab *report.Table, set ...string) []string {
+		names, remark := o.sweepProtocols(without(protocol.Names(), set...)...)
+		if remark != "" {
+			tab.Note("%s", remark)
+		}
+		return names
+	}
+	// traced prepares one fully-traced run at the experiment's fixed rate and
+	// a small outstanding cap. The seed offset is the cell's position in the
+	// instrumented set, not among the selected protocols, so a protocol's row
+	// does not depend on which others were selected.
+	traced := func(spec ClusterSpec, rate float64, seedOffset int64, localReads bool) SpecRun {
+		load := o.window(seedOffset)
+		load.RatePerCoord, load.LocalReads = rate, localReads
+		load.Trace = &trace.Config{Seed: load.Seed}
+		return o.cell(spec, OpPoint{Outstanding: 64}, load)
+	}
+	var sw sweep
 
 	// ---- commit path ----
 	// The instrumented protocols: Tiga and the layered baselines share the
 	// phase taxonomy; their traces decompose the full commit path.
-	protos := []string{"Tiga", "2PL+Paxos", "OCC+Paxos"}
-	runs := make([]SpecRun, 0, len(protos))
-	for i, p := range protos {
-		spec, _ := o.microSpec(p, 0.5, false, clocks.ModelChrony)
-		spec.CostScale = CPUScale
-		seed := o.Seed + 41 + int64(i)
-		runs = append(runs, SpecRun{Spec: spec, Load: LoadSpec{
-			RatePerCoord: 150, Outstanding: 64, Warmup: warm, Duration: dur,
-			Seed: seed, Trace: &trace.Config{Seed: seed},
-		}})
-	}
 	tab := rep.Add(&report.Table{
 		ID: "breakdown/commit", Gap: true,
 		Title: "[commit path] mean per-txn latency by critical-path phase, MicroBench skew 0.5 (exact: buckets sum to end-to-end)",
-		Columns: bucketCols(
-			report.Col("protocol", "Protocol", report.String, report.None, 12).AlignLeft(),
-			report.Col("txns", "Txns", report.Float, report.None, 7).WithPrec(0),
-		),
+		Columns: bucketCols(colProtocol,
+			report.Col("txns", "Txns", report.Float, report.None, 7).WithPrec(0)),
 	})
 	o.stamp(tab, topo.Name, "micro", "skew", "0.5", "rate", "150")
-	results := RunSpecs(runs, o.Workers)
+	protos := []string{"Tiga", "2PL+Paxos", "OCC+Paxos"}
+	selected := instrumented(tab, protos...)
 	for i, p := range protos {
-		s := results[i].Trace
-		if s == nil || s.Count == 0 {
-			tab.AddRow(report.Str(p), report.Num(0))
+		if !slices.Contains(selected, p) {
 			continue
 		}
-		out[p] = s.Phase
-		cells := append([]report.Cell{report.Str(p), report.Num(float64(s.Count))}, bucketCells(s)...)
-		tab.AddRow(cells...)
+		sw.add(traced(o.microSpec(p, 0.5, false, clocks.ModelChrony), 150, 41+int64(i), false), func(res *RunResult) {
+			bucketRow(tab, res.Trace, report.Str(p))
+		})
 	}
 	tab.Note("Headroom bucket = future-timestamp wait + pq reorder + SAFETIME; Other = dispatch/exec/decision/retry.")
 
@@ -106,43 +115,29 @@ func Breakdown(o Options) (*report.Report, map[string]trace.Breakdown) {
 	// reads (staleness 0) wait out the full lag — for Tiga leaders, the
 	// commit-point hold (replication round trip + sync-point cadence) — and
 	// a bounded-staleness read absorbs it into the bound.
-	readProtos := []string{"Tiga", "2PL+Paxos"}
-	stalenesses := []time.Duration{0, 200 * time.Millisecond}
-	rruns := make([]SpecRun, 0, len(readProtos)*len(stalenesses))
-	for i, p := range readProtos {
-		for j, st := range stalenesses {
-			spec := o.localReadSpec(p, st, true)
-			seed := o.Seed + 71 + int64(i*len(stalenesses)+j)
-			rruns = append(rruns, SpecRun{Spec: spec, Load: LoadSpec{
-				RatePerCoord: o.localReadRate(), Outstanding: 64, Warmup: warm, Duration: dur,
-				Seed: seed, LocalReads: true, Trace: &trace.Config{Seed: seed},
-			}})
-		}
-	}
 	rtab := rep.Add(&report.Table{
 		ID: "breakdown/reads", Gap: true,
 		Title: "[local-read path] YCSB-T 95% reads via nearest-replica snapshots; Headroom bucket = SAFETIME watermark wait",
-		Columns: bucketCols(
-			report.Col("protocol", "Protocol", report.String, report.None, 12).AlignLeft(),
+		Columns: bucketCols(colProtocol,
 			report.Col("staleness", "staleness", report.Duration, report.Nanos, 10),
-			report.Col("txns", "Txns", report.Float, report.None, 7).WithPrec(0),
-		),
+			report.Col("txns", "Txns", report.Float, report.None, 7).WithPrec(0)),
 	})
 	o.stamp(rtab, topo.Name, "ycsbt", "read-ratio", "0.95")
-	rresults := RunSpecs(rruns, o.Workers)
+	readProtos := []string{"Tiga", "2PL+Paxos"}
+	stalenesses := []time.Duration{0, 200 * time.Millisecond}
+	selected = instrumented(rtab, readProtos...)
 	for i, p := range readProtos {
+		if !slices.Contains(selected, p) {
+			continue
+		}
 		for j, st := range stalenesses {
-			s := rresults[i*len(stalenesses)+j].Trace
-			if s == nil || s.Count == 0 {
-				rtab.AddRow(report.Str(p), report.Dur(st), report.Num(0))
-				continue
-			}
-			out[fmt.Sprintf("%s reads@%v", p, st)] = s.Phase
-			cells := append([]report.Cell{report.Str(p), report.Dur(st),
-				report.Num(float64(s.Count))}, bucketCells(s)...)
-			rtab.AddRow(cells...)
+			seedOffset := 71 + int64(i*len(stalenesses)+j)
+			sw.add(traced(o.localReadSpec(p, st, true), o.localReadRate(), seedOffset, true), func(res *RunResult) {
+				bucketRow(rtab, res.Trace, report.Str(p), report.Dur(st))
+			})
 		}
 	}
 	rtab.Note("All txns traced: the 5%% write mix rides the commit path and folds into the means. Strong reads (staleness 0) pay the watermark lag; Tiga leaders hold it at the commit point, so the wait is the replication round trip.")
-	return rep, out
+	sw.run(o.Workers)
+	return rep
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -150,16 +151,6 @@ func mustPlan(name string) chaos.Plan {
 
 // ---- the chaos-matrix experiment ----
 
-// ChaosRow is one protocol × plan × phase cell of the chaos matrix.
-type ChaosRow struct {
-	Protocol string
-	Plan     string
-	Phase    string // "pre", "fault", "post"
-	Thpt     float64
-	Commit   float64 // % of completions in the phase that committed
-	P99      time.Duration
-}
-
 // chaosPlans resolves the matrix's plan axis, panicking on unregistered
 // names (the CLI validates first and exits 2).
 func (o Options) chaosPlans() []string {
@@ -201,34 +192,35 @@ func probeCaps(proto string) protoCaps {
 	return protoCaps{faultable: f, checkable: c, snapshot: s}
 }
 
-// chaosPoint prepares one matrix cell: the fig11b/c deployment and operating
-// point (MicroBench skew 0.5, 300 txns/s/coord, 600 outstanding — overridden
-// per protocol by Options.Ops), with the named plan scheduled and the
-// serializability checker armed.
-func (o Options) chaosPoint(proto, plan string, total time.Duration) SpecRun {
-	spec, _ := o.microSpec(proto, 0.5, false, clocks.ModelChrony)
-	if proto == "2PL+Paxos" || proto == "OCC+Paxos" {
-		// As in fig11b: dial the vote timeout down from its inert 10 s
-		// default so transactions stranded by a fault presume-abort and
-		// retry instead of outliving the run.
-		spec.setKnobDefault(proto, "vote-timeout", time.Second)
-	}
-	rate, outstanding := 300.0, 600
-	if op, ok := o.opFor(proto, specTopoName(spec)); ok {
-		if op.SaturationRate > 0 {
-			rate = op.SaturationRate
-		}
-		if op.Outstanding > 0 {
-			outstanding = op.Outstanding
-		}
-	}
-	return SpecRun{
-		Spec:  spec,
-		Chaos: plan,
-		Load: LoadSpec{
-			RatePerCoord: rate, Outstanding: outstanding, Warmup: 0, Duration: total,
-			Seed: o.Seed + 5, TrackSamples: true, Check: true,
+// phaseTable adds the pre/fault/post table of a run through the named plan
+// to rep, stamped with the plan and its window, and returns it with the
+// function that appends one protocol's three phase rows.
+func (o Options) phaseTable(rep *report.Report, id, title, topo, workloadName, planName string, kv ...string) (*report.Table, func(protocol string, res *RunResult)) {
+	win := mustPlan(planName).Window
+	tab := rep.Add(&report.Table{
+		ID: id, Gap: true, Title: title,
+		Columns: []report.Column{
+			colProtocol,
+			report.Col("phase", "phase", report.String, report.None, 6).AlignLeft(),
+			colThpt, colCommit, latCol("p99"),
 		},
+	})
+	o.stamp(tab, topo, workloadName, append(kv,
+		"chaos", planName, "window", fmt.Sprintf("%v-%v", win.Start, win.End))...)
+	phases := []struct {
+		name     string
+		from, to time.Duration
+	}{
+		{"pre", 0, win.Start},
+		{"fault", win.Start, win.End},
+		{"post", win.End, o.failureRunLength()},
+	}
+	return tab, func(protocol string, res *RunResult) {
+		for _, ph := range phases {
+			thpt, commit, p99 := phaseStats(res, ph.from, ph.to)
+			tab.AddRow(report.Str(protocol), report.Str(ph.name), report.Num(thpt),
+				report.Num(commit), report.Dur(p99))
+		}
 	}
 }
 
@@ -276,20 +268,24 @@ func checkStatus(res *RunResult, caps protoCaps) string {
 // ChaosMatrix sweeps every selected protocol across the selected fault
 // plans, reporting per-phase throughput, commit rate, and p99 latency —
 // before the fault window, inside it, and after it — one table per plan.
-// Crash plans run only against systems implementing protocol.Faultable (the
-// rest are excluded by design, with a note); network and clock plans run
-// against everything. The strict-serializability checker runs under every
-// plan for every checkable system: faults may only hurt performance, never
-// correctness.
-func ChaosMatrix(o Options) (*report.Report, []ChaosRow) {
+// Every cell runs the fig11b/c deployment and operating point (MicroBench
+// skew 0.5, 300 txns/s/coord, 600 outstanding — overridden per protocol or
+// per protocol × topology by Options.Ops) with the serializability checker
+// armed. Crash plans run only against systems implementing
+// protocol.Faultable (the rest are excluded by design, with a note); network
+// and clock plans run against everything. The strict-serializability checker
+// runs under every plan for every checkable system: faults may only hurt
+// performance, never correctness.
+func ChaosMatrix(o Options) *report.Report {
+	const sharedRate = 300
 	rep := report.New("chaos")
 	plans := o.chaosPlans()
 	names, remark := o.sweepProtocols()
-	total := o.failureRunLength()
+	classic := o.classicTopology().Name
 	rep.Add(&report.Table{
 		ID: "chaos-banner", Gap: true,
-		Title: fmt.Sprintf("Chaos matrix — %d protocols × %d fault plans, %v runs, MicroBench skew 0.5, 300/coord",
-			len(names), len(plans), total),
+		Title: fmt.Sprintf("Chaos matrix — %d protocols × %d fault plans, %v runs, MicroBench skew 0.5, %d/coord",
+			len(names), len(plans), o.failureRunLength(), sharedRate),
 	})
 	if remark != "" {
 		rep.AddNote(remark)
@@ -298,144 +294,59 @@ func ChaosMatrix(o Options) (*report.Report, []ChaosRow) {
 	for _, p := range names {
 		caps[p] = probeCaps(p)
 	}
-	planProtos := make(map[string][]string, len(plans))
-	var runs []SpecRun
-	for _, planName := range plans {
+	var sw sweep
+	// section declares one plan's table on one WAN: a cell per protocol the
+	// plan can run against, each with the sink that renders its phase rows.
+	// riderTopo, when set, replays the plan on that WAN instead of the
+	// classic one.
+	section := func(planName, riderTopo string) {
 		plan := mustPlan(planName)
-		pnames := names
-		if plan.Crashes {
-			pnames = nil
-			for _, p := range names {
-				if caps[p].faultable {
-					pnames = append(pnames, p)
-				}
+		topo, label, title := classic, planName, fmt.Sprintf("[plan=%s] %s", planName, plan.Doc)
+		if riderTopo != "" {
+			topo, label = riderTopo, planName+"@"+riderTopo
+			title = fmt.Sprintf("[plan=%s topology=%s] %s — asymmetric links: the healed path costs more one way than the other",
+				planName, topo, plan.Doc)
+		}
+		tab, addPhases := o.phaseTable(rep, "chaos/"+label, title, topo, "micro", planName,
+			"skew", "0.5", "clock", clocks.ModelChrony.String())
+		var excluded, checks, offShared []string
+		for _, p := range names {
+			if plan.Crashes && !caps[p].faultable {
+				excluded = append(excluded, p)
+				continue
 			}
+			spec := o.microSpec(p, 0.5, false, clocks.ModelChrony)
+			spec.Topology = topo
+			cell := o.faultRun(spec, planName, OpPoint{SaturationRate: sharedRate, Outstanding: 600},
+				LoadSpec{Seed: o.Seed + 5, Check: true})
+			if cell.Load.RatePerCoord != sharedRate {
+				offShared = append(offShared, fmt.Sprintf("%s=%v/coord", p, cell.Load.RatePerCoord))
+			}
+			sw.add(cell, func(res *RunResult) {
+				addPhases(p, res)
+				checks = append(checks, fmt.Sprintf("%s: %s", p, checkStatus(res, caps[p])))
+			})
 		}
-		planProtos[planName] = pnames
-		for _, p := range pnames {
-			runs = append(runs, o.chaosPoint(p, planName, total))
+		if len(excluded) > 0 {
+			tab.Note("(crash plan: %s excluded by design — no protocol.Faultable hooks)",
+				strings.Join(excluded, ", "))
 		}
+		sw.then(func() {
+			tab.Note("serializability under %s — %s", label, strings.Join(checks, "; "))
+			noteCellRates(tab, offShared)
+		})
+	}
+	for _, planName := range plans {
+		section(planName, "")
 	}
 	// Chaos × topology: replay the wan-partition plan on planet5's
 	// asymmetric WAN — the severed region 0↔1 link's return path runs 15%
 	// longer than its forward path, so replication reroutes through Tokyo at
 	// a different cost in each direction. Rides along whenever wan-partition
 	// is among the selected plans.
-	wanTopo := ""
-	for _, p := range plans {
-		if p == "wan-partition" {
-			wanTopo = "planet5"
-		}
+	if slices.Contains(plans, "wan-partition") {
+		section("wan-partition", "planet5")
 	}
-	topoBase := len(runs)
-	if wanTopo != "" {
-		for _, p := range names {
-			sr := o.chaosPoint(p, "wan-partition", total)
-			sr.Spec.Topology = wanTopo
-			runs = append(runs, sr)
-		}
-	}
-	results := RunSpecs(runs, o.Workers)
-
-	var rows []ChaosRow
-	i := 0
-	for _, planName := range plans {
-		plan := mustPlan(planName)
-		tab := rep.Add(&report.Table{
-			ID: "chaos/" + planName, Gap: true,
-			Title: fmt.Sprintf("[plan=%s] %s", planName, plan.Doc),
-			Columns: []report.Column{
-				report.Col("protocol", "Protocol", report.String, report.None, 12).AlignLeft(),
-				report.Col("phase", "phase", report.String, report.None, 6).AlignLeft(),
-				report.Col("thpt", "Thpt(txn/s)", report.Float, report.Rate, 12),
-				report.Col("commit", "Commit%", report.Float, report.Percent, 9).WithPrec(1),
-				report.Col("p99", "p99", report.Duration, report.Nanos, 12),
-			},
-		})
-		o.stamp(tab, o.classicTopology().Name, "micro",
-			"chaos", planName, "skew", "0.5", "clock", clocks.ModelChrony.String(),
-			"window", fmt.Sprintf("%v-%v", plan.Window.Start, plan.Window.End))
-		if plan.Crashes && len(planProtos[planName]) < len(names) {
-			var excluded []string
-			for _, p := range names {
-				if !caps[p].faultable {
-					excluded = append(excluded, p)
-				}
-			}
-			tab.Note("(crash plan: %s excluded by design — no protocol.Faultable hooks)",
-				strings.Join(excluded, ", "))
-		}
-		phases := []struct {
-			name     string
-			from, to time.Duration
-		}{
-			{"pre", 0, plan.Window.Start},
-			{"fault", plan.Window.Start, plan.Window.End},
-			{"post", plan.Window.End, total},
-		}
-		var checks, opNotes []string
-		for _, p := range planProtos[planName] {
-			res := results[i]
-			cellRate := runs[i].Load.RatePerCoord
-			i++
-			for _, ph := range phases {
-				thpt, commit, p99 := phaseStats(res, ph.from, ph.to)
-				row := ChaosRow{Protocol: p, Plan: planName, Phase: ph.name,
-					Thpt: thpt, Commit: commit, P99: p99}
-				rows = append(rows, row)
-				tab.AddRow(report.Str(p), report.Str(ph.name), report.Num(thpt),
-					report.Num(commit), report.Dur(p99))
-			}
-			checks = append(checks, fmt.Sprintf("%s: %s", p, checkStatus(res, caps[p])))
-			if cellRate != 300 {
-				opNotes = append(opNotes, fmt.Sprintf("%s=%v/coord", p, cellRate))
-			}
-		}
-		tab.Note("serializability under %s — %s", planName, strings.Join(checks, "; "))
-		if len(opNotes) > 0 {
-			tab.Note("(per-cell operating points: %s)", strings.Join(opNotes, ", "))
-			tab.SetMeta("cell_rates", strings.Join(opNotes, ","))
-		}
-	}
-	if wanTopo != "" {
-		plan := mustPlan("wan-partition")
-		tab := rep.Add(&report.Table{
-			ID: "chaos/wan-partition@" + wanTopo, Gap: true,
-			Title: fmt.Sprintf("[plan=wan-partition topology=%s] %s — asymmetric links: the healed path costs more one way than the other",
-				wanTopo, plan.Doc),
-			Columns: []report.Column{
-				report.Col("protocol", "Protocol", report.String, report.None, 12).AlignLeft(),
-				report.Col("phase", "phase", report.String, report.None, 6).AlignLeft(),
-				report.Col("thpt", "Thpt(txn/s)", report.Float, report.Rate, 12),
-				report.Col("commit", "Commit%", report.Float, report.Percent, 9).WithPrec(1),
-				report.Col("p99", "p99", report.Duration, report.Nanos, 12),
-			},
-		})
-		o.stamp(tab, wanTopo, "micro",
-			"chaos", "wan-partition", "skew", "0.5", "clock", clocks.ModelChrony.String(),
-			"window", fmt.Sprintf("%v-%v", plan.Window.Start, plan.Window.End))
-		phases := []struct {
-			name     string
-			from, to time.Duration
-		}{
-			{"pre", 0, plan.Window.Start},
-			{"fault", plan.Window.Start, plan.Window.End},
-			{"post", plan.Window.End, total},
-		}
-		var checks []string
-		for j, p := range names {
-			res := results[topoBase+j]
-			for _, ph := range phases {
-				thpt, commit, p99 := phaseStats(res, ph.from, ph.to)
-				row := ChaosRow{Protocol: p, Plan: "wan-partition@" + wanTopo, Phase: ph.name,
-					Thpt: thpt, Commit: commit, P99: p99}
-				rows = append(rows, row)
-				tab.AddRow(report.Str(p), report.Str(ph.name), report.Num(thpt),
-					report.Num(commit), report.Dur(p99))
-			}
-			checks = append(checks, fmt.Sprintf("%s: %s", p, checkStatus(res, caps[p])))
-		}
-		tab.Note("serializability under wan-partition@%s — %s", wanTopo, strings.Join(checks, "; "))
-	}
-	return rep, rows
+	sw.run(o.Workers)
+	return rep
 }

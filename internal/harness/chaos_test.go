@@ -85,26 +85,23 @@ func TestChaosClockFaultsNoOpWithoutClocks(t *testing.T) {
 }
 
 // TestChaosMatrixDeterministicAcrossWorkers: a fixed-seed chaos matrix
-// renders byte-identically no matter how the parallel driver schedules its
-// cells — the same guarantee every other sweep carries, extended to runs
+// encodes byte-identically (every typed cell, note and metadata stamp) no
+// matter how the parallel driver schedules its cells — the same guarantee every other sweep carries, extended to runs
 // with mid-flight faults.
 func TestChaosMatrixDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs full (quick-mode) fault-window experiments; skipped under -short")
 	}
-	render := func(workers int) []byte {
+	encode := func(workers int) []byte {
 		o := Options{Quick: true, Keys: 800, Seed: 42, Workers: workers,
 			Protocols: []string{"Tiga"}, Plans: []string{"leader-crash", "clock-step"},
 			// Halve the driven rate to keep the double run affordable; the
-			// off-default operating point is itself part of the rendered
+			// off-default operating point is itself part of the encoded
 			// bytes being compared.
 			Ops: map[string]OpPoint{"Tiga": {SaturationRate: 150, Outstanding: 300}}}
-		rep, _ := ChaosMatrix(o)
-		var buf bytes.Buffer
-		report.Render(&buf, rep)
-		return buf.Bytes()
+		return goldenJSON(t, ChaosMatrix(o))
 	}
-	serial, parallel := render(1), render(4)
+	serial, parallel := encode(1), encode(4)
 	if !bytes.Equal(serial, parallel) {
 		t.Fatalf("chaos matrix differs across -workers:\n--- serial ---\n%s\n--- parallel ---\n%s",
 			serial, parallel)
@@ -124,7 +121,7 @@ func TestChaosMatrixCheckerPassesEveryPlan(t *testing.T) {
 		// A gentler operating point keeps 7 fault-window runs affordable;
 		// the checker's verdict does not depend on the driving rate.
 		Ops: map[string]OpPoint{"Tiga": {SaturationRate: 150, Outstanding: 300}}}
-	rep, rows := ChaosMatrix(o)
+	rep := ChaosMatrix(o)
 	var buf bytes.Buffer
 	report.Render(&buf, rep)
 	out := buf.String()
@@ -134,17 +131,25 @@ func TestChaosMatrixCheckerPassesEveryPlan(t *testing.T) {
 	if !strings.Contains(out, "Tiga: ok (") {
 		t.Fatalf("checker did not run for Tiga:\n%s", out)
 	}
+	rows := 0
+	for _, tab := range rep.Tables {
+		if !strings.HasPrefix(tab.ID, "chaos/") {
+			continue
+		}
+		rows += len(tab.Rows)
+		// Every plan's fault window must actually have driven load on each
+		// side of it (pre phase commits for a working protocol).
+		phase, thpt := tab.Column("phase"), tab.Column("thpt")
+		for i := range phase {
+			if phase[i].Str == "pre" && thpt[i].Float == 0 {
+				t.Errorf("%s: no pre-fault throughput — the fault window ate the whole run", tab.ID)
+			}
+		}
+	}
 	// +1: whenever wan-partition is selected, the matrix replays it on
 	// planet5's asymmetric WAN as an extra chaos × topology section.
-	if want := 3 * (len(chaos.Names()) + 1); len(rows) != want {
+	if want := 3 * (len(chaos.Names()) + 1); rows != want {
 		t.Fatalf("matrix produced %d rows, want %d (3 phases × (%d plans + planet5 rider))",
-			len(rows), want, len(chaos.Names()))
-	}
-	// Every plan's fault window must actually have driven load on each side
-	// of it (pre phase commits for a working protocol).
-	for _, r := range rows {
-		if r.Phase == "pre" && r.Thpt == 0 {
-			t.Errorf("plan %s: no pre-fault throughput — the fault window ate the whole run", r.Plan)
-		}
+			rows, want, len(chaos.Names()))
 	}
 }

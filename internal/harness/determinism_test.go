@@ -37,8 +37,7 @@ func TestTxnPathDeterminism(t *testing.T) {
 		{"table1", func(workers int) []byte {
 			o := Options{Quick: true, Keys: 800, Seed: 42, Workers: workers,
 				Protocols: []string{"Tiga"}}
-			rep, _ := Table1(o)
-			return render(rep)
+			return render(Table1(o))
 		}},
 		// scaleout drives the open-loop path: pooled job envelopes, the
 		// admission gate, and the lockocc record freelists (2PL+Paxos).
@@ -49,8 +48,7 @@ func TestTxnPathDeterminism(t *testing.T) {
 					"Tiga":      {SaturationRate: 500, Outstanding: 150},
 					"2PL+Paxos": {SaturationRate: 250, Outstanding: 100},
 				}}
-			rep, _ := ScaleOut(o)
-			return render(rep)
+			return render(ScaleOut(o))
 		}},
 	}
 	for _, tc := range cases {

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -165,11 +166,11 @@ func (o Options) protocols() []string {
 	return out
 }
 
-// without filters one name out of a protocol list.
-func without(names []string, drop string) []string {
+// without filters the dropped names out of a protocol list.
+func without(names []string, drop ...string) []string {
 	out := make([]string, 0, len(names))
 	for _, n := range names {
-		if n != drop {
+		if !slices.Contains(drop, n) {
 			out = append(out, n)
 		}
 	}
@@ -182,10 +183,7 @@ func without(names []string, drop string) []string {
 // excludes Detock would otherwise render bare headers with no explanation;
 // the experiment places it where the rows would have gone.
 func (o Options) sweepProtocols(drop ...string) (names []string, remark string) {
-	names = o.protocols()
-	for _, d := range drop {
-		names = without(names, d)
-	}
+	names = without(o.protocols(), drop...)
 	if len(names) == 0 {
 		remark = "(no rows: none of the selected protocols run in this experiment"
 		if len(drop) > 0 {
@@ -196,20 +194,14 @@ func (o Options) sweepProtocols(drop ...string) (names []string, remark string) 
 	return names, remark
 }
 
-// microSkew reads the skew factor back off a MicroBench spec, so sweep rows
-// are labeled from the run itself rather than loop-shape index arithmetic.
-func microSkew(spec ClusterSpec) float64 {
-	return spec.Gen.(*workload.MicroBench).Skew
-}
-
-func (o Options) microSpec(protocol string, skew float64, rotated bool, clock clocks.Model) (ClusterSpec, *workload.MicroBench) {
-	gen := workload.NewMicroBench(3, o.keys(), skew)
+func (o Options) microSpec(protocol string, skew float64, rotated bool, clock clocks.Model) ClusterSpec {
 	return ClusterSpec{
 		Protocol: protocol, Topology: o.classicTopology().Name,
 		Shards: 3, F: 1, Rotated: rotated, Clock: clock,
-		CoordsPerRegion: 2, CoordsRemote: 2, Seed: o.Seed, Gen: gen,
+		CoordsPerRegion: 2, CoordsRemote: 2, Seed: o.Seed,
+		Gen:       workload.NewMicroBench(3, o.keys(), skew),
 		CostScale: CPUScale, Knobs: copyKnobs(o.Knobs),
-	}, gen
+	}
 }
 
 func (o Options) tpccSpec(protocol string) ClusterSpec {
@@ -220,73 +212,6 @@ func (o Options) tpccSpec(protocol string) ClusterSpec {
 		CoordsPerRegion: 2, CoordsRemote: 2, Seed: o.Seed, Gen: tg,
 		CostScale: CPUScale, Knobs: copyKnobs(o.Knobs),
 	}
-}
-
-// opFor resolves the operating point for proto deployed on topo. The
-// protocol × topology key ("Tiga@us-eu3") overlays the protocol-wide key
-// field by field: a zero field in the cell entry inherits the protocol-wide
-// value, so `-op 2PL+Paxos=250,200 -op 2PL+Paxos@us-eu3=300` keeps the 200
-// outstanding cap on us-eu3.
-func (o Options) opFor(proto, topo string) (OpPoint, bool) {
-	base, ok := o.Ops[proto]
-	cell, cok := o.Ops[proto+"@"+topo]
-	if !cok {
-		return base, ok
-	}
-	if cell.SaturationRate == 0 {
-		cell.SaturationRate = base.SaturationRate
-	}
-	if cell.Outstanding == 0 {
-		cell.Outstanding = base.Outstanding
-	}
-	return cell, true
-}
-
-func specTopoName(spec ClusterSpec) string {
-	if spec.Topology != "" {
-		return spec.Topology
-	}
-	return simnet.DefaultTopology
-}
-
-// saturate prepares one maximum-throughput point: the system is driven at a
-// saturating rate with Tiga's coordinator retry timer stretched so
-// saturation does not trigger retransmission storms that would distort the
-// measurement. A per-protocol operating point (Options.Ops) replaces the
-// shared rate and outstanding cap.
-func (o Options) saturate(spec ClusterSpec, perCoordRate float64) SpecRun {
-	spec.setKnobDefault("Tiga", "retry-timeout", 10*time.Second)
-	spec.CostScale = CPUScale
-	outstanding := 300
-	if op, ok := o.opFor(spec.Protocol, specTopoName(spec)); ok {
-		if op.SaturationRate > 0 {
-			perCoordRate = op.SaturationRate
-		}
-		if op.Outstanding > 0 {
-			outstanding = op.Outstanding
-		}
-	}
-	warm, dur := o.durations()
-	return SpecRun{Spec: spec, Load: LoadSpec{
-		RatePerCoord: perCoordRate, Outstanding: outstanding,
-		Warmup: warm, Duration: dur, Seed: o.Seed + 1,
-	}}
-}
-
-// point prepares one fixed-rate sweep point with the standard outstanding
-// cap (or the protocol's operating-point override; the rate is the sweep's
-// X axis and stays shared).
-func (o Options) point(spec ClusterSpec, rate float64, seedOffset int64) SpecRun {
-	spec.CostScale = CPUScale
-	outstanding := 400
-	if op, ok := o.opFor(spec.Protocol, specTopoName(spec)); ok && op.Outstanding > 0 {
-		outstanding = op.Outstanding
-	}
-	warm, dur := o.durations()
-	return SpecRun{Spec: spec, Load: LoadSpec{
-		RatePerCoord: rate, Outstanding: outstanding,
-		Warmup: warm, Duration: dur, Seed: o.Seed + seedOffset,
-	}}
 }
 
 // ---- report plumbing ----
@@ -336,61 +261,98 @@ func flattenOps(ops map[string]OpPoint) string {
 	return strings.Join(parts, ",")
 }
 
-// sweepColumns is the shared six-column layout of the rate/skew sweeps.
-func sweepColumns(xName, xHeader string, xUnit report.Unit) []report.Column {
-	return []report.Column{
-		report.Col("protocol", "Protocol", report.String, report.None, 12).AlignLeft(),
-		report.Col(xName, xHeader, report.Float, xUnit, 10).WithPrec(2),
-		report.Col("thpt", "Thpt(txn/s)", report.Float, report.Rate, 12),
-		report.Col("commit", "Commit%", report.Float, report.Percent, 9).WithPrec(1),
-		report.Col("p50", "p50", report.Duration, report.Nanos, 12),
-		report.Col("p90", "p90", report.Duration, report.Nanos, 12),
+// noteCellRates calls out the cells of a table whose driving rate an
+// operating point moved off the table's shared rate, as a note and in the
+// table metadata.
+func noteCellRates(t *report.Table, cells []string) {
+	if len(cells) > 0 {
+		t.Note("(per-cell operating points: %s)", strings.Join(cells, ", "))
+		t.SetMeta("cell_rates", strings.Join(cells, ","))
 	}
 }
 
-// addSweepRow appends one SweepRow to a sweep-column table.
-func addSweepRow(t *report.Table, r SweepRow) {
-	t.AddRow(report.Str(r.Protocol), report.Num(r.X), report.Num(r.Thpt),
-		report.Num(r.Commit), report.Dur(r.P50), report.Dur(r.P90))
+// The column families most tables share.
+var (
+	colProtocol = report.Col("protocol", "Protocol", report.String, report.None, 12).AlignLeft()
+	colThpt     = report.Col("thpt", "Thpt(txn/s)", report.Float, report.Rate, 12)
+	colCommit   = report.Col("commit", "Commit%", report.Float, report.Percent, 9).WithPrec(1)
+)
+
+// latCol is a latency-percentile column named after its header ("p50").
+func latCol(name string) report.Column {
+	return report.Col(name, name, report.Duration, report.Nanos, 12)
+}
+
+// regionP50Cols is the local / remote-coordinator-region median pair,
+// headed by the topology's region codes (geo4: "SC p50", "HK p50").
+func regionP50Cols(topo *simnet.Topology, width int) []report.Column {
+	return []report.Column{
+		report.Col("local_p50", topo.RegionCode(0)+" p50", report.Duration, report.Nanos, width),
+		report.Col("remote_p50", topo.RegionCode(topo.RemoteCoordRegion)+" p50", report.Duration, report.Nanos, width),
+	}
+}
+
+// regionP50 is the cell pair under regionP50Cols.
+func regionP50(run *metrics.Run, topo *simnet.Topology) (local, remote report.Cell) {
+	return report.Dur(regionLatency(run, topo.RegionName(0)).Percentile(50)),
+		report.Dur(regionLatency(run, topo.RegionName(topo.RemoteCoordRegion)).Percentile(50))
+}
+
+func regionLatency(run *metrics.Run, region string) *metrics.Latency {
+	if lat := run.ByRegion[region]; lat != nil {
+		return lat
+	}
+	return &metrics.Latency{}
+}
+
+// sweepColumns is the shared six-column layout of the rate/skew sweeps.
+func sweepColumns(xName, xHeader string, xUnit report.Unit) []report.Column {
+	return []report.Column{
+		colProtocol,
+		report.Col(xName, xHeader, report.Float, xUnit, 10).WithPrec(2),
+		colThpt, colCommit, latCol("p50"), latCol("p90"),
+	}
+}
+
+// addSweepRow appends one sweep point — x is the rate or skew — with the
+// latency percentiles of lat (all regions, or one region's bucket).
+func addSweepRow(t *report.Table, protocol string, x float64, run *metrics.Run, lat *metrics.Latency) {
+	t.AddRow(report.Str(protocol), report.Num(x), report.Num(run.Throughput()),
+		report.Num(run.Counters.CommitRate()), report.Dur(lat.Percentile(50)), report.Dur(lat.Percentile(90)))
 }
 
 // Table1 reproduces Table 1: maximum throughput under MicroBench (skew 0.5)
 // and TPC-C for every registered protocol.
-func Table1(o Options) (*report.Report, map[string]map[string]float64) {
-	out := map[string]map[string]float64{"MicroBench": {}, "TPC-C": {}}
+func Table1(o Options) *report.Report {
 	rep := report.New("table1")
-	topo := o.classicTopology()
 	tab := rep.Add(&report.Table{
 		ID:    "table1",
 		Title: fmt.Sprintf("Table 1. Maximum throughput (txns/s, simulated testbed; paper numbers are ~%dx larger)", CPUScale),
 		Columns: []report.Column{
-			report.Col("protocol", "Protocol", report.String, report.None, 12).AlignLeft(),
+			colProtocol,
 			report.Col("micro", "MicroBench", report.Float, report.Rate, 12),
 			report.Col("tpcc", "TPC-C", report.Float, report.Rate, 12),
 		},
 	})
-	o.stamp(tab, topo.Name, "micro+tpcc", "skew", "0.5", "clock", clocks.ModelChrony.String())
+	o.stamp(tab, o.classicTopology().Name, "micro+tpcc", "skew", "0.5", "clock", clocks.ModelChrony.String())
 	// Table 1 reports NCC; NCC+ appears in Figs 7–8.
 	names, remark := o.sweepProtocols("NCC+")
 	if remark != "" {
 		tab.Note("%s", remark)
 	}
-	runs := make([]SpecRun, 0, 2*len(names))
+	var sw sweep
 	for _, p := range names {
-		spec, _ := o.microSpec(p, 0.5, false, clocks.ModelChrony)
-		runs = append(runs, o.saturate(spec, 3000))
+		var micro float64
+		sw.add(o.saturate(o.microSpec(p, 0.5, false, clocks.ModelChrony), 3000), func(res *RunResult) {
+			micro = res.Run.Throughput()
+		})
 		// TPC-C at saturation (6 shards per the paper's setup).
-		runs = append(runs, o.saturate(o.tpccSpec(p), 1000))
+		sw.add(o.saturate(o.tpccSpec(p), 1000), func(res *RunResult) {
+			tab.AddRow(report.Str(p), report.Num(micro), report.Num(res.Run.Throughput()))
+		})
 	}
-	results := RunSpecs(runs, o.Workers)
-	for i, p := range names {
-		micro := results[2*i].Run.Throughput()
-		tpc := results[2*i+1].Run.Throughput()
-		out["MicroBench"][p] = micro
-		out["TPC-C"][p] = tpc
-		tab.AddRow(report.Str(p), report.Num(micro), report.Num(tpc))
-	}
-	return rep, out
+	sw.run(o.Workers)
+	return rep
 }
 
 func tpccConfig(o Options) tpcc.Config {
@@ -405,16 +367,6 @@ func tpccConfig(o Options) tpcc.Config {
 	return cfg
 }
 
-// SweepRow is one point of a rate/skew sweep.
-type SweepRow struct {
-	Protocol string
-	X        float64 // rate (txns/s per coordinator) or skew factor
-	Thpt     float64
-	Commit   float64
-	P50      time.Duration
-	P90      time.Duration
-}
-
 func (o Options) rates() []float64 {
 	if o.Quick {
 		return []float64{250, 1000, 2500}
@@ -422,82 +374,55 @@ func (o Options) rates() []float64 {
 	return []float64{100, 250, 500, 1000, 1500, 2500}
 }
 
-func regionLatency(run *metrics.Run, region string) *metrics.Latency {
-	if lat := run.ByRegion[region]; lat != nil {
-		return lat
-	}
-	return &metrics.Latency{}
-}
-
 // Fig7And8 reproduces Figures 7 and 8: MicroBench (skew 0.5) with varying
 // per-coordinator rates; latency reported separately for the topology's
 // local region (geo4: South Carolina, Fig 7) and its remote-coordinator
 // region (geo4: Hong Kong, Fig 8).
-func Fig7And8(o Options) (rep *report.Report, local, remote []SweepRow) {
-	rep = report.New("fig7")
+func Fig7And8(o Options) *report.Report {
+	rep := report.New("fig7")
 	topo := o.classicTopology()
-	localName := topo.RegionName(0)
-	remoteName := topo.RegionName(topo.RemoteCoordRegion)
-	regions := []string{localName, remoteName}
+	figs := []struct {
+		n            int
+		kind, region string
+		rows         *report.Table
+	}{
+		{n: 7, kind: "local", region: topo.RegionName(0)},
+		{n: 8, kind: "remote", region: topo.RegionName(topo.RemoteCoordRegion)},
+	}
 	var banner *report.Table
-	for _, region := range regions {
-		fig := fmt.Sprintf("Fig 7 (local region: %s)", localName)
-		if region == remoteName {
-			fig = fmt.Sprintf("Fig 8 (remote region: %s)", remoteName)
-		}
+	for _, f := range figs {
 		banner = rep.Add(&report.Table{
-			ID: "fig7-banner", Gap: true,
-			Title:   fmt.Sprintf("%s — MicroBench skew 0.5, varying per-coordinator rate", fig),
+			ID: fmt.Sprintf("fig%d-banner", f.n), Gap: true,
+			Title: fmt.Sprintf("Fig %d (%s region: %s) — MicroBench skew 0.5, varying per-coordinator rate",
+				f.n, f.kind, f.region),
 			Columns: sweepColumns("rate", "rate/coord", report.Rate),
 		})
-		if region == remoteName {
-			banner.ID = "fig8-banner"
-		}
 	}
 	names, remark := o.sweepProtocols()
 	if remark != "" {
 		banner.Note("%s", remark)
 	}
-	rates := o.rates()
-	var runs []SpecRun
-	for _, p := range names {
-		for _, rate := range rates {
-			spec, _ := o.microSpec(p, 0.5, false, clocks.ModelChrony)
-			runs = append(runs, o.point(spec, rate, 2))
-		}
-	}
-	results := RunSpecs(runs, o.Workers)
-	for i, res := range results {
-		run := res.Run
-		p := runs[i].Spec.Protocol
-		rate := runs[i].Load.RatePerCoord
-		for _, region := range regions {
-			lat := regionLatency(run, region)
-			row := SweepRow{Protocol: p, X: rate, Thpt: run.Throughput(),
-				Commit: run.Counters.CommitRate(), P50: lat.Percentile(50), P90: lat.Percentile(90)}
-			if region == localName {
-				local = append(local, row)
-			} else {
-				remote = append(remote, row)
-			}
-		}
-	}
-	for fi, rows := range [][]SweepRow{local, remote} {
-		id, region := "fig7", localName
-		if fi == 1 {
-			id, region = "fig8", remoteName
-		}
-		tab := rep.Add(&report.Table{
-			ID: id, Gap: true,
-			Title:   fmt.Sprintf("Fig %d rows (%s):", 7+fi, region),
+	for i := range figs {
+		f := &figs[i]
+		f.rows = rep.Add(&report.Table{
+			ID: fmt.Sprintf("fig%d", f.n), Gap: true,
+			Title:   fmt.Sprintf("Fig %d rows (%s):", f.n, f.region),
 			Columns: sweepColumns("rate", "rate/coord", report.Rate),
 		})
-		o.stamp(tab, topo.Name, "micro", "skew", "0.5", "clock", clocks.ModelChrony.String(), "region", region)
-		for _, r := range rows {
-			addSweepRow(tab, r)
+		o.stamp(f.rows, topo.Name, "micro", "skew", "0.5", "clock", clocks.ModelChrony.String(), "region", f.region)
+	}
+	var sw sweep
+	for _, p := range names {
+		for _, rate := range o.rates() {
+			sw.add(o.point(o.microSpec(p, 0.5, false, clocks.ModelChrony), rate, 2), func(res *RunResult) {
+				for _, f := range figs {
+					addSweepRow(f.rows, p, rate, res.Run, regionLatency(res.Run, f.region))
+				}
+			})
 		}
 	}
-	return rep, local, remote
+	sw.run(o.Workers)
+	return rep
 }
 
 func (o Options) skews() []float64 {
@@ -508,9 +433,8 @@ func (o Options) skews() []float64 {
 }
 
 // Fig9 reproduces Figure 9: MicroBench with fixed rate and varying skew.
-func Fig9(o Options) (*report.Report, []SweepRow) {
+func Fig9(o Options) *report.Report {
 	rep := report.New("fig9")
-	topo := o.classicTopology()
 	rate := 800.0
 	if o.Quick {
 		rate = 600
@@ -520,42 +444,32 @@ func Fig9(o Options) (*report.Report, []SweepRow) {
 		Title:   "Fig 9 — MicroBench, fixed rate, varying skew factor (all regions)",
 		Columns: sweepColumns("skew", "skew", report.None),
 	})
-	o.stamp(tab, topo.Name, "micro", "rate", fmt.Sprintf("%v", rate), "clock", clocks.ModelChrony.String())
+	o.stamp(tab, o.classicTopology().Name, "micro", "rate", fmt.Sprintf("%v", rate), "clock", clocks.ModelChrony.String())
 	names, remark := o.sweepProtocols()
 	if remark != "" {
 		tab.Note("%s", remark)
 	}
-	skews := o.skews()
-	var runs []SpecRun
+	var sw sweep
 	for _, p := range names {
-		for _, skew := range skews {
-			spec, _ := o.microSpec(p, skew, false, clocks.ModelChrony)
-			runs = append(runs, o.point(spec, rate, 3))
+		for _, skew := range o.skews() {
+			sw.add(o.point(o.microSpec(p, skew, false, clocks.ModelChrony), rate, 3), func(res *RunResult) {
+				addSweepRow(tab, p, skew, res.Run, &res.Run.Lat)
+			})
 		}
 	}
-	results := RunSpecs(runs, o.Workers)
-	var rows []SweepRow
-	for i, res := range results {
-		run := res.Run
-		row := SweepRow{Protocol: runs[i].Spec.Protocol, X: microSkew(runs[i].Spec),
-			Thpt: run.Throughput(), Commit: run.Counters.CommitRate(),
-			P50: run.Lat.Percentile(50), P90: run.Lat.Percentile(90)}
-		addSweepRow(tab, row)
-		rows = append(rows, row)
-	}
-	return rep, rows
+	sw.run(o.Workers)
+	return rep
 }
 
 // Fig10 reproduces Figure 10: TPC-C with varying rates (all regions).
-func Fig10(o Options) (*report.Report, []SweepRow) {
+func Fig10(o Options) *report.Report {
 	rep := report.New("fig10")
-	topo := o.classicTopology()
 	tab := rep.Add(&report.Table{
 		ID: "fig10", Gap: true,
 		Title:   "Fig 10 — TPC-C, varying per-coordinator rate (all regions)",
 		Columns: sweepColumns("rate", "rate/coord", report.Rate),
 	})
-	o.stamp(tab, topo.Name, "tpcc", "clock", clocks.ModelChrony.String())
+	o.stamp(tab, o.classicTopology().Name, "tpcc", "clock", clocks.ModelChrony.String())
 	rates := []float64{50, 125, 250, 500}
 	if o.Quick {
 		rates = []float64{100, 400}
@@ -564,30 +478,16 @@ func Fig10(o Options) (*report.Report, []SweepRow) {
 	if remark != "" {
 		tab.Note("%s", remark)
 	}
-	var runs []SpecRun
+	var sw sweep
 	for _, p := range names {
 		for _, rate := range rates {
-			runs = append(runs, o.point(o.tpccSpec(p), rate, 4))
+			sw.add(o.point(o.tpccSpec(p), rate, 4), func(res *RunResult) {
+				addSweepRow(tab, p, rate, res.Run, &res.Run.Lat)
+			})
 		}
 	}
-	results := RunSpecs(runs, o.Workers)
-	var rows []SweepRow
-	for i, res := range results {
-		run := res.Run
-		row := SweepRow{Protocol: runs[i].Spec.Protocol, X: runs[i].Load.RatePerCoord,
-			Thpt: run.Throughput(), Commit: run.Counters.CommitRate(),
-			P50: run.Lat.Percentile(50), P90: run.Lat.Percentile(90)}
-		addSweepRow(tab, row)
-		rows = append(rows, row)
-	}
-	return rep, rows
-}
-
-// Fig11Result carries the failure-recovery timeline.
-type Fig11Result struct {
-	ThptPerSec  []float64
-	HKP50       []time.Duration // per-second p50 in the remote region
-	RecoverySec float64
+	sw.run(o.Workers)
+	return rep
 }
 
 // Fig11 reproduces Figure 11: Tiga's throughput and remote-region median
@@ -596,32 +496,84 @@ type Fig11Result struct {
 // the chaos layer's leader-kill plan (crash, no reboot: only Tiga's view
 // change can restore service), so the schedule is shared with the chaos
 // matrix instead of being this figure's private code.
-func Fig11(o Options) (*report.Report, Fig11Result) {
+func Fig11(o Options) *report.Report {
 	const plan = "leader-kill"
-	rep := report.New("fig11")
-	total := o.failureRunLength()
-	killAt := mustPlan(plan).Window.Start
-	res, rate := o.chaosFailover("Tiga", plan, 1000, 600, total)
-	title := fmt.Sprintf("Fig 11 — Tiga leader failure at t=%v (paper: ~3.8 s recovery)", killAt)
-	tab, out := o.recoveryTimeline("fig11", title, res, total, killAt)
-	o.stamp(tab, o.classicTopology().Name, "micro", "protocol", "Tiga",
-		"rate", fmt.Sprintf("%v", rate), "chaos", plan)
-	rep.Add(tab)
-	return rep, out
+	rep, tab, rate, _ := o.failover("fig11", "Tiga", plan, 1000,
+		fmt.Sprintf("Fig 11 — Tiga leader failure at t=%v (paper: ~3.8 s recovery)", mustPlan(plan).Window.Start))
+	tab.SetMeta("rate", fmt.Sprintf("%v", rate))
+	return rep
+}
+
+// Fig11Baseline runs the Fig 11 failure scenario against a Paxos-backed
+// baseline — the first non-Tiga recovery curve — through the chaos layer's
+// leader-crash plan (crash at 5 s, reboot at 9 s; the reboot rebuilds the
+// log from the surviving replicas). Unlike Tiga (whose view change elects a
+// co-located replacement in ~3.8 s), the baseline has no leader election:
+// throughput on transactions touching the dead shard stays depressed until
+// the reboot.
+func Fig11Baseline(o Options) *report.Report {
+	const proto, plan = "2PL+Paxos", "leader-crash"
+	win := mustPlan(plan).Window
+	rep, _, _, _ := o.failover("fig11b", proto, plan, 300,
+		fmt.Sprintf("Fig 11b — %s leader failure at t=%v, reboot at t=%v (no election: outage lasts until the reboot)",
+			proto, win.Start, win.End))
+	return rep
+}
+
+// Fig11NCC runs the Fig 11 failure scenario against NCC+ — the third
+// recovery curve, on the same leader-crash plan as fig11b (crash at 5 s,
+// reboot at 9 s rebuilding the store from the surviving Paxos followers'
+// logs). NCC coordinators have no retry timer, so the curve differs from
+// both Tiga (fig11) and 2PL+Paxos (fig11b): throughput hits a hard zero
+// plateau once the in-flight window drains, pre-crash requests replayed
+// from the survivor log re-reply at reboot with multi-second latencies, and
+// transactions swallowed inside the outage window hang forever — each one
+// permanently pinning an outstanding slot at its coordinator. That hang is
+// the documented cost of the no-retry design, not a bug in the recovery
+// path.
+func Fig11NCC(o Options) *report.Report {
+	const proto, plan = "NCC+", "leader-crash"
+	win := mustPlan(plan).Window
+	rep, tab, _, recovery := o.failover("fig11c", proto, plan, 300,
+		fmt.Sprintf("Fig 11c — %s serving-replica failure at t=%v, reboot at t=%v (no retry timer: outage-window transactions hang)",
+			proto, win.Start, win.End))
+	if recovery < 0 {
+		tab.Note("(no recovery to 80%% of the pre-crash rate: hung outage-window transactions pin their coordinators' outstanding slots)")
+	}
+	return rep
+}
+
+// failover is the one Fig 11-family experiment body: proto under the named
+// chaos plan at the figure's operating point (rate and 600 outstanding,
+// overridable via Options.Ops), sampled into the recovery timeline. The plan
+// — not the figure — owns the fault schedule. The driving rate the run
+// actually used and the recovery time come back with the table, for the
+// figures that report them.
+func (o Options) failover(name, proto, plan string, rate float64, title string) (rep *report.Report, tab *report.Table, drivenAt, recoverySec float64) {
+	rep = report.New(name)
+	run := o.faultRun(o.microSpec(proto, 0.5, false, clocks.ModelChrony), plan,
+		OpPoint{SaturationRate: rate, Outstanding: 600}, LoadSpec{Seed: o.Seed + 5})
+	var sw sweep
+	sw.add(run, func(res *RunResult) {
+		tab, recoverySec = o.recoveryTimeline(name, title, res, run.Load.Duration, mustPlan(plan).Window.Start)
+		o.stamp(tab, o.classicTopology().Name, "micro", "protocol", proto, "chaos", plan)
+		rep.Add(tab)
+	})
+	sw.run(1)
+	return rep, tab, run.Load.RatePerCoord, recoverySec
 }
 
 // recoveryTimeline folds a sample stream into the Fig 11 presentation:
 // per-second throughput, per-second remote-region median latency, and the
 // recovery time (first bucket after the kill back at >= 80% of the
-// pre-failure average). The remote region — geo4's Hong Kong — is resolved
-// from the run's topology.
-func (o Options) recoveryTimeline(id, title string, res *RunResult, total, killAt time.Duration) (*report.Table, Fig11Result) {
+// pre-failure average; negative when throughput never gets there). The
+// remote region — geo4's Hong Kong — is resolved from the run's topology.
+func (o Options) recoveryTimeline(id, title string, res *RunResult, total, killAt time.Duration) (*report.Table, float64) {
 	topo := o.classicTopology()
 	remoteName := topo.RegionName(topo.RemoteCoordRegion)
-	remoteCode := topo.RegionCode(topo.RemoteCoordRegion)
 	secs := int(total/time.Second) + 1
 	thpt := make([]float64, secs)
-	hk := make([][]time.Duration, secs)
+	remote := make([][]time.Duration, secs)
 	for _, s := range res.Samples {
 		i := int(s.At / time.Second)
 		if i >= secs {
@@ -629,16 +581,8 @@ func (o Options) recoveryTimeline(id, title string, res *RunResult, total, killA
 		}
 		thpt[i]++
 		if s.Region == remoteName {
-			hk[i] = append(hk[i], s.Lat)
+			remote[i] = append(remote[i], s.Lat)
 		}
-	}
-	out := Fig11Result{ThptPerSec: thpt, HKP50: make([]time.Duration, secs)}
-	for i, ls := range hk {
-		if len(ls) == 0 {
-			continue
-		}
-		sort.Slice(ls, func(a, b int) bool { return ls[a] < ls[b] })
-		out.HKP50[i] = ls[len(ls)/2]
 	}
 	var pre float64
 	kill := int(killAt / time.Second)
@@ -653,270 +597,146 @@ func (o Options) recoveryTimeline(id, title string, res *RunResult, total, killA
 			break
 		}
 	}
-	out.RecoverySec = rec
 	tab := &report.Table{
 		ID: id, Gap: true, Title: title,
 		Columns: []report.Column{
 			report.Col("sec", "sec", report.Int, report.Seconds, 5),
 			report.Col("thpt", "thpt(txn/s)", report.Float, report.Rate, 12),
-			report.Col("remote_p50", remoteCode+" p50", report.Duration, report.Nanos, 12),
+			report.Col("remote_p50", topo.RegionCode(topo.RemoteCoordRegion)+" p50", report.Duration, report.Nanos, 12),
 		},
 	}
-	for i := 0; i < secs; i++ {
-		tab.AddRow(report.CountOf(int64(i)), report.Num(thpt[i]), report.Dur(out.HKP50[i]))
-	}
-	tab.Note("recovery time: %.1f s", out.RecoverySec)
-	return tab, out
-}
-
-// chaosFailover runs one Fig 11-family failure scenario: the named protocol
-// under the named chaos plan at the figure's operating point (overridable
-// via Options.Ops), sampled for the recovery timeline. The plan — not the
-// figure — owns the fault schedule; the old per-figure failover helpers are
-// gone. The resolved driving rate is returned so figures stamp the rate the
-// run was actually driven at.
-func (o Options) chaosFailover(proto, plan string, rate float64, outstanding int,
-	total time.Duration) (*RunResult, float64) {
-	spec, _ := o.microSpec(proto, 0.5, false, clocks.ModelChrony)
-	if proto == "2PL+Paxos" {
-		// Dial the vote-timeout knob down from its inert 10 s default so
-		// transactions caught in the outage presume-abort and retry instead
-		// of hanging, and undelivered commit decisions are re-sent to the
-		// rebooted leader.
-		spec.setKnobDefault(proto, "vote-timeout", time.Second)
-	}
-	if op, ok := o.opFor(proto, specTopoName(spec)); ok {
-		if op.SaturationRate > 0 {
-			rate = op.SaturationRate
+	for i, ls := range remote {
+		var p50 time.Duration
+		if len(ls) > 0 {
+			sort.Slice(ls, func(a, b int) bool { return ls[a] < ls[b] })
+			p50 = ls[len(ls)/2]
 		}
-		if op.Outstanding > 0 {
-			outstanding = op.Outstanding
-		}
+		tab.AddRow(report.CountOf(int64(i)), report.Num(thpt[i]), report.Dur(p50))
 	}
-	return RunSpecs([]SpecRun{{
-		Spec:  spec,
-		Chaos: plan,
-		Load: LoadSpec{
-			RatePerCoord: rate, Outstanding: outstanding, Warmup: 0, Duration: total,
-			Seed: o.Seed + 5, TrackSamples: true,
-		},
-	}}, 1)[0], rate
-}
-
-// Fig11Baseline runs the Fig 11 failure scenario against a Paxos-backed
-// baseline — the first non-Tiga recovery curve — through the chaos layer's
-// leader-crash plan (crash at 5 s, reboot at 9 s; the reboot rebuilds the
-// log from the surviving replicas). The vote-timeout knob is dialed down
-// from its inert 10 s default so transactions caught in the outage
-// presume-abort and retry instead of hanging, and undelivered commit
-// decisions are re-sent to the rebooted leader. Unlike Tiga (whose view
-// change elects a co-located replacement in ~3.8 s), the baseline has no
-// leader election: throughput on transactions touching the dead shard stays
-// depressed until the reboot.
-func Fig11Baseline(o Options) (*report.Report, Fig11Result) {
-	const proto = "2PL+Paxos"
-	const plan = "leader-crash"
-	rep := report.New("fig11b")
-	total := o.failureRunLength()
-	win := mustPlan(plan).Window
-	res, _ := o.chaosFailover(proto, plan, 300, 600, total)
-	title := fmt.Sprintf("Fig 11b — %s leader failure at t=%v, reboot at t=%v (no election: outage lasts until the reboot)",
-		proto, win.Start, win.End)
-	tab, out := o.recoveryTimeline("fig11b", title, res, total, win.Start)
-	o.stamp(tab, o.classicTopology().Name, "micro", "protocol", proto, "chaos", plan)
-	rep.Add(tab)
-	return rep, out
-}
-
-// Fig11NCC runs the Fig 11 failure scenario against NCC+ — the third
-// recovery curve, on the same leader-crash plan as fig11b (crash at 5 s,
-// reboot at 9 s rebuilding the store from the surviving Paxos followers'
-// logs). NCC coordinators have no retry timer, so the curve differs from
-// both Tiga (fig11) and 2PL+Paxos (fig11b): throughput hits a hard zero
-// plateau once the in-flight window drains, pre-crash requests replayed
-// from the survivor log re-reply at reboot with multi-second latencies, and
-// transactions swallowed inside the outage window hang forever — each one
-// permanently pinning an outstanding slot at its coordinator. That hang is
-// the documented cost of the no-retry design, not a bug in the recovery
-// path.
-func Fig11NCC(o Options) (*report.Report, Fig11Result) {
-	const proto = "NCC+"
-	const plan = "leader-crash"
-	rep := report.New("fig11c")
-	total := o.failureRunLength()
-	win := mustPlan(plan).Window
-	res, _ := o.chaosFailover(proto, plan, 300, 600, total)
-	title := fmt.Sprintf("Fig 11c — %s serving-replica failure at t=%v, reboot at t=%v (no retry timer: outage-window transactions hang)",
-		proto, win.Start, win.End)
-	tab, out := o.recoveryTimeline("fig11c", title, res, total, win.Start)
-	o.stamp(tab, o.classicTopology().Name, "micro", "protocol", proto, "chaos", plan)
-	rep.Add(tab)
-	if out.RecoverySec < 0 {
-		tab.Note("(no recovery to 80%% of the pre-crash rate: hung outage-window transactions pin their coordinators' outstanding slots)")
-	}
-	return rep, out
+	tab.Note("recovery time: %.1f s", rec)
+	return tab, rec
 }
 
 // Table2 reproduces Table 2: maximum throughput and p50 latency after server
 // rotation (leaders separated across regions), with deltas vs co-location.
 // Detock is excluded as in the paper (its home directories are already
 // spread across regions); NCC+ as in Table 1.
-func Table2(o Options) (*report.Report, map[string][4]float64) {
+func Table2(o Options) *report.Report {
 	rep := report.New("table2")
 	tab := rep.Add(&report.Table{
 		ID: "table2", Gap: true,
 		Title: "Table 2 — server rotation (leaders separated)",
 		Columns: []report.Column{
-			report.Col("protocol", "Protocol", report.String, report.None, 12).AlignLeft(),
-			report.Col("thpt", "Thpt(txn/s)", report.Float, report.Rate, 12),
+			colProtocol, colThpt,
 			report.Col("dthpt", "Δthpt%", report.Float, report.Percent, 8).WithPrec(1).WithSign(),
 			report.Col("p50", "p50(ms)", report.Float, report.Millis, 10),
 			report.Col("dp50", "Δp50%", report.Float, report.Percent, 8).WithPrec(1).WithSign(),
 		},
 	})
 	o.stamp(tab, o.classicTopology().Name, "micro", "skew", "0.5", "rotated", "true")
-	out := make(map[string][4]float64)
 	names, remark := o.sweepProtocols("NCC+", "Detock")
 	if remark != "" {
 		tab.Note("%s", remark)
 	}
-	runs := make([]SpecRun, 0, 2*len(names))
+	var sw sweep
 	for _, p := range names {
-		spec0, _ := o.microSpec(p, 0.5, false, clocks.ModelChrony)
-		runs = append(runs, o.saturate(spec0, 3000))
-		spec1, _ := o.microSpec(p, 0.5, true, clocks.ModelChrony)
-		runs = append(runs, o.saturate(spec1, 3000))
+		var base *metrics.Run
+		sw.add(o.saturate(o.microSpec(p, 0.5, false, clocks.ModelChrony), 3000), func(res *RunResult) {
+			base = res.Run
+		})
+		sw.add(o.saturate(o.microSpec(p, 0.5, true, clocks.ModelChrony), 3000), func(res *RunResult) {
+			rot := res.Run
+			dThpt := 100 * (rot.Throughput() - base.Throughput()) / base.Throughput()
+			p50b := float64(base.Lat.Percentile(50)) / float64(time.Millisecond)
+			p50r := float64(rot.Lat.Percentile(50)) / float64(time.Millisecond)
+			dLat := 100 * (p50r - p50b) / p50b
+			tab.AddRow(report.Str(p), report.Num(rot.Throughput()), report.Num(dThpt),
+				report.Num(p50r), report.Num(dLat))
+		})
 	}
-	results := RunSpecs(runs, o.Workers)
-	for i, p := range names {
-		base, rot := results[2*i].Run, results[2*i+1].Run
-		dThpt := 100 * (rot.Throughput() - base.Throughput()) / base.Throughput()
-		p50b := float64(base.Lat.Percentile(50)) / float64(time.Millisecond)
-		p50r := float64(rot.Lat.Percentile(50)) / float64(time.Millisecond)
-		dLat := 100 * (p50r - p50b) / p50b
-		out[p] = [4]float64{rot.Throughput(), dThpt, p50r, dLat}
-		tab.AddRow(report.Str(p), report.Num(rot.Throughput()), report.Num(dThpt),
-			report.Num(p50r), report.Num(dLat))
-	}
-	return rep, out
+	sw.run(o.Workers)
+	return rep
 }
 
 // Fig12 reproduces Figure 12: Tiga-Colocate vs Tiga-Separate p50 latency with
 // varying skew, in the local and remote regions.
-func Fig12(o Options) (*report.Report, []SweepRow) {
+func Fig12(o Options) *report.Report {
 	rep := report.New("fig12")
 	topo := o.classicTopology()
-	localName, remoteName := topo.RegionName(0), topo.RegionName(topo.RemoteCoordRegion)
 	tab := rep.Add(&report.Table{
 		ID: "fig12", Gap: true,
 		Title: "Fig 12 — Tiga-Colocate vs Tiga-Separate, p50 vs skew",
-		Columns: []report.Column{
+		Columns: append([]report.Column{
 			report.Col("variant", "Variant", report.String, report.None, 16).AlignLeft(),
 			report.Col("skew", "skew", report.Float, report.None, 6).WithPrec(2),
-			report.Col("local_p50", topo.RegionCode(0)+" p50", report.Duration, report.Nanos, 16),
-			report.Col("remote_p50", topo.RegionCode(topo.RemoteCoordRegion)+" p50", report.Duration, report.Nanos, 16),
-		},
+		}, regionP50Cols(topo, 16)...),
 	})
 	o.stamp(tab, topo.Name, "micro", "protocol", "Tiga", "rate", "80")
-	skews := o.skews()
-	var runs []SpecRun
-	for _, rotated := range []bool{false, true} {
-		for _, skew := range skews {
-			spec, _ := o.microSpec("Tiga", skew, rotated, clocks.ModelChrony)
-			pt := o.point(spec, 80, 6)
+	var sw sweep
+	for _, variant := range []struct {
+		name    string
+		rotated bool
+	}{{"Tiga-Colocate", false}, {"Tiga-Separate", true}} {
+		for _, skew := range o.skews() {
+			pt := o.point(o.microSpec("Tiga", skew, variant.rotated, clocks.ModelChrony), 80, 6)
 			pt.Load.Outstanding = 100
-			runs = append(runs, pt)
+			sw.add(pt, func(res *RunResult) {
+				local, remote := regionP50(res.Run, topo)
+				tab.AddRow(report.Str(variant.name), report.Num(skew), local, remote)
+			})
 		}
 	}
-	results := RunSpecs(runs, o.Workers)
-	var rows []SweepRow
-	for i, res := range results {
-		name := "Tiga-Colocate"
-		if runs[i].Spec.Rotated {
-			name = "Tiga-Separate"
-		}
-		run := res.Run
-		skew := microSkew(runs[i].Spec)
-		sc, hk := regionLatency(run, localName), regionLatency(run, remoteName)
-		tab.AddRow(report.Str(name), report.Num(skew),
-			report.Dur(sc.Percentile(50)), report.Dur(hk.Percentile(50)))
-		rows = append(rows, SweepRow{Protocol: name, X: skew, P50: sc.Percentile(50), P90: hk.Percentile(50)})
-	}
-	return rep, rows
-}
-
-// Fig13Row is one headroom-delta point.
-type Fig13Row struct {
-	DeltaMs  float64 // headroom offset; -1e9 marks the 0-Hdrm variant
-	SCP50    time.Duration
-	HKP50    time.Duration
-	Rollback float64 // rollback rate %
+	sw.run(o.Workers)
+	return rep
 }
 
 // Fig13 reproduces Figure 13: Tiga's latency and rollback rate with varying
 // headroom deltas (plus the 0-Hdrm baseline), skew 0.99, leaders separated.
 // The rollback counts come from the protocol.RollbackReporter capability.
-func Fig13(o Options) (*report.Report, []Fig13Row) {
+func Fig13(o Options) *report.Report {
 	rep := report.New("fig13")
 	topo := o.classicTopology()
+	cols := append([]report.Column{
+		report.Col("delta", "delta(ms)", report.String, report.None, 10).AlignLeft(),
+	}, regionP50Cols(topo, 14)...)
 	tab := rep.Add(&report.Table{
 		ID: "fig13", Gap: true,
-		Title: "Fig 13 — headroom sensitivity (skew 0.99, leaders separated)",
-		Columns: []report.Column{
-			report.Col("delta", "delta(ms)", report.String, report.None, 10).AlignLeft(),
-			report.Col("local_p50", topo.RegionCode(0)+" p50", report.Duration, report.Nanos, 14),
-			report.Col("remote_p50", topo.RegionCode(topo.RemoteCoordRegion)+" p50", report.Duration, report.Nanos, 14),
-			report.Col("rollback", "rollback%", report.Float, report.Percent, 12).WithPrec(1),
-		},
+		Title:   "Fig 13 — headroom sensitivity (skew 0.99, leaders separated)",
+		Columns: append(cols, report.Col("rollback", "rollback%", report.Float, report.Percent, 12).WithPrec(1)),
 	})
 	o.stamp(tab, topo.Name, "micro", "protocol", "Tiga", "skew", "0.99", "rotated", "true")
+	var sw sweep
+	variant := func(label string, zero bool, deltaMs float64) {
+		spec := o.microSpec("Tiga", 0.99, true, clocks.ModelChrony)
+		spec.SetKnob("Tiga", "zero-headroom", zero)
+		spec.SetKnob("Tiga", "headroom-delta", time.Duration(deltaMs*float64(time.Millisecond)))
+		pt := o.point(spec, 20, 7)
+		pt.Load.Outstanding = 100
+		pt.KeepDeployment = true // rollback counts are read post-run
+		sw.add(pt, func(res *RunResult) {
+			rb := 0.0
+			if rr, ok := res.Deployment.Sys.(protocol.RollbackReporter); ok && res.Run.Counters.Committed > 0 {
+				rb = 100 * float64(rr.TotalRollbacks()) / float64(res.Run.Counters.Committed)
+			}
+			local, remote := regionP50(res.Run, topo)
+			tab.AddRow(report.Str(label), local, remote, report.Num(rb))
+		})
+	}
+	variant("0-Hdrm", true, 0)
 	deltas := []float64{-50, -25, 0, 25, 50}
 	if o.Quick {
 		deltas = []float64{-25, 0, 25}
 	}
-	type variant struct {
-		label   string
-		zero    bool
-		deltaMs float64
-	}
-	variants := []variant{{"0-Hdrm", true, 0}}
 	for _, dm := range deltas {
-		variants = append(variants, variant{fmt.Sprintf("%+.0f", dm), false, dm})
+		variant(fmt.Sprintf("%+.0f", dm), false, dm)
 	}
-	runs := make([]SpecRun, 0, len(variants))
-	for _, v := range variants {
-		spec, _ := o.microSpec("Tiga", 0.99, true, clocks.ModelChrony)
-		spec.SetKnob("Tiga", "zero-headroom", v.zero)
-		spec.SetKnob("Tiga", "headroom-delta", time.Duration(v.deltaMs*float64(time.Millisecond)))
-		pt := o.point(spec, 20, 7)
-		pt.Load.Outstanding = 100
-		pt.KeepDeployment = true // rollback counts are read post-run
-		runs = append(runs, pt)
-	}
-	results := RunSpecs(runs, o.Workers)
-	localName, remoteName := topo.RegionName(0), topo.RegionName(topo.RemoteCoordRegion)
-	var rows []Fig13Row
-	for i, v := range variants {
-		res := results[i]
-		runm := res.Run
-		sc, hk := regionLatency(runm, localName), regionLatency(runm, remoteName)
-		rb := 0.0
-		if rr, ok := res.Deployment.Sys.(protocol.RollbackReporter); ok && runm.Counters.Committed > 0 {
-			rb = 100 * float64(rr.TotalRollbacks()) / float64(runm.Counters.Committed)
-		}
-		row := Fig13Row{DeltaMs: v.deltaMs, SCP50: sc.Percentile(50), HKP50: hk.Percentile(50), Rollback: rb}
-		if v.zero {
-			row.DeltaMs = -1e9
-		}
-		rows = append(rows, row)
-		tab.AddRow(report.Str(v.label), report.Dur(row.SCP50), report.Dur(row.HKP50), report.Num(rb))
-	}
-	return rep, rows
+	sw.run(o.Workers)
+	return rep
 }
 
 // Table3 reproduces Table 3: Tiga throughput and measured clock error under
 // ntpd, chrony, Huygens, and an unstable "bad clock" (skew 0.99).
-func Table3(o Options) (*report.Report, map[string][2]float64) {
+func Table3(o Options) *report.Report {
 	rep := report.New("table3")
 	tab := rep.Add(&report.Table{
 		ID: "table3", Gap: true,
@@ -928,154 +748,112 @@ func Table3(o Options) (*report.Report, map[string][2]float64) {
 		},
 	})
 	o.stamp(tab, o.classicTopology().Name, "micro", "protocol", "Tiga", "skew", "0.99")
-	out := make(map[string][2]float64)
-	models := []clocks.Model{clocks.ModelNtpd, clocks.ModelChrony, clocks.ModelHuygens, clocks.ModelBad}
-	runs := make([]SpecRun, 0, len(models))
-	for _, m := range models {
-		spec, _ := o.microSpec("Tiga", 0.99, false, m)
-		runs = append(runs, o.saturate(spec, 3000))
+	var sw sweep
+	for _, m := range []clocks.Model{clocks.ModelNtpd, clocks.ModelChrony, clocks.ModelHuygens, clocks.ModelBad} {
+		sw.add(o.saturate(o.microSpec("Tiga", 0.99, false, m), 3000), func(res *RunResult) {
+			// Measure the error the same way the paper does (a real-time clock
+			// monitor): sample a population of this model's clocks.
+			cf := clocks.NewFactory(m, time.Minute, o.Seed+9)
+			cs := make([]clocks.Clock, 16)
+			for j := range cs {
+				cs[j] = cf.New()
+			}
+			errMs := float64(clocks.MeasureError(cs, time.Minute, 64)) / float64(time.Millisecond)
+			tab.AddRow(report.Str(m.String()), report.Num(res.Run.Throughput()), report.Num(errMs))
+		})
 	}
-	results := RunSpecs(runs, o.Workers)
-	for i, m := range models {
-		run := results[i].Run
-		// Measure the error the same way the paper does (a real-time clock
-		// monitor): sample a population of this model's clocks.
-		cf := clocks.NewFactory(m, time.Minute, o.Seed+9)
-		cs := make([]clocks.Clock, 16)
-		for j := range cs {
-			cs[j] = cf.New()
-		}
-		errMs := float64(clocks.MeasureError(cs, time.Minute, 64)) / float64(time.Millisecond)
-		out[m.String()] = [2]float64{run.Throughput(), errMs}
-		tab.AddRow(report.Str(m.String()), report.Num(run.Throughput()), report.Num(errMs))
-	}
-	return rep, out
+	sw.run(o.Workers)
+	return rep
 }
 
 // Fig14 reproduces Figure 14: Tiga p50 latency vs rate for each clock model,
 // in the local and remote regions.
-func Fig14(o Options) (*report.Report, []SweepRow) {
+func Fig14(o Options) *report.Report {
 	rep := report.New("fig14")
 	topo := o.classicTopology()
-	localName, remoteName := topo.RegionName(0), topo.RegionName(topo.RemoteCoordRegion)
 	tab := rep.Add(&report.Table{
 		ID: "fig14", Gap: true,
 		Title: "Fig 14 — Tiga latency with different clocks",
-		Columns: []report.Column{
+		Columns: append([]report.Column{
 			report.Col("clock", "Clock", report.String, report.None, 10).AlignLeft(),
 			report.Col("rate", "rate", report.Float, report.Rate, 10),
-			report.Col("local_p50", topo.RegionCode(0)+" p50", report.Duration, report.Nanos, 14),
-			report.Col("remote_p50", topo.RegionCode(topo.RemoteCoordRegion)+" p50", report.Duration, report.Nanos, 14),
-		},
+		}, regionP50Cols(topo, 14)...),
 	})
 	o.stamp(tab, topo.Name, "micro", "protocol", "Tiga", "skew", "0.99")
-	models := []clocks.Model{clocks.ModelNtpd, clocks.ModelChrony, clocks.ModelBad, clocks.ModelHuygens}
-	rates := o.rates()
-	var runs []SpecRun
-	for _, m := range models {
-		for _, rate := range rates {
-			spec, _ := o.microSpec("Tiga", 0.99, false, m)
-			runs = append(runs, o.point(spec, rate, 8))
+	var sw sweep
+	for _, m := range []clocks.Model{clocks.ModelNtpd, clocks.ModelChrony, clocks.ModelBad, clocks.ModelHuygens} {
+		for _, rate := range o.rates() {
+			sw.add(o.point(o.microSpec("Tiga", 0.99, false, m), rate, 8), func(res *RunResult) {
+				local, remote := regionP50(res.Run, topo)
+				tab.AddRow(report.Str(m.String()), report.Num(rate), local, remote)
+			})
 		}
 	}
-	results := RunSpecs(runs, o.Workers)
-	var rows []SweepRow
-	for i, res := range results {
-		m := runs[i].Spec.Clock
-		rate := runs[i].Load.RatePerCoord
-		run := res.Run
-		sc, hk := regionLatency(run, localName), regionLatency(run, remoteName)
-		tab.AddRow(report.Str(m.String()), report.Num(rate),
-			report.Dur(sc.Percentile(50)), report.Dur(hk.Percentile(50)))
-		rows = append(rows, SweepRow{Protocol: m.String(), X: rate, P50: sc.Percentile(50), P90: hk.Percentile(50)})
-	}
-	return rep, rows
-}
-
-// AblationEpsilon exercises the §6 coordination-free mode: with a trusted
-// error bound ε, leaders skip timestamp agreement and hold transactions for
-// ts+ε instead.
-func AblationEpsilon(o Options) *report.Report {
-	rep := report.New("ablations")
-	tab := rep.Add(&report.Table{
-		ID: "ablation-epsilon", Gap: true,
-		Title: "Ablation — coordination-free ε-bound mode (§6) vs timestamp agreement",
-		Columns: []report.Column{
-			report.Col("variant", "Variant", report.String, report.None, 22).AlignLeft(),
-			report.Col("thpt", "Thpt(txn/s)", report.Float, report.Rate, 12),
-			report.Col("commit", "Commit%", report.Float, report.Percent, 9).WithPrec(1),
-			report.Col("p50", "p50", report.Duration, report.Nanos, 12),
-		},
-	})
-	o.stamp(tab, o.classicTopology().Name, "micro", "protocol", "Tiga", "clock", clocks.ModelHuygens.String())
-	epsilons := []time.Duration{0, 10 * time.Millisecond, 50 * time.Millisecond}
-	runs := make([]SpecRun, 0, len(epsilons))
-	for _, eps := range epsilons {
-		spec, _ := o.microSpec("Tiga", 0.5, false, clocks.ModelHuygens)
-		spec.SetKnob("Tiga", "epsilon-bound", eps)
-		runs = append(runs, o.point(spec, 800, 10))
-	}
-	results := RunSpecs(runs, o.Workers)
-	for i, eps := range epsilons {
-		res := results[i]
-		name := "agreement (ε=0)"
-		if eps > 0 {
-			name = fmt.Sprintf("coordination-free ε=%v", eps)
-		}
-		tab.AddRow(report.Str(name), report.Num(res.Run.Throughput()),
-			report.Num(res.Run.Counters.CommitRate()), report.Dur(res.Run.Lat.Percentile(50)))
-	}
-	return rep
-}
-
-// AblationSlowReply compares per-entry slow replies against the Appendix E
-// batched periodic-inquiry optimization.
-func AblationSlowReply(o Options) *report.Report {
-	rep := report.New("ablations")
-	tab := rep.Add(&report.Table{
-		ID: "ablation-slowreply", Gap: true,
-		Title: "Ablation — per-entry slow replies vs Appendix E batched inquiries",
-		Columns: []report.Column{
-			report.Col("variant", "Variant", report.String, report.None, 12).AlignLeft(),
-			report.Col("thpt", "Thpt(txn/s)", report.Float, report.Rate, 12),
-			report.Col("p50", "p50", report.Duration, report.Nanos, 12),
-			report.Col("msgs", "msgs sent", report.Int, report.Count, 14),
-		},
-	})
-	o.stamp(tab, o.classicTopology().Name, "micro", "protocol", "Tiga")
-	variants := []bool{false, true}
-	runs := make([]SpecRun, 0, len(variants))
-	for _, batch := range variants {
-		spec, _ := o.microSpec("Tiga", 0.5, false, clocks.ModelChrony)
-		spec.SetKnob("Tiga", "batch-slow-replies", batch)
-		pt := o.point(spec, 800, 11)
-		pt.KeepDeployment = true // message counts are read post-run
-		runs = append(runs, pt)
-	}
-	results := RunSpecs(runs, o.Workers)
-	for i, batch := range variants {
-		res := results[i]
-		name := "per-entry"
-		if batch {
-			name = "batched"
-		}
-		tab.AddRow(report.Str(name), report.Num(res.Run.Throughput()),
-			report.Dur(res.Run.Lat.Percentile(50)), report.CountOf(res.Deployment.Net.Sent))
-	}
+	sw.run(o.Workers)
 	return rep
 }
 
 // Ablations bundles the extra ablations into one experiment report.
 func Ablations(o Options) *report.Report {
-	rep := AblationEpsilon(o)
-	rep.Tables = append(rep.Tables, AblationSlowReply(o).Tables...)
+	rep := report.New("ablations")
+	var sw sweep
+	o.ablationEpsilon(rep, &sw)
+	o.ablationSlowReply(rep, &sw)
+	sw.run(o.Workers)
 	return rep
 }
 
-// Fig10ForProtocol runs one protocol's TPC-C point (bench harness helper).
-func Fig10ForProtocol(o Options, protocol string, rate float64) []SweepRow {
-	res := RunSpecs([]SpecRun{o.point(o.tpccSpec(protocol), rate, 4)}, 1)[0]
-	run := res.Run
-	return []SweepRow{{Protocol: protocol, X: rate, Thpt: run.Throughput(),
-		Commit: run.Counters.CommitRate(), P50: run.Lat.Percentile(50), P90: run.Lat.Percentile(90)}}
+// ablationEpsilon exercises the §6 coordination-free mode: with a trusted
+// error bound ε, leaders skip timestamp agreement and hold transactions for
+// ts+ε instead.
+func (o Options) ablationEpsilon(rep *report.Report, sw *sweep) {
+	tab := rep.Add(&report.Table{
+		ID: "ablation-epsilon", Gap: true,
+		Title: "Ablation — coordination-free ε-bound mode (§6) vs timestamp agreement",
+		Columns: []report.Column{
+			report.Col("variant", "Variant", report.String, report.None, 22).AlignLeft(),
+			colThpt, colCommit, latCol("p50"),
+		},
+	})
+	o.stamp(tab, o.classicTopology().Name, "micro", "protocol", "Tiga", "clock", clocks.ModelHuygens.String())
+	for _, eps := range []time.Duration{0, 10 * time.Millisecond, 50 * time.Millisecond} {
+		spec := o.microSpec("Tiga", 0.5, false, clocks.ModelHuygens)
+		spec.SetKnob("Tiga", "epsilon-bound", eps)
+		sw.add(o.point(spec, 800, 10), func(res *RunResult) {
+			name := "agreement (ε=0)"
+			if eps > 0 {
+				name = fmt.Sprintf("coordination-free ε=%v", eps)
+			}
+			tab.AddRow(report.Str(name), report.Num(res.Run.Throughput()),
+				report.Num(res.Run.Counters.CommitRate()), report.Dur(res.Run.Lat.Percentile(50)))
+		})
+	}
+}
+
+// ablationSlowReply compares per-entry slow replies against the Appendix E
+// batched periodic-inquiry optimization.
+func (o Options) ablationSlowReply(rep *report.Report, sw *sweep) {
+	tab := rep.Add(&report.Table{
+		ID: "ablation-slowreply", Gap: true,
+		Title: "Ablation — per-entry slow replies vs Appendix E batched inquiries",
+		Columns: []report.Column{
+			report.Col("variant", "Variant", report.String, report.None, 12).AlignLeft(),
+			colThpt, latCol("p50"),
+			report.Col("msgs", "msgs sent", report.Int, report.Count, 14),
+		},
+	})
+	o.stamp(tab, o.classicTopology().Name, "micro", "protocol", "Tiga")
+	for _, variant := range []struct {
+		name  string
+		batch bool
+	}{{"per-entry", false}, {"batched", true}} {
+		spec := o.microSpec("Tiga", 0.5, false, clocks.ModelChrony)
+		spec.SetKnob("Tiga", "batch-slow-replies", variant.batch)
+		pt := o.point(spec, 800, 11)
+		pt.KeepDeployment = true // message counts are read post-run
+		sw.add(pt, func(res *RunResult) {
+			tab.AddRow(report.Str(variant.name), report.Num(res.Run.Throughput()),
+				report.Dur(res.Run.Lat.Percentile(50)), report.CountOf(res.Deployment.Net.Sent))
+		})
+	}
 }

@@ -75,54 +75,44 @@ func TestGoldenTextRenderer(t *testing.T) {
 		{"table1", func(t *testing.T) *report.Report {
 			o := goldenOpts()
 			o.Protocols = []string{"Janus"}
-			rep, _ := Table1(o)
-			return rep
+			return Table1(o)
 		}},
 		{"fig7", func(t *testing.T) *report.Report {
 			o := goldenOpts()
 			o.Protocols = []string{"Janus"}
-			rep, _, _ := Fig7And8(o)
-			return rep
+			return Fig7And8(o)
 		}},
 		{"fig9", func(t *testing.T) *report.Report {
 			o := goldenOpts()
 			o.Protocols = []string{"Tiga", "Janus"}
-			rep, _ := Fig9(o)
-			return rep
+			return Fig9(o)
 		}},
 		{"fig10", func(t *testing.T) *report.Report {
 			o := goldenOpts()
 			o.Protocols = []string{"Tiga", "Janus"}
-			rep, _ := Fig10(o)
-			return rep
+			return Fig10(o)
 		}},
 		{"fig11b", func(t *testing.T) *report.Report {
-			rep, _ := Fig11Baseline(goldenOpts())
-			return rep
+			return Fig11Baseline(goldenOpts())
 		}},
 		{"fig11c", func(t *testing.T) *report.Report {
 			// Captured from the PR 4 code (pre-chaos-layer baselineFailover);
 			// the chaos-plan rewrite must not change a byte.
-			rep, _ := Fig11NCC(goldenOpts())
-			return rep
+			return Fig11NCC(goldenOpts())
 		}},
 		{"table2", func(t *testing.T) *report.Report {
 			o := goldenOpts()
 			o.Protocols = []string{"Tiga", "Janus"}
-			rep, _ := Table2(o)
-			return rep
+			return Table2(o)
 		}},
 		{"fig12", func(t *testing.T) *report.Report {
-			rep, _ := Fig12(goldenOpts())
-			return rep
+			return Fig12(goldenOpts())
 		}},
 		{"fig13", func(t *testing.T) *report.Report {
-			rep, _ := Fig13(goldenOpts())
-			return rep
+			return Fig13(goldenOpts())
 		}},
 		{"table3", func(t *testing.T) *report.Report {
-			rep, _ := Table3(goldenOpts())
-			return rep
+			return Table3(goldenOpts())
 		}},
 		{"ablations", func(t *testing.T) *report.Report {
 			return Ablations(goldenOpts())
@@ -132,8 +122,7 @@ func TestGoldenTextRenderer(t *testing.T) {
 			o.Protocols = []string{"Tiga", "Janus"}
 			o.Topologies = []string{"us-eu3", "geo4-degraded"}
 			o.Workloads = []string{"micro", "ycsbt"}
-			rep, _ := ScenarioMatrix(o)
-			return rep
+			return ScenarioMatrix(o)
 		}},
 		{"chaos", func(t *testing.T) *report.Report {
 			// The cheapest configuration that renders the per-plan phase
@@ -141,15 +130,13 @@ func TestGoldenTextRenderer(t *testing.T) {
 			o := goldenOpts()
 			o.Protocols = []string{"Tiga"}
 			o.Plans = []string{"wan-partition"}
-			rep, _ := ChaosMatrix(o)
-			return rep
+			return ChaosMatrix(o)
 		}},
 		{"breakdown", func(t *testing.T) *report.Report {
 			// Captured at PR 10 (tracing introduction): pins the phase
 			// decomposition — and, transitively, the trace determinism the
 			// breakdown experiment rides on — at the golden configuration.
-			rep, _ := Breakdown(goldenOpts())
-			return rep
+			return Breakdown(goldenOpts())
 		}},
 		{"localreads", func(t *testing.T) *report.Report {
 			// Captured at PR 12, before the read path moved into
@@ -157,24 +144,21 @@ func TestGoldenTextRenderer(t *testing.T) {
 			// both coordinators' re-drive through a partition (chaos section).
 			o := goldenOpts()
 			o.Protocols = []string{"Tiga", "2PL+Paxos", "OCC+Paxos"}
-			rep, _ := LocalReads(o)
-			return rep
+			return LocalReads(o)
 		}},
 		{"scaleout", func(t *testing.T) *report.Report {
 			// Captured at PR 12: open-loop arrivals, admission shedding and
 			// the QueueLat / service-latency split.
 			o := goldenOpts()
 			o.Protocols = []string{"Tiga"}
-			rep, _ := ScaleOut(o)
-			return rep
+			return ScaleOut(o)
 		}},
 		{"emptysel", func(t *testing.T) *report.Report {
 			// The by-design exclusion remark: Detock-only against Table 2
 			// renders the title, the header, and the explanatory note.
 			o := goldenOpts()
 			o.Protocols = []string{"Detock"}
-			rep, _ := Table2(o)
-			return rep
+			return Table2(o)
 		}},
 	}
 	for _, tc := range cases {
@@ -194,7 +178,7 @@ func TestGoldenJSONRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a full (quick-mode) experiment; skipped under -short")
 	}
-	rep, _ := Fig12(goldenOpts())
+	rep := Fig12(goldenOpts())
 	doc := &report.Document{
 		Generated:   report.Generated{Seed: 42, Quick: true, CPUScale: CPUScale},
 		Experiments: []*report.Report{rep},

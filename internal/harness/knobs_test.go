@@ -136,8 +136,8 @@ func TestBaselineCrashRecoveryThroughRegistry(t *testing.T) {
 // the SpecRun level: only the overridden protocol's driving rate changes.
 func TestSaturateUsesOpPointRate(t *testing.T) {
 	o := Options{Quick: true, Ops: map[string]OpPoint{"2PL+Paxos": {SaturationRate: 750, Outstanding: 120}}}
-	specT, _ := o.microSpec("Tiga", 0.5, false, clocks.ModelChrony)
-	specL, _ := o.microSpec("2PL+Paxos", 0.5, false, clocks.ModelChrony)
+	specT := o.microSpec("Tiga", 0.5, false, clocks.ModelChrony)
+	specL := o.microSpec("2PL+Paxos", 0.5, false, clocks.ModelChrony)
 	st := o.saturate(specT, 3000)
 	sl := o.saturate(specL, 3000)
 	if st.Load.RatePerCoord != 3000 || st.Load.Outstanding != 300 {

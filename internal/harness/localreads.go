@@ -27,19 +27,6 @@ import (
 // snapshot-read checker that partitioned replicas delay reads but never
 // serve a wrong version.
 
-// LocalReadRow is one protocol × path × staleness cell.
-type LocalReadRow struct {
-	Protocol  string
-	Path      string        // "coord" (baseline commit path) or "local"
-	Staleness time.Duration // read-staleness knob; meaningful on the local path
-	Thpt      float64
-	Commit    float64
-	ReadP50   time.Duration // end-to-end read-only latency
-	ReadP90   time.Duration
-	WaitP50   time.Duration // SAFETIME delay spent blocked on the watermark
-	Local     int64         // read-only txns served from a nearby replica
-}
-
 // localReadStalenesses is the experiment's staleness axis: strong reads,
 // one jitter-scale bound, and one replication-scale bound.
 var localReadStalenesses = []time.Duration{0, 50 * time.Millisecond, 200 * time.Millisecond}
@@ -92,13 +79,13 @@ type lagCapture struct {
 	safe []time.Duration
 }
 
-// watermarkLagSetup returns a SpecRun.Setup hook that samples SafeTimes at
-// the middle of the measurement window into out[idx].
-func watermarkLagSetup(out []lagCapture, idx int, at time.Duration) func(d *Deployment) {
+// sampleAt returns a SpecRun.Setup hook that captures SafeTimes at the given
+// simulated instant (the middle of the measurement window).
+func (c *lagCapture) sampleAt(at time.Duration) func(d *Deployment) {
 	return func(d *Deployment) {
 		d.Sim.At(at, func() {
 			if s, ok := d.Sys.(protocol.SnapshotReadable); ok {
-				out[idx] = lagCapture{at: d.Sim.Now(), safe: s.SafeTimes()}
+				*c = lagCapture{at: d.Sim.Now(), safe: s.SafeTimes()}
 			}
 		})
 	}
@@ -133,7 +120,8 @@ func snapReadStatus(res *RunResult) string {
 // reports each protocol's per-replica watermark lag sampled under load, and
 // re-runs the local path through a WAN partition with the snapshot-read
 // checker armed.
-func LocalReads(o Options) (*report.Report, []LocalReadRow) {
+func LocalReads(o Options) *report.Report {
+	const plan = "wan-partition"
 	rep := report.New("localreads")
 	names, excluded, remark := o.snapshotProtocols()
 	if remark != "" {
@@ -150,158 +138,95 @@ func LocalReads(o Options) (*report.Report, []LocalReadRow) {
 			strings.Join(excluded, ", ")))
 	}
 	if len(names) == 0 {
-		return rep, nil
+		return rep
 	}
-
-	// One baseline point plus one local point per staleness, per protocol;
-	// the staleness-0 local point also samples watermark lag mid-run. The
-	// chaos-armed points ride in the same batch.
+	topo := o.classicTopology().Name
 	warm, dur := o.durations()
-	type cell struct {
-		proto     string
-		local     bool
-		staleness time.Duration
-	}
-	var cells []cell
-	for _, p := range names {
-		cells = append(cells, cell{proto: p})
-		for _, st := range localReadStalenesses {
-			cells = append(cells, cell{proto: p, local: true, staleness: st})
-		}
-	}
-	lags := make([]lagCapture, len(cells))
-	runs := make([]SpecRun, len(cells))
-	for i, c := range cells {
-		sr := o.point(o.localReadSpec(c.proto, c.staleness, c.local), rate, 21+int64(i))
-		sr.Load.Check = true
-		sr.Load.LocalReads = c.local
-		if c.local && c.staleness == 0 {
-			sr.Setup = watermarkLagSetup(lags, i, warm+dur/2)
-		}
-		runs[i] = sr
-	}
-	chaosTotal := o.failureRunLength()
-	chaosBase := len(runs)
-	for i, p := range names {
-		spec := o.localReadSpec(p, 0, true)
-		if p == "2PL+Paxos" || p == "OCC+Paxos" {
-			// As in the chaos matrix: dial the vote timeout down from its
-			// inert 10 s default so 2PCs stranded by the partition presume-
-			// abort instead of holding locks (and pinning the safe-time
-			// watermark below their prepare) past the heal.
-			spec.setKnobDefault(p, "vote-timeout", time.Second)
-		}
-		sr := SpecRun{
-			Spec:  spec,
-			Chaos: "wan-partition",
-			Load: LoadSpec{
-				RatePerCoord: rate, Outstanding: 400, Warmup: 0, Duration: chaosTotal,
-				Seed: o.Seed + 61 + int64(i), TrackSamples: true, Check: true, LocalReads: true,
-			},
-		}
-		runs = append(runs, sr)
-	}
-	results := RunSpecs(runs, o.Workers)
 
-	var rows []LocalReadRow
-	tab := rep.Add(&report.Table{
+	paths := rep.Add(&report.Table{
 		ID: "localreads/paths", Gap: true,
 		Title: "[read path × staleness] coordinator commit path vs nearest-replica snapshot reads",
 		Columns: []report.Column{
-			report.Col("protocol", "Protocol", report.String, report.None, 12).AlignLeft(),
+			colProtocol,
 			report.Col("path", "path", report.String, report.None, 6).AlignLeft(),
 			report.Col("staleness", "staleness", report.Duration, report.Nanos, 10),
-			report.Col("thpt", "Thpt(txn/s)", report.Float, report.Rate, 12),
-			report.Col("commit", "Commit%", report.Float, report.Percent, 9).WithPrec(1),
+			colThpt, colCommit,
 			report.Col("readp50", "read p50", report.Duration, report.Nanos, 12),
 			report.Col("readp90", "read p90", report.Duration, report.Nanos, 12),
 			report.Col("waitp50", "wait p50", report.Duration, report.Nanos, 12),
 			report.Col("local", "Local", report.Float, report.None, 9).WithPrec(0),
 		},
 	})
-	o.stamp(tab, o.classicTopology().Name, "ycsbt",
+	o.stamp(paths, topo, "ycsbt",
 		"rate", fmt.Sprintf("%v", rate), "read-ratio", "0.95", "skew", "0.7",
 		"clock", clocks.ModelChrony.String())
-	var checks []string
-	for i, c := range cells {
-		run := results[i].Run
-		path := "coord"
-		if c.local {
-			path = "local"
-		}
-		row := LocalReadRow{
-			Protocol: c.proto, Path: path, Staleness: c.staleness,
-			Thpt: run.Throughput(), Commit: run.Counters.CommitRate(),
-			ReadP50: run.ReadLat.Percentile(50), ReadP90: run.ReadLat.Percentile(90),
-			WaitP50: run.LocalWait.Percentile(50), Local: run.Counters.LocalReads,
-		}
-		rows = append(rows, row)
-		tab.AddRow(report.Str(row.Protocol), report.Str(row.Path), report.Dur(row.Staleness),
-			report.Num(row.Thpt), report.Num(row.Commit),
-			report.Dur(row.ReadP50), report.Dur(row.ReadP90), report.Dur(row.WaitP50),
-			report.Num(float64(row.Local)))
-		if c.local {
-			checks = append(checks, fmt.Sprintf("%s@%v: %s", c.proto, c.staleness, snapReadStatus(results[i])))
-		}
-	}
-	tab.Note("snapshot-read check — %s", strings.Join(checks, "; "))
-
 	lagTab := rep.Add(&report.Table{
 		ID: "localreads/watermark-lag", Gap: true,
 		Title: "[watermark lag] per-replica safe-time lag behind the sampling instant, mid-run under load",
 		Columns: []report.Column{
-			report.Col("protocol", "Protocol", report.String, report.None, 12).AlignLeft(),
+			colProtocol,
 			report.Col("min", "lag min", report.Duration, report.Nanos, 12),
 			report.Col("med", "lag median", report.Duration, report.Nanos, 12),
 			report.Col("max", "lag max", report.Duration, report.Nanos, 12),
 		},
 	})
-	o.stamp(lagTab, o.classicTopology().Name, "ycsbt",
-		"sampled-at", fmt.Sprintf("%v", warm+dur/2))
-	for i, c := range cells {
-		if !c.local || c.staleness != 0 {
-			continue
-		}
-		min, med, max := lags[i].lagStats()
-		lagTab.AddRow(report.Str(c.proto), report.Dur(min), report.Dur(med), report.Dur(max))
-	}
+	o.stamp(lagTab, topo, "ycsbt", "sampled-at", fmt.Sprintf("%v", warm+dur/2))
 	lagTab.Note("(leader lag ≈ clock headroom for Tiga vs the in-flight prepare window for 2PC/Paxos; max is the slowest follower)")
+	chaosTab, addPhases := o.phaseTable(rep, "localreads/"+plan,
+		fmt.Sprintf("[chaos] local reads through %s, %v runs — partitioned replicas delay reads, never lie",
+			plan, o.failureRunLength()),
+		topo, "ycsbt", plan)
 
-	chaosTab := rep.Add(&report.Table{
-		ID: "localreads/wan-partition", Gap: true,
-		Title: fmt.Sprintf("[chaos] local reads through %s, %v runs — partitioned replicas delay reads, never lie",
-			"wan-partition", chaosTotal),
-		Columns: []report.Column{
-			report.Col("protocol", "Protocol", report.String, report.None, 12).AlignLeft(),
-			report.Col("phase", "phase", report.String, report.None, 6).AlignLeft(),
-			report.Col("thpt", "Thpt(txn/s)", report.Float, report.Rate, 12),
-			report.Col("commit", "Commit%", report.Float, report.Percent, 9).WithPrec(1),
-			report.Col("p99", "p99", report.Duration, report.Nanos, 12),
-		},
-	})
-	plan := mustPlan("wan-partition")
-	o.stamp(chaosTab, o.classicTopology().Name, "ycsbt",
-		"chaos", "wan-partition",
-		"window", fmt.Sprintf("%v-%v", plan.Window.Start, plan.Window.End))
-	phases := []struct {
-		name     string
-		from, to time.Duration
-	}{
-		{"pre", 0, plan.Window.Start},
-		{"fault", plan.Window.Start, plan.Window.End},
-		{"post", plan.Window.End, chaosTotal},
-	}
-	var chaosChecks []string
-	for i, p := range names {
-		res := results[chaosBase+i]
-		for _, ph := range phases {
-			thpt, commit, p99 := phaseStats(res, ph.from, ph.to)
-			chaosTab.AddRow(report.Str(p), report.Str(ph.name), report.Num(thpt),
-				report.Num(commit), report.Dur(p99))
+	// One baseline point plus one local point per staleness, per protocol;
+	// the staleness-0 local point also samples watermark lag mid-run. The
+	// chaos-armed points ride in the same batch.
+	var sw sweep
+	var checks, chaosChecks []string
+	for _, p := range names {
+		pathCell := func(path string, staleness time.Duration) {
+			local := path == "local"
+			cell := o.point(o.localReadSpec(p, staleness, local), rate, 21+int64(len(sw.runs)))
+			cell.Load.Check = true
+			cell.Load.LocalReads = local
+			sampleLag := local && staleness == 0
+			var lag lagCapture
+			if sampleLag {
+				cell.Setup = lag.sampleAt(warm + dur/2)
+			}
+			sw.add(cell, func(res *RunResult) {
+				run := res.Run
+				paths.AddRow(report.Str(p), report.Str(path), report.Dur(staleness),
+					report.Num(run.Throughput()), report.Num(run.Counters.CommitRate()),
+					report.Dur(run.ReadLat.Percentile(50)), report.Dur(run.ReadLat.Percentile(90)),
+					report.Dur(run.LocalWait.Percentile(50)), report.Num(float64(run.Counters.LocalReads)))
+				if local {
+					checks = append(checks, fmt.Sprintf("%s@%v: %s", p, staleness, snapReadStatus(res)))
+				}
+				if sampleLag {
+					min, med, max := lag.lagStats()
+					lagTab.AddRow(report.Str(p), report.Dur(min), report.Dur(med), report.Dur(max))
+				}
+			})
 		}
-		chaosChecks = append(chaosChecks, fmt.Sprintf("%s: %s, %d retries",
-			p, snapReadStatus(res), res.Run.Counters.Retries))
+		pathCell("coord", 0)
+		for _, st := range localReadStalenesses {
+			pathCell("local", st)
+		}
 	}
-	chaosTab.Note("snapshot-read check under partition — %s", strings.Join(chaosChecks, "; "))
-	return rep, rows
+	sw.then(func() { paths.Note("snapshot-read check — %s", strings.Join(checks, "; ")) })
+	for i, p := range names {
+		cell := o.faultRun(o.localReadSpec(p, 0, true), plan, OpPoint{Outstanding: 400}, LoadSpec{
+			RatePerCoord: rate, Seed: o.Seed + 61 + int64(i), Check: true, LocalReads: true,
+		})
+		sw.add(cell, func(res *RunResult) {
+			addPhases(p, res)
+			chaosChecks = append(chaosChecks, fmt.Sprintf("%s: %s, %d retries",
+				p, snapReadStatus(res), res.Run.Counters.Retries))
+		})
+	}
+	sw.then(func() {
+		chaosTab.Note("snapshot-read check under partition — %s", strings.Join(chaosChecks, "; "))
+	})
+	sw.run(o.Workers)
+	return rep
 }

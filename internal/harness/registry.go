@@ -20,75 +20,24 @@ type Experiment struct {
 // order `-exp all` renders. fig8 is an alias handled by the CLI: the harness
 // records both regions in the fig7 pass.
 var experimentList = []Experiment{
-	{"table1", "Table 1: maximum throughput (MicroBench + TPC-C)", func(o Options) *report.Report {
-		r, _ := Table1(o)
-		return r
-	}},
-	{"fig7", "Figs 7+8: rate sweep, local + remote region latency", func(o Options) *report.Report {
-		r, _, _ := Fig7And8(o)
-		return r
-	}},
-	{"fig9", "Fig 9: skew sweep", func(o Options) *report.Report {
-		r, _ := Fig9(o)
-		return r
-	}},
-	{"fig10", "Fig 10: TPC-C rate sweep", func(o Options) *report.Report {
-		r, _ := Fig10(o)
-		return r
-	}},
-	{"fig11", "Fig 11: Tiga leader failure recovery", func(o Options) *report.Report {
-		r, _ := Fig11(o)
-		return r
-	}},
-	{"fig11b", "Fig 11 analogue: 2PL+Paxos leader crash + reboot", func(o Options) *report.Report {
-		r, _ := Fig11Baseline(o)
-		return r
-	}},
-	{"fig11c", "Fig 11 analogue: NCC+ crash + reboot (no retry timer: outage txns hang)", func(o Options) *report.Report {
-		r, _ := Fig11NCC(o)
-		return r
-	}},
-	{"table2", "Table 2: server rotation", func(o Options) *report.Report {
-		r, _ := Table2(o)
-		return r
-	}},
-	{"fig12", "Fig 12: colocate vs separate", func(o Options) *report.Report {
-		r, _ := Fig12(o)
-		return r
-	}},
-	{"fig13", "Fig 13: headroom sensitivity", func(o Options) *report.Report {
-		r, _ := Fig13(o)
-		return r
-	}},
-	{"table3", "Table 3: clock ablation", func(o Options) *report.Report {
-		r, _ := Table3(o)
-		return r
-	}},
-	{"fig14", "Fig 14: latency per clock model", func(o Options) *report.Report {
-		r, _ := Fig14(o)
-		return r
-	}},
+	{"table1", "Table 1: maximum throughput (MicroBench + TPC-C)", Table1},
+	{"fig7", "Figs 7+8: rate sweep, local + remote region latency", Fig7And8},
+	{"fig9", "Fig 9: skew sweep", Fig9},
+	{"fig10", "Fig 10: TPC-C rate sweep", Fig10},
+	{"fig11", "Fig 11: Tiga leader failure recovery", Fig11},
+	{"fig11b", "Fig 11 analogue: 2PL+Paxos leader crash + reboot", Fig11Baseline},
+	{"fig11c", "Fig 11 analogue: NCC+ crash + reboot (no retry timer: outage txns hang)", Fig11NCC},
+	{"table2", "Table 2: server rotation", Table2},
+	{"fig12", "Fig 12: colocate vs separate", Fig12},
+	{"fig13", "Fig 13: headroom sensitivity", Fig13},
+	{"table3", "Table 3: clock ablation", Table3},
+	{"fig14", "Fig 14: latency per clock model", Fig14},
 	{"ablations", "extra ablations (ε-mode, Appendix E)", Ablations},
-	{"scenarios", "protocol × topology × workload matrix", func(o Options) *report.Report {
-		r, _ := ScenarioMatrix(o)
-		return r
-	}},
-	{"chaos", "protocol × fault-plan matrix (crashes, partitions, link faults, clock steps)", func(o Options) *report.Report {
-		r, _ := ChaosMatrix(o)
-		return r
-	}},
-	{"localreads", "local snapshot reads: 0-WRTT read-only txns vs replica staleness, watermark lag, partition chaos", func(o Options) *report.Report {
-		r, _ := LocalReads(o)
-		return r
-	}},
-	{"scaleout", "scale-out serving: shards × replication over a fixed million-key dataset, open-loop arrivals, admission-gated overload", func(o Options) *report.Report {
-		r, _ := ScaleOut(o)
-		return r
-	}},
-	{"breakdown", "critical-path latency decomposition: per-phase breakdown from txn-lifecycle traces, commit and local-read paths", func(o Options) *report.Report {
-		r, _ := Breakdown(o)
-		return r
-	}},
+	{"scenarios", "protocol × topology × workload matrix", ScenarioMatrix},
+	{"chaos", "protocol × fault-plan matrix (crashes, partitions, link faults, clock steps)", ChaosMatrix},
+	{"localreads", "local snapshot reads: 0-WRTT read-only txns vs replica staleness, watermark lag, partition chaos", LocalReads},
+	{"scaleout", "scale-out serving: shards × replication over a fixed million-key dataset, open-loop arrivals, admission-gated overload", ScaleOut},
+	{"breakdown", "critical-path latency decomposition: per-phase breakdown from txn-lifecycle traces, commit and local-read paths", Breakdown},
 }
 
 // Experiments returns every registered experiment in presentation order.

@@ -21,21 +21,6 @@ import (
 // linear). Queue wait is reported separately from service latency, so a cell
 // that holds p99 by queueing (rather than by serving faster) is visible.
 
-// ScaleOutRow is one protocol × shards × F cell.
-type ScaleOutRow struct {
-	Protocol string
-	Shards   int
-	F        int
-	KeysPer  int     // per-shard keyspace (total is fixed across the row's sweep)
-	Offered  float64 // aggregate open-loop arrival rate, txn/s across all coordinators
-	Thpt     float64
-	Commit   float64 // of admitted (non-shed) transactions
-	ShedPct  float64 // share of arrivals refused by admission gates
-	P99      time.Duration
-	QueueP99 time.Duration
-	Eff      float64 // (thpt ratio vs the 3-shard cell at the same F) / (shard ratio)
-}
-
 // scaleoutShards is the sweep's shard axis; the paper's WAN deploys 3 shards,
 // so 3 is the efficiency baseline.
 func (o Options) scaleoutShards() []int {
@@ -88,33 +73,11 @@ func (o Options) admissionProtocols() (in, out []string, remark string) {
 	return in, out, remark
 }
 
-// scaleoutBaseRate is the per-coordinator offered rate for the 3-shard
-// baseline cell: the protocol's recorded saturation operating point when one
-// is given (-op), else the shared micro saturation rate. Cells with more
-// shards scale this linearly — the whole point is to offer the load a
-// linearly-scaling system should absorb.
-func (o Options) scaleoutBaseRate(proto, topo string) float64 {
-	if op, ok := o.opFor(proto, topo); ok && op.SaturationRate > 0 {
-		return op.SaturationRate
-	}
-	return 3000
-}
-
-// scaleoutGate resolves the admission-gate sizing for one cell: cap at the
-// protocol's outstanding operating point (default 300, the saturation cap),
-// queue as deep as the cap.
-func (o Options) scaleoutGate(proto, topo string) int {
-	if op, ok := o.opFor(proto, topo); ok && op.Outstanding > 0 {
-		return op.Outstanding
-	}
-	return 300
-}
-
 // ScaleOut sweeps shards × replication over a fixed total keyspace per
 // admission-capable protocol, drives each cell open-loop at a linearly-scaled
 // Poisson rate, and reports throughput, service/queue latency, shed rate, and
 // scale-out efficiency against the 3-shard baseline.
-func ScaleOut(o Options) (*report.Report, []ScaleOutRow) {
+func ScaleOut(o Options) *report.Report {
 	rep := report.New("scaleout")
 	names, excluded, remark := o.admissionProtocols()
 	if remark != "" {
@@ -122,7 +85,6 @@ func ScaleOut(o Options) (*report.Report, []ScaleOutRow) {
 	}
 	topo := o.classicTopology()
 	shards := o.scaleoutShards()
-	fs := o.scaleoutReplication()
 	totalKeys := o.scaleoutTotalKeys()
 	rep.Add(&report.Table{
 		ID: "scaleout-banner", Gap: true,
@@ -134,73 +96,18 @@ func ScaleOut(o Options) (*report.Report, []ScaleOutRow) {
 			strings.Join(excluded, ", ")))
 	}
 	if len(names) == 0 {
-		return rep, nil
+		return rep
 	}
-
-	warm, dur := o.durations()
-	baseShards := shards[0]
-	type cell struct {
-		proto     string
-		shards, f int
-		rate      float64 // per-coordinator offered rate
-		gate      int
-	}
-	var cells []cell
-	for _, p := range names {
-		base := o.scaleoutBaseRate(p, topo.Name)
-		gate := o.scaleoutGate(p, topo.Name)
-		for _, f := range fs {
-			for _, n := range shards {
-				// Both the offered load and the admission gate scale with
-				// the shard count: the gate sizes to the capacity the cell
-				// is provisioned for, so it sheds overload rather than
-				// becoming the bottleneck itself (a fixed cap would pin
-				// every cell to the same Little's-law ceiling and hide the
-				// scaling being measured).
-				cells = append(cells, cell{
-					proto: p, shards: n, f: f,
-					rate: base * float64(n) / float64(baseShards),
-					gate: gate * n / baseShards,
-				})
-			}
-		}
-	}
-	runs := make([]SpecRun, len(cells))
-	for i, c := range cells {
-		spec := ClusterSpec{
-			Protocol: c.proto, Topology: topo.Name,
-			Workload: "micro", WorkloadKeys: totalKeys / c.shards,
-			WorkloadParams: map[string]any{"skew": 0.5},
-			Shards:         c.shards, F: c.f, Clock: clocks.ModelChrony,
-			CoordsPerRegion: 2, CoordsRemote: 2, Seed: o.Seed,
-			CostScale: CPUScale, Knobs: copyKnobs(o.Knobs),
-		}
-		// Same overload hygiene as the saturation experiments: stretch Tiga's
-		// retry timer so driving past capacity measures the protocol, not a
-		// retransmission storm. The admission gate is the experiment's
-		// backpressure, so it is experiment-imposed (setKnobDefault still
-		// lets an explicit -knob override win).
-		spec.setKnobDefault("Tiga", "retry-timeout", 10*time.Second)
-		spec.setKnobDefault(c.proto, "admit-cap", c.gate)
-		spec.setKnobDefault(c.proto, "admit-queue", c.gate)
-		runs[i] = SpecRun{Spec: spec, Load: LoadSpec{
-			Arrival: "poisson", RatePerCoord: c.rate,
-			Warmup: warm, Duration: dur, Seed: o.Seed + 101 + int64(i),
-		}}
-	}
-	results := RunSpecs(runs, o.Workers)
-
 	tab := rep.Add(&report.Table{
 		ID: "scaleout/cells", Gap: true,
 		Title: "[shards × replication] open-loop serving over a fixed keyspace; efficiency vs linear scaling of the 3-shard cell",
 		Columns: []report.Column{
-			report.Col("protocol", "Protocol", report.String, report.None, 12).AlignLeft(),
+			colProtocol,
 			report.Col("shards", "shards", report.Float, report.None, 7).WithPrec(0),
 			report.Col("f", "F", report.Float, report.None, 3).WithPrec(0),
 			report.Col("keys", "keys/shard", report.Float, report.None, 11).WithPrec(0),
 			report.Col("offered", "Offered(txn/s)", report.Float, report.Rate, 15),
-			report.Col("thpt", "Thpt(txn/s)", report.Float, report.Rate, 12),
-			report.Col("commit", "Commit%", report.Float, report.Percent, 9).WithPrec(1),
+			colThpt, colCommit,
 			report.Col("shed", "Shed%", report.Float, report.Percent, 7).WithPrec(1),
 			report.Col("p99", "svc p99", report.Duration, report.Nanos, 12),
 			report.Col("qp99", "queue p99", report.Duration, report.Nanos, 12),
@@ -211,46 +118,74 @@ func ScaleOut(o Options) (*report.Report, []ScaleOutRow) {
 		"arrival", "poisson", "total-keys", fmt.Sprintf("%d", totalKeys),
 		"clock", clocks.ModelChrony.String())
 
-	// Efficiency baseline: the same protocol × F at the smallest shard count.
-	baseThpt := make(map[string]float64, len(names)*len(fs))
-	for i, c := range cells {
-		if c.shards == baseShards {
-			baseThpt[fmt.Sprintf("%s/%d", c.proto, c.f)] = results[i].Run.Throughput()
+	var sw sweep
+	for _, p := range names {
+		for _, f := range o.scaleoutReplication() {
+			// Efficiency baseline: the same protocol × F at the smallest
+			// shard count, which the shard axis visits first.
+			var baseThpt float64
+			for _, n := range shards {
+				spec := ClusterSpec{
+					Protocol: p, Topology: topo.Name,
+					Workload: "micro", WorkloadKeys: totalKeys / n,
+					WorkloadParams: map[string]any{"skew": 0.5},
+					Shards:         n, F: f, Clock: clocks.ModelChrony,
+					CoordsPerRegion: 2, CoordsRemote: 2, Seed: o.Seed,
+					CostScale: CPUScale, Knobs: copyKnobs(o.Knobs),
+				}
+				// Same overload hygiene as the saturation experiments: stretch Tiga's
+				// retry timer so driving past capacity measures the protocol, not a
+				// retransmission storm.
+				spec.setKnobDefault("Tiga", "retry-timeout", 10*time.Second)
+				load := o.window(101 + int64(len(sw.runs)))
+				load.Arrival = "poisson"
+				// The operating point of the 3-shard baseline cell: the
+				// protocol's recorded saturation rate and outstanding cap when
+				// given (-op), else the shared micro saturation point. Open
+				// loop ignores the cap as such; it sizes the admission gate
+				// (admit-cap, queue as deep as the cap), which is the
+				// experiment's backpressure and so experiment-imposed
+				// (setKnobDefault still lets an explicit -set win). Both the
+				// offered load and the gate scale with the shard count: the
+				// gate sizes to the capacity the cell is provisioned for, so it
+				// sheds overload rather than becoming the bottleneck itself (a
+				// fixed cap would pin every cell to the same Little's-law
+				// ceiling and hide the scaling being measured).
+				cell := o.cell(spec, OpPoint{SaturationRate: 3000, Outstanding: 300}, load)
+				cell.Load.RatePerCoord = cell.Load.RatePerCoord * float64(n) / float64(shards[0])
+				gate := cell.Load.Outstanding * n / shards[0]
+				cell.Spec.setKnobDefault(p, "admit-cap", gate)
+				cell.Spec.setKnobDefault(p, "admit-queue", gate)
+				offered := cell.Load.RatePerCoord * float64(len(cell.Spec.CoordRegionList()))
+				sw.add(cell, func(res *RunResult) {
+					run := res.Run
+					if n == shards[0] {
+						baseThpt = run.Throughput()
+					}
+					shedPct := 0.0
+					if run.Counters.Submitted > 0 {
+						shedPct = 100 * float64(run.Counters.Shed) / float64(run.Counters.Submitted)
+					}
+					eff := 0.0
+					if baseThpt > 0 {
+						eff = (run.Throughput() / baseThpt) / (float64(n) / float64(shards[0]))
+					}
+					// Commit% is over admitted arrivals: shedding is the gate doing its
+					// job and is reported on its own axis, not as protocol aborts.
+					commit := 0.0
+					if admitted := run.Counters.Submitted - run.Counters.Shed; admitted > 0 {
+						commit = 100 * float64(run.Counters.Committed) / float64(admitted)
+					}
+					tab.AddRow(report.Str(p), report.Num(float64(n)), report.Num(float64(f)),
+						report.Num(float64(totalKeys/n)), report.Num(offered),
+						report.Num(run.Throughput()), report.Num(commit), report.Num(shedPct),
+						report.Dur(run.Lat.Percentile(99)), report.Dur(run.QueueLat.Percentile(99)),
+						report.Num(eff))
+				})
+			}
 		}
-	}
-	var rows []ScaleOutRow
-	for i, c := range cells {
-		run := results[i].Run
-		offered := c.rate * float64(len(runs[i].Spec.CoordRegionList()))
-		shedPct := 0.0
-		if run.Counters.Submitted > 0 {
-			shedPct = 100 * float64(run.Counters.Shed) / float64(run.Counters.Submitted)
-		}
-		eff := 0.0
-		if base := baseThpt[fmt.Sprintf("%s/%d", c.proto, c.f)]; base > 0 {
-			eff = (run.Throughput() / base) / (float64(c.shards) / float64(baseShards))
-		}
-		// Commit% is over admitted arrivals: shedding is the gate doing its
-		// job and is reported on its own axis, not as protocol aborts.
-		commit := 0.0
-		if admitted := run.Counters.Submitted - run.Counters.Shed; admitted > 0 {
-			commit = 100 * float64(run.Counters.Committed) / float64(admitted)
-		}
-		row := ScaleOutRow{
-			Protocol: c.proto, Shards: c.shards, F: c.f,
-			KeysPer: totalKeys / c.shards, Offered: offered,
-			Thpt: run.Throughput(), Commit: commit,
-			ShedPct: shedPct,
-			P99:     run.Lat.Percentile(99), QueueP99: run.QueueLat.Percentile(99),
-			Eff: eff,
-		}
-		rows = append(rows, row)
-		tab.AddRow(report.Str(row.Protocol), report.Num(float64(row.Shards)),
-			report.Num(float64(row.F)), report.Num(float64(row.KeysPer)),
-			report.Num(row.Offered), report.Num(row.Thpt), report.Num(row.Commit),
-			report.Num(row.ShedPct), report.Dur(row.P99), report.Dur(row.QueueP99),
-			report.Num(row.Eff))
 	}
 	tab.Note("(offered load scales linearly with shards; the admission gate — admit-cap/admit-queue at the protocol's outstanding point — sheds the excess, so Shed%% reads as headroom exhausted; svc p99 excludes queue wait)")
-	return rep, rows
+	sw.run(o.Workers)
+	return rep
 }

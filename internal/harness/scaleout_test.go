@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"tiga/internal/checker"
 	"tiga/internal/clocks"
+	"tiga/internal/report"
 )
 
 // TestScaleOutDeterministic is the open-loop determinism pin: a fixed-seed
@@ -23,22 +25,22 @@ func TestScaleOutDeterministic(t *testing.T) {
 			"2PL+Paxos": {SaturationRate: 250, Outstanding: 100},
 		},
 	}
-	run := func(workers int) []ScaleOutRow {
+	run := func(workers int) *report.Report {
 		oo := o
 		oo.Workers = workers
-		_, rows := ScaleOut(oo)
-		return rows
+		return ScaleOut(oo)
 	}
 	a, b := run(1), run(4)
-	if len(a) != 4 { // 2 protocols × shards {3,6} × F {1}
-		t.Fatalf("scale-out sweep produced %d rows, want 4", len(a))
+	if !bytes.Equal(goldenJSON(t, a), goldenJSON(t, b)) {
+		t.Fatalf("encoded report differs across -workers settings:\n%s\n%s", goldenJSON(t, a), goldenJSON(t, b))
+	}
+	cells := a.Find("scaleout/cells")
+	if len(cells.Rows) != 4 { // 2 protocols × shards {3,6} × F {1}
+		t.Fatalf("scale-out sweep produced %d rows, want 4", len(cells.Rows))
 	}
 	committed := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d differs across -workers settings:\n%+v\n%+v", i, a[i], b[i])
-		}
-		if a[i].Thpt > 0 {
+	for _, thpt := range cells.Column("thpt") {
+		if thpt.Float > 0 {
 			committed++
 		}
 	}

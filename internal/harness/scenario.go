@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"tiga/internal/clocks"
 	"tiga/internal/report"
@@ -24,18 +22,6 @@ import (
 // report saturation rather than a compromise rate. Cells whose driving rate
 // deviates from the shared rate are called out in a per-section note and in
 // the table metadata.
-
-// MatrixRow is one protocol × topology × workload cell.
-type MatrixRow struct {
-	Protocol string
-	Topology string
-	Workload string
-	Rate     float64 // driving rate per coordinator (shared, unless an operating point overrode it)
-	Thpt     float64
-	Commit   float64
-	P50      time.Duration
-	P99      time.Duration
-}
 
 // scenarioTopologies resolves the matrix's topology axis, panicking on
 // unregistered names (the CLI validates first and exits 2; programmatic
@@ -87,23 +73,14 @@ func (o Options) scenarioRate() float64 {
 	return 400
 }
 
-// cellPoint prepares one matrix cell's run at its resolved operating point:
-// the protocol × topology key wins over the protocol-wide key, and the
-// shared moderate rate is the fallback.
-func (o Options) cellPoint(proto, topo, wl string, shared float64) SpecRun {
-	pt := o.point(o.scenarioSpec(proto, topo, wl), shared, 12)
-	if op, ok := o.opFor(proto, topo); ok && op.SaturationRate > 0 {
-		pt.Load.RatePerCoord = op.SaturationRate
-	}
-	return pt
-}
-
 // ScenarioMatrix sweeps every selected protocol across the selected
 // topologies and workloads, reporting per-cell throughput, commit rate, and
-// p50/p99 latency. All cells are independent points on the shared sweep
-// driver, so the matrix parallelizes like any other experiment and is
-// byte-identical across worker counts.
-func ScenarioMatrix(o Options) (*report.Report, []MatrixRow) {
+// p50/p99 latency. Each cell is driven at its resolved operating point — the
+// protocol × topology key wins over the protocol-wide key, and the shared
+// moderate rate is the fallback. All cells are independent points on the
+// shared sweep driver, so the matrix parallelizes like any other experiment
+// and is byte-identical across worker counts.
+func ScenarioMatrix(o Options) *report.Report {
 	rep := report.New("scenarios")
 	topos := o.scenarioTopologies()
 	wls := o.scenarioWorkloads()
@@ -117,53 +94,30 @@ func ScenarioMatrix(o Options) (*report.Report, []MatrixRow) {
 		Title: fmt.Sprintf("Scenario matrix — %d protocols × %d topologies × %d workloads, %v/coord",
 			len(names), len(topos), len(wls), rate),
 	})
-	var runs []SpecRun
-	for _, topo := range topos {
-		for _, wl := range wls {
-			for _, p := range names {
-				runs = append(runs, o.cellPoint(p, topo, wl, rate))
-			}
-		}
-	}
-	results := RunSpecs(runs, o.Workers)
-	var rows []MatrixRow
-	i := 0
+	var sw sweep
 	for _, topo := range topos {
 		for _, wl := range wls {
 			tab := rep.Add(&report.Table{
 				ID: fmt.Sprintf("scenarios/%s/%s", topo, wl), Gap: true,
-				Title: fmt.Sprintf("[topology=%s workload=%s]", topo, wl),
-				Columns: []report.Column{
-					report.Col("protocol", "Protocol", report.String, report.None, 12).AlignLeft(),
-					report.Col("thpt", "Thpt(txn/s)", report.Float, report.Rate, 12),
-					report.Col("commit", "Commit%", report.Float, report.Percent, 9).WithPrec(1),
-					report.Col("p50", "p50", report.Duration, report.Nanos, 12),
-					report.Col("p99", "p99", report.Duration, report.Nanos, 12),
-				},
+				Title:   fmt.Sprintf("[topology=%s workload=%s]", topo, wl),
+				Columns: []report.Column{colProtocol, colThpt, colCommit, latCol("p50"), latCol("p99")},
 			})
 			o.stamp(tab, topo, wl, "rate", fmt.Sprintf("%v", rate))
-			var opNotes []string
+			var offShared []string
 			for _, p := range names {
-				cellRate := runs[i].Load.RatePerCoord
-				run := results[i].Run
-				i++
-				row := MatrixRow{
-					Protocol: p, Topology: topo, Workload: wl, Rate: cellRate,
-					Thpt: run.Throughput(), Commit: run.Counters.CommitRate(),
-					P50: run.Lat.Percentile(50), P99: run.Lat.Percentile(99),
+				cell := o.cell(o.scenarioSpec(p, topo, wl), OpPoint{SaturationRate: rate, Outstanding: 400}, o.window(12))
+				if cell.Load.RatePerCoord != rate {
+					offShared = append(offShared, fmt.Sprintf("%s=%v/coord", p, cell.Load.RatePerCoord))
 				}
-				rows = append(rows, row)
-				tab.AddRow(report.Str(p), report.Num(row.Thpt), report.Num(row.Commit),
-					report.Dur(row.P50), report.Dur(row.P99))
-				if cellRate != rate {
-					opNotes = append(opNotes, fmt.Sprintf("%s=%v/coord", p, cellRate))
-				}
+				sw.add(cell, func(res *RunResult) {
+					run := res.Run
+					tab.AddRow(report.Str(p), report.Num(run.Throughput()), report.Num(run.Counters.CommitRate()),
+						report.Dur(run.Lat.Percentile(50)), report.Dur(run.Lat.Percentile(99)))
+				})
 			}
-			if len(opNotes) > 0 {
-				tab.Note("(per-cell operating points: %s)", strings.Join(opNotes, ", "))
-				tab.SetMeta("cell_rates", strings.Join(opNotes, ","))
-			}
+			noteCellRates(tab, offShared)
 		}
 	}
-	return rep, rows
+	sw.run(o.Workers)
+	return rep
 }

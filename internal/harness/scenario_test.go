@@ -1,11 +1,13 @@
 package harness
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"tiga/internal/clocks"
+	"tiga/internal/report"
 	"tiga/internal/simnet"
 	"tiga/internal/workload"
 )
@@ -124,24 +126,29 @@ func TestScenarioMatrixDeterministic(t *testing.T) {
 		Topologies: []string{"us-eu3", "planet5"},
 		Workloads:  []string{"ycsbt", "hotwrite"},
 	}
-	run := func(workers int) []MatrixRow {
+	run := func(workers int) *report.Report {
 		oo := o
 		oo.Workers = workers
-		_, rows := ScenarioMatrix(oo)
-		return rows
+		return ScenarioMatrix(oo)
 	}
 	a, b := run(1), run(4) // two runs, different -workers settings
-	if len(a) != 8 {
-		t.Fatalf("matrix produced %d rows, want 8 (2 protocols × 2 topologies × 2 workloads)", len(a))
+	if !bytes.Equal(goldenJSON(t, a), goldenJSON(t, b)) {
+		t.Fatalf("encoded report differs across runs/-workers settings:\n%s\n%s", goldenJSON(t, a), goldenJSON(t, b))
 	}
-	committed := 0
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("row %d differs across runs/-workers settings:\n%+v\n%+v", i, a[i], b[i])
+	rows, committed := 0, 0
+	for _, tab := range a.Tables {
+		if !strings.HasPrefix(tab.ID, "scenarios/") {
+			continue
 		}
-		if a[i].Thpt > 0 {
-			committed++
+		rows += len(tab.Rows)
+		for _, thpt := range tab.Column("thpt") {
+			if thpt.Float > 0 {
+				committed++
+			}
 		}
+	}
+	if rows != 8 {
+		t.Fatalf("matrix produced %d rows, want 8 (2 protocols × 2 topologies × 2 workloads)", rows)
 	}
 	if committed == 0 {
 		t.Fatal("no matrix cell committed anything")
@@ -169,7 +176,7 @@ func TestScenarioMatrixPanicsOnUnknownAxis(t *testing.T) {
 // TestCellOperatingPointResolution pins the matrix operating-point lookup
 // order without running any simulation: the protocol × topology key wins
 // over the protocol-wide key, which wins over the shared rate; outstanding
-// caps resolve the same way through o.point.
+// caps resolve the same way, and the overlay reads the spec's own topology.
 func TestCellOperatingPointResolution(t *testing.T) {
 	o := Options{Quick: true, Keys: 500, Seed: 42, Ops: map[string]OpPoint{
 		"Tiga":          {SaturationRate: 900, Outstanding: 150},
@@ -188,7 +195,8 @@ func TestCellOperatingPointResolution(t *testing.T) {
 		{"Detock", "geo4", 250, 400},  // untouched protocol
 	}
 	for _, tc := range cases {
-		pt := o.cellPoint(tc.proto, tc.topo, "micro", o.scenarioRate())
+		pt := o.cell(o.scenarioSpec(tc.proto, tc.topo, "micro"),
+			OpPoint{SaturationRate: o.scenarioRate(), Outstanding: 400}, LoadSpec{})
 		if pt.Load.RatePerCoord != tc.wantRate || pt.Load.Outstanding != tc.wantOut {
 			t.Errorf("%s@%s: rate/outstanding = %v/%d, want %v/%d",
 				tc.proto, tc.topo, pt.Load.RatePerCoord, pt.Load.Outstanding, tc.wantRate, tc.wantOut)
@@ -211,7 +219,7 @@ func TestClassicTopologySelection(t *testing.T) {
 	if topo.RegionName(0) != "Virginia" || topo.RegionCode(topo.RemoteCoordRegion) != "FR" {
 		t.Fatalf("labels did not resolve: %q / %q", topo.RegionName(0), topo.RegionCode(topo.RemoteCoordRegion))
 	}
-	spec, _ := o.microSpec("Tiga", 0.5, false, clocks.ModelChrony)
+	spec := o.microSpec("Tiga", 0.5, false, clocks.ModelChrony)
 	if spec.Topology != "us-eu3" {
 		t.Fatalf("microSpec topology = %q, want us-eu3", spec.Topology)
 	}

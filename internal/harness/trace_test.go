@@ -98,7 +98,7 @@ func TestTraceDeterminismAcrossWorkers(t *testing.T) {
 		protos := []string{"Tiga", "2PL+Paxos", "OCC+Paxos", "Tiga"}
 		runs := make([]SpecRun, 0, len(protos))
 		for i, p := range protos {
-			spec, _ := o.microSpec(p, 0.5, false, clocks.ModelChrony)
+			spec := o.microSpec(p, 0.5, false, clocks.ModelChrony)
 			spec.CostScale = CPUScale
 			runs = append(runs, SpecRun{Spec: spec, Load: LoadSpec{
 				RatePerCoord: 150, Outstanding: 64,

@@ -161,6 +161,22 @@ func (t *Table) AddRow(cells ...Cell) *Table {
 	return t
 }
 
+// Column returns the cells under the named column, one per row in row order
+// — how tests read an experiment's typed results. It panics on a name the
+// table does not declare: like AddRow's mismatch, that is a bug in the caller.
+func (t *Table) Column(name string) []Cell {
+	for i, c := range t.Columns {
+		if c.Name == name {
+			cells := make([]Cell, len(t.Rows))
+			for r, row := range t.Rows {
+				cells[r] = row[i]
+			}
+			return cells
+		}
+	}
+	panic(fmt.Sprintf("report: table %q has no column %q", t.ID, name))
+}
+
 // Note appends a trailing note line.
 func (t *Table) Note(format string, args ...any) *Table {
 	t.Notes = append(t.Notes, fmt.Sprintf(format, args...))

@@ -101,6 +101,7 @@ func TestAddRowValidation(t *testing.T) {
 	for name, fn := range map[string]func(){
 		"arity": func() { tab.AddRow(CountOf(1), CountOf(2)) },
 		"kind":  func() { tab.AddRow(Str("x")) },
+		"name":  func() { tab.Column("nosuch") },
 	} {
 		func() {
 			defer func() {
@@ -110,6 +111,22 @@ func TestAddRowValidation(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestColumnByName: the accessor returns one typed cell per row, in row
+// order, under the named column.
+func TestColumnByName(t *testing.T) {
+	tab := buildDoc().Experiments[0].Find("main")
+	labels, counts := tab.Column("label"), tab.Column("n")
+	if len(labels) != 2 || labels[0].Str != "fast" || labels[1].Str != "slow" {
+		t.Fatalf("label column = %+v", labels)
+	}
+	if counts[0].Int != 42 || counts[1].Int != 0 {
+		t.Fatalf("n column = %+v", counts)
+	}
+	if got := tab.Column("p50")[1].Dur; got != 1702*time.Millisecond {
+		t.Fatalf("p50[1] = %v", got)
 	}
 }
 
