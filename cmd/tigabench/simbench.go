@@ -1,8 +1,9 @@
-// Sim-core microbenchmark rows for the BENCH artifact (-simbench): the same
-// three hot-path measurements as the `go test -bench` suite (BenchmarkSimSend,
-// BenchmarkEventQueue, BenchmarkRunOnCPU in bench_test.go), run in-process via
+// Sim-core microbenchmark rows for the BENCH artifact (-simbench): the three
+// simnet hot paths — send, event queue, node timer — run in-process via
 // testing.Benchmark and emitted as a report experiment so benchdiff tracks
 // ns/event and allocs/event across PR artifacts alongside the domain metrics.
+// (internal/simnet's AllocFree tests gate the same paths' zero-allocation
+// property in tier-1.)
 package main
 
 import (
@@ -17,9 +18,9 @@ import (
 	"tiga/internal/simnet"
 )
 
-// simBenchConfig mirrors the bench_test.go fixture: a two-region, 1 ms
-// symmetric WAN with no jitter or loss, so delays are deterministic and the
-// measurement isolates queue and dispatch cost.
+// simBenchConfig is a two-region, 1 ms symmetric WAN with no jitter or loss,
+// so delays are deterministic and the measurement isolates queue and dispatch
+// cost.
 func simBenchConfig() simnet.Config {
 	return simnet.Config{OWD: simnet.SymmetricOWD([][]time.Duration{
 		{time.Millisecond, time.Millisecond},

@@ -153,3 +153,29 @@ func TestChaosMatrixCheckerPassesEveryPlan(t *testing.T) {
 			rows, want, len(chaos.Names()))
 	}
 }
+
+// TestChaosRiderResolvesOpOnItsOwnTopology: the planet5 replay of
+// wan-partition is driven at the operating point keyed to planet5 — not at
+// the classic WAN's, which the -op overlay used to be resolved against
+// before the topology was swapped in — and calls the off-shared rate out
+// like every other table.
+func TestChaosRiderResolvesOpOnItsOwnTopology(t *testing.T) {
+	o := Options{Quick: true, Keys: 800, Seed: 42, Protocols: []string{"Tiga"},
+		Plans: []string{"wan-partition"},
+		Ops: map[string]OpPoint{
+			"Tiga":         {SaturationRate: 100},
+			"Tiga@planet5": {SaturationRate: 50},
+		}}
+	rep := ChaosMatrix(o)
+	classic, rider := rep.Find("chaos/wan-partition"), rep.Find("chaos/wan-partition@planet5")
+	if got := classic.Meta["cell_rates"]; got != "Tiga=100/coord" {
+		t.Errorf("classic table driven at %q, want Tiga=100/coord", got)
+	}
+	if got := rider.Meta["cell_rates"]; got != "Tiga=50/coord" {
+		t.Errorf("planet5 table driven at %q, want Tiga=50/coord", got)
+	}
+	pre, riderPre := classic.Column("thpt")[0].Float, rider.Column("thpt")[0].Float
+	if riderPre <= 0 || riderPre > 0.75*pre {
+		t.Errorf("planet5 pre-fault throughput %.0f vs classic %.0f: the half-rate operating point did not reach the run", riderPre, pre)
+	}
+}

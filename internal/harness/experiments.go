@@ -31,10 +31,13 @@ import (
 // archives. Region labels come from the deployment's topology, never from
 // literal geo4 names, so `-topo us-eu3 -exp fig7` reads naturally.
 //
-// Sweeps enumerate the protocol registry (protocol.Names()) and execute
-// their independent points on the parallel driver (RunSpecs): every point
-// owns a private simulator, so the output is identical to a serial run while
-// the wall clock scales down with the core count.
+// An experiment is one function: it lays out its tables, declares every cell
+// of its sweep together with the sink that turns the cell's result into rows
+// (sweep.go), and runs the sweep. Sweeps enumerate the protocol registry
+// (protocol.Names()) and execute their independent cells on the parallel
+// driver (RunSpecs): every cell owns a private simulator, so the output is
+// identical to a serial run while the wall clock scales down with the core
+// count. The report's typed cells are the only form a result is held in.
 const CPUScale = 10
 
 // Options shapes an experiment run.

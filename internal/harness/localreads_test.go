@@ -184,3 +184,22 @@ func TestReadBelowGCHorizonRestarts(t *testing.T) {
 		t.Fatalf("a replica answered below its GC horizon: %v", err)
 	}
 }
+
+// TestLocalReadsChaosRowsHonourOpCap: the partition-armed rows resolve the
+// outstanding cap through the same operating point as the path rows (they
+// used to hard-code 400). With one transaction in flight per coordinator,
+// the pre-fault phase cannot outrun the same deployment's strong-read path
+// row by more than noise.
+func TestLocalReadsChaosRowsHonourOpCap(t *testing.T) {
+	o := Options{Quick: true, Keys: 800, Seed: 42, Protocols: []string{"Tiga"},
+		Ops: map[string]OpPoint{"Tiga": {Outstanding: 1}}}
+	rep := LocalReads(o)
+	paths, chaos := rep.Find("localreads/paths"), rep.Find("localreads/wan-partition")
+	strong := paths.Column("thpt")[1].Float // rows: coord, local@0, local@50ms, local@200ms
+	if paths.Column("path")[1].Str != "local" || strong <= 0 {
+		t.Fatalf("unexpected paths table: %+v", paths.Rows)
+	}
+	if pre := chaos.Column("thpt")[0].Float; pre <= 0 || pre > 2*strong {
+		t.Errorf("chaos pre-fault throughput %.0f vs %.0f on the capped path row: the cap did not reach the chaos run", pre, strong)
+	}
+}

@@ -1,0 +1,51 @@
+package harness
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+	"time"
+
+	"tiga/internal/clocks"
+	"tiga/internal/workload"
+)
+
+// TestSweepSinksRunOnceInOrderOnOwnResult pins the sweep value's contract,
+// serial and parallel: every sink runs exactly once, in declaration order,
+// with the result of its own cell (the deployment its Setup hook saw), and a
+// then-step runs between the sinks declared before and after it.
+func TestSweepSinksRunOnceInOrderOnOwnResult(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var sw sweep
+		var log []string
+		const cells = 6
+		built := make([]*Deployment, cells)
+		for i := 0; i < cells; i++ {
+			run := SpecRun{
+				Spec: ClusterSpec{
+					Protocol: "Tiga", Shards: 2, F: 1, Clock: clocks.ModelChrony,
+					CoordsPerRegion: 1, Seed: int64(i),
+					Gen: workload.NewMicroBench(2, 200, 0.5),
+				},
+				// Later cells finish first under parallel workers.
+				Load:           LoadSpec{RatePerCoord: 20, Duration: time.Duration(cells-i) * 200 * time.Millisecond, Seed: 3},
+				Setup:          func(d *Deployment) { built[i] = d },
+				KeepDeployment: true,
+			}
+			sw.add(run, func(res *RunResult) {
+				if res.Deployment == nil || res.Deployment != built[i] {
+					t.Errorf("workers=%d: sink %d received another cell's result", workers, i)
+				}
+				log = append(log, fmt.Sprintf("sink%d", i))
+			})
+			if i == 2 {
+				sw.then(func() { log = append(log, "then") })
+			}
+		}
+		sw.run(workers)
+		want := []string{"sink0", "sink1", "sink2", "then", "sink3", "sink4", "sink5"}
+		if !slices.Equal(log, want) {
+			t.Errorf("workers=%d: steps ran as %v, want %v", workers, log, want)
+		}
+	}
+}

@@ -143,6 +143,28 @@ func TestSendSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestRunOnCPUSteadyStateAllocFree covers the node timer path: After
+// schedules a timer that runs fn through the node's single-server CPU queue,
+// and neither the timer event nor the CPU hand-off may allocate once the
+// queue capacity has warmed up.
+func TestRunOnCPUSteadyStateAllocFree(t *testing.T) {
+	s := NewSim(1)
+	n := NewNetwork(s, Config{OWD: SymmetricOWD([][]time.Duration{
+		{time.Millisecond, time.Millisecond},
+		{time.Millisecond, time.Millisecond},
+	}, 0)})
+	nd := n.AddNode(0, nil)
+	fn := func() {}
+	allocs := testing.AllocsPerRun(2000, func() {
+		nd.After(time.Microsecond, fn)
+		for s.Step() {
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state After+run allocates %.1f objects per timer, want 0", allocs)
+	}
+}
+
 // TestCrashDropsDeferredHandler: a message whose handler is queued behind a
 // busy CPU dies with the node — the epoch check on the deferred handler-start
 // event, which replaced the closure's captured epoch.
