@@ -99,7 +99,7 @@ func TestChaosMatrixDeterministicAcrossWorkers(t *testing.T) {
 			// off-default operating point is itself part of the encoded
 			// bytes being compared.
 			Ops: map[string]OpPoint{"Tiga": {SaturationRate: 150, Outstanding: 300}}}
-		return goldenJSON(t, ChaosMatrix(o))
+		return encodeReport(t, ChaosMatrix(o))
 	}
 	serial, parallel := encode(1), encode(4)
 	if !bytes.Equal(serial, parallel) {

@@ -562,7 +562,7 @@ func (o Options) failover(name, proto, plan string, rate float64, title string) 
 		o.stamp(tab, o.classicTopology().Name, "micro", "protocol", proto, "chaos", plan)
 		rep.Add(tab)
 	})
-	sw.run(1)
+	sw.run(o.Workers)
 	return rep, tab, run.Load.RatePerCoord, recoverySec
 }
 

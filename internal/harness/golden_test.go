@@ -32,10 +32,12 @@ func checkGolden(t *testing.T, name string, rep *report.Report) {
 	compareGolden(t, name+".golden", text.Bytes())
 	// The JSON rendering of the same report pins what the text drops: table
 	// ids, column units, full-precision cells and the Meta stamps.
-	compareGolden(t, name+".json.golden", goldenJSON(t, rep))
+	compareGolden(t, name+".json.golden", encodeReport(t, rep))
 }
 
-func goldenJSON(t *testing.T, rep *report.Report) []byte {
+// encodeReport is the JSON rendering the goldens pin and the determinism
+// tests compare across -workers: one document holding just rep.
+func encodeReport(t *testing.T, rep *report.Report) []byte {
 	t.Helper()
 	doc := &report.Document{
 		Generated:   report.Generated{Seed: 42, Quick: true, CPUScale: CPUScale},

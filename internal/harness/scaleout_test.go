@@ -31,8 +31,8 @@ func TestScaleOutDeterministic(t *testing.T) {
 		return ScaleOut(oo)
 	}
 	a, b := run(1), run(4)
-	if !bytes.Equal(goldenJSON(t, a), goldenJSON(t, b)) {
-		t.Fatalf("encoded report differs across -workers settings:\n%s\n%s", goldenJSON(t, a), goldenJSON(t, b))
+	if !bytes.Equal(encodeReport(t, a), encodeReport(t, b)) {
+		t.Fatalf("encoded report differs across -workers settings:\n%s\n%s", encodeReport(t, a), encodeReport(t, b))
 	}
 	cells := a.Find("scaleout/cells")
 	if len(cells.Rows) != 4 { // 2 protocols × shards {3,6} × F {1}
