@@ -14,6 +14,12 @@
 //	go run ./cmd/allocprof -keys 100000 -rate 3000 -outstanding 300 \
 //	    -duration 2s -cpuprofile cpu.out
 //
+// and the shape of its tiga-tpcc-sat workload (multi-key pieces, inserted
+// rows, interactive chains) is
+//
+//	go run ./cmd/allocprof -workload tpcc -shards 6 -keys 5000 -rate 1000 \
+//	    -outstanding 300 -duration 3.5s -cpuprofile cpu.out
+//
 // The per-txn allocation budget is a first-class serving-path metric (see
 // EXPERIMENTS.md "Allocation budget"); this harness is how regressions get
 // localized once the simbench benchdiff gate trips.
@@ -37,6 +43,8 @@ func main() {
 	arrival := flag.String("arrival", "", "arrival process (empty = closed loop)")
 	rate := flag.Float64("rate", 500, "offered rate per coordinator (txn/s)")
 	dur := flag.Duration("duration", time.Second, "measured window of simulated time")
+	wl := flag.String("workload", "micro", "registered workload to drive")
+	shards := flag.Int("shards", 3, "number of shards")
 	keys := flag.Int("keys", 2000, "keys per shard")
 	outstanding := flag.Int("outstanding", 100, "closed-loop outstanding transactions per coordinator")
 	cpuOut := flag.String("cpuprofile", "", "also write a pprof CPU profile of the run to this path")
@@ -51,8 +59,8 @@ func main() {
 	}
 
 	spec := harness.ClusterSpec{
-		Protocol: *proto, Workload: "micro", WorkloadKeys: *keys,
-		Shards: 3, F: 1, Clock: clocks.ModelChrony,
+		Protocol: *proto, Workload: *wl, WorkloadKeys: *keys,
+		Shards: *shards, F: 1, Clock: clocks.ModelChrony,
 		CoordsPerRegion: 1, CoordsRemote: 1, Seed: 42,
 		CostScale: harness.CPUScale,
 	}

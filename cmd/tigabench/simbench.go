@@ -128,11 +128,12 @@ type txnPathStats struct {
 }
 
 // txnPathCase is one row of the transaction-path table: an arrival process
-// (empty = closed loop), a keyspace per shard, and a measured window.
+// (empty = closed loop), a workload on a number of shards, a keyspace per
+// shard, and a measured window.
 type txnPathCase struct {
-	loop, arrival string
-	keys          int
-	window        time.Duration
+	loop, arrival, workload string
+	shards, keys            int
+	window                  time.Duration
 }
 
 // txnPathCases are the two small budget rows (2 000 keys, 1 s: no checkpoint
@@ -140,11 +141,13 @@ type txnPathCase struct {
 // log crosses a checkpoint-every = 2000 boundary inside the run: a
 // per-checkpoint cost that scales with the keyspace shows in its B/txn (60 KB
 // against 17 KB while checkpoints deep-copied the store) and nowhere in the
-// other two.
+// other two. closed-tpcc puts TPC-C under the same gate: multi-key pieces,
+// inserted rows and interactive chains on six shards.
 var txnPathCases = []txnPathCase{
-	{"closed", "", 2000, time.Second},
-	{"open", "poisson", 2000, time.Second},
-	{"closed-100k", "", 100_000, 2 * time.Second},
+	{"closed", "", "micro", 3, 2000, time.Second},
+	{"open", "poisson", "micro", 3, 2000, time.Second},
+	{"closed-100k", "", "micro", 3, 100_000, 2 * time.Second},
+	{"closed-tpcc", "", "tpcc", 6, 2000, time.Second},
 }
 
 // measureTxnPath runs one small deployment and attributes the allocator
@@ -154,8 +157,8 @@ var txnPathCases = []txnPathCase{
 // peak is indicative — allocs/txn is the stable signal benchdiff tracks).
 func measureTxnPath(c txnPathCase) txnPathStats {
 	spec := harness.ClusterSpec{
-		Protocol: "Tiga", Workload: "micro", WorkloadKeys: c.keys,
-		Shards: 3, F: 1, Clock: clocks.ModelChrony,
+		Protocol: "Tiga", Workload: c.workload, WorkloadKeys: c.keys,
+		Shards: c.shards, F: 1, Clock: clocks.ModelChrony,
 		CoordsPerRegion: 1, CoordsRemote: 1, Seed: 42,
 		CostScale: harness.CPUScale,
 	}
@@ -201,7 +204,7 @@ func txnPathBench() *report.Report {
 	rep := report.New("simbench-txnpath")
 	t := rep.Add(&report.Table{
 		ID: "txnpath", Gap: true,
-		Title: "Transaction-path allocation (Tiga, micro 3-shard, one short in-process run per row)",
+		Title: "Transaction-path allocation (Tiga, micro 3-shard or TPC-C 6-shard, one short in-process run per row)",
 		Columns: []report.Column{
 			report.Col("loop", "Loop", report.String, report.None, 11).AlignLeft(),
 			report.Col("committed", "Committed", report.Int, report.None, 10),
@@ -217,6 +220,6 @@ func txnPathBench() *report.Report {
 			report.CountOf(int64(st.peakHeap)))
 	}
 	t.Note("(allocs/txn and B/txn are allocator deltas over the whole run divided by commits; peak heap is sampled every 100 ms of sim time)")
-	t.Note("(closed and open: 2 000 keys/shard for 1 s; closed-100k: 100 000 keys/shard for 2 s, so checkpoint boundaries fall inside the run)")
+	t.Note("(closed and open: 2 000 keys/shard for 1 s; closed-100k: 100 000 keys/shard for 2 s, so checkpoint boundaries fall inside the run; closed-tpcc: the tpcc workload at keys 2 000 on 6 shards for 1 s)")
 	return rep
 }

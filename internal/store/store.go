@@ -7,12 +7,17 @@
 // transaction's versions are always the newest version of each key it wrote,
 // so revocation never cascades.
 //
-// The store is allocation-lean on the serving path: keys seeded through
-// SeedBulk are interned as dense txn.KeyID indices into a slot slice, so hot
-// loops (GetID/PutID through Execute's view, GetAtID) never hash a string;
-// the default-mode Commit garbage-collects in place, reusing each key's
-// version slice instead of reallocating it; and Execute reuses one
-// transaction view plus freelisted write-set slices across transactions.
+// Every key the store has seen is interned: it has a dense txn.KeyID, its
+// version chain lives at that index of one slot slice, and the name map only
+// translates a string to the id (names are kept nowhere else). Bulk-seeded
+// keys get the ids of their batch position (the workload's own key index), so
+// hot loops (GetID/PutID through Execute's view, GetAtID) never hash a string;
+// a name that shows up later (an inserted row, a hand-built string piece) is
+// given the next id by Intern, which is also how a protocol turns a name-only
+// access set into ids once. The default-mode Commit garbage-collects in place,
+// reusing each key's version slice instead of reallocating it; and Execute
+// reuses one transaction view plus freelisted write-set slices across
+// transactions.
 //
 // There is no deep copy: a store's committed state is a pure function of its
 // seed and the Execute/Commit sequence applied to it, which is what Tiga's
@@ -22,6 +27,7 @@
 package store
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -38,55 +44,49 @@ type version struct {
 	uncommitted bool
 }
 
-// slot holds one key's version chain. Both indexes — the string map and the
-// dense KeyID slice — point at the same slot, so a mutation through either
-// path is visible to both without writing back two slice headers.
+// slot holds one key's version chain. A key with no version is absent: it was
+// interned (or its only write revoked) but nothing is stored under it.
 type slot struct {
 	vs []version
 }
 
-// pend tracks the keys one uncommitted transaction wrote, in whichever form
-// the writes arrived (interned IDs from PutID, strings from Put). The two
-// slices are freelisted: Commit and Revoke hand them back for the next
-// Execute, so steady-state execution allocates no write-set tracking.
-type pend struct {
-	keys []string
-	ids  []txn.KeyID
-}
-
 // Store is a multi-version key-value store for one shard.
 type Store struct {
-	data map[string]*slot
-	// byID is the interned fast path: byID[i] is the slot of the key seeded
-	// at position i of the SeedBulk batch (the workload's dense key index).
-	// idNames maps an id back to its name (aliases the seeder's name slice)
-	// for the bookkeeping that is string-keyed (retain-mode high/multi).
-	byID    []*slot
-	idNames []string
-	pending map[txn.ID]pend
+	// index maps a key name to its id and byID[id] is the key's slot. SeedBulk
+	// gives key i of its batch id base+i (the workload's dense key index);
+	// names first seen later get the next id from Intern. Slots are held by
+	// value, so a *slot is only good until the next Intern.
+	index map[string]txn.KeyID
+	byID  []slot
+	// live counts the keys holding at least one version (Len).
+	live int
+	// pending holds the ids each uncommitted transaction wrote. The slices
+	// are freelisted: Commit and Revoke hand them back for the next Execute,
+	// so steady-state execution allocates no write-set tracking.
+	pending map[txn.ID][]txn.KeyID
 	// Executed tracks at-most-once execution (paper Appendix B).
 	executed map[txn.ID]bool
 	// view and pendFree are the Execute scratch: one reusable transaction
-	// view and a freelist of retired write-set slice pairs.
+	// view and a freelist of retired write-set slices.
 	view     txnView
-	pendFree []pend
+	pendFree [][]txn.KeyID
 	// retain switches Commit from garbage-collecting old versions to
 	// keeping the full committed history, which snapshot reads need.
 	retain bool
 	// high is the committed-timestamp high-water per key (retain mode).
-	high map[string]txn.Timestamp
+	high map[txn.KeyID]txn.Timestamp
 	// multi is the GC dirty-set (retain mode): keys currently holding more
 	// than one version. PruneTo walks only this set, so watermark GC stays
 	// O(rewritten keys) per tick instead of O(keyspace) — the difference
 	// between tractable and catastrophic at million-key scale.
-	multi map[string]struct{}
+	multi map[txn.KeyID]struct{}
 }
 
 // New returns an empty store.
 func New() *Store {
 	return &Store{
-		data:     make(map[string]*slot),
-		pending:  make(map[txn.ID]pend),
+		index:    make(map[string]txn.KeyID),
+		pending:  make(map[txn.ID][]txn.KeyID),
 		executed: make(map[txn.ID]bool),
 	}
 }
@@ -99,20 +99,32 @@ func New() *Store {
 func (s *Store) EnableSnapshots() {
 	s.retain = true
 	if s.high == nil {
-		s.high = make(map[string]txn.Timestamp)
+		s.high = make(map[txn.KeyID]txn.Timestamp)
 	}
 	if s.multi == nil {
-		s.multi = make(map[string]struct{})
+		s.multi = make(map[txn.KeyID]struct{})
 	}
+}
+
+// Intern returns key's id, giving a name the store has not seen the next free
+// one. Interning stores nothing: the key stays absent until it is written.
+func (s *Store) Intern(key string) txn.KeyID {
+	if id, ok := s.index[key]; ok {
+		return id
+	}
+	id := txn.KeyID(len(s.byID))
+	s.index[key] = id
+	s.byID = append(s.byID, slot{})
+	return id
 }
 
 // Get returns the newest version of key, or nil when absent.
 func (s *Store) Get(key string) []byte {
-	e := s.data[key]
-	if e == nil || len(e.vs) == 0 {
+	id, ok := s.index[key]
+	if !ok {
 		return nil
 	}
-	return e.vs[len(e.vs)-1].val
+	return s.GetID(id)
 }
 
 // GetID is Get over an interned key: a slice index instead of a string hash.
@@ -124,74 +136,83 @@ func (s *Store) GetID(id txn.KeyID) []byte {
 	return vs[len(vs)-1].val
 }
 
-// Seed installs an initial committed value (workload pre-population). Keys
-// seeded one at a time are not interned; use SeedBulk for the ID fast path.
+// Seed installs an initial committed value (workload pre-population),
+// replacing whatever the key held. Use SeedBulk to pre-populate a keyspace:
+// it lays the batch out in shared arrays and fixes the ids to the batch order.
 func (s *Store) Seed(key string, val []byte) {
-	e := s.data[key]
-	if e == nil {
-		e = &slot{}
-		s.data[key] = e
+	e := &s.byID[s.Intern(key)]
+	if len(e.vs) == 0 {
+		s.live++
 	}
 	e.vs = []version{{val: val}}
 }
 
-// Reserve sizes the key map for n additional keys ahead of a per-key bulk
-// seed, avoiding incremental rehashing while a store is pre-populated. A
-// non-empty store is rebuilt at the combined size with its contents
-// preserved, so workloads that seed in multiple passes still benefit.
+// Reserve sizes the name map for n additional keys ahead of a bulk seed,
+// avoiding incremental rehashing while a store is pre-populated. A non-empty
+// store is rebuilt at the combined size with its contents preserved, so
+// workloads that seed in multiple passes still benefit.
 func (s *Store) Reserve(n int) {
 	if n <= 0 {
 		return
 	}
-	data := make(map[string]*slot, len(s.data)+n)
-	for k, e := range s.data {
-		data[k] = e
+	index := make(map[string]txn.KeyID, len(s.index)+n)
+	for k, id := range s.index {
+		index[k] = id
 	}
-	s.data = data
+	s.index = index
 }
 
 // SeedBulk installs the same initial committed value for every key in one
-// pass and interns the batch: key keys[i] becomes txn.KeyID(base+i), where
-// base is the number of keys interned by earlier SeedBulk calls (zero for the
-// usual single-pass seed), so a workload's dense key index doubles as its
-// KeyID. The slots and initial versions are laid out in shared backing arrays
-// (each version capacity-clipped, so a later Put reallocates instead of
-// aliasing its neighbor) — seeding a replica's keyspace costs a handful of
-// allocations instead of several per key.
+// pass; see SeedBulkFunc.
 func (s *Store) SeedBulk(keys []string, val []byte) {
-	s.Reserve(len(keys))
-	vs := make([]version, len(keys))
-	slots := make([]slot, len(keys))
-	if s.byID == nil {
-		s.byID = make([]*slot, 0, len(keys))
-		s.idNames = make([]string, 0, len(keys))
-	}
-	for i, k := range keys {
-		vs[i] = version{val: val}
-		slots[i].vs = vs[i : i+1 : i+1]
-		s.data[k] = &slots[i]
-		s.byID = append(s.byID, &slots[i])
-	}
-	s.idNames = append(s.idNames, keys...)
+	s.SeedBulkFunc(keys, func(int) []byte { return val })
 }
 
-// Interned returns the number of keys on the ID fast path (test helper).
+// SeedBulkFunc installs val(i) as the initial committed value of keys[i] in
+// one pass and fixes the batch's ids: key keys[i] becomes txn.KeyID(base+i),
+// where base is the number of keys interned before the call (zero for the
+// usual single-pass seed), so a workload's dense key index doubles as its
+// KeyID. The keys must be new to the store. The initial versions are laid out
+// in one backing array (each capacity-clipped, so a later Put reallocates
+// instead of aliasing its neighbor) and the slots extend the slot slice in
+// place; the key names are only hashed into the name map, which shares their
+// bytes with the caller — seeding a replica's keyspace costs a handful of
+// allocations instead of several per key and no per-replica copy of the names.
+func (s *Store) SeedBulkFunc(keys []string, val func(i int) []byte) {
+	s.Reserve(len(keys))
+	vs := make([]version, len(keys))
+	base := len(s.byID)
+	s.byID = slices.Grow(s.byID, len(keys))[:base+len(keys)]
+	for i, k := range keys {
+		vs[i] = version{val: val(i)}
+		s.byID[base+i].vs = vs[i : i+1 : i+1]
+		s.index[k] = txn.KeyID(base + i)
+	}
+	s.live += len(keys)
+}
+
+// Interned returns the number of keys that have an id (test helper).
 func (s *Store) Interned() int { return len(s.byID) }
 
+// Lookup returns key's id without interning it.
+func (s *Store) Lookup(key string) (txn.KeyID, bool) {
+	id, ok := s.index[key]
+	return id, ok
+}
+
 // Len returns the number of keys present.
-func (s *Store) Len() int { return len(s.data) }
+func (s *Store) Len() int { return s.live }
 
 // Executed reports whether the transaction already executed here.
 func (s *Store) Executed(id txn.ID) bool { return s.executed[id] }
 
 // txnView is the KV a piece executes against. It implements both the string
-// interface and txn.IDKV; interned writes record ids, string writes record
-// keys, and Commit/Revoke consume whichever lists are non-empty.
+// interface and txn.IDKV; a string write is an interned write after one name
+// lookup, so Commit/Revoke consume one id list.
 type txnView struct {
 	s      *Store
 	writer txn.ID
 	ts     txn.Timestamp
-	keys   []string
 	ids    []txn.KeyID
 }
 
@@ -199,18 +220,13 @@ func (v *txnView) Get(key string) []byte { return v.s.Get(key) }
 
 func (v *txnView) GetID(id txn.KeyID) []byte { return v.s.GetID(id) }
 
-func (v *txnView) Put(key string, val []byte) {
-	e := v.s.data[key]
-	if e == nil {
-		e = &slot{}
-		v.s.data[key] = e
-	}
-	e.vs = append(e.vs, version{writer: v.writer, ts: v.ts, val: val, uncommitted: true})
-	v.keys = append(v.keys, key)
-}
+func (v *txnView) Put(key string, val []byte) { v.PutID(v.s.Intern(key), val) }
 
 func (v *txnView) PutID(id txn.KeyID, val []byte) {
-	e := v.s.byID[id]
+	e := &v.s.byID[id]
+	if len(e.vs) == 0 {
+		v.s.live++
+	}
 	e.vs = append(e.vs, version{writer: v.writer, ts: v.ts, val: val, uncommitted: true})
 	v.ids = append(v.ids, id)
 }
@@ -247,19 +263,16 @@ func (v *bufView) Put(k string, val []byte) { v.writes[k] = val }
 // the newest qualifying version is the first committed one at or below at
 // when scanning from the top.
 func (s *Store) GetAt(key string, at time.Duration) ([]byte, txn.Timestamp, bool) {
-	e := s.data[key]
-	if e == nil {
+	id, ok := s.index[key]
+	if !ok {
 		return nil, txn.Timestamp{}, false
 	}
-	return getAt(e.vs, at)
+	return s.GetAtID(id, at)
 }
 
 // GetAtID is GetAt over an interned key.
 func (s *Store) GetAtID(id txn.KeyID, at time.Duration) ([]byte, txn.Timestamp, bool) {
-	return getAt(s.byID[id].vs, at)
-}
-
-func getAt(vs []version, at time.Duration) ([]byte, txn.Timestamp, bool) {
+	vs := s.byID[id].vs
 	for i := len(vs) - 1; i >= 0; i-- {
 		v := &vs[i]
 		if v.uncommitted || v.ts.Time > at {
@@ -273,44 +286,45 @@ func getAt(vs []version, at time.Duration) ([]byte, txn.Timestamp, bool) {
 // HighWater returns the committed-timestamp high-water for key: the largest
 // commit timestamp any committed version of the key carries (zero when only
 // the seeded value exists). Only meaningful in snapshot-retaining mode.
-func (s *Store) HighWater(key string) txn.Timestamp { return s.high[key] }
+func (s *Store) HighWater(key string) txn.Timestamp {
+	id, ok := s.index[key]
+	if !ok {
+		return txn.Timestamp{}
+	}
+	return s.high[id]
+}
 
-// getPend pops a retired write-set pair off the freelist (empty, capacity
-// retained) or returns a zero pair that will allocate on first append.
-func (s *Store) getPend() pend {
+// getPend pops a retired write-set slice off the freelist (empty, capacity
+// retained) or returns nil, which allocates on first append.
+func (s *Store) getPend() []txn.KeyID {
 	if n := len(s.pendFree); n > 0 {
 		p := s.pendFree[n-1]
 		s.pendFree = s.pendFree[:n-1]
 		return p
 	}
-	return pend{}
+	return nil
 }
 
-func (s *Store) putPend(p pend) {
-	p.keys = p.keys[:0]
-	p.ids = p.ids[:0]
-	s.pendFree = append(s.pendFree, p)
-}
+func (s *Store) putPend(p []txn.KeyID) { s.pendFree = append(s.pendFree, p[:0]) }
 
 // Execute runs a piece as transaction id at timestamp ts, creating pending
 // versions for its writes. It enforces at-most-once execution: re-executing
 // an id that already ran is a no-op returning nil, unless it was revoked.
-// Pieces carrying interned key ids (txn.Piece.ReadIDs/WriteIDs) reach the
-// store through the view's GetID/PutID slice path and never hash a key.
+// Pieces whose executor drives txn.IDKV reach the store through the view's
+// GetID/PutID slice path and never hash a key.
 func (s *Store) Execute(id txn.ID, ts txn.Timestamp, p *txn.Piece) []byte {
 	if s.executed[id] {
 		return nil
 	}
 	v := &s.view
-	wp := s.getPend()
-	v.s, v.writer, v.ts, v.keys, v.ids = s, id, ts, wp.keys, wp.ids
+	v.s, v.writer, v.ts, v.ids = s, id, ts, s.getPend()
 	out := p.Exec(v)
-	if len(v.keys) > 0 || len(v.ids) > 0 {
-		s.pending[id] = pend{keys: v.keys, ids: v.ids}
+	if len(v.ids) > 0 {
+		s.pending[id] = v.ids
 	} else {
-		s.putPend(pend{keys: v.keys, ids: v.ids})
+		s.putPend(v.ids)
 	}
-	v.keys, v.ids = nil, nil
+	v.ids = nil
 	s.executed[id] = true
 	return out
 }
@@ -330,20 +344,15 @@ func (s *Store) Revoke(id txn.ID) {
 		delete(s.executed, id)
 		return
 	}
-	for _, kid := range wp.ids {
-		s.revokeSlot(s.byID[kid], s.idNames[kid], id)
-	}
-	for _, k := range wp.keys {
-		if e := s.data[k]; e != nil {
-			s.revokeSlot(e, k, id)
-		}
+	for _, kid := range wp {
+		s.revokeSlot(&s.byID[kid], id)
 	}
 	delete(s.pending, id)
 	delete(s.executed, id)
 	s.putPend(wp)
 }
 
-func (s *Store) revokeSlot(e *slot, key string, id txn.ID) {
+func (s *Store) revokeSlot(e *slot, id txn.ID) {
 	vs := e.vs
 	// The revoked version is at (or near) the top: conflicting writers
 	// were blocked while this transaction was outstanding.
@@ -357,10 +366,10 @@ func (s *Store) revokeSlot(e *slot, key string, id txn.ID) {
 	}
 	e.vs = vs
 	if len(vs) == 0 {
-		// Interned keys always retain their seed version, so only a
-		// string-path blind write on a fresh key can empty a slot; drop the
-		// key so Len/Keys/Equal reflect the revert.
-		delete(s.data, key)
+		// Seeded keys always retain their seed version, so only a blind write
+		// on a fresh key can empty a slot: the key is absent again (it keeps
+		// its id), so Len/Keys/Equal reflect the revert.
+		s.live--
 	}
 }
 
@@ -375,42 +384,36 @@ func (s *Store) Commit(id txn.ID) {
 	if !ok {
 		return
 	}
-	if s.retain {
-		for _, kid := range wp.ids {
-			s.commitRetain(s.byID[kid], s.idNames[kid], id)
-		}
-		for _, k := range wp.keys {
-			if e := s.data[k]; e != nil {
-				s.commitRetain(e, k, id)
-			}
-		}
-	} else {
-		for _, kid := range wp.ids {
-			commitGC(s.byID[kid], id)
-		}
-		for _, k := range wp.keys {
-			if e := s.data[k]; e != nil {
-				commitGC(e, id)
-			}
+	for _, kid := range wp {
+		if s.retain {
+			s.commitRetain(kid, id)
+		} else {
+			commitGC(&s.byID[kid], id)
 		}
 	}
 	delete(s.pending, id)
 	s.putPend(wp)
 }
 
-func (s *Store) commitRetain(e *slot, key string, id txn.ID) {
-	vs := e.vs
+func (s *Store) commitRetain(kid txn.KeyID, id txn.ID) {
+	vs := s.byID[kid].vs
 	for i := len(vs) - 1; i >= 0; i-- {
 		if vs[i].writer == id {
 			vs[i].uncommitted = false
-			if s.high[key].Less(vs[i].ts) {
-				s.high[key] = vs[i].ts
-			}
+			s.noteCommitted(kid, vs[i].ts, len(vs))
 			break
 		}
 	}
-	if len(vs) > 1 {
-		s.multi[key] = struct{}{}
+}
+
+// noteCommitted is the retain-mode bookkeeping for a version committed at ts
+// on a key now holding n versions.
+func (s *Store) noteCommitted(kid txn.KeyID, ts txn.Timestamp, n int) {
+	if s.high[kid].Less(ts) {
+		s.high[kid] = ts
+	}
+	if n > 1 {
+		s.multi[kid] = struct{}{}
 	}
 }
 
@@ -439,19 +442,14 @@ func commitGC(e *slot, id txn.ID) {
 // timestamp attached (lockocc's commit records), bypassing the
 // Execute/Commit pending cycle.
 func (s *Store) PutCommitted(key string, ts txn.Timestamp, val []byte) {
-	e := s.data[key]
-	if e == nil {
-		e = &slot{}
-		s.data[key] = e
+	kid := s.Intern(key)
+	e := &s.byID[kid]
+	if len(e.vs) == 0 {
+		s.live++
 	}
 	e.vs = append(e.vs, version{ts: ts, val: val})
 	if s.retain {
-		if s.high[key].Less(ts) {
-			s.high[key] = ts
-		}
-		if len(e.vs) > 1 {
-			s.multi[key] = struct{}{}
-		}
+		s.noteCommitted(kid, ts, len(e.vs))
 	}
 }
 
@@ -459,8 +457,8 @@ func (s *Store) PutCommitted(key string, ts txn.Timestamp, val []byte) {
 // memory-growth signal the watermark-GC plateau test pins.
 func (s *Store) Versions() int {
 	n := 0
-	for _, e := range s.data {
-		n += len(e.vs)
+	for i := range s.byID {
+		n += len(s.byID[i].vs)
 	}
 	return n
 }
@@ -480,7 +478,7 @@ func (s *Store) PruneTo(horizon time.Duration) int {
 	}
 	pruned := 0
 	for k := range s.multi {
-		e := s.data[k]
+		e := &s.byID[k]
 		vs := e.vs
 		// Find the pivot: the newest committed version at or below the
 		// horizon (same scan GetAt performs).
@@ -517,9 +515,11 @@ func (s *Store) PruneTo(horizon time.Duration) int {
 
 // Keys returns all keys in sorted order (test/debug helper).
 func (s *Store) Keys() []string {
-	out := make([]string, 0, len(s.data))
-	for k := range s.data {
-		out = append(out, k)
+	out := make([]string, 0, s.live)
+	for k, id := range s.index {
+		if len(s.byID[id].vs) > 0 {
+			out = append(out, k)
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -528,12 +528,11 @@ func (s *Store) Keys() []string {
 // Equal reports whether two stores hold identical newest values — used by
 // replica-consistency checks in tests.
 func (s *Store) Equal(o *Store) bool {
-	if len(s.data) != len(o.data) {
+	if s.live != o.live {
 		return false
 	}
-	for k := range s.data {
-		a, b := s.Get(k), o.Get(k)
-		if string(a) != string(b) {
+	for k, id := range s.index {
+		if len(s.byID[id].vs) > 0 && string(s.GetID(id)) != string(o.Get(k)) {
 			return false
 		}
 	}

@@ -78,7 +78,7 @@ func TestCommitGCsVersions(t *testing.T) {
 		s.Execute(id(i), ts(int64(i)), txn.IncrementPiece("x"))
 		s.Commit(id(i))
 	}
-	if got := len(s.data["x"].vs); got != 1 {
+	if got := s.Versions(); got != 1 {
 		t.Fatalf("committed key holds %d versions, want 1", got)
 	}
 	if txn.DecodeInt(s.Get("x")) != 10 {
@@ -238,7 +238,7 @@ func TestRetainModeKeepsVersions(t *testing.T) {
 		s.Execute(id(i), ts(int64(i)), txn.IncrementPiece("x"))
 		s.Commit(id(i))
 	}
-	if got := len(s.data["x"].vs); got != 11 {
+	if got := s.Versions(); got != 11 {
 		t.Fatalf("retained key holds %d versions, want 11", got)
 	}
 	if txn.DecodeInt(s.Get("x")) != 10 {

@@ -271,8 +271,8 @@ func (s *Server) installLog(log []logEntry) {
 	s.pendingSync = make(map[int]logSyncMsg)
 	s.followerSP = make(map[int]int)
 	s.recs = make(map[txn.ID]*rec)
-	s.rMap = make(map[string]txn.Timestamp)
-	s.wMap = make(map[string]txn.Timestamp)
+	s.rMap = make(map[txn.KeyID]txn.Timestamp)
+	s.wMap = make(map[txn.KeyID]txn.Timestamp)
 	s.relHash.Reset()
 
 	if !s.checkpointValid() {
@@ -292,20 +292,13 @@ func (s *Server) installLog(log []logEntry) {
 		}
 		s.st.Commit(e.ID)
 		s.relHash.Add(e.ID, e.TS)
-		if p := e.T.Pieces[s.shard]; p != nil {
-			for _, k := range p.ReadSet {
-				if cur, ok := s.rMap[k]; !ok || cur.Less(e.TS) {
-					s.rMap[k] = e.TS
-				}
-			}
-			for _, k := range p.WriteSet {
-				if cur, ok := s.wMap[k]; !ok || cur.Less(e.TS) {
-					s.wMap[k] = e.TS
-				}
-			}
-		}
-		s.recs[e.ID] = &rec{id: e.ID, t: e.T, piece: e.T.Pieces[s.shard], ts: e.TS,
+		r := &rec{id: e.ID, t: e.T, ts: e.TS,
 			coord: s.cluster.coordNode(e.ID.Coord), executed: true, released: true, result: res}
+		if p := e.T.Pieces[s.shard]; p != nil {
+			s.attach(r, p)
+			s.noteAccess(r.keys(), e.TS)
+		}
+		s.recs[e.ID] = r
 	}
 	s.syncPoint = len(s.log)
 	s.commitPoint = len(s.log)

@@ -35,6 +35,11 @@ type rec struct {
 	id    txn.ID
 	t     *txn.Txn
 	piece *txn.Piece
+	// own holds the piece's access sets as this server's store numbers them,
+	// resolved once when the piece is attached (Server.attach), for a piece
+	// whose own id slices do not name every key; nil when they do. Conflict
+	// state is keyed by what keys returns.
+	own   *accessSets
 	ts    txn.Timestamp // this server's current view of T.t
 	coord simnet.NodeID
 
@@ -65,6 +70,17 @@ type rec struct {
 }
 
 func (r *rec) multiShard() bool { return r.t != nil && len(r.t.Pieces) > 1 }
+
+// accessSets is a piece's read and write set as KeyIDs of one server's store.
+type accessSets struct{ reads, writes []txn.KeyID }
+
+// keys returns the access sets of r's piece as KeyIDs of this server's store.
+func (r *rec) keys() accessSets {
+	if r.own != nil {
+		return *r.own
+	}
+	return accessSets{r.piece.ReadIDs, r.piece.WriteIDs}
+}
 
 // shardTS is one shard leader's announced timestamp in an agreement round.
 type shardTS struct {
@@ -174,8 +190,10 @@ type Server struct {
 	st   *store.Store
 	pq   prioQueue
 	recs map[txn.ID]*rec
-	rMap map[string]txn.Timestamp
-	wMap map[string]txn.Timestamp
+	// rMap/wMap (Alg. 1) and every other conflict set below are keyed by the
+	// store's KeyIDs and sized by the keys touched; none is ever ranged over.
+	rMap map[txn.KeyID]txn.Timestamp
+	wMap map[txn.KeyID]txn.Timestamp
 
 	log     []logEntry // leader: the log; follower: synced prefix
 	tail    map[txn.ID]logEntry
@@ -205,8 +223,8 @@ type Server struct {
 	// cover (rec.mapped). They are maintained at the state transitions (park,
 	// unpark), so pumpOnce steps over parked records instead of re-deriving
 	// their keys on every pump.
-	parkR map[string]int
-	parkW map[string]int
+	parkR map[txn.KeyID]int
+	parkW map[txn.KeyID]int
 	// onScan is a test hook called with every blockedBy verdict of pumpOnce:
 	// the queue index examined and the verdict (nil outside tests).
 	onScan func(i int, blocked bool)
@@ -217,8 +235,8 @@ type Server struct {
 	// quantile in onSyncPoint; idScratch backs resendAgreements' deterministic
 	// ID ordering; pumpFire/flushFire are the persistent bodies of the gated
 	// pump and safe-flush timers.
-	blockedR  map[string]bool
-	blockedW  map[string]bool
+	blockedR  map[txn.KeyID]bool
+	blockedW  map[txn.KeyID]bool
 	spScratch []int
 	idScratch []txn.ID
 	pumpFire  func()
@@ -252,14 +270,14 @@ func newServer(c *Cluster, shard, replica int, node *simnet.Node, clk clocks.Clo
 		gmode: c.initialMode,
 		st:    st,
 		recs:  make(map[txn.ID]*rec),
-		rMap:  make(map[string]txn.Timestamp),
-		wMap:  make(map[string]txn.Timestamp),
+		rMap:  make(map[txn.KeyID]txn.Timestamp),
+		wMap:  make(map[txn.KeyID]txn.Timestamp),
 		tail:  make(map[txn.ID]logEntry),
 
 		pendingSync: make(map[int]logSyncMsg),
 		followerSP:  make(map[int]int),
-		parkR:       make(map[string]int),
-		parkW:       make(map[string]int),
+		parkR:       make(map[txn.KeyID]int),
+		parkW:       make(map[txn.KeyID]int),
 	}
 	s.reads = snapread.Replica{
 		Node: node, Sim: c.Net.Sim(), Store: s.st,
@@ -400,15 +418,66 @@ func (s *Server) handle(from simnet.NodeID, msg simnet.Message) {
 
 // ---- §3.2 Conflict detection and timestamp update ----
 
+// resolve returns a piece's access sets as KeyIDs of this server's store: the
+// piece's own id slices when the workload numbered every key (nothing is
+// copied or hashed), otherwise copies in which each name that arrived without
+// an id — an inserted row, a hand-built string piece — is looked up through the
+// store's interner. A name and an id of the same key therefore always meet in
+// the conflict sets. The ids are the current store's: installLog rebuilds every
+// record when it replaces the store.
+func (s *Server) resolve(p *txn.Piece) accessSets {
+	return accessSets{s.resolveSet(p.ReadSet, p.ReadIDs), s.resolveSet(p.WriteSet, p.WriteIDs)}
+}
+
+func (s *Server) resolveSet(names []string, ids []txn.KeyID) []txn.KeyID {
+	if txn.Numbered(names, ids) {
+		return ids
+	}
+	out := make([]txn.KeyID, len(names))
+	for i, k := range names {
+		if i < len(ids) && ids[i] != txn.NoKeyID {
+			out[i] = ids[i]
+		} else {
+			out[i] = s.st.Intern(k)
+		}
+	}
+	return out
+}
+
+// attach gives r its piece of the transaction and resolves the piece's keys.
+func (s *Server) attach(r *rec, p *txn.Piece) {
+	r.piece, r.own = p, nil
+	if !txn.Numbered(p.ReadSet, p.ReadIDs) || !txn.Numbered(p.WriteSet, p.WriteIDs) {
+		own := s.resolve(p)
+		r.own = &own
+	}
+}
+
+// noteAccess raises rMap/wMap to ts on the given access sets (Alg. 1 lines
+// 14–15).
+func (s *Server) noteAccess(ks accessSets, ts txn.Timestamp) {
+	for _, k := range ks.reads {
+		if cur, ok := s.rMap[k]; !ok || cur.Less(ts) {
+			s.rMap[k] = ts
+		}
+	}
+	for _, k := range ks.writes {
+		if cur, ok := s.wMap[k]; !ok || cur.Less(ts) {
+			s.wMap[k] = ts
+		}
+	}
+}
+
 // conflictOK reports whether ts is larger than every released conflicting
-// transaction's timestamp on the given read/write sets (Alg. 1 line 2).
-func (s *Server) conflictOK(p *txn.Piece, ts txn.Timestamp) bool {
-	for _, k := range p.ReadSet {
+// transaction's timestamp on r's read/write sets (Alg. 1 line 2).
+func (s *Server) conflictOK(r *rec, ts txn.Timestamp) bool {
+	ks := r.keys()
+	for _, k := range ks.reads {
 		if w, ok := s.wMap[k]; ok && !w.Less(ts) {
 			return false
 		}
 	}
-	for _, k := range p.WriteSet {
+	for _, k := range ks.writes {
 		if w, ok := s.wMap[k]; ok && !w.Less(ts) {
 			return false
 		}
@@ -420,15 +489,16 @@ func (s *Server) conflictOK(p *txn.Piece, ts txn.Timestamp) bool {
 }
 
 // minAcceptable returns the smallest timestamp time that passes conflict
-// detection for piece p (used for leader timestamp updates).
-func (s *Server) minAcceptable(p *txn.Piece) time.Duration {
+// detection for r (used for leader timestamp updates).
+func (s *Server) minAcceptable(r *rec) time.Duration {
 	var max txn.Timestamp
-	for _, k := range p.ReadSet {
+	ks := r.keys()
+	for _, k := range ks.reads {
 		if w, ok := s.wMap[k]; ok && max.Less(w) {
 			max = w
 		}
 	}
-	for _, k := range p.WriteSet {
+	for _, k := range ks.writes {
 		if w, ok := s.wMap[k]; ok && max.Less(w) {
 			max = w
 		}
@@ -453,7 +523,7 @@ func (s *Server) onTxn(from simnet.NodeID, m *txnMsg) {
 			// The record is a placeholder from a timestamp notification
 			// (the original multicast was lost): adopt the body now.
 			r.t = m.T
-			r.piece = m.T.Pieces[s.shard]
+			s.attach(r, m.T.Pieces[s.shard])
 			r.ts = m.TS
 			r.owd = s.now() - m.SendClock
 			r.arriveS = s.cluster.Net.Sim().Now()
@@ -478,7 +548,7 @@ func (s *Server) onTxn(from simnet.NodeID, m *txnMsg) {
 				s.reposition(r, m.TS)
 			} else {
 				r.ts = m.TS
-				if r.held && s.conflictOK(r.piece, r.ts) {
+				if r.held && s.conflictOK(r, r.ts) {
 					r.held = false
 					s.pq.insert(r)
 				}
@@ -493,12 +563,12 @@ func (s *Server) onTxn(from simnet.NodeID, m *txnMsg) {
 	r := &rec{
 		id:      m.ID(),
 		t:       m.T,
-		piece:   m.T.Pieces[s.shard],
 		ts:      m.TS,
 		coord:   m.Coord,
 		owd:     s.now() - m.SendClock,
 		arriveS: s.cluster.Net.Sim().Now(),
 	}
+	s.attach(r, m.T.Pieces[s.shard])
 	s.recs[r.id] = r
 	s.admit(r)
 }
@@ -514,13 +584,13 @@ func (s *Server) admit(r *rec) {
 		// timestamp and falls back to the slow path, as with any bump.
 		r.ts = txn.Timestamp{Time: s.reads.Watermark() + 1, Coord: r.ts.Coord, Seq: r.ts.Seq}
 	}
-	if s.conflictOK(r.piece, r.ts) {
+	if s.conflictOK(r, r.ts) {
 		s.pq.insert(r)
 	} else if s.IsLeader() {
 		// Leader updates the timestamp to its local clock (line 4), pushed
 		// past any released conflicting transaction.
 		t := s.now()
-		if min := s.minAcceptable(r.piece); min > t {
+		if min := s.minAcceptable(r); min > t {
 			t = min
 		}
 		r.ts = txn.Timestamp{Time: t, Coord: r.ts.Coord, Seq: r.ts.Seq}
@@ -647,14 +717,14 @@ func (s *Server) pumpOnce() {
 			// future-timestamp headroom wait ends here.
 			r.eligS = simNow
 		}
-		blocked := s.blockedBy(r.piece)
+		blocked := s.blockedBy(r)
 		if s.onScan != nil {
 			s.onScan(i, blocked)
 		}
 		if blocked {
 			// Blocked behind an earlier conflicting transaction: it stays,
 			// and its own keys block later conflicting transactions too.
-			s.addBlocked(r.piece)
+			s.addBlocked(r)
 			dirty = true
 			i++
 			continue
@@ -671,7 +741,7 @@ func (s *Server) pumpOnce() {
 			if (r.executed || r.proposed) && !r.agreed && r.mapped {
 				s.park(r)
 			} else {
-				s.addBlocked(r.piece)
+				s.addBlocked(r)
 				dirty = true
 			}
 			i++
@@ -687,7 +757,7 @@ func (s *Server) pumpOnce() {
 	}
 }
 
-// blockedBy reports whether an earlier pending record conflicts with p: a
+// blockedBy reports whether an earlier pending record conflicts with r: a
 // parked one (parkR/parkW) or one this scan found blocked (blockedR/blockedW).
 // Consulting the parked sets without regard to queue position is sound because
 // no record ever sits before a conflicting parked one: nothing before it
@@ -697,13 +767,14 @@ func (s *Server) pumpOnce() {
 // records later — unparking them, and leaving them unmapped until recordMaps
 // runs again (a preventive-mode record repositioned after proposing is never
 // re-parked: its maps stay at the proposal timestamp until release).
-func (s *Server) blockedBy(p *txn.Piece) bool {
-	for _, k := range p.ReadSet {
+func (s *Server) blockedBy(r *rec) bool {
+	ks := r.keys()
+	for _, k := range ks.reads {
 		if s.parkW[k] > 0 || s.blockedW[k] {
 			return true
 		}
 	}
-	for _, k := range p.WriteSet {
+	for _, k := range ks.writes {
 		if s.parkW[k] > 0 || s.blockedW[k] || s.parkR[k] > 0 || s.blockedR[k] {
 			return true
 		}
@@ -711,15 +782,16 @@ func (s *Server) blockedBy(p *txn.Piece) bool {
 	return false
 }
 
-func (s *Server) addBlocked(p *txn.Piece) {
+func (s *Server) addBlocked(r *rec) {
 	if s.blockedR == nil {
-		s.blockedR = make(map[string]bool)
-		s.blockedW = make(map[string]bool)
+		s.blockedR = make(map[txn.KeyID]bool)
+		s.blockedW = make(map[txn.KeyID]bool)
 	}
-	for _, k := range p.ReadSet {
+	ks := r.keys()
+	for _, k := range ks.reads {
 		s.blockedR[k] = true
 	}
-	for _, k := range p.WriteSet {
+	for _, k := range ks.writes {
 		s.blockedW[k] = true
 	}
 }
@@ -728,10 +800,11 @@ func (s *Server) addBlocked(p *txn.Piece) {
 // the parked sets.
 func (s *Server) park(r *rec) {
 	r.parked = true
-	for _, k := range r.piece.ReadSet {
+	ks := r.keys()
+	for _, k := range ks.reads {
 		s.parkR[k]++
 	}
-	for _, k := range r.piece.WriteSet {
+	for _, k := range ks.writes {
 		s.parkW[k]++
 	}
 }
@@ -744,17 +817,18 @@ func (s *Server) unpark(r *rec) {
 		return
 	}
 	r.parked = false
-	for _, k := range r.piece.ReadSet {
+	ks := r.keys()
+	for _, k := range ks.reads {
 		uncount(s.parkR, k)
 	}
-	for _, k := range r.piece.WriteSet {
+	for _, k := range ks.writes {
 		uncount(s.parkW, k)
 	}
 }
 
 // uncount decrements a counted set's entry, dropping it at zero so the set's
 // size stays the number of keys actually parked.
-func uncount(m map[string]int, k string) {
+func uncount(m map[txn.KeyID]int, k txn.KeyID) {
 	if n := m[k]; n > 1 {
 		m[k] = n - 1
 	} else {
@@ -829,19 +903,10 @@ func (s *Server) process(r *rec) {
 	}
 }
 
-// recordMaps updates rMap/wMap with r's access sets (Alg. 1 lines 14–15).
+// recordMaps updates rMap/wMap with r's access sets at its current timestamp.
 func (s *Server) recordMaps(r *rec) {
 	r.mapped = true
-	for _, k := range r.piece.ReadSet {
-		if cur, ok := s.rMap[k]; !ok || cur.Less(r.ts) {
-			s.rMap[k] = r.ts
-		}
-	}
-	for _, k := range r.piece.WriteSet {
-		if cur, ok := s.wMap[k]; !ok || cur.Less(r.ts) {
-			s.wMap[k] = r.ts
-		}
-	}
+	s.noteAccess(r.keys(), r.ts)
 }
 
 func (s *Server) executeLeader(r *rec) {
@@ -1093,7 +1158,7 @@ func (s *Server) onFetchTxnRep(m fetchTxnRep) {
 		return
 	}
 	r.t = m.T
-	r.piece = m.T.Pieces[s.shard]
+	s.attach(r, m.T.Pieces[s.shard])
 	r.ts = m.TS
 	r.coord = s.cluster.coordNode(m.ID.Coord)
 	s.admit(r)
@@ -1146,7 +1211,8 @@ func (s *Server) applySync(m logSyncMsg) {
 			s.relHash.Add(m.ID, m.TS)
 		}
 	}
-	if r := s.recs[m.ID]; r != nil {
+	r := s.recs[m.ID]
+	if r != nil {
 		r.released = true
 		r.ts = m.TS
 	} else {
@@ -1154,17 +1220,14 @@ func (s *Server) applySync(m logSyncMsg) {
 	}
 	s.log = append(s.log, e)
 	s.syncPoint = len(s.log)
-	// Conflict maps must also reflect synced entries.
+	// Conflict maps must also reflect synced entries: through the record's
+	// keys when the transaction arrived here first (the usual case), resolved
+	// on the spot for an entry first heard of through the log.
 	if p := m.T.Pieces[s.shard]; p != nil {
-		for _, k := range p.ReadSet {
-			if cur, ok := s.rMap[k]; !ok || cur.Less(m.TS) {
-				s.rMap[k] = m.TS
-			}
-		}
-		for _, k := range p.WriteSet {
-			if cur, ok := s.wMap[k]; !ok || cur.Less(m.TS) {
-				s.wMap[k] = m.TS
-			}
+		if r != nil && r.piece != nil {
+			s.noteAccess(r.keys(), m.TS)
+		} else {
+			s.noteAccess(s.resolve(p), m.TS)
 		}
 	}
 	if !s.cfg.BatchSlowReplies {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"tiga/internal/clocks"
 	"tiga/internal/simnet"
@@ -140,14 +141,27 @@ func checkParked(t *testing.T, s *Server) {
 			seenW[k] = p.id
 		}
 	}
-	for name, pair := range map[string][2]map[string]int{"parkR": {s.parkR, wantR}, "parkW": {s.parkW, wantW}} {
+	// The oracle above is by name, straight from the pieces; the server's sets
+	// are by KeyID: translate it through the store.
+	byID := func(names map[string]int) map[txn.KeyID]int {
+		out := make(map[txn.KeyID]int, len(names))
+		for k, n := range names {
+			id, ok := s.st.Lookup(k)
+			if !ok {
+				t.Fatalf("shard %d: parked key %s was never interned", s.shard, k)
+			}
+			out[id] += n
+		}
+		return out
+	}
+	for name, pair := range map[string][2]map[txn.KeyID]int{"parkR": {s.parkR, byID(wantR)}, "parkW": {s.parkW, byID(wantW)}} {
 		got, want := pair[0], pair[1]
 		if len(got) != len(want) {
 			t.Fatalf("shard %d: %s has %d keys, parked records hold %d", s.shard, name, len(got), len(want))
 		}
 		for k, n := range want {
 			if got[k] != n {
-				t.Fatalf("shard %d: %s[%s] = %d, want %d", s.shard, name, k, got[k], n)
+				t.Fatalf("shard %d: %s[key %d] = %d, want %d", s.shard, name, k, got[k], n)
 			}
 		}
 	}
@@ -469,5 +483,14 @@ func TestRejoinKeepsVersionHistory(t *testing.T) {
 	}
 	if got, want := rejoined.Store().HighWater("k1-0"), peer.Store().HighWater("k1-0"); !got.Equal(want) || want.Time == 0 {
 		t.Errorf("HighWater(k1-0) = %v on the rejoined replica, %v on its peer", got, want)
+	}
+}
+
+// TestRecStaysInItsSizeClass: every replica keeps one rec per transaction for
+// the whole run, so the struct's allocation size class is live heap (the
+// benchmark bounds it at 3 %). 480 B is a Go size class; the next is 512.
+func TestRecStaysInItsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(rec{}); got > 480 {
+		t.Errorf("rec is %d bytes, over the 480 B size class", got)
 	}
 }

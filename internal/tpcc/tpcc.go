@@ -6,11 +6,16 @@
 // Order-Status run as multi-shot (interactive) transactions via the
 // decomposition technique of Appendix F; Delivery also decomposes because its
 // read set is data-dependent.
+//
+// Every seeded column has a txn.KeyID fixed by a closed-form per-shard layout
+// (see Gen) that is also the seeding order, so pieces carry ids next to their
+// names and their executors drive a store by id; only the rows a transaction
+// inserts (order, order total, history, carrier) are known by name alone.
 package tpcc
 
 import (
-	"fmt"
 	"math/rand"
+	"strconv"
 
 	"tiga/internal/protocol"
 	"tiga/internal/store"
@@ -39,28 +44,50 @@ func TestConfig(shards int) Config {
 }
 
 // Gen generates TPC-C jobs.
+//
+// A shard holds the warehouses w with ShardOf(w) == shard, in ascending order,
+// and numbers its seeded columns warehouse by warehouse, perW ids each:
+//
+//	w_tax, w_ytd
+//	per district d = 1..Districts, perD ids:
+//	    d_tax, d_ytd, d_next_o_id, no_head
+//	    per customer c = 1..Customers: c_bal, c_ytd, c_cnt, c_disc, c_last_o
+//	per item i = 1..Items: i_price, s_qty, s_ytd, s_cnt
+//
+// wID/dID/cID/iID give the first id of a warehouse, district, customer or item
+// group and the col* constants the column's offset in its group.
 type Gen struct {
-	cfg Config
-	uid uint64
-	// seeds caches each shard's pre-population (keys and encoded values are
-	// built once), so seeding replicas 2..R replays cached pairs instead of
-	// re-running fmt.Sprintf and EncodeInt for every row. Generators are
-	// private to one experiment point, so the cache needs no locking.
-	seeds map[int][]seedPair
+	cfg        Config
+	uid        uint64
+	perD, perW int
+	// names caches each shard's key names in id order, built on first use:
+	// Seed hands the slice to every replica's store (whose name map shares
+	// the strings) and Next takes its ReadSet/WriteSet names from it instead
+	// of formatting them. Generators are private to one experiment point, so
+	// the cache needs no locking.
+	names [][]string
+	// ints caches the encoded seed values (all within ±1000); stored values
+	// are immutable, so every key and replica seeded with v shares one buffer.
+	ints [][]byte
 }
 
-// seedPair is one cached pre-population row.
-type seedPair struct {
-	key string
-	val []byte
-}
+// Column offsets within their group.
+const (
+	colWTax, colWYtd                              = 0, 1
+	colDTax, colDYtd, colDNextOID, colNoHead      = 0, 1, 2, 3
+	colCBal, colCYtd, colCCnt, colCDisc, colCLast = 0, 1, 2, 3, 4
+	colIPrice, colSQty, colSYtd, colSCnt          = 0, 1, 2, 3
+
+	wCols, dCols, cCols, iCols = 2, 4, 5, 4
+)
 
 // New builds a TPC-C generator.
 func New(cfg Config) *Gen {
 	if cfg.Warehouses == 0 {
 		cfg.Warehouses = cfg.Shards
 	}
-	return &Gen{cfg: cfg}
+	perD := dCols + cCols*cfg.Customers
+	return &Gen{cfg: cfg, perD: perD, perW: wCols + cfg.Districts*perD + iCols*cfg.Items}
 }
 
 func init() {
@@ -86,69 +113,172 @@ func init() {
 // ShardOf maps a warehouse (1-based) to its shard.
 func (g *Gen) ShardOf(w int) int { return (w - 1) % g.cfg.Shards }
 
+func (g *Gen) wID(w int) txn.KeyID { return txn.KeyID((w - 1) / g.cfg.Shards * g.perW) }
+func (g *Gen) dID(w, d int) txn.KeyID {
+	return g.wID(w) + wCols + txn.KeyID((d-1)*g.perD)
+}
+func (g *Gen) cID(w, d, c int) txn.KeyID { return g.dID(w, d) + dCols + txn.KeyID((c-1)*cCols) }
+func (g *Gen) iID(w, i int) txn.KeyID {
+	return g.wID(w) + wCols + txn.KeyID(g.cfg.Districts*g.perD+(i-1)*iCols)
+}
+
+// seedValue is the initial value of the column at id (any shard: the layout
+// repeats per warehouse).
+func (g *Gen) seedValue(id int) int64 {
+	off := id % g.perW
+	if off < wCols {
+		return [wCols]int64{colWTax: 7, colWYtd: 0}[off]
+	}
+	off -= wCols
+	if off < g.cfg.Districts*g.perD {
+		off %= g.perD
+		if off < dCols {
+			return [dCols]int64{colDTax: 8, colDYtd: 0, colDNextOID: 1, colNoHead: 0}[off]
+		}
+		return [cCols]int64{colCBal: -1000, colCYtd: 1000, colCCnt: 1, colCDisc: 5, colCLast: 0}[(off-dCols)%cCols]
+	}
+	off -= g.cfg.Districts * g.perD
+	item := off/iCols + 1
+	return [iCols]int64{colIPrice: int64(100 + item%900), colSQty: 100, colSYtd: 0, colSCnt: 0}[off%iCols]
+}
+
+// enc returns the shared encoding of a seed value.
+func (g *Gen) enc(v int64) []byte {
+	if g.ints == nil {
+		g.ints = make([][]byte, 2001)
+	}
+	if g.ints[v+1000] == nil {
+		g.ints[v+1000] = txn.EncodeInt(v)
+	}
+	return g.ints[v+1000]
+}
+
 // ---- column keys ----
 
-func kWTax(w int) string                   { return fmt.Sprintf("w_tax:%d", w) }
-func kWYtd(w int) string                   { return fmt.Sprintf("w_ytd:%d", w) }
-func kDTax(w, d int) string                { return fmt.Sprintf("d_tax:%d:%d", w, d) }
-func kDYtd(w, d int) string                { return fmt.Sprintf("d_ytd:%d:%d", w, d) }
-func kDNextOID(w, d int) string            { return fmt.Sprintf("d_next_o_id:%d:%d", w, d) }
-func kNoHead(w, d int) string              { return fmt.Sprintf("no_head:%d:%d", w, d) }
-func kCBal(w, d, c int) string             { return fmt.Sprintf("c_bal:%d:%d:%d", w, d, c) }
-func kCYtd(w, d, c int) string             { return fmt.Sprintf("c_ytd:%d:%d:%d", w, d, c) }
-func kCCnt(w, d, c int) string             { return fmt.Sprintf("c_cnt:%d:%d:%d", w, d, c) }
-func kCDisc(w, d, c int) string            { return fmt.Sprintf("c_disc:%d:%d:%d", w, d, c) }
-func kCLastO(w, d, c int) string           { return fmt.Sprintf("c_last_o:%d:%d:%d", w, d, c) }
-func kIPrice(w, i int) string              { return fmt.Sprintf("i_price:%d:%d", w, i) }
-func kSQty(w, i int) string                { return fmt.Sprintf("s_qty:%d:%d", w, i) }
-func kSYtd(w, i int) string                { return fmt.Sprintf("s_ytd:%d:%d", w, i) }
-func kSCnt(w, i int) string                { return fmt.Sprintf("s_cnt:%d:%d", w, i) }
-func kOrder(w, d int, uid uint64) string   { return fmt.Sprintf("o:%d:%d:%d", w, d, uid) }
-func kOTotal(w, d int, uid uint64) string  { return fmt.Sprintf("o_total:%d:%d:%d", w, d, uid) }
-func kOCarrier(w, d int, idx int64) string { return fmt.Sprintf("o_carrier:%d:%d:%d", w, d, idx) }
-func kHistory(w, d int, uid uint64) string { return fmt.Sprintf("h:%d:%d:%d", w, d, uid) }
-
-// Seed pre-populates one shard's store with its warehouses, replaying the
-// shard's cached pre-population rows (built on first use).
-func (g *Gen) Seed(shard int, st *store.Store) {
-	if g.seeds == nil {
-		g.seeds = make(map[int][]seedPair)
+// key formats prefix:a:b:…, the name of every column and row.
+func key(prefix string, parts ...int64) string {
+	b := make([]byte, 0, 40)
+	b = append(b, prefix...)
+	for _, p := range parts {
+		b = strconv.AppendInt(append(b, ':'), p, 10)
 	}
-	rows, ok := g.seeds[shard]
-	if !ok {
-		add := func(k string, v int64) { rows = append(rows, seedPair{k, txn.EncodeInt(v)}) }
-		for w := 1; w <= g.cfg.Warehouses; w++ {
-			if g.ShardOf(w) != shard {
-				continue
-			}
-			add(kWTax(w), 7)
-			add(kWYtd(w), 0)
-			for d := 1; d <= g.cfg.Districts; d++ {
-				add(kDTax(w, d), 8)
-				add(kDYtd(w, d), 0)
-				add(kDNextOID(w, d), 1)
-				add(kNoHead(w, d), 0)
-				for c := 1; c <= g.cfg.Customers; c++ {
-					add(kCBal(w, d, c), -1000)
-					add(kCYtd(w, d, c), 1000)
-					add(kCCnt(w, d, c), 1)
-					add(kCDisc(w, d, c), 5)
-					add(kCLastO(w, d, c), 0)
-				}
-			}
-			for i := 1; i <= g.cfg.Items; i++ {
-				add(kIPrice(w, i), int64(100+i%900))
-				add(kSQty(w, i), 100)
-				add(kSYtd(w, i), 0)
-				add(kSCnt(w, i), 0)
+	return string(b)
+}
+
+func kWTax(w int) string         { return key("w_tax", int64(w)) }
+func kWYtd(w int) string         { return key("w_ytd", int64(w)) }
+func kDTax(w, d int) string      { return key("d_tax", int64(w), int64(d)) }
+func kDYtd(w, d int) string      { return key("d_ytd", int64(w), int64(d)) }
+func kDNextOID(w, d int) string  { return key("d_next_o_id", int64(w), int64(d)) }
+func kNoHead(w, d int) string    { return key("no_head", int64(w), int64(d)) }
+func kCBal(w, d, c int) string   { return key("c_bal", int64(w), int64(d), int64(c)) }
+func kCYtd(w, d, c int) string   { return key("c_ytd", int64(w), int64(d), int64(c)) }
+func kCCnt(w, d, c int) string   { return key("c_cnt", int64(w), int64(d), int64(c)) }
+func kCDisc(w, d, c int) string  { return key("c_disc", int64(w), int64(d), int64(c)) }
+func kCLastO(w, d, c int) string { return key("c_last_o", int64(w), int64(d), int64(c)) }
+func kIPrice(w, i int) string    { return key("i_price", int64(w), int64(i)) }
+func kSQty(w, i int) string      { return key("s_qty", int64(w), int64(i)) }
+func kSYtd(w, i int) string      { return key("s_ytd", int64(w), int64(i)) }
+func kSCnt(w, i int) string      { return key("s_cnt", int64(w), int64(i)) }
+
+// The rows transactions insert: named, never numbered ahead of time.
+func kOrder(w, d int, uid uint64) string   { return key("o", int64(w), int64(d), int64(uid)) }
+func kOTotal(w, d int, uid uint64) string  { return key("o_total", int64(w), int64(d), int64(uid)) }
+func kOCarrier(w, d int, idx int64) string { return key("o_carrier", int64(w), int64(d), idx) }
+func kHistory(w, d int, uid uint64) string { return key("h", int64(w), int64(d), int64(uid)) }
+
+// tab returns a shard's key names in id order, building them on first use.
+func (g *Gen) tab(shard int) []string {
+	if g.names == nil {
+		g.names = make([][]string, g.cfg.Shards)
+	}
+	if g.names[shard] != nil {
+		return g.names[shard]
+	}
+	// Non-nil even for a shard without warehouses: built, and empty.
+	names := make([]string, 0, (g.cfg.Warehouses-shard+g.cfg.Shards-1)/g.cfg.Shards*g.perW)
+	for w := shard + 1; w <= g.cfg.Warehouses; w += g.cfg.Shards {
+		names = append(names, kWTax(w), kWYtd(w))
+		for d := 1; d <= g.cfg.Districts; d++ {
+			names = append(names, kDTax(w, d), kDYtd(w, d), kDNextOID(w, d), kNoHead(w, d))
+			for c := 1; c <= g.cfg.Customers; c++ {
+				names = append(names, kCBal(w, d, c), kCYtd(w, d, c), kCCnt(w, d, c), kCDisc(w, d, c), kCLastO(w, d, c))
 			}
 		}
-		g.seeds[shard] = rows
+		for i := 1; i <= g.cfg.Items; i++ {
+			names = append(names, kIPrice(w, i), kSQty(w, i), kSYtd(w, i), kSCnt(w, i))
+		}
 	}
-	st.Reserve(len(rows))
-	for _, p := range rows {
-		st.Seed(p.key, p.val)
+	g.names[shard] = names
+	return names
+}
+
+// Seed pre-populates one shard's store with its warehouses in id order, so
+// the store's intern ids are the layout's.
+func (g *Gen) Seed(shard int, st *store.Store) {
+	st.SeedBulkFunc(g.tab(shard), func(id int) []byte { return g.enc(g.seedValue(id)) })
+}
+
+// keyset accumulates one declared access set in both forms.
+type keyset struct {
+	names []string
+	ids   []txn.KeyID
+}
+
+func newKeyset(n int) keyset {
+	return keyset{names: make([]string, 0, n), ids: make([]txn.KeyID, 0, n)}
+}
+
+// add declares seeded columns of the shard whose name table is tab.
+func (s *keyset) add(tab []string, ids ...txn.KeyID) {
+	for _, id := range ids {
+		s.names = append(s.names, tab[id])
+		s.ids = append(s.ids, id)
 	}
+}
+
+// insert declares a row known by name only.
+func (s *keyset) insert(name string) {
+	s.names = append(s.names, name)
+	s.ids = append(s.ids, txn.NoKeyID)
+}
+
+func (s *keyset) append(o keyset) {
+	s.names = append(s.names, o.names...)
+	s.ids = append(s.ids, o.ids...)
+}
+
+// cols is how an executor reaches seeded columns: by id when the view offers
+// the interned path (txn.IDKV, what a store's own view does), by the shard
+// table's name otherwise (a baseline's buffered view) — the same values move
+// either way, as in workload.incrementExec. Inserted rows go through kv by
+// name in both cases.
+type cols struct {
+	kv    txn.KV
+	ikv   txn.IDKV
+	names []string
+}
+
+func open(kv txn.KV, names []string) cols {
+	ikv, _ := kv.(txn.IDKV)
+	return cols{kv: kv, ikv: ikv, names: names}
+}
+
+func (c cols) raw(id txn.KeyID) []byte {
+	if c.ikv != nil {
+		return c.ikv.GetID(id)
+	}
+	return c.kv.Get(c.names[id])
+}
+
+func (c cols) get(id txn.KeyID) int64 { return txn.DecodeInt(c.raw(id)) }
+
+func (c cols) put(id txn.KeyID, v int64) {
+	if c.ikv != nil {
+		c.ikv.PutID(id, txn.EncodeInt(v))
+		return
+	}
+	c.kv.Put(c.names[id], txn.EncodeInt(v))
 }
 
 // Next draws a transaction per the TPC-C mix: New-Order 45%, Payment 43%,
@@ -182,7 +312,11 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 	c := 1 + rng.Intn(g.cfg.Customers)
 	uid := g.nextUID(rng)
 	nItems := 5 + rng.Intn(11)
-	type line struct{ w, i, qty int }
+	type line struct {
+		shard int
+		item  txn.KeyID // the item's i_price column; the stock columns follow it
+		qty   int64
+	}
 	lines := make([]line, nItems)
 	for i := range lines {
 		sw := w
@@ -191,7 +325,7 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 				sw = g.randWarehouse(rng)
 			}
 		}
-		lines[i] = line{w: sw, i: 1 + rng.Intn(g.cfg.Items), qty: 1 + rng.Intn(10)}
+		lines[i] = line{shard: g.ShardOf(sw), item: g.iID(sw, 1+rng.Intn(g.cfg.Items)), qty: int64(1 + rng.Intn(10))}
 	}
 
 	t := &txn.Txn{Pieces: make(map[int]*txn.Piece), Label: "neworder"}
@@ -200,55 +334,60 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 	// Group stock lines per shard.
 	perShard := make(map[int][]line)
 	for _, ln := range lines {
-		perShard[g.ShardOf(ln.w)] = append(perShard[g.ShardOf(ln.w)], ln)
+		perShard[ln.shard] = append(perShard[ln.shard], ln)
 	}
 	for sh, lns := range perShard {
-		lns := lns
-		reads := []string{}
-		writes := []string{}
+		tab := g.tab(sh)
+		reads, writes := newKeyset(4*len(lns)), newKeyset(3*len(lns))
 		for _, ln := range lns {
-			reads = append(reads, kIPrice(ln.w, ln.i))
-			writes = append(writes, kSQty(ln.w, ln.i), kSYtd(ln.w, ln.i), kSCnt(ln.w, ln.i))
+			reads.add(tab, ln.item+colIPrice)
+			writes.add(tab, ln.item+colSQty, ln.item+colSYtd, ln.item+colSCnt)
 		}
-		piece := &txn.Piece{
-			ReadSet:  append(reads, writes...),
-			WriteSet: writes,
+		reads.append(writes)
+		t.Pieces[sh] = &txn.Piece{
+			ReadSet: reads.names, ReadIDs: reads.ids,
+			WriteSet: writes.names, WriteIDs: writes.ids,
 			Exec: func(kv txn.KV) []byte {
+				col := open(kv, tab)
 				var total int64
 				for _, ln := range lns {
-					price := txn.DecodeInt(kv.Get(kIPrice(ln.w, ln.i)))
-					qty := txn.DecodeInt(kv.Get(kSQty(ln.w, ln.i)))
-					qty -= int64(ln.qty)
+					price := col.get(ln.item + colIPrice)
+					qty := col.get(ln.item+colSQty) - ln.qty
 					if qty < 10 {
 						qty += 91
 					}
-					kv.Put(kSQty(ln.w, ln.i), txn.EncodeInt(qty))
-					kv.Put(kSYtd(ln.w, ln.i), txn.EncodeInt(txn.DecodeInt(kv.Get(kSYtd(ln.w, ln.i)))+int64(ln.qty)))
-					kv.Put(kSCnt(ln.w, ln.i), txn.EncodeInt(txn.DecodeInt(kv.Get(kSCnt(ln.w, ln.i)))+1))
-					total += price * int64(ln.qty)
+					col.put(ln.item+colSQty, qty)
+					col.put(ln.item+colSYtd, col.get(ln.item+colSYtd)+ln.qty)
+					col.put(ln.item+colSCnt, col.get(ln.item+colSCnt)+1)
+					total += price * ln.qty
 				}
 				return txn.EncodeInt(total)
 			},
 		}
-		t.Pieces[sh] = piece
 	}
 
 	// Home-district piece: order insertion + next-order-id bump.
-	homeReads := []string{kWTax(w), kDTax(w, d), kCDisc(w, d, c), kDNextOID(w, d)}
-	homeWrites := []string{kDNextOID(w, d), kOrder(w, d, uid), kOTotal(w, d, uid), kCLastO(w, d, c)}
+	tab := g.tab(home)
+	wTax, dTax, dNext := g.wID(w)+colWTax, g.dID(w, d)+colDTax, g.dID(w, d)+colDNextOID
+	cDisc, cLast := g.cID(w, d, c)+colCDisc, g.cID(w, d, c)+colCLast
+	order, total := kOrder(w, d, uid), kOTotal(w, d, uid)
+	reads, writes := newKeyset(4), newKeyset(4)
+	reads.add(tab, wTax, dTax, cDisc, dNext)
+	writes.add(tab, dNext)
+	writes.insert(order)
+	writes.insert(total)
+	writes.add(tab, cLast)
 	homePiece := &txn.Piece{
-		ReadSet:  homeReads,
-		WriteSet: homeWrites,
+		ReadSet: reads.names, ReadIDs: reads.ids,
+		WriteSet: writes.names, WriteIDs: writes.ids,
 		Exec: func(kv txn.KV) []byte {
-			oid := txn.DecodeInt(kv.Get(kDNextOID(w, d)))
-			kv.Put(kDNextOID(w, d), txn.EncodeInt(oid+1))
-			kv.Put(kOrder(w, d, uid), txn.EncodeInt(oid))
-			kv.Put(kOTotal(w, d, uid), txn.EncodeInt(int64(nItems)))
-			kv.Put(kCLastO(w, d, c), txn.EncodeInt(int64(uid)))
-			wt := txn.DecodeInt(kv.Get(kWTax(w)))
-			dt := txn.DecodeInt(kv.Get(kDTax(w, d)))
-			disc := txn.DecodeInt(kv.Get(kCDisc(w, d, c)))
-			return txn.EncodeInt(oid*1000 + wt + dt + disc)
+			col := open(kv, tab)
+			oid := col.get(dNext)
+			col.put(dNext, oid+1)
+			kv.Put(order, txn.EncodeInt(oid))
+			kv.Put(total, txn.EncodeInt(int64(nItems)))
+			col.put(cLast, int64(uid))
+			return txn.EncodeInt(oid*1000 + col.get(wTax) + col.get(dTax) + col.get(cDisc))
 		},
 	}
 	if existing, ok := t.Pieces[home]; ok {
@@ -264,15 +403,19 @@ func (g *Gen) nextUID(rng *rand.Rand) uint64 {
 	return g.uid<<20 | uint64(rng.Intn(1<<20))
 }
 
-// mergePieces combines two pieces on the same shard.
+// mergePieces combines two pieces on the same shard; both carry positionally
+// parallel id sets (New-Order's and Payment's pieces, the only ones merged).
+// The merged executor keeps the two executors, not the two pieces, so their
+// own copies of the sets are garbage once merged.
 func mergePieces(a, b *txn.Piece) *txn.Piece {
+	execA, execB := a.Exec, b.Exec
 	return &txn.Piece{
 		ReadSet:  append(append([]string(nil), a.ReadSet...), b.ReadSet...),
 		WriteSet: append(append([]string(nil), a.WriteSet...), b.WriteSet...),
+		ReadIDs:  append(append([]txn.KeyID(nil), a.ReadIDs...), b.ReadIDs...),
+		WriteIDs: append(append([]txn.KeyID(nil), a.WriteIDs...), b.WriteIDs...),
 		Exec: func(kv txn.KV) []byte {
-			ra := a.Exec(kv)
-			rb := b.Exec(kv)
-			return append(ra, rb...)
+			return append(execA(kv), execB(kv)...)
 		},
 	}
 }
@@ -295,6 +438,9 @@ func (g *Gen) Payment(rng *rand.Rand) *txn.Interactive {
 	amount := int64(1 + rng.Intn(5000))
 	home, cust := g.ShardOf(w), g.ShardOf(cw)
 	uid := g.nextUID(rng)
+	homeTab, custTab := g.tab(home), g.tab(cust)
+	wYtd, dYtd := g.wID(w)+colWYtd, g.dID(w, d)+colDYtd
+	cBal, cYtd, cCnt := g.cID(cw, d, c)+colCBal, g.cID(cw, d, c)+colCYtd, g.cID(cw, d, c)+colCCnt
 
 	return &txn.Interactive{
 		Label: "payment",
@@ -302,33 +448,42 @@ func (g *Gen) Payment(rng *rand.Rand) *txn.Interactive {
 			switch stage {
 			case 0:
 				t := &txn.Txn{Label: "payment-read", ReadOnly: true, Pieces: map[int]*txn.Piece{
-					cust: txn.ReadPiece(kCBal(cw, d, c)),
+					cust: txn.ReadPieceID(custTab[cBal], cBal),
 				}}
 				return t, false, false
 			case 1:
 				seen := txn.DecodeInt(prev.PerShard[cust])
 				t := &txn.Txn{Label: "payment-write", Pieces: make(map[int]*txn.Piece)}
+				custKeys := newKeyset(3)
+				custKeys.add(custTab, cBal, cYtd, cCnt)
 				custPiece := &txn.Piece{
-					ReadSet:  []string{kCBal(cw, d, c), kCYtd(cw, d, c), kCCnt(cw, d, c)},
-					WriteSet: []string{kCBal(cw, d, c), kCYtd(cw, d, c), kCCnt(cw, d, c)},
+					ReadSet: custKeys.names, ReadIDs: custKeys.ids,
+					WriteSet: custKeys.names, WriteIDs: custKeys.ids,
 					Exec: func(kv txn.KV) []byte {
-						cur := txn.DecodeInt(kv.Get(kCBal(cw, d, c)))
+						col := open(kv, custTab)
+						cur := col.get(cBal)
 						if cur != seen {
 							return txn.EncodeInt(-1) // validation failed
 						}
-						kv.Put(kCBal(cw, d, c), txn.EncodeInt(cur-amount))
-						kv.Put(kCYtd(cw, d, c), txn.EncodeInt(txn.DecodeInt(kv.Get(kCYtd(cw, d, c)))+amount))
-						kv.Put(kCCnt(cw, d, c), txn.EncodeInt(txn.DecodeInt(kv.Get(kCCnt(cw, d, c)))+1))
+						col.put(cBal, cur-amount)
+						col.put(cYtd, col.get(cYtd)+amount)
+						col.put(cCnt, col.get(cCnt)+1)
 						return txn.EncodeInt(cur - amount)
 					},
 				}
+				history := kHistory(w, d, uid)
+				reads, writes := newKeyset(2), newKeyset(3)
+				reads.add(homeTab, wYtd, dYtd)
+				writes.add(homeTab, wYtd, dYtd)
+				writes.insert(history)
 				homePiece := &txn.Piece{
-					ReadSet:  []string{kWYtd(w), kDYtd(w, d)},
-					WriteSet: []string{kWYtd(w), kDYtd(w, d), kHistory(w, d, uid)},
+					ReadSet: reads.names, ReadIDs: reads.ids,
+					WriteSet: writes.names, WriteIDs: writes.ids,
 					Exec: func(kv txn.KV) []byte {
-						kv.Put(kWYtd(w), txn.EncodeInt(txn.DecodeInt(kv.Get(kWYtd(w)))+amount))
-						kv.Put(kDYtd(w, d), txn.EncodeInt(txn.DecodeInt(kv.Get(kDYtd(w, d)))+amount))
-						kv.Put(kHistory(w, d, uid), txn.EncodeInt(amount))
+						col := open(kv, homeTab)
+						col.put(wYtd, col.get(wYtd)+amount)
+						col.put(dYtd, col.get(dYtd)+amount)
+						kv.Put(history, txn.EncodeInt(amount))
 						return txn.EncodeInt(0)
 					},
 				}
@@ -365,16 +520,21 @@ func (g *Gen) OrderStatus(rng *rand.Rand) *txn.Interactive {
 	d := 1 + rng.Intn(g.cfg.Districts)
 	c := 1 + rng.Intn(g.cfg.Customers)
 	sh := g.ShardOf(w)
+	tab := g.tab(sh)
+	cBal, cLast := g.cID(w, d, c)+colCBal, g.cID(w, d, c)+colCLast
 	return &txn.Interactive{
 		Label: "orderstatus",
 		Next: func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 			switch stage {
 			case 0:
+				reads := newKeyset(2)
+				reads.add(tab, cBal, cLast)
 				t := &txn.Txn{Label: "orderstatus-c", ReadOnly: true, Pieces: map[int]*txn.Piece{
 					sh: {
-						ReadSet: []string{kCBal(w, d, c), kCLastO(w, d, c)},
+						ReadSet: reads.names, ReadIDs: reads.ids,
 						Exec: func(kv txn.KV) []byte {
-							return append(kv.Get(kCBal(w, d, c)), kv.Get(kCLastO(w, d, c))...)
+							col := open(kv, tab)
+							return append(col.raw(cBal), col.raw(cLast)...)
 						},
 					},
 				}}
@@ -387,11 +547,13 @@ func (g *Gen) OrderStatus(rng *rand.Rand) *txn.Interactive {
 				if last == 0 {
 					return nil, true, false // customer has no orders yet
 				}
+				// The order rows were inserted: names only, no ids.
+				order, total := kOrder(w, d, last), kOTotal(w, d, last)
 				t := &txn.Txn{Label: "orderstatus-o", ReadOnly: true, Pieces: map[int]*txn.Piece{
 					sh: {
-						ReadSet: []string{kOrder(w, d, last), kOTotal(w, d, last)},
+						ReadSet: []string{order, total},
 						Exec: func(kv txn.KV) []byte {
-							return append(kv.Get(kOrder(w, d, last)), kv.Get(kOTotal(w, d, last))...)
+							return append(kv.Get(order), kv.Get(total)...)
 						},
 					},
 				}}
@@ -416,23 +578,24 @@ func (g *Gen) Delivery(rng *rand.Rand) *txn.Interactive {
 		custs[d] = 1 + rng.Intn(g.cfg.Customers)
 	}
 	nd := g.cfg.Districts
+	tab := g.tab(sh)
 	return &txn.Interactive{
 		Label: "delivery",
 		Next: func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 			switch stage {
 			case 0:
-				reads := make([]string, 0, 2*nd)
+				reads := newKeyset(2 * nd)
 				for d := 1; d <= nd; d++ {
-					reads = append(reads, kNoHead(w, d), kDNextOID(w, d))
+					reads.add(tab, g.dID(w, d)+colNoHead, g.dID(w, d)+colDNextOID)
 				}
 				t := &txn.Txn{Label: "delivery-scan", ReadOnly: true, Pieces: map[int]*txn.Piece{
 					sh: {
-						ReadSet: reads,
+						ReadSet: reads.names, ReadIDs: reads.ids,
 						Exec: func(kv txn.KV) []byte {
+							col := open(kv, tab)
 							out := make([]byte, 0, 16*nd)
-							for d := 1; d <= nd; d++ {
-								out = append(out, kv.Get(kNoHead(w, d))...)
-								out = append(out, kv.Get(kDNextOID(w, d))...)
+							for _, id := range reads.ids {
+								out = append(out, col.raw(id)...)
 							}
 							return out
 						},
@@ -442,8 +605,9 @@ func (g *Gen) Delivery(rng *rand.Rand) *txn.Interactive {
 			case 1:
 				buf := prev.PerShard[sh]
 				type dd struct {
-					d    int
-					head int64
+					head         int64
+					noHead, cBal txn.KeyID
+					carrierRow   string // o_carrier of the order at head+1
 				}
 				var todo []dd
 				for d := 1; d <= nd; d++ {
@@ -454,32 +618,34 @@ func (g *Gen) Delivery(rng *rand.Rand) *txn.Interactive {
 					head := txn.DecodeInt(buf[off : off+8])
 					next := txn.DecodeInt(buf[off+8 : off+16])
 					if head+1 < next {
-						todo = append(todo, dd{d: d, head: head})
+						todo = append(todo, dd{head: head, noHead: g.dID(w, d) + colNoHead,
+							cBal: g.cID(w, d, custs[d]) + colCBal, carrierRow: kOCarrier(w, d, head+1)})
 					}
 				}
 				if len(todo) == 0 {
 					return nil, true, false
 				}
-				var reads, writes []string
+				reads, writes := newKeyset(2*len(todo)), newKeyset(3*len(todo))
 				for _, x := range todo {
-					reads = append(reads, kNoHead(w, x.d), kCBal(w, x.d, custs[x.d]))
-					writes = append(writes, kNoHead(w, x.d), kOCarrier(w, x.d, x.head+1), kCBal(w, x.d, custs[x.d]))
+					reads.add(tab, x.noHead, x.cBal)
+					writes.add(tab, x.noHead)
+					writes.insert(x.carrierRow)
+					writes.add(tab, x.cBal)
 				}
 				t := &txn.Txn{Label: "delivery-run", Pieces: map[int]*txn.Piece{
 					sh: {
-						ReadSet:  reads,
-						WriteSet: writes,
+						ReadSet: reads.names, ReadIDs: reads.ids,
+						WriteSet: writes.names, WriteIDs: writes.ids,
 						Exec: func(kv txn.KV) []byte {
+							col := open(kv, tab)
 							var n int64
 							for _, x := range todo {
-								head := txn.DecodeInt(kv.Get(kNoHead(w, x.d)))
-								if head != x.head {
+								if col.get(x.noHead) != x.head {
 									continue // another delivery got here first
 								}
-								kv.Put(kNoHead(w, x.d), txn.EncodeInt(head+1))
-								kv.Put(kOCarrier(w, x.d, head+1), txn.EncodeInt(carrier))
-								bal := txn.DecodeInt(kv.Get(kCBal(w, x.d, custs[x.d])))
-								kv.Put(kCBal(w, x.d, custs[x.d]), txn.EncodeInt(bal+100))
+								col.put(x.noHead, x.head+1)
+								kv.Put(x.carrierRow, txn.EncodeInt(carrier))
+								col.put(x.cBal, col.get(x.cBal)+100)
 								n++
 							}
 							return txn.EncodeInt(n)
@@ -502,21 +668,20 @@ func (g *Gen) StockLevel(rng *rand.Rand) *txn.Txn {
 	d := 1 + rng.Intn(g.cfg.Districts)
 	sh := g.ShardOf(w)
 	threshold := int64(10 + rng.Intn(11))
-	items := make([]int, 20)
-	for i := range items {
-		items[i] = 1 + rng.Intn(g.cfg.Items)
-	}
-	reads := []string{kDNextOID(w, d)}
-	for _, i := range items {
-		reads = append(reads, kSQty(w, i))
+	tab := g.tab(sh)
+	reads := newKeyset(21)
+	reads.add(tab, g.dID(w, d)+colDNextOID)
+	for i := 0; i < 20; i++ {
+		reads.add(tab, g.iID(w, 1+rng.Intn(g.cfg.Items))+colSQty)
 	}
 	return &txn.Txn{Label: "stocklevel", ReadOnly: true, Pieces: map[int]*txn.Piece{
 		sh: {
-			ReadSet: reads,
+			ReadSet: reads.names, ReadIDs: reads.ids,
 			Exec: func(kv txn.KV) []byte {
+				col := open(kv, tab)
 				var low int64
-				for _, i := range items {
-					if txn.DecodeInt(kv.Get(kSQty(w, i))) < threshold {
+				for _, id := range reads.ids[1:] {
+					if col.get(id) < threshold {
 						low++
 					}
 				}

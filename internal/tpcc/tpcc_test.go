@@ -2,6 +2,7 @@ package tpcc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"tiga/internal/store"
@@ -261,5 +262,206 @@ func TestShardOf(t *testing.T) {
 	g := New(TestConfig(3))
 	if g.ShardOf(1) != 0 || g.ShardOf(2) != 1 || g.ShardOf(4) != 0 {
 		t.Fatal("warehouse sharding")
+	}
+}
+
+// eachColumn calls f with the id the layout gives every seeded column and
+// the name and initial value the specification (the k* formatters and the
+// pre-population rules) gives it.
+func eachColumn(g *Gen, f func(shard int, id txn.KeyID, name string, val int64)) {
+	for w := 1; w <= g.cfg.Warehouses; w++ {
+		sh := g.ShardOf(w)
+		f(sh, g.wID(w)+colWTax, kWTax(w), 7)
+		f(sh, g.wID(w)+colWYtd, kWYtd(w), 0)
+		for d := 1; d <= g.cfg.Districts; d++ {
+			f(sh, g.dID(w, d)+colDTax, kDTax(w, d), 8)
+			f(sh, g.dID(w, d)+colDYtd, kDYtd(w, d), 0)
+			f(sh, g.dID(w, d)+colDNextOID, kDNextOID(w, d), 1)
+			f(sh, g.dID(w, d)+colNoHead, kNoHead(w, d), 0)
+			for c := 1; c <= g.cfg.Customers; c++ {
+				f(sh, g.cID(w, d, c)+colCBal, kCBal(w, d, c), -1000)
+				f(sh, g.cID(w, d, c)+colCYtd, kCYtd(w, d, c), 1000)
+				f(sh, g.cID(w, d, c)+colCCnt, kCCnt(w, d, c), 1)
+				f(sh, g.cID(w, d, c)+colCDisc, kCDisc(w, d, c), 5)
+				f(sh, g.cID(w, d, c)+colCLast, kCLastO(w, d, c), 0)
+			}
+		}
+		for i := 1; i <= g.cfg.Items; i++ {
+			f(sh, g.iID(w, i)+colIPrice, kIPrice(w, i), int64(100+i%900))
+			f(sh, g.iID(w, i)+colSQty, kSQty(w, i), 100)
+			f(sh, g.iID(w, i)+colSYtd, kSYtd(w, i), 0)
+			f(sh, g.iID(w, i)+colSCnt, kSCnt(w, i), 0)
+		}
+	}
+}
+
+// The closed-form layout is the seeding order: after Seed every row is
+// interned, id i of a shard's store is the column the layout puts at i, named
+// as its formatter names it and holding its specified initial value. Two
+// warehouses share a shard in the second configuration.
+func TestSeedInternsTheLayout(t *testing.T) {
+	for _, cfg := range []Config{TestConfig(3), {Shards: 2, Warehouses: 5, Districts: 3, Customers: 7, Items: 1100}} {
+		g := New(cfg)
+		sts := seededStores(g, cfg.Shards)
+		rows := make([]int, cfg.Shards)
+		eachColumn(g, func(sh int, id txn.KeyID, name string, val int64) {
+			rows[sh]++
+			if int(id) >= sts[sh].Interned() {
+				t.Fatalf("%s: id %d beyond the %d interned keys of shard %d", name, id, sts[sh].Interned(), sh)
+			}
+			if got, ok := sts[sh].Lookup(name); !ok || got != id {
+				t.Fatalf("shard %d interned %q as %d (%v), the layout says %d", sh, name, got, ok, id)
+			}
+			if got := g.tab(sh)[id]; got != name {
+				t.Fatalf("shard %d: name table entry %d is %q, want %q", sh, id, got, name)
+			}
+			if got := txn.DecodeInt(sts[sh].GetID(id)); got != val || txn.DecodeInt(sts[sh].Get(name)) != val {
+				t.Fatalf("%s seeded with %d, want %d", name, got, val)
+			}
+		})
+		for sh, st := range sts {
+			if st.Interned() != rows[sh] || st.Len() != rows[sh] {
+				t.Errorf("shard %d: %d interned, %d present, want %d rows", sh, st.Interned(), st.Len(), rows[sh])
+			}
+		}
+	}
+}
+
+// Next must not depend on Seed having built the name tables (the benchmark's
+// generator rows draw from a generator that never seeds a store).
+func TestNextBeforeSeed(t *testing.T) {
+	g := New(TestConfig(3))
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		job := g.Next(rng)
+		tx := job.T
+		if job.I != nil {
+			tx, _, _ = job.I.Next(0, nil)
+		}
+		for sh, p := range tx.Pieces {
+			if len(p.ReadSet) == 0 || len(p.ReadIDs) != len(p.ReadSet) || len(p.WriteIDs) != len(p.WriteSet) {
+				t.Fatalf("%s piece on shard %d: %d/%d read ids, %d/%d write ids", job.Label, sh,
+					len(p.ReadIDs), len(p.ReadSet), len(p.WriteIDs), len(p.WriteSet))
+			}
+		}
+	}
+}
+
+// nameOnly hides a view's txn.IDKV half, so executors take their name path.
+type nameOnly struct{ txn.KV }
+
+// byName is p with its executor confined to the string KV.
+func byName(p *txn.Piece) *txn.Piece {
+	return &txn.Piece{ReadSet: p.ReadSet, WriteSet: p.WriteSet,
+		Exec: func(kv txn.KV) []byte { return p.Exec(nameOnly{kv}) }}
+}
+
+// The id path and the name path are one behaviour: the same seeded job stream
+// executed through the store's ID view and through a name-only txn.KV gives
+// byte-identical piece results at every stage and equal stores, for every
+// transaction type — a merged home+stock New-Order, a same-shard (merged)
+// Payment, a Payment chain that fails validation and restarts, Order-Status
+// on an inserted order, a Delivery that assigns carriers, Stock-Level.
+func TestIDAndNamePathsAgree(t *testing.T) {
+	cfg := Config{Shards: 3, Warehouses: 3, Districts: 2, Customers: 5, Items: 60}
+	type side struct {
+		g   *Gen
+		rng *rand.Rand
+		sts []*store.Store
+		seq uint64
+	}
+	mk := func() *side {
+		g := New(cfg)
+		return &side{g: g, rng: rand.New(rand.NewSource(12)), sts: seededStores(g, cfg.Shards)}
+	}
+	ids, names := mk(), mk()
+	covered := map[string]int{}
+	// run executes the same transaction on both sides and returns the id
+	// side's result after checking the name side produced the same bytes.
+	run := func(label string, a, b *txn.Txn) *txn.Result {
+		t.Helper()
+		for sh, p := range b.Pieces {
+			b.Pieces[sh] = byName(p)
+		}
+		ra, rb := execAll(t, ids.sts, a, &ids.seq), execAll(t, names.sts, b, &names.seq)
+		if len(ra.PerShard) != len(rb.PerShard) {
+			t.Fatalf("%s: %d vs %d piece results", label, len(ra.PerShard), len(rb.PerShard))
+		}
+		for sh, out := range ra.PerShard {
+			if string(out) != string(rb.PerShard[sh]) {
+				t.Fatalf("%s on shard %d: id path returned %x, name path %x", label, sh, out, rb.PerShard[sh])
+			}
+		}
+		return ra
+	}
+	var chain func(label string, a, b *txn.Interactive, sabotage bool)
+	chain = func(label string, a, b *txn.Interactive, sabotage bool) {
+		t.Helper()
+		var prev *txn.Result
+		for stage := 0; ; stage++ {
+			ta, done, abort := a.Next(stage, prev)
+			tb, doneB, abortB := b.Next(stage, prev)
+			if done != doneB || abort != abortB {
+				t.Fatalf("%s stage %d: id path done=%v abort=%v, name path done=%v abort=%v", label, stage, done, abort, doneB, abortB)
+			}
+			if abort {
+				covered[label+"-restart"]++
+				chain(label, a, b, false) // restart from stage 0, as the chain driver does
+				return
+			}
+			if done {
+				return
+			}
+			if len(ta.Pieces) == 1 && stage == 1 {
+				covered[label+"-one-shard"]++
+			}
+			prev = run(ta.Label, ta, tb)
+			covered[ta.Label]++
+			if ta.Label == "delivery-run" {
+				for _, out := range prev.PerShard {
+					covered["carriers"] += int(txn.DecodeInt(out))
+				}
+			}
+			if sabotage && stage == 0 {
+				// An intervening writer moves the balance stage 0 just read.
+				for sh, p := range ta.Pieces {
+					k := p.ReadSet[0]
+					v := txn.EncodeInt(txn.DecodeInt(ids.sts[sh].Get(k)) - 777)
+					ids.sts[sh].Seed(k, v)
+					names.sts[sh].Seed(k, v)
+				}
+			}
+		}
+	}
+	chains := 0
+	for i := 0; i < 600; i++ {
+		ja, jb := ids.g.Next(ids.rng), names.g.Next(names.rng)
+		if ja.Label != jb.Label {
+			t.Fatalf("job %d: the two generators diverged (%s vs %s)", i, ja.Label, jb.Label)
+		}
+		switch {
+		case ja.T != nil:
+			for _, p := range ja.T.Pieces {
+				if len(p.WriteSet) > 4 && slices.Contains(p.WriteIDs, txn.NoKeyID) {
+					covered["merged-neworder"]++
+				}
+			}
+			run(ja.Label, ja.T, jb.T)
+			covered[ja.Label]++
+		default:
+			chains++
+			chain(ja.Label, ja.I, jb.I, ja.Label == "payment" && chains%5 == 0)
+		}
+	}
+	for _, want := range []string{"neworder", "merged-neworder", "stocklevel", "payment-read", "payment-write",
+		"payment-one-shard", "payment-restart", "orderstatus-c", "orderstatus-o", "delivery-scan", "delivery-run", "carriers"} {
+		if covered[want] == 0 {
+			t.Errorf("the job stream never exercised %s (covered: %v)", want, covered)
+		}
+	}
+	for sh := range ids.sts {
+		if !ids.sts[sh].Equal(names.sts[sh]) || !names.sts[sh].Equal(ids.sts[sh]) {
+			t.Errorf("shard %d: stores differ between the id path and the name path", sh)
+		}
 	}
 }

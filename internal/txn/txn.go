@@ -7,6 +7,7 @@ package txn
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 	"time"
 
@@ -64,11 +65,19 @@ type KV interface {
 }
 
 // KeyID is a dense per-shard interned key index: key i of a shard's seeded
-// keyspace (store.SeedBulk order, which the workload generators make equal to
-// their own key index). A piece executes on exactly one shard, so its ids
-// need no shard qualifier. IDs exist alongside — never instead of — the
-// string names: wire formats, checkers, and TPC-C stay on strings.
+// keyspace (store.SeedBulk order, which every workload generator, TPC-C
+// included, makes equal to its own key index). A piece executes on exactly one
+// shard, so its ids need no shard qualifier. Tiga's serving path — conflict
+// state, execution, snapshot reads — runs on ids; the string names stay
+// authoritative for the baselines, the checkers and rendering, and for keys no
+// generator can number ahead of time (rows a transaction inserts), which a
+// store numbers itself (store.Intern) when it first meets them.
 type KeyID = uint32
+
+// NoKeyID marks a position of ReadIDs/WriteIDs whose key has no id the
+// workload could know (an inserted row): whoever needs one asks the shard's
+// store for it by name.
+const NoKeyID = ^KeyID(0)
 
 // IDKV is the interned fast path a store view may additionally implement:
 // slice-indexed reads and writes that never hash a key string. Piece
@@ -90,18 +99,24 @@ type Piece struct {
 	ReadSet  []string
 	WriteSet []string
 	// ReadIDs/WriteIDs are the interned forms of ReadSet/WriteSet, set by
-	// workloads whose keyspace is seeded densely (micro/uniform/ycsbt/
-	// hotwrite); nil for string-only workloads. When set, they are
-	// positionally parallel to the string sets.
+	// workloads whose keyspace is seeded densely (every registered one); nil
+	// for hand-built string pieces. When set, they are positionally parallel
+	// to the string sets, with NoKeyID where only the name is known.
 	ReadIDs  []KeyID
 	WriteIDs []KeyID
 	Exec     PieceFunc
 }
 
+// Numbered reports whether ids gives an id for every key of names, so the
+// slice can stand for the set as it is.
+func Numbered(names []string, ids []KeyID) bool {
+	return len(ids) == len(names) && !slices.Contains(ids, NoKeyID)
+}
+
 // Interned reports whether the piece carries ids for its whole declared
 // read/write set, making the ID fast paths usable.
 func (p *Piece) Interned() bool {
-	return len(p.ReadIDs) == len(p.ReadSet) && len(p.WriteIDs) == len(p.WriteSet) &&
+	return Numbered(p.ReadSet, p.ReadIDs) && Numbered(p.WriteSet, p.WriteIDs) &&
 		(len(p.ReadIDs) > 0 || len(p.WriteIDs) > 0)
 }
 
