@@ -162,6 +162,24 @@ func TestGoldenTextRenderer(t *testing.T) {
 			o.Protocols = []string{"Detock"}
 			return Table2(o)
 		}},
+		{"fig9-detock", func(t *testing.T) *report.Report {
+			// Captured at PR 15, before Detock's engine was rewritten to order
+			// and release per touched key: with 60 outstanding per coordinator
+			// the engines' queues pass the default ddr-scan window of 256 in
+			// three passes of four, so the capped DDR charge is pinned too.
+			o := goldenOpts()
+			o.Protocols = []string{"Detock"}
+			o.Ops = map[string]OpPoint{"Detock": {Outstanding: 60}}
+			return Fig9(o)
+		}},
+		{"fig10-detock", func(t *testing.T) *report.Report {
+			// Captured with fig9-detock: TPC-C's multi-key pieces, inserted
+			// rows (NoKeyID) and interactive chains on Detock.
+			o := goldenOpts()
+			o.Protocols = []string{"Detock"}
+			o.Ops = map[string]OpPoint{"Detock": {Outstanding: 150}}
+			return Fig10(o)
+		}},
 	}
 	for _, tc := range cases {
 		tc := tc
