@@ -20,6 +20,13 @@
 //	go run ./cmd/allocprof -workload tpcc -shards 6 -keys 5000 -rate 1000 \
 //	    -outstanding 300 -duration 3.5s -cpuprofile cpu.out
 //
+// and one point of its sweep-nine workload — here Detock's — is (this
+// deployment has 4 coordinators to the benchmark's 8, so -rate 500 gives the
+// benchmark's 2 000 txn/s)
+//
+//	go run ./cmd/allocprof -protocol Detock -keys 20000 -rate 500 \
+//	    -outstanding 400 -duration 2800ms -cpuprofile cpu.out
+//
 // The per-txn allocation budget is a first-class serving-path metric (see
 // EXPERIMENTS.md "Allocation budget"); this harness is how regressions get
 // localized once the simbench benchdiff gate trips.

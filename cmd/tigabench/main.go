@@ -243,6 +243,9 @@ func printKnobs(w io.Writer) {
 			if d, ok := k.Default.(time.Duration); ok {
 				def = d.String()
 			}
+			if k.Min != nil {
+				def += fmt.Sprintf(", min %v", k.Min)
+			}
 			fmt.Fprintf(w, "  -set %s.%s=<%s>  (default %s)\n      %s\n",
 				p, k.Name, k.Type, def, k.Doc)
 		}

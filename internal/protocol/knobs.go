@@ -40,7 +40,10 @@ type Knob struct {
 	Name    string
 	Type    KnobType
 	Default any
-	Doc     string
+	// Min, when set, is the smallest value the knob accepts (a value of the
+	// knob's type; bool knobs have none).
+	Min any
+	Doc string
 }
 
 // Schema is the ordered set of knobs a protocol registers alongside its
@@ -61,10 +64,37 @@ func (s Schema) Validate(owner string) {
 			panic(fmt.Sprintf("%s: duplicate knob %q", owner, k.Name))
 		}
 		seen[k.Name] = true
-		if _, err := coerce(k.Type, k.Default); err != nil {
+		if k.Min != nil {
+			if _, err := coerce(k.Type, k.Min); err != nil || k.Type == KnobBool {
+				panic(fmt.Sprintf("%s: knob %q minimum %v: not a bound on a %s", owner, k.Name, k.Min, k.Type))
+			}
+		}
+		if _, err := k.accept(k.Default); err != nil {
 			panic(fmt.Sprintf("%s: knob %q default %v: %v", owner, k.Name, k.Default, err))
 		}
 	}
+}
+
+// accept normalizes v to the knob's canonical Go type and checks it against
+// the knob's minimum.
+func (k Knob) accept(v any) (any, error) {
+	v, err := coerce(k.Type, v)
+	if err != nil || k.Min == nil {
+		return v, err
+	}
+	var below bool
+	switch min, _ := coerce(k.Type, k.Min); min := min.(type) {
+	case int:
+		below = v.(int) < min
+	case float64:
+		below = v.(float64) < min
+	case time.Duration:
+		below = v.(time.Duration) < min
+	}
+	if below {
+		return nil, fmt.Errorf("%v is below the minimum %v", v, k.Min)
+	}
+	return v, nil
 }
 
 // Find returns the declared knob with the given name.
@@ -93,8 +123,9 @@ func (s Schema) Names() []string {
 type Values map[string]any
 
 // Resolve validates a raw knob override map against the schema: unknown
-// names and type mismatches are errors, and knobs absent from raw are filled
-// with their declared defaults. raw may be nil.
+// names, type mismatches and values below a knob's minimum are errors, and
+// knobs absent from raw are filled with their declared defaults. raw may be
+// nil.
 func (s Schema) Resolve(raw map[string]any) (Values, error) {
 	out := make(Values, len(s))
 	for _, k := range s {
@@ -112,7 +143,7 @@ func (s Schema) Resolve(raw map[string]any) (Values, error) {
 		if !ok {
 			return nil, fmt.Errorf("unknown knob %q (valid: %s)", name, strings.Join(s.Names(), ", "))
 		}
-		v, err := coerce(k.Type, raw[name])
+		v, err := k.accept(raw[name])
 		if err != nil {
 			return nil, fmt.Errorf("knob %q: %v", name, err)
 		}
@@ -151,9 +182,20 @@ func coerce(t KnobType, v any) (any, error) {
 	return nil, fmt.Errorf("want %s, got %T (%v)", t, v, v)
 }
 
-// ParseValue parses a CLI string into the knob's declared type (used by
-// cmd/tigabench -set).
+// ParseValue parses a CLI string into the knob's declared type and checks it
+// against the knob's minimum (used by cmd/tigabench -set).
 func ParseValue(k Knob, s string) (any, error) {
+	v, err := parseValue(k, s)
+	if err != nil {
+		return nil, err
+	}
+	if v, err = k.accept(v); err != nil {
+		return nil, fmt.Errorf("knob %q: %v", k.Name, err)
+	}
+	return v, nil
+}
+
+func parseValue(k Knob, s string) (any, error) {
 	switch k.Type {
 	case KnobBool:
 		b, err := strconv.ParseBool(s)

@@ -4,6 +4,7 @@
 package protocol_test
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -160,4 +161,50 @@ func TestTigaKnobDefaultsMatchConfig(t *testing.T) {
 			t.Errorf("Tiga knob %s default %v drifted from DefaultConfig %v", name, vals[name], want)
 		}
 	}
+}
+
+// TestKnobMinimum: a value below a knob's declared minimum is rejected by
+// every validation path — Resolve, which Build runs, and the CLI's ParseValue —
+// naming the minimum; the bound itself is accepted. Detock's scan window used
+// to take 0 as "the default" and panic on a negative bound mid-sweep.
+func TestKnobMinimum(t *testing.T) {
+	schema, _ := protocol.Knobs("Detock")
+	knob, ok := schema.Find("ddr-scan")
+	if !ok || knob.Min != 1 {
+		t.Fatalf("Detock.ddr-scan = %+v, want a minimum of 1", knob)
+	}
+	for _, bad := range []int{0, -1} {
+		_, err := protocol.ResolveKnobs("Detock", map[string]any{"ddr-scan": bad})
+		if err == nil || !strings.Contains(err.Error(), "below the minimum 1") {
+			t.Errorf("ResolveKnobs(ddr-scan=%d) = %v, want a below-the-minimum error", bad, err)
+		}
+		if _, err := protocol.ParseValue(knob, strconv.Itoa(bad)); err == nil || !strings.Contains(err.Error(), "below the minimum 1") {
+			t.Errorf("ParseValue(ddr-scan, %d) = %v, want a below-the-minimum error", bad, err)
+		}
+	}
+	if vals, err := protocol.ResolveKnobs("Detock", map[string]any{"ddr-scan": 1}); err != nil || vals.Int("ddr-scan") != 1 {
+		t.Errorf("ResolveKnobs(ddr-scan=1) = %v, %v", vals, err)
+	}
+	if v, err := protocol.ParseValue(knob, "1"); err != nil || v != 1 {
+		t.Errorf("ParseValue(ddr-scan, 1) = %v, %v", v, err)
+	}
+
+	// Minimums apply to every ordered knob type, and a schema cannot declare
+	// one its default breaks.
+	dur := protocol.Schema{{Name: "d", Type: protocol.KnobDuration, Default: time.Second, Min: time.Millisecond}}
+	dur.Validate("test")
+	if _, err := dur.Resolve(map[string]any{"d": time.Microsecond}); err == nil {
+		t.Error("a duration below its minimum resolved")
+	}
+	flt := protocol.Schema{{Name: "f", Type: protocol.KnobFloat, Default: 0.5, Min: 0}}
+	flt.Validate("test")
+	if _, err := flt.Resolve(map[string]any{"f": -0.1}); err == nil {
+		t.Error("a float below its minimum resolved")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a schema whose default is below its minimum validated")
+		}
+	}()
+	protocol.Schema{{Name: "n", Type: protocol.KnobInt, Default: 0, Min: 1}}.Validate("test")
 }

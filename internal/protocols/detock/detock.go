@@ -13,10 +13,10 @@
 package detock
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
-	"tiga/internal/graph"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
@@ -65,35 +65,103 @@ type replAck struct {
 	Region int
 }
 
-type resultMsg struct {
-	Region int
-	ID     txn.ID
-	Ret    map[int][]byte // shard -> result, for shards homed here
+type shardRet struct {
+	shard int
+	ret   []byte
 }
 
+type resultMsg struct {
+	ID  txn.ID
+	Ret []shardRet // results of the shards homed at the sender
+}
+
+// dtxn is one transaction at one of its home engines.
 type dtxn struct {
-	t       *txn.Txn
-	coord   simnet.NodeID
-	queued  bool
-	homes   []int
-	seqs    map[int]uint64 // region -> local sequence
-	key     uint64         // deterministic global order key
+	t     *txn.Txn
+	coord simnet.NodeID
+	homes []int
+	seqs  []uint64 // region -> local sequence, 0 while unknown
+	nseq  int
+	// key is the deterministic global order key (0 while unordered); tie
+	// places the transaction among equal keys, see order.
+	key     uint64
+	tie     int64
 	ordered bool
 	done    bool
-	acks    map[int]bool
-	rets    map[int][]byte
+	isCand  bool
+	mark    uint64
+	acc     []access
+	rets    []shardRet
+}
+
+// compare orders ordered transactions by (key, tie).
+func (d *dtxn) compare(o *dtxn) int {
+	if c := cmp.Compare(d.key, o.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(d.tie, o.tie)
+}
+
+// keyQ is the wait state of one key: the queued transactions that touch it.
+// It exists while there is one.
+type keyQ struct {
+	k   uint64
+	un  []waiter // not yet ordered; every one gates the ordered ones
+	unW int      // writers among un
+	ord []waiter // ordered and not executed, ascending
+}
+
+// waiter is a transaction in a key's wait lists; a transaction that reads and
+// writes the key waits as a writer.
+type waiter struct {
+	d     *dtxn
+	write bool
+}
+
+// access is one key of a queued transaction.
+type access struct {
+	q     *keyQ
+	write bool
 }
 
 // engine is one region's Detock server: it orders and executes transactions
 // whose home is this region and holds a replica of all data.
+//
+// The queue of the transactions it knows and has not executed is kept in two
+// halves: unordered, by arrival, and ordered, ascending by (key, tie).
+// An ordered transaction executes once no queued transaction before it —
+// every unordered one, and the ordered ones below it — conflicts with it. The
+// per-key wait lists answer that from the transaction's own keys, so ordering
+// one transaction costs its keys and the transactions waiting on them, not the
+// queue.
 type engine struct {
 	sys    *System
 	region int
 	node   *simnet.Node
-	sts    map[int]*store.Store // shard -> store (full copy per region)
+	sts    []*store.Store // shard -> store (full copy per region)
 	seq    uint64
 	txns   map[uint64]*dtxn
-	queue  []*dtxn
+
+	unordered []*dtxn // ascending by local sequence number
+	ordered   []*dtxn
+	// seen is how many of unordered were queued when the last transaction was
+	// ordered; those and the ordered ones precede the later arrivals in the
+	// deadlock-resolution scan.
+	seen   int
+	orders int64
+	keys   map[uint64]*keyQ
+	freeQ  []*keyQ
+	cand   []*dtxn // release candidates, descending
+	marks  uint64
+	packed []uint64
+	repl   []simnet.Message
+
+	// probes counts the wait-list entries and per-key states examined (tests
+	// bound it per transaction).
+	probes int64
+	// onCharge, when a test sets it, sees every deadlock-resolution charge
+	// (exec false) and every execution (exec true) as it happens.
+	onCharge func(d *dtxn, exec bool, work time.Duration)
 }
 
 // System is a running Detock deployment.
@@ -122,12 +190,13 @@ func New(spec Spec) *System {
 	for reg := 0; reg < spec.Regions; reg++ {
 		node := spec.Net.AddNode(simnet.Region(reg), nil)
 		en := &engine{sys: sys, region: reg, node: node,
-			sts: make(map[int]*store.Store), txns: make(map[uint64]*dtxn)}
+			txns: make(map[uint64]*dtxn), keys: make(map[uint64]*keyQ)}
 		for sh := 0; sh < spec.Shards; sh++ {
-			en.sts[sh] = store.New()
+			st := store.New()
 			if spec.Seed != nil {
-				spec.Seed(sh, en.sts[sh])
+				spec.Seed(sh, st)
 			}
+			en.sts = append(en.sts, st)
 		}
 		node.SetHandler(en.handle)
 		sys.engines = append(sys.engines, en)
@@ -153,15 +222,13 @@ func (sys *System) Store(region, shard int) *store.Store { return sys.engines[re
 
 // homesOf returns the sorted home regions involved in t.
 func (sys *System) homesOf(t *txn.Txn) []int {
-	set := make(map[int]bool)
+	out := make([]int, 0, len(t.Pieces))
 	for _, sh := range t.Shards() {
-		set[sys.spec.Home(sh)] = true
+		h := sys.spec.Home(sh)
+		if i, found := slices.BinarySearch(out, h); !found {
+			out = slices.Insert(out, i, h)
+		}
 	}
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Ints(out)
 	return out
 }
 
@@ -180,26 +247,36 @@ func (en *engine) handle(from simnet.NodeID, msg simnet.Message) {
 	}
 }
 
+// lookup returns the engine's record of a transaction, creating it at the
+// first message that mentions it.
+func (en *engine) lookup(id txn.ID) *dtxn {
+	d := en.txns[tid(id)]
+	if d == nil {
+		d = &dtxn{seqs: make([]uint64, en.sys.spec.Regions)}
+		en.txns[tid(id)] = d
+	}
+	return d
+}
+
+func (d *dtxn) setSeq(region int, seq uint64) {
+	if d.seqs[region] == 0 {
+		d.nseq++
+	}
+	d.seqs[region] = seq
+}
+
 // onHomeReq assigns the local sequence number and exchanges it with the other
 // home regions of a multi-home transaction.
 func (en *engine) onHomeReq(m homeReq) {
-	id := tid(m.T.ID)
-	d := en.txns[id]
-	if d == nil {
-		d = &dtxn{seqs: make(map[int]uint64), acks: make(map[int]bool), rets: make(map[int][]byte)}
-		en.txns[id] = d
-	}
-	// The sequence exchange may have raced ahead of the home request:
-	// enqueue exactly once, whenever the body becomes known.
+	// The sequence exchange may have raced ahead of the home request: the
+	// transaction is queued here, where its body becomes known.
+	d := en.lookup(m.T.ID)
 	d.t = m.T
 	d.homes = m.Homes
-	if !d.queued {
-		d.queued = true
-		en.queue = append(en.queue, d)
-	}
 	d.coord = m.Coord
 	en.seq++
-	d.seqs[en.region] = en.seq
+	d.setSeq(en.region, en.seq)
+	en.enqueue(d)
 	for _, h := range m.Homes {
 		if h != en.region {
 			en.node.Send(en.sys.engines[h].node.ID(), seqInfo{ID: m.T.ID, Region: en.region, Seq: en.seq})
@@ -209,147 +286,310 @@ func (en *engine) onHomeReq(m homeReq) {
 }
 
 func (en *engine) onSeqInfo(m seqInfo) {
-	id := tid(m.ID)
-	d := en.txns[id]
-	if d == nil {
-		d = &dtxn{seqs: make(map[int]uint64), acks: make(map[int]bool), rets: make(map[int][]byte)}
-		en.txns[id] = d
-	}
-	d.seqs[m.Region] = m.Seq
+	d := en.lookup(m.ID)
+	d.setSeq(m.Region, m.Seq)
 	en.tryOrder(d)
 }
 
+// enqueue puts d behind the unordered transactions and enters it in the wait
+// list of every key it touches, on any shard: an unordered transaction gates
+// every conflicting ordered one, wherever the conflict is homed.
+func (en *engine) enqueue(d *dtxn) {
+	en.unordered = append(en.unordered, d)
+	ks := en.packed[:0]
+	for _, sh := range d.t.Shards() {
+		p := d.t.Pieces[sh]
+		ks = en.pack(ks, sh, p.ReadSet, p.ReadIDs, 0)
+		ks = en.pack(ks, sh, p.WriteSet, p.WriteIDs, 1)
+	}
+	// A key read and written sorts its write last: keep the last of each key.
+	slices.Sort(ks)
+	d.acc = make([]access, 0, len(ks))
+	for i, k := range ks {
+		if i+1 < len(ks) && ks[i+1]>>1 == k>>1 {
+			continue
+		}
+		q := en.keyQ(k >> 1)
+		w := waiter{d, k&1 == 1}
+		q.un = append(q.un, w)
+		if w.write {
+			q.unW++
+		}
+		d.acc = append(d.acc, access{q, w.write})
+	}
+	en.packed = ks
+}
+
+// pack appends one access set of a piece as (shard, KeyID, write) words: the
+// piece's own ids where the workload numbered the key, the id this region's
+// copy of the shard interns the name under otherwise (an inserted row, a
+// hand-built string piece), so a name and an id of one key share a wait list.
+func (en *engine) pack(ks []uint64, shard int, names []string, ids []txn.KeyID, write uint64) []uint64 {
+	for i, name := range names {
+		id := txn.NoKeyID
+		if i < len(ids) {
+			id = ids[i]
+		}
+		if id == txn.NoKeyID {
+			id = en.sts[shard].Intern(name)
+		}
+		ks = append(ks, (uint64(shard)<<32|uint64(id))<<1|write)
+	}
+	return ks
+}
+
+func (en *engine) keyQ(k uint64) *keyQ {
+	en.probes++
+	q := en.keys[k]
+	if q == nil {
+		if n := len(en.freeQ); n > 0 {
+			q, en.freeQ = en.freeQ[n-1], en.freeQ[:n-1]
+		} else {
+			q = new(keyQ)
+		}
+		q.k = k
+		en.keys[k] = q
+	}
+	return q
+}
+
 // tryOrder computes the deterministic global order key once all home regions'
-// sequence numbers are known, resolving cross-region ordering cycles (DDR).
+// sequence numbers are known, charges the deadlock resolution (DDR) over the
+// scan window, and executes what the newly ordered transaction releases.
 func (en *engine) tryOrder(d *dtxn) {
-	if d.t == nil || d.ordered || len(d.seqs) < len(d.homes) {
+	if d.t == nil || d.ordered || d.nseq < len(d.homes) {
 		return
 	}
 	d.ordered = true
-	var max uint64
-	for _, s := range d.seqs {
-		if s > max {
-			max = s
-		}
+	d.key = slices.Max(d.seqs)<<16 | (tid(d.t.ID) & 0xffff)
+	// Model the deadlock-resolution cost: a conflict graph of d and the
+	// pending transactions in the scan window that conflict with it has one
+	// node and one edge per such transaction.
+	ddr := en.sys.spec.GraphCost * time.Duration(1+2*en.windowConflicts(d))
+	en.node.Work(ddr)
+	if en.onCharge != nil {
+		en.onCharge(d, false, ddr)
 	}
-	d.key = max<<16 | (tid(d.t.ID) & 0xffff)
-	// Model the deadlock-resolution cost: build the conflict graph over
-	// pending ordered transactions and check for cycles through d.
-	g := graph.New()
-	me := tid(d.t.ID)
-	g.AddNode(me)
-	// Cap the modeled deadlock-detection scan so saturated queues do not turn
-	// per-arrival ordering into quadratic work (DDR only needs the recent
-	// conflicting window).
-	scan := en.queue
-	if max := en.sys.spec.DDRScan; len(scan) > max {
-		scan = scan[:max]
-	}
-	for _, o := range scan {
-		if o == d || o.t == nil || o.done {
-			continue
-		}
-		if o.t.ConflictsWith(d.t) {
-			oid := tid(o.t.ID)
-			if o.key < d.key {
-				g.AddEdge(oid, me)
-			} else {
-				g.AddEdge(me, oid)
-			}
-		}
-	}
-	en.node.Work(en.sys.spec.GraphCost * time.Duration(g.Len()+g.Edges()))
-	_ = g.HasCycleFrom(me)
-	en.tryExecute()
+	en.order(d)
 }
 
-// tryExecute runs ordered transactions in global key order: a transaction
-// executes once every conflicting pending transaction with a smaller key has
-// finished. A single pass with accumulated blocked-key sets makes this
-// O(queue × keys) rather than O(queue²).
-func (en *engine) tryExecute() {
-	sort.SliceStable(en.queue, func(i, j int) bool { return en.queue[i].key < en.queue[j].key })
-	blockedR := make(map[string]bool)
-	blockedW := make(map[string]bool)
-	addKeys := func(d *dtxn) {
-		for _, p := range d.t.Pieces {
-			for _, k := range p.ReadSet {
-				blockedR[k] = true
-			}
-			for _, k := range p.WriteSet {
-				blockedW[k] = true
+// windowConflicts counts the queued transactions within the DDR scan window
+// that conflict with d on a common shard. The window is the first DDRScan
+// transactions of the queue as it stood before d was ordered: the unordered
+// ones seen by the previous ordering, the ordered ones, then the arrivals
+// since. Capping the scan keeps saturated queues from turning per-arrival
+// ordering into quadratic work (DDR only needs the recent conflicting window).
+func (en *engine) windowConflicts(d *dtxn) int {
+	en.marks++
+	n := 0
+	for _, a := range d.acc {
+		n += en.countConflicts(a.q.un, d, a.write)
+		n += en.countConflicts(a.q.ord, d, a.write)
+	}
+	return n
+}
+
+func (en *engine) countConflicts(ws []waiter, d *dtxn, write bool) int {
+	en.probes += int64(len(ws))
+	n := 0
+	for _, w := range ws {
+		if o := w.d; o != d && (write || w.write) && o.mark != en.marks {
+			o.mark = en.marks
+			if en.inWindow(o) {
+				n++
 			}
 		}
 	}
-	conflicts := func(d *dtxn) bool {
-		for _, p := range d.t.Pieces {
-			for _, k := range p.WriteSet {
-				if blockedR[k] || blockedW[k] {
-					return true
-				}
-			}
-			for _, k := range p.ReadSet {
-				if blockedW[k] {
-					return true
-				}
-			}
-		}
-		return false
+	return n
+}
+
+func (en *engine) inWindow(o *dtxn) bool {
+	scan := en.sys.spec.DDRScan
+	if len(en.unordered)+len(en.ordered) <= scan {
+		return true
 	}
-	for _, d := range en.queue {
-		if d.t == nil || d.done {
+	if o.ordered {
+		return en.seen+en.ordIndex(o) < scan
+	}
+	rank := en.unIndex(o)
+	if rank >= en.seen {
+		rank += len(en.ordered)
+	}
+	return rank < scan
+}
+
+func (en *engine) unIndex(d *dtxn) int {
+	i, _ := slices.BinarySearchFunc(en.unordered, d.seqs[en.region], func(o *dtxn, seq uint64) int {
+		return cmp.Compare(o.seqs[en.region], seq)
+	})
+	return i
+}
+
+// ordIndex returns where d is, or belongs, in ordered.
+func (en *engine) ordIndex(d *dtxn) int {
+	i, _ := slices.BinarySearchFunc(en.ordered, d, (*dtxn).compare)
+	return i
+}
+
+// order moves d from the unordered half to its place among the ordered and
+// executes, in ascending order, every ordered transaction this leaves with no
+// conflicting transaction before it.
+//
+// Equal keys — max<<16 | low 16 bits of the id — go by how the queue stood
+// when d was ordered: a transaction that had been queued, unordered, through
+// an earlier ordering stood before every ordered one and stays before its
+// equals; one that arrived since stood behind them and stays behind. One
+// transaction is ordered at a time, so ±orders is a unique tie-break.
+func (en *engine) order(d *dtxn) {
+	en.orders++
+	i := en.unIndex(d)
+	d.tie = -en.orders
+	if i >= en.seen {
+		d.tie = en.orders
+	}
+	en.unordered = slices.Delete(en.unordered, i, i+1)
+	en.ordered = slices.Insert(en.ordered, en.ordIndex(d), d)
+	for _, a := range d.acc {
+		q := a.q
+		q.un = en.drop(q.un, d)
+		if a.write {
+			q.unW--
+		}
+		j := 0
+		for j < len(q.ord) && q.ord[j].d.compare(d) < 0 {
+			j++
+		}
+		en.probes += int64(j + 1)
+		q.ord = slices.Insert(q.ord, j, waiter{d, a.write})
+		en.wake(q)
+	}
+	en.push(d)
+	for n := len(en.cand); n > 0; n = len(en.cand) {
+		e := en.cand[n-1]
+		en.cand[n-1] = nil
+		en.cand = en.cand[:n-1]
+		e.isCand = false
+		if en.free(e) {
+			en.execute(e)
+		}
+	}
+	en.seen = len(en.unordered)
+}
+
+// drop takes d out of a wait list.
+func (en *engine) drop(ws []waiter, d *dtxn) []waiter {
+	j := slices.IndexFunc(ws, func(w waiter) bool { return w.d == d })
+	en.probes += int64(j + 1)
+	return slices.Delete(ws, j, j+1)
+}
+
+// wake makes candidates of the transactions at the head of q's ordered list:
+// the leading readers, or the writer when it is first.
+func (en *engine) wake(q *keyQ) {
+	if q.unW > 0 {
+		return
+	}
+	for i, w := range q.ord {
+		en.probes++
+		if w.write {
+			if i == 0 {
+				en.push(w.d)
+			}
+			return
+		}
+		en.push(w.d)
+	}
+}
+
+func (en *engine) push(d *dtxn) {
+	if d.isCand {
+		return
+	}
+	d.isCand = true
+	i, _ := slices.BinarySearchFunc(en.cand, d, func(o, d *dtxn) int { return d.compare(o) })
+	en.cand = slices.Insert(en.cand, i, d)
+}
+
+// free reports whether no queued transaction before the ordered e conflicts
+// with it.
+func (en *engine) free(e *dtxn) bool {
+	for _, a := range e.acc {
+		q := a.q
+		en.probes++
+		if a.write {
+			if len(q.un) > 0 || q.ord[0].d != e {
+				return false
+			}
 			continue
 		}
-		if !d.ordered || conflicts(d) {
-			// Unordered or blocked entries gate later conflicting ones.
-			addKeys(d)
-			continue
+		if q.unW > 0 {
+			return false
 		}
-		en.execute(d)
-	}
-	// Compact completed entries.
-	live := en.queue[:0]
-	for _, d := range en.queue {
-		if !d.done {
-			live = append(live, d)
+		for _, w := range q.ord {
+			if w.d == e {
+				break
+			}
+			en.probes++
+			if w.write {
+				return false
+			}
 		}
 	}
-	en.queue = live
+	return true
 }
 
 // execute runs the pieces homed in this region and starts synchronous
 // geo-replication of their writes.
 func (en *engine) execute(d *dtxn) {
 	d.done = true
-	writes := make(map[int]map[string][]byte)
+	i := en.ordIndex(d)
+	en.ordered = slices.Delete(en.ordered, i, i+1)
+	for _, a := range d.acc {
+		q := a.q
+		q.ord = en.drop(q.ord, d)
+		switch {
+		case len(q.ord) > 0:
+			// A writer left the head, or the last reader before a writer did.
+			if a.write || q.ord[0].write {
+				en.wake(q)
+			}
+		case len(q.un) == 0:
+			delete(en.keys, q.k)
+			en.freeQ = append(en.freeQ, q)
+		}
+	}
+	d.acc = nil
+	spec := &en.sys.spec
+	var work time.Duration
+	// Replicate in shard order — send order feeds the simulation's event
+	// order.
 	for _, sh := range d.t.Shards() {
-		if en.sys.spec.Home(sh) != en.region {
+		if spec.Home(sh) != en.region {
 			continue
 		}
-		en.node.Work(en.sys.spec.ExecCost)
-		piece := d.t.Pieces[sh]
-		d.rets[sh], writes[sh] = en.sts[sh].ExecuteBuffered(piece)
-		for k, val := range writes[sh] {
+		work += spec.ExecCost
+		ret, writes := en.sts[sh].ExecuteBuffered(d.t.Pieces[sh])
+		d.rets = append(d.rets, shardRet{sh, ret})
+		for k, val := range writes {
 			en.sts[sh].Seed(k, val)
 		}
+		en.repl = append(en.repl, replWrite{ID: d.t.ID, Shard: sh, Writes: writes})
+	}
+	en.node.Work(work)
+	if en.onCharge != nil {
+		en.onCharge(d, true, work)
 	}
 	// Synchronous geo-replication: wait for f=1 remote ack before reporting.
-	// Replicate in shard order — send order feeds the simulation's event
-	// order, so map iteration here would diverge runs.
-	repShards := make([]int, 0, len(writes))
-	for sh := range writes {
-		repShards = append(repShards, sh)
-	}
-	sort.Ints(repShards)
-	d.acks[en.region] = true
-	for reg := 0; reg < en.sys.spec.Regions; reg++ {
+	for reg, o := range en.sys.engines {
 		if reg == en.region {
 			continue
 		}
-		for _, sh := range repShards {
-			en.node.Send(en.sys.engines[reg].node.ID(), replWrite{ID: d.t.ID, Shard: sh, Writes: writes[sh]})
+		for _, m := range en.repl {
+			en.node.Send(o.node.ID(), m)
 		}
 	}
+	clear(en.repl)
+	en.repl = en.repl[:0]
 }
 
 func (en *engine) onReplWrite(from simnet.NodeID, m replWrite) {
@@ -359,26 +599,24 @@ func (en *engine) onReplWrite(from simnet.NodeID, m replWrite) {
 	en.node.Send(from, replAck{ID: m.ID, Region: en.region})
 }
 
+// onReplAck reports to the coordinator at the first remote ack — with the
+// local copy a majority of 3 — and forgets the transaction: nothing but the
+// remaining acks can mention it again, and they find no record.
 func (en *engine) onReplAck(m replAck) {
 	d := en.txns[tid(m.ID)]
 	if d == nil || !d.done {
 		return
 	}
-	d.acks[m.Region] = true
-	if len(d.acks) >= 2 && len(d.rets) > 0 { // self + 1 remote = majority of 3
-		en.node.Send(d.coord, resultMsg{Region: en.region, ID: m.ID, Ret: d.rets})
-		d.rets = make(map[int][]byte) // reply once
-	}
+	en.node.Send(d.coord, resultMsg{ID: m.ID, Ret: d.rets})
+	delete(en.txns, tid(m.ID))
 }
 
 // ---- coordinator ----
 
 type pending struct {
-	t       *txn.Txn
 	done    func(txn.Result)
 	results map[int][]byte
-	homes   int
-	got     map[int]bool
+	homes   int // home regions still to report
 }
 
 type coordinator struct {
@@ -395,9 +633,8 @@ func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
 	co.seq++
 	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
 	homes := sys.homesOf(t)
-	co.pending[t.ID] = &pending{t: t, done: done, results: make(map[int][]byte),
-		homes: len(homes), got: make(map[int]bool)}
-	m := homeReq{T: t, Coord: co.node.ID(), Homes: homes}
+	co.pending[t.ID] = &pending{done: done, results: make(map[int][]byte), homes: len(homes)}
+	var m simnet.Message = homeReq{T: t, Coord: co.node.ID(), Homes: homes}
 	for _, h := range homes {
 		co.node.Send(sys.engines[h].node.ID(), m)
 	}
@@ -409,14 +646,14 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 		return
 	}
 	p := co.pending[m.ID]
-	if p == nil || p.got[m.Region] {
+	if p == nil {
 		return
 	}
-	p.got[m.Region] = true
-	for sh, ret := range m.Ret {
-		p.results[sh] = ret
+	for _, r := range m.Ret {
+		p.results[r.shard] = r.ret
 	}
-	if len(p.got) < p.homes {
+	// Each home engine reports exactly once.
+	if p.homes--; p.homes > 0 {
 		return
 	}
 	delete(co.pending, m.ID)

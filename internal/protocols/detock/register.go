@@ -8,7 +8,7 @@ import "tiga/internal/protocol"
 func init() {
 	protocol.Register("Detock", protocol.CostProfile{Exec: 10, Aux: 5, Rank: 80},
 		protocol.Schema{
-			{Name: "ddr-scan", Type: protocol.KnobInt, Default: 256,
+			{Name: "ddr-scan", Type: protocol.KnobInt, Default: 256, Min: 1,
 				Doc: "deadlock-resolution scan window: pending transactions examined per arrival when building the conflict graph"},
 		},
 		func(ctx *protocol.BuildContext) protocol.System {
