@@ -27,6 +27,13 @@
 //	go run ./cmd/allocprof -protocol Detock -keys 20000 -rate 500 \
 //	    -outstanding 400 -duration 2800ms -cpuprofile cpu.out
 //
+// or, for the buffered view and the apply path at their busiest (Tapir
+// executes a piece on every replica at prepare and again at the decision,
+// ≈ 21 buffered executions per commit)
+//
+//	go run ./cmd/allocprof -protocol Tapir -keys 20000 -rate 500 \
+//	    -outstanding 400 -duration 2800ms
+//
 // The per-txn allocation budget is a first-class serving-path metric (see
 // EXPERIMENTS.md "Allocation budget"); this harness is how regressions get
 // localized once the simbench benchdiff gate trips.

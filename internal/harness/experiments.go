@@ -681,8 +681,7 @@ func Fig12(o Options) *report.Report {
 		rotated bool
 	}{{"Tiga-Colocate", false}, {"Tiga-Separate", true}} {
 		for _, skew := range o.skews() {
-			pt := o.point(o.microSpec("Tiga", skew, variant.rotated, clocks.ModelChrony), 80, 6)
-			pt.Load.Outstanding = 100
+			pt := o.pointCapped(o.microSpec("Tiga", skew, variant.rotated, clocks.ModelChrony), 80, 6, 100)
 			sw.add(pt, func(res *RunResult) {
 				local, remote := regionP50(res.Run, topo)
 				tab.AddRow(report.Str(variant.name), report.Num(skew), local, remote)
@@ -713,8 +712,7 @@ func Fig13(o Options) *report.Report {
 		spec := o.microSpec("Tiga", 0.99, true, clocks.ModelChrony)
 		spec.SetKnob("Tiga", "zero-headroom", zero)
 		spec.SetKnob("Tiga", "headroom-delta", time.Duration(deltaMs*float64(time.Millisecond)))
-		pt := o.point(spec, 20, 7)
-		pt.Load.Outstanding = 100
+		pt := o.pointCapped(spec, 20, 7, 100)
 		pt.KeepDeployment = true // rollback counts are read post-run
 		sw.add(pt, func(res *RunResult) {
 			rb := 0.0

@@ -36,7 +36,8 @@ var localReadStalenesses = []time.Duration{0, 50 * time.Millisecond, 200 * time.
 // the protocol's "local-reads" knob plus the cell's staleness bound.
 func (o Options) localReadSpec(proto string, staleness time.Duration, local bool) ClusterSpec {
 	spec := ClusterSpec{
-		Protocol: proto, Workload: "ycsbt", WorkloadKeys: o.keys(),
+		Protocol: proto, Topology: o.classicTopology().Name,
+		Workload: "ycsbt", WorkloadKeys: o.keys(),
 		WorkloadParams: map[string]any{"skew": 0.7, "read-ratio": 0.95},
 		Shards:         3, F: 1, Clock: clocks.ModelChrony,
 		CoordsPerRegion: 1, CoordsRemote: 2, Seed: o.Seed,

@@ -7,6 +7,7 @@ import (
 	"tiga/internal/checker"
 	"tiga/internal/clocks"
 	"tiga/internal/protocol"
+	"tiga/internal/simnet"
 )
 
 // localReadTestSpec builds a small local-reads deployment for the safe-time
@@ -201,5 +202,18 @@ func TestLocalReadsChaosRowsHonourOpCap(t *testing.T) {
 	}
 	if pre := chaos.Column("thpt")[0].Float; pre <= 0 || pre > 2*strong {
 		t.Errorf("chaos pre-fault throughput %.0f vs %.0f on the capped path row: the cap did not reach the chaos run", pre, strong)
+	}
+}
+
+// TestLocalReadSpecDeploysOnTheSelectedTopology: LocalReads and Breakdown stamp
+// their tables with the classic topology, so that is where their cells must
+// deploy (the spec used to name none and fell back to geo4 under -topo X).
+func TestLocalReadSpecDeploysOnTheSelectedTopology(t *testing.T) {
+	o := Options{Quick: true, Keys: 800, Seed: 42, Topologies: []string{"us-eu3"}}
+	if got := o.localReadSpec("Tiga", 0, true).topology().Name; got != "us-eu3" {
+		t.Errorf("-topo us-eu3: the local-read cells deploy on %q", got)
+	}
+	if got := (Options{}).localReadSpec("Tiga", 0, true).topology().Name; got != simnet.DefaultTopology {
+		t.Errorf("default: the local-read cells deploy on %q", got)
 	}
 }

@@ -88,9 +88,15 @@ func (o Options) saturate(spec ClusterSpec, perCoordRate float64) SpecRun {
 // point prepares one fixed-rate sweep point with the standard outstanding
 // cap (the rate is the sweep's X axis and stays shared).
 func (o Options) point(spec ClusterSpec, rate float64, seedOffset int64) SpecRun {
+	return o.pointCapped(spec, rate, seedOffset, 400)
+}
+
+// pointCapped is point for an experiment whose design sets its own default
+// cap; -op still overrides it.
+func (o Options) pointCapped(spec ClusterSpec, rate float64, seedOffset int64, outstanding int) SpecRun {
 	load := o.window(seedOffset)
 	load.RatePerCoord = rate
-	return o.cell(spec, OpPoint{Outstanding: 400}, load)
+	return o.cell(spec, OpPoint{Outstanding: outstanding}, load)
 }
 
 // faultRun prepares one run through a fault plan's window: no warm-up, the

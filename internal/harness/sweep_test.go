@@ -2,11 +2,13 @@ package harness
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
 
 	"tiga/internal/clocks"
+	"tiga/internal/report"
 	"tiga/internal/workload"
 )
 
@@ -46,6 +48,27 @@ func TestSweepSinksRunOnceInOrderOnOwnResult(t *testing.T) {
 		want := []string{"sink0", "sink1", "sink2", "then", "sink3", "sink4", "sink5"}
 		if !slices.Equal(log, want) {
 			t.Errorf("workers=%d: steps ran as %v, want %v", workers, log, want)
+		}
+	}
+}
+
+// TestFig12And13HonourOpCap: the two figures default to 100 outstanding per
+// coordinator by design, and -op overrides that like any other default (they
+// used to overwrite the resolved cap). Runs are deterministic, so a cap of one
+// that reaches the cells changes some cell and one that does not changes none.
+func TestFig12And13HonourOpCap(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs Fig 12 and Fig 13 twice")
+	}
+	if pt := goldenOpts().pointCapped(goldenOpts().microSpec("Tiga", 0.5, false, clocks.ModelChrony), 80, 6, 100); pt.Load.Outstanding != 100 {
+		t.Fatalf("default cap = %d, want the figures' 100", pt.Load.Outstanding)
+	}
+	capped := goldenOpts()
+	capped.Ops = map[string]OpPoint{"Tiga": {Outstanding: 1}}
+	for name, fig := range map[string]func(Options) *report.Report{"fig12": Fig12, "fig13": Fig13} {
+		free, one := fig(goldenOpts()).Find(name), fig(capped).Find(name)
+		if len(free.Rows) == 0 || reflect.DeepEqual(free.Rows, one.Rows) {
+			t.Errorf("%s: -op Tiga=,1 changed no cell of %d rows: the cap did not reach the runs", name, len(free.Rows))
 		}
 	}
 }

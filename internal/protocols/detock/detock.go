@@ -57,7 +57,7 @@ type seqInfo struct {
 type replWrite struct {
 	ID     txn.ID
 	Shard  int
-	Writes map[string][]byte
+	Writes []store.Write
 }
 
 type replAck struct {
@@ -320,19 +320,11 @@ func (en *engine) enqueue(d *dtxn) {
 	en.packed = ks
 }
 
-// pack appends one access set of a piece as (shard, KeyID, write) words: the
-// piece's own ids where the workload numbered the key, the id this region's
-// copy of the shard interns the name under otherwise (an inserted row, a
-// hand-built string piece), so a name and an id of one key share a wait list.
+// pack appends one access set of a piece as (shard, KeyID, write) words, the
+// ids being those of this region's copy of the shard (store.IDs), so a name
+// and an id of one key share a wait list.
 func (en *engine) pack(ks []uint64, shard int, names []string, ids []txn.KeyID, write uint64) []uint64 {
-	for i, name := range names {
-		id := txn.NoKeyID
-		if i < len(ids) {
-			id = ids[i]
-		}
-		if id == txn.NoKeyID {
-			id = en.sts[shard].Intern(name)
-		}
+	for _, id := range en.sts[shard].IDs(names, ids) {
 		ks = append(ks, (uint64(shard)<<32|uint64(id))<<1|write)
 	}
 	return ks
@@ -570,9 +562,7 @@ func (en *engine) execute(d *dtxn) {
 		work += spec.ExecCost
 		ret, writes := en.sts[sh].ExecuteBuffered(d.t.Pieces[sh])
 		d.rets = append(d.rets, shardRet{sh, ret})
-		for k, val := range writes {
-			en.sts[sh].Seed(k, val)
-		}
+		en.sts[sh].Apply(writes)
 		en.repl = append(en.repl, replWrite{ID: d.t.ID, Shard: sh, Writes: writes})
 	}
 	en.node.Work(work)
@@ -593,9 +583,7 @@ func (en *engine) execute(d *dtxn) {
 }
 
 func (en *engine) onReplWrite(from simnet.NodeID, m replWrite) {
-	for k, v := range m.Writes {
-		en.sts[m.Shard].Seed(k, v)
-	}
+	en.sts[m.Shard].Apply(m.Writes)
 	en.node.Send(from, replAck{ID: m.ID, Region: en.region})
 }
 

@@ -11,7 +11,6 @@
 package lockocc
 
 import (
-	"sort"
 	"time"
 
 	"tiga/internal/admit"
@@ -96,11 +95,10 @@ type reqExec struct {
 }
 
 type voteMsg struct {
-	Shard  int
-	ID     txn.ID
-	OK     bool
-	Ret    []byte
-	Writes map[string][]byte
+	Shard int
+	ID    txn.ID
+	OK    bool
+	Ret   []byte
 	// Span stamps (internal/trace), in sim time: ArriveS = reqExec arrival
 	// at the shard leader, LockS = every lock granted (2PL; equals ArriveS
 	// for OCC's immediate validation), DoneS = execution departure. RecvS
@@ -156,7 +154,7 @@ type committedMsg struct {
 type commitRec struct {
 	ID     txn.ID
 	TS     txn.Timestamp // coordinator-minted commit timestamp (LocalReads)
-	Writes map[string][]byte
+	Writes []store.Write
 }
 
 type pendingSrv struct {
@@ -170,7 +168,7 @@ type pendingSrv struct {
 	// reboot: locks are re-acquired and the piece re-executed before the
 	// commit record is proposed.
 	relocking bool
-	writes    map[string][]byte
+	writes    []store.Write
 	waiting   int      // outstanding lock grants (2PL)
 	occHeld   []string // OCC: write-locked keys
 	occRead   []string // OCC: read-marked keys
@@ -550,7 +548,7 @@ func (s *server) onReqExec(m reqExec) {
 		p.voted = true
 		ret, writes := s.st.ExecuteBuffered(piece)
 		p.writes = writes
-		s.node.Send(m.Coord, voteMsg{Shard: s.shard, ID: id, OK: true, Ret: ret, Writes: writes,
+		s.node.Send(m.Coord, voteMsg{Shard: s.shard, ID: id, OK: true, Ret: ret,
 			ArriveS: p.prepTS, LockS: p.prepTS, DoneS: s.node.Busy()})
 		s.armDecisionQuery(id)
 		return
@@ -590,7 +588,7 @@ func (s *server) finishLock(id txn.ID) {
 	s.node.Work(s.sys.spec.ExecCost)
 	ret, writes := s.st.ExecuteBuffered(p.t.Pieces[s.shard])
 	p.writes = writes
-	s.node.Send(p.coord, voteMsg{Shard: s.shard, ID: id, OK: true, Ret: ret, Writes: writes,
+	s.node.Send(p.coord, voteMsg{Shard: s.shard, ID: id, OK: true, Ret: ret,
 		ArriveS: p.prepTS, LockS: p.lockS, DoneS: s.node.Busy()})
 	s.armDecisionQuery(id)
 }
@@ -690,9 +688,8 @@ func (s *server) finishRelock(id txn.ID) {
 		return
 	}
 	s.node.Work(s.sys.spec.ExecCost)
-	ret, writes := s.st.ExecuteBuffered(p.t.Pieces[s.shard])
-	_ = ret // the coordinator already holds the pre-crash vote result
-	p.writes = writes
+	// The coordinator already holds the pre-crash vote result.
+	_, p.writes = s.st.ExecuteBuffered(p.t.Pieces[s.shard])
 	p.proposed = true
 	slot := s.pax.Propose(commitRec{ID: id, TS: p.ts, Writes: p.writes})
 	s.onSlot[slot] = id
@@ -735,23 +732,9 @@ func (s *server) onPaxosCommit(slot int, cmd paxos.Command) {
 	rec := cmd.(commitRec)
 	if !s.applied[rec.ID] {
 		s.applied[rec.ID] = true
-		if s.sys.spec.LocalReads {
-			// Versioned install at the minted commit timestamp, in sorted
-			// key order (map iteration order must not leak into store
-			// version layout).
-			keys := make([]string, 0, len(rec.Writes))
-			for k := range rec.Writes {
-				keys = append(keys, k)
-			}
-			sort.Strings(keys)
-			for _, k := range keys {
-				s.st.PutCommitted(k, rec.TS, rec.Writes[k])
-			}
-		} else {
-			for k, v := range rec.Writes {
-				s.st.Seed(k, v)
-			}
-		}
+		// rec.TS is the minted commit timestamp under LocalReads (the stores
+		// retain versions) and zero otherwise.
+		s.st.ApplyAt(rec.TS, rec.Writes)
 	}
 	if s.replica != 0 {
 		if s.sys.spec.LocalReads {

@@ -2,12 +2,15 @@ package lockocc
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
 	"tiga/internal/simnet"
 	"tiga/internal/store"
+	"tiga/internal/tpcc"
 	"tiga/internal/txn"
+	"tiga/internal/workload"
 )
 
 func build(t *testing.T, cc CC, seed int64) (*simnet.Sim, *System) {
@@ -40,6 +43,8 @@ func TestCommitAndReplicate(t *testing.T) {
 	for _, cc := range []CC{TwoPL, OCC} {
 		cc := cc
 		t.Run(cc.String(), func(t *testing.T) {
+			t.Run("tpcc", func(t *testing.T) { replicateTPCC(t, cc, false) })
+			t.Run("tpcc-local-reads", func(t *testing.T) { replicateTPCC(t, cc, true) })
 			sim, sys := build(t, cc, 1)
 			committed := 0
 			for i := 0; i < 8; i++ {
@@ -69,6 +74,92 @@ func TestCommitAndReplicate(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// replicateTPCC runs every TPC-C transaction type, one transaction at a time:
+// the rows New-Order and Delivery insert are written by name, so the commit
+// record carries their names and each follower numbers them itself, and
+// Order-Status reads them back by name. With local reads on, the stores retain
+// versions and the records are installed at their commit timestamps.
+func replicateTPCC(t *testing.T, cc CC, localReads bool) {
+	g := tpcc.New(tpcc.Config{Shards: 2, Warehouses: 2, Districts: 2, Customers: 3, Items: 40})
+	sim := simnet.NewSim(5)
+	net := simnet.NewNetwork(sim, simnet.GeoConfig(500*time.Microsecond, 0))
+	sys := New(Spec{
+		CC: cc, Shards: 2, F: 1, Net: net, LocalReads: localReads,
+		ServerRegion: func(_, r int) simnet.Region { return simnet.Region(r) },
+		CoordRegions: []simnet.Region{0},
+		Seed:         g.Seed,
+		ExecCost:     time.Microsecond,
+	})
+	seeded, seededVersions := sys.Store(0).Len(), sys.Store(0).Versions()
+	rng := rand.New(rand.NewSource(5))
+	var jobs []workload.Job
+	for i := 0; i < 40; i++ {
+		jobs = append(jobs, workload.Job{T: g.NewOrder(rng)})
+	}
+	for i := 0; i < 8; i++ {
+		jobs = append(jobs, workload.Job{I: g.Payment(rng)}, workload.Job{I: g.OrderStatus(rng)},
+			workload.Job{I: g.Delivery(rng)}, workload.Job{T: g.StockLevel(rng)})
+	}
+	committed, ordersRead := 0, 0
+	var next func()
+	var stage func(ic *txn.Interactive, i int, prev *txn.Result)
+	submit := func(tx *txn.Txn, then func(*txn.Result)) {
+		sys.Submit(0, tx, func(r txn.Result) {
+			if !r.OK {
+				t.Errorf("%s aborted", tx.Label)
+			}
+			committed++
+			if tx.Label == "orderstatus-o" {
+				for _, out := range r.PerShard {
+					if len(out) == 16 && txn.DecodeInt(out) > 0 {
+						ordersRead++
+					}
+				}
+			}
+			then(&r)
+		})
+	}
+	stage = func(ic *txn.Interactive, i int, prev *txn.Result) {
+		switch tx, done, abort := ic.Next(i, prev); {
+		case abort:
+			stage(ic, 0, nil)
+		case done:
+			next()
+		default:
+			submit(tx, func(r *txn.Result) { stage(ic, i+1, r) })
+		}
+	}
+	next = func() {
+		if len(jobs) == 0 {
+			return
+		}
+		job := jobs[0]
+		jobs = jobs[1:]
+		if job.I != nil {
+			stage(job.I, 0, nil)
+			return
+		}
+		submit(job.T, func(*txn.Result) { next() })
+	}
+	sim.At(50*time.Millisecond, next)
+	sim.Run(10 * time.Minute)
+	if len(jobs) > 0 || committed < 40+8*4 || ordersRead == 0 {
+		t.Fatalf("%d jobs left, %d transactions committed, %d inserted orders read back", len(jobs), committed, ordersRead)
+	}
+	for sh := 0; sh < 2; sh++ {
+		lead := sys.servers[sh][0].st
+		if lead.Len() <= seeded || localReads != (lead.Versions() > lead.Len()) || (sh == 0 && lead.Versions() <= seededVersions) {
+			t.Errorf("shard %d: %d keys (%d seeded) in %d versions", sh, lead.Len(), seeded, lead.Versions())
+		}
+		for rep := 1; rep < 3; rep++ {
+			fol := sys.servers[sh][rep].st
+			if !lead.Equal(fol) || !fol.Equal(lead) || lead.Versions() != fol.Versions() {
+				t.Errorf("shard %d replica %d diverges from the leader", sh, rep)
+			}
+		}
 	}
 }
 

@@ -13,6 +13,7 @@
 package tapir
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -74,9 +75,9 @@ type replica struct {
 	rep      int
 	node     *simnet.Node
 	st       *store.Store
-	vers     map[string]uint64
+	vers     map[txn.KeyID]uint64 // by the ids of st, as pkeys
 	prepared map[txn.ID]*txn.Txn
-	pkeys    map[string]txn.ID // prepared-key write locks
+	pkeys    map[txn.KeyID]txn.ID // prepared-key write locks
 	applied  map[txn.ID]bool
 }
 
@@ -104,8 +105,8 @@ func New(spec Spec) *System {
 		for r := 0; r < n; r++ {
 			node := spec.Net.AddNode(spec.ServerRegion(s, r), nil)
 			rp := &replica{sys: sys, shard: s, rep: r, node: node, st: store.New(),
-				vers: make(map[string]uint64), prepared: make(map[txn.ID]*txn.Txn),
-				pkeys: make(map[string]txn.ID), applied: make(map[txn.ID]bool)}
+				vers: make(map[txn.KeyID]uint64), prepared: make(map[txn.ID]*txn.Txn),
+				pkeys: make(map[txn.KeyID]txn.ID), applied: make(map[txn.ID]bool)}
 			if spec.Seed != nil {
 				spec.Seed(s, rp.st)
 			}
@@ -154,33 +155,23 @@ func (rp *replica) onPrepare(m prepareMsg) {
 	if rp.applied[id] {
 		return
 	}
-	ok := true
-	for _, k := range piece.ReadSet {
-		if owner, locked := rp.pkeys[k]; locked && owner != id {
-			ok = false
-			break
-		}
+	reads, writes := rp.st.IDs(piece.ReadSet, piece.ReadIDs), rp.st.IDs(piece.WriteSet, piece.WriteIDs)
+	locked := func(k txn.KeyID) bool {
+		owner, locked := rp.pkeys[k]
+		return locked && owner != id
 	}
-	if ok {
-		for _, k := range piece.WriteSet {
-			if owner, locked := rp.pkeys[k]; locked && owner != id {
-				ok = false
-				break
-			}
-		}
-	}
+	ok := !slices.ContainsFunc(reads, locked) && !slices.ContainsFunc(writes, locked)
 	rep := prepareRep{Shard: rp.shard, Replica: rp.rep, ID: id, Try: m.Try, OK: ok}
 	if ok {
 		rp.prepared[id] = m.T
-		for _, k := range piece.WriteSet {
+		for _, k := range writes {
 			rp.pkeys[k] = id
 		}
-		rep.Reads = make(map[string]uint64, len(piece.ReadSet))
-		for _, k := range piece.ReadSet {
-			rep.Reads[k] = rp.vers[k]
+		rep.Reads = make(map[string]uint64, len(reads))
+		for i, k := range reads {
+			rep.Reads[piece.ReadSet[i]] = rp.vers[k]
 		}
-		ret, _ := rp.st.ExecuteBuffered(piece)
-		rep.Ret = ret
+		rep.Ret, _ = rp.st.ExecuteBuffered(piece)
 	}
 	rp.node.Send(m.Coord, rep)
 }
@@ -189,7 +180,7 @@ func (rp *replica) onDecide(m decideMsg) {
 	id := m.ID
 	if t, ok := rp.prepared[id]; ok {
 		p := t.Pieces[rp.shard]
-		for _, k := range p.WriteSet {
+		for _, k := range rp.st.IDs(p.WriteSet, p.WriteIDs) {
 			if rp.pkeys[k] == id {
 				delete(rp.pkeys, k)
 			}
@@ -198,11 +189,10 @@ func (rp *replica) onDecide(m decideMsg) {
 	}
 	if m.Commit && !rp.applied[id] {
 		rp.applied[id] = true
-		piece := m.T.Pieces[rp.shard]
-		_, writes := rp.st.ExecuteBuffered(piece)
-		for k, v := range writes {
-			rp.st.Seed(k, v)
-			rp.vers[k]++
+		_, writes := rp.st.ExecuteBuffered(m.T.Pieces[rp.shard])
+		rp.st.Apply(writes)
+		for _, w := range writes {
+			rp.vers[w.ID]++
 		}
 	}
 	if m.Slow {

@@ -35,10 +35,9 @@ type Req struct {
 	Seq   uint64
 	At    time.Duration
 	Keys  []string
-	// KeyIDs is the interned form of Keys (positionally parallel), set when
-	// the transaction's piece carries ids for its whole read set. Servers
-	// then serve the read through the store's ID fast path (GetAtID) without
-	// hashing a single key string.
+	// KeyIDs is what the transaction's piece knows of the ids of Keys (its
+	// ReadIDs): the replica's store fills in the rest by name (store.IDs), and
+	// hashes no key string when there is nothing to fill in.
 	KeyIDs []txn.KeyID
 }
 
@@ -130,11 +129,8 @@ func (c *Coordinator) send(pr *pendingRead) {
 			continue
 		}
 		piece := pr.t.Pieces[sh]
-		req := Req{Shard: sh, Coord: pr.t.ID.Coord, Seq: pr.t.ID.Seq, At: pr.at, Keys: piece.ReadSet}
-		if piece.Interned() {
-			req.KeyIDs = piece.ReadIDs
-		}
-		c.Node.Send(c.Replica(sh, c.nearestReplica(sh)), req)
+		c.Node.Send(c.Replica(sh, c.nearestReplica(sh)), Req{Shard: sh, Coord: pr.t.ID.Coord, Seq: pr.t.ID.Seq,
+			At: pr.at, Keys: piece.ReadSet, KeyIDs: piece.ReadIDs})
 	}
 }
 
@@ -398,14 +394,8 @@ func (r *Replica) serve(to simnet.NodeID, m Req, waited, arriveS time.Duration) 
 	r.Node.Work(r.ExecCost)
 	vals := make([][]byte, len(m.Keys))
 	seen := make([]txn.Timestamp, len(m.Keys))
-	if len(m.KeyIDs) == len(m.Keys) {
-		for i, id := range m.KeyIDs {
-			vals[i], seen[i], _ = r.Store.GetAtID(id, m.At)
-		}
-	} else {
-		for i, k := range m.Keys {
-			vals[i], seen[i], _ = r.Store.GetAt(k, m.At)
-		}
+	for i, id := range r.Store.IDs(m.Keys, m.KeyIDs) {
+		vals[i], seen[i], _ = r.Store.GetAtID(id, m.At)
 	}
 	r.Node.Send(to, Rep{Shard: r.Shard, Seq: m.Seq, At: m.At, Vals: vals, Seen: seen, Waited: waited,
 		ArriveS: arriveS, ServedS: r.Node.Busy()})

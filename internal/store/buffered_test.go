@@ -1,0 +1,200 @@
+package store
+
+import (
+	"testing"
+
+	"tiga/internal/txn"
+)
+
+// IDs hands a fully numbered set back as it is — Tiga's attach tells by that
+// whether a record needs sets of its own — and otherwise fills the gaps from
+// the name map, so a name and an id of one key resolve alike.
+func TestIDs(t *testing.T) {
+	s, keys := seedN(6)
+	numbered := []txn.KeyID{4, 1}
+	if got := s.IDs([]string{keys[4], keys[1]}, numbered); &got[0] != &numbered[0] || len(got) != 2 {
+		t.Fatalf("a numbered set was copied: %v", got)
+	}
+	if got := s.IDs(nil, nil); got != nil {
+		t.Fatalf("IDs of an empty set = %v", got)
+	}
+	for name, ids := range map[string][]txn.KeyID{
+		"no ids": nil, "short ids": {4}, "a gap": {4, txn.NoKeyID}, "all gaps": {txn.NoKeyID, txn.NoKeyID},
+	} {
+		in := append([]txn.KeyID(nil), ids...)
+		got := s.IDs([]string{keys[4], keys[1]}, ids)
+		if len(got) != 2 || got[0] != 4 || got[1] != 1 {
+			t.Errorf("%s: IDs = %v, want [4 1]", name, got)
+		}
+		for i := range in {
+			if ids[i] != in[i] {
+				t.Errorf("%s: IDs wrote into the piece's own slice: %v", name, ids)
+			}
+		}
+	}
+	// A name the store never saw gets the next id, once, and stores nothing.
+	a := s.IDs([]string{"row"}, []txn.KeyID{txn.NoKeyID})
+	b := s.IDs([]string{keys[0], "row"}, nil)
+	if a[0] != 6 || b[1] != 6 || b[0] != 0 || s.Interned() != 7 || s.Len() != 6 || s.Get("row") != nil {
+		t.Fatalf("inserted row resolved to %v then %v; %d interned, %d present", a, b, s.Interned(), s.Len())
+	}
+}
+
+// A buffered piece reads its own writes whichever form either side uses, keeps
+// one write per key with the last value, and remembers a name once given.
+func TestBufferedViewReadsItsOwnWritesInEitherForm(t *testing.T) {
+	s, keys := seedN(4)
+	var seen []int64
+	look := func(b []byte) { seen = append(seen, txn.DecodeInt(b)) }
+	p := &txn.Piece{Exec: func(kv txn.KV) []byte {
+		kv.Put(keys[2], txn.EncodeInt(7))
+		look(kv.GetID(2)) // 7: written by name, read by id
+		kv.PutID(1, txn.EncodeInt(8))
+		look(kv.Get(keys[1])) // 8: written by id, read by name
+		kv.Put("row", txn.EncodeInt(9))
+		look(kv.Get("row"))     // 9: an inserted row
+		look(kv.Get("missing")) // 0: never written, not in the store
+		look(kv.GetID(3))       // 0: the store's own value
+		kv.PutID(2, txn.EncodeInt(10))
+		look(kv.Get(keys[2])) // 10: the second write of key 2 replaced the first
+		return nil
+	}}
+	_, ws := s.ExecuteBuffered(p)
+	if want := []int64{7, 8, 9, 0, 0, 10}; len(seen) != len(want) {
+		t.Fatalf("saw %v", seen)
+	} else {
+		for i := range want {
+			if seen[i] != want[i] {
+				t.Fatalf("saw %v, want %v", seen, want)
+			}
+		}
+	}
+	row, _ := s.Lookup("row")
+	want := []Write{{2, keys[2], txn.EncodeInt(10)}, {1, "", txn.EncodeInt(8)}, {row, "row", txn.EncodeInt(9)}}
+	if len(ws) != len(want) {
+		t.Fatalf("write set %v", ws)
+	}
+	for i, w := range ws {
+		if w.ID != want[i].ID || w.Name != want[i].Name || string(w.Val) != string(want[i].Val) {
+			t.Errorf("write %d = {%d %q %d}, want {%d %q %d}", i, w.ID, w.Name, txn.DecodeInt(w.Val),
+				want[i].ID, want[i].Name, txn.DecodeInt(want[i].Val))
+		}
+	}
+	if _, ok := s.Lookup("missing"); ok {
+		t.Error("reading an unknown name interned it")
+	}
+}
+
+// A buffered execution stores nothing, in either mode: the protocols that use
+// it discard most write sets (every Tapir prepare, every aborted vote).
+func TestBufferedExecutionLeavesTheStoreUntouched(t *testing.T) {
+	for _, retain := range []bool{false, true} {
+		s, keys := seedN(3)
+		if retain {
+			s.EnableSnapshots()
+		}
+		s.Execute(id(1), ts(10), txn.IncrementPieceID(keys[0], 0)) // one pending version
+		n, vs := s.Len(), s.Versions()
+		ret, ws := s.ExecuteBuffered(&txn.Piece{WriteSet: []string{keys[0], keys[1], "row"}, Exec: func(kv txn.KV) []byte {
+			kv.PutID(0, txn.EncodeInt(50))
+			kv.Put(keys[1], txn.EncodeInt(51))
+			kv.Put("row", txn.EncodeInt(52))
+			return kv.GetID(0)
+		}})
+		if txn.DecodeInt(ret) != 50 || len(ws) != 3 {
+			t.Fatalf("retain=%v: ret %d, %d writes", retain, txn.DecodeInt(ret), len(ws))
+		}
+		if s.Len() != n || s.Versions() != vs || s.Executed(id(2)) {
+			t.Errorf("retain=%v: %d keys, %d versions after, %d and %d before", retain, s.Len(), s.Versions(), n, vs)
+		}
+		if txn.DecodeInt(s.GetID(0)) != 1 || txn.DecodeInt(s.Get(keys[1])) != 0 || s.Get("row") != nil {
+			t.Errorf("retain=%v: a buffered write reached the store", retain)
+		}
+		if _, _, ok := getAt(s, "row", 100); ok {
+			t.Errorf("retain=%v: the inserted row is visible to snapshot reads", retain)
+		}
+		s.Commit(id(1))
+		if txn.DecodeInt(s.GetID(0)) != 1 {
+			t.Errorf("retain=%v: the pending transaction lost its write", retain)
+		}
+	}
+}
+
+// Apply installs a write set on the store that produced it and on a second
+// copy of the shard that numbered its inserted rows in another order: writes
+// made by name find their key by name, the rest by id.
+func TestApplyOntoAStoreWithAnotherInternOrder(t *testing.T) {
+	a, keys := seedN(3)
+	b, _ := seedN(3)
+	a.Intern("row1") // 3 on a
+	b.Intern("row2") // 3 on b
+	b.Intern("other")
+	p := &txn.Piece{Exec: func(kv txn.KV) []byte {
+		kv.PutID(1, txn.EncodeInt(11))
+		kv.Put("row1", txn.EncodeInt(21))
+		kv.Put("row2", txn.EncodeInt(22))
+		kv.Put(keys[2], txn.EncodeInt(12))
+		return nil
+	}}
+	_, ws := a.ExecuteBuffered(p)
+	vs := a.Versions()
+	a.Apply(ws)
+	b.Apply(ws)
+	ra, _ := a.Lookup("row1")
+	if rb, _ := b.Lookup("row1"); ws[1].ID != ra || ws[1].Name != "row1" || ra == rb {
+		t.Fatalf("row1 is %d on the executing store and %d on the other; its write is %+v", ra, rb, ws[1])
+	}
+	for _, s := range []*Store{a, b} {
+		got := []int64{txn.DecodeInt(s.Get(keys[0])), txn.DecodeInt(s.GetID(1)), txn.DecodeInt(s.Get(keys[2])),
+			txn.DecodeInt(s.Get("row1")), txn.DecodeInt(s.Get("row2"))}
+		if want := [5]int64{0, 11, 12, 21, 22}; [5]int64(got) != want || s.Len() != 5 {
+			t.Fatalf("store holds %v in %d keys, want %v in 5", got, s.Len(), want)
+		}
+	}
+	if !a.Equal(b) || !b.Equal(a) || b.Get("other") != nil {
+		t.Fatal("the two copies differ after applying one write set")
+	}
+	// Default mode overwrites in place: only the two new rows added versions.
+	if a.Versions() != vs+2 {
+		t.Fatalf("%d versions after Apply, %d before", a.Versions(), vs)
+	}
+	a.Apply(ws)
+	if a.Versions() != vs+2 || a.Len() != 5 {
+		t.Fatalf("a second Apply grew the store to %d versions", a.Versions())
+	}
+}
+
+// ApplyAt in retain mode appends committed versions at the given timestamp:
+// snapshot reads see them from there on, the high-water advances, and history
+// below stays readable — on a copy that interns the row itself.
+func TestApplyAtKeepsHistoryInRetainMode(t *testing.T) {
+	a, keys := seedN(2)
+	b, _ := seedN(2)
+	b.Intern("other")
+	a.EnableSnapshots()
+	b.EnableSnapshots()
+	for i, at := range []int64{10, 20} {
+		_, ws := a.ExecuteBuffered(&txn.Piece{Exec: func(kv txn.KV) []byte {
+			kv.PutID(1, txn.EncodeInt(txn.DecodeInt(kv.GetID(1))+1))
+			kv.Put("row", txn.EncodeInt(int64(100+i)))
+			return nil
+		}})
+		a.ApplyAt(ts(at), ws)
+		b.ApplyAt(ts(at), ws)
+	}
+	for _, s := range []*Store{a, b} {
+		for _, c := range []struct{ at, k1, row int64 }{{5, 0, -1}, {10, 1, 100}, {15, 1, 100}, {20, 2, 101}} {
+			v, _, _ := s.GetAtID(1, ts(c.at).Time)
+			rv, rts, rok := getAt(s, "row", ts(c.at).Time)
+			if txn.DecodeInt(v) != c.k1 || rok != (c.row >= 0) || (rok && (txn.DecodeInt(rv) != c.row || rts.Time > ts(c.at).Time)) {
+				t.Errorf("at %d: key 1 = %d, row = %d (%v) @%v; want %d and %d", c.at, txn.DecodeInt(v), txn.DecodeInt(rv), rok, rts.Time, c.k1, c.row)
+			}
+		}
+		if s.HighWater(keys[1]).Time != 20 || s.HighWater("row").Time != 20 || s.Versions() != 2+2+2 {
+			t.Errorf("high-water %v / %v, %d versions", s.HighWater(keys[1]).Time, s.HighWater("row").Time, s.Versions())
+		}
+		if n := s.PruneTo(20); n != 3 {
+			t.Errorf("PruneTo(20) dropped %d versions, want 3", n)
+		}
+	}
+}

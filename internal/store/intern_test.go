@@ -29,9 +29,8 @@ func TestInternedPathsMatchStringPaths(t *testing.T) {
 		ReadSet: keys[3:4], WriteSet: keys[3:4],
 		ReadIDs: []txn.KeyID{3}, WriteIDs: []txn.KeyID{3},
 		Exec: func(kv txn.KV) []byte {
-			ikv := kv.(txn.IDKV)
-			v := txn.EncodeInt(txn.DecodeInt(ikv.GetID(3)) + 1)
-			ikv.PutID(3, v)
+			v := txn.EncodeInt(txn.DecodeInt(kv.GetID(3)) + 1)
+			kv.PutID(3, v)
 			return v
 		},
 	}
@@ -64,9 +63,8 @@ func TestInternedRevokeAndRetain(t *testing.T) {
 			ReadSet: keys[kid : kid+1], WriteSet: keys[kid : kid+1],
 			ReadIDs: []txn.KeyID{kid}, WriteIDs: []txn.KeyID{kid},
 			Exec: func(kv txn.KV) []byte {
-				ikv := kv.(txn.IDKV)
-				v := txn.EncodeInt(txn.DecodeInt(ikv.GetID(kid)) + 1)
-				ikv.PutID(kid, v)
+				v := txn.EncodeInt(txn.DecodeInt(kv.GetID(kid)) + 1)
+				kv.PutID(kid, v)
 				return v
 			},
 		}

@@ -11,13 +11,16 @@
 // version chain lives at that index of one slot slice, and the name map only
 // translates a string to the id (names are kept nowhere else). Bulk-seeded
 // keys get the ids of their batch position (the workload's own key index), so
-// hot loops (GetID/PutID through Execute's view, GetAtID) never hash a string;
-// a name that shows up later (an inserted row, a hand-built string piece) is
-// given the next id by Intern, which is also how a protocol turns a name-only
-// access set into ids once. The default-mode Commit garbage-collects in place,
-// reusing each key's version slice instead of reallocating it; and Execute
-// reuses one transaction view plus freelisted write-set slices across
-// transactions.
+// hot loops (GetID/PutID through a view, GetAtID) never hash a string; a name
+// that shows up later (an inserted row, a hand-built string piece) is given
+// the next id by Intern. This package is the one place where the two forms of
+// a key meet: IDs turns a piece's declared access set into this store's ids,
+// both views accept either form for the same key, and a buffered write that
+// arrived by name carries the name along (Write), because the id a store gave
+// an inserted row means nothing on another store. The default-mode Commit
+// garbage-collects in place, reusing each key's version slice instead of
+// reallocating it; and Execute reuses one transaction view plus freelisted
+// write-set slices across transactions.
 //
 // There is no deep copy: a store's committed state is a pure function of its
 // seed and the Execute/Commit sequence applied to it, which is what Tiga's
@@ -28,7 +31,6 @@ package store
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"tiga/internal/txn"
@@ -67,8 +69,10 @@ type Store struct {
 	// Executed tracks at-most-once execution (paper Appendix B).
 	executed map[txn.ID]bool
 	// view and pendFree are the Execute scratch: one reusable transaction
-	// view and a freelist of retired write-set slices.
+	// view and a freelist of retired write-set slices. buf is the same for
+	// ExecuteBuffered.
 	view     txnView
+	buf      bufView
 	pendFree [][]txn.KeyID
 	// retain switches Commit from garbage-collecting old versions to
 	// keeping the full committed history, which snapshot reads need.
@@ -134,6 +138,26 @@ func (s *Store) GetID(id txn.KeyID) []byte {
 		return nil
 	}
 	return vs[len(vs)-1].val
+}
+
+// IDs returns a declared access set as ids of this store: ids itself when it
+// numbers every key of names (nothing is copied or hashed), otherwise a copy
+// in which every key that came without an id — beyond the end of ids, or
+// marked txn.NoKeyID — has the id its name is interned under. A name and an id
+// of one key therefore always resolve to the same id.
+func (s *Store) IDs(names []string, ids []txn.KeyID) []txn.KeyID {
+	if len(ids) == len(names) && !slices.Contains(ids, txn.NoKeyID) {
+		return ids
+	}
+	out := make([]txn.KeyID, len(names))
+	for i, name := range names {
+		if i < len(ids) && ids[i] != txn.NoKeyID {
+			out[i] = ids[i]
+		} else {
+			out[i] = s.Intern(name)
+		}
+	}
+	return out
 }
 
 // Seed installs an initial committed value (workload pre-population),
@@ -206,9 +230,9 @@ func (s *Store) Len() int { return s.live }
 // Executed reports whether the transaction already executed here.
 func (s *Store) Executed(id txn.ID) bool { return s.executed[id] }
 
-// txnView is the KV a piece executes against. It implements both the string
-// interface and txn.IDKV; a string write is an interned write after one name
-// lookup, so Commit/Revoke consume one id list.
+// txnView is the view of an optimistic execution: writes become pending
+// versions of id's transaction. A write by name is an interned write after one
+// name lookup, so Commit/Revoke consume one id list.
 type txnView struct {
 	s      *Store
 	writer txn.ID
@@ -231,46 +255,105 @@ func (v *txnView) PutID(id txn.KeyID, val []byte) {
 	v.ids = append(v.ids, id)
 }
 
+// Write is one buffered write. ID is the key's id in the store that executed
+// the piece. Name is set when the piece wrote the key by name — an inserted
+// row, a hand-built string piece: the id such a key has is the executing
+// store's own, so a store applying the write looks the name up again.
+type Write struct {
+	ID   txn.KeyID
+	Name string
+	Val  []byte
+}
+
 // ExecuteBuffered runs a piece that reads the store but buffers its writes:
-// the store is left untouched and the write set comes back with the piece's
-// result, for protocols that apply (or discard) writes at their own commit
-// point.
-func (s *Store) ExecuteBuffered(p *txn.Piece) ([]byte, map[string][]byte) {
-	v := &bufView{st: s, writes: make(map[string][]byte)}
+// the store's contents are left untouched (a key written by name is interned,
+// which stores nothing) and the write set comes back with the piece's result,
+// one entry per key in the order the keys were first written, for protocols
+// that apply (Apply, ApplyAt) or discard writes at their own commit point.
+func (s *Store) ExecuteBuffered(p *txn.Piece) ([]byte, []Write) {
+	v := &s.buf
+	v.s, v.writes = s, make([]Write, 0, len(p.WriteSet))
 	ret := p.Exec(v)
-	return ret, v.writes
+	ws := v.writes
+	v.writes = nil
+	return ret, ws
 }
 
+// bufView is the write-buffering view. Its writes are keyed by id, whichever
+// form they arrived in, so a piece reads its own writes in either form.
 type bufView struct {
-	st     *Store
-	writes map[string][]byte
+	s      *Store
+	writes []Write
 }
 
-func (v *bufView) Get(k string) []byte {
-	if w, ok := v.writes[k]; ok {
-		return w
+func (v *bufView) Get(key string) []byte {
+	// Put interns, so a name the store does not know was not written either.
+	id, ok := v.s.index[key]
+	if !ok {
+		return nil
 	}
-	return v.st.Get(k)
+	return v.GetID(id)
 }
 
-func (v *bufView) Put(k string, val []byte) { v.writes[k] = val }
+func (v *bufView) GetID(id txn.KeyID) []byte {
+	for i := range v.writes {
+		if v.writes[i].ID == id {
+			return v.writes[i].Val
+		}
+	}
+	return v.s.GetID(id)
+}
 
-// GetAt returns the newest committed version of key with a timestamp at or
-// below at, together with that version's commit timestamp (zero for seeded
+func (v *bufView) Put(key string, val []byte) { v.put(Write{v.s.Intern(key), key, val}) }
+
+func (v *bufView) PutID(id txn.KeyID, val []byte) { v.put(Write{ID: id, Val: val}) }
+
+func (v *bufView) put(w Write) {
+	for i := range v.writes {
+		if old := &v.writes[i]; old.ID == w.ID {
+			old.Val = w.Val
+			if w.Name != "" {
+				old.Name = w.Name
+			}
+			return
+		}
+	}
+	v.writes = append(v.writes, w)
+}
+
+// Apply installs a buffered write set as committed state; see ApplyAt.
+func (s *Store) Apply(ws []Write) { s.ApplyAt(txn.Timestamp{}, ws) }
+
+// ApplyAt installs a buffered write set as state committed at ts, on the
+// store that produced it or on another copy of the shard: a write made by
+// name goes to the key this store interns the name under, the others to their
+// id. In the default mode the key's value is overwritten in place; in
+// snapshot-retaining mode a committed version is appended, so the caller must
+// apply one key's writes in timestamp order (see GetAtID).
+func (s *Store) ApplyAt(ts txn.Timestamp, ws []Write) {
+	for i := range ws {
+		w := &ws[i]
+		id := w.ID
+		if w.Name != "" {
+			id = s.Intern(w.Name)
+		}
+		if e := &s.byID[id]; s.retain || len(e.vs) == 0 {
+			s.putCommitted(id, ts, w.Val)
+		} else {
+			clear(e.vs[1:])
+			e.vs = e.vs[:1]
+			e.vs[0] = version{ts: ts, val: w.Val}
+		}
+	}
+}
+
+// GetAtID returns the newest committed version of the key with a timestamp at
+// or below at, together with that version's commit timestamp (zero for seeded
 // initial values). Uncommitted versions are invisible: a snapshot read never
 // observes optimistic state. Committed versions of one key are appended in
 // timestamp order (conflicting writers are serialized by the protocol), so
 // the newest qualifying version is the first committed one at or below at
 // when scanning from the top.
-func (s *Store) GetAt(key string, at time.Duration) ([]byte, txn.Timestamp, bool) {
-	id, ok := s.index[key]
-	if !ok {
-		return nil, txn.Timestamp{}, false
-	}
-	return s.GetAtID(id, at)
-}
-
-// GetAtID is GetAt over an interned key.
 func (s *Store) GetAtID(id txn.KeyID, at time.Duration) ([]byte, txn.Timestamp, bool) {
 	vs := s.byID[id].vs
 	for i := len(vs) - 1; i >= 0; i-- {
@@ -310,8 +393,8 @@ func (s *Store) putPend(p []txn.KeyID) { s.pendFree = append(s.pendFree, p[:0]) 
 // Execute runs a piece as transaction id at timestamp ts, creating pending
 // versions for its writes. It enforces at-most-once execution: re-executing
 // an id that already ran is a no-op returning nil, unless it was revoked.
-// Pieces whose executor drives txn.IDKV reach the store through the view's
-// GetID/PutID slice path and never hash a key.
+// A piece that carries ids reaches the store through the view's GetID/PutID
+// slice path and never hashes a key.
 func (s *Store) Execute(id txn.ID, ts txn.Timestamp, p *txn.Piece) []byte {
 	if s.executed[id] {
 		return nil
@@ -368,7 +451,7 @@ func (s *Store) revokeSlot(e *slot, id txn.ID) {
 	if len(vs) == 0 {
 		// Seeded keys always retain their seed version, so only a blind write
 		// on a fresh key can empty a slot: the key is absent again (it keeps
-		// its id), so Len/Keys/Equal reflect the revert.
+		// its id), so Len/Equal reflect the revert.
 		s.live--
 	}
 }
@@ -437,12 +520,13 @@ func commitGC(e *slot, id txn.ID) {
 	e.vs = vs[:1]
 }
 
-// PutCommitted appends an already-committed version of key directly — the
-// install path for replicated write sets that arrive with their commit
-// timestamp attached (lockocc's commit records), bypassing the
-// Execute/Commit pending cycle.
+// PutCommitted appends an already-committed version of key directly,
+// bypassing the Execute/Commit pending cycle.
 func (s *Store) PutCommitted(key string, ts txn.Timestamp, val []byte) {
-	kid := s.Intern(key)
+	s.putCommitted(s.Intern(key), ts, val)
+}
+
+func (s *Store) putCommitted(kid txn.KeyID, ts txn.Timestamp, val []byte) {
 	e := &s.byID[kid]
 	if len(e.vs) == 0 {
 		s.live++
@@ -511,18 +595,6 @@ func (s *Store) PruneTo(horizon time.Duration) int {
 		}
 	}
 	return pruned
-}
-
-// Keys returns all keys in sorted order (test/debug helper).
-func (s *Store) Keys() []string {
-	out := make([]string, 0, s.live)
-	for k, id := range s.index {
-		if len(s.byID[id].vs) > 0 {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Equal reports whether two stores hold identical newest values — used by

@@ -33,7 +33,7 @@ func TestPruneToKeepsSnapshotPivot(t *testing.T) {
 	}
 	var before []obs
 	for at := time.Duration(25); at <= 40; at += 5 {
-		v, vts, ok := s.GetAt("k", at)
+		v, vts, ok := getAt(s, "k", at)
 		if !ok {
 			t.Fatalf("GetAt(25..40) missing at %v", at)
 		}
@@ -43,14 +43,14 @@ func TestPruneToKeepsSnapshotPivot(t *testing.T) {
 		t.Fatalf("PruneTo(25) dropped %d versions, want 2", n)
 	}
 	for i, at := 0, time.Duration(25); at <= 40; i, at = i+1, at+5 {
-		v, vts, ok := s.GetAt("k", at)
+		v, vts, ok := getAt(s, "k", at)
 		if !ok || txn.DecodeInt(v) != before[i].val || vts != before[i].at {
 			t.Fatalf("GetAt(k, %v) changed across PruneTo: got %d@%v, want %d@%v",
 				at, txn.DecodeInt(v), vts, before[i].val, before[i].at)
 		}
 	}
 	// Reads below the horizon may now fail — that history is gone.
-	if _, _, ok := s.GetAt("k", 5); ok {
+	if _, _, ok := getAt(s, "k", 5); ok {
 		t.Fatal("pre-horizon history should have been pruned")
 	}
 	if got := txn.DecodeInt(s.Get("k")); got != 3 {
@@ -63,7 +63,7 @@ func TestPruneToKeepsSnapshotPivot(t *testing.T) {
 func TestPruneToSnapshotAtHorizonExact(t *testing.T) {
 	s := gcStore(t, 10, 20)
 	s.PruneTo(20)
-	v, vts, ok := s.GetAt("k", 20)
+	v, vts, ok := getAt(s, "k", 20)
 	if !ok || txn.DecodeInt(v) != 2 || vts.Time != 20 {
 		t.Fatalf("GetAt at the exact horizon = %v@%v ok=%v, want 2@20", v, vts, ok)
 	}
@@ -79,7 +79,7 @@ func TestPruneToNeverTouchesUncommitted(t *testing.T) {
 		t.Fatalf("pending optimistic version lost: Get = %d, want 2", got)
 	}
 	s.Commit(id(9))
-	v, _, ok := s.GetAt("k", 50)
+	v, _, ok := getAt(s, "k", 50)
 	if !ok || txn.DecodeInt(v) != 2 {
 		t.Fatalf("committed-after-prune version unreadable: %v ok=%v", v, ok)
 	}

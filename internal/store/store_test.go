@@ -13,6 +13,15 @@ import (
 func ts(n int64) txn.Timestamp { return txn.Timestamp{Time: time.Duration(n)} }
 func id(n uint64) txn.ID       { return txn.ID{Coord: 1, Seq: n} }
 
+// getAt is GetAtID by name; a name the store never saw has no version.
+func getAt(s *Store, key string, at time.Duration) ([]byte, txn.Timestamp, bool) {
+	kid, ok := s.Lookup(key)
+	if !ok {
+		return nil, txn.Timestamp{}, false
+	}
+	return s.GetAtID(kid, at)
+}
+
 func TestSeedAndGet(t *testing.T) {
 	s := New()
 	if s.Get("x") != nil {
@@ -167,7 +176,7 @@ func TestGetAtOrdering(t *testing.T) {
 		{999, 5}, // after everything: the newest committed version
 	}
 	for _, c := range cases {
-		val, seen, ok := s.GetAt("x", time.Duration(c.at))
+		val, seen, ok := getAt(s, "x", time.Duration(c.at))
 		if !ok {
 			t.Fatalf("GetAt(%d) found nothing", c.at)
 		}
@@ -178,7 +187,7 @@ func TestGetAtOrdering(t *testing.T) {
 			t.Fatalf("GetAt(%d) returned a future version ts %v", c.at, seen)
 		}
 	}
-	if _, _, ok := s.GetAt("missing", 100); ok {
+	if _, _, ok := getAt(s, "missing", 100); ok {
 		t.Fatal("GetAt found a key that does not exist")
 	}
 	if hw := s.HighWater("x"); hw.Time != 50 {
@@ -195,20 +204,20 @@ func TestGetAtSkipsUncommittedVersions(t *testing.T) {
 	// An optimistic execution past the snapshot point must stay invisible
 	// until committed, even though Get (protocol execution) sees it.
 	s.Execute(id(2), ts(20), txn.IncrementPiece("x"))
-	if val, _, _ := s.GetAt("x", 30); txn.DecodeInt(val) != 1 {
+	if val, _, _ := getAt(s, "x", 30); txn.DecodeInt(val) != 1 {
 		t.Fatal("snapshot read observed an uncommitted version")
 	}
 	if txn.DecodeInt(s.Get("x")) != 2 {
 		t.Fatal("Get no longer reads optimistic state")
 	}
 	s.Commit(id(2))
-	if val, _, _ := s.GetAt("x", 30); txn.DecodeInt(val) != 2 {
+	if val, _, _ := getAt(s, "x", 30); txn.DecodeInt(val) != 2 {
 		t.Fatal("committed version still invisible")
 	}
 	// A revoked execution never becomes visible.
 	s.Execute(id(3), ts(25), txn.IncrementPiece("x"))
 	s.Revoke(id(3))
-	if val, _, _ := s.GetAt("x", 30); txn.DecodeInt(val) != 2 {
+	if val, _, _ := getAt(s, "x", 30); txn.DecodeInt(val) != 2 {
 		t.Fatal("revoked version leaked into a snapshot read")
 	}
 }
@@ -218,7 +227,7 @@ func TestPutCommittedAndRetainedHistory(t *testing.T) {
 	s.EnableSnapshots()
 	s.PutCommitted("k", txn.Timestamp{Time: 10}, txn.EncodeInt(1))
 	s.PutCommitted("k", txn.Timestamp{Time: 20}, txn.EncodeInt(2))
-	if val, seen, ok := s.GetAt("k", 15); !ok || txn.DecodeInt(val) != 1 || seen.Time != 10 {
+	if val, seen, ok := getAt(s, "k", 15); !ok || txn.DecodeInt(val) != 1 || seen.Time != 10 {
 		t.Fatalf("GetAt(15) = %v @%v ok=%v, want 1 @10", val, seen, ok)
 	}
 	if txn.DecodeInt(s.Get("k")) != 2 {
@@ -245,7 +254,7 @@ func TestRetainModeKeepsVersions(t *testing.T) {
 		t.Fatal("newest value wrong in retain mode")
 	}
 	for at := int64(1); at <= 10; at++ {
-		if val, _, _ := s.GetAt("x", time.Duration(at)); txn.DecodeInt(val) != at {
+		if val, _, _ := getAt(s, "x", time.Duration(at)); txn.DecodeInt(val) != at {
 			t.Fatalf("GetAt(%d) = %d in retain mode", at, txn.DecodeInt(val))
 		}
 	}

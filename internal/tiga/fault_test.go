@@ -45,6 +45,7 @@ func TestMessageLoss(t *testing.T) {
 	if committed < n*2/3 {
 		t.Fatalf("committed %d of %d under 5%% loss", committed, n)
 	}
+	oneTimestampPerTxn(t, c)
 	// Safety: effects applied at most once — each key's increment happened
 	// 0 or 1 times, and at least every client-visible commit is present.
 	for sh := 0; sh < 3; sh++ {
@@ -91,6 +92,7 @@ func TestFollowerCrashDoesNotBlockCommits(t *testing.T) {
 	if committed != n {
 		t.Fatalf("committed %d of %d with one follower down", committed, n)
 	}
+	oneTimestampPerTxn(t, c)
 }
 
 // TestFollowerRejoin: a crashed follower rejoins via state transfer
@@ -116,6 +118,7 @@ func TestFollowerRejoin(t *testing.T) {
 	if committed != n {
 		t.Fatalf("committed %d of %d", committed, n)
 	}
+	oneTimestampPerTxn(t, c)
 	rejoined := c.Servers[1][1]
 	leader := c.Servers[1][0]
 	if rejoined.SyncPoint() < leader.SyncPoint()-1 {
@@ -154,6 +157,7 @@ func TestLeaderPartition(t *testing.T) {
 	if committed != n {
 		t.Fatalf("committed %d of %d across a leader partition", committed, n)
 	}
+	oneTimestampPerTxn(t, c)
 	if c.VMs[0].gview == 0 {
 		t.Fatal("no view change happened")
 	}
@@ -188,6 +192,7 @@ func TestEpsilonMode(t *testing.T) {
 	if committed < n*9/10 {
 		t.Fatalf("epsilon mode committed only %d of %d (aborted %d)", committed, n, aborted)
 	}
+	oneTimestampPerTxn(t, c)
 }
 
 // TestHeadroomControlsRollbacks: in detective mode, negative headroom makes

@@ -112,6 +112,7 @@ func TestMixedFormPiecesSerialize(t *testing.T) {
 			if err := checker.UniqueTimestamps(commits); err != nil {
 				t.Fatal(err)
 			}
+			oneTimestampPerTxn(t, c)
 			sort.Slice(results, func(i, j int) bool { return results[i].TS.Less(results[j].TS) })
 			for i, r := range results {
 				for sh := 0; sh < 3; sh++ {

@@ -418,39 +418,27 @@ func (s *Server) handle(from simnet.NodeID, msg simnet.Message) {
 
 // ---- §3.2 Conflict detection and timestamp update ----
 
-// resolve returns a piece's access sets as KeyIDs of this server's store: the
-// piece's own id slices when the workload numbered every key (nothing is
-// copied or hashed), otherwise copies in which each name that arrived without
-// an id — an inserted row, a hand-built string piece — is looked up through the
-// store's interner. A name and an id of the same key therefore always meet in
-// the conflict sets. The ids are the current store's: installLog rebuilds every
-// record when it replaces the store.
+// resolve returns a piece's access sets as KeyIDs of this server's store
+// (store.IDs): a name and an id of the same key always meet in the conflict
+// sets. The ids are the current store's: installLog rebuilds every record when
+// it replaces the store.
 func (s *Server) resolve(p *txn.Piece) accessSets {
-	return accessSets{s.resolveSet(p.ReadSet, p.ReadIDs), s.resolveSet(p.WriteSet, p.WriteIDs)}
-}
-
-func (s *Server) resolveSet(names []string, ids []txn.KeyID) []txn.KeyID {
-	if txn.Numbered(names, ids) {
-		return ids
-	}
-	out := make([]txn.KeyID, len(names))
-	for i, k := range names {
-		if i < len(ids) && ids[i] != txn.NoKeyID {
-			out[i] = ids[i]
-		} else {
-			out[i] = s.st.Intern(k)
-		}
-	}
-	return out
+	return accessSets{s.st.IDs(p.ReadSet, p.ReadIDs), s.st.IDs(p.WriteSet, p.WriteIDs)}
 }
 
 // attach gives r its piece of the transaction and resolves the piece's keys.
+// The store hands a set that numbers every key back as it is, and a record
+// whose piece is numbered throughout keeps no sets of its own.
 func (s *Server) attach(r *rec, p *txn.Piece) {
 	r.piece, r.own = p, nil
-	if !txn.Numbered(p.ReadSet, p.ReadIDs) || !txn.Numbered(p.WriteSet, p.WriteIDs) {
-		own := s.resolve(p)
-		r.own = &own
+	if ks := s.resolve(p); !sameSet(ks.reads, p.ReadIDs) || !sameSet(ks.writes, p.WriteIDs) {
+		r.own = &accessSets{ks.reads, ks.writes}
 	}
+}
+
+// sameSet reports whether a and b are one slice.
+func sameSet(a, b []txn.KeyID) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // noteAccess raises rMap/wMap to ts on the given access sets (Alg. 1 lines

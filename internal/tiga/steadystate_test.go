@@ -474,8 +474,10 @@ func TestRejoinKeepsVersionHistory(t *testing.T) {
 		if at > rejoined.SafeTime() {
 			t.Fatalf("snapshot %v is above the rejoined replica's watermark %v", at, rejoined.SafeTime())
 		}
-		gv, gts, gok := rejoined.Store().GetAt("k1-0", at)
-		wv, wts, wok := peer.Store().GetAt("k1-0", at)
+		gid, _ := rejoined.Store().Lookup("k1-0")
+		wid, _ := peer.Store().Lookup("k1-0")
+		gv, gts, gok := rejoined.Store().GetAtID(gid, at)
+		wv, wts, wok := peer.Store().GetAtID(wid, at)
 		if gok != wok || !gts.Equal(wts) || txn.DecodeInt(gv) != txn.DecodeInt(wv) {
 			t.Errorf("GetAt(k1-0, %v) = (%d, %v) on the rejoined replica, (%d, %v) on its peer",
 				at, txn.DecodeInt(gv), gok, txn.DecodeInt(wv), wok)

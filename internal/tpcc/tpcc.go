@@ -248,38 +248,10 @@ func (s *keyset) append(o keyset) {
 	s.ids = append(s.ids, o.ids...)
 }
 
-// cols is how an executor reaches seeded columns: by id when the view offers
-// the interned path (txn.IDKV, what a store's own view does), by the shard
-// table's name otherwise (a baseline's buffered view) — the same values move
-// either way, as in workload.incrementExec. Inserted rows go through kv by
-// name in both cases.
-type cols struct {
-	kv    txn.KV
-	ikv   txn.IDKV
-	names []string
-}
+// getInt and putInt read and write a seeded numeric column.
+func getInt(kv txn.KV, id txn.KeyID) int64 { return txn.DecodeInt(kv.GetID(id)) }
 
-func open(kv txn.KV, names []string) cols {
-	ikv, _ := kv.(txn.IDKV)
-	return cols{kv: kv, ikv: ikv, names: names}
-}
-
-func (c cols) raw(id txn.KeyID) []byte {
-	if c.ikv != nil {
-		return c.ikv.GetID(id)
-	}
-	return c.kv.Get(c.names[id])
-}
-
-func (c cols) get(id txn.KeyID) int64 { return txn.DecodeInt(c.raw(id)) }
-
-func (c cols) put(id txn.KeyID, v int64) {
-	if c.ikv != nil {
-		c.ikv.PutID(id, txn.EncodeInt(v))
-		return
-	}
-	c.kv.Put(c.names[id], txn.EncodeInt(v))
-}
+func putInt(kv txn.KV, id txn.KeyID, v int64) { kv.PutID(id, txn.EncodeInt(v)) }
 
 // Next draws a transaction per the TPC-C mix: New-Order 45%, Payment 43%,
 // Order-Status 4%, Delivery 4%, Stock-Level 4%.
@@ -348,17 +320,16 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 			ReadSet: reads.names, ReadIDs: reads.ids,
 			WriteSet: writes.names, WriteIDs: writes.ids,
 			Exec: func(kv txn.KV) []byte {
-				col := open(kv, tab)
 				var total int64
 				for _, ln := range lns {
-					price := col.get(ln.item + colIPrice)
-					qty := col.get(ln.item+colSQty) - ln.qty
+					price := getInt(kv, ln.item+colIPrice)
+					qty := getInt(kv, ln.item+colSQty) - ln.qty
 					if qty < 10 {
 						qty += 91
 					}
-					col.put(ln.item+colSQty, qty)
-					col.put(ln.item+colSYtd, col.get(ln.item+colSYtd)+ln.qty)
-					col.put(ln.item+colSCnt, col.get(ln.item+colSCnt)+1)
+					putInt(kv, ln.item+colSQty, qty)
+					putInt(kv, ln.item+colSYtd, getInt(kv, ln.item+colSYtd)+ln.qty)
+					putInt(kv, ln.item+colSCnt, getInt(kv, ln.item+colSCnt)+1)
 					total += price * ln.qty
 				}
 				return txn.EncodeInt(total)
@@ -381,13 +352,12 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 		ReadSet: reads.names, ReadIDs: reads.ids,
 		WriteSet: writes.names, WriteIDs: writes.ids,
 		Exec: func(kv txn.KV) []byte {
-			col := open(kv, tab)
-			oid := col.get(dNext)
-			col.put(dNext, oid+1)
+			oid := getInt(kv, dNext)
+			putInt(kv, dNext, oid+1)
 			kv.Put(order, txn.EncodeInt(oid))
 			kv.Put(total, txn.EncodeInt(int64(nItems)))
-			col.put(cLast, int64(uid))
-			return txn.EncodeInt(oid*1000 + col.get(wTax) + col.get(dTax) + col.get(cDisc))
+			putInt(kv, cLast, int64(uid))
+			return txn.EncodeInt(oid*1000 + getInt(kv, wTax) + getInt(kv, dTax) + getInt(kv, cDisc))
 		},
 	}
 	if existing, ok := t.Pieces[home]; ok {
@@ -460,14 +430,13 @@ func (g *Gen) Payment(rng *rand.Rand) *txn.Interactive {
 					ReadSet: custKeys.names, ReadIDs: custKeys.ids,
 					WriteSet: custKeys.names, WriteIDs: custKeys.ids,
 					Exec: func(kv txn.KV) []byte {
-						col := open(kv, custTab)
-						cur := col.get(cBal)
+						cur := getInt(kv, cBal)
 						if cur != seen {
 							return txn.EncodeInt(-1) // validation failed
 						}
-						col.put(cBal, cur-amount)
-						col.put(cYtd, col.get(cYtd)+amount)
-						col.put(cCnt, col.get(cCnt)+1)
+						putInt(kv, cBal, cur-amount)
+						putInt(kv, cYtd, getInt(kv, cYtd)+amount)
+						putInt(kv, cCnt, getInt(kv, cCnt)+1)
 						return txn.EncodeInt(cur - amount)
 					},
 				}
@@ -480,9 +449,8 @@ func (g *Gen) Payment(rng *rand.Rand) *txn.Interactive {
 					ReadSet: reads.names, ReadIDs: reads.ids,
 					WriteSet: writes.names, WriteIDs: writes.ids,
 					Exec: func(kv txn.KV) []byte {
-						col := open(kv, homeTab)
-						col.put(wYtd, col.get(wYtd)+amount)
-						col.put(dYtd, col.get(dYtd)+amount)
+						putInt(kv, wYtd, getInt(kv, wYtd)+amount)
+						putInt(kv, dYtd, getInt(kv, dYtd)+amount)
 						kv.Put(history, txn.EncodeInt(amount))
 						return txn.EncodeInt(0)
 					},
@@ -533,8 +501,7 @@ func (g *Gen) OrderStatus(rng *rand.Rand) *txn.Interactive {
 					sh: {
 						ReadSet: reads.names, ReadIDs: reads.ids,
 						Exec: func(kv txn.KV) []byte {
-							col := open(kv, tab)
-							return append(col.raw(cBal), col.raw(cLast)...)
+							return append(kv.GetID(cBal), kv.GetID(cLast)...)
 						},
 					},
 				}}
@@ -592,10 +559,9 @@ func (g *Gen) Delivery(rng *rand.Rand) *txn.Interactive {
 					sh: {
 						ReadSet: reads.names, ReadIDs: reads.ids,
 						Exec: func(kv txn.KV) []byte {
-							col := open(kv, tab)
 							out := make([]byte, 0, 16*nd)
 							for _, id := range reads.ids {
-								out = append(out, col.raw(id)...)
+								out = append(out, kv.GetID(id)...)
 							}
 							return out
 						},
@@ -637,15 +603,14 @@ func (g *Gen) Delivery(rng *rand.Rand) *txn.Interactive {
 						ReadSet: reads.names, ReadIDs: reads.ids,
 						WriteSet: writes.names, WriteIDs: writes.ids,
 						Exec: func(kv txn.KV) []byte {
-							col := open(kv, tab)
 							var n int64
 							for _, x := range todo {
-								if col.get(x.noHead) != x.head {
+								if getInt(kv, x.noHead) != x.head {
 									continue // another delivery got here first
 								}
-								col.put(x.noHead, x.head+1)
+								putInt(kv, x.noHead, x.head+1)
 								kv.Put(x.carrierRow, txn.EncodeInt(carrier))
-								col.put(x.cBal, col.get(x.cBal)+100)
+								putInt(kv, x.cBal, getInt(kv, x.cBal)+100)
 								n++
 							}
 							return txn.EncodeInt(n)
@@ -678,10 +643,9 @@ func (g *Gen) StockLevel(rng *rand.Rand) *txn.Txn {
 		sh: {
 			ReadSet: reads.names, ReadIDs: reads.ids,
 			Exec: func(kv txn.KV) []byte {
-				col := open(kv, tab)
 				var low int64
 				for _, id := range reads.ids[1:] {
-					if col.get(id) < threshold {
+					if getInt(kv, id) < threshold {
 						low++
 					}
 				}

@@ -95,7 +95,7 @@ func TestNewOrderDeclaredSetsCoverAccesses(t *testing.T) {
 			for _, k := range p.WriteSet {
 				declared[k] = true
 			}
-			tr := &trackingKV{declared: declared, t: t, shard: sh}
+			tr := &trackingKV{declared: declared, t: t, shard: sh, names: g.tab(sh)}
 			p.Exec(tr)
 		}
 	}
@@ -105,8 +105,12 @@ type trackingKV struct {
 	declared map[string]bool
 	t        *testing.T
 	shard    int
+	names    []string // the shard's key names in id order
 	vals     map[string][]byte
 }
+
+func (k *trackingKV) GetID(id txn.KeyID) []byte    { return k.Get(k.names[id]) }
+func (k *trackingKV) PutID(id txn.KeyID, v []byte) { k.Put(k.names[id], v) }
 
 func (k *trackingKV) Get(key string) []byte {
 	if !k.declared[key] {
@@ -347,21 +351,26 @@ func TestNextBeforeSeed(t *testing.T) {
 	}
 }
 
-// nameOnly hides a view's txn.IDKV half, so executors take their name path.
-type nameOnly struct{ txn.KV }
-
-// byName is p with its executor confined to the string KV.
-func byName(p *txn.Piece) *txn.Piece {
-	return &txn.Piece{ReadSet: p.ReadSet, WriteSet: p.WriteSet,
-		Exec: func(kv txn.KV) []byte { return p.Exec(nameOnly{kv}) }}
+// execBuffered is execAll the way lockocc, Tapir and Detock execute: every
+// piece against a buffered view, its write set applied afterwards.
+func execBuffered(sts []*store.Store, tx *txn.Txn) *txn.Result {
+	res := &txn.Result{OK: true, PerShard: make(map[int][]byte)}
+	for sh, p := range tx.Pieces {
+		ret, ws := sts[sh].ExecuteBuffered(p)
+		sts[sh].Apply(ws)
+		res.PerShard[sh] = ret
+	}
+	return res
 }
 
-// The id path and the name path are one behaviour: the same seeded job stream
-// executed through the store's ID view and through a name-only txn.KV gives
-// byte-identical piece results at every stage and equal stores, for every
-// transaction type — a merged home+stock New-Order, a same-shard (merged)
-// Payment, a Payment chain that fails validation and restarts, Order-Status
-// on an inserted order, a Delivery that assigns carriers, Stock-Level.
+// The two ways a piece is executed are one behaviour: the same seeded job
+// stream through ExecuteID + Commit (Tiga, Calvin+, Janus, NCC) and through
+// ExecuteBuffered + Apply (lockocc, Tapir, Detock) gives byte-identical piece
+// results at every stage and equal stores, for every transaction type — a
+// merged home+stock New-Order, a same-shard (merged) Payment, a Payment chain
+// that fails validation and restarts, Order-Status on an inserted order, a
+// Delivery that assigns carriers, Stock-Level. (The test keeps the name it had
+// when the two paths were the executors' id body and name body.)
 func TestIDAndNamePathsAgree(t *testing.T) {
 	cfg := Config{Shards: 3, Warehouses: 3, Districts: 2, Customers: 5, Items: 60}
 	type side struct {
@@ -374,22 +383,26 @@ func TestIDAndNamePathsAgree(t *testing.T) {
 		g := New(cfg)
 		return &side{g: g, rng: rand.New(rand.NewSource(12)), sts: seededStores(g, cfg.Shards)}
 	}
-	ids, names := mk(), mk()
+	opt, buf := mk(), mk()
 	covered := map[string]int{}
-	// run executes the same transaction on both sides and returns the id
-	// side's result after checking the name side produced the same bytes.
+	// run executes the same transaction on both sides and returns the
+	// optimistic side's result after checking the buffered side produced the
+	// same bytes.
 	run := func(label string, a, b *txn.Txn) *txn.Result {
 		t.Helper()
-		for sh, p := range b.Pieces {
-			b.Pieces[sh] = byName(p)
+		ra := &txn.Result{OK: true, PerShard: make(map[int][]byte)}
+		opt.seq++
+		for sh, p := range a.Pieces {
+			ra.PerShard[sh] = opt.sts[sh].ExecuteID(txn.ID{Coord: 9, Seq: opt.seq}, txn.Timestamp{}, p)
+			opt.sts[sh].Commit(txn.ID{Coord: 9, Seq: opt.seq})
 		}
-		ra, rb := execAll(t, ids.sts, a, &ids.seq), execAll(t, names.sts, b, &names.seq)
+		rb := execBuffered(buf.sts, b)
 		if len(ra.PerShard) != len(rb.PerShard) {
 			t.Fatalf("%s: %d vs %d piece results", label, len(ra.PerShard), len(rb.PerShard))
 		}
 		for sh, out := range ra.PerShard {
 			if string(out) != string(rb.PerShard[sh]) {
-				t.Fatalf("%s on shard %d: id path returned %x, name path %x", label, sh, out, rb.PerShard[sh])
+				t.Fatalf("%s on shard %d: optimistic execution returned %x, buffered %x", label, sh, out, rb.PerShard[sh])
 			}
 		}
 		return ra
@@ -402,7 +415,7 @@ func TestIDAndNamePathsAgree(t *testing.T) {
 			ta, done, abort := a.Next(stage, prev)
 			tb, doneB, abortB := b.Next(stage, prev)
 			if done != doneB || abort != abortB {
-				t.Fatalf("%s stage %d: id path done=%v abort=%v, name path done=%v abort=%v", label, stage, done, abort, doneB, abortB)
+				t.Fatalf("%s stage %d: optimistic done=%v abort=%v, buffered done=%v abort=%v", label, stage, done, abort, doneB, abortB)
 			}
 			if abort {
 				covered[label+"-restart"]++
@@ -426,16 +439,16 @@ func TestIDAndNamePathsAgree(t *testing.T) {
 				// An intervening writer moves the balance stage 0 just read.
 				for sh, p := range ta.Pieces {
 					k := p.ReadSet[0]
-					v := txn.EncodeInt(txn.DecodeInt(ids.sts[sh].Get(k)) - 777)
-					ids.sts[sh].Seed(k, v)
-					names.sts[sh].Seed(k, v)
+					v := txn.EncodeInt(txn.DecodeInt(opt.sts[sh].Get(k)) - 777)
+					opt.sts[sh].Seed(k, v)
+					buf.sts[sh].Seed(k, v)
 				}
 			}
 		}
 	}
 	chains := 0
 	for i := 0; i < 600; i++ {
-		ja, jb := ids.g.Next(ids.rng), names.g.Next(names.rng)
+		ja, jb := opt.g.Next(opt.rng), buf.g.Next(buf.rng)
 		if ja.Label != jb.Label {
 			t.Fatalf("job %d: the two generators diverged (%s vs %s)", i, ja.Label, jb.Label)
 		}
@@ -459,9 +472,9 @@ func TestIDAndNamePathsAgree(t *testing.T) {
 			t.Errorf("the job stream never exercised %s (covered: %v)", want, covered)
 		}
 	}
-	for sh := range ids.sts {
-		if !ids.sts[sh].Equal(names.sts[sh]) || !names.sts[sh].Equal(ids.sts[sh]) {
-			t.Errorf("shard %d: stores differ between the id path and the name path", sh)
+	for sh := range opt.sts {
+		if !opt.sts[sh].Equal(buf.sts[sh]) || !buf.sts[sh].Equal(opt.sts[sh]) {
+			t.Errorf("shard %d: stores differ between optimistic and buffered execution", sh)
 		}
 	}
 }

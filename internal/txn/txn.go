@@ -7,7 +7,6 @@ package txn
 
 import (
 	"encoding/binary"
-	"slices"
 	"sort"
 	"time"
 
@@ -58,35 +57,35 @@ func (a Timestamp) Max(b Timestamp) Timestamp {
 	return a
 }
 
-// KV is the store view a piece executes against.
+// KV is the store view a piece executes against: the keys a workload numbered
+// are read and written by id, everything else — a hand-built piece, a row the
+// transaction inserts — by name. The two forms reach one state: a view finds a
+// write made under a key's name when the key is read by its id, and the other
+// way round. internal/store has the only two implementations, the view of an
+// optimistic execution and the write-buffering one.
 type KV interface {
 	Get(key string) []byte
 	Put(key string, val []byte)
+	GetID(id KeyID) []byte
+	PutID(id KeyID, val []byte)
 }
 
 // KeyID is a dense per-shard interned key index: key i of a shard's seeded
 // keyspace (store.SeedBulk order, which every workload generator, TPC-C
 // included, makes equal to its own key index). A piece executes on exactly one
-// shard, so its ids need no shard qualifier. Tiga's serving path — conflict
-// state, execution, snapshot reads — runs on ids; the string names stay
-// authoritative for the baselines, the checkers and rendering, and for keys no
-// generator can number ahead of time (rows a transaction inserts), which a
-// store numbers itself (store.Intern) when it first meets them.
+// shard, so its ids need no shard qualifier, and every copy of a shard is
+// seeded alike, so a seeded key's id holds on all of them. Execution runs on
+// ids in all nine protocols. Names remain for what crosses stores or leaves the
+// system — lock tables, wire messages, the checkers, rendering — and for keys
+// no generator can number ahead of time (rows a transaction inserts): each
+// store numbers those itself when it first meets them (store.Intern), so such
+// an id means nothing on another store.
 type KeyID = uint32
 
 // NoKeyID marks a position of ReadIDs/WriteIDs whose key has no id the
-// workload could know (an inserted row): whoever needs one asks the shard's
-// store for it by name.
+// workload could know (an inserted row): the shard's store supplies one by
+// name (store.IDs).
 const NoKeyID = ^KeyID(0)
-
-// IDKV is the interned fast path a store view may additionally implement:
-// slice-indexed reads and writes that never hash a key string. Piece
-// executors type-assert for it and fall back to the string KV when absent
-// (e.g. lockocc's buffered-write view).
-type IDKV interface {
-	GetID(id KeyID) []byte
-	PutID(id KeyID, val []byte)
-}
 
 // PieceFunc executes one shard's piece of a transaction against the shard's
 // store and returns an opaque per-shard result.
@@ -105,19 +104,6 @@ type Piece struct {
 	ReadIDs  []KeyID
 	WriteIDs []KeyID
 	Exec     PieceFunc
-}
-
-// Numbered reports whether ids gives an id for every key of names, so the
-// slice can stand for the set as it is.
-func Numbered(names []string, ids []KeyID) bool {
-	return len(ids) == len(names) && !slices.Contains(ids, NoKeyID)
-}
-
-// Interned reports whether the piece carries ids for its whole declared
-// read/write set, making the ID fast paths usable.
-func (p *Piece) Interned() bool {
-	return Numbered(p.ReadSet, p.ReadIDs) && Numbered(p.WriteSet, p.WriteIDs) &&
-		(len(p.ReadIDs) > 0 || len(p.WriteIDs) > 0)
 }
 
 // Conflicts reports whether two pieces have a read-write or write-write
@@ -273,22 +259,15 @@ func IncrementPiece(keys ...string) *Piece {
 	}
 }
 
-// IncrementPieceID is IncrementPiece for one interned key: the executor uses
-// the store's slice-indexed fast path when offered one and falls back to the
-// string KV otherwise, writing identical values either way.
+// IncrementPieceID is IncrementPiece for one key the workload numbered.
 func IncrementPieceID(key string, id KeyID) *Piece {
 	ks := []string{key}
 	ids := []KeyID{id}
 	return &Piece{
 		ReadSet: ks, WriteSet: ks, ReadIDs: ids, WriteIDs: ids,
 		Exec: func(kv KV) []byte {
-			if ikv, ok := kv.(IDKV); ok {
-				out := EncodeInt(DecodeInt(ikv.GetID(id)) + 1)
-				ikv.PutID(id, out)
-				return out
-			}
-			out := EncodeInt(DecodeInt(kv.Get(key)) + 1)
-			kv.Put(key, out)
+			out := EncodeInt(DecodeInt(kv.GetID(id)) + 1)
+			kv.PutID(id, out)
 			return out
 		},
 	}
@@ -302,17 +281,12 @@ func ReadPiece(key string) *Piece {
 	}
 }
 
-// ReadPieceID is ReadPiece for one interned key.
+// ReadPieceID is ReadPiece for one key the workload numbered.
 func ReadPieceID(key string, id KeyID) *Piece {
 	return &Piece{
 		ReadSet: []string{key},
 		ReadIDs: []KeyID{id},
-		Exec: func(kv KV) []byte {
-			if ikv, ok := kv.(IDKV); ok {
-				return ikv.GetID(id)
-			}
-			return kv.Get(key)
-		},
+		Exec:    func(kv KV) []byte { return kv.GetID(id) },
 	}
 }
 

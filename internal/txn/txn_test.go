@@ -1,6 +1,7 @@
 package txn
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -115,10 +116,13 @@ func TestEncodeDecodeInt(t *testing.T) {
 	}
 }
 
+// fakeKV has no interner: an id is just another name.
 type fakeKV map[string][]byte
 
-func (m fakeKV) Get(k string) []byte    { return m[k] }
-func (m fakeKV) Put(k string, v []byte) { m[k] = v }
+func (m fakeKV) Get(k string) []byte      { return m[k] }
+func (m fakeKV) Put(k string, v []byte)   { m[k] = v }
+func (m fakeKV) GetID(id KeyID) []byte    { return m[fmt.Sprint("#", id)] }
+func (m fakeKV) PutID(id KeyID, v []byte) { m[fmt.Sprint("#", id)] = v }
 
 func TestIncrementPiece(t *testing.T) {
 	kv := fakeKV{}
@@ -144,5 +148,14 @@ func TestReadWritePieces(t *testing.T) {
 	WritePiece("y", EncodeInt(3)).Exec(kv)
 	if DecodeInt(kv["y"]) != 3 {
 		t.Fatal("WritePiece")
+	}
+	// The numbered forms declare the name and execute by the id alone.
+	kv.PutID(4, EncodeInt(6))
+	inc := IncrementPieceID("x", 4)
+	if DecodeInt(inc.Exec(kv)) != 7 || DecodeInt(kv.GetID(4)) != 7 || DecodeInt(kv["x"]) != 9 {
+		t.Fatal("IncrementPieceID")
+	}
+	if DecodeInt(ReadPieceID("x", 4).Exec(kv)) != 7 || inc.WriteSet[0] != "x" || inc.WriteIDs[0] != 4 {
+		t.Fatal("ReadPieceID")
 	}
 }

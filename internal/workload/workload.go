@@ -163,30 +163,21 @@ func (m *MicroBench) Next(rng *rand.Rand) Job {
 		key := ks[i : i+1 : i+1]
 		kid := ids[i : i+1 : i+1]
 		ps[i] = txn.Piece{ReadSet: key, WriteSet: key, ReadIDs: kid, WriteIDs: kid,
-			Exec: incrementExec(key, kid)}
+			Exec: incrementExec(kid)}
 		t.Pieces[sh] = &ps[i]
 	}
 	return Job{T: t, Label: "micro"}
 }
 
-// incrementExec is txn.IncrementPiece's operation over caller-owned key and
-// id slices. Stored values are immutable, so the buffer handed to Put doubles
-// as the piece result instead of encoding twice. Views offering the interned
-// fast path (txn.IDKV) are driven by id — no string ever reaches a hash — and
-// the string path stays for buffered views like lockocc's.
-func incrementExec(ks []string, ids []KeyID) txn.PieceFunc {
+// incrementExec is txn.IncrementPiece's operation over a caller-owned id
+// slice. Stored values are immutable, so the buffer handed to PutID doubles as
+// the piece result instead of encoding twice.
+func incrementExec(ids []KeyID) txn.PieceFunc {
 	return func(kv txn.KV) []byte {
 		var out []byte
-		if ikv, ok := kv.(txn.IDKV); ok && len(ids) == len(ks) {
-			for _, id := range ids {
-				out = txn.EncodeInt(txn.DecodeInt(ikv.GetID(id)) + 1)
-				ikv.PutID(id, out)
-			}
-			return out
-		}
-		for _, k := range ks {
-			out = txn.EncodeInt(txn.DecodeInt(kv.Get(k)) + 1)
-			kv.Put(k, out)
+		for _, id := range ids {
+			out = txn.EncodeInt(txn.DecodeInt(kv.GetID(id)) + 1)
+			kv.PutID(id, out)
 		}
 		return out
 	}
