@@ -157,8 +157,8 @@ func (rp *replica) onPrepare(m prepareMsg) {
 	}
 	reads, writes := rp.st.IDs(piece.ReadSet, piece.ReadIDs), rp.st.IDs(piece.WriteSet, piece.WriteIDs)
 	locked := func(k txn.KeyID) bool {
-		owner, locked := rp.pkeys[k]
-		return locked && owner != id
+		owner, held := rp.pkeys[k]
+		return held && owner != id
 	}
 	ok := !slices.ContainsFunc(reads, locked) && !slices.ContainsFunc(writes, locked)
 	rep := prepareRep{Shard: rp.shard, Replica: rp.rep, ID: id, Try: m.Try, OK: ok}
