@@ -207,7 +207,7 @@ func TestLocalReadsChaosRowsHonourOpCap(t *testing.T) {
 
 // TestLocalReadSpecDeploysOnTheSelectedTopology: LocalReads and Breakdown stamp
 // their tables with the classic topology, so that is where their cells must
-// deploy (the spec used to name none and fell back to geo4 under -topo X).
+// deploy — a spec that names no topology deploys on geo4 whatever -topo says.
 func TestLocalReadSpecDeploysOnTheSelectedTopology(t *testing.T) {
 	o := Options{Quick: true, Keys: 800, Seed: 42, Topologies: []string{"us-eu3"}}
 	if got := o.localReadSpec("Tiga", 0, true).topology().Name; got != "us-eu3" {

@@ -53,9 +53,9 @@ func TestSweepSinksRunOnceInOrderOnOwnResult(t *testing.T) {
 }
 
 // TestFig12And13HonourOpCap: the two figures default to 100 outstanding per
-// coordinator by design, and -op overrides that like any other default (they
-// used to overwrite the resolved cap). Runs are deterministic, so a cap of one
-// that reaches the cells changes some cell and one that does not changes none.
+// coordinator by design, and -op overrides that like any other default. Runs
+// are deterministic, so a cap of one that reaches the cells changes some cell
+// and one that does not changes none.
 func TestFig12And13HonourOpCap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs Fig 12 and Fig 13 twice")

@@ -346,7 +346,7 @@ func (r *Replica) Report(replica int, w time.Duration) {
 // AdvanceGC recomputes the leader's version-GC horizon: the minimum
 // watermark across all replicas minus the staleness bound and gcSlack, and
 // prunes the store to it. PruneTo keeps the newest committed version at or
-// below the horizon, so GetAt at or above it is invariant under the prune.
+// below the horizon, so GetAtID at or above it is invariant under the prune.
 // Until every follower has reported there is no safe horizon and the leader
 // keeps full history.
 func (r *Replica) AdvanceGC() {

@@ -41,7 +41,7 @@ type version struct {
 	ts     txn.Timestamp
 	val    []byte
 	// uncommitted marks a version written by Execute that Commit has not
-	// yet finalized. Snapshot reads (GetAt) never observe such versions;
+	// yet finalized. Snapshot reads (GetAtID) never observe such versions;
 	// Get still does, because optimistic execution reads its own writes.
 	uncommitted bool
 }
@@ -97,7 +97,7 @@ func New() *Store {
 
 // EnableSnapshots switches the store into version-retaining mode: Commit
 // marks versions committed (recording a per-key high-water timestamp)
-// instead of garbage-collecting history, so GetAt can serve reads at any
+// instead of garbage-collecting history, so GetAtID can serve reads at any
 // past timestamp. Protocols enable this only when local snapshot reads are
 // on; the default GC behavior is byte-identical to before.
 func (s *Store) EnableSnapshots() {
@@ -460,7 +460,7 @@ func (s *Store) revokeSlot(e *slot, id txn.ID) {
 // durable and older versions of those keys are garbage-collected in place
 // (the key's version slice is truncated and reused, not reallocated); in
 // snapshot-retaining mode (EnableSnapshots) the versions are marked
-// committed, history is kept for GetAt, and the per-key high-water advances.
+// committed, history is kept for GetAtID, and the per-key high-water advances.
 // Committing an id twice is a no-op either way.
 func (s *Store) Commit(id txn.ID) {
 	wp, ok := s.pending[id]
@@ -549,10 +549,10 @@ func (s *Store) Versions() int {
 
 // PruneTo garbage-collects committed history no snapshot read at or above
 // `horizon` can observe: for each key it keeps the newest committed version
-// with timestamp ≤ horizon (the version GetAt(key, horizon) returns) and
+// with timestamp ≤ horizon (the version GetAtID(key, horizon) returns) and
 // drops all committed versions strictly older. Uncommitted (optimistic)
 // versions are never touched, and a key's newest committed state always
-// survives, so Get and any GetAt(·, at ≥ horizon) are invariant under
+// survives, so Get and any GetAtID(·, at ≥ horizon) are invariant under
 // pruning. The caller (a protocol's safe-time tick) derives horizon from the
 // minimum replica watermark minus the read-staleness bound. Only the dirty
 // set of rewritten keys is visited. Returns the number of versions dropped.
@@ -565,7 +565,7 @@ func (s *Store) PruneTo(horizon time.Duration) int {
 		e := &s.byID[k]
 		vs := e.vs
 		// Find the pivot: the newest committed version at or below the
-		// horizon (same scan GetAt performs).
+		// horizon (same scan GetAtID performs).
 		pivot := -1
 		for i := len(vs) - 1; i >= 0; i-- {
 			if !vs[i].uncommitted && vs[i].ts.Time <= horizon {
