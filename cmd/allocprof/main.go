@@ -6,33 +6,39 @@
 //	go tool pprof -top -sample_index=alloc_objects allocprof.out
 //
 // With -cpuprofile it also writes a CPU profile of the RunLoad call, so a
-// regression in a layer row of the benchmark localises to a function. The
-// defaults are the small simbench deployment; the shape of the benchmark's
-// tiga-micro-sat workload (bench/workloads.go), where costs that scale with
-// the keyspace show, is
+// regression in a layer row of the benchmark localises to a function, and with
+// -liveheap an in-use heap profile of what the run leaves reachable — the
+// benchmark's host_live_heap_mb, by allocation site. The defaults are the small
+// simbench deployment (4 coordinators, 200 ms warm-up). The benchmark's
+// workloads (bench/workloads.go) all run 8 coordinators — 2 per server region
+// and 2 remote — after a 500 ms warm-up; with -coords 2,2 -warmup 500ms the
+// throughput, allocs/txn and bytes/txn printed here are the benchmark's own
+// (tiga-micro-sat: ≈ 23 k commits in the 2 s window, 11.5 k txn/s). The shape
+// of tiga-micro-sat, where costs that scale with the keyspace show, is
 //
-//	go run ./cmd/allocprof -keys 100000 -rate 3000 -outstanding 300 \
-//	    -duration 2s -cpuprofile cpu.out
+//	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -keys 100000 -rate 3000 \
+//	    -outstanding 300 -duration 2s -cpuprofile cpu.out -liveheap live.out
 //
-// and the shape of its tiga-tpcc-sat workload (multi-key pieces, inserted
-// rows, interactive chains) is
+// and the shape of tiga-tpcc-sat (multi-key pieces, inserted rows, interactive
+// chains) is
 //
-//	go run ./cmd/allocprof -workload tpcc -shards 6 -keys 5000 -rate 1000 \
-//	    -outstanding 300 -duration 3.5s -cpuprofile cpu.out
+//	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -workload tpcc -shards 6 \
+//	    -keys 5000 -rate 1000 -outstanding 300 -duration 3.5s -cpuprofile cpu.out
 //
-// and one point of its sweep-nine workload — here Detock's — is (this
-// deployment has 4 coordinators to the benchmark's 8, so -rate 500 gives the
-// benchmark's 2 000 txn/s)
+// and one point of sweep-nine — here Detock's — is
 //
-//	go run ./cmd/allocprof -protocol Detock -keys 20000 -rate 500 \
-//	    -outstanding 400 -duration 2800ms -cpuprofile cpu.out
+//	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -protocol Detock \
+//	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms -cpuprofile cpu.out
 //
 // or, for the buffered view and the apply path at their busiest (Tapir
 // executes a piece on every replica at prepare and again at the decision,
 // ≈ 21 buffered executions per commit)
 //
-//	go run ./cmd/allocprof -protocol Tapir -keys 20000 -rate 500 \
-//	    -outstanding 400 -duration 2800ms
+//	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -protocol Tapir \
+//	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms
+//
+// (The benchmark also sets Tiga's retry-timeout to 10 s on the two saturated
+// Tiga workloads; at their queueing delays the default never fires either.)
 //
 // The per-txn allocation budget is a first-class serving-path metric (see
 // EXPERIMENTS.md "Allocation budget"); this harness is how regressions get
@@ -62,7 +68,16 @@ func main() {
 	keys := flag.Int("keys", 2000, "keys per shard")
 	outstanding := flag.Int("outstanding", 100, "closed-loop outstanding transactions per coordinator")
 	cpuOut := flag.String("cpuprofile", "", "also write a pprof CPU profile of the run to this path")
+	coords := flag.String("coords", "1,1", "coordinators per server region, and in the remote region")
+	warmup := flag.Duration("warmup", 200*time.Millisecond, "simulated warm-up before the measured window")
+	liveOut := flag.String("liveheap", "", "also force a GC after the run, print the live heap and write an in-use heap profile to this path")
 	flag.Parse()
+
+	var perRegion, remote int
+	if n, err := fmt.Sscanf(*coords, "%d,%d", &perRegion, &remote); n != 2 || err != nil || perRegion < 0 || remote < 0 || perRegion+remote == 0 {
+		fmt.Fprintf(os.Stderr, "allocprof: -coords %q: want <per server region>,<remote>, e.g. 2,2\n", *coords)
+		os.Exit(2)
+	}
 
 	// MemProfileRate 1 records every allocation, so small runs attribute the
 	// full budget instead of a sample. Under -cpuprofile the heap profile stays
@@ -75,26 +90,30 @@ func main() {
 	spec := harness.ClusterSpec{
 		Protocol: *proto, Workload: *wl, WorkloadKeys: *keys,
 		Shards: *shards, F: 1, Clock: clocks.ModelChrony,
-		CoordsPerRegion: 1, CoordsRemote: 1, Seed: 42,
+		CoordsPerRegion: perRegion, CoordsRemote: remote, Seed: 42,
 		CostScale: harness.CPUScale,
 	}
 	if err := spec.EnsureGen(); err != nil {
 		fmt.Fprintln(os.Stderr, "allocprof:", err)
 		os.Exit(2)
 	}
-	// Both profile files are opened up front, so an unwritable path fails
+	// Every profile file is opened up front, so an unwritable path fails
 	// before the run rather than after it.
 	f, err := os.Create(*out)
 	check(err)
-	var cpuFile *os.File
+	var cpuFile, liveFile *os.File
 	if *cpuOut != "" {
 		cpuFile, err = os.Create(*cpuOut)
+		check(err)
+	}
+	if *liveOut != "" {
+		liveFile, err = os.Create(*liveOut)
 		check(err)
 	}
 	d := harness.Build(spec)
 	load := harness.LoadSpec{
 		RatePerCoord: *rate, Outstanding: *outstanding, Arrival: *arrival,
-		Warmup: 200 * time.Millisecond, Duration: *dur, Seed: 43,
+		Warmup: *warmup, Duration: *dur, Seed: 43,
 	}
 	runtime.GC()
 	if cpuFile != nil {
@@ -121,6 +140,20 @@ func main() {
 	check(pprof.Lookup("allocs").WriteTo(f, 0))
 	check(f.Close())
 	fmt.Printf("wrote %s\n", *out)
+
+	if liveFile != nil {
+		// The benchmark's host_live_heap_mb: HeapAlloc after a forced GC with
+		// the deployment and the result still reachable. The collection above
+		// also published the profile records of everything that survived it.
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		fmt.Printf("live heap %.1f MB\n", float64(m.HeapAlloc)/(1<<20))
+		check(pprof.Lookup("heap").WriteTo(liveFile, 0))
+		check(liveFile.Close())
+		fmt.Printf("wrote %s (go tool pprof -sample_index=inuse_space)\n", *liveOut)
+	}
+	runtime.KeepAlive(d)
+	runtime.KeepAlive(res)
 }
 
 // check exits on an error from writing a profile.

@@ -2,6 +2,7 @@ package tiga
 
 import (
 	"tiga/internal/clocks"
+	"tiga/internal/pool"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
@@ -62,6 +63,9 @@ type Cluster struct {
 	// are shared by every node of this cluster but only ever touched from the
 	// owning simulation's single-threaded event loop.
 	msgs *msgPools
+	// agreements recycles the leaders' §3.5 agreement objects (agreement in
+	// server.go), under the same single-threaded discipline.
+	agreements *pool.Free[agreement]
 
 	initialGVec []int
 	initialMode Mode
@@ -73,7 +77,7 @@ func NewCluster(net *simnet.Network, cfg Config, pl Placement, cf *clocks.Factor
 	seed func(int, *store.Store)) *Cluster {
 
 	c := &Cluster{Cfg: cfg, Net: net, Seed: seed, initialGVec: make([]int, cfg.Shards),
-		msgs: newMsgPools()}
+		msgs: newMsgPools(), agreements: pool.New[agreement]()}
 
 	// Mode selection (§3.8): preventive iff the initial leaders (replica 0
 	// of each shard) are mutually within the co-location threshold.

@@ -1,6 +1,8 @@
 package tiga
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -392,13 +394,15 @@ func (co *Coordinator) onSlowInquiryRep(from simnet.NodeID, m slowInquiryRep) {
 // sortIDs orders transaction IDs deterministically by (Coord, Seq) — the
 // canonical ordering every map-keyed scan must apply before its results feed
 // message sends or callbacks, or whole simulation runs diverge.
-func sortIDs(ids []txn.ID) {
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].Coord != ids[j].Coord {
-			return ids[i].Coord < ids[j].Coord
-		}
-		return ids[i].Seq < ids[j].Seq
-	})
+func sortIDs(ids []txn.ID) { slices.SortFunc(ids, compareIDs) }
+
+// compareIDs orders transaction ids by coordinator, then sequence number: the
+// order every id-ordered walk that feeds a message send uses.
+func compareIDs(a, b txn.ID) int {
+	if c := cmp.Compare(a.Coord, b.Coord); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // pendingInOrder returns the pending transaction IDs in submission (sequence)

@@ -131,14 +131,15 @@ func TestMixedFormPiecesSerialize(t *testing.T) {
 					if got := txn.DecodeInt(s.Store().Get(fmt.Sprintf("k%d-%d", sh, key))); got != int64(s.applied) || s.syncPoint != len(commits) {
 						t.Errorf("shard %d replica %d: value %d with %d entries applied, %d of %d synced", sh, rep, got, s.applied, s.syncPoint, len(commits))
 					}
-					if len(s.parkR) != 0 || len(s.parkW) != 0 {
-						t.Errorf("shard %d replica %d: %d/%d parked keys after the drain", sh, rep, len(s.parkR), len(s.parkW))
+					if s.keys.parked != 0 {
+						t.Errorf("shard %d replica %d: %d parked keys after the drain", sh, rep, s.keys.parked)
 					}
 				}
 			}
-			if sc.scans == 0 {
-				t.Fatal("the scan check never ran")
+			if sc.scans == 0 || sc.cov.answers == 0 {
+				t.Fatal("the scan check or the conflict-table oracle never ran")
 			}
+			checkDrained(t, c)
 		})
 	}
 }

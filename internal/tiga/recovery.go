@@ -14,11 +14,17 @@ import (
 // ordered by timestamp, appended after the synced prefix (Algorithm 5 lines
 // 7–9). It does not mutate the server's own log.
 func (s *Server) flushLog() []logEntry {
-	out := make([]logEntry, 0, len(s.log)+len(s.tail)+s.pq.len())
+	out := make([]logEntry, 0, len(s.log)+s.tails+s.pq.len())
 	out = append(out, s.log...)
 	var extra []logEntry
-	for _, e := range s.tail {
-		extra = append(extra, e)
+	if s.tails > 0 {
+		// The tail is a flag on the records; timestamps are unique, so the
+		// sort below leaves nothing of the map's order.
+		for _, r := range s.recs {
+			if r.tail {
+				extra = append(extra, logEntry{ID: r.id, TS: r.ts, T: r.t})
+			}
+		}
 	}
 	for _, r := range s.pq.items {
 		extra = append(extra, logEntry{ID: r.id, TS: r.ts, T: r.t})
@@ -96,7 +102,9 @@ func (s *Server) onViewChange(m *viewChangeMsg) {
 // rebuildLog reconstructs the shard log from f+1 surviving servers
 // (Algorithm 5, rebuild-log): part (a) copies the log prefix of the server
 // with the freshest view and largest sync-point; part (b) keeps any remaining
-// entry present on at least ⌈f/2⌉+1 participants, ordered by timestamp.
+// entry present on at least ⌈f/2⌉+1 participants, ordered by timestamp. The
+// result is Server.recovered: the server's own log stays what it was until
+// installLog has compared the two.
 func (s *Server) rebuildLog() {
 	s.rebuilt = true
 	largestLNV := -1
@@ -140,7 +148,7 @@ func (s *Server) rebuildLog() {
 		}
 	}
 	sort.Slice(partB, func(i, j int) bool { return partB[i].TS.Less(partB[j].TS) })
-	s.log = append(newLog, partB...)
+	s.recovered = append(newLog, partB...)
 }
 
 // verifyTimestamps starts the cross-shard timestamp verification (§4 step 4):
@@ -153,7 +161,7 @@ func (s *Server) verifyTimestamps() {
 		return
 	}
 	var info []verifyEntry
-	for _, e := range s.log {
+	for _, e := range s.recovered {
 		if len(e.T.Pieces) > 1 {
 			info = append(info, verifyEntry{ID: e.ID, TS: e.TS, T: e.T, Shards: e.T.Shards()})
 		}
@@ -192,8 +200,9 @@ func (s *Server) maybeFinishVerification() {
 		return
 	}
 	// Merge: adopt missing entries involving this shard; max timestamps.
-	pos := make(map[txn.ID]int, len(s.log))
-	for i, e := range s.log {
+	log := s.recovered
+	pos := make(map[txn.ID]int, len(log))
+	for i, e := range log {
 		pos[e.ID] = i
 	}
 	for _, m := range s.tQuorum {
@@ -212,23 +221,25 @@ func (s *Server) maybeFinishVerification() {
 				continue
 			}
 			if i, ok := pos[ve.ID]; ok {
-				if s.log[i].TS.Less(ve.TS) {
-					s.log[i].TS = ve.TS
+				if log[i].TS.Less(ve.TS) {
+					log[i].TS = ve.TS
 				}
 			} else {
-				pos[ve.ID] = len(s.log)
-				s.log = append(s.log, logEntry{ID: ve.ID, TS: ve.TS, T: ve.T})
+				pos[ve.ID] = len(log)
+				log = append(log, logEntry{ID: ve.ID, TS: ve.TS, T: ve.T})
 			}
 		}
 	}
-	sort.SliceStable(s.log, func(i, j int) bool { return s.log[i].TS.Less(s.log[j].TS) })
+	sort.SliceStable(log, func(i, j int) bool { return log[i].TS.Less(log[j].TS) })
+	s.recovered = log
 	s.finishViewChange()
 }
 
 // finishViewChange installs the recovered log, replays the store, broadcasts
 // start-view to the shard's followers, and resumes normal processing.
 func (s *Server) finishViewChange() {
-	s.installLog(s.log)
+	s.installLog(s.recovered)
+	s.recovered = nil
 	for rep := 0; rep < s.cfg.Replicas(); rep++ {
 		if rep == s.replica {
 			continue
@@ -263,22 +274,25 @@ func (s *Server) onStartView(m startViewMsg) {
 // the checkpoint's image (§4) and cost no simulated time, exactly as if the
 // image had been kept, so only the entries after it charge ExecCost.
 func (s *Server) installLog(log []logEntry) {
+	if !s.checkpointValid(log) {
+		s.checkpointPos = 0
+	}
 	s.log = append([]logEntry(nil), log...)
-	s.tail = make(map[txn.ID]logEntry)
-	s.pq = prioQueue{}
-	clear(s.parkR)
-	clear(s.parkW)
+	s.tails = 0
+	s.pq = prioQueue{fallbacks: s.pq.fallbacks}
 	s.pendingSync = make(map[int]logSyncMsg)
 	s.followerSP = make(map[int]int)
 	s.recs = make(map[txn.ID]*rec)
-	s.rMap = make(map[txn.KeyID]txn.Timestamp)
-	s.wMap = make(map[txn.KeyID]txn.Timestamp)
+	// The rebuilt store numbers inserted keys in replay order, so the conflict
+	// table and every record's references into it start over with it, and the
+	// agreements of the records dropped here end.
+	s.keys = conflictTable{}
+	for _, a := range s.agreements {
+		s.cluster.agreements.Put(a)
+	}
+	s.agreements = nil
 	s.relHash.Reset()
 
-	if !s.checkpointValid() {
-		s.checkpointPos = 0
-		s.checkpointIDs = s.checkpointIDs[:0]
-	}
 	s.st = s.cluster.newStore(s.shard)
 	s.reads.Store = s.st
 	for i := 0; i < len(s.log); i++ {
@@ -296,7 +310,7 @@ func (s *Server) installLog(log []logEntry) {
 			coord: s.cluster.coordNode(e.ID.Coord), executed: true, released: true, result: res}
 		if p := e.T.Pieces[s.shard]; p != nil {
 			s.attach(r, p)
-			s.noteAccess(r.keys(), e.TS)
+			s.noteAccess(r, e.TS)
 		}
 		s.recs[e.ID] = r
 	}
@@ -305,14 +319,16 @@ func (s *Server) installLog(log []logEntry) {
 	s.applied = len(s.log)
 }
 
-// checkpointValid reports whether the recovered log prefix matches the basis
-// of the last checkpoint (so replaying it rebuilds the checkpoint's image).
-func (s *Server) checkpointValid() bool {
-	if s.checkpointPos > len(s.log) {
+// checkpointValid reports whether the incoming log's prefix matches the basis
+// of the last checkpoint — the same transactions in the same positions as the
+// log it was taken on, which is still the server's — so that replaying it
+// rebuilds the checkpoint's image.
+func (s *Server) checkpointValid(log []logEntry) bool {
+	if s.checkpointPos > len(log) {
 		return false
 	}
-	for i, id := range s.checkpointIDs {
-		if s.log[i].ID != id {
+	for i, e := range s.log[:s.checkpointPos] {
+		if log[i].ID != e.ID {
 			return false
 		}
 	}
@@ -359,11 +375,4 @@ func (s *Server) onStateTransferRep(m stateTransferRep) {
 	s.installLog(m.Log)
 	s.lnv = s.lview
 	s.status = statusNormal
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

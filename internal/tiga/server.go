@@ -30,56 +30,68 @@ type logEntry struct {
 	T  *txn.Txn
 }
 
-// rec is the server's bookkeeping for one transaction.
+// rec is the server's bookkeeping for one transaction. Every replica keeps one
+// per transaction for the whole run, so its size class is live heap
+// (TestRecStaysInItsSizeClass): what only some records need for some of the
+// time — §3.5 agreement state — lives behind ag.
 type rec struct {
 	id    txn.ID
 	t     *txn.Txn
 	piece *txn.Piece
-	// own holds the piece's access sets as this server's store numbers them,
-	// resolved once when the piece is attached (Server.attach), for a piece
-	// whose own id slices do not name every key; nil when they do. Conflict
-	// state is keyed by what keys returns.
-	own   *accessSets
 	ts    txn.Timestamp // this server's current view of T.t
 	coord simnet.NodeID
-
-	inPQ     bool
-	parked   bool // leader: in pq awaiting agreement; its keys are in parkR/parkW
-	mapped   bool // rMap/wMap record the access sets at the current ts (recordMaps ran since ts last moved)
-	held     bool // follower: arrived too late, waiting for log-sync
-	executed bool
-	released bool
-	result   []byte
-	owd      time.Duration
-
-	// Timestamp agreement state (§3.5). round1/round2 hold, per shard, the
-	// timestamp that shard's leader announced in that round.
-	proposed  bool // preventive mode: round-1 notification sent
-	round     int
-	round1    tsSet
-	round2    tsSet
-	agreed    bool // agreement finished; safe to release once (re-)executed
-	replyHash hashlog.Hash
-	fetching  bool
+	// refs caches the conflict-table entries of the piece's keys, the nr read
+	// keys first, resolved once when the piece is attached (Server.attach).
+	// The slice is carved from the table's arena.
+	refs []uint32
+	// ag is the record's agreement state while agreement runs (Server.agree).
+	ag     *agreement
+	result []byte
+	owd    time.Duration
 
 	// Span stamps (internal/trace), in sim time, copied onto outgoing fast
 	// replies: arriveS = txnMsg arrival, eligS = first expired-prefix scan
 	// that reached the record (timestamp expiry), relS = picked for
 	// release/execution. Plain field writes — no per-txn cost beyond them.
 	arriveS, eligS, relS time.Duration
+
+	// (The field order packs the struct into its 192 bytes: the hash and nr
+	// share three words with the flags.)
+	replyHash hashlog.Hash
+	nr        uint32
+
+	inPQ     bool
+	parked   bool // leader: in pq awaiting agreement; its keys carry parked counts
+	mapped   bool // the conflict table records the access sets at the current ts (recordMaps ran since ts last moved)
+	held     bool // follower: arrived too late, waiting for log-sync
+	tail     bool // follower: released optimistically, not yet synced (the optimistic tail, §3.3)
+	executed bool
+	released bool
+	proposed bool // preventive mode: round-1 notification sent
+	agreed   bool // agreement finished; safe to release once (re-)executed
+	fetching bool
 }
 
 func (r *rec) multiShard() bool { return r.t != nil && len(r.t.Pieces) > 1 }
 
-// accessSets is a piece's read and write set as KeyIDs of one server's store.
-type accessSets struct{ reads, writes []txn.KeyID }
+// reads and writes return the conflict-table entries of r's read and write
+// set (empty until a piece is attached).
+func (r *rec) reads() []uint32  { return r.refs[:r.nr] }
+func (r *rec) writes() []uint32 { return r.refs[r.nr:] }
 
-// keys returns the access sets of r's piece as KeyIDs of this server's store.
-func (r *rec) keys() accessSets {
-	if r.own != nil {
-		return *r.own
-	}
-	return accessSets{r.piece.ReadIDs, r.piece.WriteIDs}
+// agreement is the §3.5 timestamp-agreement state of one multi-shard
+// transaction on a leader. It exists from the first round-1 timestamp the
+// leader learns — its own, or another leader's notification, which may arrive
+// before the transaction's body (the record is then a placeholder) — until
+// agreement finishes; records that never agree, or have agreed, carry none.
+// Live objects sit in Server.agreements, which is what resendAgreements walks.
+type agreement struct {
+	r     *rec
+	round int
+	// round1/round2 hold, per shard, the timestamp that shard's leader
+	// announced in that round.
+	round1, round2 tsSet
+	slot           int // index in Server.agreements
 }
 
 // shardTS is one shard leader's announced timestamp in an agreement round.
@@ -94,8 +106,8 @@ type shardTS struct {
 // per-transaction allocation budget — the zero value is ready to use and
 // single-shard transactions and followers never populate it at all, where
 // the map form cost two eager allocations per rec on every replica. Entries
-// alias the inline buffer, so a rec must not be copied once populated (recs
-// travel by pointer only).
+// alias the inline buffer, so an agreement must not be copied once populated
+// (agreements travel by pointer only).
 type tsSet struct {
 	items []shardTS
 	buf   [4]shardTS
@@ -127,7 +139,12 @@ func (s *tsSet) get(shard int) txn.Timestamp {
 func (s *tsSet) len() int { return len(s.items) }
 
 // prioQueue holds pending transactions ordered by timestamp (pq, Figure 4).
-type prioQueue struct{ items []*rec }
+type prioQueue struct {
+	items []*rec
+	// fallbacks counts erases that did not find their record where its
+	// timestamp says it is: the order invariant was broken. Tests assert zero.
+	fallbacks int64
+}
 
 func (q *prioQueue) len() int { return len(q.items) }
 
@@ -154,7 +171,9 @@ func (q *prioQueue) erase(r *rec) {
 			break
 		}
 	}
-	// Fallback linear scan (should not happen; keeps the queue consistent).
+	// The record is queued but not at its timestamp: something moved r.ts
+	// behind the queue's back. Keep the queue consistent, and count it.
+	q.fallbacks++
 	for i, it := range q.items {
 		if it == r {
 			q.items = append(q.items[:i], q.items[i+1:]...)
@@ -190,55 +209,58 @@ type Server struct {
 	st   *store.Store
 	pq   prioQueue
 	recs map[txn.ID]*rec
-	// rMap/wMap (Alg. 1) and every other conflict set below are keyed by the
-	// store's KeyIDs and sized by the keys touched; none is ever ranged over.
-	rMap map[txn.KeyID]txn.Timestamp
-	wMap map[txn.KeyID]txn.Timestamp
+	// keys is the conflict state (conflict.go): per touched key, Alg. 1's read
+	// and write timestamps; the parked counts — how many parked records read
+	// and write the key: pq records whose process call is a no-op until §3.5
+	// agreement completes (detective: executed; preventive: proposed) and whose
+	// timestamp the table covers (rec.mapped), maintained at the state
+	// transitions (park, unpark) so pumpOnce steps over parked records instead
+	// of re-deriving their keys on every pump; and pumpOnce's blocked sets for
+	// blocked records that are not parked. Records reach it through the
+	// entries they cached at attach.
+	keys conflictTable
+	// agreements holds the live §3.5 agreement objects in no particular order
+	// (agreement.slot); resendAgreements sorts it by id before it walks it.
+	agreements []*agreement
 
-	log     []logEntry // leader: the log; follower: synced prefix
-	tail    map[txn.ID]logEntry
+	// log is the leader's log, a follower's synced prefix. A follower's
+	// optimistic tail (§3.3) is the records flagged rec.tail; tails counts them.
+	log     []logEntry
+	tails   int
 	relHash hashlog.Incremental
 
 	syncPoint   int
 	commitPoint int
 	applied     int // follower: entries applied to the store
+	// pendingSync buffers the log-sync messages that arrived ahead of the
+	// sync-point, by position; one that arrives in order is applied as it is.
 	pendingSync map[int]logSyncMsg
 
 	followerSP map[int]int // leader: replica -> reported sync-point
 
-	// Checkpoint (§4): a position in the committed log and the identity of
-	// the prefix before it, len(checkpointIDs) == checkpointPos. No store image
-	// is kept; installLog rebuilds it by replay when a recovery needs it.
+	// Checkpoint (§4): a position in the committed log. Its identity is the
+	// prefix log[:checkpointPos] itself and no store image is kept; installLog
+	// checks the prefix against the incoming log and rebuilds the image by
+	// replay when a recovery needs it.
 	checkpointPos int
-	checkpointIDs []txn.ID
 
 	pumpAt  time.Duration // earliest scheduled pump deadline (0 = none)
 	pumpSeq uint64
 	pumping bool
 	repump  bool
 
-	// parkR/parkW count, per key, the parked records reading/writing it: pq
-	// records whose process call is a no-op until §3.5 agreement completes
-	// (detective: executed; preventive: proposed) and whose timestamp rMap/wMap
-	// cover (rec.mapped). They are maintained at the state transitions (park,
-	// unpark), so pumpOnce steps over parked records instead of re-deriving
-	// their keys on every pump.
-	parkR map[txn.KeyID]int
-	parkW map[txn.KeyID]int
 	// onScan is a test hook called with every blockedBy verdict of pumpOnce:
 	// the queue index examined and the verdict (nil outside tests).
 	onScan func(i int, blocked bool)
+	// onConflict is a test hook called with every update of the conflict table
+	// and every answer it gives (nil outside tests): the differential oracle
+	// feeds a copy of the map-based sets from it and compares the answers.
+	onConflict func(conflictEvent)
 
-	// Reused hot-path scratch. blockedR/blockedW are pumpOnce's conflict
-	// shadow sets for blocked records that are not parked (cleared after each
-	// pump instead of reallocated per pump); spScratch backs the commit-point
-	// quantile in onSyncPoint; idScratch backs resendAgreements' deterministic
-	// ID ordering; pumpFire/flushFire are the persistent bodies of the gated
+	// Reused hot-path scratch: spScratch backs the commit-point quantile in
+	// onSyncPoint; pumpFire/flushFire are the persistent bodies of the gated
 	// pump and safe-flush timers.
-	blockedR  map[txn.KeyID]bool
-	blockedW  map[txn.KeyID]bool
 	spScratch []int
-	idScratch []txn.ID
 	pumpFire  func()
 	flushFire func()
 
@@ -249,10 +271,12 @@ type Server struct {
 	flushSeq uint64
 	flushAt  time.Duration
 
-	// View change state (Algorithm 5).
-	vQuorum map[int]*viewChangeMsg
-	tQuorum map[int]*tsVerification
-	rebuilt bool
+	// View change state (Algorithm 5). recovered is the new leader's log under
+	// reconstruction, from rebuildLog until installLog adopts it.
+	vQuorum   map[int]*viewChangeMsg
+	tQuorum   map[int]*tsVerification
+	rebuilt   bool
+	recovered []logEntry
 
 	// Stats exposed to the harness.
 	Rollbacks  int64
@@ -270,14 +294,9 @@ func newServer(c *Cluster, shard, replica int, node *simnet.Node, clk clocks.Clo
 		gmode: c.initialMode,
 		st:    st,
 		recs:  make(map[txn.ID]*rec),
-		rMap:  make(map[txn.KeyID]txn.Timestamp),
-		wMap:  make(map[txn.KeyID]txn.Timestamp),
-		tail:  make(map[txn.ID]logEntry),
 
 		pendingSync: make(map[int]logSyncMsg),
 		followerSP:  make(map[int]int),
-		parkR:       make(map[txn.KeyID]int),
-		parkW:       make(map[txn.KeyID]int),
 	}
 	s.reads = snapread.Replica{
 		Node: node, Sim: c.Net.Sim(), Store: s.st,
@@ -418,83 +437,75 @@ func (s *Server) handle(from simnet.NodeID, msg simnet.Message) {
 
 // ---- §3.2 Conflict detection and timestamp update ----
 
-// resolve returns a piece's access sets as KeyIDs of this server's store
-// (store.IDs): a name and an id of the same key always meet in the conflict
-// sets. The ids are the current store's: installLog rebuilds every record when
-// it replaces the store.
-func (s *Server) resolve(p *txn.Piece) accessSets {
-	return accessSets{s.st.IDs(p.ReadSet, p.ReadIDs), s.st.IDs(p.WriteSet, p.WriteIDs)}
-}
-
-// attach gives r its piece of the transaction and resolves the piece's keys.
-// The store hands a set that numbers every key back as it is, and a record
-// whose piece is numbered throughout keeps no sets of its own.
+// attach gives r its piece of the transaction and resolves the piece's keys,
+// once, to their conflict-table entries: to KeyIDs of this server's store first
+// (store.IDs: a name and an id of the same key always meet in one entry), then
+// through the table's index. The ids are the current store's: installLog
+// rebuilds the table and every record when it replaces the store.
 func (s *Server) attach(r *rec, p *txn.Piece) {
-	r.piece, r.own = p, nil
-	if ks := s.resolve(p); !sameSet(ks.reads, p.ReadIDs) || !sameSet(ks.writes, p.WriteIDs) {
-		r.own = &accessSets{ks.reads, ks.writes}
+	reads, writes := s.st.IDs(p.ReadSet, p.ReadIDs), s.st.IDs(p.WriteSet, p.WriteIDs)
+	r.piece, r.refs, r.nr = p, s.keys.refs(len(reads)+len(writes)), uint32(len(reads))
+	for i, k := range reads {
+		r.refs[i] = s.keys.entry(k)
+	}
+	for i, k := range writes {
+		r.refs[len(reads)+i] = s.keys.entry(k)
 	}
 }
 
-// sameSet reports whether a and b are one slice.
-func sameSet(a, b []txn.KeyID) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+// conflictOp names what the conflict table was told or asked.
+type conflictOp uint8
+
+const (
+	opNote          conflictOp = iota // the keys' timestamps rise to ts
+	opPark                            // the keys' parked counts go up
+	opUnpark                          // and down
+	opBlock                           // the keys join this pump's blocked sets
+	opEndPump                         // which are emptied
+	opConflictOK                      // conflictOK at ts answered ok
+	opMinAcceptable                   // minAcceptable answered min
+	opBlockedBy                       // blockedBy answered ok
+)
+
+// conflictEvent is one update of, or answer from, the conflict table
+// (Server.onConflict). piece carries the access sets concerned; it is nil for
+// opEndPump.
+type conflictEvent struct {
+	op    conflictOp
+	piece *txn.Piece
+	ts    txn.Timestamp
+	ok    bool
+	min   time.Duration
 }
 
-// noteAccess raises rMap/wMap to ts on the given access sets (Alg. 1 lines
-// 14–15).
-func (s *Server) noteAccess(ks accessSets, ts txn.Timestamp) {
-	for _, k := range ks.reads {
-		if cur, ok := s.rMap[k]; !ok || cur.Less(ts) {
-			s.rMap[k] = ts
-		}
-	}
-	for _, k := range ks.writes {
-		if cur, ok := s.wMap[k]; !ok || cur.Less(ts) {
-			s.wMap[k] = ts
-		}
+// observe hands ev to the test hook, if one is armed.
+func (s *Server) observe(ev conflictEvent) {
+	if s.onConflict != nil {
+		s.onConflict(ev)
 	}
 }
 
 // conflictOK reports whether ts is larger than every released conflicting
 // transaction's timestamp on r's read/write sets (Alg. 1 line 2).
 func (s *Server) conflictOK(r *rec, ts txn.Timestamp) bool {
-	ks := r.keys()
-	for _, k := range ks.reads {
-		if w, ok := s.wMap[k]; ok && !w.Less(ts) {
-			return false
-		}
-	}
-	for _, k := range ks.writes {
-		if w, ok := s.wMap[k]; ok && !w.Less(ts) {
-			return false
-		}
-		if r, ok := s.rMap[k]; ok && !r.Less(ts) {
-			return false
-		}
-	}
-	return true
+	ok := s.keys.passes(r, ts)
+	s.observe(conflictEvent{op: opConflictOK, piece: r.piece, ts: ts, ok: ok})
+	return ok
 }
 
 // minAcceptable returns the smallest timestamp time that passes conflict
 // detection for r (used for leader timestamp updates).
 func (s *Server) minAcceptable(r *rec) time.Duration {
-	var max txn.Timestamp
-	ks := r.keys()
-	for _, k := range ks.reads {
-		if w, ok := s.wMap[k]; ok && max.Less(w) {
-			max = w
-		}
-	}
-	for _, k := range ks.writes {
-		if w, ok := s.wMap[k]; ok && max.Less(w) {
-			max = w
-		}
-		if r, ok := s.rMap[k]; ok && max.Less(r) {
-			max = r
-		}
-	}
-	return max.Time + 1
+	t := s.keys.minAcceptable(r)
+	s.observe(conflictEvent{op: opMinAcceptable, piece: r.piece, min: t})
+	return t
+}
+
+// noteAccess raises the read/write timestamps of r's keys to ts (Alg. 1 lines
+// 14–15).
+func (s *Server) noteAccess(r *rec, ts txn.Timestamp) {
+	s.keys.note(r, ts)
+	s.observe(conflictEvent{op: opNote, piece: r.piece, ts: ts})
 }
 
 func (s *Server) onTxn(from simnet.NodeID, m *txnMsg) {
@@ -608,7 +619,7 @@ func (s *Server) resendReply(r *rec) {
 		s.node.Send(r.coord, m)
 	} else if r.released {
 		// Synced already? Then the slow reply is what the coordinator needs.
-		if _, inTail := s.tail[r.id]; !inTail {
+		if !r.tail {
 			m := s.cluster.msgs.slowRep.Get()
 			*m = slowReply{viewInfo: s.views(), Shard: s.shard, Replica: s.replica, ID: r.id, TS: r.ts}
 			s.node.Send(r.coord, m)
@@ -681,9 +692,8 @@ func (s *Server) pumpOnce() {
 	if s.cfg.EpsilonBound > 0 {
 		hold = s.cfg.EpsilonBound
 	}
-	// The conflict shadow sets are server-owned scratch, cleared after the
-	// scan instead of reallocated per pump — pumps run on every sync tick and
-	// every release, so fresh maps here dominated the allocation profile.
+	// The blocked sets live in the conflict table under this pump's stamp;
+	// a pump that blocked something ends by moving to the next stamp.
 	dirty := false
 	i := 0
 	simNow := s.cluster.Net.Sim().Now()
@@ -695,7 +705,8 @@ func (s *Server) pumpOnce() {
 		if r.parked {
 			// Re-examining it cannot make it runnable (process is a no-op
 			// until agreement, which unparks it), nothing before it conflicts
-			// with it, and its keys already block later records via parkR/W.
+			// with it, and its keys already block later records via their
+			// parked counts.
 			i++
 			continue
 		}
@@ -721,7 +732,7 @@ func (s *Server) pumpOnce() {
 		s.process(r)
 		if len(s.pq.items) == before && s.pq.items[i] == r {
 			// Still pending: it blocks conflicts — durably if all it waits
-			// for is agreement and the conflict maps cover its timestamp, for
+			// for is agreement and the conflict table covers its timestamp, for
 			// this scan only otherwise: it is runnable again next pump (agreed
 			// but unexecuted), or it proposed and was then repositioned, so a
 			// conflicting record may still be admitted ahead of it and must
@@ -737,8 +748,8 @@ func (s *Server) pumpOnce() {
 		// If process released or repositioned r, re-examine index i.
 	}
 	if dirty {
-		clear(s.blockedR)
-		clear(s.blockedW)
+		s.keys.endPump()
+		s.observe(conflictEvent{op: opEndPump})
 	}
 	if i < len(s.pq.items) {
 		s.schedulePump(s.pq.items[i].ts.Time)
@@ -746,55 +757,32 @@ func (s *Server) pumpOnce() {
 }
 
 // blockedBy reports whether an earlier pending record conflicts with r: a
-// parked one (parkR/parkW) or one this scan found blocked (blockedR/blockedW).
-// Consulting the parked sets without regard to queue position is sound because
-// no record ever sits before a conflicting parked one: nothing before it
-// conflicted when it was processed (it would have been blocked), it is parked
-// only while rMap/wMap record its current timestamp (rec.mapped), which pushes
-// every later conflicting admission past it, and repositioning only moves
-// records later — unparking them, and leaving them unmapped until recordMaps
-// runs again (a preventive-mode record repositioned after proposing is never
-// re-parked: its maps stay at the proposal timestamp until release).
+// parked one (the keys' parked counts) or one this scan found blocked (their
+// blocked bits). Consulting the parked counts without regard to queue position
+// is sound because no record ever sits before a conflicting parked one: nothing
+// before it conflicted when it was processed (it would have been blocked), it
+// is parked only while the table records its current timestamp (rec.mapped),
+// which pushes every later conflicting admission past it, and repositioning
+// only moves records later — unparking them, and leaving them unmapped until
+// recordMaps runs again (a preventive-mode record repositioned after proposing
+// is never re-parked: its timestamps stay at the proposal until release).
 func (s *Server) blockedBy(r *rec) bool {
-	ks := r.keys()
-	for _, k := range ks.reads {
-		if s.parkW[k] > 0 || s.blockedW[k] {
-			return true
-		}
-	}
-	for _, k := range ks.writes {
-		if s.parkW[k] > 0 || s.blockedW[k] || s.parkR[k] > 0 || s.blockedR[k] {
-			return true
-		}
-	}
-	return false
+	blocked := s.keys.blockedBy(r)
+	s.observe(conflictEvent{op: opBlockedBy, piece: r.piece, ok: blocked})
+	return blocked
 }
 
 func (s *Server) addBlocked(r *rec) {
-	if s.blockedR == nil {
-		s.blockedR = make(map[txn.KeyID]bool)
-		s.blockedW = make(map[txn.KeyID]bool)
-	}
-	ks := r.keys()
-	for _, k := range ks.reads {
-		s.blockedR[k] = true
-	}
-	for _, k := range ks.writes {
-		s.blockedW[k] = true
-	}
+	s.keys.block(r)
+	s.observe(conflictEvent{op: opBlock, piece: r.piece})
 }
 
-// park marks a pq record as waiting for agreement only and adds its keys to
-// the parked sets.
+// park marks a pq record as waiting for agreement only and counts it on its
+// keys.
 func (s *Server) park(r *rec) {
 	r.parked = true
-	ks := r.keys()
-	for _, k := range ks.reads {
-		s.parkR[k]++
-	}
-	for _, k := range ks.writes {
-		s.parkW[k]++
-	}
+	s.keys.park(r, 1)
+	s.observe(conflictEvent{op: opPark, piece: r.piece})
 }
 
 // unpark undoes park; every transition that makes a parked record runnable
@@ -805,34 +793,20 @@ func (s *Server) unpark(r *rec) {
 		return
 	}
 	r.parked = false
-	ks := r.keys()
-	for _, k := range ks.reads {
-		uncount(s.parkR, k)
-	}
-	for _, k := range ks.writes {
-		uncount(s.parkW, k)
-	}
+	s.keys.park(r, -1)
+	s.observe(conflictEvent{op: opUnpark, piece: r.piece})
 }
 
-// uncount decrements a counted set's entry, dropping it at zero so the set's
-// size stays the number of keys actually parked.
-func uncount(m map[txn.KeyID]int, k txn.KeyID) {
-	if n := m[k]; n > 1 {
-		m[k] = n - 1
-	} else {
-		delete(m, k)
-	}
-}
-
-// erase removes r from the queue (and from the parked sets).
+// erase removes r from the queue (and from the parked counts).
 func (s *Server) erase(r *rec) {
 	s.unpark(r)
 	s.pq.erase(r)
 }
 
 // reposition moves a pending record to a larger timestamp (Case-3, retry). It
-// may now sit after conflicting unparked records and rMap/wMap no longer cover
-// its timestamp, so it is no longer parked and cannot be until it is re-mapped.
+// may now sit after conflicting unparked records and the conflict table no
+// longer covers its timestamp, so it is no longer parked and cannot be until it
+// is re-mapped.
 func (s *Server) reposition(r *rec, ts txn.Timestamp) {
 	s.unpark(r)
 	r.mapped = false
@@ -853,8 +827,9 @@ func (s *Server) process(r *rec) {
 		if !r.proposed {
 			s.recordMaps(r)
 			r.proposed = true
-			r.round = 1
-			r.round1.set(s.shard, r.ts)
+			a := s.agree(r)
+			a.round = 1
+			a.round1.set(s.shard, r.ts)
 			s.broadcastNotification(r, 1, r.ts)
 			s.checkAgreement(r)
 		} else if r.agreed && !r.executed {
@@ -873,15 +848,15 @@ func (s *Server) process(r *rec) {
 			s.releaseLeader(r)
 			return
 		}
-		if r.round == 0 {
-			r.round = 1
-			r.round1.set(s.shard, r.ts)
-			s.broadcastNotification(r, 1, r.ts)
-		}
 		if r.agreed {
 			// Case-3 re-execution with agreement already complete.
 			s.releaseLeader(r)
 			return
+		}
+		if a := s.agree(r); a.round == 0 {
+			a.round = 1
+			a.round1.set(s.shard, r.ts)
+			s.broadcastNotification(r, 1, r.ts)
 		}
 		s.checkAgreement(r)
 		return
@@ -891,10 +866,11 @@ func (s *Server) process(r *rec) {
 	}
 }
 
-// recordMaps updates rMap/wMap with r's access sets at its current timestamp.
+// recordMaps raises the conflict timestamps of r's access sets to its current
+// timestamp.
 func (s *Server) recordMaps(r *rec) {
 	r.mapped = true
-	s.noteAccess(r.keys(), r.ts)
+	s.noteAccess(r, r.ts)
 }
 
 func (s *Server) executeLeader(r *rec) {
@@ -954,7 +930,8 @@ func (s *Server) releaseFollower(r *rec) {
 	s.erase(r)
 	s.node.Work(s.cfg.PQCost)
 	r.released = true
-	s.tail[r.id] = logEntry{ID: r.id, TS: r.ts, T: r.t}
+	r.tail = true
+	s.tails++
 	s.relHash.Add(r.id, r.ts)
 	r.replyHash = s.relHash.Sum()
 	m := s.cluster.msgs.fastRep.Get()
@@ -967,6 +944,30 @@ func (s *Server) releaseFollower(r *rec) {
 }
 
 // ---- §3.5 timestamp agreement ----
+
+// agree returns r's agreement state, starting it if r has none.
+func (s *Server) agree(r *rec) *agreement {
+	if r.ag == nil {
+		a := s.cluster.agreements.Get()
+		*a = agreement{r: r, slot: len(s.agreements)}
+		s.agreements = append(s.agreements, a)
+		r.ag = a
+	}
+	return r.ag
+}
+
+// agreedOn marks r's agreement finished and recycles its state: nothing reads
+// the rounds of an agreed record.
+func (s *Server) agreedOn(r *rec) {
+	r.agreed = true
+	a, last := r.ag, len(s.agreements)-1
+	s.agreements[a.slot] = s.agreements[last]
+	s.agreements[a.slot].slot = a.slot
+	s.agreements[last] = nil
+	s.agreements = s.agreements[:last]
+	r.ag = nil
+	s.cluster.agreements.Put(a)
+}
 
 func (s *Server) broadcastNotification(r *rec, round int, ts txn.Timestamp) {
 	for _, sh := range r.t.Shards() {
@@ -998,11 +999,16 @@ func (s *Server) onTsNotification(from simnet.NodeID, m *tsNotification) {
 		s.recs[m.ID] = r
 		s.scheduleFetch(r, from)
 	}
+	if r.agreed || r.released {
+		// A late notification: agreement is over (a released record that never
+		// agreed was installed from a recovered log), so it changes nothing.
+		return
+	}
 	switch m.Round {
 	case 1:
-		r.round1.set(m.Shard, m.TS)
+		s.agree(r).round1.set(m.Shard, m.TS)
 	case 2:
-		r.round2.set(m.Shard, m.TS)
+		s.agree(r).round2.set(m.Shard, m.TS)
 	}
 	s.checkAgreement(r)
 }
@@ -1021,17 +1027,18 @@ func (s *Server) checkAgreement(r *rec) {
 		return
 	}
 	nShards := len(r.t.Pieces)
-	if r.round1.len() < nShards {
+	a := r.ag
+	if a == nil || a.round1.len() < nShards {
 		return
 	}
-	agreed := r.round1.get(s.shard)
+	agreed := a.round1.get(s.shard)
 	mismatch := false
-	for _, e := range r.round1.items {
+	for _, e := range a.round1.items {
 		if agreed.Less(e.ts) {
 			agreed = e.ts
 		}
 	}
-	for _, e := range r.round1.items {
+	for _, e := range a.round1.items {
 		if !e.ts.Equal(agreed) {
 			mismatch = true
 			break
@@ -1039,13 +1046,13 @@ func (s *Server) checkAgreement(r *rec) {
 	}
 	if !mismatch {
 		// Case-1: all timestamps match — agreement completes in 0.5 WRTT.
-		r.agreed = true
+		s.agreedOn(r)
 		s.finishAgreement(r)
 		return
 	}
-	if r.round < 2 {
-		r.round = 2
-		r.round2.set(s.shard, agreed)
+	if a.round < 2 {
+		a.round = 2
+		a.round2.set(s.shard, agreed)
 		s.broadcastNotification(r, 2, agreed)
 		if r.ts.Less(agreed) {
 			// Case-3: our optimistic execution (if any) used a stale
@@ -1064,8 +1071,8 @@ func (s *Server) checkAgreement(r *rec) {
 		// release until round 2 confirms every leader adopted the timestamp
 		// — otherwise timestamp inversion (§3.6, Fig 5).
 	}
-	if r.round2.len() >= nShards {
-		r.agreed = true
+	if a.round2.len() >= nShards {
+		s.agreedOn(r)
 		s.finishAgreement(r)
 	}
 }
@@ -1092,23 +1099,21 @@ func (s *Server) resendAgreements() {
 		return
 	}
 	// Broadcast in a deterministic ID order — rebroadcast sends feed the
-	// simulation's event order. The ID slice is server-owned scratch.
-	ids := s.idScratch[:0]
-	for id, r := range s.recs {
-		if r.t == nil || r.agreed || r.released || !r.multiShard() {
-			continue
-		}
-		ids = append(ids, id)
+	// simulation's event order. Only unfinished agreements have state to walk.
+	slices.SortFunc(s.agreements, func(a, b *agreement) int { return compareIDs(a.r.id, b.r.id) })
+	for i, a := range s.agreements {
+		a.slot = i
 	}
-	sortIDs(ids)
-	s.idScratch = ids
-	for _, id := range ids {
-		r := s.recs[id]
-		switch r.round {
+	for _, a := range s.agreements {
+		r := a.r
+		if r.t == nil {
+			continue // a placeholder: notified of, body not here yet
+		}
+		switch a.round {
 		case 1:
-			s.broadcastNotification(r, 1, r.round1.get(s.shard))
+			s.broadcastNotification(r, 1, a.round1.get(s.shard))
 		case 2:
-			s.broadcastNotification(r, 2, r.round2.get(s.shard))
+			s.broadcastNotification(r, 2, a.round2.get(s.shard))
 		}
 	}
 }
@@ -1163,14 +1168,18 @@ func (s *Server) onLogSync(m *logSyncMsg) {
 		s.advanceCommitPoint(m.CommitPoint)
 		return // duplicate
 	}
-	s.pendingSync[m.Pos] = *m // copy: the message is recycled after return
-	for {
-		next, ok := s.pendingSync[s.syncPoint]
-		if !ok {
-			break
+	if m.Pos > s.syncPoint {
+		s.pendingSync[m.Pos] = *m // copy: the message is recycled after return
+	} else {
+		s.applySync(m)
+		for len(s.pendingSync) > 0 {
+			next, ok := s.pendingSync[s.syncPoint]
+			if !ok {
+				break
+			}
+			delete(s.pendingSync, s.syncPoint)
+			s.applySync(&next)
 		}
-		delete(s.pendingSync, s.syncPoint)
-		s.applySync(next)
 	}
 	s.advanceCommitPoint(m.CommitPoint)
 }
@@ -1178,45 +1187,44 @@ func (s *Server) onLogSync(m *logSyncMsg) {
 // applySync reconciles one leader log entry into the follower's log (§3.7):
 // update timestamps of entries both hold, adopt entries the follower lacks,
 // and move optimistically released entries into the synced prefix.
-func (s *Server) applySync(m logSyncMsg) {
-	e := logEntry{ID: m.ID, TS: m.TS, T: m.T}
-	if old, ok := s.tail[m.ID]; ok {
-		delete(s.tail, m.ID)
-		if !old.TS.Equal(m.TS) {
-			s.relHash.Remove(old.ID, old.TS)
-			s.relHash.Add(m.ID, m.TS)
-		}
-	} else {
-		r := s.recs[m.ID]
-		switch {
-		case r != nil && r.inPQ:
-			s.erase(r)
-			s.relHash.Add(m.ID, m.TS)
-		case r != nil && r.held:
-			r.held = false
-			s.relHash.Add(m.ID, m.TS)
-		case r == nil || !r.released:
-			s.relHash.Add(m.ID, m.TS)
-		}
-	}
+func (s *Server) applySync(m *logSyncMsg) {
 	r := s.recs[m.ID]
-	if r != nil {
-		r.released = true
-		r.ts = m.TS
-	} else {
-		s.recs[m.ID] = &rec{id: m.ID, t: m.T, ts: m.TS, released: true}
-	}
-	s.log = append(s.log, e)
-	s.syncPoint = len(s.log)
-	// Conflict maps must also reflect synced entries: through the record's
-	// keys when the transaction arrived here first (the usual case), resolved
-	// on the spot for an entry first heard of through the log.
-	if p := m.T.Pieces[s.shard]; p != nil {
-		if r != nil && r.piece != nil {
-			s.noteAccess(r.keys(), m.TS)
-		} else {
-			s.noteAccess(s.resolve(p), m.TS)
+	switch {
+	case r == nil:
+		// First heard of through the log.
+		r = &rec{id: m.ID, t: m.T}
+		s.recs[m.ID] = r
+		s.relHash.Add(m.ID, m.TS)
+	case r.tail:
+		r.tail = false
+		s.tails--
+		if !r.ts.Equal(m.TS) {
+			s.relHash.Remove(r.id, r.ts)
+			s.relHash.Add(m.ID, m.TS)
 		}
+	case r.inPQ:
+		s.erase(r)
+		s.relHash.Add(m.ID, m.TS)
+	case r.held:
+		r.held = false
+		s.relHash.Add(m.ID, m.TS)
+	case !r.released:
+		s.relHash.Add(m.ID, m.TS)
+	}
+	r.released = true
+	r.ts = m.TS
+	s.log = append(s.log, logEntry{ID: m.ID, TS: m.TS, T: m.T})
+	s.syncPoint = len(s.log)
+	// The conflict timestamps must also reflect synced entries: through the
+	// record's keys, attached when the transaction arrived here (the usual
+	// case) or now, for an entry first heard of through the log.
+	if r.piece == nil {
+		if p := m.T.Pieces[s.shard]; p != nil {
+			s.attach(r, p)
+		}
+	}
+	if r.piece != nil {
+		s.noteAccess(r, m.TS)
 	}
 	if !s.cfg.BatchSlowReplies {
 		coord := s.cluster.coordNode(m.ID.Coord)
@@ -1254,17 +1262,13 @@ func (s *Server) advanceCommitPoint(cp int) {
 // maybeCheckpoint moves the checkpoint to pos once CheckpointEvery more
 // entries have committed (§4). The checkpoint's store image is a pure function
 // of the shard seed and log[:pos], both of which the server retains, so only
-// the position and the prefix identity are recorded here — O(new entries), the
-// committed prefix being immutable — and installLog materialises the image by
-// replay if a recovery ever asks for it.
+// the position is recorded here — the committed prefix is immutable and is its
+// own identity — and installLog materialises the image by replay if a recovery
+// ever asks for it.
 func (s *Server) maybeCheckpoint(pos int) {
-	if s.cfg.CheckpointEvery <= 0 || pos-s.checkpointPos < s.cfg.CheckpointEvery {
-		return
+	if s.cfg.CheckpointEvery > 0 && pos-s.checkpointPos >= s.cfg.CheckpointEvery {
+		s.checkpointPos = pos
 	}
-	for _, e := range s.log[s.checkpointPos:pos] {
-		s.checkpointIDs = append(s.checkpointIDs, e.ID)
-	}
-	s.checkpointPos = pos
 }
 
 // onSyncPoint is the leader's handler for follower sync-point reports: it
@@ -1435,5 +1439,30 @@ func (s *Server) SafeTime() time.Duration { return s.reads.Watermark() }
 // PQLen returns the priority queue length (diagnostics).
 func (s *Server) PQLen() int { return s.pq.len() }
 
-// RecCount returns the number of tracked transaction records (diagnostics).
-func (s *Server) RecCount() int { return len(s.recs) }
+// StateSizes is how much a server holds of each kind of state, and how often
+// its queue had to repair itself. What a drained server must have let go of —
+// agreements, tail records, buffered log-syncs — the tests assert is zero.
+type StateSizes struct {
+	Records         int   // transactions ever heard of (since the last log install)
+	ConflictEntries int   // keys those transactions touched
+	Parked          int   // parked counts over all keys: (record, key) pairs waiting on agreement in the queue
+	Agreements      int   // live §3.5 agreement objects
+	TailRecords     int   // follower: released optimistically, not yet synced
+	BufferedSyncs   int   // follower: log-sync messages waiting for a gap to fill
+	LogLen          int   // log entries (leader), synced prefix (follower)
+	EraseFallbacks  int64 // queue erases that found the order invariant broken
+}
+
+// StateSizes reports the server's state sizes (tests, gauges).
+func (s *Server) StateSizes() StateSizes {
+	return StateSizes{
+		Records:         len(s.recs),
+		ConflictEntries: int(s.keys.n),
+		Parked:          s.keys.parked,
+		Agreements:      len(s.agreements),
+		TailRecords:     s.tails,
+		BufferedSyncs:   len(s.pendingSync),
+		LogLen:          len(s.log),
+		EraseFallbacks:  s.pq.fallbacks,
+	}
+}

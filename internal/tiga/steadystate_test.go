@@ -40,9 +40,15 @@ func conflicts(a, b *txn.Piece) bool {
 // on exactly the records it ran on before; (2) at the first verdict of every
 // pump, checkParked. It counts the verdicts, those with a parked record queued,
 // and the late arrivals: unblocked records examined while a conflicting record
-// sits behind them that awaits agreement but was not parked because rMap/wMap
-// do not cover its timestamp — the verdicts that parking it would get wrong.
-type scanCheck struct{ scans, parkedScans, lateArrivals int }
+// sits behind them that awaits agreement but was not parked because the conflict
+// table does not cover its timestamp — the verdicts that parking it would get
+// wrong.
+type scanCheck struct {
+	scans, parkedScans, lateArrivals int
+	// cov is the coverage of the conflict-table oracle (oracle_test.go), which
+	// armAll arms beside this check.
+	cov *oracleCoverage
+}
 
 func (sc *scanCheck) arm(t *testing.T, s *Server) {
 	// The positional shadow sets: the keys of pq.items[:folded], rebuilt per
@@ -85,10 +91,10 @@ func (sc *scanCheck) arm(t *testing.T, s *Server) {
 			positional = positional || posW[k] || posR[k]
 		}
 		if blocked != positional {
-			t.Fatalf("shard %d at %v: blockedBy(%v ts %v) = %v, the positional scan says %v (parkR %v parkW %v, mode %v)",
-				s.shard, s.cluster.Net.Sim().Now(), r.id, r.ts, blocked, positional, s.parkR, s.parkW, s.gmode)
+			t.Fatalf("shard %d at %v: blockedBy(%v ts %v) = %v, the positional scan says %v (%d parked, mode %v)",
+				s.shard, s.cluster.Net.Sim().Now(), r.id, r.ts, blocked, positional, s.keys.parked, s.gmode)
 		}
-		if len(s.parkW) > 0 {
+		if s.keys.parked > 0 {
 			sc.parkedScans++
 		}
 		prev = nil
@@ -111,7 +117,7 @@ func (sc *scanCheck) arm(t *testing.T, s *Server) {
 
 // checkParked verifies, over the whole queue, the invariant the parked-record
 // pump relies on — no record sits before a conflicting parked record — and that
-// parkR/parkW hold exactly the parked records' keys.
+// the conflict table's parked counts are exactly the parked records' keys.
 func checkParked(t *testing.T, s *Server) {
 	t.Helper()
 	wantR, wantW := map[string]int{}, map[string]int{}
@@ -141,29 +147,25 @@ func checkParked(t *testing.T, s *Server) {
 			seenW[k] = p.id
 		}
 	}
-	// The oracle above is by name, straight from the pieces; the server's sets
-	// are by KeyID: translate it through the store.
-	byID := func(names map[string]int) map[txn.KeyID]int {
-		out := make(map[txn.KeyID]int, len(names))
-		for k, n := range names {
-			id, ok := s.st.Lookup(k)
-			if !ok {
-				t.Fatalf("shard %d: parked key %s was never interned", s.shard, k)
-			}
-			out[id] += n
-		}
-		return out
+	// The oracle above is by name, straight from the pieces; the server's
+	// counts sit on entries found by KeyID: translate it through the store. The
+	// wanted keys' counts adding up to the table's total leaves none elsewhere.
+	total := 0
+	for k := range wantR {
+		wantW[k] += 0
 	}
-	for name, pair := range map[string][2]map[txn.KeyID]int{"parkR": {s.parkR, byID(wantR)}, "parkW": {s.parkW, byID(wantW)}} {
-		got, want := pair[0], pair[1]
-		if len(got) != len(want) {
-			t.Fatalf("shard %d: %s has %d keys, parked records hold %d", s.shard, name, len(got), len(want))
+	for k, w := range wantW {
+		id, ok := s.st.Lookup(k)
+		if !ok {
+			t.Fatalf("shard %d: parked key %s was never interned", s.shard, k)
 		}
-		for k, n := range want {
-			if got[k] != n {
-				t.Fatalf("shard %d: %s[key %d] = %d, want %d", s.shard, name, k, got[k], n)
-			}
+		if gotR, gotW := s.keys.parkedOn(id); int(gotR) != wantR[k] || int(gotW) != w {
+			t.Fatalf("shard %d: key %s (id %d) has %d/%d parked readers/writers, want %d/%d", s.shard, k, id, gotR, gotW, wantR[k], w)
 		}
+		total += wantR[k] + w
+	}
+	if s.keys.parked != total {
+		t.Fatalf("shard %d: the table counts %d parked, parked records hold %d keys", s.shard, s.keys.parked, total)
 	}
 }
 
@@ -194,8 +196,9 @@ func saturate(sim *simnet.Sim, c *Cluster, keys int, from, until, every time.Dur
 	return n
 }
 
-// armAll arms sc on every server of c.
+// armAll arms sc, and the conflict-table oracle, on every server of c.
 func armAll(t *testing.T, c *Cluster, sc *scanCheck) {
+	sc.cov = armShadows(t, c)
 	for _, shard := range c.Servers {
 		for _, s := range shard {
 			sc.arm(t, s)
@@ -230,14 +233,15 @@ func TestPumpStepsOverParkedRecords(t *testing.T) {
 	}
 	for sh := 0; sh < 3; sh++ {
 		for rep, s := range c.Servers[sh] {
-			if len(s.parkR) != 0 || len(s.parkW) != 0 {
-				t.Errorf("shard %d replica %d: %d/%d parked keys after the drain", sh, rep, len(s.parkR), len(s.parkW))
+			if s.keys.parked != 0 {
+				t.Errorf("shard %d replica %d: %d parked keys after the drain", sh, rep, s.keys.parked)
 			}
 			if s.IsLeader() && (s.Executions == 0 || s.PumpScan > 4*s.Executions) {
 				t.Errorf("shard %d leader: PumpScan %d > 4 x Executions %d", sh, s.PumpScan, s.Executions)
 			}
 		}
 	}
+	checkDrained(t, c)
 }
 
 // TestInstallLogClearsParkedSets: a log install drops the queue, so it must
@@ -250,12 +254,12 @@ func TestInstallLogClearsParkedSets(t *testing.T) {
 	sim.Run(600 * time.Millisecond)
 	for sh := 0; sh < 3; sh++ {
 		l := c.Leader(sh)
-		if len(l.parkW) == 0 {
+		if l.keys.parked == 0 {
 			t.Fatalf("shard %d leader has nothing parked mid-run", sh)
 		}
 		l.installLog(l.log)
-		if len(l.parkR) != 0 || len(l.parkW) != 0 || l.pq.len() != 0 {
-			t.Errorf("shard %d: installLog left %d/%d parked keys, %d queued", sh, len(l.parkR), len(l.parkW), l.pq.len())
+		if l.keys.parked != 0 || l.pq.len() != 0 {
+			t.Errorf("shard %d: installLog left %d parked keys, %d queued", sh, l.keys.parked, l.pq.len())
 		}
 	}
 }
@@ -278,15 +282,16 @@ func TestParkedPumpPreventiveMode(t *testing.T) {
 		t.Fatalf("committed %d of %d, %d of %d scan verdicts with records parked", committed, n, sc.parkedScans, sc.scans)
 	}
 	for sh := 0; sh < 3; sh++ {
-		if s := c.Leader(sh); len(s.parkR) != 0 || len(s.parkW) != 0 {
-			t.Errorf("shard %d: %d/%d parked keys after the drain", sh, len(s.parkR), len(s.parkW))
+		if s := c.Leader(sh); s.keys.parked != 0 {
+			t.Errorf("shard %d: %d parked keys after the drain", sh, s.keys.parked)
 		}
 	}
+	checkDrained(t, c)
 }
 
 // TestParkedPumpLateArrivals is the regression test for a record that proposed
 // (preventive mode), was repositioned to the agreed timestamp by Case-3 and
-// went on waiting for round 2: rMap/wMap stay at its proposal timestamp until
+// went on waiting for round 2: its keys' timestamps stay at the proposal until
 // release, so a conflicting transaction stamped between the two is admitted
 // ahead of it and must be proposed, not blocked — such a record is not parked.
 // Zero headroom makes transactions arrive after their timestamps (a leader that
@@ -335,6 +340,26 @@ func TestParkedPumpLateArrivals(t *testing.T) {
 			if tc.mode == ModeAuto && sc.lateArrivals == 0 {
 				t.Fatal("no conflicting record was admitted ahead of a repositioned one: the run does not exercise the case")
 			}
+			// The oracle's cases: Case-3 repositions (a rollback each, in the
+			// detective mode), retry repositions and, under loss, records a
+			// follower first heard of through log-sync.
+			var retries int64
+			for _, co := range c.Coords {
+				retries += co.Retries
+			}
+			if tc.mode == ModeDetective && c.TotalRollbacks() == 0 {
+				t.Error("no Case-3 rollback: the run does not exercise the case")
+			}
+			if tc.loss > 0 && (retries == 0 || logFirst(c) == 0) {
+				t.Errorf("%d retries, %d records first heard of through log-sync: the run does not exercise the cases", retries, logFirst(c))
+			}
+			if committed == n {
+				checkDrained(t, c)
+			} else {
+				// Under loss some retries hit the Appendix-B fault (retry_test.go)
+				// and their transactions never finish agreeing.
+				checkState(t, c)
+			}
 		})
 	}
 }
@@ -357,6 +382,7 @@ func TestLazyCheckpointViewChange(t *testing.T) {
 			cfg := DefaultConfig(3, 1)
 			cfg.CheckpointEvery = every
 			sim, c := testCluster(t, 47, cfg, ColocatedPlacement([]simnet.Region{0, 1, 2}), clocks.ModelPerfect)
+			armShadows(t, c)
 			old := c.Servers[2][0]
 			sim.At(600*time.Millisecond, func() { c.Net.Isolate(old.Node().ID()) })
 			sim.At(8*time.Second, func() { c.Net.Heal(old.Node().ID()) })
@@ -403,6 +429,7 @@ func TestLazyCheckpointViewChange(t *testing.T) {
 			if committed != n {
 				t.Fatalf("committed %d of %d across a leader partition", committed, n)
 			}
+			checkDrained(t, c) // post-installLog: every live replica installed the recovered log
 			for sh := 0; sh < 3; sh++ {
 				if got := txn.DecodeInt(c.Leader(sh).Store().Get(fmt.Sprintf("k%d-0", sh))); got != n {
 					t.Errorf("shard %d counter = %d, want %d", sh, got, n)
@@ -410,9 +437,6 @@ func TestLazyCheckpointViewChange(t *testing.T) {
 				for rep, s := range c.Servers[sh] {
 					if every > 0 && s != old && s.checkpointPos == 0 {
 						t.Errorf("shard %d replica %d never checkpointed", sh, rep)
-					}
-					if len(s.checkpointIDs) != s.checkpointPos {
-						t.Errorf("shard %d replica %d: %d checkpoint ids for position %d", sh, rep, len(s.checkpointIDs), s.checkpointPos)
 					}
 				}
 			}
@@ -490,9 +514,13 @@ func TestRejoinKeepsVersionHistory(t *testing.T) {
 
 // TestRecStaysInItsSizeClass: every replica keeps one rec per transaction for
 // the whole run, so the struct's allocation size class is live heap (the
-// benchmark bounds it at 3 %). 480 B is a Go size class; the next is 512.
+// benchmark bounds it at 3 %). 192 B is a Go size class; the next is 208. A
+// conflict-table entry is one cache line.
 func TestRecStaysInItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(rec{}); got > 480 {
-		t.Errorf("rec is %d bytes, over the 480 B size class", got)
+	if got := unsafe.Sizeof(rec{}); got > 192 {
+		t.Errorf("rec is %d bytes, over the 192 B size class", got)
+	}
+	if got := unsafe.Sizeof(keyState{}); got != 64 {
+		t.Errorf("a conflict-table entry is %d bytes, not one 64 B cache line", got)
 	}
 }

@@ -2,14 +2,24 @@ package tiga
 
 import (
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
 	"tiga/internal/clocks"
+	"tiga/internal/pool"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
 )
+
+// Every test of the package runs with the freelists' double-free detector
+// armed: the agreement objects are recycled mid-run, and a second owner of one
+// must fail as itself.
+func TestMain(m *testing.M) {
+	pool.Check = true
+	os.Exit(m.Run())
+}
 
 func testCluster(t *testing.T, seed int64, cfg Config, pl Placement, model clocks.Model) (*simnet.Sim, *Cluster) {
 	t.Helper()
