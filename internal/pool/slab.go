@@ -1,0 +1,46 @@
+package pool
+
+const (
+	// SlabBits fixes every slab's chunk at 1024 entries. Any entry size that is
+	// a multiple of eight bytes then makes a chunk a whole number of 8 KB pages,
+	// which is how Go sizes an allocation above 32 KB: a chunk of 72-byte store
+	// versions (72 KB), of 64-byte conflict entries (64 KB) or of 192-byte Tiga
+	// records (192 KB) wastes nothing to size-class rounding. A smaller
+	// power of two would round a 72-byte entry's chunk up by a tenth.
+	SlabBits  = 10
+	SlabChunk = 1 << SlabBits
+)
+
+// Slab is a chunked slab of T: the layout behind the store's version chains,
+// Tiga's conflict entries and its transaction records. Entries are numbered
+// from zero in the order Add hands them out, live in fixed-size chunks, and
+// never move — the slab grows a chunk at a time — so an entry's number, or a
+// pointer to it, stays good for the slab's life and n entries cost n/SlabChunk
+// allocations. The slab has no notion of a free entry: an owner that takes
+// entries back threads its own free list through them (store.Store does, via
+// version.prev). Like a Free, a Slab belongs to one simulated cluster's event
+// loop, so the numbers it hands out are a pure function of the seed. The zero
+// value is an empty slab; dropping a slab whole is assigning the zero value.
+type Slab[T any] struct {
+	chunks []*[SlabChunk]T
+	n      uint32
+}
+
+// At returns entry number i, which Add must have handed out.
+func (s *Slab[T]) At(i uint32) *T { return &s.chunks[i>>SlabBits][i&(SlabChunk-1)] }
+
+// Add hands out the next entry's number. The entry is zero: a slab never
+// reuses one on its own.
+func (s *Slab[T]) Add() uint32 {
+	if int(s.n>>SlabBits) == len(s.chunks) {
+		s.chunks = append(s.chunks, new([SlabChunk]T))
+	}
+	s.n++
+	return s.n - 1
+}
+
+// Len returns the number of entries handed out.
+func (s *Slab[T]) Len() int { return int(s.n) }
+
+// Chunks returns the number of chunk allocations made so far.
+func (s *Slab[T]) Chunks() int { return len(s.chunks) }

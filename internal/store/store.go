@@ -7,9 +7,17 @@
 // transaction's versions are always the newest version of each key it wrote,
 // so revocation never cascades.
 //
-// Every key the store has seen is interned: it has a dense txn.KeyID, its
-// version chain lives at that index of one slot slice, and the name map only
-// translates a string to the id (names are kept nowhere else). Bulk-seeded
+// Every key the store has seen is interned: it has a dense txn.KeyID, that
+// index of one slice holds a 4-byte reference to the key's newest version, and
+// the name map only translates a string to the id (names are kept nowhere
+// else). The versions themselves live in one slab the store owns (pool.Slab:
+// fixed-size chunks, entries never move), each linked to the next older version
+// of its key, and a free list threaded through the same link takes back every
+// version the store drops — collapsed by Commit, revoked, pruned, overwritten —
+// so a rewritten key reuses a freed entry: writing costs an allocation per
+// chunk of new versions, not one per key, and a dropped version's memory is the
+// next write's. Values are not part of that: they are the caller's immutable
+// []byte, aliased by read results, and are never copied into reusable memory. Bulk-seeded
 // keys get the ids of their batch position (the workload's own key index), so
 // hot loops (GetID/PutID through a view, GetAtID) never hash a string; a name
 // that shows up later (an inserted row, a hand-built string piece) is given
@@ -17,10 +25,8 @@
 // a key meet: IDs turns a piece's declared access set into this store's ids,
 // both views accept either form for the same key, and a buffered write that
 // arrived by name carries the name along (Write), because the id a store gave
-// an inserted row means nothing on another store. The default-mode Commit
-// garbage-collects in place, reusing each key's version slice instead of
-// reallocating it; and Execute reuses one transaction view plus freelisted
-// write-set slices across transactions.
+// an inserted row means nothing on another store. Execute reuses one transaction
+// view plus freelisted write-set slices across transactions.
 //
 // There is no deep copy: a store's committed state is a pure function of its
 // seed and the Execute/Commit sequence applied to it, which is what Tiga's
@@ -33,33 +39,41 @@ import (
 	"slices"
 	"time"
 
+	"tiga/internal/pool"
 	"tiga/internal/txn"
 )
+
+// ref names a version in the store's slab: its entry number plus one, zero
+// for none.
+type ref uint32
 
 type version struct {
 	writer txn.ID
 	ts     txn.Timestamp
 	val    []byte
+	// prev is the next older version of the key; of a free entry, the next
+	// free one. It shares the struct's last word with uncommitted.
+	prev ref
 	// uncommitted marks a version written by Execute that Commit has not
 	// yet finalized. Snapshot reads (GetAtID) never observe such versions;
 	// Get still does, because optimistic execution reads its own writes.
 	uncommitted bool
 }
 
-// slot holds one key's version chain. A key with no version is absent: it was
-// interned (or its only write revoked) but nothing is stored under it.
-type slot struct {
-	vs []version
-}
-
 // Store is a multi-version key-value store for one shard.
 type Store struct {
-	// index maps a key name to its id and byID[id] is the key's slot. SeedBulk
+	// index maps a key name to its id and byID[id] is the key's newest version,
+	// the head of its chain. A key with no version is absent: it was interned
+	// (or its only write revoked) but nothing is stored under it. SeedBulk
 	// gives key i of its batch id base+i (the workload's dense key index);
-	// names first seen later get the next id from Intern. Slots are held by
-	// value, so a *slot is only good until the next Intern.
+	// names first seen later get the next id from Intern.
 	index map[string]txn.KeyID
-	byID  []slot
+	byID  []ref
+	// vers holds every version; free heads the list of entries the store has
+	// taken back, nfree of them, linked through prev and otherwise zero.
+	vers  pool.Slab[version]
+	free  ref
+	nfree int
 	// live counts the keys holding at least one version (Len).
 	live int
 	// pending holds the ids each uncommitted transaction wrote. The slices
@@ -118,8 +132,47 @@ func (s *Store) Intern(key string) txn.KeyID {
 	}
 	id := txn.KeyID(len(s.byID))
 	s.index[key] = id
-	s.byID = append(s.byID, slot{})
+	s.byID = append(s.byID, 0)
 	return id
+}
+
+func (s *Store) at(r ref) *version { return s.vers.At(uint32(r) - 1) }
+
+// push makes v the newest version of key id, in a freed entry when there is
+// one. The entry is overwritten whole.
+func (s *Store) push(id txn.KeyID, v version) {
+	r := s.free
+	if r != 0 {
+		s.free = s.at(r).prev
+		s.nfree--
+	} else {
+		r = ref(s.vers.Add() + 1)
+	}
+	top := &s.byID[id]
+	if *top == 0 {
+		s.live++
+	}
+	v.prev = *top
+	*s.at(r) = v
+	*top = r
+}
+
+// release takes back entry r, which no chain links to any more. Zeroing it
+// lets go of the value.
+func (s *Store) release(r ref) {
+	*s.at(r) = version{prev: s.free}
+	s.free = r
+	s.nfree++
+}
+
+// cut releases every version older than v, which becomes the last of its chain.
+func (s *Store) cut(v *version) {
+	for r := v.prev; r != 0; {
+		next := s.at(r).prev
+		s.release(r)
+		r = next
+	}
+	v.prev = 0
 }
 
 // Get returns the newest version of key, or nil when absent.
@@ -133,11 +186,11 @@ func (s *Store) Get(key string) []byte {
 
 // GetID is Get over an interned key: a slice index instead of a string hash.
 func (s *Store) GetID(id txn.KeyID) []byte {
-	vs := s.byID[id].vs
-	if len(vs) == 0 {
+	top := s.byID[id]
+	if top == 0 {
 		return nil
 	}
-	return vs[len(vs)-1].val
+	return s.at(top).val
 }
 
 // IDs returns a declared access set as ids of this store: ids itself when it
@@ -164,11 +217,19 @@ func (s *Store) IDs(names []string, ids []txn.KeyID) []txn.KeyID {
 // replacing whatever the key held. Use SeedBulk to pre-populate a keyspace:
 // it lays the batch out in shared arrays and fixes the ids to the batch order.
 func (s *Store) Seed(key string, val []byte) {
-	e := &s.byID[s.Intern(key)]
-	if len(e.vs) == 0 {
-		s.live++
+	s.set(s.Intern(key), version{val: val})
+}
+
+// set makes v all that key id holds: in the entry of the key's newest version
+// when it has one, the older ones released.
+func (s *Store) set(id txn.KeyID, v version) {
+	if top := s.byID[id]; top != 0 {
+		e := s.at(top)
+		s.cut(e)
+		*e = v
+	} else {
+		s.push(id, v)
 	}
-	e.vs = []version{{val: val}}
 }
 
 // Reserve sizes the name map for n additional keys ahead of a bulk seed,
@@ -196,23 +257,20 @@ func (s *Store) SeedBulk(keys []string, val []byte) {
 // one pass and fixes the batch's ids: key keys[i] becomes txn.KeyID(base+i),
 // where base is the number of keys interned before the call (zero for the
 // usual single-pass seed), so a workload's dense key index doubles as its
-// KeyID. The keys must be new to the store. The initial versions are laid out
-// in one backing array (each capacity-clipped, so a later Put reallocates
-// instead of aliasing its neighbor) and the slots extend the slot slice in
-// place; the key names are only hashed into the name map, which shares their
-// bytes with the caller — seeding a replica's keyspace costs a handful of
-// allocations instead of several per key and no per-replica copy of the names.
+// KeyID. The keys must be new to the store. The initial versions fill the
+// slab's chunks in batch order (what is left of the last chunk goes to the
+// first writes) and the references extend byID in place; the key names are only
+// hashed into the name map, which shares their bytes with the caller — seeding
+// a replica's keyspace costs an allocation per chunk of keys instead of several
+// per key and no per-replica copy of the names.
 func (s *Store) SeedBulkFunc(keys []string, val func(i int) []byte) {
 	s.Reserve(len(keys))
-	vs := make([]version, len(keys))
 	base := len(s.byID)
 	s.byID = slices.Grow(s.byID, len(keys))[:base+len(keys)]
 	for i, k := range keys {
-		vs[i] = version{val: val(i)}
-		s.byID[base+i].vs = vs[i : i+1 : i+1]
+		s.push(txn.KeyID(base+i), version{val: val(i)})
 		s.index[k] = txn.KeyID(base + i)
 	}
-	s.live += len(keys)
 }
 
 // Interned returns the number of keys that have an id (test helper).
@@ -247,11 +305,7 @@ func (v *txnView) GetID(id txn.KeyID) []byte { return v.s.GetID(id) }
 func (v *txnView) Put(key string, val []byte) { v.PutID(v.s.Intern(key), val) }
 
 func (v *txnView) PutID(id txn.KeyID, val []byte) {
-	e := &v.s.byID[id]
-	if len(e.vs) == 0 {
-		v.s.live++
-	}
-	e.vs = append(e.vs, version{writer: v.writer, ts: v.ts, val: val, uncommitted: true})
+	v.s.push(id, version{writer: v.writer, ts: v.ts, val: val, uncommitted: true})
 	v.ids = append(v.ids, id)
 }
 
@@ -327,8 +381,8 @@ func (s *Store) Apply(ws []Write) { s.ApplyAt(txn.Timestamp{}, ws) }
 // ApplyAt installs a buffered write set as state committed at ts, on the
 // store that produced it or on another copy of the shard: a write made by
 // name goes to the key this store interns the name under, the others to their
-// id. In the default mode the key's value is overwritten in place; in
-// snapshot-retaining mode a committed version is appended, so the caller must
+// id. In the default mode the write becomes all the key holds; in
+// snapshot-retaining mode a committed version is added, so the caller must
 // apply one key's writes in timestamp order (see GetAtID).
 func (s *Store) ApplyAt(ts txn.Timestamp, ws []Write) {
 	for i := range ws {
@@ -337,12 +391,10 @@ func (s *Store) ApplyAt(ts txn.Timestamp, ws []Write) {
 		if w.Name != "" {
 			id = s.Intern(w.Name)
 		}
-		if e := &s.byID[id]; s.retain || len(e.vs) == 0 {
+		if s.retain {
 			s.putCommitted(id, ts, w.Val)
 		} else {
-			clear(e.vs[1:])
-			e.vs = e.vs[:1]
-			e.vs[0] = version{ts: ts, val: w.Val}
+			s.set(id, version{ts: ts, val: w.Val})
 		}
 	}
 }
@@ -350,18 +402,17 @@ func (s *Store) ApplyAt(ts txn.Timestamp, ws []Write) {
 // GetAtID returns the newest committed version of the key with a timestamp at
 // or below at, together with that version's commit timestamp (zero for seeded
 // initial values). Uncommitted versions are invisible: a snapshot read never
-// observes optimistic state. Committed versions of one key are appended in
+// observes optimistic state. Committed versions of one key are added in
 // timestamp order (conflicting writers are serialized by the protocol), so
 // the newest qualifying version is the first committed one at or below at
-// when scanning from the top.
+// when walking the chain from its head.
 func (s *Store) GetAtID(id txn.KeyID, at time.Duration) ([]byte, txn.Timestamp, bool) {
-	vs := s.byID[id].vs
-	for i := len(vs) - 1; i >= 0; i-- {
-		v := &vs[i]
-		if v.uncommitted || v.ts.Time > at {
-			continue
+	for r := s.byID[id]; r != 0; {
+		v := s.at(r)
+		if !v.uncommitted && v.ts.Time <= at {
+			return v.val, v.ts, true
 		}
-		return v.val, v.ts, true
+		r = v.prev
 	}
 	return nil, txn.Timestamp{}, false
 }
@@ -428,37 +479,37 @@ func (s *Store) Revoke(id txn.ID) {
 		return
 	}
 	for _, kid := range wp {
-		s.revokeSlot(&s.byID[kid], id)
+		s.revokeKey(kid, id)
 	}
 	delete(s.pending, id)
 	delete(s.executed, id)
 	s.putPend(wp)
 }
 
-func (s *Store) revokeSlot(e *slot, id txn.ID) {
-	vs := e.vs
-	// The revoked version is at (or near) the top: conflicting writers
+func (s *Store) revokeKey(kid txn.KeyID, id txn.ID) {
+	// The revoked version is at (or near) the head: conflicting writers
 	// were blocked while this transaction was outstanding.
-	for i := len(vs) - 1; i >= 0; i-- {
-		if vs[i].writer == id {
-			copy(vs[i:], vs[i+1:])
-			vs[len(vs)-1] = version{}
-			vs = vs[:len(vs)-1]
+	for link := &s.byID[kid]; *link != 0; {
+		r := *link
+		v := s.at(r)
+		if v.writer == id {
+			*link = v.prev
+			s.release(r)
 			break
 		}
+		link = &v.prev
 	}
-	e.vs = vs
-	if len(vs) == 0 {
+	if s.byID[kid] == 0 {
 		// Seeded keys always retain their seed version, so only a blind write
-		// on a fresh key can empty a slot: the key is absent again (it keeps
+		// on a fresh key can empty a chain: the key is absent again (it keeps
 		// its id), so Len/Equal reflect the revert.
 		s.live--
 	}
 }
 
 // Commit finalizes id's writes. In the default mode its versions become
-// durable and older versions of those keys are garbage-collected in place
-// (the key's version slice is truncated and reused, not reallocated); in
+// durable and older versions of those keys are garbage-collected (released to
+// the free list, where the next write finds them); in
 // snapshot-retaining mode (EnableSnapshots) the versions are marked
 // committed, history is kept for GetAtID, and the per-key high-water advances.
 // Committing an id twice is a no-op either way.
@@ -471,7 +522,7 @@ func (s *Store) Commit(id txn.ID) {
 		if s.retain {
 			s.commitRetain(kid, id)
 		} else {
-			commitGC(&s.byID[kid], id)
+			s.commitGC(kid, id)
 		}
 	}
 	delete(s.pending, id)
@@ -479,45 +530,37 @@ func (s *Store) Commit(id txn.ID) {
 }
 
 func (s *Store) commitRetain(kid txn.KeyID, id txn.ID) {
-	vs := s.byID[kid].vs
-	for i := len(vs) - 1; i >= 0; i-- {
-		if vs[i].writer == id {
-			vs[i].uncommitted = false
-			s.noteCommitted(kid, vs[i].ts, len(vs))
+	for r := s.byID[kid]; r != 0; {
+		v := s.at(r)
+		if v.writer == id {
+			v.uncommitted = false
+			s.noteCommitted(kid, v.ts)
 			break
 		}
+		r = v.prev
 	}
 }
 
-// noteCommitted is the retain-mode bookkeeping for a version committed at ts
-// on a key now holding n versions.
-func (s *Store) noteCommitted(kid txn.KeyID, ts txn.Timestamp, n int) {
+// noteCommitted is the retain-mode bookkeeping for a version of key kid
+// committed at ts.
+func (s *Store) noteCommitted(kid txn.KeyID, ts txn.Timestamp) {
 	if s.high[kid].Less(ts) {
 		s.high[kid] = ts
 	}
-	if n > 1 {
+	if s.at(s.byID[kid]).prev != 0 {
 		s.multi[kid] = struct{}{}
 	}
 }
 
-// commitGC collapses the chain to the committed top version in place,
-// keeping the slice's capacity so the key's next optimistic write appends
-// without reallocating.
-func commitGC(e *slot, id txn.ID) {
-	vs := e.vs
-	if len(vs) <= 1 {
-		return
+// commitGC collapses the chain to its newest version, now committed, when
+// that is id's: the older versions go back to the free list.
+func (s *Store) commitGC(kid txn.KeyID, id txn.ID) {
+	if top := s.byID[kid]; top != 0 {
+		if v := s.at(top); v.writer == id {
+			v.uncommitted = false
+			s.cut(v)
+		}
 	}
-	top := vs[len(vs)-1]
-	if top.writer != id {
-		return
-	}
-	top.uncommitted = false
-	vs[0] = top
-	for i := 1; i < len(vs); i++ {
-		vs[i] = version{}
-	}
-	e.vs = vs[:1]
 }
 
 // PutCommitted appends an already-committed version of key directly,
@@ -527,25 +570,16 @@ func (s *Store) PutCommitted(key string, ts txn.Timestamp, val []byte) {
 }
 
 func (s *Store) putCommitted(kid txn.KeyID, ts txn.Timestamp, val []byte) {
-	e := &s.byID[kid]
-	if len(e.vs) == 0 {
-		s.live++
-	}
-	e.vs = append(e.vs, version{ts: ts, val: val})
+	s.push(kid, version{ts: ts, val: val})
 	if s.retain {
-		s.noteCommitted(kid, ts, len(e.vs))
+		s.noteCommitted(kid, ts)
 	}
 }
 
 // Versions returns the total number of versions held across all keys — the
-// memory-growth signal the watermark-GC plateau test pins.
-func (s *Store) Versions() int {
-	n := 0
-	for i := range s.byID {
-		n += len(s.byID[i].vs)
-	}
-	return n
-}
+// memory-growth signal the watermark-GC plateau test pins: every slab entry
+// handed out that is not on the free list.
+func (s *Store) Versions() int { return s.vers.Len() - s.nfree }
 
 // PruneTo garbage-collects committed history no snapshot read at or above
 // `horizon` can observe: for each key it keeps the newest committed version
@@ -562,35 +596,30 @@ func (s *Store) PruneTo(horizon time.Duration) int {
 	}
 	pruned := 0
 	for k := range s.multi {
-		e := &s.byID[k]
-		vs := e.vs
 		// Find the pivot: the newest committed version at or below the
-		// horizon (same scan GetAtID performs).
-		pivot := -1
-		for i := len(vs) - 1; i >= 0; i-- {
-			if !vs[i].uncommitted && vs[i].ts.Time <= horizon {
-				pivot = i
+		// horizon (same walk GetAtID performs).
+		pivot := s.byID[k]
+		for pivot != 0 {
+			v := s.at(pivot)
+			if !v.uncommitted && v.ts.Time <= horizon {
 				break
 			}
+			pivot = v.prev
 		}
-		if pivot > 0 {
-			kept := vs[:0]
-			for i := range vs {
-				if i < pivot && !vs[i].uncommitted {
+		if pivot != 0 {
+			// Unlink and release the committed versions behind it.
+			for link := &s.at(pivot).prev; *link != 0; {
+				r := *link
+				if v := s.at(r); v.uncommitted {
+					link = &v.prev
+				} else {
+					*link = v.prev
+					s.release(r)
 					pruned++
-					continue
 				}
-				kept = append(kept, vs[i])
 			}
-			// Zero the vacated tail so dropped values release their
-			// backing buffers.
-			for i := len(kept); i < len(vs); i++ {
-				vs[i] = version{}
-			}
-			vs = kept
-			e.vs = vs
 		}
-		if len(vs) <= 1 {
+		if top := s.byID[k]; top == 0 || s.at(top).prev == 0 {
 			delete(s.multi, k)
 		}
 	}
@@ -604,7 +633,7 @@ func (s *Store) Equal(o *Store) bool {
 		return false
 	}
 	for k, id := range s.index {
-		if len(s.byID[id].vs) > 0 && string(s.GetID(id)) != string(o.Get(k)) {
+		if s.byID[id] != 0 && string(s.GetID(id)) != string(o.Get(k)) {
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package tiga
 import (
 	"time"
 
+	"tiga/internal/pool"
 	"tiga/internal/txn"
 )
 
@@ -66,8 +67,6 @@ func (e *keyState) readAfter(ts txn.Timestamp) bool { return e.flags&hasR != 0 &
 func (e *keyState) writtenAfter(ts txn.Timestamp) bool { return e.flags&hasW != 0 && !e.wts.Less(ts) }
 
 const (
-	chunkBits  = 9 // 512 entries of 64 B: 32 KB per chunk
-	chunkSize  = 1 << chunkBits
 	arenaChunk = 2048 // references per arena chunk (8 KB)
 	groupBits  = 3    // index slots per group: 8 of 8 B, one cache line
 )
@@ -79,16 +78,15 @@ type indexSlot struct {
 	ref uint32
 }
 
-// conflictTable is one server's conflict state: a dense slab with one keyState
-// per key touched so far, an open-addressing index from KeyID to entry, and the
+// conflictTable is one server's conflict state: a slab with one keyState per
+// key touched so far, an open-addressing index from KeyID to entry, and the
 // arena records keep their entry references in. It is sized by the keys
 // touched, never by the keyspace; entries are numbered in order of first touch
-// and are never deleted or moved (the slab grows a chunk at a time), so a
-// record resolves its keys once (Server.attach) and every conflict check after
-// that indexes the slab directly. The zero value is an empty table.
+// and are never deleted or moved (pool.Slab), so a record resolves its keys
+// once (Server.attach) and every conflict check after that indexes the slab
+// directly. The zero value is an empty table.
 type conflictTable struct {
-	chunks [][]keyState
-	n      uint32
+	entries pool.Slab[keyState]
 	// index has a power-of-two length and stays at most half full (linear
 	// probing, no deletions); shift takes a 32-bit hash to a group of slots.
 	index []indexSlot
@@ -102,9 +100,6 @@ type conflictTable struct {
 	// attached, however many pumps examine the record afterwards.
 	lookups int64
 }
-
-// at returns entry number i.
-func (t *conflictTable) at(i uint32) *keyState { return &t.chunks[i>>chunkBits][i&(chunkSize-1)] }
 
 // slot returns k's index slot: the one holding it, or the free one it belongs
 // in. KeyIDs are small dense integers and a piece's keys are often neighbours
@@ -124,16 +119,12 @@ func (t *conflictTable) slot(k txn.KeyID) *indexSlot {
 // It is the table's only by-key lookup.
 func (t *conflictTable) entry(k txn.KeyID) uint32 {
 	t.lookups++
-	if 2*int(t.n) >= len(t.index) {
+	if 2*t.entries.Len() >= len(t.index) {
 		t.growIndex()
 	}
 	s := t.slot(k)
 	if s.ref == 0 {
-		if int(t.n>>chunkBits) == len(t.chunks) {
-			t.chunks = append(t.chunks, make([]keyState, chunkSize))
-		}
-		t.n++
-		*s = indexSlot{key: k, ref: t.n}
+		*s = indexSlot{key: k, ref: t.entries.Add() + 1}
 	}
 	return s.ref - 1
 }
@@ -170,11 +161,10 @@ func (t *conflictTable) endPump() {
 	if t.stamp++; t.stamp != 0 {
 		return
 	}
-	for _, c := range t.chunks {
-		for i := range c {
-			c[i].stamp = 0
-			c[i].flags &^= blockedR | blockedW
-		}
+	for i := 0; i < t.entries.Len(); i++ {
+		e := t.entries.At(uint32(i))
+		e.stamp = 0
+		e.flags &^= blockedR | blockedW
 	}
 }
 
@@ -184,12 +174,12 @@ func (t *conflictTable) endPump() {
 // transaction's timestamp on r's read/write sets (Alg. 1 line 2).
 func (t *conflictTable) passes(r *rec, ts txn.Timestamp) bool {
 	for _, i := range r.reads() {
-		if t.at(i).writtenAfter(ts) {
+		if t.entries.At(i).writtenAfter(ts) {
 			return false
 		}
 	}
 	for _, i := range r.writes() {
-		if e := t.at(i); e.writtenAfter(ts) || e.readAfter(ts) {
+		if e := t.entries.At(i); e.writtenAfter(ts) || e.readAfter(ts) {
 			return false
 		}
 	}
@@ -201,12 +191,12 @@ func (t *conflictTable) passes(r *rec, ts txn.Timestamp) bool {
 func (t *conflictTable) minAcceptable(r *rec) time.Duration {
 	var last txn.Timestamp
 	for _, i := range r.reads() {
-		if e := t.at(i); e.flags&hasW != 0 && last.Less(e.wts) {
+		if e := t.entries.At(i); e.flags&hasW != 0 && last.Less(e.wts) {
 			last = e.wts
 		}
 	}
 	for _, i := range r.writes() {
-		e := t.at(i)
+		e := t.entries.At(i)
 		if e.flags&hasW != 0 && last.Less(e.wts) {
 			last = e.wts
 		}
@@ -221,10 +211,10 @@ func (t *conflictTable) minAcceptable(r *rec) time.Duration {
 // 14–15).
 func (t *conflictTable) note(r *rec, ts txn.Timestamp) {
 	for _, i := range r.reads() {
-		t.at(i).noteRead(ts)
+		t.entries.At(i).noteRead(ts)
 	}
 	for _, i := range r.writes() {
-		t.at(i).noteWrite(ts)
+		t.entries.At(i).noteWrite(ts)
 	}
 }
 
@@ -232,12 +222,12 @@ func (t *conflictTable) note(r *rec, ts txn.Timestamp) {
 // conflicts with r.
 func (t *conflictTable) blockedBy(r *rec) bool {
 	for _, i := range r.reads() {
-		if e := t.at(i); e.parkW > 0 || e.blocked(t.stamp)&blockedW != 0 {
+		if e := t.entries.At(i); e.parkW > 0 || e.blocked(t.stamp)&blockedW != 0 {
 			return true
 		}
 	}
 	for _, i := range r.writes() {
-		if e := t.at(i); e.parkW > 0 || e.parkR > 0 || e.blocked(t.stamp) != 0 {
+		if e := t.entries.At(i); e.parkW > 0 || e.parkR > 0 || e.blocked(t.stamp) != 0 {
 			return true
 		}
 	}
@@ -247,20 +237,20 @@ func (t *conflictTable) blockedBy(r *rec) bool {
 // block adds r's keys to this pump's blocked sets.
 func (t *conflictTable) block(r *rec) {
 	for _, i := range r.reads() {
-		t.at(i).block(t.stamp, blockedR)
+		t.entries.At(i).block(t.stamp, blockedR)
 	}
 	for _, i := range r.writes() {
-		t.at(i).block(t.stamp, blockedW)
+		t.entries.At(i).block(t.stamp, blockedW)
 	}
 }
 
 // park counts r on its keys' parked counts (d = 1), or takes it off (d = -1).
 func (t *conflictTable) park(r *rec, d int32) {
 	for _, i := range r.reads() {
-		t.at(i).parkR += d
+		t.entries.At(i).parkR += d
 	}
 	for _, i := range r.writes() {
-		t.at(i).parkW += d
+		t.entries.At(i).parkW += d
 	}
 	t.parked += int(d) * len(r.refs)
 }

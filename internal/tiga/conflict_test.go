@@ -14,7 +14,7 @@ func (t *conflictTable) parkedOn(k txn.KeyID) (r, w int32) {
 		return 0, 0
 	}
 	if s := t.slot(k); s.ref != 0 {
-		e := t.at(s.ref - 1)
+		e := t.entries.At(s.ref - 1)
 		return e.parkR, e.parkW
 	}
 	return 0, 0
@@ -80,7 +80,7 @@ func TestConflictTableIndex(t *testing.T) {
 			t.Fatalf("key %d is entry %d after growth, was %d", k, got, e)
 		}
 	}
-	if int(tab.n) != len(first) || 2*len(first) > len(tab.index) {
-		t.Fatalf("%d entries for %d keys in %d slots", tab.n, len(first), len(tab.index))
+	if tab.entries.Len() != len(first) || 2*len(first) > len(tab.index) {
+		t.Fatalf("%d entries for %d keys in %d slots", tab.entries.Len(), len(first), len(tab.index))
 	}
 }

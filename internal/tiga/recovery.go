@@ -3,6 +3,7 @@ package tiga
 import (
 	"sort"
 
+	"tiga/internal/pool"
 	"tiga/internal/simnet"
 	"tiga/internal/txn"
 )
@@ -282,13 +283,13 @@ func (s *Server) installLog(log []logEntry) {
 	s.pq = prioQueue{fallbacks: s.pq.fallbacks}
 	s.pendingSync = make(map[int]logSyncMsg)
 	s.followerSP = make(map[int]int)
-	s.recs = make(map[txn.ID]*rec)
+	s.recs, s.recSlab = make(map[txn.ID]*rec), pool.Slab[rec]{}
 	// The rebuilt store numbers inserted keys in replay order, so the conflict
 	// table and every record's references into it start over with it, and the
 	// agreements of the records dropped here end.
 	s.keys = conflictTable{}
 	for _, a := range s.agreements {
-		s.cluster.agreements.Put(a)
+		s.recycle(a)
 	}
 	s.agreements = nil
 	s.relHash.Reset()
@@ -306,13 +307,13 @@ func (s *Server) installLog(log []logEntry) {
 		}
 		s.st.Commit(e.ID)
 		s.relHash.Add(e.ID, e.TS)
-		r := &rec{id: e.ID, t: e.T, ts: e.TS,
-			coord: s.cluster.coordNode(e.ID.Coord), executed: true, released: true, result: res}
+		r := s.newRec(e.ID)
+		r.t, r.ts, r.coord, r.result = e.T, e.TS, s.cluster.coordNode(e.ID.Coord), res
+		r.executed, r.released = true, true
 		if p := e.T.Pieces[s.shard]; p != nil {
 			s.attach(r, p)
 			s.noteAccess(r, e.TS)
 		}
-		s.recs[e.ID] = r
 	}
 	s.syncPoint = len(s.log)
 	s.commitPoint = len(s.log)

@@ -7,6 +7,7 @@ import (
 
 	"tiga/internal/clocks"
 	"tiga/internal/hashlog"
+	"tiga/internal/pool"
 	"tiga/internal/simnet"
 	"tiga/internal/snapread"
 	"tiga/internal/store"
@@ -206,9 +207,12 @@ type Server struct {
 	status status
 	lnv    int // last-normal-view
 
-	st   *store.Store
-	pq   prioQueue
-	recs map[txn.ID]*rec
+	st *store.Store
+	pq prioQueue
+	// recs finds a transaction's record; the records themselves come from
+	// recSlab a chunk at a time (newRec) and stay until installLog starts over.
+	recs    map[txn.ID]*rec
+	recSlab pool.Slab[rec]
 	// keys is the conflict state (conflict.go): per touched key, Alg. 1's read
 	// and write timestamps; the parked counts — how many parked records read
 	// and write the key: pq records whose process call is a no-op until §3.5
@@ -559,17 +563,24 @@ func (s *Server) onTxn(from simnet.NodeID, m *txnMsg) {
 		s.resendReply(r)
 		return
 	}
-	r := &rec{
-		id:      m.ID(),
-		t:       m.T,
-		ts:      m.TS,
-		coord:   m.Coord,
-		owd:     s.now() - m.SendClock,
-		arriveS: s.cluster.Net.Sim().Now(),
-	}
+	r := s.newRec(m.ID())
+	r.t, r.ts, r.coord = m.T, m.TS, m.Coord
+	r.owd = s.now() - m.SendClock
+	r.arriveS = s.cluster.Net.Sim().Now()
 	s.attach(r, m.T.Pieces[s.shard])
-	s.recs[r.id] = r
 	s.admit(r)
+}
+
+// newRec starts the record of a transaction the server has not heard of: the
+// next entry of the record slab, zero but for the id, and entered in recs. A
+// record is never handed back — the server remembers every transaction until
+// installLog drops records, map and slab together — so records cost one
+// allocation per chunk.
+func (s *Server) newRec(id txn.ID) *rec {
+	r := s.recSlab.At(s.recSlab.Add())
+	r.id = id
+	s.recs[id] = r
+	return r
 }
 
 // admit runs conflict detection and queue insertion for a new transaction
@@ -966,6 +977,14 @@ func (s *Server) agreedOn(r *rec) {
 	s.agreements[last] = nil
 	s.agreements = s.agreements[:last]
 	r.ag = nil
+	s.recycle(a)
+}
+
+// recycle hands a back to the cluster's pool. It lets go of the record first:
+// a pooled agreement still pointing into a record slab would keep a whole chunk
+// of it alive after installLog has dropped the slab.
+func (s *Server) recycle(a *agreement) {
+	a.r = nil
 	s.cluster.agreements.Put(a)
 }
 
@@ -995,8 +1014,7 @@ func (s *Server) onTsNotification(from simnet.NodeID, m *tsNotification) {
 		// Notification before the coordinator's multicast arrived (or the
 		// coordinator failed mid-multicast, Appendix B): remember the
 		// timestamps and fetch the body if it never shows up.
-		r = &rec{id: m.ID}
-		s.recs[m.ID] = r
+		r = s.newRec(m.ID)
 		s.scheduleFetch(r, from)
 	}
 	if r.agreed || r.released {
@@ -1192,8 +1210,8 @@ func (s *Server) applySync(m *logSyncMsg) {
 	switch {
 	case r == nil:
 		// First heard of through the log.
-		r = &rec{id: m.ID, t: m.T}
-		s.recs[m.ID] = r
+		r = s.newRec(m.ID)
+		r.t = m.T
 		s.relHash.Add(m.ID, m.TS)
 	case r.tail:
 		r.tail = false
@@ -1457,7 +1475,7 @@ type StateSizes struct {
 func (s *Server) StateSizes() StateSizes {
 	return StateSizes{
 		Records:         len(s.recs),
-		ConflictEntries: int(s.keys.n),
+		ConflictEntries: s.keys.entries.Len(),
 		Parked:          s.keys.parked,
 		Agreements:      len(s.agreements),
 		TailRecords:     s.tails,
