@@ -1,4 +1,7 @@
-// Package pool provides deterministic freelists for the transaction path.
+// Package pool provides the transaction path's deterministic allocators: Free,
+// a freelist of objects that come and go, and Slab (slab.go), the chunked slab
+// behind everything a run keeps by the million — store versions, Tiga's records
+// and conflict entries — where an allocation per object is the cost to avoid.
 //
 // The simulator's goldens are byte-identical across -workers settings because
 // every simulation is single-threaded and driven by one seeded rng; a

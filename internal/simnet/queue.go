@@ -41,8 +41,11 @@ const (
 // event is one scheduled occurrence, ordered by (at, seq): seq is the global
 // scheduling counter, so same-instant events fire in scheduling order. The
 // struct is stored flat in the queue's slice — pushing and popping moves
-// values, never boxes them into an interface — and is laid out to fit one
-// 64-byte cache line.
+// values, never boxes them into an interface. It is 80 bytes, five of its ten
+// words pointers (node, fn, msg's two, gate): it fit one 64-byte cache line
+// until gate and gseq were added, and every sift of the heap copies it whole,
+// so its size is pinned (TestEventSizeIsADecision) — a field more is a choice
+// to make on purpose.
 type event struct {
 	at   time.Duration
 	seq  uint64

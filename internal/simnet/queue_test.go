@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // refEvent / refHeap is a container/heap reference implementation with the
@@ -34,6 +35,15 @@ func (h *refHeap) Pop() any {
 	e := old[n-1]
 	*h = old[:n-1]
 	return e
+}
+
+// TestEventSizeIsADecision: the queue stores events by value and every sift
+// copies one, so the struct's size is part of the queue's cost. It is 80 bytes
+// (ten words, five of them pointers); a change that moves it should say so here.
+func TestEventSizeIsADecision(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 80 {
+		t.Errorf("event is %d bytes, not the 80 the queue's cost was measured with", got)
+	}
 }
 
 // TestEventQueueMatchesHeapReference drives the 4-ary queue and the

@@ -10,7 +10,7 @@ import (
 // whether a record needs sets of its own — and otherwise fills the gaps from
 // the name map, so a name and an id of one key resolve alike.
 func TestIDs(t *testing.T) {
-	s, keys := seedN(6)
+	s, keys := seedN(t, 6)
 	numbered := []txn.KeyID{4, 1}
 	if got := s.IDs([]string{keys[4], keys[1]}, numbered); &got[0] != &numbered[0] || len(got) != 2 {
 		t.Fatalf("a numbered set was copied: %v", got)
@@ -43,7 +43,7 @@ func TestIDs(t *testing.T) {
 // A buffered piece reads its own writes whichever form either side uses, keeps
 // one write per key with the last value, and remembers a name once given.
 func TestBufferedViewReadsItsOwnWritesInEitherForm(t *testing.T) {
-	s, keys := seedN(4)
+	s, keys := seedN(t, 4)
 	var seen []int64
 	look := func(b []byte) { seen = append(seen, txn.DecodeInt(b)) }
 	p := &txn.Piece{Exec: func(kv txn.KV) []byte {
@@ -89,7 +89,7 @@ func TestBufferedViewReadsItsOwnWritesInEitherForm(t *testing.T) {
 // it discard most write sets (every Tapir prepare, every aborted vote).
 func TestBufferedExecutionLeavesTheStoreUntouched(t *testing.T) {
 	for _, retain := range []bool{false, true} {
-		s, keys := seedN(3)
+		s, keys := seedN(t, 3)
 		if retain {
 			s.EnableSnapshots()
 		}
@@ -124,8 +124,8 @@ func TestBufferedExecutionLeavesTheStoreUntouched(t *testing.T) {
 // copy of the shard that numbered its inserted rows in another order: writes
 // made by name find their key by name, the rest by id.
 func TestApplyOntoAStoreWithAnotherInternOrder(t *testing.T) {
-	a, keys := seedN(3)
-	b, _ := seedN(3)
+	a, keys := seedN(t, 3)
+	b, _ := seedN(t, 3)
 	a.Intern("row1") // 3 on a
 	b.Intern("row2") // 3 on b
 	b.Intern("other")
@@ -168,8 +168,8 @@ func TestApplyOntoAStoreWithAnotherInternOrder(t *testing.T) {
 // snapshot reads see them from there on, the high-water advances, and history
 // below stays readable — on a copy that interns the row itself.
 func TestApplyAtKeepsHistoryInRetainMode(t *testing.T) {
-	a, keys := seedN(2)
-	b, _ := seedN(2)
+	a, keys := seedN(t, 2)
+	b, _ := seedN(t, 2)
 	b.Intern("other")
 	a.EnableSnapshots()
 	b.EnableSnapshots()

@@ -7,12 +7,12 @@ import (
 	"tiga/internal/txn"
 )
 
-func seedN(n int) (*Store, []string) {
+func seedN(t testing.TB, n int) (*Store, []string) {
 	keys := make([]string, n)
 	for i := range keys {
 		keys[i] = fmt.Sprintf("k0-%d", i)
 	}
-	s := New()
+	s := newChecked(t)
 	s.SeedBulk(keys, txn.EncodeInt(0))
 	return s, keys
 }
@@ -20,7 +20,7 @@ func seedN(n int) (*Store, []string) {
 // TestInternedPathsMatchStringPaths: every ID accessor must observe exactly
 // the state the string accessors do — the two are indexes over one slot.
 func TestInternedPathsMatchStringPaths(t *testing.T) {
-	s, keys := seedN(10)
+	s, keys := seedN(t, 10)
 	if s.Interned() != 10 {
 		t.Fatalf("Interned() = %d, want 10", s.Interned())
 	}
@@ -56,7 +56,7 @@ func TestInternedPathsMatchStringPaths(t *testing.T) {
 // TestInternedRevokeAndRetain drives the ID write path through retain mode:
 // high-water and GetAtID must behave exactly like their string twins.
 func TestInternedRevokeAndRetain(t *testing.T) {
-	s, keys := seedN(4)
+	s, keys := seedN(t, 4)
 	s.EnableSnapshots()
 	inc := func(kid txn.KeyID) *txn.Piece {
 		return &txn.Piece{

@@ -7,26 +7,29 @@
 // transaction's versions are always the newest version of each key it wrote,
 // so revocation never cascades.
 //
-// Every key the store has seen is interned: it has a dense txn.KeyID, that
-// index of one slice holds a 4-byte reference to the key's newest version, and
-// the name map only translates a string to the id (names are kept nowhere
-// else). The versions themselves live in one slab the store owns (pool.Slab:
-// fixed-size chunks, entries never move), each linked to the next older version
-// of its key, and a free list threaded through the same link takes back every
-// version the store drops — collapsed by Commit, revoked, pruned, overwritten —
-// so a rewritten key reuses a freed entry: writing costs an allocation per
-// chunk of new versions, not one per key, and a dropped version's memory is the
-// next write's. Values are not part of that: they are the caller's immutable
-// []byte, aliased by read results, and are never copied into reusable memory. Bulk-seeded
-// keys get the ids of their batch position (the workload's own key index), so
-// hot loops (GetID/PutID through a view, GetAtID) never hash a string; a name
-// that shows up later (an inserted row, a hand-built string piece) is given
-// the next id by Intern. This package is the one place where the two forms of
-// a key meet: IDs turns a piece's declared access set into this store's ids,
-// both views accept either form for the same key, and a buffered write that
-// arrived by name carries the name along (Write), because the id a store gave
-// an inserted row means nothing on another store. Execute reuses one transaction
-// view plus freelisted write-set slices across transactions.
+// Every key the store has seen is interned: it has a dense txn.KeyID, and the
+// name map only translates a string to the id (names are kept nowhere else).
+// Bulk-seeded keys get the ids of their batch position (the workload's own key
+// index), so hot loops (GetID/PutID through a view, GetAtID) never hash a
+// string; a name that shows up later (an inserted row, a hand-built string
+// piece) is given the next id by Intern. This package is the one place where
+// the two forms of a key meet: IDs turns a piece's declared access set into
+// this store's ids, both views accept either form for the same key, and a
+// buffered write that arrived by name carries the name along (Write), because
+// the id a store gave an inserted row means nothing on another store. Execute
+// reuses one transaction view plus freelisted write-set slices across
+// transactions.
+//
+// Versions live in one slab the store owns (pool.Slab: fixed-size chunks,
+// entries never move). byID holds, per key, a 4-byte reference to the key's
+// newest version; each version links to the next older one of its key; and a
+// free list threaded through the same link takes back every version the store
+// drops — collapsed by the default-mode Commit, revoked, pruned, overwritten by
+// Seed or the default-mode ApplyAt — so a rewritten key reuses a freed entry.
+// Writing costs an allocation per chunk of new versions, not one per key, and
+// Versions is a subtraction. Values are not part of that: they are the caller's
+// immutable []byte, aliased by read and piece results, and are never copied
+// into reusable memory.
 //
 // There is no deep copy: a store's committed state is a pure function of its
 // seed and the Execute/Commit sequence applied to it, which is what Tiga's
@@ -215,7 +218,7 @@ func (s *Store) IDs(names []string, ids []txn.KeyID) []txn.KeyID {
 
 // Seed installs an initial committed value (workload pre-population),
 // replacing whatever the key held. Use SeedBulk to pre-populate a keyspace:
-// it lays the batch out in shared arrays and fixes the ids to the batch order.
+// it sizes the name map once and fixes the ids to the batch order.
 func (s *Store) Seed(key string, val []byte) {
 	s.set(s.Intern(key), version{val: val})
 }

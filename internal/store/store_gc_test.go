@@ -12,7 +12,7 @@ import (
 // at the given timestamps (plus the timestamp-zero seed).
 func gcStore(t *testing.T, stamps ...int64) *Store {
 	t.Helper()
-	s := New()
+	s := newChecked(t)
 	s.EnableSnapshots()
 	s.Seed("k", txn.EncodeInt(0))
 	for i, at := range stamps {
@@ -88,7 +88,7 @@ func TestPruneToNeverTouchesUncommitted(t *testing.T) {
 // TestPruneToNoopOutsideRetainMode: the default (non-snapshot) store already
 // garbage-collects on Commit; PruneTo must not touch it.
 func TestPruneToNoopOutsideRetainMode(t *testing.T) {
-	s := New()
+	s := newChecked(t)
 	s.Seed("k", txn.EncodeInt(0))
 	if n := s.PruneTo(100); n != 0 {
 		t.Fatalf("PruneTo on a non-retaining store pruned %d versions", n)
@@ -115,7 +115,7 @@ func TestPruneToDirtySet(t *testing.T) {
 // version count at a constant plateau instead of growing with the write
 // count.
 func TestVersionsPlateauUnderPruning(t *testing.T) {
-	s := New()
+	s := newChecked(t)
 	s.EnableSnapshots()
 	const keys = 32
 	for k := 0; k < keys; k++ {

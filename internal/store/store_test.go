@@ -23,7 +23,7 @@ func getAt(s *Store, key string, at time.Duration) ([]byte, txn.Timestamp, bool)
 }
 
 func TestSeedAndGet(t *testing.T) {
-	s := New()
+	s := newChecked(t)
 	if s.Get("x") != nil {
 		t.Fatal("missing key should be nil")
 	}
@@ -34,7 +34,7 @@ func TestSeedAndGet(t *testing.T) {
 }
 
 func TestExecuteAtMostOnce(t *testing.T) {
-	s := New()
+	s := newChecked(t)
 	s.Seed("x", txn.EncodeInt(0))
 	p := txn.IncrementPiece("x")
 	s.Execute(id(1), ts(1), p)
@@ -48,7 +48,7 @@ func TestExecuteAtMostOnce(t *testing.T) {
 }
 
 func TestRevokeRestoresState(t *testing.T) {
-	s := New()
+	s := newChecked(t)
 	s.Seed("x", txn.EncodeInt(10))
 	s.Execute(id(1), ts(1), txn.IncrementPiece("x"))
 	if txn.DecodeInt(s.Get("x")) != 11 {
@@ -69,7 +69,7 @@ func TestRevokeRestoresState(t *testing.T) {
 }
 
 func TestRevokeBlindWriteRemovesKey(t *testing.T) {
-	s := New()
+	s := newChecked(t)
 	s.Execute(id(2), ts(1), txn.WritePiece("fresh", txn.EncodeInt(5)))
 	if s.Get("fresh") == nil {
 		t.Fatal("write missing")
@@ -81,7 +81,7 @@ func TestRevokeBlindWriteRemovesKey(t *testing.T) {
 }
 
 func TestCommitGCsVersions(t *testing.T) {
-	s := New()
+	s := newChecked(t)
 	s.Seed("x", txn.EncodeInt(0))
 	for i := uint64(1); i <= 10; i++ {
 		s.Execute(id(i), ts(int64(i)), txn.IncrementPiece("x"))
@@ -95,8 +95,33 @@ func TestCommitGCsVersions(t *testing.T) {
 	}
 }
 
+// TestCommitMarksAFreshKeysWriteCommitted: a committed blind write on a key the
+// store held nothing under — every row TPC-C inserts — must be visible to a
+// snapshot read, in both modes. The default-mode Commit used to return early on
+// a key holding a single version and left it flagged uncommitted for good.
+func TestCommitMarksAFreshKeysWriteCommitted(t *testing.T) {
+	for _, retain := range []bool{false, true} {
+		s := newChecked(t)
+		if retain {
+			s.EnableSnapshots()
+		}
+		s.Execute(id(1), ts(10), txn.WritePiece("row", txn.EncodeInt(7)))
+		if _, _, ok := getAt(s, "row", 20); ok {
+			t.Fatalf("retain=%v: a snapshot read saw an uncommitted write", retain)
+		}
+		s.Commit(id(1))
+		v, vts, ok := getAt(s, "row", 20)
+		if !ok || txn.DecodeInt(v) != 7 || vts != ts(10) {
+			t.Errorf("retain=%v: GetAtID(row, 20) = %v@%v ok=%v after Commit, want 7@%v", retain, v, vts, ok, ts(10))
+		}
+		if _, _, ok := getAt(s, "row", 9); ok {
+			t.Errorf("retain=%v: the row is visible below its commit timestamp", retain)
+		}
+	}
+}
+
 func TestEqual(t *testing.T) {
-	a, b := New(), New()
+	a, b := newChecked(t), newChecked(t)
 	a.Seed("x", txn.EncodeInt(1))
 	b.Seed("x", txn.EncodeInt(1))
 	if !a.Equal(b) {
@@ -112,7 +137,7 @@ func TestEqual(t *testing.T) {
 // transactions leaves exactly the committed increments applied.
 func TestExecuteRevokeProperty(t *testing.T) {
 	check := func(ops []bool) bool {
-		s := New()
+		s := newChecked(t)
 		s.Seed("k", txn.EncodeInt(0))
 		var want int64
 		for i, commit := range ops {
@@ -136,7 +161,7 @@ func TestExecuteRevokeProperty(t *testing.T) {
 // Reserve after a seed must grow the map without losing data — it used to
 // be a silent no-op on any non-empty store, defeating two-pass pre-sizing.
 func TestReserveGrowsNonEmptyMap(t *testing.T) {
-	s := New()
+	s := newChecked(t)
 	s.SeedBulk([]string{"a", "b"}, txn.EncodeInt(1))
 	s.Reserve(100)
 	if txn.DecodeInt(s.Get("a")) != 1 || txn.DecodeInt(s.Get("b")) != 1 {
@@ -157,7 +182,7 @@ func TestReserveGrowsNonEmptyMap(t *testing.T) {
 }
 
 func TestGetAtOrdering(t *testing.T) {
-	s := New()
+	s := newChecked(t)
 	s.EnableSnapshots()
 	s.Seed("x", txn.EncodeInt(0))
 	for i := uint64(1); i <= 5; i++ {
@@ -196,7 +221,7 @@ func TestGetAtOrdering(t *testing.T) {
 }
 
 func TestGetAtSkipsUncommittedVersions(t *testing.T) {
-	s := New()
+	s := newChecked(t)
 	s.EnableSnapshots()
 	s.Seed("x", txn.EncodeInt(0))
 	s.Execute(id(1), ts(10), txn.IncrementPiece("x"))
@@ -223,7 +248,7 @@ func TestGetAtSkipsUncommittedVersions(t *testing.T) {
 }
 
 func TestPutCommittedAndRetainedHistory(t *testing.T) {
-	s := New()
+	s := newChecked(t)
 	s.EnableSnapshots()
 	s.PutCommitted("k", txn.Timestamp{Time: 10}, txn.EncodeInt(1))
 	s.PutCommitted("k", txn.Timestamp{Time: 20}, txn.EncodeInt(2))
@@ -240,7 +265,7 @@ func TestPutCommittedAndRetainedHistory(t *testing.T) {
 
 // In retain mode commits keep the whole history instead of collapsing it.
 func TestRetainModeKeepsVersions(t *testing.T) {
-	s := New()
+	s := newChecked(t)
 	s.EnableSnapshots()
 	s.Seed("x", txn.EncodeInt(0))
 	for i := uint64(1); i <= 10; i++ {
@@ -267,7 +292,7 @@ func TestRetainModeKeepsVersions(t *testing.T) {
 // materialised checkpoints (§4) rebuild their image this way.
 func TestReplayReproducesStore(t *testing.T) {
 	seeded := func() *Store {
-		s := New()
+		s := newChecked(t)
 		for i := 0; i < 16; i++ {
 			s.Seed(fmt.Sprintf("k%d", i), txn.EncodeInt(0))
 		}

@@ -240,7 +240,8 @@ func checkDrained(t *testing.T, c *Cluster) {
 // from where its timestamp said it was); every live agreement object belongs
 // to a record of a multi-shard transaction (or a placeholder) that has not
 // agreed and is not released, which points back at it — what resendAgreements
-// relies on when it walks them; the tail count is the number of records flagged.
+// relies on when it walks them; the tail count is the number of records flagged;
+// every record is an entry of the server's current record slab (checkRecSlab).
 func checkState(t *testing.T, c *Cluster) {
 	t.Helper()
 	for sh, shard := range c.Servers {
@@ -265,6 +266,7 @@ func checkState(t *testing.T, c *Cluster) {
 			if live != len(s.agreements) || tails != s.tails {
 				t.Errorf("shard %d replica %d: %d records carry agreements, %d are live; %d are flagged tail, %d counted", sh, rep, live, len(s.agreements), tails, s.tails)
 			}
+			checkRecSlab(t, s)
 		}
 	}
 }
