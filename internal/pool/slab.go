@@ -1,14 +1,14 @@
 package pool
 
 const (
-	// SlabBits fixes every slab's chunk at 1024 entries. Any entry size that is
-	// a multiple of eight bytes then makes a chunk a whole number of 8 KB pages,
-	// which is how Go sizes an allocation above 32 KB: a chunk of 72-byte store
+	// slabBits fixes every slab's chunk at 1024 entries: with an entry size that
+	// is a multiple of eight bytes a chunk is then a whole number of 8 KB pages,
+	// which is how Go sizes an allocation above 32 KB, so a chunk of 72-byte store
 	// versions (72 KB), of 64-byte conflict entries (64 KB) or of 192-byte Tiga
-	// records (192 KB) wastes nothing to size-class rounding. A smaller
-	// power of two would round a 72-byte entry's chunk up by a tenth.
-	SlabBits  = 10
-	SlabChunk = 1 << SlabBits
+	// records (192 KB) loses nothing to rounding; 512 versions (36 KB) would be
+	// rounded up to five pages, a tenth more.
+	slabBits  = 10
+	SlabChunk = 1 << slabBits
 )
 
 // Slab is a chunked slab of T: the layout behind the store's version chains,
@@ -27,12 +27,12 @@ type Slab[T any] struct {
 }
 
 // At returns entry number i, which Add must have handed out.
-func (s *Slab[T]) At(i uint32) *T { return &s.chunks[i>>SlabBits][i&(SlabChunk-1)] }
+func (s *Slab[T]) At(i uint32) *T { return &s.chunks[i>>slabBits][i&(SlabChunk-1)] }
 
 // Add hands out the next entry's number. The entry is zero: a slab never
 // reuses one on its own.
 func (s *Slab[T]) Add() uint32 {
-	if int(s.n>>SlabBits) == len(s.chunks) {
+	if int(s.n>>slabBits) == len(s.chunks) {
 		s.chunks = append(s.chunks, new([SlabChunk]T))
 	}
 	s.n++

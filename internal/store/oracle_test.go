@@ -300,7 +300,7 @@ func (r *opRun) step() error {
 		ts := r.ts()
 		was := w.ref.Executed(id)
 		got, want := w.s.Execute(id, ts, p), w.ref.Execute(id, ts, p)
-		if !bytes.Equal(got, want) || (got == nil) != (want == nil) {
+		if !same(got, want) {
 			return fmt.Errorf("Execute(%v) = %v, reference %v", id, got, want)
 		}
 		if !was {
@@ -355,6 +355,9 @@ func (r *opRun) step() error {
 	return nil
 }
 
+// same reports whether two values are equal, an absent one only to an absent one.
+func same(a, b []byte) bool { return bytes.Equal(a, b) && (a == nil) == (b == nil) }
+
 // compare checks everything a world's two stores can be asked.
 func (r *opRun) compare(w *world) error {
 	if err := checkSlab(w.s); err != nil {
@@ -369,7 +372,6 @@ func (r *opRun) compare(w *world) error {
 	if a, b := w.s.Versions(), w.ref.Versions(); a != b {
 		return fmt.Errorf("Versions = %d, reference %d", a, b)
 	}
-	same := func(a, b []byte) bool { return bytes.Equal(a, b) && (a == nil) == (b == nil) }
 	for _, name := range append([]string{"never-seen"}, w.names...) {
 		ia, oka := w.s.Lookup(name)
 		ib, okb := w.ref.Lookup(name)
@@ -489,9 +491,10 @@ func TestOracleLogsReachEveryPath(t *testing.T) {
 			if err := r.step(); err != nil {
 				t.Fatal(err)
 			}
-			// Seed, Commit, Revoke, ApplyAt and PruneTo count when they released an
-			// entry; Execute and PutCommitted when they took one off the free list.
-			if name := opNames[op&0x7f%16]; (s.nfree > free) != (name == "Execute" || name == "PutCommitted") && s.nfree != free {
+			// Execute and PutCommitted count when they took an entry off the free
+			// list; Seed, Commit, Revoke, ApplyAt and PruneTo when they released one.
+			name := opNames[op&0x7f%16]
+			if takes := name == "Execute" || name == "PutCommitted"; takes && s.nfree < free || !takes && s.nfree > free {
 				paths[name]++
 			}
 		}

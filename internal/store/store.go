@@ -139,6 +139,7 @@ func (s *Store) Intern(key string) txn.KeyID {
 	return id
 }
 
+// at returns the version r names; r is not zero.
 func (s *Store) at(r ref) *version { return s.vers.At(uint32(r) - 1) }
 
 // push makes v the newest version of key id, in a freed entry when there is
