@@ -1,20 +1,23 @@
 // allocprof is the transaction-path profiler: it drives the same in-process
-// deployment as tigabench's -simbench txn-path table with the Go heap profiler
-// armed and writes a pprof profile attributing every allocation on the serving
-// path (generator, coordinator, protocol, replication, metrics). Inspect with
+// deployment as the rows of harness.TestTxnPathAllocBudget with the Go heap
+// profiler armed and writes a pprof profile attributing every allocation on the
+// serving path (generator, coordinator, protocol, replication, metrics).
+// Inspect with
 //
 //	go tool pprof -top -sample_index=alloc_objects allocprof.out
 //
 // With -cpuprofile it also writes a CPU profile of the RunLoad call, so a
 // regression in a layer row of the benchmark localises to a function, and with
 // -liveheap an in-use heap profile of what the run leaves reachable — the
-// benchmark's host_live_heap_mb, by allocation site. The defaults are the small
-// simbench deployment (4 coordinators, 200 ms warm-up). The benchmark's
-// workloads (bench/workloads.go) all run 8 coordinators — 2 per server region
-// and 2 remote — after a 500 ms warm-up; with -coords 2,2 -warmup 500ms the
-// throughput, allocs/txn and bytes/txn printed here are the benchmark's own
-// (tiga-micro-sat: ≈ 23 k commits in the 2 s window, 11.5 k txn/s). The shape
-// of tiga-micro-sat, where costs that scale with the keyspace show, is
+// benchmark's host_live_heap_mb, by allocation site. The defaults are the
+// budget test's closed row (4 coordinators, 200 ms warm-up); -arrival poisson,
+// -keys 100000 -duration 2s and -workload tpcc -shards 6 are its other three.
+// The benchmark's workloads (bench/workloads.go) all run 8 coordinators — 2 per
+// server region and 2 remote — after a 500 ms warm-up; with -coords 2,2 -warmup
+// 500ms the throughput, allocs/txn and bytes/txn printed here are the
+// benchmark's own (tiga-micro-sat: ≈ 23 k commits in the 2 s window, 11.5 k
+// txn/s). The shape of tiga-micro-sat, where costs that scale with the keyspace
+// show, is
 //
 //	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -keys 100000 -rate 3000 \
 //	    -outstanding 300 -duration 2s -cpuprofile cpu.out -liveheap live.out
@@ -45,8 +48,8 @@
 // Tiga workloads; at their queueing delays the default never fires either.)
 //
 // The per-txn allocation budget is a first-class serving-path metric (see
-// EXPERIMENTS.md "Allocation budget"); this harness is how regressions get
-// localized once the simbench benchdiff gate trips.
+// EXPERIMENTS.md "Allocation budget"); this harness is how a regression gets
+// localized once the budget test or the benchmark's host_allocs_per_txn trips.
 package main
 
 import (

@@ -366,8 +366,6 @@ func main() {
 	chaosPlans := flag.String("chaos", "",
 		"comma-separated fault-plan subset for the chaos matrix, or 'list' to enumerate")
 	listKnobs := flag.Bool("knobs", false, "list every protocol's knobs with defaults and exit")
-	simbench := flag.Bool("simbench", false,
-		"append the sim-core microbenchmarks (ns/event, allocs/event) and the txn-path allocation rows (allocs per committed txn, peak heap) as an extra experiment")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 	memprofile := flag.String("memprofile", "", "write a heap (allocation) profile to this file at exit")
 	tracePath := flag.String("trace", "",
@@ -595,18 +593,6 @@ func main() {
 		<-j.done
 		reports = append(reports, j.rep)
 		fmt.Fprintf(progress, "[%s done in %v]\n", j.name, j.elapsed.Round(time.Millisecond))
-	}
-	// The sim-core microbenchmarks run after the experiments (they want idle
-	// cores) and append their report, so the default output stays identical
-	// unless -simbench asked for the extra rows.
-	if *simbench {
-		t0 := time.Now()
-		rep := runSimBench()
-		reports = append(reports, rep)
-		if *format == "text" {
-			report.Render(textDst, rep)
-		}
-		fmt.Fprintf(progress, "[simbench done in %v]\n", time.Since(t0).Round(time.Millisecond))
 	}
 	fmt.Fprintf(progress, "total: %v\n", time.Since(start).Round(time.Millisecond))
 

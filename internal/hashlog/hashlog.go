@@ -34,15 +34,14 @@ func (h Hash) IsZero() bool { return h == Hash{} }
 // EntryHash hashes a single log entry from its identifying fields: the
 // coordinator id, sequence number, and agreed timestamp (Appendix D).
 func EntryHash(id txn.ID, ts txn.Timestamp) Hash {
-	var buf [28]byte
+	var buf [32]byte
 	binary.LittleEndian.PutUint32(buf[0:], uint32(id.Coord))
 	binary.LittleEndian.PutUint64(buf[4:], id.Seq)
 	binary.LittleEndian.PutUint64(buf[12:], uint64(ts.Time))
 	binary.LittleEndian.PutUint32(buf[20:], uint32(ts.Coord))
 	// ts.Seq == id.Seq for Tiga timestamps, but hash it independently so the
 	// digest covers the complete timestamp tuple.
-	binary.LittleEndian.PutUint64(buf[20:], ts.Seq)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(ts.Coord))
+	binary.LittleEndian.PutUint64(buf[24:], ts.Seq)
 	return Hash(sha1.Sum(buf[:]))
 }
 

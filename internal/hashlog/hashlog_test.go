@@ -65,19 +65,30 @@ func TestOrderInsensitiveProperty(t *testing.T) {
 }
 
 // Property: changing an entry's timestamp changes the hash — a leader's
-// Case-3 timestamp update is detectable by the coordinator.
+// Case-3 timestamp update is detectable by the coordinator. The delta is a
+// 16-bit pattern shifted anywhere into bits 0–62, so every byte of ts.Time is
+// exercised: a transaction held at 5 s and at 5 s + 2³² ns must not hash equal.
 func TestTimestampSensitivity(t *testing.T) {
-	check := func(n uint64, dt uint16) bool {
+	check := func(n uint64, dt uint16, shift uint8) bool {
 		if dt == 0 {
 			return true
 		}
 		id, ts := entry(n)
 		ts2 := ts
-		ts2.Time += time.Duration(dt)
+		ts2.Time += time.Duration(dt) << (shift % 48)
 		return EntryHash(id, ts) != EntryHash(id, ts2)
 	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+	if err := quick.Check(check, &quick.Config{MaxCount: 300, Rand: rand.New(rand.NewSource(1))}); err != nil {
+		t.Error(err)
+	}
+	id, ts := entry(42)
+	ts.Time = 5 * time.Second
+	for bit := 0; bit < 63; bit++ {
+		ts2 := ts
+		ts2.Time += 1 << bit
+		if EntryHash(id, ts) == EntryHash(id, ts2) {
+			t.Errorf("timestamps %v and %v (bit %d apart) hash equal", ts.Time, ts2.Time, bit)
+		}
 	}
 }
 

@@ -61,8 +61,7 @@ type replWrite struct {
 }
 
 type replAck struct {
-	ID     txn.ID
-	Region int
+	ID txn.ID
 }
 
 type shardRet struct {
@@ -203,7 +202,7 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node, idx: int32(len(sys.coords) + 1),
+		co := &coordinator{node: node, idx: int32(len(sys.coords) + 1),
 			pending: make(map[txn.ID]*pending)}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
@@ -584,7 +583,7 @@ func (en *engine) execute(d *dtxn) {
 
 func (en *engine) onReplWrite(from simnet.NodeID, m replWrite) {
 	en.sts[m.Shard].Apply(m.Writes)
-	en.node.Send(from, replAck{ID: m.ID, Region: en.region})
+	en.node.Send(from, replAck{ID: m.ID})
 }
 
 // onReplAck reports to the coordinator at the first remote ack — with the
@@ -608,7 +607,6 @@ type pending struct {
 }
 
 type coordinator struct {
-	sys     *System
 	node    *simnet.Node
 	idx     int32
 	seq     uint64

@@ -778,7 +778,6 @@ type pendingCo struct {
 	commits map[int]bool
 	phase   int // 0 = exec, 1 = commit
 	retries int
-	start   time.Duration
 	ts      txn.Timestamp // minted at the commit decision (LocalReads)
 }
 
@@ -829,7 +828,7 @@ func (co *coordinator) submit(t *txn.Txn, done func(txn.Result), retries int, pr
 		clear(p.commits)
 	}
 	p.t, p.done, p.phase, p.ts = t, done, 0, txn.Timestamp{}
-	p.retries, p.start = retries, co.sys.spec.Net.Sim().Now()
+	p.retries = retries
 	// Wound-wait priority: older transactions (earlier first submission)
 	// win; retries keep their original priority so victims make progress.
 	p.prio = prio

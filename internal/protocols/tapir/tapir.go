@@ -48,7 +48,6 @@ type prepareRep struct {
 	Try     int
 	OK      bool
 	Ret     []byte
-	Reads   map[string]uint64
 }
 
 // decideMsg is the coordinator's final decision (commit or abort), also used
@@ -75,9 +74,8 @@ type replica struct {
 	rep      int
 	node     *simnet.Node
 	st       *store.Store
-	vers     map[txn.KeyID]uint64 // by the ids of st, as pkeys
 	prepared map[txn.ID]*txn.Txn
-	pkeys    map[txn.KeyID]txn.ID // prepared-key write locks
+	pkeys    map[txn.KeyID]txn.ID // prepared-key write locks, by the ids of st
 	applied  map[txn.ID]bool
 }
 
@@ -105,8 +103,8 @@ func New(spec Spec) *System {
 		for r := 0; r < n; r++ {
 			node := spec.Net.AddNode(spec.ServerRegion(s, r), nil)
 			rp := &replica{sys: sys, shard: s, rep: r, node: node, st: store.New(),
-				vers: make(map[txn.KeyID]uint64), prepared: make(map[txn.ID]*txn.Txn),
-				pkeys: make(map[txn.KeyID]txn.ID), applied: make(map[txn.ID]bool)}
+				prepared: make(map[txn.ID]*txn.Txn), pkeys: make(map[txn.KeyID]txn.ID),
+				applied: make(map[txn.ID]bool)}
 			if spec.Seed != nil {
 				spec.Seed(s, rp.st)
 			}
@@ -167,10 +165,6 @@ func (rp *replica) onPrepare(m prepareMsg) {
 		for _, k := range writes {
 			rp.pkeys[k] = id
 		}
-		rep.Reads = make(map[string]uint64, len(reads))
-		for i, k := range reads {
-			rep.Reads[piece.ReadSet[i]] = rp.vers[k]
-		}
 		rep.Ret, _ = rp.st.ExecuteBuffered(piece)
 	}
 	rp.node.Send(m.Coord, rep)
@@ -191,9 +185,6 @@ func (rp *replica) onDecide(m decideMsg) {
 		rp.applied[id] = true
 		_, writes := rp.st.ExecuteBuffered(m.T.Pieces[rp.shard])
 		rp.st.Apply(writes)
-		for _, w := range writes {
-			rp.vers[w.ID]++
-		}
 	}
 	if m.Slow {
 		rp.node.Send(m.Coord, decideAck{Shard: rp.shard, Replica: rp.rep, ID: id, Try: m.Try})

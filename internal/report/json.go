@@ -14,8 +14,8 @@ import (
 // declarations, so Encode → Decode → Render reproduces the text output
 // byte-for-byte — the property the round-trip test pins.
 
-// Schema tags the document layout. Bump on incompatible changes so artifact
-// diffing across PRs can refuse mismatched generations.
+// Schema tags the document layout. Bump on incompatible changes so Decode
+// refuses a generation it does not know.
 const Schema = "tiga-report/v1"
 
 // Generated records the run-wide parameters the document was produced under.

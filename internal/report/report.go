@@ -3,8 +3,7 @@
 // typed cells (strings, counts, floats, durations) under unit-carrying
 // columns. Renderers turn the same model into the paper's text presentation
 // (byte-identical to the pre-model fmt output on defaults), a self-describing
-// JSON document CI archives and future PRs diff against, or CSV for
-// spreadsheet tooling. The model is the contract: experiments know nothing
+// JSON document CI archives, or CSV for spreadsheet tooling. The model is the contract: experiments know nothing
 // about presentation, renderers know nothing about protocols.
 package report
 
@@ -62,9 +61,6 @@ const (
 	Nanos   Unit = "ns" // durations; JSON/CSV cell values are nanoseconds
 	Millis  Unit = "ms" // float columns already scaled to milliseconds
 	Seconds Unit = "s"
-	Allocs  Unit = "allocs"   // heap allocations per event (sim-core microbenchmarks)
-	Bytes   Unit = "bytes"    // heap bytes per event (sim-core microbenchmarks)
-	Events  Unit = "events/s" // simulator event throughput (sim-core microbenchmarks)
 )
 
 // Column declares one table column: a machine name for the structured

@@ -47,9 +47,6 @@ func NewSim(seed int64) *Sim {
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return s.now }
 
-// Rand exposes the simulator's deterministic random source.
-func (s *Sim) Rand() *rand.Rand { return s.rng }
-
 // schedule stamps e with the clamped fire time and the next global sequence
 // number and pushes it. Every scheduling path funnels through here, so seq
 // assignment — and with it the order of same-instant events — is exactly the
@@ -164,13 +161,6 @@ func (s *Sim) Run(until time.Duration) {
 	}
 }
 
-// RunAll drains every pending event (useful in tests). The limit guards
-// against livelock from self-rescheduling timers.
-func (s *Sim) RunAll(limit int) {
-	for i := 0; i < limit && s.Step(); i++ {
-	}
-}
-
 // Latency describes the one-way delay distribution of a link.
 type Latency struct {
 	Base   time.Duration // median one-way delay
@@ -243,9 +233,6 @@ func (n *Network) AddNode(region Region, h Handler) *Node {
 
 // Node returns the node with the given id.
 func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
-
-// NumNodes returns how many nodes are registered.
-func (n *Network) NumNodes() int { return len(n.nodes) }
 
 // BlockPair drops all traffic between a and b (both directions) until
 // UnblockPair is called; it models a network partition between two nodes.
@@ -322,12 +309,6 @@ func (n *Network) RestoreLink(a, b Region) {
 	delete(n.faults, [2]Region{b, a})
 }
 
-// Delay samples the one-way delay from node a to node b.
-func (n *Network) Delay(a, b NodeID) time.Duration {
-	ra, rb := n.nodes[a].region, n.nodes[b].region
-	return n.cfg.OWD[ra][rb].sample(n.sim.rng)
-}
-
 // BaseOWD returns the configured median one-way delay between two regions.
 func (n *Network) BaseOWD(a, b Region) time.Duration { return n.cfg.OWD[a][b].Base }
 
@@ -387,12 +368,6 @@ func (nd *Node) Region() Region { return nd.region }
 
 // SetHandler installs the message handler (for construction cycles).
 func (nd *Node) SetHandler(h Handler) { nd.handler = h }
-
-// SetCost overrides the per-message CPU cost for this node.
-func (nd *Node) SetCost(d time.Duration) { nd.cost = d }
-
-// Down reports whether the node is crashed.
-func (nd *Node) Down() bool { return nd.down }
 
 // Crash stops the node: all queued and future deliveries and timers are
 // dropped until Restart.

@@ -190,8 +190,8 @@ func TestApplyAtKeepsHistoryInRetainMode(t *testing.T) {
 				t.Errorf("at %d: key 1 = %d, row = %d (%v) @%v; want %d and %d", c.at, txn.DecodeInt(v), txn.DecodeInt(rv), rok, rts.Time, c.k1, c.row)
 			}
 		}
-		if s.HighWater(keys[1]).Time != 20 || s.HighWater("row").Time != 20 || s.Versions() != 2+2+2 {
-			t.Errorf("high-water %v / %v, %d versions", s.HighWater(keys[1]).Time, s.HighWater("row").Time, s.Versions())
+		if newestAt(s, keys[1]) != 20 || newestAt(s, "row") != 20 || s.Versions() != 2+2+2 {
+			t.Errorf("newest versions at %v / %v, %d versions", newestAt(s, keys[1]), newestAt(s, "row"), s.Versions())
 		}
 		if n := s.PruneTo(20); n != 3 {
 			t.Errorf("PruneTo(20) dropped %d versions, want 3", n)

@@ -73,8 +73,8 @@ func TestInternedRevokeAndRetain(t *testing.T) {
 		s.Execute(id(i), ts(int64(i*10)), inc(2))
 		s.Commit(id(i))
 	}
-	if hw := s.HighWater(keys[2]); hw.Time != 30 {
-		t.Fatalf("high-water via ID commits = %v, want 30", hw.Time)
+	if at := newestAt(s, keys[2]); at != 30 {
+		t.Fatalf("newest committed version via ID commits at %v, want 30", at)
 	}
 	if val, seen, ok := s.GetAtID(2, 15); !ok || txn.DecodeInt(val) != 1 || seen.Time != 10 {
 		t.Fatalf("GetAtID(2, 15) = %d @%v ok=%v, want 1 @10", txn.DecodeInt(val), seen.Time, ok)

@@ -3,6 +3,7 @@ package store
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -381,11 +382,8 @@ func (r *opRun) compare(w *world) error {
 		if a, b := w.s.Get(name), w.ref.Get(name); !same(a, b) {
 			return fmt.Errorf("Get(%q) = %v, reference %v", name, a, b)
 		}
-		if a, b := w.s.HighWater(name), w.ref.HighWater(name); a != b {
-			return fmt.Errorf("HighWater(%q) = %v, reference %v", name, a, b)
-		}
 	}
-	times := [...]int64{-1, 0, r.clock / 3, r.clock / 2, r.clock - 5, r.clock - 1, r.clock, r.clock + 1000}
+	times := [...]int64{-1, 0, r.clock / 3, r.clock / 2, r.clock - 5, r.clock - 1, r.clock, r.clock + 1000, math.MaxInt64}
 	for id := txn.KeyID(0); int(id) < w.s.Interned(); id++ {
 		if a, b := w.s.GetID(id), w.ref.GetID(id); !same(a, b) {
 			return fmt.Errorf("GetID(%d) = %v, reference %v", id, a, b)

@@ -5,7 +5,8 @@ package store
 // collapsed in place by Commit. It is kept as the reference the slab store is
 // compared against (oracle_test.go, FuzzStoreOps) and is otherwise verbatim —
 // types renamed, ExecuteBuffered and its view left out (they read through GetID
-// and write nothing) — with one marked change: refCommitGC clears uncommitted
+// and write nothing), the write-only high-water map left out as it is from the
+// store — with one marked change: refCommitGC clears uncommitted
 // on a key holding a single version, the bug TestCommitMarksAFreshKeysWriteCommitted
 // pins, so that the two stores may be compared on GetAtID in the default mode.
 
@@ -55,8 +56,6 @@ type refStore struct {
 	// retain switches Commit from garbage-collecting old versions to
 	// keeping the full committed history, which snapshot reads need.
 	retain bool
-	// high is the committed-timestamp high-water per key (retain mode).
-	high map[txn.KeyID]txn.Timestamp
 	// multi is the GC dirty-set (retain mode): keys currently holding more
 	// than one version. PruneTo walks only this set, so watermark GC stays
 	// O(rewritten keys) per tick instead of O(keyspace) — the difference
@@ -74,15 +73,11 @@ func newRef() *refStore {
 }
 
 // EnableSnapshots switches the store into version-retaining mode: Commit
-// marks versions committed (recording a per-key high-water timestamp)
-// instead of garbage-collecting history, so GetAtID can serve reads at any
-// past timestamp. Protocols enable this only when local snapshot reads are
-// on; the default GC behavior is byte-identical to before.
+// marks versions committed instead of garbage-collecting history, so GetAtID
+// can serve reads at any past timestamp. Protocols enable this only when local
+// snapshot reads are on; the default GC behavior is byte-identical to before.
 func (s *refStore) EnableSnapshots() {
 	s.retain = true
-	if s.high == nil {
-		s.high = make(map[txn.KeyID]txn.Timestamp)
-	}
 	if s.multi == nil {
 		s.multi = make(map[txn.KeyID]struct{})
 	}
@@ -278,17 +273,6 @@ func (s *refStore) GetAtID(id txn.KeyID, at time.Duration) ([]byte, txn.Timestam
 	return nil, txn.Timestamp{}, false
 }
 
-// HighWater returns the committed-timestamp high-water for key: the largest
-// commit timestamp any committed version of the key carries (zero when only
-// the seeded value exists). Only meaningful in snapshot-retaining mode.
-func (s *refStore) HighWater(key string) txn.Timestamp {
-	id, ok := s.index[key]
-	if !ok {
-		return txn.Timestamp{}
-	}
-	return s.high[id]
-}
-
 // getPend pops a retired write-set slice off the freelist (empty, capacity
 // retained) or returns nil, which allocates on first append.
 func (s *refStore) getPend() []txn.KeyID {
@@ -372,7 +356,7 @@ func (s *refStore) revokeSlot(e *refSlot, id txn.ID) {
 // durable and older versions of those keys are garbage-collected in place
 // (the key's version slice is truncated and reused, not reallocated); in
 // snapshot-retaining mode (EnableSnapshots) the versions are marked
-// committed, history is kept for GetAtID, and the per-key high-water advances.
+// committed and history is kept for GetAtID.
 // Committing an id twice is a no-op either way.
 func (s *refStore) Commit(id txn.ID) {
 	wp, ok := s.pending[id]
@@ -395,18 +379,15 @@ func (s *refStore) commitRetain(kid txn.KeyID, id txn.ID) {
 	for i := len(vs) - 1; i >= 0; i-- {
 		if vs[i].writer == id {
 			vs[i].uncommitted = false
-			s.noteCommitted(kid, vs[i].ts, len(vs))
+			s.noteCommitted(kid, len(vs))
 			break
 		}
 	}
 }
 
-// noteCommitted is the retain-mode bookkeeping for a version committed at ts
-// on a key now holding n versions.
-func (s *refStore) noteCommitted(kid txn.KeyID, ts txn.Timestamp, n int) {
-	if s.high[kid].Less(ts) {
-		s.high[kid] = ts
-	}
+// noteCommitted is the retain-mode bookkeeping for a version committed on a
+// key now holding n versions.
+func (s *refStore) noteCommitted(kid txn.KeyID, n int) {
 	if n > 1 {
 		s.multi[kid] = struct{}{}
 	}
@@ -447,7 +428,7 @@ func (s *refStore) putCommitted(kid txn.KeyID, ts txn.Timestamp, val []byte) {
 	}
 	e.vs = append(e.vs, refVersion{ts: ts, val: val})
 	if s.retain {
-		s.noteCommitted(kid, ts, len(e.vs))
+		s.noteCommitted(kid, len(e.vs))
 	}
 }
 

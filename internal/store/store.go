@@ -94,8 +94,6 @@ type Store struct {
 	// retain switches Commit from garbage-collecting old versions to
 	// keeping the full committed history, which snapshot reads need.
 	retain bool
-	// high is the committed-timestamp high-water per key (retain mode).
-	high map[txn.KeyID]txn.Timestamp
 	// multi is the GC dirty-set (retain mode): keys currently holding more
 	// than one version. PruneTo walks only this set, so watermark GC stays
 	// O(rewritten keys) per tick instead of O(keyspace) — the difference
@@ -113,15 +111,11 @@ func New() *Store {
 }
 
 // EnableSnapshots switches the store into version-retaining mode: Commit
-// marks versions committed (recording a per-key high-water timestamp)
-// instead of garbage-collecting history, so GetAtID can serve reads at any
-// past timestamp. Protocols enable this only when local snapshot reads are
-// on; the default GC behavior is byte-identical to before.
+// marks versions committed instead of garbage-collecting history, so GetAtID
+// can serve reads at any past timestamp. Protocols enable this only when local
+// snapshot reads are on; the default GC behavior is byte-identical to before.
 func (s *Store) EnableSnapshots() {
 	s.retain = true
-	if s.high == nil {
-		s.high = make(map[txn.KeyID]txn.Timestamp)
-	}
 	if s.multi == nil {
 		s.multi = make(map[txn.KeyID]struct{})
 	}
@@ -421,17 +415,6 @@ func (s *Store) GetAtID(id txn.KeyID, at time.Duration) ([]byte, txn.Timestamp, 
 	return nil, txn.Timestamp{}, false
 }
 
-// HighWater returns the committed-timestamp high-water for key: the largest
-// commit timestamp any committed version of the key carries (zero when only
-// the seeded value exists). Only meaningful in snapshot-retaining mode.
-func (s *Store) HighWater(key string) txn.Timestamp {
-	id, ok := s.index[key]
-	if !ok {
-		return txn.Timestamp{}
-	}
-	return s.high[id]
-}
-
 // getPend pops a retired write-set slice off the freelist (empty, capacity
 // retained) or returns nil, which allocates on first append.
 func (s *Store) getPend() []txn.KeyID {
@@ -515,7 +498,7 @@ func (s *Store) revokeKey(kid txn.KeyID, id txn.ID) {
 // durable and older versions of those keys are garbage-collected (released to
 // the free list, where the next write finds them); in
 // snapshot-retaining mode (EnableSnapshots) the versions are marked
-// committed, history is kept for GetAtID, and the per-key high-water advances.
+// committed and history is kept for GetAtID.
 // Committing an id twice is a no-op either way.
 func (s *Store) Commit(id txn.ID) {
 	wp, ok := s.pending[id]
@@ -538,19 +521,16 @@ func (s *Store) commitRetain(kid txn.KeyID, id txn.ID) {
 		v := s.at(r)
 		if v.writer == id {
 			v.uncommitted = false
-			s.noteCommitted(kid, v.ts)
+			s.noteCommitted(kid)
 			break
 		}
 		r = v.prev
 	}
 }
 
-// noteCommitted is the retain-mode bookkeeping for a version of key kid
-// committed at ts.
-func (s *Store) noteCommitted(kid txn.KeyID, ts txn.Timestamp) {
-	if s.high[kid].Less(ts) {
-		s.high[kid] = ts
-	}
+// noteCommitted is the retain-mode bookkeeping for a committed version of key
+// kid: a key holding more than one version joins the GC dirty-set.
+func (s *Store) noteCommitted(kid txn.KeyID) {
 	if s.at(s.byID[kid]).prev != 0 {
 		s.multi[kid] = struct{}{}
 	}
@@ -576,7 +556,7 @@ func (s *Store) PutCommitted(key string, ts txn.Timestamp, val []byte) {
 func (s *Store) putCommitted(kid txn.KeyID, ts txn.Timestamp, val []byte) {
 	s.push(kid, version{ts: ts, val: val})
 	if s.retain {
-		s.noteCommitted(kid, ts)
+		s.noteCommitted(kid)
 	}
 }
 

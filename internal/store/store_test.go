@@ -2,6 +2,7 @@ package store
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -20,6 +21,13 @@ func getAt(s *Store, key string, at time.Duration) ([]byte, txn.Timestamp, bool)
 		return nil, txn.Timestamp{}, false
 	}
 	return s.GetAtID(kid, at)
+}
+
+// newestAt is the commit timestamp of key's newest committed version: what a
+// snapshot read at the end of time is served.
+func newestAt(s *Store, key string) time.Duration {
+	_, ts, _ := getAt(s, key, math.MaxInt64)
+	return ts.Time
 }
 
 func TestSeedAndGet(t *testing.T) {
@@ -215,8 +223,8 @@ func TestGetAtOrdering(t *testing.T) {
 	if _, _, ok := getAt(s, "missing", 100); ok {
 		t.Fatal("GetAt found a key that does not exist")
 	}
-	if hw := s.HighWater("x"); hw.Time != 50 {
-		t.Fatalf("high-water = %v, want 50ns", hw.Time)
+	if at := newestAt(s, "x"); at != 50 {
+		t.Fatalf("newest committed version at %v, want 50ns", at)
 	}
 }
 
@@ -258,8 +266,8 @@ func TestPutCommittedAndRetainedHistory(t *testing.T) {
 	if txn.DecodeInt(s.Get("k")) != 2 {
 		t.Fatal("Get should return the newest version")
 	}
-	if hw := s.HighWater("k"); hw.Time != 20 {
-		t.Fatalf("high-water = %v, want 20", hw.Time)
+	if at := newestAt(s, "k"); at != 20 {
+		t.Fatalf("newest committed version at %v, want 20", at)
 	}
 }
 

@@ -255,7 +255,6 @@ type tsNotification struct {
 	ID    txn.ID
 	TS    txn.Timestamp
 	Round int // 1 or 2
-	T     *txn.Txn
 }
 
 // logSyncMsg replicates a log entry from leader to followers (§3.7).

@@ -23,7 +23,6 @@ import (
 type pendingTxn struct {
 	t       *txn.Txn
 	ts      txn.Timestamp
-	start   time.Duration
 	done    func(txn.Result)
 	retries int
 	shards  []int // t.Shards(), cached (memoized, not owned — never mutated)
@@ -220,7 +219,6 @@ func (co *Coordinator) launch(t *txn.Txn, done func(txn.Result)) {
 	p := co.ptPool.Get()
 	p.t = t
 	p.ts = txn.Timestamp{}
-	p.start = co.cluster.Net.Sim().Now()
 	p.done = done
 	p.retries = 0
 	p.shards = t.Shards()
@@ -527,12 +525,6 @@ func (co *Coordinator) finish(p *pendingTxn, res txn.Result) {
 	// transaction (closed-loop clients), which draws from the same pool.
 	co.ptPool.Put(p)
 }
-
-// Latency returns the submission time of a pending transaction (harness).
-func (p *pendingTxn) Latency(now time.Duration) time.Duration { return now - p.start }
-
-// Outstanding returns the number of in-flight transactions.
-func (co *Coordinator) Outstanding() int { return len(co.pending) }
 
 func (co *Coordinator) onVMInfo(m vmInfo) { co.adoptView(m.GView, m.GVec, m.GMode) }
 

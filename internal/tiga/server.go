@@ -333,9 +333,6 @@ func (s *Server) LogIDs() []txn.ID {
 // SyncPoint returns the current sync-point (tests).
 func (s *Server) SyncPoint() int { return s.syncPoint }
 
-// CommitPoint returns the current commit-point (tests).
-func (s *Server) CommitPoint() int { return s.commitPoint }
-
 // IsLeader reports whether this server leads its shard in its current view.
 func (s *Server) IsLeader() bool { return s.lview%(s.cfg.Replicas()) == s.replica }
 
@@ -1453,9 +1450,6 @@ func (s *Server) scheduleSafeFlush(at time.Duration) {
 
 // SafeTime exposes the replica's current watermark (tests).
 func (s *Server) SafeTime() time.Duration { return s.reads.Watermark() }
-
-// PQLen returns the priority queue length (diagnostics).
-func (s *Server) PQLen() int { return s.pq.len() }
 
 // StateSizes is how much a server holds of each kind of state, and how often
 // its queue had to repair itself. What a drained server must have let go of —

@@ -2,6 +2,7 @@ package tiga
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -494,12 +495,12 @@ func TestRejoinKeepsVersionHistory(t *testing.T) {
 		t.Fatalf("committed %d of %d", committed, n)
 	}
 	rejoined, peer := c.Servers[1][1], c.Servers[1][2]
+	gid, _ := rejoined.Store().Lookup("k1-0")
+	wid, _ := peer.Store().Lookup("k1-0")
 	for _, at := range []time.Duration{1800 * time.Millisecond, 4 * time.Second, 6500 * time.Millisecond} {
 		if at > rejoined.SafeTime() {
 			t.Fatalf("snapshot %v is above the rejoined replica's watermark %v", at, rejoined.SafeTime())
 		}
-		gid, _ := rejoined.Store().Lookup("k1-0")
-		wid, _ := peer.Store().Lookup("k1-0")
 		gv, gts, gok := rejoined.Store().GetAtID(gid, at)
 		wv, wts, wok := peer.Store().GetAtID(wid, at)
 		if gok != wok || !gts.Equal(wts) || txn.DecodeInt(gv) != txn.DecodeInt(wv) {
@@ -507,8 +508,10 @@ func TestRejoinKeepsVersionHistory(t *testing.T) {
 				at, txn.DecodeInt(gv), gok, txn.DecodeInt(wv), wok)
 		}
 	}
-	if got, want := rejoined.Store().HighWater("k1-0"), peer.Store().HighWater("k1-0"); !got.Equal(want) || want.Time == 0 {
-		t.Errorf("HighWater(k1-0) = %v on the rejoined replica, %v on its peer", got, want)
+	_, got, _ := rejoined.Store().GetAtID(gid, math.MaxInt64)
+	_, want, _ := peer.Store().GetAtID(wid, math.MaxInt64)
+	if !got.Equal(want) || want.Time == 0 {
+		t.Errorf("newest committed version of k1-0 at %v on the rejoined replica, %v on its peer", got, want)
 	}
 }
 
