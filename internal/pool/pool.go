@@ -2,6 +2,12 @@
 // a freelist of objects that come and go, and Slab (slab.go), the chunked slab
 // behind everything a run keeps by the million — store versions, Tiga's records
 // and conflict entries — where an allocation per object is the cost to avoid.
+// A slab can also start over another slab's chunks (Over) and read them as the
+// entries below its own: that is how the replicas of a shard that retain
+// history share one set of seed versions (store.Image) and each own only what
+// they wrote. The prefix is shared memory between simulated nodes, so it is
+// strictly read-only; a store whose writes recycle entries in place (the
+// default, garbage-collecting mode) takes a slab of its own instead.
 //
 // The simulator's goldens are byte-identical across -workers settings because
 // every simulation is single-threaded and driven by one seeded rng; a

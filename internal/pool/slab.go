@@ -21,12 +21,31 @@ const (
 // version.prev). Like a Free, a Slab belongs to one simulated cluster's event
 // loop, so the numbers it hands out are a pure function of the seed. The zero
 // value is an empty slab; dropping a slab whole is assigning the zero value.
+//
+// A slab made by Over starts with another slab's chunks as a prefix it only
+// reads: entry numbers below Shared are that slab's entries, found by the same
+// At, and Add hands out numbers from Shared on, in chunks of the slab's own.
+// Any number of slabs can lie over one base, from any number of goroutines, as
+// long as nobody writes an entry below Shared or adds to the base afterwards;
+// Len and Chunks count only what a slab owns.
 type Slab[T any] struct {
 	chunks []*[SlabChunk]T
 	n      uint32
+	shared uint32
 }
 
-// At returns entry number i, which Add must have handed out.
+// Over returns an empty slab over base's entries: At(i) for i below base's Len
+// is base's entry i, to be read and never written. The prefix is whole chunks
+// (what is left of base's last chunk is never handed out) and costs nothing
+// until the first Add, which copies the chunk table.
+func Over[T any](base *Slab[T]) Slab[T] {
+	chunks := base.chunks[:len(base.chunks):len(base.chunks)]
+	n := uint32(len(chunks)) << slabBits
+	return Slab[T]{chunks: chunks, n: n, shared: n}
+}
+
+// At returns entry number i, which Add must have handed out (or, below Shared,
+// the base's Add).
 func (s *Slab[T]) At(i uint32) *T { return &s.chunks[i>>slabBits][i&(SlabChunk-1)] }
 
 // Add hands out the next entry's number. The entry is zero: a slab never
@@ -39,8 +58,12 @@ func (s *Slab[T]) Add() uint32 {
 	return s.n - 1
 }
 
+// Shared returns the first entry number that is the slab's own: zero unless
+// the slab was made by Over.
+func (s *Slab[T]) Shared() uint32 { return s.shared }
+
 // Len returns the number of entries handed out.
-func (s *Slab[T]) Len() int { return int(s.n) }
+func (s *Slab[T]) Len() int { return int(s.n - s.shared) }
 
 // Chunks returns the number of chunk allocations made so far.
-func (s *Slab[T]) Chunks() int { return len(s.chunks) }
+func (s *Slab[T]) Chunks() int { return len(s.chunks) - int(s.shared>>slabBits) }

@@ -48,3 +48,45 @@ func TestSlabGrowsByOneAllocationPerChunk(t *testing.T) {
 		t.Fatalf("%d entries cost %v allocations, want 1", SlabChunk, perChunk)
 	}
 }
+
+// TestSlabOverReadsTheBaseAndOwnsTheRest: a slab made by Over finds the base's
+// entries under their numbers, hands out numbers from the next whole chunk on
+// in chunks of its own, counts only those, and never touches the base — not its
+// entries, not its chunk table — however many slabs lie over it.
+func TestSlabOverReadsTheBaseAndOwnsTheRest(t *testing.T) {
+	var base Slab[obj]
+	const n = SlabChunk + 5
+	for i := 0; i < n; i++ {
+		base.At(base.Add()).n = i + 1
+	}
+	a, b := Over(&base), Over(&base)
+	if a.Shared() != 2*SlabChunk || a.Len() != 0 || a.Chunks() != 0 {
+		t.Fatalf("over %d entries: Shared = %d, Len = %d, Chunks = %d, want %d, 0, 0", n, a.Shared(), a.Len(), a.Chunks(), 2*SlabChunk)
+	}
+	for i := 0; i < SlabChunk+1; i++ {
+		got := a.Add()
+		if got != a.Shared()+uint32(i) {
+			t.Fatalf("Add #%d returned entry %d, want %d", i, got, a.Shared()+uint32(i))
+		}
+		a.At(got).n = -1
+	}
+	first := b.Add()
+	b.At(first).n = -2
+	if a.Len() != SlabChunk+1 || a.Chunks() != 2 || b.Len() != 1 || b.Chunks() != 1 {
+		t.Fatalf("a: %d entries in %d chunks, b: %d in %d; want %d in 2 and 1 in 1", a.Len(), a.Chunks(), b.Len(), b.Chunks(), SlabChunk+1)
+	}
+	if a.At(first).n != -1 || b.At(first).n != -2 {
+		t.Fatal("two slabs over one base share an entry of their own")
+	}
+	for i := 0; i < n; i++ {
+		if base.At(uint32(i)).n != i+1 || a.At(uint32(i)) != base.At(uint32(i)) || b.At(uint32(i)) != base.At(uint32(i)) {
+			t.Fatalf("entry %d of the base moved, changed, or is not what the slabs over it read", i)
+		}
+	}
+	if base.Len() != n || base.Chunks() != 2 || base.Shared() != 0 {
+		t.Fatalf("the base now has %d entries in %d chunks", base.Len(), base.Chunks())
+	}
+	if empty := Over(&Slab[obj]{}); empty.Shared() != 0 || empty.Add() != 0 {
+		t.Fatal("a slab over an empty one is not an empty slab")
+	}
+}

@@ -296,7 +296,10 @@ func New(spec Spec) *System {
 
 // newServer assembles one shard replica on its (already-added) network node,
 // with a freshly seeded store and an empty Paxos replica. It is used both at
-// construction and to rebuild a crashed server on restart.
+// construction and to rebuild a crashed server on restart. With local reads
+// the store is switched to retain history before it is seeded, which is the
+// order in which store.Attach shares the shard's seed versions between the
+// replicas (and with the store a rebooted server starts over on).
 func newServer(sys *System, s, r int) *server {
 	node := sys.spec.Net.Node(sys.nodes[s][r])
 	srv := &server{

@@ -20,49 +20,72 @@ import (
 // every op is an opcode byte, whose top bit picks the world, and the argument
 // bytes the op reads. Every byte string is a valid log; a log that ends inside
 // an op reads zeros.
+//
+// Every log is run twice: on stores that start empty, and on stores attached
+// to one image (runOps). In the second run both worlds' stores, and one more
+// store per world that no op ever touches, hang off the same image, so a store
+// that wrote through a version it shares shows in its neighbour's comparison
+// with the reference, or in the untouched sibling.
 
 // checkSlab verifies the store's slab bookkeeping: the keys' chains and the
-// free list partition the entries handed out exactly — every entry is on one
-// chain or on the free list, none on two — a freed entry holds nothing but its
-// link, and the counters (nfree, live) say what the walk finds.
+// free list partition the entries the store owns exactly — every entry is on
+// one chain or on the free list, none on two — a freed entry holds nothing but
+// its link, and the counters (nfree, live, linked) say what the walk finds. Of
+// the image's versions a store shares, entry i can only close key i's chain,
+// still reads as the image built it, and is never on the free list.
 func checkSlab(s *Store) error {
-	n := s.vers.Len()
-	owner := make([]int, n+1) // 0 unseen, k+1 on key k's chain, -1 free
-	live := 0
+	shared, n := int(s.shared), s.vers.Len()
+	owner := make([]int, n+1) // by ref − shared: 0 unseen, k+1 on key k's chain, -1 free
+	live, linked := 0, 0
 	for k, top := range s.byID {
 		if top != 0 {
 			live++
 		}
 		for r := top; r != 0; r = s.at(r).prev {
-			if int(r) > n {
-				return fmt.Errorf("key %d: chain reaches entry %d of %d", k, r, n)
+			if int(r) <= shared {
+				if int(r) != k+1 || k >= s.img.n {
+					return fmt.Errorf("key %d: chain reaches image version %d", k, r)
+				}
+				if v := s.at(r); v.prev != 0 || v.uncommitted || v.writer != (txn.ID{}) || v.ts != (txn.Timestamp{}) || !same(v.val, s.img.val(k)) {
+					return fmt.Errorf("image version %d was written: it holds %+v", r, *v)
+				}
+				linked++
+				continue
 			}
-			if owner[r] != 0 {
-				return fmt.Errorf("entry %d is on the chains of key %d and key %d", r, owner[r]-1, k)
+			own := int(r) - shared
+			if own > n {
+				return fmt.Errorf("key %d: chain reaches entry %d of %d", k, own, n)
 			}
-			owner[r] = k + 1
+			if owner[own] != 0 {
+				return fmt.Errorf("entry %d is on the chains of key %d and key %d", own, owner[own]-1, k)
+			}
+			owner[own] = k + 1
 		}
 	}
 	free := 0
 	for r := s.free; r != 0; r = s.at(r).prev {
-		if int(r) > n {
-			return fmt.Errorf("free list reaches entry %d of %d", r, n)
+		if int(r) <= shared {
+			return fmt.Errorf("image version %d is on the free list", r)
 		}
-		if owner[r] > 0 {
-			return fmt.Errorf("entry %d is free and on the chain of key %d", r, owner[r]-1)
+		own := int(r) - shared
+		if own > n {
+			return fmt.Errorf("free list reaches entry %d of %d", own, n)
 		}
-		if owner[r] < 0 {
-			return fmt.Errorf("entry %d is on the free list twice", r)
+		if owner[own] > 0 {
+			return fmt.Errorf("entry %d is free and on the chain of key %d", own, owner[own]-1)
 		}
-		owner[r] = -1
+		if owner[own] < 0 {
+			return fmt.Errorf("entry %d is on the free list twice", own)
+		}
+		owner[own] = -1
 		free++
 		if v := s.at(r); v.val != nil || v.uncommitted || v.writer != (txn.ID{}) || v.ts != (txn.Timestamp{}) {
-			return fmt.Errorf("free entry %d still holds %+v", r, *v)
+			return fmt.Errorf("free entry %d still holds %+v", own, *v)
 		}
 	}
-	for r := 1; r <= n; r++ {
-		if owner[r] == 0 {
-			return fmt.Errorf("entry %d of %d is on no chain and not free", r, n)
+	for own := 1; own <= n; own++ {
+		if owner[own] == 0 {
+			return fmt.Errorf("entry %d of %d is on no chain and not free", own, n)
 		}
 	}
 	if free != s.nfree {
@@ -70,6 +93,9 @@ func checkSlab(s *Store) error {
 	}
 	if live != s.live {
 		return fmt.Errorf("live = %d, %d keys hold a version", s.live, live)
+	}
+	if linked != s.linked {
+		return fmt.Errorf("linked = %d, %d image versions are on a chain", s.linked, linked)
 	}
 	return nil
 }
@@ -104,7 +130,16 @@ type opRun struct {
 	clock int64 // the newest timestamp handed out
 	seq   uint64
 	batch int
+	// An attached run's worlds started on img; sib[i] is attached like world i's
+	// store and never written.
+	img *Image
+	sib [2]*Store
 }
+
+// The image of an attached run: a few keys, each with its own value.
+var imageKeys = []string{"img-0", "img-1", "img-2", "img-3", "img-4", "img-5", "img-6"}
+
+func imageVal(i int) []byte { return txn.EncodeInt(int64(1000 + i)) }
 
 func (r *opRun) byte() int {
 	if r.pos >= len(r.data) {
@@ -406,24 +441,84 @@ func (r *opRun) compare(w *world) error {
 	return nil
 }
 
-// newRun reads a log's header: bit i is set when world i retains snapshots.
-func newRun(data []byte) (*opRun, int) {
+// newRun reads a log's header: bit i is set when world i retains snapshots. An
+// attached run starts every store on one image (the references are seeded with
+// its keys and values).
+func newRun(data []byte, attached bool) (*opRun, int) {
 	r := &opRun{data: data}
 	mode := r.byte()
+	if attached {
+		r.img = NewImage(imageKeys, imageVal)
+	}
 	for i := range r.w {
-		r.w[i] = &world{s: New(), ref: newRef()}
+		w := &world{s: New(), ref: newRef()}
+		r.w[i] = w
 		if mode>>i&1 == 1 {
-			r.w[i].s.EnableSnapshots()
-			r.w[i].ref.EnableSnapshots()
+			w.s.EnableSnapshots()
+			w.ref.EnableSnapshots()
+		}
+		if attached {
+			w.s.Attach(r.img)
+			w.ref.SeedBulkFunc(imageKeys, imageVal)
+			w.names = append(w.names, imageKeys...)
+			r.sib[i] = seededLike(w.s, r.img)
 		}
 	}
 	return r, mode
 }
 
-// runOps runs a log and returns the first difference between a store and its
-// reference, naming the op it followed.
+// seededLike returns a store in s's mode: attached to img, or bulk-seeded with
+// the image's keys and values when img is nil.
+func seededLike(s *Store, img *Image) *Store {
+	o := New()
+	if s.retain {
+		o.EnableSnapshots()
+	}
+	if img != nil {
+		o.Attach(img)
+	} else {
+		o.SeedBulkFunc(imageKeys, imageVal)
+	}
+	return o
+}
+
+// checkSibling verifies that a store no op touched is still what a freshly
+// seeded one is, whatever its neighbours on the image did.
+func checkSibling(sib *Store) error {
+	if err := checkSlab(sib); err != nil {
+		return fmt.Errorf("checkSlab: %v", err)
+	}
+	fresh := seededLike(sib, nil)
+	if !sib.Equal(fresh) || !fresh.Equal(sib) {
+		return fmt.Errorf("it no longer equals a freshly seeded store")
+	}
+	if sib.Versions() != len(imageKeys) || sib.Interned() != len(imageKeys) {
+		return fmt.Errorf("it holds %d versions of %d keys, want %d of each", sib.Versions(), sib.Interned(), len(imageKeys))
+	}
+	for i := range imageKeys {
+		v, ts, ok := sib.GetAtID(txn.KeyID(i), 0)
+		if !ok || ts != (txn.Timestamp{}) || !same(v, imageVal(i)) {
+			return fmt.Errorf("GetAtID(%d, 0) = %v %v %v, want the seed value at timestamp zero", i, v, ts, ok)
+		}
+	}
+	return nil
+}
+
+// runOps runs a log on stores that start empty and on stores attached to one
+// image, and returns the first difference between a store and its reference,
+// naming the op it followed.
 func runOps(data []byte) error {
-	r, mode := newRun(data)
+	if err := runOpsOn(data, false); err != nil {
+		return err
+	}
+	if err := runOpsOn(data, true); err != nil {
+		return fmt.Errorf("attached: %v", err)
+	}
+	return nil
+}
+
+func runOpsOn(data []byte, attached bool) error {
+	r, mode := newRun(data, attached)
 	for n := 0; r.pos < len(r.data); n++ {
 		at := r.pos
 		err := r.step()
@@ -440,6 +535,14 @@ func runOps(data []byte) error {
 		}
 		if err != nil {
 			return fmt.Errorf("op %d (byte %d, opcode %#02x, mode %02b): %v", n, at, data[at], mode&3, err)
+		}
+	}
+	for i, sib := range r.sib {
+		if sib == nil {
+			continue
+		}
+		if err := checkSibling(sib); err != nil {
+			return fmt.Errorf("the untouched sibling of world %d (mode %02b): %v", i, mode&3, err)
 		}
 	}
 	return nil
@@ -481,7 +584,7 @@ func TestOracleLogsReachEveryPath(t *testing.T) {
 	opNames := [16]string{1: "Seed", 3: "Execute", 4: "Execute", 5: "Execute", 6: "Execute", 7: "Execute",
 		8: "Commit", 9: "Commit", 10: "Commit", 11: "Revoke", 12: "Revoke", 13: "ApplyAt", 14: "PutCommitted", 15: "PruneTo"}
 	for _, log := range oracleLogs() {
-		r, _ := newRun(log)
+		r, _ := newRun(log, false)
 		for r.pos < len(r.data) {
 			op := r.data[r.pos]
 			s := r.w[op>>7].s
@@ -500,6 +603,45 @@ func TestOracleLogsReachEveryPath(t *testing.T) {
 	for name, n := range paths {
 		if n < 50 {
 			t.Errorf("%s released or reused a slab entry in %d ops of the logs: too few to call the path covered (%v)", name, n, paths)
+		}
+	}
+
+	// The attached runs must reach what an image changes: an image version
+	// leaving its chain by Seed, by PruneTo and (default mode) overwritten by
+	// ApplyAt, a chain revoked back to its image version, and a name interned
+	// after the image — written blind and revoked — absent again.
+	atSeed := func(s *Store) (n int) {
+		for i := range imageKeys {
+			if top := s.byID[i]; top != 0 && s.at(top).writer == (txn.ID{}) && s.at(top).ts == (txn.Timestamp{}) && same(s.at(top).val, imageVal(i)) {
+				n++
+			}
+		}
+		return n
+	}
+	shared := map[string]int{"Seed": 0, "PruneTo": 0, "ApplyAt": 0, "Revoke to the seed": 0, "Revoke of a late name": 0}
+	for _, log := range oracleLogs() {
+		r, _ := newRun(log, true)
+		for r.pos < len(r.data) {
+			op := r.data[r.pos]
+			s := r.w[op>>7].s
+			linked, seeds, live := s.linked, atSeed(s), s.live
+			if err := r.step(); err != nil {
+				t.Fatal(err)
+			}
+			switch name := opNames[op&0x7f%16]; {
+			case name == "Seed" && s.linked < linked, name == "PruneTo" && s.linked < linked,
+				name == "ApplyAt" && !s.retain && atSeed(s) < seeds:
+				shared[name]++
+			case name == "Revoke" && atSeed(s) > seeds:
+				shared["Revoke to the seed"]++
+			case name == "Revoke" && s.live < live:
+				shared["Revoke of a late name"]++
+			}
+		}
+	}
+	for name, n := range shared {
+		if n < 10 {
+			t.Errorf("%s: met an image version or a late name in %d ops of the attached runs: too few to call the path covered (%v)", name, n, shared)
 		}
 	}
 }

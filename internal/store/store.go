@@ -9,7 +9,7 @@
 //
 // Every key the store has seen is interned: it has a dense txn.KeyID, and the
 // name map only translates a string to the id (names are kept nowhere else).
-// Bulk-seeded keys get the ids of their batch position (the workload's own key
+// Seeded keys get the ids of their position in the image (the workload's own key
 // index), so hot loops (GetID/PutID through a view, GetAtID) never hash a
 // string; a name that shows up later (an inserted row, a hand-built string
 // piece) is given the next id by Intern. This package is the one place where
@@ -31,15 +31,32 @@
 // immutable []byte, aliased by read and piece results, and are never copied
 // into reusable memory.
 //
+// A shard's replicas start byte-identical, so what they start from is held
+// once: an Image is a shard's name → id map and seed values, built by the
+// workload generator once per shard and handed to every replica's store with
+// Attach. The name map is never copied — a store adds only the names it interns
+// later (inserted rows) to a small map of its own, and Lookup is the one place
+// that consults the two. The seed versions are shared too, but only by stores
+// that retain history (EnableSnapshots before Attach): there a write always
+// adds a version, so the image's slab can sit under the store's as a prefix
+// that is read and never written (pool.Over) — a seed version leaves a key's
+// chain by being counted out, never by going on the free list, and the first
+// write to a shard costs the replica one chunk of its own. A default-mode store
+// fills a slab of its own from the image's values instead: its Commit recycles
+// a key's previous version into the next write, and the seed version is the
+// first such buffer; sharing it there was measured to move the allocation from
+// set-up into the run (EXPERIMENTS.md, PR 22).
+//
 // There is no deep copy: a store's committed state is a pure function of its
 // seed and the Execute/Commit sequence applied to it, which is what Tiga's
-// checkpoints (§4) rely on — they record a log position and rebuild the image
+// checkpoints (§4) rely on — they record a log position and rebuild the state
 // by replay on the rare recovery instead of copying the keyspace on the
 // commit path.
 package store
 
 import (
 	"slices"
+	"sync"
 	"time"
 
 	"tiga/internal/pool"
@@ -63,20 +80,61 @@ type version struct {
 	uncommitted bool
 }
 
+// Image is the state every replica of a shard starts from: key i of the batch
+// it was built from is named keys[i], has id i and holds val(i). It is
+// immutable once built, so any number of stores, on any number of goroutines,
+// can be attached to one.
+type Image struct {
+	index map[string]txn.KeyID
+	n     int
+	val   func(i int) []byte
+	// vers holds the seed versions, entry i for key i, for the stores that share
+	// them. It is built by the first such store to attach.
+	once sync.Once
+	vers pool.Slab[version]
+}
+
+// NewImage builds the image of a shard seeded with val(i) under keys[i]. The
+// names share their bytes with the caller; val must return the same value for
+// the same i every time it is asked.
+func NewImage(keys []string, val func(i int) []byte) *Image {
+	index := make(map[string]txn.KeyID, len(keys))
+	for i, k := range keys {
+		index[k] = txn.KeyID(i)
+	}
+	return &Image{index: index, n: len(keys), val: val}
+}
+
+// versions returns the image's seed-version slab, building it on first need.
+func (m *Image) versions() *pool.Slab[version] {
+	m.once.Do(func() {
+		for i := 0; i < m.n; i++ {
+			*m.vers.At(m.vers.Add()) = version{val: m.val(i)}
+		}
+	})
+	return &m.vers
+}
+
 // Store is a multi-version key-value store for one shard.
 type Store struct {
-	// index maps a key name to its id and byID[id] is the key's newest version,
-	// the head of its chain. A key with no version is absent: it was interned
-	// (or its only write revoked) but nothing is stored under it. SeedBulk
-	// gives key i of its batch id base+i (the workload's dense key index);
-	// names first seen later get the next id from Intern.
+	// img names the keys the store was seeded with (Attach; nil without), index
+	// the ones it interned itself, and byID[id] is the key's newest version, the
+	// head of its chain. A key with no version is absent: it was interned (or
+	// its only write revoked) but nothing is stored under it. Key i of the image
+	// has id i (the workload's dense key index); names first seen later get the
+	// next id from Intern.
+	img   *Image
 	index map[string]txn.KeyID
 	byID  []ref
 	// vers holds every version; free heads the list of entries the store has
-	// taken back, nfree of them, linked through prev and otherwise zero.
-	vers  pool.Slab[version]
-	free  ref
-	nfree int
+	// taken back, nfree of them, linked through prev and otherwise zero. Refs
+	// at or below shared are the image's seed versions, read in place and never
+	// written or freed; linked of them are still on their key's chain.
+	vers   pool.Slab[version]
+	free   ref
+	nfree  int
+	shared ref
+	linked int
 	// live counts the keys holding at least one version (Len).
 	live int
 	// pending holds the ids each uncommitted transaction wrote. The slices
@@ -114,6 +172,8 @@ func New() *Store {
 // marks versions committed instead of garbage-collecting history, so GetAtID
 // can serve reads at any past timestamp. Protocols enable this only when local
 // snapshot reads are on; the default GC behavior is byte-identical to before.
+// Called before Attach it also lets the store share the image's seed versions;
+// called after, the store keeps the entries it was filled with.
 func (s *Store) EnableSnapshots() {
 	s.retain = true
 	if s.multi == nil {
@@ -124,7 +184,7 @@ func (s *Store) EnableSnapshots() {
 // Intern returns key's id, giving a name the store has not seen the next free
 // one. Interning stores nothing: the key stays absent until it is written.
 func (s *Store) Intern(key string) txn.KeyID {
-	if id, ok := s.index[key]; ok {
+	if id, ok := s.Lookup(key); ok {
 		return id
 	}
 	id := txn.KeyID(len(s.byID))
@@ -156,8 +216,13 @@ func (s *Store) push(id txn.KeyID, v version) {
 }
 
 // release takes back entry r, which no chain links to any more. Zeroing it
-// lets go of the value.
+// lets go of the value. An image version is only counted out: the shard's other
+// replicas still read it.
 func (s *Store) release(r ref) {
+	if r <= s.shared {
+		s.linked--
+		return
+	}
 	*s.at(r) = version{prev: s.free}
 	s.free = r
 	s.nfree++
@@ -175,7 +240,7 @@ func (s *Store) cut(v *version) {
 
 // Get returns the newest version of key, or nil when absent.
 func (s *Store) Get(key string) []byte {
-	id, ok := s.index[key]
+	id, ok := s.Lookup(key)
 	if !ok {
 		return nil
 	}
@@ -212,37 +277,57 @@ func (s *Store) IDs(names []string, ids []txn.KeyID) []txn.KeyID {
 }
 
 // Seed installs an initial committed value (workload pre-population),
-// replacing whatever the key held. Use SeedBulk to pre-populate a keyspace:
-// it sizes the name map once and fixes the ids to the batch order.
+// replacing whatever the key held. Use Attach to pre-populate a keyspace: the
+// image holds the name map once for all replicas and fixes the ids to the
+// batch order.
 func (s *Store) Seed(key string, val []byte) {
 	s.set(s.Intern(key), version{val: val})
 }
 
 // set makes v all that key id holds: in the entry of the key's newest version
-// when it has one, the older ones released.
+// when the store owns it, the older ones released. An image version is always
+// the last of its chain, so one at the head is all the key holds.
 func (s *Store) set(id txn.KeyID, v version) {
-	if top := s.byID[id]; top != 0 {
+	top := s.byID[id]
+	if top > s.shared {
 		e := s.at(top)
 		s.cut(e)
 		*e = v
-	} else {
-		s.push(id, v)
-	}
-}
-
-// Reserve sizes the name map for n additional keys ahead of a bulk seed,
-// avoiding incremental rehashing while a store is pre-populated. A non-empty
-// store is rebuilt at the combined size with its contents preserved, so
-// workloads that seed in multiple passes still benefit.
-func (s *Store) Reserve(n int) {
-	if n <= 0 {
 		return
 	}
-	index := make(map[string]txn.KeyID, len(s.index)+n)
-	for k, id := range s.index {
-		index[k] = id
+	if top != 0 {
+		s.release(top)
+		s.byID[id] = 0
+		s.live--
 	}
-	s.index = index
+	s.push(id, v)
+}
+
+// Attach seeds an empty store from a shard's image: key i of the image becomes
+// txn.KeyID(i) holding the image's value, so a workload's dense key index
+// doubles as its KeyID. The name map is the image's, shared by every store
+// attached to it. A store that retains history (EnableSnapshots came first)
+// shares the image's seed versions as well and allocates nothing per key but
+// its 4-byte reference; a default-mode store fills its own slab's chunks in id
+// order from the image's values (see the package comment for why).
+func (s *Store) Attach(img *Image) {
+	if s.img != nil || len(s.byID) != 0 {
+		panic("store: Attach to a store that already has keys")
+	}
+	s.img = img
+	s.byID = make([]ref, img.n)
+	if !s.retain {
+		for i := range s.byID {
+			s.push(txn.KeyID(i), version{val: img.val(i)})
+		}
+		return
+	}
+	s.vers = pool.Over(img.versions())
+	s.shared = ref(s.vers.Shared())
+	s.live, s.linked = img.n, img.n
+	for i := range s.byID {
+		s.byID[i] = ref(i + 1)
+	}
 }
 
 // SeedBulk installs the same initial committed value for every key in one
@@ -251,31 +336,32 @@ func (s *Store) SeedBulk(keys []string, val []byte) {
 	s.SeedBulkFunc(keys, func(int) []byte { return val })
 }
 
-// SeedBulkFunc installs val(i) as the initial committed value of keys[i] in
-// one pass and fixes the batch's ids: key keys[i] becomes txn.KeyID(base+i),
-// where base is the number of keys interned before the call (zero for the
-// usual single-pass seed), so a workload's dense key index doubles as its
-// KeyID. The keys must be new to the store. The initial versions fill the
-// slab's chunks in batch order (what is left of the last chunk goes to the
-// first writes) and the references extend byID in place; the key names are only
-// hashed into the name map, which shares their bytes with the caller — seeding
-// a replica's keyspace costs an allocation per chunk of keys instead of several
-// per key and no per-replica copy of the names.
+// SeedBulkFunc installs val(i) as the initial committed value of keys[i] and
+// fixes the batch's ids: key keys[i] becomes txn.KeyID(base+i), where base is
+// the number of keys interned before the call. The keys must be new to the
+// store. On an empty store that is Attach to an image of the batch, which only
+// this store uses; a later batch is seeded key by key.
 func (s *Store) SeedBulkFunc(keys []string, val func(i int) []byte) {
-	s.Reserve(len(keys))
-	base := len(s.byID)
-	s.byID = slices.Grow(s.byID, len(keys))[:base+len(keys)]
+	if s.img == nil && len(s.byID) == 0 {
+		s.Attach(NewImage(keys, val))
+		return
+	}
 	for i, k := range keys {
-		s.push(txn.KeyID(base+i), version{val: val(i)})
-		s.index[k] = txn.KeyID(base + i)
+		s.Seed(k, val(i))
 	}
 }
 
 // Interned returns the number of keys that have an id (test helper).
 func (s *Store) Interned() int { return len(s.byID) }
 
-// Lookup returns key's id without interning it.
+// Lookup returns key's id without interning it: the image's for a seeded key,
+// the store's own for a name it interned later.
 func (s *Store) Lookup(key string) (txn.KeyID, bool) {
+	if s.img != nil {
+		if id, ok := s.img.index[key]; ok {
+			return id, true
+		}
+	}
 	id, ok := s.index[key]
 	return id, ok
 }
@@ -340,7 +426,7 @@ type bufView struct {
 
 func (v *bufView) Get(key string) []byte {
 	// Put interns, so a name the store does not know was not written either.
-	id, ok := v.s.index[key]
+	id, ok := v.s.Lookup(key)
 	if !ok {
 		return nil
 	}
@@ -562,8 +648,13 @@ func (s *Store) putCommitted(kid txn.KeyID, ts txn.Timestamp, val []byte) {
 
 // Versions returns the total number of versions held across all keys — the
 // memory-growth signal the watermark-GC plateau test pins: every slab entry
-// handed out that is not on the free list.
-func (s *Store) Versions() int { return s.vers.Len() - s.nfree }
+// handed out that is not on the free list, plus the image versions still on a
+// chain.
+func (s *Store) Versions() int { return s.vers.Len() - s.nfree + s.linked }
+
+// Chunks returns the number of slab chunks the store has allocated for versions
+// of its own; the image versions it shares are not among them.
+func (s *Store) Chunks() int { return s.vers.Chunks() }
 
 // PruneTo garbage-collects committed history no snapshot read at or above
 // `horizon` can observe: for each key it keeps the newest committed version
@@ -616,9 +707,15 @@ func (s *Store) Equal(o *Store) bool {
 	if s.live != o.live {
 		return false
 	}
-	for k, id := range s.index {
-		if s.byID[id] != 0 && string(s.GetID(id)) != string(o.Get(k)) {
-			return false
+	indexes := [2]map[string]txn.KeyID{s.index}
+	if s.img != nil {
+		indexes[1] = s.img.index
+	}
+	for _, index := range indexes {
+		for k, id := range index {
+			if s.byID[id] != 0 && string(s.GetID(id)) != string(o.Get(k)) {
+				return false
+			}
 		}
 	}
 	return true

@@ -166,26 +166,23 @@ func TestExecuteRevokeProperty(t *testing.T) {
 	}
 }
 
-// Reserve after a seed must grow the map without losing data — it used to
-// be a silent no-op on any non-empty store, defeating two-pass pre-sizing.
-func TestReserveGrowsNonEmptyMap(t *testing.T) {
+// A second bulk pass lands on a store that is no longer empty: it goes key by
+// key, onto the next ids, beside the image the first pass attached.
+func TestSeedBulkInTwoPasses(t *testing.T) {
 	s := newChecked(t)
 	s.SeedBulk([]string{"a", "b"}, txn.EncodeInt(1))
-	s.Reserve(100)
-	if txn.DecodeInt(s.Get("a")) != 1 || txn.DecodeInt(s.Get("b")) != 1 {
-		t.Fatal("Reserve dropped existing keys")
-	}
 	s.SeedBulk([]string{"c", "d"}, txn.EncodeInt(2))
-	if s.Len() != 4 {
-		t.Fatalf("store holds %d keys after two-pass seed, want 4", s.Len())
+	if s.Len() != 4 || s.Interned() != 4 || s.Versions() != 4 {
+		t.Fatalf("store holds %d keys, %d ids, %d versions after a two-pass seed, want 4 of each",
+			s.Len(), s.Interned(), s.Versions())
+	}
+	for i, k := range []string{"a", "b", "c", "d"} {
+		if id, ok := s.Lookup(k); !ok || int(id) != i {
+			t.Fatalf("Lookup(%q) = %d %v, want id %d", k, id, ok, i)
+		}
 	}
 	if txn.DecodeInt(s.Get("a")) != 1 || txn.DecodeInt(s.Get("c")) != 2 {
 		t.Fatal("second seed pass corrupted values")
-	}
-	s.Reserve(0) // degenerate sizes are no-ops
-	s.Reserve(-1)
-	if s.Len() != 4 {
-		t.Fatal("degenerate Reserve changed the store")
 	}
 }
 

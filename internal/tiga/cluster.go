@@ -115,6 +115,9 @@ func NewCluster(net *simnet.Network, cfg Config, pl Placement, cf *clocks.Factor
 // newStore builds a shard's seeded store, version-retaining when local reads
 // are on. It is the only store constructor: the stores servers start with and
 // the ones recovery replays into (installLog) must be configured alike.
+// EnableSnapshots comes before the seed on purpose: a store that retains
+// history when the generator attaches it (store.Attach) shares the shard's
+// seed versions with its sibling replicas instead of filling a slab of its own.
 func (c *Cluster) newStore(shard int) *store.Store {
 	st := store.New()
 	if c.Cfg.LocalReads {

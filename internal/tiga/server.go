@@ -1142,7 +1142,9 @@ func (s *Server) scheduleFetch(r *rec, from simnet.NodeID) {
 	r.fetching = true
 	var again func()
 	again = func() {
-		if r.t != nil || s.status != statusNormal {
+		// A record installLog replaced is nobody's placeholder any more: going
+		// on would re-send for the rest of the run and pin the abandoned slab.
+		if r.t != nil || s.status != statusNormal || s.recs[r.id] != r {
 			return
 		}
 		s.node.Send(from, fetchTxnReq{Shard: s.shard, ID: r.id})

@@ -7,6 +7,7 @@ import (
 	"tiga/internal/clocks"
 	"tiga/internal/pool"
 	"tiga/internal/simnet"
+	"tiga/internal/txn"
 )
 
 // slabRecs returns the entries of s's record slab as a set.
@@ -117,5 +118,43 @@ func TestInstallLogAbandonsTheRecordSlab(t *testing.T) {
 	}
 	if pooled == 0 {
 		t.Fatal("no agreement object was waiting in the pool")
+	}
+}
+
+// TestFetchStopsWhenItsRecordIsReplaced: a placeholder whose body never shows
+// up keeps asking for it every retry-timeout/2. Once installLog has started the
+// records over, the placeholder is in the abandoned slab and the chain has to
+// end: it used to re-send for the rest of the run and keep that slab alive.
+func TestFetchStopsWhenItsRecordIsReplaced(t *testing.T) {
+	cfg := DefaultConfig(3, 1)
+	sim, c := testCluster(t, 5, cfg, ColocatedPlacement([]simnet.Region{0, 1, 2}), clocks.ModelChrony)
+	l, peer := c.Leader(0), c.Leader(1)
+	fetches := 0
+	c.Net.Node(peer.node.ID()).SetHandler(func(from simnet.NodeID, msg simnet.Message) {
+		if _, ok := msg.(fetchTxnReq); ok {
+			fetches++
+		}
+		peer.handle(from, msg)
+	})
+	// Shard 1's leader announces a timestamp for a transaction nobody ever sent.
+	ghost := txn.ID{Coord: 1, Seq: 1 << 40}
+	sim.At(100*time.Millisecond, func() {
+		l.onTsNotification(peer.node.ID(), &tsNotification{
+			viewInfo: viewInfo{GView: l.gview, LView: l.gvec[1]}, Shard: 1, ID: ghost,
+			TS: txn.Timestamp{Time: 100 * time.Millisecond, Coord: 1, Seq: 1}, Round: 1,
+		})
+	})
+	sim.Run(100*time.Millisecond + 3*cfg.RetryTimeout)
+	before := fetches
+	if before < 4 || l.recs[ghost] == nil {
+		t.Fatalf("%d fetches in three retry timeouts, placeholder %v: the chain is not running", before, l.recs[ghost])
+	}
+	l.installLog(l.log)
+	if l.recs[ghost] != nil || l.status != statusNormal {
+		t.Fatalf("installLog kept the placeholder (status %v)", l.status)
+	}
+	sim.Run(100*time.Millisecond + 13*cfg.RetryTimeout)
+	if fetches != before {
+		t.Fatalf("%d fetch requests after installLog replaced the records, want none", fetches-before)
 	}
 }

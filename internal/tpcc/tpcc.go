@@ -61,11 +61,12 @@ type Gen struct {
 	uid        uint64
 	perD, perW int
 	// names caches each shard's key names in id order, built on first use:
-	// Seed hands the slice to every replica's store (whose name map shares
-	// the strings) and Next takes its ReadSet/WriteSet names from it instead
-	// of formatting them. Generators are private to one experiment point, so
-	// the cache needs no locking.
-	names [][]string
+	// Next takes its ReadSet/WriteSet names from it instead of formatting them,
+	// and images holds the seed image built from it, which Seed attaches every
+	// replica's store to. Generators are private to one experiment point, so
+	// the caches need no locking.
+	names  [][]string
+	images []*store.Image
 	// ints caches the encoded seed values (all within ±1000); stored values
 	// are immutable, so every key and replica seeded with v shares one buffer.
 	ints [][]byte
@@ -190,7 +191,7 @@ func kHistory(w, d int, uid uint64) string { return key("h", int64(w), int64(d),
 // tab returns a shard's key names in id order, building them on first use.
 func (g *Gen) tab(shard int) []string {
 	if g.names == nil {
-		g.names = make([][]string, g.cfg.Shards)
+		g.names, g.images = make([][]string, g.cfg.Shards), make([]*store.Image, g.cfg.Shards)
 	}
 	if g.names[shard] != nil {
 		return g.names[shard]
@@ -213,10 +214,14 @@ func (g *Gen) tab(shard int) []string {
 	return names
 }
 
-// Seed pre-populates one shard's store with its warehouses in id order, so
-// the store's intern ids are the layout's.
+// Seed pre-populates one shard's store, which must be empty, with its
+// warehouses in id order, so the store's intern ids are the layout's.
 func (g *Gen) Seed(shard int, st *store.Store) {
-	st.SeedBulkFunc(g.tab(shard), func(id int) []byte { return g.enc(g.seedValue(id)) })
+	names := g.tab(shard)
+	if g.images[shard] == nil {
+		g.images[shard] = store.NewImage(names, func(id int) []byte { return g.enc(g.seedValue(id)) })
+	}
+	st.Attach(g.images[shard])
 }
 
 // keyset accumulates one declared access set in both forms.

@@ -71,10 +71,10 @@ type KV interface {
 }
 
 // KeyID is a dense per-shard interned key index: key i of a shard's seeded
-// keyspace (store.SeedBulk order, which every workload generator, TPC-C
+// keyspace (store.Image order, which every workload generator, TPC-C
 // included, makes equal to its own key index). A piece executes on exactly one
 // shard, so its ids need no shard qualifier, and every copy of a shard is
-// seeded alike, so a seeded key's id holds on all of them. Execution runs on
+// attached to the same image, so a seeded key's id holds on all of them. Execution runs on
 // ids in all nine protocols. Names remain for what crosses stores or leaves the
 // system — lock tables, wire messages, the checkers, rendering — and for keys
 // no generator can number ahead of time (rows a transaction inserts): each

@@ -37,7 +37,7 @@ func NewYCSBT(shards, keys int, skew, readRatio float64, txnKeys int) *YCSBT {
 
 // Seed pre-populates a shard (values start at zero).
 func (y *YCSBT) Seed(shard int, st *store.Store) {
-	st.SeedBulk(y.names.shard(shard, y.Keys), zeroValue)
+	y.names.seed(shard, y.Keys, st)
 }
 
 // Next generates one transaction over TxnKeys consecutive shards.
@@ -96,7 +96,7 @@ func NewHotWrite(shards, keys, hotKeys int, skew float64, txnKeys int) *HotWrite
 
 // Seed pre-populates a shard (values start at zero).
 func (h *HotWrite) Seed(shard int, st *store.Store) {
-	st.SeedBulk(h.names.shard(shard, h.Keys), zeroValue)
+	h.names.seed(shard, h.Keys, st)
 }
 
 // Next generates one all-write transaction over the hot set.

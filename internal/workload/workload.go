@@ -25,7 +25,8 @@ type Job struct {
 // Generator produces jobs.
 type Generator interface {
 	Next(rng *rand.Rand) Job
-	// Seed pre-populates one shard's store.
+	// Seed pre-populates one shard's store, which must be empty. Every replica
+	// of a shard is seeded from the one store.Image the generator keeps for it.
 	Seed(shard int, st *store.Store)
 }
 
@@ -92,10 +93,10 @@ func NewMicroBench(shards, keys int, skew float64) *MicroBench {
 func Key(shard, idx int) string { return fmt.Sprintf("k%d-%d", shard, idx) }
 
 // KeyID is the interned form of a key: its dense index within one shard's
-// seeded keyspace. The generators here seed each shard with store.SeedBulk
-// over the keycache's idx-ordered name slice, so the workload key index and
-// the store's intern id coincide by construction — Key(shard, i) is always
-// id i of shard's store — and pieces can carry ids without any lookup.
+// seeded keyspace. The generators here seed each shard from a store.Image of
+// the keycache's idx-ordered name slice, so the workload key index and the
+// store's intern id coincide by construction — Key(shard, i) is always id i of
+// shard's store — and pieces can carry ids without any lookup.
 type KeyID = txn.KeyID
 
 // zeroValue is the shared pre-population value. Stored values are immutable
@@ -103,21 +104,23 @@ type KeyID = txn.KeyID
 // replica can point at one 8-byte buffer.
 var zeroValue = txn.EncodeInt(0)
 
-// keycache memoizes the formatted names of a shard-indexed keyspace. Seeding
-// R replicated stores and sampling millions of keys per run otherwise re-run
-// fmt.Sprintf for names that never change; the cache builds each shard's
-// names once and every replica's store shares the same string backing.
+// keycache memoizes the formatted names of a shard-indexed keyspace and the
+// seed image built from them. Seeding R replicated stores and sampling
+// millions of keys per run otherwise re-run fmt.Sprintf for names that never
+// change, and hash every name once per replica; the cache builds each shard's
+// names and image once and every replica's store attaches to the same image.
 // Generators are private to one experiment point (see harness.SpecRun), so
 // the cache needs no locking.
 type keycache struct {
 	shards [][]string
+	images []*store.Image
 }
 
 // shard returns the cached names of one shard's full keyspace, building them
 // on first use.
 func (c *keycache) shard(shard, keys int) []string {
 	for len(c.shards) <= shard {
-		c.shards = append(c.shards, nil)
+		c.shards, c.images = append(c.shards, nil), append(c.images, nil)
 	}
 	if c.shards[shard] == nil {
 		names := make([]string, keys)
@@ -129,6 +132,16 @@ func (c *keycache) shard(shard, keys int) []string {
 	return c.shards[shard]
 }
 
+// seed attaches st to the shard's image (every key at zero), building the
+// image on first use.
+func (c *keycache) seed(shard, keys int, st *store.Store) {
+	names := c.shard(shard, keys)
+	if c.images[shard] == nil {
+		c.images[shard] = store.NewImage(names, func(int) []byte { return zeroValue })
+	}
+	st.Attach(c.images[shard])
+}
+
 // key returns one cached key name.
 func (c *keycache) key(shard, keys, idx int) string {
 	return c.shard(shard, keys)[idx]
@@ -136,7 +149,7 @@ func (c *keycache) key(shard, keys, idx int) string {
 
 // Seed pre-populates a shard (values start at zero).
 func (m *MicroBench) Seed(shard int, st *store.Store) {
-	st.SeedBulk(m.names.shard(shard, m.Keys), zeroValue)
+	m.names.seed(shard, m.Keys, st)
 }
 
 // Next generates one 3-shard increment transaction. The pieces are built
@@ -194,7 +207,7 @@ type Uniform struct {
 
 // Seed pre-populates a shard.
 func (u *Uniform) Seed(shard int, st *store.Store) {
-	st.SeedBulk(u.names.shard(shard, u.Keys), zeroValue)
+	u.names.seed(shard, u.Keys, st)
 }
 
 // Next generates a single-shard read or increment.
