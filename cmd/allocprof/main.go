@@ -11,7 +11,9 @@
 // -liveheap an in-use heap profile of what the run leaves reachable — the
 // benchmark's host_live_heap_mb, by allocation site. The defaults are the
 // budget test's closed row (4 coordinators, 200 ms warm-up); -arrival poisson,
-// -keys 100000 -duration 2s and -workload tpcc -shards 6 are its other three.
+// -keys 100000 -duration 2s and -workload tpcc -shards 6 are the next three, and
+// its open-reads row is the tiga-reads-open shape below at -shards 6 -rate 500
+// with admit-cap and admit-queue 12.
 // The benchmark's workloads (bench/workloads.go) all run 8 coordinators — 2 per
 // server region and 2 remote — after a 500 ms warm-up; with -coords 2,2 -warmup
 // 500ms the throughput, allocs/txn and bytes/txn printed here are the
@@ -22,9 +24,28 @@
 //	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -keys 100000 -rate 3000 \
 //	    -outstanding 300 -duration 2s -cpuprofile cpu.out -liveheap live.out
 //
-// (it prints 23 013 commits, 33.2 allocs and 11.5 KB per transaction and a live
-// heap of 237 MB; 257 MB before a shard's replicas shared one name map, and
-// 54.0 allocs, 12.9 KB and 302 MB before versions and records came from slabs)
+// (it prints 23 013 commits, 25.5 allocs and 11.5 KB per transaction and a live
+// heap of 235 MB; 33.2 allocs and 237 MB before the generators' pieces became
+// tagged ops out of one arena, 257 MB before a shard's replicas shared one name
+// map, and 54.0 allocs, 12.9 KB and 302 MB before versions and records came
+// from slabs)
+//
+// and the shape of tiga-reads-open (open-loop Poisson YCSB-T, read-only
+// transactions served by the nearest replica 200 ms stale, admission gate) —
+// which needs the protocol's knobs, the workload's parameters and the load
+// driver's local-read switch, so -set, -wparam and -local-reads — is
+//
+//	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -workload ycsbt -shards 6 \
+//	    -keys 100000 -arrival poisson -rate 6000 -duration 2800ms \
+//	    -wparam skew=0.7 -wparam read-ratio=0.95 \
+//	    -set Tiga.local-reads=true -set Tiga.read-staleness=200ms \
+//	    -set Tiga.admit-cap=300 -set Tiga.admit-queue=300 -local-reads \
+//	    -liveheap live.out
+//
+// (it prints 134 512 commits, 11.9 allocs and 3.1 KB per transaction and a live
+// heap of 216 MB; 43.7 allocs and 4.4 KB while a local read allocated per key
+// and per hop. Without the last three lines it is a different program — every
+// read through the leaders, nothing shed: 42.7 allocs, 15.5 KB, 1 180 MB)
 //
 // and the shape of tiga-tpcc-sat (multi-key pieces, inserted rows, interactive
 // chains) is
@@ -58,11 +79,44 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"tiga/internal/clocks"
 	"tiga/internal/harness"
+	"tiga/internal/protocol"
+	"tiga/internal/workload"
 )
+
+// multiFlag collects a repeatable string flag.
+type multiFlag []string
+
+func (m *multiFlag) String() string { return strings.Join(*m, ",") }
+
+func (m *multiFlag) Set(s string) error {
+	*m = append(*m, s)
+	return nil
+}
+
+// usage exits 2 on a flag value the registries reject.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "allocprof: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// parseKnob parses value against the schema's knob name; flag is the whole
+// flag as typed, for the message.
+func parseKnob(flag string, schema protocol.Schema, name, value string) any {
+	knob, ok := schema.Find(name)
+	if !ok {
+		usage("%s: no such knob %q (valid: %s)", flag, name, strings.Join(schema.Names(), ", "))
+	}
+	v, err := protocol.ParseValue(knob, value)
+	if err != nil {
+		usage("%s: %v", flag, err)
+	}
+	return v
+}
 
 func main() {
 	out := flag.String("out", "allocprof.out", "pprof heap profile output path")
@@ -78,6 +132,10 @@ func main() {
 	coords := flag.String("coords", "1,1", "coordinators per server region, and in the remote region")
 	warmup := flag.Duration("warmup", 200*time.Millisecond, "simulated warm-up before the measured window")
 	liveOut := flag.String("liveheap", "", "also force a GC after the run, print the live heap and write an in-use heap profile to this path")
+	var sets, wparams multiFlag
+	flag.Var(&sets, "set", "protocol knob override proto.knob=value (repeatable; tigabench -knobs lists them)")
+	flag.Var(&wparams, "wparam", "workload parameter name=value (repeatable)")
+	localReads := flag.Bool("local-reads", false, "send read-only transactions down the local snapshot-read path (LoadSpec.LocalReads; the protocol's local-reads knob must be set too)")
 	flag.Parse()
 
 	var perRegion, remote int
@@ -100,6 +158,22 @@ func main() {
 		CoordsPerRegion: perRegion, CoordsRemote: remote, Seed: 42,
 		CostScale: harness.CPUScale,
 	}
+	for _, s := range sets {
+		path, value, _ := strings.Cut(s, "=")
+		proto, name, ok := strings.Cut(path, ".")
+		schema, known := protocol.Knobs(proto)
+		if !ok || !known {
+			usage("-set %q: want proto.knob=value with a registered protocol (%s)", s, strings.Join(protocol.Names(), ", "))
+		}
+		spec.SetKnob(proto, name, parseKnob("-set "+s, schema, name, value))
+	}
+	if def, ok := workload.Lookup(*wl); ok && len(wparams) > 0 {
+		spec.WorkloadParams = make(map[string]any)
+		for _, s := range wparams {
+			name, value, _ := strings.Cut(s, "=")
+			spec.WorkloadParams[name] = parseKnob("-wparam "+s, def.Params, name, value)
+		}
+	}
 	if err := spec.EnsureGen(); err != nil {
 		fmt.Fprintln(os.Stderr, "allocprof:", err)
 		os.Exit(2)
@@ -120,7 +194,7 @@ func main() {
 	d := harness.Build(spec)
 	load := harness.LoadSpec{
 		RatePerCoord: *rate, Outstanding: *outstanding, Arrival: *arrival,
-		Warmup: *warmup, Duration: *dur, Seed: 43,
+		Warmup: *warmup, Duration: *dur, Seed: 43, LocalReads: *localReads,
 	}
 	runtime.GC()
 	if cpuFile != nil {

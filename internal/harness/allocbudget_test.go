@@ -22,28 +22,34 @@ import (
 // 100 000 keys per shard for 2 s, so every shard's log crosses a
 // checkpoint-every = 2000 boundary inside the run and a per-checkpoint cost
 // that scales with the keyspace shows in its bytes; closed-tpcc puts TPC-C's
-// multi-key pieces, inserted rows and interactive chains on six shards. Spec,
-// seeds and load are those EXPERIMENTS.md has tabulated since PR 9.
+// multi-key pieces, inserted rows and interactive chains on six shards;
+// open-reads is the shape of the benchmark's tiga-reads-open at test scale —
+// YCSB-T (skew 0.7, 95 % reads per key) arriving open-loop, read-only
+// transactions served by the local snapshot-read path 200 ms stale, behind
+// TestOpenLoopLocalReadsPinned's admission gate — the only row in which a
+// read-only transaction never reaches a leader. Spec, seeds and load are those
+// EXPERIMENTS.md has tabulated since PR 9.
 //
 // allocs and bytes are per committed transaction, recorded with go1.24 (the
 // toolchain CI pins: the map implementation moves the counts) at the commit
 // that last changed them, as this test measures them: pool.Check's id maps are
 // in, +0.1 allocation and +1–2 % bytes over what cmd/allocprof prints for the
-// same shape (34.8 / 12 237, 34.8 / 12 411, 29.0 / 9 700, 146.4 / 27 137). They
-// repeat to ±0.1 allocation. A rise beyond BENCHMARK.json's bounds for
-// host_allocs_per_txn / host_bytes_per_txn fails; so does a fall of more than
-// 10 %, until the recorded value is lowered — the next rise is then measured
-// from where the code is, not from where it was.
+// same shape. They repeat to ±0.1 allocation and ±0.1 % bytes. A rise beyond
+// BENCHMARK.json's bounds for host_allocs_per_txn / host_bytes_per_txn fails;
+// so does a fall of more than 10 %, until the recorded value is lowered — the
+// next rise is then measured from where the code is, not from where it was.
 var txnPathBudget = []struct {
 	name, arrival, workload string
 	shards, keys            int
 	window                  time.Duration
+	localReads              bool
 	allocs, bytes           float64
 }{
-	{"closed", "", "micro", 3, 2000, time.Second, 34.9, 12449},
-	{"open", "poisson", "micro", 3, 2000, time.Second, 34.9, 12639},
-	{"closed-100k", "", "micro", 3, 100_000, 2 * time.Second, 29.1, 9806},
-	{"closed-tpcc", "", "tpcc", 6, 2000, time.Second, 146.5, 27440},
+	{"closed", "", "micro", 3, 2000, time.Second, false, 27.6, 12351},
+	{"open", "poisson", "micro", 3, 2000, time.Second, false, 27.6, 12536},
+	{"closed-100k", "", "micro", 3, 100_000, 2 * time.Second, false, 22.4, 9717},
+	{"closed-tpcc", "", "tpcc", 6, 2000, time.Second, false, 145.1, 27954},
+	{"open-reads", "poisson", "ycsbt", 6, 2000, time.Second, true, 15.8, 6945},
 }
 
 const (
@@ -73,13 +79,20 @@ func TestTxnPathAllocBudget(t *testing.T) {
 				CoordsPerRegion: 1, CoordsRemote: 1, Seed: 42,
 				CostScale: CPUScale,
 			}
+			if c.localReads {
+				spec.WorkloadParams = map[string]any{"skew": 0.7, "read-ratio": 0.95}
+				spec.SetKnob("Tiga", "local-reads", true)
+				spec.SetKnob("Tiga", "read-staleness", 200*time.Millisecond)
+				spec.SetKnob("Tiga", "admit-cap", 12)
+				spec.SetKnob("Tiga", "admit-queue", 12)
+			}
 			if err := spec.EnsureGen(); err != nil {
 				t.Fatal(err)
 			}
 			d := Build(spec)
 			load := LoadSpec{
 				RatePerCoord: 500, Outstanding: 100, Arrival: c.arrival,
-				Warmup: 200 * time.Millisecond, Duration: c.window, Seed: 43,
+				Warmup: 200 * time.Millisecond, Duration: c.window, Seed: 43, LocalReads: c.localReads,
 			}
 			runtime.GC()
 			var m0, m1 runtime.MemStats
@@ -92,6 +105,9 @@ func TestTxnPathAllocBudget(t *testing.T) {
 			committed := float64(res.Run.Counters.Committed)
 			if committed == 0 {
 				t.Fatal("no commits in the measurement run")
+			}
+			if local := res.Run.Counters.LocalReads; c.localReads != (local > 0) {
+				t.Fatalf("%d transactions took the local read path", local)
 			}
 			allocs := float64(m1.Mallocs-m0.Mallocs) / committed
 			bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / committed

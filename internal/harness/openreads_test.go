@@ -7,6 +7,7 @@ import (
 
 	"tiga/internal/checker"
 	"tiga/internal/metrics"
+	"tiga/internal/pool"
 )
 
 // TestOpenLoopLocalReadsPinned pins the one combination no golden covers and
@@ -15,8 +16,12 @@ import (
 // snapshot-read checker armed. The summary below was recorded from the PR 12
 // code, before the read path and the load-driver envelope were merged; every
 // figure is a pure function of the seeds, so any difference is a behaviour
-// change in the driver, the admission gate or the read path.
+// change in the driver, the admission gate or the read path. pool.Check is
+// armed: the read path's requests and replies are recycled, and one put back
+// twice must fail here as itself, not as a moved figure.
 func TestOpenLoopLocalReadsPinned(t *testing.T) {
+	pool.Check = true
+	defer func() { pool.Check = false }()
 	spec := localReadTestSpec(t, "Tiga", 0.95)
 	spec.SetKnob("Tiga", "read-staleness", 150*time.Millisecond)
 	spec.SetKnob("Tiga", "admit-cap", 12)
@@ -48,4 +53,34 @@ obs=61842 writes=1076 commits=1035`
 	if got != want {
 		t.Fatalf("open-loop × local-reads × admission summary moved\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
+}
+
+// TestLocalReadsThroughPartitionWithPoolCheck runs the localreads experiment's
+// wan-partition cell — reads re-driven into a cut-off replica, requests queued
+// behind a watermark that stops, replies lost in flight — for one protocol of
+// each family that serves local reads, with the double-free detector armed and
+// the snapshot-read checker passing.
+func TestLocalReadsThroughPartitionWithPoolCheck(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs two 12 s chaos cells; skipped under -short")
+	}
+	pool.Check = true
+	defer func() { pool.Check = false }()
+	o := Options{Quick: true, Keys: 800, Seed: 42}
+	var sw sweep
+	for i, p := range []string{"Tiga", "2PL+Paxos"} {
+		cell := o.faultRun(o.localReadSpec(p, 0, true), "wan-partition", OpPoint{Outstanding: 400}, LoadSpec{
+			RatePerCoord: o.localReadRate(), Seed: o.Seed + 61 + int64(i), Check: true, LocalReads: true,
+		})
+		sw.add(cell, func(res *RunResult) {
+			c := res.Run.Counters
+			if c.LocalReads == 0 || c.Retries == 0 {
+				t.Errorf("%s: vacuous cell: %d local reads, %d re-drives", p, c.LocalReads, c.Retries)
+			}
+			if err := checker.SnapshotReads(res.SnapReads, res.Writes); err != nil {
+				t.Errorf("%s: snapshot-read checker: %v", p, err)
+			}
+		})
+	}
+	sw.run(1)
 }

@@ -19,10 +19,13 @@
 // function of the seed. Objects handed back via Put are fully overwritten by
 // the next Get site before reuse; the pool itself does not zero them.
 //
-// Lifecycle discipline (see README "Allocation budget"): a pooled object may
-// be recycled only by code that can prove no other reference outlives the
+// Lifecycle discipline (see README "Simulator performance"): a pooled object
+// may be recycled only by code that can prove no other reference outlives the
 // Put. In practice that means
 //   - unicast wire messages: the receiving handler recycles after decoding,
+//   - a snapshot-read request (internal/snapread): the replica recycles it once
+//     the read is served — a read queued behind the watermark holds it until
+//     then — and the coordinator a reply once it has copied the answer out,
 //   - multicast payloads: each destination gets its own pooled copy,
 //   - coordinator-local records: recycled when the txn finishes,
 //   - anything retained by a server log (e.g. *txn.Txn): never pooled.
@@ -95,3 +98,8 @@ func (f *Free[T]) Put(p *T) {
 	}
 	f.free = append(f.free, p)
 }
+
+// Idle reports how many objects are on the freelist. News - Idle are checked
+// out or were dropped in flight, which is how a lifecycle test asks whether
+// everything that was delivered came back.
+func (f *Free[T]) Idle() int { return len(f.free) }

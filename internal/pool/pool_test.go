@@ -20,8 +20,12 @@ func TestReuseLIFO(t *testing.T) {
 	if got := f.Get(); got != a {
 		t.Fatal("expected LIFO reuse of a")
 	}
-	if f.News != 2 || f.Gets != 4 {
-		t.Fatalf("News=%d Gets=%d, want 2/4", f.News, f.Gets)
+	if f.News != 2 || f.Gets != 4 || f.Idle() != 0 {
+		t.Fatalf("News=%d Gets=%d Idle=%d, want 2/4/0", f.News, f.Gets, f.Idle())
+	}
+	f.Put(a)
+	if f.Idle() != 1 {
+		t.Fatalf("Idle=%d after one Put, want 1", f.Idle())
 	}
 }
 

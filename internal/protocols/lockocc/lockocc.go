@@ -241,6 +241,9 @@ type System struct {
 	nodes   [][]simnet.NodeID // [shard][replica]
 	servers [][]*server       // [shard][replica]; replica 0 leads
 	coords  []*coordinator
+	// readMsgs are the local-read path's message freelists, shared by every
+	// coordinator and replica of this deployment.
+	readMsgs *snapread.Msgs
 	// Aborts counts client-visible aborts after retries were exhausted.
 	Aborts int64
 	// PresumedAborts counts vote-timeout firings that presumed-aborted a
@@ -259,7 +262,7 @@ func New(spec Spec) *System {
 	if spec.SafeTimeEvery == 0 {
 		spec.SafeTimeEvery = 5 * time.Millisecond
 	}
-	sys := &System{spec: spec}
+	sys := &System{spec: spec, readMsgs: snapread.NewMsgs()}
 	n := 2*spec.F + 1
 	sys.nodes = make([][]simnet.NodeID, spec.Shards)
 	for s := 0; s < spec.Shards; s++ {
@@ -283,6 +286,7 @@ func New(spec Spec) *System {
 			Node: node, Net: spec.Net,
 			Clock: spec.Net.Sim().Now, Staleness: spec.ReadStaleness, RetryEvery: readRetryEvery,
 			Replicas: n, Replica: func(shard, replica int) simnet.NodeID { return sys.nodes[shard][replica] },
+			Msgs: sys.readMsgs,
 		}
 		co.gate = admit.Gate{
 			Cap: spec.AdmitCap, Queue: spec.AdmitQueue, ShedOldest: spec.ShedOldest,
@@ -318,7 +322,7 @@ func newServer(sys *System, s, r int) *server {
 		srv.reads = snapread.Replica{
 			Node: node, Sim: sys.spec.Net.Sim(), Store: srv.st,
 			Shard: s, Self: r, Replicas: len(sys.nodes[s]),
-			ExecCost: sys.spec.ExecCost, Staleness: sys.spec.ReadStaleness,
+			ExecCost: sys.spec.ExecCost, Staleness: sys.spec.ReadStaleness, Msgs: sys.readMsgs,
 		}
 		if r == 0 {
 			// Leader watermark broadcast; re-armed here so a restarted
@@ -417,7 +421,7 @@ func (s *server) handle(from simnet.NodeID, msg simnet.Message) {
 	case safeTAck:
 		s.onSafeTAck(m)
 		return
-	case snapread.Req:
+	case *snapread.Req:
 		s.onSnapRead(from, m)
 		return
 	}
@@ -884,7 +888,7 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 		co.onVote(m)
 	case committedMsg:
 		co.onCommitted(m)
-	case snapread.Rep:
+	case *snapread.Rep:
 		co.reads.OnRep(m)
 	case decisionQuery:
 		co.onDecisionQuery(from, m)

@@ -133,7 +133,7 @@ func (s *server) armDecisionQuery(id txn.ID) {
 // onSnapRead serves a snapshot read once the watermark covers it. Leaders
 // blocked only on wall-clock progress are flushed by the periodic broadcast
 // tick; followers are flushed by watermark adoption.
-func (s *server) onSnapRead(from simnet.NodeID, m snapread.Req) {
+func (s *server) onSnapRead(from simnet.NodeID, m *snapread.Req) {
 	if !s.sys.spec.LocalReads {
 		return
 	}

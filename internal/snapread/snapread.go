@@ -20,6 +20,7 @@ package snapread
 import (
 	"time"
 
+	"tiga/internal/pool"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/trace"
@@ -29,6 +30,7 @@ import (
 // Req asks one replica of a shard for the values of Keys at snapshot
 // timestamp At. (Coord, Seq) identify the read-only transaction; Seq is the
 // coordinator's own sequence, so replies can be matched to the pending read.
+// A Req travels by pointer and comes from the cluster's Msgs.
 type Req struct {
 	Shard int
 	Coord int32
@@ -45,7 +47,8 @@ type Req struct {
 // aligned with Req.Keys, plus how long the read waited behind the replica's
 // watermark (zero when served immediately). At echoes Req.At, so a
 // coordinator that restarted the read at a fresh snapshot drops answers to
-// the old one.
+// the old one. A Rep travels by pointer and comes from the cluster's Msgs; Vals
+// and Seen keep their capacity from one use to the next.
 type Rep struct {
 	Shard int
 	Seq   uint64
@@ -65,19 +68,60 @@ type Rep struct {
 	ArriveS, ServedS time.Duration
 }
 
+// Msgs holds one cluster's snapshot-read message freelists, shared by its
+// Coordinators and Replicas (see pool.Free for the lifecycle rules). Both
+// messages are unicast and the receiving half recycles them: a Replica puts a
+// Req back once it has served it — at once, or when the watermark releases it
+// from the queue; a Coordinator puts a Rep back at the end of OnRep, having
+// copied out what the result keeps. A message that is dropped — by the
+// network, or by a protocol that does not hand it to OnReq (a replica mid view
+// change) — is never put back; the garbage collector has it.
+type Msgs struct {
+	Req *pool.Free[Req]
+	Rep *pool.Free[Rep]
+}
+
+// NewMsgs returns empty freelists.
+func NewMsgs() *Msgs { return &Msgs{Req: pool.New[Req](), Rep: pool.New[Rep]()} }
+
 // ---- coordinator half ----
 
 // pendingRead tracks one outstanding read-only transaction: one snapshot
 // request per involved shard, each sent to that shard's nearest replica.
 type pendingRead struct {
-	t       *txn.Txn
-	at      time.Duration // snapshot timestamp
-	done    func(txn.Result)
-	got     map[int]bool // shards answered (dedups retried replies)
-	vals    map[int][]byte
-	waited  time.Duration // max SAFETIME delay across shards
-	reads   []txn.ReadObs
-	retries int
+	t    *txn.Txn
+	at   time.Duration // snapshot timestamp
+	done func(txn.Result)
+	// got marks the shards that answered the current snapshot, by position in
+	// t.Shards() (dedups retried replies); answered counts them. It is gotBuf
+	// unless the transaction touches more shards than that holds.
+	got      []bool
+	gotBuf   [4]bool
+	answered int
+	vals     map[int][]byte
+	waited   time.Duration // max SAFETIME delay across shards
+	reads    []txn.ReadObs
+	retries  int
+	redrive  func() // the read's one timer body, re-armed every RetryEvery
+}
+
+// position returns shard's index in the transaction's shard list, -1 for a
+// shard the transaction does not touch.
+func (pr *pendingRead) position(shard int) int {
+	for i, sh := range pr.t.Shards() {
+		if sh == shard {
+			return i
+		}
+	}
+	return -1
+}
+
+// restart forgets every answer: the read starts over at snapshot at.
+func (pr *pendingRead) restart(at time.Duration) {
+	pr.at = at
+	clear(pr.got)
+	clear(pr.vals)
+	pr.answered, pr.reads, pr.waited = 0, pr.reads[:0], 0
 }
 
 // Coordinator drives read-only transactions from one protocol coordinator:
@@ -100,6 +144,8 @@ type Coordinator struct {
 	// Replicas is the replica count per shard and Replica their node ids.
 	Replicas int
 	Replica  func(shard, replica int) simnet.NodeID
+	// Msgs is the cluster's message freelists.
+	Msgs *Msgs
 
 	reads   map[uint64]*pendingRead // by t.ID.Seq
 	nearest map[int]int             // shard -> cached lowest-RTT replica
@@ -114,35 +160,45 @@ func (c *Coordinator) Submit(t *txn.Txn, done func(txn.Result)) {
 		c.reads = make(map[uint64]*pendingRead)
 		c.nearest = make(map[int]int)
 	}
-	pr := &pendingRead{t: t, at: c.snapshot(), done: done, got: make(map[int]bool)}
-	c.reads[t.ID.Seq] = pr
+	shards := t.Shards()
+	keys := 0
+	for _, sh := range shards {
+		keys += len(t.Pieces[sh].ReadSet)
+	}
+	pr := &pendingRead{t: t, at: c.snapshot(), done: done,
+		vals: make(map[int][]byte, len(shards)), reads: make([]txn.ReadObs, 0, keys)}
+	if len(shards) <= len(pr.gotBuf) {
+		pr.got = pr.gotBuf[:len(shards)]
+	} else {
+		pr.got = make([]bool, len(shards))
+	}
+	seq := t.ID.Seq
+	pr.redrive = func() {
+		if c.reads[seq] != pr {
+			return
+		}
+		c.retry(pr)
+		c.Node.After(c.RetryEvery, pr.redrive)
+	}
+	c.reads[seq] = pr
 	c.send(pr)
-	c.armRetry(pr)
+	c.Node.After(c.RetryEvery, pr.redrive)
 }
 
 func (c *Coordinator) snapshot() time.Duration { return max(c.Clock()-c.Staleness, 0) }
 
 // send asks every shard that has not answered pr's current snapshot.
 func (c *Coordinator) send(pr *pendingRead) {
-	for _, sh := range pr.t.Shards() {
-		if pr.got[sh] {
+	for i, sh := range pr.t.Shards() {
+		if pr.got[i] {
 			continue
 		}
 		piece := pr.t.Pieces[sh]
-		c.Node.Send(c.Replica(sh, c.nearestReplica(sh)), Req{Shard: sh, Coord: pr.t.ID.Coord, Seq: pr.t.ID.Seq,
-			At: pr.at, Keys: piece.ReadSet, KeyIDs: piece.ReadIDs})
+		m := c.Msgs.Req.Get()
+		*m = Req{Shard: sh, Coord: pr.t.ID.Coord, Seq: pr.t.ID.Seq,
+			At: pr.at, Keys: piece.ReadSet, KeyIDs: piece.ReadIDs}
+		c.Node.Send(c.Replica(sh, c.nearestReplica(sh)), m)
 	}
-}
-
-func (c *Coordinator) armRetry(pr *pendingRead) {
-	seq := pr.t.ID.Seq
-	c.Node.After(c.RetryEvery, func() {
-		if c.reads[seq] != pr {
-			return
-		}
-		c.retry(pr)
-		c.armRetry(pr)
-	})
 }
 
 func (c *Coordinator) retry(pr *pendingRead) {
@@ -151,40 +207,44 @@ func (c *Coordinator) retry(pr *pendingRead) {
 	c.send(pr)
 }
 
-// OnRep folds one shard's answer into its pending read and completes the
-// transaction when every shard has answered the same snapshot.
-func (c *Coordinator) OnRep(m Rep) {
+// OnRep folds one shard's answer into its pending read, completes the
+// transaction when every shard has answered the same snapshot, and recycles m.
+func (c *Coordinator) OnRep(m *Rep) {
+	c.fold(m)
+	c.Msgs.Rep.Put(m)
+}
+
+func (c *Coordinator) fold(m *Rep) {
 	pr, ok := c.reads[m.Seq]
-	if !ok || m.At != pr.at || pr.got[m.Shard] {
+	if !ok || m.At != pr.at {
+		return
+	}
+	i := pr.position(m.Shard)
+	if i < 0 || pr.got[i] {
 		return
 	}
 	if m.Pruned {
 		// One replica can no longer answer at pr.at, so the snapshot is dead
 		// on every shard: start over at a fresh one (delay, never lie).
-		pr.at = c.snapshot()
-		clear(pr.got)
-		clear(pr.vals)
-		pr.reads, pr.waited = pr.reads[:0], 0
+		pr.restart(c.snapshot())
 		c.retry(pr)
 		return
 	}
-	pr.got[m.Shard] = true
+	pr.got[i] = true
+	pr.answered++
 	if m.Waited > pr.waited {
 		pr.waited = m.Waited
 	}
 	keys := pr.t.Pieces[m.Shard].ReadSet
-	for i := range keys {
-		if i < len(m.Seen) {
-			pr.reads = append(pr.reads, txn.ReadObs{Key: keys[i], TS: m.Seen[i]})
+	for k := range keys {
+		if k < len(m.Seen) {
+			pr.reads = append(pr.reads, txn.ReadObs{Key: keys[k], TS: m.Seen[k]})
 		}
-	}
-	if pr.vals == nil {
-		pr.vals = make(map[int][]byte, len(pr.t.Pieces))
 	}
 	if len(m.Vals) > 0 {
 		pr.vals[m.Shard] = m.Vals[0]
 	}
-	if len(pr.got) < len(pr.t.Pieces) {
+	if pr.answered < len(pr.got) {
 		return
 	}
 	delete(c.reads, m.Seq)
@@ -267,6 +327,8 @@ type Replica struct {
 	Shard, Self, Replicas int
 	ExecCost              time.Duration // CPU charged per served read
 	Staleness             time.Duration // the coordinators' staleness bound
+	// Msgs is the cluster's message freelists.
+	Msgs *Msgs
 
 	safeTime  time.Duration // monotonic safe-time watermark
 	safeLie   time.Duration // test hook: fault-injected watermark inflation
@@ -298,7 +360,7 @@ func (r *Replica) Advance(w time.Duration) {
 
 func (r *Replica) flush() {
 	if r.waiters.Len() > 0 {
-		r.waiters.Flush(r.safeTime+r.safeLie, r.Sim.Now())
+		r.waiters.Flush(r.safeTime+r.safeLie, r.Sim.Now(), r.serve)
 	}
 }
 
@@ -373,38 +435,42 @@ func (r *Replica) pruneTo(gc time.Duration) {
 
 // OnReq serves a snapshot read: immediately when the watermark already
 // covers the requested snapshot, otherwise after the SAFETIME delay. It
-// reports whether the read had to queue.
-func (r *Replica) OnReq(from simnet.NodeID, m Req) (queued bool) {
+// reports whether the read had to queue. The replica owns m from here on: a
+// queued read keeps it until it is served.
+func (r *Replica) OnReq(from simnet.NodeID, m *Req) (queued bool) {
 	arriveS := r.Sim.Now()
 	if m.At <= r.safeTime+r.safeLie {
 		r.serve(from, m, 0, arriveS)
 		return false
 	}
-	r.waiters.Add(m.At, arriveS, func(waited time.Duration) {
-		r.serve(from, m, waited, arriveS)
-	})
+	r.waiters.Add(from, m, arriveS)
 	return true
 }
 
-func (r *Replica) serve(to simnet.NodeID, m Req, waited, arriveS time.Duration) {
+// serve answers m, which arrived at arriveS and waited behind the watermark
+// for waited, and recycles it.
+func (r *Replica) serve(to simnet.NodeID, m *Req, waited, arriveS time.Duration) {
+	rep := r.Msgs.Rep.Get()
+	*rep = Rep{Shard: r.Shard, Seq: m.Seq, At: m.At, Vals: rep.Vals[:0], Seen: rep.Seen[:0]}
 	if m.At < r.gcHorizon {
-		r.Node.Send(to, Rep{Shard: r.Shard, Seq: m.Seq, At: m.At, Pruned: true})
-		return
+		rep.Pruned = true
+	} else {
+		r.Node.Work(r.ExecCost)
+		for _, id := range r.Store.IDs(m.Keys, m.KeyIDs) {
+			val, seen, _ := r.Store.GetAtID(id, m.At)
+			rep.Vals, rep.Seen = append(rep.Vals, val), append(rep.Seen, seen)
+		}
+		rep.Waited, rep.ArriveS, rep.ServedS = waited, arriveS, r.Node.Busy()
 	}
-	r.Node.Work(r.ExecCost)
-	vals := make([][]byte, len(m.Keys))
-	seen := make([]txn.Timestamp, len(m.Keys))
-	for i, id := range r.Store.IDs(m.Keys, m.KeyIDs) {
-		vals[i], seen[i], _ = r.Store.GetAtID(id, m.At)
-	}
-	r.Node.Send(to, Rep{Shard: r.Shard, Seq: m.Seq, At: m.At, Vals: vals, Seen: seen, Waited: waited,
-		ArriveS: arriveS, ServedS: r.Node.Busy()})
+	r.Msgs.Req.Put(m)
+	r.Node.Send(to, rep)
 }
 
+// waiter is one queued read: the request, who sent it and when it arrived.
 type waiter struct {
-	at    time.Duration
+	from  simnet.NodeID
+	req   *Req
 	since time.Duration
-	serve func(waited time.Duration)
 }
 
 // Waiters queues snapshot reads whose timestamp is ahead of the replica's
@@ -412,38 +478,42 @@ type waiter struct {
 // advancing watermark now covers — a deterministic order, so the replies it
 // sends keep the simulation reproducible.
 type Waiters struct {
-	ws []waiter
+	ws    []waiter
+	ready []waiter // Flush's scratch: the reads being released
 }
 
-// Add enqueues a read blocked until the watermark reaches at; now is the
-// enqueue time. When the watermark gets there, serve is called with the
-// SAFETIME delay the read spent queued.
-func (w *Waiters) Add(at, now time.Duration, serve func(waited time.Duration)) {
+// Add enqueues m, from from, blocked until the watermark reaches m.At; now is
+// the enqueue time.
+func (w *Waiters) Add(from simnet.NodeID, m *Req, now time.Duration) {
 	// Insert sorted by snapshot with arrival order breaking ties: the
 	// queue is short and mostly append-ordered, snapshots grow with time.
 	i := len(w.ws)
-	for i > 0 && w.ws[i-1].at > at {
+	for i > 0 && w.ws[i-1].req.At > m.At {
 		i--
 	}
 	w.ws = append(w.ws, waiter{})
 	copy(w.ws[i+1:], w.ws[i:])
-	w.ws[i] = waiter{at: at, since: now, serve: serve}
+	w.ws[i] = waiter{from: from, req: m, since: now}
 }
 
-// Flush serves every queued read with snapshot <= watermark, in queue
-// order, charging each the simulated time it waited.
-func (w *Waiters) Flush(watermark, now time.Duration) {
+// Flush hands serve every queued read with snapshot <= watermark, in queue
+// order, with the simulated time it waited and its arrival time. The released
+// reads have left the queue before the first is served, so serve may Add; it
+// must not Flush.
+func (w *Waiters) Flush(watermark, now time.Duration, serve func(to simnet.NodeID, m *Req, waited, since time.Duration)) {
 	n := 0
-	for n < len(w.ws) && w.ws[n].at <= watermark {
+	for n < len(w.ws) && w.ws[n].req.At <= watermark {
 		n++
 	}
 	if n == 0 {
 		return
 	}
-	ready := append([]waiter(nil), w.ws[:n]...)
-	w.ws = w.ws[:copy(w.ws, w.ws[n:])]
-	for i := range ready {
-		ready[i].serve(now - ready[i].since)
+	w.ready = append(w.ready[:0], w.ws[:n]...)
+	rest := copy(w.ws, w.ws[n:])
+	clear(w.ws[rest:]) // the vacated tail must not pin released requests
+	w.ws = w.ws[:rest]
+	for _, r := range w.ready {
+		serve(r.from, r.req, now-r.since, r.since)
 	}
 }
 

@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"testing"
+	"time"
 
 	"tiga/internal/txn"
 )
@@ -196,5 +198,58 @@ func TestApplyAtKeepsHistoryInRetainMode(t *testing.T) {
 		if n := s.PruneTo(20); n != 3 {
 			t.Errorf("PruneTo(20) dropped %d versions, want 3", n)
 		}
+	}
+}
+
+// TestTaggedOpsMatchTheClosureForms: the read and the increment a generator
+// emits as tagged ops (txn.ReadPieceID, txn.IncrementPieceID, and a multi-key
+// OpIncrement) return the same bytes and leave the same state as the closure
+// forms they replaced (txn.ReadPiece, txn.IncrementPiece), through both views.
+func TestTaggedOpsMatchTheClosureForms(t *testing.T) {
+	tagged, keys := seedN(t, 6)
+	closure, _ := seedN(t, 6)
+	multi := []txn.KeyID{5, 2, 5} // a key twice: the second increment reads the first's write
+	names := []string{keys[5], keys[2], keys[5]}
+	multiKey := txn.Tagged(txn.OpIncrement, names, multi)
+	steps := []struct {
+		name            string
+		tagged, closure *txn.Piece
+	}{
+		{"increment", txn.IncrementPieceID(keys[3], 3), txn.IncrementPiece(keys[3])},
+		{"increment again", txn.IncrementPieceID(keys[3], 3), txn.IncrementPiece(keys[3])},
+		{"read it back", txn.ReadPieceID(keys[3], 3), txn.ReadPiece(keys[3])},
+		{"read a seed value", txn.ReadPieceID(keys[0], 0), txn.ReadPiece(keys[0])},
+		{"multi-key increment", &multiKey, txn.IncrementPiece(names...)},
+	}
+	for i, st := range steps {
+		// Buffered first, on the state the optimistic execution is about to
+		// change: results and write sets must agree, and neither store moves.
+		bt, wt := tagged.ExecuteBuffered(st.tagged)
+		bc, wc := closure.ExecuteBuffered(st.closure)
+		if !bytes.Equal(bt, bc) || len(wt) != len(wc) {
+			t.Fatalf("%s, buffered: tagged returned %v with %d writes, closure %v with %d", st.name, bt, len(wt), bc, len(wc))
+		}
+		for j := range wt {
+			if wt[j].ID != wc[j].ID || !bytes.Equal(wt[j].Val, wc[j].Val) {
+				t.Fatalf("%s, buffered write %d: tagged %+v, closure %+v", st.name, j, wt[j], wc[j])
+			}
+		}
+		id := txn.ID{Coord: 1, Seq: uint64(i + 1)}
+		ts := txn.Timestamp{Time: time.Duration(i + 1), Coord: 1, Seq: uint64(i + 1)}
+		rt, rc := tagged.Execute(id, ts, st.tagged), closure.Execute(id, ts, st.closure)
+		if !bytes.Equal(rt, rc) || !bytes.Equal(rt, bt) {
+			t.Fatalf("%s: tagged returned %v, closure %v, buffered %v", st.name, rt, rc, bt)
+		}
+		tagged.Commit(id)
+		closure.Commit(id)
+		if !tagged.Equal(closure) {
+			t.Fatalf("%s: the stores differ after the commit", st.name)
+		}
+	}
+	if got := txn.DecodeInt(tagged.Get(keys[3])); got != 2 {
+		t.Fatalf("key 3 = %d after two increments", got)
+	}
+	if got := txn.DecodeInt(tagged.Get(keys[5])); got != 2 {
+		t.Fatalf("key 5 = %d after one piece incremented it twice", got)
 	}
 }

@@ -411,7 +411,7 @@ type Write struct {
 func (s *Store) ExecuteBuffered(p *txn.Piece) ([]byte, []Write) {
 	v := &s.buf
 	v.s, v.writes = s, make([]Write, 0, len(p.WriteSet))
-	ret := p.Exec(v)
+	ret := p.Run(v)
 	ws := v.writes
 	v.writes = nil
 	return ret, ws
@@ -525,7 +525,7 @@ func (s *Store) Execute(id txn.ID, ts txn.Timestamp, p *txn.Piece) []byte {
 	}
 	v := &s.view
 	v.s, v.writer, v.ts, v.ids = s, id, ts, s.getPend()
-	out := p.Exec(v)
+	out := p.Run(v)
 	if len(v.ids) > 0 {
 		s.pending[id] = v.ids
 	} else {

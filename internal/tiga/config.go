@@ -23,6 +23,7 @@ import (
 	"tiga/internal/hashlog"
 	"tiga/internal/pool"
 	"tiga/internal/simnet"
+	"tiga/internal/snapread"
 	"tiga/internal/txn"
 )
 
@@ -185,6 +186,7 @@ type msgPools struct {
 	logSync  *pool.Free[logSyncMsg]
 	syncPt   *pool.Free[syncPointMsg]
 	safeTime *pool.Free[safeTimeMsg]
+	reads    *snapread.Msgs // the local-read path's Req and Rep
 }
 
 func newMsgPools() *msgPools {
@@ -196,6 +198,7 @@ func newMsgPools() *msgPools {
 		logSync:  pool.New[logSyncMsg](),
 		syncPt:   pool.New[syncPointMsg](),
 		safeTime: pool.New[safeTimeMsg](),
+		reads:    snapread.NewMsgs(),
 	}
 }
 

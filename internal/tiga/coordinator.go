@@ -105,7 +105,7 @@ func newCoordinator(c *Cluster, idx int32, node *simnet.Node, clk clocks.Clock) 
 	co.reads = snapread.Coordinator{
 		Node: node, Net: c.Net,
 		Clock: co.now, Staleness: c.Cfg.ReadStaleness, RetryEvery: c.Cfg.RetryTimeout,
-		Replicas: c.Cfg.Replicas(), Replica: c.serverNode,
+		Replicas: c.Cfg.Replicas(), Replica: c.serverNode, Msgs: c.msgs.reads,
 	}
 	copy(co.gvec, c.initialGVec)
 	node.SetHandler(co.handle)
@@ -146,7 +146,7 @@ func (co *Coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 		co.cluster.msgs.slowRep.Put(m)
 	case slowInquiryRep:
 		co.onSlowInquiryRep(from, m)
-	case snapread.Rep:
+	case *snapread.Rep:
 		co.reads.OnRep(m)
 	case probeRep:
 		co.updateOWD(from, m.OWD)

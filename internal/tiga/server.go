@@ -305,7 +305,7 @@ func newServer(c *Cluster, shard, replica int, node *simnet.Node, clk clocks.Clo
 	s.reads = snapread.Replica{
 		Node: node, Sim: c.Net.Sim(), Store: s.st,
 		Shard: shard, Self: replica, Replicas: c.Cfg.Replicas(),
-		ExecCost: c.Cfg.ExecCost, Staleness: c.Cfg.ReadStaleness,
+		ExecCost: c.Cfg.ExecCost, Staleness: c.Cfg.ReadStaleness, Msgs: c.msgs.reads,
 	}
 	copy(s.gvec, c.initialGVec)
 	s.lview = s.gvec[shard]
@@ -409,7 +409,7 @@ func (s *Server) handle(from simnet.NodeID, msg simnet.Message) {
 	case *safeTimeMsg:
 		s.onSafeTime(m)
 		s.cluster.msgs.safeTime.Put(m)
-	case snapread.Req:
+	case *snapread.Req:
 		s.onSnapRead(from, m)
 	case probeMsg:
 		s.node.Send(m.Coord, probeRep{Shard: s.shard, Replica: s.replica, OWD: s.now() - m.SendClock})
@@ -1420,14 +1420,16 @@ func (s *Server) onSafeTime(m *safeTimeMsg) {
 // Reads arriving during a view change are dropped — the coordinator re-drives
 // them — so a partitioned or recovering replica delays a read and never lies
 // (the chaos experiment exercises this).
-func (s *Server) onSnapRead(from simnet.NodeID, m snapread.Req) {
+func (s *Server) onSnapRead(from simnet.NodeID, m *snapread.Req) {
 	if !s.cfg.LocalReads || s.status != statusNormal {
 		return
 	}
-	// Leaders answer at clock freshness rather than tick freshness.
+	// Leaders answer at clock freshness rather than tick freshness. The
+	// replica owns m once OnReq has it, so the snapshot is read first.
+	at := m.At
 	s.advanceSafeTime()
 	if s.reads.OnReq(from, m) && s.IsLeader() {
-		s.scheduleSafeFlush(m.At)
+		s.scheduleSafeFlush(at)
 	}
 }
 

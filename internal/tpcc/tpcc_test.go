@@ -96,8 +96,38 @@ func TestNewOrderDeclaredSetsCoverAccesses(t *testing.T) {
 				declared[k] = true
 			}
 			tr := &trackingKV{declared: declared, t: t, shard: sh, names: g.tab(sh)}
-			p.Exec(tr)
+			p.Run(tr)
 		}
+	}
+}
+
+// TestMergePiecesComposesTwoExecutors: TPC-C's pieces are hand-written, so
+// they stay closures beside the generators' tagged ops, and two of them on one
+// shard still merge into one piece that runs both, in order, through the one
+// entry point the store uses.
+func TestMergePiecesComposesTwoExecutors(t *testing.T) {
+	step := func(key string, id txn.KeyID, tag byte) *txn.Piece {
+		return &txn.Piece{ReadSet: []string{key}, WriteSet: []string{key}, ReadIDs: []txn.KeyID{id}, WriteIDs: []txn.KeyID{id},
+			Exec: func(kv txn.KV) []byte {
+				kv.PutID(id, txn.EncodeInt(txn.DecodeInt(kv.GetID(id))+int64(tag)))
+				return []byte{tag}
+			}}
+	}
+	m := mergePieces(step("a", 0, 1), step("b", 1, 2))
+	if m.Op != txn.OpExec || !slices.Equal(m.WriteSet, []string{"a", "b"}) || !slices.Equal(m.ReadIDs, []txn.KeyID{0, 1}) {
+		t.Fatalf("merged piece: op %d, sets %v %v", m.Op, m.WriteSet, m.ReadIDs)
+	}
+	st := store.New()
+	st.SeedBulk([]string{"a", "b"}, txn.EncodeInt(10))
+	out := st.Execute(txn.ID{Coord: 1, Seq: 1}, txn.Timestamp{Time: 1}, m)
+	st.Commit(txn.ID{Coord: 1, Seq: 1})
+	if !slices.Equal(out, []byte{1, 2}) || txn.DecodeInt(st.Get("a")) != 11 || txn.DecodeInt(st.Get("b")) != 12 {
+		t.Fatalf("merged piece returned %v and left a=%d b=%d, want [1 2], 11, 12",
+			out, txn.DecodeInt(st.Get("a")), txn.DecodeInt(st.Get("b")))
+	}
+	_, ws := st.ExecuteBuffered(m)
+	if len(ws) != 2 || txn.DecodeInt(ws[0].Val) != 12 || txn.DecodeInt(ws[1].Val) != 14 {
+		t.Fatalf("buffered execution of the merged piece wrote %+v", ws)
 	}
 }
 

@@ -91,6 +91,24 @@ const NoKeyID = ^KeyID(0)
 // store and returns an opaque per-shard result.
 type PieceFunc func(kv KV) []byte
 
+// Op tags what a piece does when it runs. The two operations every workload
+// generator emits are tagged values dispatched by Piece.Run, so generating
+// them allocates no closure; OpExec remains as the escape hatch for pieces
+// written by hand (TPC-C's executors, the examples, tests). The rule: a
+// generator's piece carries an op, a hand-written piece carries a closure.
+type Op uint8
+
+const (
+	// OpExec runs the piece's Exec closure.
+	OpExec Op = iota
+	// OpRead returns the value of the one key the piece numbers in ReadIDs.
+	OpRead
+	// OpIncrement adds one to every key the piece numbers in WriteIDs, in
+	// order, and returns the last new value. Stored values are immutable, so
+	// the buffer handed to PutID doubles as the piece result.
+	OpIncrement
+)
+
 // Piece is the fragment of a one-shot transaction executed by a single shard.
 // ReadSet and WriteSet are declared up front (one-shot stored procedure), so
 // servers can do conflict detection without executing.
@@ -103,7 +121,38 @@ type Piece struct {
 	// to the string sets, with NoKeyID where only the name is known.
 	ReadIDs  []KeyID
 	WriteIDs []KeyID
-	Exec     PieceFunc
+	// Exec is what an OpExec piece runs; the tagged ops leave it nil.
+	Exec PieceFunc
+	Op   Op
+}
+
+// Run executes the piece against kv. It is the one way a piece is executed:
+// the store's views call it, and so does anything else that holds a piece.
+func (p *Piece) Run(kv KV) []byte {
+	switch p.Op {
+	case OpRead:
+		return kv.GetID(p.ReadIDs[0])
+	case OpIncrement:
+		var out []byte
+		for _, id := range p.WriteIDs {
+			out = EncodeInt(DecodeInt(kv.GetID(id)) + 1)
+			kv.PutID(id, out)
+		}
+		return out
+	}
+	return p.Exec(kv)
+}
+
+// Tagged returns the piece that runs op (OpRead or OpIncrement) on keys, whose
+// ids are positionally parallel; both slices stay the caller's. What an op
+// declares is fixed here, beside what it does: a read declares its key read,
+// an increment declares its keys read and written.
+func Tagged(op Op, keys []string, ids []KeyID) Piece {
+	p := Piece{ReadSet: keys, ReadIDs: ids, Op: op}
+	if op == OpIncrement {
+		p.WriteSet, p.WriteIDs = keys, ids
+	}
+	return p
 }
 
 // Conflicts reports whether two pieces have a read-write or write-write
@@ -259,19 +308,22 @@ func IncrementPiece(keys ...string) *Piece {
 	}
 }
 
-// IncrementPieceID is IncrementPiece for one key the workload numbered.
-func IncrementPieceID(key string, id KeyID) *Piece {
-	ks := []string{key}
-	ids := []KeyID{id}
-	return &Piece{
-		ReadSet: ks, WriteSet: ks, ReadIDs: ids, WriteIDs: ids,
-		Exec: func(kv KV) []byte {
-			out := EncodeInt(DecodeInt(kv.GetID(id)) + 1)
-			kv.PutID(id, out)
-			return out
-		},
-	}
+// numbered is the one allocation behind ReadPieceID and IncrementPieceID: the
+// piece and the one-key sets its slices point into.
+type numbered struct {
+	Piece
+	key [1]string
+	id  [1]KeyID
 }
+
+func newNumbered(op Op, key string, id KeyID) *Piece {
+	n := &numbered{key: [1]string{key}, id: [1]KeyID{id}}
+	n.Piece = Tagged(op, n.key[:], n.id[:])
+	return &n.Piece
+}
+
+// IncrementPieceID is IncrementPiece for one key the workload numbered.
+func IncrementPieceID(key string, id KeyID) *Piece { return newNumbered(OpIncrement, key, id) }
 
 // ReadPiece returns a read-only piece fetching one key.
 func ReadPiece(key string) *Piece {
@@ -282,13 +334,7 @@ func ReadPiece(key string) *Piece {
 }
 
 // ReadPieceID is ReadPiece for one key the workload numbered.
-func ReadPieceID(key string, id KeyID) *Piece {
-	return &Piece{
-		ReadSet: []string{key},
-		ReadIDs: []KeyID{id},
-		Exec:    func(kv KV) []byte { return kv.GetID(id) },
-	}
-}
+func ReadPieceID(key string, id KeyID) *Piece { return newNumbered(OpRead, key, id) }
 
 // WritePiece returns a blind-write piece setting one key.
 func WritePiece(key string, val []byte) *Piece {

@@ -3,9 +3,11 @@ package txn
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func TestTimestampTotalOrder(t *testing.T) {
@@ -130,11 +132,11 @@ func TestIncrementPiece(t *testing.T) {
 	if len(p.ReadSet) != 2 || len(p.WriteSet) != 2 {
 		t.Fatal("sets")
 	}
-	ret := p.Exec(kv)
+	ret := p.Run(kv)
 	if DecodeInt(kv["a"]) != 1 || DecodeInt(kv["b"]) != 1 || DecodeInt(ret) != 1 {
 		t.Fatal("increment semantics")
 	}
-	p.Exec(kv)
+	p.Run(kv)
 	if DecodeInt(kv["a"]) != 2 {
 		t.Fatal("second increment")
 	}
@@ -142,20 +144,58 @@ func TestIncrementPiece(t *testing.T) {
 
 func TestReadWritePieces(t *testing.T) {
 	kv := fakeKV{"x": EncodeInt(9)}
-	if DecodeInt(ReadPiece("x").Exec(kv)) != 9 {
+	if DecodeInt(ReadPiece("x").Run(kv)) != 9 {
 		t.Fatal("ReadPiece")
 	}
-	WritePiece("y", EncodeInt(3)).Exec(kv)
+	WritePiece("y", EncodeInt(3)).Run(kv)
 	if DecodeInt(kv["y"]) != 3 {
 		t.Fatal("WritePiece")
 	}
-	// The numbered forms declare the name and execute by the id alone.
+	// The numbered forms declare the name and execute by the id alone: a tagged
+	// op, no closure.
 	kv.PutID(4, EncodeInt(6))
 	inc := IncrementPieceID("x", 4)
-	if DecodeInt(inc.Exec(kv)) != 7 || DecodeInt(kv.GetID(4)) != 7 || DecodeInt(kv["x"]) != 9 {
+	if DecodeInt(inc.Run(kv)) != 7 || DecodeInt(kv.GetID(4)) != 7 || DecodeInt(kv["x"]) != 9 {
 		t.Fatal("IncrementPieceID")
 	}
-	if DecodeInt(ReadPieceID("x", 4).Exec(kv)) != 7 || inc.WriteSet[0] != "x" || inc.WriteIDs[0] != 4 {
+	rd := ReadPieceID("x", 4)
+	if DecodeInt(rd.Run(kv)) != 7 || inc.WriteSet[0] != "x" || inc.WriteIDs[0] != 4 {
 		t.Fatal("ReadPieceID")
+	}
+	if inc.Op != OpIncrement || rd.Op != OpRead || inc.Exec != nil || rd.Exec != nil {
+		t.Errorf("numbered pieces carry ops %d/%d and closures %v/%v, want tagged ops and no closure",
+			inc.Op, rd.Op, inc.Exec != nil, rd.Exec != nil)
+	}
+	if len(rd.ReadSet) != 1 || len(rd.ReadIDs) != 1 || rd.WriteSet != nil || rd.WriteIDs != nil ||
+		!reflect.DeepEqual([][]string{inc.ReadSet, inc.WriteSet}, [][]string{{"x"}, {"x"}}) ||
+		!reflect.DeepEqual([][]KeyID{inc.ReadIDs, inc.WriteIDs}, [][]KeyID{{4}, {4}}) {
+		t.Errorf("declared sets: read %+v, increment %+v", rd, inc)
+	}
+	// A set that grew would write over its neighbour in the shared allocation.
+	if cap(rd.ReadSet) != 1 || cap(rd.ReadIDs) != 1 || cap(inc.WriteSet) != 1 || cap(inc.WriteIDs) != 1 {
+		t.Error("an inline set has spare capacity")
+	}
+}
+
+// TestNumberedPiecesAreOneAllocation pins what the tagged ops are for: the
+// piece, its one-key sets and its operation are one heap object, where the
+// closure forms were four.
+func TestNumberedPiecesAreOneAllocation(t *testing.T) {
+	var sink *Piece
+	if n := testing.AllocsPerRun(100, func() { sink = ReadPieceID("x", 4) }); n != 1 {
+		t.Errorf("ReadPieceID allocates %.0f objects, want 1", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sink = IncrementPieceID("x", 4) }); n != 1 {
+		t.Errorf("IncrementPieceID allocates %.0f objects, want 1", n)
+	}
+	_ = sink
+}
+
+// TestPieceStaysInItsSizeClass: a Piece is 105 bytes of fields and lives in
+// Go's 112-byte size class, three to a generated job; one more word moves
+// every piece of every transaction into the 128-byte class.
+func TestPieceStaysInItsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(Piece{}); n > 112 {
+		t.Errorf("txn.Piece is %d bytes, want <= 112", n)
 	}
 }

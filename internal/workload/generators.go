@@ -42,22 +42,20 @@ func (y *YCSBT) Seed(shard int, st *store.Store) {
 
 // Next generates one transaction over TxnKeys consecutive shards.
 func (y *YCSBT) Next(rng *rand.Rand) Job {
-	t := &txn.Txn{Pieces: make(map[int]*txn.Piece, y.TxnKeys), Label: "ycsbt"}
+	j := newJob(y.TxnKeys, "ycsbt")
 	start := rng.Intn(y.Shards)
 	readOnly := true
 	for i := 0; i < y.TxnKeys; i++ {
 		sh := (start + i) % y.Shards
 		idx := y.zipf.Next(rng)
-		k := y.names.key(sh, y.Keys, idx)
-		if rng.Float64() < y.ReadRatio {
-			t.Pieces[sh] = txn.ReadPieceID(k, KeyID(idx))
-		} else {
-			t.Pieces[sh] = txn.IncrementPieceID(k, KeyID(idx))
-			readOnly = false
+		op := txn.OpRead
+		if rng.Float64() >= y.ReadRatio {
+			op, readOnly = txn.OpIncrement, false
 		}
+		j.set(i, sh, op, y.names.key(sh, y.Keys, idx), idx)
 	}
-	t.ReadOnly = readOnly
-	return Job{T: t, Label: "ycsbt"}
+	j.t.ReadOnly = readOnly
+	return Job{T: j.t, Label: "ycsbt"}
 }
 
 // HotWrite is a write-heavy hot-key stress mix: every transaction increments
@@ -101,14 +99,14 @@ func (h *HotWrite) Seed(shard int, st *store.Store) {
 
 // Next generates one all-write transaction over the hot set.
 func (h *HotWrite) Next(rng *rand.Rand) Job {
-	t := &txn.Txn{Pieces: make(map[int]*txn.Piece, h.TxnKeys), Label: "hotwrite"}
+	j := newJob(h.TxnKeys, "hotwrite")
 	start := rng.Intn(h.Shards)
 	for i := 0; i < h.TxnKeys; i++ {
 		sh := (start + i) % h.Shards
 		idx := h.zipf.Next(rng)
-		t.Pieces[sh] = txn.IncrementPieceID(h.names.key(sh, h.Keys, idx), KeyID(idx))
+		j.set(i, sh, txn.OpIncrement, h.names.key(sh, h.Keys, idx), idx)
 	}
-	return Job{T: t, Label: "hotwrite"}
+	return Job{T: j.t, Label: "hotwrite"}
 }
 
 func init() {

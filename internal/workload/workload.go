@@ -152,48 +152,67 @@ func (m *MicroBench) Seed(shard int, st *store.Store) {
 	m.names.seed(shard, m.Keys, st)
 }
 
-// Next generates one 3-shard increment transaction. The pieces are built
-// allocation-lean: one Piece array and one key array back the whole job
-// instead of txn.IncrementPiece's per-piece slices, because the scale-out
-// sweeps draw millions of jobs per run and the generator's allocations
-// dominated their profile. The rng draw sequence and the transaction's
-// content are identical to the IncrementPiece construction.
+// arenaKeys is how many single-key pieces a job arena holds inline: the
+// paper's three keys per transaction, which is every registered generator's
+// default.
+const arenaKeys = 3
+
+// arena is the one allocation behind a generated transaction: the Txn and the
+// pieces, key names and ids of its single-key pieces. The scale-out sweeps draw
+// millions of jobs per run, and a Piece, a one-element []string, a one-element
+// []KeyID and a closure per key dominated the generators' profile.
+type arena struct {
+	t   txn.Txn
+	ps  [arenaKeys]txn.Piece
+	ks  [arenaKeys]string
+	ids [arenaKeys]KeyID
+}
+
+// job is a transaction of n single-key pieces under construction.
+type job struct {
+	t   *txn.Txn
+	ps  []txn.Piece
+	ks  []string
+	ids []KeyID
+}
+
+// newJob starts a transaction of n single-key pieces: out of one arena when
+// they fit, out of one array per kind otherwise.
+func newJob(n int, label string) job {
+	var j job
+	if n <= arenaKeys {
+		a := new(arena)
+		j = job{&a.t, a.ps[:n], a.ks[:n], a.ids[:n]}
+	} else {
+		j = job{new(txn.Txn), make([]txn.Piece, n), make([]string, n), make([]KeyID, n)}
+	}
+	j.t.Pieces, j.t.Label = make(map[int]*txn.Piece, n), label
+	return j
+}
+
+// set makes the job's i-th piece op on key idx of shard sh (key is its name).
+func (j job) set(i, sh int, op txn.Op, key string, idx int) {
+	j.ks[i], j.ids[i] = key, KeyID(idx)
+	j.ps[i] = txn.Tagged(op, j.ks[i:i+1:i+1], j.ids[i:i+1:i+1])
+	j.t.Pieces[sh] = &j.ps[i]
+}
+
+// Next generates one 3-shard increment transaction. The rng draw sequence and
+// the transaction's content are identical to building each piece with
+// txn.IncrementPiece.
 func (m *MicroBench) Next(rng *rand.Rand) Job {
 	nShards := 3
 	if m.Shards < 3 {
 		nShards = m.Shards
 	}
-	t := &txn.Txn{Pieces: make(map[int]*txn.Piece, nShards), Label: "micro"}
+	j := newJob(nShards, "micro")
 	start := rng.Intn(m.Shards)
-	ps := make([]txn.Piece, nShards)
-	ks := make([]string, nShards)
-	ids := make([]KeyID, nShards)
 	for i := 0; i < nShards; i++ {
 		sh := (start + i) % m.Shards
 		idx := m.zipf.Next(rng)
-		ks[i] = m.names.key(sh, m.Keys, idx)
-		ids[i] = KeyID(idx)
-		key := ks[i : i+1 : i+1]
-		kid := ids[i : i+1 : i+1]
-		ps[i] = txn.Piece{ReadSet: key, WriteSet: key, ReadIDs: kid, WriteIDs: kid,
-			Exec: incrementExec(kid)}
-		t.Pieces[sh] = &ps[i]
+		j.set(i, sh, txn.OpIncrement, m.names.key(sh, m.Keys, idx), idx)
 	}
-	return Job{T: t, Label: "micro"}
-}
-
-// incrementExec is txn.IncrementPiece's operation over a caller-owned id
-// slice. Stored values are immutable, so the buffer handed to PutID doubles as
-// the piece result instead of encoding twice.
-func incrementExec(ids []KeyID) txn.PieceFunc {
-	return func(kv txn.KV) []byte {
-		var out []byte
-		for _, id := range ids {
-			out = txn.EncodeInt(txn.DecodeInt(kv.GetID(id)) + 1)
-			kv.PutID(id, out)
-		}
-		return out
-	}
+	return Job{T: j.t, Label: "micro"}
 }
 
 // Uniform is a uniformly-distributed single-key read/write mix used by a few

@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"tiga/internal/store"
@@ -140,4 +142,80 @@ func TestUniform(t *testing.T) {
 	if job.T.ReadOnly {
 		t.Fatal("ReadRatio 0 must yield writes")
 	}
+}
+
+// perPiece builds, from the same draws in the same order, the transaction the
+// generators built before their pieces shared one arena: one constructor call
+// per key, a read with probability readRatio and an increment otherwise.
+func perPiece(rng *rand.Rand, z *Zipfian, shards, n int, readRatio float64) (map[int]*txn.Piece, bool) {
+	out := make(map[int]*txn.Piece, n)
+	start := rng.Intn(shards)
+	readOnly := true
+	for i := 0; i < n; i++ {
+		sh := (start + i) % shards
+		idx := z.Next(rng)
+		if readRatio > 0 && rng.Float64() < readRatio {
+			out[sh] = txn.ReadPieceID(Key(sh, idx), KeyID(idx))
+		} else {
+			out[sh] = txn.IncrementPieceID(Key(sh, idx), KeyID(idx))
+			readOnly = false
+		}
+	}
+	return out, readOnly
+}
+
+// TestGeneratedJobsMatchThePerPieceConstruction: same rng draws, same keys,
+// same declared sets, same operation, whether the job's pieces come out of the
+// arena (up to arenaKeys of them) or out of the arrays behind a wider one.
+func TestGeneratedJobsMatchThePerPieceConstruction(t *testing.T) {
+	const shards, keys = 6, 200
+	check := func(name string, gen Generator, z *Zipfian, n int, readRatio float64) {
+		t.Helper()
+		a, b := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
+		for i := 0; i < 300; i++ {
+			got := gen.Next(a).T
+			want, readOnly := perPiece(b, z, shards, n, readRatio)
+			if len(got.Pieces) != n || got.ReadOnly != readOnly {
+				t.Fatalf("%s job %d: %d pieces, read-only %v; want %d, %v", name, i, len(got.Pieces), got.ReadOnly, n, readOnly)
+			}
+			for sh, p := range want {
+				if g := got.Pieces[sh]; g == nil || !reflect.DeepEqual(*g, *p) {
+					t.Fatalf("%s job %d shard %d: piece %+v, want %+v", name, i, sh, g, *p)
+				}
+			}
+		}
+	}
+	for _, n := range []int{1, arenaKeys, arenaKeys + 2} {
+		y := NewYCSBT(shards, keys, 0.7, 0.6, n)
+		check(fmt.Sprintf("ycsbt/%d", n), y, y.zipf, n, 0.6)
+		h := NewHotWrite(shards, keys, 16, 0.9, n)
+		check(fmt.Sprintf("hotwrite/%d", n), h, h.zipf, n, 0)
+	}
+	m := NewMicroBench(shards, keys, 0.5)
+	check("micro", m, m.zipf, 3, 0)
+}
+
+// TestGeneratorsAllocatePerJob pins what a generated job costs: its arena and
+// its Pieces map — nothing per key.
+func TestGeneratorsAllocatePerJob(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var sink Job
+	per := func(gen Generator) float64 {
+		gen.Next(rng) // the first draw of a shard formats its key names
+		return testing.AllocsPerRun(200, func() { sink = gen.Next(rng) })
+	}
+	var ycsbt [arenaKeys + 1]float64
+	for n := 1; n <= arenaKeys; n++ {
+		ycsbt[n] = per(NewYCSBT(3, 100, 0.7, 0.95, n))
+	}
+	micro := per(NewMicroBench(3, 100, 0.5))
+	t.Logf("allocations per Next: ycsbt %v (by keys), micro %.0f", ycsbt[1:], micro)
+	if ycsbt[arenaKeys] > 3 || micro > 3 {
+		t.Errorf("a 3-key job allocates %.0f (ycsbt) / %.0f (micro) objects, want the arena and the map (3)", ycsbt[arenaKeys], micro)
+	}
+	if ycsbt[1] != ycsbt[arenaKeys] {
+		t.Errorf("a 1-key job allocates %.0f objects and a %d-key job %.0f: something is allocated per key",
+			ycsbt[1], arenaKeys, ycsbt[arenaKeys])
+	}
+	_ = sink
 }
