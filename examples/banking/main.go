@@ -5,7 +5,7 @@
 // observe it; under plain serializability the read may be served from a
 // stale serialization point and miss it. This example runs concurrent
 // cross-shard transfers, audits global conservation of money, and
-// demonstrates the real-time-ordering guarantee directly.
+// demonstrates the real-time-ordering guarantee directly; a failed check exits 1.
 //
 // Deployments come from the protocol registry: the conservation audit runs
 // on every registered protocol (atomic commit is universal), while the
@@ -19,6 +19,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"time"
 
 	"tiga/internal/clocks"
@@ -55,38 +56,38 @@ func (accounts) Next(rng *rand.Rand) workload.Job { return workload.Job{} }
 // across shards (accounts may go negative: an overdraft line; conservation
 // still holds because debit and credit commit atomically).
 func transferTxn(fs, fa, ts, ta int, amount int64) *txn.Txn {
-	t := &txn.Txn{Pieces: make(map[int]*txn.Piece), Label: "transfer"}
-	add := func(shard int, key string, delta int64) {
-		p := t.Pieces[shard]
-		if p == nil {
-			p = &txn.Piece{Exec: func(txn.KV) []byte { return nil }}
-			t.Pieces[shard] = p
-		}
-		prev := p.Exec
-		p.ReadSet = append(p.ReadSet, key)
-		p.WriteSet = append(p.WriteSet, key)
-		p.Exec = func(kv txn.KV) []byte {
-			prev(kv)
-			bal := txn.DecodeInt(kv.Get(key)) + delta
-			kv.Put(key, txn.EncodeInt(bal))
-			return txn.EncodeInt(bal)
-		}
+	from, to := acct(fs, fa), acct(ts, ta)
+	t := &txn.Txn{Label: "transfer"}
+	if fs == ts {
+		t.Pieces = txn.ByShard(addPiece([]string{from, to}, -amount, +amount).On(fs))
+	} else {
+		t.Pieces = txn.ByShard(addPiece([]string{from}, -amount).On(fs), addPiece([]string{to}, +amount).On(ts))
 	}
-	add(fs, acct(fs, fa), -amount)
-	add(ts, acct(ts, ta), +amount)
 	return t
+}
+
+// addPiece adds deltas[i] to keys[i], in order, and returns the last new balance.
+func addPiece(keys []string, deltas ...int64) txn.Piece {
+	return txn.Piece{ReadSet: keys, WriteSet: keys, Exec: func(kv txn.KV) []byte {
+		var bal int64
+		for i, k := range keys {
+			bal = txn.DecodeInt(kv.Get(k)) + deltas[i]
+			kv.Put(k, txn.EncodeInt(bal))
+		}
+		return txn.EncodeInt(bal)
+	}}
 }
 
 // auditTxn reads every account on every shard in one transaction — a
 // consistent global snapshot under (strict) serializability.
 func auditTxn() *txn.Txn {
-	t := &txn.Txn{Pieces: make(map[int]*txn.Piece), Label: "audit"}
-	for s := 0; s < shards; s++ {
+	pieces := make([]txn.Piece, shards)
+	for s := range pieces {
 		keys := make([]string, accountsPer)
 		for i := range keys {
 			keys[i] = acct(s, i)
 		}
-		t.Pieces[s] = &txn.Piece{
+		pieces[s] = txn.Piece{
 			ReadSet: keys,
 			Exec: func(kv txn.KV) []byte {
 				var sum int64
@@ -95,9 +96,9 @@ func auditTxn() *txn.Txn {
 				}
 				return txn.EncodeInt(sum)
 			},
-		}
+		}.On(s)
 	}
-	return t
+	return &txn.Txn{Label: "audit", Pieces: txn.ByShard(pieces...)}
 }
 
 // runBank drives the transfer load and the closing audit on one registered
@@ -132,8 +133,8 @@ func runBank(name string) (committed int, total int64, audited bool) {
 				return
 			}
 			audited = true
-			for s := 0; s < shards; s++ {
-				total += txn.DecodeInt(r.PerShard[s])
+			for _, sr := range r.PerShard {
+				total += txn.DecodeInt(sr.Ret)
 			}
 		})
 	})
@@ -147,10 +148,13 @@ func main() {
 	// registry resolves each deployment by name.
 	want := int64(shards*accountsPer) * initialBalance
 	fmt.Printf("conservation audit across every registered protocol (expect %d):\n", want)
+	failed := false
 	for _, name := range protocol.Names() {
 		committed, total, audited := runBank(name)
+		conserved := audited && total == want
 		fmt.Printf("  %-12s transfers=%3d/%d audit total=%6d conserved=%v\n",
-			name, committed, transfers, total, audited && total == want)
+			name, committed, transfers, total, conserved)
+		failed = failed || !conserved || committed == 0
 	}
 
 	// Part 2: the real-time-ordering guarantee, on a protocol advertising
@@ -165,20 +169,26 @@ func main() {
 	d := harness.Build(spec)
 	if _, ok := d.Sys.(protocol.Checkable); !ok {
 		fmt.Println("\nreal-time ordering demo needs a protocol.Checkable system")
-		return
+		os.Exit(1)
 	}
 	d.Sys.Start()
+	consistent := false
 	d.Sim.At(200*time.Millisecond, func() {
 		w := transferTxn(0, 0, 1, 1, 500)
 		d.Sys.Submit(0, w, func(r txn.Result) {
-			withdrawn := txn.DecodeInt(r.PerShard[0])
-			read := &txn.Txn{ReadOnly: true, Pieces: map[int]*txn.Piece{0: txn.ReadPiece(acct(0, 0))}}
+			withdrawn := txn.DecodeInt(r.Ret(0))
+			read := &txn.Txn{ReadOnly: true, Pieces: txn.ByShard(txn.ReadPiece(acct(0, 0)).On(0))}
 			d.Sys.Submit(2, read, func(r2 txn.Result) {
-				observed := txn.DecodeInt(r2.PerShard[0])
+				observed := txn.DecodeInt(r2.Ret(0))
+				consistent = r.OK && r2.OK && observed <= withdrawn
 				fmt.Printf("\nreal-time order: withdrawal left %d; later read from Brazil observed %d (consistent=%v)\n",
-					withdrawn, observed, observed <= withdrawn)
+					withdrawn, observed, consistent)
 			})
 		})
 	})
 	d.Sim.Run(2 * time.Second)
+	if failed || !consistent {
+		fmt.Println("\nFAIL: a conservation audit or the real-time read did not hold")
+		os.Exit(1)
+	}
 }

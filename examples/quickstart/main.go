@@ -1,7 +1,8 @@
 // Quickstart: bring up a 3-shard, 3-region Tiga cluster on the simulated
 // WAN, submit a multi-shard read-modify-write transaction, and print the
 // result and its commit latency. Then run the same transaction shape on
-// every protocol in the registry to compare commit latencies.
+// every protocol in the registry to compare commit latencies. It exits 1 when a
+// protocol commits nothing or a final counter disagrees with the commits above it.
 //
 //	go run ./examples/quickstart
 package main
@@ -23,7 +24,18 @@ import (
 	"tiga/internal/workload"
 )
 
+// increments is the quickstart's transaction: key 0 of each of the three
+// shards, plus one.
+func increments() *txn.Txn {
+	return &txn.Txn{Pieces: txn.ByShard(
+		txn.IncrementPiece(workload.Key(0, 0)).On(0),
+		txn.IncrementPiece(workload.Key(1, 0)).On(1),
+		txn.IncrementPiece(workload.Key(2, 0)).On(2),
+	)}
+}
+
 func main() {
+	failed := false
 	// 1. A deterministic simulated WAN: South Carolina, Finland, Brazil,
 	//    plus Hong Kong for remote clients (the paper's §5.1 deployment).
 	sim := simnet.NewSim(1)
@@ -38,27 +50,24 @@ func main() {
 	cluster := tiga.NewCluster(net, cfg,
 		tiga.ColocatedPlacement([]simnet.Region{simnet.RegionSouthCarolina, simnet.RegionHongKong}),
 		clockFactory,
-		func(shard int, st *store.Store) {
-			st.Seed(fmt.Sprintf("counter-%d", shard), txn.EncodeInt(0))
-		})
+		func(shard int, st *store.Store) { st.Seed(workload.Key(shard, 0), txn.EncodeInt(0)) })
 	cluster.Start()
 	fmt.Printf("cluster up: 3 shards x 3 replicas, mode=%v\n", cluster.Mode())
 
 	// 3. Submit a transaction that increments one counter on every shard —
 	//    strictly serializable, committed in one wide-area round trip.
+	commits := int64(0)
 	submit := func(coord int, at time.Duration) {
 		sim.At(at, func() {
-			t := &txn.Txn{Pieces: map[int]*txn.Piece{
-				0: txn.IncrementPiece("counter-0"),
-				1: txn.IncrementPiece("counter-1"),
-				2: txn.IncrementPiece("counter-2"),
-			}}
 			start := sim.Now()
 			region := simnet.RegionName(cluster.Coords[coord].Node().Region())
-			cluster.Coords[coord].Submit(t, func(r txn.Result) {
+			cluster.Coords[coord].Submit(increments(), func(r txn.Result) {
+				if r.OK {
+					commits++
+				}
 				fmt.Printf("[%s] committed=%v fastPath=%v latency=%v counters=%d/%d/%d\n",
 					region, r.OK, r.FastPath, sim.Now()-start,
-					txn.DecodeInt(r.PerShard[0]), txn.DecodeInt(r.PerShard[1]), txn.DecodeInt(r.PerShard[2]))
+					txn.DecodeInt(r.Ret(0)), txn.DecodeInt(r.Ret(1)), txn.DecodeInt(r.Ret(2)))
 			})
 		})
 	}
@@ -71,8 +80,9 @@ func main() {
 
 	// 5. Every replica converged on the same state.
 	for shard := 0; shard < 3; shard++ {
-		v := txn.DecodeInt(cluster.Servers[shard][0].Store().Get(fmt.Sprintf("counter-%d", shard)))
+		v := txn.DecodeInt(cluster.Servers[shard][0].Store().Get(workload.Key(shard, 0)))
 		fmt.Printf("shard %d final counter: %d\n", shard, v)
+		failed = failed || commits == 0 || v != commits
 	}
 
 	// 6. The harness reaches every protocol through the registry — no
@@ -91,19 +101,15 @@ func main() {
 		var latency time.Duration
 		committed := false
 		d.Sim.At(200*time.Millisecond, func() {
-			t := &txn.Txn{Pieces: map[int]*txn.Piece{
-				0: txn.IncrementPiece(workload.Key(0, 0)),
-				1: txn.IncrementPiece(workload.Key(1, 0)),
-				2: txn.IncrementPiece(workload.Key(2, 0)),
-			}}
 			start := d.Sim.Now()
-			d.Sys.Submit(0, t, func(r txn.Result) {
+			d.Sys.Submit(0, increments(), func(r txn.Result) {
 				committed = r.OK
 				latency = d.Sim.Now() - start
 			})
 		})
 		d.Sim.Run(3 * time.Second)
 		fmt.Printf("  %-12s committed=%-5v latency=%v\n", name, committed, latency.Round(time.Millisecond))
+		failed = failed || !committed
 	}
 
 	// 7. Every protocol exposes typed tuning knobs through the same
@@ -122,19 +128,12 @@ func main() {
 		spec.SetKnob("Janus", "fast-path", fast)
 		d := harness.Build(spec)
 		d.Sys.Start()
-		mk := func() *txn.Txn {
-			return &txn.Txn{Pieces: map[int]*txn.Piece{
-				0: txn.IncrementPiece(workload.Key(0, 0)),
-				1: txn.IncrementPiece(workload.Key(1, 0)),
-				2: txn.IncrementPiece(workload.Key(2, 0)),
-			}}
-		}
 		var latency time.Duration
 		var tookFast bool
-		d.Sim.At(200*time.Millisecond, func() { d.Sys.Submit(0, mk(), func(txn.Result) {}) })
+		d.Sim.At(200*time.Millisecond, func() { d.Sys.Submit(0, increments(), func(txn.Result) {}) })
 		d.Sim.At(700*time.Millisecond, func() {
 			start := d.Sim.Now()
-			d.Sys.Submit(0, mk(), func(r txn.Result) {
+			d.Sys.Submit(0, increments(), func(r txn.Result) {
 				latency = d.Sim.Now() - start
 				tookFast = r.FastPath
 			})
@@ -172,6 +171,7 @@ func main() {
 		fmt.Printf("  %-12s thpt=%5.0f txn/s  commit=%5.1f%%  p50=%v\n",
 			runs[i].Spec.Protocol, res.Run.Throughput(),
 			res.Run.Counters.CommitRate(), res.Run.Lat.Percentile(50).Round(time.Millisecond))
+		failed = failed || res.Run.Counters.Committed == 0
 	}
 
 	// 9. The results pipeline: experiments never print — they build typed
@@ -233,5 +233,9 @@ func main() {
 		}
 		fmt.Printf("  %s  commits=%3d (%.0f txn/s)\n", ph.name, n,
 			float64(n)/(ph.to-ph.from).Seconds())
+	}
+	if failed {
+		fmt.Println("\nFAIL: a protocol committed nothing, or a final counter disagrees with its commits")
+		os.Exit(1)
 	}
 }

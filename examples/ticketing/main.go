@@ -6,7 +6,7 @@
 // oversubscribes a small inventory from clients in different regions, then
 // checks that (a) no seat was double-sold and (b) the winners' serialization
 // order never contradicts real-time order (verified with the repository's
-// strict-serializability checker).
+// strict-serializability checker). It exits 1 when either check fails.
 //
 // The deployment is resolved through the protocol registry and inspected
 // only through protocol capabilities: seats are read back via
@@ -19,6 +19,7 @@ package main
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"time"
 
 	"tiga/internal/checker"
@@ -61,19 +62,17 @@ func (inventory) Next(rng *rand.Rand) workload.Job { return workload.Job{} }
 // the seat is free (value 0), writing the buyer id otherwise leaving it.
 func bookTxn(event, seat int, buyer int64) *txn.Txn {
 	k := seatKey(event, seat)
-	return &txn.Txn{Label: "book", Pieces: map[int]*txn.Piece{
-		shardOf(event): {
-			ReadSet: []string{k}, WriteSet: []string{k},
-			Exec: func(kv txn.KV) []byte {
-				owner := txn.DecodeInt(kv.Get(k))
-				if owner != 0 {
-					return txn.EncodeInt(-owner) // already sold
-				}
-				kv.Put(k, txn.EncodeInt(buyer))
-				return txn.EncodeInt(buyer)
-			},
+	return &txn.Txn{Label: "book", Pieces: txn.ByShard(txn.Piece{
+		ReadSet: []string{k}, WriteSet: []string{k},
+		Exec: func(kv txn.KV) []byte {
+			owner := txn.DecodeInt(kv.Get(k))
+			if owner != 0 {
+				return txn.EncodeInt(-owner) // already sold
+			}
+			kv.Put(k, txn.EncodeInt(buyer))
+			return txn.EncodeInt(buyer)
 		},
-	}}
+	}.On(shardOf(event)))}
 }
 
 func main() {
@@ -99,7 +98,7 @@ func main() {
 				if !r.OK {
 					return
 				}
-				if txn.DecodeInt(r.PerShard[shardOf(event)]) == buyer {
+				if txn.DecodeInt(r.Ret(shardOf(event))) == buyer {
 					won++
 				} else {
 					lost++
@@ -118,7 +117,7 @@ func main() {
 	check, ok := d.Sys.(protocol.Checkable)
 	if !ok {
 		fmt.Println("deployed protocol exposes no leader stores / timestamps; pick a Checkable one")
-		return
+		os.Exit(1)
 	}
 	owners := make(map[int64]int)
 	soldSeats := 0
@@ -132,14 +131,14 @@ func main() {
 		}
 	}
 	fmt.Printf("bookings: %d won, %d denied, %d seats sold\n", won, lost, soldSeats)
-	if soldSeats != won {
+	if soldSeats != won || won == 0 {
 		fmt.Printf("MISMATCH: %d seats sold but %d winners!\n", soldSeats, won)
-		return
+		os.Exit(1)
 	}
 	// Fairness: the serialization order respects real time.
 	if err := checker.StrictSerializability(commits); err != nil {
 		fmt.Println("FAIRNESS VIOLATION:", err)
-		return
+		os.Exit(1)
 	}
 	fmt.Println("fairness verified: serialization order respects real-time booking order")
 }

@@ -2,13 +2,16 @@
 // multi-shot Payment / Order-Status / Delivery transactions decomposed per
 // Appendix F — against a 6-shard geo-replicated Tiga cluster, print the
 // per-region latency breakdown, then race every registered protocol through
-// the same workload on the parallel sweep driver.
+// the same workload on the parallel sweep driver. It exits 1 when a protocol
+// commits nothing or the printed order counter trails the New-Orders committed.
 //
 //	go run ./examples/tpcc
 package main
 
 import (
 	"fmt"
+	"math"
+	"os"
 	"sort"
 	"time"
 
@@ -36,7 +39,7 @@ func main() {
 	d := harness.Build(spec)
 	res := harness.RunLoad(d, spec.Gen, harness.LoadSpec{
 		RatePerCoord: 120, Warmup: time.Second, Duration: 5 * time.Second,
-		Seed: 9, TrackSamples: true,
+		Seed: 9, TrackSamples: true, Check: true,
 	})
 	run := res.Run
 	fmt.Printf("TPC-C on Tiga (6 shards x 3 replicas, chrony clocks)\n")
@@ -59,9 +62,21 @@ func main() {
 	}
 	// The district order-number counters live on the shard leaders; reach
 	// them through the protocol-independent Checkable capability.
+	failed := run.Counters.Committed == 0
 	if c, ok := d.Sys.(protocol.Checkable); ok {
 		next := txn.DecodeInt(c.LeaderStore(0).Get("d_next_o_id:1:1"))
 		fmt.Printf("  warehouse 1, district 1: next order id now %d\n", next)
+		// Every New-Order of that district counted above bumped the id, seeded
+		// at 1; the other tracked keys are not printed and pass.
+		if err := res.Counter.VerifyAtLeast(func(k string) int64 {
+			if k != "d_next_o_id:1:1" {
+				return math.MaxInt64
+			}
+			return next - 1
+		}); err != nil {
+			fmt.Println("  ORDER COUNTER MISMATCH:", err)
+			failed = true
+		}
 	}
 
 	// Part 2: every registered protocol on the same TPC-C mix, run
@@ -83,5 +98,10 @@ func main() {
 		r := results[i].Run
 		fmt.Printf("  %-12s %12.0f %9.1f %12v\n", p, r.Throughput(),
 			r.Counters.CommitRate(), r.Lat.Percentile(50).Round(time.Millisecond))
+		failed = failed || r.Counters.Committed == 0
+	}
+	if failed {
+		fmt.Println("\nFAIL: a protocol committed nothing, or an order counter trails its commits")
+		os.Exit(1)
 	}
 }

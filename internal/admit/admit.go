@@ -1,6 +1,6 @@
 // Package admit implements coordinator admission control for open-loop
-// serving: a bounded in-flight cap with a bounded FIFO wait queue and a shed
-// policy, so overload degrades to bounded-latency shedding instead of
+// serving: a bounded in-flight cap with a bounded FIFO wait queue that sheds
+// the newcomer on overflow, so overload degrades to bounded-latency shedding instead of
 // congestion collapse (unbounded in-flight work amplifying abort/retry storms
 // — the failure mode the OCC+Paxos no-fault control rows exhibit).
 //
@@ -26,11 +26,6 @@ type Gate struct {
 	// Queue is the maximum number of submissions waiting for a slot once
 	// Cap is reached; 0 sheds immediately at the cap.
 	Queue int
-	// ShedOldest selects the shed policy when the queue is also full:
-	// true evicts the oldest queued transaction in favor of the newcomer
-	// (fresh work is likelier to still have a waiting client), false sheds
-	// the newcomer.
-	ShedOldest bool
 	// Now supplies virtual time for measuring queue waits.
 	Now func() time.Duration
 
@@ -72,19 +67,8 @@ func (g *Gate) Submit(t *txn.Txn, done func(txn.Result), start func(*txn.Txn, fu
 		g.queue = append(g.queue, waiter{t: t, done: done, at: g.Now()})
 		return
 	}
-	if g.ShedOldest && len(g.queue) > 0 {
-		old := g.queue[0]
-		copy(g.queue, g.queue[1:])
-		g.queue[len(g.queue)-1] = waiter{t: t, done: done, at: g.Now()}
-		g.shed(old.done, g.Now()-old.at)
-		return
-	}
-	g.shed(done, 0)
-}
-
-func (g *Gate) shed(done func(txn.Result), queued time.Duration) {
 	g.Sheds++
-	done(txn.Result{Aborted: true, Shed: true, Queued: queued})
+	done(txn.Result{Aborted: true, Shed: true})
 }
 
 func (g *Gate) launch(t *txn.Txn, done func(txn.Result), queued time.Duration, start func(*txn.Txn, func(txn.Result))) {

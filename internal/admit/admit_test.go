@@ -19,10 +19,9 @@ func (f *fakeProto) start(t *txn.Txn, done func(txn.Result)) {
 
 func (f *fakeProto) finish(i int) { f.launched[i](txn.Result{OK: true}) }
 
-func gate(cap, queue int, shedOldest bool) (*Gate, *time.Duration) {
+func gate(cap, queue int) (*Gate, *time.Duration) {
 	now := new(time.Duration)
-	return &Gate{Cap: cap, Queue: queue, ShedOldest: shedOldest,
-		Now: func() time.Duration { return *now }}, now
+	return &Gate{Cap: cap, Queue: queue, Now: func() time.Duration { return *now }}, now
 }
 
 func submit(g *Gate, p *fakeProto, out *[]txn.Result) {
@@ -48,7 +47,7 @@ func TestDisabledGatePassesThrough(t *testing.T) {
 // TestCapThenQueueThenShed walks the three regimes in order: admit to Cap,
 // queue to Queue, shed beyond.
 func TestCapThenQueueThenShed(t *testing.T) {
-	g, _ := gate(2, 1, false)
+	g, _ := gate(2, 1)
 	p := &fakeProto{}
 	var got []txn.Result
 	for i := 0; i < 4; i++ {
@@ -71,7 +70,7 @@ func TestCapThenQueueThenShed(t *testing.T) {
 // TestQueueWaitMeasured: a queued transaction's result carries the virtual
 // time it waited; admitted-immediately transactions carry zero.
 func TestQueueWaitMeasured(t *testing.T) {
-	g, now := gate(1, 1, false)
+	g, now := gate(1, 1)
 	p := &fakeProto{}
 	var got []txn.Result
 	submit(g, p, &got) // admitted at t=0
@@ -91,38 +90,11 @@ func TestQueueWaitMeasured(t *testing.T) {
 	}
 }
 
-// TestShedOldestEvictsHead: with ShedOldest the newcomer displaces the
-// longest-waiting queued transaction, which is shed with its measured wait.
-func TestShedOldestEvictsHead(t *testing.T) {
-	g, now := gate(1, 2, true)
-	p := &fakeProto{}
-	var got []txn.Result
-	submit(g, p, &got) // admitted
-	*now = time.Millisecond
-	submit(g, p, &got) // queue[0], the victim
-	*now = 2 * time.Millisecond
-	submit(g, p, &got) // queue[1]
-	*now = 10 * time.Millisecond
-	submit(g, p, &got) // overflow: evicts queue[0]
-	if g.Sheds != 1 || g.Depth() != 2 {
-		t.Fatalf("sheds=%d depth=%d, want 1/2", g.Sheds, g.Depth())
-	}
-	if len(got) != 1 || !got[0].Shed || got[0].Queued != 9*time.Millisecond {
-		t.Fatalf("evicted head result wrong: %+v", got)
-	}
-	// FIFO order of the survivors is preserved: finishing the admitted txn
-	// launches queue[0] (the 2ms submission).
-	p.finish(0)
-	if len(p.launched) != 2 {
-		t.Fatalf("launched=%d, want 2", len(p.launched))
-	}
-}
-
 // TestSlotReleasedOnce: protocols may invoke the wrapped done more than once
 // across internal retries; the slot must release exactly once or the gate
 // leaks capacity.
 func TestSlotReleasedOnce(t *testing.T) {
-	g, _ := gate(1, 0, false)
+	g, _ := gate(1, 0)
 	p := &fakeProto{}
 	var got []txn.Result
 	submit(g, p, &got)
@@ -139,7 +111,7 @@ func TestSlotReleasedOnce(t *testing.T) {
 
 // TestZeroQueueShedsAtCap: Queue 0 sheds immediately once the cap is reached.
 func TestZeroQueueShedsAtCap(t *testing.T) {
-	g, _ := gate(1, 0, false)
+	g, _ := gate(1, 0)
 	p := &fakeProto{}
 	var got []txn.Result
 	submit(g, p, &got)

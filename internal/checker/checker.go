@@ -146,8 +146,8 @@ func NewCounter() *Counter { return &Counter{expected: make(map[string]int64)} }
 
 // Committed registers one committed increment transaction's write keys.
 func (c *Counter) Committed(t *txn.Txn) {
-	for _, p := range t.Pieces {
-		for _, k := range p.WriteSet {
+	for i := range t.Pieces {
+		for _, k := range t.Pieces[i].WriteSet {
 			c.expected[k]++
 		}
 	}

@@ -110,10 +110,10 @@ func TestInversionAlwaysDetected(t *testing.T) {
 
 func TestCounter(t *testing.T) {
 	cnt := NewCounter()
-	tx := &txn.Txn{Pieces: map[int]*txn.Piece{
-		0: {WriteSet: []string{"a"}},
-		1: {WriteSet: []string{"b"}},
-	}}
+	tx := &txn.Txn{Pieces: txn.ByShard(
+		txn.Piece{WriteSet: []string{"a"}}.On(0),
+		txn.Piece{WriteSet: []string{"b"}}.On(1),
+	)}
 	cnt.Committed(tx)
 	cnt.Committed(tx)
 	vals := map[string]int64{"a": 2, "b": 2}

@@ -45,11 +45,11 @@ var txnPathBudget = []struct {
 	localReads              bool
 	allocs, bytes           float64
 }{
-	{"closed", "", "micro", 3, 2000, time.Second, false, 27.6, 12351},
-	{"open", "poisson", "micro", 3, 2000, time.Second, false, 27.6, 12536},
-	{"closed-100k", "", "micro", 3, 100_000, 2 * time.Second, false, 22.4, 9717},
-	{"closed-tpcc", "", "tpcc", 6, 2000, time.Second, false, 145.1, 27954},
-	{"open-reads", "poisson", "ycsbt", 6, 2000, time.Second, true, 15.8, 6945},
+	{"closed", "", "micro", 3, 2000, time.Second, false, 22.7, 11787},
+	{"open", "poisson", "micro", 3, 2000, time.Second, false, 22.7, 11976},
+	{"closed-100k", "", "micro", 3, 100_000, 2 * time.Second, false, 18.0, 9234},
+	{"closed-tpcc", "", "tpcc", 6, 2000, time.Second, false, 135.8, 26906},
+	{"open-reads", "poisson", "ycsbt", 6, 2000, time.Second, true, 10.9, 6405},
 }
 
 const (

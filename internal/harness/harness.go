@@ -460,8 +460,8 @@ func (j *loadJob) complete(r txn.Result, t *txn.Txn, local bool) {
 		})
 	}
 	if st.checkReads && !t.ReadOnly && !r.TS.IsZero() {
-		for _, p := range t.Pieces {
-			for _, k := range p.WriteSet {
+		for i := range t.Pieces {
+			for _, k := range t.Pieces[i].WriteSet {
 				res.Writes = append(res.Writes, checker.WriteEvent{Key: k, TS: r.TS})
 			}
 		}
@@ -616,7 +616,7 @@ func runChain(d *Deployment, coord int, ic *txn.Interactive, restarts, maxRestar
 				finish(txn.Result{Aborted: true, Retries: retries}, nil)
 				return
 			}
-			// Brief randomized-by-position backoff, then restart.
+			// Brief fixed backoff, then restart.
 			d.Sim.After(5*time.Millisecond, func() {
 				runChain(d, coord, ic, restarts+1, maxRestarts, finish)
 			})

@@ -62,7 +62,7 @@ func TestReplicasShareOneSeedImage(t *testing.T) {
 	// key 8: everything that can drop an image version from a chain.
 	writer := c.Servers[2][1].Store()
 	id := txn.ID{Coord: 1, Seq: 1}
-	writer.Execute(id, txn.Timestamp{Time: time.Millisecond, Coord: 1, Seq: 1}, txn.IncrementPieceID("k2-7", 7))
+	writer.ExecuteID(id, txn.Timestamp{Time: time.Millisecond, Coord: 1, Seq: 1}, txn.IncrementPieceID("k2-7", 7))
 	writer.Commit(id)
 	if pruned := writer.PruneTo(time.Second); pruned != 1 {
 		t.Errorf("PruneTo dropped %d versions, want the seed version of key 7", pruned)

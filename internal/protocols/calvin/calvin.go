@@ -269,12 +269,12 @@ func (ex *executor) runEpoch(byRegion map[int]epochBatch) {
 	sort.Ints(regions)
 	for _, r := range regions {
 		for _, sm := range byRegion[r].Txns {
-			piece := sm.T.Pieces[ex.shard]
+			piece := sm.T.Piece(ex.shard)
 			if piece == nil {
 				continue
 			}
 			ex.node.Work(ex.sys.spec.ExecCost)
-			ret := ex.st.Execute(sm.T.ID, txn.Timestamp{}, piece)
+			ret := ex.st.ExecuteID(sm.T.ID, txn.Timestamp{}, piece)
 			ex.st.Commit(sm.T.ID)
 			if sm.HomeRegion == ex.region {
 				ex.node.Send(sm.Coord, resultMsg{Shard: ex.shard, ID: sm.T.ID, Ret: ret})
@@ -288,7 +288,7 @@ func (ex *executor) runEpoch(byRegion map[int]epochBatch) {
 type pending struct {
 	t       *txn.Txn
 	done    func(txn.Result)
-	results map[int][]byte
+	results []txn.ShardRet
 }
 
 type coordinator struct {
@@ -305,7 +305,7 @@ func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
 	co := sys.coords[coord]
 	co.seq++
 	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
-	co.pending[t.ID] = &pending{t: t, done: done, results: make(map[int][]byte)}
+	co.pending[t.ID] = &pending{t: t, done: done, results: make([]txn.ShardRet, 0, len(t.Pieces))}
 	co.node.Send(co.sys.seqs[co.home].node.ID(), submitMsg{T: t, Coord: co.node.ID(), HomeRegion: co.home})
 }
 
@@ -318,7 +318,7 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	if p == nil {
 		return
 	}
-	p.results[m.Shard] = m.Ret
+	p.results = txn.PutRet(p.results, m.Shard, m.Ret)
 	if len(p.results) < len(p.t.Pieces) {
 		return
 	}

@@ -29,10 +29,10 @@ func build(t *testing.T, seed int64, epoch time.Duration) (*simnet.Sim, *System)
 }
 
 func tx(i int) *txn.Txn {
-	return &txn.Txn{Pieces: map[int]*txn.Piece{
-		0: txn.IncrementPiece(fmt.Sprintf("c0-%d", i%8)),
-		1: txn.IncrementPiece(fmt.Sprintf("c1-%d", i%8)),
-	}}
+	return &txn.Txn{Pieces: txn.ByShard(
+		txn.IncrementPiece(fmt.Sprintf("c0-%d", i%8)).On(0),
+		txn.IncrementPiece(fmt.Sprintf("c1-%d", i%8)).On(1),
+	)}
 }
 
 // TestDeterministicExecution: all regions' replicas converge on the same
@@ -98,10 +98,10 @@ func TestEpochBarrierLatency(t *testing.T) {
 func TestAbortFree(t *testing.T) {
 	sim, sys := build(t, 3, 10*time.Millisecond)
 	hot := func() *txn.Txn {
-		return &txn.Txn{Pieces: map[int]*txn.Piece{
-			0: txn.IncrementPiece("c0-0"),
-			1: txn.IncrementPiece("c1-0"),
-		}}
+		return &txn.Txn{Pieces: txn.ByShard(
+			txn.IncrementPiece("c0-0").On(0),
+			txn.IncrementPiece("c1-0").On(1),
+		)}
 	}
 	const n = 25
 	committed := 0

@@ -64,14 +64,9 @@ type replAck struct {
 	ID txn.ID
 }
 
-type shardRet struct {
-	shard int
-	ret   []byte
-}
-
 type resultMsg struct {
 	ID  txn.ID
-	Ret []shardRet // results of the shards homed at the sender
+	Ret []txn.ShardRet // results of the shards homed at the sender
 }
 
 // dtxn is one transaction at one of its home engines.
@@ -90,7 +85,7 @@ type dtxn struct {
 	isCand  bool
 	mark    uint64
 	acc     []access
-	rets    []shardRet
+	rets    []txn.ShardRet
 }
 
 // compare orders ordered transactions by (key, tie).
@@ -222,8 +217,8 @@ func (sys *System) Store(region, shard int) *store.Store { return sys.engines[re
 // homesOf returns the sorted home regions involved in t.
 func (sys *System) homesOf(t *txn.Txn) []int {
 	out := make([]int, 0, len(t.Pieces))
-	for _, sh := range t.Shards() {
-		h := sys.spec.Home(sh)
+	for i := range t.Pieces {
+		h := sys.spec.Home(t.Pieces[i].Shard())
 		if i, found := slices.BinarySearch(out, h); !found {
 			out = slices.Insert(out, i, h)
 		}
@@ -296,8 +291,9 @@ func (en *engine) onSeqInfo(m seqInfo) {
 func (en *engine) enqueue(d *dtxn) {
 	en.unordered = append(en.unordered, d)
 	ks := en.packed[:0]
-	for _, sh := range d.t.Shards() {
-		p := d.t.Pieces[sh]
+	for i := range d.t.Pieces {
+		p := &d.t.Pieces[i]
+		sh := p.Shard()
 		ks = en.pack(ks, sh, p.ReadSet, p.ReadIDs, 0)
 		ks = en.pack(ks, sh, p.WriteSet, p.WriteIDs, 1)
 	}
@@ -554,13 +550,14 @@ func (en *engine) execute(d *dtxn) {
 	var work time.Duration
 	// Replicate in shard order — send order feeds the simulation's event
 	// order.
-	for _, sh := range d.t.Shards() {
+	for i := range d.t.Pieces {
+		sh := d.t.Pieces[i].Shard()
 		if spec.Home(sh) != en.region {
 			continue
 		}
 		work += spec.ExecCost
-		ret, writes := en.sts[sh].ExecuteBuffered(d.t.Pieces[sh])
-		d.rets = append(d.rets, shardRet{sh, ret})
+		ret, writes := en.sts[sh].ExecuteBuffered(&d.t.Pieces[i])
+		d.rets = append(d.rets, txn.ShardRet{Shard: sh, Ret: ret})
 		en.sts[sh].Apply(writes)
 		en.repl = append(en.repl, replWrite{ID: d.t.ID, Shard: sh, Writes: writes})
 	}
@@ -602,7 +599,7 @@ func (en *engine) onReplAck(m replAck) {
 
 type pending struct {
 	done    func(txn.Result)
-	results map[int][]byte
+	results []txn.ShardRet
 	homes   int // home regions still to report
 }
 
@@ -619,7 +616,7 @@ func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
 	co.seq++
 	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
 	homes := sys.homesOf(t)
-	co.pending[t.ID] = &pending{done: done, results: make(map[int][]byte), homes: len(homes)}
+	co.pending[t.ID] = &pending{done: done, results: make([]txn.ShardRet, 0, len(t.Pieces)), homes: len(homes)}
 	var m simnet.Message = homeReq{T: t, Coord: co.node.ID(), Homes: homes}
 	for _, h := range homes {
 		co.node.Send(sys.engines[h].node.ID(), m)
@@ -636,7 +633,7 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 		return
 	}
 	for _, r := range m.Ret {
-		p.results[r.shard] = r.ret
+		p.results = txn.PutRet(p.results, r.Shard, r.Ret)
 	}
 	// Each home engine reports exactly once.
 	if p.homes--; p.homes > 0 {

@@ -40,7 +40,7 @@ func TestSingleHomeCommit(t *testing.T) {
 	var lat time.Duration
 	sim.At(50*time.Millisecond, func() {
 		s := sim.Now()
-		tx := &txn.Txn{Pieces: map[int]*txn.Piece{0: txn.IncrementPiece("d0-0")}}
+		tx := &txn.Txn{Pieces: txn.ByShard(txn.IncrementPiece("d0-0").On(0))}
 		// Shard 0 is homed in region 0; submit from the region-0 coordinator.
 		sys.Submit(0, tx, func(r txn.Result) { res, lat = &r, sim.Now()-s })
 	})
@@ -64,11 +64,11 @@ func TestMultiHomeCommit(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		sim.At(time.Duration(50+i*30)*time.Millisecond, func() {
-			tx := &txn.Txn{Pieces: map[int]*txn.Piece{
-				0: txn.IncrementPiece(fmt.Sprintf("d0-%d", i%8)),
-				1: txn.IncrementPiece(fmt.Sprintf("d1-%d", i%8)),
-				2: txn.IncrementPiece(fmt.Sprintf("d2-%d", i%8)),
-			}}
+			tx := &txn.Txn{Pieces: txn.ByShard(
+				txn.IncrementPiece(fmt.Sprintf("d0-%d", i%8)).On(0),
+				txn.IncrementPiece(fmt.Sprintf("d1-%d", i%8)).On(1),
+				txn.IncrementPiece(fmt.Sprintf("d2-%d", i%8)).On(2),
+			)}
 			sys.Submit(i%3, tx, func(r txn.Result) {
 				if r.OK {
 					committed++
@@ -97,10 +97,10 @@ func TestMultiHomeCommit(t *testing.T) {
 func TestConflictingMultiHomeSerialize(t *testing.T) {
 	sim, sys := build(t, 3)
 	hot := func() *txn.Txn {
-		return &txn.Txn{Pieces: map[int]*txn.Piece{
-			0: txn.IncrementPiece("d0-0"),
-			1: txn.IncrementPiece("d1-0"),
-		}}
+		return &txn.Txn{Pieces: txn.ByShard(
+			txn.IncrementPiece("d0-0").On(0),
+			txn.IncrementPiece("d1-0").On(1),
+		)}
 	}
 	const n = 20
 	committed := 0
@@ -304,8 +304,8 @@ func (en *refEngine) tryExecute() {
 func (en *refEngine) execute(d *refTxn) {
 	d.done = true
 	var w time.Duration
-	for _, sh := range d.t.Shards() {
-		if en.spec.Home(sh) == en.region {
+	for i := range d.t.Pieces {
+		if en.spec.Home(d.t.Pieces[i].Shard()) == en.region {
 			w += en.spec.ExecCost
 		}
 	}
@@ -425,11 +425,22 @@ func (sc schedule) run(t *testing.T, arm func(*System)) (sys *System, committed 
 	rng := rand.New(rand.NewSource(sc.seed))
 	fresh := 0
 	for i := 0; i < sc.txns; i++ {
-		tx := &txn.Txn{Pieces: make(map[int]*txn.Piece)}
-		for n := 1 + rng.Intn(3); len(tx.Pieces) < n; {
+		// A shard drawn twice keeps its later piece.
+		var byShard [4]*txn.Piece
+		var pieces []txn.Piece
+		for n, have := 1+rng.Intn(3), 0; have < n; {
 			sh := rng.Intn(4)
-			tx.Pieces[sh] = randomPiece(rng, sh, sc.hotShare, &fresh)
+			if byShard[sh] == nil {
+				have++
+			}
+			byShard[sh] = randomPiece(rng, sh, sc.hotShare, &fresh)
 		}
+		for sh, p := range byShard {
+			if p != nil {
+				pieces = append(pieces, p.On(sh))
+			}
+		}
+		tx := &txn.Txn{Pieces: txn.ByShard(pieces...)}
 		coord := rng.Intn(sys.NumCoords())
 		at := 10*time.Millisecond + time.Duration(rng.Int63n(int64(sc.over)))
 		sim.At(at, func() {
@@ -500,17 +511,18 @@ func TestEngineMatchesReferenceOnEqualKeys(t *testing.T) {
 		var msgs []simnet.Message
 		n := 8 + rng.Intn(40)
 		for i := 0; i < n; i++ {
-			tx := &txn.Txn{ID: txn.ID{Coord: int32(i + 1), Seq: uint64(1 + rng.Intn(2))},
-				Pieces: make(map[int]*txn.Piece)}
+			tx := &txn.Txn{ID: txn.ID{Coord: int32(i + 1), Seq: uint64(1 + rng.Intn(2))}}
 			// Shard 0 is homed at the engine under test.
+			var pieces []txn.Piece
 			for sh := 0; sh < 1+rng.Intn(3); sh++ {
 				key := oracleKey(sh, rng.Intn(3))
 				if rng.Intn(3) == 0 {
-					tx.Pieces[sh] = txn.ReadPiece(key)
+					pieces = append(pieces, txn.ReadPiece(key).On(sh))
 				} else {
-					tx.Pieces[sh] = txn.IncrementPiece(key)
+					pieces = append(pieces, txn.IncrementPiece(key).On(sh))
 				}
 			}
+			tx.Pieces = txn.ByShard(pieces...)
 			homes := sys.homesOf(tx)
 			msgs = append(msgs, homeReq{T: tx, Homes: homes})
 			for _, h := range homes[1:] {
@@ -584,10 +596,10 @@ func TestKeyProbesDoNotGrowWithTheQueue(t *testing.T) {
 			i := next
 			next++
 			a, b := i%3, (i+1)%3
-			tx := &txn.Txn{Pieces: map[int]*txn.Piece{
-				a: txn.IncrementPieceID(names[a][i], txn.KeyID(i)),
-				b: txn.IncrementPieceID(names[b][i], txn.KeyID(i)),
-			}}
+			tx := &txn.Txn{Pieces: txn.ByShard(
+				txn.IncrementPieceID(names[a][i], txn.KeyID(i)).On(a),
+				txn.IncrementPieceID(names[b][i], txn.KeyID(i)).On(b),
+			)}
 			sys.Submit(i%sys.NumCoords(), tx, func(txn.Result) {
 				committed++
 				submit()
@@ -657,17 +669,17 @@ func hotRun(t *testing.T, perCoord int, burn func(coord int) int) [][]uint64 {
 			want++
 			key := fmt.Sprintf("burn%d-%d", c, i)
 			sim.At(time.Millisecond, func() {
-				sys.Submit(c, &txn.Txn{Pieces: map[int]*txn.Piece{c: txn.IncrementPiece(key)}}, done)
+				sys.Submit(c, &txn.Txn{Pieces: txn.ByShard(txn.IncrementPiece(key).On(c))}, done)
 			})
 		}
 		for i := 0; i < perCoord; i++ {
 			want++
 			sim.At(time.Second+time.Duration(i)*time.Millisecond, func() {
-				tx := &txn.Txn{Pieces: map[int]*txn.Piece{
-					0: txn.IncrementPiece(oracleKey(0, 0)),
-					1: txn.IncrementPiece(oracleKey(1, 0)),
-					2: txn.IncrementPiece(oracleKey(2, 0)),
-				}}
+				tx := &txn.Txn{Pieces: txn.ByShard(
+					txn.IncrementPiece(oracleKey(0, 0)).On(0),
+					txn.IncrementPiece(oracleKey(1, 0)).On(1),
+					txn.IncrementPiece(oracleKey(2, 0)).On(2),
+				)}
 				sys.Submit(c, tx, done)
 				hot[tid(tx.ID)] = true
 			})

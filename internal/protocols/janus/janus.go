@@ -167,7 +167,7 @@ func (rp *replica) handle(from simnet.NodeID, msg simnet.Message) {
 // the last conflicting transaction seen on each accessed key.
 func (rp *replica) onPreaccept(m preaccept) {
 	id := tid(m.T.ID)
-	piece := m.T.Pieces[rp.shard]
+	piece := m.T.Piece(rp.shard)
 	depSet := make(map[uint64]bool)
 	for _, k := range append(append([]string(nil), piece.ReadSet...), piece.WriteSet...) {
 		if d, ok := rp.lastKey[k]; ok && d != id {
@@ -304,7 +304,7 @@ func (rp *replica) execute(id uint64) {
 	jt.executed = true
 	delete(rp.unexec, id)
 	rp.node.Work(rp.sys.spec.ExecCost)
-	ret := rp.st.Execute(jt.t.ID, txn.Timestamp{Time: time.Duration(id)}, jt.t.Pieces[rp.shard])
+	ret := rp.st.ExecuteID(jt.t.ID, txn.Timestamp{Time: time.Duration(id)}, jt.t.Piece(rp.shard))
 	rp.st.Commit(jt.t.ID)
 	if rp.rep == 0 { // the shard leader reports the execution result
 		rp.node.Send(jt.coord, execResult{Shard: rp.shard, ID: jt.t.ID, Ret: ret})
@@ -328,7 +328,7 @@ type pending struct {
 	done     func(txn.Result)
 	votes    map[int]map[int]preacceptRep
 	accepts  map[int]map[int]bool
-	results  map[int][]byte
+	results  []txn.ShardRet
 	deps     []uint64
 	phase    int // 0 preaccept, 1 accept, 2 commit
 	fastPath bool
@@ -350,12 +350,16 @@ func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
 	p := &pending{t: t, done: done, fastPath: !sys.spec.NoFastPath,
 		votes:   make(map[int]map[int]preacceptRep),
 		accepts: make(map[int]map[int]bool),
-		results: make(map[int][]byte)}
+		results: make([]txn.ShardRet, 0, len(t.Pieces))}
 	co.pending[t.ID] = p
-	m := preaccept{T: t, Coord: co.node.ID()}
-	for _, sh := range t.Shards() {
-		for r := 0; r < 2*sys.spec.F+1; r++ {
-			co.node.Send(sys.replicas[sh][r].node.ID(), m)
+	co.multicast(t, preaccept{T: t, Coord: co.node.ID()})
+}
+
+// multicast sends m to every replica of t's shards, in shard then replica order.
+func (co *coordinator) multicast(t *txn.Txn, m simnet.Message) {
+	for i := range t.Pieces {
+		for _, rp := range co.sys.replicas[t.Pieces[i].Shard()] {
+			co.node.Send(rp.node.ID(), m)
 		}
 	}
 }
@@ -386,8 +390,8 @@ func (co *coordinator) onPreacceptRep(m preacceptRep) {
 	n := 2*co.sys.spec.F + 1
 	sq := co.sys.superQuorum()
 	union := make(map[uint64]bool)
-	for _, sh := range p.t.Shards() {
-		votes := p.votes[sh]
+	for i := range p.t.Pieces {
+		votes := p.votes[p.t.Pieces[i].Shard()]
 		if len(votes) < sq {
 			return
 		}
@@ -424,12 +428,7 @@ func (co *coordinator) onPreacceptRep(m preacceptRep) {
 	}
 	// Accept round with the union dependencies.
 	p.phase = 1
-	am := acceptMsg{ID: p.t.ID, Deps: p.deps, Coord: co.node.ID()}
-	for _, sh := range p.t.Shards() {
-		for r := 0; r < n; r++ {
-			co.node.Send(co.sys.replicas[sh][r].node.ID(), am)
-		}
-	}
+	co.multicast(p.t, acceptMsg{ID: p.t.ID, Deps: p.deps, Coord: co.node.ID()})
 }
 
 func (co *coordinator) onAcceptRep(m acceptRep) {
@@ -443,8 +442,8 @@ func (co *coordinator) onAcceptRep(m acceptRep) {
 		p.accepts[m.Shard] = byRep
 	}
 	byRep[m.Replica] = true
-	for _, sh := range p.t.Shards() {
-		if len(p.accepts[sh]) < co.sys.spec.F+1 {
+	for i := range p.t.Pieces {
+		if len(p.accepts[p.t.Pieces[i].Shard()]) < co.sys.spec.F+1 {
 			return
 		}
 	}
@@ -453,12 +452,7 @@ func (co *coordinator) onAcceptRep(m acceptRep) {
 
 func (co *coordinator) commit(p *pending) {
 	p.phase = 2
-	m := commitMsg{ID: p.t.ID, T: p.t, Deps: p.deps, Coord: co.node.ID()}
-	for _, sh := range p.t.Shards() {
-		for r := 0; r < 2*co.sys.spec.F+1; r++ {
-			co.node.Send(co.sys.replicas[sh][r].node.ID(), m)
-		}
-	}
+	co.multicast(p.t, commitMsg{ID: p.t.ID, T: p.t, Deps: p.deps, Coord: co.node.ID()})
 }
 
 func (co *coordinator) onResult(m execResult) {
@@ -466,7 +460,7 @@ func (co *coordinator) onResult(m execResult) {
 	if p == nil {
 		return
 	}
-	p.results[m.Shard] = m.Ret
+	p.results = txn.PutRet(p.results, m.Shard, m.Ret)
 	if len(p.results) < len(p.t.Pieces) {
 		return
 	}

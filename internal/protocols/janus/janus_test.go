@@ -30,10 +30,10 @@ func build(t *testing.T, seed int64) (*simnet.Sim, *System) {
 }
 
 func hotTxn() *txn.Txn {
-	return &txn.Txn{Pieces: map[int]*txn.Piece{
-		0: txn.IncrementPiece("j0-0"),
-		1: txn.IncrementPiece("j1-0"),
-	}}
+	return &txn.Txn{Pieces: txn.ByShard(
+		txn.IncrementPiece("j0-0").On(0),
+		txn.IncrementPiece("j1-0").On(1),
+	)}
 }
 
 // TestAbortFree: Janus never aborts — every submitted transaction commits,
@@ -77,10 +77,10 @@ func TestTwoWRTTLatency(t *testing.T) {
 	var lat time.Duration
 	sim.At(50*time.Millisecond, func() {
 		s := sim.Now()
-		tx := &txn.Txn{Pieces: map[int]*txn.Piece{
-			0: txn.IncrementPiece("j0-1"),
-			1: txn.IncrementPiece("j1-1"),
-		}}
+		tx := &txn.Txn{Pieces: txn.ByShard(
+			txn.IncrementPiece("j0-1").On(0),
+			txn.IncrementPiece("j1-1").On(1),
+		)}
 		sys.Submit(0, tx, func(r txn.Result) { lat = sim.Now() - s })
 	})
 	sim.Run(3 * time.Second)
@@ -102,10 +102,10 @@ func TestEmptyDepsFastPath(t *testing.T) {
 	var lat time.Duration
 	sim.At(50*time.Millisecond, func() {
 		s := sim.Now()
-		tx := &txn.Txn{Pieces: map[int]*txn.Piece{
-			0: txn.IncrementPiece("j0-7"),
-			1: txn.IncrementPiece("j1-7"),
-		}}
+		tx := &txn.Txn{Pieces: txn.ByShard(
+			txn.IncrementPiece("j0-7").On(0),
+			txn.IncrementPiece("j1-7").On(1),
+		)}
 		sys.Submit(0, tx, func(r txn.Result) { res, lat = r, sim.Now()-s })
 	})
 	sim.Run(3 * time.Second)

@@ -56,10 +56,10 @@ func TestLeaderCrashRecovery(t *testing.T) {
 		submitted++
 		sim.At(at, func() {
 			k := i % faultKeys
-			tx := &txn.Txn{Pieces: map[int]*txn.Piece{
-				0: txn.IncrementPiece(fmt.Sprintf("f0-%d", k)),
-				1: txn.IncrementPiece(fmt.Sprintf("f1-%d", k)),
-			}}
+			tx := &txn.Txn{Pieces: txn.ByShard(
+				txn.IncrementPiece(fmt.Sprintf("f0-%d", k)).On(0),
+				txn.IncrementPiece(fmt.Sprintf("f1-%d", k)).On(1),
+			)}
 			sys.Submit(i%2, tx, func(r txn.Result) {
 				results = append(results, outcome{at: sim.Now(), ok: r.OK})
 				if r.OK {

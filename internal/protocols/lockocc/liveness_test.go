@@ -39,10 +39,10 @@ func buildCycleDeployment(voteTimeout time.Duration) (*simnet.Sim, *System) {
 }
 
 func cycleTxn() *txn.Txn {
-	return &txn.Txn{Pieces: map[int]*txn.Piece{
-		0: txn.IncrementPiece("cyc0"),
-		1: txn.IncrementPiece("cyc1"),
-	}}
+	return &txn.Txn{Pieces: txn.ByShard(
+		txn.IncrementPiece("cyc0").On(0),
+		txn.IncrementPiece("cyc1").On(1),
+	)}
 }
 
 // submitCycle arms the T1/T2 collision and returns completion flags:

@@ -11,6 +11,7 @@
 package lockocc
 
 import (
+	"slices"
 	"time"
 
 	"tiga/internal/admit"
@@ -79,11 +80,9 @@ type Spec struct {
 	VersionGC bool
 	// AdmitCap bounds a coordinator's admitted in-flight transactions
 	// (<= 0 disables admission control); AdmitQueue bounds the wait queue
-	// beyond the cap, and ShedOldest picks which end of the queue to shed
-	// on overflow. See internal/admit.
+	// beyond the cap. See internal/admit.
 	AdmitCap   int
 	AdmitQueue int
-	ShedOldest bool
 }
 
 // ---- messages ----
@@ -289,7 +288,7 @@ func New(spec Spec) *System {
 			Msgs: sys.readMsgs,
 		}
 		co.gate = admit.Gate{
-			Cap: spec.AdmitCap, Queue: spec.AdmitQueue, ShedOldest: spec.ShedOldest,
+			Cap: spec.AdmitCap, Queue: spec.AdmitQueue,
 			Now: func() time.Duration { return spec.Net.Sim().Now() },
 		}
 		node.SetHandler(co.handle)
@@ -523,7 +522,7 @@ func (s *server) onReqExec(m reqExec) {
 	p := s.getPend()
 	p.id, p.t, p.prio, p.coord, p.prepTS = id, m.T, m.Prio, m.Coord, s.sys.spec.Net.Sim().Now()
 	s.pending[id] = p
-	piece := m.T.Pieces[s.shard]
+	piece := m.T.Piece(s.shard)
 	if s.sys.spec.CC == OCC {
 		// Optimistic execution with validation at prepare time: conflicts
 		// with in-flight transactions (write-write, read-write) fail the
@@ -541,7 +540,7 @@ func (s *server) onReqExec(m reqExec) {
 			p.occHeld = append(p.occHeld, k)
 		}
 		for _, k := range piece.ReadSet {
-			if contains(piece.WriteSet, k) {
+			if slices.Contains(piece.WriteSet, k) {
 				continue
 			}
 			rd := s.occRead[k]
@@ -563,7 +562,7 @@ func (s *server) onReqExec(m reqExec) {
 	// 2PL: acquire all locks (wound-wait), then execute.
 	p.waiting = 0
 	for _, k := range piece.ReadSet {
-		if !contains(piece.WriteSet, k) && !s.lt.Acquire(k, locks.Shared, id, m.Prio, p.grant) {
+		if !slices.Contains(piece.WriteSet, k) && !s.lt.Acquire(k, locks.Shared, id, m.Prio, p.grant) {
 			p.waiting++
 		}
 	}
@@ -593,7 +592,7 @@ func (s *server) finishLock(id txn.ID) {
 	p.voted = true
 	p.lockS = s.sys.spec.Net.Sim().Now()
 	s.node.Work(s.sys.spec.ExecCost)
-	ret, writes := s.st.ExecuteBuffered(p.t.Pieces[s.shard])
+	ret, writes := s.st.ExecuteBuffered(p.t.Piece(s.shard))
 	p.writes = writes
 	s.node.Send(p.coord, voteMsg{Shard: s.shard, ID: id, OK: true, Ret: ret,
 		ArriveS: p.prepTS, LockS: p.lockS, DoneS: s.node.Busy()})
@@ -662,9 +661,9 @@ func (s *server) onCommitReq(m commitReq) {
 // proposes once they are granted. The piece is re-executed under the fresh
 // locks so the commit applies on top of the current store state.
 func (s *server) relock(id txn.ID, p *pendingSrv) {
-	piece := p.t.Pieces[s.shard]
+	piece := p.t.Piece(s.shard)
 	for _, k := range piece.ReadSet {
-		if !contains(piece.WriteSet, k) && !s.lt.Acquire(k, locks.Shared, id, p.prio, p.grant) {
+		if !slices.Contains(piece.WriteSet, k) && !s.lt.Acquire(k, locks.Shared, id, p.prio, p.grant) {
 			p.waiting++
 		}
 	}
@@ -696,7 +695,7 @@ func (s *server) finishRelock(id txn.ID) {
 	}
 	s.node.Work(s.sys.spec.ExecCost)
 	// The coordinator already holds the pre-crash vote result.
-	_, p.writes = s.st.ExecuteBuffered(p.t.Pieces[s.shard])
+	_, p.writes = s.st.ExecuteBuffered(p.t.Piece(s.shard))
 	p.proposed = true
 	slot := s.pax.Propose(commitRec{ID: id, TS: p.ts, Writes: p.writes})
 	s.onSlot[slot] = id
@@ -764,15 +763,6 @@ func (s *server) onPaxosCommit(slot int, cmd paxos.Command) {
 				ArriveS: cReqS, CommitS: s.sys.spec.Net.Sim().Now()})
 		}
 	}
-}
-
-func contains(set []string, k string) bool {
-	for _, s := range set {
-		if s == k {
-			return true
-		}
-	}
-	return false
 }
 
 // ---- coordinator ----
@@ -843,8 +833,8 @@ func (co *coordinator) submit(t *txn.Txn, done func(txn.Result), retries int, pr
 		p.prio = uint64(co.sys.spec.Net.Sim().Now())<<8 | uint64(co.idx)
 	}
 	co.pending[t.ID] = p
-	for _, sh := range t.Shards() {
-		co.node.Send(co.sys.leaderNode(sh), reqExec{T: t, Prio: p.prio, Coord: co.node.ID()})
+	for i := range t.Pieces {
+		co.node.Send(co.sys.leaderNode(t.Pieces[i].Shard()), reqExec{T: t, Prio: p.prio, Coord: co.node.ID()})
 	}
 	if vt := co.sys.spec.VoteTimeout; vt > 0 {
 		id := t.ID
@@ -873,7 +863,8 @@ func (co *coordinator) checkProgress(id txn.ID) {
 		co.abort(p, co.sys.spec.RetryBackoff*time.Duration(co.idx)/2)
 		return
 	}
-	for _, sh := range p.t.Shards() {
+	for i := range p.t.Pieces {
+		sh := p.t.Pieces[i].Shard()
 		if !p.commits[sh] {
 			co.node.Send(co.sys.leaderNode(sh),
 				commitReq{ID: id, Coord: co.node.ID(), T: p.t, Prio: p.prio, TS: p.ts})
@@ -916,10 +907,8 @@ func (co *coordinator) onVote(m voteMsg) {
 	if co.sys.spec.LocalReads {
 		p.ts = txn.Timestamp{Time: co.sys.spec.Net.Sim().Now(), Coord: co.idx, Seq: m.ID.Seq}
 	}
-	// Shard order must be deterministic: the simulation's event order (and
-	// thus the whole run) follows message send order.
-	for _, sh := range p.t.Shards() {
-		co.node.Send(co.sys.leaderNode(sh),
+	for i := range p.t.Pieces {
+		co.node.Send(co.sys.leaderNode(p.t.Pieces[i].Shard()),
 			commitReq{ID: m.ID, Coord: co.node.ID(), T: p.t, Prio: p.prio, TS: p.ts})
 	}
 }
@@ -939,11 +928,10 @@ func (co *coordinator) onCommitted(m committedMsg) {
 		// prepare round into flight out, lock wait, execution, and flight
 		// back; this committedMsg — the one completing the 2PC — carries
 		// the commit round's stamps, with the Paxos wait as replication.
-		// Iterate shards in sorted order so RecvS ties break identically
-		// across runs (map order must not leak into the marks).
+		// Shard order, so RecvS ties break identically across runs.
 		var dv voteMsg
-		for _, sh := range p.t.Shards() {
-			if v, ok := p.votes[sh]; ok && v.RecvS > dv.RecvS {
+		for i := range p.t.Pieces {
+			if v := p.votes[p.t.Pieces[i].Shard()]; v.RecvS > dv.RecvS {
 				dv = v
 			}
 		}
@@ -955,9 +943,10 @@ func (co *coordinator) onCommitted(m committedMsg) {
 		tr.Mark(m.CommitS, trace.PhaseRepl)
 		tr.Mark(co.sys.spec.Net.Sim().Now(), trace.PhaseFlight)
 	}
-	res := txn.Result{OK: true, Retries: p.retries, PerShard: make(map[int][]byte), TS: p.ts}
-	for sh, v := range p.votes {
-		res.PerShard[sh] = v.Ret
+	res := txn.Result{OK: true, Retries: p.retries, PerShard: make([]txn.ShardRet, len(p.t.Pieces)), TS: p.ts}
+	for i := range res.PerShard {
+		sh := p.t.Pieces[i].Shard()
+		res.PerShard[i] = txn.ShardRet{Shard: sh, Ret: p.votes[sh].Ret}
 	}
 	done := p.done
 	// Recycle before the callback: done may synchronously submit the next
@@ -971,8 +960,8 @@ func (co *coordinator) onCommitted(m committedMsg) {
 // stagger; 0 for ordinary wound/validation aborts) until the budget runs out.
 func (co *coordinator) abort(p *pendingCo, stagger time.Duration) {
 	delete(co.pending, p.t.ID)
-	for _, sh := range p.t.Shards() {
-		co.node.Send(co.sys.leaderNode(sh), abortReq{ID: p.t.ID})
+	for i := range p.t.Pieces {
+		co.node.Send(co.sys.leaderNode(p.t.Pieces[i].Shard()), abortReq{ID: p.t.ID})
 	}
 	// Copy out what the continuations need: the record returns to the pool
 	// now, and the retry closure must not read it later.

@@ -33,10 +33,10 @@ func build(t *testing.T, cc CC, seed int64) (*simnet.Sim, *System) {
 }
 
 func crossTxn(i int) *txn.Txn {
-	return &txn.Txn{Pieces: map[int]*txn.Piece{
-		0: txn.IncrementPiece(fmt.Sprintf("x0-%d", i)),
-		1: txn.IncrementPiece(fmt.Sprintf("x1-%d", i)),
-	}}
+	return &txn.Txn{Pieces: txn.ByShard(
+		txn.IncrementPiece(fmt.Sprintf("x0-%d", i)).On(0),
+		txn.IncrementPiece(fmt.Sprintf("x1-%d", i)).On(1),
+	)}
 }
 
 func TestCommitAndReplicate(t *testing.T) {
@@ -114,7 +114,7 @@ func replicateTPCC(t *testing.T, cc CC, localReads bool) {
 			committed++
 			if tx.Label == "orderstatus-o" {
 				for _, out := range r.PerShard {
-					if len(out) == 16 && txn.DecodeInt(out) > 0 {
+					if len(out.Ret) == 16 && txn.DecodeInt(out.Ret) > 0 {
 						ordersRead++
 					}
 				}
@@ -198,10 +198,10 @@ func TestContentionAborts(t *testing.T) {
 			})
 			committed, aborted := 0, 0
 			hot := func() *txn.Txn {
-				return &txn.Txn{Pieces: map[int]*txn.Piece{
-					0: txn.IncrementPiece("hot0"),
-					1: txn.IncrementPiece("hot1"),
-				}}
+				return &txn.Txn{Pieces: txn.ByShard(
+					txn.IncrementPiece("hot0").On(0),
+					txn.IncrementPiece("hot1").On(1),
+				)}
 			}
 			for i := 0; i < 30; i++ {
 				i := i

@@ -43,8 +43,6 @@ func register(name string, cc CC, cost protocol.CostProfile) {
 				Doc: "max admitted in-flight transactions per coordinator (0 = no admission control)"},
 			{Name: "admit-queue", Type: protocol.KnobInt, Default: 0,
 				Doc: "admission wait-queue depth once admit-cap is reached; overflow is shed"},
-			{Name: "shed-oldest", Type: protocol.KnobBool, Default: false,
-				Doc: "shed policy on queue overflow: evict the oldest queued transaction instead of refusing the newcomer"},
 		},
 		func(ctx *protocol.BuildContext) protocol.System {
 			return New(Spec{
@@ -59,7 +57,6 @@ func register(name string, cc CC, cost protocol.CostProfile) {
 				VersionGC:     ctx.Knobs.Bool("version-gc"),
 				AdmitCap:      ctx.Knobs.Int("admit-cap"),
 				AdmitQueue:    ctx.Knobs.Int("admit-queue"),
-				ShedOldest:    ctx.Knobs.Bool("shed-oldest"),
 			})
 		})
 }

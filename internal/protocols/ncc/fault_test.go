@@ -69,9 +69,9 @@ func TestNCCPlusLeaderCrashRecovery(t *testing.T) {
 		submitted++
 		sim.At(at, func() {
 			ph := phaseOf(sim.Now())
-			tx := &txn.Txn{Pieces: map[int]*txn.Piece{
-				shard: txn.IncrementPiece(fmt.Sprintf("n%d-%d", shard, key)),
-			}}
+			tx := &txn.Txn{Pieces: txn.ByShard(
+				txn.IncrementPiece(fmt.Sprintf("n%d-%d", shard, key)).On(shard),
+			)}
 			sys.Submit(0, tx, func(r txn.Result) {
 				finished++
 				if !r.OK {
@@ -149,7 +149,7 @@ func TestNCCPlusRecoveryRetriesUnreachableSurvivor(t *testing.T) {
 	preCommits := 0
 	for i := 0; i < 10; i++ {
 		sim.At(time.Duration(100+i*50)*time.Millisecond, func() {
-			tx := &txn.Txn{Pieces: map[int]*txn.Piece{0: txn.IncrementPiece("k")}}
+			tx := &txn.Txn{Pieces: txn.ByShard(txn.IncrementPiece("k").On(0))}
 			sys.Submit(0, tx, func(r txn.Result) {
 				if r.OK {
 					preCommits++
@@ -167,7 +167,7 @@ func TestNCCPlusRecoveryRetriesUnreachableSurvivor(t *testing.T) {
 	postCommits := 0
 	for i := 0; i < 10; i++ {
 		sim.At(5*time.Second+time.Duration(i*50)*time.Millisecond, func() {
-			tx := &txn.Txn{Pieces: map[int]*txn.Piece{0: txn.IncrementPiece("k")}}
+			tx := &txn.Txn{Pieces: txn.ByShard(txn.IncrementPiece("k").On(0))}
 			sys.Submit(0, tx, func(r txn.Result) {
 				if r.OK {
 					postCommits++
@@ -208,7 +208,7 @@ func TestNCCPlusFollowerCrash(t *testing.T) {
 	committed := 0
 	for i := 0; i < 30; i++ {
 		sim.At(time.Duration(200+i*150)*time.Millisecond, func() {
-			tx := &txn.Txn{Pieces: map[int]*txn.Piece{0: txn.IncrementPiece("k")}}
+			tx := &txn.Txn{Pieces: txn.ByShard(txn.IncrementPiece("k").On(0))}
 			sys.Submit(0, tx, func(r txn.Result) {
 				if r.OK {
 					committed++

@@ -333,7 +333,7 @@ func (s *server) onExec(m execReq) {
 	if _, dup := s.pending[id]; dup {
 		return
 	}
-	piece := m.T.Pieces[s.shard]
+	piece := m.T.Piece(s.shard)
 	s.node.Work(s.sys.spec.ExecCost)
 	p := &pendingSrv{t: m.T, coord: m.Coord, replicated: !s.sys.spec.Replicated}
 	s.pending[id] = p
@@ -357,7 +357,7 @@ func (s *server) onExec(m execReq) {
 	for _, k := range piece.ReadSet {
 		s.lastKey[k] = id
 	}
-	p.ret = s.st.Execute(id, txn.Timestamp{}, piece)
+	p.ret = s.st.ExecuteID(id, txn.Timestamp{}, piece)
 	s.st.Commit(id)
 	if s.pax != nil {
 		// The replicated command carries the coordinator so a rebooted
@@ -398,9 +398,9 @@ func (s *server) onPaxosCommit(slot int, cmd paxos.Command) {
 	if _, dup := s.pending[id]; dup {
 		return
 	}
-	piece := m.T.Pieces[s.shard]
+	piece := m.T.Piece(s.shard)
 	s.node.Work(s.sys.spec.ExecCost)
-	ret := s.st.Execute(id, txn.Timestamp{}, piece)
+	ret := s.st.ExecuteID(id, txn.Timestamp{}, piece)
 	s.st.Commit(id)
 	s.pending[id] = &pendingSrv{t: m.T, coord: m.Coord, ret: ret,
 		replicated: true, sent: true, committed: true}
@@ -434,7 +434,7 @@ func (s *server) onCommitNote(m commitNote) {
 type pending struct {
 	t       *txn.Txn
 	done    func(txn.Result)
-	results map[int][]byte
+	results []txn.ShardRet
 }
 
 type coordinator struct {
@@ -450,10 +450,10 @@ func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
 	co := sys.coords[coord]
 	co.seq++
 	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
-	co.pending[t.ID] = &pending{t: t, done: done, results: make(map[int][]byte)}
+	co.pending[t.ID] = &pending{t: t, done: done, results: make([]txn.ShardRet, 0, len(t.Pieces))}
 	m := execReq{T: t, Coord: co.node.ID()}
-	for _, sh := range t.Shards() {
-		co.node.Send(sys.servers[sh].node.ID(), m)
+	for i := range t.Pieces {
+		co.node.Send(sys.servers[t.Pieces[i].Shard()].node.ID(), m)
 	}
 }
 
@@ -466,14 +466,14 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	if p == nil {
 		return
 	}
-	p.results[m.Shard] = m.Ret
+	p.results = txn.PutRet(p.results, m.Shard, m.Ret)
 	if len(p.results) < len(p.t.Pieces) {
 		return
 	}
 	delete(co.pending, m.ID)
 	// Commit: notify servers (releases RTC-gated successors), then reply.
-	for _, sh := range p.t.Shards() {
-		co.node.Send(co.sys.servers[sh].node.ID(), commitNote{ID: m.ID})
+	for i := range p.t.Pieces {
+		co.node.Send(co.sys.servers[p.t.Pieces[i].Shard()].node.ID(), commitNote{ID: m.ID})
 	}
 	p.done(txn.Result{OK: true, PerShard: p.results})
 }

@@ -30,10 +30,10 @@ func build(t *testing.T, replicated bool, seed int64) (*simnet.Sim, *System) {
 }
 
 func tx(i int) *txn.Txn {
-	return &txn.Txn{Pieces: map[int]*txn.Piece{
-		0: txn.IncrementPiece(fmt.Sprintf("n0-%d", i)),
-		1: txn.IncrementPiece(fmt.Sprintf("n1-%d", i)),
-	}}
+	return &txn.Txn{Pieces: txn.ByShard(
+		txn.IncrementPiece(fmt.Sprintf("n0-%d", i)).On(0),
+		txn.IncrementPiece(fmt.Sprintf("n1-%d", i)).On(1),
+	)}
 }
 
 func TestCommits(t *testing.T) {
@@ -70,7 +70,7 @@ func TestCommits(t *testing.T) {
 func TestRTCGatesConflicts(t *testing.T) {
 	sim, sys := build(t, false, 2)
 	hot := func() *txn.Txn {
-		return &txn.Txn{Pieces: map[int]*txn.Piece{0: txn.IncrementPiece("n0-0")}}
+		return &txn.Txn{Pieces: txn.ByShard(txn.IncrementPiece("n0-0").On(0))}
 	}
 	var lat1, lat2 time.Duration
 	// Both from the Hong Kong coordinator (index 1): server round trip is

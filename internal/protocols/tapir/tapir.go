@@ -14,7 +14,6 @@ package tapir
 
 import (
 	"slices"
-	"sort"
 	"time"
 
 	"tiga/internal/simnet"
@@ -147,7 +146,7 @@ func (rp *replica) handle(from simnet.NodeID, msg simnet.Message) {
 // onPrepare runs local OCC validation: reads must be current and no
 // conflicting transaction may be prepared.
 func (rp *replica) onPrepare(m prepareMsg) {
-	piece := m.T.Pieces[rp.shard]
+	piece := m.T.Piece(rp.shard)
 	rp.node.Work(rp.sys.spec.ExecCost)
 	id := m.T.ID
 	if rp.applied[id] {
@@ -173,7 +172,7 @@ func (rp *replica) onPrepare(m prepareMsg) {
 func (rp *replica) onDecide(m decideMsg) {
 	id := m.ID
 	if t, ok := rp.prepared[id]; ok {
-		p := t.Pieces[rp.shard]
+		p := t.Piece(rp.shard)
 		for _, k := range rp.st.IDs(p.WriteSet, p.WriteIDs) {
 			if rp.pkeys[k] == id {
 				delete(rp.pkeys, k)
@@ -183,7 +182,7 @@ func (rp *replica) onDecide(m decideMsg) {
 	}
 	if m.Commit && !rp.applied[id] {
 		rp.applied[id] = true
-		_, writes := rp.st.ExecuteBuffered(m.T.Pieces[rp.shard])
+		_, writes := rp.st.ExecuteBuffered(m.T.Piece(rp.shard))
 		rp.st.Apply(writes)
 	}
 	if m.Slow {
@@ -198,7 +197,7 @@ type pending struct {
 	done    func(txn.Result)
 	votes   map[int]map[int]prepareRep // shard -> replica -> vote
 	acks    map[int]map[int]bool
-	rets    map[int][]byte
+	rets    []txn.ShardRet
 	slow    bool
 	decided bool
 	retries int
@@ -223,10 +222,14 @@ func (co *coordinator) submit(t *txn.Txn, done func(txn.Result), retries int) {
 	p := &pending{t: t, done: done, retries: retries,
 		votes: make(map[int]map[int]prepareRep), acks: make(map[int]map[int]bool)}
 	co.pending[t.ID] = p
-	m := prepareMsg{T: t, Coord: co.node.ID(), Try: retries}
-	for _, sh := range t.Shards() {
-		for r := 0; r < 2*co.sys.spec.F+1; r++ {
-			co.node.Send(co.sys.replicas[sh][r].node.ID(), m)
+	co.multicast(t, prepareMsg{T: t, Coord: co.node.ID(), Try: retries})
+}
+
+// multicast sends m to every replica of t's shards, in shard then replica order.
+func (co *coordinator) multicast(t *txn.Txn, m simnet.Message) {
+	for i := range t.Pieces {
+		for _, rp := range co.sys.replicas[t.Pieces[i].Shard()] {
+			co.node.Send(rp.node.ID(), m)
 		}
 	}
 }
@@ -258,8 +261,8 @@ func (co *coordinator) evaluate(p *pending) {
 	n := 2*co.sys.spec.F + 1
 	sq := co.sys.superQuorum()
 	allFast, anyAbortQuorum, complete := true, false, true
-	for _, sh := range p.t.Shards() {
-		votes := p.votes[sh]
+	for i := range p.t.Pieces {
+		votes := p.votes[p.t.Pieces[i].Shard()]
 		oks, nos := 0, 0
 		for _, v := range votes {
 			if v.OK {
@@ -298,32 +301,23 @@ func (co *coordinator) decideSlowOrFast(p *pending, fast bool) {
 // before reporting commit (one extra round trip).
 func (co *coordinator) decide(p *pending, commit bool) {
 	p.decided = true
-	rets := make(map[int][]byte)
+	var rets []txn.ShardRet
 	if commit {
-		for _, sh := range p.t.Shards() {
-			// Use the execution result from the lowest-numbered PREPARE-OK
-			// replica: TAPIR's inconsistent replicas may diverge, so a
-			// map-order pick would make the client-visible result (and the
-			// whole deterministic run) depend on map iteration.
-			reps := make([]int, 0, len(p.votes[sh]))
-			for rep := range p.votes[sh] {
-				reps = append(reps, rep)
-			}
-			sort.Ints(reps)
-			for _, rep := range reps {
-				if v := p.votes[sh][rep]; v.OK {
-					rets[sh] = v.Ret
+		rets = make([]txn.ShardRet, len(p.t.Pieces))
+		for i := range rets {
+			rets[i].Shard = p.t.Pieces[i].Shard()
+			votes := p.votes[rets[i].Shard]
+			// The lowest-numbered PREPARE-OK replica's result: TAPIR's
+			// inconsistent replicas may diverge, so the pick must be a fixed one.
+			for rep := 0; rep < 2*co.sys.spec.F+1; rep++ {
+				if v := votes[rep]; v.OK {
+					rets[i].Ret = v.Ret
 					break
 				}
 			}
 		}
 	}
-	m := decideMsg{ID: p.t.ID, T: p.t, Commit: commit, Slow: p.slow, Coord: co.node.ID(), Try: p.retries}
-	for _, sh := range p.t.Shards() {
-		for r := 0; r < 2*co.sys.spec.F+1; r++ {
-			co.node.Send(co.sys.replicas[sh][r].node.ID(), m)
-		}
-	}
+	co.multicast(p.t, decideMsg{ID: p.t.ID, T: p.t, Commit: commit, Slow: p.slow, Coord: co.node.ID(), Try: p.retries})
 	if !commit {
 		delete(co.pending, p.t.ID)
 		if p.retries >= co.sys.spec.MaxRetries {
@@ -355,8 +349,8 @@ func (co *coordinator) onAck(m decideAck) {
 		p.acks[m.Shard] = byRep
 	}
 	byRep[m.Replica] = true
-	for _, sh := range p.t.Shards() {
-		if len(p.acks[sh]) < co.sys.spec.F+1 {
+	for i := range p.t.Pieces {
+		if len(p.acks[p.t.Pieces[i].Shard()]) < co.sys.spec.F+1 {
 			return
 		}
 	}

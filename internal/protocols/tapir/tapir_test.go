@@ -37,10 +37,10 @@ func buildSeeded(seed int64, seedShard func(shard int, st *store.Store)) (*simne
 }
 
 func tx(i int) *txn.Txn {
-	return &txn.Txn{Pieces: map[int]*txn.Piece{
-		0: txn.IncrementPiece(fmt.Sprintf("t0-%d", i)),
-		1: txn.IncrementPiece(fmt.Sprintf("t1-%d", i)),
-	}}
+	return &txn.Txn{Pieces: txn.ByShard(
+		txn.IncrementPiece(fmt.Sprintf("t0-%d", i)).On(0),
+		txn.IncrementPiece(fmt.Sprintf("t1-%d", i)).On(1),
+	)}
 }
 
 // TestFastPathOneWRTT: an uncontended transaction commits on the fast path
@@ -71,10 +71,10 @@ func TestFastPathOneWRTT(t *testing.T) {
 func TestConflictAborts(t *testing.T) {
 	sim, sys := build(t, 2)
 	hot := func() *txn.Txn {
-		return &txn.Txn{Pieces: map[int]*txn.Piece{
-			0: txn.IncrementPiece("t0-0"),
-			1: txn.IncrementPiece("t1-0"),
-		}}
+		return &txn.Txn{Pieces: txn.ByShard(
+			txn.IncrementPiece("t0-0").On(0),
+			txn.IncrementPiece("t1-0").On(1),
+		)}
 	}
 	committed, retried := 0, 0
 	for i := 0; i < 10; i++ {
@@ -161,7 +161,7 @@ func replicasConvergeOnTPCC(t *testing.T) {
 				committed++
 				if tx.Label == "orderstatus-o" {
 					for _, out := range r.PerShard {
-						if len(out) == 16 && txn.DecodeInt(out) > 0 {
+						if len(out.Ret) == 16 && txn.DecodeInt(out.Ret) > 0 {
 							ordersRead++
 						}
 					}

@@ -93,34 +93,25 @@ type pendingRead struct {
 	at   time.Duration // snapshot timestamp
 	done func(txn.Result)
 	// got marks the shards that answered the current snapshot, by position in
-	// t.Shards() (dedups retried replies); answered counts them. It is gotBuf
-	// unless the transaction touches more shards than that holds.
+	// t.Pieces like vals (dedups retried replies); answered counts them. It is
+	// gotBuf unless the transaction touches more shards than that holds.
 	got      []bool
 	gotBuf   [4]bool
 	answered int
-	vals     map[int][]byte
+	vals     []txn.ShardRet
 	waited   time.Duration // max SAFETIME delay across shards
 	reads    []txn.ReadObs
 	retries  int
 	redrive  func() // the read's one timer body, re-armed every RetryEvery
 }
 
-// position returns shard's index in the transaction's shard list, -1 for a
-// shard the transaction does not touch.
-func (pr *pendingRead) position(shard int) int {
-	for i, sh := range pr.t.Shards() {
-		if sh == shard {
-			return i
-		}
-	}
-	return -1
-}
-
 // restart forgets every answer: the read starts over at snapshot at.
 func (pr *pendingRead) restart(at time.Duration) {
 	pr.at = at
 	clear(pr.got)
-	clear(pr.vals)
+	for i := range pr.vals {
+		pr.vals[i].Ret = nil
+	}
 	pr.answered, pr.reads, pr.waited = 0, pr.reads[:0], 0
 }
 
@@ -160,17 +151,17 @@ func (c *Coordinator) Submit(t *txn.Txn, done func(txn.Result)) {
 		c.reads = make(map[uint64]*pendingRead)
 		c.nearest = make(map[int]int)
 	}
-	shards := t.Shards()
-	keys := 0
-	for _, sh := range shards {
-		keys += len(t.Pieces[sh].ReadSet)
+	n, keys := len(t.Pieces), 0
+	pr := &pendingRead{t: t, at: c.snapshot(), done: done, vals: make([]txn.ShardRet, n)}
+	for i := range t.Pieces {
+		pr.vals[i].Shard = t.Pieces[i].Shard()
+		keys += len(t.Pieces[i].ReadSet)
 	}
-	pr := &pendingRead{t: t, at: c.snapshot(), done: done,
-		vals: make(map[int][]byte, len(shards)), reads: make([]txn.ReadObs, 0, keys)}
-	if len(shards) <= len(pr.gotBuf) {
-		pr.got = pr.gotBuf[:len(shards)]
+	pr.reads = make([]txn.ReadObs, 0, keys)
+	if n <= len(pr.gotBuf) {
+		pr.got = pr.gotBuf[:n]
 	} else {
-		pr.got = make([]bool, len(shards))
+		pr.got = make([]bool, n)
 	}
 	seq := t.ID.Seq
 	pr.redrive = func() {
@@ -189,11 +180,12 @@ func (c *Coordinator) snapshot() time.Duration { return max(c.Clock()-c.Stalenes
 
 // send asks every shard that has not answered pr's current snapshot.
 func (c *Coordinator) send(pr *pendingRead) {
-	for i, sh := range pr.t.Shards() {
+	for i := range pr.t.Pieces {
 		if pr.got[i] {
 			continue
 		}
-		piece := pr.t.Pieces[sh]
+		piece := &pr.t.Pieces[i]
+		sh := piece.Shard()
 		m := c.Msgs.Req.Get()
 		*m = Req{Shard: sh, Coord: pr.t.ID.Coord, Seq: pr.t.ID.Seq,
 			At: pr.at, Keys: piece.ReadSet, KeyIDs: piece.ReadIDs}
@@ -219,7 +211,7 @@ func (c *Coordinator) fold(m *Rep) {
 	if !ok || m.At != pr.at {
 		return
 	}
-	i := pr.position(m.Shard)
+	i := pr.t.Pos(m.Shard)
 	if i < 0 || pr.got[i] {
 		return
 	}
@@ -235,14 +227,14 @@ func (c *Coordinator) fold(m *Rep) {
 	if m.Waited > pr.waited {
 		pr.waited = m.Waited
 	}
-	keys := pr.t.Pieces[m.Shard].ReadSet
+	keys := pr.t.Pieces[i].ReadSet
 	for k := range keys {
 		if k < len(m.Seen) {
 			pr.reads = append(pr.reads, txn.ReadObs{Key: keys[k], TS: m.Seen[k]})
 		}
 	}
 	if len(m.Vals) > 0 {
-		pr.vals[m.Shard] = m.Vals[0]
+		pr.vals[i].Ret = m.Vals[0]
 	}
 	if pr.answered < len(pr.got) {
 		return

@@ -205,11 +205,11 @@ func newCoordRig(shards int) *coordRig {
 // readTxn builds a read of one key on each of the first shards shards: key
 // "k<shard>", the first (and only) key its store numbers.
 func readTxn(shards int) *txn.Txn {
-	t := &txn.Txn{ReadOnly: true, Pieces: map[int]*txn.Piece{}}
-	for sh := 0; sh < shards; sh++ {
-		t.Pieces[sh] = txn.ReadPieceID(fmt.Sprintf("k%d", sh), 0)
+	pieces := make([]txn.Piece, shards)
+	for sh := range pieces {
+		pieces[sh] = txn.ReadPieceID(fmt.Sprintf("k%d", sh), 0).On(sh)
 	}
-	return t
+	return &txn.Txn{ReadOnly: true, Pieces: txn.ByShard(pieces...)}
 }
 
 // submit issues a read of one key per shard at sim time at.
@@ -275,7 +275,7 @@ func TestCoordinatorRedrivesOnlyUnansweredAndDedups(t *testing.T) {
 	if !reflect.DeepEqual(res.Reads, want) {
 		t.Errorf("read observations %+v, want each shard's folded once: %+v", res.Reads, want)
 	}
-	if len(res.PerShard) != 2 || res.PerShard[0][0] != 0 || res.PerShard[1][0] != 1 {
+	if want := []txn.ShardRet{{Shard: 0, Ret: []byte{0}}, {Shard: 1, Ret: []byte{1}}}; !reflect.DeepEqual(res.PerShard, want) {
 		t.Errorf("PerShard = %v", res.PerShard)
 	}
 }
@@ -517,8 +517,8 @@ func (r *pairRig) one(t *testing.T) txn.Result {
 	res := r.results[0]
 	for sh := range r.reps {
 		want := txn.ReadObs{Key: fmt.Sprintf("k%d", sh), TS: txn.Timestamp{Time: 20 * ms, Coord: 1, Seq: uint64(sh)}}
-		if sh >= len(res.Reads) || res.Reads[sh] != want || len(res.PerShard[sh]) != 1 || res.PerShard[sh][0] != byte(sh) {
-			t.Fatalf("shard %d: observed %+v, value %v; want %+v, [%d]", sh, res.Reads, res.PerShard[sh], want, sh)
+		if sh >= len(res.Reads) || res.Reads[sh] != want || len(res.Ret(sh)) != 1 || res.Ret(sh)[0] != byte(sh) {
+			t.Fatalf("shard %d: observed %+v, value %v; want %+v, [%d]", sh, res.Reads, res.Ret(sh), want, sh)
 		}
 	}
 	return res
@@ -573,7 +573,7 @@ func TestLostReplyIsRedrivenThroughAFreshMessage(t *testing.T) {
 
 // TestReadRoundAllocatesPerReadOnly pins the steady state of one
 // Submit→OnRep round: the pending read, its timer body, the result's PerShard
-// map and its Reads — nothing per key and nothing per message, so a read of
+// and its Reads — nothing per key and nothing per message, so a read of
 // three shards costs what a read of one does.
 func TestReadRoundAllocatesPerReadOnly(t *testing.T) {
 	round := func(shards int) float64 {
@@ -582,7 +582,6 @@ func TestReadRoundAllocatesPerReadOnly(t *testing.T) {
 			rep.Advance(time.Hour)
 		}
 		tx := readTxn(shards)
-		tx.Shards()
 		done := func(txn.Result) { r.results = r.results[:0] }
 		seq := uint64(0)
 		sim := r.net.Sim()
@@ -595,8 +594,8 @@ func TestReadRoundAllocatesPerReadOnly(t *testing.T) {
 	}
 	one, three := round(1), round(3)
 	t.Logf("allocations per read: %.0f over one shard, %.0f over three", one, three)
-	if three > 5 {
-		t.Errorf("a 3-shard read allocates %.0f objects, want at most 5 (pending read, timer body, Reads, PerShard map and its group)", three)
+	if three > 4 {
+		t.Errorf("a 3-shard read allocates %.0f objects, want at most 4 (pending read, timer body, Reads, PerShard)", three)
 	}
 	if one != three {
 		t.Errorf("a 1-shard read allocates %.0f objects and a 3-shard read %.0f: something is allocated per key or per message", one, three)

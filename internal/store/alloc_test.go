@@ -46,7 +46,7 @@ func TestExecuteCommitAndRevokeAllocateNothing(t *testing.T) {
 		chunks, i := s.vers.Chunks(), 0
 		allocs := testing.AllocsPerRun(runs, func() {
 			tid := id(uint64(i + 1))
-			s.Execute(tid, ts(int64(i+1)), pieces[i])
+			s.ExecuteID(tid, ts(int64(i+1)), pieces[i])
 			end.do(s, tid)
 			i++
 		})

@@ -95,7 +95,7 @@ func TestBufferedExecutionLeavesTheStoreUntouched(t *testing.T) {
 		if retain {
 			s.EnableSnapshots()
 		}
-		s.Execute(id(1), ts(10), txn.IncrementPieceID(keys[0], 0)) // one pending version
+		s.ExecuteID(id(1), ts(10), txn.IncrementPieceID(keys[0], 0)) // one pending version
 		n, vs := s.Len(), s.Versions()
 		ret, ws := s.ExecuteBuffered(&txn.Piece{WriteSet: []string{keys[0], keys[1], "row"}, Exec: func(kv txn.KV) []byte {
 			kv.PutID(0, txn.EncodeInt(50))
@@ -236,7 +236,7 @@ func TestTaggedOpsMatchTheClosureForms(t *testing.T) {
 		}
 		id := txn.ID{Coord: 1, Seq: uint64(i + 1)}
 		ts := txn.Timestamp{Time: time.Duration(i + 1), Coord: 1, Seq: uint64(i + 1)}
-		rt, rc := tagged.Execute(id, ts, st.tagged), closure.Execute(id, ts, st.closure)
+		rt, rc := tagged.ExecuteID(id, ts, st.tagged), closure.ExecuteID(id, ts, st.closure)
 		if !bytes.Equal(rt, rc) || !bytes.Equal(rt, bt) {
 			t.Fatalf("%s: tagged returned %v, closure %v, buffered %v", st.name, rt, rc, bt)
 		}

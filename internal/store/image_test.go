@@ -51,7 +51,7 @@ func TestAttachOrderDecidesSharing(t *testing.T) {
 			t.Fatalf("attached store holds %d keys, %d versions, %d ids, want %d of each", s.Len(), s.Versions(), s.Interned(), n)
 		}
 		last := txn.KeyID(n - 1)
-		s.Execute(id(1), ts(10), txn.IncrementPieceID(keys[last], last))
+		s.ExecuteID(id(1), ts(10), txn.IncrementPieceID(keys[last], last))
 		s.Commit(id(1))
 		if got := txn.DecodeInt(s.GetID(last)); got != 1000+n {
 			t.Fatalf("increment of the last key read %d, want %d", got, 1000+n)
@@ -92,13 +92,13 @@ func TestAttachedStoreOps(t *testing.T) {
 				t.Fatalf("after ApplyAt: values %d %d, %d versions, want %d", get(1), get(2), s.Versions(), want)
 			}
 			// Revoke back to the image version.
-			s.Execute(id(1), ts(20), txn.IncrementPieceID(keys[3], 3))
+			s.ExecuteID(id(1), ts(20), txn.IncrementPieceID(keys[3], 3))
 			s.Revoke(id(1))
 			if get(3) != 1003 || s.Versions() != want {
 				t.Fatalf("after Revoke: value %d, %d versions, want the seed value and %d", get(3), s.Versions(), want)
 			}
 			// PruneTo past a rewritten key's image version (and the two ApplyAt left behind).
-			s.Execute(id(2), ts(30), txn.IncrementPieceID(keys[4], 4))
+			s.ExecuteID(id(2), ts(30), txn.IncrementPieceID(keys[4], 4))
 			s.Commit(id(2))
 			if pruned, wantPruned := s.PruneTo(40), map[bool]int{false: 0, true: 3}[retain]; pruned != wantPruned {
 				t.Fatalf("PruneTo dropped %d versions, want %d", pruned, wantPruned)
@@ -113,7 +113,7 @@ func TestAttachedStoreOps(t *testing.T) {
 			if late := s.Intern("late"); int(late) != n || sib.Interned() != n {
 				t.Fatalf("Intern gave id %d and the sibling has %d ids, want %d and %d", late, sib.Interned(), n, n)
 			}
-			s.Execute(id(3), ts(50), txn.WritePiece("late", txn.EncodeInt(1)))
+			s.ExecuteID(id(3), ts(50), txn.WritePiece("late", txn.EncodeInt(1)))
 			if s.Len() != n+1 || s.Get("late") == nil {
 				t.Fatal("blind write of a late name is not visible")
 			}
@@ -152,7 +152,7 @@ func TestAttachedStoresAreIsolated(t *testing.T) {
 				k = txn.KeyID(overlap + 3*(i*31%((n-overlap)/3)) + g)
 			}
 			tid := id(uint64(i + 1))
-			s.Execute(tid, ts(int64(10*(i+1))), txn.IncrementPieceID(keys[k], k))
+			s.ExecuteID(tid, ts(int64(10*(i+1))), txn.IncrementPieceID(keys[k], k))
 			if i%5 == 4 {
 				s.Revoke(tid)
 			} else {

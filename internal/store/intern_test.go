@@ -34,7 +34,7 @@ func TestInternedPathsMatchStringPaths(t *testing.T) {
 			return v
 		},
 	}
-	s.Execute(id(1), ts(5), p)
+	s.ExecuteID(id(1), ts(5), p)
 	if txn.DecodeInt(s.Get(keys[3])) != 1 || txn.DecodeInt(s.GetID(3)) != 1 {
 		t.Fatal("ID write invisible through one of the two indexes")
 	}
@@ -43,7 +43,7 @@ func TestInternedPathsMatchStringPaths(t *testing.T) {
 		t.Fatal("commit lost the ID write")
 	}
 	// Write through the string path, read through the ID path.
-	s.Execute(id(2), ts(6), txn.IncrementPiece(keys[7]))
+	s.ExecuteID(id(2), ts(6), txn.IncrementPiece(keys[7]))
 	if txn.DecodeInt(s.GetID(7)) != 1 {
 		t.Fatal("string write invisible through GetID")
 	}
@@ -70,7 +70,7 @@ func TestInternedRevokeAndRetain(t *testing.T) {
 		}
 	}
 	for i := uint64(1); i <= 3; i++ {
-		s.Execute(id(i), ts(int64(i*10)), inc(2))
+		s.ExecuteID(id(i), ts(int64(i*10)), inc(2))
 		s.Commit(id(i))
 	}
 	if at := newestAt(s, keys[2]); at != 30 {
@@ -80,7 +80,7 @@ func TestInternedRevokeAndRetain(t *testing.T) {
 		t.Fatalf("GetAtID(2, 15) = %d @%v ok=%v, want 1 @10", txn.DecodeInt(val), seen.Time, ok)
 	}
 	// A revoked ID write disappears from both views.
-	s.Execute(id(9), ts(40), inc(2))
+	s.ExecuteID(id(9), ts(40), inc(2))
 	s.Revoke(id(9))
 	if txn.DecodeInt(s.GetID(2)) != 3 || txn.DecodeInt(s.Get(keys[2])) != 3 {
 		t.Fatal("revoked ID write leaked")

@@ -335,7 +335,7 @@ func (r *opRun) step() error {
 		}
 		ts := r.ts()
 		was := w.ref.Executed(id)
-		got, want := w.s.Execute(id, ts, p), w.ref.Execute(id, ts, p)
+		got, want := w.s.ExecuteID(id, ts, p), w.ref.ExecuteID(id, ts, p)
 		if !same(got, want) {
 			return fmt.Errorf("Execute(%v) = %v, reference %v", id, got, want)
 		}

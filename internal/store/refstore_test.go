@@ -286,12 +286,12 @@ func (s *refStore) getPend() []txn.KeyID {
 
 func (s *refStore) putPend(p []txn.KeyID) { s.pendFree = append(s.pendFree, p[:0]) }
 
-// Execute runs a piece as transaction id at timestamp ts, creating pending
+// ExecuteID runs a piece as transaction id at timestamp ts, creating pending
 // versions for its writes. It enforces at-most-once execution: re-executing
 // an id that already ran is a no-op returning nil, unless it was revoked.
 // A piece that carries ids reaches the store through the view's GetID/PutID
 // slice path and never hashes a key.
-func (s *refStore) Execute(id txn.ID, ts txn.Timestamp, p *txn.Piece) []byte {
+func (s *refStore) ExecuteID(id txn.ID, ts txn.Timestamp, p *txn.Piece) []byte {
 	if s.executed[id] {
 		return nil
 	}
@@ -306,13 +306,6 @@ func (s *refStore) Execute(id txn.ID, ts txn.Timestamp, p *txn.Piece) []byte {
 	v.ids = nil
 	s.executed[id] = true
 	return out
-}
-
-// ExecuteID is Execute for call sites holding interned pieces; the two are
-// interchangeable (the view dispatches per write), the name documents that
-// the piece's hot path is the ID one.
-func (s *refStore) ExecuteID(id txn.ID, ts txn.Timestamp, p *txn.Piece) []byte {
-	return s.Execute(id, ts, p)
 }
 
 // Revoke erases all pending versions written by id so the transaction can be

@@ -514,12 +514,13 @@ func (s *Store) getPend() []txn.KeyID {
 
 func (s *Store) putPend(p []txn.KeyID) { s.pendFree = append(s.pendFree, p[:0]) }
 
-// Execute runs a piece as transaction id at timestamp ts, creating pending
+// ExecuteID runs a piece as transaction id at timestamp ts, creating pending
 // versions for its writes. It enforces at-most-once execution: re-executing
 // an id that already ran is a no-op returning nil, unless it was revoked.
 // A piece that carries ids reaches the store through the view's GetID/PutID
-// slice path and never hashes a key.
-func (s *Store) Execute(id txn.ID, ts txn.Timestamp, p *txn.Piece) []byte {
+// slice path and never hashes a key; one that names its keys runs here too
+// (the view dispatches per write).
+func (s *Store) ExecuteID(id txn.ID, ts txn.Timestamp, p *txn.Piece) []byte {
 	if s.executed[id] {
 		return nil
 	}
@@ -534,13 +535,6 @@ func (s *Store) Execute(id txn.ID, ts txn.Timestamp, p *txn.Piece) []byte {
 	v.ids = nil
 	s.executed[id] = true
 	return out
-}
-
-// ExecuteID is Execute for call sites holding interned pieces; the two are
-// interchangeable (the view dispatches per write), the name documents that
-// the piece's hot path is the ID one.
-func (s *Store) ExecuteID(id txn.ID, ts txn.Timestamp, p *txn.Piece) []byte {
-	return s.Execute(id, ts, p)
 }
 
 // Revoke erases all pending versions written by id so the transaction can be

@@ -73,7 +73,7 @@ func TestPruneToSnapshotAtHorizonExact(t *testing.T) {
 // horizon, and committing them afterwards works.
 func TestPruneToNeverTouchesUncommitted(t *testing.T) {
 	s := gcStore(t, 10)
-	s.Execute(id(9), ts(50), txn.IncrementPiece("k"))
+	s.ExecuteID(id(9), ts(50), txn.IncrementPiece("k"))
 	s.PruneTo(100) // horizon far beyond every version
 	if got := txn.DecodeInt(s.Get("k")); got != 2 {
 		t.Fatalf("pending optimistic version lost: Get = %d, want 2", got)

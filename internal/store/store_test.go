@@ -45,8 +45,8 @@ func TestExecuteAtMostOnce(t *testing.T) {
 	s := newChecked(t)
 	s.Seed("x", txn.EncodeInt(0))
 	p := txn.IncrementPiece("x")
-	s.Execute(id(1), ts(1), p)
-	s.Execute(id(1), ts(1), p) // duplicate: must be a no-op
+	s.ExecuteID(id(1), ts(1), p)
+	s.ExecuteID(id(1), ts(1), p) // duplicate: must be a no-op
 	if got := txn.DecodeInt(s.Get("x")); got != 1 {
 		t.Fatalf("x = %d after duplicate execute, want 1", got)
 	}
@@ -58,7 +58,7 @@ func TestExecuteAtMostOnce(t *testing.T) {
 func TestRevokeRestoresState(t *testing.T) {
 	s := newChecked(t)
 	s.Seed("x", txn.EncodeInt(10))
-	s.Execute(id(1), ts(1), txn.IncrementPiece("x"))
+	s.ExecuteID(id(1), ts(1), txn.IncrementPiece("x"))
 	if txn.DecodeInt(s.Get("x")) != 11 {
 		t.Fatal("execute failed")
 	}
@@ -70,7 +70,7 @@ func TestRevokeRestoresState(t *testing.T) {
 		t.Fatal("revoked txn must be re-executable")
 	}
 	// Re-execution after revoke works (Case-3 §3.5).
-	s.Execute(id(1), ts(5), txn.IncrementPiece("x"))
+	s.ExecuteID(id(1), ts(5), txn.IncrementPiece("x"))
 	if txn.DecodeInt(s.Get("x")) != 11 {
 		t.Fatal("re-execution failed")
 	}
@@ -78,7 +78,7 @@ func TestRevokeRestoresState(t *testing.T) {
 
 func TestRevokeBlindWriteRemovesKey(t *testing.T) {
 	s := newChecked(t)
-	s.Execute(id(2), ts(1), txn.WritePiece("fresh", txn.EncodeInt(5)))
+	s.ExecuteID(id(2), ts(1), txn.WritePiece("fresh", txn.EncodeInt(5)))
 	if s.Get("fresh") == nil {
 		t.Fatal("write missing")
 	}
@@ -92,7 +92,7 @@ func TestCommitGCsVersions(t *testing.T) {
 	s := newChecked(t)
 	s.Seed("x", txn.EncodeInt(0))
 	for i := uint64(1); i <= 10; i++ {
-		s.Execute(id(i), ts(int64(i)), txn.IncrementPiece("x"))
+		s.ExecuteID(id(i), ts(int64(i)), txn.IncrementPiece("x"))
 		s.Commit(id(i))
 	}
 	if got := s.Versions(); got != 1 {
@@ -113,7 +113,7 @@ func TestCommitMarksAFreshKeysWriteCommitted(t *testing.T) {
 		if retain {
 			s.EnableSnapshots()
 		}
-		s.Execute(id(1), ts(10), txn.WritePiece("row", txn.EncodeInt(7)))
+		s.ExecuteID(id(1), ts(10), txn.WritePiece("row", txn.EncodeInt(7)))
 		if _, _, ok := getAt(s, "row", 20); ok {
 			t.Fatalf("retain=%v: a snapshot read saw an uncommitted write", retain)
 		}
@@ -150,7 +150,7 @@ func TestExecuteRevokeProperty(t *testing.T) {
 		var want int64
 		for i, commit := range ops {
 			tid := id(uint64(i + 1))
-			s.Execute(tid, ts(int64(i+1)), txn.IncrementPiece("k"))
+			s.ExecuteID(tid, ts(int64(i+1)), txn.IncrementPiece("k"))
 			if commit {
 				s.Commit(tid)
 				want++
@@ -191,7 +191,7 @@ func TestGetAtOrdering(t *testing.T) {
 	s.EnableSnapshots()
 	s.Seed("x", txn.EncodeInt(0))
 	for i := uint64(1); i <= 5; i++ {
-		s.Execute(id(i), ts(int64(i*10)), txn.IncrementPiece("x"))
+		s.ExecuteID(id(i), ts(int64(i*10)), txn.IncrementPiece("x"))
 		s.Commit(id(i))
 	}
 	cases := []struct {
@@ -229,11 +229,11 @@ func TestGetAtSkipsUncommittedVersions(t *testing.T) {
 	s := newChecked(t)
 	s.EnableSnapshots()
 	s.Seed("x", txn.EncodeInt(0))
-	s.Execute(id(1), ts(10), txn.IncrementPiece("x"))
+	s.ExecuteID(id(1), ts(10), txn.IncrementPiece("x"))
 	s.Commit(id(1))
 	// An optimistic execution past the snapshot point must stay invisible
 	// until committed, even though Get (protocol execution) sees it.
-	s.Execute(id(2), ts(20), txn.IncrementPiece("x"))
+	s.ExecuteID(id(2), ts(20), txn.IncrementPiece("x"))
 	if val, _, _ := getAt(s, "x", 30); txn.DecodeInt(val) != 1 {
 		t.Fatal("snapshot read observed an uncommitted version")
 	}
@@ -245,7 +245,7 @@ func TestGetAtSkipsUncommittedVersions(t *testing.T) {
 		t.Fatal("committed version still invisible")
 	}
 	// A revoked execution never becomes visible.
-	s.Execute(id(3), ts(25), txn.IncrementPiece("x"))
+	s.ExecuteID(id(3), ts(25), txn.IncrementPiece("x"))
 	s.Revoke(id(3))
 	if val, _, _ := getAt(s, "x", 30); txn.DecodeInt(val) != 2 {
 		t.Fatal("revoked version leaked into a snapshot read")
@@ -274,7 +274,7 @@ func TestRetainModeKeepsVersions(t *testing.T) {
 	s.EnableSnapshots()
 	s.Seed("x", txn.EncodeInt(0))
 	for i := uint64(1); i <= 10; i++ {
-		s.Execute(id(i), ts(int64(i)), txn.IncrementPiece("x"))
+		s.ExecuteID(id(i), ts(int64(i)), txn.IncrementPiece("x"))
 		s.Commit(id(i))
 	}
 	if got := s.Versions(); got != 11 {
@@ -313,14 +313,14 @@ func TestReplayReproducesStore(t *testing.T) {
 		// commits, like a leader running ahead of its commit point.
 		lag := int(ahead)%4 + 1
 		for i := range pieces {
-			live.Execute(id(uint64(i+1)), ts(int64(i+1)), pieces[i])
+			live.ExecuteID(id(uint64(i+1)), ts(int64(i+1)), pieces[i])
 			if i >= lag {
 				live.Commit(id(uint64(i + 1 - lag)))
 			}
 		}
 		for i := range pieces {
 			live.Commit(id(uint64(i + 1)))
-			replay.Execute(id(uint64(i+1)), ts(int64(i+1)), pieces[i])
+			replay.ExecuteID(id(uint64(i+1)), ts(int64(i+1)), pieces[i])
 			replay.Commit(id(uint64(i + 1)))
 		}
 		return live.Equal(replay) && replay.Equal(live)

@@ -124,9 +124,6 @@ type Config struct {
 	AdmitCap int
 	// AdmitQueue bounds the admission wait queue once AdmitCap is reached.
 	AdmitQueue int
-	// ShedOldest selects the shed policy when the queue is full: evict the
-	// oldest queued transaction (true) or refuse the newcomer (false).
-	ShedOldest bool
 }
 
 // DefaultConfig returns the configuration used throughout the evaluation.
@@ -358,10 +355,9 @@ type tsVerification struct {
 }
 
 type verifyEntry struct {
-	ID     txn.ID
-	TS     txn.Timestamp
-	T      *txn.Txn
-	Shards []int
+	ID txn.ID
+	TS txn.Timestamp
+	T  *txn.Txn
 }
 
 type startViewMsg struct {

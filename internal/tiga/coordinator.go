@@ -3,7 +3,6 @@ package tiga
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"time"
 
 	"tiga/internal/admit"
@@ -18,29 +17,17 @@ import (
 // pendingTxn tracks one outstanding transaction at the coordinator. It is
 // drawn from the coordinator's freelist at launch and recycled at finish, so
 // the reply arrays are reused across transactions: fast/slow hold the newest
-// reply per (involved shard, replica), indexed shardPos*replicas+replica,
+// reply per (involved shard, replica), indexed t.Pos(shard)*replicas+replica,
 // with the parallel set flags distinguishing "no reply yet" from a zero one.
 type pendingTxn struct {
 	t       *txn.Txn
 	ts      txn.Timestamp
 	done    func(txn.Result)
 	retries int
-	shards  []int // t.Shards(), cached (memoized, not owned — never mutated)
 	fast    []fastReply
 	fastSet []bool
 	slow    []slowReply
 	slowSet []bool
-}
-
-// shardPos returns the index of sh in the involved-shard list, or -1 when the
-// transaction does not touch sh (e.g. a broadcast inquiry reply).
-func (p *pendingTxn) shardPos(sh int) int {
-	for i, s := range p.shards {
-		if s == sh {
-			return i
-		}
-	}
-	return -1
 }
 
 // Coordinator submits transactions per §3.1 (future-timestamp initialization)
@@ -82,7 +69,6 @@ type Coordinator struct {
 	owdScratch []time.Duration
 	idScratch  []txn.ID
 	shardSeen  []bool
-	shardOrder []int
 
 	// Retries counts protocol-level re-submissions (stats for the harness).
 	Retries int64
@@ -99,7 +85,7 @@ func newCoordinator(c *Cluster, idx int32, node *simnet.Node, clk clocks.Clock) 
 		ptPool:  pool.New[pendingTxn](),
 	}
 	co.gate = admit.Gate{
-		Cap: c.Cfg.AdmitCap, Queue: c.Cfg.AdmitQueue, ShedOldest: c.Cfg.ShedOldest,
+		Cap: c.Cfg.AdmitCap, Queue: c.Cfg.AdmitQueue,
 		Now: func() time.Duration { return c.Net.Sim().Now() },
 	}
 	co.reads = snapread.Coordinator{
@@ -176,7 +162,8 @@ func (co *Coordinator) headroom(t *txn.Txn) time.Duration {
 		return 0
 	}
 	var h time.Duration
-	for _, sh := range t.Shards() {
+	for i := range t.Pieces {
+		sh := t.Pieces[i].Shard()
 		owds := co.owdScratch[:0]
 		for rep := 0; rep < co.cfg.Replicas(); rep++ {
 			owds = append(owds, co.owd[co.cluster.serverNode(sh, rep)])
@@ -221,8 +208,7 @@ func (co *Coordinator) launch(t *txn.Txn, done func(txn.Result)) {
 	p.ts = txn.Timestamp{}
 	p.done = done
 	p.retries = 0
-	p.shards = t.Shards()
-	n := len(p.shards) * co.cfg.Replicas()
+	n := len(t.Pieces) * co.cfg.Replicas()
 	if cap(p.fast) < n {
 		p.fast = make([]fastReply, n)
 		p.fastSet = make([]bool, n)
@@ -250,7 +236,8 @@ func (co *Coordinator) multicast(p *pendingTxn) {
 	// re-position the pending transaction to it, which re-converges the
 	// leaders' queue orders when local timestamp bumps made them diverge.
 	p.ts = txn.Timestamp{Time: sendClock + co.headroom(p.t), Coord: co.idx, Seq: p.t.ID.Seq}
-	for _, sh := range p.shards {
+	for i := range p.t.Pieces {
+		sh := p.t.Pieces[i].Shard()
 		for rep := 0; rep < co.cfg.Replicas(); rep++ {
 			m := co.cluster.msgs.txn.Get()
 			*m = txnMsg{T: p.t, TS: p.ts, SendClock: sendClock, Coord: co.node.ID(), GView: co.gview, Retry: p.retries}
@@ -294,7 +281,7 @@ func (co *Coordinator) onFastReply(from simnet.NodeID, m *fastReply) {
 	if m.OWD > 0 {
 		co.updateOWD(from, m.OWD)
 	}
-	if i := p.shardPos(m.Shard); i >= 0 {
+	if i := p.t.Pos(m.Shard); i >= 0 {
 		j := i*co.cfg.Replicas() + m.Replica
 		if p.fastSet[j] && m.TS.Less(p.fast[j].TS) {
 			return // stale (a newer reply with a larger timestamp already arrived)
@@ -314,7 +301,7 @@ func (co *Coordinator) onSlowReply(m *slowReply) {
 	if !ok {
 		return
 	}
-	if i := p.shardPos(m.Shard); i >= 0 {
+	if i := p.t.Pos(m.Shard); i >= 0 {
 		j := i*co.cfg.Replicas() + m.Replica
 		if p.slowSet[j] && m.TS.Less(p.slow[j].TS) {
 			return
@@ -335,19 +322,16 @@ func (co *Coordinator) inquireSlow() {
 	if co.shardSeen == nil {
 		co.shardSeen = make([]bool, co.cfg.Shards)
 	}
-	order := co.shardOrder[:0]
 	for _, p := range co.pending {
-		for _, sh := range p.shards {
-			if !co.shardSeen[sh] {
-				co.shardSeen[sh] = true
-				order = append(order, sh)
-			}
+		for i := range p.t.Pieces {
+			co.shardSeen[p.t.Pieces[i].Shard()] = true
 		}
 	}
 	// Deterministic send order: the simulation's event order follows it.
-	sort.Ints(order)
-	co.shardOrder = order
-	for _, sh := range order {
+	for sh, seen := range co.shardSeen {
+		if !seen {
+			continue
+		}
 		co.shardSeen[sh] = false
 		for rep := 0; rep < co.cfg.Replicas(); rep++ {
 			if rep == co.gvec[sh]%co.cfg.Replicas() {
@@ -367,7 +351,7 @@ func (co *Coordinator) onSlowInquiryRep(from simnet.NodeID, m slowInquiryRep) {
 	R := co.cfg.Replicas()
 	leaderRep := co.gvec[m.Shard] % R
 	for _, p := range co.pending {
-		i := p.shardPos(m.Shard)
+		i := p.t.Pos(m.Shard) // -1: the inquiry went to every pending shard, p may not touch this one
 		if i < 0 || !p.fastSet[i*R+leaderRep] {
 			continue
 		}
@@ -419,15 +403,15 @@ func (co *Coordinator) pendingInOrder() []txn.ID {
 // evaluate runs Algorithm 3's quorum checks and completes the transaction
 // when every involved shard fast- or slow-committed with a consistent
 // leader timestamp. Evaluate runs on every reply, so the not-yet-committed
-// paths allocate nothing: the result map is only built once the transaction
+// paths allocate nothing: the result is only built once the transaction
 // actually commits.
 func (co *Coordinator) evaluate(p *pendingTxn) {
 	var agreedTS txn.Timestamp
 	fastPath := true
 	mismatch := false
 	R := co.cfg.Replicas()
-	for i, sh := range p.shards {
-		leaderRep := co.gvec[sh] % R
+	for i := range p.t.Pieces {
+		leaderRep := co.gvec[p.t.Pieces[i].Shard()] % R
 		if !p.fastSet[i*R+leaderRep] {
 			return // no leader reply yet (line 15–16)
 		}
@@ -469,9 +453,10 @@ func (co *Coordinator) evaluate(p *pendingTxn) {
 		}
 		return
 	}
-	results := make(map[int][]byte, len(p.shards))
-	for i, sh := range p.shards {
-		results[sh] = p.fast[i*R+co.gvec[sh]%R].Ret
+	results := make([]txn.ShardRet, len(p.t.Pieces))
+	for i := range results {
+		sh := p.t.Pieces[i].Shard()
+		results[i] = txn.ShardRet{Shard: sh, Ret: p.fast[i*R+co.gvec[sh]%R].Ret}
 	}
 	co.traceCommitPath(p, fastPath)
 	co.finish(p, txn.Result{OK: true, PerShard: results, FastPath: fastPath, Retries: p.retries, TS: agreedTS})

@@ -26,10 +26,10 @@ func Example() {
 	cluster.Start()
 
 	sim.At(10*time.Millisecond, func() {
-		transfer := &txn.Txn{Pieces: map[int]*txn.Piece{
-			0: txn.IncrementPiece("balance-0"),
-			1: txn.IncrementPiece("balance-1"),
-		}}
+		transfer := &txn.Txn{Pieces: txn.ByShard(
+			txn.IncrementPiece("balance-0").On(0),
+			txn.IncrementPiece("balance-1").On(1),
+		)}
 		cluster.Coords[0].Submit(transfer, func(r txn.Result) {
 			fmt.Printf("committed=%v fastPath=%v\n", r.OK, r.FastPath)
 		})

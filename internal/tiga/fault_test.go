@@ -39,11 +39,11 @@ func messageLoss(t *testing.T, seed int64, loss float64, drains bool) {
 	for i := 0; i < n; i++ {
 		i := i
 		sim.At(time.Duration(100+i*25)*time.Millisecond, func() {
-			tx := &txn.Txn{Pieces: map[int]*txn.Piece{
-				0: txn.IncrementPiece(fmt.Sprintf("k0-%d", i)),
-				1: txn.IncrementPiece(fmt.Sprintf("k1-%d", i)),
-				2: txn.IncrementPiece(fmt.Sprintf("k2-%d", i)),
-			}}
+			tx := &txn.Txn{Pieces: txn.ByShard(
+				txn.IncrementPiece(fmt.Sprintf("k0-%d", i)).On(0),
+				txn.IncrementPiece(fmt.Sprintf("k1-%d", i)).On(1),
+				txn.IncrementPiece(fmt.Sprintf("k2-%d", i)).On(2),
+			)}
 			c.Coords[i%3].Submit(tx, func(r txn.Result) {
 				if r.OK {
 					committed++
@@ -254,11 +254,11 @@ func TestHeadroomControlsRollbacks(t *testing.T) {
 			i := i
 			sim.At(time.Duration(100+i*8)*time.Millisecond, func() {
 				// All conflict on one hot key per shard to stress ordering.
-				tx := &txn.Txn{Pieces: map[int]*txn.Piece{
-					0: txn.IncrementPiece("k0-0"),
-					1: txn.IncrementPiece("k1-0"),
-					2: txn.IncrementPiece("k2-0"),
-				}}
+				tx := &txn.Txn{Pieces: txn.ByShard(
+					txn.IncrementPiece("k0-0").On(0),
+					txn.IncrementPiece("k1-0").On(1),
+					txn.IncrementPiece("k2-0").On(2),
+				)}
 				c.Coords[i%3].Submit(tx, func(r txn.Result) {
 					if r.OK {
 						committed++

@@ -64,17 +64,11 @@ func TestMixedFormPiecesSerialize(t *testing.T) {
 			var sc scanCheck
 			armAll(t, c, &sc)
 			byNameTxn := func() *txn.Txn {
-				tx := &txn.Txn{Pieces: make(map[int]*txn.Piece)}
-				for sh := 0; sh < 3; sh++ {
-					tx.Pieces[sh] = txn.IncrementPiece(fmt.Sprintf("k%d-%d", sh, key))
-				}
+				tx := perShard(3, func(sh int) *txn.Piece { return txn.IncrementPiece(fmt.Sprintf("k%d-%d", sh, key)) })
 				return tx
 			}
 			byIDTxn := func() *txn.Txn {
-				tx := &txn.Txn{Pieces: make(map[int]*txn.Piece)}
-				for sh := 0; sh < 3; sh++ {
-					tx.Pieces[sh] = txn.IncrementPieceID(fmt.Sprintf("k%d-%d", sh, key), key)
-				}
+				tx := perShard(3, func(sh int) *txn.Piece { return txn.IncrementPieceID(fmt.Sprintf("k%d-%d", sh, key), key) })
 				return tx
 			}
 			var commits []checker.Commit
@@ -116,7 +110,7 @@ func TestMixedFormPiecesSerialize(t *testing.T) {
 			sort.Slice(results, func(i, j int) bool { return results[i].TS.Less(results[j].TS) })
 			for i, r := range results {
 				for sh := 0; sh < 3; sh++ {
-					if got := txn.DecodeInt(r.PerShard[sh]); got != int64(i+1) {
+					if got := txn.DecodeInt(r.Ret(sh)); got != int64(i+1) {
 						t.Fatalf("shard %d: commit %d in timestamp order (ts %v) returned %d", sh, i+1, r.TS, got)
 					}
 				}

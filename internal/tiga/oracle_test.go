@@ -307,17 +307,15 @@ func TestOracleNearTimeZero(t *testing.T) {
 			for i := 0; i < 40; i++ {
 				for co := range c.Coords {
 					i, co := i, co
-					tx := &txn.Txn{Pieces: make(map[int]*txn.Piece)}
-					for sh := 0; sh < 3; sh++ {
+					tx := perShard(3, func(sh int) *txn.Piece {
 						if (i+co)%3 == 0 {
 							// Reads a key nothing writes, writes its own.
 							rk, wk := fmt.Sprintf("k%d-99", sh), fmt.Sprintf("k%d-%d", sh, 10+co)
-							tx.Pieces[sh] = &txn.Piece{ReadSet: []string{rk}, WriteSet: []string{wk},
+							return &txn.Piece{ReadSet: []string{rk}, WriteSet: []string{wk},
 								Exec: func(kv txn.KV) []byte { kv.Put(wk, kv.Get(rk)); return nil }}
-						} else {
-							tx.Pieces[sh] = txn.IncrementPiece(fmt.Sprintf("k%d-%d", sh, i%3))
 						}
-					}
+						return txn.IncrementPiece(fmt.Sprintf("k%d-%d", sh, i%3))
+					})
 					sim.At(time.Duration(i)*150*time.Microsecond, func() {
 						c.Coords[co].Submit(tx, func(r txn.Result) {
 							if r.OK {
@@ -379,18 +377,12 @@ func TestOracleKeyOnlyEverRead(t *testing.T) {
 	}
 	for i := 0; i < 400; i++ {
 		for co := 0; co < 2; co++ {
-			tx := &txn.Txn{Pieces: make(map[int]*txn.Piece)}
-			for sh := 0; sh < 3; sh++ {
-				tx.Pieces[sh] = piece(sh, i%10, co, false)
-			}
+			tx := perShard(3, func(sh int) *txn.Piece { return piece(sh, i%10, co, false) })
 			submit(100*time.Millisecond+time.Duration(i)*500*time.Microsecond, co, tx)
 		}
 	}
 	for key := 0; key < 10; key++ {
-		tx := &txn.Txn{Pieces: make(map[int]*txn.Piece)}
-		for sh := 0; sh < 3; sh++ {
-			tx.Pieces[sh] = piece(sh, key, 2, true)
-		}
+		tx := perShard(3, func(sh int) *txn.Piece { return piece(sh, key, 2, true) })
 		submit(150*time.Millisecond+time.Duration(key)*5*time.Millisecond, 2, tx)
 	}
 	sim.Run(30 * time.Second)
@@ -422,10 +414,7 @@ func TestOracleInstallLogRenumbersInsertedKeys(t *testing.T) {
 	for round := 0; round < 60; round++ {
 		for co := 0; co < 3; co++ {
 			co := co
-			tx := &txn.Txn{Pieces: make(map[int]*txn.Piece)}
-			for sh := 0; sh < 3; sh++ {
-				tx.Pieces[sh] = txn.IncrementPiece(name(sh, (round*3+co)%keys))
-			}
+			tx := perShard(3, func(sh int) *txn.Piece { return txn.IncrementPiece(name(sh, (round*3+co)%keys)) })
 			sim.At(100*time.Millisecond+time.Duration(round)*40*time.Millisecond, func() {
 				c.Coords[co].Submit(tx, func(r txn.Result) {
 					if r.OK {

@@ -164,7 +164,7 @@ func (s *Server) verifyTimestamps() {
 	var info []verifyEntry
 	for _, e := range s.recovered {
 		if len(e.T.Pieces) > 1 {
-			info = append(info, verifyEntry{ID: e.ID, TS: e.TS, T: e.T, Shards: e.T.Shards()})
+			info = append(info, verifyEntry{ID: e.ID, TS: e.TS, T: e.T})
 		}
 	}
 	for sh := 0; sh < s.cfg.Shards; sh++ {
@@ -211,14 +211,7 @@ func (s *Server) maybeFinishVerification() {
 			continue
 		}
 		for _, ve := range m.Info {
-			involved := false
-			for _, sh := range ve.Shards {
-				if sh == s.shard {
-					involved = true
-					break
-				}
-			}
-			if !involved {
+			if ve.T.Piece(s.shard) == nil {
 				continue
 			}
 			if i, ok := pos[ve.ID]; ok {
@@ -299,18 +292,18 @@ func (s *Server) installLog(log []logEntry) {
 	for i := 0; i < len(s.log); i++ {
 		e := s.log[i]
 		var res []byte
-		if p := e.T.Pieces[s.shard]; p != nil {
+		if p := e.T.Piece(s.shard); p != nil {
 			if i >= s.checkpointPos {
 				s.node.Work(s.cfg.ExecCost)
 			}
-			res = s.st.Execute(e.ID, e.TS, p)
+			res = s.st.ExecuteID(e.ID, e.TS, p)
 		}
 		s.st.Commit(e.ID)
 		s.relHash.Add(e.ID, e.TS)
 		r := s.newRec(e.ID)
 		r.t, r.ts, r.coord, r.result = e.T, e.TS, s.cluster.coordNode(e.ID.Coord), res
 		r.executed, r.released = true, true
-		if p := e.T.Pieces[s.shard]; p != nil {
+		if p := e.T.Piece(s.shard); p != nil {
 			s.attach(r, p)
 			s.noteAccess(r, e.TS)
 		}

@@ -45,8 +45,6 @@ func init() {
 				Doc: "max admitted in-flight transactions per coordinator (0 = no admission control)"},
 			{Name: "admit-queue", Type: protocol.KnobInt, Default: 0,
 				Doc: "admission wait-queue depth once admit-cap is reached; overflow is shed"},
-			{Name: "shed-oldest", Type: protocol.KnobBool, Default: false,
-				Doc: "shed policy on queue overflow: evict the oldest queued transaction instead of refusing the newcomer"},
 		},
 		func(ctx *protocol.BuildContext) protocol.System {
 			cfg := DefaultConfig(ctx.Shards, ctx.F)
@@ -66,7 +64,6 @@ func init() {
 			cfg.VersionGC = ctx.Knobs.Bool("version-gc")
 			cfg.AdmitCap = ctx.Knobs.Int("admit-cap")
 			cfg.AdmitQueue = ctx.Knobs.Int("admit-queue")
-			cfg.ShedOldest = ctx.Knobs.Bool("shed-oldest")
 			pl := ColocatedPlacement(ctx.CoordRegions)
 			if ctx.Rotated {
 				pl = RotatedPlacement(ctx.CoordRegions, ctx.Regions)

@@ -523,7 +523,7 @@ func (s *Server) onTxn(from simnet.NodeID, m *txnMsg) {
 			// The record is a placeholder from a timestamp notification
 			// (the original multicast was lost): adopt the body now.
 			r.t = m.T
-			s.attach(r, m.T.Pieces[s.shard])
+			s.attach(r, m.T.Piece(s.shard))
 			r.ts = m.TS
 			r.owd = s.now() - m.SendClock
 			r.arriveS = s.cluster.Net.Sim().Now()
@@ -564,7 +564,7 @@ func (s *Server) onTxn(from simnet.NodeID, m *txnMsg) {
 	r.t, r.ts, r.coord = m.T, m.TS, m.Coord
 	r.owd = s.now() - m.SendClock
 	r.arriveS = s.cluster.Net.Sim().Now()
-	s.attach(r, m.T.Pieces[s.shard])
+	s.attach(r, m.T.Piece(s.shard))
 	s.admit(r)
 }
 
@@ -884,7 +884,7 @@ func (s *Server) recordMaps(r *rec) {
 func (s *Server) executeLeader(r *rec) {
 	r.relS = s.cluster.Net.Sim().Now()
 	s.node.Work(s.cfg.ExecCost)
-	r.result = s.st.Execute(r.id, r.ts, r.piece)
+	r.result = s.st.ExecuteID(r.id, r.ts, r.piece)
 	r.executed = true
 	s.Executions++
 	s.relHash.Add(r.id, r.ts)
@@ -986,7 +986,8 @@ func (s *Server) recycle(a *agreement) {
 }
 
 func (s *Server) broadcastNotification(r *rec, round int, ts txn.Timestamp) {
-	for _, sh := range r.t.Shards() {
+	for i := range r.t.Pieces {
+		sh := r.t.Pieces[i].Shard()
 		if sh == s.shard {
 			continue
 		}
@@ -1168,7 +1169,7 @@ func (s *Server) onFetchTxnRep(m fetchTxnRep) {
 		return
 	}
 	r.t = m.T
-	s.attach(r, m.T.Pieces[s.shard])
+	s.attach(r, m.T.Piece(s.shard))
 	r.ts = m.TS
 	r.coord = s.cluster.coordNode(m.ID.Coord)
 	s.admit(r)
@@ -1236,7 +1237,7 @@ func (s *Server) applySync(m *logSyncMsg) {
 	// record's keys, attached when the transaction arrived here (the usual
 	// case) or now, for an entry first heard of through the log.
 	if r.piece == nil {
-		if p := m.T.Pieces[s.shard]; p != nil {
+		if p := m.T.Piece(s.shard); p != nil {
 			s.attach(r, p)
 		}
 	}
@@ -1263,9 +1264,9 @@ func (s *Server) advanceCommitPoint(cp int) {
 	s.commitPoint = cp
 	for s.applied < s.commitPoint {
 		e := s.log[s.applied]
-		if p := e.T.Pieces[s.shard]; p != nil && !s.st.Executed(e.ID) {
+		if p := e.T.Piece(s.shard); p != nil && !s.st.Executed(e.ID) {
 			s.node.Work(s.cfg.ExecCost)
-			s.st.Execute(e.ID, e.TS, p)
+			s.st.ExecuteID(e.ID, e.TS, p)
 		}
 		s.st.Commit(e.ID)
 		s.applied++

@@ -180,10 +180,7 @@ func saturate(sim *simnet.Sim, c *Cluster, keys int, from, until, every time.Dur
 	for at := from; at < until; at += every {
 		for co := range c.Coords {
 			co := co
-			tx := &txn.Txn{Pieces: make(map[int]*txn.Piece)}
-			for sh := 0; sh < c.Cfg.Shards; sh++ {
-				tx.Pieces[sh] = txn.IncrementPiece(fmt.Sprintf("k%d-%d", sh, rng.Intn(keys)))
-			}
+			tx := perShard(c.Cfg.Shards, func(sh int) *txn.Piece { return txn.IncrementPiece(fmt.Sprintf("k%d-%d", sh, rng.Intn(keys))) })
 			sim.At(at, func() {
 				c.Coords[co].Submit(tx, func(r txn.Result) {
 					if r.OK {

@@ -36,11 +36,20 @@ func testCluster(t *testing.T, seed int64, cfg Config, pl Placement, model clock
 }
 
 func incTxn(shards ...int) *txn.Txn {
-	t := &txn.Txn{Pieces: make(map[int]*txn.Piece)}
-	for _, s := range shards {
-		t.Pieces[s] = txn.IncrementPiece(fmt.Sprintf("k%d-0", s))
+	pieces := make([]txn.Piece, len(shards))
+	for i, s := range shards {
+		pieces[i] = txn.IncrementPiece(fmt.Sprintf("k%d-0", s)).On(s)
 	}
-	return t
+	return &txn.Txn{Pieces: txn.ByShard(pieces...)}
+}
+
+// perShard builds the transaction that runs piece(sh) on each of shards 0..n-1.
+func perShard(n int, piece func(sh int) *txn.Piece) *txn.Txn {
+	pieces := make([]txn.Piece, n)
+	for sh := range pieces {
+		pieces[sh] = piece(sh).On(sh)
+	}
+	return &txn.Txn{Pieces: txn.ByShard(pieces...)}
 }
 
 func TestSingleTxnFastPathColocated(t *testing.T) {
@@ -61,7 +70,7 @@ func TestSingleTxnFastPathColocated(t *testing.T) {
 		t.Fatalf("want fast-path commit, got %+v", *res)
 	}
 	for _, sh := range []int{0, 1, 2} {
-		if got := txn.DecodeInt(res.PerShard[sh]); got != 1 {
+		if got := txn.DecodeInt(res.Ret(sh)); got != 1 {
 			t.Errorf("shard %d result = %d, want 1", sh, got)
 		}
 	}

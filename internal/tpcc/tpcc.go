@@ -15,6 +15,7 @@ package tpcc
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"tiga/internal/protocol"
@@ -305,7 +306,6 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 		lines[i] = line{shard: g.ShardOf(sw), item: g.iID(sw, 1+rng.Intn(g.cfg.Items)), qty: int64(1 + rng.Intn(10))}
 	}
 
-	t := &txn.Txn{Pieces: make(map[int]*txn.Piece), Label: "neworder"}
 	home := g.ShardOf(w)
 
 	// Group stock lines per shard.
@@ -313,6 +313,7 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 	for _, ln := range lines {
 		perShard[ln.shard] = append(perShard[ln.shard], ln)
 	}
+	pieces := make([]txn.Piece, 0, len(perShard)+1)
 	for sh, lns := range perShard {
 		tab := g.tab(sh)
 		reads, writes := newKeyset(4*len(lns)), newKeyset(3*len(lns))
@@ -321,7 +322,7 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 			writes.add(tab, ln.item+colSQty, ln.item+colSYtd, ln.item+colSCnt)
 		}
 		reads.append(writes)
-		t.Pieces[sh] = &txn.Piece{
+		pieces = append(pieces, txn.Piece{
 			ReadSet: reads.names, ReadIDs: reads.ids,
 			WriteSet: writes.names, WriteIDs: writes.ids,
 			Exec: func(kv txn.KV) []byte {
@@ -339,7 +340,7 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 				}
 				return txn.EncodeInt(total)
 			},
-		}
+		}.On(sh))
 	}
 
 	// Home-district piece: order insertion + next-order-id bump.
@@ -353,7 +354,7 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 	writes.insert(order)
 	writes.insert(total)
 	writes.add(tab, cLast)
-	homePiece := &txn.Piece{
+	homePiece := txn.Piece{
 		ReadSet: reads.names, ReadIDs: reads.ids,
 		WriteSet: writes.names, WriteIDs: writes.ids,
 		Exec: func(kv txn.KV) []byte {
@@ -364,13 +365,13 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 			putInt(kv, cLast, int64(uid))
 			return txn.EncodeInt(oid*1000 + getInt(kv, wTax) + getInt(kv, dTax) + getInt(kv, cDisc))
 		},
-	}
-	if existing, ok := t.Pieces[home]; ok {
-		t.Pieces[home] = mergePieces(existing, homePiece)
+	}.On(home)
+	if i := slices.IndexFunc(pieces, func(p txn.Piece) bool { return p.Shard() == home }); i >= 0 {
+		pieces[i] = mergePieces(pieces[i], homePiece)
 	} else {
-		t.Pieces[home] = homePiece
+		pieces = append(pieces, homePiece)
 	}
-	return t
+	return &txn.Txn{Label: "neworder", Pieces: txn.ByShard(pieces...)}
 }
 
 func (g *Gen) nextUID(rng *rand.Rand) uint64 {
@@ -382,9 +383,9 @@ func (g *Gen) nextUID(rng *rand.Rand) uint64 {
 // parallel id sets (New-Order's and Payment's pieces, the only ones merged).
 // The merged executor keeps the two executors, not the two pieces, so their
 // own copies of the sets are garbage once merged.
-func mergePieces(a, b *txn.Piece) *txn.Piece {
+func mergePieces(a, b txn.Piece) txn.Piece {
 	execA, execB := a.Exec, b.Exec
-	return &txn.Piece{
+	return txn.Piece{
 		ReadSet:  append(append([]string(nil), a.ReadSet...), b.ReadSet...),
 		WriteSet: append(append([]string(nil), a.WriteSet...), b.WriteSet...),
 		ReadIDs:  append(append([]txn.KeyID(nil), a.ReadIDs...), b.ReadIDs...),
@@ -392,7 +393,7 @@ func mergePieces(a, b *txn.Piece) *txn.Piece {
 		Exec: func(kv txn.KV) []byte {
 			return append(execA(kv), execB(kv)...)
 		},
-	}
+	}.On(a.Shard())
 }
 
 // Payment is a multi-shot transaction (decomposed per Appendix F): stage 0
@@ -422,16 +423,14 @@ func (g *Gen) Payment(rng *rand.Rand) *txn.Interactive {
 		Next: func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 			switch stage {
 			case 0:
-				t := &txn.Txn{Label: "payment-read", ReadOnly: true, Pieces: map[int]*txn.Piece{
-					cust: txn.ReadPieceID(custTab[cBal], cBal),
-				}}
+				t := &txn.Txn{Label: "payment-read", ReadOnly: true,
+					Pieces: txn.ByShard(txn.ReadPieceID(custTab[cBal], cBal).On(cust))}
 				return t, false, false
 			case 1:
-				seen := txn.DecodeInt(prev.PerShard[cust])
-				t := &txn.Txn{Label: "payment-write", Pieces: make(map[int]*txn.Piece)}
+				seen := txn.DecodeInt(prev.Ret(cust))
 				custKeys := newKeyset(3)
 				custKeys.add(custTab, cBal, cYtd, cCnt)
-				custPiece := &txn.Piece{
+				custPiece := txn.Piece{
 					ReadSet: custKeys.names, ReadIDs: custKeys.ids,
 					WriteSet: custKeys.names, WriteIDs: custKeys.ids,
 					Exec: func(kv txn.KV) []byte {
@@ -444,13 +443,13 @@ func (g *Gen) Payment(rng *rand.Rand) *txn.Interactive {
 						putInt(kv, cCnt, getInt(kv, cCnt)+1)
 						return txn.EncodeInt(cur - amount)
 					},
-				}
+				}.On(cust)
 				history := kHistory(w, d, uid)
 				reads, writes := newKeyset(2), newKeyset(3)
 				reads.add(homeTab, wYtd, dYtd)
 				writes.add(homeTab, wYtd, dYtd)
 				writes.insert(history)
-				homePiece := &txn.Piece{
+				homePiece := txn.Piece{
 					ReadSet: reads.names, ReadIDs: reads.ids,
 					WriteSet: writes.names, WriteIDs: writes.ids,
 					Exec: func(kv txn.KV) []byte {
@@ -459,19 +458,19 @@ func (g *Gen) Payment(rng *rand.Rand) *txn.Interactive {
 						kv.Put(history, txn.EncodeInt(amount))
 						return txn.EncodeInt(0)
 					},
-				}
+				}.On(home)
+				t := &txn.Txn{Label: "payment-write"}
 				if home == cust {
-					t.Pieces[home] = mergePieces(homePiece, custPiece)
+					t.Pieces = txn.ByShard(mergePieces(homePiece, custPiece))
 				} else {
-					t.Pieces[home] = homePiece
-					t.Pieces[cust] = custPiece
+					t.Pieces = txn.ByShard(homePiece, custPiece)
 				}
 				return t, false, false
 			default:
 				// Validate stage 1: the customer piece returns -1 on a failed
 				// balance check.
 				if prev != nil {
-					ret := prev.PerShard[cust]
+					ret := prev.Ret(cust)
 					if home == cust && len(ret) >= 8 {
 						// merged piece: home result (8B) then customer result
 						ret = ret[len(ret)-8:]
@@ -502,33 +501,29 @@ func (g *Gen) OrderStatus(rng *rand.Rand) *txn.Interactive {
 			case 0:
 				reads := newKeyset(2)
 				reads.add(tab, cBal, cLast)
-				t := &txn.Txn{Label: "orderstatus-c", ReadOnly: true, Pieces: map[int]*txn.Piece{
-					sh: {
-						ReadSet: reads.names, ReadIDs: reads.ids,
-						Exec: func(kv txn.KV) []byte {
-							return append(kv.GetID(cBal), kv.GetID(cLast)...)
-						},
+				t := &txn.Txn{Label: "orderstatus-c", ReadOnly: true, Pieces: txn.ByShard(txn.Piece{
+					ReadSet: reads.names, ReadIDs: reads.ids,
+					Exec: func(kv txn.KV) []byte {
+						return append(kv.GetID(cBal), kv.GetID(cLast)...)
 					},
-				}}
+				}.On(sh))}
 				return t, false, false
 			case 1:
 				var last uint64
-				if prev != nil && len(prev.PerShard[sh]) >= 16 {
-					last = uint64(txn.DecodeInt(prev.PerShard[sh][8:16]))
+				if prev != nil && len(prev.Ret(sh)) >= 16 {
+					last = uint64(txn.DecodeInt(prev.Ret(sh)[8:16]))
 				}
 				if last == 0 {
 					return nil, true, false // customer has no orders yet
 				}
 				// The order rows were inserted: names only, no ids.
 				order, total := kOrder(w, d, last), kOTotal(w, d, last)
-				t := &txn.Txn{Label: "orderstatus-o", ReadOnly: true, Pieces: map[int]*txn.Piece{
-					sh: {
-						ReadSet: []string{order, total},
-						Exec: func(kv txn.KV) []byte {
-							return append(kv.Get(order), kv.Get(total)...)
-						},
+				t := &txn.Txn{Label: "orderstatus-o", ReadOnly: true, Pieces: txn.ByShard(txn.Piece{
+					ReadSet: []string{order, total},
+					Exec: func(kv txn.KV) []byte {
+						return append(kv.Get(order), kv.Get(total)...)
 					},
-				}}
+				}.On(sh))}
 				return t, false, false
 			default:
 				return nil, true, false
@@ -560,21 +555,19 @@ func (g *Gen) Delivery(rng *rand.Rand) *txn.Interactive {
 				for d := 1; d <= nd; d++ {
 					reads.add(tab, g.dID(w, d)+colNoHead, g.dID(w, d)+colDNextOID)
 				}
-				t := &txn.Txn{Label: "delivery-scan", ReadOnly: true, Pieces: map[int]*txn.Piece{
-					sh: {
-						ReadSet: reads.names, ReadIDs: reads.ids,
-						Exec: func(kv txn.KV) []byte {
-							out := make([]byte, 0, 16*nd)
-							for _, id := range reads.ids {
-								out = append(out, kv.GetID(id)...)
-							}
-							return out
-						},
+				t := &txn.Txn{Label: "delivery-scan", ReadOnly: true, Pieces: txn.ByShard(txn.Piece{
+					ReadSet: reads.names, ReadIDs: reads.ids,
+					Exec: func(kv txn.KV) []byte {
+						out := make([]byte, 0, 16*nd)
+						for _, id := range reads.ids {
+							out = append(out, kv.GetID(id)...)
+						}
+						return out
 					},
-				}}
+				}.On(sh))}
 				return t, false, false
 			case 1:
-				buf := prev.PerShard[sh]
+				buf := prev.Ret(sh)
 				type dd struct {
 					head         int64
 					noHead, cBal txn.KeyID
@@ -603,25 +596,23 @@ func (g *Gen) Delivery(rng *rand.Rand) *txn.Interactive {
 					writes.insert(x.carrierRow)
 					writes.add(tab, x.cBal)
 				}
-				t := &txn.Txn{Label: "delivery-run", Pieces: map[int]*txn.Piece{
-					sh: {
-						ReadSet: reads.names, ReadIDs: reads.ids,
-						WriteSet: writes.names, WriteIDs: writes.ids,
-						Exec: func(kv txn.KV) []byte {
-							var n int64
-							for _, x := range todo {
-								if getInt(kv, x.noHead) != x.head {
-									continue // another delivery got here first
-								}
-								putInt(kv, x.noHead, x.head+1)
-								kv.Put(x.carrierRow, txn.EncodeInt(carrier))
-								putInt(kv, x.cBal, getInt(kv, x.cBal)+100)
-								n++
+				t := &txn.Txn{Label: "delivery-run", Pieces: txn.ByShard(txn.Piece{
+					ReadSet: reads.names, ReadIDs: reads.ids,
+					WriteSet: writes.names, WriteIDs: writes.ids,
+					Exec: func(kv txn.KV) []byte {
+						var n int64
+						for _, x := range todo {
+							if getInt(kv, x.noHead) != x.head {
+								continue // another delivery got here first
 							}
-							return txn.EncodeInt(n)
-						},
+							putInt(kv, x.noHead, x.head+1)
+							kv.Put(x.carrierRow, txn.EncodeInt(carrier))
+							putInt(kv, x.cBal, getInt(kv, x.cBal)+100)
+							n++
+						}
+						return txn.EncodeInt(n)
 					},
-				}}
+				}.On(sh))}
 				return t, false, false
 			default:
 				return nil, true, false
@@ -644,18 +635,16 @@ func (g *Gen) StockLevel(rng *rand.Rand) *txn.Txn {
 	for i := 0; i < 20; i++ {
 		reads.add(tab, g.iID(w, 1+rng.Intn(g.cfg.Items))+colSQty)
 	}
-	return &txn.Txn{Label: "stocklevel", ReadOnly: true, Pieces: map[int]*txn.Piece{
-		sh: {
-			ReadSet: reads.names, ReadIDs: reads.ids,
-			Exec: func(kv txn.KV) []byte {
-				var low int64
-				for _, id := range reads.ids[1:] {
-					if getInt(kv, id) < threshold {
-						low++
-					}
+	return &txn.Txn{Label: "stocklevel", ReadOnly: true, Pieces: txn.ByShard(txn.Piece{
+		ReadSet: reads.names, ReadIDs: reads.ids,
+		Exec: func(kv txn.KV) []byte {
+			var low int64
+			for _, id := range reads.ids[1:] {
+				if getInt(kv, id) < threshold {
+					low++
 				}
-				return txn.EncodeInt(low)
-			},
+			}
+			return txn.EncodeInt(low)
 		},
-	}}
+	}.On(sh))}
 }

@@ -21,9 +21,12 @@ func seededStores(g *Gen, shards int) []*store.Store {
 func execAll(t *testing.T, sts []*store.Store, tx *txn.Txn, seq *uint64) *txn.Result {
 	t.Helper()
 	*seq++
-	res := &txn.Result{OK: true, PerShard: make(map[int][]byte)}
-	for sh, p := range tx.Pieces {
-		res.PerShard[sh] = sts[sh].Execute(txn.ID{Coord: 9, Seq: *seq}, txn.Timestamp{}, p)
+	res := &txn.Result{OK: true, PerShard: make([]txn.ShardRet, 0, len(tx.Pieces))}
+	for i := range tx.Pieces {
+		p := &tx.Pieces[i]
+		sh := p.Shard()
+		ret := sts[sh].ExecuteID(txn.ID{Coord: 9, Seq: *seq}, txn.Timestamp{}, p)
+		res.PerShard = append(res.PerShard, txn.ShardRet{Shard: sh, Ret: ret})
 		sts[sh].Commit(txn.ID{Coord: 9, Seq: *seq})
 	}
 	return res
@@ -87,7 +90,9 @@ func TestNewOrderDeclaredSetsCoverAccesses(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < 100; i++ {
 		tx := g.NewOrder(rng)
-		for sh, p := range tx.Pieces {
+		for i := range tx.Pieces {
+			p := &tx.Pieces[i]
+			sh := p.Shard()
 			declared := make(map[string]bool)
 			for _, k := range p.ReadSet {
 				declared[k] = true
@@ -106,26 +111,26 @@ func TestNewOrderDeclaredSetsCoverAccesses(t *testing.T) {
 // shard still merge into one piece that runs both, in order, through the one
 // entry point the store uses.
 func TestMergePiecesComposesTwoExecutors(t *testing.T) {
-	step := func(key string, id txn.KeyID, tag byte) *txn.Piece {
-		return &txn.Piece{ReadSet: []string{key}, WriteSet: []string{key}, ReadIDs: []txn.KeyID{id}, WriteIDs: []txn.KeyID{id},
+	step := func(key string, id txn.KeyID, tag byte) txn.Piece {
+		return txn.Piece{ReadSet: []string{key}, WriteSet: []string{key}, ReadIDs: []txn.KeyID{id}, WriteIDs: []txn.KeyID{id},
 			Exec: func(kv txn.KV) []byte {
 				kv.PutID(id, txn.EncodeInt(txn.DecodeInt(kv.GetID(id))+int64(tag)))
 				return []byte{tag}
 			}}
 	}
-	m := mergePieces(step("a", 0, 1), step("b", 1, 2))
-	if m.Op != txn.OpExec || !slices.Equal(m.WriteSet, []string{"a", "b"}) || !slices.Equal(m.ReadIDs, []txn.KeyID{0, 1}) {
+	m := mergePieces(step("a", 0, 1).On(2), step("b", 1, 2).On(2))
+	if m.Shard() != 2 || m.Op != txn.OpExec || !slices.Equal(m.WriteSet, []string{"a", "b"}) || !slices.Equal(m.ReadIDs, []txn.KeyID{0, 1}) {
 		t.Fatalf("merged piece: op %d, sets %v %v", m.Op, m.WriteSet, m.ReadIDs)
 	}
 	st := store.New()
 	st.SeedBulk([]string{"a", "b"}, txn.EncodeInt(10))
-	out := st.Execute(txn.ID{Coord: 1, Seq: 1}, txn.Timestamp{Time: 1}, m)
+	out := st.ExecuteID(txn.ID{Coord: 1, Seq: 1}, txn.Timestamp{Time: 1}, &m)
 	st.Commit(txn.ID{Coord: 1, Seq: 1})
 	if !slices.Equal(out, []byte{1, 2}) || txn.DecodeInt(st.Get("a")) != 11 || txn.DecodeInt(st.Get("b")) != 12 {
 		t.Fatalf("merged piece returned %v and left a=%d b=%d, want [1 2], 11, 12",
 			out, txn.DecodeInt(st.Get("a")), txn.DecodeInt(st.Get("b")))
 	}
-	_, ws := st.ExecuteBuffered(m)
+	_, ws := st.ExecuteBuffered(&m)
 	if len(ws) != 2 || txn.DecodeInt(ws[0].Val) != 12 || txn.DecodeInt(ws[1].Val) != 14 {
 		t.Fatalf("buffered execution of the merged piece wrote %+v", ws)
 	}
@@ -372,7 +377,9 @@ func TestNextBeforeSeed(t *testing.T) {
 		if job.I != nil {
 			tx, _, _ = job.I.Next(0, nil)
 		}
-		for sh, p := range tx.Pieces {
+		for i := range tx.Pieces {
+			p := &tx.Pieces[i]
+			sh := p.Shard()
 			if len(p.ReadSet) == 0 || len(p.ReadIDs) != len(p.ReadSet) || len(p.WriteIDs) != len(p.WriteSet) {
 				t.Fatalf("%s piece on shard %d: %d/%d read ids, %d/%d write ids", job.Label, sh,
 					len(p.ReadIDs), len(p.ReadSet), len(p.WriteIDs), len(p.WriteSet))
@@ -384,11 +391,13 @@ func TestNextBeforeSeed(t *testing.T) {
 // execBuffered is execAll the way lockocc, Tapir and Detock execute: every
 // piece against a buffered view, its write set applied afterwards.
 func execBuffered(sts []*store.Store, tx *txn.Txn) *txn.Result {
-	res := &txn.Result{OK: true, PerShard: make(map[int][]byte)}
-	for sh, p := range tx.Pieces {
+	res := &txn.Result{OK: true, PerShard: make([]txn.ShardRet, 0, len(tx.Pieces))}
+	for i := range tx.Pieces {
+		p := &tx.Pieces[i]
+		sh := p.Shard()
 		ret, ws := sts[sh].ExecuteBuffered(p)
 		sts[sh].Apply(ws)
-		res.PerShard[sh] = ret
+		res.PerShard = append(res.PerShard, txn.ShardRet{Shard: sh, Ret: ret})
 	}
 	return res
 }
@@ -420,19 +429,22 @@ func TestIDAndNamePathsAgree(t *testing.T) {
 	// same bytes.
 	run := func(label string, a, b *txn.Txn) *txn.Result {
 		t.Helper()
-		ra := &txn.Result{OK: true, PerShard: make(map[int][]byte)}
+		ra := &txn.Result{OK: true, PerShard: make([]txn.ShardRet, 0, len(a.Pieces))}
 		opt.seq++
-		for sh, p := range a.Pieces {
-			ra.PerShard[sh] = opt.sts[sh].ExecuteID(txn.ID{Coord: 9, Seq: opt.seq}, txn.Timestamp{}, p)
+		for i := range a.Pieces {
+			p := &a.Pieces[i]
+			sh := p.Shard()
+			ret := opt.sts[sh].ExecuteID(txn.ID{Coord: 9, Seq: opt.seq}, txn.Timestamp{}, p)
+			ra.PerShard = append(ra.PerShard, txn.ShardRet{Shard: sh, Ret: ret})
 			opt.sts[sh].Commit(txn.ID{Coord: 9, Seq: opt.seq})
 		}
 		rb := execBuffered(buf.sts, b)
 		if len(ra.PerShard) != len(rb.PerShard) {
 			t.Fatalf("%s: %d vs %d piece results", label, len(ra.PerShard), len(rb.PerShard))
 		}
-		for sh, out := range ra.PerShard {
-			if string(out) != string(rb.PerShard[sh]) {
-				t.Fatalf("%s on shard %d: optimistic execution returned %x, buffered %x", label, sh, out, rb.PerShard[sh])
+		for i, out := range ra.PerShard {
+			if out.Shard != rb.PerShard[i].Shard || string(out.Ret) != string(rb.PerShard[i].Ret) {
+				t.Fatalf("%s, piece %d: optimistic execution returned %+v, buffered %+v", label, i, out, rb.PerShard[i])
 			}
 		}
 		return ra
@@ -462,12 +474,14 @@ func TestIDAndNamePathsAgree(t *testing.T) {
 			covered[ta.Label]++
 			if ta.Label == "delivery-run" {
 				for _, out := range prev.PerShard {
-					covered["carriers"] += int(txn.DecodeInt(out))
+					covered["carriers"] += int(txn.DecodeInt(out.Ret))
 				}
 			}
 			if sabotage && stage == 0 {
 				// An intervening writer moves the balance stage 0 just read.
-				for sh, p := range ta.Pieces {
+				for i := range ta.Pieces {
+					p := &ta.Pieces[i]
+					sh := p.Shard()
 					k := p.ReadSet[0]
 					v := txn.EncodeInt(txn.DecodeInt(opt.sts[sh].Get(k)) - 777)
 					opt.sts[sh].Seed(k, v)

@@ -6,8 +6,10 @@
 package txn
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"fmt"
+	"slices"
 	"time"
 
 	"tiga/internal/trace"
@@ -124,7 +126,19 @@ type Piece struct {
 	// Exec is what an OpExec piece runs; the tagged ops leave it nil.
 	Exec PieceFunc
 	Op   Op
+	// shard is where the piece runs, in four bytes of the padding beside Op: a
+	// Piece stays in its size class.
+	shard int32
 }
+
+// On returns the piece placed on shard, which is what ByShard takes.
+func (p Piece) On(shard int) Piece {
+	p.shard = int32(shard)
+	return p
+}
+
+// Shard returns the shard the piece runs on.
+func (p *Piece) Shard() int { return int(p.shard) }
 
 // Run executes the piece against kv. It is the one way a piece is executed:
 // the store's views call it, and so does anything else that holds a piece.
@@ -162,21 +176,12 @@ func Conflicts(a, b *Piece) bool {
 		return false
 	}
 	for _, k := range a.WriteSet {
-		if containsKey(b.WriteSet, k) || containsKey(b.ReadSet, k) {
+		if slices.Contains(b.WriteSet, k) || slices.Contains(b.ReadSet, k) {
 			return true
 		}
 	}
 	for _, k := range a.ReadSet {
-		if containsKey(b.WriteSet, k) {
-			return true
-		}
-	}
-	return false
-}
-
-func containsKey(set []string, k string) bool {
-	for _, s := range set {
-		if s == k {
+		if slices.Contains(b.WriteSet, k) {
 			return true
 		}
 	}
@@ -185,8 +190,11 @@ func containsKey(set []string, k string) bool {
 
 // Txn is a one-shot transaction spanning one or more shards.
 type Txn struct {
-	ID       ID
-	Pieces   map[int]*Piece // shard id -> piece
+	ID ID
+	// Pieces holds one piece per involved shard in ascending shard order, as
+	// ByShard builds it: a loop over it is the deterministic order of every
+	// multicast, and a coordinator indexes its per-shard state by position.
+	Pieces   []Piece
 	ReadOnly bool
 	// Label tags the transaction type for metrics (e.g. "neworder").
 	Label string
@@ -195,42 +203,82 @@ type Txn struct {
 	// hooks call methods on it unconditionally, and the nil receiver makes
 	// every hook a free no-op on untraced runs.
 	Trace *trace.T
-	// shards memoizes Shards(): the involved-shard list is asked for on
-	// every coordinator evaluation tick, and Pieces never changes after
-	// construction.
-	shards []int
 }
 
-// Shards returns the involved shard ids in ascending order. The slice is
-// memoized and shared — callers must not mutate it.
-func (t *Txn) Shards() []int {
-	if t.shards == nil {
-		out := make([]int, 0, len(t.Pieces))
-		for s := range t.Pieces {
-			out = append(out, s)
+// ByShard is the one way a transaction's Pieces are built: it sorts pieces,
+// each placed on its shard by On, into ascending shard order — in place, the
+// result is the same slice — and panics when two name the same shard.
+func ByShard(pieces ...Piece) []Piece {
+	slices.SortFunc(pieces, func(a, b Piece) int { return cmp.Compare(a.shard, b.shard) })
+	for i := 1; i < len(pieces); i++ {
+		if pieces[i].shard == pieces[i-1].shard {
+			panic(fmt.Sprintf("txn: two pieces on shard %d", pieces[i].shard))
 		}
-		sort.Ints(out)
-		t.shards = out
 	}
-	return t.shards
+	return pieces
+}
+
+// Pos returns the position of shard's piece in Pieces, -1 when the transaction
+// does not touch the shard. A scan: transactions span a few shards.
+func (t *Txn) Pos(shard int) int {
+	for i := range t.Pieces {
+		if t.Pieces[i].shard == int32(shard) {
+			return i
+		}
+	}
+	return -1
+}
+
+// Piece returns the piece t runs on shard, nil when it does not touch it.
+func (t *Txn) Piece(shard int) *Piece {
+	if i := t.Pos(shard); i >= 0 {
+		return &t.Pieces[i]
+	}
+	return nil
 }
 
 // ConflictsWith reports whether t and o conflict on any common shard.
 func (t *Txn) ConflictsWith(o *Txn) bool {
-	for s, p := range t.Pieces {
-		if op, ok := o.Pieces[s]; ok && Conflicts(p, op) {
+	for i, j := 0, 0; i < len(t.Pieces) && j < len(o.Pieces); {
+		switch p, q := &t.Pieces[i], &o.Pieces[j]; {
+		case p.shard < q.shard:
+			i++
+		case p.shard > q.shard:
+			j++
+		case Conflicts(p, q):
 			return true
+		default:
+			i, j = i+1, j+1
 		}
 	}
 	return false
+}
+
+// ShardRet is one shard's piece result.
+type ShardRet struct {
+	Shard int
+	Ret   []byte
+}
+
+// PutRet records that shard's piece returned ret, keeping rets in ascending
+// shard order; a shard that reports again replaces its entry. Folding replies
+// as they arrive is complete, and parallel to t.Pieces, at len(t.Pieces).
+func PutRet(rets []ShardRet, shard int, ret []byte) []ShardRet {
+	i, found := slices.BinarySearchFunc(rets, shard, func(r ShardRet, sh int) int { return cmp.Compare(r.Shard, sh) })
+	if !found {
+		rets = slices.Insert(rets, i, ShardRet{Shard: shard})
+	}
+	rets[i].Ret = ret
+	return rets
 }
 
 // Result carries the per-shard execution results back to the client.
 type Result struct {
 	OK      bool
 	Aborted bool
-	// PerShard maps shard id to the piece's return value.
-	PerShard map[int][]byte
+	// PerShard holds the pieces' return values, parallel to the transaction's
+	// Pieces. An entry names its shard because Interactive.Next holds only this.
+	PerShard []ShardRet
 	// FastPath reports whether the commit used the protocol's fast path.
 	FastPath bool
 	// Retries counts protocol-level retries before the final outcome.
@@ -256,6 +304,16 @@ type Result struct {
 	// Shed reports that a coordinator admission gate refused the
 	// transaction without running the protocol (Aborted is also set).
 	Shed bool
+}
+
+// Ret returns what shard's piece returned, nil for an untouched shard.
+func (r *Result) Ret(shard int) []byte {
+	for i := range r.PerShard {
+		if r.PerShard[i].Shard == shard {
+			return r.PerShard[i].Ret
+		}
+	}
+	return nil
 }
 
 // ReadObs is one observed read of a snapshot transaction: the key and the

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -84,26 +85,116 @@ func TestConflicts(t *testing.T) {
 	}
 }
 
-func TestTxnConflictsWith(t *testing.T) {
-	a := &Txn{Pieces: map[int]*Piece{0: {WriteSet: []string{"x"}}, 1: {WriteSet: []string{"y"}}}}
-	b := &Txn{Pieces: map[int]*Piece{1: {ReadSet: []string{"y"}}}}
-	c := &Txn{Pieces: map[int]*Piece{2: {WriteSet: []string{"x"}}}} // same key, other shard
-	if !a.ConflictsWith(b) {
-		t.Fatal("shard-1 conflict missed")
+// mapConflictsWith is ConflictsWith as it was over map[int]*Piece: the
+// reference the merge walk over the two sorted slices must agree with.
+func mapConflictsWith(t, o *Txn) bool {
+	byShard := make(map[int]*Piece)
+	for i := range o.Pieces {
+		byShard[o.Pieces[i].Shard()] = &o.Pieces[i]
 	}
-	if a.ConflictsWith(c) {
-		t.Fatal("conflicts must be per shard")
+	for i := range t.Pieces {
+		if q, ok := byShard[t.Pieces[i].Shard()]; ok && Conflicts(&t.Pieces[i], q) {
+			return true
+		}
+	}
+	return false
+}
+
+func TestTxnConflictsWith(t *testing.T) {
+	w, r := func(k string) Piece { return Piece{WriteSet: []string{k}} }, func(k string) Piece { return Piece{ReadSet: []string{k}} }
+	a := &Txn{Pieces: ByShard(w("x").On(0), w("y").On(1))}
+	for _, c := range []struct {
+		name string
+		o    *Txn
+		want bool
+	}{
+		{"shard-1 read of a written key", &Txn{Pieces: ByShard(r("y").On(1))}, true},
+		{"same key, other shard", &Txn{Pieces: ByShard(w("x").On(2))}, false},
+		{"common shard, disjoint keys", &Txn{Pieces: ByShard(w("z").On(0), r("z").On(1))}, false},
+		{"conflict on the last of several common shards", &Txn{Pieces: ByShard(r("q").On(0), r("y").On(1), w("x").On(5))}, true},
+		{"interleaved shards, none common", &Txn{Pieces: ByShard(w("x").On(2), w("y").On(3))}, false},
+		{"no pieces", &Txn{}, false},
+	} {
+		if got := a.ConflictsWith(c.o); got != c.want || got != mapConflictsWith(a, c.o) {
+			t.Errorf("%s: ConflictsWith = %v, want %v (map form %v)", c.name, got, c.want, mapConflictsWith(a, c.o))
+		}
+		if got := c.o.ConflictsWith(a); got != c.want {
+			t.Errorf("%s, reversed: ConflictsWith = %v, want %v", c.name, got, c.want)
+		}
 	}
 }
 
+// TestShardsSorted: ByShard is the only thing between the order a caller lists
+// pieces in and the order every protocol sends in, so every permutation of the
+// same pieces must build the identical transaction.
 func TestShardsSorted(t *testing.T) {
-	tx := &Txn{Pieces: map[int]*Piece{5: {}, 1: {}, 3: {}}}
-	got := tx.Shards()
-	want := []int{1, 3, 5}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Shards() = %v", got)
+	pieces := []Piece{
+		IncrementPiece("a").On(5), Piece{ReadSet: []string{"b"}}.On(1),
+		Tagged(OpRead, []string{"c"}, []KeyID{7}).On(3), WritePiece("d", nil).On(0),
+	}
+	shape := func(ps []Piece) (out []string) {
+		for i := range ps {
+			out = append(out, fmt.Sprint(ps[i].Shard(), ps[i].ReadSet, ps[i].WriteSet, ps[i].ReadIDs, ps[i].Op))
 		}
+		return out
+	}
+	want := []string{"0 [] [d] [] 0", "1 [b] [] [] 0", "3 [c] [] [7] 1", "5 [a] [a] [] 0"}
+	var permute func(k int)
+	permute = func(k int) {
+		if k == len(pieces) {
+			in := append([]Piece(nil), pieces...)
+			got := ByShard(in...)
+			if &got[0] != &in[0] {
+				t.Fatal("ByShard copied the slice it was given")
+			}
+			if !reflect.DeepEqual(shape(got), want) {
+				t.Fatalf("ByShard(%v) = %v, want %v", shape(pieces), shape(got), want)
+			}
+			return
+		}
+		for i := k; i < len(pieces); i++ {
+			pieces[k], pieces[i] = pieces[i], pieces[k]
+			permute(k + 1)
+			pieces[k], pieces[i] = pieces[i], pieces[k]
+		}
+	}
+	permute(0)
+}
+
+func TestDuplicateShardPanics(t *testing.T) {
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "shard 4") {
+			t.Fatalf("two pieces on shard 4: recovered %q, want a panic naming the shard", msg)
+		}
+	}()
+	ByShard(IncrementPiece("a").On(4), IncrementPiece("b").On(2), ReadPiece("c").On(4))
+}
+
+// TestUntouchedShard: Piece, Pos and Ret answer for a shard the transaction
+// does not touch, and PutRet keeps a result in shard order whatever order the
+// shards report in.
+func TestUntouchedShard(t *testing.T) {
+	tx := &Txn{Pieces: ByShard(ReadPiece("b").On(6), ReadPiece("a").On(2))}
+	if tx.Piece(2) != &tx.Pieces[0] || tx.Piece(6) != &tx.Pieces[1] || tx.Pos(6) != 1 {
+		t.Fatalf("Piece/Pos do not find the pieces of %v", tx.Pieces)
+	}
+	for _, sh := range []int{0, 4, 7} {
+		if tx.Piece(sh) != nil || tx.Pos(sh) != -1 {
+			t.Errorf("shard %d: Piece = %v, Pos = %d, want nil and -1", sh, tx.Piece(sh), tx.Pos(sh))
+		}
+	}
+	var rets []ShardRet
+	rets = PutRet(rets, 6, []byte("six"))
+	rets = PutRet(rets, 2, []byte("stale"))
+	rets = PutRet(rets, 4, nil)
+	rets = PutRet(rets, 2, []byte("two"))
+	want := []ShardRet{{2, []byte("two")}, {4, nil}, {6, []byte("six")}}
+	if !reflect.DeepEqual(rets, want) {
+		t.Fatalf("PutRet built %v, want %v", rets, want)
+	}
+	r := &Result{PerShard: rets}
+	if string(r.Ret(2)) != "two" || string(r.Ret(6)) != "six" || r.Ret(4) != nil || r.Ret(3) != nil || (&Result{}).Ret(0) != nil {
+		t.Errorf("Ret over %v: 2=%q 6=%q 4=%v 3=%v", rets, r.Ret(2), r.Ret(6), r.Ret(4), r.Ret(3))
 	}
 }
 
@@ -191,11 +282,16 @@ func TestNumberedPiecesAreOneAllocation(t *testing.T) {
 	_ = sink
 }
 
-// TestPieceStaysInItsSizeClass: a Piece is 105 bytes of fields and lives in
-// Go's 112-byte size class, three to a generated job; one more word moves
-// every piece of every transaction into the 128-byte class.
+// TestPieceStaysInItsSizeClass: a Piece is 109 bytes of fields — its shard
+// sits in the padding beside Op — and lives in Go's 112-byte size class, three
+// to a generated job; one more word moves every piece of every transaction into
+// the 128-byte class. A Txn is 72 bytes and shares the job's allocation: past
+// 80 the three-piece arena leaves its 480-byte class.
 func TestPieceStaysInItsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(Piece{}); n > 112 {
 		t.Errorf("txn.Piece is %d bytes, want <= 112", n)
+	}
+	if n := unsafe.Sizeof(Txn{}); n > 80 {
+		t.Errorf("txn.Txn is %d bytes, want <= 80", n)
 	}
 }

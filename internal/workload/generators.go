@@ -55,7 +55,7 @@ func (y *YCSBT) Next(rng *rand.Rand) Job {
 		j.set(i, sh, op, y.names.key(sh, y.Keys, idx), idx)
 	}
 	j.t.ReadOnly = readOnly
-	return Job{T: j.t, Label: "ycsbt"}
+	return j.done()
 }
 
 // HotWrite is a write-heavy hot-key stress mix: every transaction increments
@@ -106,7 +106,7 @@ func (h *HotWrite) Next(rng *rand.Rand) Job {
 		idx := h.zipf.Next(rng)
 		j.set(i, sh, txn.OpIncrement, h.names.key(sh, h.Keys, idx), idx)
 	}
-	return Job{T: j.t, Label: "hotwrite"}
+	return j.done()
 }
 
 func init() {

@@ -123,7 +123,8 @@ func TestHotWriteShape(t *testing.T) {
 		if job.T.ReadOnly {
 			t.Fatal("hotwrite produced a read-only txn")
 		}
-		for sh, p := range job.T.Pieces {
+		for _, p := range job.T.Pieces {
+			sh := p.Shard()
 			if len(p.WriteSet) != 1 {
 				t.Fatal("each piece writes exactly one key")
 			}

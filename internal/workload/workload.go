@@ -157,10 +157,10 @@ func (m *MicroBench) Seed(shard int, st *store.Store) {
 // default.
 const arenaKeys = 3
 
-// arena is the one allocation behind a generated transaction: the Txn and the
-// pieces, key names and ids of its single-key pieces. The scale-out sweeps draw
-// millions of jobs per run, and a Piece, a one-element []string, a one-element
-// []KeyID and a closure per key dominated the generators' profile.
+// arena is the one allocation behind a generated transaction: the Txn, its
+// Pieces, and the key names and ids of its single-key pieces. The scale-out
+// sweeps draw millions of jobs per run, and a Piece, a one-element []string, a
+// one-element []KeyID and a closure per key dominated the generators' profile.
 type arena struct {
 	t   txn.Txn
 	ps  [arenaKeys]txn.Piece
@@ -168,10 +168,9 @@ type arena struct {
 	ids [arenaKeys]KeyID
 }
 
-// job is a transaction of n single-key pieces under construction.
+// job is a transaction of n single-key pieces under construction; done sorts them.
 type job struct {
 	t   *txn.Txn
-	ps  []txn.Piece
 	ks  []string
 	ids []KeyID
 }
@@ -182,19 +181,25 @@ func newJob(n int, label string) job {
 	var j job
 	if n <= arenaKeys {
 		a := new(arena)
-		j = job{&a.t, a.ps[:n], a.ks[:n], a.ids[:n]}
+		j = job{&a.t, a.ks[:n], a.ids[:n]}
+		j.t.Pieces = a.ps[:n]
 	} else {
-		j = job{new(txn.Txn), make([]txn.Piece, n), make([]string, n), make([]KeyID, n)}
+		j = job{&txn.Txn{Pieces: make([]txn.Piece, n)}, make([]string, n), make([]KeyID, n)}
 	}
-	j.t.Pieces, j.t.Label = make(map[int]*txn.Piece, n), label
+	j.t.Label = label
 	return j
 }
 
 // set makes the job's i-th piece op on key idx of shard sh (key is its name).
 func (j job) set(i, sh int, op txn.Op, key string, idx int) {
 	j.ks[i], j.ids[i] = key, KeyID(idx)
-	j.ps[i] = txn.Tagged(op, j.ks[i:i+1:i+1], j.ids[i:i+1:i+1])
-	j.t.Pieces[sh] = &j.ps[i]
+	j.t.Pieces[i] = txn.Tagged(op, j.ks[i:i+1:i+1], j.ids[i:i+1:i+1]).On(sh)
+}
+
+// done returns the finished job, its pieces all set.
+func (j job) done() Job {
+	j.t.Pieces = txn.ByShard(j.t.Pieces...)
+	return Job{T: j.t, Label: j.t.Label}
 }
 
 // Next generates one 3-shard increment transaction. The rng draw sequence and
@@ -212,7 +217,7 @@ func (m *MicroBench) Next(rng *rand.Rand) Job {
 		idx := m.zipf.Next(rng)
 		j.set(i, sh, txn.OpIncrement, m.names.key(sh, m.Keys, idx), idx)
 	}
-	return Job{T: j.t, Label: "micro"}
+	return j.done()
 }
 
 // Uniform is a uniformly-distributed single-key read/write mix used by a few
@@ -234,14 +239,14 @@ func (u *Uniform) Next(rng *rand.Rand) Job {
 	sh := rng.Intn(u.Shards)
 	idx := rng.Intn(u.Keys)
 	k := u.names.key(sh, u.Keys, idx)
-	t := &txn.Txn{Pieces: make(map[int]*txn.Piece, 1), Label: "uniform"}
+	j := newJob(1, "uniform")
 	if rng.Float64() < u.ReadRatio {
-		t.Pieces[sh] = txn.ReadPieceID(k, KeyID(idx))
-		t.ReadOnly = true
+		j.set(0, sh, txn.OpRead, k, idx)
+		j.t.ReadOnly = true
 	} else {
-		t.Pieces[sh] = txn.IncrementPieceID(k, KeyID(idx))
+		j.set(0, sh, txn.OpIncrement, k, idx)
 	}
-	return Job{T: t, Label: "uniform"}
+	return j.done()
 }
 
 func init() {

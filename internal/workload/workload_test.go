@@ -77,11 +77,11 @@ func TestMicroBenchShape(t *testing.T) {
 		if len(job.T.Pieces) != 3 {
 			t.Fatalf("txn spans %d shards, want 3", len(job.T.Pieces))
 		}
-		for sh, p := range job.T.Pieces {
+		for _, p := range job.T.Pieces {
 			if len(p.ReadSet) != 1 || len(p.WriteSet) != 1 {
 				t.Fatal("each piece touches exactly one key")
 			}
-			if p.ReadSet[0] != Key(sh, int(keyIdx(p.ReadSet[0]))) && false {
+			if p.ReadSet[0] != Key(p.Shard(), int(keyIdx(p.ReadSet[0]))) && false {
 				t.Fatal("key shape")
 			}
 		}
@@ -112,9 +112,10 @@ func TestMicroBenchExecutable(t *testing.T) {
 	total := 0
 	for i := 0; i < 100; i++ {
 		job := m.Next(rng)
-		for sh, p := range job.T.Pieces {
-			sts[sh].Execute(txn.ID{Coord: 1, Seq: uint64(i + 1)}, txn.Timestamp{}, p)
-			sts[sh].Commit(txn.ID{Coord: 1, Seq: uint64(i + 1)})
+		for j := range job.T.Pieces {
+			p := &job.T.Pieces[j]
+			sts[p.Shard()].ExecuteID(txn.ID{Coord: 1, Seq: uint64(i + 1)}, txn.Timestamp{}, p)
+			sts[p.Shard()].Commit(txn.ID{Coord: 1, Seq: uint64(i + 1)})
 			total++
 		}
 	}
@@ -147,21 +148,21 @@ func TestUniform(t *testing.T) {
 // perPiece builds, from the same draws in the same order, the transaction the
 // generators built before their pieces shared one arena: one constructor call
 // per key, a read with probability readRatio and an increment otherwise.
-func perPiece(rng *rand.Rand, z *Zipfian, shards, n int, readRatio float64) (map[int]*txn.Piece, bool) {
-	out := make(map[int]*txn.Piece, n)
+func perPiece(rng *rand.Rand, z *Zipfian, shards, n int, readRatio float64) ([]txn.Piece, bool) {
+	out := make([]txn.Piece, 0, n)
 	start := rng.Intn(shards)
 	readOnly := true
 	for i := 0; i < n; i++ {
 		sh := (start + i) % shards
 		idx := z.Next(rng)
 		if readRatio > 0 && rng.Float64() < readRatio {
-			out[sh] = txn.ReadPieceID(Key(sh, idx), KeyID(idx))
+			out = append(out, txn.ReadPieceID(Key(sh, idx), KeyID(idx)).On(sh))
 		} else {
-			out[sh] = txn.IncrementPieceID(Key(sh, idx), KeyID(idx))
+			out = append(out, txn.IncrementPieceID(Key(sh, idx), KeyID(idx)).On(sh))
 			readOnly = false
 		}
 	}
-	return out, readOnly
+	return txn.ByShard(out...), readOnly
 }
 
 // TestGeneratedJobsMatchThePerPieceConstruction: same rng draws, same keys,
@@ -175,13 +176,8 @@ func TestGeneratedJobsMatchThePerPieceConstruction(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			got := gen.Next(a).T
 			want, readOnly := perPiece(b, z, shards, n, readRatio)
-			if len(got.Pieces) != n || got.ReadOnly != readOnly {
-				t.Fatalf("%s job %d: %d pieces, read-only %v; want %d, %v", name, i, len(got.Pieces), got.ReadOnly, n, readOnly)
-			}
-			for sh, p := range want {
-				if g := got.Pieces[sh]; g == nil || !reflect.DeepEqual(*g, *p) {
-					t.Fatalf("%s job %d shard %d: piece %+v, want %+v", name, i, sh, g, *p)
-				}
+			if got.ReadOnly != readOnly || !reflect.DeepEqual(got.Pieces, want) {
+				t.Fatalf("%s job %d: read-only %v, pieces %+v; want %v, %+v", name, i, got.ReadOnly, got.Pieces, readOnly, want)
 			}
 		}
 	}
@@ -195,8 +191,8 @@ func TestGeneratedJobsMatchThePerPieceConstruction(t *testing.T) {
 	check("micro", m, m.zipf, 3, 0)
 }
 
-// TestGeneratorsAllocatePerJob pins what a generated job costs: its arena and
-// its Pieces map — nothing per key.
+// TestGeneratorsAllocatePerJob pins what a generated job costs: its arena,
+// which is the transaction and its Pieces — nothing else, nothing per key.
 func TestGeneratorsAllocatePerJob(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var sink Job
@@ -210,8 +206,8 @@ func TestGeneratorsAllocatePerJob(t *testing.T) {
 	}
 	micro := per(NewMicroBench(3, 100, 0.5))
 	t.Logf("allocations per Next: ycsbt %v (by keys), micro %.0f", ycsbt[1:], micro)
-	if ycsbt[arenaKeys] > 3 || micro > 3 {
-		t.Errorf("a 3-key job allocates %.0f (ycsbt) / %.0f (micro) objects, want the arena and the map (3)", ycsbt[arenaKeys], micro)
+	if ycsbt[arenaKeys] != 1 || micro != 1 {
+		t.Errorf("a 3-key job allocates %.0f (ycsbt) / %.0f (micro) objects, want the arena (1)", ycsbt[arenaKeys], micro)
 	}
 	if ycsbt[1] != ycsbt[arenaKeys] {
 		t.Errorf("a 1-key job allocates %.0f objects and a %d-key job %.0f: something is allocated per key",
