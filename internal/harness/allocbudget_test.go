@@ -45,11 +45,11 @@ var txnPathBudget = []struct {
 	localReads              bool
 	allocs, bytes           float64
 }{
-	{"closed", "", "micro", 3, 2000, time.Second, false, 22.7, 11787},
-	{"open", "poisson", "micro", 3, 2000, time.Second, false, 22.7, 11976},
-	{"closed-100k", "", "micro", 3, 100_000, 2 * time.Second, false, 18.0, 9234},
-	{"closed-tpcc", "", "tpcc", 6, 2000, time.Second, false, 135.8, 26906},
-	{"open-reads", "poisson", "ycsbt", 6, 2000, time.Second, true, 10.9, 6405},
+	{"closed", "", "micro", 3, 2000, time.Second, false, 11.7, 11699},
+	{"open", "poisson", "micro", 3, 2000, time.Second, false, 11.8, 11889},
+	{"closed-100k", "", "micro", 3, 100_000, 2 * time.Second, false, 8.0, 9141},
+	{"closed-tpcc", "", "tpcc", 6, 2000, time.Second, false, 43.1, 23292},
+	{"open-reads", "poisson", "ycsbt", 6, 2000, time.Second, true, 10.4, 6399},
 }
 
 const (

@@ -136,6 +136,7 @@ func TestPieceOrderNeverReachesTheWire(t *testing.T) {
 		return buf.Bytes()
 	}
 	asc, desc := document(false), document(true)
+	smallIntsIntact(t)
 	if !bytes.Equal(asc, desc) {
 		t.Fatalf("pieces listed in descending order changed the document\n--- ascending ---\n%s\n--- descending ---\n%s", asc, desc)
 	}

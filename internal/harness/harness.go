@@ -592,7 +592,7 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 					d.Sys.Submit(ci, job.T, j.finishSub)
 				}
 			} else {
-				runChain(d, ci, job.I, 0, spec.MaxChainRestarts, j.finish)
+				runChain(d, ci, job.I, spec.MaxChainRestarts, j.finish)
 			}
 		}
 		d.Sim.After(first, tick)
@@ -605,46 +605,76 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 // runChain drives a multi-shot (interactive) transaction: it submits the
 // stages produced by Next in sequence, restarting the whole chain when a
 // validation stage aborts (Appendix F).
-func runChain(d *Deployment, coord int, ic *txn.Interactive, restarts, maxRestarts int,
-	finish func(txn.Result, *txn.Txn)) {
+func runChain(d *Deployment, coord int, ic *txn.Interactive, maxRestarts int, finish func(txn.Result, *txn.Txn)) {
+	c := &chain{d: d, coord: coord, ic: ic, maxRestarts: maxRestarts, finish: finish}
+	c.submitted = c.result
+	c.step(nil)
+}
 
-	var stage func(n int, prev *txn.Result, retries int)
-	stage = func(n int, prev *txn.Result, retries int) {
-		t, done, abort := ic.Next(n, prev)
-		if abort {
-			if restarts >= maxRestarts {
-				finish(txn.Result{Aborted: true, Retries: retries}, nil)
-				return
-			}
-			// Brief fixed backoff, then restart.
-			d.Sim.After(5*time.Millisecond, func() {
-				runChain(d, coord, ic, restarts+1, maxRestarts, finish)
-			})
-			return
-		}
-		if done || t == nil {
-			r := txn.Result{OK: true, Retries: retries + restarts}
-			if prev != nil {
-				r.PerShard = prev.PerShard
-				r.FastPath = prev.FastPath
-				r.TS = prev.TS
-			}
-			finish(r, nil)
-			return
-		}
-		d.Sys.Submit(coord, t, func(r txn.Result) {
-			if !r.OK {
-				if restarts >= maxRestarts {
-					finish(txn.Result{Aborted: true, Retries: retries + r.Retries}, nil)
-					return
-				}
-				d.Sim.After(5*time.Millisecond, func() {
-					runChain(d, coord, ic, restarts+1, maxRestarts, finish)
-				})
-				return
-			}
-			stage(n+1, &r, retries+r.Retries)
-		})
+// chain is one interactive transaction's state for as long as it runs. Its
+// result method, bound once, is the Submit callback of every stage.
+type chain struct {
+	d           *Deployment
+	coord       int
+	ic          *txn.Interactive
+	maxRestarts int
+	finish      func(txn.Result, *txn.Txn)
+	submitted   func(txn.Result)
+
+	restarts int
+	// stage is the stage in flight, retries the protocol retries of this
+	// attempt's stages so far, and prev the last stage's result.
+	stage, retries int
+	prev           txn.Result
+}
+
+// step asks the chain for its next stage, given the previous stage's result
+// (nil at stage 0), and submits it — or finishes the chain.
+func (c *chain) step(prev *txn.Result) {
+	t, done, abort := c.ic.Next(c.stage, prev)
+	if abort {
+		c.retry(c.retries)
+		return
 	}
-	stage(0, nil, 0)
+	if done || t == nil {
+		r := txn.Result{OK: true, Retries: c.retries + c.restarts}
+		if prev != nil {
+			r.PerShard = prev.PerShard
+			r.FastPath = prev.FastPath
+			r.TS = prev.TS
+		}
+		c.finish(r, nil)
+		return
+	}
+	c.d.Sys.Submit(c.coord, t, c.submitted)
+}
+
+// result takes the outcome of the stage in flight.
+func (c *chain) result(r txn.Result) {
+	if !r.OK {
+		c.retry(c.retries + r.Retries)
+		return
+	}
+	c.stage++
+	c.retries += r.Retries
+	c.prev = r
+	c.step(&c.prev)
+}
+
+// retry restarts the chain after a brief fixed backoff, or, when it has
+// restarted maxRestarts times, finishes it aborted; retries is what the
+// abandoned attempt reports.
+func (c *chain) retry(retries int) {
+	if c.restarts >= c.maxRestarts {
+		c.finish(txn.Result{Aborted: true, Retries: retries}, nil)
+		return
+	}
+	c.d.Sim.After(5*time.Millisecond, c.restart)
+}
+
+// restart runs the chain again from stage 0.
+func (c *chain) restart() {
+	c.restarts++
+	c.stage, c.retries = 0, 0
+	c.step(nil)
 }

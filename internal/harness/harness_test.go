@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -97,11 +99,56 @@ func TestLatencyOrdering(t *testing.T) {
 	}
 }
 
+// payments passes a TPC-C job stream through and records each Payment's
+// history row — a store cannot list its rows — with the number of its
+// attempts that paid the warehouse and then failed the customer check on
+// another shard: such an attempt committed its warehouse piece, so its restart
+// pays the warehouse again (EXPERIMENTS.md, "Known deviations"). sameShard
+// counts the failed checks that had warehouse and customer on one shard, which
+// pay nothing.
+type payments struct {
+	*tpcc.Gen
+	repaid    map[string]int64
+	sameShard int
+}
+
+func (p *payments) Next(rng *rand.Rand) workload.Job {
+	job := p.Gen.Next(rng)
+	if job.Label != "payment" {
+		return job
+	}
+	next, row := job.I.Next, ""
+	job.I.Next = func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
+		t, done, abort := next(stage, prev)
+		switch {
+		case abort && len(prev.PerShard) == 1:
+			p.sameShard++
+		case abort:
+			p.repaid[row]++
+		}
+		if t != nil {
+			for i := range t.Pieces {
+				for _, k := range t.Pieces[i].WriteSet {
+					if strings.HasPrefix(k, "h:") {
+						row = k
+						p.repaid[row] += 0 // the row is drawn; nothing repaid yet
+					}
+				}
+			}
+		}
+		return t, done, abort
+	}
+	return job
+}
+
 // TestTigaTPCC runs the TPC-C mix (including multi-shot Payment/Order-Status)
-// on Tiga and verifies money conservation: every committed Payment moved its
-// amount exactly once.
+// on Tiga and verifies money conservation, TPC-C's consistency condition 1:
+// per warehouse, w_ytd = Σ d_ytd = Σ of the amounts in its history rows —
+// plus, for the one known deviation, the amount of every remote-customer
+// attempt that paid the warehouse before its customer check failed. A
+// same-shard Payment whose check fails pays nothing, and the run has some.
 func TestTigaTPCC(t *testing.T) {
-	gen := tpcc.New(tpcc.TestConfig(3))
+	gen := &payments{Gen: tpcc.New(tpcc.TestConfig(3)), repaid: map[string]int64{}}
 	spec := ClusterSpec{
 		Protocol: "Tiga", Shards: 3, F: 1,
 		Clock: clocks.ModelChrony, CoordsPerRegion: 1, CoordsRemote: 1,
@@ -132,6 +179,44 @@ func TestTigaTPCC(t *testing.T) {
 					t.Fatalf("shard %d: replica %d log diverges at %d", sh, rep, i)
 				}
 			}
+		}
+	}
+	smallIntsIntact(t)
+	var paid, repaid int64
+	for w := 1; w <= tpcc.TestConfig(3).Warehouses; w++ {
+		st := c.Leader(gen.ShardOf(w)).Store()
+		get := func(format string, args ...any) int64 { return txn.DecodeInt(st.Get(fmt.Sprintf(format, args...))) }
+		var dYtd, history, twice int64
+		for dist := 1; dist <= tpcc.TestConfig(3).Districts; dist++ {
+			dYtd += get("d_ytd:%d:%d", w, dist)
+		}
+		for row, n := range gen.repaid {
+			if strings.HasPrefix(row, fmt.Sprintf("h:%d:", w)) {
+				amount := get("%s", row)
+				history, twice = history+amount, twice+n*amount
+			}
+		}
+		if wYtd := get("w_ytd:%d", w); wYtd != dYtd || wYtd != history+twice {
+			t.Errorf("warehouse %d: w_ytd %d, sum of d_ytd %d, sum of history amounts %d + %d paid again after a remote check failed: want w_ytd = sum of d_ytd = the sum",
+				w, wYtd, dYtd, history, twice)
+		}
+		paid, repaid = paid+history, repaid+twice
+	}
+	t.Logf("paid %d; %d same-shard payments failed their check, remote-customer ones paid %d again", paid, gen.sameShard, repaid)
+	if paid == 0 || gen.sameShard == 0 {
+		t.Fatalf("the run must commit payments (paid %d) and fail some same-shard checks (%d)", paid, gen.sameShard)
+	}
+}
+
+// smallIntsIntact fails the test unless every value txn.EncodeInt serves from
+// its shared table still decodes to itself. Every store on every node holds
+// those bytes, so one write into a stored value anywhere would corrupt all of
+// them, silently.
+func smallIntsIntact(t *testing.T) {
+	t.Helper()
+	for v := int64(-txn.SmallInts); v < txn.SmallInts; v++ {
+		if got := txn.DecodeInt(txn.EncodeInt(v)); got != v {
+			t.Fatalf("txn.EncodeInt(%d) decodes to %d: something wrote into a shared stored value", v, got)
 		}
 	}
 }

@@ -29,7 +29,10 @@
 // Writing costs an allocation per chunk of new versions, not one per key, and
 // Versions is a subtraction. Values are not part of that: they are the caller's
 // immutable []byte, aliased by read and piece results, and are never copied
-// into reusable memory.
+// into reusable memory. One value may be shared across keys, stores and nodes
+// — every replica's seed values come from one image, and txn.EncodeInt hands
+// out small integers from one package-level table — so nothing may write into
+// a stored value's bytes; a new value is a new slice.
 //
 // A shard's replicas start byte-identical, so what they start from is held
 // once: an Image is a shard's name → id map and seed values, built by the

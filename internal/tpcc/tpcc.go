@@ -14,6 +14,8 @@
 package tpcc
 
 import (
+	"cmp"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strconv"
@@ -68,9 +70,6 @@ type Gen struct {
 	// the caches need no locking.
 	names  [][]string
 	images []*store.Image
-	// ints caches the encoded seed values (all within ±1000); stored values
-	// are immutable, so every key and replica seeded with v shares one buffer.
-	ints [][]byte
 }
 
 // Column offsets within their group.
@@ -83,10 +82,17 @@ const (
 	wCols, dCols, cCols, iCols = 2, 4, 5, 4
 )
 
-// New builds a TPC-C generator.
+// maxDistricts is the districts per warehouse the specification fixes; a
+// Delivery's stages have room for one entry per district.
+const maxDistricts = 10
+
+// New builds a TPC-C generator. It panics on more than maxDistricts districts.
 func New(cfg Config) *Gen {
 	if cfg.Warehouses == 0 {
 		cfg.Warehouses = cfg.Shards
+	}
+	if cfg.Districts > maxDistricts {
+		panic(fmt.Sprintf("tpcc: %d districts per warehouse, at most %d", cfg.Districts, maxDistricts))
 	}
 	perD := dCols + cCols*cfg.Customers
 	return &Gen{cfg: cfg, perD: perD, perW: wCols + cfg.Districts*perD + iCols*cfg.Items}
@@ -125,7 +131,8 @@ func (g *Gen) iID(w, i int) txn.KeyID {
 }
 
 // seedValue is the initial value of the column at id (any shard: the layout
-// repeats per warehouse).
+// repeats per warehouse). Every one is within ±1000, so its encoding is one of
+// txn.EncodeInt's shared ones: no replica allocates a seed value.
 func (g *Gen) seedValue(id int) int64 {
 	off := id % g.perW
 	if off < wCols {
@@ -142,17 +149,6 @@ func (g *Gen) seedValue(id int) int64 {
 	off -= g.cfg.Districts * g.perD
 	item := off/iCols + 1
 	return [iCols]int64{colIPrice: int64(100 + item%900), colSQty: 100, colSYtd: 0, colSCnt: 0}[off%iCols]
-}
-
-// enc returns the shared encoding of a seed value.
-func (g *Gen) enc(v int64) []byte {
-	if g.ints == nil {
-		g.ints = make([][]byte, 2001)
-	}
-	if g.ints[v+1000] == nil {
-		g.ints[v+1000] = txn.EncodeInt(v)
-	}
-	return g.ints[v+1000]
 }
 
 // ---- column keys ----
@@ -220,19 +216,27 @@ func (g *Gen) tab(shard int) []string {
 func (g *Gen) Seed(shard int, st *store.Store) {
 	names := g.tab(shard)
 	if g.images[shard] == nil {
-		g.images[shard] = store.NewImage(names, func(id int) []byte { return g.enc(g.seedValue(id)) })
+		g.images[shard] = store.NewImage(names, func(id int) []byte { return txn.EncodeInt(g.seedValue(id)) })
 	}
 	st.Attach(g.images[shard])
 }
 
-// keyset accumulates one declared access set in both forms.
+// keyset accumulates one declared access set in both forms, or holds the room
+// a stage's sets are cut from.
 type keyset struct {
 	names []string
 	ids   []txn.KeyID
 }
 
-func newKeyset(n int) keyset {
-	return keyset{names: make([]string, 0, n), ids: make([]txn.KeyID, 0, n)}
+// cut returns an empty set with room for n keys taken off the front of room.
+// Every set of a stage comes out of one names and one ids backing, sized for
+// all of them before the first is filled: an arena's arrays when the sizes are
+// fixed, two slices made for the stage when they are drawn. The set's capacity
+// is n, so an overrun reallocates instead of writing into the next set.
+func (room *keyset) cut(n int) keyset {
+	s := keyset{room.names[:0:n], room.ids[:0:n]}
+	room.names, room.ids = room.names[n:], room.ids[n:]
+	return s
 }
 
 // add declares seeded columns of the shard whose name table is tab.
@@ -249,9 +253,18 @@ func (s *keyset) insert(name string) {
 	s.ids = append(s.ids, txn.NoKeyID)
 }
 
-func (s *keyset) append(o keyset) {
-	s.names = append(s.names, o.names...)
-	s.ids = append(s.ids, o.ids...)
+// single is a one-piece stage's transaction and piece, the head of the
+// stage's arena.
+type single struct {
+	t txn.Txn
+	p [1]txn.Piece
+}
+
+// one returns the arena's transaction, running p.
+func (s *single) one(label string, readOnly bool, p txn.Piece) *txn.Txn {
+	s.p[0] = p
+	s.t = txn.Txn{Label: label, ReadOnly: readOnly, Pieces: txn.ByShard(s.p[:]...)}
+	return &s.t
 }
 
 // getInt and putInt read and write a seeded numeric column.
@@ -283,19 +296,16 @@ func (g *Gen) randWarehouse(rng *rand.Rand) int { return 1 + rng.Intn(g.cfg.Ware
 // NewOrder builds the one-shot New-Order transaction: it increments the
 // district's next-order id (the hot column), reads tax/discount columns,
 // decrements stock for 5–15 items (1% from a remote warehouse), and inserts
-// the order and order-line rows under a unique id.
+// the order and order-line rows under a unique id. It runs one piece on every
+// shard that holds stock of its lines, and the home district's columns join
+// the home shard's piece (which is the only one when every line is local).
 func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 	w := g.randWarehouse(rng)
 	d := 1 + rng.Intn(g.cfg.Districts)
 	c := 1 + rng.Intn(g.cfg.Customers)
-	uid := g.nextUID(rng)
-	nItems := 5 + rng.Intn(11)
-	type line struct {
-		shard int
-		item  txn.KeyID // the item's i_price column; the stock columns follow it
-		qty   int64
-	}
-	lines := make([]line, nItems)
+	o := &newOrder{uid: g.nextUID(rng)}
+	o.n = 5 + rng.Intn(11)
+	lines := o.lines[:o.n]
 	for i := range lines {
 		sw := w
 		if g.cfg.Warehouses > 1 && rng.Float64() < 0.01 {
@@ -305,73 +315,135 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 		}
 		lines[i] = line{shard: g.ShardOf(sw), item: g.iID(sw, 1+rng.Intn(g.cfg.Items)), qty: int64(1 + rng.Intn(10))}
 	}
-
 	home := g.ShardOf(w)
+	o.wTax, o.dTax, o.dNext = g.wID(w)+colWTax, g.dID(w, d)+colDTax, g.dID(w, d)+colDNextOID
+	o.cDisc, o.cLast = g.cID(w, d, c)+colCDisc, g.cID(w, d, c)+colCLast
+	o.order, o.total = kOrder(w, d, o.uid), kOTotal(w, d, o.uid)
 
-	// Group stock lines per shard.
-	perShard := make(map[int][]line)
-	for _, ln := range lines {
-		perShard[ln.shard] = append(perShard[ln.shard], ln)
-	}
-	pieces := make([]txn.Piece, 0, len(perShard)+1)
-	for sh, lns := range perShard {
-		tab := g.tab(sh)
-		reads, writes := newKeyset(4*len(lns)), newKeyset(3*len(lns))
-		for _, ln := range lns {
-			reads.add(tab, ln.item+colIPrice)
-			writes.add(tab, ln.item+colSQty, ln.item+colSYtd, ln.item+colSCnt)
+	// The lines grouped by shard, each shard's in the order drawn.
+	slices.SortStableFunc(lines, func(a, b line) int { return cmp.Compare(a.shard, b.shard) })
+	n, local := 0, false
+	for i := range lines {
+		if i == 0 || lines[i].shard != lines[i-1].shard {
+			n++
 		}
-		reads.append(writes)
-		pieces = append(pieces, txn.Piece{
-			ReadSet: reads.names, ReadIDs: reads.ids,
-			WriteSet: writes.names, WriteIDs: writes.ids,
-			Exec: func(kv txn.KV) []byte {
-				var total int64
-				for _, ln := range lns {
-					price := getInt(kv, ln.item+colIPrice)
-					qty := getInt(kv, ln.item+colSQty) - ln.qty
-					if qty < 10 {
-						qty += 91
-					}
-					putInt(kv, ln.item+colSQty, qty)
-					putInt(kv, ln.item+colSYtd, getInt(kv, ln.item+colSYtd)+ln.qty)
-					putInt(kv, ln.item+colSCnt, getInt(kv, ln.item+colSCnt)+1)
-					total += price * ln.qty
-				}
-				return txn.EncodeInt(total)
-			},
-		}.On(sh))
+		local = local || lines[i].shard == home
 	}
+	if !local {
+		n++ // the home district's columns make a piece of their own
+	}
+	// A line declares four columns read (its price and its three stock
+	// columns) and three written; the home district four read, four written.
+	keys := 7*len(lines) + 8
+	room := keyset{make([]string, keys), make([]txn.KeyID, keys)}
+	pieces := make([]txn.Piece, 0, n)
+	for i := 0; i < len(lines); {
+		j := i + 1
+		for j < len(lines) && lines[j].shard == lines[i].shard {
+			j++
+		}
+		pieces = append(pieces, o.piece(g, lines[i].shard, lines[i:j:j], home, &room))
+		i = j
+	}
+	if !local {
+		pieces = append(pieces, o.piece(g, home, nil, home, &room))
+	}
+	o.t = txn.Txn{Label: "neworder", Pieces: txn.ByShard(pieces...)}
+	return &o.t
+}
 
-	// Home-district piece: order insertion + next-order-id bump.
-	tab := g.tab(home)
-	wTax, dTax, dNext := g.wID(w)+colWTax, g.dID(w, d)+colDTax, g.dID(w, d)+colDNextOID
-	cDisc, cLast := g.cID(w, d, c)+colCDisc, g.cID(w, d, c)+colCLast
-	order, total := kOrder(w, d, uid), kOTotal(w, d, uid)
-	reads, writes := newKeyset(4), newKeyset(4)
-	reads.add(tab, wTax, dTax, cDisc, dNext)
-	writes.add(tab, dNext)
-	writes.insert(order)
-	writes.insert(total)
-	writes.add(tab, cLast)
-	homePiece := txn.Piece{
+// maxLines is the most order lines a New-Order draws.
+const maxLines = 15
+
+// line is one New-Order order line.
+type line struct {
+	shard int
+	item  txn.KeyID // the item's i_price column; the stock columns follow it
+	qty   int64
+}
+
+// newOrder is a New-Order's arena: the transaction, its lines, and the home
+// district's columns and rows. The declared sets and the pieces, whose sizes
+// are drawn, are made beside it: one names, one ids and one pieces backing.
+type newOrder struct {
+	t                               txn.Txn
+	lines                           [maxLines]line
+	n                               int
+	uid                             uint64
+	wTax, dTax, dNext, cDisc, cLast txn.KeyID
+	order, total                    string
+}
+
+// piece builds the New-Order piece of shard sh: the stock updates of lns and,
+// on the home shard, the home district's order insertion after them. Its read
+// set lists the lines' prices, their stock columns, then the home district's
+// columns; its write set the stock columns, then the home district's columns
+// and rows.
+func (o *newOrder) piece(g *Gen, sh int, lns []line, home int, room *keyset) txn.Piece {
+	tab := g.tab(sh)
+	nr, nw := 4*len(lns), 3*len(lns)
+	if sh == home {
+		nr, nw = nr+4, nw+4
+	}
+	reads, writes := room.cut(nr), room.cut(nw)
+	for _, ln := range lns {
+		reads.add(tab, ln.item+colIPrice)
+	}
+	for _, ln := range lns {
+		writes.add(tab, ln.item+colSQty, ln.item+colSYtd, ln.item+colSCnt)
+	}
+	reads.add(tab, writes.ids...)
+	var exec txn.PieceFunc
+	if sh == home {
+		reads.add(tab, o.wTax, o.dTax, o.cDisc, o.dNext)
+		writes.add(tab, o.dNext)
+		writes.insert(o.order)
+		writes.insert(o.total)
+		writes.add(tab, o.cLast)
+		exec = func(kv txn.KV) []byte {
+			if len(lns) == 0 {
+				return txn.EncodeInt(o.insert(kv))
+			}
+			out := txn.AppendInt(make([]byte, 0, 16), stock(kv, lns))
+			return txn.AppendInt(out, o.insert(kv))
+		}
+	} else {
+		exec = func(kv txn.KV) []byte { return txn.EncodeInt(stock(kv, lns)) }
+	}
+	return txn.Piece{
 		ReadSet: reads.names, ReadIDs: reads.ids,
 		WriteSet: writes.names, WriteIDs: writes.ids,
-		Exec: func(kv txn.KV) []byte {
-			oid := getInt(kv, dNext)
-			putInt(kv, dNext, oid+1)
-			kv.Put(order, txn.EncodeInt(oid))
-			kv.Put(total, txn.EncodeInt(int64(nItems)))
-			putInt(kv, cLast, int64(uid))
-			return txn.EncodeInt(oid*1000 + getInt(kv, wTax) + getInt(kv, dTax) + getInt(kv, cDisc))
-		},
-	}.On(home)
-	if i := slices.IndexFunc(pieces, func(p txn.Piece) bool { return p.Shard() == home }); i >= 0 {
-		pieces[i] = mergePieces(pieces[i], homePiece)
-	} else {
-		pieces = append(pieces, homePiece)
+		Exec: exec,
+	}.On(sh)
+}
+
+// stock applies the stock updates of lns and returns the lines' total.
+func stock(kv txn.KV, lns []line) int64 {
+	var total int64
+	for _, ln := range lns {
+		price := getInt(kv, ln.item+colIPrice)
+		qty := getInt(kv, ln.item+colSQty) - ln.qty
+		if qty < 10 {
+			qty += 91
+		}
+		putInt(kv, ln.item+colSQty, qty)
+		putInt(kv, ln.item+colSYtd, getInt(kv, ln.item+colSYtd)+ln.qty)
+		putInt(kv, ln.item+colSCnt, getInt(kv, ln.item+colSCnt)+1)
+		total += price * ln.qty
 	}
-	return &txn.Txn{Label: "neworder", Pieces: txn.ByShard(pieces...)}
+	return total
+}
+
+// insert bumps the district's next order id, inserts the order under the old
+// one and records it as the customer's last; it returns the order id with the
+// taxes and the discount folded in.
+func (o *newOrder) insert(kv txn.KV) int64 {
+	oid := getInt(kv, o.dNext)
+	putInt(kv, o.dNext, oid+1)
+	kv.Put(o.order, txn.EncodeInt(oid))
+	kv.Put(o.total, txn.EncodeInt(int64(o.n)))
+	putInt(kv, o.cLast, int64(o.uid))
+	return oid*1000 + getInt(kv, o.wTax) + getInt(kv, o.dTax) + getInt(kv, o.cDisc)
 }
 
 func (g *Gen) nextUID(rng *rand.Rand) uint64 {
@@ -379,21 +451,9 @@ func (g *Gen) nextUID(rng *rand.Rand) uint64 {
 	return g.uid<<20 | uint64(rng.Intn(1<<20))
 }
 
-// mergePieces combines two pieces on the same shard; both carry positionally
-// parallel id sets (New-Order's and Payment's pieces, the only ones merged).
-// The merged executor keeps the two executors, not the two pieces, so their
-// own copies of the sets are garbage once merged.
-func mergePieces(a, b txn.Piece) txn.Piece {
-	execA, execB := a.Exec, b.Exec
-	return txn.Piece{
-		ReadSet:  append(append([]string(nil), a.ReadSet...), b.ReadSet...),
-		WriteSet: append(append([]string(nil), a.WriteSet...), b.WriteSet...),
-		ReadIDs:  append(append([]txn.KeyID(nil), a.ReadIDs...), b.ReadIDs...),
-		WriteIDs: append(append([]txn.KeyID(nil), a.WriteIDs...), b.WriteIDs...),
-		Exec: func(kv txn.KV) []byte {
-			return append(execA(kv), execB(kv)...)
-		},
-	}.On(a.Shard())
+// concat returns a followed by b in one buffer of its own.
+func concat(a, b []byte) []byte {
+	return append(append(make([]byte, 0, len(a)+len(b)), a...), b...)
 }
 
 // Payment is a multi-shot transaction (decomposed per Appendix F): stage 0
@@ -411,78 +471,153 @@ func (g *Gen) Payment(rng *rand.Rand) *txn.Interactive {
 		}
 	}
 	c := 1 + rng.Intn(g.cfg.Customers)
-	amount := int64(1 + rng.Intn(5000))
-	home, cust := g.ShardOf(w), g.ShardOf(cw)
-	uid := g.nextUID(rng)
-	homeTab, custTab := g.tab(home), g.tab(cust)
-	wYtd, dYtd := g.wID(w)+colWYtd, g.dID(w, d)+colDYtd
-	cBal, cYtd, cCnt := g.cID(cw, d, c)+colCBal, g.cID(cw, d, c)+colCYtd, g.cID(cw, d, c)+colCCnt
+	p := &payment{amount: int64(1 + rng.Intn(5000)), home: g.ShardOf(w), cust: g.ShardOf(cw)}
+	p.history = kHistory(w, d, g.nextUID(rng))
+	p.homeTab, p.custTab = g.tab(p.home), g.tab(p.cust)
+	p.wYtd, p.dYtd = g.wID(w)+colWYtd, g.dID(w, d)+colDYtd
+	p.cBal, p.cYtd, p.cCnt = g.cID(cw, d, c)+colCBal, g.cID(cw, d, c)+colCYtd, g.cID(cw, d, c)+colCCnt
+	p.Interactive = txn.Interactive{Label: "payment", Next: p.next}
+	return &p.Interactive
+}
 
-	return &txn.Interactive{
-		Label: "payment",
-		Next: func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
-			switch stage {
-			case 0:
-				t := &txn.Txn{Label: "payment-read", ReadOnly: true,
-					Pieces: txn.ByShard(txn.ReadPieceID(custTab[cBal], cBal).On(cust))}
-				return t, false, false
-			case 1:
-				seen := txn.DecodeInt(prev.Ret(cust))
-				custKeys := newKeyset(3)
-				custKeys.add(custTab, cBal, cYtd, cCnt)
-				custPiece := txn.Piece{
-					ReadSet: custKeys.names, ReadIDs: custKeys.ids,
-					WriteSet: custKeys.names, WriteIDs: custKeys.ids,
-					Exec: func(kv txn.KV) []byte {
-						cur := getInt(kv, cBal)
-						if cur != seen {
-							return txn.EncodeInt(-1) // validation failed
-						}
-						putInt(kv, cBal, cur-amount)
-						putInt(kv, cYtd, getInt(kv, cYtd)+amount)
-						putInt(kv, cCnt, getInt(kv, cCnt)+1)
-						return txn.EncodeInt(cur - amount)
-					},
-				}.On(cust)
-				history := kHistory(w, d, uid)
-				reads, writes := newKeyset(2), newKeyset(3)
-				reads.add(homeTab, wYtd, dYtd)
-				writes.add(homeTab, wYtd, dYtd)
-				writes.insert(history)
-				homePiece := txn.Piece{
-					ReadSet: reads.names, ReadIDs: reads.ids,
-					WriteSet: writes.names, WriteIDs: writes.ids,
-					Exec: func(kv txn.KV) []byte {
-						putInt(kv, wYtd, getInt(kv, wYtd)+amount)
-						putInt(kv, dYtd, getInt(kv, dYtd)+amount)
-						kv.Put(history, txn.EncodeInt(amount))
-						return txn.EncodeInt(0)
-					},
-				}.On(home)
-				t := &txn.Txn{Label: "payment-write"}
-				if home == cust {
-					t.Pieces = txn.ByShard(mergePieces(homePiece, custPiece))
-				} else {
-					t.Pieces = txn.ByShard(homePiece, custPiece)
-				}
-				return t, false, false
-			default:
-				// Validate stage 1: the customer piece returns -1 on a failed
-				// balance check.
-				if prev != nil {
-					ret := prev.Ret(cust)
-					if home == cust && len(ret) >= 8 {
-						// merged piece: home result (8B) then customer result
-						ret = ret[len(ret)-8:]
-					}
-					if txn.DecodeInt(ret) == -1 {
-						return nil, true, true // abort: restart the chain
-					}
-				}
-				return nil, true, false
+// payment is one Payment's draw, which every stage of its chain is built from.
+type payment struct {
+	txn.Interactive
+	home, cust                   int
+	amount                       int64
+	homeTab, custTab             []string
+	wYtd, dYtd, cBal, cYtd, cCnt txn.KeyID
+	history                      string
+}
+
+func (p *payment) next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
+	switch stage {
+	case 0:
+		a := &struct {
+			single
+			name [1]string
+			id   [1]txn.KeyID
+		}{name: [1]string{p.custTab[p.cBal]}, id: [1]txn.KeyID{p.cBal}}
+		return a.one("payment-read", true, txn.Tagged(txn.OpRead, a.name[:], a.id[:]).On(p.cust)), false, false
+	case 1:
+		return p.write(txn.DecodeInt(prev.Ret(p.cust))), false, false
+	default:
+		// Validate stage 1: the customer's piece returns -1 on a failed
+		// balance check.
+		if prev != nil {
+			ret := prev.Ret(p.cust)
+			if p.home == p.cust && len(ret) >= 8 {
+				// one piece: the warehouse's result (8B), then the customer's
+				ret = ret[len(ret)-8:]
 			}
-		},
+			if txn.DecodeInt(ret) == -1 {
+				return nil, true, true // abort: restart the chain
+			}
+		}
+		return nil, true, false
 	}
+}
+
+// paymentWrite is the arena of Payment's second stage: the transaction, its
+// pieces — one when the customer's warehouse is on the home shard, two
+// otherwise — their sets, and the balance stage 0 read, which the customer's
+// check holds the store to.
+type paymentWrite struct {
+	t      txn.Txn
+	pieces [2]txn.Piece
+	names  [11]string
+	ids    [11]txn.KeyID
+	*payment
+	seen int64
+}
+
+// write builds stage 1 given the balance stage 0 read.
+func (p *payment) write(seen int64) *txn.Txn {
+	a := &paymentWrite{payment: p, seen: seen}
+	room := keyset{a.names[:], a.ids[:]}
+	pieces := a.pieces[:]
+	if p.home == p.cust {
+		// One piece, whose sets list the warehouse's columns, then the
+		// customer's.
+		reads, writes := room.cut(5), room.cut(6)
+		reads.add(p.homeTab, p.wYtd, p.dYtd, p.cBal, p.cYtd, p.cCnt)
+		writes.add(p.homeTab, p.wYtd, p.dYtd)
+		writes.insert(p.history)
+		writes.add(p.custTab, p.cBal, p.cYtd, p.cCnt)
+		pieces = pieces[:1]
+		pieces[0] = txn.Piece{
+			ReadSet: reads.names, ReadIDs: reads.ids,
+			WriteSet: writes.names, WriteIDs: writes.ids,
+			Exec: a.payBoth,
+		}.On(p.home)
+	} else {
+		reads, writes, cust := room.cut(2), room.cut(3), room.cut(3)
+		reads.add(p.homeTab, p.wYtd, p.dYtd)
+		writes.add(p.homeTab, p.wYtd, p.dYtd)
+		writes.insert(p.history)
+		cust.add(p.custTab, p.cBal, p.cYtd, p.cCnt)
+		pieces[0] = txn.Piece{
+			ReadSet: reads.names, ReadIDs: reads.ids,
+			WriteSet: writes.names, WriteIDs: writes.ids,
+			Exec: a.payWarehouse,
+		}.On(p.home)
+		pieces[1] = txn.Piece{
+			ReadSet: cust.names, ReadIDs: cust.ids,
+			WriteSet: cust.names, WriteIDs: cust.ids,
+			Exec: a.payCustomer,
+		}.On(p.cust)
+	}
+	a.t = txn.Txn{Label: "payment-write", Pieces: txn.ByShard(pieces...)}
+	return &a.t
+}
+
+// payWarehouse is the home shard's piece when the customer is elsewhere.
+func (a *paymentWrite) payWarehouse(kv txn.KV) []byte {
+	a.credit(kv)
+	return txn.EncodeInt(0)
+}
+
+// payCustomer is the customer's shard's piece when the warehouse is
+// elsewhere: -1 when the balance is no longer the one stage 0 read, and then
+// it writes nothing; the new balance otherwise.
+func (a *paymentWrite) payCustomer(kv txn.KV) []byte {
+	cur := getInt(kv, a.cBal)
+	if cur != a.seen {
+		return txn.EncodeInt(-1) // validation failed
+	}
+	return txn.EncodeInt(a.debit(kv, cur))
+}
+
+// payBoth is the one piece when warehouse and customer share a shard. It
+// validates before it writes: when the balance is no longer the one stage 0
+// read, it writes nothing, and the restarted chain is the one that pays. It
+// returns what the two pieces would, side by side: 0, then -1 or the new
+// balance.
+func (a *paymentWrite) payBoth(kv txn.KV) []byte {
+	out := txn.AppendInt(make([]byte, 0, 16), 0)
+	cur := getInt(kv, a.cBal)
+	if cur != a.seen {
+		return txn.AppendInt(out, -1) // validation failed
+	}
+	a.credit(kv)
+	return txn.AppendInt(out, a.debit(kv, cur))
+}
+
+// credit adds the payment to the warehouse's and the district's year-to-date
+// and records it in a history row.
+func (a *paymentWrite) credit(kv txn.KV) {
+	putInt(kv, a.wYtd, getInt(kv, a.wYtd)+a.amount)
+	putInt(kv, a.dYtd, getInt(kv, a.dYtd)+a.amount)
+	kv.Put(a.history, txn.EncodeInt(a.amount))
+}
+
+// debit takes the payment off the customer's balance cur and returns the new
+// one.
+func (a *paymentWrite) debit(kv txn.KV, cur int64) int64 {
+	putInt(kv, a.cBal, cur-a.amount)
+	putInt(kv, a.cYtd, getInt(kv, a.cYtd)+a.amount)
+	putInt(kv, a.cCnt, getInt(kv, a.cCnt)+1)
+	return cur - a.amount
 }
 
 // OrderStatus is a read-only multi-shot transaction: stage 0 reads the
@@ -499,15 +634,17 @@ func (g *Gen) OrderStatus(rng *rand.Rand) *txn.Interactive {
 		Next: func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 			switch stage {
 			case 0:
-				reads := newKeyset(2)
+				a := &struct {
+					single
+					names [2]string
+					ids   [2]txn.KeyID
+				}{}
+				reads := keyset{a.names[:0], a.ids[:0]}
 				reads.add(tab, cBal, cLast)
-				t := &txn.Txn{Label: "orderstatus-c", ReadOnly: true, Pieces: txn.ByShard(txn.Piece{
+				return a.one("orderstatus-c", true, txn.Piece{
 					ReadSet: reads.names, ReadIDs: reads.ids,
-					Exec: func(kv txn.KV) []byte {
-						return append(kv.GetID(cBal), kv.GetID(cLast)...)
-					},
-				}.On(sh))}
-				return t, false, false
+					Exec: func(kv txn.KV) []byte { return concat(kv.GetID(cBal), kv.GetID(cLast)) },
+				}.On(sh)), false, false
 			case 1:
 				var last uint64
 				if prev != nil && len(prev.Ret(sh)) >= 16 {
@@ -517,14 +654,14 @@ func (g *Gen) OrderStatus(rng *rand.Rand) *txn.Interactive {
 					return nil, true, false // customer has no orders yet
 				}
 				// The order rows were inserted: names only, no ids.
-				order, total := kOrder(w, d, last), kOTotal(w, d, last)
-				t := &txn.Txn{Label: "orderstatus-o", ReadOnly: true, Pieces: txn.ByShard(txn.Piece{
-					ReadSet: []string{order, total},
-					Exec: func(kv txn.KV) []byte {
-						return append(kv.Get(order), kv.Get(total)...)
-					},
-				}.On(sh))}
-				return t, false, false
+				a := &struct {
+					single
+					names [2]string
+				}{names: [2]string{kOrder(w, d, last), kOTotal(w, d, last)}}
+				return a.one("orderstatus-o", true, txn.Piece{
+					ReadSet: a.names[:],
+					Exec:    func(kv txn.KV) []byte { return concat(kv.Get(a.names[0]), kv.Get(a.names[1])) },
+				}.On(sh)), false, false
 			default:
 				return nil, true, false
 			}
@@ -551,21 +688,27 @@ func (g *Gen) Delivery(rng *rand.Rand) *txn.Interactive {
 		Next: func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 			switch stage {
 			case 0:
-				reads := newKeyset(2 * nd)
+				a := &struct {
+					single
+					names [2 * maxDistricts]string
+					ids   [2 * maxDistricts]txn.KeyID
+				}{}
+				room := keyset{a.names[:], a.ids[:]}
+				reads := room.cut(2 * nd)
 				for d := 1; d <= nd; d++ {
 					reads.add(tab, g.dID(w, d)+colNoHead, g.dID(w, d)+colDNextOID)
 				}
-				t := &txn.Txn{Label: "delivery-scan", ReadOnly: true, Pieces: txn.ByShard(txn.Piece{
-					ReadSet: reads.names, ReadIDs: reads.ids,
+				ids := reads.ids
+				return a.one("delivery-scan", true, txn.Piece{
+					ReadSet: reads.names, ReadIDs: ids,
 					Exec: func(kv txn.KV) []byte {
 						out := make([]byte, 0, 16*nd)
-						for _, id := range reads.ids {
+						for _, id := range ids {
 							out = append(out, kv.GetID(id)...)
 						}
 						return out
 					},
-				}.On(sh))}
-				return t, false, false
+				}.On(sh)), false, false
 			case 1:
 				buf := prev.Ret(sh)
 				type dd struct {
@@ -573,7 +716,8 @@ func (g *Gen) Delivery(rng *rand.Rand) *txn.Interactive {
 					noHead, cBal txn.KeyID
 					carrierRow   string // o_carrier of the order at head+1
 				}
-				var todo []dd
+				var todo [maxDistricts]dd
+				n := 0
 				for d := 1; d <= nd; d++ {
 					off := (d - 1) * 16
 					if len(buf) < off+16 {
@@ -582,38 +726,45 @@ func (g *Gen) Delivery(rng *rand.Rand) *txn.Interactive {
 					head := txn.DecodeInt(buf[off : off+8])
 					next := txn.DecodeInt(buf[off+8 : off+16])
 					if head+1 < next {
-						todo = append(todo, dd{head: head, noHead: g.dID(w, d) + colNoHead,
-							cBal: g.cID(w, d, custs[d]) + colCBal, carrierRow: kOCarrier(w, d, head+1)})
+						todo[n] = dd{head: head, noHead: g.dID(w, d) + colNoHead,
+							cBal: g.cID(w, d, custs[d]) + colCBal, carrierRow: kOCarrier(w, d, head+1)}
+						n++
 					}
 				}
-				if len(todo) == 0 {
+				if n == 0 {
 					return nil, true, false
 				}
-				reads, writes := newKeyset(2*len(todo)), newKeyset(3*len(todo))
-				for _, x := range todo {
+				a := &struct {
+					single
+					todo  [maxDistricts]dd
+					names [5 * maxDistricts]string
+					ids   [5 * maxDistricts]txn.KeyID
+				}{todo: todo}
+				room := keyset{a.names[:], a.ids[:]}
+				reads, writes := room.cut(2*n), room.cut(3*n)
+				for _, x := range a.todo[:n] {
 					reads.add(tab, x.noHead, x.cBal)
 					writes.add(tab, x.noHead)
 					writes.insert(x.carrierRow)
 					writes.add(tab, x.cBal)
 				}
-				t := &txn.Txn{Label: "delivery-run", Pieces: txn.ByShard(txn.Piece{
+				return a.one("delivery-run", false, txn.Piece{
 					ReadSet: reads.names, ReadIDs: reads.ids,
 					WriteSet: writes.names, WriteIDs: writes.ids,
 					Exec: func(kv txn.KV) []byte {
-						var n int64
-						for _, x := range todo {
+						var done int64
+						for _, x := range a.todo[:n] {
 							if getInt(kv, x.noHead) != x.head {
 								continue // another delivery got here first
 							}
 							putInt(kv, x.noHead, x.head+1)
 							kv.Put(x.carrierRow, txn.EncodeInt(carrier))
 							putInt(kv, x.cBal, getInt(kv, x.cBal)+100)
-							n++
+							done++
 						}
-						return txn.EncodeInt(n)
+						return txn.EncodeInt(done)
 					},
-				}.On(sh))}
-				return t, false, false
+				}.On(sh)), false, false
 			default:
 				return nil, true, false
 			}
@@ -630,21 +781,26 @@ func (g *Gen) StockLevel(rng *rand.Rand) *txn.Txn {
 	sh := g.ShardOf(w)
 	threshold := int64(10 + rng.Intn(11))
 	tab := g.tab(sh)
-	reads := newKeyset(21)
+	a := &struct {
+		single
+		names [21]string
+		ids   [21]txn.KeyID
+	}{}
+	reads := keyset{a.names[:0], a.ids[:0]}
 	reads.add(tab, g.dID(w, d)+colDNextOID)
 	for i := 0; i < 20; i++ {
 		reads.add(tab, g.iID(w, 1+rng.Intn(g.cfg.Items))+colSQty)
 	}
-	return &txn.Txn{Label: "stocklevel", ReadOnly: true, Pieces: txn.ByShard(txn.Piece{
+	return a.one("stocklevel", true, txn.Piece{
 		ReadSet: reads.names, ReadIDs: reads.ids,
 		Exec: func(kv txn.KV) []byte {
 			var low int64
-			for _, id := range reads.ids[1:] {
+			for _, id := range a.ids[1:] {
 				if getInt(kv, id) < threshold {
 					low++
 				}
 			}
 			return txn.EncodeInt(low)
 		},
-	}.On(sh))}
+	}.On(sh))
 }

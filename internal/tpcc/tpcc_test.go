@@ -3,6 +3,7 @@ package tpcc
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"tiga/internal/store"
@@ -106,36 +107,6 @@ func TestNewOrderDeclaredSetsCoverAccesses(t *testing.T) {
 	}
 }
 
-// TestMergePiecesComposesTwoExecutors: TPC-C's pieces are hand-written, so
-// they stay closures beside the generators' tagged ops, and two of them on one
-// shard still merge into one piece that runs both, in order, through the one
-// entry point the store uses.
-func TestMergePiecesComposesTwoExecutors(t *testing.T) {
-	step := func(key string, id txn.KeyID, tag byte) txn.Piece {
-		return txn.Piece{ReadSet: []string{key}, WriteSet: []string{key}, ReadIDs: []txn.KeyID{id}, WriteIDs: []txn.KeyID{id},
-			Exec: func(kv txn.KV) []byte {
-				kv.PutID(id, txn.EncodeInt(txn.DecodeInt(kv.GetID(id))+int64(tag)))
-				return []byte{tag}
-			}}
-	}
-	m := mergePieces(step("a", 0, 1).On(2), step("b", 1, 2).On(2))
-	if m.Shard() != 2 || m.Op != txn.OpExec || !slices.Equal(m.WriteSet, []string{"a", "b"}) || !slices.Equal(m.ReadIDs, []txn.KeyID{0, 1}) {
-		t.Fatalf("merged piece: op %d, sets %v %v", m.Op, m.WriteSet, m.ReadIDs)
-	}
-	st := store.New()
-	st.SeedBulk([]string{"a", "b"}, txn.EncodeInt(10))
-	out := st.ExecuteID(txn.ID{Coord: 1, Seq: 1}, txn.Timestamp{Time: 1}, &m)
-	st.Commit(txn.ID{Coord: 1, Seq: 1})
-	if !slices.Equal(out, []byte{1, 2}) || txn.DecodeInt(st.Get("a")) != 11 || txn.DecodeInt(st.Get("b")) != 12 {
-		t.Fatalf("merged piece returned %v and left a=%d b=%d, want [1 2], 11, 12",
-			out, txn.DecodeInt(st.Get("a")), txn.DecodeInt(st.Get("b")))
-	}
-	_, ws := st.ExecuteBuffered(&m)
-	if len(ws) != 2 || txn.DecodeInt(ws[0].Val) != 12 || txn.DecodeInt(ws[1].Val) != 14 {
-		t.Fatalf("buffered execution of the merged piece wrote %+v", ws)
-	}
-}
-
 type trackingKV struct {
 	declared map[string]bool
 	t        *testing.T
@@ -214,10 +185,31 @@ func TestPaymentValidationAbortsOnIntervening(t *testing.T) {
 		}
 	}
 	tx1, _, _ := ic.Next(1, prev)
+	// One warehouse: home and customer share the shard, so stage 1 is one
+	// piece, and it must not pay the warehouse before its check fails.
+	if len(tx1.Pieces) != 1 {
+		t.Fatalf("stage 1 has %d pieces, want the one same-shard piece", len(tx1.Pieces))
+	}
+	paid := func() (wYtd, dYtd int64, history []byte) {
+		for d := 1; d <= g.cfg.Districts; d++ {
+			dYtd += txn.DecodeInt(sts[0].Get(kDYtd(1, d)))
+		}
+		for _, k := range tx1.Pieces[0].WriteSet {
+			if strings.HasPrefix(k, "h:") {
+				history = sts[0].Get(k)
+			}
+		}
+		return txn.DecodeInt(sts[0].Get(kWYtd(1))), dYtd, history
+	}
+	w0, d0, h0 := paid()
 	prev1 := execAll(t, sts, tx1, &seq)
 	_, done, abort := ic.Next(2, prev1)
 	if !abort {
 		t.Fatalf("stale balance must abort the chain (done=%v)", done)
+	}
+	if w1, d1, h1 := paid(); w1 != w0 || d1 != d0 || h1 != nil || h0 != nil {
+		t.Fatalf("the aborted payment paid: w_ytd %d -> %d, sum of d_ytd %d -> %d, history row %v -> %v",
+			w0, w1, d0, d1, h0, h1)
 	}
 }
 

@@ -333,11 +333,37 @@ type Interactive struct {
 }
 
 // EncodeInt encodes an int64 as an 8-byte little-endian value — the value
-// format used by MicroBench counters and TPC-C numeric columns.
+// format used by MicroBench counters and TPC-C numeric columns. A value in
+// [-SmallInts, SmallInts) is not allocated: it is a slice of one package-level
+// table, cut so that len == cap == 8, which an append copies out of and
+// nothing may write into. Stored values are immutable, so every key, store and
+// node that holds such a value shares the table's bytes.
 func EncodeInt(v int64) []byte {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, uint64(v))
+	if -SmallInts <= v && v < SmallInts {
+		i := (v + SmallInts) * 8
+		return smallInts[i : i+8 : i+8]
+	}
+	return AppendInt(make([]byte, 0, 8), v)
+}
+
+// SmallInts bounds the values EncodeInt serves from its table. It covers every
+// TPC-C seed value (±1000), stock quantities and MicroBench counters; see
+// EXPERIMENTS.md for the histogram of values encoded per workload.
+const SmallInts = 1024
+
+// smallInts holds the encodings of [-SmallInts, SmallInts) back to back.
+var smallInts = func() []byte {
+	b := make([]byte, 0, 2*SmallInts*8)
+	for v := int64(-SmallInts); v < SmallInts; v++ {
+		b = AppendInt(b, v)
+	}
 	return b
+}()
+
+// AppendInt appends the 8-byte encoding of v to b: a piece that returns more
+// than one integer builds its result in one buffer.
+func AppendInt(b []byte, v int64) []byte {
+	return binary.LittleEndian.AppendUint64(b, uint64(v))
 }
 
 // DecodeInt decodes a value written by EncodeInt; nil decodes to 0.

@@ -1,6 +1,8 @@
 package txn
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -206,6 +208,37 @@ func TestEncodeDecodeInt(t *testing.T) {
 	}
 	if DecodeInt(nil) != 0 || DecodeInt([]byte{1, 2}) != 0 {
 		t.Fatal("short decode should be 0")
+	}
+}
+
+// The shared table's edges: the values either side of each bound encode as
+// the allocating encoding does, a table value is exactly its eight bytes (an
+// append copies it out), and only values outside the table allocate.
+func TestSmallIntsAreShared(t *testing.T) {
+	for _, c := range []struct {
+		v      int64
+		shared bool
+	}{{-SmallInts - 1, false}, {-SmallInts, true}, {-1, true}, {0, true}, {SmallInts - 1, true}, {SmallInts, false}, {1 << 40, false}} {
+		got := EncodeInt(c.v)
+		if want := binary.LittleEndian.AppendUint64(nil, uint64(c.v)); !bytes.Equal(got, want) || len(got) != 8 || cap(got) != 8 {
+			t.Errorf("EncodeInt(%d) = %v (len %d, cap %d), want %v with len = cap = 8", c.v, got, len(got), cap(got), want)
+		}
+		var sink []byte
+		want := 1.0
+		if c.shared {
+			want = 0
+		}
+		if allocs := testing.AllocsPerRun(100, func() { sink = EncodeInt(c.v) }); allocs != want {
+			t.Errorf("EncodeInt(%d) allocates %.0f objects, want %.0f", c.v, allocs, want)
+		}
+		_ = sink
+	}
+	v := EncodeInt(5)
+	grown := append(v, 0xff)
+	grown[0] = 0xee
+	if DecodeInt(EncodeInt(5)) != 5 || DecodeInt(EncodeInt(6)) != 6 || &grown[0] == &v[0] {
+		t.Fatalf("an append onto a shared value wrote into the table: 5 -> %d, 6 -> %d",
+			DecodeInt(EncodeInt(5)), DecodeInt(EncodeInt(6)))
 	}
 }
 

@@ -99,11 +99,6 @@ func Key(shard, idx int) string { return fmt.Sprintf("k%d-%d", shard, idx) }
 // shard's store — and pieces can carry ids without any lookup.
 type KeyID = txn.KeyID
 
-// zeroValue is the shared pre-population value. Stored values are immutable
-// (increments decode and Put a fresh encoding), so every seeded key of every
-// replica can point at one 8-byte buffer.
-var zeroValue = txn.EncodeInt(0)
-
 // keycache memoizes the formatted names of a shard-indexed keyspace and the
 // seed image built from them. Seeding R replicated stores and sampling
 // millions of keys per run otherwise re-run fmt.Sprintf for names that never
@@ -132,12 +127,12 @@ func (c *keycache) shard(shard, keys int) []string {
 	return c.shards[shard]
 }
 
-// seed attaches st to the shard's image (every key at zero), building the
-// image on first use.
+// seed attaches st to the shard's image (every key at zero, txn.EncodeInt's
+// shared encoding), building the image on first use.
 func (c *keycache) seed(shard, keys int, st *store.Store) {
 	names := c.shard(shard, keys)
 	if c.images[shard] == nil {
-		c.images[shard] = store.NewImage(names, func(int) []byte { return zeroValue })
+		c.images[shard] = store.NewImage(names, func(int) []byte { return txn.EncodeInt(0) })
 	}
 	st.Attach(c.images[shard])
 }
