@@ -74,6 +74,17 @@
 //	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -protocol Tapir \
 //	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms
 //
+// or, for the layered baselines' Multi-Paxos (internal/paxos) under lockocc's
+// locks and two-phase commit,
+//
+//	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -protocol 2PL+Paxos \
+//	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms -liveheap live.out
+//
+// (it prints 5 582 commits, 40.4 allocs and 5.3 KB per transaction and a live
+// heap of 29.0 MB; 121.9 allocs, 8.9 KB and 28.6 MB while every accept, ack and
+// commit was boxed into the interface it was sent as and every proposal made
+// an ack map. The same shape gives OCC+Paxos 35.2 allocs and NCC+ 30.4.)
+//
 // (The benchmark also sets Tiga's retry-timeout to 10 s on the two saturated
 // Tiga workloads; at their queueing delays the default never fires either.)
 //

@@ -14,7 +14,7 @@ import (
 	"tiga/internal/pool"
 )
 
-// txnPathBudget is the allocation budget of Tiga's transaction path: one small
+// txnPathBudget is the allocation budget of the transaction path: one small
 // deployment per row, driven for one short window, with everything the serving
 // path allocates (generator, coordinator, servers, replication, metrics)
 // divided by the commits. closed and open are the closed loop and the
@@ -29,6 +29,10 @@ import (
 // TestOpenLoopLocalReadsPinned's admission gate — the only row in which a
 // read-only transaction never reaches a leader. Spec, seeds and load are those
 // EXPERIMENTS.md has tabulated since PR 9.
+// These five rows run Tiga. closed-2pl and closed-ncc+ are the closed row on
+// two of the layered baselines, whose replication is internal/paxos, at 150
+// transactions a second per coordinator: below their saturation at this shape,
+// so every tick submits and nothing aborts.
 //
 // allocs and bytes are per committed transaction, recorded with go1.24 (the
 // toolchain CI pins: the map implementation moves the counts) at the commit
@@ -39,17 +43,20 @@ import (
 // so does a fall of more than 10 %, until the recorded value is lowered — the
 // next rise is then measured from where the code is, not from where it was.
 var txnPathBudget = []struct {
-	name, arrival, workload string
-	shards, keys            int
-	window                  time.Duration
-	localReads              bool
-	allocs, bytes           float64
+	name, protocol, arrival, workload string
+	shards, keys                      int
+	rate                              float64
+	window                            time.Duration
+	localReads                        bool
+	allocs, bytes                     float64
 }{
-	{"closed", "", "micro", 3, 2000, time.Second, false, 11.7, 11699},
-	{"open", "poisson", "micro", 3, 2000, time.Second, false, 11.8, 11889},
-	{"closed-100k", "", "micro", 3, 100_000, 2 * time.Second, false, 8.0, 9141},
-	{"closed-tpcc", "", "tpcc", 6, 2000, time.Second, false, 43.1, 23292},
-	{"open-reads", "poisson", "ycsbt", 6, 2000, time.Second, true, 10.4, 6399},
+	{"closed", "Tiga", "", "micro", 3, 2000, 500, time.Second, false, 11.7, 11699},
+	{"open", "Tiga", "poisson", "micro", 3, 2000, 500, time.Second, false, 11.8, 11889},
+	{"closed-100k", "Tiga", "", "micro", 3, 100_000, 500, 2 * time.Second, false, 8.0, 9141},
+	{"closed-tpcc", "Tiga", "", "tpcc", 6, 2000, 500, time.Second, false, 43.1, 23292},
+	{"open-reads", "Tiga", "poisson", "ycsbt", 6, 2000, 500, time.Second, true, 10.4, 6399},
+	{"closed-2pl", "2PL+Paxos", "", "micro", 3, 2000, 150, time.Second, false, 48.7, 7360},
+	{"closed-ncc+", "NCC+", "", "micro", 3, 2000, 150, time.Second, false, 35.6, 4902},
 }
 
 const (
@@ -74,7 +81,7 @@ func TestTxnPathAllocBudget(t *testing.T) {
 	for _, c := range txnPathBudget {
 		t.Run(c.name, func(t *testing.T) {
 			spec := ClusterSpec{
-				Protocol: "Tiga", Workload: c.workload, WorkloadKeys: c.keys,
+				Protocol: c.protocol, Workload: c.workload, WorkloadKeys: c.keys,
 				Shards: c.shards, F: 1, Clock: clocks.ModelChrony,
 				CoordsPerRegion: 1, CoordsRemote: 1, Seed: 42,
 				CostScale: CPUScale,
@@ -91,7 +98,7 @@ func TestTxnPathAllocBudget(t *testing.T) {
 			}
 			d := Build(spec)
 			load := LoadSpec{
-				RatePerCoord: 500, Outstanding: 100, Arrival: c.arrival,
+				RatePerCoord: c.rate, Outstanding: 100, Arrival: c.arrival,
 				Warmup: 200 * time.Millisecond, Duration: c.window, Seed: 43, LocalReads: c.localReads,
 			}
 			runtime.GC()
@@ -108,6 +115,9 @@ func TestTxnPathAllocBudget(t *testing.T) {
 			}
 			if local := res.Run.Counters.LocalReads; c.localReads != (local > 0) {
 				t.Fatalf("%d transactions took the local read path", local)
+			}
+			if n := res.Run.Counters; n.Aborted != n.Shed {
+				t.Fatalf("%d of %d transactions aborted: the row runs past its protocol's saturation", n.Aborted-n.Shed, n.Submitted)
 			}
 			allocs := float64(m1.Mallocs-m0.Mallocs) / committed
 			bytes := float64(m1.TotalAlloc-m0.TotalAlloc) / committed

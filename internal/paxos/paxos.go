@@ -10,9 +10,19 @@
 // a crashed leader rebuild its log from the surviving followers and resume,
 // which powers the baseline recovery experiment (the Fig 11 analogue for
 // 2PL+Paxos).
+//
+// Messages are pooled (see pool.Free for the lifecycle rules): the sender
+// draws one per destination from its own freelist, the message carries its
+// sender and so the list it came from, and the receiving Handle copies the
+// fields out and puts it back before it acts on them. A message the network
+// drops is simply never put back. The replicated Command is retained by every
+// log, so it is never pooled.
 package paxos
 
 import (
+	"math/bits"
+
+	"tiga/internal/pool"
 	"tiga/internal/simnet"
 )
 
@@ -21,22 +31,21 @@ type Command any
 
 // accept is the leader's phase-2a message.
 type accept struct {
-	GroupTag string
+	src      *Replica // the sender: its group's tag and the list the message goes back to
 	Slot     int
-	Cmd      Command
 	CommitTo int
+	Cmd      Command
 }
 
 // ack is the phase-2b acknowledgement.
 type ack struct {
-	GroupTag string
-	Slot     int
-	From     int
+	src  *Replica // the replica that holds Slot
+	Slot int
 }
 
 // commit propagates the commit point to followers.
 type commit struct {
-	GroupTag string
+	src      *Replica
 	CommitTo int
 }
 
@@ -51,9 +60,19 @@ type Replica struct {
 	f      int
 
 	log      []Command
-	acks     map[int]map[int]bool
 	commitTo int
 	applied  int
+
+	// holders is the leader's ack window, a ring indexed by slot modulo its
+	// power-of-two length: for each slot in [commitTo, proposedTo), bit i is
+	// set once replica i holds the slot. A slot leaves the window as commitTo
+	// passes it, so nothing per slot outlives its commit.
+	holders    []uint64
+	proposedTo int
+
+	accepts *pool.Free[accept]
+	acks    *pool.Free[ack]
+	commits *pool.Free[commit]
 
 	// OnCommit fires in slot order on every replica once a slot commits.
 	OnCommit func(slot int, cmd Command)
@@ -61,8 +80,11 @@ type Replica struct {
 
 // NewReplica creates a group member. peers[leader] is the stable leader.
 func NewReplica(tag string, node *simnet.Node, peers []simnet.NodeID, me, leader, f int) *Replica {
+	if len(peers) > 64 {
+		panic("paxos: an ack set is one 64-bit mask; a group has at most 64 members")
+	}
 	return &Replica{Tag: tag, node: node, peers: peers, me: me, leader: leader, f: f,
-		acks: make(map[int]map[int]bool)}
+		accepts: pool.New[accept](), acks: pool.New[ack](), commits: pool.New[commit]()}
 }
 
 // IsLeader reports whether this replica is the group leader.
@@ -74,12 +96,11 @@ func (r *Replica) IsLeader() bool { return r.me == r.leader }
 func (r *Replica) Propose(cmd Command) int {
 	slot := len(r.log)
 	r.log = append(r.log, cmd)
-	r.acks[slot] = map[int]bool{r.me: true}
+	r.await(slot)
 	for i, p := range r.peers {
-		if i == r.me {
-			continue
+		if i != r.me {
+			r.sendAccept(p, slot)
 		}
-		r.node.Send(p, accept{GroupTag: r.Tag, Slot: slot, Cmd: cmd, CommitTo: r.commitTo})
 	}
 	r.retransmit(4)
 	r.maybeCommit(slot)
@@ -100,11 +121,52 @@ func (r *Replica) retransmit(max int) {
 		if s == len(r.log)-1 {
 			break // just sent
 		}
+		held := r.held(s)
 		for i, p := range r.peers {
-			if i == r.me || r.acks[s][i] {
-				continue
+			if i != r.me && held&(1<<i) == 0 {
+				r.sendAccept(p, s)
 			}
-			r.node.Send(p, accept{GroupTag: r.Tag, Slot: s, Cmd: r.log[s], CommitTo: r.commitTo})
+		}
+	}
+}
+
+// await opens the ack set of the newest slot (on the leader, proposedTo),
+// held by this replica alone, doubling the ring when the uncommitted slots
+// fill it.
+func (r *Replica) await(slot int) {
+	if slot-r.commitTo >= len(r.holders) {
+		size := max(16, 2*len(r.holders))
+		grown := make([]uint64, size)
+		for s := r.commitTo; s < r.proposedTo; s++ {
+			grown[s&(size-1)] = r.holders[s&(len(r.holders)-1)]
+		}
+		r.holders = grown
+	}
+	r.holders[slot&(len(r.holders)-1)] = 1 << r.me
+	r.proposedTo = slot + 1
+}
+
+// held returns slot's ack set, or 0 for a slot outside the window: committed,
+// or never proposed by this replica.
+func (r *Replica) held(slot int) uint64 {
+	if slot < r.commitTo || slot >= r.proposedTo {
+		return 0
+	}
+	return r.holders[slot&(len(r.holders)-1)]
+}
+
+func (r *Replica) sendAccept(to simnet.NodeID, slot int) {
+	m := r.accepts.Get()
+	*m = accept{src: r, Slot: slot, CommitTo: r.commitTo, Cmd: r.log[slot]}
+	r.node.Send(to, m)
+}
+
+func (r *Replica) broadcastCommit() {
+	for i, p := range r.peers {
+		if i != r.me {
+			m := r.commits.Get()
+			*m = commit{src: r, CommitTo: r.commitTo}
+			r.node.Send(p, m)
 		}
 	}
 }
@@ -113,31 +175,39 @@ func (r *Replica) retransmit(max int) {
 // it was consumed.
 func (r *Replica) Handle(from simnet.NodeID, msg simnet.Message) bool {
 	switch m := msg.(type) {
-	case accept:
-		if m.GroupTag != r.Tag {
+	case *accept:
+		if m.src.Tag != r.Tag {
 			return false
 		}
-		for len(r.log) <= m.Slot {
+		slot, to, cmd := m.Slot, m.CommitTo, m.Cmd
+		m.src.accepts.Put(m)
+		for len(r.log) <= slot {
 			r.log = append(r.log, nil)
 		}
-		r.log[m.Slot] = m.Cmd
-		r.advanceCommit(m.CommitTo)
-		r.node.Send(from, ack{GroupTag: r.Tag, Slot: m.Slot, From: r.me})
+		r.log[slot] = cmd
+		r.advanceCommit(to)
+		a := r.acks.Get()
+		*a = ack{src: r, Slot: slot}
+		r.node.Send(from, a)
 		return true
-	case ack:
-		if m.GroupTag != r.Tag {
+	case *ack:
+		if m.src.Tag != r.Tag {
 			return false
 		}
-		if r.acks[m.Slot] != nil {
-			r.acks[m.Slot][m.From] = true
-			r.maybeCommit(m.Slot)
+		slot, by := m.Slot, m.src.me
+		m.src.acks.Put(m)
+		if held := r.held(slot); held != 0 {
+			r.holders[slot&(len(r.holders)-1)] = held | 1<<by
+			r.maybeCommit(slot)
 		}
 		return true
-	case commit:
-		if m.GroupTag != r.Tag {
+	case *commit:
+		if m.src.Tag != r.Tag {
 			return false
 		}
-		r.advanceCommit(m.CommitTo)
+		to := m.CommitTo
+		m.src.commits.Put(m)
+		r.advanceCommit(to)
 		return true
 	}
 	return false
@@ -147,17 +217,12 @@ func (r *Replica) maybeCommit(slot int) {
 	if !r.IsLeader() || slot != r.commitTo {
 		return
 	}
-	for r.commitTo < len(r.log) && len(r.acks[r.commitTo]) >= r.f+1 {
-		delete(r.acks, r.commitTo)
+	for r.commitTo < len(r.log) && bits.OnesCount64(r.held(r.commitTo)) >= r.f+1 {
 		r.commitTo++
 	}
 	r.apply()
 	if r.commitTo > 0 {
-		for i, p := range r.peers {
-			if i != r.me {
-				r.node.Send(p, commit{GroupTag: r.Tag, CommitTo: r.commitTo})
-			}
-		}
+		r.broadcastCommit()
 	}
 }
 
@@ -217,18 +282,15 @@ func (r *Replica) InstallLog(log []Command, commitTo int) {
 		}
 	}
 	r.commitTo = commitTo
+	r.proposedTo = commitTo
 	r.applied = 0
 	r.apply()
-	for i, p := range r.peers {
-		if i != r.me {
-			r.node.Send(p, commit{GroupTag: r.Tag, CommitTo: r.commitTo})
-		}
-	}
+	r.broadcastCommit()
 	for s := r.commitTo; s < len(r.log); s++ {
-		r.acks[s] = map[int]bool{r.me: true}
+		r.await(s)
 		for i, p := range r.peers {
 			if i != r.me {
-				r.node.Send(p, accept{GroupTag: r.Tag, Slot: s, Cmd: r.log[s], CommitTo: r.commitTo})
+				r.sendAccept(p, s)
 			}
 		}
 	}
