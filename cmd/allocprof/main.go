@@ -85,6 +85,19 @@
 // commit was boxed into the interface it was sent as and every proposal made
 // an ack map. The same shape gives OCC+Paxos 35.2 allocs and NCC+ 30.4.)
 //
+// or, for Janus' dependency tracking, vote tally and SCC execution,
+//
+//	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -protocol Janus \
+//	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms -liveheap live.out
+//
+// (it prints 5 600 commits, 16.7 allocs and 3.9 KB per transaction and a live
+// heap of 31.7 MB; 94.0 allocs and 8.4 KB while every pre-accept built a
+// dependency map and every reply was boxed, every record was an allocation of
+// its own, and the coordinator tallied votes in maps keyed by a string per
+// dependency list. Of what is left, maybeResolveCycle's graph is ≈ 5.6 per
+// transaction; the rest is one payload per multicast, the result list, the
+// dependency lists the replicas keep and the generator's job.)
+//
 // (The benchmark also sets Tiga's retry-timeout to 10 s on the two saturated
 // Tiga workloads; at their queueing delays the default never fires either.)
 //

@@ -1,8 +1,12 @@
-// Package graph implements the dependency-graph machinery used by the Janus
-// and Detock baselines: strongly-connected-component computation (Tarjan) for
-// deterministic execution of conflict cycles, and cycle detection for
-// deadlock resolution. These are the "intensive graph algorithms" whose CPU
-// cost Tiga's evaluation contrasts against timestamp ordering (§1, §5.2).
+// Package graph implements the dependency-graph machinery of the Janus
+// baseline: strongly-connected-component computation (Tarjan) for
+// deterministic execution of conflict cycles — the "intensive graph
+// algorithms" whose CPU cost Tiga's evaluation contrasts against timestamp
+// ordering (§1, §5.2). HasCycleFrom, cycle detection for deadlock resolution,
+// is called only by the previous Detock engine kept as a reference in
+// internal/protocols/detock's tests; the current engine orders through per-key
+// wait lists and charges its deadlock-resolution work as CPU without building
+// a graph.
 package graph
 
 import "sort"
@@ -28,14 +32,6 @@ func (g *Graph) AddEdge(u, v uint64) {
 	g.AddNode(u)
 	g.AddNode(v)
 	g.adj[u][v] = struct{}{}
-}
-
-// Remove deletes v and all incident edges.
-func (g *Graph) Remove(v uint64) {
-	delete(g.adj, v)
-	for _, out := range g.adj {
-		delete(out, v)
-	}
 }
 
 // Len returns the number of vertices.
@@ -165,17 +161,4 @@ func (g *Graph) HasCycleFrom(v uint64) bool {
 		}
 	}
 	return false
-}
-
-// Ready returns vertices with no outstanding dependencies (empty adjacency
-// after dependency removal), sorted ascending.
-func (g *Graph) Ready() []uint64 {
-	var out []uint64
-	for v, deps := range g.adj {
-		if len(deps) == 0 {
-			out = append(out, v)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

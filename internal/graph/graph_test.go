@@ -104,26 +104,6 @@ func TestSelfLoop(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	g := New()
-	g.AddEdge(1, 2)
-	g.AddEdge(3, 2)
-	g.Remove(2)
-	if g.Len() != 2 || g.Edges() != 0 {
-		t.Fatalf("after Remove: len=%d edges=%d", g.Len(), g.Edges())
-	}
-}
-
-func TestReady(t *testing.T) {
-	g := New()
-	g.AddEdge(2, 1)
-	g.AddNode(3)
-	ready := g.Ready()
-	if len(ready) != 2 || ready[0] != 1 || ready[1] != 3 {
-		t.Fatalf("ready = %v, want [1 3]", ready)
-	}
-}
-
 // Property: every vertex appears in exactly one SCC, and the SCC partition
 // covers the graph.
 func TestSCCPartitionProperty(t *testing.T) {

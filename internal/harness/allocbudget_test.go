@@ -30,9 +30,10 @@ import (
 // read-only transaction never reaches a leader. Spec, seeds and load are those
 // EXPERIMENTS.md has tabulated since PR 9.
 // These five rows run Tiga. closed-2pl and closed-ncc+ are the closed row on
-// two of the layered baselines, whose replication is internal/paxos, at 150
-// transactions a second per coordinator: below their saturation at this shape,
-// so every tick submits and nothing aborts.
+// two of the layered baselines, whose replication is internal/paxos, and
+// closed-janus on Janus, whose replies and coordinator records are pooled, all
+// at 150 transactions a second per coordinator: below their saturation at this
+// shape, so every tick submits and nothing aborts.
 //
 // allocs and bytes are per committed transaction, recorded with go1.24 (the
 // toolchain CI pins: the map implementation moves the counts) at the commit
@@ -57,6 +58,7 @@ var txnPathBudget = []struct {
 	{"open-reads", "Tiga", "poisson", "ycsbt", 6, 2000, 500, time.Second, true, 10.4, 6399},
 	{"closed-2pl", "2PL+Paxos", "", "micro", 3, 2000, 150, time.Second, false, 48.7, 7360},
 	{"closed-ncc+", "NCC+", "", "micro", 3, 2000, 150, time.Second, false, 35.6, 4902},
+	{"closed-janus", "Janus", "", "micro", 3, 2000, 150, time.Second, false, 32.5, 5604},
 }
 
 const (

@@ -8,13 +8,24 @@
 // Inconsistent dependencies add an accept round (3 WRTTs). Janus never
 // aborts, but its graph computation is CPU-intensive under contention — the
 // throughput collapse Tiga's timestamp ordering avoids (§5.2, Fig 9).
+//
+// Replies are pooled (see pool.Free for the lifecycle rules): a replica draws
+// each pre-accept reply, accept reply and execution result from its own
+// freelist, the message carries its sender and so the list it came from, and
+// the coordinator's handle copies the fields out and puts it back before it
+// acts on them. A reply the network drops is simply never put back. The
+// multicast pre-accept, accept and commit messages share one payload between
+// their destinations, and the dependency lists they carry are retained by
+// every replica's record, so neither is pooled.
 package janus
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 	"time"
 
 	"tiga/internal/graph"
+	"tiga/internal/pool"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
@@ -44,11 +55,13 @@ type preaccept struct {
 	Coord simnet.NodeID
 }
 
+// preacceptRep is a replica's dependency vote; src is the replica, which
+// names the shard and replica the vote stands for and owns the list the
+// message goes back to.
 type preacceptRep struct {
-	Shard   int
-	Replica int
-	ID      txn.ID
-	Deps    []uint64
+	src  *replica
+	ID   txn.ID
+	Deps []uint64
 }
 
 type acceptMsg struct {
@@ -58,9 +71,8 @@ type acceptMsg struct {
 }
 
 type acceptRep struct {
-	Shard   int
-	Replica int
-	ID      txn.ID
+	src *replica
+	ID  txn.ID
 }
 
 type commitMsg struct {
@@ -70,10 +82,11 @@ type commitMsg struct {
 	Coord simnet.NodeID
 }
 
+// execResult is a shard leader's execution result for the coordinator.
 type execResult struct {
-	Shard int
-	ID    txn.ID
-	Ret   []byte
+	src *replica
+	ID  txn.ID
+	Ret []byte
 }
 
 type jtxn struct {
@@ -81,7 +94,7 @@ type jtxn struct {
 	deps      []uint64
 	committed bool
 	executed  bool
-	pending   int // unexecuted local dependencies
+	pending   int32 // unexecuted local dependencies
 	coord     simnet.NodeID
 }
 
@@ -93,11 +106,19 @@ type replica struct {
 	st      *store.Store
 	lastKey map[string]uint64 // key -> last conflicting txn seen
 	txns    map[uint64]*jtxn
-	unexec  map[uint64]bool
+	// recs holds every record txns points at; records are never freed.
+	recs pool.Slab[jtxn]
 	// waiters maps an unexecuted dependency to the transactions waiting on
 	// it, so a commit only wakes its dependents instead of rescanning the
 	// whole graph.
 	waiters map[uint64][]uint64
+	// scratch collects a pre-accept's dependencies before they are sorted,
+	// deduplicated and copied out.
+	scratch []uint64
+
+	preacceptReps *pool.Free[preacceptRep]
+	acceptReps    *pool.Free[acceptRep]
+	results       *pool.Free[execResult]
 }
 
 // System is a running Janus deployment.
@@ -114,6 +135,9 @@ func New(spec Spec) *System {
 	}
 	sys := &System{spec: spec}
 	n := 2*spec.F + 1
+	if n > 64 {
+		panic("janus: a shard's votes are one 64-bit mask; a shard has at most 64 replicas")
+	}
 	sys.replicas = make([][]*replica, spec.Shards)
 	for s := 0; s < spec.Shards; s++ {
 		sys.replicas[s] = make([]*replica, n)
@@ -121,7 +145,9 @@ func New(spec Spec) *System {
 			node := spec.Net.AddNode(spec.ServerRegion(s, r), nil)
 			rp := &replica{sys: sys, shard: s, rep: r, node: node, st: store.New(),
 				lastKey: make(map[string]uint64), txns: make(map[uint64]*jtxn),
-				unexec: make(map[uint64]bool), waiters: make(map[uint64][]uint64)}
+				waiters:       make(map[uint64][]uint64),
+				preacceptReps: pool.New[preacceptRep](), acceptReps: pool.New[acceptRep](),
+				results: pool.New[execResult]()}
 			if spec.Seed != nil {
 				spec.Seed(s, rp.st)
 			}
@@ -132,7 +158,7 @@ func New(spec Spec) *System {
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
 		co := &coordinator{sys: sys, node: node, idx: int32(len(sys.coords) + 1),
-			pending: make(map[txn.ID]*pending)}
+			pending: make(map[txn.ID]*pending), pendings: pool.New[pending]()}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -150,6 +176,15 @@ func (sys *System) Store(shard, rep int) *store.Store { return sys.replicas[shar
 
 func (sys *System) superQuorum() int { return 1 + sys.spec.F + (sys.spec.F+1)/2 }
 
+// own returns a copy of deps that outlives the scratch it was collected in,
+// or nil when there is nothing to copy.
+func own(deps []uint64) []uint64 {
+	if len(deps) == 0 {
+		return nil
+	}
+	return slices.Clone(deps)
+}
+
 // ---- replica ----
 
 func (rp *replica) handle(from simnet.NodeID, msg simnet.Message) {
@@ -163,28 +198,46 @@ func (rp *replica) handle(from simnet.NodeID, msg simnet.Message) {
 	}
 }
 
+// newRec returns a zero record for id from the slab and indexes it.
+func (rp *replica) newRec(id uint64) *jtxn {
+	jt := rp.recs.At(rp.recs.Add())
+	rp.txns[id] = jt
+	return jt
+}
+
 // onPreaccept records the transaction and returns its direct dependencies:
 // the last conflicting transaction seen on each accessed key.
 func (rp *replica) onPreaccept(m preaccept) {
 	id := tid(m.T.ID)
 	piece := m.T.Piece(rp.shard)
-	depSet := make(map[uint64]bool)
-	for _, k := range append(append([]string(nil), piece.ReadSet...), piece.WriteSet...) {
-		if d, ok := rp.lastKey[k]; ok && d != id {
-			depSet[d] = true
-		}
-		rp.lastKey[k] = id
+	deps := rp.scratch[:0]
+	for _, k := range piece.ReadSet {
+		deps = rp.touch(deps, k, id)
 	}
-	deps := make([]uint64, 0, len(depSet))
-	for d := range depSet {
-		deps = append(deps, d)
+	for _, k := range piece.WriteSet {
+		deps = rp.touch(deps, k, id)
 	}
-	sort.Slice(deps, func(i, j int) bool { return deps[i] < deps[j] })
+	slices.Sort(deps)
+	deps = slices.Compact(deps)
+	rp.scratch = deps
+	deps = own(deps) // the record and the reply keep it
 	if rp.txns[id] == nil {
-		rp.txns[id] = &jtxn{t: m.T, deps: deps, coord: m.Coord}
+		*rp.newRec(id) = jtxn{t: m.T, deps: deps, coord: m.Coord}
 	}
 	rp.node.Work(rp.sys.spec.GraphCost * time.Duration(1+len(deps)))
-	rp.node.Send(m.Coord, preacceptRep{Shard: rp.shard, Replica: rp.rep, ID: m.T.ID, Deps: deps})
+	r := rp.preacceptReps.Get()
+	*r = preacceptRep{src: rp, ID: m.T.ID, Deps: deps}
+	rp.node.Send(m.Coord, r)
+}
+
+// touch appends key k's last conflicting transaction, if any other than id,
+// to deps and makes id the key's last.
+func (rp *replica) touch(deps []uint64, k string, id uint64) []uint64 {
+	if d, ok := rp.lastKey[k]; ok && d != id {
+		deps = append(deps, d)
+	}
+	rp.lastKey[k] = id
+	return deps
 }
 
 func (rp *replica) onAccept(m acceptMsg) {
@@ -192,7 +245,9 @@ func (rp *replica) onAccept(m acceptMsg) {
 	if jt := rp.txns[id]; jt != nil {
 		jt.deps = m.Deps
 	}
-	rp.node.Send(m.Coord, acceptRep{Shard: rp.shard, Replica: rp.rep, ID: m.ID})
+	r := rp.acceptReps.Get()
+	*r = acceptRep{src: rp, ID: m.ID}
+	rp.node.Send(m.Coord, r)
 }
 
 // onCommit finalizes the dependencies and triggers execution once every
@@ -204,8 +259,8 @@ func (rp *replica) onCommit(m commitMsg) {
 	id := tid(m.ID)
 	jt := rp.txns[id]
 	if jt == nil {
-		jt = &jtxn{t: m.T, coord: m.Coord}
-		rp.txns[id] = jt
+		jt = rp.newRec(id)
+		jt.t = m.T
 	}
 	if jt.committed {
 		return
@@ -213,7 +268,6 @@ func (rp *replica) onCommit(m commitMsg) {
 	jt.committed = true
 	jt.coord = m.Coord
 	jt.deps = m.Deps
-	rp.unexec[id] = true
 	rp.node.Work(rp.sys.spec.GraphCost * time.Duration(1+len(jt.deps)))
 	for _, d := range jt.deps {
 		dt := rp.txns[d]
@@ -302,12 +356,13 @@ func (rp *replica) execute(id uint64) {
 		return
 	}
 	jt.executed = true
-	delete(rp.unexec, id)
 	rp.node.Work(rp.sys.spec.ExecCost)
 	ret := rp.st.ExecuteID(jt.t.ID, txn.Timestamp{Time: time.Duration(id)}, jt.t.Piece(rp.shard))
 	rp.st.Commit(jt.t.ID)
 	if rp.rep == 0 { // the shard leader reports the execution result
-		rp.node.Send(jt.coord, execResult{Shard: rp.shard, ID: jt.t.ID, Ret: ret})
+		r := rp.results.Get()
+		*r = execResult{src: rp, ID: jt.t.ID, Ret: ret}
+		rp.node.Send(jt.coord, r)
 	}
 	// Wake dependents.
 	ws := rp.waiters[id]
@@ -323,23 +378,45 @@ func (rp *replica) execute(id uint64) {
 
 // ---- coordinator ----
 
+// pending is a transaction in flight at its coordinator. The vote tally is
+// kept per piece position i (t.Pieces[i]) for the shard's n replicas:
+// votes[i*n+r] is replica r's dependency list, valid once bit r of voted[i]
+// is set, and bit r of acked[i] is set once replica r accepted. The slices
+// are reused when the record is.
 type pending struct {
 	t        *txn.Txn
 	done     func(txn.Result)
-	votes    map[int]map[int]preacceptRep
-	accepts  map[int]map[int]bool
+	votes    [][]uint64
+	voted    []uint64
+	acked    []uint64
 	results  []txn.ShardRet
 	deps     []uint64
 	phase    int // 0 preaccept, 1 accept, 2 commit
 	fastPath bool
 }
 
+// reset readies p for t on shards of n replicas each.
+func (p *pending) reset(t *txn.Txn, done func(txn.Result), n int, fastPath bool) {
+	k := len(t.Pieces)
+	p.t, p.done, p.deps, p.phase, p.fastPath = t, done, nil, 0, fastPath
+	p.votes = slices.Grow(p.votes[:0], k*n)[:k*n] // a slot is read only once its bit is set
+	p.voted = slices.Grow(p.voted[:0], k)[:k]
+	clear(p.voted)
+	p.acked = slices.Grow(p.acked[:0], k)[:k]
+	clear(p.acked)
+	p.results = make([]txn.ShardRet, 0, k) // handed to done, so never reused
+}
+
 type coordinator struct {
-	sys     *System
-	node    *simnet.Node
-	idx     int32
-	seq     uint64
-	pending map[txn.ID]*pending
+	sys      *System
+	node     *simnet.Node
+	idx      int32
+	seq      uint64
+	pending  map[txn.ID]*pending
+	pendings *pool.Free[pending]
+	// union collects the votes' dependencies before they are sorted,
+	// deduplicated and copied into the transaction's own list.
+	union []uint64
 }
 
 // Submit runs Janus's pre-accept/accept/commit protocol for t.
@@ -347,10 +424,8 @@ func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
 	co := sys.coords[coord]
 	co.seq++
 	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
-	p := &pending{t: t, done: done, fastPath: !sys.spec.NoFastPath,
-		votes:   make(map[int]map[int]preacceptRep),
-		accepts: make(map[int]map[int]bool),
-		results: make([]txn.ShardRet, 0, len(t.Pieces))}
+	p := co.pendings.Get()
+	p.reset(t, done, 2*sys.spec.F+1, !sys.spec.NoFastPath)
 	co.pending[t.ID] = p
 	co.multicast(t, preaccept{T: t, Coord: co.node.ID()})
 }
@@ -366,62 +441,29 @@ func (co *coordinator) multicast(t *txn.Txn, m simnet.Message) {
 
 func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
-	case preacceptRep:
-		co.onPreacceptRep(m)
-	case acceptRep:
-		co.onAcceptRep(m)
-	case execResult:
-		co.onResult(m)
+	case *preacceptRep:
+		src, id, deps := m.src, m.ID, m.Deps
+		src.preacceptReps.Put(m)
+		co.onPreacceptRep(src, id, deps)
+	case *acceptRep:
+		src, id := m.src, m.ID
+		src.acceptReps.Put(m)
+		co.onAcceptRep(src, id)
+	case *execResult:
+		src, id, ret := m.src, m.ID, m.Ret
+		src.results.Put(m)
+		co.onResult(src.shard, id, ret)
 	}
 }
 
-func (co *coordinator) onPreacceptRep(m preacceptRep) {
-	p := co.pending[m.ID]
+func (co *coordinator) onPreacceptRep(src *replica, id txn.ID, deps []uint64) {
+	p := co.pending[id]
 	if p == nil || p.phase != 0 {
 		return
 	}
-	byRep := p.votes[m.Shard]
-	if byRep == nil {
-		byRep = make(map[int]preacceptRep)
-		p.votes[m.Shard] = byRep
+	if !co.tallyPreaccept(p, src.shard, src.rep, deps) {
+		return
 	}
-	byRep[m.Replica] = m
-	// Per shard: fast if a super quorum reports identical deps.
-	n := 2*co.sys.spec.F + 1
-	sq := co.sys.superQuorum()
-	union := make(map[uint64]bool)
-	for i := range p.t.Pieces {
-		votes := p.votes[p.t.Pieces[i].Shard()]
-		if len(votes) < sq {
-			return
-		}
-		counts := make(map[string]int)
-		fastQuorum := false
-		for _, v := range votes {
-			k := depsKey(v.Deps)
-			counts[k]++
-			if counts[k] >= sq {
-				// A super quorum reported identical dependencies — including
-				// the legitimate EMPTY dependency list, whose key is "". (An
-				// earlier version used a `bestKey == ""` sentinel here, which
-				// collided with that empty-deps key: dependency-free
-				// transactions always paid the accept round, +1 WRTT.)
-				fastQuorum = true
-			}
-		}
-		if !fastQuorum {
-			if len(votes) < n {
-				return // more votes may still form a fast quorum
-			}
-			p.fastPath = false
-		}
-		for _, v := range votes {
-			for _, d := range v.Deps {
-				union[d] = true
-			}
-		}
-	}
-	p.deps = sortedDeps(union)
 	if p.fastPath {
 		co.commit(p)
 		return
@@ -431,23 +473,85 @@ func (co *coordinator) onPreacceptRep(m preacceptRep) {
 	co.multicast(p.t, acceptMsg{ID: p.t.ID, Deps: p.deps, Coord: co.node.ID()})
 }
 
-func (co *coordinator) onAcceptRep(m acceptRep) {
-	p := co.pending[m.ID]
+// tallyPreaccept records replica rep of shard's vote and reports whether the
+// pre-accept round is decided: every shard has a super quorum of identical
+// dependency lists (fast), or has heard from all its replicas. A shard that
+// heard from all of them without one clears p.fastPath, even if another shard
+// still waits. Once decided, p.deps is the union of every vote received.
+func (co *coordinator) tallyPreaccept(p *pending, shard, rep int, deps []uint64) bool {
+	n := 2*co.sys.spec.F + 1
+	sq := co.sys.superQuorum()
+	pos := p.t.Pos(shard)
+	p.votes[pos*n+rep] = deps
+	p.voted[pos] |= 1 << rep
+	for i, voted := range p.voted {
+		if bits.OnesCount64(voted) < sq {
+			return false
+		}
+		// Identical lists at a super quorum are a fast quorum, the empty
+		// list included (TestEmptyDepsFastPath).
+		if !identicalQuorum(p.votes[i*n:(i+1)*n], voted, sq) {
+			if voted != 1<<n-1 {
+				return false // more votes may still form a fast quorum
+			}
+			p.fastPath = false
+		}
+	}
+	u := co.union[:0]
+	for i, voted := range p.voted {
+		for r := 0; r < n; r++ {
+			if voted&(1<<r) != 0 {
+				u = append(u, p.votes[i*n+r]...)
+			}
+		}
+	}
+	slices.Sort(u)
+	u = slices.Compact(u)
+	co.union = u
+	p.deps = own(u) // every replica keeps it through the commit
+	return true
+}
+
+// identicalQuorum reports whether at least sq of the votes whose bit is set
+// in voted are the same list.
+func identicalQuorum(votes [][]uint64, voted uint64, sq int) bool {
+	for a := range votes {
+		if voted&(1<<a) == 0 {
+			continue
+		}
+		same := 0
+		for b := range votes {
+			if voted&(1<<b) != 0 && slices.Equal(votes[a], votes[b]) {
+				same++
+			}
+		}
+		if same >= sq {
+			return true
+		}
+	}
+	return false
+}
+
+func (co *coordinator) onAcceptRep(src *replica, id txn.ID) {
+	p := co.pending[id]
 	if p == nil || p.phase != 1 {
 		return
 	}
-	byRep := p.accepts[m.Shard]
-	if byRep == nil {
-		byRep = make(map[int]bool)
-		p.accepts[m.Shard] = byRep
+	if co.tallyAccept(p, src.shard, src.rep) {
+		co.commit(p)
 	}
-	byRep[m.Replica] = true
-	for i := range p.t.Pieces {
-		if len(p.accepts[p.t.Pieces[i].Shard()]) < co.sys.spec.F+1 {
-			return
+}
+
+// tallyAccept records replica rep of shard's accept and reports whether every
+// shard has F+1 of them.
+func (co *coordinator) tallyAccept(p *pending, shard, rep int) bool {
+	p.acked[p.t.Pos(shard)] |= 1 << rep
+	for _, acked := range p.acked {
+		if bits.OnesCount64(acked) < co.sys.spec.F+1 {
+			return false
 		}
 	}
-	co.commit(p)
+	return true
 }
 
 func (co *coordinator) commit(p *pending) {
@@ -455,34 +559,17 @@ func (co *coordinator) commit(p *pending) {
 	co.multicast(p.t, commitMsg{ID: p.t.ID, T: p.t, Deps: p.deps, Coord: co.node.ID()})
 }
 
-func (co *coordinator) onResult(m execResult) {
-	p := co.pending[m.ID]
+func (co *coordinator) onResult(shard int, id txn.ID, ret []byte) {
+	p := co.pending[id]
 	if p == nil {
 		return
 	}
-	p.results = txn.PutRet(p.results, m.Shard, m.Ret)
+	p.results = txn.PutRet(p.results, shard, ret)
 	if len(p.results) < len(p.t.Pieces) {
 		return
 	}
-	delete(co.pending, m.ID)
-	p.done(txn.Result{OK: true, FastPath: p.fastPath, PerShard: p.results})
-}
-
-func depsKey(deps []uint64) string {
-	b := make([]byte, 0, len(deps)*8)
-	for _, d := range deps {
-		for i := 0; i < 8; i++ {
-			b = append(b, byte(d>>(8*i)))
-		}
-	}
-	return string(b)
-}
-
-func sortedDeps(set map[uint64]bool) []uint64 {
-	out := make([]uint64, 0, len(set))
-	for d := range set {
-		out = append(out, d)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	delete(co.pending, id)
+	res, done := txn.Result{OK: true, FastPath: p.fastPath, PerShard: p.results}, p.done
+	co.pendings.Put(p) // done may submit the next transaction
+	done(res)
 }
