@@ -6,21 +6,24 @@
 // consolidation removes (§1, §2).
 //
 // Leader election is out of scope here: the leader is fixed at construction.
-// What IS supported is rebooting that fixed leader — Snapshot/InstallLog let
-// a crashed leader rebuild its log from the surviving followers and resume,
-// which powers the baseline recovery experiment (the Fig 11 analogue for
-// 2PL+Paxos).
+// What IS supported is rebooting any member, the leader included: a replica
+// built to replace a crashed one calls Rejoin, which rebuilds its log from
+// f+1 surviving members and resumes. That powers the baseline recovery
+// experiments (the Fig 11 analogues for 2PL+Paxos and NCC+).
 //
 // Messages are pooled (see pool.Free for the lifecycle rules): the sender
 // draws one per destination from its own freelist, the message carries its
 // sender and so the list it came from, and the receiving Handle copies the
 // fields out and puts it back before it acts on them. A message the network
 // drops is simply never put back. The replicated Command is retained by every
-// log, so it is never pooled.
+// log, so it is never pooled; nor are the snapshot messages of a rejoin, one
+// exchange per reboot.
 package paxos
 
 import (
 	"math/bits"
+	"slices"
+	"time"
 
 	"tiga/internal/pool"
 	"tiga/internal/simnet"
@@ -49,6 +52,22 @@ type commit struct {
 	CommitTo int
 }
 
+// snapReq asks a member for a copy of its log, on behalf of a rejoining
+// member of the same group; snapRep answers.
+type snapReq struct{ Tag string }
+
+type snapRep struct {
+	Tag      string
+	Member   int
+	Log      []Command
+	CommitTo int
+}
+
+// rejoinRetry is how often a rejoining replica asks again the members that
+// have not answered: a request dropped at a crashed or partitioned survivor
+// must delay the rejoin, not wedge it.
+const rejoinRetry = 500 * time.Millisecond
+
 // Replica is one member of a replication group. The owning protocol server
 // must forward messages to Handle; Paxos traffic shares the server's node.
 type Replica struct {
@@ -69,6 +88,12 @@ type Replica struct {
 	// passes it, so nothing per slot outlives its commit.
 	holders    []uint64
 	proposedTo int
+
+	// snaps holds a rejoining replica's answers by member, and rejoined runs
+	// once they are installed. snaps is nil when the replica is not
+	// rejoining.
+	snaps    []*snapRep
+	rejoined func()
 
 	accepts *pool.Free[accept]
 	acks    *pool.Free[ack]
@@ -172,11 +197,12 @@ func (r *Replica) broadcastCommit() {
 }
 
 // Handle processes a message if it belongs to this group, reporting whether
-// it was consumed.
+// it was consumed. A rejoining replica answers snapshot requests but consumes
+// no accept, ack or commit: the owner drops them.
 func (r *Replica) Handle(from simnet.NodeID, msg simnet.Message) bool {
 	switch m := msg.(type) {
 	case *accept:
-		if m.src.Tag != r.Tag {
+		if m.src.Tag != r.Tag || r.Rejoining() {
 			return false
 		}
 		slot, to, cmd := m.Slot, m.CommitTo, m.Cmd
@@ -191,7 +217,7 @@ func (r *Replica) Handle(from simnet.NodeID, msg simnet.Message) bool {
 		r.node.Send(from, a)
 		return true
 	case *ack:
-		if m.src.Tag != r.Tag {
+		if m.src.Tag != r.Tag || r.Rejoining() {
 			return false
 		}
 		slot, by := m.Slot, m.src.me
@@ -202,12 +228,24 @@ func (r *Replica) Handle(from simnet.NodeID, msg simnet.Message) bool {
 		}
 		return true
 	case *commit:
-		if m.src.Tag != r.Tag {
+		if m.src.Tag != r.Tag || r.Rejoining() {
 			return false
 		}
 		to := m.CommitTo
 		m.src.commits.Put(m)
 		r.advanceCommit(to)
+		return true
+	case *snapReq:
+		if m.Tag != r.Tag {
+			return false
+		}
+		r.node.Send(from, &snapRep{Tag: r.Tag, Member: r.me, Log: slices.Clone(r.log), CommitTo: r.commitTo})
+		return true
+	case *snapRep:
+		if m.Tag != r.Tag {
+			return false
+		}
+		r.onSnapshot(m)
 		return true
 	}
 	return false
@@ -257,20 +295,83 @@ func (r *Replica) Applied() int { return r.applied }
 // LogLen returns the log length, committed or not (recovery catch-up gate).
 func (r *Replica) LogLen() int { return len(r.log) }
 
-// Snapshot returns a copy of the replica's log and its commit point, for
-// recovery state transfer to a rebooting peer.
-func (r *Replica) Snapshot() ([]Command, int) {
-	return append([]Command(nil), r.log...), r.commitTo
+// Rejoin rebuilds the log of a replica built to replace a crashed member,
+// then calls done (if non-nil). It asks every other member for its log, and
+// again every rejoinRetry those that have not answered. Once f+1 have, it
+// merges them: each slot from the first member, in member order, that holds
+// it, and the largest commit point. A slot committed before the crash is held
+// by f+1 members, so at least f of the 2f others hold it and any f+1 answers
+// include one of them. Until then the replica consumes no accept, ack or
+// commit (Handle), and its owner should serve nothing (Rejoining).
+func (r *Replica) Rejoin(done func()) {
+	r.snaps, r.rejoined = make([]*snapRep, len(r.peers)), done
+	r.askSnapshots()
+	r.node.Every(rejoinRetry, func() bool {
+		if !r.Rejoining() {
+			return false
+		}
+		r.askSnapshots()
+		return true
+	})
 }
 
-// InstallLog adopts a log merged from the surviving replicas onto a freshly
-// constructed leader: the committed prefix is applied locally (OnCommit
-// replay), the commit point is pushed to followers, and adopted-but-
-// uncommitted tail entries are re-proposed under fresh acks. The tail is
-// truncated at the first gap — commit order is sequential, so a slot missing
-// from every survivor cannot have committed and neither can anything after
-// it. Leader only.
-func (r *Replica) InstallLog(log []Command, commitTo int) {
+// Rejoining reports whether Rejoin is still waiting for answers.
+func (r *Replica) Rejoining() bool { return r.snaps != nil }
+
+func (r *Replica) askSnapshots() {
+	for i, p := range r.peers {
+		if i != r.me && r.snaps[i] == nil {
+			r.node.Send(p, &snapReq{Tag: r.Tag})
+		}
+	}
+}
+
+// onSnapshot records one member's answer (a repeated answer replaces the
+// earlier one) and installs the merge once f+1 members have answered.
+func (r *Replica) onSnapshot(m *snapRep) {
+	if !r.Rejoining() {
+		return
+	}
+	r.snaps[m.Member] = m
+	answered := 0
+	for _, rep := range r.snaps {
+		if rep != nil {
+			answered++
+		}
+	}
+	if answered < r.f+1 {
+		return
+	}
+	var log []Command
+	commitTo := 0
+	for _, rep := range r.snaps {
+		if rep == nil {
+			continue
+		}
+		commitTo = max(commitTo, rep.CommitTo)
+		for i, c := range rep.Log {
+			if i >= len(log) {
+				log = append(log, c)
+			} else if log[i] == nil {
+				log[i] = c
+			}
+		}
+	}
+	done := r.rejoined
+	r.snaps, r.rejoined = nil, nil
+	r.installLog(log, commitTo)
+	if done != nil {
+		done()
+	}
+}
+
+// installLog adopts a log merged from surviving members: the committed
+// prefix is applied locally (OnCommit replay). The tail is truncated at the
+// first gap — commit order is sequential, so a slot missing from every
+// survivor cannot have committed and neither can anything after it. A leader
+// also pushes the commit point to the followers and re-proposes the adopted
+// uncommitted tail under fresh acks; a follower only adopts it.
+func (r *Replica) installLog(log []Command, commitTo int) {
 	r.log = append(r.log[:0], log...)
 	if commitTo > len(r.log) {
 		commitTo = len(r.log) // defensive: a commit point past every survivor's log
@@ -285,6 +386,9 @@ func (r *Replica) InstallLog(log []Command, commitTo int) {
 	r.proposedTo = commitTo
 	r.applied = 0
 	r.apply()
+	if !r.IsLeader() {
+		return
+	}
 	r.broadcastCommit()
 	for s := r.commitTo; s < len(r.log); s++ {
 		r.await(s)

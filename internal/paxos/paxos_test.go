@@ -72,6 +72,10 @@ func (g *rig) drive(n int) {
 		i := i
 		g.sim.At(time.Duration(i)*time.Millisecond, func() { g.reps[0].Propose(i) })
 	}
+	g.drain()
+}
+
+func (g *rig) drain() {
 	for g.sim.Step() {
 	}
 }
@@ -233,7 +237,7 @@ func TestAckWindow(t *testing.T) {
 		deliver(t, g, 1, 1)
 		deliver(t, g, 1, 2)
 		commits(t, g, 0) // slot 0 holds up the two acked slots behind it
-		g.reps[0].InstallLog([]Command{"a", "b", "c"}, 0)
+		g.reps[0].installLog([]Command{"a", "b", "c"}, 0)
 		deliver(t, g, 1, 0)
 		commits(t, g, 1) // the re-proposed tail forgot the acks it had
 		deliver(t, g, 2, 1)
@@ -289,4 +293,143 @@ func TestLosslessResendShare(t *testing.T) {
 	if g.net.Sent != 21864 || resent != 7980 {
 		t.Fatalf("sent %d messages, re-sent %d accepts; pinned at 21864 and 7980", g.net.Sent, resent)
 	}
+}
+
+// reboot replaces member i by an empty replica on the same node, as an owner
+// does when it restarts a crashed server, and starts its rejoin.
+func (g *rig) reboot(i int, done func()) *Replica {
+	nd := g.net.Node(g.nodes[i])
+	nd.Crash()
+	nd.Restart()
+	g.reps[i] = NewReplica("g", nd, g.nodes, i, 0, g.reps[i].f)
+	g.applied[i] = nil
+	g.reps[i].OnCommit = func(slot int, cmd Command) { g.applied[i] = append(g.applied[i], cmd) }
+	g.reps[i].Rejoin(done)
+	return g.reps[i]
+}
+
+// hold sets member i's log and commit point by hand, as if it had taken part
+// in the run so far and applied its committed prefix.
+func (g *rig) hold(i int, commitTo int, log ...Command) {
+	g.reps[i].log, g.reps[i].commitTo, g.reps[i].applied = log, commitTo, commitTo
+}
+
+func TestRejoin(t *testing.T) {
+	t.Run("survivors with complementary gaps merge into one log", func(t *testing.T) {
+		g := newRig(1, zeroDelay, 3, 1)
+		// Both hold slot 0, with different commands: member order picks
+		// replica 0's. No one holds slot 3, so slot 4 cannot have committed.
+		g.hold(0, 1, "a", nil, "c", nil, "e")
+		g.hold(1, 3, "a'", "b", nil)
+		done := 0
+		rep := g.reboot(2, func() { done++ })
+		g.drain()
+		if done != 1 || rep.Rejoining() {
+			t.Fatalf("done ran %d times; still rejoining: %v", done, rep.Rejoining())
+		}
+		if rep.Committed() != 3 || rep.LogLen() != 3 {
+			t.Fatalf("commit point %d, log length %d; want 3 and 3", rep.Committed(), rep.LogLen())
+		}
+		if got := g.applied[2]; len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
+			t.Fatalf("applied %v, want [a b c]", got)
+		}
+	})
+	t.Run("a rejoined leader re-proposes the tail under fresh acks", func(t *testing.T) {
+		g := newRig(1, zeroDelay, 3, 1)
+		g.hold(1, 1, "a", "b", "c")
+		g.hold(2, 2, "a", "b", "c")
+		var committed int
+		var held uint64
+		rep := g.reboot(0, func() { committed, held = g.reps[0].Committed(), g.reps[0].held(2) })
+		g.drain()
+		if committed != 2 || held != 1 {
+			t.Fatalf("at the install: commit point %d, slot 2 held by %03b; want 2, held by the leader alone", committed, held)
+		}
+		// One commit broadcast at the install and one when slot 2 commits,
+		// one accept for slot 2, each to both followers.
+		if rep.accepts.News != 2 || g.accepts != 2 || g.commits != 4 {
+			t.Fatalf("leader sent %d accepts (%d delivered) and %d commits; want 2 and 4", rep.accepts.News, g.accepts, g.commits)
+		}
+		for i, r := range g.reps {
+			if r.Committed() != 3 || r.Applied() != 3 {
+				t.Fatalf("replica %d committed %d and applied %d slots, want 3 and 3", i, r.Committed(), r.Applied())
+			}
+		}
+		if len(g.applied[0]) != 3 {
+			t.Fatalf("the rejoined leader replayed %v", g.applied[0])
+		}
+	})
+	t.Run("a rejoined follower sends no accept and no commit", func(t *testing.T) {
+		g := newRig(1, zeroDelay, 3, 1)
+		g.hold(0, 2, "a", "b", "c")
+		g.hold(1, 1, "a", "b", "c")
+		rep := g.reboot(2, nil)
+		g.drain()
+		if rep.Rejoining() || rep.Committed() != 2 || rep.LogLen() != 3 || len(g.applied[2]) != 2 {
+			t.Fatalf("rejoining %v, commit point %d, log length %d, applied %d; want false, 2, 3, 2",
+				rep.Rejoining(), rep.Committed(), rep.LogLen(), len(g.applied[2]))
+		}
+		if rep.accepts.News != 0 || rep.commits.News != 0 || g.accepts != 0 || g.commits != 0 {
+			t.Fatalf("the rejoined follower sent %d accepts and %d commits", rep.accepts.News, rep.commits.News)
+		}
+	})
+	t.Run("accept, ack and commit before the install leave the log untouched", func(t *testing.T) {
+		g := newRig(1, zeroDelay, 3, 1)
+		g.net.Node(g.nodes[1]).Crash() // one answer of the two needed
+		rep := g.reboot(2, nil)
+		g.reps[0].Propose("a")
+		g.sim.Run(2 * time.Second) // the re-ask never ends
+		if !rep.Rejoining() {
+			t.Fatal("rejoined on one answer with f = 1")
+		}
+		if g.accepts == 0 {
+			t.Fatal("no accept reached the rejoining replica")
+		}
+		if rep.Handle(g.nodes[1], ackFrom(g.reps[1], 0)) {
+			t.Fatal("a rejoining replica consumed an ack")
+		}
+		m := g.reps[0].commits.Get()
+		*m = commit{src: g.reps[0], CommitTo: 1}
+		if rep.Handle(g.nodes[0], m) {
+			t.Fatal("a rejoining replica consumed a commit")
+		}
+		if rep.LogLen() != 0 || rep.Committed() != 0 || rep.acks.News != 0 {
+			t.Fatalf("log length %d, commit point %d, %d acks sent; want all 0", rep.LogLen(), rep.Committed(), rep.acks.News)
+		}
+	})
+	t.Run("a snapshot of another group is not consumed", func(t *testing.T) {
+		g := newRig(1, zeroDelay, 3, 1)
+		if g.reps[1].Handle(g.nodes[0], &snapReq{Tag: "other"}) || g.net.Sent != 0 {
+			t.Fatalf("a request for another group was consumed; %d messages sent", g.net.Sent)
+		}
+		rep := g.reboot(2, nil)
+		if rep.Handle(g.nodes[0], &snapRep{Tag: "other", Member: 0, Log: []Command{"x"}, CommitTo: 1}) {
+			t.Fatal("an answer for another group was consumed")
+		}
+		g.drain()
+		if rep.LogLen() != 0 || rep.Rejoining() {
+			t.Fatalf("log length %d, rejoining %v; want the empty group's log, installed", rep.LogLen(), rep.Rejoining())
+		}
+	})
+	t.Run("the re-ask reaches a member that comes back up", func(t *testing.T) {
+		g := newRig(1, zeroDelay, 3, 1)
+		g.hold(0, 1, "a")
+		g.hold(1, 1, "a")
+		down := g.net.Node(g.nodes[0])
+		down.Crash()
+		var at time.Duration
+		rep := g.reboot(2, func() { at = g.sim.Now() })
+		g.sim.At(1200*time.Millisecond, down.Restart)
+		g.drain()
+		// The first re-ask after the restart goes out at 1.5 s (plus the
+		// nodes' CPU time).
+		if at < 1500*time.Millisecond || at > 1501*time.Millisecond || rep.Committed() != 1 {
+			t.Fatalf("rejoined at %v with commit point %d; want 1.5s and 1", at, rep.Committed())
+		}
+		// Replica 1 is asked once. Replica 0 is asked at 0, 0.5 s and 1 s while
+		// it is down, and answers the request of 1.5 s.
+		if g.net.Sent != 4 || g.net.Dropped != 3 {
+			t.Fatalf("%d messages sent and %d dropped; want 4 and 3", g.net.Sent, g.net.Dropped)
+		}
+	})
 }

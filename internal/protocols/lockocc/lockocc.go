@@ -126,17 +126,6 @@ type commitReq struct {
 
 type abortReq struct{ ID txn.ID }
 
-// recoverReq asks a surviving replica for its Paxos state; recoverRep
-// answers. A rebooted leader merges the replies (every committed record is
-// on at least one survivor) and adopts them via paxos.InstallLog.
-type recoverReq struct{}
-
-type recoverRep struct {
-	Replica  int
-	Log      []paxos.Command
-	CommitTo int
-}
-
 // committedMsg reports a shard's replicated apply. The commit phase is
 // infallible (validation happens at vote time), so it carries no failure
 // flag.
@@ -194,9 +183,10 @@ type pendingSrv struct {
 	// the 2PL and relock paths used to allocate, dispatching on id and
 	// relockPath, both latched at creation.
 	grant func()
-	// relockPath latches which acquire loop the grants belong to: false =
-	// the 2PL prepare loop (onReqExec), true = the post-reboot relock loop
-	// (onCommitReq). A record lifetime runs exactly one of the two.
+	// relockPath latches which continuation the grants of lockAll belong
+	// to: false = the 2PL prepare (onReqExec, finishLock), true = the
+	// post-reboot relock (onCommitReq, finishRelock). A record lifetime runs
+	// exactly one of the two.
 	relockPath bool
 }
 
@@ -220,13 +210,10 @@ type server struct {
 	// applied records every Paxos-applied commit, so re-sent commit requests
 	// (after a leader reboot) are answered instead of re-proposed.
 	applied map[txn.ID]bool
-	// recovering gates all processing while a rebooted leader is still
-	// merging survivor logs; recovered collects the replies by replica.
-	// catchingUp then gates 2PC traffic (but not Paxos) until the re-proposed
-	// tail has committed — serving earlier would let new transactions
-	// validate against a store still missing those pending writes.
-	recovering bool
-	recovered  map[int]recoverRep
+	// catchingUp gates 2PC traffic (but not Paxos) on a rebooted leader
+	// from the end of its rejoin until the re-proposed tail has committed —
+	// serving earlier would let new transactions validate against a store
+	// still missing those pending writes.
 	catchingUp bool
 
 	// reads is the replica's local snapshot-read state (Spec.LocalReads, see
@@ -351,26 +338,22 @@ func (sys *System) KillServer(shard, replica int) {
 	sys.servers[shard][replica].node.Crash()
 }
 
-// RestartServer reboots a crashed replica with empty state. The fresh server
-// re-seeds its store, then asks the surviving replicas for their Paxos logs;
-// once every survivor has answered it adopts the merged log (replaying the
-// committed commit records against the store) and resumes service. In-flight
-// 2PC decisions finish via the coordinators' vote-timeout re-sends; lock
-// state of prepared-but-undecided transactions is NOT restored (prepare
-// records are not replicated — a documented deviation from Spanner-style
-// 2PL, see EXPERIMENTS.md).
+// RestartServer reboots a crashed replica, leader or follower, with empty
+// state. The fresh server re-seeds its store and rejoins its Paxos group
+// (paxos.Replica.Rejoin): once f+1 surviving replicas have sent their logs it
+// adopts the merge (replaying the committed commit records against the
+// store) and resumes service; a leader first lets the re-proposed tail
+// commit. A survivor that is down at the reboot delays this, as the request
+// is re-sent until enough answer. In-flight 2PC decisions finish via the
+// coordinators' vote-timeout re-sends; lock state of prepared-but-undecided
+// transactions is NOT restored (prepare records are not replicated — a
+// documented deviation from Spanner-style 2PL, see EXPERIMENTS.md).
 func (sys *System) RestartServer(shard, replica int) {
 	old := sys.servers[shard][replica]
 	old.node.Restart()
 	srv := newServer(sys, shard, replica)
 	sys.servers[shard][replica] = srv
-	srv.recovering = true
-	srv.recovered = make(map[int]recoverRep)
-	for r, id := range sys.nodes[shard] {
-		if r != replica {
-			srv.node.Send(id, recoverReq{})
-		}
-	}
+	srv.pax.Rejoin(func() { srv.catchingUp = srv.pax.Committed() < srv.pax.LogLen() })
 }
 
 // NumCoords returns the coordinator count.
@@ -398,21 +381,12 @@ func (sys *System) leaderNode(shard int) simnet.NodeID { return sys.servers[shar
 // ---- server ----
 
 func (s *server) handle(from simnet.NodeID, msg simnet.Message) {
-	switch m := msg.(type) {
-	case recoverReq:
-		log, commitTo := s.pax.Snapshot()
-		s.node.Send(from, recoverRep{Replica: s.replica, Log: log, CommitTo: commitTo})
-		return
-	case recoverRep:
-		s.onRecoverRep(m)
-		return
-	}
-	if s.recovering {
-		return // not serving until the survivor logs are merged
+	if s.pax.Handle(from, msg) || s.pax.Rejoining() {
+		return // not serving until the survivor logs are installed
 	}
 	// Snapshot-read traffic is handled on EVERY replica — followers serve
 	// local reads too — so it must precede the replica-0 gate below. Dropped
-	// requests (recovering replicas) are re-driven by coordinator retries.
+	// requests (rejoining replicas) are re-driven by coordinator retries.
 	switch m := msg.(type) {
 	case safeT:
 		s.onSafeT(m)
@@ -422,9 +396,6 @@ func (s *server) handle(from simnet.NodeID, msg simnet.Message) {
 		return
 	case *snapread.Req:
 		s.onSnapRead(from, m)
-		return
-	}
-	if s.pax.Handle(from, msg) {
 		return
 	}
 	if s.replica != 0 {
@@ -441,42 +412,6 @@ func (s *server) handle(from simnet.NodeID, msg simnet.Message) {
 	case abortReq:
 		s.abortLocal(m.ID)
 	}
-}
-
-// onRecoverRep collects survivor snapshots; once all have answered, the
-// merged log is installed. Any record committed before the crash gathered
-// f+1 acks, so it is present on at least one of the 2f survivors — the union
-// is gap-free up to the highest survivor commit point.
-func (s *server) onRecoverRep(m recoverRep) {
-	if !s.recovering {
-		return
-	}
-	s.recovered[m.Replica] = m
-	if len(s.recovered) < len(s.sys.nodes[s.shard])-1 {
-		return
-	}
-	var merged []paxos.Command
-	commitTo := 0
-	for r := 0; r < len(s.sys.nodes[s.shard]); r++ {
-		rep, ok := s.recovered[r]
-		if !ok {
-			continue
-		}
-		if rep.CommitTo > commitTo {
-			commitTo = rep.CommitTo
-		}
-		for i, c := range rep.Log {
-			if i >= len(merged) {
-				merged = append(merged, c)
-			} else if merged[i] == nil {
-				merged[i] = c
-			}
-		}
-	}
-	s.recovering = false
-	s.recovered = nil
-	s.pax.InstallLog(merged, commitTo)
-	s.catchingUp = s.pax.Committed() < s.pax.LogLen()
 }
 
 // getPend draws a reset pendingSrv from the server's freelist, binding its
@@ -560,20 +495,28 @@ func (s *server) onReqExec(m reqExec) {
 		return
 	}
 	// 2PL: acquire all locks (wound-wait), then execute.
-	p.waiting = 0
+	if s.lockAll(p) {
+		s.finishLock(id)
+	}
+}
+
+// lockAll asks for every lock p's piece needs at p's priority — shared for a
+// key it only reads, exclusive for one it writes — and reports whether all
+// were granted at once. Otherwise p.waiting counts the grants still owed, and
+// the last one runs p.grant's continuation.
+func (s *server) lockAll(p *pendingSrv) bool {
+	piece := p.t.Piece(s.shard)
 	for _, k := range piece.ReadSet {
-		if !slices.Contains(piece.WriteSet, k) && !s.lt.Acquire(k, locks.Shared, id, m.Prio, p.grant) {
+		if !slices.Contains(piece.WriteSet, k) && !s.lt.Acquire(k, locks.Shared, p.id, p.prio, p.grant) {
 			p.waiting++
 		}
 	}
 	for _, k := range piece.WriteSet {
-		if !s.lt.Acquire(k, locks.Exclusive, id, m.Prio, p.grant) {
+		if !s.lt.Acquire(k, locks.Exclusive, p.id, p.prio, p.grant) {
 			p.waiting++
 		}
 	}
-	if p.waiting == 0 {
-		s.finishLock(id)
-	}
+	return p.waiting == 0
 }
 
 func (s *server) finishLock(id txn.ID) {
@@ -628,8 +571,10 @@ func (s *server) occConflict(id txn.ID, piece *txn.Piece) bool {
 // are deduplicated: an already-applied commit is acknowledged directly and
 // an in-flight proposal or re-lock is left alone. An unknown transaction is
 // a decided commit whose prepare state died with the old leader — it is
-// re-locked and re-executed before proposing, because its pre-crash write
-// buffer is stale against anything committed since the reboot.
+// re-locked (wound-wait at its original priority; having voted, it is itself
+// immune to wounds) and re-executed under the fresh locks before proposing,
+// because its pre-crash write buffer is stale against anything committed
+// since the reboot.
 func (s *server) onCommitReq(m commitReq) {
 	if s.applied[m.ID] {
 		s.node.Send(m.Coord, committedMsg{Shard: s.shard, ID: m.ID})
@@ -642,7 +587,9 @@ func (s *server) onCommitReq(m commitReq) {
 		p.id, p.relockPath = m.ID, true
 		p.prepTS, p.ts = s.sys.spec.Net.Sim().Now(), m.TS
 		s.pending[m.ID] = p
-		s.relock(m.ID, p)
+		if s.lockAll(p) {
+			s.finishRelock(m.ID)
+		}
 		return
 	}
 	p.coord = m.Coord
@@ -656,27 +603,6 @@ func (s *server) onCommitReq(m commitReq) {
 	s.onSlot[slot] = m.ID
 }
 
-// relock re-acquires a reconstructed commit decision's locks (wound-wait at
-// its original priority; having voted, it is itself immune to wounds) and
-// proposes once they are granted. The piece is re-executed under the fresh
-// locks so the commit applies on top of the current store state.
-func (s *server) relock(id txn.ID, p *pendingSrv) {
-	piece := p.t.Piece(s.shard)
-	for _, k := range piece.ReadSet {
-		if !slices.Contains(piece.WriteSet, k) && !s.lt.Acquire(k, locks.Shared, id, p.prio, p.grant) {
-			p.waiting++
-		}
-	}
-	for _, k := range piece.WriteSet {
-		if !s.lt.Acquire(k, locks.Exclusive, id, p.prio, p.grant) {
-			p.waiting++
-		}
-	}
-	if p.waiting == 0 {
-		s.finishRelock(id)
-	}
-}
-
 func (s *server) finishRelock(id txn.ID) {
 	p := s.pending[id]
 	if p == nil || !p.relocking {
@@ -685,7 +611,7 @@ func (s *server) finishRelock(id txn.ID) {
 	p.relocking = false
 	if s.applied[id] {
 		// A recovered slot committed this transaction while we waited for
-		// the locks (InstallLog re-proposes the adopted tail).
+		// the locks (a rejoined leader re-proposes the adopted tail).
 		s.lt.ReleaseAll(id)
 		delete(s.pending, id)
 		coord := p.coord

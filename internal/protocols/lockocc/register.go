@@ -20,8 +20,9 @@ func init() {
 	register("OCC+Paxos", OCC, protocol.CostProfile{Exec: 18, Rank: 20})
 }
 
-// The layered baselines support leader crash/reboot recovery (the Fig 11
-// analogue for Paxos-backed systems).
+// The layered baselines support crash/reboot recovery of any replica, leader
+// or follower, through paxos.Replica.Rejoin (the Fig 11 analogue for
+// Paxos-backed systems).
 var _ protocol.Faultable = (*System)(nil)
 
 func register(name string, cc CC, cost protocol.CostProfile) {

@@ -54,7 +54,7 @@ func (s *server) advanceSafeT() {
 }
 
 func (s *server) broadcastSafeT() {
-	if s.recovering {
+	if s.pax.Rejoining() {
 		return
 	}
 	// Leader-driven retransmission: follower watermark adoption is gated on

@@ -15,7 +15,7 @@ const faultKeys = 20
 // TestNCCPlusLeaderCrashRecovery exercises the protocol.Faultable path for
 // NCC+: the shard-0 serving replica is crashed mid-run and rebooted later,
 // rebuilding its store from the surviving Paxos followers' logs
-// (Snapshot/InstallLog — the same recovery path the lockocc baselines use).
+// (paxos.Replica.Rejoin — the same recovery path the lockocc baselines use).
 //
 // NCC coordinators have no retry timer, so requests swallowed by the outage
 // hang by design; the test therefore drives load in three phases — before
@@ -129,10 +129,10 @@ func TestNCCPlusLeaderCrashRecovery(t *testing.T) {
 	}
 }
 
-// TestNCCPlusRecoveryRetriesUnreachableSurvivor pins the recovery
-// re-request loop: the rebooting server's first recoverReq to a
-// still-crashed follower is dropped, so recovery must stall — not wedge —
-// until the follower returns and a retried request reaches it.
+// TestNCCPlusRecoveryRetriesUnreachableSurvivor pins the rejoin's re-request
+// loop: the rebooting server's first request for the log of a still-crashed
+// follower is dropped, so recovery must stall — not wedge — until the
+// follower returns and a retried request reaches it.
 func TestNCCPlusRecoveryRetriesUnreachableSurvivor(t *testing.T) {
 	sim := simnet.NewSim(31)
 	net := simnet.NewNetwork(sim, simnet.GeoConfig(0, 0))
@@ -158,7 +158,7 @@ func TestNCCPlusRecoveryRetriesUnreachableSurvivor(t *testing.T) {
 		})
 	}
 	// Crash a follower, then the leader; reboot the leader while the
-	// follower is still down (its recoverReq is dropped), and bring the
+	// follower is still down (its log request is dropped), and bring the
 	// follower back 2 s later — several re-request intervals after.
 	sim.At(time.Second, func() { sys.KillServer(0, 1) })
 	sim.At(1500*time.Millisecond, func() { sys.KillServer(0, 0) })

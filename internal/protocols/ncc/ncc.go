@@ -34,11 +34,6 @@ type Spec struct {
 	CoordRegions []simnet.Region
 	Seed         func(shard int, st *store.Store)
 	ExecCost     time.Duration
-	// NoRTC disables Response Time Control gating (the "rtc" knob, inverted
-	// so the zero value keeps NCC's strict-serializability mechanism):
-	// replies go out as soon as execution (and replication, for NCC+)
-	// finishes, without waiting for conflicting predecessors to commit.
-	NoRTC bool
 }
 
 type execReq struct {
@@ -53,18 +48,6 @@ type execRep struct {
 }
 
 type commitNote struct{ ID txn.ID }
-
-// recoverReq asks a surviving NCC+ replica for its Paxos state; recoverRep
-// answers. A rebooted server merges the replies (every committed slot is on
-// at least one survivor) and adopts them via paxos.InstallLog, re-executing
-// the logged transactions to rebuild its store.
-type recoverReq struct{}
-
-type recoverRep struct {
-	Replica  int
-	Log      []paxos.Command
-	CommitTo int
-}
 
 type pendingSrv struct {
 	t     *txn.Txn
@@ -88,28 +71,16 @@ type server struct {
 	pending map[txn.ID]*pendingSrv
 	pax     *paxos.Replica
 	onSlot  map[int]txn.ID
-	// recovering gates all processing while a rebooted server is merging
-	// survivor logs; recovered collects the replies by replica.
-	recovering bool
-	recovered  map[int]recoverRep
 }
 
 // follower is an NCC+ Paxos group member: it only participates in
-// replication and answers recovery snapshot requests.
+// replication, which includes answering a rebooted server's rejoin.
 type follower struct {
-	idx  int
 	node *simnet.Node
 	pax  *paxos.Replica
 }
 
-func (f *follower) handle(from simnet.NodeID, msg simnet.Message) {
-	if _, ok := msg.(recoverReq); ok {
-		log, commitTo := f.pax.Snapshot()
-		f.node.Send(from, recoverRep{Replica: f.idx, Log: log, CommitTo: commitTo})
-		return
-	}
-	f.pax.Handle(from, msg)
-}
+func (f *follower) handle(from simnet.NodeID, msg simnet.Message) { f.pax.Handle(from, msg) }
 
 // System is a running NCC or NCC+ deployment.
 type System struct {
@@ -144,7 +115,7 @@ func New(spec Spec) *System {
 		sys.servers = append(sys.servers, newServer(sys, sh))
 		fs := make([]*follower, n)
 		for r := 1; r < n; r++ {
-			f := &follower{idx: r, node: spec.Net.Node(nodes[r]),
+			f := &follower{node: spec.Net.Node(nodes[r]),
 				pax: paxos.NewReplica("ncc", spec.Net.Node(nodes[r]), nodes, r, 0, spec.F)}
 			f.node.SetHandler(f.handle)
 			fs[r] = f
@@ -213,11 +184,12 @@ func (sys *System) KillServer(shard, replica int) {
 // RestartServer reboots a crashed replica. A follower resumes with its Paxos
 // state intact (only its node was down; lost slots are refilled by the
 // leader's retransmission). The serving replica reboots with empty state:
-// under NCC+ it re-seeds its store, asks the surviving followers for their
-// Paxos logs, and — once every survivor has answered — adopts the merged log
-// via paxos.InstallLog, re-executing the committed transactions in slot
-// order to rebuild the store (each exactly once; the pre-crash store is
-// discarded whole) and re-sending their replies. Plain NCC has no
+// under NCC+ it re-seeds its store and rejoins its Paxos group
+// (paxos.Replica.Rejoin). Once f+1 followers have sent their logs it adopts
+// the merge, re-executing the committed transactions in slot order to
+// rebuild the store (each exactly once; the pre-crash store is discarded
+// whole) and re-sending their replies. A lost request or answer delays the
+// rejoin: it is re-sent until enough followers answer. Plain NCC has no
 // replication to recover from: the store reboots seeded-but-empty of every
 // pre-crash effect, which is the unreplicated design's documented exposure.
 func (sys *System) RestartServer(shard, replica int) {
@@ -231,52 +203,16 @@ func (sys *System) RestartServer(shard, replica int) {
 	old.node.Restart()
 	srv := newServer(sys, shard)
 	sys.servers[shard] = srv
-	if !sys.spec.Replicated {
-		return
+	if sys.spec.Replicated {
+		srv.pax.Rejoin(nil)
 	}
-	srv.recovering = true
-	srv.recovered = make(map[int]recoverRep)
-	ask := func() {
-		for r, id := range sys.nodes[shard] {
-			if r != 0 {
-				if _, have := srv.recovered[r]; !have {
-					srv.node.Send(id, recoverReq{})
-				}
-			}
-		}
-	}
-	ask()
-	// Re-request until enough survivors answered: a lost recoverReq/Rep (the
-	// degraded topologies drop messages) must delay recovery, not wedge the
-	// shard forever.
-	srv.node.Every(500*time.Millisecond, func() bool {
-		if !srv.recovering {
-			return false
-		}
-		ask()
-		return true
-	})
 }
 
 // ---- server ----
 
 func (s *server) handle(from simnet.NodeID, msg simnet.Message) {
-	switch m := msg.(type) {
-	case recoverReq:
-		if s.pax != nil {
-			log, commitTo := s.pax.Snapshot()
-			s.node.Send(from, recoverRep{Replica: 0, Log: log, CommitTo: commitTo})
-		}
-		return
-	case recoverRep:
-		s.onRecoverRep(m)
-		return
-	}
-	if s.recovering {
-		return // not serving until the survivor logs are merged
-	}
-	if s.pax != nil && s.pax.Handle(from, msg) {
-		return
+	if s.pax != nil && (s.pax.Handle(from, msg) || s.pax.Rejoining()) {
+		return // a rebooted server serves nothing until its log is installed
 	}
 	switch m := msg.(type) {
 	case execReq:
@@ -284,47 +220,6 @@ func (s *server) handle(from simnet.NodeID, msg simnet.Message) {
 	case commitNote:
 		s.onCommitNote(m)
 	}
-}
-
-// onRecoverRep collects survivor snapshots; once a quorum of f+1 followers
-// has answered, the merged log is installed. Any slot committed before the
-// crash gathered f+1 acks — f of them on followers — so every committed
-// slot intersects any f+1 of the 2f followers: the merge is gap-free up to
-// the true commit point, and InstallLog replays it through onPaxosCommit
-// (the recovery path there re-executes each logged transaction against the
-// fresh store). Waiting for all 2f would let one crashed follower wedge
-// recovery forever; a higher commit point known only to a non-replying
-// follower is harmless — those slots are adopted as tail entries and
-// re-proposed, and the replay path deduplicates.
-func (s *server) onRecoverRep(m recoverRep) {
-	if !s.recovering {
-		return
-	}
-	s.recovered[m.Replica] = m
-	if len(s.recovered) < s.sys.spec.F+1 {
-		return
-	}
-	var merged []paxos.Command
-	commitTo := 0
-	for r := 1; r < len(s.sys.nodes[s.shard]); r++ {
-		rep, ok := s.recovered[r]
-		if !ok {
-			continue
-		}
-		if rep.CommitTo > commitTo {
-			commitTo = rep.CommitTo
-		}
-		for i, c := range rep.Log {
-			if i >= len(merged) {
-				merged = append(merged, c)
-			} else if merged[i] == nil {
-				merged[i] = c
-			}
-		}
-	}
-	s.recovering = false
-	s.recovered = nil
-	s.pax.InstallLog(merged, commitTo)
 }
 
 // onExec executes in arrival order and applies RTC gating.
@@ -338,16 +233,14 @@ func (s *server) onExec(m execReq) {
 	p := &pendingSrv{t: m.T, coord: m.Coord, replicated: !s.sys.spec.Replicated}
 	s.pending[id] = p
 	// RTC: gate on every uncommitted conflicting predecessor.
-	if !s.sys.spec.NoRTC {
-		keys := append(append([]string(nil), piece.ReadSet...), piece.WriteSet...)
-		gated := make(map[txn.ID]bool)
-		for _, k := range keys {
-			if prev, ok := s.lastKey[k]; ok && prev != id && !gated[prev] {
-				if pp := s.pending[prev]; pp != nil && !pp.committed {
-					gated[prev] = true
-					pp.waiters = append(pp.waiters, id)
-					p.waitingOn++
-				}
+	keys := append(append([]string(nil), piece.ReadSet...), piece.WriteSet...)
+	gated := make(map[txn.ID]bool)
+	for _, k := range keys {
+		if prev, ok := s.lastKey[k]; ok && prev != id && !gated[prev] {
+			if pp := s.pending[prev]; pp != nil && !pp.committed {
+				gated[prev] = true
+				pp.waiters = append(pp.waiters, id)
+				p.waitingOn++
 			}
 		}
 	}
@@ -386,7 +279,7 @@ func (s *server) onPaxosCommit(slot int, cmd paxos.Command) {
 		return
 	}
 	// A slot this server did not propose in its current life: recovery
-	// replay (InstallLog replaying the merged survivor log, or a recovered
+	// replay (the rejoin replaying the merged survivor log, or a recovered
 	// tail slot committing later). Re-execute the logged transaction against
 	// the fresh store — the pre-crash store was discarded whole, so each
 	// logged slot applies exactly once — and re-send the reply; a

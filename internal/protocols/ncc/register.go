@@ -14,7 +14,7 @@ func init() {
 }
 
 // NCC+ supports server crash/reboot recovery through its Paxos layer
-// (Snapshot/InstallLog, the same path the lockocc baselines use): the
+// (paxos.Replica.Rejoin, the same path the lockocc baselines use): the
 // rebooted server rebuilds its store by re-executing the merged survivor
 // log. Plain NCC accepts the fault hooks too, but with nothing replicated a
 // reboot loses every pre-crash effect — the unreplicated design's exposure,
@@ -23,17 +23,13 @@ var _ protocol.Faultable = (*System)(nil)
 
 func register(name string, replicated bool, cost protocol.CostProfile) {
 	protocol.Register(name, cost,
-		protocol.Schema{
-			{Name: "rtc", Type: protocol.KnobBool, Default: true,
-				Doc: "Response Time Control gating (the strict-serializability mechanism); false replies immediately — an ablation of RTC's queueing cost"},
-		},
+		nil,
 		func(ctx *protocol.BuildContext) protocol.System {
 			s := Spec{
 				Shards: ctx.Shards, F: ctx.F, Net: ctx.Net,
 				HomeRegion: simnet.RegionSouthCarolina, CoordRegions: ctx.CoordRegions,
 				Seed: ctx.SeedStore, ExecCost: ctx.ExecCost,
 				Replicated: replicated,
-				NoRTC:      !ctx.Knobs.Bool("rtc"),
 			}
 			if ctx.Rotated {
 				regions := ctx.Regions
