@@ -94,7 +94,7 @@ func main() {
 		spec := harness.ClusterSpec{
 			Protocol: name, Shards: 3, F: 1, Clock: clocks.ModelChrony,
 			CoordsPerRegion: 1, Seed: 2,
-			Gen: &workload.Uniform{Shards: 3, Keys: 4},
+			Workload: "uniform", WorkloadKeys: 4,
 		}
 		d := harness.Build(spec)
 		d.Sys.Start()
@@ -123,7 +123,7 @@ func main() {
 		spec := harness.ClusterSpec{
 			Protocol: "Janus", Shards: 3, F: 1, Clock: clocks.ModelChrony,
 			CoordsPerRegion: 1, Seed: 2,
-			Gen: &workload.Uniform{Shards: 3, Keys: 4},
+			Workload: "uniform", WorkloadKeys: 4,
 		}
 		spec.SetKnob("Janus", "fast-path", fast)
 		d := harness.Build(spec)

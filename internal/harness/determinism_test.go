@@ -77,7 +77,7 @@ const listedKeys = 200
 
 type listedGen struct {
 	descending bool
-	seed       *workload.MicroBench
+	seed       *workload.Synthetic
 }
 
 func (g *listedGen) Seed(shard int, st *store.Store) { g.seed.Seed(shard, st) }

@@ -16,7 +16,7 @@ import (
 	"tiga/internal/workload"
 )
 
-func microSpec(protocol string, seed int64) (ClusterSpec, *workload.MicroBench) {
+func microSpec(protocol string, seed int64) (ClusterSpec, *workload.Synthetic) {
 	gen := workload.NewMicroBench(3, 2000, 0.5)
 	return ClusterSpec{
 		Protocol: protocol, Shards: 3, F: 1,

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -87,12 +89,17 @@ func TestEnsureGenResolvesWorkload(t *testing.T) {
 	if err := spec.EnsureGen(); err != nil {
 		t.Fatal(err)
 	}
-	mb, ok := spec.Gen.(*workload.MicroBench)
-	if !ok {
+	if _, ok := spec.Gen.(*workload.Synthetic); !ok {
 		t.Fatalf("workload %q resolved to %T", spec.Workload, spec.Gen)
 	}
-	if mb.Skew != 0.9 || mb.Keys != 500 {
-		t.Fatalf("params did not reach the generator: %+v", mb)
+	// The params reached the generator: it draws what a MicroBench of 500
+	// keys at skew 0.9 draws.
+	same := workload.NewMicroBench(3, 500, 0.9)
+	a, b := rand.New(rand.NewSource(1)), rand.New(rand.NewSource(1))
+	for i := 0; i < 100; i++ {
+		if got, want := spec.Gen.Next(a), same.Next(b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("job %d: %+v, want %+v", i, got.T.Pieces, want.T.Pieces)
+		}
 	}
 
 	explicit := workload.NewMicroBench(3, 100, 0.5)

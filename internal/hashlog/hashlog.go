@@ -69,36 +69,3 @@ func OfLog(ids []txn.ID, tss []txn.Timestamp) Hash {
 	}
 	return h
 }
-
-// PerKey implements the commutativity-aware variant from Appendix D: the
-// server maintains a table of per-key hashes, and a transaction's fast-reply
-// hash covers only the keys it accesses. Read-only transactions do not
-// perturb the table.
-type PerKey struct {
-	table map[string]Hash
-}
-
-// NewPerKey returns an empty per-key hash table.
-func NewPerKey() *PerKey { return &PerKey{table: make(map[string]Hash)} }
-
-// AddWrite folds a write transaction's entry hash into every key it touches.
-func (p *PerKey) AddWrite(id txn.ID, ts txn.Timestamp, keys []string) {
-	eh := EntryHash(id, ts)
-	for _, k := range keys {
-		p.table[k] = p.table[k].XOR(eh)
-	}
-}
-
-// ReplyHash builds the fast-reply digest for a transaction touching keys:
-// SHA1(key || per-key hash) XOR-folded across the access set.
-func (p *PerKey) ReplyHash(keys []string) Hash {
-	var out Hash
-	for _, k := range keys {
-		h := p.table[k]
-		buf := make([]byte, 0, len(k)+len(h))
-		buf = append(buf, k...)
-		buf = append(buf, h[:]...)
-		out = out.XOR(Hash(sha1.Sum(buf)))
-	}
-	return out
-}

@@ -104,34 +104,6 @@ func TestDifferentEntriesDiffer(t *testing.T) {
 	}
 }
 
-func TestPerKeyVariant(t *testing.T) {
-	a, b := NewPerKey(), NewPerKey()
-	id1, ts1 := entry(1)
-	id2, ts2 := entry(2)
-	// Same writes in different order: per-key hashes must agree.
-	a.AddWrite(id1, ts1, []string{"x", "y"})
-	a.AddWrite(id2, ts2, []string{"y"})
-	b.AddWrite(id2, ts2, []string{"y"})
-	b.AddWrite(id1, ts1, []string{"x", "y"})
-	if a.ReplyHash([]string{"x", "y"}) != b.ReplyHash([]string{"x", "y"}) {
-		t.Fatal("per-key hashes diverge for identical write sets")
-	}
-	// A transaction touching only x is insensitive to y-only writers:
-	// commutativity optimization from Appendix D.
-	c := NewPerKey()
-	c.AddWrite(id1, ts1, []string{"x", "y"})
-	c.AddWrite(id2, ts2, []string{"y"})
-	d := NewPerKey()
-	d.AddWrite(id1, ts1, []string{"x", "y"})
-	if c.ReplyHash([]string{"x"}) != d.ReplyHash([]string{"x"}) {
-		t.Fatal("x-only reply hash should ignore y-only writers")
-	}
-	// But a reply covering y must differ.
-	if c.ReplyHash([]string{"y"}) == d.ReplyHash([]string{"y"}) {
-		t.Fatal("y reply hash should see the y writer")
-	}
-}
-
 func TestZeroHash(t *testing.T) {
 	var h Hash
 	if !h.IsZero() {

@@ -63,13 +63,10 @@ type Gen struct {
 	cfg        Config
 	uid        uint64
 	perD, perW int
-	// names caches each shard's key names in id order, built on first use:
+	// keys caches each shard's key names in id order and its seed image:
 	// Next takes its ReadSet/WriteSet names from it instead of formatting them,
-	// and images holds the seed image built from it, which Seed attaches every
-	// replica's store to. Generators are private to one experiment point, so
-	// the caches need no locking.
-	names  [][]string
-	images []*store.Image
+	// and Seed attaches every replica's store to the image.
+	keys workload.KeyCache
 }
 
 // Column offsets within their group.
@@ -95,7 +92,9 @@ func New(cfg Config) *Gen {
 		panic(fmt.Sprintf("tpcc: %d districts per warehouse, at most %d", cfg.Districts, maxDistricts))
 	}
 	perD := dCols + cCols*cfg.Customers
-	return &Gen{cfg: cfg, perD: perD, perW: wCols + cfg.Districts*perD + iCols*cfg.Items}
+	g := &Gen{cfg: cfg, perD: perD, perW: wCols + cfg.Districts*perD + iCols*cfg.Items}
+	g.keys = workload.KeyCache{Build: g.names, Value: func(id int) []byte { return txn.EncodeInt(g.seedValue(id)) }}
+	return g
 }
 
 func init() {
@@ -186,14 +185,11 @@ func kOCarrier(w, d int, idx int64) string { return key("o_carrier", int64(w), i
 func kHistory(w, d int, uid uint64) string { return key("h", int64(w), int64(d), int64(uid)) }
 
 // tab returns a shard's key names in id order, building them on first use.
-func (g *Gen) tab(shard int) []string {
-	if g.names == nil {
-		g.names, g.images = make([][]string, g.cfg.Shards), make([]*store.Image, g.cfg.Shards)
-	}
-	if g.names[shard] != nil {
-		return g.names[shard]
-	}
-	// Non-nil even for a shard without warehouses: built, and empty.
+func (g *Gen) tab(shard int) []string { return g.keys.Shard(shard) }
+
+// names builds a shard's key names in id order: non-nil even for a shard
+// without warehouses (built, and empty).
+func (g *Gen) names(shard int) []string {
 	names := make([]string, 0, (g.cfg.Warehouses-shard+g.cfg.Shards-1)/g.cfg.Shards*g.perW)
 	for w := shard + 1; w <= g.cfg.Warehouses; w += g.cfg.Shards {
 		names = append(names, kWTax(w), kWYtd(w))
@@ -207,19 +203,12 @@ func (g *Gen) tab(shard int) []string {
 			names = append(names, kIPrice(w, i), kSQty(w, i), kSYtd(w, i), kSCnt(w, i))
 		}
 	}
-	g.names[shard] = names
 	return names
 }
 
 // Seed pre-populates one shard's store, which must be empty, with its
 // warehouses in id order, so the store's intern ids are the layout's.
-func (g *Gen) Seed(shard int, st *store.Store) {
-	names := g.tab(shard)
-	if g.images[shard] == nil {
-		g.images[shard] = store.NewImage(names, func(id int) []byte { return txn.EncodeInt(g.seedValue(id)) })
-	}
-	st.Attach(g.images[shard])
-}
+func (g *Gen) Seed(shard int, st *store.Store) { g.keys.Seed(shard, st) }
 
 // keyset accumulates one declared access set in both forms, or holds the room
 // a stage's sets are cut from.

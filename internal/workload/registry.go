@@ -63,7 +63,8 @@ func Lookup(name string) (Def, bool) {
 // Build resolves a named workload: it validates raw parameter overrides
 // against the registered schema (unknown names and type mismatches are
 // errors, defaults fill in) and invokes the factory. It returns an error
-// naming the valid workloads when name is unknown.
+// naming the valid workloads when name is unknown, and one naming the bound
+// when a skew parameter (a Zipfian θ) lies outside [0, 1).
 func Build(name string, shards, keys int, raw map[string]any) (Generator, error) {
 	def, ok := registry[name]
 	if !ok {
@@ -72,6 +73,9 @@ func Build(name string, shards, keys int, raw map[string]any) (Generator, error)
 	vals, err := def.Params.Resolve(raw)
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", name, err)
+	}
+	if skew, ok := vals["skew"].(float64); ok && !(skew >= 0 && skew < 1) {
+		return nil, fmt.Errorf("workload %s: skew %v is outside [0, 1)", name, skew)
 	}
 	return def.New(shards, keys, vals), nil
 }

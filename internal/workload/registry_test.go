@@ -5,6 +5,7 @@ package workload_test
 // the workload package itself cannot import without a cycle).
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -47,6 +48,30 @@ func TestWorkloadBuildValidation(t *testing.T) {
 	}
 	if _, err := workload.Build("ycsbt", 3, 100, map[string]any{"skew": "high"}); err == nil {
 		t.Fatal("type-mismatched parameter accepted")
+	}
+}
+
+// TestSkewOutsideItsBoundIsRejected: a Zipfian θ of 1 or more has an infinite
+// exponent and draws keys past the keyspace, so Build rejects every skew
+// outside [0, 1) and names the bound.
+func TestSkewOutsideItsBoundIsRejected(t *testing.T) {
+	for _, name := range []string{"micro", "ycsbt", "hotwrite"} {
+		for _, skew := range []float64{1, 1.5, -0.1, math.NaN()} {
+			_, err := workload.Build(name, 3, 1000, map[string]any{"skew": skew})
+			if err == nil || !strings.Contains(err.Error(), "[0, 1)") {
+				t.Errorf("%s at skew %v: error %v, want one naming [0, 1)", name, skew, err)
+			}
+		}
+		for _, skew := range []float64{0, 0.99} {
+			gen, err := workload.Build(name, 3, 1000, map[string]any{"skew": skew})
+			if err != nil {
+				t.Fatalf("%s at skew %v: %v", name, skew, err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			for i := 0; i < 1000; i++ {
+				gen.Next(rng)
+			}
+		}
 	}
 }
 

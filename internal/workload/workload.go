@@ -72,79 +72,53 @@ func (z *Zipfian) Next(rng *rand.Rand) int {
 	return int(float64(z.n) * math.Pow(z.eta*u-z.eta+1, z.alpha))
 }
 
-// MicroBench is the paper's micro-benchmark: each shard is pre-populated with
-// Keys key-value pairs; each transaction increments 3 keys on 3 different
-// shards, selected with a Zipfian distribution (§5.1).
-type MicroBench struct {
-	Shards int
-	Keys   int
-	Skew   float64
-	zipf   *Zipfian
-	names  keycache
-}
-
-// NewMicroBench builds the generator. Keys defaults to 1M per the paper; use
-// fewer in unit tests.
-func NewMicroBench(shards, keys int, skew float64) *MicroBench {
-	return &MicroBench{Shards: shards, Keys: keys, Skew: skew, zipf: NewZipfian(keys, skew)}
-}
-
-// Key names a MicroBench key.
+// Key names a synthetic workload's key.
 func Key(shard, idx int) string { return fmt.Sprintf("k%d-%d", shard, idx) }
 
 // KeyID is the interned form of a key: its dense index within one shard's
-// seeded keyspace. The generators here seed each shard from a store.Image of
-// the keycache's idx-ordered name slice, so the workload key index and the
-// store's intern id coincide by construction — Key(shard, i) is always id i of
-// shard's store — and pieces can carry ids without any lookup.
+// seeded keyspace. Every shard is seeded from a store.Image of its KeyCache's
+// id-ordered names, so the workload key index and the store's intern id
+// coincide by construction — Key(shard, i) is always id i of shard's store —
+// and pieces can carry ids without any lookup.
 type KeyID = txn.KeyID
 
-// keycache memoizes the formatted names of a shard-indexed keyspace and the
-// seed image built from them. Seeding R replicated stores and sampling
-// millions of keys per run otherwise re-run fmt.Sprintf for names that never
-// change, and hash every name once per replica; the cache builds each shard's
-// names and image once and every replica's store attaches to the same image.
-// Generators are private to one experiment point (see harness.SpecRun), so
-// the cache needs no locking.
-type keycache struct {
-	shards [][]string
+// KeyCache memoizes, per shard, the names of a seeded keyspace in id order and
+// the seed image built from them; the synthetic generators and TPC-C both name
+// and seed their keys through one. Seeding R replicated stores and sampling
+// millions of keys per run otherwise re-format names that never change, and
+// hash every name once per replica; the cache builds each shard's names and
+// image once and every replica's store attaches to the same image. Generators
+// are private to one experiment point (see harness.SpecRun), so the cache
+// needs no locking.
+type KeyCache struct {
+	// Build returns one shard's key names; name i is the shard's key id i.
+	Build func(shard int) []string
+	// Value returns the seed value of key id i (of any shard).
+	Value func(id int) []byte
+
+	names  [][]string
 	images []*store.Image
 }
 
-// shard returns the cached names of one shard's full keyspace, building them
-// on first use.
-func (c *keycache) shard(shard, keys int) []string {
-	for len(c.shards) <= shard {
-		c.shards, c.images = append(c.shards, nil), append(c.images, nil)
+// Shard returns one shard's key names, building them on first use.
+func (c *KeyCache) Shard(shard int) []string {
+	for len(c.names) <= shard {
+		c.names, c.images = append(c.names, nil), append(c.images, nil)
 	}
-	if c.shards[shard] == nil {
-		names := make([]string, keys)
-		for i := range names {
-			names[i] = Key(shard, i)
-		}
-		c.shards[shard] = names
+	if c.names[shard] == nil {
+		c.names[shard] = c.Build(shard)
 	}
-	return c.shards[shard]
+	return c.names[shard]
 }
 
-// seed attaches st to the shard's image (every key at zero, txn.EncodeInt's
-// shared encoding), building the image on first use.
-func (c *keycache) seed(shard, keys int, st *store.Store) {
-	names := c.shard(shard, keys)
+// Seed attaches st, which must be empty, to the shard's image, building the
+// image on first use.
+func (c *KeyCache) Seed(shard int, st *store.Store) {
+	names := c.Shard(shard)
 	if c.images[shard] == nil {
-		c.images[shard] = store.NewImage(names, func(int) []byte { return txn.EncodeInt(0) })
+		c.images[shard] = store.NewImage(names, c.Value)
 	}
 	st.Attach(c.images[shard])
-}
-
-// key returns one cached key name.
-func (c *keycache) key(shard, keys, idx int) string {
-	return c.shard(shard, keys)[idx]
-}
-
-// Seed pre-populates a shard (values start at zero).
-func (m *MicroBench) Seed(shard int, st *store.Store) {
-	m.names.seed(shard, m.Keys, st)
 }
 
 // arenaKeys is how many single-key pieces a job arena holds inline: the
@@ -197,50 +171,79 @@ func (j job) done() Job {
 	return Job{T: j.t, Label: j.t.Label}
 }
 
-// Next generates one 3-shard increment transaction. The rng draw sequence and
-// the transaction's content are identical to building each piece with
-// txn.IncrementPiece.
-func (m *MicroBench) Next(rng *rand.Rand) Job {
-	nShards := 3
-	if m.Shards < 3 {
-		nShards = m.Shards
-	}
-	j := newJob(nShards, "micro")
-	start := rng.Intn(m.Shards)
-	for i := 0; i < nShards; i++ {
-		sh := (start + i) % m.Shards
-		idx := m.zipf.Next(rng)
-		j.set(i, sh, txn.OpIncrement, m.names.key(sh, m.Keys, idx), idx)
-	}
-	return j.done()
+// Synthetic is the paper's MicroBench loop (§5.1), which the micro, ycsbt,
+// hotwrite and uniform workloads run with four parameter sets: a transaction
+// touches txnKeys keys on consecutive shards from a random start, picks each
+// key with zipf (uniformly over the keyspace when zipf is nil), and reads it
+// with probability readRatio or increments it. A transaction whose keys all
+// come up reads is read-only, letting protocols with a read-only fast path
+// exploit it. Every shard holds keys keys, seeded at zero.
+type Synthetic struct {
+	shards, keys int
+	txnKeys      int      // in [1, shards]
+	zipf         *Zipfian // over a hot prefix of the keyspace; nil: uniform
+	readRatio    float64
+	// coin is whether every key draws the read coin (ycsbt and uniform, at
+	// any ratio); without it (micro and hotwrite) every key is incremented.
+	coin  bool
+	label string
+	names KeyCache
 }
 
-// Uniform is a uniformly-distributed single-key read/write mix used by a few
-// unit tests and the quickstart example.
-type Uniform struct {
-	Shards    int
-	Keys      int
-	ReadRatio float64
-	names     keycache
+// newSynthetic builds a Synthetic, clamping txnKeys to [1, shards].
+func newSynthetic(label string, shards, keys, txnKeys int, zipf *Zipfian, readRatio float64, coin bool) *Synthetic {
+	return &Synthetic{shards: shards, keys: keys, txnKeys: min(max(txnKeys, 1), shards),
+		zipf: zipf, readRatio: readRatio, coin: coin, label: label,
+		names: KeyCache{
+			Build: func(shard int) []string {
+				names := make([]string, keys)
+				for i := range names {
+					names[i] = Key(shard, i)
+				}
+				return names
+			},
+			Value: func(int) []byte { return txn.EncodeInt(0) },
+		}}
 }
 
-// Seed pre-populates a shard.
-func (u *Uniform) Seed(shard int, st *store.Store) {
-	u.names.seed(shard, u.Keys, st)
+// hotPrefix is the Zipfian key picker over the first hot keys of a keyspace
+// of keys, hot clamped to [1, keys].
+func hotPrefix(hot, keys int, skew float64) *Zipfian {
+	return NewZipfian(min(max(hot, 1), keys), skew)
 }
 
-// Next generates a single-shard read or increment.
-func (u *Uniform) Next(rng *rand.Rand) Job {
-	sh := rng.Intn(u.Shards)
-	idx := rng.Intn(u.Keys)
-	k := u.names.key(sh, u.Keys, idx)
-	j := newJob(1, "uniform")
-	if rng.Float64() < u.ReadRatio {
-		j.set(0, sh, txn.OpRead, k, idx)
-		j.t.ReadOnly = true
-	} else {
-		j.set(0, sh, txn.OpIncrement, k, idx)
+// NewMicroBench builds the paper's micro-benchmark: each transaction
+// increments 3 keys on 3 different shards, Zipfian-skewed over the whole
+// keyspace. Keys defaults to 1M per the paper; use fewer in unit tests.
+func NewMicroBench(shards, keys int, skew float64) *Synthetic {
+	return newSynthetic("micro", shards, keys, 3, hotPrefix(keys, keys, skew), 0, false)
+}
+
+// Seed pre-populates a shard (values start at zero).
+func (s *Synthetic) Seed(shard int, st *store.Store) { s.names.Seed(shard, st) }
+
+// Next generates one transaction over txnKeys consecutive shards. The rng draw
+// sequence and the transaction's content are identical to building each piece
+// with txn.IncrementPiece or txn.ReadPiece.
+func (s *Synthetic) Next(rng *rand.Rand) Job {
+	j := newJob(s.txnKeys, s.label)
+	start := rng.Intn(s.shards)
+	readOnly := true
+	for i := 0; i < s.txnKeys; i++ {
+		sh := (start + i) % s.shards
+		var idx int
+		if s.zipf != nil {
+			idx = s.zipf.Next(rng)
+		} else {
+			idx = rng.Intn(s.keys)
+		}
+		op := txn.OpRead
+		if !s.coin || rng.Float64() >= s.readRatio {
+			op, readOnly = txn.OpIncrement, false
+		}
+		j.set(i, sh, op, s.names.Shard(sh)[idx], idx)
 	}
+	j.t.ReadOnly = readOnly
 	return j.done()
 }
 
@@ -264,7 +267,42 @@ func init() {
 				Doc: "fraction of transactions that are single-key reads"},
 		},
 		New: func(shards, keys int, p protocol.Values) Generator {
-			return &Uniform{Shards: shards, Keys: keys, ReadRatio: p.Float("read-ratio")}
+			return newSynthetic("uniform", shards, keys, 1, nil, p.Float("read-ratio"), true)
+		},
+	})
+	Register(Def{
+		Name: "ycsbt",
+		Doc:  "YCSB-T-style read-heavy single-shot mix: Zipfian keys across shards, read-only fast-path eligible",
+		Params: protocol.Schema{
+			{Name: "skew", Type: protocol.KnobFloat, Default: 0.7,
+				Doc: "Zipfian skew factor θ in [0, 1)"},
+			{Name: "read-ratio", Type: protocol.KnobFloat, Default: 0.95,
+				Doc: "per-key probability of a read instead of an increment"},
+			{Name: "txn-keys", Type: protocol.KnobInt, Default: 3,
+				Doc: "keys (and distinct shards) touched per transaction; clamped to the shard count"},
+		},
+		New: func(shards, keys int, p protocol.Values) Generator {
+			return newSynthetic("ycsbt", shards, keys, p.Int("txn-keys"),
+				hotPrefix(keys, keys, p.Float("skew")), p.Float("read-ratio"), true)
+		},
+	})
+	// hotwrite concentrates write-write conflicts far beyond micro at the same
+	// skew — the regime where lock-based and optimistic baselines collapse and
+	// the deterministic designs keep committing.
+	Register(Def{
+		Name: "hotwrite",
+		Doc:  "write-heavy hot-key stress: all-write transactions Zipfian-drawn from a small per-shard hot set",
+		Params: protocol.Schema{
+			{Name: "skew", Type: protocol.KnobFloat, Default: 0.99,
+				Doc: "Zipfian skew factor θ in [0, 1) over the hot set"},
+			{Name: "hot-keys", Type: protocol.KnobInt, Default: 64,
+				Doc: "hot-set size per shard; clamped to the keyspace"},
+			{Name: "txn-keys", Type: protocol.KnobInt, Default: 3,
+				Doc: "keys (and distinct shards) incremented per transaction; clamped to the shard count"},
+		},
+		New: func(shards, keys int, p protocol.Values) Generator {
+			return newSynthetic("hotwrite", shards, keys, p.Int("txn-keys"),
+				hotPrefix(p.Int("hot-keys"), keys, p.Float("skew")), 0, false)
 		},
 	})
 }

@@ -66,6 +66,8 @@ func TestZipfianFrequencyShape(t *testing.T) {
 	}
 }
 
+// TestMicroBenchShape: three single-key increments on three distinct shards,
+// each piece's key named and numbered by its own shard.
 func TestMicroBenchShape(t *testing.T) {
 	m := NewMicroBench(3, 100, 0.5)
 	rng := rand.New(rand.NewSource(5))
@@ -77,18 +79,21 @@ func TestMicroBenchShape(t *testing.T) {
 		if len(job.T.Pieces) != 3 {
 			t.Fatalf("txn spans %d shards, want 3", len(job.T.Pieces))
 		}
+		seen := map[int]bool{}
 		for _, p := range job.T.Pieces {
-			if len(p.ReadSet) != 1 || len(p.WriteSet) != 1 {
+			if len(p.ReadSet) != 1 || len(p.WriteSet) != 1 || len(p.ReadIDs) != 1 {
 				t.Fatal("each piece touches exactly one key")
 			}
-			if p.ReadSet[0] != Key(p.Shard(), int(keyIdx(p.ReadSet[0]))) && false {
-				t.Fatal("key shape")
+			if want := Key(p.Shard(), int(p.ReadIDs[0])); p.ReadSet[0] != want {
+				t.Fatalf("piece on shard %d names %q, want %q", p.Shard(), p.ReadSet[0], want)
 			}
+			seen[p.Shard()] = true
+		}
+		if len(seen) != 3 {
+			t.Fatalf("txn's pieces are on %d distinct shards, want 3", len(seen))
 		}
 	}
 }
-
-func keyIdx(string) int64 { return 0 }
 
 func TestMicroBenchSeed(t *testing.T) {
 	m := NewMicroBench(3, 50, 0.5)
@@ -131,15 +136,23 @@ func TestMicroBenchExecutable(t *testing.T) {
 	}
 }
 
+// build resolves a registered synthetic workload.
+func build(t *testing.T, name string, shards, keys int, params map[string]any) *Synthetic {
+	t.Helper()
+	gen, err := Build(name, shards, keys, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen.(*Synthetic)
+}
+
 func TestUniform(t *testing.T) {
-	u := &Uniform{Shards: 2, Keys: 10, ReadRatio: 1.0}
 	rng := rand.New(rand.NewSource(2))
-	job := u.Next(rng)
+	job := build(t, "uniform", 2, 10, map[string]any{"read-ratio": 1.0}).Next(rng)
 	if !job.T.ReadOnly {
 		t.Fatal("ReadRatio 1.0 must yield reads")
 	}
-	u.ReadRatio = 0
-	job = u.Next(rng)
+	job = build(t, "uniform", 2, 10, map[string]any{"read-ratio": 0.0}).Next(rng)
 	if job.T.ReadOnly {
 		t.Fatal("ReadRatio 0 must yield writes")
 	}
@@ -170,25 +183,24 @@ func perPiece(rng *rand.Rand, z *Zipfian, shards, n int, readRatio float64) ([]t
 // arena (up to arenaKeys of them) or out of the arrays behind a wider one.
 func TestGeneratedJobsMatchThePerPieceConstruction(t *testing.T) {
 	const shards, keys = 6, 200
-	check := func(name string, gen Generator, z *Zipfian, n int, readRatio float64) {
+	check := func(name string, gen *Synthetic, n int, readRatio float64) {
 		t.Helper()
 		a, b := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
 		for i := 0; i < 300; i++ {
 			got := gen.Next(a).T
-			want, readOnly := perPiece(b, z, shards, n, readRatio)
+			want, readOnly := perPiece(b, gen.zipf, shards, n, readRatio)
 			if got.ReadOnly != readOnly || !reflect.DeepEqual(got.Pieces, want) {
 				t.Fatalf("%s job %d: read-only %v, pieces %+v; want %v, %+v", name, i, got.ReadOnly, got.Pieces, readOnly, want)
 			}
 		}
 	}
 	for _, n := range []int{1, arenaKeys, arenaKeys + 2} {
-		y := NewYCSBT(shards, keys, 0.7, 0.6, n)
-		check(fmt.Sprintf("ycsbt/%d", n), y, y.zipf, n, 0.6)
-		h := NewHotWrite(shards, keys, 16, 0.9, n)
-		check(fmt.Sprintf("hotwrite/%d", n), h, h.zipf, n, 0)
+		check(fmt.Sprintf("ycsbt/%d", n), build(t, "ycsbt", shards, keys,
+			map[string]any{"skew": 0.7, "read-ratio": 0.6, "txn-keys": n}), n, 0.6)
+		check(fmt.Sprintf("hotwrite/%d", n), build(t, "hotwrite", shards, keys,
+			map[string]any{"skew": 0.9, "hot-keys": 16, "txn-keys": n}), n, 0)
 	}
-	m := NewMicroBench(shards, keys, 0.5)
-	check("micro", m, m.zipf, 3, 0)
+	check("micro", NewMicroBench(shards, keys, 0.5), 3, 0)
 }
 
 // TestGeneratorsAllocatePerJob pins what a generated job costs: its arena,
@@ -197,17 +209,21 @@ func TestGeneratorsAllocatePerJob(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	var sink Job
 	per := func(gen Generator) float64 {
-		gen.Next(rng) // the first draw of a shard formats its key names
+		for i := 0; i < 100; i++ {
+			gen.Next(rng) // the first draw on a shard formats its key names
+		}
 		return testing.AllocsPerRun(200, func() { sink = gen.Next(rng) })
 	}
 	var ycsbt [arenaKeys + 1]float64
 	for n := 1; n <= arenaKeys; n++ {
-		ycsbt[n] = per(NewYCSBT(3, 100, 0.7, 0.95, n))
+		ycsbt[n] = per(build(t, "ycsbt", 3, 100, map[string]any{"txn-keys": n}))
 	}
 	micro := per(NewMicroBench(3, 100, 0.5))
-	t.Logf("allocations per Next: ycsbt %v (by keys), micro %.0f", ycsbt[1:], micro)
-	if ycsbt[arenaKeys] != 1 || micro != 1 {
-		t.Errorf("a 3-key job allocates %.0f (ycsbt) / %.0f (micro) objects, want the arena (1)", ycsbt[arenaKeys], micro)
+	uniform := per(build(t, "uniform", 3, 100, nil))
+	t.Logf("allocations per Next: ycsbt %v (by keys), micro %.0f, uniform %.0f", ycsbt[1:], micro, uniform)
+	if ycsbt[arenaKeys] != 1 || micro != 1 || uniform != 1 {
+		t.Errorf("a job allocates %.0f (3-key ycsbt) / %.0f (micro) / %.0f (uniform) objects, want the arena (1)",
+			ycsbt[arenaKeys], micro, uniform)
 	}
 	if ycsbt[1] != ycsbt[arenaKeys] {
 		t.Errorf("a 1-key job allocates %.0f objects and a %d-key job %.0f: something is allocated per key",
