@@ -80,10 +80,13 @@
 //	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -protocol 2PL+Paxos \
 //	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms -liveheap live.out
 //
-// (it prints 5 582 commits, 40.4 allocs and 5.3 KB per transaction and a live
-// heap of 29.0 MB; 121.9 allocs, 8.9 KB and 28.6 MB while every accept, ack and
-// commit was boxed into the interface it was sent as and every proposal made
-// an ack map. The same shape gives OCC+Paxos 35.2 allocs and NCC+ 30.4.)
+// (it prints 5 582 commits, 30.5 allocs and 5.0 KB per transaction and a live
+// heap of 29.1 MB; 40.4 allocs and 5.3 KB while the lock table allocated an
+// entry per locked key and a key list per transaction, and 121.9 allocs,
+// 8.9 KB and 28.6 MB while every accept, ack and commit was boxed into the
+// interface it was sent as and every proposal made an ack map. The same shape
+// gives OCC+Paxos 35.5 allocs and 5.6 KB — 35.2 and 5.5 KB when it validated
+// on maps of its own — and NCC+ 30.4.)
 //
 // or, for Janus' dependency tracking, vote tally and SCC execution,
 //

@@ -29,8 +29,9 @@ import (
 // TestOpenLoopLocalReadsPinned's admission gate — the only row in which a
 // read-only transaction never reaches a leader. Spec, seeds and load are those
 // EXPERIMENTS.md has tabulated since PR 9.
-// These five rows run Tiga. closed-2pl and closed-ncc+ are the closed row on
-// two of the layered baselines, whose replication is internal/paxos, and
+// These five rows run Tiga. closed-2pl, closed-occ and closed-ncc+ are the
+// closed row on three of the layered baselines, whose replication is
+// internal/paxos (the first two also share lockocc's lock table), and
 // closed-janus on Janus, whose replies and coordinator records are pooled, all
 // at 150 transactions a second per coordinator: below their saturation at this
 // shape, so every tick submits and nothing aborts.
@@ -56,7 +57,8 @@ var txnPathBudget = []struct {
 	{"closed-100k", "Tiga", "", "micro", 3, 100_000, 500, 2 * time.Second, false, 8.0, 9141},
 	{"closed-tpcc", "Tiga", "", "tpcc", 6, 2000, 500, time.Second, false, 43.1, 23292},
 	{"open-reads", "Tiga", "poisson", "ycsbt", 6, 2000, 500, time.Second, true, 10.4, 6399},
-	{"closed-2pl", "2PL+Paxos", "", "micro", 3, 2000, 150, time.Second, false, 48.7, 7360},
+	{"closed-2pl", "2PL+Paxos", "", "micro", 3, 2000, 150, time.Second, false, 40.3, 7180},
+	{"closed-occ", "OCC+Paxos", "", "micro", 3, 2000, 150, time.Second, false, 53.2, 7650},
 	{"closed-ncc+", "NCC+", "", "micro", 3, 2000, 150, time.Second, false, 35.6, 4902},
 	{"closed-janus", "Janus", "", "micro", 3, 2000, 150, time.Second, false, 32.5, 5604},
 }
@@ -88,6 +90,9 @@ func TestTxnPathAllocBudget(t *testing.T) {
 				CoordsPerRegion: 1, CoordsRemote: 1, Seed: 42,
 				CostScale: CPUScale,
 			}
+			// As in the benchmark's sweep-nine: OCC+Paxos retries a refused
+			// validation until it commits, so its row aborts nothing.
+			spec.SetKnob("OCC+Paxos", "max-retries", 100)
 			if c.localReads {
 				spec.WorkloadParams = map[string]any{"skew": 0.7, "read-ratio": 0.95}
 				spec.SetKnob("Tiga", "local-reads", true)

@@ -83,9 +83,6 @@ type ClusterSpec struct {
 	// for other protocols are inert, so one knob set can be shared across a
 	// sweep's specs. Build panics (via the registry's validation) on unknown
 	// knob names or type mismatches.
-	//
-	// This replaces the pre-knob `Tiga func(*tiga.Config)` field: the
-	// harness no longer references any concrete protocol type.
 	Knobs map[string]map[string]any
 	// CostScale multiplies every CPU cost (message handling, execution,
 	// graph work) by an integer factor. The experiment harness uses it to
@@ -436,7 +433,7 @@ func (j *loadJob) complete(r txn.Result, t *txn.Txn, local bool) {
 	}
 	run.Counters.Retries += int64(r.Retries)
 	if local {
-		run.RecordLocalRead(now, lat, r.Waited, j.region)
+		run.RecordLocalRead(lat, r.Waited, j.region)
 		if st.checkReads {
 			for _, ro := range r.Reads {
 				res.SnapReads = append(res.SnapReads, checker.SnapshotRead{

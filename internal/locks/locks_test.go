@@ -126,3 +126,122 @@ func TestQueuedRequestBlocksNewShared(t *testing.T) {
 		t.Fatal("shared request jumped the exclusive waiter")
 	}
 }
+
+func TestTryAcquireRefusesAnIncompatibleHolder(t *testing.T) {
+	lt := NewTable()
+	lt.Acquire("x", Exclusive, id(1), 1, nil)
+	if lt.TryAcquire("x", Exclusive, id(2), 2) || lt.TryAcquire("x", Shared, id(2), 2) {
+		t.Fatal("granted beside an exclusive holder")
+	}
+	lt.Acquire("s", Shared, id(1), 1, nil)
+	if !lt.TryAcquire("s", Shared, id(2), 2) {
+		t.Fatal("shared refused beside a shared holder")
+	}
+	if lt.TryAcquire("s", Exclusive, id(3), 3) {
+		t.Fatal("exclusive granted beside shared holders")
+	}
+}
+
+// A queued request keeps later ones out, as it does for Acquire: a relock
+// waiting behind a holder is not starved by new prepares.
+func TestTryAcquireRefusesBehindAQueue(t *testing.T) {
+	lt := NewTable()
+	lt.Acquire("k", Shared, id(1), 1, nil)
+	lt.Acquire("k", Exclusive, id(2), 2, func() {})
+	if lt.TryAcquire("k", Shared, id(3), 3) {
+		t.Fatal("shared request jumped the exclusive waiter")
+	}
+}
+
+func TestTryAcquireNeverWounds(t *testing.T) {
+	lt := NewTable()
+	var wounded []txn.ID
+	lt.Wound = func(v txn.ID) { wounded = append(wounded, v) }
+	lt.Acquire("k", Exclusive, id(2), 10, nil)
+	if lt.TryAcquire("k", Exclusive, id(1), 1) {
+		t.Fatal("older request granted over a younger exclusive holder")
+	}
+	if len(wounded) != 0 {
+		t.Fatalf("TryAcquire wounded %v", wounded)
+	}
+}
+
+func TestTryAcquireIsReentrant(t *testing.T) {
+	lt := NewTable()
+	if !lt.TryAcquire("k", Shared, id(1), 1) || !lt.TryAcquire("k", Shared, id(1), 1) {
+		t.Fatal("a holder was refused its own shared lock")
+	}
+	if !lt.TryAcquire("k", Exclusive, id(1), 1) {
+		t.Fatal("sole shared holder should upgrade")
+	}
+	if !lt.TryAcquire("k", Shared, id(1), 1) || !lt.TryAcquire("k", Exclusive, id(1), 1) {
+		t.Fatal("an exclusive holder was refused its own lock")
+	}
+	lt.Acquire("k", Shared, id(2), 2, func() {})
+	lt.ReleaseAll(id(1))
+	if !lt.Holds("k", id(2)) || lt.Outstanding() != 1 {
+		t.Fatal("re-entrant grants were held more than once")
+	}
+}
+
+func TestTryAcquireRefusalLeavesNoEntry(t *testing.T) {
+	lt := NewTable()
+	lt.Acquire("k", Exclusive, id(1), 1, nil)
+	if lt.TryAcquire("k", Exclusive, id(2), 2) {
+		t.Fatal("conflicting try granted")
+	}
+	if lt.Holds("k", id(2)) || len(lt.held[id(2)]) != 0 || len(lt.queued[id(2)]) != 0 {
+		t.Fatal("a refused request left an entry for its transaction")
+	}
+	lt.ReleaseAll(id(1))
+	if lt.Outstanding() != 0 {
+		t.Fatalf("%d locks left after the only holder released, want 0", lt.Outstanding())
+	}
+	if !lt.Acquire("k", Exclusive, id(3), 3, nil) {
+		t.Fatal("the refused request blocks a later one")
+	}
+}
+
+// Once a key has an entry and a released transaction has left its lists,
+// locking and releasing allocate nothing: entries, holder arrays and the held
+// lists are reused.
+func TestSteadyLockingAllocatesNothing(t *testing.T) {
+	lt := NewTable()
+	keys := []string{"a", "b", "c"}
+	n := uint64(0)
+	round := func() {
+		n++
+		for _, k := range keys {
+			if !lt.TryAcquire(k, Exclusive, id(n), n) {
+				t.Fatal("uncontended try refused")
+			}
+		}
+		lt.Acquire("a", Shared, id(n+1000), n, func() {})
+		lt.ReleaseAll(id(n))
+		lt.ReleaseAll(id(n + 1000))
+	}
+	round()
+	if a := testing.AllocsPerRun(100, round); a != 0 {
+		t.Fatalf("%.1f allocations per round, want 0", a)
+	}
+}
+
+// A grant callback that empties the entry its caller is still granting from,
+// and then locks and releases another key, must not get that entry handed to
+// the other key: an entry recycled twice would be shared by two keys.
+func TestGrantCallbackEmptyingItsOwnEntry(t *testing.T) {
+	lt := NewTable()
+	lt.Acquire("a", Exclusive, id(1), 1, nil)
+	lt.Acquire("a", Exclusive, id(2), 2, func() {
+		lt.ReleaseAll(id(2))
+		lt.Acquire("b", Exclusive, id(3), 3, nil)
+		lt.ReleaseAll(id(3))
+	})
+	lt.ReleaseAll(id(1))
+	if !lt.Acquire("c", Exclusive, id(4), 4, nil) || !lt.Acquire("d", Exclusive, id(5), 5, nil) {
+		t.Fatal("two free keys are not both granted: they share an entry")
+	}
+	if lt.Holds("c", id(5)) || lt.Holds("d", id(4)) || lt.Outstanding() != 2 {
+		t.Fatal("two keys share an entry")
+	}
+}

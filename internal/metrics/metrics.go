@@ -67,39 +67,6 @@ func (l *Latency) Mean() time.Duration {
 	return sum / time.Duration(len(l.samples))
 }
 
-// Series buckets counts into fixed-width time bins — the throughput-vs-time
-// view in Fig 11.
-type Series struct {
-	Bucket time.Duration
-	counts []int64
-}
-
-// NewSeries returns a series with the given bucket width.
-func NewSeries(bucket time.Duration) *Series { return &Series{Bucket: bucket} }
-
-// Add increments the bin containing t. Events from before the series origin
-// (negative t — e.g. a completion stamped against a window that started
-// later) clamp into bucket 0 instead of indexing off the front of the slice.
-func (s *Series) Add(t time.Duration) {
-	i := int(t / s.Bucket)
-	if i < 0 {
-		i = 0
-	}
-	for len(s.counts) <= i {
-		s.counts = append(s.counts, 0)
-	}
-	s.counts[i]++
-}
-
-// Rate returns per-bucket counts converted to events/second.
-func (s *Series) Rate() []float64 {
-	out := make([]float64, len(s.counts))
-	for i, c := range s.counts {
-		out[i] = float64(c) / s.Bucket.Seconds()
-	}
-	return out
-}
-
 // Counters tracks outcome counts for one run.
 type Counters struct {
 	Submitted int64
@@ -140,7 +107,6 @@ type Run struct {
 	Counters Counters
 	Lat      Latency
 	ByRegion map[string]*Latency
-	Thpt     *Series
 	Start    time.Duration
 	End      time.Duration
 	// ReadLat samples end-to-end latency of read-only transactions on
@@ -194,14 +160,15 @@ func (p *PhaseLat) Total() time.Duration {
 	return t
 }
 
-// NewRun returns an initialized Run with 1-second throughput bins.
+// NewRun returns an initialized Run.
 func NewRun() *Run {
-	return &Run{ByRegion: make(map[string]*Latency), Thpt: NewSeries(time.Second)}
+	return &Run{ByRegion: make(map[string]*Latency)}
 }
 
-// RecordCommit records a commit observed at virtual time now with the given
-// latency, attributed to a region label.
-func (r *Run) RecordCommit(now, lat time.Duration, region string, fastPath bool) {
+// RecordCommit records a commit with the given latency, attributed to a
+// region label. The first argument, the virtual time the commit was observed
+// at, is not kept: a run that needs commit times tracks samples (harness).
+func (r *Run) RecordCommit(_, lat time.Duration, region string, fastPath bool) {
 	r.Counters.Committed++
 	if fastPath {
 		r.Counters.FastPath++
@@ -215,14 +182,13 @@ func (r *Run) RecordCommit(now, lat time.Duration, region string, fastPath bool)
 		r.ByRegion[region] = rl
 	}
 	rl.Add(lat)
-	r.Thpt.Add(now)
 }
 
 // RecordLocalRead records a read-only transaction served from a nearby
 // replica: it counts as a commit (local-read bucket), samples the read-path
 // latency, and tracks the SAFETIME wait separately.
-func (r *Run) RecordLocalRead(now, lat, waited time.Duration, region string) {
-	r.RecordCommit(now, lat, region, true)
+func (r *Run) RecordLocalRead(lat, waited time.Duration, region string) {
+	r.RecordCommit(0, lat, region, true)
 	r.Counters.LocalReads++
 	r.ReadLat.Add(lat)
 	r.LocalWait.Add(waited)

@@ -89,30 +89,6 @@ func TestGrowPreservesSamplesAndCapacity(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	s := NewSeries(time.Second)
-	s.Add(100 * time.Millisecond)
-	s.Add(900 * time.Millisecond)
-	s.Add(1500 * time.Millisecond)
-	r := s.Rate()
-	if len(r) != 2 || r[0] != 2 || r[1] != 1 {
-		t.Fatalf("rate = %v", r)
-	}
-}
-
-// Pre-window events (negative t) must clamp into bucket 0, not panic on a
-// negative index.
-func TestSeriesNegativeTimeClamps(t *testing.T) {
-	s := NewSeries(time.Second)
-	s.Add(-1500 * time.Millisecond) // would index bucket -2
-	s.Add(-1 * time.Nanosecond)
-	s.Add(500 * time.Millisecond)
-	r := s.Rate()
-	if len(r) != 1 || r[0] != 3 {
-		t.Fatalf("rate = %v, want all three events clamped into bucket 0", r)
-	}
-}
-
 func TestPhaseLat(t *testing.T) {
 	var p PhaseLat
 	p.Add([6]time.Duration{100 * time.Millisecond, 0, 20 * time.Millisecond, 0, 40 * time.Millisecond, 10 * time.Millisecond})

@@ -81,6 +81,7 @@ type Replica struct {
 	log      []Command
 	commitTo int
 	applied  int
+	applying bool // apply is running (see apply)
 
 	// holders is the leader's ack window, a ring indexed by slot modulo its
 	// power-of-two length: for each slot in [commitTo, proposedTo), bit i is
@@ -271,7 +272,16 @@ func (r *Replica) advanceCommit(to int) {
 	}
 }
 
+// apply runs OnCommit over the committed slots not yet applied. It does not
+// re-enter: an OnCommit that proposes, or whose proposal commits, leaves the
+// new slots to the loop already running, so each slot is applied once, in
+// order, and Applied() inside OnCommit is the slot being applied.
 func (r *Replica) apply() {
+	if r.applying {
+		return
+	}
+	r.applying = true
+	defer func() { r.applying = false }()
 	for r.applied < r.commitTo && r.applied < len(r.log) {
 		if r.log[r.applied] == nil {
 			return // gap: wait for retransmission via later accepts

@@ -2,6 +2,7 @@ package paxos
 
 import (
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -120,6 +121,33 @@ func TestCommitLatencyIsOneWRTT(t *testing.T) {
 	// accept out + ack back ≈ 110 ms (+jitter).
 	if committedAt < 105*time.Millisecond || committedAt > 130*time.Millisecond {
 		t.Fatalf("commit at %v; want ~110ms (1 WRTT to nearest majority)", committedAt)
+	}
+}
+
+// TestProposeFromOnCommit proposes from inside the leader's OnCommit, as a
+// lockocc leader does when a commit's lock release grants a waiting relock:
+// the new slot is the commit point, so Propose reaches apply while apply is
+// running. Every slot must still be applied once, in order, with Applied()
+// naming the slot being applied.
+func TestProposeFromOnCommit(t *testing.T) {
+	g := group(t)
+	var slots, seen []int
+	g.reps[0].OnCommit = func(slot int, cmd Command) {
+		slots = append(slots, slot)
+		seen = append(seen, g.reps[0].Applied())
+		if len(slots) < 3 {
+			g.reps[0].Propose(len(slots))
+		}
+	}
+	g.sim.At(0, func() { g.reps[0].Propose(0) })
+	g.drain()
+	if want := []int{0, 1, 2}; !slices.Equal(slots, want) || !slices.Equal(seen, want) {
+		t.Fatalf("OnCommit saw slots %v with Applied() %v, want %v for both", slots, seen, want)
+	}
+	for r := 1; r < 3; r++ {
+		if len(g.applied[r]) != 3 {
+			t.Fatalf("follower %d applied %v, want three slots", r, g.applied[r])
+		}
 	}
 }
 

@@ -16,25 +16,36 @@ const faultKeys = 40
 // the shard-1 Paxos leader is crashed mid-run and rebooted 1.5 s later.
 // Transactions caught in the outage presume-abort and retry (phase 0) or
 // have their commit records re-sent until the rebooted leader answers
-// (phase 1); the reboot rebuilds the log from the surviving replicas. The
-// test requires progress on both sides of the outage, exactly-once effects,
-// and replica convergence.
+// (phase 1, which re-locks the decided commit); the reboot rebuilds the log
+// from the surviving replicas. Three coordinators submit 600 cross-shard
+// increments, one every 8 ms, over a few hot keys or many: with few, a relock
+// meets new prepares on its keys, which must wait behind it (2PL) or be
+// refused (OCC). The test requires progress on both sides of the outage,
+// exactly-once effects, replica convergence and no hung transaction.
 func TestLeaderCrashRecovery(t *testing.T) {
+	for _, cc := range []CC{TwoPL, OCC} {
+		for _, keys := range []int{4, 8, faultKeys} {
+			t.Run(fmt.Sprintf("%v/keys=%d", cc, keys), func(t *testing.T) { leaderCrashRecovery(t, cc, keys) })
+		}
+	}
+}
+
+func leaderCrashRecovery(t *testing.T, cc CC, keys int) {
 	sim := simnet.NewSim(17)
 	net := simnet.NewNetwork(sim, simnet.GeoConfig(0, 0))
 	sys := New(Spec{
-		CC: TwoPL, Shards: 2, F: 1, Net: net,
+		CC: cc, Shards: 2, F: 1, Net: net,
 		ServerRegion: func(_, r int) simnet.Region { return simnet.Region(r) },
-		CoordRegions: []simnet.Region{0, 1},
+		CoordRegions: []simnet.Region{0, 1, 2},
 		Seed: func(shard int, st *store.Store) {
-			for i := 0; i < faultKeys; i++ {
+			for i := 0; i < keys; i++ {
 				st.Seed(fmt.Sprintf("f%d-%d", shard, i), txn.EncodeInt(0))
 			}
 		},
 		ExecCost: time.Microsecond,
 		// Short timer + generous retry budget: outage-window transactions
 		// must survive ~1.5 s of presumed aborts and then succeed.
-		VoteTimeout: 400 * time.Millisecond, MaxRetries: 10, RetryBackoff: 20 * time.Millisecond,
+		VoteTimeout: 400 * time.Millisecond, MaxRetries: 30, RetryBackoff: 20 * time.Millisecond,
 	})
 	sys.Start()
 
@@ -48,19 +59,17 @@ func TestLeaderCrashRecovery(t *testing.T) {
 		ok bool
 	}
 	var results []outcome
-	perKey := make([]int64, faultKeys)
-	submitted := 0
-	for i := 0; i < 200; i++ {
+	perKey := make([]int64, keys)
+	const n = 600
+	for i := 0; i < n; i++ {
 		i := i
-		at := time.Duration(50+i*25) * time.Millisecond // 50ms .. 5.03s
-		submitted++
-		sim.At(at, func() {
-			k := i % faultKeys
+		sim.At(time.Duration(50+i*8)*time.Millisecond, func() { // 50ms .. 4.84s
+			k := i % keys
 			tx := &txn.Txn{Pieces: txn.ByShard(
 				txn.IncrementPiece(fmt.Sprintf("f0-%d", k)).On(0),
 				txn.IncrementPiece(fmt.Sprintf("f1-%d", k)).On(1),
 			)}
-			sys.Submit(i%2, tx, func(r txn.Result) {
+			sys.Submit(i%3, tx, func(r txn.Result) {
 				results = append(results, outcome{at: sim.Now(), ok: r.OK})
 				if r.OK {
 					perKey[k]++
@@ -68,11 +77,11 @@ func TestLeaderCrashRecovery(t *testing.T) {
 			})
 		})
 	}
-	sim.Run(15 * time.Second)
+	sim.Run(30 * time.Second)
 
-	if len(results) != submitted {
+	if len(results) != n {
 		t.Fatalf("%d of %d transactions never reached a final result (hung across the outage)",
-			submitted-len(results), submitted)
+			n-len(results), n)
 	}
 	var preOK, postOK, aborted int
 	for _, r := range results {
@@ -96,25 +105,17 @@ func TestLeaderCrashRecovery(t *testing.T) {
 	}
 	t.Logf("pre=%d post=%d aborted=%d presumed=%d", preOK, postOK, aborted, sys.PresumedAborts)
 
-	// Exactly-once effects: every committed increment applied once, despite
-	// re-sent commit records and re-proposed recovered slots.
-	for k := 0; k < faultKeys; k++ {
-		for sh := 0; sh < 2; sh++ {
-			got := txn.DecodeInt(sys.Store(sh).Get(fmt.Sprintf("f%d-%d", sh, k)))
-			if got != perKey[k] {
-				t.Fatalf("f%d-%d = %d, want %d commits (lost or double-applied writes)", sh, k, got, perKey[k])
-			}
-		}
-	}
-	// Replica convergence: the rebooted leader's store matches its
-	// followers' on every key (the merged log replay lost nothing).
+	// Exactly-once effects on every replica: every committed increment
+	// applied once, despite re-sent commit records, re-proposed recovered
+	// slots and relocks; so the rebooted leader's store also matches its
+	// followers' (the merged log replay lost nothing).
 	for sh := 0; sh < 2; sh++ {
-		for rep := 1; rep < 3; rep++ {
-			lead, fol := sys.servers[sh][0].st, sys.servers[sh][rep].st
-			for k := 0; k < faultKeys; k++ {
-				key := fmt.Sprintf("f%d-%d", sh, k)
-				if string(lead.Get(key)) != string(fol.Get(key)) {
-					t.Fatalf("shard %d replica %d diverges on %s after recovery", sh, rep, key)
+		for k := 0; k < keys; k++ {
+			key := fmt.Sprintf("f%d-%d", sh, k)
+			for r, srv := range sys.servers[sh] {
+				if got := txn.DecodeInt(srv.st.Get(key)); got != perKey[k] {
+					t.Fatalf("shard %d replica %d: %s = %d, want %d commits (lost or double-applied writes)",
+						sh, r, key, got, perKey[k])
 				}
 			}
 		}

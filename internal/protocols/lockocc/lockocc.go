@@ -1,7 +1,9 @@
 // Package lockocc implements the two classic layered baselines from the
 // paper's evaluation (§5.1): 2PL+Paxos (wound-wait two-phase locking with
 // two-phase commit over Multi-Paxos) and OCC+Paxos (optimistic execution with
-// validation at prepare time, over the same consensus layer).
+// validation at prepare time, over the same consensus layer). Both keep their
+// per-key state in one lock table per shard leader (internal/locks): a
+// conflicting 2PL prepare waits on it, a conflicting OCC prepare votes no.
 //
 // Both stack a concurrency-control round on top of a consensus round, so a
 // geo-distributed commit costs ~3 WRTTs: request/vote (1), commit + Paxos
@@ -157,9 +159,7 @@ type pendingSrv struct {
 	// commit record is proposed.
 	relocking bool
 	writes    []store.Write
-	waiting   int      // outstanding lock grants (2PL)
-	occHeld   []string // OCC: write-locked keys
-	occRead   []string // OCC: read-marked keys
+	waiting   int // outstanding lock grants (2PL and relocks)
 	// prepTS pins the leader's safe-time watermark below this in-flight
 	// transaction (LocalReads): its eventual commit timestamp, minted at the
 	// coordinator's decision, is necessarily later than its arrival here.
@@ -197,14 +197,14 @@ type server struct {
 	replica int
 	node    *simnet.Node
 	st      *store.Store
+	// lt is the shard's one per-key concurrency-control state: 2PL waits on
+	// it (wound-wait), OCC validates on it (TryAcquire, never waiting).
 	lt      *locks.Table
-	occLock map[string]txn.ID          // OCC: key -> in-flight writer
-	occRead map[string]map[txn.ID]bool // OCC: key -> in-flight readers
 	pax     *paxos.Replica
 	pending map[txn.ID]*pendingSrv
-	// pend recycles pendingSrv records. Safe because every removal path
-	// either never queued lock requests (OCC) or runs lt.ReleaseAll first,
-	// which purges queued grant callbacks — so no reference outlives the Put.
+	// pend recycles pendingSrv records. Safe because every removal path that
+	// follows a lock request runs lt.ReleaseAll first, which purges queued
+	// grant callbacks — so no reference outlives the Put.
 	pend   *pool.Free[pendingSrv]
 	onSlot map[int]txn.ID // slot -> awaiting commit reply
 	// applied records every Paxos-applied commit, so re-sent commit requests
@@ -230,8 +230,6 @@ type System struct {
 	// readMsgs are the local-read path's message freelists, shared by every
 	// coordinator and replica of this deployment.
 	readMsgs *snapread.Msgs
-	// Aborts counts client-visible aborts after retries were exhausted.
-	Aborts int64
 	// PresumedAborts counts vote-timeout firings that presumed-aborted a
 	// transaction still gathering votes (the cross-shard liveness escape).
 	PresumedAborts int64
@@ -295,7 +293,6 @@ func newServer(sys *System, s, r int) *server {
 	srv := &server{
 		sys: sys, shard: s, replica: r, node: node,
 		st: store.New(), lt: locks.NewTable(),
-		occLock: make(map[string]txn.ID), occRead: make(map[string]map[txn.ID]bool),
 		pending: make(map[txn.ID]*pendingSrv), pend: pool.New[pendingSrv](),
 		onSlot:  make(map[int]txn.ID),
 		applied: make(map[txn.ID]bool),
@@ -419,9 +416,7 @@ func (s *server) handle(from simnet.NodeID, msg simnet.Message) {
 // grant literals the 2PL and relock paths used to allocate.
 func (s *server) getPend() *pendingSrv {
 	p := s.pend.Get()
-	grant := p.grant
-	occHeld, occRead := p.occHeld[:0], p.occRead[:0]
-	*p = pendingSrv{occHeld: occHeld, occRead: occRead, grant: grant}
+	*p = pendingSrv{grant: p.grant}
 	if p.grant == nil {
 		p.grant = func() {
 			p.waiting--
@@ -457,37 +452,21 @@ func (s *server) onReqExec(m reqExec) {
 	p := s.getPend()
 	p.id, p.t, p.prio, p.coord, p.prepTS = id, m.T, m.Prio, m.Coord, s.sys.spec.Net.Sim().Now()
 	s.pending[id] = p
-	piece := m.T.Piece(s.shard)
 	if s.sys.spec.CC == OCC {
-		// Optimistic execution with validation at prepare time: conflicts
-		// with in-flight transactions (write-write, read-write) fail the
-		// vote here, before any shard has applied anything, so the commit
-		// phase below is infallible and 2PC stays atomic.
+		// Optimistic execution with validation at prepare time: a conflict
+		// with an in-flight transaction (write-write, read-write) or a queued
+		// relock fails the vote here, before any shard has applied anything,
+		// so the commit phase below is infallible and 2PC stays atomic.
 		s.node.Work(s.sys.spec.ExecCost)
-		if s.occConflict(id, piece) {
+		if !s.lockAll(p) {
+			s.lt.ReleaseAll(id)
 			delete(s.pending, id)
 			s.pend.Put(p)
 			s.node.Send(m.Coord, voteMsg{Shard: s.shard, ID: id, OK: false})
 			return
 		}
-		for _, k := range piece.WriteSet {
-			s.occLock[k] = id
-			p.occHeld = append(p.occHeld, k)
-		}
-		for _, k := range piece.ReadSet {
-			if slices.Contains(piece.WriteSet, k) {
-				continue
-			}
-			rd := s.occRead[k]
-			if rd == nil {
-				rd = make(map[txn.ID]bool)
-				s.occRead[k] = rd
-			}
-			rd[id] = true
-			p.occRead = append(p.occRead, k)
-		}
 		p.voted = true
-		ret, writes := s.st.ExecuteBuffered(piece)
+		ret, writes := s.st.ExecuteBuffered(m.T.Piece(s.shard))
 		p.writes = writes
 		s.node.Send(m.Coord, voteMsg{Shard: s.shard, ID: id, OK: true, Ret: ret,
 			ArriveS: p.prepTS, LockS: p.prepTS, DoneS: s.node.Busy()})
@@ -502,21 +481,35 @@ func (s *server) onReqExec(m reqExec) {
 
 // lockAll asks for every lock p's piece needs at p's priority — shared for a
 // key it only reads, exclusive for one it writes — and reports whether all
-// were granted at once. Otherwise p.waiting counts the grants still owed, and
-// the last one runs p.grant's continuation.
+// were granted at once. An OCC prepare only tries and stops at the first
+// refusal, still holding what it got. Otherwise (2PL, and any relock) a
+// refused request waits: p.waiting counts the grants still owed, and the
+// last one runs p.grant's continuation.
 func (s *server) lockAll(p *pendingSrv) bool {
 	piece := p.t.Piece(s.shard)
 	for _, k := range piece.ReadSet {
-		if !slices.Contains(piece.WriteSet, k) && !s.lt.Acquire(k, locks.Shared, p.id, p.prio, p.grant) {
-			p.waiting++
+		if !slices.Contains(piece.WriteSet, k) && !s.lock(p, k, locks.Shared) {
+			return false
 		}
 	}
 	for _, k := range piece.WriteSet {
-		if !s.lt.Acquire(k, locks.Exclusive, p.id, p.prio, p.grant) {
-			p.waiting++
+		if !s.lock(p, k, locks.Exclusive) {
+			return false
 		}
 	}
 	return p.waiting == 0
+}
+
+// lock asks for one of lockAll's locks and reports false only for an OCC
+// prepare's refusal.
+func (s *server) lock(p *pendingSrv, k string, m locks.Mode) bool {
+	if s.sys.spec.CC == OCC && !p.relockPath {
+		return s.lt.TryAcquire(k, m, p.id, p.prio)
+	}
+	if !s.lt.Acquire(k, m, p.id, p.prio, p.grant) {
+		p.waiting++
+	}
+	return true
 }
 
 func (s *server) finishLock(id txn.ID) {
@@ -540,28 +533,6 @@ func (s *server) finishLock(id txn.ID) {
 	s.node.Send(p.coord, voteMsg{Shard: s.shard, ID: id, OK: true, Ret: ret,
 		ArriveS: p.prepTS, LockS: p.lockS, DoneS: s.node.Busy()})
 	s.armDecisionQuery(id)
-}
-
-// occConflict reports whether the piece conflicts with any in-flight
-// transaction: its writes against their reads or writes, its reads against
-// their writes.
-func (s *server) occConflict(id txn.ID, piece *txn.Piece) bool {
-	for _, k := range piece.WriteSet {
-		if w, ok := s.occLock[k]; ok && w != id {
-			return true
-		}
-		for r := range s.occRead[k] {
-			if r != id {
-				return true
-			}
-		}
-	}
-	for _, k := range piece.ReadSet {
-		if w, ok := s.occLock[k]; ok && w != id {
-			return true
-		}
-	}
-	return false
 }
 
 // onCommitReq starts the replicated apply. Validation already happened at
@@ -632,27 +603,9 @@ func (s *server) abortLocal(id txn.ID) {
 	if p == nil {
 		return
 	}
-	s.releaseOCC(p, id)
 	s.lt.ReleaseAll(id)
 	delete(s.pending, id)
 	s.pend.Put(p)
-}
-
-// releaseOCC drops the transaction's OCC read marks and write locks.
-func (s *server) releaseOCC(p *pendingSrv, id txn.ID) {
-	for _, k := range p.occHeld {
-		if s.occLock[k] == id {
-			delete(s.occLock, k)
-		}
-	}
-	for _, k := range p.occRead {
-		if rd := s.occRead[k]; rd != nil {
-			delete(rd, id)
-			if len(rd) == 0 {
-				delete(s.occRead, k)
-			}
-		}
-	}
 }
 
 // onPaxosCommit applies a replicated commit record on every replica; the
@@ -680,7 +633,6 @@ func (s *server) onPaxosCommit(slot int, cmd paxos.Command) {
 	if id, ok := s.onSlot[slot]; ok {
 		delete(s.onSlot, slot)
 		if p := s.pending[id]; p != nil {
-			s.releaseOCC(p, id)
 			s.lt.ReleaseAll(id)
 			delete(s.pending, id)
 			coord, cReqS := p.coord, p.cReqS
@@ -894,7 +846,6 @@ func (co *coordinator) abort(p *pendingCo, stagger time.Duration) {
 	t, done, retries, prio := p.t, p.done, p.retries, p.prio
 	co.pend.Put(p)
 	if retries >= co.sys.spec.MaxRetries {
-		co.sys.Aborts++
 		done(txn.Result{Aborted: true, Retries: retries})
 		return
 	}

@@ -230,3 +230,43 @@ func TestContentionAborts(t *testing.T) {
 		})
 	}
 }
+
+// TestRefusedPrepareReleasesWhatItLocked: an OCC prepare refused on its
+// second key has already locked its first. The refusal must release it, or
+// the key refuses every later prepare, the same transaction's retries
+// included.
+func TestRefusedPrepareReleasesWhatItLocked(t *testing.T) {
+	sim := simnet.NewSim(7)
+	sys := New(Spec{
+		CC: OCC, Shards: 1, F: 1, Net: simnet.NewNetwork(sim, simnet.GeoConfig(0, 0)),
+		ServerRegion: func(_, r int) simnet.Region { return simnet.Region(r) },
+		CoordRegions: []simnet.Region{0},
+		Seed: func(_ int, st *store.Store) {
+			st.Seed("a", txn.EncodeInt(0))
+			st.Seed("b", txn.EncodeInt(0))
+		},
+		ExecCost: time.Microsecond,
+	})
+	committed := 0
+	submit := func(at time.Duration, keys ...string) {
+		sim.At(at, func() {
+			tx := &txn.Txn{Pieces: txn.ByShard(txn.IncrementPiece(keys...).On(0))}
+			sys.Submit(0, tx, func(r txn.Result) {
+				if r.OK {
+					committed++
+				}
+			})
+		})
+	}
+	submit(50*time.Millisecond, "b")
+	submit(51*time.Millisecond, "a", "b") // locks a, is refused on b
+	submit(time.Second, "a")
+	sim.Run(5 * time.Second)
+	a, b := txn.DecodeInt(sys.Store(0).Get("a")), txn.DecodeInt(sys.Store(0).Get("b"))
+	if committed != 3 || a != 2 || b != 2 {
+		t.Fatalf("%d of 3 committed, a = %d, b = %d; want 3, 2, 2", committed, a, b)
+	}
+	if n := sys.servers[0][0].lt.Outstanding(); n != 0 {
+		t.Fatalf("%d keys still locked after every transaction finished", n)
+	}
+}

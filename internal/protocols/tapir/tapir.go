@@ -83,7 +83,6 @@ type System struct {
 	spec     Spec
 	replicas [][]*replica
 	coords   []*coordinator
-	Aborts   int64
 }
 
 // New builds the deployment.
@@ -321,7 +320,6 @@ func (co *coordinator) decide(p *pending, commit bool) {
 	if !commit {
 		delete(co.pending, p.t.ID)
 		if p.retries >= co.sys.spec.MaxRetries {
-			co.sys.Aborts++
 			p.done(txn.Result{Aborted: true, Retries: p.retries})
 			return
 		}

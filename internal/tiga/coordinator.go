@@ -72,7 +72,6 @@ type Coordinator struct {
 
 	// Retries counts protocol-level re-submissions (stats for the harness).
 	Retries int64
-	Aborts  int64
 }
 
 func newCoordinator(c *Cluster, idx int32, node *simnet.Node, clk clocks.Clock) *Coordinator {
@@ -449,7 +448,6 @@ func (co *Coordinator) evaluate(p *pendingTxn) {
 			// Coordination-free mode has no agreement to converge the
 			// timestamps; abort and let the application retry (§6).
 			co.finish(p, txn.Result{Aborted: true, Retries: p.retries})
-			co.Aborts++
 		}
 		return
 	}
