@@ -62,31 +62,42 @@
 // wrote was a fresh encoding and every TPC-C stage was built from per-key-set
 // slices, a map and merged copies)
 //
-// and one point of sweep-nine — here Detock's — is
+// and one point of sweep-nine — here Detock's (47.0 allocs per transaction) —
+// is
 //
 //	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -protocol Detock \
 //	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms -cpuprofile cpu.out
 //
-// or, for the buffered view and the apply path at their busiest (Tapir
-// executes a piece on every replica at prepare and again at the decision,
-// ≈ 21 buffered executions per commit)
+// Tapir, 2PL+Paxos and OCC+Paxos need the knobs sweep-nine sets for them: they
+// retry until they commit (max-retries 100) and a wound-wait vote times out
+// after 1 s. Each -set below names one protocol and is inert for the others.
+// For the buffered view and the apply path at their busiest (Tapir executes a
+// piece on every replica at prepare and again at the decision, ≈ 21 buffered
+// executions per commit) the point is
 //
 //	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -protocol Tapir \
-//	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms
+//	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms \
+//	    -set Tapir.max-retries=100
 //
-// or, for the layered baselines' Multi-Paxos (internal/paxos) under lockocc's
-// locks and two-phase commit,
+// (it prints 5 526 commits, 8.0 allocs and 2.4 KB per transaction; 66.2 allocs
+// and 9.3 KB while every buffered execution made a write list of its own,
+// every reply was boxed and the coordinator tallied votes in maps of maps —
+// 62.2 allocs and 5 487 commits without the -set line), and for the layered
+// baselines' Multi-Paxos (internal/paxos) under lockocc's locks and two-phase
+// commit it is
 //
 //	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -protocol 2PL+Paxos \
-//	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms -liveheap live.out
+//	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms -liveheap live.out \
+//	    -set 2PL+Paxos.max-retries=100 -set 2PL+Paxos.vote-timeout=1s
 //
-// (it prints 5 582 commits, 30.5 allocs and 5.0 KB per transaction and a live
-// heap of 29.1 MB; 40.4 allocs and 5.3 KB while the lock table allocated an
-// entry per locked key and a key list per transaction, and 121.9 allocs,
-// 8.9 KB and 28.6 MB while every accept, ack and commit was boxed into the
-// interface it was sent as and every proposal made an ack map. The same shape
-// gives OCC+Paxos 35.5 allocs and 5.6 KB — 35.2 and 5.5 KB when it validated
-// on maps of its own — and NCC+ 30.4.)
+// (it prints 5 567 commits, 30.8 allocs and 4.8 KB per transaction; without
+// the -set line, 5 582 commits, 30.5 allocs and 5.0 KB, and a live heap of
+// 29.1 MB; 40.4 allocs and 5.3 KB while the lock table allocated an entry per
+// locked key and a key list per transaction, and 121.9 allocs, 8.9 KB and
+// 28.6 MB while every accept, ack and commit was boxed into the interface it
+// was sent as and every proposal made an ack map. The same shape with
+// -set OCC+Paxos.max-retries=100 -set OCC+Paxos.vote-timeout=1s gives OCC+Paxos
+// 36.7 allocs and 5.0 KB, and NCC+ 30.4.)
 //
 // or, for Janus' dependency tracking, vote tally and SCC execution,
 //

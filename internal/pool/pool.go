@@ -22,12 +22,16 @@
 // Lifecycle discipline (see README "Simulator performance"): a pooled object
 // may be recycled only by code that can prove no other reference outlives the
 // Put. In practice that means
-//   - unicast wire messages: the receiving handler recycles after decoding,
+//   - unicast wire messages: the receiving handler recycles after decoding —
+//     Janus' and Tapir's replies come from the sending replica's list, carry
+//     the sender, and the coordinator's handle puts each back there once it
+//     has copied the fields out,
 //   - a snapshot-read request (internal/snapread): the replica recycles it once
 //     the read is served — a read queued behind the watermark holds it until
 //     then — and the coordinator a reply once it has copied the answer out,
 //   - multicast payloads: each destination gets its own pooled copy,
-//   - coordinator-local records: recycled when the txn finishes,
+//   - coordinator-local records: recycled when the txn finishes (Janus and
+//     Tapir read what the completion callback and a retry need first),
 //   - anything retained by a server log (e.g. *txn.Txn): never pooled.
 //
 // Double frees corrupt simulations silently (two live txns sharing one

@@ -556,7 +556,7 @@ func (en *engine) execute(d *dtxn) {
 			continue
 		}
 		work += spec.ExecCost
-		ret, writes := en.sts[sh].ExecuteBuffered(&d.t.Pieces[i])
+		ret, writes := en.sts[sh].ExecuteBuffered(nil, &d.t.Pieces[i])
 		d.rets = append(d.rets, txn.ShardRet{Shard: sh, Ret: ret})
 		en.sts[sh].Apply(writes)
 		en.repl = append(en.repl, replWrite{ID: d.t.ID, Shard: sh, Writes: writes})

@@ -466,7 +466,7 @@ func (s *server) onReqExec(m reqExec) {
 			return
 		}
 		p.voted = true
-		ret, writes := s.st.ExecuteBuffered(m.T.Piece(s.shard))
+		ret, writes := s.st.ExecuteBuffered(nil, m.T.Piece(s.shard))
 		p.writes = writes
 		s.node.Send(m.Coord, voteMsg{Shard: s.shard, ID: id, OK: true, Ret: ret,
 			ArriveS: p.prepTS, LockS: p.prepTS, DoneS: s.node.Busy()})
@@ -528,7 +528,7 @@ func (s *server) finishLock(id txn.ID) {
 	p.voted = true
 	p.lockS = s.sys.spec.Net.Sim().Now()
 	s.node.Work(s.sys.spec.ExecCost)
-	ret, writes := s.st.ExecuteBuffered(p.t.Piece(s.shard))
+	ret, writes := s.st.ExecuteBuffered(nil, p.t.Piece(s.shard))
 	p.writes = writes
 	s.node.Send(p.coord, voteMsg{Shard: s.shard, ID: id, OK: true, Ret: ret,
 		ArriveS: p.prepTS, LockS: p.lockS, DoneS: s.node.Busy()})
@@ -592,7 +592,7 @@ func (s *server) finishRelock(id txn.ID) {
 	}
 	s.node.Work(s.sys.spec.ExecCost)
 	// The coordinator already holds the pre-crash vote result.
-	_, p.writes = s.st.ExecuteBuffered(p.t.Piece(s.shard))
+	_, p.writes = s.st.ExecuteBuffered(nil, p.t.Piece(s.shard))
 	p.proposed = true
 	slot := s.pax.Propose(commitRec{ID: id, TS: p.ts, Writes: p.writes})
 	s.onSlot[slot] = id

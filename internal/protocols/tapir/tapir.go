@@ -10,12 +10,22 @@
 // transactions reach replicas in different orders, votes diverge, and the
 // commit rate collapses — the failure mode Figure 1 of the Tiga paper
 // illustrates and Tiga's proactive ordering avoids.
+//
+// Replies are pooled (see pool.Free for the lifecycle rules): a replica draws
+// each PREPARE reply and slow-path acknowledgement from its own freelist, the
+// message carries its sender and so the list it came from, and the
+// coordinator's handle copies the fields out and puts it back before it acts
+// on them. A reply the network drops is simply never put back. The multicast
+// PREPARE and decision share one payload between their destinations, so
+// neither is pooled.
 package tapir
 
 import (
+	"math/bits"
 	"slices"
 	"time"
 
+	"tiga/internal/pool"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
@@ -41,12 +51,11 @@ type prepareMsg struct {
 }
 
 type prepareRep struct {
-	Shard   int
-	Replica int
-	ID      txn.ID
-	Try     int
-	OK      bool
-	Ret     []byte
+	src *replica
+	ID  txn.ID
+	Try int
+	OK  bool
+	Ret []byte
 }
 
 // decideMsg is the coordinator's final decision (commit or abort), also used
@@ -61,10 +70,9 @@ type decideMsg struct {
 }
 
 type decideAck struct {
-	Shard   int
-	Replica int
-	ID      txn.ID
-	Try     int
+	src *replica
+	ID  txn.ID
+	Try int
 }
 
 type replica struct {
@@ -76,6 +84,11 @@ type replica struct {
 	prepared map[txn.ID]*txn.Txn
 	pkeys    map[txn.KeyID]txn.ID // prepared-key write locks, by the ids of st
 	applied  map[txn.ID]bool
+	// writes is the buffered execution's scratch: a prepare drops the write
+	// set and a decision applies it at once, so neither keeps it.
+	writes      []store.Write
+	prepareReps *pool.Free[prepareRep]
+	decideAcks  *pool.Free[decideAck]
 }
 
 // System is a running TAPIR deployment.
@@ -95,6 +108,9 @@ func New(spec Spec) *System {
 	}
 	sys := &System{spec: spec}
 	n := 2*spec.F + 1
+	if n > 64 {
+		panic("tapir: a shard's votes are one 64-bit mask; a shard has at most 64 replicas")
+	}
 	sys.replicas = make([][]*replica, spec.Shards)
 	for s := 0; s < spec.Shards; s++ {
 		sys.replicas[s] = make([]*replica, n)
@@ -102,7 +118,8 @@ func New(spec Spec) *System {
 			node := spec.Net.AddNode(spec.ServerRegion(s, r), nil)
 			rp := &replica{sys: sys, shard: s, rep: r, node: node, st: store.New(),
 				prepared: make(map[txn.ID]*txn.Txn), pkeys: make(map[txn.KeyID]txn.ID),
-				applied: make(map[txn.ID]bool)}
+				applied:     make(map[txn.ID]bool),
+				prepareReps: pool.New[prepareRep](), decideAcks: pool.New[decideAck]()}
 			if spec.Seed != nil {
 				spec.Seed(s, rp.st)
 			}
@@ -113,7 +130,7 @@ func New(spec Spec) *System {
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
 		co := &coordinator{sys: sys, node: node, idx: int32(len(sys.coords) + 1),
-			pending: make(map[txn.ID]*pending)}
+			pending: make(map[txn.ID]*pending), pendings: pool.New[pending]()}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -157,13 +174,14 @@ func (rp *replica) onPrepare(m prepareMsg) {
 		return held && owner != id
 	}
 	ok := !slices.ContainsFunc(reads, locked) && !slices.ContainsFunc(writes, locked)
-	rep := prepareRep{Shard: rp.shard, Replica: rp.rep, ID: id, Try: m.Try, OK: ok}
+	rep := rp.prepareReps.Get()
+	*rep = prepareRep{src: rp, ID: id, Try: m.Try, OK: ok}
 	if ok {
 		rp.prepared[id] = m.T
 		for _, k := range writes {
 			rp.pkeys[k] = id
 		}
-		rep.Ret, _ = rp.st.ExecuteBuffered(piece)
+		rep.Ret, rp.writes = rp.st.ExecuteBuffered(rp.writes[:0], piece)
 	}
 	rp.node.Send(m.Coord, rep)
 }
@@ -181,33 +199,59 @@ func (rp *replica) onDecide(m decideMsg) {
 	}
 	if m.Commit && !rp.applied[id] {
 		rp.applied[id] = true
-		_, writes := rp.st.ExecuteBuffered(m.T.Piece(rp.shard))
-		rp.st.Apply(writes)
+		_, rp.writes = rp.st.ExecuteBuffered(rp.writes[:0], m.T.Piece(rp.shard))
+		rp.st.Apply(rp.writes)
 	}
 	if m.Slow {
-		rp.node.Send(m.Coord, decideAck{Shard: rp.shard, Replica: rp.rep, ID: id, Try: m.Try})
+		ack := rp.decideAcks.Get()
+		*ack = decideAck{src: rp, ID: id, Try: m.Try}
+		rp.node.Send(m.Coord, ack)
 	}
 }
 
 // ---- coordinator ----
 
+// pending is a transaction in flight at its coordinator. The vote tally is
+// kept per piece position i (t.Pieces[i]) for the shard's n replicas: bit r of
+// voted[i] is set once replica r voted, bit r of oks[i] when that vote was
+// PREPARE-OK, and rets[i*n+r] is then its result; bit r of acked[i] is set
+// once replica r acknowledged a slow-path decision. The slices are reused when
+// the record is.
 type pending struct {
 	t       *txn.Txn
 	done    func(txn.Result)
-	votes   map[int]map[int]prepareRep // shard -> replica -> vote
-	acks    map[int]map[int]bool
-	rets    []txn.ShardRet
+	voted   []uint64
+	oks     []uint64
+	acked   []uint64
+	rets    [][]byte
+	results []txn.ShardRet
 	slow    bool
 	decided bool
 	retries int
 }
 
+// reset readies p for attempt retries of t on shards of n replicas each.
+func (p *pending) reset(t *txn.Txn, done func(txn.Result), retries, n int) {
+	k := len(t.Pieces)
+	p.t, p.done, p.retries, p.results, p.slow, p.decided = t, done, retries, nil, false, false
+	p.rets = slices.Grow(p.rets[:0], k*n)[:k*n] // a slot is read only once its bit is set
+	p.voted, p.oks, p.acked = zeroed(p.voted, k), zeroed(p.oks, k), zeroed(p.acked, k)
+}
+
+// zeroed returns k zero masks in s's storage.
+func zeroed(s []uint64, k int) []uint64 {
+	s = slices.Grow(s[:0], k)[:k]
+	clear(s)
+	return s
+}
+
 type coordinator struct {
-	sys     *System
-	node    *simnet.Node
-	idx     int32
-	seq     uint64
-	pending map[txn.ID]*pending
+	sys      *System
+	node     *simnet.Node
+	idx      int32
+	seq      uint64
+	pending  map[txn.ID]*pending
+	pendings *pool.Free[pending]
 }
 
 // Submit runs TAPIR's prepare/decide protocol for t.
@@ -218,8 +262,8 @@ func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
 func (co *coordinator) submit(t *txn.Txn, done func(txn.Result), retries int) {
 	co.seq++
 	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
-	p := &pending{t: t, done: done, retries: retries,
-		votes: make(map[int]map[int]prepareRep), acks: make(map[int]map[int]bool)}
+	p := co.pendings.Get()
+	p.reset(t, done, retries, 2*co.sys.spec.F+1)
 	co.pending[t.ID] = p
 	co.multicast(t, prepareMsg{T: t, Coord: co.node.ID(), Try: retries})
 }
@@ -235,47 +279,48 @@ func (co *coordinator) multicast(t *txn.Txn, m simnet.Message) {
 
 func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
-	case prepareRep:
-		co.onVote(m)
-	case decideAck:
-		co.onAck(m)
+	case *prepareRep:
+		src, id, try, ok, ret := m.src, m.ID, m.Try, m.OK, m.Ret
+		src.prepareReps.Put(m)
+		co.onVote(src, id, try, ok, ret)
+	case *decideAck:
+		src, id, try := m.src, m.ID, m.Try
+		src.decideAcks.Put(m)
+		co.onAck(src, id, try)
 	}
 }
 
-func (co *coordinator) onVote(m prepareRep) {
-	p := co.pending[m.ID]
-	if p == nil || p.decided || m.Try != p.retries {
+// onVote records replica src's vote on attempt try of transaction id; a later
+// vote from the same replica replaces its earlier one.
+func (co *coordinator) onVote(src *replica, id txn.ID, try int, ok bool, ret []byte) {
+	p := co.pending[id]
+	if p == nil || p.decided || try != p.retries {
 		return
 	}
-	byRep := p.votes[m.Shard]
-	if byRep == nil {
-		byRep = make(map[int]prepareRep)
-		p.votes[m.Shard] = byRep
+	i, bit := p.t.Pos(src.shard), uint64(1)<<src.rep
+	p.voted[i] |= bit
+	if ok {
+		p.oks[i] |= bit
+	} else {
+		p.oks[i] &^= bit
 	}
-	byRep[m.Replica] = m
+	p.rets[i*(2*co.sys.spec.F+1)+src.rep] = ret
 	co.evaluate(p)
 }
 
 func (co *coordinator) evaluate(p *pending) {
-	n := 2*co.sys.spec.F + 1
+	f := co.sys.spec.F
 	sq := co.sys.superQuorum()
 	allFast, anyAbortQuorum, complete := true, false, true
-	for i := range p.t.Pieces {
-		votes := p.votes[p.t.Pieces[i].Shard()]
-		oks, nos := 0, 0
-		for _, v := range votes {
-			if v.OK {
-				oks++
-			} else {
-				nos++
-			}
-		}
+	for i, voted := range p.voted {
+		oks := bits.OnesCount64(p.oks[i])
+		nos := bits.OnesCount64(voted) - oks
 		switch {
 		case oks >= sq:
 			// fast OK on this shard
-		case nos >= co.sys.spec.F+1:
+		case nos >= f+1:
 			anyAbortQuorum = true
-		case oks >= co.sys.spec.F+1 && len(votes) == n:
+		case oks >= f+1 && voted == 1<<(2*f+1)-1:
 			allFast = false // classic quorum only: slow path required
 		default:
 			complete = false
@@ -288,11 +333,7 @@ func (co *coordinator) evaluate(p *pending) {
 	if !complete {
 		return
 	}
-	co.decideSlowOrFast(p, allFast)
-}
-
-func (co *coordinator) decideSlowOrFast(p *pending, fast bool) {
-	p.slow = !fast
+	p.slow = !allFast
 	co.decide(p, true)
 }
 
@@ -300,58 +341,49 @@ func (co *coordinator) decideSlowOrFast(p *pending, fast bool) {
 // before reporting commit (one extra round trip).
 func (co *coordinator) decide(p *pending, commit bool) {
 	p.decided = true
-	var rets []txn.ShardRet
 	if commit {
-		rets = make([]txn.ShardRet, len(p.t.Pieces))
-		for i := range rets {
-			rets[i].Shard = p.t.Pieces[i].Shard()
-			votes := p.votes[rets[i].Shard]
+		n := 2*co.sys.spec.F + 1
+		p.results = make([]txn.ShardRet, len(p.t.Pieces)) // handed to done, so never reused
+		for i := range p.results {
 			// The lowest-numbered PREPARE-OK replica's result: TAPIR's
 			// inconsistent replicas may diverge, so the pick must be a fixed one.
-			for rep := 0; rep < 2*co.sys.spec.F+1; rep++ {
-				if v := votes[rep]; v.OK {
-					rets[i].Ret = v.Ret
-					break
-				}
-			}
+			p.results[i] = txn.ShardRet{Shard: p.t.Pieces[i].Shard(),
+				Ret: p.rets[i*n+bits.TrailingZeros64(p.oks[i])]}
 		}
 	}
 	co.multicast(p.t, decideMsg{ID: p.t.ID, T: p.t, Commit: commit, Slow: p.slow, Coord: co.node.ID(), Try: p.retries})
-	if !commit {
-		delete(co.pending, p.t.ID)
-		if p.retries >= co.sys.spec.MaxRetries {
-			p.done(txn.Result{Aborted: true, Retries: p.retries})
-			return
-		}
-		backoff := co.sys.spec.RetryBackoff * time.Duration(p.retries+1)
-		co.node.After(backoff, func() { co.submit(p.t, p.done, p.retries+1) })
-		return
+	if p.slow {
+		return // onAck finishes it
 	}
-	if !p.slow {
-		delete(co.pending, p.t.ID)
-		p.done(txn.Result{OK: true, FastPath: true, Retries: p.retries, PerShard: rets})
-		return
+	delete(co.pending, p.t.ID)
+	t, done, retries, results := p.t, p.done, p.retries, p.results
+	co.pendings.Put(p) // done may submit the next transaction
+	switch {
+	case commit:
+		done(txn.Result{OK: true, FastPath: true, Retries: retries, PerShard: results})
+	case retries >= co.sys.spec.MaxRetries:
+		done(txn.Result{Aborted: true, Retries: retries})
+	default:
+		backoff := co.sys.spec.RetryBackoff * time.Duration(retries+1)
+		co.node.After(backoff, func() { co.submit(t, done, retries+1) })
 	}
-	// Slow path: wait for f+1 acks per shard.
-	p.rets = rets
 }
 
-func (co *coordinator) onAck(m decideAck) {
-	p := co.pending[m.ID]
-	if p == nil || m.Try != p.retries {
+// onAck records replica src's acknowledgement of a slow-path decision and
+// reports the commit once every shard has f+1 of them.
+func (co *coordinator) onAck(src *replica, id txn.ID, try int) {
+	p := co.pending[id]
+	if p == nil || try != p.retries {
 		return
 	}
-	byRep := p.acks[m.Shard]
-	if byRep == nil {
-		byRep = make(map[int]bool)
-		p.acks[m.Shard] = byRep
-	}
-	byRep[m.Replica] = true
-	for i := range p.t.Pieces {
-		if len(p.acks[p.t.Pieces[i].Shard()]) < co.sys.spec.F+1 {
+	p.acked[p.t.Pos(src.shard)] |= 1 << src.rep
+	for _, acked := range p.acked {
+		if bits.OnesCount64(acked) < co.sys.spec.F+1 {
 			return
 		}
 	}
-	delete(co.pending, m.ID)
-	p.done(txn.Result{OK: true, FastPath: false, Retries: p.retries, PerShard: p.rets})
+	delete(co.pending, id)
+	res, done := txn.Result{OK: true, FastPath: false, Retries: p.retries, PerShard: p.results}, p.done
+	co.pendings.Put(p) // done may submit the next transaction
+	done(res)
 }

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -61,7 +62,7 @@ func TestBufferedViewReadsItsOwnWritesInEitherForm(t *testing.T) {
 		look(kv.Get(keys[2])) // 10: the second write of key 2 replaced the first
 		return nil
 	}}
-	_, ws := s.ExecuteBuffered(p)
+	_, ws := s.ExecuteBuffered(nil, p)
 	if want := []int64{7, 8, 9, 0, 0, 10}; len(seen) != len(want) {
 		t.Fatalf("saw %v", seen)
 	} else {
@@ -97,7 +98,7 @@ func TestBufferedExecutionLeavesTheStoreUntouched(t *testing.T) {
 		}
 		s.ExecuteID(id(1), ts(10), txn.IncrementPieceID(keys[0], 0)) // one pending version
 		n, vs := s.Len(), s.Versions()
-		ret, ws := s.ExecuteBuffered(&txn.Piece{WriteSet: []string{keys[0], keys[1], "row"}, Exec: func(kv txn.KV) []byte {
+		ret, ws := s.ExecuteBuffered(nil, &txn.Piece{WriteSet: []string{keys[0], keys[1], "row"}, Exec: func(kv txn.KV) []byte {
 			kv.PutID(0, txn.EncodeInt(50))
 			kv.Put(keys[1], txn.EncodeInt(51))
 			kv.Put("row", txn.EncodeInt(52))
@@ -138,7 +139,7 @@ func TestApplyOntoAStoreWithAnotherInternOrder(t *testing.T) {
 		kv.Put(keys[2], txn.EncodeInt(12))
 		return nil
 	}}
-	_, ws := a.ExecuteBuffered(p)
+	_, ws := a.ExecuteBuffered(nil, p)
 	vs := a.Versions()
 	a.Apply(ws)
 	b.Apply(ws)
@@ -176,7 +177,7 @@ func TestApplyAtKeepsHistoryInRetainMode(t *testing.T) {
 	a.EnableSnapshots()
 	b.EnableSnapshots()
 	for i, at := range []int64{10, 20} {
-		_, ws := a.ExecuteBuffered(&txn.Piece{Exec: func(kv txn.KV) []byte {
+		_, ws := a.ExecuteBuffered(nil, &txn.Piece{Exec: func(kv txn.KV) []byte {
 			kv.PutID(1, txn.EncodeInt(txn.DecodeInt(kv.GetID(1))+1))
 			kv.Put("row", txn.EncodeInt(int64(100+i)))
 			return nil
@@ -224,8 +225,8 @@ func TestTaggedOpsMatchTheClosureForms(t *testing.T) {
 	for i, st := range steps {
 		// Buffered first, on the state the optimistic execution is about to
 		// change: results and write sets must agree, and neither store moves.
-		bt, wt := tagged.ExecuteBuffered(st.tagged)
-		bc, wc := closure.ExecuteBuffered(st.closure)
+		bt, wt := tagged.ExecuteBuffered(nil, st.tagged)
+		bc, wc := closure.ExecuteBuffered(nil, st.closure)
 		if !bytes.Equal(bt, bc) || len(wt) != len(wc) {
 			t.Fatalf("%s, buffered: tagged returned %v with %d writes, closure %v with %d", st.name, bt, len(wt), bc, len(wc))
 		}
@@ -251,5 +252,66 @@ func TestTaggedOpsMatchTheClosureForms(t *testing.T) {
 	}
 	if got := txn.DecodeInt(tagged.Get(keys[5])); got != 2 {
 		t.Fatalf("key 5 = %d after one piece incremented it twice", got)
+	}
+}
+
+// ExecuteBuffered appends to the dst it is given: a warm dst taken back to
+// length 0 gives the result and write list a nil one does, and a non-empty
+// dst keeps its entries in front, unread by the piece — for tagged and
+// closure pieces, a piece reading its own write, and a key written by name
+// and by id.
+func TestBufferedIntoAWarmDstMatchesAFreshOne(t *testing.T) {
+	s, keys := seedN(t, 6)
+	multi := txn.Tagged(txn.OpIncrement, []string{keys[5], keys[2], keys[5]}, []txn.KeyID{5, 2, 5})
+	pieces := []struct {
+		name string
+		p    *txn.Piece
+	}{
+		{"tagged increment", txn.IncrementPieceID(keys[3], 3)},
+		{"closure increment", txn.IncrementPiece(keys[3])},
+		{"tagged, reads its own write", &multi},
+		{"closure, reads its own write", txn.IncrementPiece(keys[4], keys[4])},
+		{"a key by name and by id, an inserted row", &txn.Piece{Exec: func(kv txn.KV) []byte {
+			kv.Put(keys[1], txn.EncodeInt(7))
+			kv.PutID(1, txn.EncodeInt(txn.DecodeInt(kv.Get(keys[1]))+1))
+			kv.Put("row", kv.GetID(1))
+			return kv.Get("row")
+		}}},
+	}
+	// A warm buffer with stale entries for the same keys, longer than any
+	// write set below, and a prefix of entries for keys the pieces read.
+	warm := []Write{{1, keys[1], txn.EncodeInt(90)}, {2, "", txn.EncodeInt(91)}, {3, "", txn.EncodeInt(92)},
+		{4, "", txn.EncodeInt(93)}, {5, "", txn.EncodeInt(94)}}
+	prefix := []Write{{1, keys[1], txn.EncodeInt(80)}, {3, "", txn.EncodeInt(82)}, {5, "", txn.EncodeInt(84)}}
+	same := func(a, b []Write) bool {
+		return slices.EqualFunc(a, b, func(x, y Write) bool { return x.ID == y.ID && x.Name == y.Name && bytes.Equal(x.Val, y.Val) })
+	}
+	for _, c := range pieces {
+		ret, ws := s.ExecuteBuffered(nil, c.p)
+		wret, wws := s.ExecuteBuffered(warm[:0], c.p)
+		if !bytes.Equal(wret, ret) || !same(wws, ws) {
+			t.Errorf("%s: a warm dst returned %v %+v, a nil one %v %+v", c.name, wret, wws, ret, ws)
+		}
+		if len(ws) > 0 && &wws[0] != &warm[0] {
+			t.Errorf("%s: the write set did not go into the warm dst", c.name)
+		}
+		pret, pws := s.ExecuteBuffered(prefix, c.p)
+		if !bytes.Equal(pret, ret) || !same(pws[:len(prefix)], prefix) || !same(pws[len(prefix):], ws) {
+			t.Errorf("%s: after a prefix %+v, returned %v %+v; alone %v %+v", c.name, prefix, pret, pws, ret, ws)
+		}
+	}
+}
+
+// An increment buffered into a warm dst allocates nothing: Tapir runs one on
+// every replica at prepare and again at the decision.
+func TestBufferedIncrementIntoAWarmDstAllocatesNothing(t *testing.T) {
+	s, keys := seedN(t, 2)
+	p := txn.IncrementPieceID(keys[1], 1)
+	_, ws := s.ExecuteBuffered(nil, p)
+	if allocs := testing.AllocsPerRun(1000, func() { _, ws = s.ExecuteBuffered(ws[:0], p) }); allocs != 0 {
+		t.Fatalf("%v allocations per buffered increment into a warm dst, want 0", allocs)
+	}
+	if len(ws) != 1 || txn.DecodeInt(ws[0].Val) != 1 {
+		t.Fatalf("write set %+v", ws)
 	}
 }

@@ -408,23 +408,31 @@ type Write struct {
 
 // ExecuteBuffered runs a piece that reads the store but buffers its writes:
 // the store's contents are left untouched (a key written by name is interned,
-// which stores nothing) and the write set comes back with the piece's result,
-// one entry per key in the order the keys were first written, for protocols
-// that apply (Apply, ApplyAt) or discard writes at their own commit point.
-func (s *Store) ExecuteBuffered(p *txn.Piece) ([]byte, []Write) {
+// which stores nothing) and the write set is appended to dst and returned
+// with the piece's result, one entry per key in the order the keys were first
+// written, for protocols that apply (Apply, ApplyAt) or discard writes at
+// their own commit point. A nil dst gets a fresh slice, which the caller may
+// keep; a caller that is done with the writes before its next call passes its
+// previous result back as dst[:0] and allocates nothing.
+func (s *Store) ExecuteBuffered(dst []Write, p *txn.Piece) ([]byte, []Write) {
+	if dst == nil {
+		dst = make([]Write, 0, len(p.WriteSet))
+	}
 	v := &s.buf
-	v.s, v.writes = s, make([]Write, 0, len(p.WriteSet))
+	v.s, v.writes, v.base = s, dst, len(dst)
 	ret := p.Run(v)
 	ws := v.writes
 	v.writes = nil
 	return ret, ws
 }
 
-// bufView is the write-buffering view. Its writes are keyed by id, whichever
-// form they arrived in, so a piece reads its own writes in either form.
+// bufView is the write-buffering view. Its writes are writes[base:], keyed
+// by id whichever form they arrived in, so a piece reads its own writes in
+// either form.
 type bufView struct {
 	s      *Store
 	writes []Write
+	base   int
 }
 
 func (v *bufView) Get(key string) []byte {
@@ -437,7 +445,7 @@ func (v *bufView) Get(key string) []byte {
 }
 
 func (v *bufView) GetID(id txn.KeyID) []byte {
-	for i := range v.writes {
+	for i := v.base; i < len(v.writes); i++ {
 		if v.writes[i].ID == id {
 			return v.writes[i].Val
 		}
@@ -450,7 +458,7 @@ func (v *bufView) Put(key string, val []byte) { v.put(Write{v.s.Intern(key), key
 func (v *bufView) PutID(id txn.KeyID, val []byte) { v.put(Write{ID: id, Val: val}) }
 
 func (v *bufView) put(w Write) {
-	for i := range v.writes {
+	for i := v.base; i < len(v.writes); i++ {
 		if old := &v.writes[i]; old.ID == w.ID {
 			old.Val = w.Val
 			if w.Name != "" {

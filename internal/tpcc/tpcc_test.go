@@ -387,7 +387,7 @@ func execBuffered(sts []*store.Store, tx *txn.Txn) *txn.Result {
 	for i := range tx.Pieces {
 		p := &tx.Pieces[i]
 		sh := p.Shard()
-		ret, ws := sts[sh].ExecuteBuffered(p)
+		ret, ws := sts[sh].ExecuteBuffered(nil, p)
 		sts[sh].Apply(ws)
 		res.PerShard = append(res.PerShard, txn.ShardRet{Shard: sh, Ret: ret})
 	}
