@@ -151,20 +151,6 @@ func usage(format string, args ...any) {
 	os.Exit(2)
 }
 
-// parseKnob parses value against the schema's knob name; flag is the whole
-// flag as typed, for the message.
-func parseKnob(flag string, schema protocol.Schema, name, value string) any {
-	knob, ok := schema.Find(name)
-	if !ok {
-		usage("%s: no such knob %q (valid: %s)", flag, name, strings.Join(schema.Names(), ", "))
-	}
-	v, err := protocol.ParseValue(knob, value)
-	if err != nil {
-		usage("%s: %v", flag, err)
-	}
-	return v
-}
-
 func main() {
 	out := flag.String("out", "allocprof.out", "pprof heap profile output path")
 	proto := flag.String("protocol", "Tiga", "protocol to profile")
@@ -206,19 +192,25 @@ func main() {
 		CostScale: harness.CPUScale,
 	}
 	for _, s := range sets {
-		path, value, _ := strings.Cut(s, "=")
-		proto, name, ok := strings.Cut(path, ".")
-		schema, known := protocol.Knobs(proto)
-		if !ok || !known {
-			usage("-set %q: want proto.knob=value with a registered protocol (%s)", s, strings.Join(protocol.Names(), ", "))
+		proto, name, v, err := protocol.ParseSet(s)
+		if err != nil {
+			usage("-set %q: %v", s, err)
 		}
-		spec.SetKnob(proto, name, parseKnob("-set "+s, schema, name, value))
+		spec.SetKnob(proto, name, v)
 	}
 	if def, ok := workload.Lookup(*wl); ok && len(wparams) > 0 {
 		spec.WorkloadParams = make(map[string]any)
 		for _, s := range wparams {
 			name, value, _ := strings.Cut(s, "=")
-			spec.WorkloadParams[name] = parseKnob("-wparam "+s, def.Params, name, value)
+			knob, ok := def.Params.Find(name)
+			if !ok {
+				usage("-wparam %s: no such knob %q (valid: %s)", s, name, strings.Join(def.Params.Names(), ", "))
+			}
+			v, err := protocol.ParseValue(knob, value)
+			if err != nil {
+				usage("-wparam %s: %v", s, err)
+			}
+			spec.WorkloadParams[name] = v
 		}
 	}
 	if err := spec.EnsureGen(); err != nil {

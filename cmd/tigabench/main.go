@@ -253,44 +253,22 @@ func printKnobs(w io.Writer) {
 }
 
 // parseSets turns repeated -set proto.knob=value flags into the harness knob
-// map, validating the protocol, the knob name, and the value's type against
-// the registered schema. Any mistake exits 2 with the valid alternatives,
-// mirroring the -exp/-protocols validation.
+// map (protocol.ParseSet validates each). Any mistake exits 2 with the valid
+// alternatives, mirroring the -exp/-protocols validation.
 func parseSets(sets []string) map[string]map[string]any {
 	if len(sets) == 0 {
 		return nil
 	}
 	out := make(map[string]map[string]any)
 	for _, s := range sets {
-		assign := strings.SplitN(s, "=", 2)
-		if len(assign) != 2 {
-			fail("-set %q: want proto.knob=value", s)
-		}
-		path := strings.SplitN(assign[0], ".", 2)
-		if len(path) != 2 {
-			fail("-set %q: want proto.knob=value", s)
-		}
-		proto, name, raw := path[0], path[1], assign[1]
-		schema, ok := protocol.Knobs(proto)
-		if !ok {
-			fail("-set %q: unknown protocol %q\nregistered protocols: %s",
-				s, proto, strings.Join(protocol.Names(), ", "))
-		}
-		knob, found := schema.Find(name)
-		if !found {
-			fail("-set %q: protocol %s has no knob %q\nvalid knobs: %s (see -knobs)",
-				s, proto, name, strings.Join(schema.Names(), ", "))
-		}
-		v, err := protocol.ParseValue(knob, raw)
+		proto, name, v, err := protocol.ParseSet(s)
 		if err != nil {
 			fail("-set %q: %v", s, err)
 		}
-		m := out[proto]
-		if m == nil {
-			m = make(map[string]any)
-			out[proto] = m
+		if out[proto] == nil {
+			out[proto] = make(map[string]any)
 		}
-		m[name] = v
+		out[proto][name] = v
 	}
 	return out
 }

@@ -12,9 +12,20 @@ package admit
 import (
 	"time"
 
+	"tiga/internal/protocol"
 	"tiga/internal/trace"
 	"tiga/internal/txn"
 )
+
+// Knobs is the knob schema fragment of admission control. A protocol whose
+// coordinators wire a Gate appends it to its own schema and copies the two
+// values into Cap and Queue.
+var Knobs = protocol.Schema{
+	{Name: "admit-cap", Type: protocol.KnobInt, Default: 0,
+		Doc: "max admitted in-flight transactions per coordinator (0 = no admission control)"},
+	{Name: "admit-queue", Type: protocol.KnobInt, Default: 0,
+		Doc: "admission wait-queue depth once admit-cap is reached; overflow is shed"},
+}
 
 // Gate bounds one coordinator's in-flight transactions. The zero value (and
 // any Cap <= 0) is a disabled gate that passes submissions through untouched,

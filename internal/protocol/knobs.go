@@ -1,6 +1,7 @@
 package protocol
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -193,6 +194,28 @@ func ParseValue(k Knob, s string) (any, error) {
 		return nil, fmt.Errorf("knob %q: %v", k.Name, err)
 	}
 	return v, nil
+}
+
+// ParseSet parses one proto.knob=value assignment, the argument of the CLIs'
+// -set flag, against the registry: the protocol and its knob must be
+// registered, and the value must parse as the knob's type and meet its
+// minimum. Each error names the valid alternatives.
+func ParseSet(s string) (proto, knob string, v any, err error) {
+	path, raw, ok := strings.Cut(s, "=")
+	proto, knob, dot := strings.Cut(path, ".")
+	if !ok || !dot {
+		return "", "", nil, errors.New("want proto.knob=value")
+	}
+	schema, ok := Knobs(proto)
+	if !ok {
+		return "", "", nil, fmt.Errorf("unknown protocol %q\nregistered protocols: %s", proto, strings.Join(Names(), ", "))
+	}
+	k, ok := schema.Find(knob)
+	if !ok {
+		return "", "", nil, fmt.Errorf("protocol %s has no knob %q\nvalid knobs: %s (see -knobs)", proto, knob, strings.Join(schema.Names(), ", "))
+	}
+	v, err = ParseValue(k, raw)
+	return proto, knob, v, err
 }
 
 func parseValue(k Knob, s string) (any, error) {

@@ -4,14 +4,13 @@
 package protocol_test
 
 import (
-	"strconv"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	_ "tiga/internal/harness"
 	"tiga/internal/protocol"
-	"tiga/internal/tiga"
 )
 
 // TestEveryProtocolDeclaresKnobs: every registered protocol declares a knob
@@ -137,57 +136,75 @@ func TestParseValue(t *testing.T) {
 	}
 }
 
-// TestTigaKnobDefaultsMatchConfig pins the knob schema's defaults to
-// tiga.DefaultConfig, so the two cannot drift apart silently (building with
-// no overrides must reproduce the evaluation configuration).
-func TestTigaKnobDefaultsMatchConfig(t *testing.T) {
-	cfg := tiga.DefaultConfig(3, 1)
-	vals, err := protocol.ResolveKnobs("Tiga", nil)
-	if err != nil {
-		t.Fatal(err)
+// TestParseSet covers the CLIs' -set parser: a valid assignment comes back
+// typed, and each kind of mistake is an error naming what is valid.
+func TestParseSet(t *testing.T) {
+	proto, knob, v, err := protocol.ParseSet("Tiga.delta=20ms")
+	if proto != "Tiga" || knob != "delta" || v != 20*time.Millisecond || err != nil {
+		t.Errorf("ParseSet(Tiga.delta=20ms) = %q, %q, %v, %v", proto, knob, v, err)
 	}
-	checks := map[string]any{
-		"delta":                cfg.Delta,
-		"headroom-delta":       cfg.HeadroomDelta,
-		"zero-headroom":        cfg.ZeroHeadroom,
-		"epsilon-bound":        cfg.EpsilonBound,
-		"colocation-threshold": cfg.ColocationThreshold,
-		"retry-timeout":        cfg.RetryTimeout,
-		"sync-point-every":     cfg.SyncPointEvery,
-		"batch-slow-replies":   cfg.BatchSlowReplies,
-		"checkpoint-every":     cfg.CheckpointEvery,
-	}
-	for name, want := range checks {
-		if vals[name] != want {
-			t.Errorf("Tiga knob %s default %v drifted from DefaultConfig %v", name, vals[name], want)
+	for in, want := range map[string]string{
+		"Tiga.delta":                "want proto.knob=value",
+		"Tigadelta=20ms":            "want proto.knob=value",
+		"Nope.delta=20ms":           "registered protocols: 2PL+Paxos",
+		"Tiga.nosuch=1":             "valid knobs: delta, headroom-delta",
+		"Tiga.delta=abc":            "is not a duration",
+		"Tiga.sync-point-every=0s":  "below the minimum 1ms",
+		"Janus.fast-path=sometimes": "is not a bool",
+	} {
+		if _, _, _, err := protocol.ParseSet(in); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ParseSet(%s) = %v, want an error containing %q", in, err, want)
 		}
 	}
 }
 
 // TestKnobMinimum: a value below a knob's declared minimum is rejected by
 // every validation path — Resolve, which Build runs, and the CLI's ParseValue —
-// naming the minimum; the bound itself is accepted. Detock's scan window used
-// to take 0 as "the default" and panic on a negative bound mid-sweep.
+// naming the minimum; the bound itself is accepted. Each knob below breaks the
+// simulator at zero: Detock's scan window used to take 0 as "the default" and
+// panic on a negative bound mid-sweep, and Tiga's sync-point and retry timers
+// and Calvin+'s epoch ticker re-arm at the same instant forever.
 func TestKnobMinimum(t *testing.T) {
-	schema, _ := protocol.Knobs("Detock")
-	knob, ok := schema.Find("ddr-scan")
-	if !ok || knob.Min != 1 {
-		t.Fatalf("Detock.ddr-scan = %+v, want a minimum of 1", knob)
-	}
-	for _, bad := range []int{0, -1} {
-		_, err := protocol.ResolveKnobs("Detock", map[string]any{"ddr-scan": bad})
-		if err == nil || !strings.Contains(err.Error(), "below the minimum 1") {
-			t.Errorf("ResolveKnobs(ddr-scan=%d) = %v, want a below-the-minimum error", bad, err)
+	for _, c := range []struct {
+		proto, knob string
+		min         string   // the minimum as the CLI writes it
+		below       []string // values under it
+	}{
+		{"Detock", "ddr-scan", "1", []string{"0", "-1"}},
+		{"Tiga", "sync-point-every", "1ms", []string{"0s", "999us", "-5ms"}},
+		{"Tiga", "retry-timeout", "1ms", []string{"0s", "999us", "-5ms"}},
+		{"Calvin+", "epoch", "1ms", []string{"0s", "999us", "-5ms"}},
+	} {
+		schema, _ := protocol.Knobs(c.proto)
+		knob, ok := schema.Find(c.knob)
+		if !ok || fmt.Sprint(knob.Min) != c.min {
+			t.Errorf("%s.%s = %+v, want a minimum of %s", c.proto, c.knob, knob, c.min)
+			continue
 		}
-		if _, err := protocol.ParseValue(knob, strconv.Itoa(bad)); err == nil || !strings.Contains(err.Error(), "below the minimum 1") {
-			t.Errorf("ParseValue(ddr-scan, %d) = %v, want a below-the-minimum error", bad, err)
+		// typed parses a CLI value without the minimum check, as a caller of
+		// ResolveKnobs would pass it.
+		typed := func(s string) any {
+			v, err := protocol.ParseValue(protocol.Knob{Name: knob.Name, Type: knob.Type}, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v
 		}
-	}
-	if vals, err := protocol.ResolveKnobs("Detock", map[string]any{"ddr-scan": 1}); err != nil || vals.Int("ddr-scan") != 1 {
-		t.Errorf("ResolveKnobs(ddr-scan=1) = %v, %v", vals, err)
-	}
-	if v, err := protocol.ParseValue(knob, "1"); err != nil || v != 1 {
-		t.Errorf("ParseValue(ddr-scan, 1) = %v, %v", v, err)
+		want := "below the minimum " + c.min
+		for _, bad := range c.below {
+			if _, err := protocol.ResolveKnobs(c.proto, map[string]any{c.knob: typed(bad)}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("ResolveKnobs(%s.%s=%s) = %v, want a below-the-minimum error", c.proto, c.knob, bad, err)
+			}
+			if _, err := protocol.ParseValue(knob, bad); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("ParseValue(%s.%s, %s) = %v, want a below-the-minimum error", c.proto, c.knob, bad, err)
+			}
+		}
+		if vals, err := protocol.ResolveKnobs(c.proto, map[string]any{c.knob: typed(c.min)}); err != nil || vals[c.knob] != knob.Min {
+			t.Errorf("ResolveKnobs(%s.%s=%s) = %v, %v", c.proto, c.knob, c.min, vals[c.knob], err)
+		}
+		if v, err := protocol.ParseValue(knob, c.min); err != nil || v != knob.Min {
+			t.Errorf("ParseValue(%s.%s, %s) = %v, %v", c.proto, c.knob, c.min, v, err)
+		}
 	}
 
 	// Minimums apply to every ordered knob type, and a schema cannot declare

@@ -100,12 +100,6 @@ type System struct {
 
 // New builds the deployment.
 func New(spec Spec) *System {
-	if spec.Epoch == 0 {
-		spec.Epoch = 10 * time.Millisecond
-	}
-	if spec.Regions == 0 {
-		spec.Regions = 3
-	}
 	sys := &System{spec: spec}
 	for reg := 0; reg < spec.Regions; reg++ {
 		node := spec.Net.AddNode(simnet.Region(reg), nil)

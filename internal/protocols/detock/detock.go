@@ -34,7 +34,7 @@ type Spec struct {
 	// Home maps a shard to its home region (default: shard % regions).
 	Home func(shard int) int
 	// DDRScan caps the pending transactions examined per arrival when
-	// building the deadlock-resolution conflict graph (default 256), so
+	// building the deadlock-resolution conflict graph (at least 1), so
 	// saturated queues do not turn per-arrival ordering into quadratic work.
 	DDRScan int
 }
@@ -167,18 +167,9 @@ type System struct {
 
 // New builds the deployment.
 func New(spec Spec) *System {
-	if spec.Regions == 0 {
-		spec.Regions = 3
-	}
 	if spec.Home == nil {
 		regions := spec.Regions
 		spec.Home = func(shard int) int { return shard % regions }
-	}
-	if spec.GraphCost == 0 {
-		spec.GraphCost = 150 * time.Nanosecond
-	}
-	if spec.DDRScan == 0 {
-		spec.DDRScan = 256
 	}
 	sys := &System{spec: spec}
 	for reg := 0; reg < spec.Regions; reg++ {

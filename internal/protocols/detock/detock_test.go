@@ -26,7 +26,7 @@ func build(t *testing.T, seed int64) (*simnet.Sim, *System) {
 				st.Seed(fmt.Sprintf("d%d-%d", shard, i), txn.EncodeInt(0))
 			}
 		},
-		ExecCost: time.Microsecond,
+		ExecCost: time.Microsecond, DDRScan: 256,
 	})
 	sys.Start()
 	return sim, sys
@@ -579,7 +579,7 @@ func TestKeyProbesDoNotGrowWithTheQueue(t *testing.T) {
 		sys := New(Spec{Shards: 3, Regions: 3, Net: net,
 			CoordRegions: []simnet.Region{0, 1, 2, 3},
 			Seed:         func(shard int, st *store.Store) { st.SeedBulk(names[shard], txn.EncodeInt(0)) },
-			ExecCost:     time.Microsecond})
+			ExecCost:     time.Microsecond, DDRScan: 256})
 		maxQueue := 0
 		for _, en := range sys.engines {
 			en := en
@@ -646,7 +646,7 @@ func hotRun(t *testing.T, perCoord int, burn func(coord int) int) [][]uint64 {
 	sim := simnet.NewSim(11)
 	net := simnet.NewNetwork(sim, simnet.GeoConfig(0, 0))
 	sys := New(Spec{Shards: 3, Regions: 3, Net: net, CoordRegions: []simnet.Region{0, 1, 2},
-		ExecCost: time.Microsecond})
+		ExecCost: time.Microsecond, DDRScan: 256})
 	order := make([][]uint64, len(sys.engines))
 	hot := make(map[uint64]bool)
 	for i, en := range sys.engines {

@@ -42,10 +42,9 @@ type Spec struct {
 	ExecCost     time.Duration
 	// GraphCost is the CPU charged per graph node visited during SCC.
 	GraphCost time.Duration
-	// NoFastPath forces the accept round even when a super quorum reports
-	// identical dependencies (the "fast-path" knob, inverted so the zero
-	// value keeps Janus's normal 2-WRTT fast path).
-	NoFastPath bool
+	// FastPath commits on identical super-quorum dependencies in 2 WRTTs;
+	// false forces the accept round even then.
+	FastPath bool
 }
 
 func tid(id txn.ID) uint64 { return uint64(id.Coord)<<40 | id.Seq }
@@ -130,9 +129,6 @@ type System struct {
 
 // New builds the deployment.
 func New(spec Spec) *System {
-	if spec.GraphCost == 0 {
-		spec.GraphCost = 150 * time.Nanosecond
-	}
 	sys := &System{spec: spec}
 	n := 2*spec.F + 1
 	if n > 64 {
@@ -425,7 +421,7 @@ func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
 	co.seq++
 	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
 	p := co.pendings.Get()
-	p.reset(t, done, 2*sys.spec.F+1, !sys.spec.NoFastPath)
+	p.reset(t, done, 2*sys.spec.F+1, sys.spec.FastPath)
 	co.pending[t.ID] = p
 	co.multicast(t, preaccept{T: t, Coord: co.node.ID()})
 }

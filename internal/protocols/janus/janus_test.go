@@ -33,7 +33,7 @@ func build(t *testing.T, seed int64, opts ...func(*Spec)) (*simnet.Sim, *System)
 				st.Seed(fmt.Sprintf("j%d-%d", shard, i), txn.EncodeInt(0))
 			}
 		},
-		ExecCost: time.Microsecond,
+		ExecCost: time.Microsecond, FastPath: true,
 	}
 	for _, o := range opts {
 		o(&spec)
@@ -179,7 +179,7 @@ func TestMessagesComeHome(t *testing.T) {
 	for _, fast := range []bool{true, false} {
 		t.Run(fmt.Sprintf("fast-path=%v", fast), func(t *testing.T) {
 			sim, sys := build(t, 5, func(s *Spec) {
-				s.NoFastPath = !fast
+				s.FastPath = fast
 				s.CoordRegions = []simnet.Region{0, 2}
 			})
 			const n = 40
@@ -257,6 +257,7 @@ func TestSteadyCommitAllocatesPerTransaction(t *testing.T) {
 				st.Seed(fmt.Sprintf("j%d-%d", shard, i), txn.EncodeInt(0))
 			}
 		},
+		FastPath: true,
 	})
 	txns := make([]*txn.Txn, 1200)
 	for i := range txns {

@@ -15,7 +15,7 @@ func init() {
 				Shards: ctx.Shards, F: ctx.F, Net: ctx.Net,
 				ServerRegion: ctx.ServerRegion, CoordRegions: ctx.CoordRegions,
 				Seed: ctx.SeedStore, ExecCost: ctx.ExecCost, GraphCost: ctx.AuxCost,
-				NoFastPath: !ctx.Knobs.Bool("fast-path"),
+				FastPath: ctx.Knobs.Bool("fast-path"),
 			})
 		})
 }

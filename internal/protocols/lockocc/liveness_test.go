@@ -33,6 +33,7 @@ func buildCycleDeployment(voteTimeout time.Duration) (*simnet.Sim, *System) {
 			st.Seed(fmt.Sprintf("cyc%d", shard), txn.EncodeInt(0))
 		},
 		ExecCost: time.Microsecond, VoteTimeout: voteTimeout,
+		MaxRetries: 4, RetryBackoff: 25 * time.Millisecond,
 	})
 	sys.Start()
 	return sim, sys

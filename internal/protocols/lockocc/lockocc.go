@@ -73,8 +73,6 @@ type Spec struct {
 	// ReadStaleness is how far in the past local reads pick their snapshot
 	// (0 = strong reads that wait out the watermark lag).
 	ReadStaleness time.Duration
-	// SafeTimeEvery is the leader's watermark broadcast interval.
-	SafeTimeEvery time.Duration
 	// VersionGC prunes committed version history below the minimum replica
 	// watermark − ReadStaleness (− a fixed in-flight slack), piggybacked on
 	// the safe-time broadcast; followers report their watermarks back via
@@ -237,15 +235,6 @@ type System struct {
 
 // New builds the deployment.
 func New(spec Spec) *System {
-	if spec.MaxRetries == 0 {
-		spec.MaxRetries = 4
-	}
-	if spec.RetryBackoff == 0 {
-		spec.RetryBackoff = 25 * time.Millisecond
-	}
-	if spec.SafeTimeEvery == 0 {
-		spec.SafeTimeEvery = 5 * time.Millisecond
-	}
 	sys := &System{spec: spec, readMsgs: snapread.NewMsgs()}
 	n := 2*spec.F + 1
 	sys.nodes = make([][]simnet.NodeID, spec.Shards)
@@ -310,7 +299,7 @@ func newServer(sys *System, s, r int) *server {
 		if r == 0 {
 			// Leader watermark broadcast; re-armed here so a restarted
 			// leader (whose crash cancelled all timers) resumes publishing.
-			node.Every(sys.spec.SafeTimeEvery, func() bool {
+			node.Every(safeTimeEvery, func() bool {
 				srv.broadcastSafeT()
 				return true
 			})

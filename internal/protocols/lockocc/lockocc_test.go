@@ -245,7 +245,8 @@ func TestRefusedPrepareReleasesWhatItLocked(t *testing.T) {
 			st.Seed("a", txn.EncodeInt(0))
 			st.Seed("b", txn.EncodeInt(0))
 		},
-		ExecCost: time.Microsecond,
+		ExecCost:   time.Microsecond,
+		MaxRetries: 4, RetryBackoff: 25 * time.Millisecond,
 	})
 	committed := 0
 	submit := func(at time.Duration, keys ...string) {

@@ -1,9 +1,12 @@
 package lockocc
 
 import (
+	"slices"
 	"time"
 
+	"tiga/internal/admit"
 	"tiga/internal/protocol"
+	"tiga/internal/snapread"
 )
 
 // The layered baselines pay for a lock manager (2PL) or per-replica
@@ -27,24 +30,14 @@ var _ protocol.Faultable = (*System)(nil)
 
 func register(name string, cc CC, cost protocol.CostProfile) {
 	protocol.Register(name, cost,
-		protocol.Schema{
+		slices.Concat(protocol.Schema{
 			{Name: "max-retries", Type: protocol.KnobInt, Default: 4,
 				Doc: "coordinator retries after an abort (wound, OCC conflict, or presumed abort) before reporting failure"},
 			{Name: "retry-backoff", Type: protocol.KnobDuration, Default: 25 * time.Millisecond,
 				Doc: "base backoff before a retry; multiplied by the attempt number"},
 			{Name: "vote-timeout", Type: protocol.KnobDuration, Default: 10 * time.Second,
 				Doc: "coordinator progress timer per attempt: presumed abort while gathering votes, commit-record re-send after the decision; 0 disables"},
-			{Name: "local-reads", Type: protocol.KnobBool, Default: false,
-				Doc: "serve read-only transactions from the nearest replica, gated by safe-time watermarks held below in-flight 2PC prepares"},
-			{Name: "read-staleness", Type: protocol.KnobDuration, Default: time.Duration(0),
-				Doc: "snapshot age for local reads: 0 = strong reads that wait out watermark lag; positive bounds trade staleness for near-zero waits"},
-			{Name: "version-gc", Type: protocol.KnobBool, Default: false,
-				Doc: "with local-reads: prune committed version history below the min replica watermark − read-staleness, piggybacked on the safe-time tick"},
-			{Name: "admit-cap", Type: protocol.KnobInt, Default: 0,
-				Doc: "max admitted in-flight transactions per coordinator (0 = no admission control)"},
-			{Name: "admit-queue", Type: protocol.KnobInt, Default: 0,
-				Doc: "admission wait-queue depth once admit-cap is reached; overflow is shed"},
-		},
+		}, snapread.Knobs, admit.Knobs),
 		func(ctx *protocol.BuildContext) protocol.System {
 			return New(Spec{
 				CC: cc, Shards: ctx.Shards, F: ctx.F, Net: ctx.Net,

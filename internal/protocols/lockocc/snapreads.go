@@ -147,6 +147,9 @@ func (s *server) onSnapRead(from simnet.NodeID, m *snapread.Req) {
 // partitioned replica: delayed until the fault heals, never silently lost.
 const readRetryEvery = 400 * time.Millisecond
 
+// safeTimeEvery is a leader's watermark broadcast interval.
+const safeTimeEvery = 5 * time.Millisecond
+
 // SubmitLocalRead implements protocol.SnapshotReadable.
 func (sys *System) SubmitLocalRead(coord int, t *txn.Txn, done func(txn.Result)) {
 	co := sys.coords[coord]

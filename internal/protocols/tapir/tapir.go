@@ -100,12 +100,6 @@ type System struct {
 
 // New builds the deployment.
 func New(spec Spec) *System {
-	if spec.MaxRetries == 0 {
-		spec.MaxRetries = 5
-	}
-	if spec.RetryBackoff == 0 {
-		spec.RetryBackoff = 20 * time.Millisecond
-	}
 	sys := &System{spec: spec}
 	n := 2*spec.F + 1
 	if n > 64 {

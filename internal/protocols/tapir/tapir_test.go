@@ -41,6 +41,7 @@ func buildSeeded(seed int64, seedShard func(shard int, st *store.Store), opts ..
 		CoordRegions: []simnet.Region{0},
 		Seed:         seedShard,
 		ExecCost:     time.Microsecond,
+		MaxRetries:   5, RetryBackoff: 20 * time.Millisecond,
 	}
 	for _, o := range opts {
 		o(&spec)

@@ -21,11 +21,24 @@ import (
 	"time"
 
 	"tiga/internal/pool"
+	"tiga/internal/protocol"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/trace"
 	"tiga/internal/txn"
 )
+
+// Knobs is the knob schema fragment of the local-read path. A protocol that
+// implements protocol.SnapshotReadable appends it to its own schema, so the
+// three knobs have one name, default and doc across protocols.
+var Knobs = protocol.Schema{
+	{Name: "local-reads", Type: protocol.KnobBool, Default: false,
+		Doc: "serve read-only transactions from the nearest replica at 0 WRTT, gated by per-replica safe-time watermarks"},
+	{Name: "read-staleness", Type: protocol.KnobDuration, Default: time.Duration(0),
+		Doc: "snapshot age for local reads: 0 = strong reads that wait out watermark lag; positive bounds trade staleness for near-zero waits"},
+	{Name: "version-gc", Type: protocol.KnobBool, Default: false,
+		Doc: "with local-reads: prune committed version history below the min replica watermark − read-staleness, piggybacked on the safe-time tick"},
+}
 
 // Req asks one replica of a shard for the values of Keys at snapshot
 // timestamp At. (Coord, Seq) identify the read-only transaction; Seq is the

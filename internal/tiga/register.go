@@ -1,9 +1,12 @@
 package tiga
 
 import (
+	"slices"
 	"time"
 
+	"tiga/internal/admit"
 	"tiga/internal/protocol"
+	"tiga/internal/snapread"
 	"tiga/internal/store"
 )
 
@@ -12,40 +15,32 @@ import (
 // priority-queue maintenance (the Aux component) instead of lock tables or
 // dependency graphs.
 //
-// The knob defaults mirror DefaultConfig (a unit test pins the equality), so
-// building with no overrides reproduces the evaluation configuration.
+// The knob defaults are read from DefaultConfig, the one place Tiga's
+// evaluation configuration is declared, so building with no overrides
+// reproduces it.
 func init() {
+	def := DefaultConfig(0, 0)
 	protocol.Register("Tiga", protocol.CostProfile{Exec: 1, Aux: 3, Rank: 90},
-		protocol.Schema{
-			{Name: "delta", Type: protocol.KnobDuration, Default: 10 * time.Millisecond,
+		slices.Concat(protocol.Schema{
+			{Name: "delta", Type: protocol.KnobDuration, Default: def.Delta,
 				Doc: "headroom safety margin Δ added to the measured super-quorum OWD (§3.1)"},
-			{Name: "headroom-delta", Type: protocol.KnobDuration, Default: time.Duration(0),
+			{Name: "headroom-delta", Type: protocol.KnobDuration, Default: def.HeadroomDelta,
 				Doc: "offset added to the estimated headroom, possibly negative (§5.6, Fig 13)"},
-			{Name: "zero-headroom", Type: protocol.KnobBool, Default: false,
+			{Name: "zero-headroom", Type: protocol.KnobBool, Default: def.ZeroHeadroom,
 				Doc: "use the sending time directly as the timestamp (Fig 13's 0-Hdrm baseline)"},
-			{Name: "epsilon-bound", Type: protocol.KnobDuration, Default: time.Duration(0),
+			{Name: "epsilon-bound", Type: protocol.KnobDuration, Default: def.EpsilonBound,
 				Doc: "trusted clock-error bound ε enabling the coordination-free mode (§6); 0 keeps timestamp agreement"},
-			{Name: "colocation-threshold", Type: protocol.KnobDuration, Default: 10 * time.Millisecond,
+			{Name: "colocation-threshold", Type: protocol.KnobDuration, Default: def.ColocationThreshold,
 				Doc: "max inter-leader OWD for which the view manager still picks the preventive mode (§3.8)"},
-			{Name: "retry-timeout", Type: protocol.KnobDuration, Default: 1200 * time.Millisecond,
+			{Name: "retry-timeout", Type: protocol.KnobDuration, Default: def.RetryTimeout, Min: time.Millisecond,
 				Doc: "coordinator wait before re-submitting a transaction"},
-			{Name: "sync-point-every", Type: protocol.KnobDuration, Default: 5 * time.Millisecond,
+			{Name: "sync-point-every", Type: protocol.KnobDuration, Default: def.SyncPointEvery, Min: time.Millisecond,
 				Doc: "follower sync-point report interval (§3.7)"},
-			{Name: "batch-slow-replies", Type: protocol.KnobBool, Default: false,
+			{Name: "batch-slow-replies", Type: protocol.KnobBool, Default: def.BatchSlowReplies,
 				Doc: "Appendix E: followers answer periodic coordinator inquiries instead of per-entry slow replies"},
-			{Name: "checkpoint-every", Type: protocol.KnobInt, Default: 2000,
-				Doc: "checkpoint position advances every N committed entries (§4): recovery charges replay time only for entries past it; the store image is rebuilt on recovery, never copied on the commit path"},
-			{Name: "local-reads", Type: protocol.KnobBool, Default: false,
-				Doc: "serve read-only transactions from the nearest replica at 0 WRTT, gated by per-replica safe-time watermarks"},
-			{Name: "read-staleness", Type: protocol.KnobDuration, Default: time.Duration(0),
-				Doc: "snapshot age for local reads: 0 = strong reads that wait out watermark lag; positive bounds trade staleness for near-zero waits"},
-			{Name: "version-gc", Type: protocol.KnobBool, Default: false,
-				Doc: "with local-reads: prune committed version history below the min replica watermark − read-staleness, piggybacked on the safe-time tick"},
-			{Name: "admit-cap", Type: protocol.KnobInt, Default: 0,
-				Doc: "max admitted in-flight transactions per coordinator (0 = no admission control)"},
-			{Name: "admit-queue", Type: protocol.KnobInt, Default: 0,
-				Doc: "admission wait-queue depth once admit-cap is reached; overflow is shed"},
-		},
+			{Name: "checkpoint-every", Type: protocol.KnobInt, Default: def.CheckpointEvery,
+				Doc: "checkpoint position advances every N committed entries (§4), 0 disables: recovery charges replay time only for entries past it, and the store image is rebuilt on recovery, never copied on the commit path"},
+		}, snapread.Knobs, admit.Knobs),
 		func(ctx *protocol.BuildContext) protocol.System {
 			cfg := DefaultConfig(ctx.Shards, ctx.F)
 			cfg.ExecCost = ctx.ExecCost
