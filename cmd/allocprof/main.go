@@ -90,14 +90,17 @@
 //	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms -liveheap live.out \
 //	    -set 2PL+Paxos.max-retries=100 -set 2PL+Paxos.vote-timeout=1s
 //
-// (it prints 5 567 commits, 30.8 allocs and 4.8 KB per transaction; without
-// the -set line, 5 582 commits, 30.5 allocs and 5.0 KB, and a live heap of
-// 29.1 MB; 40.4 allocs and 5.3 KB while the lock table allocated an entry per
-// locked key and a key list per transaction, and 121.9 allocs, 8.9 KB and
-// 28.6 MB while every accept, ack and commit was boxed into the interface it
-// was sent as and every proposal made an ack map. The same shape with
-// -set OCC+Paxos.max-retries=100 -set OCC+Paxos.vote-timeout=1s gives OCC+Paxos
-// 36.7 allocs and 5.0 KB, and NCC+ 30.4.)
+// (it prints 5 567 commits, 9.6 allocs and 4.0 KB per transaction and a live
+// heap of 28.5 MB; 30.8 allocs, 4.8 KB and 28.7 MB while every vote,
+// acknowledgement and request was boxed per destination, every commit record
+// and write list was an allocation of its own and every attempt armed a
+// vote-timeout closure, 40.4 allocs and 5.3 KB
+// while the lock table allocated an entry per locked key and a key list per
+// transaction, and 121.9 allocs, 8.9 KB and 28.6 MB while every accept, ack and
+// commit was boxed into the interface it was sent as and every proposal made an
+// ack map. The same shape with -set OCC+Paxos.max-retries=100
+// -set OCC+Paxos.vote-timeout=1s gives OCC+Paxos 10.8 allocs and 4.0 KB (36.7
+// and 5.0 KB before), and NCC+ 30.4.)
 //
 // or, for Janus' dependency tracking, vote tally and SCC execution,
 //

@@ -33,11 +33,17 @@ import (
 // closed row on three of the layered baselines, whose replication is
 // internal/paxos (the first two also share lockocc's lock table), and
 // closed-janus and closed-tapir on Janus and Tapir, whose replies and
-// coordinator records are pooled, all at 150 transactions a second per
-// coordinator: below their saturation at this shape, so every tick submits and
-// nothing aborts. closed-tapir was 83.6 allocs and 12 146 bytes while Tapir's
+// coordinator records are pooled (as are lockocc's), all at 150 transactions
+// a second per coordinator: below their saturation at this shape, so every
+// tick submits and nothing aborts. closed-tapir was 83.6 allocs and 12 146 bytes while Tapir's
 // replies were boxed, its votes were tallied in maps and every buffered
-// execution made a write list of its own.
+// execution made a write list of its own; closed-2pl and closed-occ were 40.3
+// allocs and 7 180 bytes and 53.2 and 7 650 while lockocc boxed every request
+// per destination and every vote and acknowledgement per send, each commit
+// record and write list was an allocation of its own and each attempt armed a
+// vote-timeout closure. Their bytes include what the 600 commits of a row leave
+// unused of each leader's last commit-record slab chunk (64 KB) and write-arena
+// chunk (12 KB).
 //
 // allocs and bytes are per committed transaction, recorded with go1.24 (the
 // toolchain CI pins: the map implementation moves the counts) at the commit
@@ -60,8 +66,8 @@ var txnPathBudget = []struct {
 	{"closed-100k", "Tiga", "", "micro", 3, 100_000, 500, 2 * time.Second, false, 8.0, 9141},
 	{"closed-tpcc", "Tiga", "", "tpcc", 6, 2000, 500, time.Second, false, 43.1, 23292},
 	{"open-reads", "Tiga", "poisson", "ycsbt", 6, 2000, 500, time.Second, true, 10.4, 6399},
-	{"closed-2pl", "2PL+Paxos", "", "micro", 3, 2000, 150, time.Second, false, 40.3, 7180},
-	{"closed-occ", "OCC+Paxos", "", "micro", 3, 2000, 150, time.Second, false, 53.2, 7650},
+	{"closed-2pl", "2PL+Paxos", "", "micro", 3, 2000, 150, time.Second, false, 19.8, 6290},
+	{"closed-occ", "OCC+Paxos", "", "micro", 3, 2000, 150, time.Second, false, 22.2, 6293},
 	{"closed-ncc+", "NCC+", "", "micro", 3, 2000, 150, time.Second, false, 35.6, 4902},
 	{"closed-janus", "Janus", "", "micro", 3, 2000, 150, time.Second, false, 32.5, 5604},
 	{"closed-tapir", "Tapir", "", "micro", 3, 2000, 150, time.Second, false, 14.0, 3700},

@@ -124,3 +124,88 @@ func TestVoteTimeoutResolvesCrossShardWoundWaitCycle(t *testing.T) {
 		}
 	}
 }
+
+// TestStaleVoteTimersStayInert runs hot-key contention under a vote timeout
+// shorter than a contended commit, from three coordinators: most attempts
+// finish, and their records are recycled, while their timers are still
+// pending; some time out gathering votes (presumed abort) and some time out
+// after the decision, so their commit requests are re-sent. A timer armed for
+// a finished attempt must stay inert on the record's next attempt, so the run
+// must reproduce exactly the outcomes it had while every timer looked its
+// attempt up by transaction id.
+func TestStaleVoteTimersStayInert(t *testing.T) {
+	for _, c := range []struct {
+		cc                                 CC
+		committed, aborted, presumed, sent int
+	}{
+		{TwoPL, 284, 16, 672, 778},
+		{OCC, 260, 40, 0, 260},
+	} {
+		t.Run(c.cc.String(), func(t *testing.T) {
+			sim := simnet.NewSim(23)
+			sys := New(Spec{
+				CC: c.cc, Shards: 2, F: 1, Net: simnet.NewNetwork(sim, simnet.GeoConfig(500*time.Microsecond, 0)),
+				ServerRegion: func(_, r int) simnet.Region { return simnet.Region(r) },
+				CoordRegions: []simnet.Region{0, 1, 2},
+				Seed: func(shard int, st *store.Store) {
+					for i := 0; i < 8; i++ {
+						st.Seed(fmt.Sprintf("s%d-%d", shard, i), txn.EncodeInt(0))
+					}
+				},
+				ExecCost:    time.Microsecond,
+				VoteTimeout: 400 * time.Millisecond, MaxRetries: 10, RetryBackoff: 20 * time.Millisecond,
+			})
+			// Count the commit requests each leader receives beyond one a
+			// transaction: the phase-1 re-sends.
+			seen, resent := map[txn.ID]bool{}, 0
+			for sh := range sys.servers {
+				srv := sys.servers[sh][0]
+				srv.node.SetHandler(func(from simnet.NodeID, msg simnet.Message) {
+					if m, ok := msg.(commitReq); ok {
+						if seen[m.ID] {
+							resent++
+						}
+						seen[m.ID] = true
+					}
+					srv.handle(from, msg)
+				})
+			}
+			committed, aborted := 0, 0
+			perKey := make([]int64, 8)
+			const n = 300
+			for i := 0; i < n; i++ {
+				sim.At(time.Duration(50+20*i)*time.Millisecond, func() {
+					k := i % 8
+					tx := &txn.Txn{Pieces: txn.ByShard(
+						txn.IncrementPiece(fmt.Sprintf("s0-%d", k)).On(0),
+						txn.IncrementPiece(fmt.Sprintf("s1-%d", k)).On(1),
+					)}
+					sys.Submit(i%3, tx, func(r txn.Result) {
+						if r.OK {
+							committed++
+							perKey[k]++
+						} else {
+							aborted++
+						}
+					})
+				})
+			}
+			sim.Run(30 * time.Second)
+			t.Logf("%d committed, %d aborted, %d presumed aborts, %d commit requests re-sent", committed, aborted, sys.PresumedAborts, resent)
+			if committed+aborted != n {
+				t.Fatalf("%d of %d transactions finished", committed+aborted, n)
+			}
+			for sh := 0; sh < 2; sh++ {
+				for k, want := range perKey {
+					if got := txn.DecodeInt(sys.Store(sh).Get(fmt.Sprintf("s%d-%d", sh, k))); got != want {
+						t.Fatalf("s%d-%d = %d, want %d commits", sh, k, got, want)
+					}
+				}
+			}
+			if committed != c.committed || aborted != c.aborted || int(sys.PresumedAborts) != c.presumed || resent != c.sent {
+				t.Fatalf("got %d committed, %d aborted, %d presumed aborts, %d re-sent; want %d, %d, %d, %d",
+					committed, aborted, sys.PresumedAborts, resent, c.committed, c.aborted, c.presumed, c.sent)
+			}
+		})
+	}
+}

@@ -86,18 +86,31 @@ type Spec struct {
 }
 
 // ---- messages ----
+//
+// Who owns each message. The coordinator's requests (reqExec, commitReq,
+// abortReq) are values boxed once per multicast: every destination leader
+// receives the same immutable payload and copies it out, so nothing recycles
+// them. A leader's replies (*voteMsg, *committedMsg) come from that leader's
+// freelists (server.votes, server.acks) and carry their sender; the
+// coordinator's handle copies the fields out and puts the message back on its
+// sender's list before it acts on them. A reply the network drops is never put
+// back. A commit record stays in every replica's Paxos log for good, so it
+// never comes from a freelist: the proposing leader takes it from its slab and
+// copies its write set into its write arena (server.propose).
 
+// reqExec asks a shard leader to prepare its piece of T.
 type reqExec struct {
 	T     *txn.Txn
 	Prio  uint64
 	Coord simnet.NodeID
 }
 
+// voteMsg is a shard leader's prepare vote, drawn from src.votes.
 type voteMsg struct {
-	Shard int
-	ID    txn.ID
-	OK    bool
-	Ret   []byte
+	src *server
+	ID  txn.ID
+	OK  bool
+	Ret []byte
 	// Span stamps (internal/trace), in sim time: ArriveS = reqExec arrival
 	// at the shard leader, LockS = every lock granted (2PL; equals ArriveS
 	// for OCC's immediate validation), DoneS = execution departure. RecvS
@@ -107,6 +120,8 @@ type voteMsg struct {
 	ArriveS, LockS, DoneS, RecvS time.Duration
 }
 
+// commitReq is the coordinator's commit decision, sent to every shard leader
+// and re-sent by checkProgress to those that have not confirmed.
 type commitReq struct {
 	ID    txn.ID
 	Coord simnet.NodeID
@@ -124,21 +139,23 @@ type commitReq struct {
 	TS txn.Timestamp
 }
 
+// abortReq releases a transaction's prepare on a shard leader.
 type abortReq struct{ ID txn.ID }
 
-// committedMsg reports a shard's replicated apply. The commit phase is
-// infallible (validation happens at vote time), so it carries no failure
-// flag.
+// committedMsg reports a shard's replicated apply, drawn from src.acks. The
+// commit phase is infallible (validation happens at vote time), so it carries
+// no failure flag.
 type committedMsg struct {
-	Shard int
-	ID    txn.ID
+	src *server
+	ID  txn.ID
 	// Span stamps (see voteMsg): ArriveS = commitReq arrival at the leader,
 	// CommitS = Paxos replication reached the commit point. Zero on the
 	// dedup re-acknowledgement paths — the breakdown walk clamps them.
 	ArriveS, CommitS time.Duration
 }
 
-// commitRec is the Paxos-replicated commit record.
+// commitRec is the Paxos-replicated commit record, proposed as a *commitRec
+// out of the leader's slab.
 type commitRec struct {
 	ID     txn.ID
 	TS     txn.Timestamp // coordinator-minted commit timestamp (LocalReads)
@@ -156,8 +173,10 @@ type pendingSrv struct {
 	// reboot: locks are re-acquired and the piece re-executed before the
 	// commit record is proposed.
 	relocking bool
-	writes    []store.Write
-	waiting   int // outstanding lock grants (2PL and relocks)
+	// writes is the piece's buffered write set. Its storage stays with the
+	// record across recycles (getPend); propose copies it into the arena.
+	writes  []store.Write
+	waiting int // outstanding lock grants (2PL and relocks)
 	// prepTS pins the leader's safe-time watermark below this in-flight
 	// transaction (LocalReads): its eventual commit timestamp, minted at the
 	// coordinator's decision, is necessarily later than its arrival here.
@@ -205,6 +224,15 @@ type server struct {
 	// grant callbacks — so no reference outlives the Put.
 	pend   *pool.Free[pendingSrv]
 	onSlot map[int]txn.ID // slot -> awaiting commit reply
+	// votes and acks are the leader's reply freelists (see the messages
+	// section for who puts them back).
+	votes *pool.Free[voteMsg]
+	acks  *pool.Free[committedMsg]
+	// recs and arena hold what a proposal leaves in every replica's Paxos log:
+	// the commit records, and their write sets carved out of chunks of
+	// writeChunk writes (see keep).
+	recs  pool.Slab[commitRec]
+	arena []store.Write
 	// applied records every Paxos-applied commit, so re-sent commit requests
 	// (after a leader reboot) are answered instead of re-proposed.
 	applied map[txn.ID]bool
@@ -265,6 +293,7 @@ func New(spec Spec) *System {
 			Cap: spec.AdmitCap, Queue: spec.AdmitQueue,
 			Now: func() time.Duration { return spec.Net.Sim().Now() },
 		}
+		co.start = func(t *txn.Txn, done func(txn.Result)) { co.submit(t, done, 0, 0) }
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -283,7 +312,8 @@ func newServer(sys *System, s, r int) *server {
 		sys: sys, shard: s, replica: r, node: node,
 		st: store.New(), lt: locks.NewTable(),
 		pending: make(map[txn.ID]*pendingSrv), pend: pool.New[pendingSrv](),
-		onSlot:  make(map[int]txn.ID),
+		onSlot: make(map[int]txn.ID),
+		votes:  pool.New[voteMsg](), acks: pool.New[committedMsg](),
 		applied: make(map[txn.ID]bool),
 	}
 	srv.pax = paxos.NewReplica("pax", node, sys.nodes[s], r, 0, sys.spec.F)
@@ -402,10 +432,11 @@ func (s *server) handle(from simnet.NodeID, msg simnet.Message) {
 
 // getPend draws a reset pendingSrv from the server's freelist, binding its
 // grant callback on first use. The bound closure replaces the per-transaction
-// grant literals the 2PL and relock paths used to allocate.
+// grant literals the 2PL and relock paths used to allocate; the write buffer
+// is kept, emptied, so a warm record executes without allocating.
 func (s *server) getPend() *pendingSrv {
 	p := s.pend.Get()
-	*p = pendingSrv{grant: p.grant}
+	*p = pendingSrv{grant: p.grant, writes: p.writes[:0]}
 	if p.grant == nil {
 		p.grant = func() {
 			p.waiting--
@@ -451,13 +482,13 @@ func (s *server) onReqExec(m reqExec) {
 			s.lt.ReleaseAll(id)
 			delete(s.pending, id)
 			s.pend.Put(p)
-			s.node.Send(m.Coord, voteMsg{Shard: s.shard, ID: id, OK: false})
+			s.sendVote(m.Coord, voteMsg{ID: id})
 			return
 		}
 		p.voted = true
-		ret, writes := s.st.ExecuteBuffered(nil, m.T.Piece(s.shard))
-		p.writes = writes
-		s.node.Send(m.Coord, voteMsg{Shard: s.shard, ID: id, OK: true, Ret: ret,
+		var ret []byte
+		ret, p.writes = s.st.ExecuteBuffered(p.writes, m.T.Piece(s.shard))
+		s.sendVote(m.Coord, voteMsg{ID: id, OK: true, Ret: ret,
 			ArriveS: p.prepTS, LockS: p.prepTS, DoneS: s.node.Busy()})
 		s.armDecisionQuery(id)
 		return
@@ -511,15 +542,15 @@ func (s *server) finishLock(id txn.ID) {
 		delete(s.pending, id)
 		coord := p.coord
 		s.pend.Put(p)
-		s.node.Send(coord, voteMsg{Shard: s.shard, ID: id, OK: false})
+		s.sendVote(coord, voteMsg{ID: id})
 		return
 	}
 	p.voted = true
 	p.lockS = s.sys.spec.Net.Sim().Now()
 	s.node.Work(s.sys.spec.ExecCost)
-	ret, writes := s.st.ExecuteBuffered(nil, p.t.Piece(s.shard))
-	p.writes = writes
-	s.node.Send(p.coord, voteMsg{Shard: s.shard, ID: id, OK: true, Ret: ret,
+	var ret []byte
+	ret, p.writes = s.st.ExecuteBuffered(p.writes, p.t.Piece(s.shard))
+	s.sendVote(p.coord, voteMsg{ID: id, OK: true, Ret: ret,
 		ArriveS: p.prepTS, LockS: p.lockS, DoneS: s.node.Busy()})
 	s.armDecisionQuery(id)
 }
@@ -537,7 +568,7 @@ func (s *server) finishLock(id txn.ID) {
 // since the reboot.
 func (s *server) onCommitReq(m commitReq) {
 	if s.applied[m.ID] {
-		s.node.Send(m.Coord, committedMsg{Shard: s.shard, ID: m.ID})
+		s.sendCommitted(m.Coord, m.ID, 0, 0)
 		return
 	}
 	p := s.pending[m.ID]
@@ -557,10 +588,8 @@ func (s *server) onCommitReq(m commitReq) {
 	if p.proposed || p.relocking {
 		return
 	}
-	p.proposed = true
 	p.cReqS = s.sys.spec.Net.Sim().Now()
-	slot := s.pax.Propose(commitRec{ID: m.ID, TS: p.ts, Writes: p.writes})
-	s.onSlot[slot] = m.ID
+	s.propose(p)
 }
 
 func (s *server) finishRelock(id txn.ID) {
@@ -576,15 +605,57 @@ func (s *server) finishRelock(id txn.ID) {
 		delete(s.pending, id)
 		coord := p.coord
 		s.pend.Put(p)
-		s.node.Send(coord, committedMsg{Shard: s.shard, ID: id})
+		s.sendCommitted(coord, id, 0, 0)
 		return
 	}
 	s.node.Work(s.sys.spec.ExecCost)
 	// The coordinator already holds the pre-crash vote result.
-	_, p.writes = s.st.ExecuteBuffered(nil, p.t.Piece(s.shard))
+	_, p.writes = s.st.ExecuteBuffered(p.writes, p.t.Piece(s.shard))
+	s.propose(p)
+}
+
+// propose hands p's commit record to Paxos. Every replica's log keeps the
+// record and its write set for good, so the record comes from the leader's
+// slab and the writes are copied out of p's buffer, which the record's next
+// use overwrites, into the arena.
+func (s *server) propose(p *pendingSrv) {
 	p.proposed = true
-	slot := s.pax.Propose(commitRec{ID: id, TS: p.ts, Writes: p.writes})
-	s.onSlot[slot] = id
+	rec := s.recs.At(s.recs.Add())
+	*rec = commitRec{ID: p.id, TS: p.ts, Writes: s.keep(p.writes)}
+	s.onSlot[s.pax.Propose(rec)] = p.id
+}
+
+// writeChunk is the write arena's chunk: 256 writes, 12 KB. A run pays for at
+// most one chunk a leader beyond the writes it commits, so a short run does not
+// pay for a large one.
+const writeChunk = 256
+
+// keep copies ws into the write arena and returns the copy, cap-limited: an
+// append to one write set reallocates instead of running into the next.
+func (s *server) keep(ws []store.Write) []store.Write {
+	n := len(ws)
+	if n > cap(s.arena)-len(s.arena) {
+		s.arena = make([]store.Write, 0, max(n, writeChunk))
+	}
+	at := len(s.arena)
+	s.arena = append(s.arena, ws...)
+	return s.arena[at : at+n : at+n]
+}
+
+// sendVote sends coord the vote v, drawn from the leader's freelist.
+func (s *server) sendVote(coord simnet.NodeID, v voteMsg) {
+	m := s.votes.Get()
+	*m = v
+	m.src = s
+	s.node.Send(coord, m)
+}
+
+// sendCommitted acknowledges transaction id's apply to coord, drawn from the
+// leader's freelist.
+func (s *server) sendCommitted(coord simnet.NodeID, id txn.ID, arriveS, commitS time.Duration) {
+	m := s.acks.Get()
+	*m = committedMsg{src: s, ID: id, ArriveS: arriveS, CommitS: commitS}
+	s.node.Send(coord, m)
 }
 
 func (s *server) abortLocal(id txn.ID) {
@@ -603,7 +674,7 @@ func (s *server) abortLocal(id txn.ID) {
 // transaction can reach commit through both a re-proposed recovered slot and
 // a re-sent commit request, and only the first may touch the store.
 func (s *server) onPaxosCommit(slot int, cmd paxos.Command) {
-	rec := cmd.(commitRec)
+	rec := cmd.(*commitRec)
 	if !s.applied[rec.ID] {
 		s.applied[rec.ID] = true
 		// rec.TS is the minted commit timestamp under LocalReads (the stores
@@ -626,23 +697,45 @@ func (s *server) onPaxosCommit(slot int, cmd paxos.Command) {
 			delete(s.pending, id)
 			coord, cReqS := p.coord, p.cReqS
 			s.pend.Put(p)
-			s.node.Send(coord, committedMsg{Shard: s.shard, ID: id,
-				ArriveS: cReqS, CommitS: s.sys.spec.Net.Sim().Now()})
+			s.sendCommitted(coord, id, cReqS, s.sys.spec.Net.Sim().Now())
 		}
 	}
 }
 
 // ---- coordinator ----
 
+// pendingCo is a transaction attempt in flight at its coordinator. The tally
+// is kept per piece position i (t.Pieces[i]): votes[i] is the OK vote of
+// piece i's shard (OK false while it has not voted) and acked[i] is set once
+// that shard applied the commit; nvoted and nacked count them. The slices are
+// reused when the record is.
 type pendingCo struct {
 	t       *txn.Txn
 	done    func(txn.Result)
 	prio    uint64
-	votes   map[int]voteMsg
-	commits map[int]bool
+	votes   []voteMsg
+	acked   []bool
+	nvoted  int
+	nacked  int
 	phase   int // 0 = exec, 1 = commit
 	retries int
 	ts      txn.Timestamp // minted at the commit decision (LocalReads)
+	// gen gates the attempt's vote-timeout timer (AfterGate): put bumps it,
+	// so an arm left pending by a finished attempt never runs on the
+	// record's next one. check is the timer's callback, bound once per
+	// record (submit).
+	gen   uint64
+	check func()
+}
+
+// reset readies p for attempt retries of t.
+func (p *pendingCo) reset(t *txn.Txn, done func(txn.Result), retries int) {
+	k := len(t.Pieces)
+	p.votes = slices.Grow(p.votes[:0], k)[:k]
+	clear(p.votes)
+	p.acked = slices.Grow(p.acked[:0], k)[:k]
+	clear(p.acked)
+	p.t, p.done, p.retries, p.phase, p.ts, p.nvoted, p.nacked = t, done, retries, 0, txn.Timestamp{}, 0, 0
 }
 
 type coordinator struct {
@@ -651,18 +744,26 @@ type coordinator struct {
 	idx     int32
 	seq     uint64
 	pending map[txn.ID]*pendingCo
-	// pend recycles pendingCo records (maps cleared, not remade, on reuse).
-	// Recycle happens only after the record left co.pending and everything a
-	// later callback needs was copied out — retry closures capture fields,
-	// never the record itself.
+	// pend recycles pendingCo records (see put). Recycle happens only after
+	// the record left co.pending and everything a later callback needs was
+	// copied out — retry closures capture fields, never the record itself,
+	// and the vote-timeout timer is gated on the record's gen.
 	pend *pool.Free[pendingCo]
 
 	// gate is the admission-control gate (Spec.AdmitCap etc.); disabled by
-	// default, it passes submissions straight through.
-	gate admit.Gate
+	// default, it passes submissions straight through. start is the gate's
+	// launch callback, bound once.
+	gate  admit.Gate
+	start func(*txn.Txn, func(txn.Result))
 
 	// reads drives local snapshot reads (Spec.LocalReads, see snapreads.go).
 	reads snapread.Coordinator
+}
+
+// put recycles p, first disarming any vote-timeout timer it has pending.
+func (co *coordinator) put(p *pendingCo) {
+	p.gen++
+	co.pend.Put(p)
 }
 
 // Submit runs the layered commit protocol for t, behind the coordinator's
@@ -671,9 +772,7 @@ type coordinator struct {
 // transaction holds exactly one slot until its final outcome.
 func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
 	co := sys.coords[coord]
-	co.gate.Submit(t, done, func(t *txn.Txn, done func(txn.Result)) {
-		co.submit(t, done, 0, 0)
-	})
+	co.gate.Submit(t, done, co.start)
 }
 
 func (co *coordinator) submit(t *txn.Txn, done func(txn.Result), retries int, prio uint64) {
@@ -685,14 +784,10 @@ func (co *coordinator) submit(t *txn.Txn, done func(txn.Result), retries int, pr
 	co.seq++
 	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
 	p := co.pend.Get()
-	if p.votes == nil {
-		p.votes, p.commits = make(map[int]voteMsg), make(map[int]bool)
-	} else {
-		clear(p.votes)
-		clear(p.commits)
+	if p.check == nil {
+		p.check = func() { co.checkProgress(p) }
 	}
-	p.t, p.done, p.phase, p.ts = t, done, 0, txn.Timestamp{}
-	p.retries = retries
+	p.reset(t, done, retries)
 	// Wound-wait priority: older transactions (earlier first submission)
 	// win; retries keep their original priority so victims make progress.
 	p.prio = prio
@@ -700,26 +795,28 @@ func (co *coordinator) submit(t *txn.Txn, done func(txn.Result), retries int, pr
 		p.prio = uint64(co.sys.spec.Net.Sim().Now())<<8 | uint64(co.idx)
 	}
 	co.pending[t.ID] = p
-	for i := range t.Pieces {
-		co.node.Send(co.sys.leaderNode(t.Pieces[i].Shard()), reqExec{T: t, Prio: p.prio, Coord: co.node.ID()})
-	}
+	co.multicast(t, reqExec{T: t, Prio: p.prio, Coord: co.node.ID()})
 	if vt := co.sys.spec.VoteTimeout; vt > 0 {
-		id := t.ID
-		co.node.After(vt, func() { co.checkProgress(id) })
+		co.node.AfterGate(vt, &p.gen, p.gen, p.check)
 	}
 }
 
-// checkProgress fires when the vote timeout elapses for a submission attempt.
-// Still gathering votes: presumed abort — release every shard and retry,
-// which is what breaks a wound-wait cycle spanning shards (the per-shard
-// vote immunity in onWound cannot). Past the commit decision: re-send the
-// commit records (with their writes) to the shards that have not confirmed,
-// so a rebooted leader can finish the 2PC, and keep watching.
-func (co *coordinator) checkProgress(id txn.ID) {
-	p := co.pending[id]
-	if p == nil {
-		return // completed (or aborted and re-submitted under a fresh ID)
+// multicast sends m to the leader of every shard of t, in piece order. The
+// payload is boxed once, by the call, and shared by every destination.
+func (co *coordinator) multicast(t *txn.Txn, m simnet.Message) {
+	for i := range t.Pieces {
+		co.node.Send(co.sys.leaderNode(t.Pieces[i].Shard()), m)
 	}
+}
+
+// checkProgress fires when the vote timeout elapses for a submission attempt
+// that is still in flight. Still gathering votes: presumed abort — release
+// every shard and retry, which is what breaks a wound-wait cycle spanning
+// shards (the per-shard vote immunity in onWound cannot). Past the commit
+// decision: re-send the commit records (with their writes) to the shards that
+// have not confirmed, so a rebooted leader can finish the 2PC, and keep
+// watching.
+func (co *coordinator) checkProgress(p *pendingCo) {
 	if p.phase == 0 {
 		co.sys.PresumedAborts++
 		// Presumed-abort retries add a per-coordinator stagger on top of the
@@ -730,22 +827,28 @@ func (co *coordinator) checkProgress(id txn.ID) {
 		co.abort(p, co.sys.spec.RetryBackoff*time.Duration(co.idx)/2)
 		return
 	}
+	var m simnet.Message = commitReq{ID: p.t.ID, Coord: co.node.ID(), T: p.t, Prio: p.prio, TS: p.ts}
 	for i := range p.t.Pieces {
-		sh := p.t.Pieces[i].Shard()
-		if !p.commits[sh] {
-			co.node.Send(co.sys.leaderNode(sh),
-				commitReq{ID: id, Coord: co.node.ID(), T: p.t, Prio: p.prio, TS: p.ts})
+		if !p.acked[i] {
+			co.node.Send(co.sys.leaderNode(p.t.Pieces[i].Shard()), m)
 		}
 	}
-	co.node.After(co.sys.spec.VoteTimeout, func() { co.checkProgress(id) })
+	co.node.AfterGate(co.sys.spec.VoteTimeout, &p.gen, p.gen, p.check)
 }
 
+// handle dispatches the coordinator's deliveries. A leader's reply is copied
+// out and put back on the list of the leader that sent it before it is acted
+// on.
 func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
-	case voteMsg:
-		co.onVote(m)
-	case committedMsg:
-		co.onCommitted(m)
+	case *voteMsg:
+		v := *m
+		m.src.votes.Put(m)
+		co.onVote(v)
+	case *committedMsg:
+		c := *m
+		m.src.acks.Put(m)
+		co.onCommitted(c)
 	case *snapread.Rep:
 		co.reads.OnRep(m)
 	case decisionQuery:
@@ -763,8 +866,12 @@ func (co *coordinator) onVote(m voteMsg) {
 		return
 	}
 	m.RecvS = co.sys.spec.Net.Sim().Now()
-	p.votes[m.Shard] = m
-	if len(p.votes) < len(p.t.Pieces) {
+	i := p.t.Pos(m.src.shard)
+	if !p.votes[i].OK {
+		p.nvoted++
+	}
+	p.votes[i] = m
+	if p.nvoted < len(p.t.Pieces) {
 		return
 	}
 	p.phase = 1
@@ -774,10 +881,7 @@ func (co *coordinator) onVote(m voteMsg) {
 	if co.sys.spec.LocalReads {
 		p.ts = txn.Timestamp{Time: co.sys.spec.Net.Sim().Now(), Coord: co.idx, Seq: m.ID.Seq}
 	}
-	for i := range p.t.Pieces {
-		co.node.Send(co.sys.leaderNode(p.t.Pieces[i].Shard()),
-			commitReq{ID: m.ID, Coord: co.node.ID(), T: p.t, Prio: p.prio, TS: p.ts})
-	}
+	co.multicast(p.t, commitReq{ID: m.ID, Coord: co.node.ID(), T: p.t, Prio: p.prio, TS: p.ts})
 }
 
 func (co *coordinator) onCommitted(m committedMsg) {
@@ -785,8 +889,11 @@ func (co *coordinator) onCommitted(m committedMsg) {
 	if p == nil {
 		return
 	}
-	p.commits[m.Shard] = true
-	if len(p.commits) < len(p.t.Pieces) {
+	if i := p.t.Pos(m.src.shard); !p.acked[i] {
+		p.acked[i] = true
+		p.nacked++
+	}
+	if p.nacked < len(p.t.Pieces) {
 		return
 	}
 	delete(co.pending, m.ID)
@@ -795,10 +902,10 @@ func (co *coordinator) onCommitted(m committedMsg) {
 		// prepare round into flight out, lock wait, execution, and flight
 		// back; this committedMsg — the one completing the 2PC — carries
 		// the commit round's stamps, with the Paxos wait as replication.
-		// Shard order, so RecvS ties break identically across runs.
+		// Piece order, so RecvS ties break identically across runs.
 		var dv voteMsg
-		for i := range p.t.Pieces {
-			if v := p.votes[p.t.Pieces[i].Shard()]; v.RecvS > dv.RecvS {
+		for _, v := range p.votes {
+			if v.RecvS > dv.RecvS {
 				dv = v
 			}
 		}
@@ -812,14 +919,13 @@ func (co *coordinator) onCommitted(m committedMsg) {
 	}
 	res := txn.Result{OK: true, Retries: p.retries, PerShard: make([]txn.ShardRet, len(p.t.Pieces)), TS: p.ts}
 	for i := range res.PerShard {
-		sh := p.t.Pieces[i].Shard()
-		res.PerShard[i] = txn.ShardRet{Shard: sh, Ret: p.votes[sh].Ret}
+		res.PerShard[i] = txn.ShardRet{Shard: p.t.Pieces[i].Shard(), Ret: p.votes[i].Ret}
 	}
 	done := p.done
 	// Recycle before the callback: done may synchronously submit the next
 	// transaction (closed-loop clients), which draws from the same pool;
 	// everything res needs was copied out above.
-	co.pend.Put(p)
+	co.put(p)
 	done(res)
 }
 
@@ -827,13 +933,11 @@ func (co *coordinator) onCommitted(m committedMsg) {
 // stagger; 0 for ordinary wound/validation aborts) until the budget runs out.
 func (co *coordinator) abort(p *pendingCo, stagger time.Duration) {
 	delete(co.pending, p.t.ID)
-	for i := range p.t.Pieces {
-		co.node.Send(co.sys.leaderNode(p.t.Pieces[i].Shard()), abortReq{ID: p.t.ID})
-	}
+	co.multicast(p.t, abortReq{ID: p.t.ID})
 	// Copy out what the continuations need: the record returns to the pool
 	// now, and the retry closure must not read it later.
 	t, done, retries, prio := p.t, p.done, p.retries, p.prio
-	co.pend.Put(p)
+	co.put(p)
 	if retries >= co.sys.spec.MaxRetries {
 		done(txn.Result{Aborted: true, Retries: retries})
 		return
