@@ -25,12 +25,7 @@
 //	    -outstanding 300 -duration 2s -cpuprofile cpu.out -liveheap live.out
 //
 // (it prints 23 013 commits, 8.7 allocs and 10.8 KB per transaction and a live
-// heap of 227 MB; 20.3 allocs and 229 MB before small integers were encoded
-// into one shared table, 25.5 allocs and 235 MB before a transaction's pieces
-// became a slice, 33.2 allocs and 237 MB before the generators' pieces became
-// tagged ops out of one arena, 257 MB before a shard's replicas shared one name
-// map, and 54.0 allocs, 12.9 KB and 302 MB before versions and records came
-// from slabs)
+// heap of 227 MB)
 //
 // and the shape of tiga-reads-open (open-loop Poisson YCSB-T, read-only
 // transactions served by the nearest replica 200 ms stale, admission gate) —
@@ -45,11 +40,9 @@
 //	    -liveheap live.out
 //
 // (it prints 134 512 commits, 6.7 allocs and 2.5 KB per transaction and a live
-// heap of 209 MB; 7.2 allocs before small integers were encoded into one
-// shared table, 11.9 allocs and 3.1 KB before a transaction's pieces became a
-// slice, 43.7 allocs and 4.4 KB while a local read allocated per key and per
-// hop. Without the last three lines it is a different program — every read
-// through the leaders, nothing shed: 42.7 allocs, 15.5 KB, 1 180 MB)
+// heap of 209 MB. Without the last three lines it is a different program —
+// every read through the leaders, nothing shed: 42.7 allocs, 15.5 KB,
+// 1 180 MB)
 //
 // and the shape of tiga-tpcc-sat (multi-key pieces, inserted rows, interactive
 // chains) is
@@ -58,9 +51,7 @@
 //	    -keys 5000 -rate 1000 -outstanding 300 -duration 3.5s -liveheap live.out
 //
 // (it prints 25 512 commits, 31.8 allocs and 11.7 KB per transaction and a live
-// heap of 276 MB; 115.1 allocs, 15.0 KB and 296 MB while every column a replica
-// wrote was a fresh encoding and every TPC-C stage was built from per-key-set
-// slices, a map and merged copies)
+// heap of 276 MB)
 //
 // and one point of sweep-nine — here Detock's (47.0 allocs per transaction) —
 // is
@@ -79,28 +70,18 @@
 //	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms \
 //	    -set Tapir.max-retries=100
 //
-// (it prints 5 526 commits, 8.0 allocs and 2.4 KB per transaction; 66.2 allocs
-// and 9.3 KB while every buffered execution made a write list of its own,
-// every reply was boxed and the coordinator tallied votes in maps of maps —
-// 62.2 allocs and 5 487 commits without the -set line), and for the layered
-// baselines' Multi-Paxos (internal/paxos) under lockocc's locks and two-phase
-// commit it is
+// (it prints 5 526 commits, 8.0 allocs and 2.4 KB per transaction), and for
+// the layered baselines' Multi-Paxos (internal/paxos) under lockocc's locks and
+// two-phase commit it is
 //
 //	go run ./cmd/allocprof -coords 2,2 -warmup 500ms -protocol 2PL+Paxos \
 //	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms -liveheap live.out \
 //	    -set 2PL+Paxos.max-retries=100 -set 2PL+Paxos.vote-timeout=1s
 //
 // (it prints 5 567 commits, 9.6 allocs and 4.0 KB per transaction and a live
-// heap of 28.5 MB; 30.8 allocs, 4.8 KB and 28.7 MB while every vote,
-// acknowledgement and request was boxed per destination, every commit record
-// and write list was an allocation of its own and every attempt armed a
-// vote-timeout closure, 40.4 allocs and 5.3 KB
-// while the lock table allocated an entry per locked key and a key list per
-// transaction, and 121.9 allocs, 8.9 KB and 28.6 MB while every accept, ack and
-// commit was boxed into the interface it was sent as and every proposal made an
-// ack map. The same shape with -set OCC+Paxos.max-retries=100
-// -set OCC+Paxos.vote-timeout=1s gives OCC+Paxos 10.8 allocs and 4.0 KB (36.7
-// and 5.0 KB before), and NCC+ 30.4.)
+// heap of 28.5 MB. The same shape with -set OCC+Paxos.max-retries=100
+// -set OCC+Paxos.vote-timeout=1s gives OCC+Paxos 10.8 allocs and 4.0 KB, and
+// NCC+ 30.4.)
 //
 // or, for Janus' dependency tracking, vote tally and SCC execution,
 //
@@ -108,11 +89,8 @@
 //	    -keys 20000 -rate 250 -outstanding 400 -duration 2800ms -liveheap live.out
 //
 // (it prints 5 600 commits, 16.7 allocs and 3.9 KB per transaction and a live
-// heap of 31.7 MB; 94.0 allocs and 8.4 KB while every pre-accept built a
-// dependency map and every reply was boxed, every record was an allocation of
-// its own, and the coordinator tallied votes in maps keyed by a string per
-// dependency list. Of what is left, maybeResolveCycle's graph is ≈ 5.6 per
-// transaction; the rest is one payload per multicast, the result list, the
+// heap of 31.7 MB. Of those allocations, maybeResolveCycle's graph is ≈ 5.6
+// per transaction; the rest is one payload per multicast, the result list, the
 // dependency lists the replicas keep and the generator's job.)
 //
 // (The benchmark also sets Tiga's retry-timeout to 10 s on the two saturated

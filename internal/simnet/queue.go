@@ -3,39 +3,26 @@ package simnet
 import "time"
 
 // eventKind tags what a scheduled event does when it fires. The common cases
-// of the simulation hot path — message delivery, deferred CPU starts, node
-// timers — are encoded as tagged fields on the event struct and dispatched by
-// a switch, so scheduling them allocates no closure; evFunc remains as the
-// escape hatch for the rare harness, chaos, and load-generator events.
+// of the simulation hot path — message delivery, node timers, work waiting
+// for a busy CPU — are encoded as tagged fields on the event struct and
+// dispatched by a switch, so scheduling them allocates no closure; evFunc
+// remains as the escape hatch for the rare harness, chaos, and load-generator
+// events.
 type eventKind uint8
 
 const (
 	// evFunc runs fn() — the generic Sim.At/After escape hatch.
 	evFunc eventKind = iota
 	// evDeliver delivers msg from `from` to `node`: if the node is up and
-	// has a handler, the handler runs through the node's single-server CPU
-	// queue (immediately when the CPU is free, else via evHandlerStart).
+	// has a handler, the handler runs on the node's CPU (Node.book).
 	evDeliver
-	// evHandlerStart runs node.handler(from, msg) once the node's CPU has
-	// freed up; stale if the node crashed since (epoch mismatch).
-	evHandlerStart
-	// evTimer is a node timer (Node.After): epoch-checked, then fn runs
-	// through the node's CPU queue.
+	// evTimer is a node timer (Node.After, Node.AfterGate): epoch-checked,
+	// then fn runs on the node's CPU (Node.book) if the gate is live.
 	evTimer
-	// evCPUStart runs fn once the node's CPU has freed up; stale if the
-	// node crashed since (epoch mismatch).
-	evCPUStart
-	// evGatedTimer is a supersedable node timer (Node.AfterGate): like
-	// evTimer, but fn runs only while *gate still equals gseq, so one
-	// persistent closure serves every re-arm of a deadline. The gate is
-	// checked when fn would RUN, not when the timer fires: a superseded
-	// timer still reserves the node's CPU exactly like a timer whose
-	// callback no-ops, keeping service times independent of how the
-	// supersede check is expressed.
-	evGatedTimer
-	// evGatedCPUStart is evGatedTimer's deferred-start twin of evCPUStart:
-	// the gate is re-checked once the CPU frees up.
-	evGatedCPUStart
+	// evStart is work that waited for the node's CPU to free up: fn, or the
+	// handler on msg when fn is nil. It is stale if the node crashed since
+	// (epoch mismatch) or, when gated, if the gate moved on.
+	evStart
 )
 
 // event is one scheduled occurrence, ordered by (at, seq): seq is the global
@@ -59,9 +46,9 @@ type event struct {
 	// time means the node crashed in between and the event is stale.
 	epoch int32
 	kind  eventKind
-	// gate/gseq implement evGatedTimer: the event is live only while *gate
-	// still holds gseq. Callers bump the gate to supersede pending timers
-	// without scheduling a fresh closure per arm.
+	// gate/gseq gate a timer: the event is live only while *gate still
+	// holds gseq (always, when gate is nil). Callers bump the gate to
+	// supersede pending timers without scheduling a fresh closure per arm.
 	gate *uint64
 	gseq uint64
 }

@@ -83,72 +83,50 @@ func (s *Sim) Step() bool {
 // dispatch fires one event by kind. Events that reached a crashed node (or a
 // node that crashed and restarted since they were scheduled — the epoch
 // check) are silently dropped, matching the delivery and timer contracts.
+// A delivery or timer whose node's CPU is busy waits as an evStart (waits);
+// the rest run their node work here, if the gate is live. The gate is checked
+// only when the work is about to run: a superseded timer still books the CPU
+// exactly like a timer whose callback no-ops.
 func (s *Sim) dispatch(e *event) {
+	nd := e.node
 	switch e.kind {
 	case evFunc:
 		e.fn()
+		return
 	case evDeliver:
-		nd := e.node
-		if nd.down || nd.handler == nil {
+		if nd.down || nd.handler == nil || s.waits(e) {
 			return
 		}
-		// Reserve the node's CPU (inlined runOnCPU): run the handler now
-		// when the CPU is free, else once it frees up.
-		start := s.now
-		if nd.busyUntil > start {
-			start = nd.busyUntil
-		}
-		nd.busyUntil = start + nd.cost
-		if start == s.now {
-			nd.handler(NodeID(e.from), e.msg)
-			return
-		}
-		s.schedule(start, event{kind: evHandlerStart, node: nd, from: e.from, msg: e.msg, epoch: nd.epoch})
-	case evHandlerStart:
-		nd := e.node
-		if nd.down || nd.epoch != e.epoch {
-			return
-		}
-		nd.handler(NodeID(e.from), e.msg)
 	case evTimer:
-		nd := e.node
+		if nd.down || nd.epoch != e.epoch || s.waits(e) {
+			return
+		}
+	case evStart:
 		if nd.down || nd.epoch != e.epoch {
 			return
 		}
-		nd.runOnCPU(e.fn)
-	case evCPUStart:
-		nd := e.node
-		if nd.down || nd.epoch != e.epoch {
-			return
-		}
-		e.fn()
-	case evGatedTimer:
-		nd := e.node
-		if nd.down || nd.epoch != e.epoch {
-			return
-		}
-		// Reserve the CPU like any timer (a superseded arm still costs a
-		// no-op callback's service time); check the gate only when fn is
-		// about to run, after any CPU-queue wait.
-		start := s.now
-		if nd.busyUntil > start {
-			start = nd.busyUntil
-		}
-		nd.busyUntil = start + nd.cost
-		if start == s.now {
-			if *e.gate == e.gseq {
-				e.fn()
-			}
-			return
-		}
-		s.schedule(start, event{kind: evGatedCPUStart, node: nd, fn: e.fn, epoch: nd.epoch, gate: e.gate, gseq: e.gseq})
-	case evGatedCPUStart:
-		nd := e.node
-		if nd.down || nd.epoch != e.epoch || *e.gate != e.gseq {
-			return
-		}
-		e.fn()
 	}
+	if e.gate != nil && *e.gate != e.gseq {
+		return
+	}
+	if e.fn != nil {
+		e.fn()
+	} else {
+		nd.handler(NodeID(e.from), e.msg)
+	}
+}
+
+// waits books e's node's CPU and reports whether e has to wait for it, in
+// which case e is re-scheduled as an evStart for when the CPU frees up.
+func (s *Sim) waits(e *event) bool {
+	nd := e.node
+	at := nd.book(s.now)
+	if at == s.now {
+		return false
+	}
+	e.kind, e.epoch = evStart, nd.epoch
+	s.schedule(at, *e)
+	return true
 }
 
 // Run executes events until virtual time passes `until` or the queue drains.
@@ -396,19 +374,17 @@ func (nd *Node) Send(to NodeID, msg Message) { nd.net.Send(nd.id, to, msg) }
 
 // After schedules fn to run on this node's CPU after d. The timer dies if the
 // node crashes before it fires.
-func (nd *Node) After(d time.Duration, fn func()) {
-	sim := nd.net.sim
-	sim.schedule(sim.now+d, event{kind: evTimer, node: nd, fn: fn, epoch: nd.epoch})
-}
+func (nd *Node) After(d time.Duration, fn func()) { nd.AfterGate(d, nil, 0, fn) }
 
 // AfterGate schedules fn to run on this node's CPU after d, but only if
-// *gate still equals seq when fn is about to execute. A caller that re-arms a deadline bumps
-// the gate to invalidate every earlier pending arm, so a single long-lived
-// closure serves all arms instead of one capturing closure per arm — the
-// pattern behind Tiga's pump and safe-flush timers.
+// *gate still equals seq when fn is about to execute; a nil gate is always
+// live. A caller that re-arms a deadline bumps the gate to invalidate every
+// earlier pending arm, so a single long-lived closure serves all arms instead
+// of one capturing closure per arm — the pattern behind Tiga's pump and
+// safe-flush timers.
 func (nd *Node) AfterGate(d time.Duration, gate *uint64, seq uint64, fn func()) {
 	sim := nd.net.sim
-	sim.schedule(sim.now+d, event{kind: evGatedTimer, node: nd, fn: fn, epoch: nd.epoch, gate: gate, gseq: seq})
+	sim.schedule(sim.now+d, event{kind: evTimer, node: nd, fn: fn, epoch: nd.epoch, gate: gate, gseq: seq})
 }
 
 // Every schedules fn to run every interval until the node crashes or fn
@@ -425,7 +401,8 @@ func (nd *Node) Every(interval time.Duration, fn func() bool) {
 			return
 		}
 		cont = true
-		nd.runOnCPU(run)
+		// A tick runs fn as a node timer firing now.
+		nd.net.sim.dispatch(&event{kind: evTimer, node: nd, fn: run, epoch: epoch})
 		if cont {
 			nd.net.sim.After(interval, tick)
 		}
@@ -433,22 +410,13 @@ func (nd *Node) Every(interval time.Duration, fn func() bool) {
 	nd.net.sim.After(interval, tick)
 }
 
-// runOnCPU serializes execution through the node's single-server queue:
-// fn starts when the CPU frees up and reserves the base per-message cost.
-// Message deliveries take the equivalent inlined path in dispatch (evDeliver)
-// without wrapping the handler in a closure.
-func (nd *Node) runOnCPU(fn func()) {
-	sim := nd.net.sim
-	start := sim.now
-	if nd.busyUntil > start {
-		start = nd.busyUntil
-	}
+// book reserves the node's single-server CPU for one unit of the per-message
+// cost and returns when the reserved work starts: now when the CPU is free,
+// else once it frees up. It is the only place the CPU is reserved.
+func (nd *Node) book(now time.Duration) time.Duration {
+	start := max(now, nd.busyUntil)
 	nd.busyUntil = start + nd.cost
-	if start == sim.now {
-		fn()
-		return
-	}
-	sim.schedule(start, event{kind: evCPUStart, node: nd, fn: fn, epoch: nd.epoch})
+	return start
 }
 
 // SymmetricOWD builds an OWD matrix from a symmetric distance table expressed

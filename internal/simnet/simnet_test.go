@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 	"time"
 )
@@ -337,5 +338,142 @@ func TestDegradeLinkLoss(t *testing.T) {
 	}
 	if n.Dropped != int64(1000-got) {
 		t.Fatalf("dropped counter %d, want %d", n.Dropped, 1000-got)
+	}
+}
+
+// cpuNode is one node with per-message cost `cost` whose CPU is busy until
+// `busy`, on a network of one region.
+func cpuNode(cost, busy time.Duration) (*Sim, *Node) {
+	s := NewSim(1)
+	n := NewNetwork(s, Config{DefaultCost: cost, OWD: SymmetricOWD([][]time.Duration{{time.Millisecond}}, 0)})
+	nd := n.AddNode(0, nil)
+	nd.Work(busy)
+	return s, nd
+}
+
+// TestSupersededGatedTimerStillBooksTheCPU: a gated timer whose gate moved on
+// before it fired still books one unit of the CPU when it fires, exactly like
+// a timer whose callback no-ops, and fn never runs — whether the CPU was
+// free at the firing or it had to wait for it.
+func TestSupersededGatedTimerStillBooksTheCPU(t *testing.T) {
+	for _, busy := range []time.Duration{0, 10 * time.Millisecond} {
+		s, nd := cpuNode(5*time.Millisecond, busy)
+		var gate uint64
+		ran := 0
+		nd.AfterGate(time.Millisecond, &gate, 0, func() { ran++ })
+		gate++
+		var next time.Duration
+		nd.After(2*time.Millisecond, func() { next = s.Now() })
+		s.Run(time.Second)
+		// The gated timer fires at 1ms and starts at max(1ms, busy); the
+		// ungated one, firing at 2ms, waits for the 5ms the first booked.
+		start := max(time.Millisecond, busy)
+		if ran != 0 {
+			t.Errorf("busy until %v: superseded timer ran %d times, want 0", busy, ran)
+		}
+		if next != start+5*time.Millisecond {
+			t.Errorf("busy until %v: next timer started at %v, want %v", busy, next, start+5*time.Millisecond)
+		}
+		if nd.Busy() != start+10*time.Millisecond {
+			t.Errorf("busy until %v: CPU booked until %v, want %v", busy, nd.Busy(), start+10*time.Millisecond)
+		}
+	}
+}
+
+// TestGateBumpedBeforeTheDeferredStartSuppressesTheRun: a gated timer fires
+// at 1ms behind a CPU busy until 10ms. A bump of the gate at 5ms, after the
+// firing and before the deferred start, suppresses the run; a bump at 12ms,
+// after the start, does not.
+func TestGateBumpedBeforeTheDeferredStartSuppressesTheRun(t *testing.T) {
+	for _, tc := range []struct {
+		bump time.Duration
+		runs int
+	}{{5 * time.Millisecond, 0}, {12 * time.Millisecond, 1}} {
+		s, nd := cpuNode(5*time.Millisecond, 10*time.Millisecond)
+		var gate uint64
+		ran := 0
+		nd.AfterGate(time.Millisecond, &gate, 0, func() { ran++ })
+		s.At(tc.bump, func() { gate++ })
+		s.Run(time.Second)
+		if ran != tc.runs {
+			t.Errorf("gate bumped at %v: fn ran %d times, want %d", tc.bump, ran, tc.runs)
+		}
+		if nd.Busy() != 15*time.Millisecond {
+			t.Errorf("gate bumped at %v: CPU booked until %v, want 15ms", tc.bump, nd.Busy())
+		}
+	}
+}
+
+// TestCrashDropsDeferredGatedStart is TestCrashDropsDeferredHandler for a
+// gated timer: a start deferred behind a busy CPU dies with the node, and with
+// a crash+restart cycle before it, whose epoch no longer matches.
+func TestCrashDropsDeferredGatedStart(t *testing.T) {
+	for _, restart := range []bool{false, true} {
+		s, nd := cpuNode(5*time.Millisecond, 10*time.Millisecond)
+		var gate uint64
+		ran := 0
+		nd.AfterGate(time.Millisecond, &gate, 0, func() { ran++ })
+		s.At(3*time.Millisecond, func() {
+			nd.Crash()
+			if restart {
+				nd.Restart()
+			}
+		})
+		s.Run(time.Second)
+		if ran != 0 {
+			t.Errorf("restart=%v: deferred gated start ran %d times, want 0", restart, ran)
+		}
+	}
+}
+
+// TestAfterIsAnUngatedAfterGate: After(d, fn) and AfterGate(d, nil, 0, fn) —
+// and AfterGate on a gate that never moves — give the same start times,
+// same-instant order and CPU bookings, on a node that also serves messages.
+func TestAfterIsAnUngatedAfterGate(t *testing.T) {
+	trace := func(after func(nd *Node, d time.Duration, fn func())) []time.Duration {
+		s := NewSim(1)
+		n := NewNetwork(s, Config{DefaultCost: 2 * time.Millisecond, OWD: SymmetricOWD([][]time.Duration{
+			{time.Millisecond, time.Millisecond},
+			{time.Millisecond, time.Millisecond},
+		}, 0)})
+		var got []time.Duration
+		src := n.AddNode(0, nil)
+		dst := n.AddNode(1, func(from NodeID, msg Message) { got = append(got, -s.Now()) })
+		for i := 0; i < 4; i++ {
+			src.Send(dst.ID(), i)
+			after(dst, time.Duration(i)*time.Millisecond/2, func() { got = append(got, s.Now()) })
+			after(dst, time.Millisecond, func() { got = append(got, s.Now()) })
+		}
+		s.Run(time.Second)
+		return append(got, dst.Busy())
+	}
+	var gate uint64
+	want := trace(func(nd *Node, d time.Duration, fn func()) { nd.After(d, fn) })
+	for name, after := range map[string]func(*Node, time.Duration, func()){
+		"nil gate":  func(nd *Node, d time.Duration, fn func()) { nd.AfterGate(d, nil, 0, fn) },
+		"live gate": func(nd *Node, d time.Duration, fn func()) { nd.AfterGate(d, &gate, 0, fn) },
+	} {
+		if got := trace(after); !slices.Equal(got, want) {
+			t.Errorf("%s: trace %v, want After's %v", name, got, want)
+		}
+	}
+}
+
+// TestEveryStopsWhenADeferredRunSaysStop pins a known fault of Every: a run
+// that had to wait for the CPU reports through `cont`, which the next tick
+// resets to true, so a false it returns is lost. With a 5ms node cost and
+// the CPU busy until 13ms, the first tick (10ms) defers fn to 13ms, which
+// returns false — yet the tick at 20ms runs fn again and books the CPU until
+// 25ms. One run, booked until 18ms, is correct. Only paxos.Replica.Rejoin
+// returns false (reboots of 2PL+Paxos, OCC+Paxos and NCC+); the fix moves the
+// fig11c golden, so it is its own change.
+func TestEveryStopsWhenADeferredRunSaysStop(t *testing.T) {
+	t.Skip("known fault: Every runs fn again after a deferred run returned false")
+	s, nd := cpuNode(5*time.Millisecond, 13*time.Millisecond)
+	runs := 0
+	nd.Every(10*time.Millisecond, func() bool { runs++; return false })
+	s.Run(100 * time.Millisecond)
+	if runs != 1 || nd.Busy() != 18*time.Millisecond {
+		t.Fatalf("fn ran %d times and the CPU is booked until %v, want 1 run and 18ms", runs, nd.Busy())
 	}
 }

@@ -79,20 +79,21 @@ func NewCluster(net *simnet.Network, cfg Config, pl Placement, cf *clocks.Factor
 	c := &Cluster{Cfg: cfg, Net: net, Seed: seed, initialGVec: make([]int, cfg.Shards),
 		msgs: newMsgPools(), agreements: pool.New[agreement]()}
 
-	// Mode selection (§3.8): preventive iff the initial leaders (replica 0
-	// of each shard) are mutually within the co-location threshold.
-	leaders := make([]int, cfg.Shards)
-	c.initialModeFromPlacement(pl, leaders)
-
 	c.serverNodes = make([][]simnet.NodeID, cfg.Shards)
-	c.Servers = make([][]*Server, cfg.Shards)
-	for s := 0; s < cfg.Shards; s++ {
+	for s := range c.serverNodes {
 		c.serverNodes[s] = make([]simnet.NodeID, cfg.Replicas())
+		for r := range c.serverNodes[s] {
+			c.serverNodes[s][r] = net.AddNode(pl.ServerRegion(s, r), nil).ID()
+		}
+	}
+	// Mode selection (§3.8) over the initial leaders, replica 0 of each shard.
+	c.initialMode = c.chooseMode(make([]int, cfg.Shards))
+
+	c.Servers = make([][]*Server, cfg.Shards)
+	for s := range c.Servers {
 		c.Servers[s] = make([]*Server, cfg.Replicas())
-		for r := 0; r < cfg.Replicas(); r++ {
-			node := net.AddNode(pl.ServerRegion(s, r), nil)
-			c.serverNodes[s][r] = node.ID()
-			c.Servers[s][r] = newServer(c, s, r, node, cf.New(), c.newStore(s))
+		for r := range c.Servers[s] {
+			c.Servers[s][r] = newServer(c, s, r, net.Node(c.serverNodes[s][r]), cf.New(), c.newStore(s))
 		}
 	}
 	for i, reg := range pl.CoordRegions {
@@ -129,26 +130,9 @@ func (c *Cluster) newStore(shard int) *store.Store {
 	return st
 }
 
-func (c *Cluster) initialModeFromPlacement(pl Placement, leaders []int) {
-	switch c.Cfg.Mode {
-	case ModePreventive, ModeDetective:
-		c.initialMode = c.Cfg.Mode
-		return
-	}
-	c.initialMode = ModePreventive
-	for a := 0; a < c.Cfg.Shards; a++ {
-		for b := a + 1; b < c.Cfg.Shards; b++ {
-			ra, rb := pl.ServerRegion(a, leaders[a]), pl.ServerRegion(b, leaders[b])
-			if c.Net.BaseOWD(ra, rb) > c.Cfg.ColocationThreshold {
-				c.initialMode = ModeDetective
-				return
-			}
-		}
-	}
-}
-
-// chooseMode recomputes the agreement mode for a candidate leader set (§3.8,
-// view manager step 1).
+// chooseMode computes the agreement mode for a leader set (§3.8, view manager
+// step 1): preventive iff the leaders are mutually within the co-location
+// threshold, unless the configuration forces a mode.
 func (c *Cluster) chooseMode(newLeaders []int) Mode {
 	switch c.Cfg.Mode {
 	case ModePreventive, ModeDetective:
