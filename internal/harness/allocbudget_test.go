@@ -31,11 +31,15 @@ import (
 // EXPERIMENTS.md has tabulated since PR 9.
 // These five rows run Tiga. closed-2pl, closed-occ and closed-ncc+ are the
 // closed row on three of the layered baselines, whose replication is
-// internal/paxos (the first two also share lockocc's lock table), and
-// closed-janus and closed-tapir on Janus and Tapir, whose replies and
-// coordinator records are pooled (as are lockocc's), all at 150 transactions
-// a second per coordinator: below their saturation at this shape, so every
-// tick submits and nothing aborts. closed-tapir was 83.6 allocs and 12 146 bytes while Tapir's
+// internal/paxos (the first two also share lockocc's lock table), closed-ncc
+// on NCC without replication, and closed-janus and closed-tapir on Janus and
+// Tapir; every one of them pools its replies and coordinator records. All run
+// at 150 transactions a second per coordinator: below their saturation at
+// this shape, so every tick submits and nothing aborts. closed-ncc+ was 35.6
+// allocs and 4 902 bytes (closed-ncc 26.6 and 2 741) while NCC boxed every
+// request and commit note per destination and every reply per send, took each
+// server record and coordinator record from the heap, copied a piece's keys
+// for the RTC scan and boxed the request again to propose it. closed-tapir was 83.6 allocs and 12 146 bytes while Tapir's
 // replies were boxed, its votes were tallied in maps and every buffered
 // execution made a write list of its own; closed-2pl and closed-occ were 40.3
 // allocs and 7 180 bytes and 53.2 and 7 650 while lockocc boxed every request
@@ -68,7 +72,8 @@ var txnPathBudget = []struct {
 	{"open-reads", "Tiga", "poisson", "ycsbt", 6, 2000, 500, time.Second, true, 10.4, 6399},
 	{"closed-2pl", "2PL+Paxos", "", "micro", 3, 2000, 150, time.Second, false, 19.8, 6290},
 	{"closed-occ", "OCC+Paxos", "", "micro", 3, 2000, 150, time.Second, false, 22.2, 6293},
-	{"closed-ncc+", "NCC+", "", "micro", 3, 2000, 150, time.Second, false, 35.6, 4902},
+	{"closed-ncc", "NCC", "", "micro", 3, 2000, 150, time.Second, false, 6.7, 2420},
+	{"closed-ncc+", "NCC+", "", "micro", 3, 2000, 150, time.Second, false, 12.3, 4553},
 	{"closed-janus", "Janus", "", "micro", 3, 2000, 150, time.Second, false, 32.5, 5604},
 	{"closed-tapir", "Tapir", "", "micro", 3, 2000, 150, time.Second, false, 14.0, 3700},
 }

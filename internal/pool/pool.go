@@ -23,23 +23,25 @@
 // may be recycled only by code that can prove no other reference outlives the
 // Put. In practice that means
 //   - unicast wire messages: the receiving handler recycles after decoding —
-//     Janus' and Tapir's replies, and the layered baselines' (lockocc) votes
-//     and commit acknowledgements, come from the sending replica's or
-//     leader's list, carry the sender, and the coordinator's handle puts each
-//     back there once it has copied the fields out,
+//     Janus', Tapir's and NCC's replies, and the layered baselines' (lockocc)
+//     votes and commit acknowledgements, come from the sending replica's,
+//     server's or leader's list, carry the sender, and the coordinator's
+//     handle puts each back there once it has copied the fields out,
 //   - a snapshot-read request (internal/snapread): the replica recycles it once
 //     the read is served — a read queued behind the watermark holds it until
 //     then — and the coordinator a reply once it has copied the answer out,
 //   - multicast payloads: each destination gets its own pooled copy when
 //     receivers keep it (Tiga); an immutable payload that every receiver
-//     copies out (Janus, Tapir, lockocc) is boxed once and shared instead,
-//     and never pooled,
+//     copies out (Janus, Tapir, lockocc, and NCC's requests and commit notes)
+//     is boxed once and shared instead, and never pooled,
 //   - coordinator-local records: recycled when the txn finishes (Janus and
-//     Tapir read what the completion callback and a retry need first),
+//     Tapir read what the completion callback and a retry need first, NCC
+//     what the callback needs),
 //   - anything retained by a server log (e.g. *txn.Txn): never pooled. A
 //     log-retained record comes from a slab, never from a freelist: lockocc's
 //     commit records come from the proposing leader's Slab, their write sets
-//     from its arena.
+//     from its arena, and NCC's server records (kept for dedup and RTC) from
+//     the server's Slab.
 //
 // Double frees corrupt simulations silently (two live txns sharing one
 // struct), so Check mode — enabled by tests — makes Put panic on an object

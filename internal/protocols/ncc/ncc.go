@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"tiga/internal/paxos"
+	"tiga/internal/pool"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
@@ -36,19 +37,41 @@ type Spec struct {
 	ExecCost     time.Duration
 }
 
+// ---- messages ----
+//
+// Who owns each message. The coordinator's execReq and commitNote are values
+// boxed once per multicast: every destination server receives the same
+// immutable payload and copies it out, so nothing recycles them. An NCC+
+// server proposes the execReq it received, as boxed, so its Paxos log and
+// every follower's keep that one value. A server's *execRep comes from its
+// freelist (server.reps) and carries its sender; the coordinator's handle
+// copies the fields out and puts it back on its sender's list before it acts
+// on them, also when the transaction has already completed (a recovery
+// replay's reply). A reply the network drops is never put back. A server
+// keeps the record of every transaction it executed for good (dedup and
+// RTC), so records come from its slab (server.recs), never from a freelist.
+
+// execReq asks a shard server to execute its piece of T; it is also the
+// command an NCC+ server replicates, so a rebooted server can re-answer the
+// coordinator from the replayed log.
 type execReq struct {
 	T     *txn.Txn
 	Coord simnet.NodeID
 }
 
+// execRep is a server's reply, drawn from src.reps.
 type execRep struct {
-	Shard int
-	ID    txn.ID
-	Ret   []byte
+	src *server
+	ID  txn.ID
+	Ret []byte
 }
 
+// commitNote tells every shard server of a transaction that it committed,
+// releasing the successors RTC holds behind it.
 type commitNote struct{ ID txn.ID }
 
+// pendingSrv is a server's record of a transaction it executed, taken from
+// server.recs and kept for the server's life.
 type pendingSrv struct {
 	t     *txn.Txn
 	coord simnet.NodeID
@@ -69,6 +92,8 @@ type server struct {
 	st      *store.Store
 	lastKey map[string]txn.ID // key -> last conflicting uncommitted txn
 	pending map[txn.ID]*pendingSrv
+	recs    pool.Slab[pendingSrv]
+	reps    *pool.Free[execRep]
 	pax     *paxos.Replica
 	onSlot  map[int]txn.ID
 }
@@ -125,7 +150,7 @@ func New(spec Spec) *System {
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
 		co := &coordinator{sys: sys, node: node, idx: int32(len(sys.coords) + 1),
-			pending: make(map[txn.ID]*pending)}
+			pending: make(map[txn.ID]*pending), pend: pool.New[pending]()}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -139,7 +164,8 @@ func newServer(sys *System, sh int) *server {
 	nodes := sys.nodes[sh]
 	srv := &server{sys: sys, shard: sh, node: sys.spec.Net.Node(nodes[0]),
 		st: store.New(), lastKey: make(map[string]txn.ID),
-		pending: make(map[txn.ID]*pendingSrv), onSlot: make(map[int]txn.ID)}
+		pending: make(map[txn.ID]*pendingSrv), reps: pool.New[execRep](),
+		onSlot: make(map[int]txn.ID)}
 	if sys.spec.Seed != nil {
 		sys.spec.Seed(sh, srv.st)
 	}
@@ -216,31 +242,41 @@ func (s *server) handle(from simnet.NodeID, msg simnet.Message) {
 	}
 	switch m := msg.(type) {
 	case execReq:
-		s.onExec(m)
+		s.onExec(m, msg)
 	case commitNote:
 		s.onCommitNote(m)
 	}
 }
 
-// onExec executes in arrival order and applies RTC gating.
-func (s *server) onExec(m execReq) {
+// newRec records a transaction the server executed, out of its slab.
+func (s *server) newRec(id txn.ID, r pendingSrv) *pendingSrv {
+	p := s.recs.At(s.recs.Add())
+	*p = r
+	s.pending[id] = p
+	return p
+}
+
+// onExec executes in arrival order and applies RTC gating. msg is m as
+// received, which an NCC+ server proposes without boxing it again.
+func (s *server) onExec(m execReq, msg simnet.Message) {
 	id := m.T.ID
 	if _, dup := s.pending[id]; dup {
 		return
 	}
 	piece := m.T.Piece(s.shard)
 	s.node.Work(s.sys.spec.ExecCost)
-	p := &pendingSrv{t: m.T, coord: m.Coord, replicated: !s.sys.spec.Replicated}
-	s.pending[id] = p
-	// RTC: gate on every uncommitted conflicting predecessor.
-	keys := append(append([]string(nil), piece.ReadSet...), piece.WriteSet...)
+	p := s.newRec(id, pendingSrv{t: m.T, coord: m.Coord, replicated: !s.sys.spec.Replicated})
+	// RTC: gate on every uncommitted conflicting predecessor, once each
+	// however many keys of the read and write sets it shares.
 	gated := make(map[txn.ID]bool)
-	for _, k := range keys {
-		if prev, ok := s.lastKey[k]; ok && prev != id && !gated[prev] {
-			if pp := s.pending[prev]; pp != nil && !pp.committed {
-				gated[prev] = true
-				pp.waiters = append(pp.waiters, id)
-				p.waitingOn++
+	for _, keys := range [2][]string{piece.ReadSet, piece.WriteSet} {
+		for _, k := range keys {
+			if prev, ok := s.lastKey[k]; ok && prev != id && !gated[prev] {
+				if pp := s.pending[prev]; pp != nil && !pp.committed {
+					gated[prev] = true
+					pp.waiters = append(pp.waiters, id)
+					p.waitingOn++
+				}
 			}
 		}
 	}
@@ -255,7 +291,7 @@ func (s *server) onExec(m execReq) {
 	if s.pax != nil {
 		// The replicated command carries the coordinator so a rebooted
 		// server can re-answer replayed slots during recovery.
-		slot := s.pax.Propose(execReq{T: m.T, Coord: m.Coord})
+		slot := s.pax.Propose(msg)
 		s.onSlot[slot] = id
 	}
 	s.maybeReply(p)
@@ -266,7 +302,14 @@ func (s *server) maybeReply(p *pendingSrv) {
 		return
 	}
 	p.sent = true
-	s.node.Send(p.coord, execRep{Shard: s.shard, ID: p.t.ID, Ret: p.ret})
+	s.reply(p.coord, p.t.ID, p.ret)
+}
+
+// reply sends the coordinator a transaction's result in a pooled execRep.
+func (s *server) reply(coord simnet.NodeID, id txn.ID, ret []byte) {
+	r := s.reps.Get()
+	*r = execRep{src: s, ID: id, Ret: ret}
+	s.node.Send(coord, r)
 }
 
 func (s *server) onPaxosCommit(slot int, cmd paxos.Command) {
@@ -295,15 +338,15 @@ func (s *server) onPaxosCommit(slot int, cmd paxos.Command) {
 	s.node.Work(s.sys.spec.ExecCost)
 	ret := s.st.ExecuteID(id, txn.Timestamp{}, piece)
 	s.st.Commit(id)
-	s.pending[id] = &pendingSrv{t: m.T, coord: m.Coord, ret: ret,
-		replicated: true, sent: true, committed: true}
+	s.newRec(id, pendingSrv{t: m.T, coord: m.Coord, ret: ret,
+		replicated: true, sent: true, committed: true})
 	for _, k := range piece.WriteSet {
 		s.lastKey[k] = id
 	}
 	for _, k := range piece.ReadSet {
 		s.lastKey[k] = id
 	}
-	s.node.Send(m.Coord, execRep{Shard: s.shard, ID: id, Ret: ret})
+	s.reply(m.Coord, id, ret)
 }
 
 // onCommitNote releases RTC-gated successors.
@@ -324,6 +367,9 @@ func (s *server) onCommitNote(m commitNote) {
 
 // ---- coordinator ----
 
+// pending is a transaction in flight at its coordinator, taken from
+// coordinator.pend and put back when it completes. results is made fresh per
+// transaction: the completion callback keeps it as PerShard.
 type pending struct {
 	t       *txn.Txn
 	done    func(txn.Result)
@@ -336,6 +382,7 @@ type coordinator struct {
 	idx     int32
 	seq     uint64
 	pending map[txn.ID]*pending
+	pend    *pool.Free[pending]
 }
 
 // Submit sends t to its shard servers and commits once all reply.
@@ -343,30 +390,41 @@ func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
 	co := sys.coords[coord]
 	co.seq++
 	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
-	co.pending[t.ID] = &pending{t: t, done: done, results: make([]txn.ShardRet, 0, len(t.Pieces))}
-	m := execReq{T: t, Coord: co.node.ID()}
+	p := co.pend.Get()
+	*p = pending{t: t, done: done, results: make([]txn.ShardRet, 0, len(t.Pieces))}
+	co.pending[t.ID] = p
+	co.multicast(t, execReq{T: t, Coord: co.node.ID()})
+}
+
+// multicast sends m to the server of every shard of t, in piece order. The
+// payload is boxed once, by the call, and shared by every destination.
+func (co *coordinator) multicast(t *txn.Txn, m simnet.Message) {
 	for i := range t.Pieces {
-		co.node.Send(sys.servers[t.Pieces[i].Shard()].node.ID(), m)
+		co.node.Send(co.sys.servers[t.Pieces[i].Shard()].node.ID(), m)
 	}
 }
 
+// handle takes a server's reply: it copies the fields out and puts the
+// message back on its sender's list before acting on them.
 func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
-	m, ok := msg.(execRep)
+	m, ok := msg.(*execRep)
 	if !ok {
 		return
 	}
-	p := co.pending[m.ID]
+	shard, id, ret := m.src.shard, m.ID, m.Ret
+	m.src.reps.Put(m)
+	p := co.pending[id]
 	if p == nil {
 		return
 	}
-	p.results = txn.PutRet(p.results, m.Shard, m.Ret)
+	p.results = txn.PutRet(p.results, shard, ret)
 	if len(p.results) < len(p.t.Pieces) {
 		return
 	}
-	delete(co.pending, m.ID)
+	delete(co.pending, id)
+	t, done, results := p.t, p.done, p.results
+	co.pend.Put(p)
 	// Commit: notify servers (releases RTC-gated successors), then reply.
-	for i := range p.t.Pieces {
-		co.node.Send(co.sys.servers[p.t.Pieces[i].Shard()].node.ID(), commitNote{ID: m.ID})
-	}
-	p.done(txn.Result{OK: true, PerShard: p.results})
+	co.multicast(t, commitNote{ID: id})
+	done(txn.Result{OK: true, PerShard: results})
 }
