@@ -7,10 +7,9 @@ package harness
 
 import (
 	"runtime"
+	"strings"
 	"testing"
-	"time"
 
-	"tiga/internal/clocks"
 	"tiga/internal/pool"
 )
 
@@ -29,53 +28,42 @@ import (
 // TestOpenLoopLocalReadsPinned's admission gate — the only row in which a
 // read-only transaction never reaches a leader. Spec, seeds and load are those
 // EXPERIMENTS.md has tabulated since PR 9.
+// Each row is a budget/ shape of the registry (shapes.go).
 // These five rows run Tiga. closed-2pl, closed-occ and closed-ncc+ are the
 // closed row on three of the layered baselines, whose replication is
 // internal/paxos (the first two also share lockocc's lock table), closed-ncc
 // on NCC without replication, and closed-janus and closed-tapir on Janus and
 // Tapir; every one of them pools its replies and coordinator records. All run
 // at 150 transactions a second per coordinator: below their saturation at
-// this shape, so every tick submits and nothing aborts. closed-ncc+ was 35.6
-// allocs and 4 902 bytes (closed-ncc 26.6 and 2 741) while NCC boxed every
-// request and commit note per destination and every reply per send, took each
-// server record and coordinator record from the heap, copied a piece's keys
-// for the RTC scan and boxed the request again to propose it. closed-tapir was 83.6 allocs and 12 146 bytes while Tapir's
-// replies were boxed, its votes were tallied in maps and every buffered
-// execution made a write list of its own; closed-2pl and closed-occ were 40.3
-// allocs and 7 180 bytes and 53.2 and 7 650 while lockocc boxed every request
-// per destination and every vote and acknowledgement per send, each commit
-// record and write list was an allocation of its own and each attempt armed a
-// vote-timeout closure. Their bytes include what the 600 commits of a row leave
-// unused of each leader's last commit-record slab chunk (64 KB) and write-arena
-// chunk (12 KB).
+// this shape, so every tick submits and nothing aborts. The lockocc rows'
+// bytes include what the 600 commits of a row leave unused of each leader's
+// last commit-record slab chunk (64 KB) and write-arena chunk (12 KB).
 //
 // allocs and bytes are per committed transaction, recorded with go1.24 (the
 // toolchain CI pins: the map implementation moves the counts) at the commit
 // that last changed them, as this test measures them: pool.Check's id maps are
-// in, +0.1 allocation and +1–2 % bytes over what cmd/allocprof prints for the
-// same shape. They repeat to ±0.1 allocation and ±0.1 % bytes. A rise beyond
-// BENCHMARK.json's bounds for host_allocs_per_txn / host_bytes_per_txn fails;
-// so does a fall of more than 10 %, until the recorded value is lowered — the
-// next rise is then measured from where the code is, not from where it was.
+// in: on budget/closed that is 11.7 allocations and 11 699 bytes against the
+// 11.6 and 11 488 that cmd/allocprof -shape budget/closed prints (+0.1
+// allocation, +211 bytes or +1.8 %). They repeat to ±0.1 allocation and
+// ±0.1 % bytes. A rise beyond BENCHMARK.json's bounds for
+// host_allocs_per_txn / host_bytes_per_txn fails; so does a fall of more than
+// 10 %, until the recorded value is lowered — the next rise is then measured
+// from where the code is, not from where it was.
 var txnPathBudget = []struct {
-	name, protocol, arrival, workload string
-	shards, keys                      int
-	rate                              float64
-	window                            time.Duration
-	localReads                        bool
-	allocs, bytes                     float64
+	shape         string
+	allocs, bytes float64
 }{
-	{"closed", "Tiga", "", "micro", 3, 2000, 500, time.Second, false, 11.7, 11699},
-	{"open", "Tiga", "poisson", "micro", 3, 2000, 500, time.Second, false, 11.8, 11889},
-	{"closed-100k", "Tiga", "", "micro", 3, 100_000, 500, 2 * time.Second, false, 8.0, 9141},
-	{"closed-tpcc", "Tiga", "", "tpcc", 6, 2000, 500, time.Second, false, 43.1, 23292},
-	{"open-reads", "Tiga", "poisson", "ycsbt", 6, 2000, 500, time.Second, true, 10.4, 6399},
-	{"closed-2pl", "2PL+Paxos", "", "micro", 3, 2000, 150, time.Second, false, 19.8, 6290},
-	{"closed-occ", "OCC+Paxos", "", "micro", 3, 2000, 150, time.Second, false, 22.2, 6293},
-	{"closed-ncc", "NCC", "", "micro", 3, 2000, 150, time.Second, false, 6.7, 2420},
-	{"closed-ncc+", "NCC+", "", "micro", 3, 2000, 150, time.Second, false, 12.3, 4553},
-	{"closed-janus", "Janus", "", "micro", 3, 2000, 150, time.Second, false, 32.5, 5604},
-	{"closed-tapir", "Tapir", "", "micro", 3, 2000, 150, time.Second, false, 14.0, 3700},
+	{"budget/closed", 11.7, 11699},
+	{"budget/open", 11.8, 11889},
+	{"budget/closed-100k", 8.0, 9141},
+	{"budget/closed-tpcc", 43.1, 23292},
+	{"budget/open-reads", 10.4, 6399},
+	{"budget/closed-2pl", 19.8, 6290},
+	{"budget/closed-occ", 22.2, 6293},
+	{"budget/closed-ncc", 6.7, 2420},
+	{"budget/closed-ncc+", 12.3, 4553},
+	{"budget/closed-janus", 32.5, 5604},
+	{"budget/closed-tapir", 14.0, 3700},
 }
 
 const (
@@ -98,32 +86,15 @@ func TestTxnPathAllocBudget(t *testing.T) {
 	defer func() { pool.Check = false }()
 
 	for _, c := range txnPathBudget {
-		t.Run(c.name, func(t *testing.T) {
-			spec := ClusterSpec{
-				Protocol: c.protocol, Workload: c.workload, WorkloadKeys: c.keys,
-				Shards: c.shards, F: 1, Clock: clocks.ModelChrony,
-				CoordsPerRegion: 1, CoordsRemote: 1, Seed: 42,
-				CostScale: CPUScale,
-			}
-			// As in the benchmark's sweep-nine: OCC+Paxos and Tapir retry a
-			// refused validation until it commits, so their rows abort nothing.
-			spec.SetKnob("OCC+Paxos", "max-retries", 100)
-			spec.SetKnob("Tapir", "max-retries", 100)
-			if c.localReads {
-				spec.WorkloadParams = map[string]any{"skew": 0.7, "read-ratio": 0.95}
-				spec.SetKnob("Tiga", "local-reads", true)
-				spec.SetKnob("Tiga", "read-staleness", 200*time.Millisecond)
-				spec.SetKnob("Tiga", "admit-cap", 12)
-				spec.SetKnob("Tiga", "admit-queue", 12)
+		t.Run(strings.TrimPrefix(c.shape, "budget/"), func(t *testing.T) {
+			spec, load, err := LookupShape(c.shape)
+			if err != nil {
+				t.Fatal(err)
 			}
 			if err := spec.EnsureGen(); err != nil {
 				t.Fatal(err)
 			}
 			d := Build(spec)
-			load := LoadSpec{
-				RatePerCoord: c.rate, Outstanding: 100, Arrival: c.arrival,
-				Warmup: 200 * time.Millisecond, Duration: c.window, Seed: 43, LocalReads: c.localReads,
-			}
 			runtime.GC()
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
@@ -136,7 +107,7 @@ func TestTxnPathAllocBudget(t *testing.T) {
 			if committed == 0 {
 				t.Fatal("no commits in the measurement run")
 			}
-			if local := res.Run.Counters.LocalReads; c.localReads != (local > 0) {
+			if local := res.Run.Counters.LocalReads; load.LocalReads != (local > 0) {
 				t.Fatalf("%d transactions took the local read path", local)
 			}
 			if n := res.Run.Counters; n.Aborted != n.Shed {
@@ -159,7 +130,7 @@ func holdTo(t *testing.T, what string, got, recorded, bound float64) {
 	switch {
 	case got > recorded*(1+bound):
 		t.Errorf("%s: %s measured %.1f, recorded %.1f (%+.1f %%, bound +%.0f %%): the transaction path allocates more — "+
-			"find it with cmd/allocprof and remove it, or, if the cost is meant, raise the recorded value in txnPathBudget",
+			"find it with cmd/allocprof -shape budget/<row> and remove it, or, if the cost is meant, raise the recorded value in txnPathBudget",
 			t.Name(), what, got, recorded, pct, bound*100)
 	case got < recorded*(1-staleBelow):
 		t.Errorf("%s: %s measured %.1f, recorded %.1f (%+.1f %%, stale below -%.0f %%): the budget is stale — "+
