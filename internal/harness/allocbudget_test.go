@@ -32,12 +32,13 @@ import (
 // These five rows run Tiga. closed-2pl, closed-occ and closed-ncc+ are the
 // closed row on three of the layered baselines, whose replication is
 // internal/paxos (the first two also share lockocc's lock table), closed-ncc
-// on NCC without replication, and closed-janus and closed-tapir on Janus and
-// Tapir; every one of them pools its replies and coordinator records. All run
-// at 150 transactions a second per coordinator: below their saturation at
-// this shape, so every tick submits and nothing aborts. The lockocc rows'
-// bytes include what the 600 commits of a row leave unused of each leader's
-// last commit-record slab chunk (64 KB) and write-arena chunk (12 KB).
+// on NCC without replication, closed-janus and closed-tapir on Janus and
+// Tapir, and closed-detock on Detock; every one of them pools its replies and
+// coordinator records. All run at 150 transactions a second per coordinator:
+// below their saturation at this shape, so every tick submits and nothing
+// aborts. The lockocc rows' bytes include what the 600 commits of a row leave
+// unused of each leader's last commit-record slab chunk (64 KB) and
+// write-arena chunk (12 KB).
 //
 // allocs and bytes are per committed transaction, recorded with go1.24 (the
 // toolchain CI pins: the map implementation moves the counts) at the commit
@@ -64,6 +65,7 @@ var txnPathBudget = []struct {
 	{"budget/closed-ncc+", 12.3, 4553},
 	{"budget/closed-janus", 32.5, 5604},
 	{"budget/closed-tapir", 14.0, 3700},
+	{"budget/closed-detock", 16.5, 2384},
 }
 
 const (

@@ -185,5 +185,6 @@ func registerShapes() []Shape {
 		budgetShape("closed-ncc+", "NCC+'s closed loop below saturation", "NCC+", 150, nil),
 		budgetShape("closed-janus", "Janus's closed loop below saturation", "Janus", 150, nil),
 		budgetShape("closed-tapir", "Tapir's closed loop below saturation, retrying until commit", "Tapir", 150, retryUntilCommit("Tapir")),
+		budgetShape("closed-detock", "Detock's closed loop below saturation", "Detock", 150, nil),
 	)
 }

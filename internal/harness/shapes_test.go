@@ -29,8 +29,8 @@ func TestShapes(t *testing.T) {
 		}
 		Build(spec) // panics on an unknown knob or workload parameter
 	}
-	if len(seen) != 23 || sweep != 9 {
-		t.Errorf("%d shapes, %d of them sweep-nine points; want 23 and 9", len(seen), sweep)
+	if len(seen) != 24 || sweep != 9 {
+		t.Errorf("%d shapes, %d of them sweep-nine points; want 24 and 9", len(seen), sweep)
 	}
 
 	// Scale 1 is the shape as measured; the scale rule floors keys at 1 000.

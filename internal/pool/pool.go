@@ -26,17 +26,26 @@
 //     Janus', Tapir's and NCC's replies, and the layered baselines' (lockocc)
 //     votes and commit acknowledgements, come from the sending replica's,
 //     server's or leader's list, carry the sender, and the coordinator's
-//     handle puts each back there once it has copied the fields out,
+//     handle puts each back there once it has copied the fields out; so do
+//     Detock's sequence exchanges, replication acks and results, which come
+//     from the sending engine's list,
 //   - a snapshot-read request (internal/snapread): the replica recycles it once
 //     the read is served — a read queued behind the watermark holds it until
 //     then — and the coordinator a reply once it has copied the answer out,
 //   - multicast payloads: each destination gets its own pooled copy when
-//     receivers keep it (Tiga); an immutable payload that every receiver
-//     copies out (Janus, Tapir, lockocc, and NCC's requests and commit notes)
-//     is boxed once and shared instead, and never pooled,
+//     receivers keep it (Tiga) or when the copy carries a buffer that is
+//     refilled on reuse (Detock's write sets, one copy per region and shard,
+//     refilled with append(r.Writes[:0], ...), applied, acked and put back
+//     by the receiver); an immutable payload that every receiver copies out
+//     or only reads (Janus, Tapir, lockocc, NCC's requests and commit notes,
+//     and Detock's home requests) is boxed once and shared instead, and never
+//     pooled,
 //   - coordinator-local records: recycled when the txn finishes (Janus and
 //     Tapir read what the completion callback and a retry need first, NCC
-//     what the callback needs),
+//     and Detock what the callback needs),
+//   - a server record that nothing mentions after a known message: Detock's
+//     engine records are recycled at the first replication ack, once the
+//     result has gone out; the later acks find no record,
 //   - anything retained by a server log (e.g. *txn.Txn): never pooled. A
 //     log-retained record comes from a slab, never from a freelist: lockocc's
 //     commit records come from the proposing leader's Slab, their write sets

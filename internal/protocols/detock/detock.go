@@ -14,9 +14,11 @@ package detock
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 	"time"
 
+	"tiga/internal/pool"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
@@ -41,41 +43,62 @@ type Spec struct {
 
 func tid(id txn.ID) uint64 { return uint64(id.Coord)<<40 | id.Seq }
 
+// homeSet is a set of home regions, one bit each (New admits at most 64
+// regions).
+type homeSet uint64
+
+func (hs homeSet) len() int { return bits.OnesCount64(uint64(hs)) }
+
+// Message ownership. A coordinator's homeReq is boxed once per transaction and
+// shared by its home engines, which keep its Txn. The four unicast
+// messages below are drawn from the sending engine's list and carry it as src;
+// the receiver copies the fields out (a replWrite is applied first) and puts
+// the message back there. A replWrite is one per destination and shard, so
+// its Writes buffer is that copy's own.
 type homeReq struct {
 	T     *txn.Txn
 	Coord simnet.NodeID
-	Homes []int
+	Homes homeSet
 }
 
-// seqInfo carries one home region's local sequence number for a transaction.
+// seqInfo carries one home region's (src's) local sequence number for a
+// transaction.
 type seqInfo struct {
-	ID     txn.ID
-	Region int
-	Seq    uint64
+	src *engine
+	ID  txn.ID
+	Seq uint64
 }
 
 type replWrite struct {
+	src    *engine
 	ID     txn.ID
 	Shard  int
 	Writes []store.Write
 }
 
 type replAck struct {
-	ID txn.ID
+	src *engine
+	ID  txn.ID
 }
 
 type resultMsg struct {
+	src *engine
 	ID  txn.ID
 	Ret []txn.ShardRet // results of the shards homed at the sender
 }
 
-// dtxn is one transaction at one of its home engines.
+// dtxn is one transaction at one of its home engines, drawn from the engine's
+// recs at the first message that mentions it and put back at the first
+// replication ack; it keeps its slices' backing arrays across uses.
 type dtxn struct {
 	t     *txn.Txn
 	coord simnet.NodeID
-	homes []int
-	seqs  []uint64 // region -> local sequence, 0 while unknown
-	nseq  int
+	homes homeSet
+	// local is this region's sequence number for the transaction (0 until
+	// its home request arrives), top the largest of the home regions' known so
+	// far, and nseq how many of them are known.
+	local, top uint64
+	nseq       int
 	// key is the deterministic global order key (0 while unordered); tie
 	// places the transaction among equal keys, see order.
 	key     uint64
@@ -148,7 +171,14 @@ type engine struct {
 	cand   []*dtxn // release candidates, descending
 	marks  uint64
 	packed []uint64
-	repl   []simnet.Message
+	writes []store.Write // execute's write buffer, copied into each replWrite
+	spans  []int         // execute: where each replicated shard's writes end
+
+	recs    *pool.Free[dtxn]
+	infos   *pool.Free[seqInfo]
+	repls   *pool.Free[replWrite]
+	acks    *pool.Free[replAck]
+	results *pool.Free[resultMsg]
 
 	// probes counts the wait-list entries and per-key states examined (tests
 	// bound it per transaction).
@@ -167,6 +197,9 @@ type System struct {
 
 // New builds the deployment.
 func New(spec Spec) *System {
+	if spec.Regions > 64 {
+		panic("detock: more than 64 regions")
+	}
 	if spec.Home == nil {
 		regions := spec.Regions
 		spec.Home = func(shard int) int { return shard % regions }
@@ -175,7 +208,9 @@ func New(spec Spec) *System {
 	for reg := 0; reg < spec.Regions; reg++ {
 		node := spec.Net.AddNode(simnet.Region(reg), nil)
 		en := &engine{sys: sys, region: reg, node: node,
-			txns: make(map[uint64]*dtxn), keys: make(map[uint64]*keyQ)}
+			txns: make(map[uint64]*dtxn), keys: make(map[uint64]*keyQ),
+			recs: pool.New[dtxn](), infos: pool.New[seqInfo](), repls: pool.New[replWrite](),
+			acks: pool.New[replAck](), results: pool.New[resultMsg]()}
 		for sh := 0; sh < spec.Shards; sh++ {
 			st := store.New()
 			if spec.Seed != nil {
@@ -189,7 +224,7 @@ func New(spec Spec) *System {
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
 		co := &coordinator{node: node, idx: int32(len(sys.coords) + 1),
-			pending: make(map[txn.ID]*pending)}
+			pending: make(map[txn.ID]*pending), pend: pool.New[pending]()}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -205,16 +240,13 @@ func (sys *System) NumCoords() int { return len(sys.coords) }
 // Store exposes a region's copy of a shard (tests).
 func (sys *System) Store(region, shard int) *store.Store { return sys.engines[region].sts[shard] }
 
-// homesOf returns the sorted home regions involved in t.
-func (sys *System) homesOf(t *txn.Txn) []int {
-	out := make([]int, 0, len(t.Pieces))
+// homesOf returns the home regions involved in t.
+func (sys *System) homesOf(t *txn.Txn) homeSet {
+	var hs homeSet
 	for i := range t.Pieces {
-		h := sys.spec.Home(t.Pieces[i].Shard())
-		if i, found := slices.BinarySearch(out, h); !found {
-			out = slices.Insert(out, i, h)
-		}
+		hs |= 1 << sys.spec.Home(t.Pieces[i].Shard())
 	}
-	return out
+	return hs
 }
 
 // ---- engine ----
@@ -223,11 +255,11 @@ func (en *engine) handle(from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
 	case homeReq:
 		en.onHomeReq(m)
-	case seqInfo:
+	case *seqInfo:
 		en.onSeqInfo(m)
-	case replWrite:
+	case *replWrite:
 		en.onReplWrite(from, m)
-	case replAck:
+	case *replAck:
 		en.onReplAck(m)
 	}
 }
@@ -237,17 +269,17 @@ func (en *engine) handle(from simnet.NodeID, msg simnet.Message) {
 func (en *engine) lookup(id txn.ID) *dtxn {
 	d := en.txns[tid(id)]
 	if d == nil {
-		d = &dtxn{seqs: make([]uint64, en.sys.spec.Regions)}
+		d = en.recs.Get()
+		*d = dtxn{acc: d.acc[:0], rets: d.rets[:0]}
 		en.txns[tid(id)] = d
 	}
 	return d
 }
 
-func (d *dtxn) setSeq(region int, seq uint64) {
-	if d.seqs[region] == 0 {
-		d.nseq++
-	}
-	d.seqs[region] = seq
+// setSeq takes a home region's sequence number; each reports it once.
+func (d *dtxn) setSeq(seq uint64) {
+	d.nseq++
+	d.top = max(d.top, seq)
 }
 
 // onHomeReq assigns the local sequence number and exchanges it with the other
@@ -260,19 +292,24 @@ func (en *engine) onHomeReq(m homeReq) {
 	d.homes = m.Homes
 	d.coord = m.Coord
 	en.seq++
-	d.setSeq(en.region, en.seq)
+	d.local = en.seq
+	d.setSeq(en.seq)
 	en.enqueue(d)
-	for _, h := range m.Homes {
-		if h != en.region {
-			en.node.Send(en.sys.engines[h].node.ID(), seqInfo{ID: m.T.ID, Region: en.region, Seq: en.seq})
+	for hs := m.Homes; hs != 0; hs &= hs - 1 {
+		if h := bits.TrailingZeros64(uint64(hs)); h != en.region {
+			s := en.infos.Get()
+			*s = seqInfo{src: en, ID: m.T.ID, Seq: en.seq}
+			en.node.Send(en.sys.engines[h].node.ID(), s)
 		}
 	}
 	en.tryOrder(d)
 }
 
-func (en *engine) onSeqInfo(m seqInfo) {
-	d := en.lookup(m.ID)
-	d.setSeq(m.Region, m.Seq)
+func (en *engine) onSeqInfo(m *seqInfo) {
+	id, seq := m.ID, m.Seq
+	m.src.infos.Put(m)
+	d := en.lookup(id)
+	d.setSeq(seq)
 	en.tryOrder(d)
 }
 
@@ -290,7 +327,7 @@ func (en *engine) enqueue(d *dtxn) {
 	}
 	// A key read and written sorts its write last: keep the last of each key.
 	slices.Sort(ks)
-	d.acc = make([]access, 0, len(ks))
+	d.acc = slices.Grow(d.acc[:0], len(ks))
 	for i, k := range ks {
 		if i+1 < len(ks) && ks[i+1]>>1 == k>>1 {
 			continue
@@ -335,11 +372,11 @@ func (en *engine) keyQ(k uint64) *keyQ {
 // sequence numbers are known, charges the deadlock resolution (DDR) over the
 // scan window, and executes what the newly ordered transaction releases.
 func (en *engine) tryOrder(d *dtxn) {
-	if d.t == nil || d.ordered || d.nseq < len(d.homes) {
+	if d.t == nil || d.ordered || d.nseq < d.homes.len() {
 		return
 	}
 	d.ordered = true
-	d.key = slices.Max(d.seqs)<<16 | (tid(d.t.ID) & 0xffff)
+	d.key = d.top<<16 | (tid(d.t.ID) & 0xffff)
 	// Model the deadlock-resolution cost: a conflict graph of d and the
 	// pending transactions in the scan window that conflict with it has one
 	// node and one edge per such transaction.
@@ -397,8 +434,8 @@ func (en *engine) inWindow(o *dtxn) bool {
 }
 
 func (en *engine) unIndex(d *dtxn) int {
-	i, _ := slices.BinarySearchFunc(en.unordered, d.seqs[en.region], func(o *dtxn, seq uint64) int {
-		return cmp.Compare(o.seqs[en.region], seq)
+	i, _ := slices.BinarySearchFunc(en.unordered, d.local, func(o *dtxn, seq uint64) int {
+		return cmp.Compare(o.local, seq)
 	})
 	return i
 }
@@ -536,54 +573,70 @@ func (en *engine) execute(d *dtxn) {
 			en.freeQ = append(en.freeQ, q)
 		}
 	}
-	d.acc = nil
 	spec := &en.sys.spec
 	var work time.Duration
-	// Replicate in shard order — send order feeds the simulation's event
-	// order.
+	// The shards homed here execute, in shard order, into one buffer: shard
+	// j's writes are writes[spans[j-1]:spans[j]].
+	ws, spans := en.writes[:0], en.spans[:0]
 	for i := range d.t.Pieces {
 		sh := d.t.Pieces[i].Shard()
 		if spec.Home(sh) != en.region {
 			continue
 		}
 		work += spec.ExecCost
-		ret, writes := en.sts[sh].ExecuteBuffered(nil, &d.t.Pieces[i])
+		start := len(ws)
+		var ret []byte
+		ret, ws = en.sts[sh].ExecuteBuffered(ws, &d.t.Pieces[i])
 		d.rets = append(d.rets, txn.ShardRet{Shard: sh, Ret: ret})
-		en.sts[sh].Apply(writes)
-		en.repl = append(en.repl, replWrite{ID: d.t.ID, Shard: sh, Writes: writes})
+		en.sts[sh].Apply(ws[start:])
+		spans = append(spans, len(ws))
 	}
+	en.writes, en.spans = ws, spans
 	en.node.Work(work)
 	if en.onCharge != nil {
 		en.onCharge(d, true, work)
 	}
 	// Synchronous geo-replication: wait for f=1 remote ack before reporting.
+	// Each region gets its own copy of each shard's writes, in shard order —
+	// send order feeds the simulation's event order.
 	for reg, o := range en.sys.engines {
 		if reg == en.region {
 			continue
 		}
-		for _, m := range en.repl {
-			en.node.Send(o.node.ID(), m)
+		start := 0
+		for j, end := range spans {
+			r := en.repls.Get()
+			*r = replWrite{src: en, ID: d.t.ID, Shard: d.rets[j].Shard, Writes: append(r.Writes[:0], ws[start:end]...)}
+			en.node.Send(o.node.ID(), r)
+			start = end
 		}
 	}
-	clear(en.repl)
-	en.repl = en.repl[:0]
 }
 
-func (en *engine) onReplWrite(from simnet.NodeID, m replWrite) {
+func (en *engine) onReplWrite(from simnet.NodeID, m *replWrite) {
 	en.sts[m.Shard].Apply(m.Writes)
-	en.node.Send(from, replAck{ID: m.ID})
+	id := m.ID
+	m.src.repls.Put(m)
+	a := en.acks.Get()
+	*a = replAck{src: en, ID: id}
+	en.node.Send(from, a)
 }
 
 // onReplAck reports to the coordinator at the first remote ack — with the
-// local copy a majority of 3 — and forgets the transaction: nothing but the
-// remaining acks can mention it again, and they find no record.
-func (en *engine) onReplAck(m replAck) {
-	d := en.txns[tid(m.ID)]
+// local copy a majority of 3 — and recycles the transaction's record: nothing
+// but the remaining acks can mention it again, and they find no record.
+func (en *engine) onReplAck(m *replAck) {
+	id := m.ID
+	m.src.acks.Put(m)
+	d := en.txns[tid(id)]
 	if d == nil || !d.done {
 		return
 	}
-	en.node.Send(d.coord, resultMsg{ID: m.ID, Ret: d.rets})
-	delete(en.txns, tid(m.ID))
+	r := en.results.Get()
+	*r = resultMsg{src: en, ID: id, Ret: append(r.Ret[:0], d.rets...)}
+	en.node.Send(d.coord, r)
+	delete(en.txns, tid(id))
+	en.recs.Put(d)
 }
 
 // ---- coordinator ----
@@ -599,6 +652,7 @@ type coordinator struct {
 	idx     int32
 	seq     uint64
 	pending map[txn.ID]*pending
+	pend    *pool.Free[pending]
 }
 
 // Submit dispatches t to the engines of its home regions.
@@ -607,29 +661,39 @@ func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
 	co.seq++
 	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
 	homes := sys.homesOf(t)
-	co.pending[t.ID] = &pending{done: done, results: make([]txn.ShardRet, 0, len(t.Pieces)), homes: len(homes)}
+	p := co.pend.Get()
+	*p = pending{done: done, results: make([]txn.ShardRet, 0, len(t.Pieces)), homes: homes.len()}
+	co.pending[t.ID] = p
 	var m simnet.Message = homeReq{T: t, Coord: co.node.ID(), Homes: homes}
-	for _, h := range homes {
-		co.node.Send(sys.engines[h].node.ID(), m)
+	for hs := homes; hs != 0; hs &= hs - 1 {
+		co.node.Send(sys.engines[bits.TrailingZeros64(uint64(hs))].node.ID(), m)
 	}
 }
 
+// handle takes a home engine's result: it copies the returns out and puts the
+// message back on its sender's list before acting on them.
 func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
-	m, ok := msg.(resultMsg)
+	m, ok := msg.(*resultMsg)
 	if !ok {
 		return
 	}
-	p := co.pending[m.ID]
+	id := m.ID
+	p := co.pending[id]
+	if p != nil {
+		for _, r := range m.Ret {
+			p.results = txn.PutRet(p.results, r.Shard, r.Ret)
+		}
+	}
+	m.src.results.Put(m)
 	if p == nil {
 		return
-	}
-	for _, r := range m.Ret {
-		p.results = txn.PutRet(p.results, r.Shard, r.Ret)
 	}
 	// Each home engine reports exactly once.
 	if p.homes--; p.homes > 0 {
 		return
 	}
-	delete(co.pending, m.ID)
-	p.done(txn.Result{OK: true, PerShard: p.results})
+	delete(co.pending, id)
+	done, results := p.done, p.results
+	co.pend.Put(p)
+	done(txn.Result{OK: true, PerShard: results})
 }
