@@ -16,10 +16,11 @@ import (
 // byte-identical output: the refactor moved every experiment onto typed
 // tables without changing a single rendered byte on defaults.
 //
-// The configurations restrict protocols/axes to keep the replay affordable
-// on one core; the formats they exercise cover every column layout the
-// experiments use (the remaining layouts are pinned cell-by-cell in
-// internal/report's unit tests).
+// The configurations restrict protocols/axes to keep the replay affordable;
+// the formats they exercise cover every column layout the experiments use (the
+// remaining layouts are pinned cell-by-cell in internal/report's unit tests).
+// The replays run on every core: a golden recorded serially then also checks
+// that the sweep's output does not depend on the worker count.
 
 // bufferedProtocols are the protocols that execute pieces against a buffered
 // view (Store.ExecuteBuffered) and install the write set at their own commit
@@ -40,7 +41,7 @@ func bufferedOpts(outstanding int) Options {
 }
 
 func goldenOpts() Options {
-	return Options{Quick: true, Keys: 800, Seed: 42, Workers: 1}
+	return Options{Quick: true, Keys: 800, Seed: 42, Workers: 0}
 }
 
 func checkGolden(t *testing.T, name string, rep *report.Report) {
@@ -150,6 +151,16 @@ func TestGoldenTextRenderer(t *testing.T) {
 			o := goldenOpts()
 			o.Protocols = []string{"Tiga"}
 			o.Plans = []string{"wan-partition"}
+			return ChaosMatrix(o)
+		}},
+		{"chaos-recovery", func(t *testing.T) *report.Report {
+			// Tiga's recovery and resend paths: leader-crash runs a view
+			// change, then the rebooted server's rejoin and state transfer;
+			// flaky-link loses and reorders messages, so replies are re-sent,
+			// agreements re-broadcast and log-syncs arrive out of order.
+			o := goldenOpts()
+			o.Protocols = []string{"Tiga"}
+			o.Plans = []string{"leader-crash", "flaky-link"}
 			return ChaosMatrix(o)
 		}},
 		{"breakdown", func(t *testing.T) *report.Report {
