@@ -1,6 +1,7 @@
 package tiga
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -31,5 +32,76 @@ func TestBatchedSlowReplies(t *testing.T) {
 	sim.Run(6 * time.Second)
 	if committed != n {
 		t.Fatalf("committed %d of %d with batched slow replies", committed, n)
+	}
+}
+
+// TestBatchedSlowPathWaitsForTheLogPosition pins Appendix E's rule that a
+// follower's sync-point vouches for a transaction only past the log position
+// the leader released it at. With rotated leaders (detective mode) a
+// multi-shard transaction executes, and the leader fast-replies, well before
+// agreement lets it release; meanwhile single-shard releases grow the log, so
+// the length of the log at execution names some other transaction's entry.
+// Co-located leaders (preventive mode) execute and release in one step. Either
+// way, every slow-path commit must find a follower of shard 0 holding the
+// transaction in its synced log.
+func TestBatchedSlowPathWaitsForTheLogPosition(t *testing.T) {
+	regions := []simnet.Region{0, 1, 2}
+	for _, pl := range []struct {
+		name string
+		pl   Placement
+		mode Mode
+	}{
+		{"rotated", RotatedPlacement(regions, 3), ModeDetective},
+		{"colocated", ColocatedPlacement(regions), ModePreventive},
+	} {
+		t.Run(pl.name, func(t *testing.T) {
+			cfg := DefaultConfig(3, 1)
+			cfg.BatchSlowReplies = true
+			sim, c := testCluster(t, 71, cfg, pl.pl, clocks.ModelChrony)
+			if c.Mode() != pl.mode {
+				t.Fatalf("mode %v, want %v", c.Mode(), pl.mode)
+			}
+			synced := func(id txn.ID) bool {
+				for _, s := range c.Servers[0] {
+					if s == c.Leader(0) {
+						continue
+					}
+					for _, got := range s.LogIDs()[:s.SyncPoint()] {
+						if got == id {
+							return true
+						}
+					}
+				}
+				return false
+			}
+			const n = 300
+			slow, early := 0, 0
+			for i := 0; i < n; i++ {
+				t1 := incTxn(0, 1, 2)
+				if i%3 != 0 {
+					t1 = &txn.Txn{Pieces: txn.ByShard(txn.IncrementPiece(fmt.Sprintf("k0-s%d", i)).On(0))}
+				}
+				co := c.Coords[i%3]
+				sim.At(time.Duration(100+i*3)*time.Millisecond, func() {
+					co.Submit(t1, func(r txn.Result) {
+						if !r.OK || r.FastPath {
+							return
+						}
+						slow++
+						if !synced(t1.ID) {
+							early++
+						}
+					})
+				})
+			}
+			sim.Run(10 * time.Second)
+			if slow == 0 {
+				t.Fatal("no slow-path commits: the probe exercises nothing")
+			}
+			if early != 0 {
+				t.Fatalf("%d of %d slow-path commits completed before any follower of shard 0 synced the transaction", early, slow)
+			}
+			t.Logf("%d slow-path commits, each synced on a follower", slow)
+		})
 	}
 }

@@ -67,8 +67,7 @@ type Cluster struct {
 	// server.go), under the same single-threaded discipline.
 	agreements *pool.Free[agreement]
 
-	initialGVec []int
-	initialMode Mode
+	initial globalView // every node's view at start: view 0, replica 0 leads
 }
 
 // NewCluster builds the full deployment: m×(2f+1) servers, the given
@@ -76,7 +75,7 @@ type Cluster struct {
 func NewCluster(net *simnet.Network, cfg Config, pl Placement, cf *clocks.Factory,
 	seed func(int, *store.Store)) *Cluster {
 
-	c := &Cluster{Cfg: cfg, Net: net, Seed: seed, initialGVec: make([]int, cfg.Shards),
+	c := &Cluster{Cfg: cfg, Net: net, Seed: seed, initial: globalView{GVec: make([]int, cfg.Shards)},
 		msgs: newMsgPools(), agreements: pool.New[agreement]()}
 
 	c.serverNodes = make([][]simnet.NodeID, cfg.Shards)
@@ -87,7 +86,7 @@ func NewCluster(net *simnet.Network, cfg Config, pl Placement, cf *clocks.Factor
 		}
 	}
 	// Mode selection (§3.8) over the initial leaders, replica 0 of each shard.
-	c.initialMode = c.chooseMode(make([]int, cfg.Shards))
+	c.initial.GMode = c.chooseMode(make([]int, cfg.Shards))
 
 	c.Servers = make([][]*Server, cfg.Shards)
 	for s := range c.Servers {
@@ -174,8 +173,7 @@ func (c *Cluster) vmLeaderNode() simnet.NodeID { return c.vmNodes[0] }
 
 // Leader returns the current leader server of a shard according to the VM.
 func (c *Cluster) Leader(shard int) *Server {
-	gvec := c.VMs[0].gvec
-	return c.Servers[shard][gvec[shard]%c.Cfg.Replicas()]
+	return c.Servers[shard][c.VMs[0].view.GVec[shard]%c.Cfg.Replicas()]
 }
 
 // ServerGrid reports the replica grid (protocol.Faultable).
@@ -225,7 +223,7 @@ func (c *Cluster) TotalVersions() int {
 }
 
 // Mode returns the currently active agreement mode.
-func (c *Cluster) Mode() Mode { return c.initialMode }
+func (c *Cluster) Mode() Mode { return c.initial.GMode }
 
 // Submit routes a transaction through the given coordinator (harness
 // interface shared with the baseline protocols).

@@ -204,6 +204,24 @@ type viewInfo struct {
 	LView int
 }
 
+// globalView is the view manager's <g-view, g-vec, g-mode> (§4): the global
+// view number, each shard's local view — whose leader is replica lview mod
+// 2f+1 — and the agreement mode. Servers, coordinators and view-manager
+// replicas hold one, and the view-change messages carry one. A view travels as
+// a copy: whoever sends or adopts a view takes it through copy, so no two
+// holders share a g-vec.
+type globalView struct {
+	GView int
+	GVec  []int
+	GMode Mode
+}
+
+// copy returns v with a g-vec of its own.
+func (v globalView) copy() globalView {
+	v.GVec = append([]int(nil), v.GVec...)
+	return v
+}
+
 // txnMsg is the coordinator's multicast (step 1, Fig 3).
 type txnMsg struct {
 	T         *txn.Txn
@@ -224,7 +242,7 @@ type fastReply struct {
 	Hash     hashlog.Hash
 	Ret      []byte // execution result; nil from followers
 	IsLeader bool
-	LogPos   int           // leader only: assigned log position (Appendix E)
+	LogPos   int           // leader only: the log position of the release, -1 before it (Appendix E)
 	OWD      time.Duration // measured arrival delay sample for the estimator
 
 	// Span stamps (internal/trace): the server-side lifecycle of this
@@ -330,16 +348,10 @@ type heartbeatMsg struct {
 	Replica int
 }
 
-type viewChangeReq struct {
-	GView int
-	GVec  []int
-	GMode Mode
-}
+type viewChangeReq struct{ globalView }
 
 type viewChangeMsg struct {
-	GView     int
-	GVec      []int
-	GMode     Mode
+	globalView
 	LView     int
 	Shard     int
 	Replica   int
@@ -361,9 +373,7 @@ type verifyEntry struct {
 }
 
 type startViewMsg struct {
-	GView int
-	GVec  []int
-	GMode Mode
+	globalView
 	LView int
 	Shard int
 	Log   []logEntry
@@ -386,18 +396,12 @@ type stateTransferRep struct {
 // vmInquire / vmInfo let coordinators and rejoining servers fetch the view.
 type vmInquire struct{ From simnet.NodeID }
 
-type vmInfo struct {
-	GView int
-	GVec  []int
-	GMode Mode
-}
+type vmInfo struct{ globalView }
 
 // VM-internal replication (Algorithm 4).
 type cmPrepare struct {
-	VView  int
-	PGView int
-	PGVec  []int
-	PGMode Mode
+	VView      int
+	globalView // the prepared view
 }
 
 type cmPrepareReply struct {
@@ -408,9 +412,7 @@ type cmPrepareReply struct {
 
 type cmCommit struct {
 	VView int
-	GView int
-	GVec  []int
-	GMode Mode
+	globalView
 }
 
 // fetchTxnReq asks another leader for a transaction body the coordinator

@@ -99,7 +99,47 @@ type conflictTable struct {
 	// lookups counts by-key lookups: one per key per access set of every record
 	// attached, however many pumps examine the record afterwards.
 	lookups int64
+	// onEvent is a test hook called with every update of the table and every
+	// answer it gives (nil outside tests): the differential oracle feeds a copy
+	// of the map-based sets from it and compares the answers. reset keeps it.
+	onEvent func(conflictEvent)
 }
+
+// conflictOp names what the conflict table was told or asked.
+type conflictOp uint8
+
+const (
+	opNote          conflictOp = iota // the keys' timestamps rise to ts
+	opPark                            // the keys' parked counts go up
+	opUnpark                          // and down
+	opBlock                           // the keys join this pump's blocked sets
+	opEndPump                         // which are emptied
+	opConflictOK                      // passes at ts answered ok
+	opMinAcceptable                   // minAcceptable answered min
+	opBlockedBy                       // blockedBy answered ok
+)
+
+// conflictEvent is one update of, or answer from, the conflict table
+// (conflictTable.onEvent). piece carries the access sets concerned; it is nil
+// for opEndPump.
+type conflictEvent struct {
+	op    conflictOp
+	piece *txn.Piece
+	ts    txn.Timestamp
+	ok    bool
+	min   time.Duration
+}
+
+// observe hands ev to the test hook, if one is armed.
+func (t *conflictTable) observe(ev conflictEvent) {
+	if t.onEvent != nil {
+		t.onEvent(ev)
+	}
+}
+
+// reset empties the table, as a server does when it replaces its store: the
+// new store numbers inserted keys afresh. The test hook stays armed.
+func (t *conflictTable) reset() { *t = conflictTable{onEvent: t.onEvent} }
 
 // slot returns k's index slot: the one holding it, or the free one it belongs
 // in. KeyIDs are small dense integers and a piece's keys are often neighbours
@@ -158,14 +198,14 @@ func (t *conflictTable) refs(n int) []uint32 {
 // stamp wraps, a stamp left behind 2^32 pumps ago could read as current, so
 // that once every entry is cleared by hand.
 func (t *conflictTable) endPump() {
-	if t.stamp++; t.stamp != 0 {
-		return
+	if t.stamp++; t.stamp == 0 {
+		for i := 0; i < t.entries.Len(); i++ {
+			e := t.entries.At(uint32(i))
+			e.stamp = 0
+			e.flags &^= blockedR | blockedW
+		}
 	}
-	for i := 0; i < t.entries.Len(); i++ {
-		e := t.entries.At(uint32(i))
-		e.stamp = 0
-		e.flags &^= blockedR | blockedW
-	}
+	t.observe(conflictEvent{op: opEndPump})
 }
 
 // ---- §3.2 conflict detection on a record's cached entries ----
@@ -173,6 +213,12 @@ func (t *conflictTable) endPump() {
 // passes reports whether ts is larger than every released conflicting
 // transaction's timestamp on r's read/write sets (Alg. 1 line 2).
 func (t *conflictTable) passes(r *rec, ts txn.Timestamp) bool {
+	ok := t.passesAt(r, ts)
+	t.observe(conflictEvent{op: opConflictOK, piece: r.piece, ts: ts, ok: ok})
+	return ok
+}
+
+func (t *conflictTable) passesAt(r *rec, ts txn.Timestamp) bool {
 	for _, i := range r.reads() {
 		if t.entries.At(i).writtenAfter(ts) {
 			return false
@@ -204,6 +250,7 @@ func (t *conflictTable) minAcceptable(r *rec) time.Duration {
 			last = e.rts
 		}
 	}
+	t.observe(conflictEvent{op: opMinAcceptable, piece: r.piece, min: last.Time + 1})
 	return last.Time + 1
 }
 
@@ -216,11 +263,26 @@ func (t *conflictTable) note(r *rec, ts txn.Timestamp) {
 	for _, i := range r.writes() {
 		t.entries.At(i).noteWrite(ts)
 	}
+	t.observe(conflictEvent{op: opNote, piece: r.piece, ts: ts})
 }
 
-// blockedBy reports whether a parked record, or one this pump found blocked,
-// conflicts with r.
+// blockedBy reports whether an earlier pending record conflicts with r: a
+// parked one (the keys' parked counts) or one this pump found blocked (their
+// blocked bits). Consulting the parked counts without regard to queue position
+// is sound because no record ever sits before a conflicting parked one: nothing
+// before it conflicted when it was processed (it would have been blocked), it
+// is parked only while the table records its current timestamp (rec.mapped),
+// which pushes every later conflicting admission past it, and repositioning
+// only moves records later — unparking them, and leaving them unmapped until
+// recordMaps runs again (a preventive-mode record repositioned after proposing
+// is never re-parked: its timestamps stay at the proposal until release).
 func (t *conflictTable) blockedBy(r *rec) bool {
+	blocked := t.blocks(r)
+	t.observe(conflictEvent{op: opBlockedBy, piece: r.piece, ok: blocked})
+	return blocked
+}
+
+func (t *conflictTable) blocks(r *rec) bool {
 	for _, i := range r.reads() {
 		if e := t.entries.At(i); e.parkW > 0 || e.blocked(t.stamp)&blockedW != 0 {
 			return true
@@ -242,10 +304,31 @@ func (t *conflictTable) block(r *rec) {
 	for _, i := range r.writes() {
 		t.entries.At(i).block(t.stamp, blockedW)
 	}
+	t.observe(conflictEvent{op: opBlock, piece: r.piece})
 }
 
-// park counts r on its keys' parked counts (d = 1), or takes it off (d = -1).
-func (t *conflictTable) park(r *rec, d int32) {
+// park marks a queued record as waiting for agreement only and counts it on
+// its keys.
+func (t *conflictTable) park(r *rec) {
+	r.parked = true
+	t.count(r, 1)
+	t.observe(conflictEvent{op: opPark, piece: r.piece})
+}
+
+// unpark undoes park; every transition that makes a parked record runnable
+// again or takes it out of the queue calls it (agreement, release, erase,
+// reposition). A no-op for records that are not parked.
+func (t *conflictTable) unpark(r *rec) {
+	if !r.parked {
+		return
+	}
+	r.parked = false
+	t.count(r, -1)
+	t.observe(conflictEvent{op: opUnpark, piece: r.piece})
+}
+
+// count adds d to the parked counts of r's keys.
+func (t *conflictTable) count(r *rec, d int32) {
 	for _, i := range r.reads() {
 		t.entries.At(i).parkR += d
 	}

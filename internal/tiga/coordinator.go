@@ -43,9 +43,7 @@ type Coordinator struct {
 	idx int32 // coordinator id; txn.ID.Coord
 	seq uint64
 
-	gview int
-	gvec  []int
-	gmode Mode
+	view globalView
 
 	// owd holds the EWMA one-way-delay estimate per server node, measured
 	// with the synchronized clocks (§3.1). Clock error feeds directly into
@@ -77,8 +75,7 @@ type Coordinator struct {
 func newCoordinator(c *Cluster, idx int32, node *simnet.Node, clk clocks.Clock) *Coordinator {
 	co := &Coordinator{
 		cfg: c.Cfg, cluster: c, node: node, clock: clk, idx: idx,
-		gvec:    make([]int, c.Cfg.Shards),
-		gmode:   c.initialMode,
+		view:    c.initial.copy(),
 		owd:     make(map[simnet.NodeID]time.Duration),
 		pending: make(map[txn.ID]*pendingTxn),
 		ptPool:  pool.New[pendingTxn](),
@@ -92,7 +89,6 @@ func newCoordinator(c *Cluster, idx int32, node *simnet.Node, clk clocks.Clock) 
 		Clock: co.now, Staleness: c.Cfg.ReadStaleness, RetryEvery: c.Cfg.RetryTimeout,
 		Replicas: c.Cfg.Replicas(), Replica: c.serverNode, Msgs: c.msgs.reads,
 	}
-	copy(co.gvec, c.initialGVec)
 	node.SetHandler(co.handle)
 	return co
 }
@@ -136,9 +132,9 @@ func (co *Coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	case probeRep:
 		co.updateOWD(from, m.OWD)
 	case vmInfo:
-		co.onVMInfo(m)
+		co.adoptView(m.globalView)
 	case viewChangeReq:
-		co.adoptView(m.GView, m.GVec, m.GMode)
+		co.adoptView(m.globalView)
 	}
 }
 
@@ -239,7 +235,7 @@ func (co *Coordinator) multicast(p *pendingTxn) {
 		sh := p.t.Pieces[i].Shard()
 		for rep := 0; rep < co.cfg.Replicas(); rep++ {
 			m := co.cluster.msgs.txn.Get()
-			*m = txnMsg{T: p.t, TS: p.ts, SendClock: sendClock, Coord: co.node.ID(), GView: co.gview, Retry: p.retries}
+			*m = txnMsg{T: p.t, TS: p.ts, SendClock: sendClock, Coord: co.node.ID(), GView: co.view.GView, Retry: p.retries}
 			co.node.Send(co.cluster.serverNode(sh, rep), m)
 		}
 	}
@@ -266,11 +262,11 @@ func (co *Coordinator) armRetry(p *pendingTxn) {
 }
 
 func (co *Coordinator) onFastReply(from simnet.NodeID, m *fastReply) {
-	if m.GView > co.gview {
+	if m.GView > co.view.GView {
 		co.node.Send(co.cluster.vmLeaderNode(), vmInquire{From: co.node.ID()})
 		return
 	}
-	if m.GView != co.gview || m.LView != co.gvec[m.Shard] {
+	if m.GView != co.view.GView || m.LView != co.view.GVec[m.Shard] {
 		return
 	}
 	p, ok := co.pending[m.ID]
@@ -293,7 +289,7 @@ func (co *Coordinator) onFastReply(from simnet.NodeID, m *fastReply) {
 }
 
 func (co *Coordinator) onSlowReply(m *slowReply) {
-	if m.GView != co.gview || m.LView != co.gvec[m.Shard] {
+	if m.GView != co.view.GView || m.LView != co.view.GVec[m.Shard] {
 		return
 	}
 	p, ok := co.pending[m.ID]
@@ -333,7 +329,7 @@ func (co *Coordinator) inquireSlow() {
 		}
 		co.shardSeen[sh] = false
 		for rep := 0; rep < co.cfg.Replicas(); rep++ {
-			if rep == co.gvec[sh]%co.cfg.Replicas() {
+			if rep == co.view.GVec[sh]%co.cfg.Replicas() {
 				continue
 			}
 			co.node.Send(co.cluster.serverNode(sh, rep), slowInquiry{Coord: co.node.ID()})
@@ -342,20 +338,21 @@ func (co *Coordinator) inquireSlow() {
 }
 
 func (co *Coordinator) onSlowInquiryRep(from simnet.NodeID, m slowInquiryRep) {
-	if m.GView != co.gview || m.LView != co.gvec[m.Shard] {
+	if m.GView != co.view.GView || m.LView != co.view.GVec[m.Shard] {
 		return
 	}
-	// A follower whose sync-point passed the leader-assigned log position of
-	// a pending transaction counts as a slow reply for it.
+	// A follower whose sync-point passed the log position a pending
+	// transaction was released at counts as a slow reply for it. A leader
+	// reply without a position (executed, not yet released) vouches for none.
 	R := co.cfg.Replicas()
-	leaderRep := co.gvec[m.Shard] % R
+	leaderRep := co.view.GVec[m.Shard] % R
 	for _, p := range co.pending {
 		i := p.t.Pos(m.Shard) // -1: the inquiry went to every pending shard, p may not touch this one
 		if i < 0 || !p.fastSet[i*R+leaderRep] {
 			continue
 		}
 		lf := &p.fast[i*R+leaderRep]
-		if m.SyncPoint <= lf.LogPos {
+		if lf.LogPos < 0 || m.SyncPoint <= lf.LogPos {
 			continue
 		}
 		j := i*R + m.Replica
@@ -410,7 +407,7 @@ func (co *Coordinator) evaluate(p *pendingTxn) {
 	mismatch := false
 	R := co.cfg.Replicas()
 	for i := range p.t.Pieces {
-		leaderRep := co.gvec[p.t.Pieces[i].Shard()] % R
+		leaderRep := co.view.GVec[p.t.Pieces[i].Shard()] % R
 		if !p.fastSet[i*R+leaderRep] {
 			return // no leader reply yet (line 15–16)
 		}
@@ -454,7 +451,7 @@ func (co *Coordinator) evaluate(p *pendingTxn) {
 	results := make([]txn.ShardRet, len(p.t.Pieces))
 	for i := range results {
 		sh := p.t.Pieces[i].Shard()
-		results[i] = txn.ShardRet{Shard: sh, Ret: p.fast[i*R+co.gvec[sh]%R].Ret}
+		results[i] = txn.ShardRet{Shard: sh, Ret: p.fast[i*R+co.view.GVec[sh]%R].Ret}
 	}
 	co.traceCommitPath(p, fastPath)
 	co.finish(p, txn.Result{OK: true, PerShard: results, FastPath: fastPath, Retries: p.retries, TS: agreedTS})
@@ -509,15 +506,11 @@ func (co *Coordinator) finish(p *pendingTxn, res txn.Result) {
 	co.ptPool.Put(p)
 }
 
-func (co *Coordinator) onVMInfo(m vmInfo) { co.adoptView(m.GView, m.GVec, m.GMode) }
-
-func (co *Coordinator) adoptView(gv int, gvec []int, mode Mode) {
-	if gv <= co.gview {
+func (co *Coordinator) adoptView(v globalView) {
+	if v.GView <= co.view.GView {
 		return
 	}
-	co.gview = gv
-	copy(co.gvec, gvec)
-	co.gmode = mode
+	co.view = v.copy()
 	// Replies gathered under the old view are useless; resubmit in the new
 	// view (§4: "In case of a view change, the coordinator retries"), in
 	// deterministic submission order.

@@ -199,7 +199,7 @@ func TestLeaderPartition(t *testing.T) {
 		t.Error("no log install replaced a store under the oracle")
 	}
 	checkDrained(t, c) // every replica installed a log on the way
-	if c.VMs[0].gview == 0 {
+	if c.VMs[0].view.GView == 0 {
 		t.Fatal("no view change happened")
 	}
 	for sh := 0; sh < 3; sh++ {

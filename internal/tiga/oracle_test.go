@@ -14,7 +14,7 @@ import (
 // shadowSets is the differential oracle for the conflict table (conflict.go):
 // the six KeyID-keyed maps the server kept before it — rMap/wMap (Alg. 1),
 // parkR/parkW, blockedR/blockedW — with the code that read and wrote them,
-// fed from Server.onConflict. Where the table answers from the entries a record
+// fed from conflictTable.onEvent. Where the table answers from the entries a record
 // cached at attach, the shadow resolves the piece's keys through the store on
 // every event, as the maps' callers did, so a stale or misplaced reference, a
 // lost present bit or a blocked bit that outlives its pump shows up as a
@@ -56,7 +56,7 @@ type oracleCoverage struct {
 func armShadow(t *testing.T, s *Server, cov *oracleCoverage) {
 	sh := &shadowSets{t: t, s: s, cov: cov}
 	sh.reset()
-	s.onConflict = sh.on
+	s.keys.onEvent = sh.on
 }
 
 // armShadows arms the oracle on every server of c.
@@ -228,7 +228,7 @@ func checkDrained(t *testing.T, c *Cluster) {
 	for sh, shard := range c.Servers {
 		for rep, s := range shard {
 			z := s.StateSizes()
-			if s.gview == c.VMs[0].gview && (z.Agreements != 0 || z.TailRecords != 0 || z.BufferedSyncs != 0 || z.Parked != 0 || s.pq.len() != 0 || z.Records < z.LogLen) {
+			if s.view.GView == c.VMs[0].view.GView && (z.Agreements != 0 || z.TailRecords != 0 || z.BufferedSyncs != 0 || z.Parked != 0 || s.pq.len() != 0 || z.Records < z.LogLen) {
 				t.Errorf("shard %d replica %d after the drain: %d queued, %+v", sh, rep, s.pq.len(), z)
 			}
 		}
@@ -500,7 +500,7 @@ func TestLateNotificationAllocatesNothing(t *testing.T) {
 	for _, id := range ids {
 		for round := 1; round <= 2; round++ {
 			l.onTsNotification(c.Leader(1).node.ID(), &tsNotification{
-				viewInfo: viewInfo{GView: l.gview, LView: l.gvec[1]}, Shard: 1, ID: id, TS: l.recs[id].ts, Round: round,
+				viewInfo: viewInfo{GView: l.view.GView, LView: l.view.GVec[1]}, Shard: 1, ID: id, TS: l.recs[id].ts, Round: round,
 			})
 		}
 	}

@@ -35,16 +35,12 @@ func (s *Server) flushLog() []logEntry {
 }
 
 func (s *Server) onViewChangeReq(m viewChangeReq) {
-	if m.GView <= s.gview || s.status == statusRecovering {
+	if m.GView <= s.view.GView || s.status == statusRecovering {
 		return
 	}
-	s.enterView(m.GView, m.GVec, m.GMode)
-	lead := s.gvec[s.shard] % s.cfg.Replicas()
-	msg := viewChangeMsg{
-		GView: s.gview, GVec: append([]int(nil), s.gvec...), GMode: s.gmode,
-		LView: s.lview, Shard: s.shard, Replica: s.replica,
-		LNV: s.lnv, SyncPoint: s.syncPoint, Log: s.flushLog(),
-	}
+	s.enterView(m.globalView)
+	lead := s.view.GVec[s.shard] % s.cfg.Replicas()
+	msg := s.viewChange()
 	if lead == s.replica {
 		s.onViewChange(&msg)
 	} else {
@@ -52,12 +48,30 @@ func (s *Server) onViewChangeReq(m viewChangeReq) {
 	}
 }
 
+// viewChange is this server's view-change message (Algorithm 5): its view,
+// its last normal view and sync-point, and its log with the queue and the
+// optimistic tail flushed into it.
+func (s *Server) viewChange() viewChangeMsg {
+	return viewChangeMsg{
+		globalView: s.view.copy(), LView: s.lview, Shard: s.shard, Replica: s.replica,
+		LNV: s.lnv, SyncPoint: s.syncPoint, Log: s.flushLog(),
+	}
+}
+
+// startView is the new leader's start-view message: its view and its log.
+func (s *Server) startView() startViewMsg {
+	return startViewMsg{globalView: s.view.copy(), LView: s.lview, Shard: s.shard, Log: s.log}
+}
+
+// adoptView takes v as the server's view and its own shard's local view.
+func (s *Server) adoptView(v globalView) {
+	s.view = v.copy()
+	s.lview = s.view.GVec[s.shard]
+}
+
 // enterView switches to a newer global view and stops normal processing.
-func (s *Server) enterView(gview int, gvec []int, mode Mode) {
-	s.gview = gview
-	copy(s.gvec, gvec)
-	s.gmode = mode
-	s.lview = s.gvec[s.shard]
+func (s *Server) enterView(v globalView) {
+	s.adoptView(v)
 	s.status = statusViewChange
 	s.vQuorum = make(map[int]*viewChangeMsg)
 	s.tQuorum = make(map[int]*tsVerification)
@@ -65,32 +79,25 @@ func (s *Server) enterView(gview int, gvec []int, mode Mode) {
 }
 
 func (s *Server) onViewChange(m *viewChangeMsg) {
-	if m.GView < s.gview || s.status == statusRecovering {
+	if m.GView < s.view.GView || s.status == statusRecovering {
 		return
 	}
-	if m.GView > s.gview {
+	if m.GView > s.view.GView {
 		// The VM's request raced behind a peer's view-change message
 		// (Algorithm 5 line 22): adopt the view from the message.
-		s.enterView(m.GView, m.GVec, m.GMode)
-		own := viewChangeMsg{
-			GView: s.gview, GVec: append([]int(nil), s.gvec...), GMode: s.gmode,
-			LView: s.lview, Shard: s.shard, Replica: s.replica,
-			LNV: s.lnv, SyncPoint: s.syncPoint, Log: s.flushLog(),
-		}
+		s.enterView(m.globalView)
+		own := s.viewChange()
 		s.vQuorum[s.replica] = &own
 	}
 	if s.status == statusNormal {
 		// We already completed this view change; the sender missed the
 		// start-view message — resend it.
-		if s.IsLeader() && m.GView == s.gview {
-			s.node.Send(s.cluster.serverNode(s.shard, m.Replica), startViewMsg{
-				GView: s.gview, GVec: append([]int(nil), s.gvec...), GMode: s.gmode,
-				LView: s.lview, Shard: s.shard, Log: s.log,
-			})
+		if s.IsLeader() && m.GView == s.view.GView {
+			s.node.Send(s.cluster.serverNode(s.shard, m.Replica), s.startView())
 		}
 		return
 	}
-	if s.gvec[s.shard]%s.cfg.Replicas() != s.replica {
+	if s.view.GVec[s.shard]%s.cfg.Replicas() != s.replica {
 		return // not the new leader
 	}
 	s.vQuorum[m.Replica] = m
@@ -171,14 +178,14 @@ func (s *Server) verifyTimestamps() {
 		if sh == s.shard {
 			continue
 		}
-		lead := s.gvec[sh] % s.cfg.Replicas()
-		s.node.Send(s.cluster.serverNode(sh, lead), tsVerification{GView: s.gview, Shard: s.shard, Info: info})
+		lead := s.view.GVec[sh] % s.cfg.Replicas()
+		s.node.Send(s.cluster.serverNode(sh, lead), tsVerification{GView: s.view.GView, Shard: s.shard, Info: info})
 	}
 	s.maybeFinishVerification()
 }
 
 func (s *Server) onTsVerification(m *tsVerification) {
-	if m.GView < s.gview {
+	if m.GView < s.view.GView {
 		return
 	}
 	// Verification from a view we have not entered yet is stashed; the
@@ -193,7 +200,7 @@ func (s *Server) maybeFinishVerification() {
 	}
 	got := 0
 	for _, m := range s.tQuorum {
-		if m.GView == s.gview {
+		if m.GView == s.view.GView {
 			got++
 		}
 	}
@@ -207,7 +214,7 @@ func (s *Server) maybeFinishVerification() {
 		pos[e.ID] = i
 	}
 	for _, m := range s.tQuorum {
-		if m.GView != s.gview {
+		if m.GView != s.view.GView {
 			continue
 		}
 		for _, ve := range m.Info {
@@ -229,35 +236,35 @@ func (s *Server) maybeFinishVerification() {
 	s.finishViewChange()
 }
 
-// finishViewChange installs the recovered log, replays the store, broadcasts
-// start-view to the shard's followers, and resumes normal processing.
+// finishViewChange installs the recovered log, replays the store, resumes
+// normal processing, and broadcasts start-view to the shard's followers.
 func (s *Server) finishViewChange() {
-	s.installLog(s.recovered)
+	s.resume(s.recovered)
 	s.recovered = nil
 	for rep := 0; rep < s.cfg.Replicas(); rep++ {
-		if rep == s.replica {
-			continue
+		if rep != s.replica {
+			s.node.Send(s.cluster.serverNode(s.shard, rep), s.startView())
 		}
-		s.node.Send(s.cluster.serverNode(s.shard, rep), startViewMsg{
-			GView: s.gview, GVec: append([]int(nil), s.gvec...), GMode: s.gmode,
-			LView: s.lview, Shard: s.shard, Log: s.log,
-		})
 	}
-	s.lnv = s.lview
-	s.status = statusNormal
 }
 
 func (s *Server) onStartView(m startViewMsg) {
-	if m.GView < s.gview || s.status == statusRecovering {
+	if m.GView < s.view.GView || s.status == statusRecovering {
 		return
 	}
-	if m.GView > s.gview {
-		s.enterView(m.GView, m.GVec, m.GMode)
+	if m.GView > s.view.GView {
+		s.enterView(m.globalView)
 	}
 	if s.status != statusViewChange || m.LView != s.lview {
 		return
 	}
-	s.installLog(m.Log)
+	s.resume(m.Log)
+}
+
+// resume installs log and returns the server to normal operation in its
+// current local view, which is now its last normal one.
+func (s *Server) resume(log []logEntry) {
+	s.installLog(log)
 	s.lnv = s.lview
 	s.status = statusNormal
 }
@@ -280,7 +287,7 @@ func (s *Server) installLog(log []logEntry) {
 	// The rebuilt store numbers inserted keys in replay order, so the conflict
 	// table and every record's references into it start over with it, and the
 	// agreements of the records dropped here end.
-	s.keys = conflictTable{}
+	s.keys.reset()
 	for _, a := range s.agreements {
 		s.recycle(a)
 	}
@@ -305,7 +312,7 @@ func (s *Server) installLog(log []logEntry) {
 		r.executed, r.released = true, true
 		if p := e.T.Piece(s.shard); p != nil {
 			s.attach(r, p)
-			s.noteAccess(r, e.TS)
+			s.keys.note(r, e.TS)
 		}
 	}
 	s.syncPoint = len(s.log)
@@ -342,31 +349,26 @@ func (s *Server) onVMInfo(m vmInfo) {
 	if s.status != statusRecovering {
 		return
 	}
-	s.gview = m.GView
-	copy(s.gvec, m.GVec)
-	s.gmode = m.GMode
-	s.lview = s.gvec[s.shard]
+	s.adoptView(m.globalView)
 	if s.IsLeader() {
 		// A recovering server cannot resume as leader; wait for the VM to
 		// move leadership, then retry.
 		s.node.After(s.cfg.HeartbeatEvery, func() { s.Rejoin() })
 		return
 	}
-	s.node.Send(s.leaderNode(), stateTransferReq{GView: s.gview, LView: s.lview, Shard: s.shard, Replica: s.replica})
+	s.node.Send(s.leaderNode(), stateTransferReq{GView: s.view.GView, LView: s.lview, Shard: s.shard, Replica: s.replica})
 }
 
 func (s *Server) onStateTransferReq(from simnet.NodeID, m stateTransferReq) {
-	if s.status != statusNormal || m.GView != s.gview || m.LView != s.lview || !s.IsLeader() {
+	if s.status != statusNormal || m.GView != s.view.GView || m.LView != s.lview || !s.IsLeader() {
 		return
 	}
-	s.node.Send(from, stateTransferRep{GView: s.gview, LView: s.lview, Log: s.log, SyncPoint: s.syncPoint})
+	s.node.Send(from, stateTransferRep{GView: s.view.GView, LView: s.lview, Log: s.log, SyncPoint: s.syncPoint})
 }
 
 func (s *Server) onStateTransferRep(m stateTransferRep) {
-	if s.status != statusRecovering || m.GView != s.gview || m.LView != s.lview {
+	if s.status != statusRecovering || m.GView != s.view.GView || m.LView != s.lview {
 		return
 	}
-	s.installLog(m.Log)
-	s.lnv = s.lview
-	s.status = statusNormal
+	s.resume(m.Log)
 }

@@ -200,10 +200,8 @@ type Server struct {
 	shard   int
 	replica int
 
-	gview  int
+	view   globalView
 	lview  int
-	gvec   []int
-	gmode  Mode
 	status status
 	lnv    int // last-normal-view
 
@@ -256,10 +254,6 @@ type Server struct {
 	// onScan is a test hook called with every blockedBy verdict of pumpOnce:
 	// the queue index examined and the verdict (nil outside tests).
 	onScan func(i int, blocked bool)
-	// onConflict is a test hook called with every update of the conflict table
-	// and every answer it gives (nil outside tests): the differential oracle
-	// feeds a copy of the map-based sets from it and compares the answers.
-	onConflict func(conflictEvent)
 
 	// Reused hot-path scratch: spScratch backs the commit-point quantile in
 	// onSyncPoint; pumpFire/flushFire are the persistent bodies of the gated
@@ -294,10 +288,9 @@ func newServer(c *Cluster, shard, replica int, node *simnet.Node, clk clocks.Clo
 	s := &Server{
 		cfg: c.Cfg, cluster: c, node: node, clock: clk,
 		shard: shard, replica: replica,
-		gvec:  make([]int, c.Cfg.Shards),
-		gmode: c.initialMode,
-		st:    st,
-		recs:  make(map[txn.ID]*rec),
+		view: c.initial.copy(),
+		st:   st,
+		recs: make(map[txn.ID]*rec),
 
 		pendingSync: make(map[int]logSyncMsg),
 		followerSP:  make(map[int]int),
@@ -307,8 +300,7 @@ func newServer(c *Cluster, shard, replica int, node *simnet.Node, clk clocks.Clo
 		Shard: shard, Self: replica, Replicas: c.Cfg.Replicas(),
 		ExecCost: c.Cfg.ExecCost, Staleness: c.Cfg.ReadStaleness, Msgs: c.msgs.reads,
 	}
-	copy(s.gvec, c.initialGVec)
-	s.lview = s.gvec[shard]
+	s.lview = s.view.GVec[shard]
 	s.pumpFire = func() { s.pumpAt = 0; s.pump() }
 	s.flushFire = func() { s.flushAt = 0; s.advanceSafeTime() }
 	node.SetHandler(s.handle)
@@ -374,17 +366,13 @@ func (s *Server) start() {
 	s.node.Every(s.cfg.RetryTimeout/2, func() bool {
 		s.resendAgreements()
 		if s.status == statusViewChange && !s.IsLeader() {
-			s.node.Send(s.leaderNode(), viewChangeMsg{
-				GView: s.gview, GVec: append([]int(nil), s.gvec...), GMode: s.gmode,
-				LView: s.lview, Shard: s.shard, Replica: s.replica,
-				LNV: s.lnv, SyncPoint: s.syncPoint, Log: s.flushLog(),
-			})
+			s.node.Send(s.leaderNode(), s.viewChange())
 		}
 		return true
 	})
 }
 
-func (s *Server) views() viewInfo { return viewInfo{GView: s.gview, LView: s.lview} }
+func (s *Server) views() viewInfo { return viewInfo{GView: s.view.GView, LView: s.lview} }
 
 func (s *Server) leaderNode() simnet.NodeID {
 	return s.cluster.serverNode(s.shard, s.lview%s.cfg.Replicas())
@@ -454,63 +442,8 @@ func (s *Server) attach(r *rec, p *txn.Piece) {
 	}
 }
 
-// conflictOp names what the conflict table was told or asked.
-type conflictOp uint8
-
-const (
-	opNote          conflictOp = iota // the keys' timestamps rise to ts
-	opPark                            // the keys' parked counts go up
-	opUnpark                          // and down
-	opBlock                           // the keys join this pump's blocked sets
-	opEndPump                         // which are emptied
-	opConflictOK                      // conflictOK at ts answered ok
-	opMinAcceptable                   // minAcceptable answered min
-	opBlockedBy                       // blockedBy answered ok
-)
-
-// conflictEvent is one update of, or answer from, the conflict table
-// (Server.onConflict). piece carries the access sets concerned; it is nil for
-// opEndPump.
-type conflictEvent struct {
-	op    conflictOp
-	piece *txn.Piece
-	ts    txn.Timestamp
-	ok    bool
-	min   time.Duration
-}
-
-// observe hands ev to the test hook, if one is armed.
-func (s *Server) observe(ev conflictEvent) {
-	if s.onConflict != nil {
-		s.onConflict(ev)
-	}
-}
-
-// conflictOK reports whether ts is larger than every released conflicting
-// transaction's timestamp on r's read/write sets (Alg. 1 line 2).
-func (s *Server) conflictOK(r *rec, ts txn.Timestamp) bool {
-	ok := s.keys.passes(r, ts)
-	s.observe(conflictEvent{op: opConflictOK, piece: r.piece, ts: ts, ok: ok})
-	return ok
-}
-
-// minAcceptable returns the smallest timestamp time that passes conflict
-// detection for r (used for leader timestamp updates).
-func (s *Server) minAcceptable(r *rec) time.Duration {
-	t := s.keys.minAcceptable(r)
-	s.observe(conflictEvent{op: opMinAcceptable, piece: r.piece, min: t})
-	return t
-}
-
-// noteAccess raises the read/write timestamps of r's keys to ts (Alg. 1 lines
-// 14–15).
-func (s *Server) noteAccess(r *rec, ts txn.Timestamp) {
-	s.keys.note(r, ts)
-	s.observe(conflictEvent{op: opNote, piece: r.piece, ts: ts})
-}
-
 func (s *Server) onTxn(from simnet.NodeID, m *txnMsg) {
-	if s.status != statusNormal || m.GView != s.gview {
+	if s.status != statusNormal || m.GView != s.view.GView {
 		return
 	}
 	if r, ok := s.recs[m.ID()]; ok {
@@ -537,18 +470,12 @@ func (s *Server) onTxn(from simnet.NodeID, m *txnMsg) {
 			// the retry timestamp, breaking cross-leader blocking cycles
 			// caused by divergent local timestamp bumps. An optimistic
 			// execution at the stale timestamp is revoked (as in Case-3).
-			if r.executed {
-				s.st.Revoke(r.id)
-				s.relHash.Remove(r.id, r.ts)
-				r.executed = false
-				r.result = nil
-				s.Rollbacks++
-			}
+			s.revoke(r)
 			if r.inPQ {
 				s.reposition(r, m.TS)
 			} else {
 				r.ts = m.TS
-				if r.held && s.conflictOK(r, r.ts) {
+				if r.held && s.keys.passes(r, r.ts) {
 					r.held = false
 					s.pq.insert(r)
 				}
@@ -566,6 +493,19 @@ func (s *Server) onTxn(from simnet.NodeID, m *txnMsg) {
 	r.arriveS = s.cluster.Net.Sim().Now()
 	s.attach(r, m.T.Piece(s.shard))
 	s.admit(r)
+}
+
+// revoke undoes r's optimistic execution, made at a timestamp that no longer
+// holds (Case-3 of §3.5, an Appendix-B retry). A no-op if r is not executed.
+func (s *Server) revoke(r *rec) {
+	if !r.executed {
+		return
+	}
+	s.st.Revoke(r.id)
+	s.relHash.Remove(r.id, r.ts)
+	r.executed = false
+	r.result = nil
+	s.Rollbacks++
 }
 
 // newRec starts the record of a transaction the server has not heard of: the
@@ -591,13 +531,13 @@ func (s *Server) admit(r *rec) {
 		// timestamp and falls back to the slow path, as with any bump.
 		r.ts = txn.Timestamp{Time: s.reads.Watermark() + 1, Coord: r.ts.Coord, Seq: r.ts.Seq}
 	}
-	if s.conflictOK(r, r.ts) {
+	if s.keys.passes(r, r.ts) {
 		s.pq.insert(r)
 	} else if s.IsLeader() {
 		// Leader updates the timestamp to its local clock (line 4), pushed
 		// past any released conflicting transaction.
 		t := s.now()
-		if min := s.minAcceptable(r); min > t {
+		if min := s.keys.minAcceptable(r); min > t {
 			t = min
 		}
 		r.ts = txn.Timestamp{Time: t, Coord: r.ts.Coord, Seq: r.ts.Seq}
@@ -612,34 +552,50 @@ func (s *Server) admit(r *rec) {
 
 func (m txnMsg) ID() txn.ID { return m.T.ID }
 
+// resendReply answers a duplicate of a transaction already replied to with the
+// reply as originally issued (the hash at release time), without the first
+// reply's delay sample and span stamps.
 func (s *Server) resendReply(r *rec) {
 	if !r.released && !r.executed {
 		return
 	}
 	if s.IsLeader() {
-		// Resend the reply as originally issued (hash at release time).
-		m := s.cluster.msgs.fastRep.Get()
-		*m = fastReply{
-			viewInfo: s.views(), Shard: s.shard, Replica: s.replica,
-			ID: r.id, TS: r.ts, Hash: r.replyHash, Ret: r.result,
-			IsLeader: true, LogPos: len(s.log),
+		// A released record's entry lies below the log's length; an executed
+		// one waiting for agreement has no position yet.
+		pos := -1
+		if r.released {
+			pos = len(s.log)
 		}
-		s.node.Send(r.coord, m)
+		s.leaderReply(r, pos, false)
 	} else if r.released {
 		// Synced already? Then the slow reply is what the coordinator needs.
 		if !r.tail {
-			m := s.cluster.msgs.slowRep.Get()
-			*m = slowReply{viewInfo: s.views(), Shard: s.shard, Replica: s.replica, ID: r.id, TS: r.ts}
-			s.node.Send(r.coord, m)
+			s.slowReply(r.coord, r.id, r.ts)
 		} else {
-			m := s.cluster.msgs.fastRep.Get()
-			*m = fastReply{
-				viewInfo: s.views(), Shard: s.shard, Replica: s.replica,
-				ID: r.id, TS: r.ts, Hash: r.replyHash,
-			}
-			s.node.Send(r.coord, m)
+			s.node.Send(r.coord, s.reply(r, false))
 		}
 	}
+}
+
+// reply builds r's fast reply (§3.4) in the server's current view, under the
+// hash r was released with. A first reply also carries the arrival-delay
+// sample and the span stamps; a re-sent one carries neither.
+func (s *Server) reply(r *rec, first bool) *fastReply {
+	m := s.cluster.msgs.fastRep.Get()
+	*m = fastReply{viewInfo: s.views(), Shard: s.shard, Replica: s.replica, ID: r.id, TS: r.ts, Hash: r.replyHash}
+	if first {
+		m.OWD, m.ArriveS, m.EligS, m.RelS, m.DoneS = r.owd, r.arriveS, r.eligS, r.relS, s.node.Busy()
+	}
+	return m
+}
+
+// leaderReply sends the leader's fast reply for r: with the execution result,
+// and with the log position r was released at, or -1 before its release. A
+// follower's sync-point vouches for r only past that position (Appendix E).
+func (s *Server) leaderReply(r *rec, pos int, first bool) {
+	m := s.reply(r, first)
+	m.Ret, m.IsLeader, m.LogPos = r.result, true, pos
+	s.node.Send(r.coord, m)
 }
 
 // ---- §3.3 release & optimistic execution ----
@@ -724,14 +680,14 @@ func (s *Server) pumpOnce() {
 			// future-timestamp headroom wait ends here.
 			r.eligS = simNow
 		}
-		blocked := s.blockedBy(r)
+		blocked := s.keys.blockedBy(r)
 		if s.onScan != nil {
 			s.onScan(i, blocked)
 		}
 		if blocked {
 			// Blocked behind an earlier conflicting transaction: it stays,
 			// and its own keys block later conflicting transactions too.
-			s.addBlocked(r)
+			s.keys.block(r)
 			dirty = true
 			i++
 			continue
@@ -746,9 +702,9 @@ func (s *Server) pumpOnce() {
 			// conflicting record may still be admitted ahead of it and must
 			// not find it in the parked sets.
 			if (r.executed || r.proposed) && !r.agreed && r.mapped {
-				s.park(r)
+				s.keys.park(r)
 			} else {
-				s.addBlocked(r)
+				s.keys.block(r)
 				dirty = true
 			}
 			i++
@@ -757,57 +713,15 @@ func (s *Server) pumpOnce() {
 	}
 	if dirty {
 		s.keys.endPump()
-		s.observe(conflictEvent{op: opEndPump})
 	}
 	if i < len(s.pq.items) {
 		s.schedulePump(s.pq.items[i].ts.Time)
 	}
 }
 
-// blockedBy reports whether an earlier pending record conflicts with r: a
-// parked one (the keys' parked counts) or one this scan found blocked (their
-// blocked bits). Consulting the parked counts without regard to queue position
-// is sound because no record ever sits before a conflicting parked one: nothing
-// before it conflicted when it was processed (it would have been blocked), it
-// is parked only while the table records its current timestamp (rec.mapped),
-// which pushes every later conflicting admission past it, and repositioning
-// only moves records later — unparking them, and leaving them unmapped until
-// recordMaps runs again (a preventive-mode record repositioned after proposing
-// is never re-parked: its timestamps stay at the proposal until release).
-func (s *Server) blockedBy(r *rec) bool {
-	blocked := s.keys.blockedBy(r)
-	s.observe(conflictEvent{op: opBlockedBy, piece: r.piece, ok: blocked})
-	return blocked
-}
-
-func (s *Server) addBlocked(r *rec) {
-	s.keys.block(r)
-	s.observe(conflictEvent{op: opBlock, piece: r.piece})
-}
-
-// park marks a pq record as waiting for agreement only and counts it on its
-// keys.
-func (s *Server) park(r *rec) {
-	r.parked = true
-	s.keys.park(r, 1)
-	s.observe(conflictEvent{op: opPark, piece: r.piece})
-}
-
-// unpark undoes park; every transition that makes a parked record runnable
-// again or takes it out of the queue calls it (agreement, release, erase,
-// reposition). A no-op for records that are not parked.
-func (s *Server) unpark(r *rec) {
-	if !r.parked {
-		return
-	}
-	r.parked = false
-	s.keys.park(r, -1)
-	s.observe(conflictEvent{op: opUnpark, piece: r.piece})
-}
-
 // erase removes r from the queue (and from the parked counts).
 func (s *Server) erase(r *rec) {
-	s.unpark(r)
+	s.keys.unpark(r)
 	s.pq.erase(r)
 }
 
@@ -816,7 +730,7 @@ func (s *Server) erase(r *rec) {
 // longer covers its timestamp, so it is no longer parked and cannot be until it
 // is re-mapped.
 func (s *Server) reposition(r *rec, ts txn.Timestamp) {
-	s.unpark(r)
+	s.keys.unpark(r)
 	r.mapped = false
 	s.pq.reposition(r, ts)
 	s.node.Work(s.cfg.PQCost)
@@ -830,7 +744,7 @@ func (s *Server) process(r *rec) {
 		s.releaseFollower(r)
 		return
 	}
-	preventive := s.gmode == ModePreventive && r.multiShard() && s.cfg.EpsilonBound == 0
+	preventive := s.view.GMode == ModePreventive && r.multiShard() && s.cfg.EpsilonBound == 0
 	if preventive {
 		if !r.proposed {
 			s.recordMaps(r)
@@ -841,26 +755,21 @@ func (s *Server) process(r *rec) {
 			s.broadcastNotification(r, 1, r.ts)
 			s.checkAgreement(r)
 		} else if r.agreed && !r.executed {
-			s.executeLeader(r)
-			s.releaseLeader(r)
+			s.executeLeader(r, true)
 		}
 		return
 	}
 	// Detective mode (or single shard / epsilon mode).
 	if !r.executed {
 		s.recordMaps(r)
-		s.executeLeader(r)
-		if !r.multiShard() || s.cfg.EpsilonBound > 0 {
-			// Single-shard transactions need no inter-leader agreement; the
-			// ε-bound mode replaces agreement with the extended hold (§6).
-			s.releaseLeader(r)
+		// Single-shard transactions need no inter-leader agreement, the ε-bound
+		// mode replaces agreement with the extended hold (§6), and a Case-3
+		// re-execution may find agreement already complete.
+		if !r.multiShard() || s.cfg.EpsilonBound > 0 || r.agreed {
+			s.executeLeader(r, true)
 			return
 		}
-		if r.agreed {
-			// Case-3 re-execution with agreement already complete.
-			s.releaseLeader(r)
-			return
-		}
+		s.executeLeader(r, false)
 		if a := s.agree(r); a.round == 0 {
 			a.round = 1
 			a.round1.set(s.shard, r.ts)
@@ -870,7 +779,7 @@ func (s *Server) process(r *rec) {
 		return
 	}
 	if r.agreed {
-		s.releaseLeader(r)
+		s.releaseAgreed(r)
 	}
 }
 
@@ -878,29 +787,36 @@ func (s *Server) process(r *rec) {
 // timestamp.
 func (s *Server) recordMaps(r *rec) {
 	r.mapped = true
-	s.noteAccess(r, r.ts)
+	s.keys.note(r, r.ts)
 }
 
-func (s *Server) executeLeader(r *rec) {
+// executeLeader executes r at its timestamp and fast-replies. With release it
+// also releases r, and the reply names the log position r takes; otherwise r
+// waits for agreement and the reply names none.
+func (s *Server) executeLeader(r *rec, release bool) {
 	r.relS = s.cluster.Net.Sim().Now()
 	s.node.Work(s.cfg.ExecCost)
 	r.result = s.st.ExecuteID(r.id, r.ts, r.piece)
 	r.executed = true
 	s.Executions++
 	s.relHash.Add(r.id, r.ts)
-	s.sendFastReply(r)
+	r.replyHash = s.relHash.Sum()
+	if !release {
+		s.leaderReply(r, -1, true)
+		return
+	}
+	s.leaderReply(r, len(s.log), true)
+	s.releaseLeader(r)
 }
 
-func (s *Server) sendFastReply(r *rec) {
-	r.replyHash = s.relHash.Sum()
-	m := s.cluster.msgs.fastRep.Get()
-	*m = fastReply{
-		viewInfo: s.views(), Shard: s.shard, Replica: s.replica,
-		ID: r.id, TS: r.ts, Hash: r.replyHash, Ret: r.result,
-		IsLeader: true, LogPos: len(s.log), OWD: r.owd,
-		ArriveS: r.arriveS, EligS: r.eligS, RelS: r.relS, DoneS: s.node.Busy(),
+// releaseAgreed releases r, executed before its agreement finished. Its reply
+// went out without a log position, so a leader batching slow replies re-sends
+// it with the position r has now (Appendix E).
+func (s *Server) releaseAgreed(r *rec) {
+	s.releaseLeader(r)
+	if s.cfg.BatchSlowReplies {
+		s.leaderReply(r, len(s.log)-1, false)
 	}
-	s.node.Send(r.coord, m)
 }
 
 // releaseLeader appends r to the log, synchronizes followers, and removes it
@@ -910,20 +826,12 @@ func (s *Server) releaseLeader(r *rec) {
 	s.erase(r)
 	s.node.Work(s.cfg.PQCost)
 	r.released = true
-	e := logEntry{ID: r.id, TS: r.ts, T: r.t}
-	s.log = append(s.log, e)
+	s.log = append(s.log, logEntry{ID: r.id, TS: r.ts, T: r.t})
 	s.syncPoint = len(s.log)
-	pos := len(s.log) - 1
 	for rep := 0; rep < s.cfg.Replicas(); rep++ {
-		if rep == s.replica {
-			continue
+		if rep != s.replica {
+			s.sendLogSync(rep, len(s.log)-1)
 		}
-		m := s.cluster.msgs.logSync.Get()
-		*m = logSyncMsg{
-			viewInfo: s.views(), Shard: s.shard,
-			Pos: pos, ID: e.ID, TS: e.TS, T: e.T, CommitPoint: s.commitPoint,
-		}
-		s.node.Send(s.cluster.serverNode(s.shard, rep), m)
 	}
 	if s.cfg.LocalReads {
 		// The released entry may have been the queue head holding the
@@ -942,13 +850,7 @@ func (s *Server) releaseFollower(r *rec) {
 	s.tails++
 	s.relHash.Add(r.id, r.ts)
 	r.replyHash = s.relHash.Sum()
-	m := s.cluster.msgs.fastRep.Get()
-	*m = fastReply{
-		viewInfo: s.views(), Shard: s.shard, Replica: s.replica,
-		ID: r.id, TS: r.ts, Hash: r.replyHash, OWD: r.owd,
-		ArriveS: r.arriveS, EligS: r.eligS, RelS: r.relS, DoneS: s.node.Busy(),
-	}
-	s.node.Send(r.coord, m)
+	s.node.Send(r.coord, s.reply(r, true))
 }
 
 // ---- §3.5 timestamp agreement ----
@@ -991,7 +893,7 @@ func (s *Server) broadcastNotification(r *rec, round int, ts txn.Timestamp) {
 		if sh == s.shard {
 			continue
 		}
-		lead := s.gvec[sh] % s.cfg.Replicas()
+		lead := s.view.GVec[sh] % s.cfg.Replicas()
 		m := s.cluster.msgs.tsNote.Get()
 		*m = tsNotification{
 			viewInfo: s.views(), Shard: s.shard, ID: r.id, TS: ts, Round: round,
@@ -1001,10 +903,10 @@ func (s *Server) broadcastNotification(r *rec, round int, ts txn.Timestamp) {
 }
 
 func (s *Server) onTsNotification(from simnet.NodeID, m *tsNotification) {
-	if s.status != statusNormal || m.GView != s.gview || !s.IsLeader() {
+	if s.status != statusNormal || m.GView != s.view.GView || !s.IsLeader() {
 		return
 	}
-	if m.LView != s.gvec[m.Shard] {
+	if m.LView != s.view.GVec[m.Shard] {
 		return // not from the current leader of that shard
 	}
 	r := s.recs[m.ID]
@@ -1035,7 +937,7 @@ func (s *Server) checkAgreement(r *rec) {
 	if r.t == nil || r.agreed {
 		return
 	}
-	if s.gmode == ModePreventive {
+	if s.view.GMode == ModePreventive {
 		if !r.proposed {
 			return
 		}
@@ -1073,13 +975,7 @@ func (s *Server) checkAgreement(r *rec) {
 		if r.ts.Less(agreed) {
 			// Case-3: our optimistic execution (if any) used a stale
 			// timestamp — revoke and reposition (§3.5).
-			if r.executed {
-				s.st.Revoke(r.id)
-				s.relHash.Remove(r.id, r.ts)
-				r.executed = false
-				r.result = nil
-				s.Rollbacks++
-			}
+			s.revoke(r)
 			s.reposition(r, agreed)
 			s.schedulePump(agreed.Time)
 		}
@@ -1096,9 +992,9 @@ func (s *Server) checkAgreement(r *rec) {
 // finishAgreement releases the transaction if it is already (re-)executed;
 // otherwise pump will execute and release it when it reaches the head again.
 func (s *Server) finishAgreement(r *rec) {
-	s.unpark(r)
+	s.keys.unpark(r)
 	if r.executed && !r.released {
-		s.releaseLeader(r)
+		s.releaseAgreed(r)
 	}
 	// Unblock conflicting successors (and, in the preventive mode or
 	// Case-3, execute r itself once it is expired and unblocked).
@@ -1179,7 +1075,7 @@ func (s *Server) onFetchTxnRep(m fetchTxnRep) {
 // ---- §3.7 log synchronization and slow path ----
 
 func (s *Server) onLogSync(m *logSyncMsg) {
-	if s.status != statusNormal || m.GView != s.gview || m.LView != s.lview || s.IsLeader() {
+	if s.status != statusNormal || m.GView != s.view.GView || m.LView != s.lview || s.IsLeader() {
 		return
 	}
 	if m.Pos < s.syncPoint {
@@ -1242,37 +1138,48 @@ func (s *Server) applySync(m *logSyncMsg) {
 		}
 	}
 	if r.piece != nil {
-		s.noteAccess(r, m.TS)
+		s.keys.note(r, m.TS)
 	}
 	if !s.cfg.BatchSlowReplies {
-		coord := s.cluster.coordNode(m.ID.Coord)
-		sr := s.cluster.msgs.slowRep.Get()
-		*sr = slowReply{viewInfo: s.views(), Shard: s.shard, Replica: s.replica, ID: m.ID, TS: m.TS}
-		s.node.Send(coord, sr)
+		s.slowReply(s.cluster.coordNode(m.ID.Coord), m.ID, m.TS)
 	}
 }
 
-// advanceCommitPoint lets the follower execute committed entries and move
-// its checkpoint position (§3.7, §4).
+// slowReply tells coordinator coord that this follower has synced id at ts
+// (§3.7).
+func (s *Server) slowReply(coord simnet.NodeID, id txn.ID, ts txn.Timestamp) {
+	m := s.cluster.msgs.slowRep.Get()
+	*m = slowReply{viewInfo: s.views(), Shard: s.shard, Replica: s.replica, ID: id, TS: ts}
+	s.node.Send(coord, m)
+}
+
+// advanceCommitPoint moves the commit-point to cp, at most the sync-point, and
+// commits the entries it passes: a follower first executes those it released
+// without executing, while a leader executed every entry of its log before
+// releasing it. The checkpoint position follows (§3.7, §4).
 func (s *Server) advanceCommitPoint(cp int) {
-	if cp > s.syncPoint {
-		cp = s.syncPoint
-	}
+	cp = min(cp, s.syncPoint)
 	if cp <= s.commitPoint {
 		return
 	}
 	s.commitPoint = cp
-	for s.applied < s.commitPoint {
+	for ; s.applied < cp; s.applied++ {
 		e := s.log[s.applied]
 		if p := e.T.Piece(s.shard); p != nil && !s.st.Executed(e.ID) {
 			s.node.Work(s.cfg.ExecCost)
 			s.st.ExecuteID(e.ID, e.TS, p)
 		}
 		s.st.Commit(e.ID)
-		s.applied++
 	}
 	s.maybeCheckpoint(s.applied)
-	if s.cfg.LocalReads {
+	switch {
+	case !s.cfg.LocalReads:
+	case s.IsLeader():
+		// The released prefix just became durable: the leader watermark
+		// (held below undurable entries) can move, and reads blocked on it
+		// can be served without waiting for the next broadcast tick.
+		s.advanceSafeTime()
+	default:
 		s.reads.Applied(s.applied)
 	}
 }
@@ -1294,24 +1201,11 @@ func (s *Server) maybeCheckpoint(pos int) {
 // and retransmits log entries to followers that fell behind (lost log-sync
 // messages would otherwise stall their contiguous prefixes forever).
 func (s *Server) onSyncPoint(m *syncPointMsg) {
-	if !s.IsLeader() || m.GView != s.gview || m.LView != s.lview {
+	if !s.IsLeader() || m.GView != s.view.GView || m.LView != s.lview {
 		return
 	}
-	if m.SyncPoint < len(s.log) {
-		end := m.SyncPoint + 32
-		if end > len(s.log) {
-			end = len(s.log)
-		}
-		dst := s.cluster.serverNode(s.shard, m.Replica)
-		for pos := m.SyncPoint; pos < end; pos++ {
-			e := s.log[pos]
-			ls := s.cluster.msgs.logSync.Get()
-			*ls = logSyncMsg{
-				viewInfo: s.views(), Shard: s.shard,
-				Pos: pos, ID: e.ID, TS: e.TS, T: e.T, CommitPoint: s.commitPoint,
-			}
-			s.node.Send(dst, ls)
-		}
+	for pos := m.SyncPoint; pos < min(m.SyncPoint+32, len(s.log)); pos++ {
+		s.sendLogSync(m.Replica, pos)
 	}
 	if m.SyncPoint > s.followerSP[m.Replica] {
 		s.followerSP[m.Replica] = m.SyncPoint
@@ -1323,26 +1217,20 @@ func (s *Server) onSyncPoint(m *syncPointMsg) {
 	}
 	slices.Sort(sps)
 	s.spScratch = sps
-	if len(sps) < s.cfg.F {
-		return
+	if len(sps) >= s.cfg.F {
+		s.advanceCommitPoint(sps[len(sps)-s.cfg.F]) // f followers + the leader = f+1 servers
 	}
-	cp := sps[len(sps)-s.cfg.F] // f followers + the leader = f+1 servers
-	if cp <= s.commitPoint {
-		return
+}
+
+// sendLogSync sends the leader's log entry pos to replica rep (§3.7).
+func (s *Server) sendLogSync(rep, pos int) {
+	e := s.log[pos]
+	m := s.cluster.msgs.logSync.Get()
+	*m = logSyncMsg{
+		viewInfo: s.views(), Shard: s.shard,
+		Pos: pos, ID: e.ID, TS: e.TS, T: e.T, CommitPoint: s.commitPoint,
 	}
-	s.commitPoint = cp
-	for i := s.applied; i < s.commitPoint; i++ {
-		s.st.Commit(s.log[i].ID)
-	}
-	s.applied = s.commitPoint
-	s.maybeCheckpoint(s.applied)
-	if s.cfg.LocalReads {
-		// The commit-point advance just made the released prefix durable —
-		// the leader watermark (held below undurable entries) can move, and
-		// reads blocked on it can be served without waiting for the next
-		// broadcast tick.
-		s.advanceSafeTime()
-	}
+	s.node.Send(s.cluster.serverNode(s.shard, rep), m)
 }
 
 // ---- Local snapshot reads (safe-time watermarks) ----
@@ -1410,7 +1298,7 @@ func (s *Server) broadcastSafeTime() {
 // shortening watermark lag by roughly one sync interval.
 func (s *Server) onSafeTime(m *safeTimeMsg) {
 	if !s.cfg.LocalReads || s.status != statusNormal || s.IsLeader() ||
-		m.GView != s.gview || m.LView != s.lview {
+		m.GView != s.view.GView || m.LView != s.lview {
 		return
 	}
 	s.advanceCommitPoint(m.CP)

@@ -140,7 +140,7 @@ func TestFetchStopsWhenItsRecordIsReplaced(t *testing.T) {
 	ghost := txn.ID{Coord: 1, Seq: 1 << 40}
 	sim.At(100*time.Millisecond, func() {
 		l.onTsNotification(peer.node.ID(), &tsNotification{
-			viewInfo: viewInfo{GView: l.gview, LView: l.gvec[1]}, Shard: 1, ID: ghost,
+			viewInfo: viewInfo{GView: l.view.GView, LView: l.view.GVec[1]}, Shard: 1, ID: ghost,
 			TS: txn.Timestamp{Time: 100 * time.Millisecond, Coord: 1, Seq: 1}, Round: 1,
 		})
 	})

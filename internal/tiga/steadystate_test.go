@@ -93,7 +93,7 @@ func (sc *scanCheck) arm(t *testing.T, s *Server) {
 		}
 		if blocked != positional {
 			t.Fatalf("shard %d at %v: blockedBy(%v ts %v) = %v, the positional scan says %v (%d parked, mode %v)",
-				s.shard, s.cluster.Net.Sim().Now(), r.id, r.ts, blocked, positional, s.keys.parked, s.gmode)
+				s.shard, s.cluster.Net.Sim().Now(), r.id, r.ts, blocked, positional, s.keys.parked, s.view.GMode)
 		}
 		if s.keys.parked > 0 {
 			sc.parkedScans++
@@ -401,7 +401,7 @@ func TestLazyCheckpointViewChange(t *testing.T) {
 			recovered := func() bool {
 				for sh := 0; sh < 3; sh++ {
 					for _, s := range c.Servers[sh] {
-						if s != old && (s.gview == 0 || s.status != statusNormal) {
+						if s != old && (s.view.GView == 0 || s.status != statusNormal) {
 							return false
 						}
 					}

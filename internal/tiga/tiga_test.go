@@ -194,7 +194,7 @@ func TestLeaderFailureRecovery(t *testing.T) {
 		t.Fatal("no commits after failure — recovery did not happen")
 	}
 	// The new view must have elected a different leader for shard 1.
-	if c.VMs[0].gview == 0 {
+	if c.VMs[0].view.GView == 0 {
 		t.Fatal("view manager never changed views")
 	}
 	newLeader := c.Leader(1)
@@ -206,5 +206,109 @@ func TestLeaderFailureRecovery(t *testing.T) {
 		if got := txn.DecodeInt(c.Leader(sh).Store().Get(fmt.Sprintf("k%d-0", sh))); got != n {
 			t.Errorf("shard %d counter = %d, want %d", sh, got, n)
 		}
+	}
+}
+
+// TestViewTravelsAsACopy: a global view travels as a copy. After a leader kill
+// has run a view change and the rebooted server has rejoined, every holder of
+// the view — server, coordinator, view-manager replica — owns its g-vec: none
+// shares a backing array with another holder, with a view-change message a
+// new leader kept in its quorum, or with any view a message delivered.
+func TestViewTravelsAsACopy(t *testing.T) {
+	cfg := DefaultConfig(3, 1)
+	sim, c := testCluster(t, 13, cfg, ColocatedPlacement([]simnet.Region{0, 1, 2}), clocks.ModelPerfect)
+	var delivered [][]int
+	intercept := func(n *simnet.Node, h func(simnet.NodeID, simnet.Message)) {
+		n.SetHandler(func(from simnet.NodeID, msg simnet.Message) {
+			switch m := msg.(type) {
+			case viewChangeReq:
+				delivered = append(delivered, m.GVec)
+			case viewChangeMsg:
+				delivered = append(delivered, m.GVec)
+			case startViewMsg:
+				delivered = append(delivered, m.GVec)
+			case vmInfo:
+				delivered = append(delivered, m.GVec)
+			case cmPrepare:
+				delivered = append(delivered, m.GVec)
+			case cmCommit:
+				delivered = append(delivered, m.GVec)
+			}
+			h(from, msg)
+		})
+	}
+	for _, shard := range c.Servers {
+		for _, s := range shard {
+			intercept(s.node, s.handle)
+		}
+	}
+	for _, co := range c.Coords {
+		intercept(co.node, co.handle)
+	}
+	for _, v := range c.VMs {
+		intercept(v.node, v.handle)
+	}
+	committed := 0
+	const n = 60
+	for i := 0; i < n; i++ {
+		i := i
+		sim.At(time.Duration(100+i*20)*time.Millisecond, func() {
+			c.Coords[i%3].Submit(incTxn(0, 1, 2), func(r txn.Result) {
+				if r.OK {
+					committed++
+				}
+			})
+		})
+	}
+	sim.At(700*time.Millisecond, func() { c.KillServer(1, 0) })
+	sim.At(6*time.Second, func() {
+		c.RestartServer(1, 0)
+		intercept(c.Servers[1][0].node, c.Servers[1][0].handle)
+	})
+	sim.Run(12 * time.Second)
+	if committed != n || c.VMs[0].view.GView == 0 || c.Servers[1][0].status != statusNormal {
+		t.Fatalf("committed %d of %d, view %d, rebooted server status %d: no completed view change and rejoin to check",
+			committed, n, c.VMs[0].view.GView, c.Servers[1][0].status)
+	}
+	owner := map[*int]string{}
+	hold := func(gvec []int, who string) {
+		t.Helper()
+		if other, ok := owner[&gvec[0]]; ok {
+			t.Errorf("%s shares its g-vec with %s", who, other)
+		}
+		owner[&gvec[0]] = who
+	}
+	for sh, shard := range c.Servers {
+		for rep, s := range shard {
+			hold(s.view.GVec, fmt.Sprintf("server %d/%d", sh, rep))
+		}
+	}
+	for i, co := range c.Coords {
+		hold(co.view.GVec, fmt.Sprintf("coordinator %d", i))
+	}
+	for i, v := range c.VMs {
+		hold(v.view.GVec, fmt.Sprintf("view-manager replica %d", i))
+		if v.prep.GVec != nil {
+			hold(v.prep.GVec, fmt.Sprintf("view-manager replica %d's prepared view", i))
+		}
+	}
+	quorums := 0
+	for _, shard := range c.Servers {
+		for _, s := range shard {
+			for rep, m := range s.vQuorum {
+				quorums++
+				if who, ok := owner[&m.GVec[0]]; ok {
+					t.Errorf("%s holds the g-vec of replica %d's view-change message", who, rep)
+				}
+			}
+		}
+	}
+	for _, gvec := range delivered {
+		if who, ok := owner[&gvec[0]]; ok {
+			t.Errorf("%s holds the g-vec of a delivered message", who)
+		}
+	}
+	if quorums == 0 || len(delivered) == 0 {
+		t.Fatalf("%d quorum messages and %d delivered views: nothing checked", quorums, len(delivered))
 	}
 }

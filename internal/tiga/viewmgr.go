@@ -17,14 +17,9 @@ type vmReplica struct {
 
 	vview int // view of the VM's own replication group (static here)
 
-	gview int
-	gvec  []int
-	gmode Mode
-
-	prepGView int
-	prepGVec  []int
-	prepGMode Mode
-	prepQ     map[int]bool
+	view  globalView
+	prep  globalView // the view being prepared (committed once prepQ has f+1)
+	prepQ map[int]bool
 
 	lastHB   map[[2]int]time.Duration
 	inflight bool
@@ -33,8 +28,7 @@ type vmReplica struct {
 func newVMReplica(c *Cluster, rid int, node *simnet.Node) *vmReplica {
 	v := &vmReplica{
 		cluster: c, node: node, rid: rid,
-		gvec:   append([]int(nil), c.initialGVec...),
-		gmode:  c.initialMode,
+		view:   c.initial.copy(),
 		lastHB: make(map[[2]int]time.Duration),
 	}
 	node.SetHandler(v.handle)
@@ -62,7 +56,7 @@ func (v *vmReplica) handle(from simnet.NodeID, msg simnet.Message) {
 	case heartbeatMsg:
 		v.lastHB[[2]int{m.Shard, m.Replica}] = v.cluster.Net.Sim().Now()
 	case vmInquire:
-		v.node.Send(m.From, vmInfo{GView: v.gview, GVec: append([]int(nil), v.gvec...), GMode: v.gmode})
+		v.node.Send(m.From, vmInfo{v.view.copy()})
 	case cmPrepare:
 		v.onPrepare(from, m)
 	case cmPrepareReply:
@@ -86,7 +80,7 @@ func (v *vmReplica) checkFailures() {
 	n := v.cluster.Cfg.Replicas()
 	failed := false
 	for s := 0; s < v.cluster.Cfg.Shards; s++ {
-		if !v.alive(s, v.gvec[s]%n) {
+		if !v.alive(s, v.view.GVec[s]%n) {
 			failed = true
 			break
 		}
@@ -95,24 +89,23 @@ func (v *vmReplica) checkFailures() {
 		return
 	}
 	newLeaders := v.findNewLeaders()
-	v.prepGView = v.gview + 1
-	v.prepGVec = make([]int, len(v.gvec))
-	for s := range v.gvec {
-		rOld := v.gvec[s] % n
+	v.prep = globalView{GView: v.view.GView + 1, GVec: make([]int, len(v.view.GVec))}
+	for s := range v.view.GVec {
+		rOld := v.view.GVec[s] % n
 		rNew := newLeaders[s]
-		v.prepGVec[s] = v.gvec[s] + ((rNew-rOld)%n+n)%n
-		if rNew != rOld && v.prepGVec[s] == v.gvec[s] {
-			v.prepGVec[s] += n
+		v.prep.GVec[s] = v.view.GVec[s] + ((rNew-rOld)%n+n)%n
+		if rNew != rOld && v.prep.GVec[s] == v.view.GVec[s] {
+			v.prep.GVec[s] += n
 		}
 	}
-	v.prepGMode = v.cluster.chooseMode(newLeaders)
+	v.prep.GMode = v.cluster.chooseMode(newLeaders)
 	v.prepQ = map[int]bool{v.rid: true}
 	v.inflight = true
 	// Guard against a stalled change (lost prepares).
 	v.node.After(4*v.cluster.Cfg.HeartbeatTimeout, func() { v.inflight = false })
 	for _, nd := range v.cluster.vmNodes {
 		if nd != v.node.ID() {
-			v.node.Send(nd, cmPrepare{VView: v.vview, PGView: v.prepGView, PGVec: append([]int(nil), v.prepGVec...), PGMode: v.prepGMode})
+			v.node.Send(nd, cmPrepare{VView: v.vview, globalView: v.prep.copy()})
 		}
 	}
 }
@@ -170,32 +163,28 @@ func (v *vmReplica) onPrepare(from simnet.NodeID, m cmPrepare) {
 	if m.VView != v.vview {
 		return
 	}
-	v.prepGView = m.PGView
-	v.prepGVec = append([]int(nil), m.PGVec...)
-	v.prepGMode = m.PGMode
-	v.node.Send(from, cmPrepareReply{VView: v.vview, VRid: v.rid, PGView: m.PGView})
+	v.prep = m.globalView.copy()
+	v.node.Send(from, cmPrepareReply{VView: v.vview, VRid: v.rid, PGView: m.GView})
 }
 
 func (v *vmReplica) onPrepareReply(m cmPrepareReply) {
-	if m.VView != v.vview || m.PGView != v.prepGView || v.prepQ == nil {
+	if m.VView != v.vview || m.PGView != v.prep.GView || v.prepQ == nil {
 		return
 	}
 	v.prepQ[m.VRid] = true
-	if len(v.prepQ) < 2 || v.prepGView <= v.gview { // f+1 of 3 VM replicas
+	if len(v.prepQ) < 2 || v.prep.GView <= v.view.GView { // f+1 of 3 VM replicas
 		return
 	}
-	v.gview = v.prepGView
-	v.gvec = append([]int(nil), v.prepGVec...)
-	v.gmode = v.prepGMode
+	v.view = v.prep.copy()
 	v.inflight = false
 	// Commit at VM followers and broadcast the new view to every server and
 	// coordinator.
 	for _, nd := range v.cluster.vmNodes {
 		if nd != v.node.ID() {
-			v.node.Send(nd, cmCommit{VView: v.vview, GView: v.gview, GVec: append([]int(nil), v.gvec...), GMode: v.gmode})
+			v.node.Send(nd, cmCommit{VView: v.vview, globalView: v.view.copy()})
 		}
 	}
-	req := viewChangeReq{GView: v.gview, GVec: append([]int(nil), v.gvec...), GMode: v.gmode}
+	req := viewChangeReq{v.view.copy()}
 	for s := 0; s < v.cluster.Cfg.Shards; s++ {
 		for r := 0; r < v.cluster.Cfg.Replicas(); r++ {
 			v.node.Send(v.cluster.serverNode(s, r), req)
@@ -207,10 +196,8 @@ func (v *vmReplica) onPrepareReply(m cmPrepareReply) {
 }
 
 func (v *vmReplica) onCommit(m cmCommit) {
-	if m.VView != v.vview || m.GView <= v.gview {
+	if m.VView != v.vview || m.GView <= v.view.GView {
 		return
 	}
-	v.gview = m.GView
-	v.gvec = append([]int(nil), m.GVec...)
-	v.gmode = m.GMode
+	v.view = m.globalView.copy()
 }
