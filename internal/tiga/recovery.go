@@ -372,3 +372,45 @@ func (s *Server) onStateTransferRep(m stateTransferRep) {
 	}
 	s.resume(m.Log)
 }
+
+// ---- Appendix B: coordinator failure / missing transaction bodies ----
+
+func (s *Server) scheduleFetch(r *rec, from simnet.NodeID) {
+	if r.fetching {
+		return
+	}
+	r.fetching = true
+	var again func()
+	again = func() {
+		// A record installLog replaced is nobody's placeholder any more: going
+		// on would re-send for the rest of the run and pin the abandoned slab.
+		if r.t != nil || s.status != statusNormal || s.recs[r.id] != r {
+			return
+		}
+		s.node.Send(from, fetchTxnReq{Shard: s.shard, ID: r.id})
+		// Keep retrying: the fetch or its reply may be lost.
+		s.node.After(s.cfg.RetryTimeout/2, again)
+	}
+	s.node.After(s.cfg.RetryTimeout/4, again)
+}
+
+func (s *Server) onFetchTxn(from simnet.NodeID, m fetchTxnReq) {
+	r := s.recs[m.ID]
+	if r == nil || r.t == nil {
+		return
+	}
+	s.node.Send(from, fetchTxnRep{ID: m.ID, T: r.t, TS: r.ts})
+}
+
+func (s *Server) onFetchTxnRep(m fetchTxnRep) {
+	r := s.recs[m.ID]
+	if r == nil || r.t != nil || s.status != statusNormal {
+		return
+	}
+	r.t = m.T
+	s.attach(r, m.T.Piece(s.shard))
+	r.ts = m.TS
+	r.coord = s.cluster.coordNode(m.ID.Coord)
+	s.admit(r)
+	s.checkAgreement(r)
+}

@@ -1,7 +1,6 @@
 package tiga
 
 import (
-	"slices"
 	"sort"
 	"time"
 
@@ -79,65 +78,6 @@ func (r *rec) multiShard() bool { return r.t != nil && len(r.t.Pieces) > 1 }
 // set (empty until a piece is attached).
 func (r *rec) reads() []uint32  { return r.refs[:r.nr] }
 func (r *rec) writes() []uint32 { return r.refs[r.nr:] }
-
-// agreement is the §3.5 timestamp-agreement state of one multi-shard
-// transaction on a leader. It exists from the first round-1 timestamp the
-// leader learns — its own, or another leader's notification, which may arrive
-// before the transaction's body (the record is then a placeholder) — until
-// agreement finishes; records that never agree, or have agreed, carry none.
-// Live objects sit in Server.agreements, which is what resendAgreements walks.
-type agreement struct {
-	r     *rec
-	round int
-	// round1/round2 hold, per shard, the timestamp that shard's leader
-	// announced in that round.
-	round1, round2 tsSet
-	slot           int // index in Server.agreements
-}
-
-// shardTS is one shard leader's announced timestamp in an agreement round.
-type shardTS struct {
-	shard int
-	ts    txn.Timestamp
-}
-
-// tsSet is a small shard -> timestamp map backed by an inline array: the
-// agreement state of a transaction spans its involved shards (2–4 in every
-// workload here), so a linear scan beats hashing and — crucially for the
-// per-transaction allocation budget — the zero value is ready to use and
-// single-shard transactions and followers never populate it at all, where
-// the map form cost two eager allocations per rec on every replica. Entries
-// alias the inline buffer, so an agreement must not be copied once populated
-// (agreements travel by pointer only).
-type tsSet struct {
-	items []shardTS
-	buf   [4]shardTS
-}
-
-func (s *tsSet) set(shard int, ts txn.Timestamp) {
-	for i := range s.items {
-		if s.items[i].shard == shard {
-			s.items[i].ts = ts
-			return
-		}
-	}
-	if s.items == nil {
-		s.items = s.buf[:0]
-	}
-	s.items = append(s.items, shardTS{shard: shard, ts: ts})
-}
-
-// get returns the zero timestamp for an absent shard, like a map lookup.
-func (s *tsSet) get(shard int) txn.Timestamp {
-	for i := range s.items {
-		if s.items[i].shard == shard {
-			return s.items[i].ts
-		}
-	}
-	return txn.Timestamp{}
-}
-
-func (s *tsSet) len() int { return len(s.items) }
 
 // prioQueue holds pending transactions ordered by timestamp (pq, Figure 4).
 type prioQueue struct {
@@ -852,497 +792,6 @@ func (s *Server) releaseFollower(r *rec) {
 	r.replyHash = s.relHash.Sum()
 	s.node.Send(r.coord, s.reply(r, true))
 }
-
-// ---- §3.5 timestamp agreement ----
-
-// agree returns r's agreement state, starting it if r has none.
-func (s *Server) agree(r *rec) *agreement {
-	if r.ag == nil {
-		a := s.cluster.agreements.Get()
-		*a = agreement{r: r, slot: len(s.agreements)}
-		s.agreements = append(s.agreements, a)
-		r.ag = a
-	}
-	return r.ag
-}
-
-// agreedOn marks r's agreement finished and recycles its state: nothing reads
-// the rounds of an agreed record.
-func (s *Server) agreedOn(r *rec) {
-	r.agreed = true
-	a, last := r.ag, len(s.agreements)-1
-	s.agreements[a.slot] = s.agreements[last]
-	s.agreements[a.slot].slot = a.slot
-	s.agreements[last] = nil
-	s.agreements = s.agreements[:last]
-	r.ag = nil
-	s.recycle(a)
-}
-
-// recycle hands a back to the cluster's pool. It lets go of the record first:
-// a pooled agreement still pointing into a record slab would keep a whole chunk
-// of it alive after installLog has dropped the slab.
-func (s *Server) recycle(a *agreement) {
-	a.r = nil
-	s.cluster.agreements.Put(a)
-}
-
-func (s *Server) broadcastNotification(r *rec, round int, ts txn.Timestamp) {
-	for i := range r.t.Pieces {
-		sh := r.t.Pieces[i].Shard()
-		if sh == s.shard {
-			continue
-		}
-		lead := s.view.GVec[sh] % s.cfg.Replicas()
-		m := s.cluster.msgs.tsNote.Get()
-		*m = tsNotification{
-			viewInfo: s.views(), Shard: s.shard, ID: r.id, TS: ts, Round: round,
-		}
-		s.node.Send(s.cluster.serverNode(sh, lead), m)
-	}
-}
-
-func (s *Server) onTsNotification(from simnet.NodeID, m *tsNotification) {
-	if s.status != statusNormal || m.GView != s.view.GView || !s.IsLeader() {
-		return
-	}
-	if m.LView != s.view.GVec[m.Shard] {
-		return // not from the current leader of that shard
-	}
-	r := s.recs[m.ID]
-	if r == nil {
-		// Notification before the coordinator's multicast arrived (or the
-		// coordinator failed mid-multicast, Appendix B): remember the
-		// timestamps and fetch the body if it never shows up.
-		r = s.newRec(m.ID)
-		s.scheduleFetch(r, from)
-	}
-	if r.agreed || r.released {
-		// A late notification: agreement is over (a released record that never
-		// agreed was installed from a recovered log), so it changes nothing.
-		return
-	}
-	switch m.Round {
-	case 1:
-		s.agree(r).round1.set(m.Shard, m.TS)
-	case 2:
-		s.agree(r).round2.set(m.Shard, m.TS)
-	}
-	s.checkAgreement(r)
-}
-
-// checkAgreement evaluates Cases 1–3 of §3.5 once all round-1 timestamps are
-// known.
-func (s *Server) checkAgreement(r *rec) {
-	if r.t == nil || r.agreed {
-		return
-	}
-	if s.view.GMode == ModePreventive {
-		if !r.proposed {
-			return
-		}
-	} else if !r.executed {
-		return
-	}
-	nShards := len(r.t.Pieces)
-	a := r.ag
-	if a == nil || a.round1.len() < nShards {
-		return
-	}
-	agreed := a.round1.get(s.shard)
-	mismatch := false
-	for _, e := range a.round1.items {
-		if agreed.Less(e.ts) {
-			agreed = e.ts
-		}
-	}
-	for _, e := range a.round1.items {
-		if !e.ts.Equal(agreed) {
-			mismatch = true
-			break
-		}
-	}
-	if !mismatch {
-		// Case-1: all timestamps match — agreement completes in 0.5 WRTT.
-		s.agreedOn(r)
-		s.finishAgreement(r)
-		return
-	}
-	if a.round < 2 {
-		a.round = 2
-		a.round2.set(s.shard, agreed)
-		s.broadcastNotification(r, 2, agreed)
-		if r.ts.Less(agreed) {
-			// Case-3: our optimistic execution (if any) used a stale
-			// timestamp — revoke and reposition (§3.5).
-			s.revoke(r)
-			s.reposition(r, agreed)
-			s.schedulePump(agreed.Time)
-		}
-		// Case-2 (r.ts == agreed): execution stays valid but we must not
-		// release until round 2 confirms every leader adopted the timestamp
-		// — otherwise timestamp inversion (§3.6, Fig 5).
-	}
-	if a.round2.len() >= nShards {
-		s.agreedOn(r)
-		s.finishAgreement(r)
-	}
-}
-
-// finishAgreement releases the transaction if it is already (re-)executed;
-// otherwise pump will execute and release it when it reaches the head again.
-func (s *Server) finishAgreement(r *rec) {
-	s.keys.unpark(r)
-	if r.executed && !r.released {
-		s.releaseAgreed(r)
-	}
-	// Unblock conflicting successors (and, in the preventive mode or
-	// Case-3, execute r itself once it is expired and unblocked).
-	s.pump()
-	if !r.executed {
-		s.schedulePump(r.ts.Time)
-	}
-}
-
-// resendAgreements re-broadcasts notifications for stalled agreements
-// (message loss tolerance).
-func (s *Server) resendAgreements() {
-	if s.status != statusNormal || !s.IsLeader() {
-		return
-	}
-	// Broadcast in a deterministic ID order — rebroadcast sends feed the
-	// simulation's event order. Only unfinished agreements have state to walk.
-	slices.SortFunc(s.agreements, func(a, b *agreement) int { return compareIDs(a.r.id, b.r.id) })
-	for i, a := range s.agreements {
-		a.slot = i
-	}
-	for _, a := range s.agreements {
-		r := a.r
-		if r.t == nil {
-			continue // a placeholder: notified of, body not here yet
-		}
-		switch a.round {
-		case 1:
-			s.broadcastNotification(r, 1, a.round1.get(s.shard))
-		case 2:
-			s.broadcastNotification(r, 2, a.round2.get(s.shard))
-		}
-	}
-}
-
-// ---- Appendix B: coordinator failure / missing transaction bodies ----
-
-func (s *Server) scheduleFetch(r *rec, from simnet.NodeID) {
-	if r.fetching {
-		return
-	}
-	r.fetching = true
-	var again func()
-	again = func() {
-		// A record installLog replaced is nobody's placeholder any more: going
-		// on would re-send for the rest of the run and pin the abandoned slab.
-		if r.t != nil || s.status != statusNormal || s.recs[r.id] != r {
-			return
-		}
-		s.node.Send(from, fetchTxnReq{Shard: s.shard, ID: r.id})
-		// Keep retrying: the fetch or its reply may be lost.
-		s.node.After(s.cfg.RetryTimeout/2, again)
-	}
-	s.node.After(s.cfg.RetryTimeout/4, again)
-}
-
-func (s *Server) onFetchTxn(from simnet.NodeID, m fetchTxnReq) {
-	r := s.recs[m.ID]
-	if r == nil || r.t == nil {
-		return
-	}
-	s.node.Send(from, fetchTxnRep{ID: m.ID, T: r.t, TS: r.ts})
-}
-
-func (s *Server) onFetchTxnRep(m fetchTxnRep) {
-	r := s.recs[m.ID]
-	if r == nil || r.t != nil || s.status != statusNormal {
-		return
-	}
-	r.t = m.T
-	s.attach(r, m.T.Piece(s.shard))
-	r.ts = m.TS
-	r.coord = s.cluster.coordNode(m.ID.Coord)
-	s.admit(r)
-	s.checkAgreement(r)
-}
-
-// ---- §3.7 log synchronization and slow path ----
-
-func (s *Server) onLogSync(m *logSyncMsg) {
-	if s.status != statusNormal || m.GView != s.view.GView || m.LView != s.lview || s.IsLeader() {
-		return
-	}
-	if m.Pos < s.syncPoint {
-		s.advanceCommitPoint(m.CommitPoint)
-		return // duplicate
-	}
-	if m.Pos > s.syncPoint {
-		s.pendingSync[m.Pos] = *m // copy: the message is recycled after return
-	} else {
-		s.applySync(m)
-		for len(s.pendingSync) > 0 {
-			next, ok := s.pendingSync[s.syncPoint]
-			if !ok {
-				break
-			}
-			delete(s.pendingSync, s.syncPoint)
-			s.applySync(&next)
-		}
-	}
-	s.advanceCommitPoint(m.CommitPoint)
-}
-
-// applySync reconciles one leader log entry into the follower's log (§3.7):
-// update timestamps of entries both hold, adopt entries the follower lacks,
-// and move optimistically released entries into the synced prefix.
-func (s *Server) applySync(m *logSyncMsg) {
-	r := s.recs[m.ID]
-	switch {
-	case r == nil:
-		// First heard of through the log.
-		r = s.newRec(m.ID)
-		r.t = m.T
-		s.relHash.Add(m.ID, m.TS)
-	case r.tail:
-		r.tail = false
-		s.tails--
-		if !r.ts.Equal(m.TS) {
-			s.relHash.Remove(r.id, r.ts)
-			s.relHash.Add(m.ID, m.TS)
-		}
-	case r.inPQ:
-		s.erase(r)
-		s.relHash.Add(m.ID, m.TS)
-	case r.held:
-		r.held = false
-		s.relHash.Add(m.ID, m.TS)
-	case !r.released:
-		s.relHash.Add(m.ID, m.TS)
-	}
-	r.released = true
-	r.ts = m.TS
-	s.log = append(s.log, logEntry{ID: m.ID, TS: m.TS, T: m.T})
-	s.syncPoint = len(s.log)
-	// The conflict timestamps must also reflect synced entries: through the
-	// record's keys, attached when the transaction arrived here (the usual
-	// case) or now, for an entry first heard of through the log.
-	if r.piece == nil {
-		if p := m.T.Piece(s.shard); p != nil {
-			s.attach(r, p)
-		}
-	}
-	if r.piece != nil {
-		s.keys.note(r, m.TS)
-	}
-	if !s.cfg.BatchSlowReplies {
-		s.slowReply(s.cluster.coordNode(m.ID.Coord), m.ID, m.TS)
-	}
-}
-
-// slowReply tells coordinator coord that this follower has synced id at ts
-// (§3.7).
-func (s *Server) slowReply(coord simnet.NodeID, id txn.ID, ts txn.Timestamp) {
-	m := s.cluster.msgs.slowRep.Get()
-	*m = slowReply{viewInfo: s.views(), Shard: s.shard, Replica: s.replica, ID: id, TS: ts}
-	s.node.Send(coord, m)
-}
-
-// advanceCommitPoint moves the commit-point to cp, at most the sync-point, and
-// commits the entries it passes: a follower first executes those it released
-// without executing, while a leader executed every entry of its log before
-// releasing it. The checkpoint position follows (§3.7, §4).
-func (s *Server) advanceCommitPoint(cp int) {
-	cp = min(cp, s.syncPoint)
-	if cp <= s.commitPoint {
-		return
-	}
-	s.commitPoint = cp
-	for ; s.applied < cp; s.applied++ {
-		e := s.log[s.applied]
-		if p := e.T.Piece(s.shard); p != nil && !s.st.Executed(e.ID) {
-			s.node.Work(s.cfg.ExecCost)
-			s.st.ExecuteID(e.ID, e.TS, p)
-		}
-		s.st.Commit(e.ID)
-	}
-	s.maybeCheckpoint(s.applied)
-	switch {
-	case !s.cfg.LocalReads:
-	case s.IsLeader():
-		// The released prefix just became durable: the leader watermark
-		// (held below undurable entries) can move, and reads blocked on it
-		// can be served without waiting for the next broadcast tick.
-		s.advanceSafeTime()
-	default:
-		s.reads.Applied(s.applied)
-	}
-}
-
-// maybeCheckpoint moves the checkpoint to pos once CheckpointEvery more
-// entries have committed (§4). The checkpoint's store image is a pure function
-// of the shard seed and log[:pos], both of which the server retains, so only
-// the position is recorded here — the committed prefix is immutable and is its
-// own identity — and installLog materialises the image by replay if a recovery
-// ever asks for it.
-func (s *Server) maybeCheckpoint(pos int) {
-	if s.cfg.CheckpointEvery > 0 && pos-s.checkpointPos >= s.cfg.CheckpointEvery {
-		s.checkpointPos = pos
-	}
-}
-
-// onSyncPoint is the leader's handler for follower sync-point reports: it
-// advances the commit-point once f+1 servers (leader included) hold an entry,
-// and retransmits log entries to followers that fell behind (lost log-sync
-// messages would otherwise stall their contiguous prefixes forever).
-func (s *Server) onSyncPoint(m *syncPointMsg) {
-	if !s.IsLeader() || m.GView != s.view.GView || m.LView != s.lview {
-		return
-	}
-	for pos := m.SyncPoint; pos < min(m.SyncPoint+32, len(s.log)); pos++ {
-		s.sendLogSync(m.Replica, pos)
-	}
-	if m.SyncPoint > s.followerSP[m.Replica] {
-		s.followerSP[m.Replica] = m.SyncPoint
-	}
-	s.reads.Report(m.Replica, m.W)
-	sps := s.spScratch[:0]
-	for _, sp := range s.followerSP {
-		sps = append(sps, sp)
-	}
-	slices.Sort(sps)
-	s.spScratch = sps
-	if len(sps) >= s.cfg.F {
-		s.advanceCommitPoint(sps[len(sps)-s.cfg.F]) // f followers + the leader = f+1 servers
-	}
-}
-
-// sendLogSync sends the leader's log entry pos to replica rep (§3.7).
-func (s *Server) sendLogSync(rep, pos int) {
-	e := s.log[pos]
-	m := s.cluster.msgs.logSync.Get()
-	*m = logSyncMsg{
-		viewInfo: s.views(), Shard: s.shard,
-		Pos: pos, ID: e.ID, TS: e.TS, T: e.T, CommitPoint: s.commitPoint,
-	}
-	s.node.Send(s.cluster.serverNode(s.shard, rep), m)
-}
-
-// ---- Local snapshot reads (safe-time watermarks) ----
-
-// advanceSafeTime recomputes the leader's watermark: one tick below its
-// synchronized clock, capped below every pending (unreleased) transaction in
-// the priority queue AND below every released entry the commit point has not
-// yet passed. Safe because (a) versions become visible to reads only at the
-// commit-point Commit, and the watermark trails the earliest timestamp still
-// awaiting it, (b) everything unreleased sits in the queue, and (c) admission
-// lifts any later arrival above the current watermark — so no transaction can
-// ever commit at or below it. Holding the watermark at the commit point
-// (rather than release) means a leader read never observes a prefix that a
-// failover could roll back; the cost is commit-point lag (~1 OWD + sync-point
-// cadence) on strong leader reads, measured in EXPERIMENTS.md. Monotonic by
-// construction: the watermark only moves forward.
-func (s *Server) advanceSafeTime() {
-	if !s.IsLeader() || s.status != statusNormal {
-		return
-	}
-	w := s.now() - 1
-	if len(s.pq.items) > 0 {
-		if m := s.pq.items[0].ts.Time - 1; m < w {
-			w = m
-		}
-	}
-	// The log is release-ordered, not timestamp-ordered, so scan the whole
-	// undurable suffix (bounded by the replication lag) for its minimum.
-	if s.commitPoint < len(s.log) {
-		for _, e := range s.log[s.commitPoint:] {
-			if m := e.TS.Time - 1; m < w {
-				w = m
-			}
-		}
-	}
-	s.reads.Advance(w)
-}
-
-// broadcastSafeTime is the leader's periodic watermark publication, riding
-// the sync-point tick. Tiga's log is release-ordered, not timestamp-ordered,
-// so the watermark W is only valid for a log prefix: the pair (W, N=len(log))
-// promises every transaction committing with timestamp <= W is among the
-// first N entries (later releases get larger timestamps via admission).
-func (s *Server) broadcastSafeTime() {
-	s.advanceSafeTime()
-	if s.cfg.VersionGC {
-		s.reads.AdvanceGC()
-	}
-	for rep := 0; rep < s.cfg.Replicas(); rep++ {
-		if rep == s.replica {
-			continue
-		}
-		m := s.cluster.msgs.safeTime.Get()
-		*m = safeTimeMsg{
-			viewInfo: s.views(), Shard: s.shard,
-			W: s.reads.Watermark(), N: len(s.log), CP: s.commitPoint, GC: s.reads.GCHorizon(),
-		}
-		s.node.Send(s.cluster.serverNode(s.shard, rep), m)
-	}
-}
-
-// onSafeTime is the follower side: adopt the leader's watermark once the
-// promised log prefix is applied locally. The piggybacked commit-point lets
-// the follower apply entries without waiting for the next log-sync message,
-// shortening watermark lag by roughly one sync interval.
-func (s *Server) onSafeTime(m *safeTimeMsg) {
-	if !s.cfg.LocalReads || s.status != statusNormal || s.IsLeader() ||
-		m.GView != s.view.GView || m.LView != s.lview {
-		return
-	}
-	s.advanceCommitPoint(m.CP)
-	s.reads.Offer(snapread.Pair{W: m.W, N: m.N, GC: m.GC}, s.applied)
-}
-
-// onSnapRead serves a local snapshot read through the shared replica path.
-// Reads arriving during a view change are dropped — the coordinator re-drives
-// them — so a partitioned or recovering replica delays a read and never lies
-// (the chaos experiment exercises this).
-func (s *Server) onSnapRead(from simnet.NodeID, m *snapread.Req) {
-	if !s.cfg.LocalReads || s.status != statusNormal {
-		return
-	}
-	// Leaders answer at clock freshness rather than tick freshness. The
-	// replica owns m once OnReq has it, so the snapshot is read first.
-	at := m.At
-	s.advanceSafeTime()
-	if s.reads.OnReq(from, m) && s.IsLeader() {
-		s.scheduleSafeFlush(at)
-	}
-}
-
-// scheduleSafeFlush arms a timer for the moment the leader's clock passes at,
-// so a read blocked only on clock progress (not on a queued transaction) is
-// served without waiting for the next periodic tick. Followers don't need
-// this: their watermark only moves on leader broadcasts, which flush.
-func (s *Server) scheduleSafeFlush(at time.Duration) {
-	simNow := s.cluster.Net.Sim().Now()
-	when := s.clock.WhenReads(at+1, simNow)
-	if s.flushAt != 0 && s.flushAt <= when {
-		return // an earlier (or equal) flush is already armed
-	}
-	s.flushAt = when
-	s.flushSeq++
-	// Gated timer (see schedulePump): superseded arms no-op at fire time, and
-	// flushFire is one persistent closure. If the queue head still pins the
-	// watermark below at, the read keeps waiting; releaseLeader and the
-	// periodic tick will flush it.
-	s.node.AfterGate(when-simNow, &s.flushSeq, s.flushSeq, s.flushFire)
-}
-
-// SafeTime exposes the replica's current watermark (tests).
-func (s *Server) SafeTime() time.Duration { return s.reads.Watermark() }
 
 // StateSizes is how much a server holds of each kind of state, and how often
 // its queue had to repair itself. What a drained server must have let go of —
