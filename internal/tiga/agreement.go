@@ -113,12 +113,9 @@ func (s *Server) broadcastNotification(r *rec, round int, ts txn.Timestamp) {
 		if sh == s.shard {
 			continue
 		}
-		lead := s.view.GVec[sh] % s.cfg.Replicas()
 		m := s.cluster.msgs.tsNote.Get()
-		*m = tsNotification{
-			viewInfo: s.views(), Shard: s.shard, ID: r.id, TS: ts, Round: round,
-		}
-		s.node.Send(s.cluster.serverNode(sh, lead), m)
+		*m = tsNotification{viewInfo: s.views(), Shard: s.shard, ID: r.id, TS: ts, Round: round}
+		s.node.Send(s.leaderOf(sh), m)
 	}
 }
 

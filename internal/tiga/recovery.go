@@ -39,12 +39,11 @@ func (s *Server) onViewChangeReq(m viewChangeReq) {
 		return
 	}
 	s.enterView(m.globalView)
-	lead := s.view.GVec[s.shard] % s.cfg.Replicas()
 	msg := s.viewChange()
-	if lead == s.replica {
+	if s.IsLeader() {
 		s.onViewChange(&msg)
 	} else {
-		s.node.Send(s.cluster.serverNode(s.shard, lead), msg)
+		s.node.Send(s.leaderOf(s.shard), msg)
 	}
 }
 
@@ -97,7 +96,7 @@ func (s *Server) onViewChange(m *viewChangeMsg) {
 		}
 		return
 	}
-	if s.view.GVec[s.shard]%s.cfg.Replicas() != s.replica {
+	if !s.IsLeader() {
 		return // not the new leader
 	}
 	s.vQuorum[m.Replica] = m
@@ -178,8 +177,7 @@ func (s *Server) verifyTimestamps() {
 		if sh == s.shard {
 			continue
 		}
-		lead := s.view.GVec[sh] % s.cfg.Replicas()
-		s.node.Send(s.cluster.serverNode(sh, lead), tsVerification{GView: s.view.GView, Shard: s.shard, Info: info})
+		s.node.Send(s.leaderOf(sh), tsVerification{GView: s.view.GView, Shard: s.shard, Info: info})
 	}
 	s.maybeFinishVerification()
 }
@@ -356,7 +354,7 @@ func (s *Server) onVMInfo(m vmInfo) {
 		s.node.After(s.cfg.HeartbeatEvery, func() { s.Rejoin() })
 		return
 	}
-	s.node.Send(s.leaderNode(), stateTransferReq{GView: s.view.GView, LView: s.lview, Shard: s.shard, Replica: s.replica})
+	s.node.Send(s.leaderOf(s.shard), stateTransferReq{GView: s.view.GView, LView: s.lview, Shard: s.shard, Replica: s.replica})
 }
 
 func (s *Server) onStateTransferReq(from simnet.NodeID, m stateTransferReq) {

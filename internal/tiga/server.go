@@ -290,7 +290,7 @@ func (s *Server) start() {
 				SyncPoint: s.syncPoint,
 				W:         s.reads.Watermark(),
 			}
-			s.node.Send(s.leaderNode(), m)
+			s.node.Send(s.leaderOf(s.shard), m)
 		}
 		if s.cfg.LocalReads && s.status == statusNormal && s.IsLeader() {
 			s.broadcastSafeTime()
@@ -306,7 +306,7 @@ func (s *Server) start() {
 	s.node.Every(s.cfg.RetryTimeout/2, func() bool {
 		s.resendAgreements()
 		if s.status == statusViewChange && !s.IsLeader() {
-			s.node.Send(s.leaderNode(), s.viewChange())
+			s.node.Send(s.leaderOf(s.shard), s.viewChange())
 		}
 		return true
 	})
@@ -314,8 +314,9 @@ func (s *Server) start() {
 
 func (s *Server) views() viewInfo { return viewInfo{GView: s.view.GView, LView: s.lview} }
 
-func (s *Server) leaderNode() simnet.NodeID {
-	return s.cluster.serverNode(s.shard, s.lview%s.cfg.Replicas())
+// leaderOf is the node of shard sh's leader in the server's view.
+func (s *Server) leaderOf(sh int) simnet.NodeID {
+	return s.cluster.serverNode(sh, s.view.GVec[sh]%s.cfg.Replicas())
 }
 
 // handle dispatches incoming messages. Pooled hot-path messages are recycled
