@@ -3,18 +3,27 @@
 // geo-distributed transactions in one wide-area round trip by proactively
 // ordering them with synchronized clocks.
 //
-// The package follows the paper's structure:
+// The package follows the paper's structure, one file per mechanism:
 //
-//   - Coordinator (§3.1, §3.4, Alg. 3): measures one-way delays, assigns each
-//     transaction a future timestamp, multicasts it, and runs the fast/slow
-//     quorum checks.
-//   - Server (§3.2–§3.7, Alg. 1/2): buffers transactions in a timestamp-
+//   - coordinator.go (§3.1, §3.4, Alg. 3): measures one-way delays, assigns
+//     each transaction a future timestamp, multicasts it, and runs the
+//     fast/slow quorum checks.
+//   - server.go (§3.2–§3.3, Alg. 1/2): admits transactions into a timestamp-
 //     ordered priority queue, releases them when the local clock passes their
-//     timestamps, executes optimistically at leaders, runs inter-leader
-//     timestamp agreement, and synchronizes logs to followers.
-//   - View manager (§4, Alg. 4/5/6): detects failures, elects co-located
-//     leaders, and drives log reconstruction and cross-shard timestamp
-//     verification during view changes.
+//     timestamps, executes optimistically at leaders, and fast-replies;
+//     conflict.go is the conflict table of §3.2's detection.
+//   - agreement.go (§3.5, §3.8): inter-leader timestamp agreement, before
+//     execution (preventive) or after it (detective).
+//   - replication.go (§3.7, Appendix E): log synchronization to followers, slow
+//     replies, the commit point and the checkpoint.
+//   - recovery.go (§4, Appendix B): global view changes (Alg. 5), rejoin
+//     (Alg. 6), and fetching a body a failed coordinator did not deliver.
+//   - viewmgr.go (§4, Alg. 4): the view manager detects failures, elects
+//     co-located leaders, and starts view changes.
+//   - snapreads.go: local snapshot reads and the safe-time watermarks behind
+//     them.
+//   - config.go holds the configuration and the wire messages, cluster.go the
+//     deployment, and register.go the protocol registration.
 package tiga
 
 import (

@@ -14,11 +14,11 @@ import (
 // shadowSets is the differential oracle for the conflict table (conflict.go):
 // the six KeyID-keyed maps the server kept before it — rMap/wMap (Alg. 1),
 // parkR/parkW, blockedR/blockedW — with the code that read and wrote them,
-// fed from conflictTable.onEvent. Where the table answers from the entries a record
-// cached at attach, the shadow resolves the piece's keys through the store on
-// every event, as the maps' callers did, so a stale or misplaced reference, a
-// lost present bit or a blocked bit that outlives its pump shows up as a
-// different answer. Every conflictOK, minAcceptable and blockedBy answer is
+// fed from the table's onEvent hook. Where the table answers from the entries a
+// record cached at attach, the shadow resolves the piece's keys through the
+// store on every event, as the maps' callers did, so a stale or misplaced
+// reference, a lost present bit or a blocked bit that outlives its pump shows up
+// as a different answer. Every passes, minAcceptable and blockedBy answer is
 // compared, and after every park and unpark the parked counts of the piece's
 // keys and the table's total.
 type shadowSets struct {

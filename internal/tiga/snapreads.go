@@ -15,7 +15,7 @@ import (
 // replicas are local, against the coordinator path's 1 WRTT floor. The read
 // path itself is internal/snapread; what is Tiga's is the snapshot clock (the
 // coordinator's synchronized clock), the re-drive interval (RetryTimeout) and
-// the leader's watermark rule (advanceSafeTime in server.go).
+// the leader's watermark rule (advanceSafeTime below).
 
 // SubmitLocalRead implements protocol.SnapshotReadable.
 func (c *Cluster) SubmitLocalRead(coord int, t *txn.Txn, done func(txn.Result)) {
