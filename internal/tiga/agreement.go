@@ -86,6 +86,16 @@ func (s *Server) agree(r *rec) *agreement {
 	return r.ag
 }
 
+// startAgreement announces r's timestamp to the other leaders in round 1,
+// unless r's agreement has already begun (a Case-3 re-execution).
+func (s *Server) startAgreement(r *rec) {
+	if a := s.agree(r); a.round == 0 {
+		a.round = 1
+		a.round1.set(s.shard, r.ts)
+		s.broadcastNotification(r, 1, r.ts)
+	}
+}
+
 // agreedOn marks r's agreement finished and recycles its state: nothing reads
 // the rounds of an agreed record.
 func (s *Server) agreedOn(r *rec) {

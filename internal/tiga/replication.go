@@ -114,14 +114,15 @@ func (s *Server) advanceCommitPoint(cp int) {
 		s.st.Commit(e.ID)
 	}
 	s.maybeCheckpoint(s.applied)
-	switch {
-	case !s.cfg.LocalReads:
-	case s.IsLeader():
+	if !s.cfg.LocalReads {
+		return
+	}
+	if s.IsLeader() {
 		// The released prefix just became durable: the leader watermark
 		// (held below undurable entries) can move, and reads blocked on it
 		// can be served without waiting for the next broadcast tick.
 		s.advanceSafeTime()
-	default:
+	} else {
 		s.reads.Applied(s.applied)
 	}
 }

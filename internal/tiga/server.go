@@ -690,10 +690,7 @@ func (s *Server) process(r *rec) {
 		if !r.proposed {
 			s.recordMaps(r)
 			r.proposed = true
-			a := s.agree(r)
-			a.round = 1
-			a.round1.set(s.shard, r.ts)
-			s.broadcastNotification(r, 1, r.ts)
+			s.startAgreement(r)
 			s.checkAgreement(r)
 		} else if r.agreed && !r.executed {
 			s.executeLeader(r, true)
@@ -711,11 +708,7 @@ func (s *Server) process(r *rec) {
 			return
 		}
 		s.executeLeader(r, false)
-		if a := s.agree(r); a.round == 0 {
-			a.round = 1
-			a.round1.set(s.shard, r.ts)
-			s.broadcastNotification(r, 1, r.ts)
-		}
+		s.startAgreement(r)
 		s.checkAgreement(r)
 		return
 	}
