@@ -277,19 +277,15 @@ type LoadSpec struct {
 	// the run also gathers the observations the snapshot-read checker
 	// validates (RunResult.SnapReads against RunResult.Writes).
 	LocalReads bool
-	// Arrival selects a registered open-loop arrival process
-	// (workload.ArrivalNames: poisson, diurnal, flashcrowd, surge). When
-	// set, jobs arrive on the process's rate curve with RatePerCoord as the
-	// base rate, regardless of completions, and Outstanding is ignored —
-	// backpressure belongs to the protocol's admission gate. Queueing
-	// delay (Result.Queued) is then accounted in Run.QueueLat separately
-	// from service latency in Run.Lat, and shed transactions count in
-	// Counters.Shed (and Aborted). Empty selects the fixed-interval,
-	// outstanding-capped closed loop.
+	// Arrival selects the open-loop arrival process; "poisson" is the only
+	// one (workload.BuildArrival). When set, jobs arrive at RatePerCoord
+	// with exponential gaps, regardless of completions, and Outstanding is
+	// ignored — backpressure belongs to the protocol's admission gate.
+	// Queueing delay (Result.Queued) is then accounted in Run.QueueLat
+	// separately from service latency in Run.Lat, and shed transactions
+	// count in Counters.Shed (and Aborted). Empty selects the
+	// fixed-interval, outstanding-capped closed loop.
 	Arrival string
-	// ArrivalParams are typed parameter overrides for the named arrival
-	// process (validated against its registered schema).
-	ArrivalParams map[string]any
 	// Trace enables the txn-lifecycle span recorder for this run (see
 	// internal/trace): every submission gets a trace whose phase breakdown
 	// feeds Run.Phase and RunResult.Trace. Nil leaves tracing off (the
@@ -536,7 +532,7 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 		if open {
 			var err error
 			arr, err = workload.BuildArrival(spec.Arrival, spec.RatePerCoord,
-				ci, d.Sys.NumCoords(), int(d.CoordRegions[ci]), spec.ArrivalParams)
+				ci, d.Sys.NumCoords(), int(d.CoordRegions[ci]), nil)
 			if err != nil {
 				panic(fmt.Sprintf("open-loop load: %v", err))
 			}

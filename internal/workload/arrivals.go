@@ -2,89 +2,45 @@ package workload
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"tiga/internal/protocol"
 )
 
-// Arrival is an open-loop arrival process: jobs arrive on a rate curve
-// independent of completions (the closed-loop path re-issues on completion
-// instead). Next returns the gap until the next arrival given the current
-// virtual time. Implementations must be deterministic functions of (now, rng)
-// so fixed-seed runs are byte-identical regardless of worker count; rng is
-// the caller's per-coordinator stream.
+// Arrival is an open-loop arrival process: jobs arrive independently of
+// completions (the closed-loop path re-issues on completion instead). Next
+// returns the gap until the next arrival given the current virtual time.
+// Implementations must be deterministic functions of (now, rng) so fixed-seed
+// runs are byte-identical regardless of worker count; rng is the caller's
+// per-coordinator stream.
 type Arrival interface {
 	Next(now time.Duration, rng *rand.Rand) time.Duration
 }
 
-// ArrivalDef describes one registered arrival process: a name, a doc line for
-// discovery tooling, a typed parameter schema (reusing the protocol knob
-// machinery like workload Defs do), and a factory.
-type ArrivalDef struct {
-	// Name is the registry key (see ArrivalNames).
-	Name string
-	// Doc is a one-line description (cmd/tigabench -arrival list).
-	Doc string
-	// Params declares the process's typed parameters.
-	Params protocol.Schema
-	// New builds a process for one coordinator: rate is the base arrival
-	// rate in txn/s per coordinator, coord/coords identify the coordinator
-	// within the deployment, and region is its region index (regional
-	// processes key off it). Every coordinator owns a private process —
-	// processes may be stateful.
-	New func(rate float64, coord, coords, region int, p protocol.Values) Arrival
-}
-
-var arrivalRegistry = map[string]ArrivalDef{}
-
-// RegisterArrival makes an arrival process available under its name. It is
-// intended for package init functions and panics on duplicate names, missing
-// factories, or malformed parameter schemas (mirroring Register).
-func RegisterArrival(def ArrivalDef) {
-	if def.Name == "" || def.New == nil {
-		panic("workload: RegisterArrival requires a name and a factory")
-	}
-	if _, dup := arrivalRegistry[def.Name]; dup {
-		panic(fmt.Sprintf("workload: duplicate arrival registration of %q", def.Name))
-	}
-	def.Params.Validate("arrival " + def.Name)
-	arrivalRegistry[def.Name] = def
-}
-
-// ArrivalNames returns every registered arrival process in alphabetical order.
-func ArrivalNames() []string {
-	out := make([]string, 0, len(arrivalRegistry))
-	for name := range arrivalRegistry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LookupArrival returns the registered definition for name.
-func LookupArrival(name string) (ArrivalDef, bool) {
-	d, ok := arrivalRegistry[name]
-	return d, ok
-}
-
-// BuildArrival resolves a named arrival process for one coordinator,
-// validating raw parameter overrides against the registered schema.
+// BuildArrival builds the open-loop arrival process for one coordinator.
+// The only process is "poisson": fixed-rate arrivals at rate txn/s per
+// coordinator, with exponential gaps. It takes no parameters; an unknown
+// name, any parameter in raw, or a rate ≤ 0 is an error. coord, coords and
+// region identify the coordinator and are unused by poisson.
 func BuildArrival(name string, rate float64, coord, coords, region int, raw map[string]any) (Arrival, error) {
-	def, ok := arrivalRegistry[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown arrival process %q (registered: %v)", name, ArrivalNames())
+	if name != "poisson" {
+		return nil, fmt.Errorf("unknown arrival process %q (the only one is poisson)", name)
 	}
-	vals, err := def.Params.Resolve(raw)
-	if err != nil {
+	if _, err := (protocol.Schema{}).Resolve(raw); err != nil {
 		return nil, fmt.Errorf("arrival %s: %w", name, err)
 	}
 	if rate <= 0 {
 		return nil, fmt.Errorf("arrival %s: rate must be positive, got %g", name, rate)
 	}
-	return def.New(rate, coord, coords, region, vals), nil
+	return poisson(rate), nil
+}
+
+// poisson is a fixed-rate Poisson process: one exponential draw per arrival.
+type poisson float64
+
+func (r poisson) Next(_ time.Duration, rng *rand.Rand) time.Duration {
+	return expGap(float64(r), rng)
 }
 
 // expGap draws an exponential inter-arrival gap for a Poisson process at
@@ -95,98 +51,4 @@ func expGap(rate float64, rng *rand.Rand) time.Duration {
 		g = time.Nanosecond
 	}
 	return g
-}
-
-// rateCurve is a Poisson process whose instantaneous rate is a function of
-// virtual time — the shared implementation behind diurnal/flashcrowd/surge.
-// It thins nothing: the gap is drawn at the rate in effect now, which is the
-// standard piecewise approximation and keeps every draw O(1).
-type rateCurve struct {
-	rate func(now time.Duration) float64
-}
-
-func (c rateCurve) Next(now time.Duration, rng *rand.Rand) time.Duration {
-	r := c.rate(now)
-	if r <= 0 {
-		// Dormant phase: probe again in 10ms without emitting a job
-		// (factories return strictly positive rates, so this is unused
-		// today but keeps custom curves safe).
-		return 10 * time.Millisecond
-	}
-	return expGap(r, rng)
-}
-
-func init() {
-	RegisterArrival(ArrivalDef{
-		Name: "poisson",
-		Doc:  "fixed-rate Poisson arrivals: exponential inter-arrival gaps at the base rate",
-		New: func(rate float64, coord, coords, region int, p protocol.Values) Arrival {
-			return rateCurve{rate: func(time.Duration) float64 { return rate }}
-		},
-	})
-	RegisterArrival(ArrivalDef{
-		Name: "diurnal",
-		Doc:  "sinusoidal day/night curve around the base rate (rate·(1 + amp·sin(2πt/period)))",
-		Params: protocol.Schema{
-			{Name: "period", Type: protocol.KnobDuration, Default: 8 * time.Second,
-				Doc: "length of one simulated day"},
-			{Name: "amplitude", Type: protocol.KnobFloat, Default: 0.6,
-				Doc: "relative swing around the base rate, in [0,1)"},
-		},
-		New: func(rate float64, coord, coords, region int, p protocol.Values) Arrival {
-			period := p.Duration("period")
-			amp := p.Float("amplitude")
-			return rateCurve{rate: func(now time.Duration) float64 {
-				phase := 2 * math.Pi * float64(now) / float64(period)
-				return rate * (1 + amp*math.Sin(phase))
-			}}
-		},
-	})
-	RegisterArrival(ArrivalDef{
-		Name: "flashcrowd",
-		Doc:  "base-rate Poisson with a transient spike of rate·factor for `width` starting at `at`",
-		Params: protocol.Schema{
-			{Name: "at", Type: protocol.KnobDuration, Default: 2 * time.Second,
-				Doc: "virtual time the crowd arrives"},
-			{Name: "width", Type: protocol.KnobDuration, Default: time.Second,
-				Doc: "duration of the spike"},
-			{Name: "factor", Type: protocol.KnobFloat, Default: 4.0,
-				Doc: "rate multiplier during the spike"},
-		},
-		New: func(rate float64, coord, coords, region int, p protocol.Values) Arrival {
-			at, width, factor := p.Duration("at"), p.Duration("width"), p.Float("factor")
-			return rateCurve{rate: func(now time.Duration) float64 {
-				if now >= at && now < at+width {
-					return rate * factor
-				}
-				return rate
-			}}
-		},
-	})
-	RegisterArrival(ArrivalDef{
-		Name: "surge",
-		Doc:  "regional surge: coordinators in one region spike to rate·factor, the rest stay at base rate",
-		Params: protocol.Schema{
-			{Name: "region", Type: protocol.KnobInt, Default: 0,
-				Doc: "region index whose coordinators surge"},
-			{Name: "at", Type: protocol.KnobDuration, Default: 2 * time.Second,
-				Doc: "virtual time the surge starts"},
-			{Name: "width", Type: protocol.KnobDuration, Default: 2 * time.Second,
-				Doc: "duration of the surge"},
-			{Name: "factor", Type: protocol.KnobFloat, Default: 3.0,
-				Doc: "rate multiplier in the surging region"},
-		},
-		New: func(rate float64, coord, coords, region int, p protocol.Values) Arrival {
-			at, width, factor := p.Duration("at"), p.Duration("width"), p.Float("factor")
-			if region != p.Int("region") {
-				return rateCurve{rate: func(time.Duration) float64 { return rate }}
-			}
-			return rateCurve{rate: func(now time.Duration) float64 {
-				if now >= at && now < at+width {
-					return rate * factor
-				}
-				return rate
-			}}
-		},
-	})
 }

@@ -7,31 +7,14 @@ import (
 	"time"
 )
 
-// TestArrivalRegistryComplete pins the canonical arrival-process set.
-func TestArrivalRegistryComplete(t *testing.T) {
-	want := []string{"diurnal", "flashcrowd", "poisson", "surge"}
-	got := ArrivalNames()
-	if len(got) != len(want) {
-		t.Fatalf("registered %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("registered %v, want %v", got, want)
-		}
-		if d, ok := LookupArrival(want[i]); !ok || d.Doc == "" {
-			t.Fatalf("%s not lookupable or undocumented", want[i])
-		}
-	}
-}
-
-// TestBuildArrivalValidation pins the failure modes: unknown names list the
-// registry, bad parameters and non-positive rates error.
+// TestBuildArrivalValidation pins the failure modes: unknown names name
+// poisson, parameters and non-positive rates error.
 func TestBuildArrivalValidation(t *testing.T) {
 	if _, err := BuildArrival("nosuch", 100, 0, 1, 0, nil); err == nil ||
 		!strings.Contains(err.Error(), "poisson") {
-		t.Fatalf("unknown-process error %v does not list registered names", err)
+		t.Fatalf("unknown-process error %v does not name poisson", err)
 	}
-	if _, err := BuildArrival("diurnal", 100, 0, 1, 0, map[string]any{"nosuch": 1}); err == nil {
+	if _, err := BuildArrival("poisson", 100, 0, 1, 0, map[string]any{"nosuch": 1}); err == nil {
 		t.Fatal("bad parameter accepted")
 	}
 	if _, err := BuildArrival("poisson", 0, 0, 1, 0, nil); err == nil {
@@ -39,11 +22,11 @@ func TestBuildArrivalValidation(t *testing.T) {
 	}
 }
 
-// drawGaps collects n inter-arrival gaps walking virtual time forward, the
-// way the open-loop driver uses a process.
-func drawGaps(t *testing.T, name string, rate float64, region int, seed int64, n int) []time.Duration {
+// drawGaps collects n poisson inter-arrival gaps walking virtual time
+// forward, the way the open-loop driver uses a process.
+func drawGaps(t *testing.T, rate float64, seed int64, n int) []time.Duration {
 	t.Helper()
-	arr, err := BuildArrival(name, rate, 0, 4, region, nil)
+	arr, err := BuildArrival("poisson", rate, 0, 4, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,95 +40,29 @@ func drawGaps(t *testing.T, name string, rate float64, region int, seed int64, n
 	return gaps
 }
 
-// TestArrivalsDeterministic: every process is a pure function of (seed, now),
+// TestArrivalsDeterministic: the process is a pure function of (seed, now),
 // so two walks with the same seed are identical — the property open-loop
 // byte-identity across -workers rests on.
 func TestArrivalsDeterministic(t *testing.T) {
-	for _, name := range ArrivalNames() {
-		a := drawGaps(t, name, 500, 0, 42, 2000)
-		b := drawGaps(t, name, 500, 0, 42, 2000)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: gap %d differs across identical seeds: %v vs %v", name, i, a[i], b[i])
-			}
+	a := drawGaps(t, 500, 42, 2000)
+	b := drawGaps(t, 500, 42, 2000)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("gap %d differs across identical seeds: %v vs %v", i, a[i], b[i])
 		}
 	}
-}
-
-// meanGapIn averages the gaps drawn while virtual time is inside [from, to).
-func meanGapIn(gaps []time.Duration, from, to time.Duration) time.Duration {
-	var sum time.Duration
-	var n int
-	now := time.Duration(0)
-	for _, g := range gaps {
-		if now >= from && now < to {
-			sum += g
-			n++
-		}
-		now += g
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / time.Duration(n)
 }
 
 // TestPoissonMeanGap: the fixed-rate process averages 1/rate.
 func TestPoissonMeanGap(t *testing.T) {
-	gaps := drawGaps(t, "poisson", 1000, 0, 7, 20000)
-	mean := meanGapIn(gaps, 0, time.Hour)
+	var sum time.Duration
+	gaps := drawGaps(t, 1000, 7, 20000)
+	for _, g := range gaps {
+		sum += g
+	}
+	mean := sum / time.Duration(len(gaps))
 	want := time.Millisecond
 	if mean < want*8/10 || mean > want*12/10 {
 		t.Fatalf("poisson mean gap %v, want ≈%v", mean, want)
-	}
-}
-
-// TestFlashcrowdSpikesDuringWindow: gaps shrink ~factor× inside the spike
-// window and recover after.
-func TestFlashcrowdSpikesDuringWindow(t *testing.T) {
-	gaps := drawGaps(t, "flashcrowd", 1000, 0, 7, 30000)
-	base := meanGapIn(gaps, 0, 2*time.Second)
-	spike := meanGapIn(gaps, 2*time.Second, 3*time.Second) // default at=2s width=1s factor=4
-	after := meanGapIn(gaps, 3*time.Second, 5*time.Second)
-	if spike == 0 || base == 0 || after == 0 {
-		t.Fatalf("empty phase: base=%v spike=%v after=%v", base, spike, after)
-	}
-	if ratio := float64(base) / float64(spike); ratio < 3 || ratio > 5 {
-		t.Fatalf("spike speedup %.2f×, want ≈4×", ratio)
-	}
-	if ratio := float64(after) / float64(base); ratio < 0.8 || ratio > 1.25 {
-		t.Fatalf("rate did not recover after the spike: base=%v after=%v", base, after)
-	}
-}
-
-// TestSurgeIsRegional: only the configured region's coordinators surge.
-func TestSurgeIsRegional(t *testing.T) {
-	surging := drawGaps(t, "surge", 1000, 0, 7, 30000) // default region 0, at=2s width=2s factor=3
-	calm := drawGaps(t, "surge", 1000, 2, 7, 30000)
-	sIn := meanGapIn(surging, 2*time.Second, 4*time.Second)
-	cIn := meanGapIn(calm, 2*time.Second, 4*time.Second)
-	sBase := meanGapIn(surging, 0, 2*time.Second)
-	if ratio := float64(sBase) / float64(sIn); ratio < 2.2 || ratio > 3.8 {
-		t.Fatalf("surging region speedup %.2f×, want ≈3×", ratio)
-	}
-	cBase := meanGapIn(calm, 0, 2*time.Second)
-	if ratio := float64(cBase) / float64(cIn); ratio < 0.8 || ratio > 1.25 {
-		t.Fatalf("non-surging region rate moved: base=%v during=%v", cBase, cIn)
-	}
-}
-
-// TestDiurnalSwings: the sinusoid's peak quarter runs faster than the trough
-// quarter by roughly (1+amp)/(1-amp).
-func TestDiurnalSwings(t *testing.T) {
-	// Default period 8s, amplitude 0.6: peak around t=2s, trough around t=6s.
-	gaps := drawGaps(t, "diurnal", 1000, 0, 7, 60000)
-	peak := meanGapIn(gaps, 1500*time.Millisecond, 2500*time.Millisecond)
-	trough := meanGapIn(gaps, 5500*time.Millisecond, 6500*time.Millisecond)
-	if peak == 0 || trough == 0 {
-		t.Fatalf("empty phase: peak=%v trough=%v", peak, trough)
-	}
-	want := (1 + 0.6) / (1 - 0.6) // = 4
-	if ratio := float64(trough) / float64(peak); ratio < want*0.7 || ratio > want*1.3 {
-		t.Fatalf("diurnal swing %.2f×, want ≈%.1f×", ratio, want)
 	}
 }
