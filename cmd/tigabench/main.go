@@ -211,20 +211,14 @@ func printWorkloads(w io.Writer) {
 	}
 }
 
-// parseNameList validates a comma-separated -topo/-workload subset against a
-// registry, exiting 2 with the valid list on an unknown name (mirroring
-// -set/-protocols).
-func parseNameList(singular, plural, raw string, known func(string) bool, valid []string) []string {
+// splitList splits a comma-separated -protocols/-topo/-workload/-chaos
+// subset, dropping empty entries; Options.Validate checks the names.
+func splitList(raw string) []string {
 	var out []string
 	for _, name := range strings.Split(raw, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
+		if name = strings.TrimSpace(name); name != "" {
+			out = append(out, name)
 		}
-		if !known(name) {
-			fail("unknown %s %q\nregistered %s: %s", singular, name, plural, strings.Join(valid, ", "))
-		}
-		out = append(out, name)
 	}
 	return out
 }
@@ -232,13 +226,13 @@ func parseNameList(singular, plural, raw string, known func(string) bool, valid 
 // printKnobs lists every registered protocol's knob schema.
 func printKnobs(w io.Writer) {
 	for _, p := range protocol.Names() {
-		schema, _ := protocol.Knobs(p)
+		def, _ := protocol.Lookup(p)
 		fmt.Fprintf(w, "%s\n", p)
-		if len(schema) == 0 {
+		if len(def.Knobs) == 0 {
 			fmt.Fprintf(w, "  (no knobs)\n")
 			continue
 		}
-		for _, k := range schema {
+		for _, k := range def.Knobs {
 			def := fmt.Sprintf("%v", k.Default)
 			if d, ok := k.Default.(time.Duration); ok {
 				def = d.String()
@@ -288,22 +282,8 @@ func parseOps(ops []string) map[string]harness.OpPoint {
 			fail("-op %q: want proto[@topo]=rate[,outstanding]", s)
 		}
 		key := assign[0]
-		proto, topo := key, ""
-		if at := strings.IndexByte(key, '@'); at >= 0 {
-			proto, topo = key[:at], key[at+1:]
-			if topo == "" {
-				fail("-op %q: empty topology after '@' (want proto[@topo]=rate[,outstanding])", s)
-			}
-		}
-		if !protocol.Registered(proto) {
-			fail("-op %q: unknown protocol %q\nregistered protocols: %s",
-				s, proto, strings.Join(protocol.Names(), ", "))
-		}
-		if topo != "" {
-			if _, ok := simnet.LookupTopology(topo); !ok {
-				fail("-op %q: unknown topology %q\nregistered topologies: %s",
-					s, topo, strings.Join(simnet.TopologyNames(), ", "))
-			}
+		if strings.HasSuffix(key, "@") {
+			fail("-op %q: empty topology after '@' (want proto[@topo]=rate[,outstanding])", s)
 		}
 		parts := strings.Split(assign[1], ",")
 		if len(parts) > 2 {
@@ -393,6 +373,14 @@ func main() {
 		fail("unknown format %q\nvalid formats: text, json, csv", *format)
 	}
 
+	o := harness.Options{Seed: *seed, Quick: *quick, Keys: *keys,
+		Workers: *workers, Protocols: splitList(*protocols), Topologies: splitList(*topo),
+		Workloads: splitList(*wl), Plans: splitList(*chaosPlans),
+		Knobs: parseSets(sets), Ops: parseOps(ops)}
+	if err := o.Validate(); err != nil {
+		fail("%v", err)
+	}
+
 	// Profiling taps (-cpuprofile/-memprofile/-exectrace): every path is
 	// opened up front so an unwritable location exits 2 before minutes of
 	// sweeping, and the profiles cover the experiment runs end to end. See
@@ -461,58 +449,26 @@ func main() {
 		}()
 	}
 
-	var subset []string
-	if *protocols != "" {
-		for _, p := range strings.Split(*protocols, ",") {
-			p = strings.TrimSpace(p)
-			if p == "" {
-				continue
-			}
-			if !protocol.Registered(p) {
-				fail("unknown protocol %q\nregistered protocols: %s",
-					p, strings.Join(protocol.Names(), ", "))
-			}
-			subset = append(subset, p)
-		}
-	}
-
-	topos := parseNameList("topology", "topologies", *topo, func(n string) bool {
-		_, ok := simnet.LookupTopology(n)
-		return ok
-	}, simnet.TopologyNames())
-	wls := parseNameList("workload", "workloads", *wl, func(n string) bool {
-		_, ok := workload.Lookup(n)
-		return ok
-	}, workload.Names())
-	plans := parseNameList("chaos plan", "chaos plans", *chaosPlans, func(n string) bool {
-		_, ok := chaos.Lookup(n)
-		return ok
-	}, chaos.Names())
-
 	// The classic experiments deploy on one WAN — the first -topo entry;
 	// only the scenario matrix sweeps the rest. Say so instead of silently
 	// using the first (mirroring the -protocols exclusion note).
-	if len(topos) > 1 && *exp != "all" && *exp != "scenarios" {
+	if len(o.Topologies) > 1 && *exp != "all" && *exp != "scenarios" {
 		fmt.Fprintf(os.Stderr,
 			"tigabench: note: %s deploys on the first selected topology (%s); only -exp scenarios sweeps all of them\n",
-			*exp, topos[0])
+			*exp, o.Topologies[0])
 	}
 	// -workload shapes only the scenario matrix; the classic experiments
 	// run the paper's fixed workloads.
-	if len(wls) > 0 && *exp != "all" && *exp != "scenarios" {
+	if len(o.Workloads) > 0 && *exp != "all" && *exp != "scenarios" {
 		fmt.Fprintf(os.Stderr,
 			"tigabench: note: -workload only affects the scenario matrix (-exp scenarios); %s runs the paper's workloads\n", *exp)
 	}
 	// -chaos shapes only the chaos matrix; the Fig 11 figures run their
 	// fixed plans.
-	if len(plans) > 0 && *exp != "all" && *exp != "chaos" {
+	if len(o.Plans) > 0 && *exp != "all" && *exp != "chaos" {
 		fmt.Fprintf(os.Stderr,
 			"tigabench: note: -chaos only affects the chaos matrix (-exp chaos); %s runs its fixed fault plan\n", *exp)
 	}
-
-	o := harness.Options{Seed: *seed, Quick: *quick, Keys: *keys,
-		Workers: *workers, Protocols: subset, Topologies: topos, Workloads: wls,
-		Plans: plans, Knobs: parseSets(sets), Ops: parseOps(ops)}
 
 	var selected []harness.Experiment
 	for _, e := range harness.Experiments() {

@@ -1,10 +1,10 @@
 // Package chaos is the declarative fault-plan model: a Plan is a named,
 // seed-deterministic schedule of timed Events — crash/reboot a server,
 // partition and heal region sets, degrade specific WAN links, and step or
-// freeze per-node clocks. Plans register themselves by name (mirroring the
-// topology and workload registries), so experiments select a fault scenario
-// the same way they select a WAN or a mix, and the chaos-matrix experiment
-// sweeps protocol × plan.
+// freeze per-node clocks. Plans register themselves by name in an
+// internal/registry set, as topologies and workloads do, so experiments
+// select a fault scenario the same way they select a WAN or a mix, and the
+// chaos-matrix experiment sweeps protocol × plan.
 //
 // The package is pure data: an Event says what happens and when, never how.
 // The harness owns the applier that schedules events on a deployment's
@@ -17,8 +17,10 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"strings"
 	"time"
+
+	"tiga/internal/registry"
 )
 
 // Op is the kind of one fault event.
@@ -145,36 +147,25 @@ type Plan struct {
 	Events func(env Env) []Event
 }
 
-var registry = map[string]Plan{}
+// plans lists plans by name.
+var plans = registry.Sorted("chaos plan", func(a, b Plan) int { return strings.Compare(a.Name, b.Name) })
 
 // Register makes a plan available under its name. It is intended to be
 // called from package init functions and panics on duplicate names, missing
 // event builders, or an empty window (mirroring the other registries).
 func Register(p Plan) {
-	if p.Name == "" || p.Events == nil {
-		panic("chaos: Register requires a name and an event builder")
-	}
-	if _, dup := registry[p.Name]; dup {
-		panic(fmt.Sprintf("chaos: duplicate registration of %q", p.Name))
+	if p.Events == nil {
+		panic(fmt.Sprintf("chaos: plan %q has no event builder", p.Name))
 	}
 	if p.Window.End <= p.Window.Start {
 		panic(fmt.Sprintf("chaos: plan %q has an empty fault window", p.Name))
 	}
-	registry[p.Name] = p
+	plans.Add(p.Name, p)
 }
 
 // Names returns every registered plan name in alphabetical order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return plans.Names() }
 
-// Lookup returns the registered plan for name.
-func Lookup(name string) (Plan, bool) {
-	p, ok := registry[name]
-	return p, ok
-}
+// Lookup returns the registered plan for name, or an error listing the
+// registered ones.
+func Lookup(name string) (Plan, error) { return plans.Lookup(name) }

@@ -38,11 +38,7 @@ const chaosSeedOffset = 1_000_003
 // after Build and before driving load; the sweep driver does this for any
 // SpecRun with a Chaos name.
 func ApplyPlan(d *Deployment, spec ClusterSpec, planName string) {
-	plan, ok := chaos.Lookup(planName)
-	if !ok {
-		panic(fmt.Sprintf("unknown chaos plan %q (registered: %v)", planName, chaos.Names()))
-	}
-	for _, e := range plan.Events(chaosEnv(d, spec)) {
+	for _, e := range must(chaos.Lookup(planName)).Events(chaosEnv(d, spec)) {
 		e := e
 		d.Sim.At(e.At, func() { applyEvent(d, e) })
 	}
@@ -141,26 +137,14 @@ func clockTargets(d *Deployment, idx int) []*clocks.Adjustable {
 	return all[idx : idx+1]
 }
 
-func mustPlan(name string) chaos.Plan {
-	p, ok := chaos.Lookup(name)
-	if !ok {
-		panic(fmt.Sprintf("unknown chaos plan %q (registered: %v)", name, chaos.Names()))
-	}
-	return p
-}
-
 // ---- the chaos-matrix experiment ----
 
 // chaosPlans resolves the matrix's plan axis, panicking on unregistered
 // names (the CLI validates first and exits 2).
 func (o Options) chaosPlans() []string {
+	o.mustValidate()
 	if len(o.Plans) == 0 {
 		return chaos.Names()
-	}
-	for _, name := range o.Plans {
-		if _, ok := chaos.Lookup(name); !ok {
-			panic(fmt.Sprintf("unknown chaos plan %q (registered: %v)", name, chaos.Names()))
-		}
 	}
 	return o.Plans
 }
@@ -196,7 +180,7 @@ func probeCaps(proto string) protoCaps {
 // to rep, stamped with the plan and its window, and returns it with the
 // function that appends one protocol's three phase rows.
 func (o Options) phaseTable(rep *report.Report, id, title, topo, workloadName, planName string, kv ...string) (*report.Table, func(protocol string, res *RunResult)) {
-	win := mustPlan(planName).Window
+	win := must(chaos.Lookup(planName)).Window
 	tab := rep.Add(&report.Table{
 		ID: id, Gap: true, Title: title,
 		Columns: []report.Column{
@@ -300,7 +284,7 @@ func ChaosMatrix(o Options) *report.Report {
 	// riderTopo, when set, replays the plan on that WAN instead of the
 	// classic one.
 	section := func(planName, riderTopo string) {
-		plan := mustPlan(planName)
+		plan := must(chaos.Lookup(planName))
 		topo, label, title := classic, planName, fmt.Sprintf("[plan=%s] %s", planName, plan.Doc)
 		if riderTopo != "" {
 			topo, label = riderTopo, planName+"@"+riderTopo

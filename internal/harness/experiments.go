@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"tiga/internal/chaos"
 	"tiga/internal/clocks"
 	"tiga/internal/metrics"
 	"tiga/internal/protocol"
@@ -142,31 +144,70 @@ func (o Options) classicTopology() *simnet.Topology {
 	if len(o.Topologies) > 0 {
 		name = o.Topologies[0]
 	}
-	t, ok := simnet.LookupTopology(name)
-	if !ok {
-		panic(fmt.Sprintf("unknown topology %q (registered: %v)", name, simnet.TopologyNames()))
-	}
-	return t
+	return must(simnet.LookupTopology(name))
 }
 
 // protocols returns the registered protocol names the sweeps enumerate, in
-// the registry's canonical order, filtered by Options.Protocols.
+// the registry's canonical order, filtered by Options.Protocols. It panics
+// if o names anything unregistered.
 func (o Options) protocols() []string {
+	o.mustValidate()
 	names := protocol.Names()
 	if len(o.Protocols) == 0 {
 		return names
 	}
-	keep := make(map[string]bool, len(o.Protocols))
-	for _, p := range o.Protocols {
-		keep[p] = true
+	return slices.DeleteFunc(names, func(n string) bool { return !slices.Contains(o.Protocols, n) })
+}
+
+// Validate reports every kind of name in o that no registry knows: a
+// protocol in Protocols, in Knobs or before an Ops key's '@', a topology in
+// Topologies or after an Ops key's '@', a workload in Workloads, or a fault
+// plan in Plans. An experiment panics on such a name (mustValidate);
+// callers that take names from users run Validate first.
+func (o Options) Validate() error {
+	protos := slices.Clone(o.Protocols)
+	topos := slices.Clone(o.Topologies)
+	for p := range o.Knobs {
+		protos = append(protos, p)
 	}
-	var out []string
-	for _, n := range names {
-		if keep[n] {
-			out = append(out, n)
+	for key := range o.Ops {
+		proto, topo, scoped := strings.Cut(key, "@")
+		protos = append(protos, proto)
+		if scoped {
+			topos = append(topos, topo)
 		}
 	}
-	return out
+	slices.Sort(protos) // map order must not pick the reported name
+	slices.Sort(topos)
+	return errors.Join(resolve(protocol.Lookup, protos), resolve(simnet.LookupTopology, topos),
+		resolve(workload.Lookup, o.Workloads), resolve(chaos.Lookup, o.Plans))
+}
+
+// resolve returns the error lookup reports for the first name it does not
+// know.
+func resolve[T any](lookup func(string) (T, error), names []string) error {
+	for _, n := range names {
+		if _, err := lookup(n); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// mustValidate panics with Validate's error, so an experiment handed an
+// unknown name fails instead of rendering without it.
+func (o Options) mustValidate() {
+	if err := o.Validate(); err != nil {
+		panic(err.Error())
+	}
+}
+
+// must returns v, or panics with err's text.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err.Error())
+	}
+	return v
 }
 
 // without filters the dropped names out of a protocol list.
@@ -502,7 +543,7 @@ func Fig10(o Options) *report.Report {
 func Fig11(o Options) *report.Report {
 	const plan = "leader-kill"
 	rep, tab, rate, _ := o.failover("fig11", "Tiga", plan, 1000,
-		fmt.Sprintf("Fig 11 — Tiga leader failure at t=%v (paper: ~3.8 s recovery)", mustPlan(plan).Window.Start))
+		fmt.Sprintf("Fig 11 — Tiga leader failure at t=%v (paper: ~3.8 s recovery)", must(chaos.Lookup(plan)).Window.Start))
 	tab.SetMeta("rate", fmt.Sprintf("%v", rate))
 	return rep
 }
@@ -516,7 +557,7 @@ func Fig11(o Options) *report.Report {
 // the reboot.
 func Fig11Baseline(o Options) *report.Report {
 	const proto, plan = "2PL+Paxos", "leader-crash"
-	win := mustPlan(plan).Window
+	win := must(chaos.Lookup(plan)).Window
 	rep, _, _, _ := o.failover("fig11b", proto, plan, 300,
 		fmt.Sprintf("Fig 11b — %s leader failure at t=%v, reboot at t=%v (no election: outage lasts until the reboot)",
 			proto, win.Start, win.End))
@@ -536,7 +577,7 @@ func Fig11Baseline(o Options) *report.Report {
 // path.
 func Fig11NCC(o Options) *report.Report {
 	const proto, plan = "NCC+", "leader-crash"
-	win := mustPlan(plan).Window
+	win := must(chaos.Lookup(plan)).Window
 	rep, tab, _, recovery := o.failover("fig11c", proto, plan, 300,
 		fmt.Sprintf("Fig 11c — %s serving-replica failure at t=%v, reboot at t=%v (no retry timer: outage-window transactions hang)",
 			proto, win.Start, win.End))
@@ -558,7 +599,7 @@ func (o Options) failover(name, proto, plan string, rate float64, title string) 
 		OpPoint{SaturationRate: rate, Outstanding: 600}, LoadSpec{Seed: o.Seed + 5})
 	var sw sweep
 	sw.add(run, func(res *RunResult) {
-		tab, recoverySec = o.recoveryTimeline(name, title, res, run.Load.Duration, mustPlan(plan).Window.Start)
+		tab, recoverySec = o.recoveryTimeline(name, title, res, run.Load.Duration, must(chaos.Lookup(plan)).Window.Start)
 		o.stamp(tab, o.classicTopology().Name, "micro", "protocol", proto, "chaos", plan)
 		rep.Add(tab)
 	})

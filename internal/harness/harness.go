@@ -78,7 +78,7 @@ type ClusterSpec struct {
 	// factory (0 = 2000, a unit-test-sized keyspace).
 	WorkloadKeys int
 	// Knobs holds per-protocol knob overrides, keyed by protocol name then
-	// knob name (see protocol.Knobs for each protocol's schema). Only the
+	// knob name (see protocol.Lookup(name).Knobs for each schema). Only the
 	// map under Knobs[Protocol] reaches the deployment being built; entries
 	// for other protocols are inert, so one knob set can be shared across a
 	// sweep's specs. Build panics (via the registry's validation) on unknown
@@ -138,18 +138,13 @@ func (s *ClusterSpec) setKnobDefault(proto, knob string, v any) {
 }
 
 // topology resolves the spec's WAN layout through the simnet registry,
-// defaulting to the paper's geo4. It panics on unknown names (mirroring the
-// protocol-registry validation in Build).
+// defaulting to the paper's geo4. It panics on unknown names.
 func (s ClusterSpec) topology() *simnet.Topology {
 	name := s.Topology
 	if name == "" {
 		name = simnet.DefaultTopology
 	}
-	t, ok := simnet.LookupTopology(name)
-	if !ok {
-		panic(fmt.Sprintf("unknown topology %q (registered: %v)", name, simnet.TopologyNames()))
-	}
-	return t
+	return must(simnet.LookupTopology(name))
 }
 
 // EnsureGen resolves Spec.Workload through the workload registry when Gen is

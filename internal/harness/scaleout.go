@@ -62,13 +62,11 @@ func (o Options) scaleoutTotalKeys() int {
 func (o Options) admissionProtocols() (in, out []string, remark string) {
 	names, remark := o.sweepProtocols()
 	for _, p := range names {
-		if s, ok := protocol.Knobs(p); ok {
-			if _, found := s.Find("admit-cap"); found {
-				in = append(in, p)
-				continue
-			}
+		if _, found := must(protocol.Lookup(p)).Knobs.Find("admit-cap"); found {
+			in = append(in, p)
+		} else {
+			out = append(out, p)
 		}
-		out = append(out, p)
 	}
 	return in, out, remark
 }

@@ -6,7 +6,6 @@ import (
 	"tiga/internal/clocks"
 	"tiga/internal/report"
 	"tiga/internal/simnet"
-	"tiga/internal/workload"
 )
 
 // This file holds the scenario-matrix experiment: the paper evaluates one
@@ -24,16 +23,11 @@ import (
 // the table metadata.
 
 // scenarioTopologies resolves the matrix's topology axis, panicking on
-// unregistered names (the CLI validates first and exits 2; programmatic
-// callers get the same fail-fast behavior as unknown protocols).
+// unregistered names (the CLI validates first and exits 2).
 func (o Options) scenarioTopologies() []string {
+	o.mustValidate()
 	if len(o.Topologies) == 0 {
 		return simnet.TopologyNames()
-	}
-	for _, name := range o.Topologies {
-		if _, ok := simnet.LookupTopology(name); !ok {
-			panic(fmt.Sprintf("unknown topology %q (registered: %v)", name, simnet.TopologyNames()))
-		}
 	}
 	return o.Topologies
 }
@@ -43,13 +37,9 @@ func (o Options) scenarioTopologies() []string {
 // scenario-layer generators; tpcc and uniform stay selectable via
 // Options.Workloads / -workload.
 func (o Options) scenarioWorkloads() []string {
+	o.mustValidate()
 	if len(o.Workloads) == 0 {
 		return []string{"micro", "ycsbt", "hotwrite"}
-	}
-	for _, name := range o.Workloads {
-		if _, ok := workload.Lookup(name); !ok {
-			panic(fmt.Sprintf("unknown workload %q (registered: %v)", name, workload.Names()))
-		}
 	}
 	return o.Workloads
 }

@@ -180,6 +180,59 @@ func TestScenarioMatrixPanicsOnUnknownAxis(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsUnknownNames: Options.Validate names every kind of
+// unknown name, and an experiment handed an unknown protocol panics instead
+// of rendering without it.
+func TestValidateRejectsUnknownNames(t *testing.T) {
+	valid := Options{Protocols: []string{"Tiga", "Janus"}, Topologies: []string{"us-eu3"},
+		Workloads: []string{"ycsbt"}, Plans: []string{"leader-crash"},
+		Knobs: map[string]map[string]any{"Tiga": {"delta": time.Millisecond}},
+		Ops:   map[string]OpPoint{"Janus": {SaturationRate: 1}, "Tiga@planet5": {SaturationRate: 1}}}
+	if err := valid.Validate(); err != nil {
+		t.Fatalf("valid options rejected: %v", err)
+	}
+	for _, c := range []struct {
+		want string
+		edit func(o *Options)
+	}{
+		{`unknown protocol "Tgia"`, func(o *Options) { o.Protocols = []string{"Tiga", "Tgia"} }},
+		{`unknown protocol "Tgia"`, func(o *Options) { o.Knobs = map[string]map[string]any{"Tgia": {"delta": 1}} }},
+		{`unknown protocol "Tgia"`, func(o *Options) { o.Ops = map[string]OpPoint{"Tgia": {SaturationRate: 1}} }},
+		{`unknown protocol "Tgia"`, func(o *Options) { o.Ops = map[string]OpPoint{"Tgia@us-eu3": {SaturationRate: 1}} }},
+		{`unknown topology "mars"`, func(o *Options) { o.Ops = map[string]OpPoint{"Tiga@mars": {SaturationRate: 1}} }},
+		{`unknown topology "mars"`, func(o *Options) { o.Topologies = []string{"mars"} }},
+		{`unknown workload "mars"`, func(o *Options) { o.Workloads = []string{"mars"} }},
+		{`unknown chaos plan "mars"`, func(o *Options) { o.Plans = []string{"mars"} }},
+	} {
+		o := valid
+		c.edit(&o)
+		if err := o.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Validate() = %v, want %s", err, c.want)
+		}
+	}
+
+	// Table 2 selects no protocol and Fig 11 drives one fixed protocol, so
+	// neither would otherwise look the name up.
+	for _, c := range []struct {
+		name string
+		run  func(Options) *report.Report
+		o    Options
+	}{
+		{"table2", Table2, Options{Quick: true, Protocols: []string{"Tgia"}}},
+		{"fig11", Fig11, Options{Quick: true, Ops: map[string]OpPoint{"Tgia": {SaturationRate: 1}}}},
+	} {
+		func() {
+			defer func() {
+				if r, _ := recover().(string); !strings.Contains(r, `unknown protocol "Tgia"`) {
+					t.Errorf("%s with an unknown protocol panicked with %q", c.name, r)
+				}
+			}()
+			rep := c.run(c.o)
+			t.Errorf("%s with an unknown protocol rendered %d tables", c.name, len(rep.Tables))
+		}()
+	}
+}
+
 // TestCellOperatingPointResolution pins the matrix operating-point lookup
 // order without running any simulation: the protocol × topology key wins
 // over the protocol-wide key, which wins over the shared rate; outstanding

@@ -9,6 +9,7 @@ import (
 
 	"tiga/internal/clocks"
 	"tiga/internal/protocol"
+	"tiga/internal/registry"
 )
 
 // Shape is one measured setup: a deployment and the load driven through it.
@@ -25,11 +26,7 @@ type Shape struct {
 
 // Shapes returns every registered shape: the benchmark's workloads, with
 // sweep-nine as one shape per protocol, then the allocation budget's rows.
-func Shapes() []Shape {
-	out := make([]Shape, len(shapeList))
-	copy(out, shapeList)
-	return out
-}
+func Shapes() []Shape { return shapes.All() }
 
 // LookupShape resolves "name[@scale]" to a fresh deployment spec and load.
 // scale (1 when absent) is the benchmark's rule: it multiplies the warm-up
@@ -45,15 +42,12 @@ func LookupShape(ref string) (ClusterSpec, LoadSpec, error) {
 		}
 		scale = v
 	}
-	names := make([]string, len(shapeList))
-	for i, s := range shapeList {
-		if s.Name == name {
-			spec, load := s.build(scale)
-			return spec, load, nil
-		}
-		names[i] = s.Name
+	s, err := shapes.Lookup(name)
+	if err != nil {
+		return ClusterSpec{}, LoadSpec{}, err
 	}
-	return ClusterSpec{}, LoadSpec{}, fmt.Errorf("unknown shape %q (valid: %s)", name, strings.Join(names, ", "))
+	spec, load := s.build(scale)
+	return spec, load, nil
 }
 
 func scaleDur(d time.Duration, scale float64) time.Duration {
@@ -120,9 +114,9 @@ func retryUntilCommit(proto string) func(*ClusterSpec, *LoadSpec, float64) {
 	return func(spec *ClusterSpec, _ *LoadSpec, _ float64) { spec.SetKnob(proto, "max-retries", 100) }
 }
 
-var shapeList = registerShapes()
+var shapes = registerShapes()
 
-func registerShapes() []Shape {
+func registerShapes() *registry.Set[Shape] {
 	// The benchmark's workloads run 8 coordinators (2 per server region and
 	// 2 remote) after a 500 ms warm-up. The saturated Tiga runs stretch
 	// retry-timeout from 1.2 s to 10 s, as the saturation experiments do:
@@ -164,7 +158,7 @@ func registerShapes() []Shape {
 			return spec, shapeLoad(250, 400, 500*time.Millisecond, 2800*time.Millisecond, x)
 		}})
 	}
-	return append(out,
+	out = append(out,
 		budgetShape("closed", "Tiga's closed loop at 2 000 keys per shard", "Tiga", 500, nil),
 		budgetShape("open", "Tiga's open-loop Poisson path at 2 000 keys per shard", "Tiga", 500, func(_ *ClusterSpec, load *LoadSpec, _ float64) {
 			load.Arrival = "poisson"
@@ -187,4 +181,9 @@ func registerShapes() []Shape {
 		budgetShape("closed-tapir", "Tapir's closed loop below saturation, retrying until commit", "Tapir", 150, retryUntilCommit("Tapir")),
 		budgetShape("closed-detock", "Detock's closed loop below saturation", "Detock", 150, nil),
 	)
+	set := registry.New[Shape]("shape")
+	for _, s := range out {
+		set.Add(s.Name, s)
+	}
+	return set
 }

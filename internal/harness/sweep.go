@@ -58,6 +58,7 @@ func (o Options) opFor(spec ClusterSpec, def OpPoint) OpPoint {
 // overridden by -op); an experiment whose X axis is the rate, or whose cap
 // is part of its design, sets the field itself and it stays.
 func (o Options) cell(spec ClusterSpec, def OpPoint, load LoadSpec) SpecRun {
+	o.mustValidate() // opFor would skip an Ops key that names nothing
 	spec.CostScale = CPUScale
 	op := o.opFor(spec, def)
 	if load.RatePerCoord == 0 {

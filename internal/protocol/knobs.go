@@ -206,13 +206,13 @@ func ParseSet(s string) (proto, knob string, v any, err error) {
 	if !ok || !dot {
 		return "", "", nil, errors.New("want proto.knob=value")
 	}
-	schema, ok := Knobs(proto)
-	if !ok {
-		return "", "", nil, fmt.Errorf("unknown protocol %q\nregistered protocols: %s", proto, strings.Join(Names(), ", "))
+	def, err := Lookup(proto)
+	if err != nil {
+		return "", "", nil, err
 	}
-	k, ok := schema.Find(knob)
+	k, ok := def.Knobs.Find(knob)
 	if !ok {
-		return "", "", nil, fmt.Errorf("protocol %s has no knob %q\nvalid knobs: %s (see -knobs)", proto, knob, strings.Join(schema.Names(), ", "))
+		return "", "", nil, fmt.Errorf("protocol %s has no knob %q\nvalid knobs: %s (see -knobs)", proto, knob, strings.Join(def.Knobs.Names(), ", "))
 	}
 	v, err = ParseValue(k, raw)
 	return proto, knob, v, err

@@ -18,11 +18,11 @@ import (
 // NCC+ have no knob.
 func TestEveryProtocolDeclaresKnobs(t *testing.T) {
 	for _, name := range protocol.Names() {
-		schema, ok := protocol.Knobs(name)
-		if !ok {
-			t.Fatalf("Knobs(%q) not found", name)
+		def, err := protocol.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, k := range schema {
+		for _, k := range def.Knobs {
 			if k.Doc == "" {
 				t.Errorf("%s.%s has no doc string", name, k.Name)
 			}
@@ -38,7 +38,8 @@ func TestKnobValidationPerProtocol(t *testing.T) {
 	for _, name := range protocol.Names() {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			schema, _ := protocol.Knobs(name)
+			def, _ := protocol.Lookup(name)
+			schema := def.Knobs
 
 			// Unknown knob name.
 			_, err := protocol.ResolveKnobs(name, map[string]any{"no-such-knob": 1})
@@ -146,7 +147,7 @@ func TestParseSet(t *testing.T) {
 	for in, want := range map[string]string{
 		"Tiga.delta":                "want proto.knob=value",
 		"Tigadelta=20ms":            "want proto.knob=value",
-		"Nope.delta=20ms":           "registered protocols: 2PL+Paxos",
+		"Nope.delta=20ms":           `unknown protocol "Nope" (registered: [2PL+Paxos`,
 		"Tiga.nosuch=1":             "valid knobs: delta, headroom-delta",
 		"Tiga.delta=abc":            "is not a duration",
 		"Tiga.sync-point-every=0s":  "below the minimum 1ms",
@@ -175,8 +176,8 @@ func TestKnobMinimum(t *testing.T) {
 		{"Tiga", "retry-timeout", "1ms", []string{"0s", "999us", "-5ms"}},
 		{"Calvin+", "epoch", "1ms", []string{"0s", "999us", "-5ms"}},
 	} {
-		schema, _ := protocol.Knobs(c.proto)
-		knob, ok := schema.Find(c.knob)
+		def, _ := protocol.Lookup(c.proto)
+		knob, ok := def.Knobs.Find(c.knob)
 		if !ok || fmt.Sprint(knob.Min) != c.min {
 			t.Errorf("%s.%s = %+v, want a minimum of %s", c.proto, c.knob, knob, c.min)
 			continue

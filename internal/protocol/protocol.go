@@ -1,6 +1,7 @@
 // Package protocol defines the protocol-independent contract between the
-// experiment harness and the transaction protocols, and a registry through
-// which protocols make themselves available by name.
+// experiment harness and the transaction protocols, and a registry (an
+// internal/registry set listed in Table 1's column order) through which
+// protocols make themselves available by name.
 //
 // Each protocol package registers itself in an init function, declaring its
 // tunable knobs alongside the factory:
@@ -25,11 +26,13 @@
 package protocol
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"strings"
 	"time"
 
 	"tiga/internal/clocks"
+	"tiga/internal/registry"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
@@ -163,72 +166,48 @@ type BuildContext struct {
 // Factory assembles a ready-to-start System from a BuildContext.
 type Factory func(ctx *BuildContext) System
 
-type entry struct {
-	cost  CostProfile
-	knobs Schema
+// Def is one registered protocol: its name, cost profile and knob schema,
+// and the factory Build invokes.
+type Def struct {
+	Name  string
+	Cost  CostProfile
+	Knobs Schema
 	build Factory
 }
 
-var registry = map[string]entry{}
+// protocols lists protocols in the paper's canonical order: CostProfile.Rank,
+// then name.
+var protocols = registry.Sorted("protocol", func(a, b Def) int {
+	return cmp.Or(cmp.Compare(a.Cost.Rank, b.Cost.Rank), strings.Compare(a.Name, b.Name))
+})
 
 // Register makes a protocol available under name, with the given knob
 // schema. It is intended to be called from package init functions and panics
 // on duplicate names, nil factories, or malformed schemas.
 func Register(name string, cost CostProfile, knobs Schema, build Factory) {
-	if name == "" || build == nil {
-		panic("protocol: Register requires a name and a factory")
-	}
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("protocol: duplicate registration of %q", name))
+	if build == nil {
+		panic("protocol: Register requires a factory")
 	}
 	knobs.Validate("protocol " + name)
-	registry[name] = entry{cost: cost, knobs: knobs, build: build}
+	protocols.Add(name, Def{Name: name, Cost: cost, Knobs: knobs, build: build})
 }
 
 // Names returns every registered protocol in the paper's canonical order
 // (CostProfile.Rank, then name).
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		ri, rj := registry[out[i]].cost.Rank, registry[out[j]].cost.Rank
-		if ri != rj {
-			return ri < rj
-		}
-		return out[i] < out[j]
-	})
-	return out
-}
+func Names() []string { return protocols.Names() }
 
-// Registered reports whether name has a registered factory.
-func Registered(name string) bool {
-	_, ok := registry[name]
-	return ok
-}
-
-// Profile returns the registered cost profile for name.
-func Profile(name string) (CostProfile, bool) {
-	e, ok := registry[name]
-	return e.cost, ok
-}
-
-// Knobs returns the registered knob schema for name (discovery: the CLI's
-// -knobs listing and -set validation).
-func Knobs(name string) (Schema, bool) {
-	e, ok := registry[name]
-	return e.knobs, ok
-}
+// Lookup returns the registered protocol for name, or an error listing the
+// registered ones.
+func Lookup(name string) (Def, error) { return protocols.Lookup(name) }
 
 // ResolveKnobs validates raw knob overrides for name against its registered
 // schema without building anything (CLI validation, tests).
 func ResolveKnobs(name string, raw map[string]any) (Values, error) {
-	e, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown protocol %q (registered: %v)", name, Names())
+	d, err := Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	return e.knobs.Resolve(raw)
+	return d.Knobs.Resolve(raw)
 }
 
 // Build looks up name's factory, resolves the protocol's CostProfile against
@@ -237,16 +216,16 @@ func ResolveKnobs(name string, raw map[string]any) (Values, error) {
 // factory. It returns an error naming the valid protocols when name is
 // unknown, or the valid knobs when an override does not type-check.
 func Build(name string, ctx *BuildContext, execUnit, auxUnit time.Duration) (System, error) {
-	e, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown protocol %q (registered: %v)", name, Names())
+	d, err := Lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	vals, err := e.knobs.Resolve(ctx.Knobs)
+	vals, err := d.Knobs.Resolve(ctx.Knobs)
 	if err != nil {
 		return nil, fmt.Errorf("protocol %s: %w", name, err)
 	}
 	ctx.Knobs = vals
-	ctx.ExecCost = time.Duration(e.cost.Exec) * execUnit
-	ctx.AuxCost = time.Duration(e.cost.Aux) * auxUnit
-	return e.build(ctx), nil
+	ctx.ExecCost = time.Duration(d.Cost.Exec) * execUnit
+	ctx.AuxCost = time.Duration(d.Cost.Aux) * auxUnit
+	return d.build(ctx), nil
 }

@@ -27,11 +27,8 @@ func TestRegistryComplete(t *testing.T) {
 		}
 	}
 	for _, name := range want {
-		if !protocol.Registered(name) {
-			t.Fatalf("Registered(%q) = false", name)
-		}
-		if p, ok := protocol.Profile(name); !ok || p.Exec <= 0 {
-			t.Fatalf("Profile(%q) = %+v, %v; want a positive Exec multiplier", name, p, ok)
+		if d, err := protocol.Lookup(name); err != nil || d.Name != name || d.Cost.Exec <= 0 {
+			t.Fatalf("Lookup(%q) = %+v, %v; want a positive Exec multiplier", name, d, err)
 		}
 	}
 }

@@ -129,9 +129,9 @@ func TestAbortFree(t *testing.T) {
 // retransmission timeout.
 func buildLossy(t *testing.T, seed int64, resend time.Duration) (*simnet.Sim, *System) {
 	t.Helper()
-	topo, ok := simnet.LookupTopology("geo4-degraded")
-	if !ok {
-		t.Fatal("geo4-degraded topology not registered")
+	topo, err := simnet.LookupTopology("geo4-degraded")
+	if err != nil {
+		t.Fatal(err)
 	}
 	sim := simnet.NewSim(seed)
 	net := simnet.NewNetwork(sim, topo.Config(0, 0))

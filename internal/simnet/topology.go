@@ -2,16 +2,17 @@ package simnet
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 	"unicode"
+
+	"tiga/internal/registry"
 )
 
 // Topology is a named WAN layout: the region roster, the one-way-delay
 // matrix builder, how many of the leading regions host server replicas, and
 // where remote coordinators are placed by default. Topologies register
-// themselves by name (mirroring the protocol registry in internal/protocol),
+// themselves by name in an internal/registry set, as protocols do,
 // so experiments select a WAN by name instead of wiring a Config by hand —
 // protocol rankings are known to flip as the WAN geometry changes, which is
 // exactly what the scenario-matrix experiment sweeps.
@@ -90,18 +91,25 @@ func (t *Topology) Config(jitter time.Duration, loss float64) Config {
 // DefaultTopology names the paper's 4-region GCP WAN, the registry's default.
 const DefaultTopology = "geo4"
 
-var topologies = map[string]*Topology{}
+// topologies lists the default first, then the rest by name — a stable
+// order for discovery listings and errors.
+var topologies = registry.Sorted("topology", func(a, b *Topology) int {
+	switch {
+	case a.Name == DefaultTopology:
+		return -1
+	case b.Name == DefaultTopology:
+		return 1
+	}
+	return strings.Compare(a.Name, b.Name)
+})
 
 // RegisterTopology makes a topology available under its name. It is intended
 // to be called from package init functions and panics on duplicate names or
 // malformed layouts (so a topology cannot come up inconsistent, mirroring
 // protocol.Register).
 func RegisterTopology(t Topology) {
-	if t.Name == "" || t.OWD == nil {
-		panic("simnet: RegisterTopology requires a name and an OWD builder")
-	}
-	if _, dup := topologies[t.Name]; dup {
-		panic(fmt.Sprintf("simnet: duplicate topology registration of %q", t.Name))
+	if t.OWD == nil {
+		panic(fmt.Sprintf("simnet: topology %q has no OWD builder", t.Name))
 	}
 	n := len(t.RegionNames)
 	if n == 0 {
@@ -125,28 +133,13 @@ func RegisterTopology(t Topology) {
 			panic(fmt.Sprintf("simnet: topology %q: OWD row %d has %d columns for %d regions", t.Name, i, len(row), n))
 		}
 	}
-	cp := t
-	topologies[t.Name] = &cp
+	topologies.Add(t.Name, &t)
 }
 
 // TopologyNames returns every registered topology name, the default first,
-// then alphabetically — a stable order for discovery listings and errors.
-func TopologyNames() []string {
-	out := make([]string, 0, len(topologies))
-	for name := range topologies {
-		if name != DefaultTopology {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	if _, ok := topologies[DefaultTopology]; ok {
-		out = append([]string{DefaultTopology}, out...)
-	}
-	return out
-}
+// then alphabetically.
+func TopologyNames() []string { return topologies.Names() }
 
-// LookupTopology returns the registered topology for name.
-func LookupTopology(name string) (*Topology, bool) {
-	t, ok := topologies[name]
-	return t, ok
-}
+// LookupTopology returns the registered topology for name, or an error
+// listing the registered ones.
+func LookupTopology(name string) (*Topology, error) { return topologies.Lookup(name) }

@@ -2,9 +2,10 @@ package workload
 
 import (
 	"fmt"
-	"sort"
+	"strings"
 
 	"tiga/internal/protocol"
+	"tiga/internal/registry"
 )
 
 // Def describes one registered workload: a name, a doc line for discovery
@@ -27,38 +28,26 @@ type Def struct {
 	New func(shards, keys int, p protocol.Values) Generator
 }
 
-var registry = map[string]Def{}
+// workloads lists workloads by name.
+var workloads = registry.Sorted("workload", func(a, b Def) int { return strings.Compare(a.Name, b.Name) })
 
 // Register makes a workload available under its name. It is intended to be
 // called from package init functions and panics on duplicate names, missing
 // factories, or malformed parameter schemas (mirroring protocol.Register).
 func Register(def Def) {
-	if def.Name == "" || def.New == nil {
-		panic("workload: Register requires a name and a factory")
-	}
-	if _, dup := registry[def.Name]; dup {
-		panic(fmt.Sprintf("workload: duplicate registration of %q", def.Name))
+	if def.New == nil {
+		panic(fmt.Sprintf("workload: %q registered without a factory", def.Name))
 	}
 	def.Params.Validate("workload " + def.Name)
-	registry[def.Name] = def
+	workloads.Add(def.Name, def)
 }
 
 // Names returns every registered workload name in alphabetical order.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return workloads.Names() }
 
-// Lookup returns the registered definition for name (discovery: the CLI's
-// -workload listing and parameter validation).
-func Lookup(name string) (Def, bool) {
-	d, ok := registry[name]
-	return d, ok
-}
+// Lookup returns the registered definition for name, or an error listing
+// the registered ones.
+func Lookup(name string) (Def, error) { return workloads.Lookup(name) }
 
 // Build resolves a named workload: it validates raw parameter overrides
 // against the registered schema (unknown names and type mismatches are
@@ -66,9 +55,9 @@ func Lookup(name string) (Def, bool) {
 // naming the valid workloads when name is unknown, and one naming the bound
 // when a skew parameter (a Zipfian θ) lies outside [0, 1).
 func Build(name string, shards, keys int, raw map[string]any) (Generator, error) {
-	def, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown workload %q (registered: %v)", name, Names())
+	def, err := Lookup(name)
+	if err != nil {
+		return nil, err
 	}
 	vals, err := def.Params.Resolve(raw)
 	if err != nil {

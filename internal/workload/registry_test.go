@@ -28,9 +28,9 @@ func TestWorkloadRegistryComplete(t *testing.T) {
 		}
 	}
 	for _, name := range want {
-		def, ok := workload.Lookup(name)
-		if !ok || def.Doc == "" {
-			t.Fatalf("Lookup(%q) = %v, %v; want a documented definition", name, def, ok)
+		def, err := workload.Lookup(name)
+		if err != nil || def.Doc == "" {
+			t.Fatalf("Lookup(%q) = %v, %v; want a documented definition", name, def, err)
 		}
 	}
 }

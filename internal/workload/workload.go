@@ -1,7 +1,8 @@
 // Package workload implements the paper's benchmark workloads (§5.1): a
 // MicroBench of 3-key read-modify-write transactions with Zipfian-skewed key
 // selection, and a generic job model that also carries TPC-C's interactive
-// transactions.
+// transactions. Workloads register by name in an internal/registry set
+// (registry.go); BuildArrival builds the open-loop arrival process.
 package workload
 
 import (
