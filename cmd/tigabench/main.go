@@ -356,18 +356,18 @@ func main() {
 		return
 	}
 
-	if *exp != "all" {
-		valid := false
-		for _, name := range experimentNames() {
-			if *exp == name {
-				valid = true
-				break
-			}
+	// -exp is selected and checked in one loop: fig8 runs fig7 (which records
+	// both regions), "all" runs every experiment, and a name that selects
+	// nothing is unknown.
+	var selected []harness.Experiment
+	for _, e := range harness.Experiments() {
+		if *exp == "all" || *exp == e.Name || (*exp == "fig8" && e.Name == "fig7") {
+			selected = append(selected, e)
 		}
-		if !valid {
-			fail("unknown experiment %q\nvalid experiments: %s",
-				*exp, strings.Join(experimentNames(), ", "))
-		}
+	}
+	if len(selected) == 0 {
+		fail("unknown experiment %q\nvalid experiments: %s",
+			*exp, strings.Join(experimentNames(), ", "))
 	}
 	if *format != "text" && *format != "json" && *format != "csv" {
 		fail("unknown format %q\nvalid formats: text, json, csv", *format)
@@ -468,14 +468,6 @@ func main() {
 	if len(o.Plans) > 0 && *exp != "all" && *exp != "chaos" {
 		fmt.Fprintf(os.Stderr,
 			"tigabench: note: -chaos only affects the chaos matrix (-exp chaos); %s runs its fixed fault plan\n", *exp)
-	}
-
-	var selected []harness.Experiment
-	for _, e := range harness.Experiments() {
-		if *exp != "all" && *exp != e.Name && !(e.Name == "fig7" && *exp == "fig8") {
-			continue
-		}
-		selected = append(selected, e)
 	}
 
 	// Progress lines go to stdout for the classic text stream and to stderr

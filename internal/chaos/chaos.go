@@ -113,8 +113,6 @@ type Window struct {
 type Env struct {
 	// Seed is the run's chaos seed (Rand is already seeded with it).
 	Seed int64
-	// Horizon is the run's total driven duration.
-	Horizon time.Duration
 	// Shards and Replicas give the server grid (protocol.Faultable shape
 	// when the system supports faults; the spec's shape otherwise).
 	Shards, Replicas int

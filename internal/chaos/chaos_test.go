@@ -9,7 +9,7 @@ import (
 
 func testEnv(seed int64) Env {
 	return Env{
-		Seed: seed, Horizon: 16 * time.Second,
+		Seed:   seed,
 		Shards: 3, Replicas: 3, ServerRegions: 3,
 		ServerRegion: func(shard, replica int) int { return replica },
 		Clocks:       17,

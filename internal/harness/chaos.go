@@ -53,18 +53,14 @@ func chaosEnv(d *Deployment, spec ClusterSpec) chaos.Env {
 	if f, ok := d.Sys.(protocol.Faultable); ok {
 		shards, replicas = f.ServerGrid()
 	}
-	horizon := spec.Horizon
-	if horizon == 0 {
-		horizon = time.Minute // Build's default
-	}
+	place := simnet.ServerPlacement(d.Topology.ServerRegions, spec.Rotated)
 	seed := spec.Seed + chaosSeedOffset
 	return chaos.Env{
 		Seed:          seed,
-		Horizon:       horizon,
 		Shards:        shards,
 		Replicas:      replicas,
 		ServerRegions: d.Topology.ServerRegions,
-		ServerRegion:  func(s, r int) int { return int(spec.serverRegion(s, r)) },
+		ServerRegion:  func(s, r int) int { return int(place(s, r)) },
 		Clocks:        len(d.Clocks.Adjustables()),
 		Rand:          rand.New(rand.NewSource(seed)),
 	}

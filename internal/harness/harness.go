@@ -51,19 +51,18 @@ type ClusterSpec struct {
 	Topology string
 	Shards   int
 	F        int
-	// Rotated separates leaders across regions (§5.5, Table 2).
+	// Rotated separates leaders across regions (§5.5, Table 2; see
+	// simnet.ServerPlacement).
 	Rotated bool
 	Clock   clocks.Model
-	// Jitter and Loss override the topology's defaults when nonzero.
-	Jitter time.Duration
-	Loss   float64
+	// Loss overrides the topology's default loss rate when nonzero.
+	Loss float64
 	// CoordsPerRegion places this many coordinators in each server region;
 	// CoordsRemote places coordinators in the topology's remote region
 	// (Hong Kong under geo4, §5.1).
 	CoordsPerRegion int
 	CoordsRemote    int
 	Seed            int64
-	Horizon         time.Duration
 	// Gen seeds the stores and generates load. When nil, EnsureGen resolves
 	// Workload/WorkloadParams/WorkloadKeys through the workload registry; an
 	// explicit Gen always wins (tests construct their own generators).
@@ -184,14 +183,6 @@ func (s ClusterSpec) CoordRegionList() []simnet.Region {
 	return out
 }
 
-func (s ClusterSpec) serverRegion(shard, replica int) simnet.Region {
-	n := s.topology().ServerRegions
-	if s.Rotated {
-		return simnet.Region((replica + shard) % n)
-	}
-	return simnet.Region(replica % n)
-}
-
 // Base CPU cost units: the per-piece execution budget and the auxiliary tick
 // (graph work, PQ maintenance), calibrated once against Table 1's MicroBench
 // saturation throughputs and scaled per-protocol by each CostProfile.
@@ -200,6 +191,10 @@ const (
 	baseTickUnit = 100 * time.Nanosecond
 )
 
+// clockHorizon is the span of true time a wandering clock's offset
+// trajectory covers (clocks.NewWandering); later reads keep its last offset.
+const clockHorizon = time.Minute
+
 // Build constructs the deployment for the spec by dispatching through the
 // protocol, topology, and workload registries. It panics on an unregistered
 // name. Callers that rely on a named workload (Spec.Workload) and drive the
@@ -207,9 +202,6 @@ const (
 // generator instance that seeded the stores; the sweep driver (RunSpecs)
 // does this automatically.
 func Build(spec ClusterSpec) *Deployment {
-	if spec.Horizon == 0 {
-		spec.Horizon = time.Minute
-	}
 	if err := spec.EnsureGen(); err != nil {
 		panic(err)
 	}
@@ -219,20 +211,19 @@ func Build(spec ClusterSpec) *Deployment {
 	}
 	topo := spec.topology()
 	sim := simnet.NewSim(spec.Seed)
-	netCfg := topo.Config(spec.Jitter, spec.Loss)
+	netCfg := topo.Config(0, spec.Loss)
 	netCfg.DefaultCost = time.Duration(scale) * time.Microsecond
 	net := simnet.NewNetwork(sim, netCfg)
 	coords := spec.CoordRegionList()
-	clockFactory := clocks.NewFactory(spec.Clock, spec.Horizon, spec.Seed+1)
+	clockFactory := clocks.NewFactory(spec.Clock, clockHorizon, spec.Seed+1)
 
 	ctx := &protocol.BuildContext{
 		Net:          net,
 		Shards:       spec.Shards,
 		F:            spec.F,
 		Regions:      topo.ServerRegions,
-		Rotated:      spec.Rotated,
 		CoordRegions: coords,
-		ServerRegion: spec.serverRegion,
+		ServerRegion: simnet.ServerPlacement(topo.ServerRegions, spec.Rotated),
 		SeedStore: func(shard int, st *store.Store) {
 			if spec.Gen != nil {
 				spec.Gen.Seed(shard, st)
@@ -257,8 +248,6 @@ type LoadSpec struct {
 	Warmup       time.Duration
 	Duration     time.Duration
 	Seed         int64
-	// MaxChainRestarts bounds interactive-transaction restarts.
-	MaxChainRestarts int
 	// Check enables the strict-serializability checker. It is ignored for
 	// systems that do not implement protocol.Checkable (their results carry
 	// no serialization timestamps).
@@ -461,13 +450,12 @@ func (j *loadJob) complete(r txn.Result, t *txn.Txn, local bool) {
 // Each coordinator runs one arrival loop, and the two load models differ only
 // in its policy. Closed (spec.Arrival empty, the paper's §5.1 method): one
 // arrival per fixed interval, skipped while Outstanding transactions are in
-// flight, so a slow system is offered less. Open (spec.Arrival names a
-// registered process): gaps are drawn from the process and completions never
-// gate arrivals, so offered load is a property of the curve, not of the
-// system under test. That is what makes overload measurable: a
-// congestion-collapsing protocol keeps receiving work, and the coordinator
-// admission gate (admit-cap/admit-queue knobs) is what turns the excess into
-// bounded-latency shedding.
+// flight, so a slow system is offered less. Open (spec.Arrival "poisson"):
+// gaps are exponential at RatePerCoord and completions never gate arrivals,
+// so offered load is fixed by the rate, not by the system under test. That
+// is what makes overload measurable: a congestion-collapsing protocol keeps
+// receiving work, and the coordinator admission gate (admit-cap/admit-queue
+// knobs) is what turns the excess into bounded-latency shedding.
 //
 // Determinism: one rng per coordinator seeded from (Seed, coordinator index),
 // all scheduling through the simulator, so a fixed seed is byte-identical
@@ -476,9 +464,6 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 	open := spec.Arrival != ""
 	if spec.Outstanding == 0 {
 		spec.Outstanding = 1000
-	}
-	if spec.MaxChainRestarts == 0 {
-		spec.MaxChainRestarts = 10
 	}
 	wantCheck := spec.Check
 	if _, ok := d.Sys.(protocol.Checkable); !ok {
@@ -580,7 +565,7 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 					d.Sys.Submit(ci, job.T, j.finishSub)
 				}
 			} else {
-				runChain(d, ci, job.I, spec.MaxChainRestarts, j.finish)
+				runChain(d, ci, job.I, maxChainRestarts, j.finish)
 			}
 		}
 		d.Sim.After(first, tick)
@@ -589,6 +574,10 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 	sealTrace(res, tracer, publish)
 	return res
 }
+
+// maxChainRestarts bounds how often RunLoad restarts one interactive
+// transaction before it reports the transaction aborted.
+const maxChainRestarts = 10
 
 // runChain drives a multi-shot (interactive) transaction: it submits the
 // stages produced by Next in sequence, restarting the whole chain when a

@@ -42,7 +42,7 @@ func TestKnobValidationPerProtocol(t *testing.T) {
 			schema := def.Knobs
 
 			// Unknown knob name.
-			_, err := protocol.ResolveKnobs(name, map[string]any{"no-such-knob": 1})
+			_, err := schema.Resolve(map[string]any{"no-such-knob": 1})
 			if err == nil {
 				t.Fatal("unknown knob accepted")
 			}
@@ -52,7 +52,7 @@ func TestKnobValidationPerProtocol(t *testing.T) {
 
 			// Wrong type for every declared knob (struct{}{} matches none).
 			for _, k := range schema {
-				if _, err := protocol.ResolveKnobs(name, map[string]any{k.Name: struct{}{}}); err == nil {
+				if _, err := schema.Resolve(map[string]any{k.Name: struct{}{}}); err == nil {
 					t.Fatalf("knob %s accepted a struct{} value", k.Name)
 				} else if !strings.Contains(err.Error(), k.Type.String()) {
 					t.Fatalf("type error %q does not name the expected type %s", err, k.Type)
@@ -60,7 +60,7 @@ func TestKnobValidationPerProtocol(t *testing.T) {
 			}
 
 			// Default fill-in: nil resolves to every declared default.
-			vals, err := protocol.ResolveKnobs(name, nil)
+			vals, err := schema.Resolve(nil)
 			if err != nil {
 				t.Fatalf("defaults do not resolve: %v", err)
 			}
@@ -79,7 +79,7 @@ func TestKnobValidationPerProtocol(t *testing.T) {
 			}
 			first := schema[0]
 			over := differentValue(first)
-			vals, err = protocol.ResolveKnobs(name, map[string]any{first.Name: over})
+			vals, err = schema.Resolve(map[string]any{first.Name: over})
 			if err != nil {
 				t.Fatalf("override rejected: %v", err)
 			}
@@ -183,7 +183,7 @@ func TestKnobMinimum(t *testing.T) {
 			continue
 		}
 		// typed parses a CLI value without the minimum check, as a caller of
-		// ResolveKnobs would pass it.
+		// Schema.Resolve would pass it.
 		typed := func(s string) any {
 			v, err := protocol.ParseValue(protocol.Knob{Name: knob.Name, Type: knob.Type}, s)
 			if err != nil {
@@ -193,15 +193,15 @@ func TestKnobMinimum(t *testing.T) {
 		}
 		want := "below the minimum " + c.min
 		for _, bad := range c.below {
-			if _, err := protocol.ResolveKnobs(c.proto, map[string]any{c.knob: typed(bad)}); err == nil || !strings.Contains(err.Error(), want) {
-				t.Errorf("ResolveKnobs(%s.%s=%s) = %v, want a below-the-minimum error", c.proto, c.knob, bad, err)
+			if _, err := def.Knobs.Resolve(map[string]any{c.knob: typed(bad)}); err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("Resolve(%s.%s=%s) = %v, want a below-the-minimum error", c.proto, c.knob, bad, err)
 			}
 			if _, err := protocol.ParseValue(knob, bad); err == nil || !strings.Contains(err.Error(), want) {
 				t.Errorf("ParseValue(%s.%s, %s) = %v, want a below-the-minimum error", c.proto, c.knob, bad, err)
 			}
 		}
-		if vals, err := protocol.ResolveKnobs(c.proto, map[string]any{c.knob: typed(c.min)}); err != nil || vals[c.knob] != knob.Min {
-			t.Errorf("ResolveKnobs(%s.%s=%s) = %v, %v", c.proto, c.knob, c.min, vals[c.knob], err)
+		if vals, err := def.Knobs.Resolve(map[string]any{c.knob: typed(c.min)}); err != nil || vals[c.knob] != knob.Min {
+			t.Errorf("Resolve(%s.%s=%s) = %v, %v", c.proto, c.knob, c.min, vals[c.knob], err)
 		}
 		if v, err := protocol.ParseValue(knob, c.min); err != nil || v != knob.Min {
 			t.Errorf("ParseValue(%s.%s, %s) = %v, %v", c.proto, c.knob, c.min, v, err)

@@ -132,15 +132,13 @@ type BuildContext struct {
 	Shards int
 	F      int
 	// Regions is the number of distinct server regions (3 in the paper's
-	// testbed).
+	// testbed). Only protocols that keep one full copy per region read it;
+	// every other replica is placed by ServerRegion.
 	Regions int
-	// Rotated separates leaders (or home shards) across regions (§5.5,
-	// Table 2); each protocol applies its own placement policy.
-	Rotated bool
 	// CoordRegions lists one region per coordinator.
 	CoordRegions []simnet.Region
-	// ServerRegion maps (shard, replica) to a region under the current
-	// rotation policy.
+	// ServerRegion maps (shard, replica) to a region, co-located or rotated
+	// (simnet.ServerPlacement); it is the only placement a protocol reads.
 	ServerRegion func(shard, replica int) simnet.Region
 	// SeedStore pre-populates one shard's store (also used to rebuild
 	// stores during recovery replay).
@@ -199,16 +197,6 @@ func Names() []string { return protocols.Names() }
 // Lookup returns the registered protocol for name, or an error listing the
 // registered ones.
 func Lookup(name string) (Def, error) { return protocols.Lookup(name) }
-
-// ResolveKnobs validates raw knob overrides for name against its registered
-// schema without building anything (CLI validation, tests).
-func ResolveKnobs(name string, raw map[string]any) (Values, error) {
-	d, err := Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return d.Knobs.Resolve(raw)
-}
 
 // Build looks up name's factory, resolves the protocol's CostProfile against
 // the given base units into ctx.ExecCost / ctx.AuxCost, validates ctx.Knobs

@@ -33,13 +33,15 @@ type Spec struct {
 	Seed         func(shard int, st *store.Store)
 	ExecCost     time.Duration
 	GraphCost    time.Duration
-	// Home maps a shard to its home region (default: shard % regions).
-	Home func(shard int) int
 	// DDRScan caps the pending transactions examined per arrival when
 	// building the deadlock-resolution conflict graph (at least 1), so
 	// saturated queues do not turn per-arrival ordering into quadratic work.
 	DDRScan int
 }
+
+// Home returns a shard's home region: shard mod Regions, so the home
+// directories are spread across regions.
+func (s *Spec) Home(shard int) int { return shard % s.Regions }
 
 func tid(id txn.ID) uint64 { return uint64(id.Coord)<<40 | id.Seq }
 
@@ -199,10 +201,6 @@ type System struct {
 func New(spec Spec) *System {
 	if spec.Regions > 64 {
 		panic("detock: more than 64 regions")
-	}
-	if spec.Home == nil {
-		regions := spec.Regions
-		spec.Home = func(shard int) int { return shard % regions }
 	}
 	sys := &System{spec: spec}
 	for reg := 0; reg < spec.Regions; reg++ {

@@ -30,7 +30,7 @@ func TestNCCPlusLeaderCrashRecovery(t *testing.T) {
 	net := simnet.NewNetwork(sim, simnet.GeoConfig(0, 0))
 	sys := New(Spec{
 		Shards: 2, F: 1, Replicated: true, Net: net,
-		HomeRegion:   simnet.RegionSouthCarolina,
+		ServerRegion: simnet.ServerPlacement(3, false),
 		CoordRegions: []simnet.Region{simnet.RegionSouthCarolina},
 		Seed: func(shard int, st *store.Store) {
 			for i := 0; i < faultKeys; i++ {
@@ -138,7 +138,7 @@ func TestNCCPlusRecoveryRetriesUnreachableSurvivor(t *testing.T) {
 	net := simnet.NewNetwork(sim, simnet.GeoConfig(0, 0))
 	sys := New(Spec{
 		Shards: 1, F: 1, Replicated: true, Net: net,
-		HomeRegion:   simnet.RegionSouthCarolina,
+		ServerRegion: simnet.ServerPlacement(3, false),
 		CoordRegions: []simnet.Region{simnet.RegionSouthCarolina},
 		Seed: func(shard int, st *store.Store) {
 			st.Seed("k", txn.EncodeInt(0))
@@ -195,7 +195,7 @@ func TestNCCPlusFollowerCrash(t *testing.T) {
 	net := simnet.NewNetwork(sim, simnet.GeoConfig(0, 0))
 	sys := New(Spec{
 		Shards: 1, F: 1, Replicated: true, Net: net,
-		HomeRegion:   simnet.RegionSouthCarolina,
+		ServerRegion: simnet.ServerPlacement(3, false),
 		CoordRegions: []simnet.Region{simnet.RegionSouthCarolina},
 		Seed: func(shard int, st *store.Store) {
 			st.Seed("k", txn.EncodeInt(0))

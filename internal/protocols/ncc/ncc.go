@@ -28,10 +28,9 @@ type Spec struct {
 	F          int  // used only when Replicated (NCC+)
 	Replicated bool // NCC+ = NCC atop Paxos
 	Net        *simnet.Network
-	HomeRegion simnet.Region // region hosting the servers
-	// HomeRegionOf overrides HomeRegion per shard (the §5.5 rotation, which
-	// spreads NCC's servers across regions).
-	HomeRegionOf func(shard int) simnet.Region
+	// ServerRegion maps (shard, replica) to a region; replica 0 is the
+	// shard's server, the rest its NCC+ Paxos followers.
+	ServerRegion func(shard, replica int) simnet.Region
 	CoordRegions []simnet.Region
 	Seed         func(shard int, st *store.Store)
 	ExecCost     time.Duration
@@ -125,16 +124,8 @@ func New(spec Spec) *System {
 	}
 	for sh := 0; sh < spec.Shards; sh++ {
 		var nodes []simnet.NodeID
-		home := spec.HomeRegion
-		if spec.HomeRegionOf != nil {
-			home = spec.HomeRegionOf(sh)
-		}
 		for r := 0; r < n; r++ {
-			reg := home
-			if spec.Replicated {
-				reg = simnet.Region((int(home) + r) % 3) // replicas across regions
-			}
-			nodes = append(nodes, spec.Net.AddNode(reg, nil).ID())
+			nodes = append(nodes, spec.Net.AddNode(spec.ServerRegion(sh, r), nil).ID())
 		}
 		sys.nodes = append(sys.nodes, nodes)
 		sys.servers = append(sys.servers, newServer(sys, sh))

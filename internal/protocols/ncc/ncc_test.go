@@ -26,7 +26,7 @@ func build(t *testing.T, replicated bool, seed int64) (*simnet.Sim, *System) {
 	net := simnet.NewNetwork(sim, simnet.GeoConfig(500*time.Microsecond, 0))
 	sys := New(Spec{
 		Shards: 2, F: 1, Replicated: replicated, Net: net,
-		HomeRegion:   simnet.RegionSouthCarolina,
+		ServerRegion: simnet.ServerPlacement(3, false),
 		CoordRegions: []simnet.Region{0, simnet.RegionHongKong},
 		Seed: func(shard int, st *store.Store) {
 			for i := 0; i < 8; i++ {
@@ -155,7 +155,7 @@ func newRTCRig() *rtcRig {
 	sim := simnet.NewSim(1)
 	sys := New(Spec{
 		Shards: 1, Net: simnet.NewNetwork(sim, simnet.GeoConfig(0, 0)),
-		HomeRegion:   simnet.RegionSouthCarolina,
+		ServerRegion: simnet.ServerPlacement(3, false),
 		CoordRegions: []simnet.Region{simnet.RegionSouthCarolina, simnet.RegionHongKong},
 		Seed: func(_ int, st *store.Store) {
 			st.Seed("a", txn.EncodeInt(0))
@@ -288,7 +288,7 @@ func TestMessagesComeHome(t *testing.T) {
 			sys := New(Spec{
 				Shards: 2, F: 1, Replicated: c.replicated,
 				Net:          simnet.NewNetwork(sim, simnet.GeoConfig(500*time.Microsecond, 0)),
-				HomeRegion:   simnet.RegionSouthCarolina,
+				ServerRegion: simnet.ServerPlacement(3, false),
 				CoordRegions: []simnet.Region{0, 1, simnet.RegionHongKong},
 				Seed: func(shard int, st *store.Store) {
 					for i := 0; i < 3; i++ {

@@ -1,13 +1,11 @@
 package ncc
 
-import (
-	"tiga/internal/protocol"
-	"tiga/internal/simnet"
-)
+import "tiga/internal/protocol"
 
-// NCC serves every shard from a single home region (South Carolina); NCC+
-// adds Paxos replication on top. Under the §5.5 rotation the homes spread
-// across regions instead.
+// NCC serves each shard from one server; NCC+ adds Paxos replication on top.
+// Replica r of shard s lives in ctx.ServerRegion(s, r): co-located, every
+// server is in South Carolina (region 0); under the §5.5 rotation the servers
+// spread across regions.
 func init() {
 	register("NCC", false, protocol.CostProfile{Exec: 13, Rank: 60})
 	register("NCC+", true, protocol.CostProfile{Exec: 13, Rank: 70})
@@ -25,16 +23,11 @@ func register(name string, replicated bool, cost protocol.CostProfile) {
 	protocol.Register(name, cost,
 		nil,
 		func(ctx *protocol.BuildContext) protocol.System {
-			s := Spec{
+			return New(Spec{
 				Shards: ctx.Shards, F: ctx.F, Net: ctx.Net,
-				HomeRegion: simnet.RegionSouthCarolina, CoordRegions: ctx.CoordRegions,
+				ServerRegion: ctx.ServerRegion, CoordRegions: ctx.CoordRegions,
 				Seed: ctx.SeedStore, ExecCost: ctx.ExecCost,
 				Replicated: replicated,
-			}
-			if ctx.Rotated {
-				regions := ctx.Regions
-				s.HomeRegionOf = func(shard int) simnet.Region { return simnet.Region(shard % regions) }
-			}
-			return New(s)
+			})
 		})
 }

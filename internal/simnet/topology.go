@@ -29,17 +29,17 @@ type Topology struct {
 	// registry requires one code per region.
 	RegionCodes []string
 	// ServerRegions is how many of the leading regions host server
-	// replicas (shard leaders rotate among these under §5.5 rotation); any
-	// remaining regions host only coordinators.
+	// replicas (placed by ServerPlacement); any remaining regions host only
+	// coordinators.
 	ServerRegions int
 	// RemoteCoordRegion is the default placement for remote coordinators
 	// (ClusterSpec.CoordsRemote) — the paper's Hong Kong analogue.
 	RemoteCoordRegion Region
 	// OWD builds the one-way-delay matrix with the given per-link jitter.
 	OWD func(jitter time.Duration) [][]Latency
-	// DefaultJitter and DefaultLoss apply when the deployment spec leaves
-	// jitter/loss at zero; the degraded-WAN variants carry elevated values
-	// here so selecting them by name is enough.
+	// DefaultJitter and DefaultLoss apply when Config is passed zero
+	// jitter/loss; the degraded-WAN variants carry elevated values here so
+	// selecting them by name is enough.
 	DefaultJitter time.Duration
 	DefaultLoss   float64
 }
@@ -73,6 +73,18 @@ func (t *Topology) RegionCode(r Region) string {
 		}
 	}
 	return string(code)
+}
+
+// ServerPlacement is the one rule for where a shard's replicas live among n
+// server regions. Co-located (the paper's default), replica r of every shard
+// is in region r mod n, so all leaders share region 0; rotated (§5.5,
+// Table 2), it is in region (r+shard) mod n, so shard s's leader is in
+// region s mod n.
+func ServerPlacement(n int, rotated bool) func(shard, replica int) Region {
+	if rotated {
+		return func(shard, replica int) Region { return Region((replica + shard) % n) }
+	}
+	return func(_, replica int) Region { return Region(replica % n) }
 }
 
 // Config materializes the simulated-network configuration. Zero jitter/loss

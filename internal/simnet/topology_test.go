@@ -34,6 +34,29 @@ func TestTopologyRegistryComplete(t *testing.T) {
 	}
 }
 
+// TestServerPlacement pins the one placement rule on four server regions:
+// co-located, replica r is in region r mod 4 whatever the shard; rotated,
+// shard s's replica r is in region (r+s) mod 4, so the leaders (replica 0)
+// of shards 0..4 sit in regions 0, 1, 2, 3, 0.
+func TestServerPlacement(t *testing.T) {
+	for _, c := range []struct {
+		rotated bool
+		want    [5][5]Region // [shard][replica]
+	}{
+		{false, [5][5]Region{{0, 1, 2, 3, 0}, {0, 1, 2, 3, 0}, {0, 1, 2, 3, 0}, {0, 1, 2, 3, 0}, {0, 1, 2, 3, 0}}},
+		{true, [5][5]Region{{0, 1, 2, 3, 0}, {1, 2, 3, 0, 1}, {2, 3, 0, 1, 2}, {3, 0, 1, 2, 3}, {0, 1, 2, 3, 0}}},
+	} {
+		place := ServerPlacement(4, c.rotated)
+		for s, row := range c.want {
+			for r, want := range row {
+				if got := place(s, r); got != want {
+					t.Errorf("rotated=%v: shard %d replica %d in region %d, want %d", c.rotated, s, r, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestGeo4TopologyMatchesGeoConfig guards the byte-for-byte default: the
 // registered geo4 topology must materialize exactly the Config every
 // pre-registry experiment built via GeoConfig, including the 500 µs jitter

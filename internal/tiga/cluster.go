@@ -8,39 +8,32 @@ import (
 	"tiga/internal/txn"
 )
 
-// Placement decides where servers, coordinators, and view-manager replicas
-// live. The paper's default places replica r of every shard in region r
-// (leaders co-located); the "rotation" experiment (§5.5, Table 2) offsets the
-// replica column per shard so leaders land in different regions.
+// Placement decides where servers and coordinators live. The paper's default
+// places replica r of every shard in region r (leaders co-located); the
+// "rotation" experiment (§5.5, Table 2) offsets the replica column per shard
+// so leaders land in different regions (simnet.ServerPlacement).
 type Placement struct {
 	// ServerRegion maps (shard, replica) to a region.
 	ServerRegion func(shard, replica int) simnet.Region
 	// CoordRegions lists one region per coordinator.
 	CoordRegions []simnet.Region
-	// VMRegions lists the view-manager replica regions (3 by default).
-	VMRegions []simnet.Region
 }
 
+// serverRegions is the paper's server-region count (§5.1): ColocatedPlacement
+// spreads replicas over regions 0..2, and the view manager keeps one replica
+// in each.
+const serverRegions = 3
+
 // ColocatedPlacement is the paper's common full-replication deployment:
-// replica r of every shard lives in region r.
+// replica r of every shard lives in region r mod 3.
 func ColocatedPlacement(coordRegions []simnet.Region) Placement {
-	return Placement{
-		ServerRegion: func(_, replica int) simnet.Region { return simnet.Region(replica) },
-		CoordRegions: coordRegions,
-		VMRegions:    []simnet.Region{0, 1, 2},
-	}
+	return Placement{ServerRegion: simnet.ServerPlacement(serverRegions, false), CoordRegions: coordRegions}
 }
 
 // RotatedPlacement rotates shard/replica ids so servers with the same
 // replica-id land in different regions — the §5.5 "leaders separated" setup.
 func RotatedPlacement(coordRegions []simnet.Region, regions int) Placement {
-	return Placement{
-		ServerRegion: func(shard, replica int) simnet.Region {
-			return simnet.Region((replica + shard) % regions)
-		},
-		CoordRegions: coordRegions,
-		VMRegions:    []simnet.Region{0, 1, 2},
-	}
+	return Placement{ServerRegion: simnet.ServerPlacement(regions, true), CoordRegions: coordRegions}
 }
 
 // Cluster is a complete Tiga deployment inside one simulated network.
@@ -100,12 +93,8 @@ func NewCluster(net *simnet.Network, cfg Config, pl Placement, cf *clocks.Factor
 		c.coordNodes = append(c.coordNodes, node.ID())
 		c.Coords = append(c.Coords, newCoordinator(c, int32(i+1), node, cf.New()))
 	}
-	vmRegions := pl.VMRegions
-	if len(vmRegions) == 0 {
-		vmRegions = []simnet.Region{0, 1, 2}
-	}
-	for i, reg := range vmRegions {
-		node := net.AddNode(reg, nil)
+	for i := range serverRegions {
+		node := net.AddNode(simnet.Region(i), nil)
 		c.vmNodes = append(c.vmNodes, node.ID())
 		c.VMs = append(c.VMs, newVMReplica(c, i, node))
 	}

@@ -59,13 +59,8 @@ func init() {
 			cfg.VersionGC = ctx.Knobs.Bool("version-gc")
 			cfg.AdmitCap = ctx.Knobs.Int("admit-cap")
 			cfg.AdmitQueue = ctx.Knobs.Int("admit-queue")
-			// ServerRegion is the harness mapping, co-located or rotated:
-			// it wraps replica ids past the topology's region count (F=2
-			// puts 2F+1=5 replicas on geo4's 4 regions), which the canned
-			// placements, assuming replicas <= regions, do not.
-			pl := ColocatedPlacement(ctx.CoordRegions)
-			pl.ServerRegion = ctx.ServerRegion
-			return NewCluster(ctx.Net, cfg, pl, ctx.Clocks, ctx.SeedStore)
+			return NewCluster(ctx.Net, cfg, Placement{ServerRegion: ctx.ServerRegion, CoordRegions: ctx.CoordRegions},
+				ctx.Clocks, ctx.SeedStore)
 		})
 }
 
