@@ -94,7 +94,7 @@ func main() {
 			seat := rng.Intn(seats)
 			t := bookTxn(event, seat, buyer)
 			start := d.Sim.Now()
-			d.Sys.Submit(int(buyer)%d.Sys.NumCoords(), t, func(r txn.Result) {
+			d.Sys.Submit(int(buyer)%len(d.CoordRegions), t, func(r txn.Result) {
 				if !r.OK {
 					return
 				}

@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"tiga/internal/registry"
+	"tiga/internal/simnet"
 )
 
 // Op is the kind of one fault event.
@@ -118,8 +119,8 @@ type Env struct {
 	Shards, Replicas int
 	// ServerRegions is how many regions host server replicas.
 	ServerRegions int
-	// ServerRegion maps (shard, replica) to its region id.
-	ServerRegion func(shard, replica int) int
+	// ServerRegion maps (shard, replica) to its region.
+	ServerRegion func(shard, replica int) simnet.Region
 	// Clocks is how many per-node clocks the deployment created (0 for
 	// protocols that never read one).
 	Clocks int

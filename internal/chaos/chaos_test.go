@@ -5,13 +5,15 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"tiga/internal/simnet"
 )
 
 func testEnv(seed int64) Env {
 	return Env{
 		Seed:   seed,
 		Shards: 3, Replicas: 3, ServerRegions: 3,
-		ServerRegion: func(shard, replica int) int { return replica },
+		ServerRegion: func(shard, replica int) simnet.Region { return simnet.Region(replica) },
 		Clocks:       17,
 		Rand:         rand.New(rand.NewSource(seed)),
 	}

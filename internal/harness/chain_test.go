@@ -67,8 +67,6 @@ type scripted struct {
 	rng *rand.Rand
 }
 
-func (s *scripted) NumCoords() int { return 4 }
-
 func (s *scripted) Start() {}
 
 func (s *scripted) Submit(coord int, t *txn.Txn, done func(txn.Result)) {

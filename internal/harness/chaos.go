@@ -53,14 +53,13 @@ func chaosEnv(d *Deployment, spec ClusterSpec) chaos.Env {
 	if f, ok := d.Sys.(protocol.Faultable); ok {
 		shards, replicas = f.ServerGrid()
 	}
-	place := simnet.ServerPlacement(d.Topology.ServerRegions, spec.Rotated)
 	seed := spec.Seed + chaosSeedOffset
 	return chaos.Env{
 		Seed:          seed,
 		Shards:        shards,
 		Replicas:      replicas,
 		ServerRegions: d.Topology.ServerRegions,
-		ServerRegion:  func(s, r int) int { return int(place(s, r)) },
+		ServerRegion:  simnet.ServerPlacement(d.Topology.ServerRegions, spec.Rotated),
 		Clocks:        len(d.Clocks.Adjustables()),
 		Rand:          rand.New(rand.NewSource(seed)),
 	}

@@ -211,7 +211,7 @@ func Build(spec ClusterSpec) *Deployment {
 	}
 	topo := spec.topology()
 	sim := simnet.NewSim(spec.Seed)
-	netCfg := topo.Config(0, spec.Loss)
+	netCfg := topo.Config(spec.Loss)
 	netCfg.DefaultCost = time.Duration(scale) * time.Microsecond
 	net := simnet.NewNetwork(sim, netCfg)
 	coords := spec.CoordRegionList()
@@ -490,7 +490,7 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 	// coordinator arrive inside the measurement window (open-loop curves
 	// swing around that base rate), so steady-state recording rarely
 	// reallocates mid-run.
-	if expected := int(spec.RatePerCoord*spec.Duration.Seconds()) * d.Sys.NumCoords(); expected > 0 {
+	if expected := int(spec.RatePerCoord*spec.Duration.Seconds()) * len(d.CoordRegions); expected > 0 {
 		run.Lat.Grow(expected)
 		if open {
 			run.QueueLat.Grow(expected)
@@ -500,8 +500,8 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 		}
 	}
 
-	for ci := 0; ci < d.Sys.NumCoords(); ci++ {
-		region := d.Topology.RegionName(d.CoordRegions[ci])
+	for ci, coordRegion := range d.CoordRegions {
+		region := d.Topology.RegionName(coordRegion)
 		rng := rand.New(rand.NewSource(spec.Seed + int64(ci)*7919))
 		var (
 			arr         workload.Arrival // open loop: the gap process
@@ -512,7 +512,7 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 		if open {
 			var err error
 			arr, err = workload.BuildArrival(spec.Arrival, spec.RatePerCoord,
-				ci, d.Sys.NumCoords(), int(d.CoordRegions[ci]), nil)
+				ci, len(d.CoordRegions), int(coordRegion), nil)
 			if err != nil {
 				panic(fmt.Sprintf("open-loop load: %v", err))
 			}

@@ -40,9 +40,10 @@
 //     or only reads (Janus, Tapir, lockocc, NCC's requests and commit notes,
 //     and Detock's home requests) is boxed once and shared instead, and never
 //     pooled,
-//   - coordinator-local records: recycled when the txn finishes (Janus and
-//     Tapir read what the completion callback and a retry need first, NCC
-//     and Detock what the callback needs),
+//   - coordinator-local records: every baseline files its attempts in a
+//     coord.Table (internal/protocol/coord), which recycles a record when
+//     its attempt ends, once the protocol has copied out what the
+//     completion callback and a retry need,
 //   - a server record that nothing mentions after a known message: Detock's
 //     engine records are recycled at the first replication ack, once the
 //     result has gone out; the later acks find no record,

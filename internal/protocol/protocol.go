@@ -42,9 +42,8 @@ import (
 // protocol implements.
 type System interface {
 	// Submit routes a transaction through the given coordinator index.
+	// There is one coordinator per BuildContext.CoordRegions entry.
 	Submit(coord int, t *txn.Txn, done func(txn.Result))
-	// NumCoords returns the coordinator count.
-	NumCoords() int
 	// Start launches the system's periodic tasks; call once before running
 	// the simulator.
 	Start()

@@ -34,8 +34,9 @@ func TestRegistryComplete(t *testing.T) {
 }
 
 // TestRegistrySmoke builds every registered protocol on a tiny cluster,
-// commits transactions through it, and requires nonzero commits — so a new
-// protocol cannot register without actually working end to end.
+// commits transactions through it, and requires commits through each of its
+// three coordinators — so a new protocol cannot register without actually
+// working end to end.
 func TestRegistrySmoke(t *testing.T) {
 	for _, name := range protocol.Names() {
 		name := name
@@ -48,16 +49,26 @@ func TestRegistrySmoke(t *testing.T) {
 			if d.Sys == nil {
 				t.Fatal("Build returned a nil system")
 			}
-			if got := d.Sys.NumCoords(); got != 3 {
-				t.Fatalf("NumCoords() = %d, want 3", got)
-			}
 			res := harness.RunLoad(d, gen, harness.LoadSpec{
 				RatePerCoord: 20, Warmup: 500 * time.Millisecond,
-				Duration: 2 * time.Second, Seed: 5,
+				Duration: 2 * time.Second, Seed: 5, TrackSamples: true,
 			})
 			if res.Run.Counters.Committed == 0 {
 				t.Fatalf("%s committed no transactions (submitted %d)",
 					name, res.Run.Counters.Submitted)
+			}
+			// One coordinator per region: a sample's region names its coordinator.
+			commits := map[string]int{}
+			for _, s := range res.Samples {
+				commits[s.Region]++
+			}
+			if len(d.CoordRegions) != 3 {
+				t.Fatalf("%d coordinators, want 3", len(d.CoordRegions))
+			}
+			for ci, r := range d.CoordRegions {
+				if commits[d.Topology.RegionName(r)] == 0 {
+					t.Errorf("coordinator %d (%s) committed nothing", ci, d.Topology.RegionName(r))
+				}
 			}
 		})
 	}

@@ -39,7 +39,7 @@ func conflict(t *testing.T, proto string, knobs map[string]any) ([]txn.Result, [
 	t.Helper()
 	d := build(proto, workload.NewMicroBench(2, 10, 0), knobs)
 	d.Sys.Start()
-	n := d.Sys.NumCoords()
+	n := len(d.CoordRegions)
 	res, lat := make([]txn.Result, n), make([]time.Duration, n)
 	finished := 0
 	d.Sim.At(100*time.Millisecond, func() {

@@ -16,6 +16,7 @@ import (
 	"sort"
 	"time"
 
+	"tiga/internal/protocol/coord"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
@@ -126,8 +127,7 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node, idx: int32(len(sys.coords) + 1),
-			pending: make(map[txn.ID]*pending)}
+		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords) + 1))}
 		// Coordinators use the nearest server region's replica for results.
 		co.home = nearestRegion(spec.Net, reg, spec.Regions)
 		node.SetHandler(co.handle)
@@ -169,9 +169,6 @@ func (sys *System) Start() {
 		}
 	}
 }
-
-// NumCoords returns the coordinator count.
-func (sys *System) NumCoords() int { return len(sys.coords) }
 
 // Store exposes a region's shard store (tests).
 func (sys *System) Store(region, shard int) *store.Store { return sys.execs[region][shard].st }
@@ -279,6 +276,9 @@ func (ex *executor) runEpoch(byRegion map[int]epochBatch) {
 
 // ---- coordinator ----
 
+// pending is a transaction in flight at its coordinator, filed in
+// coordinator.tab and put back when its last result arrives. results is made
+// fresh per transaction: the completion callback keeps it as PerShard.
 type pending struct {
 	t       *txn.Txn
 	done    func(txn.Result)
@@ -286,20 +286,17 @@ type pending struct {
 }
 
 type coordinator struct {
-	sys     *System
-	node    *simnet.Node
-	idx     int32
-	seq     uint64
-	home    int
-	pending map[txn.ID]*pending
+	sys  *System
+	node *simnet.Node
+	home int
+	tab  *coord.Table[pending]
 }
 
 // Submit hands t to the coordinator's nearest sequencer.
-func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
-	co := sys.coords[coord]
-	co.seq++
-	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
-	co.pending[t.ID] = &pending{t: t, done: done, results: make([]txn.ShardRet, 0, len(t.Pieces))}
+func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
+	co := sys.coords[ci]
+	p := co.tab.Begin(t)
+	*p = pending{t: t, done: done, results: make([]txn.ShardRet, 0, len(t.Pieces))}
 	co.node.Send(co.sys.seqs[co.home].node.ID(), submitMsg{T: t, Coord: co.node.ID(), HomeRegion: co.home})
 }
 
@@ -308,7 +305,7 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	if !ok {
 		return
 	}
-	p := co.pending[m.ID]
+	p := co.tab.Get(m.ID)
 	if p == nil {
 		return
 	}
@@ -316,6 +313,7 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	if len(p.results) < len(p.t.Pieces) {
 		return
 	}
-	delete(co.pending, m.ID)
-	p.done(txn.Result{OK: true, PerShard: p.results})
+	done, results := p.done, p.results
+	co.tab.End(m.ID, p) // done may submit the next transaction
+	done(txn.Result{OK: true, PerShard: results})
 }

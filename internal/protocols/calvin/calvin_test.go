@@ -2,13 +2,20 @@ package calvin
 
 import (
 	"fmt"
+	"os"
 	"testing"
 	"time"
 
+	"tiga/internal/pool"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
 )
+
+func TestMain(m *testing.M) {
+	pool.Check = true
+	os.Exit(m.Run())
+}
 
 func build(t *testing.T, seed int64, epoch time.Duration) (*simnet.Sim, *System) {
 	t.Helper()
@@ -26,6 +33,17 @@ func build(t *testing.T, seed int64, epoch time.Duration) (*simnet.Sim, *System)
 	})
 	sys.Start()
 	return sim, sys
+}
+
+// checkDrained requires that a run that committed everything left no
+// transaction in flight at any coordinator and every record back in its table.
+func checkDrained(t *testing.T, sys *System) {
+	t.Helper()
+	for c, co := range sys.coords {
+		if co.tab.News() == 0 || co.tab.News() != co.tab.Idle() || co.tab.InFlight() != 0 {
+			t.Errorf("coordinator %d: %d records allocated, %d back, %d in flight", c, co.tab.News(), co.tab.Idle(), co.tab.InFlight())
+		}
+	}
 }
 
 func tx(i int) *txn.Txn {
@@ -55,6 +73,7 @@ func TestDeterministicExecution(t *testing.T) {
 	if committed != n {
 		t.Fatalf("committed %d of %d", committed, n)
 	}
+	checkDrained(t, sys)
 	for sh := 0; sh < 2; sh++ {
 		base := sys.Store(0, sh)
 		for reg := 1; reg < 3; reg++ {
@@ -119,6 +138,7 @@ func TestAbortFree(t *testing.T) {
 	if committed != n {
 		t.Fatalf("committed %d of %d", committed, n)
 	}
+	checkDrained(t, sys)
 	if got := txn.DecodeInt(sys.Store(0, 0).Get("c0-0")); got != n {
 		t.Fatalf("c0-0 = %d, want %d", got, n)
 	}
@@ -134,7 +154,7 @@ func buildLossy(t *testing.T, seed int64, resend time.Duration) (*simnet.Sim, *S
 		t.Fatal(err)
 	}
 	sim := simnet.NewSim(seed)
-	net := simnet.NewNetwork(sim, topo.Config(0, 0))
+	net := simnet.NewNetwork(sim, topo.Config(0))
 	sys := New(Spec{
 		Shards: 2, Regions: 3, Net: net,
 		CoordRegions: []simnet.Region{0, 1, simnet.RegionHongKong},

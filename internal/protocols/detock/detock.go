@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"tiga/internal/pool"
+	"tiga/internal/protocol/coord"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
@@ -221,8 +222,7 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{node: node, idx: int32(len(sys.coords) + 1),
-			pending: make(map[txn.ID]*pending), pend: pool.New[pending]()}
+		co := &coordinator{node: node, tab: coord.New[pending](int32(len(sys.coords) + 1))}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -231,9 +231,6 @@ func New(spec Spec) *System {
 
 // Start is a no-op.
 func (sys *System) Start() {}
-
-// NumCoords returns the coordinator count.
-func (sys *System) NumCoords() int { return len(sys.coords) }
 
 // Store exposes a region's copy of a shard (tests).
 func (sys *System) Store(region, shard int) *store.Store { return sys.engines[region].sts[shard] }
@@ -646,22 +643,16 @@ type pending struct {
 }
 
 type coordinator struct {
-	node    *simnet.Node
-	idx     int32
-	seq     uint64
-	pending map[txn.ID]*pending
-	pend    *pool.Free[pending]
+	node *simnet.Node
+	tab  *coord.Table[pending]
 }
 
 // Submit dispatches t to the engines of its home regions.
-func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
-	co := sys.coords[coord]
-	co.seq++
-	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
+func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
+	co := sys.coords[ci]
 	homes := sys.homesOf(t)
-	p := co.pend.Get()
+	p := co.tab.Begin(t)
 	*p = pending{done: done, results: make([]txn.ShardRet, 0, len(t.Pieces)), homes: homes.len()}
-	co.pending[t.ID] = p
 	var m simnet.Message = homeReq{T: t, Coord: co.node.ID(), Homes: homes}
 	for hs := homes; hs != 0; hs &= hs - 1 {
 		co.node.Send(sys.engines[bits.TrailingZeros64(uint64(hs))].node.ID(), m)
@@ -676,7 +667,7 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 		return
 	}
 	id := m.ID
-	p := co.pending[id]
+	p := co.tab.Get(id)
 	if p != nil {
 		for _, r := range m.Ret {
 			p.results = txn.PutRet(p.results, r.Shard, r.Ret)
@@ -690,8 +681,7 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	if p.homes--; p.homes > 0 {
 		return
 	}
-	delete(co.pending, id)
 	done, results := p.done, p.results
-	co.pend.Put(p)
+	co.tab.End(id, p)
 	done(txn.Result{OK: true, PerShard: results})
 }

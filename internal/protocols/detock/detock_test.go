@@ -451,7 +451,7 @@ func (sc schedule) run(t *testing.T, arm func(*System)) (sys *System, committed 
 			}
 		}
 		tx := &txn.Txn{Pieces: txn.ByShard(pieces...)}
-		coord := rng.Intn(sys.NumCoords())
+		coord := rng.Intn(len(sys.coords))
 		at := 10*time.Millisecond + time.Duration(rng.Int63n(int64(sc.over)))
 		sim.At(at, func() {
 			sys.Submit(coord, tx, func(r txn.Result) {
@@ -572,8 +572,8 @@ func checkDrained(t *testing.T, sys *System) {
 		}
 	}
 	for c, co := range sys.coords {
-		if len(co.pending) != 0 {
-			t.Errorf("coordinator %d still waits for %d transactions", c, len(co.pending))
+		if co.tab.InFlight() != 0 {
+			t.Errorf("coordinator %d still waits for %d transactions", c, co.tab.InFlight())
 		}
 	}
 }
@@ -618,7 +618,7 @@ func TestKeyProbesDoNotGrowWithTheQueue(t *testing.T) {
 				txn.IncrementPieceID(names[a][i], txn.KeyID(i)).On(a),
 				txn.IncrementPieceID(names[b][i], txn.KeyID(i)).On(b),
 			)}
-			sys.Submit(i%sys.NumCoords(), tx, func(txn.Result) {
+			sys.Submit(i%len(sys.coords), tx, func(txn.Result) {
 				committed++
 				submit()
 			})
@@ -898,8 +898,8 @@ func TestMessagesComeHome(t *testing.T) {
 		}
 	}
 	for c, co := range sys.coords {
-		if co.pend.News == 0 || co.pend.News != co.pend.Idle() {
-			t.Errorf("coordinator %d: %d records allocated, %d back", c, co.pend.News, co.pend.Idle())
+		if co.tab.News() == 0 || co.tab.News() != co.tab.Idle() {
+			t.Errorf("coordinator %d: %d records allocated, %d back", c, co.tab.News(), co.tab.Idle())
 		}
 	}
 }

@@ -26,6 +26,7 @@ import (
 
 	"tiga/internal/graph"
 	"tiga/internal/pool"
+	"tiga/internal/protocol/coord"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
@@ -153,8 +154,7 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node, idx: int32(len(sys.coords) + 1),
-			pending: make(map[txn.ID]*pending), pendings: pool.New[pending]()}
+		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords) + 1))}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -163,9 +163,6 @@ func New(spec Spec) *System {
 
 // Start is a no-op.
 func (sys *System) Start() {}
-
-// NumCoords returns the coordinator count.
-func (sys *System) NumCoords() int { return len(sys.coords) }
 
 // Store exposes a replica store (tests).
 func (sys *System) Store(shard, rep int) *store.Store { return sys.replicas[shard][rep].st }
@@ -404,25 +401,19 @@ func (p *pending) reset(t *txn.Txn, done func(txn.Result), n int, fastPath bool)
 }
 
 type coordinator struct {
-	sys      *System
-	node     *simnet.Node
-	idx      int32
-	seq      uint64
-	pending  map[txn.ID]*pending
-	pendings *pool.Free[pending]
+	sys  *System
+	node *simnet.Node
+	tab  *coord.Table[pending]
 	// union collects the votes' dependencies before they are sorted,
 	// deduplicated and copied into the transaction's own list.
 	union []uint64
 }
 
 // Submit runs Janus's pre-accept/accept/commit protocol for t.
-func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
-	co := sys.coords[coord]
-	co.seq++
-	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
-	p := co.pendings.Get()
+func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
+	co := sys.coords[ci]
+	p := co.tab.Begin(t)
 	p.reset(t, done, 2*sys.spec.F+1, sys.spec.FastPath)
-	co.pending[t.ID] = p
 	co.multicast(t, preaccept{T: t, Coord: co.node.ID()})
 }
 
@@ -453,7 +444,7 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 }
 
 func (co *coordinator) onPreacceptRep(src *replica, id txn.ID, deps []uint64) {
-	p := co.pending[id]
+	p := co.tab.Get(id)
 	if p == nil || p.phase != 0 {
 		return
 	}
@@ -529,7 +520,7 @@ func identicalQuorum(votes [][]uint64, voted uint64, sq int) bool {
 }
 
 func (co *coordinator) onAcceptRep(src *replica, id txn.ID) {
-	p := co.pending[id]
+	p := co.tab.Get(id)
 	if p == nil || p.phase != 1 {
 		return
 	}
@@ -556,7 +547,7 @@ func (co *coordinator) commit(p *pending) {
 }
 
 func (co *coordinator) onResult(shard int, id txn.ID, ret []byte) {
-	p := co.pending[id]
+	p := co.tab.Get(id)
 	if p == nil {
 		return
 	}
@@ -564,8 +555,7 @@ func (co *coordinator) onResult(shard int, id txn.ID, ret []byte) {
 	if len(p.results) < len(p.t.Pieces) {
 		return
 	}
-	delete(co.pending, id)
 	res, done := txn.Result{OK: true, FastPath: p.fastPath, PerShard: p.results}, p.done
-	co.pendings.Put(p) // done may submit the next transaction
+	co.tab.End(id, p) // done may submit the next transaction
 	done(res)
 }

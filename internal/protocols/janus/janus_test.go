@@ -228,8 +228,8 @@ func TestMessagesComeHome(t *testing.T) {
 				t.Error("no transaction paid the accept round: the conflicts did not diverge")
 			}
 			for c, co := range sys.coords {
-				if co.pendings.News != co.pendings.Idle() || len(co.pending) != 0 {
-					t.Errorf("coordinator %d: %d records allocated, %d back, %d in flight", c, co.pendings.News, co.pendings.Idle(), len(co.pending))
+				if co.tab.News() != co.tab.Idle() || co.tab.InFlight() != 0 {
+					t.Errorf("coordinator %d: %d records allocated, %d back, %d in flight", c, co.tab.News(), co.tab.Idle(), co.tab.InFlight())
 				}
 			}
 		})
@@ -304,7 +304,7 @@ func TestStrandedCycleExecutes(t *testing.T) {
 	co := sys.coords[0]
 	var ts [5]*txn.Txn
 	for _, i := range []int{1, 2, 4} {
-		ts[i] = &txn.Txn{ID: txn.ID{Coord: co.idx, Seq: uint64(i)}, Pieces: txn.ByShard(
+		ts[i] = &txn.Txn{ID: txn.ID{Coord: 1, Seq: uint64(i)}, Pieces: txn.ByShard(
 			txn.IncrementPiece(fmt.Sprintf("j0-%d", i)).On(0))}
 		rp.onPreaccept(preaccept{T: ts[i], Coord: co.node.ID()})
 	}
@@ -336,7 +336,7 @@ func TestPreacceptDepsAreSortedAndDistinct(t *testing.T) {
 	rp := sys.replicas[0][1]
 	co := sys.coords[0]
 	pre := func(seq uint64, p txn.Piece) uint64 {
-		tx := &txn.Txn{ID: txn.ID{Coord: co.idx, Seq: seq}, Pieces: txn.ByShard(p.On(0))}
+		tx := &txn.Txn{ID: txn.ID{Coord: 1, Seq: seq}, Pieces: txn.ByShard(p.On(0))}
 		rp.onPreaccept(preaccept{T: tx, Coord: co.node.ID()})
 		return tid(tx.ID)
 	}

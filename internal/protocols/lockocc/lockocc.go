@@ -20,6 +20,7 @@ import (
 	"tiga/internal/locks"
 	"tiga/internal/paxos"
 	"tiga/internal/pool"
+	"tiga/internal/protocol/coord"
 	"tiga/internal/simnet"
 	"tiga/internal/snapread"
 	"tiga/internal/store"
@@ -281,8 +282,7 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node, idx: int32(len(sys.coords) + 1),
-			pending: make(map[txn.ID]*pendingCo), pend: pool.New[pendingCo]()}
+		co := &coordinator{sys: sys, node: node, tab: coord.New[pendingCo](int32(len(sys.coords) + 1))}
 		co.reads = snapread.Coordinator{
 			Node: node, Net: spec.Net,
 			Clock: spec.Net.Sim().Now, Staleness: spec.ReadStaleness, RetryEvery: readRetryEvery,
@@ -371,9 +371,6 @@ func (sys *System) RestartServer(shard, replica int) {
 	sys.servers[shard][replica] = srv
 	srv.pax.Rejoin(func() { srv.catchingUp = srv.pax.Committed() < srv.pax.LogLen() })
 }
-
-// NumCoords returns the coordinator count.
-func (sys *System) NumCoords() int { return len(sys.coords) }
 
 // Store exposes a shard leader's store (tests).
 func (sys *System) Store(shard int) *store.Store { return sys.servers[shard][0].st }
@@ -720,7 +717,7 @@ type pendingCo struct {
 	phase   int // 0 = exec, 1 = commit
 	retries int
 	ts      txn.Timestamp // minted at the commit decision (LocalReads)
-	// gen gates the attempt's vote-timeout timer (AfterGate): put bumps it,
+	// gen gates the attempt's vote-timeout timer (AfterGate): end bumps it,
 	// so an arm left pending by a finished attempt never runs on the
 	// record's next one. check is the timer's callback, bound once per
 	// record (submit).
@@ -739,16 +736,13 @@ func (p *pendingCo) reset(t *txn.Txn, done func(txn.Result), retries int) {
 }
 
 type coordinator struct {
-	sys     *System
-	node    *simnet.Node
-	idx     int32
-	seq     uint64
-	pending map[txn.ID]*pendingCo
-	// pend recycles pendingCo records (see put). Recycle happens only after
-	// the record left co.pending and everything a later callback needs was
-	// copied out — retry closures capture fields, never the record itself,
-	// and the vote-timeout timer is gated on the record's gen.
-	pend *pool.Free[pendingCo]
+	sys  *System
+	node *simnet.Node
+	// tab files the attempts in flight and recycles their records (see
+	// end). A record is recycled only after everything a later callback
+	// needs was copied out — retry closures capture fields, never the
+	// record itself, and the vote-timeout timer is gated on the record's gen.
+	tab *coord.Table[pendingCo]
 
 	// gate is the admission-control gate (Spec.AdmitCap etc.); disabled by
 	// default, it passes submissions straight through. start is the gate's
@@ -760,18 +754,19 @@ type coordinator struct {
 	reads snapread.Coordinator
 }
 
-// put recycles p, first disarming any vote-timeout timer it has pending.
-func (co *coordinator) put(p *pendingCo) {
+// end forgets p's attempt and recycles p, first disarming any vote-timeout
+// timer it has pending.
+func (co *coordinator) end(p *pendingCo) {
 	p.gen++
-	co.pend.Put(p)
+	co.tab.End(p.t.ID, p)
 }
 
 // Submit runs the layered commit protocol for t, behind the coordinator's
 // admission gate. Protocol-internal retries reuse the admitted slot (the
 // wrapped done survives across co.submit re-invocations), so one logical
 // transaction holds exactly one slot until its final outcome.
-func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
-	co := sys.coords[coord]
+func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
+	co := sys.coords[ci]
 	co.gate.Submit(t, done, co.start)
 }
 
@@ -781,9 +776,7 @@ func (co *coordinator) submit(t *txn.Txn, done func(txn.Result), retries int, pr
 		// also advances the trace cursor past the dead attempt's stamps.
 		t.Trace.Mark(co.sys.spec.Net.Sim().Now(), trace.PhaseRetry)
 	}
-	co.seq++
-	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
-	p := co.pend.Get()
+	p := co.tab.Begin(t)
 	if p.check == nil {
 		p.check = func() { co.checkProgress(p) }
 	}
@@ -792,9 +785,8 @@ func (co *coordinator) submit(t *txn.Txn, done func(txn.Result), retries int, pr
 	// win; retries keep their original priority so victims make progress.
 	p.prio = prio
 	if p.prio == 0 {
-		p.prio = uint64(co.sys.spec.Net.Sim().Now())<<8 | uint64(co.idx)
+		p.prio = uint64(co.sys.spec.Net.Sim().Now())<<8 | uint64(t.ID.Coord)
 	}
-	co.pending[t.ID] = p
 	co.multicast(t, reqExec{T: t, Prio: p.prio, Coord: co.node.ID()})
 	if vt := co.sys.spec.VoteTimeout; vt > 0 {
 		co.node.AfterGate(vt, &p.gen, p.gen, p.check)
@@ -824,7 +816,7 @@ func (co *coordinator) checkProgress(p *pendingCo) {
 		// other timed out together, and with identical backoffs their retries
 		// would re-collide in lockstep forever. The stagger is the
 		// deterministic simulator's stand-in for randomized backoff.
-		co.abort(p, co.sys.spec.RetryBackoff*time.Duration(co.idx)/2)
+		co.abort(p, co.sys.spec.RetryBackoff*time.Duration(p.t.ID.Coord)/2)
 		return
 	}
 	var m simnet.Message = commitReq{ID: p.t.ID, Coord: co.node.ID(), T: p.t, Prio: p.prio, TS: p.ts}
@@ -857,7 +849,7 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 }
 
 func (co *coordinator) onVote(m voteMsg) {
-	p := co.pending[m.ID]
+	p := co.tab.Get(m.ID)
 	if p == nil || p.phase != 0 {
 		return
 	}
@@ -879,13 +871,13 @@ func (co *coordinator) onVote(m voteMsg) {
 	// shard's vote (hence every prepTS pinning a leader watermark), and
 	// unique via the (Coord, Seq) tie-break.
 	if co.sys.spec.LocalReads {
-		p.ts = txn.Timestamp{Time: co.sys.spec.Net.Sim().Now(), Coord: co.idx, Seq: m.ID.Seq}
+		p.ts = txn.Timestamp{Time: co.sys.spec.Net.Sim().Now(), Coord: m.ID.Coord, Seq: m.ID.Seq}
 	}
 	co.multicast(p.t, commitReq{ID: m.ID, Coord: co.node.ID(), T: p.t, Prio: p.prio, TS: p.ts})
 }
 
 func (co *coordinator) onCommitted(m committedMsg) {
-	p := co.pending[m.ID]
+	p := co.tab.Get(m.ID)
 	if p == nil {
 		return
 	}
@@ -896,7 +888,6 @@ func (co *coordinator) onCommitted(m committedMsg) {
 	if p.nacked < len(p.t.Pieces) {
 		return
 	}
-	delete(co.pending, m.ID)
 	if tr := p.t.Trace; tr != nil {
 		// Critical path: the decisive (latest-arriving) vote decomposes the
 		// prepare round into flight out, lock wait, execution, and flight
@@ -925,19 +916,18 @@ func (co *coordinator) onCommitted(m committedMsg) {
 	// Recycle before the callback: done may synchronously submit the next
 	// transaction (closed-loop clients), which draws from the same pool;
 	// everything res needs was copied out above.
-	co.put(p)
+	co.end(p)
 	done(res)
 }
 
 // abort releases every shard and retries with backoff (plus the caller's
 // stagger; 0 for ordinary wound/validation aborts) until the budget runs out.
 func (co *coordinator) abort(p *pendingCo, stagger time.Duration) {
-	delete(co.pending, p.t.ID)
 	co.multicast(p.t, abortReq{ID: p.t.ID})
 	// Copy out what the continuations need: the record returns to the pool
 	// now, and the retry closure must not read it later.
 	t, done, retries, prio := p.t, p.done, p.retries, p.prio
-	co.put(p)
+	co.end(p)
 	if retries >= co.sys.spec.MaxRetries {
 		done(txn.Result{Aborted: true, Retries: retries})
 		return

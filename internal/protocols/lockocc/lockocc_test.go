@@ -364,8 +364,8 @@ func TestMessagesComeHome(t *testing.T) {
 				}
 			}
 			for c, co := range sys.coords {
-				if co.pend.News != co.pend.Idle() || len(co.pending) != 0 {
-					t.Errorf("coordinator %d: %d records allocated, %d back, %d in flight", c, co.pend.News, co.pend.Idle(), len(co.pending))
+				if co.tab.News() != co.tab.Idle() || co.tab.InFlight() != 0 {
+					t.Errorf("coordinator %d: %d records allocated, %d back, %d in flight", c, co.tab.News(), co.tab.Idle(), co.tab.InFlight())
 				}
 			}
 		})

@@ -105,7 +105,7 @@ func (s *server) onSafeT(m safeT) {
 type decisionQuery struct{ ID txn.ID }
 
 func (co *coordinator) onDecisionQuery(from simnet.NodeID, m decisionQuery) {
-	if co.pending[m.ID] == nil {
+	if co.tab.Get(m.ID) == nil {
 		co.node.Send(from, abortReq{ID: m.ID})
 	}
 }
@@ -151,10 +151,9 @@ const readRetryEvery = 400 * time.Millisecond
 const safeTimeEvery = 5 * time.Millisecond
 
 // SubmitLocalRead implements protocol.SnapshotReadable.
-func (sys *System) SubmitLocalRead(coord int, t *txn.Txn, done func(txn.Result)) {
-	co := sys.coords[coord]
-	co.seq++
-	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
+func (sys *System) SubmitLocalRead(ci int, t *txn.Txn, done func(txn.Result)) {
+	co := sys.coords[ci]
+	co.tab.Mint(t)
 	co.reads.Submit(t, done)
 }
 

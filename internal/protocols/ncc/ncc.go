@@ -17,6 +17,7 @@ import (
 
 	"tiga/internal/paxos"
 	"tiga/internal/pool"
+	"tiga/internal/protocol/coord"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
@@ -140,8 +141,7 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node, idx: int32(len(sys.coords) + 1),
-			pending: make(map[txn.ID]*pending), pend: pool.New[pending]()}
+		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords) + 1))}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -170,9 +170,6 @@ func newServer(sys *System, sh int) *server {
 
 // Start is a no-op.
 func (sys *System) Start() {}
-
-// NumCoords returns the coordinator count.
-func (sys *System) NumCoords() int { return len(sys.coords) }
 
 // Store exposes a shard store (tests).
 func (sys *System) Store(shard int) *store.Store { return sys.servers[shard].st }
@@ -358,8 +355,8 @@ func (s *server) onCommitNote(m commitNote) {
 
 // ---- coordinator ----
 
-// pending is a transaction in flight at its coordinator, taken from
-// coordinator.pend and put back when it completes. results is made fresh per
+// pending is a transaction in flight at its coordinator, filed in
+// coordinator.tab and put back when it completes. results is made fresh per
 // transaction: the completion callback keeps it as PerShard.
 type pending struct {
 	t       *txn.Txn
@@ -368,22 +365,16 @@ type pending struct {
 }
 
 type coordinator struct {
-	sys     *System
-	node    *simnet.Node
-	idx     int32
-	seq     uint64
-	pending map[txn.ID]*pending
-	pend    *pool.Free[pending]
+	sys  *System
+	node *simnet.Node
+	tab  *coord.Table[pending]
 }
 
 // Submit sends t to its shard servers and commits once all reply.
-func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
-	co := sys.coords[coord]
-	co.seq++
-	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
-	p := co.pend.Get()
+func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
+	co := sys.coords[ci]
+	p := co.tab.Begin(t)
 	*p = pending{t: t, done: done, results: make([]txn.ShardRet, 0, len(t.Pieces))}
-	co.pending[t.ID] = p
 	co.multicast(t, execReq{T: t, Coord: co.node.ID()})
 }
 
@@ -404,7 +395,7 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	}
 	shard, id, ret := m.src.shard, m.ID, m.Ret
 	m.src.reps.Put(m)
-	p := co.pending[id]
+	p := co.tab.Get(id)
 	if p == nil {
 		return
 	}
@@ -412,9 +403,8 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	if len(p.results) < len(p.t.Pieces) {
 		return
 	}
-	delete(co.pending, id)
 	t, done, results := p.t, p.done, p.results
-	co.pend.Put(p)
+	co.tab.End(id, p)
 	// Commit: notify servers (releases RTC-gated successors), then reply.
 	co.multicast(t, commitNote{ID: id})
 	done(txn.Result{OK: true, PerShard: results})

@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"tiga/internal/pool"
+	"tiga/internal/protocol/coord"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/txn"
@@ -123,8 +124,7 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node, idx: int32(len(sys.coords) + 1),
-			pending: make(map[txn.ID]*pending), pendings: pool.New[pending]()}
+		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords) + 1))}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -133,9 +133,6 @@ func New(spec Spec) *System {
 
 // Start is a no-op.
 func (sys *System) Start() {}
-
-// NumCoords returns the coordinator count.
-func (sys *System) NumCoords() int { return len(sys.coords) }
 
 // Store exposes a replica store (tests).
 func (sys *System) Store(shard, rep int) *store.Store { return sys.replicas[shard][rep].st }
@@ -240,25 +237,19 @@ func zeroed(s []uint64, k int) []uint64 {
 }
 
 type coordinator struct {
-	sys      *System
-	node     *simnet.Node
-	idx      int32
-	seq      uint64
-	pending  map[txn.ID]*pending
-	pendings *pool.Free[pending]
+	sys  *System
+	node *simnet.Node
+	tab  *coord.Table[pending]
 }
 
 // Submit runs TAPIR's prepare/decide protocol for t.
-func (sys *System) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
-	sys.coords[coord].submit(t, done, 0)
+func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
+	sys.coords[ci].submit(t, done, 0)
 }
 
 func (co *coordinator) submit(t *txn.Txn, done func(txn.Result), retries int) {
-	co.seq++
-	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
-	p := co.pendings.Get()
+	p := co.tab.Begin(t)
 	p.reset(t, done, retries, 2*co.sys.spec.F+1)
-	co.pending[t.ID] = p
 	co.multicast(t, prepareMsg{T: t, Coord: co.node.ID(), Try: retries})
 }
 
@@ -287,7 +278,7 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 // onVote records replica src's vote on attempt try of transaction id; a later
 // vote from the same replica replaces its earlier one.
 func (co *coordinator) onVote(src *replica, id txn.ID, try int, ok bool, ret []byte) {
-	p := co.pending[id]
+	p := co.tab.Get(id)
 	if p == nil || p.decided || try != p.retries {
 		return
 	}
@@ -349,9 +340,8 @@ func (co *coordinator) decide(p *pending, commit bool) {
 	if p.slow {
 		return // onAck finishes it
 	}
-	delete(co.pending, p.t.ID)
 	t, done, retries, results := p.t, p.done, p.retries, p.results
-	co.pendings.Put(p) // done may submit the next transaction
+	co.tab.End(t.ID, p) // done may submit the next transaction
 	switch {
 	case commit:
 		done(txn.Result{OK: true, FastPath: true, Retries: retries, PerShard: results})
@@ -366,7 +356,7 @@ func (co *coordinator) decide(p *pending, commit bool) {
 // onAck records replica src's acknowledgement of a slow-path decision and
 // reports the commit once every shard has f+1 of them.
 func (co *coordinator) onAck(src *replica, id txn.ID, try int) {
-	p := co.pending[id]
+	p := co.tab.Get(id)
 	if p == nil || try != p.retries {
 		return
 	}
@@ -376,8 +366,7 @@ func (co *coordinator) onAck(src *replica, id txn.ID, try int) {
 			return
 		}
 	}
-	delete(co.pending, id)
 	res, done := txn.Result{OK: true, FastPath: false, Retries: p.retries, PerShard: p.results}, p.done
-	co.pendings.Put(p) // done may submit the next transaction
+	co.tab.End(id, p) // done may submit the next transaction
 	done(res)
 }

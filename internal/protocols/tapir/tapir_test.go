@@ -268,8 +268,8 @@ func TestMessagesComeHome(t *testing.T) {
 		}
 	}
 	for c, co := range sys.coords {
-		if co.pendings.News != co.pendings.Idle() || len(co.pending) != 0 {
-			t.Errorf("coordinator %d: %d records allocated, %d back, %d in flight", c, co.pendings.News, co.pendings.Idle(), len(co.pending))
+		if co.tab.News() != co.tab.Idle() || co.tab.InFlight() != 0 {
+			t.Errorf("coordinator %d: %d records allocated, %d back, %d in flight", c, co.tab.News(), co.tab.Idle(), co.tab.InFlight())
 		}
 	}
 }
@@ -374,7 +374,7 @@ func submitted(sys *System) (txn.ID, *[]txn.Result) {
 // coordinator 0 with nothing reported.
 func undecided(t *testing.T, sys *System, id txn.ID, got *[]txn.Result) {
 	t.Helper()
-	if p := sys.coords[0].pending[id]; p == nil || p.decided || len(*got) != 0 {
+	if p := sys.coords[0].tab.Get(id); p == nil || p.decided || len(*got) != 0 {
 		t.Fatalf("transaction %v decided early (results %+v)", id, *got)
 	}
 }
@@ -395,7 +395,7 @@ func TestVoteTally(t *testing.T) {
 		vote(sys, 1, 2, id, 0, true, "b2")
 		undecided(t, sys, id, got)
 		vote(sys, 1, 0, id, 0, true, "b0") // shard 1: a super quorum
-		if p := sys.coords[0].pending[id]; p == nil || !p.decided || !p.slow || len(*got) != 0 {
+		if p := sys.coords[0].tab.Get(id); p == nil || !p.decided || !p.slow || len(*got) != 0 {
 			t.Fatalf("want a slow-path commit waiting for acknowledgements, have %+v", *got)
 		}
 	})
@@ -406,7 +406,7 @@ func TestVoteTally(t *testing.T) {
 		vote(sys, 0, 0, id, 0, false, "")
 		undecided(t, sys, id, got)
 		vote(sys, 0, 1, id, 0, false, "")
-		if sys.coords[0].pending[id] != nil {
+		if sys.coords[0].tab.Get(id) != nil {
 			t.Fatal("two NOs on shard 0 did not abort")
 		}
 	})
@@ -417,19 +417,15 @@ func TestVoteTally(t *testing.T) {
 		vote(sys, 0, 0, id, 0, false, "")
 		undecided(t, sys, id, got)
 		vote(sys, 0, 2, id, 0, false, "")
-		if len(sys.coords[0].pending) != 0 || len(*got) != 0 {
-			t.Fatalf("after F+1 NOs: %d in flight, results %+v; want a retry pending", len(sys.coords[0].pending), *got)
+		if sys.coords[0].tab.InFlight() != 0 || len(*got) != 0 {
+			t.Fatalf("after F+1 NOs: %d in flight, results %+v; want a retry pending", sys.coords[0].tab.InFlight(), *got)
 		}
 		sim.Run(sim.Now() + time.Second) // past the backoff
-		var retry txn.ID
-		for k, p := range sys.coords[0].pending {
-			if p.retries != 1 {
-				t.Fatalf("retry pending as attempt %d", p.retries)
-			}
-			retry = k
-		}
-		if retry == (txn.ID{}) || retry == id {
-			t.Fatalf("retry id %v, first attempt %v: want a new id", retry, id)
+		// The retry is the only attempt in flight, filed under the
+		// coordinator's next id.
+		retry := txn.ID{Coord: id.Coord, Seq: id.Seq + 1}
+		if p := sys.coords[0].tab.Get(retry); sys.coords[0].tab.InFlight() != 1 || p == nil || p.retries != 1 {
+			t.Fatalf("%d in flight, record under %v: %+v; want only the retry there, at attempt 1", sys.coords[0].tab.InFlight(), retry, p)
 		}
 		for s := 0; s < 2; s++ {
 			for r := 0; r < 3; r++ {
@@ -438,13 +434,13 @@ func TestVoteTally(t *testing.T) {
 			}
 		}
 		undecided(t, sys, retry, got)
-		if p := sys.coords[0].pending[retry]; p.voted[0] != 0 || p.voted[1] != 0 {
+		if p := sys.coords[0].tab.Get(retry); p.voted[0] != 0 || p.voted[1] != 0 {
 			t.Fatalf("stale votes were tallied: %b %b", p.voted[0], p.voted[1])
 		}
 		vote(sys, 1, 0, retry, 1, false, "")
 		vote(sys, 1, 2, retry, 1, false, "")
-		if len(*got) != 1 || !(*got)[0].Aborted || (*got)[0].Retries != 1 || len(sys.coords[0].pending) != 0 {
-			t.Fatalf("after the last attempt's F+1 NOs: results %+v, %d in flight", *got, len(sys.coords[0].pending))
+		if len(*got) != 1 || !(*got)[0].Aborted || (*got)[0].Retries != 1 || sys.coords[0].tab.InFlight() != 0 {
+			t.Fatalf("after the last attempt's F+1 NOs: results %+v, %d in flight", *got, sys.coords[0].tab.InFlight())
 		}
 	})
 	t.Run("a classic quorum completes on F+1 acks per shard", func(t *testing.T) {
@@ -473,7 +469,7 @@ func TestVoteTally(t *testing.T) {
 			string(r.PerShard[0].Ret) != "a0" || string(r.PerShard[1].Ret) != "b1" {
 			t.Fatalf("result %+v, want a slow-path commit returning a0 and b1", r)
 		}
-		if len(sys.coords[0].pending) != 0 {
+		if sys.coords[0].tab.InFlight() != 0 {
 			t.Fatal("the committed transaction is still in flight")
 		}
 	})

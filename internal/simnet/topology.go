@@ -87,17 +87,14 @@ func ServerPlacement(n int, rotated bool) func(shard, replica int) Region {
 	return func(_, replica int) Region { return Region(replica % n) }
 }
 
-// Config materializes the simulated-network configuration. Zero jitter/loss
-// select the topology's defaults, so the caller only overrides what an
-// experiment actually sweeps.
-func (t *Topology) Config(jitter time.Duration, loss float64) Config {
-	if jitter == 0 {
-		jitter = t.DefaultJitter
-	}
+// Config materializes the simulated-network configuration at the topology's
+// default jitter. Zero loss selects the topology's default loss, so the
+// caller only overrides what an experiment actually sweeps.
+func (t *Topology) Config(loss float64) Config {
 	if loss == 0 {
 		loss = t.DefaultLoss
 	}
-	return Config{OWD: t.OWD(jitter), LossRate: loss, DefaultCost: time.Microsecond}
+	return Config{OWD: t.OWD(t.DefaultJitter), LossRate: loss, DefaultCost: time.Microsecond}
 }
 
 // DefaultTopology names the paper's 4-region GCP WAN, the registry's default.

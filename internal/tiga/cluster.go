@@ -219,6 +219,3 @@ func (c *Cluster) Mode() Mode { return c.initial.GMode }
 func (c *Cluster) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
 	c.Coords[coord].Submit(t, done)
 }
-
-// NumCoords returns the coordinator count.
-func (c *Cluster) NumCoords() int { return len(c.Coords) }
