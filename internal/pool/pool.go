@@ -47,6 +47,11 @@
 //   - a server record that nothing mentions after a known message: Detock's
 //     engine records are recycled at the first replication ack, once the
 //     result has gone out; the later acks find no record,
+//   - Tiga's server records: a Slab plus a free LIFO of the server's own, fed
+//     at retirement — once the record's log entry lies a checkpoint interval
+//     behind and its coordinator has finished the transaction — and drained
+//     by the next new record before the slab grows (a Free would allocate
+//     each record on its own),
 //   - anything retained by a server log (e.g. *txn.Txn): never pooled. A
 //     log-retained record comes from a slab, never from a freelist: lockocc's
 //     commit records come from the proposing leader's Slab, their write sets

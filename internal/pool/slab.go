@@ -18,9 +18,10 @@ const (
 // pointer to it, stays good for the slab's life and n entries cost n/SlabChunk
 // allocations. The slab has no notion of a free entry: an owner that takes
 // entries back threads its own free list through them (store.Store does, via
-// version.prev). Like a Free, a Slab belongs to one simulated cluster's event
-// loop, so the numbers it hands out are a pure function of the seed. The zero
-// value is an empty slab; dropping a slab whole is assigning the zero value.
+// version.prev) or keeps one beside them (Tiga's Server.free). Like a Free, a
+// Slab belongs to one simulated cluster's event loop, so the numbers it hands
+// out are a pure function of the seed. The zero value is an empty slab;
+// dropping a slab whole is assigning the zero value.
 //
 // A slab made by Over starts with another slab's chunks as a prefix it only
 // reads: entry numbers below Shared are that slab's entries, found by the same

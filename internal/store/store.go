@@ -548,6 +548,17 @@ func (s *Store) ExecuteID(id txn.ID, ts txn.Timestamp, p *txn.Piece) []byte {
 	return out
 }
 
+// Forget drops the at-most-once mark of id, a committed transaction, once
+// nobody can ask for it again (Tiga retires its record then): Executed turns
+// false, and the values and versions id wrote stay as they are. It panics on a
+// transaction with writes still pending.
+func (s *Store) Forget(id txn.ID) {
+	if _, ok := s.pending[id]; ok {
+		panic("store: Forget of an uncommitted transaction")
+	}
+	delete(s.executed, id)
+}
+
 // Revoke erases all pending versions written by id so the transaction can be
 // re-executed later with a corrected timestamp.
 func (s *Store) Revoke(id txn.ID) {

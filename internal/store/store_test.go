@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"tiga/internal/pool"
 	"tiga/internal/txn"
 )
 
@@ -328,5 +329,60 @@ func TestReplayReproducesStore(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(9))}
 	if err := quick.Check(check, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestForgetDropsOnlyTheExecutionMark: Forget of a committed transaction turns
+// Executed false and changes nothing else — the values, the versions and the
+// history a snapshot read sees stay as a twin store without the Forget has
+// them — while the transaction whose writes are still pending keeps its mark.
+// Forget of that one panics: it is only legal once the writes are committed.
+func TestForgetDropsOnlyTheExecutionMark(t *testing.T) {
+	defer func(c bool) { pool.Check = c }(pool.Check)
+	pool.Check = true
+	for _, retain := range []bool{false, true} {
+		var st [2]*Store
+		for i := range st {
+			s := newChecked(t)
+			if retain {
+				s.EnableSnapshots()
+			}
+			s.Seed("x", txn.EncodeInt(10))
+			s.ExecuteID(id(1), ts(1), txn.IncrementPiece("x"))
+			s.ExecuteID(id(2), ts(2), txn.IncrementPiece("y"))
+			s.Commit(id(1))
+			s.Commit(id(2))
+			s.ExecuteID(id(3), ts(3), txn.IncrementPiece("x"))
+			st[i] = s
+		}
+		s, twin := st[0], st[1]
+		s.Forget(id(1))
+		s.Forget(id(2))
+		if s.Executed(id(1)) || s.Executed(id(2)) || !s.Executed(id(3)) {
+			t.Errorf("retain=%v: Executed after Forget of 1 and 2: %v %v %v, want false false true", retain, s.Executed(id(1)), s.Executed(id(2)), s.Executed(id(3)))
+		}
+		if !s.Equal(twin) || s.Len() != twin.Len() || s.Versions() != twin.Versions() {
+			t.Errorf("retain=%v: Forget changed the store: %d keys and %d versions, the twin %d and %d", retain, s.Len(), s.Versions(), twin.Len(), twin.Versions())
+		}
+		for at := int64(0); at <= 3; at++ {
+			for _, k := range []string{"x", "y"} {
+				got, gotTS, ok := getAt(s, k, time.Duration(at))
+				want, wantTS, wantOK := getAt(twin, k, time.Duration(at))
+				if string(got) != string(want) || gotTS != wantTS || ok != wantOK {
+					t.Errorf("retain=%v: %s at %d reads %v@%v (%v) after Forget, %v@%v (%v) without", retain, k, at, got, gotTS, ok, want, wantTS, wantOK)
+				}
+			}
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("retain=%v: Forget of a transaction with pending writes did not panic", retain)
+				}
+			}()
+			s.Forget(id(3))
+		}()
+		if !s.Executed(id(3)) {
+			t.Errorf("retain=%v: the refused Forget dropped the pending transaction's mark", retain)
+		}
 	}
 }

@@ -138,6 +138,9 @@ func (s *Server) onTsNotification(from simnet.NodeID, m *tsNotification) {
 	}
 	r := s.recs[m.ID]
 	if r == nil {
+		if s.late(m.ID) {
+			return
+		}
 		// Notification before the coordinator's multicast arrived (or the
 		// coordinator failed mid-multicast, Appendix B): remember the
 		// timestamps and fetch the body if it never shows up.

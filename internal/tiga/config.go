@@ -239,6 +239,11 @@ type txnMsg struct {
 	Coord     simnet.NodeID
 	GView     int
 	Retry     int
+	// Done is the coordinator's done watermark: every sequence number of its
+	// own below Done has finished or was never a pending transaction (a local
+	// read's). A server that has retired a record learns from it that nobody
+	// will ask for that transaction again (Server.retire).
+	Done uint64
 }
 
 // fastReply is a server's fast-path reply (§3.4).

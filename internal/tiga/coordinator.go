@@ -51,6 +51,12 @@ type Coordinator struct {
 	owd map[simnet.NodeID]time.Duration
 
 	pending map[txn.ID]*pendingTxn
+	// launched holds the sequence numbers of launched transactions in launch
+	// order from launched[head] on, the oldest one still pending first: it is
+	// the done watermark every multicast carries (txnMsg.Done). finish pops
+	// what is no longer pending; the slice is compacted in place.
+	launched []uint64
+	head     int
 
 	// reads drives local snapshot reads (Config.LocalReads, snapreads.go).
 	reads snapread.Coordinator
@@ -220,6 +226,7 @@ func (co *Coordinator) launch(t *txn.Txn, done func(txn.Result)) {
 		clear(p.slowSet)
 	}
 	co.pending[t.ID] = p
+	co.launched = append(co.launched, co.seq)
 	co.multicast(p)
 	co.armRetry(p)
 }
@@ -235,7 +242,7 @@ func (co *Coordinator) multicast(p *pendingTxn) {
 		sh := p.t.Pieces[i].Shard()
 		for rep := 0; rep < co.cfg.Replicas(); rep++ {
 			m := co.cluster.msgs.txn.Get()
-			*m = txnMsg{T: p.t, TS: p.ts, SendClock: sendClock, Coord: co.node.ID(), GView: co.view.GView, Retry: p.retries}
+			*m = txnMsg{T: p.t, TS: p.ts, SendClock: sendClock, Coord: co.node.ID(), GView: co.view.GView, Retry: p.retries, Done: co.launched[co.head]}
 			co.node.Send(co.cluster.serverNode(sh, rep), m)
 		}
 	}
@@ -498,12 +505,30 @@ func (co *Coordinator) traceCommitPath(p *pendingTxn, fastPath bool) {
 
 func (co *Coordinator) finish(p *pendingTxn, res txn.Result) {
 	delete(co.pending, p.t.ID)
+	co.popDone()
 	if p.done != nil {
 		p.done(res)
 	}
 	// Recycle after the callback: done may synchronously submit the next
 	// transaction (closed-loop clients), which draws from the same pool.
 	co.ptPool.Put(p)
+}
+
+// popDone advances the done watermark past the transactions that are no longer
+// pending, each popped once, so amortised O(1) per finish. Once the popped
+// prefix is half the slice it is copied down, which keeps launch free of
+// allocations after warm-up.
+func (co *Coordinator) popDone() {
+	for co.head < len(co.launched) {
+		if _, ok := co.pending[txn.ID{Coord: co.idx, Seq: co.launched[co.head]}]; ok {
+			break
+		}
+		co.head++
+	}
+	if co.head > 0 && 2*co.head >= len(co.launched) {
+		n := copy(co.launched, co.launched[co.head:])
+		co.launched, co.head = co.launched[:n], 0
+	}
 }
 
 func (co *Coordinator) adoptView(v globalView) {

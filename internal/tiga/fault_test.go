@@ -70,7 +70,7 @@ func messageLoss(t *testing.T, seed int64, loss float64, drains bool) {
 		checkState(t, c) // some agreements never finish at this loss rate
 		for sh, shard := range c.Servers {
 			for rep, s := range shard {
-				if z := s.StateSizes(); z.BufferedSyncs != 0 || z.Agreements > s.pq.len() || z.TailRecords > z.Records-z.LogLen {
+				if z := s.StateSizes(); z.BufferedSyncs != 0 || z.Agreements > s.pq.len() || z.TailRecords > z.Records+z.Retired-z.LogLen {
 					t.Errorf("shard %d replica %d holds more than its unfinished transactions account for: %d queued, %+v", sh, rep, s.pq.len(), z)
 				}
 			}

@@ -219,16 +219,17 @@ func logFirst(c *Cluster) int {
 
 // checkDrained asserts what a server must have let go of once its load has
 // drained, every transaction committed: no live agreement object, no record
-// left in the optimistic tail, no buffered log-sync, nothing queued or parked.
-// A server left behind in an old view (a deposed leader that was partitioned
-// away) holds whatever it held then and is passed over.
+// left in the optimistic tail, no buffered log-sync, nothing queued or parked;
+// and what it must still account for: a record, live or retired, of every
+// entry of its log. A server left behind in an old view (a deposed leader that
+// was partitioned away) holds whatever it held then and is passed over.
 func checkDrained(t *testing.T, c *Cluster) {
 	t.Helper()
 	checkState(t, c)
 	for sh, shard := range c.Servers {
 		for rep, s := range shard {
 			z := s.StateSizes()
-			if s.view.GView == c.VMs[0].view.GView && (z.Agreements != 0 || z.TailRecords != 0 || z.BufferedSyncs != 0 || z.Parked != 0 || s.pq.len() != 0 || z.Records < z.LogLen) {
+			if s.view.GView == c.VMs[0].view.GView && (z.Agreements != 0 || z.TailRecords != 0 || z.BufferedSyncs != 0 || z.Parked != 0 || s.pq.len() != 0 || z.Records+z.Retired < z.LogLen) {
 				t.Errorf("shard %d replica %d after the drain: %d queued, %+v", sh, rep, s.pq.len(), z)
 			}
 		}

@@ -282,6 +282,7 @@ func (s *Server) installLog(log []logEntry) {
 	s.pendingSync = make(map[int]logSyncMsg)
 	s.followerSP = make(map[int]int)
 	s.recs, s.recSlab = make(map[txn.ID]*rec), pool.Slab[rec]{}
+	s.free, s.retired = nil, 0
 	// The rebuilt store numbers inserted keys in replay order, so the conflict
 	// table and every record's references into it start over with it, and the
 	// agreements of the records dropped here end.
@@ -307,7 +308,7 @@ func (s *Server) installLog(log []logEntry) {
 		s.relHash.Add(e.ID, e.TS)
 		r := s.newRec(e.ID)
 		r.t, r.ts, r.coord, r.result = e.T, e.TS, s.cluster.coordNode(e.ID.Coord), res
-		r.executed, r.released = true, true
+		r.executed, r.released, r.pos = true, true, uint32(i)
 		if p := e.T.Piece(s.shard); p != nil {
 			s.attach(r, p)
 			s.keys.note(r, e.TS)
@@ -378,14 +379,17 @@ func (s *Server) scheduleFetch(r *rec, from simnet.NodeID) {
 		return
 	}
 	r.fetching = true
+	id := r.id
 	var again func()
 	again = func() {
 		// A record installLog replaced is nobody's placeholder any more: going
 		// on would re-send for the rest of the run and pin the abandoned slab.
-		if r.t != nil || s.status != statusNormal || s.recs[r.id] != r {
+		// Nor is a retired one, whose entry newRec may have handed to another
+		// transaction since: the chain asks for id, never for r.id.
+		if r.t != nil || s.status != statusNormal || s.recs[id] != r {
 			return
 		}
-		s.node.Send(from, fetchTxnReq{Shard: s.shard, ID: r.id})
+		s.node.Send(from, fetchTxnReq{Shard: s.shard, ID: id})
 		// Keep retrying: the fetch or its reply may be lost.
 		s.node.After(s.cfg.RetryTimeout/2, again)
 	}
@@ -394,7 +398,11 @@ func (s *Server) scheduleFetch(r *rec, from simnet.NodeID) {
 
 func (s *Server) onFetchTxn(from simnet.NodeID, m fetchTxnReq) {
 	r := s.recs[m.ID]
-	if r == nil || r.t == nil {
+	if r == nil {
+		s.late(m.ID)
+		return
+	}
+	if r.t == nil {
 		return
 	}
 	s.node.Send(from, fetchTxnRep{ID: m.ID, T: r.t, TS: r.ts})

@@ -69,6 +69,7 @@ func (s *Server) applySync(m *logSyncMsg) {
 	}
 	r.released = true
 	r.ts = m.TS
+	r.pos = uint32(len(s.log))
 	s.log = append(s.log, logEntry{ID: m.ID, TS: m.TS, T: m.T})
 	s.syncPoint = len(s.log)
 	// The conflict timestamps must also reflect synced entries: through the
@@ -132,11 +133,70 @@ func (s *Server) advanceCommitPoint(cp int) {
 // of the shard seed and log[:pos], both of which the server retains, so only
 // the position is recorded here — the committed prefix is immutable and is its
 // own identity — and installLog materialises the image by replay if a recovery
-// ever asks for it.
+// ever asks for it. The records of the entries below the checkpoint it
+// replaces retire.
 func (s *Server) maybeCheckpoint(pos int) {
 	if s.cfg.CheckpointEvery > 0 && pos-s.checkpointPos >= s.cfg.CheckpointEvery {
+		s.retire(s.checkpointPos)
 		s.checkpointPos = pos
 	}
+}
+
+// retire forgets the transactions of log[:end] that nobody will name again.
+// end is the checkpoint being replaced, so a record outlives its commit by a
+// whole checkpoint interval at least, and every entry below it is applied. A
+// record retires once it is in the log below end (released, not a tail), its
+// coordinator has finished the transaction (Appendix B's at-most-once duty
+// ends there: no retry, no fetch, no duplicate will name it) and nothing of the
+// server still points at it: it is not queued or held and carries no
+// agreement. Retiring drops the store's execution mark and hands the entry,
+// zeroed, to the free LIFO newRec draws on.
+//
+// retire walks the whole slab, so a record that cannot retire yet is looked at
+// again at the next checkpoint and one slow coordinator holds back only its
+// own records. It refills recs as it goes: the tombstones a Go map's deletions
+// leave count against its load until the map grows, and clear keeps the
+// buckets and drops them.
+func (s *Server) retire(end int) {
+	clear(s.recs)
+	for i := 0; i < s.recSlab.Len(); i++ {
+		r := s.recSlab.At(uint32(i))
+		switch {
+		case r.id == (txn.ID{}): // free
+		case r.released && !r.tail && int(r.pos) < end && s.finished(r.id) && !r.inPQ && !r.held && r.ag == nil:
+			s.st.Forget(r.id)
+			*r = rec{}
+			s.free = append(s.free, r)
+			s.retired++
+		default:
+			s.recs[r.id] = r
+		}
+	}
+}
+
+// noteDone raises coordinator coord's done watermark to done.
+func (s *Server) noteDone(coord int32, done uint64) {
+	for int(coord) >= len(s.done) {
+		s.done = append(s.done, 0)
+	}
+	s.done[coord] = max(s.done[coord], done)
+}
+
+// finished reports whether id's coordinator has said it finished id.
+func (s *Server) finished(id txn.ID) bool {
+	return int(id.Coord) < len(s.done) && id.Seq < s.done[id.Coord]
+}
+
+// late reports whether a message naming id, which has no record, names a
+// retired transaction, and counts it if so. The message is then answered with
+// nothing: a record would have ignored it or answered a coordinator that no
+// longer waits for the answer.
+func (s *Server) late(id txn.ID) bool {
+	if !s.finished(id) {
+		return false
+	}
+	s.lateRetired++
+	return true
 }
 
 // onSyncPoint is the leader's handler for follower sync-point reports: it

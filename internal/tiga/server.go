@@ -31,9 +31,11 @@ type logEntry struct {
 }
 
 // rec is the server's bookkeeping for one transaction. Every replica keeps one
-// per transaction for the whole run, so its size class is live heap
-// (TestRecStaysInItsSizeClass): what only some records need for some of the
-// time — §3.5 agreement state — lives behind ag.
+// per transaction from the first message that names it until it retires, a
+// checkpoint interval or more after its commit (Server.retire), so the records
+// of a few thousand transactions per server are live heap and the struct's
+// size class counts (TestRecStaysInItsSizeClass): what only some records need
+// for some of the time — §3.5 agreement state — lives behind ag.
 type rec struct {
 	id    txn.ID
 	t     *txn.Txn
@@ -55,10 +57,13 @@ type rec struct {
 	// release/execution. Plain field writes — no per-txn cost beyond them.
 	arriveS, eligS, relS time.Duration
 
-	// (The field order packs the struct into its 192 bytes: the hash and nr
-	// share three words with the flags.)
+	// (The field order packs the struct into its 192 bytes: the hash, nr and
+	// pos share three words with the flags.)
 	replyHash hashlog.Hash
 	nr        uint32
+	// pos is the record's position in the log once it is there: released and
+	// not a tail.
+	pos uint32
 
 	inPQ     bool
 	parked   bool // leader: in pq awaiting agreement; its keys carry parked counts
@@ -147,10 +152,21 @@ type Server struct {
 
 	st *store.Store
 	pq prioQueue
-	// recs finds a transaction's record; the records themselves come from
-	// recSlab a chunk at a time (newRec) and stay until installLog starts over.
+	// recs finds the record of each transaction the server has heard of and
+	// not retired. The records come from recSlab a chunk at a time, or from
+	// free, the LIFO of the slab entries retire handed back (newRec); installLog
+	// starts all three over. Every slab entry is live and in recs, or free and
+	// zero.
 	recs    map[txn.ID]*rec
 	recSlab pool.Slab[rec]
+	free    []*rec
+	// Retirement (retire): done is the highest done watermark each coordinator
+	// has sent (txnMsg.Done), indexed by txn.ID.Coord; retired counts the
+	// records retired since the last log install and lateRetired the messages
+	// that named a retired transaction.
+	done        []uint64
+	retired     int
+	lateRetired int64
 	// keys is the conflict state (conflict.go): per touched key, Alg. 1's read
 	// and write timestamps; the parked counts — how many parked records read
 	// and write the key: pq records whose process call is a no-op until §3.5
@@ -384,10 +400,15 @@ func (s *Server) attach(r *rec, p *txn.Piece) {
 }
 
 func (s *Server) onTxn(from simnet.NodeID, m *txnMsg) {
+	s.noteDone(m.ID().Coord, m.Done)
 	if s.status != statusNormal || m.GView != s.view.GView {
 		return
 	}
-	if r, ok := s.recs[m.ID()]; ok {
+	r, ok := s.recs[m.ID()]
+	if !ok && s.late(m.ID()) {
+		return
+	}
+	if ok {
 		// Duplicate (coordinator retry / retransmission): at-most-once —
 		// re-send the reply instead of re-processing. The record may have
 		// been created by log-sync or a leader fetch, so (re)learn the
@@ -428,7 +449,7 @@ func (s *Server) onTxn(from simnet.NodeID, m *txnMsg) {
 		s.resendReply(r)
 		return
 	}
-	r := s.newRec(m.ID())
+	r = s.newRec(m.ID())
 	r.t, r.ts, r.coord = m.T, m.TS, m.Coord
 	r.owd = s.now() - m.SendClock
 	r.arriveS = s.cluster.Net.Sim().Now()
@@ -450,12 +471,18 @@ func (s *Server) revoke(r *rec) {
 }
 
 // newRec starts the record of a transaction the server has not heard of: the
-// next entry of the record slab, zero but for the id, and entered in recs. A
-// record is never handed back — the server remembers every transaction until
-// installLog drops records, map and slab together — so records cost one
-// allocation per chunk.
+// slab entry retire handed back last, or the next entry of the record slab when
+// none is free, zero but for the id, and entered in recs. The slab only grows
+// while every entry is live, so records cost one allocation per chunk of their
+// peak live count.
 func (s *Server) newRec(id txn.ID) *rec {
-	r := s.recSlab.At(s.recSlab.Add())
+	var r *rec
+	if n := len(s.free); n > 0 {
+		r = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		r = s.recSlab.At(s.recSlab.Add())
+	}
 	r.id = id
 	s.recs[id] = r
 	return r
@@ -760,6 +787,7 @@ func (s *Server) releaseLeader(r *rec) {
 	s.erase(r)
 	s.node.Work(s.cfg.PQCost)
 	r.released = true
+	r.pos = uint32(len(s.log))
 	s.log = append(s.log, logEntry{ID: r.id, TS: r.ts, T: r.t})
 	s.syncPoint = len(s.log)
 	for rep := 0; rep < s.cfg.Replicas(); rep++ {
@@ -790,8 +818,12 @@ func (s *Server) releaseFollower(r *rec) {
 // StateSizes is how much a server holds of each kind of state, and how often
 // its queue had to repair itself. What a drained server must have let go of —
 // agreements, tail records, buffered log-syncs — the tests assert is zero.
+// Records and Retired together are the transactions heard of since the last
+// log install.
 type StateSizes struct {
-	Records         int   // transactions ever heard of (since the last log install)
+	Records         int   // live records: transactions heard of and not retired
+	Retired         int   // records retired since the last log install
+	LateRetired     int64 // messages that named a retired transaction, answered with nothing
 	ConflictEntries int   // keys those transactions touched
 	Parked          int   // parked counts over all keys: (record, key) pairs waiting on agreement in the queue
 	Agreements      int   // live §3.5 agreement objects
@@ -805,6 +837,8 @@ type StateSizes struct {
 func (s *Server) StateSizes() StateSizes {
 	return StateSizes{
 		Records:         len(s.recs),
+		Retired:         s.retired,
+		LateRetired:     s.lateRetired,
 		ConflictEntries: s.keys.entries.Len(),
 		Parked:          s.keys.parked,
 		Agreements:      len(s.agreements),

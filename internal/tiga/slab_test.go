@@ -1,6 +1,7 @@
 package tiga
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -20,27 +21,38 @@ func slabRecs(s *Server) map[*rec]bool {
 }
 
 // checkRecSlab asserts that the record slab is where all of s's records are:
-// recs names each entry once and nothing else, the queue and the live
-// agreements hold entries only, and the slab made one allocation per
-// pool.SlabChunk records — a chunk is added only when every earlier one is full.
+// its entries are the live records, which recs names once each, and the free
+// LIFO's, which are zero, and no entry is both; the queue and the live
+// agreements hold live entries only; and the slab made one allocation per
+// pool.SlabChunk records — a chunk is added only when every earlier one is
+// full.
 func checkRecSlab(t *testing.T, s *Server) {
 	t.Helper()
 	in := slabRecs(s)
-	if n := s.StateSizes().Records; n != len(in) || n != len(s.recs) {
-		t.Errorf("shard %d replica %d: StateSizes counts %d records, recs %d, the slab holds %d", s.shard, s.replica, n, len(s.recs), len(in))
+	if n := s.StateSizes().Records; n != len(s.recs) || n+len(s.free) != len(in) {
+		t.Errorf("shard %d replica %d: StateSizes counts %d records, recs %d, the free LIFO %d, the slab holds %d", s.shard, s.replica, n, len(s.recs), len(s.free), len(in))
 	}
+	live := make(map[*rec]bool, len(s.recs))
 	for id, r := range s.recs {
-		if !in[r] || r.id != id {
-			t.Errorf("shard %d replica %d: the record of %v (id %v) is not an entry of the slab", s.shard, s.replica, id, r.id)
+		if !in[r] || r.id != id || live[r] {
+			t.Errorf("shard %d replica %d: the record of %v (id %v) is not an entry of the slab of its own", s.shard, s.replica, id, r.id)
 		}
+		live[r] = true
+	}
+	free := make(map[*rec]bool, len(s.free))
+	for _, r := range s.free {
+		if !in[r] || live[r] || free[r] || !reflect.ValueOf(*r).IsZero() {
+			t.Errorf("shard %d replica %d: a free record is outside the slab, live, free twice or not zero: %+v", s.shard, s.replica, *r)
+		}
+		free[r] = true
 	}
 	for _, r := range s.pq.items {
-		if !in[r] {
+		if !live[r] {
 			t.Errorf("shard %d replica %d: %v is queued from outside the slab", s.shard, s.replica, r.id)
 		}
 	}
 	for _, a := range s.agreements {
-		if !in[a.r] {
+		if !live[a.r] {
 			t.Errorf("shard %d replica %d: a live agreement points outside the slab", s.shard, s.replica)
 		}
 	}
@@ -50,22 +62,35 @@ func checkRecSlab(t *testing.T, s *Server) {
 }
 
 // TestRecordsCostOneAllocationPerChunk: over a steady-state run every server
-// hears of every transaction, and its records — one per transaction, kept for
-// the whole run — cost it one allocation per pool.SlabChunk of them where they
-// used to cost one each.
+// hears of every transaction and keeps its record until it retires, a
+// checkpoint interval or more after its commit. The records cost a server one
+// allocation per pool.SlabChunk of the most it held at once, where they used to
+// cost one each and then one per chunk of all of them: newRec takes the entries
+// retire handed back before it adds to the slab. Checkpoints every 200 entries
+// retire most of the run's records.
 func TestRecordsCostOneAllocationPerChunk(t *testing.T) {
-	sim, c := testCluster(t, 23, DefaultConfig(3, 1), ColocatedPlacement([]simnet.Region{0, 1, 2}), clocks.ModelChrony)
+	cfg := DefaultConfig(3, 1)
+	cfg.CheckpointEvery = 200
+	sim, c := testCluster(t, 23, cfg, ColocatedPlacement([]simnet.Region{0, 1, 2}), clocks.ModelChrony)
 	committed := 0
-	n := saturate(sim, c, 50_000, 100*time.Millisecond, 900*time.Millisecond, time.Millisecond, &committed)
-	sim.Run(10 * time.Second)
+	n := saturate(sim, c, 50_000, 100*time.Millisecond, 2100*time.Millisecond, time.Millisecond, &committed)
+	peak := map[*Server]int{}
+	for sim.Now() < 10*time.Second && sim.Step() {
+		for _, shard := range c.Servers {
+			for _, s := range shard {
+				peak[s] = max(peak[s], len(s.recs))
+			}
+		}
+	}
 	if committed != n || n < 2*pool.SlabChunk {
 		t.Fatalf("committed %d of %d transactions; the run should fill two chunks of %d records", committed, n, pool.SlabChunk)
 	}
 	for _, shard := range c.Servers {
 		for _, s := range shard {
-			recs, chunks := s.StateSizes().Records, s.recSlab.Chunks()
-			if recs != n || chunks != (n+pool.SlabChunk-1)/pool.SlabChunk {
-				t.Errorf("shard %d replica %d: %d records of %d transactions in %d chunk allocations", s.shard, s.replica, recs, n, chunks)
+			z, chunks := s.StateSizes(), s.recSlab.Chunks()
+			if z.Records+z.Retired != n || peak[s] >= n/2 || chunks != (peak[s]+pool.SlabChunk-1)/pool.SlabChunk {
+				t.Errorf("shard %d replica %d: %d live and %d retired records of %d transactions, at most %d at once, in %d chunk allocations",
+					s.shard, s.replica, z.Records, z.Retired, n, peak[s], chunks)
 			}
 		}
 	}
@@ -124,28 +149,37 @@ func TestInstallLogAbandonsTheRecordSlab(t *testing.T) {
 // TestFetchStopsWhenItsRecordIsReplaced: a placeholder whose body never shows
 // up keeps asking for it every retry-timeout/2. Once installLog has started the
 // records over, the placeholder is in the abandoned slab and the chain has to
-// end: it used to re-send for the rest of the run and keep that slab alive.
+// end: it used to re-send for the rest of the run and keep that slab alive. So
+// must the chain of a placeholder whose body came, whose transaction committed
+// and whose record retired, once newRec has handed the entry to another
+// transaction's placeholder: asking for the record's id, it would ask the first
+// placeholder's peer for the second transaction.
 func TestFetchStopsWhenItsRecordIsReplaced(t *testing.T) {
 	cfg := DefaultConfig(3, 1)
 	sim, c := testCluster(t, 5, cfg, ColocatedPlacement([]simnet.Region{0, 1, 2}), clocks.ModelChrony)
-	l, peer := c.Leader(0), c.Leader(1)
-	fetches := 0
-	c.Net.Node(peer.node.ID()).SetHandler(func(from simnet.NodeID, msg simnet.Message) {
-		if _, ok := msg.(fetchTxnReq); ok {
-			fetches++
-		}
-		peer.handle(from, msg)
-	})
-	// Shard 1's leader announces a timestamp for a transaction nobody ever sent.
-	ghost := txn.ID{Coord: 1, Seq: 1 << 40}
-	sim.At(100*time.Millisecond, func() {
-		l.onTsNotification(peer.node.ID(), &tsNotification{
-			viewInfo: viewInfo{GView: l.view.GView, LView: l.view.GVec[1]}, Shard: 1, ID: ghost,
-			TS: txn.Timestamp{Time: 100 * time.Millisecond, Coord: 1, Seq: 1}, Round: 1,
+	l, peer, other := c.Leader(0), c.Leader(1), c.Leader(2)
+	fetches := map[*Server]int{}
+	for _, s := range []*Server{peer, other} {
+		s := s
+		c.Net.Node(s.node.ID()).SetHandler(func(from simnet.NodeID, msg simnet.Message) {
+			if _, ok := msg.(fetchTxnReq); ok {
+				fetches[s]++
+			}
+			s.handle(from, msg)
 		})
-	})
+	}
+	// notify has from, a shard leader, announce a timestamp for a transaction
+	// nobody ever sent.
+	notify := func(from *Server, id txn.ID) {
+		l.onTsNotification(from.node.ID(), &tsNotification{
+			viewInfo: viewInfo{GView: l.view.GView, LView: l.view.GVec[from.shard]}, Shard: from.shard, ID: id,
+			TS: txn.Timestamp{Time: sim.Now(), Coord: id.Coord, Seq: id.Seq}, Round: 1,
+		})
+	}
+	ghost := txn.ID{Coord: 1, Seq: 1 << 40}
+	sim.At(100*time.Millisecond, func() { notify(peer, ghost) })
 	sim.Run(100*time.Millisecond + 3*cfg.RetryTimeout)
-	before := fetches
+	before := fetches[peer]
 	if before < 4 || l.recs[ghost] == nil {
 		t.Fatalf("%d fetches in three retry timeouts, placeholder %v: the chain is not running", before, l.recs[ghost])
 	}
@@ -154,7 +188,37 @@ func TestFetchStopsWhenItsRecordIsReplaced(t *testing.T) {
 		t.Fatalf("installLog kept the placeholder (status %v)", l.status)
 	}
 	sim.Run(100*time.Millisecond + 13*cfg.RetryTimeout)
-	if fetches != before {
-		t.Fatalf("%d fetch requests after installLog replaced the records, want none", fetches-before)
+	if fetches[peer] != before {
+		t.Fatalf("%d fetch requests after installLog replaced the records, want none", fetches[peer]-before)
+	}
+
+	fetched, next := txn.ID{Coord: 2, Seq: 1 << 40}, txn.ID{Coord: 2, Seq: 1<<40 + 1}
+	notify(peer, fetched)
+	sim.Run(sim.Now() + cfg.RetryTimeout/2)
+	r := l.recs[fetched]
+	if fetches[peer] == before || r == nil {
+		t.Fatalf("no fetch of %v: the chain is not running", fetched)
+	}
+	// Stand in for the fetch answered and the transaction agreed, released at
+	// log position 0, committed and finished by its coordinator: what
+	// retirement asks of it.
+	r.t = incTxn(0, 1)
+	r.t.ID = fetched
+	l.agreedOn(r)
+	r.released = true
+	l.noteDone(fetched.Coord, fetched.Seq+1)
+	l.retire(1)
+	if l.recs[fetched] != nil || len(l.free) != 1 {
+		t.Fatalf("the record of %v did not retire", fetched)
+	}
+	notify(other, next)
+	if l.recs[next] != r {
+		t.Fatalf("%v's placeholder is not the retired entry: the run does not exercise the case", next)
+	}
+	before = fetches[peer]
+	sim.Run(sim.Now() + 13*cfg.RetryTimeout)
+	if fetches[peer] != before || fetches[other] < 4 {
+		t.Fatalf("%d fetch requests to shard 1's leader after %v's record retired, want none; %d to shard 2's, want its own chain's",
+			fetches[peer]-before, fetched, fetches[other])
 	}
 }

@@ -512,10 +512,11 @@ func TestRejoinKeepsVersionHistory(t *testing.T) {
 	}
 }
 
-// TestRecStaysInItsSizeClass: every replica keeps one rec per transaction for
-// the whole run, so the struct's allocation size class is live heap (the
-// benchmark bounds it at 3 %). 192 B is a Go size class; the next is 208. A
-// conflict-table entry is one cache line.
+// TestRecStaysInItsSizeClass: every replica keeps one rec per transaction of
+// its last checkpoint intervals and in flight, thousands of them, so the
+// struct's allocation size class is live heap (the benchmark bounds it at
+// 3 %). 192 B is a Go size class; the next is 208. A conflict-table entry is
+// one cache line.
 func TestRecStaysInItsSizeClass(t *testing.T) {
 	if got := unsafe.Sizeof(rec{}); got > 192 {
 		t.Errorf("rec is %d bytes, over the 192 B size class", got)
