@@ -41,9 +41,10 @@
 //     and Detock's home requests) is boxed once and shared instead, and never
 //     pooled,
 //   - coordinator-local records: every baseline files its attempts in a
-//     coord.Table (internal/protocol/coord), which recycles a record when
-//     its attempt ends, once the protocol has copied out what the
-//     completion callback and a retry need,
+//     coord.Table (internal/protocol/coord), which recycles a record in
+//     Finish, before it calls the completion callback, or in Retry once the
+//     budget is spent; a record waiting out a retry's backoff stays out of
+//     the list until its transaction's final outcome,
 //   - a server record that nothing mentions after a known message: Detock's
 //     engine records are recycled at the first replication ack, once the
 //     result has gone out; the later acks find no record,

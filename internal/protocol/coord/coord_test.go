@@ -3,8 +3,10 @@ package coord
 import (
 	"os"
 	"testing"
+	"time"
 
 	"tiga/internal/pool"
+	"tiga/internal/simnet"
 	"tiga/internal/txn"
 )
 
@@ -13,14 +15,34 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-type rec struct{ n int }
+type rec struct {
+	Attempt
+	n int
+}
+
+// table returns coordinator idx's table on a one-region network, and the
+// simulation that runs its timers.
+func table(idx int32) (*simnet.Sim, *Table[rec, *rec]) {
+	sim := simnet.NewSim(1)
+	net := simnet.NewNetwork(sim, simnet.Config{OWD: simnet.SymmetricOWD([][]time.Duration{{0}}, 0)})
+	return sim, New[rec](idx, net.AddNode(0, nil))
+}
+
+// pieces returns a transaction with one piece on each of shards.
+func pieces(shards ...int) *txn.Txn {
+	var ps []txn.Piece
+	for _, s := range shards {
+		ps = append(ps, txn.IncrementPiece("k").On(s))
+	}
+	return &txn.Txn{Pieces: txn.ByShard(ps...)}
+}
 
 func TestIdsFollowOneSequence(t *testing.T) {
-	tb := New[rec](3)
+	_, tb := table(3)
 	var a, b, c txn.Txn
-	tb.Begin(&a)
+	tb.Begin(&a, nil)
 	tb.Mint(&b) // a local read: an id and no record
-	tb.Begin(&c)
+	tb.Begin(&c, nil)
 	for i, got := range []txn.ID{a.ID, b.ID, c.ID} {
 		if want := (txn.ID{Coord: 3, Seq: uint64(i + 1)}); got != want {
 			t.Errorf("id %d = %v, want %v", i, got, want)
@@ -32,21 +54,21 @@ func TestIdsFollowOneSequence(t *testing.T) {
 }
 
 func TestEndForgetsAndRecycles(t *testing.T) {
-	tb := New[rec](1)
+	_, tb := table(1)
 	var a, b txn.Txn
-	p := tb.Begin(&a)
+	p := tb.Begin(&a, nil)
 	p.n = 7
 	if tb.Get(a.ID) != p {
 		t.Fatal("Get does not return the record Begin filed")
 	}
-	tb.End(a.ID, p)
+	tb.end(p)
 	if tb.Get(a.ID) != nil || tb.InFlight() != 0 {
-		t.Fatalf("after End: Get = %v, %d in flight; want nil and none", tb.Get(a.ID), tb.InFlight())
+		t.Fatalf("after end: Get = %v, %d in flight; want nil and none", tb.Get(a.ID), tb.InFlight())
 	}
 	if tb.News() != 1 || tb.Idle() != 1 {
 		t.Fatalf("News %d, Idle %d after one attempt; want 1 and 1", tb.News(), tb.Idle())
 	}
-	if q := tb.Begin(&b); q != p || b.ID == a.ID {
+	if q := tb.Begin(&b, nil); q != p || b.ID == a.ID {
 		t.Fatalf("second attempt: record reused %v, ids %v and %v; want the same record under a new id", q == p, a.ID, b.ID)
 	}
 	if tb.News() != 1 || tb.Idle() != 0 {
@@ -55,14 +77,108 @@ func TestEndForgetsAndRecycles(t *testing.T) {
 }
 
 func TestDoubleEndPanics(t *testing.T) {
-	tb := New[rec](1)
+	_, tb := table(1)
 	var a txn.Txn
-	p := tb.Begin(&a)
-	tb.End(a.ID, p)
+	p := tb.Begin(&a, nil)
+	tb.end(p)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("a second End of one record did not panic")
+			t.Fatal("a second end of one record did not panic")
 		}
 	}()
-	tb.End(a.ID, p)
+	tb.end(p)
+}
+
+// TestFinishEndsBeforeCallback: a callback that begins the next transaction
+// from inside Finish gets the recycled record under a fresh id, with nothing
+// of the finished attempt in its Attempt, and the finished one is forgotten.
+func TestFinishEndsBeforeCallback(t *testing.T) {
+	_, tb := table(1)
+	first, next := pieces(0, 1), pieces(2)
+	var got txn.Result
+	var q *rec
+	p := tb.Begin(first, func(r txn.Result) {
+		got = r
+		q = tb.Begin(next, nil)
+	})
+	tb.Fold(p, 0, []byte("a"))
+	tb.Fold(p, 1, []byte("b"))
+	tb.Finish(p, txn.Result{OK: true, FastPath: true})
+	if q != p || next.ID == first.ID {
+		t.Fatalf("the callback's Begin: record reused %v, ids %v and %v; want the finished record under a new id", q == p, first.ID, next.ID)
+	}
+	if q.T != next || q.Retries != 0 || q.results != nil || q.done != nil {
+		t.Fatalf("the next attempt starts with %+v; want only its own transaction", q.Attempt)
+	}
+	if tb.Get(first.ID) != nil || tb.Get(next.ID) != q || tb.InFlight() != 1 {
+		t.Fatalf("after Finish: %d in flight, the finished id filed %v; want only the next attempt", tb.InFlight(), tb.Get(first.ID) != nil)
+	}
+	if !got.OK || !got.FastPath || len(got.PerShard) != 2 || string(got.PerShard[1].Ret) != "b" {
+		t.Fatalf("reported %+v, want the commit with both folded returns", got)
+	}
+}
+
+// TestFoldCompletesAtEveryPiece: Fold reports completion at the last piece's
+// first return and not before, keeps the returns in shard order, and a shard
+// that reports again replaces its entry.
+func TestFoldCompletesAtEveryPiece(t *testing.T) {
+	_, tb := table(1)
+	p := tb.Begin(pieces(1, 4, 7), nil)
+	for i, f := range []struct {
+		shard int
+		ret   string
+		done  bool
+	}{{7, "c", false}, {1, "a", false}, {7, "c2", false}, {4, "b", true}, {1, "a2", true}} {
+		if got := tb.Fold(p, f.shard, []byte(f.ret)); got != f.done {
+			t.Fatalf("fold %d (shard %d): complete %v, want %v", i, f.shard, got, f.done)
+		}
+	}
+	want := []txn.ShardRet{{Shard: 1, Ret: []byte("a2")}, {Shard: 4, Ret: []byte("b")}, {Shard: 7, Ret: []byte("c2")}}
+	if len(p.results) != len(want) {
+		t.Fatalf("folded %+v, want %+v", p.results, want)
+	}
+	for i := range want {
+		if p.results[i].Shard != want[i].Shard || string(p.results[i].Ret) != string(want[i].Ret) {
+			t.Fatalf("folded %+v, want %+v", p.results, want)
+		}
+	}
+}
+
+// TestRetryBacksOffThenAborts: with a budget of two retries and a backoff of
+// 10 ms, the first abort resends 10 ms later and the second 20 ms after that,
+// each under a fresh id, and the third reports the abort with two retries.
+func TestRetryBacksOffThenAborts(t *testing.T) {
+	sim, tb := table(1)
+	const backoff = 10 * time.Millisecond
+	var sent []time.Duration
+	var ids []txn.ID
+	tb.Retrying(2, backoff, func(p *rec) {
+		sent = append(sent, sim.Now())
+		ids = append(ids, p.T.ID)
+	})
+	var got []txn.Result
+	tx := pieces(0)
+	p := tb.Begin(tx, func(r txn.Result) { got = append(got, r) })
+	first := tx.ID
+	tb.Retry(p, 0)
+	if tb.Get(first) != nil || tb.InFlight() != 0 || len(got) != 0 {
+		t.Fatalf("during the backoff: %d in flight, results %+v; want nothing", tb.InFlight(), got)
+	}
+	sim.Run(sim.Now() + time.Second)
+	tb.Retry(tb.Get(tx.ID), 0)
+	sim.Run(sim.Now() + time.Second)
+	if len(sent) != 2 || sent[0] != backoff || sent[1] != time.Second+2*backoff {
+		t.Fatalf("resent at %v, want %v and %v", sent, backoff, time.Second+2*backoff)
+	}
+	if ids[0] == first || ids[1] == ids[0] || tb.Get(ids[1]).Retries != 2 {
+		t.Fatalf("resent under %v after %v; want two fresh ids, the last at retry 2", ids, first)
+	}
+	tb.Retry(tb.Get(tx.ID), 0)
+	sim.Run(sim.Now() + time.Second)
+	if len(got) != 1 || !got[0].Aborted || got[0].OK || got[0].Retries != 2 || len(sent) != 2 {
+		t.Fatalf("after the last attempt: results %+v, %d resends; want one abort after 2 retries", got, len(sent))
+	}
+	if tb.InFlight() != 0 || tb.Idle() != tb.News() {
+		t.Fatalf("%d in flight, %d of %d records back; want none and all", tb.InFlight(), tb.Idle(), tb.News())
+	}
 }

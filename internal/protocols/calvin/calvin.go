@@ -127,23 +127,13 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords) + 1))}
+		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords)+1), node)}
 		// Coordinators use the nearest server region's replica for results.
-		co.home = nearestRegion(spec.Net, reg, spec.Regions)
+		co.home = simnet.Nearest(spec.Net, reg, spec.Regions, func(r int) simnet.Region { return simnet.Region(r) })
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
 	return sys
-}
-
-func nearestRegion(net *simnet.Network, from simnet.Region, regions int) int {
-	best, bestD := 0, time.Duration(1<<62)
-	for r := 0; r < regions; r++ {
-		if d := net.BaseOWD(from, simnet.Region(r)); d < bestD {
-			best, bestD = r, d
-		}
-	}
-	return best
 }
 
 // Start launches the epoch tickers, and — when retransmission is armed —
@@ -277,26 +267,20 @@ func (ex *executor) runEpoch(byRegion map[int]epochBatch) {
 // ---- coordinator ----
 
 // pending is a transaction in flight at its coordinator, filed in
-// coordinator.tab and put back when its last result arrives. results is made
-// fresh per transaction: the completion callback keeps it as PerShard.
-type pending struct {
-	t       *txn.Txn
-	done    func(txn.Result)
-	results []txn.ShardRet
-}
+// coordinator.tab and put back when its last result arrives.
+type pending struct{ coord.Attempt }
 
 type coordinator struct {
 	sys  *System
 	node *simnet.Node
 	home int
-	tab  *coord.Table[pending]
+	tab  *coord.Table[pending, *pending]
 }
 
 // Submit hands t to the coordinator's nearest sequencer.
 func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
 	co := sys.coords[ci]
-	p := co.tab.Begin(t)
-	*p = pending{t: t, done: done, results: make([]txn.ShardRet, 0, len(t.Pieces))}
+	co.tab.Begin(t, done)
 	co.node.Send(co.sys.seqs[co.home].node.ID(), submitMsg{T: t, Coord: co.node.ID(), HomeRegion: co.home})
 }
 
@@ -305,15 +289,7 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	if !ok {
 		return
 	}
-	p := co.tab.Get(m.ID)
-	if p == nil {
-		return
+	if p := co.tab.Get(m.ID); p != nil && co.tab.Fold(p, m.Shard, m.Ret) {
+		co.tab.Finish(p, txn.Result{OK: true})
 	}
-	p.results = txn.PutRet(p.results, m.Shard, m.Ret)
-	if len(p.results) < len(p.t.Pieces) {
-		return
-	}
-	done, results := p.done, p.results
-	co.tab.End(m.ID, p) // done may submit the next transaction
-	done(txn.Result{OK: true, PerShard: results})
 }

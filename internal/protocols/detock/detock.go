@@ -222,7 +222,7 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{node: node, tab: coord.New[pending](int32(len(sys.coords) + 1))}
+		co := &coordinator{node: node, tab: coord.New[pending](int32(len(sys.coords)+1), node)}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -637,22 +637,20 @@ func (en *engine) onReplAck(m *replAck) {
 // ---- coordinator ----
 
 type pending struct {
-	done    func(txn.Result)
-	results []txn.ShardRet
-	homes   int // home regions still to report
+	coord.Attempt
+	homes int // home regions still to report
 }
 
 type coordinator struct {
 	node *simnet.Node
-	tab  *coord.Table[pending]
+	tab  *coord.Table[pending, *pending]
 }
 
 // Submit dispatches t to the engines of its home regions.
 func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
 	co := sys.coords[ci]
 	homes := sys.homesOf(t)
-	p := co.tab.Begin(t)
-	*p = pending{done: done, results: make([]txn.ShardRet, 0, len(t.Pieces)), homes: homes.len()}
+	co.tab.Begin(t, done).homes = homes.len()
 	var m simnet.Message = homeReq{T: t, Coord: co.node.ID(), Homes: homes}
 	for hs := homes; hs != 0; hs &= hs - 1 {
 		co.node.Send(sys.engines[bits.TrailingZeros64(uint64(hs))].node.ID(), m)
@@ -666,22 +664,15 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	if !ok {
 		return
 	}
-	id := m.ID
-	p := co.tab.Get(id)
+	p := co.tab.Get(m.ID)
 	if p != nil {
 		for _, r := range m.Ret {
-			p.results = txn.PutRet(p.results, r.Shard, r.Ret)
+			co.tab.Fold(p, r.Shard, r.Ret)
 		}
+		p.homes-- // each home engine reports exactly once
 	}
 	m.src.results.Put(m)
-	if p == nil {
-		return
+	if p != nil && p.homes == 0 {
+		co.tab.Finish(p, txn.Result{OK: true})
 	}
-	// Each home engine reports exactly once.
-	if p.homes--; p.homes > 0 {
-		return
-	}
-	done, results := p.done, p.results
-	co.tab.End(id, p)
-	done(txn.Result{OK: true, PerShard: results})
 }

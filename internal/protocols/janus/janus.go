@@ -125,6 +125,7 @@ type replica struct {
 type System struct {
 	spec     Spec
 	replicas [][]*replica
+	nodes    [][]simnet.NodeID // the replicas' nodes, for multicasts
 	coords   []*coordinator
 }
 
@@ -136,10 +137,12 @@ func New(spec Spec) *System {
 		panic("janus: a shard's votes are one 64-bit mask; a shard has at most 64 replicas")
 	}
 	sys.replicas = make([][]*replica, spec.Shards)
+	sys.nodes = make([][]simnet.NodeID, spec.Shards)
 	for s := 0; s < spec.Shards; s++ {
 		sys.replicas[s] = make([]*replica, n)
 		for r := 0; r < n; r++ {
 			node := spec.Net.AddNode(spec.ServerRegion(s, r), nil)
+			sys.nodes[s] = append(sys.nodes[s], node.ID())
 			rp := &replica{sys: sys, shard: s, rep: r, node: node, st: store.New(),
 				lastKey: make(map[string]uint64), txns: make(map[uint64]*jtxn),
 				waiters:       make(map[uint64][]uint64),
@@ -154,7 +157,7 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords) + 1))}
+		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords)+1), node)}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -377,33 +380,27 @@ func (rp *replica) execute(id uint64) {
 // is set, and bit r of acked[i] is set once replica r accepted. The slices
 // are reused when the record is.
 type pending struct {
-	t        *txn.Txn
-	done     func(txn.Result)
+	coord.Attempt
 	votes    [][]uint64
 	voted    []uint64
 	acked    []uint64
-	results  []txn.ShardRet
 	deps     []uint64
 	phase    int // 0 preaccept, 1 accept, 2 commit
 	fastPath bool
 }
 
-// reset readies p for t on shards of n replicas each.
-func (p *pending) reset(t *txn.Txn, done func(txn.Result), n int, fastPath bool) {
-	k := len(t.Pieces)
-	p.t, p.done, p.deps, p.phase, p.fastPath = t, done, nil, 0, fastPath
+// reset readies p for its transaction on shards of n replicas each.
+func (p *pending) reset(n int, fastPath bool) {
+	k := len(p.T.Pieces)
+	p.deps, p.phase, p.fastPath = nil, 0, fastPath
 	p.votes = slices.Grow(p.votes[:0], k*n)[:k*n] // a slot is read only once its bit is set
-	p.voted = slices.Grow(p.voted[:0], k)[:k]
-	clear(p.voted)
-	p.acked = slices.Grow(p.acked[:0], k)[:k]
-	clear(p.acked)
-	p.results = make([]txn.ShardRet, 0, k) // handed to done, so never reused
+	p.voted, p.acked = coord.Zeroed(p.voted, k), coord.Zeroed(p.acked, k)
 }
 
 type coordinator struct {
 	sys  *System
 	node *simnet.Node
-	tab  *coord.Table[pending]
+	tab  *coord.Table[pending, *pending]
 	// union collects the votes' dependencies before they are sorted,
 	// deduplicated and copied into the transaction's own list.
 	union []uint64
@@ -412,18 +409,8 @@ type coordinator struct {
 // Submit runs Janus's pre-accept/accept/commit protocol for t.
 func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
 	co := sys.coords[ci]
-	p := co.tab.Begin(t)
-	p.reset(t, done, 2*sys.spec.F+1, sys.spec.FastPath)
-	co.multicast(t, preaccept{T: t, Coord: co.node.ID()})
-}
-
-// multicast sends m to every replica of t's shards, in shard then replica order.
-func (co *coordinator) multicast(t *txn.Txn, m simnet.Message) {
-	for i := range t.Pieces {
-		for _, rp := range co.sys.replicas[t.Pieces[i].Shard()] {
-			co.node.Send(rp.node.ID(), m)
-		}
-	}
+	co.tab.Begin(t, done).reset(2*sys.spec.F+1, sys.spec.FastPath)
+	co.tab.Multicast(t, preaccept{T: t, Coord: co.node.ID()}, sys.nodes)
 }
 
 func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
@@ -457,7 +444,7 @@ func (co *coordinator) onPreacceptRep(src *replica, id txn.ID, deps []uint64) {
 	}
 	// Accept round with the union dependencies.
 	p.phase = 1
-	co.multicast(p.t, acceptMsg{ID: p.t.ID, Deps: p.deps, Coord: co.node.ID()})
+	co.tab.Multicast(p.T, acceptMsg{ID: p.T.ID, Deps: p.deps, Coord: co.node.ID()}, co.sys.nodes)
 }
 
 // tallyPreaccept records replica rep of shard's vote and reports whether the
@@ -468,7 +455,7 @@ func (co *coordinator) onPreacceptRep(src *replica, id txn.ID, deps []uint64) {
 func (co *coordinator) tallyPreaccept(p *pending, shard, rep int, deps []uint64) bool {
 	n := 2*co.sys.spec.F + 1
 	sq := co.sys.superQuorum()
-	pos := p.t.Pos(shard)
+	pos := p.T.Pos(shard)
 	p.votes[pos*n+rep] = deps
 	p.voted[pos] |= 1 << rep
 	for i, voted := range p.voted {
@@ -532,7 +519,7 @@ func (co *coordinator) onAcceptRep(src *replica, id txn.ID) {
 // tallyAccept records replica rep of shard's accept and reports whether every
 // shard has F+1 of them.
 func (co *coordinator) tallyAccept(p *pending, shard, rep int) bool {
-	p.acked[p.t.Pos(shard)] |= 1 << rep
+	p.acked[p.T.Pos(shard)] |= 1 << rep
 	for _, acked := range p.acked {
 		if bits.OnesCount64(acked) < co.sys.spec.F+1 {
 			return false
@@ -543,19 +530,11 @@ func (co *coordinator) tallyAccept(p *pending, shard, rep int) bool {
 
 func (co *coordinator) commit(p *pending) {
 	p.phase = 2
-	co.multicast(p.t, commitMsg{ID: p.t.ID, T: p.t, Deps: p.deps, Coord: co.node.ID()})
+	co.tab.Multicast(p.T, commitMsg{ID: p.T.ID, T: p.T, Deps: p.deps, Coord: co.node.ID()}, co.sys.nodes)
 }
 
 func (co *coordinator) onResult(shard int, id txn.ID, ret []byte) {
-	p := co.tab.Get(id)
-	if p == nil {
-		return
+	if p := co.tab.Get(id); p != nil && co.tab.Fold(p, shard, ret) {
+		co.tab.Finish(p, txn.Result{OK: true, FastPath: p.fastPath})
 	}
-	p.results = txn.PutRet(p.results, shard, ret)
-	if len(p.results) < len(p.t.Pieces) {
-		return
-	}
-	res, done := txn.Result{OK: true, FastPath: p.fastPath, PerShard: p.results}, p.done
-	co.tab.End(id, p) // done may submit the next transaction
-	done(res)
 }

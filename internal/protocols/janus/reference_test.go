@@ -171,7 +171,8 @@ func TestVoteTallyMatchesReference(t *testing.T) {
 		rng.Shuffle(len(replies), func(i, j int) { replies[i], replies[j] = replies[j], replies[i] })
 
 		co := coords[f]
-		p.reset(tx, nil, n, fast)
+		p.T = tx
+		p.reset(n, fast)
 		ref := newRefPending(tx, fast)
 		decided := false
 		for i, r := range replies {

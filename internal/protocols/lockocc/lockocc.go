@@ -190,8 +190,8 @@ type pendingSrv struct {
 	ts           txn.Timestamp // decided commit timestamp (from commitReq)
 	// id is the transaction ID this record was created under, latched at
 	// creation. The grant callback must dispatch on it rather than p.t.ID:
-	// t points at the coordinator's Txn object, whose ID field submit
-	// reassigns in place on retry — so after a lost abortReq orphans this
+	// t points at the coordinator's Txn object, whose ID field a retry
+	// reassigns in place — so after a lost abortReq orphans this
 	// attempt, a late lock grant would otherwise finish the RETRY's id on a
 	// shard still tracking this one (s.pending, lt.held, lt.queued are all
 	// keyed by the creation-time id).
@@ -252,6 +252,7 @@ type server struct {
 type System struct {
 	spec    Spec
 	nodes   [][]simnet.NodeID // [shard][replica]
+	leaders [][]simnet.NodeID // [shard][0]: the leader alone, for multicasts
 	servers [][]*server       // [shard][replica]; replica 0 leads
 	coords  []*coordinator
 	// readMsgs are the local-read path's message freelists, shared by every
@@ -272,6 +273,7 @@ func New(spec Spec) *System {
 		for r := 0; r < n; r++ {
 			sys.nodes[s][r] = spec.Net.AddNode(spec.ServerRegion(s, r), nil).ID()
 		}
+		sys.leaders = append(sys.leaders, sys.nodes[s][:1])
 	}
 	sys.servers = make([][]*server, spec.Shards)
 	for s := 0; s < spec.Shards; s++ {
@@ -282,7 +284,8 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node, tab: coord.New[pendingCo](int32(len(sys.coords) + 1))}
+		co := &coordinator{sys: sys, node: node}
+		co.tab = coord.New[pendingCo](int32(len(sys.coords)+1), node).Retrying(spec.MaxRetries, spec.RetryBackoff, co.send)
 		co.reads = snapread.Coordinator{
 			Node: node, Net: spec.Net,
 			Clock: spec.Net.Sim().Now, Staleness: spec.ReadStaleness, RetryEvery: readRetryEvery,
@@ -293,7 +296,7 @@ func New(spec Spec) *System {
 			Cap: spec.AdmitCap, Queue: spec.AdmitQueue,
 			Now: func() time.Duration { return spec.Net.Sim().Now() },
 		}
-		co.start = func(t *txn.Txn, done func(txn.Result)) { co.submit(t, done, 0, 0) }
+		co.start = co.begin
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -707,42 +710,29 @@ func (s *server) onPaxosCommit(slot int, cmd paxos.Command) {
 // that shard applied the commit; nvoted and nacked count them. The slices are
 // reused when the record is.
 type pendingCo struct {
-	t       *txn.Txn
-	done    func(txn.Result)
-	prio    uint64
-	votes   []voteMsg
-	acked   []bool
-	nvoted  int
-	nacked  int
-	phase   int // 0 = exec, 1 = commit
-	retries int
-	ts      txn.Timestamp // minted at the commit decision (LocalReads)
-	// gen gates the attempt's vote-timeout timer (AfterGate): end bumps it,
-	// so an arm left pending by a finished attempt never runs on the
-	// record's next one. check is the timer's callback, bound once per
-	// record (submit).
+	coord.Attempt
+	prio   uint64 // kept by every attempt of the transaction
+	votes  []voteMsg
+	acked  []bool
+	nvoted int
+	nacked int
+	phase  int           // 0 = exec, 1 = commit
+	ts     txn.Timestamp // minted at the commit decision (LocalReads)
+	// gen gates the attempt's vote-timeout timer (AfterGate): every end of
+	// an attempt bumps it first, so an arm left pending by an ended attempt
+	// never runs on the record's next one. check is the timer's callback,
+	// bound once per record (send).
 	gen   uint64
 	check func()
-}
-
-// reset readies p for attempt retries of t.
-func (p *pendingCo) reset(t *txn.Txn, done func(txn.Result), retries int) {
-	k := len(t.Pieces)
-	p.votes = slices.Grow(p.votes[:0], k)[:k]
-	clear(p.votes)
-	p.acked = slices.Grow(p.acked[:0], k)[:k]
-	clear(p.acked)
-	p.t, p.done, p.retries, p.phase, p.ts, p.nvoted, p.nacked = t, done, retries, 0, txn.Timestamp{}, 0, 0
 }
 
 type coordinator struct {
 	sys  *System
 	node *simnet.Node
-	// tab files the attempts in flight and recycles their records (see
-	// end). A record is recycled only after everything a later callback
-	// needs was copied out — retry closures capture fields, never the
-	// record itself, and the vote-timeout timer is gated on the record's gen.
-	tab *coord.Table[pendingCo]
+	// tab files the attempts in flight, recycles their records and retries
+	// aborted ones (send resends them); the vote-timeout timer is gated on
+	// the record's gen.
+	tab *coord.Table[pendingCo, *pendingCo]
 
 	// gate is the admission-control gate (Spec.AdmitCap etc.); disabled by
 	// default, it passes submissions straight through. start is the gate's
@@ -754,50 +744,41 @@ type coordinator struct {
 	reads snapread.Coordinator
 }
 
-// end forgets p's attempt and recycles p, first disarming any vote-timeout
-// timer it has pending.
-func (co *coordinator) end(p *pendingCo) {
-	p.gen++
-	co.tab.End(p.t.ID, p)
-}
-
 // Submit runs the layered commit protocol for t, behind the coordinator's
 // admission gate. Protocol-internal retries reuse the admitted slot (the
-// wrapped done survives across co.submit re-invocations), so one logical
-// transaction holds exactly one slot until its final outcome.
+// wrapped done survives every attempt that coord.Table.Retry resends), so one
+// logical transaction holds exactly one slot until its final outcome.
 func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
 	co := sys.coords[ci]
 	co.gate.Submit(t, done, co.start)
 }
 
-func (co *coordinator) submit(t *txn.Txn, done func(txn.Result), retries int, prio uint64) {
-	if retries > 0 {
+// begin starts t's first attempt. Wound-wait priority: older transactions
+// (earlier first submission) win; a retry keeps the record, and so its
+// priority, so victims make progress.
+func (co *coordinator) begin(t *txn.Txn, done func(txn.Result)) {
+	p := co.tab.Begin(t, done)
+	p.prio = uint64(co.sys.spec.Net.Sim().Now())<<8 | uint64(t.ID.Coord)
+	co.send(p)
+}
+
+// send runs attempt p: it readies the tally, asks every shard leader to
+// prepare and arms the vote timeout.
+func (co *coordinator) send(p *pendingCo) {
+	if p.Retries > 0 {
 		// The failed attempt plus its backoff are retry-attributed; the mark
 		// also advances the trace cursor past the dead attempt's stamps.
-		t.Trace.Mark(co.sys.spec.Net.Sim().Now(), trace.PhaseRetry)
+		p.T.Trace.Mark(co.sys.spec.Net.Sim().Now(), trace.PhaseRetry)
 	}
-	p := co.tab.Begin(t)
 	if p.check == nil {
 		p.check = func() { co.checkProgress(p) }
 	}
-	p.reset(t, done, retries)
-	// Wound-wait priority: older transactions (earlier first submission)
-	// win; retries keep their original priority so victims make progress.
-	p.prio = prio
-	if p.prio == 0 {
-		p.prio = uint64(co.sys.spec.Net.Sim().Now())<<8 | uint64(t.ID.Coord)
-	}
-	co.multicast(t, reqExec{T: t, Prio: p.prio, Coord: co.node.ID()})
+	k := len(p.T.Pieces)
+	p.votes, p.acked = coord.Zeroed(p.votes, k), coord.Zeroed(p.acked, k)
+	p.phase, p.ts, p.nvoted, p.nacked = 0, txn.Timestamp{}, 0, 0
+	co.tab.Multicast(p.T, reqExec{T: p.T, Prio: p.prio, Coord: co.node.ID()}, co.sys.leaders)
 	if vt := co.sys.spec.VoteTimeout; vt > 0 {
 		co.node.AfterGate(vt, &p.gen, p.gen, p.check)
-	}
-}
-
-// multicast sends m to the leader of every shard of t, in piece order. The
-// payload is boxed once, by the call, and shared by every destination.
-func (co *coordinator) multicast(t *txn.Txn, m simnet.Message) {
-	for i := range t.Pieces {
-		co.node.Send(co.sys.leaderNode(t.Pieces[i].Shard()), m)
 	}
 }
 
@@ -816,13 +797,13 @@ func (co *coordinator) checkProgress(p *pendingCo) {
 		// other timed out together, and with identical backoffs their retries
 		// would re-collide in lockstep forever. The stagger is the
 		// deterministic simulator's stand-in for randomized backoff.
-		co.abort(p, co.sys.spec.RetryBackoff*time.Duration(p.t.ID.Coord)/2)
+		co.abort(p, co.sys.spec.RetryBackoff*time.Duration(p.T.ID.Coord)/2)
 		return
 	}
-	var m simnet.Message = commitReq{ID: p.t.ID, Coord: co.node.ID(), T: p.t, Prio: p.prio, TS: p.ts}
-	for i := range p.t.Pieces {
+	var m simnet.Message = commitReq{ID: p.T.ID, Coord: co.node.ID(), T: p.T, Prio: p.prio, TS: p.ts}
+	for i := range p.T.Pieces {
 		if !p.acked[i] {
-			co.node.Send(co.sys.leaderNode(p.t.Pieces[i].Shard()), m)
+			co.node.Send(co.sys.leaderNode(p.T.Pieces[i].Shard()), m)
 		}
 	}
 	co.node.AfterGate(co.sys.spec.VoteTimeout, &p.gen, p.gen, p.check)
@@ -858,12 +839,12 @@ func (co *coordinator) onVote(m voteMsg) {
 		return
 	}
 	m.RecvS = co.sys.spec.Net.Sim().Now()
-	i := p.t.Pos(m.src.shard)
+	i := p.T.Pos(m.src.shard)
 	if !p.votes[i].OK {
 		p.nvoted++
 	}
 	p.votes[i] = m
-	if p.nvoted < len(p.t.Pieces) {
+	if p.nvoted < len(p.T.Pieces) {
 		return
 	}
 	p.phase = 1
@@ -873,7 +854,7 @@ func (co *coordinator) onVote(m voteMsg) {
 	if co.sys.spec.LocalReads {
 		p.ts = txn.Timestamp{Time: co.sys.spec.Net.Sim().Now(), Coord: m.ID.Coord, Seq: m.ID.Seq}
 	}
-	co.multicast(p.t, commitReq{ID: m.ID, Coord: co.node.ID(), T: p.t, Prio: p.prio, TS: p.ts})
+	co.tab.Multicast(p.T, commitReq{ID: m.ID, Coord: co.node.ID(), T: p.T, Prio: p.prio, TS: p.ts}, co.sys.leaders)
 }
 
 func (co *coordinator) onCommitted(m committedMsg) {
@@ -881,14 +862,14 @@ func (co *coordinator) onCommitted(m committedMsg) {
 	if p == nil {
 		return
 	}
-	if i := p.t.Pos(m.src.shard); !p.acked[i] {
+	if i := p.T.Pos(m.src.shard); !p.acked[i] {
 		p.acked[i] = true
 		p.nacked++
 	}
-	if p.nacked < len(p.t.Pieces) {
+	if p.nacked < len(p.T.Pieces) {
 		return
 	}
-	if tr := p.t.Trace; tr != nil {
+	if tr := p.T.Trace; tr != nil {
 		// Critical path: the decisive (latest-arriving) vote decomposes the
 		// prepare round into flight out, lock wait, execution, and flight
 		// back; this committedMsg — the one completing the 2PC — carries
@@ -908,30 +889,17 @@ func (co *coordinator) onCommitted(m committedMsg) {
 		tr.Mark(m.CommitS, trace.PhaseRepl)
 		tr.Mark(co.sys.spec.Net.Sim().Now(), trace.PhaseFlight)
 	}
-	res := txn.Result{OK: true, Retries: p.retries, PerShard: make([]txn.ShardRet, len(p.t.Pieces)), TS: p.ts}
-	for i := range res.PerShard {
-		res.PerShard[i] = txn.ShardRet{Shard: p.t.Pieces[i].Shard(), Ret: p.votes[i].Ret}
+	for i := range p.votes {
+		co.tab.Fold(p, p.T.Pieces[i].Shard(), p.votes[i].Ret)
 	}
-	done := p.done
-	// Recycle before the callback: done may synchronously submit the next
-	// transaction (closed-loop clients), which draws from the same pool;
-	// everything res needs was copied out above.
-	co.end(p)
-	done(res)
+	p.gen++ // disarm the vote timeout
+	co.tab.Finish(p, txn.Result{OK: true, TS: p.ts})
 }
 
 // abort releases every shard and retries with backoff (plus the caller's
 // stagger; 0 for ordinary wound/validation aborts) until the budget runs out.
 func (co *coordinator) abort(p *pendingCo, stagger time.Duration) {
-	co.multicast(p.t, abortReq{ID: p.t.ID})
-	// Copy out what the continuations need: the record returns to the pool
-	// now, and the retry closure must not read it later.
-	t, done, retries, prio := p.t, p.done, p.retries, p.prio
-	co.end(p)
-	if retries >= co.sys.spec.MaxRetries {
-		done(txn.Result{Aborted: true, Retries: retries})
-		return
-	}
-	backoff := co.sys.spec.RetryBackoff*time.Duration(retries+1) + stagger
-	co.node.After(backoff, func() { co.submit(t, done, retries+1, prio) })
+	co.tab.Multicast(p.T, abortReq{ID: p.T.ID}, co.sys.leaders)
+	p.gen++ // disarm the vote timeout
+	co.tab.Retry(p, stagger)
 }

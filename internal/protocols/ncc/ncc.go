@@ -111,6 +111,7 @@ func (f *follower) handle(from simnet.NodeID, msg simnet.Message) { f.pax.Handle
 type System struct {
 	spec      Spec
 	nodes     [][]simnet.NodeID // [shard][replica]; replica 0 is the server
+	leaders   [][]simnet.NodeID // [shard][0]: the server alone, for multicasts
 	servers   []*server
 	followers [][]*follower // [shard][replica]; index 0 unused (NCC+ only)
 	coords    []*coordinator
@@ -129,6 +130,7 @@ func New(spec Spec) *System {
 			nodes = append(nodes, spec.Net.AddNode(spec.ServerRegion(sh, r), nil).ID())
 		}
 		sys.nodes = append(sys.nodes, nodes)
+		sys.leaders = append(sys.leaders, nodes[:1])
 		sys.servers = append(sys.servers, newServer(sys, sh))
 		fs := make([]*follower, n)
 		for r := 1; r < n; r++ {
@@ -141,7 +143,7 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords) + 1))}
+		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords)+1), node)}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -356,34 +358,20 @@ func (s *server) onCommitNote(m commitNote) {
 // ---- coordinator ----
 
 // pending is a transaction in flight at its coordinator, filed in
-// coordinator.tab and put back when it completes. results is made fresh per
-// transaction: the completion callback keeps it as PerShard.
-type pending struct {
-	t       *txn.Txn
-	done    func(txn.Result)
-	results []txn.ShardRet
-}
+// coordinator.tab and put back when it completes.
+type pending struct{ coord.Attempt }
 
 type coordinator struct {
 	sys  *System
 	node *simnet.Node
-	tab  *coord.Table[pending]
+	tab  *coord.Table[pending, *pending]
 }
 
 // Submit sends t to its shard servers and commits once all reply.
 func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
 	co := sys.coords[ci]
-	p := co.tab.Begin(t)
-	*p = pending{t: t, done: done, results: make([]txn.ShardRet, 0, len(t.Pieces))}
-	co.multicast(t, execReq{T: t, Coord: co.node.ID()})
-}
-
-// multicast sends m to the server of every shard of t, in piece order. The
-// payload is boxed once, by the call, and shared by every destination.
-func (co *coordinator) multicast(t *txn.Txn, m simnet.Message) {
-	for i := range t.Pieces {
-		co.node.Send(co.sys.servers[t.Pieces[i].Shard()].node.ID(), m)
-	}
+	co.tab.Begin(t, done)
+	co.tab.Multicast(t, execReq{T: t, Coord: co.node.ID()}, sys.leaders)
 }
 
 // handle takes a server's reply: it copies the fields out and puts the
@@ -395,17 +383,9 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	}
 	shard, id, ret := m.src.shard, m.ID, m.Ret
 	m.src.reps.Put(m)
-	p := co.tab.Get(id)
-	if p == nil {
-		return
+	if p := co.tab.Get(id); p != nil && co.tab.Fold(p, shard, ret) {
+		// Commit: notify servers (releases RTC-gated successors), then reply.
+		co.tab.Multicast(p.T, commitNote{ID: id}, co.sys.leaders)
+		co.tab.Finish(p, txn.Result{OK: true})
 	}
-	p.results = txn.PutRet(p.results, shard, ret)
-	if len(p.results) < len(p.t.Pieces) {
-		return
-	}
-	t, done, results := p.t, p.done, p.results
-	co.tab.End(id, p)
-	// Commit: notify servers (releases RTC-gated successors), then reply.
-	co.multicast(t, commitNote{ID: id})
-	done(txn.Result{OK: true, PerShard: results})
 }

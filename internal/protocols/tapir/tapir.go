@@ -96,6 +96,7 @@ type replica struct {
 type System struct {
 	spec     Spec
 	replicas [][]*replica
+	nodes    [][]simnet.NodeID // the replicas' nodes, for multicasts
 	coords   []*coordinator
 }
 
@@ -107,10 +108,12 @@ func New(spec Spec) *System {
 		panic("tapir: a shard's votes are one 64-bit mask; a shard has at most 64 replicas")
 	}
 	sys.replicas = make([][]*replica, spec.Shards)
+	sys.nodes = make([][]simnet.NodeID, spec.Shards)
 	for s := 0; s < spec.Shards; s++ {
 		sys.replicas[s] = make([]*replica, n)
 		for r := 0; r < n; r++ {
 			node := spec.Net.AddNode(spec.ServerRegion(s, r), nil)
+			sys.nodes[s] = append(sys.nodes[s], node.ID())
 			rp := &replica{sys: sys, shard: s, rep: r, node: node, st: store.New(),
 				prepared: make(map[txn.ID]*txn.Txn), pkeys: make(map[txn.KeyID]txn.ID),
 				applied:     make(map[txn.ID]bool),
@@ -124,7 +127,8 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords) + 1))}
+		co := &coordinator{sys: sys, node: node}
+		co.tab = coord.New[pending](int32(len(sys.coords)+1), node).Retrying(spec.MaxRetries, spec.RetryBackoff, co.start)
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -209,57 +213,35 @@ func (rp *replica) onDecide(m decideMsg) {
 // once replica r acknowledged a slow-path decision. The slices are reused when
 // the record is.
 type pending struct {
-	t       *txn.Txn
-	done    func(txn.Result)
+	coord.Attempt
 	voted   []uint64
 	oks     []uint64
 	acked   []uint64
 	rets    [][]byte
-	results []txn.ShardRet
 	slow    bool
 	decided bool
-	retries int
-}
-
-// reset readies p for attempt retries of t on shards of n replicas each.
-func (p *pending) reset(t *txn.Txn, done func(txn.Result), retries, n int) {
-	k := len(t.Pieces)
-	p.t, p.done, p.retries, p.results, p.slow, p.decided = t, done, retries, nil, false, false
-	p.rets = slices.Grow(p.rets[:0], k*n)[:k*n] // a slot is read only once its bit is set
-	p.voted, p.oks, p.acked = zeroed(p.voted, k), zeroed(p.oks, k), zeroed(p.acked, k)
-}
-
-// zeroed returns k zero masks in s's storage.
-func zeroed(s []uint64, k int) []uint64 {
-	s = slices.Grow(s[:0], k)[:k]
-	clear(s)
-	return s
 }
 
 type coordinator struct {
 	sys  *System
 	node *simnet.Node
-	tab  *coord.Table[pending]
+	tab  *coord.Table[pending, *pending]
 }
 
 // Submit runs TAPIR's prepare/decide protocol for t.
 func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
-	sys.coords[ci].submit(t, done, 0)
+	co := sys.coords[ci]
+	co.start(co.tab.Begin(t, done))
 }
 
-func (co *coordinator) submit(t *txn.Txn, done func(txn.Result), retries int) {
-	p := co.tab.Begin(t)
-	p.reset(t, done, retries, 2*co.sys.spec.F+1)
-	co.multicast(t, prepareMsg{T: t, Coord: co.node.ID(), Try: retries})
-}
-
-// multicast sends m to every replica of t's shards, in shard then replica order.
-func (co *coordinator) multicast(t *txn.Txn, m simnet.Message) {
-	for i := range t.Pieces {
-		for _, rp := range co.sys.replicas[t.Pieces[i].Shard()] {
-			co.node.Send(rp.node.ID(), m)
-		}
-	}
+// start readies p's tally for the attempt, on shards of n replicas each, and
+// sends its PREPARE.
+func (co *coordinator) start(p *pending) {
+	k, n := len(p.T.Pieces), 2*co.sys.spec.F+1
+	p.slow, p.decided = false, false
+	p.rets = slices.Grow(p.rets[:0], k*n)[:k*n] // a slot is read only once its bit is set
+	p.voted, p.oks, p.acked = coord.Zeroed(p.voted, k), coord.Zeroed(p.oks, k), coord.Zeroed(p.acked, k)
+	co.tab.Multicast(p.T, prepareMsg{T: p.T, Coord: co.node.ID(), Try: p.Retries}, co.sys.nodes)
 }
 
 func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
@@ -279,10 +261,10 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 // vote from the same replica replaces its earlier one.
 func (co *coordinator) onVote(src *replica, id txn.ID, try int, ok bool, ret []byte) {
 	p := co.tab.Get(id)
-	if p == nil || p.decided || try != p.retries {
+	if p == nil || p.decided || try != p.Retries {
 		return
 	}
-	i, bit := p.t.Pos(src.shard), uint64(1)<<src.rep
+	i, bit := p.T.Pos(src.shard), uint64(1)<<src.rep
 	p.voted[i] |= bit
 	if ok {
 		p.oks[i] |= bit
@@ -328,28 +310,20 @@ func (co *coordinator) decide(p *pending, commit bool) {
 	p.decided = true
 	if commit {
 		n := 2*co.sys.spec.F + 1
-		p.results = make([]txn.ShardRet, len(p.t.Pieces)) // handed to done, so never reused
-		for i := range p.results {
+		for i := range p.T.Pieces {
 			// The lowest-numbered PREPARE-OK replica's result: TAPIR's
 			// inconsistent replicas may diverge, so the pick must be a fixed one.
-			p.results[i] = txn.ShardRet{Shard: p.t.Pieces[i].Shard(),
-				Ret: p.rets[i*n+bits.TrailingZeros64(p.oks[i])]}
+			co.tab.Fold(p, p.T.Pieces[i].Shard(), p.rets[i*n+bits.TrailingZeros64(p.oks[i])])
 		}
 	}
-	co.multicast(p.t, decideMsg{ID: p.t.ID, T: p.t, Commit: commit, Slow: p.slow, Coord: co.node.ID(), Try: p.retries})
-	if p.slow {
-		return // onAck finishes it
-	}
-	t, done, retries, results := p.t, p.done, p.retries, p.results
-	co.tab.End(t.ID, p) // done may submit the next transaction
+	co.tab.Multicast(p.T, decideMsg{ID: p.T.ID, T: p.T, Commit: commit, Slow: p.slow, Coord: co.node.ID(), Try: p.Retries}, co.sys.nodes)
 	switch {
+	case p.slow:
+		// onAck finishes it
 	case commit:
-		done(txn.Result{OK: true, FastPath: true, Retries: retries, PerShard: results})
-	case retries >= co.sys.spec.MaxRetries:
-		done(txn.Result{Aborted: true, Retries: retries})
+		co.tab.Finish(p, txn.Result{OK: true, FastPath: true})
 	default:
-		backoff := co.sys.spec.RetryBackoff * time.Duration(retries+1)
-		co.node.After(backoff, func() { co.submit(t, done, retries+1) })
+		co.tab.Retry(p, 0)
 	}
 }
 
@@ -357,16 +331,14 @@ func (co *coordinator) decide(p *pending, commit bool) {
 // reports the commit once every shard has f+1 of them.
 func (co *coordinator) onAck(src *replica, id txn.ID, try int) {
 	p := co.tab.Get(id)
-	if p == nil || try != p.retries {
+	if p == nil || try != p.Retries {
 		return
 	}
-	p.acked[p.t.Pos(src.shard)] |= 1 << src.rep
+	p.acked[p.T.Pos(src.shard)] |= 1 << src.rep
 	for _, acked := range p.acked {
 		if bits.OnesCount64(acked) < co.sys.spec.F+1 {
 			return
 		}
 	}
-	res, done := txn.Result{OK: true, FastPath: false, Retries: p.retries, PerShard: p.results}, p.done
-	co.tab.End(id, p) // done may submit the next transaction
-	done(res)
+	co.tab.Finish(p, txn.Result{OK: true})
 }

@@ -424,7 +424,7 @@ func TestVoteTally(t *testing.T) {
 		// The retry is the only attempt in flight, filed under the
 		// coordinator's next id.
 		retry := txn.ID{Coord: id.Coord, Seq: id.Seq + 1}
-		if p := sys.coords[0].tab.Get(retry); sys.coords[0].tab.InFlight() != 1 || p == nil || p.retries != 1 {
+		if p := sys.coords[0].tab.Get(retry); sys.coords[0].tab.InFlight() != 1 || p == nil || p.Retries != 1 {
 			t.Fatalf("%d in flight, record under %v: %+v; want only the retry there, at attempt 1", sys.coords[0].tab.InFlight(), retry, p)
 		}
 		for s := 0; s < 2; s++ {

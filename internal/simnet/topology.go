@@ -87,6 +87,22 @@ func ServerPlacement(n int, rotated bool) func(shard, replica int) Region {
 	return func(_, replica int) Region { return Region(replica % n) }
 }
 
+// Nearest picks the replica with the smallest round-trip estimate from a
+// coordinator's region, preferring the lowest index on ties — replica
+// placement maps indices to regions, so on the paper topologies this is the
+// same-region replica whenever one exists.
+func Nearest(net *Network, from Region, replicas int, regionOf func(replica int) Region) int {
+	best, bestRTT := 0, time.Duration(-1)
+	for r := 0; r < replicas; r++ {
+		reg := regionOf(r)
+		rtt := net.BaseOWD(from, reg) + net.BaseOWD(reg, from)
+		if bestRTT < 0 || rtt < bestRTT {
+			best, bestRTT = r, rtt
+		}
+	}
+	return best
+}
+
 // Config materializes the simulated-network configuration at the topology's
 // default jitter. Zero loss selects the topology's default loss, so the
 // caller only overrides what an experiment actually sweeps.

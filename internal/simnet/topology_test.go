@@ -177,3 +177,25 @@ func TestRegionCodes(t *testing.T) {
 		t.Fatalf("out-of-range code = %q, want ??", got)
 	}
 }
+
+// TestNearest: the nearest replica is the one the shortest round trip away,
+// the lowest index on ties.
+func TestNearest(t *testing.T) {
+	const far, near = 50 * time.Millisecond, time.Millisecond
+	m := make([][]Latency, 4)
+	for a := range m {
+		m[a] = make([]Latency, 4)
+		for b := range m[a] {
+			m[a][b] = Latency{Base: far}
+		}
+	}
+	m[3][2], m[2][3] = Latency{Base: near}, Latency{Base: near}
+	net := NewNetwork(NewSim(1), Config{OWD: m})
+	regionOf := func(rep int) Region { return Region(rep) }
+	if got := Nearest(net, 3, 3, regionOf); got != 2 {
+		t.Errorf("from region 3 (1 ms from replica 2's) picked replica %d, want 2", got)
+	}
+	if got := Nearest(net, 0, 3, func(rep int) Region { return Region(rep + 1) }); got != 0 {
+		t.Errorf("all replicas equally far: picked %d, want the lowest index", got)
+	}
+}

@@ -273,28 +273,12 @@ func (c *Coordinator) fold(m *Rep) {
 func (c *Coordinator) nearestReplica(sh int) int {
 	rep, ok := c.nearest[sh]
 	if !ok {
-		rep = Nearest(c.Net, c.Node.Region(), c.Replicas, func(rep int) simnet.Region {
+		rep = simnet.Nearest(c.Net, c.Node.Region(), c.Replicas, func(rep int) simnet.Region {
 			return c.Net.Node(c.Replica(sh, rep)).Region()
 		})
 		c.nearest[sh] = rep
 	}
 	return rep
-}
-
-// Nearest picks the replica with the smallest round-trip estimate from a
-// coordinator's region, preferring the lowest index on ties — replica
-// placement maps indices to regions, so on the paper topologies this is the
-// same-region replica whenever one exists.
-func Nearest(net *simnet.Network, from simnet.Region, replicas int, regionOf func(replica int) simnet.Region) int {
-	best, bestRTT := 0, time.Duration(-1)
-	for r := 0; r < replicas; r++ {
-		reg := regionOf(r)
-		rtt := net.BaseOWD(from, reg) + net.BaseOWD(reg, from)
-		if bestRTT < 0 || rtt < bestRTT {
-			best, bestRTT = r, rtt
-		}
-	}
-	return best
 }
 
 // ---- replica half ----

@@ -146,17 +146,6 @@ func TestWaitersOrderAndPartialFlush(t *testing.T) {
 	}
 }
 
-func TestNearest(t *testing.T) {
-	net := testNet(4, 50*ms, [2]int{3, 2})
-	regionOf := func(rep int) simnet.Region { return simnet.Region(rep) }
-	if got := Nearest(net, 3, 3, regionOf); got != 2 {
-		t.Errorf("from region 3 (1 ms from replica 2's) picked replica %d, want 2", got)
-	}
-	if got := Nearest(net, 0, 3, func(rep int) simnet.Region { return simnet.Region(rep + 1) }); got != 0 {
-		t.Errorf("all replicas equally far: picked %d, want the lowest index", got)
-	}
-}
-
 // coordRig is a Coordinator on a real simulated network whose replicas are
 // scripted: every shard has one replica node that records the requests it
 // gets, recycles them as a Replica would, and hands a copy of each to script,

@@ -63,6 +63,14 @@ func (m Mode) String() string {
 	return "auto"
 }
 
+// Failure detection (§4): every server heartbeats the view manager, which
+// checks its leaders as often and suspects one it has not heard from in
+// heartbeatTimeout.
+const (
+	heartbeatEvery   = 300 * time.Millisecond
+	heartbeatTimeout = 1200 * time.Millisecond
+)
+
 // Config parameterizes a Tiga deployment.
 type Config struct {
 	Shards int // m
@@ -92,9 +100,6 @@ type Config struct {
 	RetryTimeout time.Duration
 	// SyncPointEvery is how often followers report sync-points to leaders.
 	SyncPointEvery time.Duration
-	// HeartbeatEvery / HeartbeatTimeout drive failure detection (§4).
-	HeartbeatEvery   time.Duration
-	HeartbeatTimeout time.Duration
 	// BatchSlowReplies enables the Appendix E optimization: followers answer
 	// periodic coordinator inquiries instead of pushing per-entry replies.
 	BatchSlowReplies bool
@@ -147,8 +152,6 @@ func DefaultConfig(shards, f int) Config {
 		PQCost:              300 * time.Nanosecond,
 		RetryTimeout:        1200 * time.Millisecond,
 		SyncPointEvery:      5 * time.Millisecond,
-		HeartbeatEvery:      300 * time.Millisecond,
-		HeartbeatTimeout:    1200 * time.Millisecond,
 		CheckpointEvery:     2000,
 	}
 }

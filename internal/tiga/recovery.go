@@ -352,7 +352,7 @@ func (s *Server) onVMInfo(m vmInfo) {
 	if s.IsLeader() {
 		// A recovering server cannot resume as leader; wait for the VM to
 		// move leadership, then retry.
-		s.node.After(s.cfg.HeartbeatEvery, func() { s.Rejoin() })
+		s.node.After(heartbeatEvery, func() { s.Rejoin() })
 		return
 	}
 	s.node.Send(s.leaderOf(s.shard), stateTransferReq{GView: s.view.GView, LView: s.lview, Shard: s.shard, Replica: s.replica})

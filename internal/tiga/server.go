@@ -313,7 +313,7 @@ func (s *Server) start() {
 		}
 		return true
 	})
-	s.node.Every(s.cfg.HeartbeatEvery, func() bool {
+	s.node.Every(heartbeatEvery, func() bool {
 		s.node.Send(s.cluster.vmLeaderNode(), heartbeatMsg{Shard: s.shard, Replica: s.replica})
 		return true
 	})

@@ -45,7 +45,7 @@ func (v *vmReplica) start() {
 			v.lastHB[[2]int{s, r}] = now
 		}
 	}
-	v.node.Every(v.cluster.Cfg.HeartbeatEvery, func() bool {
+	v.node.Every(heartbeatEvery, func() bool {
 		v.checkFailures()
 		return true
 	})
@@ -68,7 +68,7 @@ func (v *vmReplica) handle(from simnet.NodeID, msg simnet.Message) {
 
 func (v *vmReplica) alive(shard, rep int) bool {
 	now := v.cluster.Net.Sim().Now()
-	return now-v.lastHB[[2]int{shard, rep}] <= v.cluster.Cfg.HeartbeatTimeout
+	return now-v.lastHB[[2]int{shard, rep}] <= heartbeatTimeout
 }
 
 // checkFailures launches a view change when any current leader stops
@@ -102,7 +102,7 @@ func (v *vmReplica) checkFailures() {
 	v.prepQ = map[int]bool{v.rid: true}
 	v.inflight = true
 	// Guard against a stalled change (lost prepares).
-	v.node.After(4*v.cluster.Cfg.HeartbeatTimeout, func() { v.inflight = false })
+	v.node.After(4*heartbeatTimeout, func() { v.inflight = false })
 	for _, nd := range v.cluster.vmNodes {
 		if nd != v.node.ID() {
 			v.node.Send(nd, cmPrepare{VView: v.vview, globalView: v.prep.copy()})
