@@ -43,9 +43,9 @@ import (
 // allocs and bytes are per committed transaction, recorded with go1.24 (the
 // toolchain CI pins: the map implementation moves the counts) at the commit
 // that last changed them, as this test measures them: pool.Check's id maps are
-// in: on budget/closed that is 11.7 allocations and 11 699 bytes against the
-// 11.6 and 11 488 that cmd/allocprof -shape budget/closed prints (+0.1
-// allocation, +211 bytes or +1.8 %). They repeat to ±0.1 allocation and
+// in: on budget/closed that is 8.3 allocations and 11 685 bytes against the
+// 8.2 and 11 473 that cmd/allocprof -shape budget/closed prints (+0.1
+// allocation, +212 bytes or +1.8 %). They repeat to ±0.1 allocation and
 // ±0.1 % bytes. A rise beyond BENCHMARK.json's bounds for
 // host_allocs_per_txn / host_bytes_per_txn fails; so does a fall of more than
 // 10 %, until the recorded value is lowered — the next rise is then measured
@@ -54,17 +54,17 @@ var txnPathBudget = []struct {
 	shape         string
 	allocs, bytes float64
 }{
-	{"budget/closed", 11.7, 11699},
-	{"budget/open", 11.8, 11889},
-	{"budget/closed-100k", 8.0, 9141},
-	{"budget/closed-tpcc", 43.1, 23292},
-	{"budget/open-reads", 10.4, 6399},
+	{"budget/closed", 8.3, 11685},
+	{"budget/open", 8.5, 11875},
+	{"budget/closed-100k", 4.8, 9116},
+	{"budget/closed-tpcc", 37.1, 23148},
+	{"budget/open-reads", 6.1, 6268},
 	{"budget/closed-2pl", 19.8, 6290},
 	{"budget/closed-occ", 22.2, 6293},
-	{"budget/closed-ncc", 6.7, 2420},
+	{"budget/closed-ncc", 5.5, 2420},
 	{"budget/closed-ncc+", 12.3, 4553},
 	{"budget/closed-janus", 32.5, 5604},
-	{"budget/closed-tapir", 14.0, 3700},
+	{"budget/closed-tapir", 12.3, 3700},
 	{"budget/closed-detock", 16.5, 2384},
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tiga/internal/pool"
 	"tiga/internal/simnet"
 	"tiga/internal/txn"
 )
@@ -107,15 +108,17 @@ func scriptedChain(rng *rand.Rand, stages int, starts *int) *txn.Interactive {
 // committed or aborted, retries and restarts counted alike, the last stage's
 // results, fast-path flag and timestamp carried out — over a scripted system
 // that fails stages and chains that fail validation, with 0–3 restarts
-// allowed.
+// allowed. Every chain record comes home, and none is recycled twice.
 func TestChainMatchesTheReference(t *testing.T) {
-	const chains = 400
+	pool.Check = true
+	defer func() { pool.Check = false }()
+	const n = 400
 	type driver func(d *Deployment, coord int, ic *txn.Interactive, maxRestarts int, finish func(txn.Result, *txn.Txn))
 	finishes := func(run driver) (out []string, starts, aborted int) {
 		sim := simnet.NewSim(1)
 		rng := rand.New(rand.NewSource(7))
 		d := &Deployment{Sim: sim, Sys: &scripted{sim: sim, rng: rng}}
-		for i := 0; i < chains; i++ {
+		for i := 0; i < n; i++ {
 			sim.After(time.Duration(i)*time.Millisecond, func() {
 				run(d, i%4, scriptedChain(rng, 1+i%3, &starts), i%4, func(r txn.Result, t *txn.Txn) {
 					out = append(out, fmt.Sprintf("chain %d at %v: %+v %v", i, sim.Now(), r, t))
@@ -128,13 +131,22 @@ func TestChainMatchesTheReference(t *testing.T) {
 		sim.Run(time.Hour)
 		return out, starts, aborted
 	}
-	got, _, _ := finishes(runChain)
+	var st *loadState
+	got, _, _ := finishes(func(d *Deployment, coord int, ic *txn.Interactive, maxRestarts int, finish func(txn.Result, *txn.Txn)) {
+		if st == nil {
+			st = &loadState{d: d, chains: pool.New[chain]()}
+		}
+		st.runChain(coord, ic, maxRestarts, finish)
+	})
+	if out := st.chains.News - st.chains.Idle(); out != 0 {
+		t.Errorf("%d of %d chain records never came back to the pool", out, st.chains.News)
+	}
 	want, starts, aborted := finishes(func(d *Deployment, coord int, ic *txn.Interactive, maxRestarts int, finish func(txn.Result, *txn.Txn)) {
 		refRunChain(d, coord, ic, 0, maxRestarts, finish)
 	})
-	if len(want) != chains || starts == chains || aborted == 0 || aborted == chains {
+	if len(want) != n || starts == n || aborted == 0 || aborted == n {
 		t.Fatalf("the reference finished %d of %d chains, restarted %d times and aborted %d: the script exercises too little",
-			len(want), chains, starts-chains, aborted)
+			len(want), n, starts-n, aborted)
 	}
 	for i := range want {
 		if i >= len(got) || got[i] != want[i] {

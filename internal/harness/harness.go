@@ -318,9 +318,11 @@ type loadState struct {
 	run        *metrics.Run
 	res        *RunResult
 	checkReads bool
-	// jobs recycles envelopes. One pool per run, touched only from the run's
+	// jobs recycles envelopes and chains the records of interactive
+	// transactions. One pool each per run, touched only from the run's
 	// single-threaded simulator loop (see internal/pool).
-	jobs *pool.Free[loadJob]
+	jobs   *pool.Free[loadJob]
+	chains *pool.Free[chain]
 	// tracer is the run's span recorder; nil on untraced runs (the
 	// default), making every per-job hook a pointer test.
 	tracer *trace.Tracer
@@ -484,7 +486,7 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 	res := &RunResult{Run: run, Counter: checker.NewCounter(), Deployment: d}
 	tracer, publish := newRunTracer(d, &spec)
 	st := &loadState{d: d, spec: spec, run: run, res: res, checkReads: checkReads,
-		jobs: pool.New[loadJob](), tracer: tracer}
+		jobs: pool.New[loadJob](), chains: pool.New[chain](), tracer: tracer}
 
 	// Pre-size the sample buffers: about rate × duration transactions per
 	// coordinator arrive inside the measurement window (open-loop curves
@@ -565,7 +567,7 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 					d.Sys.Submit(ci, job.T, j.finishSub)
 				}
 			} else {
-				runChain(d, ci, job.I, maxChainRestarts, j.finish)
+				st.runChain(ci, job.I, maxChainRestarts, j.finish)
 			}
 		}
 		d.Sim.After(first, tick)
@@ -579,24 +581,32 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 // transaction before it reports the transaction aborted.
 const maxChainRestarts = 10
 
-// runChain drives a multi-shot (interactive) transaction: it submits the
-// stages produced by Next in sequence, restarting the whole chain when a
-// validation stage aborts (Appendix F).
-func runChain(d *Deployment, coord int, ic *txn.Interactive, maxRestarts int, finish func(txn.Result, *txn.Txn)) {
-	c := &chain{d: d, coord: coord, ic: ic, maxRestarts: maxRestarts, finish: finish}
-	c.submitted = c.result
+// runChain drives a multi-shot (interactive) transaction from coordinator
+// coord: it submits the stages produced by Next in sequence, restarting the
+// whole chain when a validation stage aborts (Appendix F). The chain is a
+// pooled record, recycled as it finishes.
+func (st *loadState) runChain(coord int, ic *txn.Interactive, maxRestarts int, finish func(txn.Result, *txn.Txn)) {
+	c := st.chains.Get()
+	if c.st == nil {
+		c.st = st
+		c.submitted, c.again = c.result, c.restart
+	}
+	c.coord, c.ic, c.maxRestarts, c.finish = coord, ic, maxRestarts, finish
+	c.restarts, c.stage, c.retries = 0, 0, 0
 	c.step(nil)
 }
 
 // chain is one interactive transaction's state for as long as it runs. Its
-// result method, bound once, is the Submit callback of every stage.
+// result and restart methods, bound once per record, are the Submit callback
+// of every stage and the restart timer's body.
 type chain struct {
-	d           *Deployment
+	st          *loadState
 	coord       int
 	ic          *txn.Interactive
 	maxRestarts int
 	finish      func(txn.Result, *txn.Txn)
 	submitted   func(txn.Result)
+	again       func()
 
 	restarts int
 	// stage is the stage in flight, retries the protocol retries of this
@@ -620,10 +630,19 @@ func (c *chain) step(prev *txn.Result) {
 			r.FastPath = prev.FastPath
 			r.TS = prev.TS
 		}
-		c.finish(r, nil)
+		c.end(r)
 		return
 	}
-	c.d.Sys.Submit(c.coord, t, c.submitted)
+	c.st.d.Sys.Submit(c.coord, t, c.submitted)
+}
+
+// end recycles the chain, which lets go of its transaction, callback and
+// last stage's result, and then reports r.
+func (c *chain) end(r txn.Result) {
+	finish := c.finish
+	c.ic, c.finish, c.prev = nil, nil, txn.Result{}
+	c.st.chains.Put(c)
+	finish(r, nil)
 }
 
 // result takes the outcome of the stage in flight.
@@ -643,10 +662,10 @@ func (c *chain) result(r txn.Result) {
 // abandoned attempt reports.
 func (c *chain) retry(retries int) {
 	if c.restarts >= c.maxRestarts {
-		c.finish(txn.Result{Aborted: true, Retries: retries}, nil)
+		c.end(txn.Result{Aborted: true, Retries: retries})
 		return
 	}
-	c.d.Sim.After(5*time.Millisecond, c.restart)
+	c.st.d.Sim.After(5*time.Millisecond, c.again)
 }
 
 // restart runs the chain again from stage 0.

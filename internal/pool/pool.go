@@ -1,7 +1,9 @@
 // Package pool provides the transaction path's deterministic allocators: Free,
-// a freelist of objects that come and go, and Slab (slab.go), the chunked slab
+// a freelist of objects that come and go, Slab (slab.go), the chunked slab
 // behind everything a run keeps by the million — store versions, Tiga's records
-// and conflict entries — where an allocation per object is the cost to avoid.
+// and conflict entries — where an allocation per object is the cost to avoid,
+// and Arena (arena.go), which carves slices that are handed on and kept out of
+// chunks it never reuses.
 // A slab can also start over another slab's chunks (Over) and read them as the
 // entries below its own: that is how the replicas of a shard that retain
 // history share one set of seed versions (store.Image) and each own only what
@@ -44,7 +46,16 @@
 //     coord.Table (internal/protocol/coord), which recycles a record in
 //     Finish, before it calls the completion callback, or in Retry once the
 //     budget is spent; a record waiting out a retry's backoff stays out of
-//     the list until its transaction's final outcome,
+//     the list until its transaction's final outcome. Tiga's pendingTxn is
+//     recycled after its callback, a local read's record (internal/snapread)
+//     and the harness's interactive chain before theirs. A record's timer
+//     body is bound once, at its first use, and a record that can end with a
+//     timer still armed (Tiga's retry timeout, a read's re-drive) arms it with
+//     simnet.Node.AfterGate on a generation of its own that its end bumps, so
+//     the timer never runs on the record's next transaction. A record that
+//     goes back drops its transaction, callback and results; the results
+//     themselves (PerShard, Reads) are carved from the coordinator's Arena
+//     (arena.go) and stay the caller's,
 //   - a server record that nothing mentions after a known message: Detock's
 //     engine records are recycled at the first replication ack, once the
 //     result has gone out; the later acks find no record,

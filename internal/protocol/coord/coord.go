@@ -42,6 +42,10 @@ type Table[P any, R Record[P]] struct {
 	node *simnet.Node
 	live map[txn.ID]R
 	free *pool.Free[P]
+	// rets holds the folded returns, which Finish hands on as PerShard: a
+	// record's own buffer could not be, since Finish recycles the record
+	// before the callback runs.
+	rets pool.Arena[txn.ShardRet]
 	// Retry's policy, set by Retrying.
 	max     int
 	backoff time.Duration
@@ -106,7 +110,7 @@ func (tb *Table[P, R]) Multicast(t *txn.Txn, m simnet.Message, to [][]simnet.Nod
 func (tb *Table[P, R]) Fold(p R, shard int, ret []byte) bool {
 	a := p.attempt()
 	if a.results == nil {
-		a.results = make([]txn.ShardRet, 0, len(a.T.Pieces)) // handed on, so never reused
+		a.results = tb.rets.Carve(len(a.T.Pieces))[:0]
 	}
 	a.results = txn.PutRet(a.results, shard, ret)
 	return len(a.results) == len(a.T.Pieces)
@@ -144,9 +148,12 @@ func (tb *Table[P, R]) Retry(p R, stagger time.Duration) {
 	tb.node.After(tb.backoff*time.Duration(a.Retries)+stagger, a.again)
 }
 
-// end forgets p's attempt and recycles p.
+// end forgets p's attempt and recycles p, which lets go of the transaction,
+// the callback and the returns.
 func (tb *Table[P, R]) end(p R) {
-	delete(tb.live, p.attempt().T.ID)
+	a := p.attempt()
+	delete(tb.live, a.T.ID)
+	*a = Attempt{again: a.again}
 	tb.free.Put((*P)(p))
 }
 

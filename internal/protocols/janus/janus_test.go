@@ -240,9 +240,10 @@ func TestMessagesComeHome(t *testing.T) {
 // two-shard transaction on three replicas a shard, whose pieces each depend on
 // the previous writer of their key, allocates per transaction and not per
 // replica or per vote: the multicast pre-accept and commit payloads (2), the
-// result list handed to the caller (1), the union of the votes (1), and each
-// replica's dependency list, kept by its record and its vote (6). The maps
-// that index records, keys and executed transactions grow, amortised.
+// union of the votes (1), and each replica's dependency list, kept by its
+// record and its vote (6). The result list handed to the caller comes from the
+// coordinator table's arena, and the maps that index records, keys and
+// executed transactions grow, both amortised.
 func TestSteadyCommitAllocatesPerTransaction(t *testing.T) {
 	pool.Check = false // its id maps allocate
 	defer func() { pool.Check = true }()
@@ -284,8 +285,8 @@ func TestSteadyCommitAllocatesPerTransaction(t *testing.T) {
 		t.Fatalf("%d submitted, %d committed, %d on the fast path", next, committed, fast)
 	}
 	t.Logf("%.2f allocations per transaction", allocs)
-	if allocs > 10.5 {
-		t.Fatalf("%.2f allocations per transaction, want 10 and the maps' amortised growth", allocs)
+	if allocs > 9.5 {
+		t.Fatalf("%.2f allocations per transaction, want 9 and the amortised growth", allocs)
 	}
 }
 

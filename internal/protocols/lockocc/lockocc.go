@@ -233,7 +233,7 @@ type server struct {
 	// the commit records, and their write sets carved out of chunks of
 	// writeChunk writes (see keep).
 	recs  pool.Slab[commitRec]
-	arena []store.Write
+	arena pool.Arena[store.Write]
 	// applied records every Paxos-applied commit, so re-sent commit requests
 	// (after a leader reboot) are answered instead of re-proposed.
 	applied map[txn.ID]bool
@@ -317,6 +317,7 @@ func newServer(sys *System, s, r int) *server {
 		pending: make(map[txn.ID]*pendingSrv), pend: pool.New[pendingSrv](),
 		onSlot: make(map[int]txn.ID),
 		votes:  pool.New[voteMsg](), acks: pool.New[committedMsg](),
+		arena:   pool.NewArena[store.Write](writeChunk),
 		applied: make(map[txn.ID]bool),
 	}
 	srv.pax = paxos.NewReplica("pax", node, sys.nodes[s], r, 0, sys.spec.F)
@@ -633,13 +634,9 @@ const writeChunk = 256
 // keep copies ws into the write arena and returns the copy, cap-limited: an
 // append to one write set reallocates instead of running into the next.
 func (s *server) keep(ws []store.Write) []store.Write {
-	n := len(ws)
-	if n > cap(s.arena)-len(s.arena) {
-		s.arena = make([]store.Write, 0, max(n, writeChunk))
-	}
-	at := len(s.arena)
-	s.arena = append(s.arena, ws...)
-	return s.arena[at : at+n : at+n]
+	kept := s.arena.Carve(len(ws))
+	copy(kept, ws)
+	return kept
 }
 
 // sendVote sends coord the vote v, drawn from the leader's freelist.

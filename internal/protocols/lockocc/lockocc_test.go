@@ -372,33 +372,36 @@ func TestMessagesComeHome(t *testing.T) {
 	}
 }
 
-// TestKeptWriteSetsDoNotAlias: the write sets commit records keep are carved
-// side by side out of one arena chunk, each cap-limited, so appending to one
-// reallocates it instead of overwriting the next. A set larger than a chunk
-// gets a chunk of its own size.
+// TestKeptWriteSetsDoNotAlias: the write sets commit records keep are copies
+// carved out of the leader's write arena, each cap-limited, so appending to
+// one reallocates it instead of overwriting the next, and the buffer they were
+// copied from can be refilled. A set larger than a chunk is kept whole.
 func TestKeptWriteSetsDoNotAlias(t *testing.T) {
-	var s server
-	a := s.keep([]store.Write{{Name: "a"}})
+	s := server{arena: pool.NewArena[store.Write](writeChunk)}
+	buf := []store.Write{{Name: "a"}}
+	a := s.keep(buf)
 	b := s.keep([]store.Write{{Name: "b"}, {Name: "c"}})
-	if &a[0] != &s.arena[0] || &b[0] != &s.arena[1] {
-		t.Fatal("write sets were not carved side by side out of one chunk")
+	buf[0].Name = "refilled"
+	if a[0].Name != "a" || cap(a) != 1 || cap(b) != 2 {
+		t.Fatalf("kept %q with cap %d and a set with cap %d: want cap-limited copies", a[0].Name, cap(a), cap(b))
 	}
 	_ = append(a, store.Write{Name: "x"})
 	if b[0].Name != "b" {
 		t.Fatalf("appending to one kept write set overwrote the next: %q", b[0].Name)
 	}
-	big := s.keep(make([]store.Write, writeChunk+1))
-	if len(big) != writeChunk+1 || cap(s.arena) != writeChunk+1 {
-		t.Fatalf("a %d-write set was kept as %d writes in a chunk of %d", writeChunk+1, len(big), cap(s.arena))
+	ws := make([]store.Write, writeChunk+1)
+	ws[writeChunk].Name = "last"
+	if big := s.keep(ws); len(big) != writeChunk+1 || big[writeChunk].Name != "last" {
+		t.Fatalf("a %d-write set was kept as %d writes", writeChunk+1, len(big))
 	}
 }
 
 // TestSteadyCommitAllocatesPerTransaction: once the freelists are warm, a
 // two-shard transaction on three replicas a shard allocates per transaction
-// and not per message: the multicast request and commit payloads (2) and the
-// result list handed to the caller (1). The commit records, their write sets,
-// the Paxos logs and the maps that index applied transactions grow,
-// amortised.
+// and not per message: the multicast request and commit payloads (2). The
+// result list handed to the caller comes from the coordinator table's arena,
+// and the commit records, their write sets, the Paxos logs and the maps that
+// index applied transactions grow, all amortised.
 func TestSteadyCommitAllocatesPerTransaction(t *testing.T) {
 	pool.Check = false // its id maps allocate
 	defer func() { pool.Check = true }()
@@ -448,8 +451,8 @@ func TestSteadyCommitAllocatesPerTransaction(t *testing.T) {
 				t.Fatalf("t1-7 = %d on a follower after %d transactions", got, next)
 			}
 			t.Logf("%.2f allocations per transaction", allocs)
-			if allocs > 4 {
-				t.Fatalf("%.2f allocations per transaction, want 3 and amortised growth", allocs)
+			if allocs > 3 {
+				t.Fatalf("%.2f allocations per transaction, want 2 and amortised growth", allocs)
 			}
 		})
 	}

@@ -18,6 +18,7 @@
 package snapread
 
 import (
+	"slices"
 	"time"
 
 	"tiga/internal/pool"
@@ -100,22 +101,28 @@ func NewMsgs() *Msgs { return &Msgs{Req: pool.New[Req](), Rep: pool.New[Rep]()} 
 // ---- coordinator half ----
 
 // pendingRead tracks one outstanding read-only transaction: one snapshot
-// request per involved shard, each sent to that shard's nearest replica.
+// request per involved shard, each sent to that shard's nearest replica. It is
+// drawn from the coordinator's freelist at Submit and recycled when the read
+// completes; vals and reads are carved afresh for every read, since the
+// result hands them on.
 type pendingRead struct {
 	t    *txn.Txn
 	at   time.Duration // snapshot timestamp
 	done func(txn.Result)
 	// got marks the shards that answered the current snapshot, by position in
-	// t.Pieces like vals (dedups retried replies); answered counts them. It is
-	// gotBuf unless the transaction touches more shards than that holds.
-	got      []bool
-	gotBuf   [4]bool
-	answered int
-	vals     []txn.ShardRet
-	waited   time.Duration // max SAFETIME delay across shards
-	reads    []txn.ReadObs
-	retries  int
-	redrive  func() // the read's one timer body, re-armed every RetryEvery
+	// t.Pieces like vals (dedups retried replies). Its storage is the
+	// record's, reused from one read to the next.
+	got     []bool
+	vals    []txn.ShardRet
+	waited  time.Duration // max SAFETIME delay across shards
+	reads   []txn.ReadObs
+	retries int
+	// gen gates the re-drive timer (AfterGate): the read's completion bumps
+	// it, so a timer armed for a completed read never runs on the record's
+	// next one. redrive is the timer's body, bound at the record's first use
+	// and re-armed every RetryEvery.
+	gen     uint64
+	redrive func()
 }
 
 // restart forgets every answer: the read starts over at snapshot at.
@@ -125,7 +132,7 @@ func (pr *pendingRead) restart(at time.Duration) {
 	for i := range pr.vals {
 		pr.vals[i].Ret = nil
 	}
-	pr.answered, pr.reads, pr.waited = 0, pr.reads[:0], 0
+	pr.reads, pr.waited = pr.reads[:0], 0
 }
 
 // Coordinator drives read-only transactions from one protocol coordinator:
@@ -153,6 +160,11 @@ type Coordinator struct {
 
 	reads   map[uint64]*pendingRead // by t.ID.Seq
 	nearest map[int]int             // shard -> cached lowest-RTT replica
+	// free recycles the pending reads; vals and obs hold the results'
+	// PerShard and Reads, which the callers keep.
+	free *pool.Free[pendingRead]
+	vals pool.Arena[txn.ShardRet]
+	obs  pool.Arena[txn.ReadObs]
 }
 
 // Submit serves t (read-only, t.ID already minted) at one snapshot timestamp
@@ -163,30 +175,29 @@ func (c *Coordinator) Submit(t *txn.Txn, done func(txn.Result)) {
 	if c.reads == nil {
 		c.reads = make(map[uint64]*pendingRead)
 		c.nearest = make(map[int]int)
+		c.free = pool.New[pendingRead]()
 	}
 	n, keys := len(t.Pieces), 0
-	pr := &pendingRead{t: t, at: c.snapshot(), done: done, vals: make([]txn.ShardRet, n)}
 	for i := range t.Pieces {
-		pr.vals[i].Shard = t.Pieces[i].Shard()
 		keys += len(t.Pieces[i].ReadSet)
 	}
-	pr.reads = make([]txn.ReadObs, 0, keys)
-	if n <= len(pr.gotBuf) {
-		pr.got = pr.gotBuf[:n]
-	} else {
-		pr.got = make([]bool, n)
+	pr := c.free.Get()
+	pr.t, pr.done, pr.retries = t, done, 0
+	pr.vals, pr.reads = c.vals.Carve(n), c.obs.Carve(keys)
+	for i := range t.Pieces {
+		pr.vals[i].Shard = t.Pieces[i].Shard()
 	}
-	seq := t.ID.Seq
-	pr.redrive = func() {
-		if c.reads[seq] != pr {
-			return
+	pr.got = slices.Grow(pr.got[:0], n)[:n]
+	pr.restart(c.snapshot())
+	if pr.redrive == nil {
+		pr.redrive = func() {
+			c.retry(pr)
+			c.Node.AfterGate(c.RetryEvery, &pr.gen, pr.gen, pr.redrive)
 		}
-		c.retry(pr)
-		c.Node.After(c.RetryEvery, pr.redrive)
 	}
-	c.reads[seq] = pr
+	c.reads[t.ID.Seq] = pr
 	c.send(pr)
-	c.Node.After(c.RetryEvery, pr.redrive)
+	c.Node.AfterGate(c.RetryEvery, &pr.gen, pr.gen, pr.redrive)
 }
 
 func (c *Coordinator) snapshot() time.Duration { return max(c.Clock()-c.Staleness, 0) }
@@ -236,7 +247,6 @@ func (c *Coordinator) fold(m *Rep) {
 		return
 	}
 	pr.got[i] = true
-	pr.answered++
 	if m.Waited > pr.waited {
 		pr.waited = m.Waited
 	}
@@ -249,10 +259,11 @@ func (c *Coordinator) fold(m *Rep) {
 	if len(m.Vals) > 0 {
 		pr.vals[i].Ret = m.Vals[0]
 	}
-	if pr.answered < len(pr.got) {
+	if slices.Contains(pr.got, false) {
 		return
 	}
 	delete(c.reads, m.Seq)
+	pr.gen++
 	// The decisive reply is this one — it completed the read. Its stamps
 	// split the round trip into flight out, SAFETIME wait at the replica
 	// (watermark lag, including the serve cost), and flight back.
@@ -261,10 +272,16 @@ func (c *Coordinator) fold(m *Rep) {
 		tr.Mark(m.ServedS, trace.PhaseSafeTime)
 		tr.Mark(c.Net.Sim().Now(), trace.PhaseFlight)
 	}
-	pr.done(txn.Result{
+	res := txn.Result{
 		OK: true, FastPath: true, Retries: pr.retries, PerShard: pr.vals,
 		SnapshotAt: pr.at, Waited: pr.waited, Reads: pr.reads,
-	})
+	}
+	// Recycle before the callback, which may Submit the next read: an idle
+	// record holds on to no transaction, callback or result.
+	done := pr.done
+	pr.t, pr.done, pr.vals, pr.reads = nil, nil, nil, nil
+	c.free.Put(pr)
+	done(res)
 }
 
 // nearestReplica picks (and caches) the lowest-RTT replica of a shard from

@@ -66,10 +66,8 @@ func (e *keyState) readAfter(ts txn.Timestamp) bool { return e.flags&hasR != 0 &
 
 func (e *keyState) writtenAfter(ts txn.Timestamp) bool { return e.flags&hasW != 0 && !e.wts.Less(ts) }
 
-const (
-	arenaChunk = 2048 // references per arena chunk (8 KB)
-	groupBits  = 3    // index slots per group: 8 of 8 B, one cache line
-)
+// groupBits is the index slots per group: 8 of 8 B, one cache line.
+const groupBits = 3
 
 // indexSlot is one slot of the table's key index; ref is the entry's number
 // plus one, zero marking a free slot.
@@ -95,7 +93,9 @@ type conflictTable struct {
 	stamp uint32
 	// parked totals the entries' parked counts.
 	parked int
-	arena  []uint32
+	// arena holds the records' entry references (rec.refs), so a record's
+	// cache of its keys costs no allocation of its own.
+	arena pool.Arena[uint32]
 	// lookups counts by-key lookups: one per key per access set of every record
 	// attached, however many pumps examine the record afterwards.
 	lookups int64
@@ -181,17 +181,6 @@ func (t *conflictTable) growIndex() {
 			*t.slot(s.key) = s
 		}
 	}
-}
-
-// refs carves room for n entry references out of the arena: a record's cache
-// of its keys costs no allocation of its own.
-func (t *conflictTable) refs(n int) []uint32 {
-	if n > cap(t.arena)-len(t.arena) {
-		t.arena = make([]uint32, 0, max(n, arenaChunk))
-	}
-	at := len(t.arena)
-	t.arena = t.arena[:at+n]
-	return t.arena[at : at+n : at+n]
 }
 
 // endPump empties the blocked sets by moving to the next pump stamp. When the

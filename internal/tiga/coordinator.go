@@ -28,6 +28,11 @@ type pendingTxn struct {
 	fastSet []bool
 	slow    []slowReply
 	slowSet []bool
+	// gen gates the retry timer (AfterGate): finish bumps it, so a timer
+	// armed for a finished transaction never runs on the record's next one.
+	// retry is the timer's body, bound at the record's first arm.
+	gen   uint64
+	retry func()
 }
 
 // Coordinator submits transactions per §3.1 (future-timestamp initialization)
@@ -65,11 +70,16 @@ type Coordinator struct {
 	// by default, it passes submissions straight through.
 	gate admit.Gate
 
+	// launchFn is launch, bound once: the gate's launch callback.
+	launchFn func(*txn.Txn, func(txn.Result))
+
 	// ptPool recycles pendingTxn envelopes (launch -> finish lifecycle, all
-	// on this coordinator). The scratch slices below back headroom's OWD
+	// on this coordinator), and rets holds the committed results' PerShard,
+	// which the callers keep. The scratch slices below back headroom's OWD
 	// sort, pendingInOrder's deterministic ordering, and inquireSlow's
 	// involved-shard set — per-call allocations otherwise.
 	ptPool     *pool.Free[pendingTxn]
+	rets       pool.Arena[txn.ShardRet]
 	owdScratch []time.Duration
 	idScratch  []txn.ID
 	shardSeen  []bool
@@ -86,6 +96,7 @@ func newCoordinator(c *Cluster, idx int32, node *simnet.Node, clk clocks.Clock) 
 		pending: make(map[txn.ID]*pendingTxn),
 		ptPool:  pool.New[pendingTxn](),
 	}
+	co.launchFn = co.launch
 	co.gate = admit.Gate{
 		Cap: c.Cfg.AdmitCap, Queue: c.Cfg.AdmitQueue,
 		Now: func() time.Duration { return c.Net.Sim().Now() },
@@ -196,7 +207,7 @@ func (co *Coordinator) headroom(t *txn.Txn) time.Duration {
 // with Result.Shed. With admission control off (the default) the gate is a
 // straight pass-through.
 func (co *Coordinator) Submit(t *txn.Txn, done func(txn.Result)) {
-	co.gate.Submit(t, done, co.launch)
+	co.gate.Submit(t, done, co.launchFn)
 }
 
 // launch multicasts t to every replica of its involved shards with a future
@@ -248,24 +259,27 @@ func (co *Coordinator) multicast(p *pendingTxn) {
 	}
 }
 
+// armRetry arms p's retry timeout, which finish disarms.
 func (co *Coordinator) armRetry(p *pendingTxn) {
-	id := p.t.ID
-	co.node.After(co.cfg.RetryTimeout, func() {
-		cur, ok := co.pending[id]
-		if !ok || cur != p {
-			return
-		}
-		p.retries++
-		co.Retries++
-		// The wait that expired into this timeout is retry-attributed: the
-		// mark advances the trace cursor, so stale stamps from the abandoned
-		// attempt clamp to zero in the breakdown walk.
-		p.t.Trace.Mark(co.cluster.Net.Sim().Now(), trace.PhaseRetry)
-		// The view may have changed under us — refresh, then resubmit.
-		co.node.Send(co.cluster.vmLeaderNode(), vmInquire{From: co.node.ID()})
-		co.multicast(p)
-		co.armRetry(p)
-	})
+	if p.retry == nil {
+		p.retry = func() { co.retryTimedOut(p) }
+	}
+	co.node.AfterGate(co.cfg.RetryTimeout, &p.gen, p.gen, p.retry)
+}
+
+// retryTimedOut resubmits p, still pending a retry timeout after its last
+// submission, and re-arms the timeout.
+func (co *Coordinator) retryTimedOut(p *pendingTxn) {
+	p.retries++
+	co.Retries++
+	// The wait that expired into this timeout is retry-attributed: the
+	// mark advances the trace cursor, so stale stamps from the abandoned
+	// attempt clamp to zero in the breakdown walk.
+	p.t.Trace.Mark(co.cluster.Net.Sim().Now(), trace.PhaseRetry)
+	// The view may have changed under us — refresh, then resubmit.
+	co.node.Send(co.cluster.vmLeaderNode(), vmInquire{From: co.node.ID()})
+	co.multicast(p)
+	co.armRetry(p)
 }
 
 func (co *Coordinator) onFastReply(from simnet.NodeID, m *fastReply) {
@@ -455,7 +469,7 @@ func (co *Coordinator) evaluate(p *pendingTxn) {
 		}
 		return
 	}
-	results := make([]txn.ShardRet, len(p.t.Pieces))
+	results := co.rets.Carve(len(p.t.Pieces))
 	for i := range results {
 		sh := p.t.Pieces[i].Shard()
 		results[i] = txn.ShardRet{Shard: sh, Ret: p.fast[i*R+co.view.GVec[sh]%R].Ret}
@@ -505,12 +519,15 @@ func (co *Coordinator) traceCommitPath(p *pendingTxn, fastPath bool) {
 
 func (co *Coordinator) finish(p *pendingTxn, res txn.Result) {
 	delete(co.pending, p.t.ID)
+	p.gen++
 	co.popDone()
 	if p.done != nil {
 		p.done(res)
 	}
 	// Recycle after the callback: done may synchronously submit the next
-	// transaction (closed-loop clients), which draws from the same pool.
+	// transaction (closed-loop clients), which draws from the same pool. An
+	// idle record holds on to no transaction and no callback.
+	p.t, p.done = nil, nil
 	co.ptPool.Put(p)
 }
 

@@ -390,7 +390,7 @@ func (s *Server) handle(from simnet.NodeID, msg simnet.Message) {
 // rebuilds the table and every record when it replaces the store.
 func (s *Server) attach(r *rec, p *txn.Piece) {
 	reads, writes := s.st.IDs(p.ReadSet, p.ReadIDs), s.st.IDs(p.WriteSet, p.WriteIDs)
-	r.piece, r.refs, r.nr = p, s.keys.refs(len(reads)+len(writes)), uint32(len(reads))
+	r.piece, r.refs, r.nr = p, s.keys.arena.Carve(len(reads)+len(writes)), uint32(len(reads))
 	for i, k := range reads {
 		r.refs[i] = s.keys.entry(k)
 	}

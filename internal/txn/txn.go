@@ -278,6 +278,8 @@ type Result struct {
 	Aborted bool
 	// PerShard holds the pieces' return values, parallel to the transaction's
 	// Pieces. An entry names its shard because Interactive.Next holds only this.
+	// It is the caller's to keep: no coordinator writes into it after the
+	// callback, though it may share a chunk with other results (cap-limited).
 	PerShard []ShardRet
 	// FastPath reports whether the commit used the protocol's fast path.
 	FastPath bool
@@ -294,7 +296,8 @@ type Result struct {
 	Waited time.Duration
 	// Reads records, per key, which committed version a local read-only
 	// transaction observed — the evidence the snapshot-read checker
-	// validates against the commit history.
+	// validates against the commit history. Like PerShard it is never
+	// overwritten once reported.
 	Reads []ReadObs
 	// Queued is the time the transaction spent waiting in a coordinator
 	// admission queue before the protocol started working on it (zero when
