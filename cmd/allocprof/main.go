@@ -15,7 +15,18 @@
 // localises to a function, and with -liveheap it prints the benchmark's
 // host_live_heap_mb and writes an in-use heap profile of what the run leaves
 // reachable. It exits 1 when the run commits nothing and 2 on an unknown
-// shape or a bad scale.
+// shape, a bad scale or a window below 1.
+//
+// An average over one window counts fixed costs — pools filling, the warm-up's
+// own transactions — as per-transaction cost. -window k runs the shape twice,
+// each time on a fresh deployment: at its measured window W and at kW. It
+// prints both runs and the line
+//
+//	slope allocs/txn=… bytes/txn=… intercept allocs=… bytes=…
+//
+// whose slope is the marginal cost, (at kW − at W) / (commits at kW − at W),
+// and whose intercept is what the run at W allocates beyond slope × its
+// commits. The profiles then cover both runs, the live heap the second.
 //
 // The per-txn allocation budget is a first-class serving-path metric (see
 // EXPERIMENTS.md "Allocation budget"); this harness is how a regression gets
@@ -28,6 +39,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"time"
 
 	"tiga/internal/harness"
 )
@@ -37,6 +49,7 @@ func main() {
 	out := flag.String("out", "allocprof.out", "pprof heap profile output path")
 	cpuOut := flag.String("cpuprofile", "", "also write a pprof CPU profile of the run to this path")
 	liveOut := flag.String("liveheap", "", "also force a GC after the run, print the live heap and write an in-use heap profile to this path")
+	window := flag.Int("window", 1, "k > 1: also run the shape at k times its measured window and print the marginal (slope) and fixed (intercept) allocations")
 	flag.Parse()
 
 	if *shape == "list" {
@@ -45,8 +58,13 @@ func main() {
 		}
 		return
 	}
-	spec, load, err := harness.LookupShape(*shape)
-	if err != nil {
+	if *window < 1 {
+		fmt.Fprintf(os.Stderr, "allocprof: -window %d: want k >= 1\n", *window)
+		os.Exit(2)
+	}
+	// Every run gets a fresh deployment; resolving the shape up front checks
+	// the name before anything runs.
+	if _, _, err := harness.LookupShape(*shape); err != nil {
 		fmt.Fprintln(os.Stderr, "allocprof:", err)
 		os.Exit(2)
 	}
@@ -59,10 +77,6 @@ func main() {
 		runtime.MemProfileRate = 1
 	}
 
-	if err := spec.EnsureGen(); err != nil {
-		fmt.Fprintln(os.Stderr, "allocprof:", err)
-		os.Exit(2)
-	}
 	// Every profile file is opened up front, so an unwritable path fails
 	// before the run rather than after it.
 	f, err := os.Create(*out)
@@ -76,29 +90,28 @@ func main() {
 		liveFile, err = os.Create(*liveOut)
 		check(err)
 	}
-	d := harness.Build(spec)
-	runtime.GC()
 	if cpuFile != nil {
 		check(pprof.StartCPUProfile(cpuFile))
 	}
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	res := harness.RunLoad(d, spec.Gen, load)
-	runtime.ReadMemStats(&m1)
+	w := measure(*shape, 1)
+	if *window > 1 {
+		wk := measure(*shape, *window)
+		if wk.committed <= w.committed {
+			fmt.Fprintf(os.Stderr, "allocprof: %s committed no more at %d windows than at one\n", *shape, *window)
+			os.Exit(1)
+		}
+		commits := float64(wk.committed - w.committed)
+		slope := float64(wk.mallocs-w.mallocs) / commits
+		slopeB := float64(wk.bytes-w.bytes) / commits
+		fmt.Printf("slope allocs/txn=%.2f bytes/txn=%.0f intercept allocs=%.0f bytes=%.0f\n", slope, slopeB,
+			float64(w.mallocs)-slope*float64(w.committed), float64(w.bytes)-slopeB*float64(w.committed))
+		w = wk
+	}
 	if cpuFile != nil {
 		pprof.StopCPUProfile()
 		check(cpuFile.Close())
 		fmt.Printf("wrote %s\n", *cpuOut)
 	}
-
-	committed := res.Run.Counters.Committed
-	if committed == 0 {
-		fmt.Fprintf(os.Stderr, "allocprof: %s committed nothing\n", *shape)
-		os.Exit(1)
-	}
-	fmt.Printf("committed=%d allocs/txn=%.1f bytes/txn=%.0f\n", committed,
-		float64(m1.Mallocs-m0.Mallocs)/float64(committed),
-		float64(m1.TotalAlloc-m0.TotalAlloc)/float64(committed))
 
 	runtime.GC() // flush outstanding profile records
 	check(pprof.Lookup("allocs").WriteTo(f, 0))
@@ -116,8 +129,46 @@ func main() {
 		check(liveFile.Close())
 		fmt.Printf("wrote %s (go tool pprof -sample_index=inuse_space)\n", *liveOut)
 	}
-	runtime.KeepAlive(d)
-	runtime.KeepAlive(res)
+	runtime.KeepAlive(w)
+}
+
+// measured is one run: its deployment and result, kept reachable for the live
+// heap, and what RunLoad committed and allocated.
+type measured struct {
+	d                         *harness.Deployment
+	res                       *harness.RunResult
+	committed, mallocs, bytes uint64
+}
+
+// measure drives shape, with its measured window multiplied by k, on a fresh
+// deployment and prints the run's commits and allocations per commit. It exits
+// 1 when the run commits nothing.
+func measure(shape string, k int) *measured {
+	spec, load, err := harness.LookupShape(shape)
+	check(err)
+	if err := spec.EnsureGen(); err != nil {
+		fmt.Fprintln(os.Stderr, "allocprof:", err)
+		os.Exit(2)
+	}
+	load.Duration *= time.Duration(k)
+	m := &measured{d: harness.Build(spec)}
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	m.res = harness.RunLoad(m.d, spec.Gen, load)
+	runtime.ReadMemStats(&m1)
+	m.committed, m.mallocs, m.bytes = uint64(m.res.Run.Counters.Committed), m1.Mallocs-m0.Mallocs, m1.TotalAlloc-m0.TotalAlloc
+	if m.committed == 0 {
+		fmt.Fprintf(os.Stderr, "allocprof: %s committed nothing\n", shape)
+		os.Exit(1)
+	}
+	prefix := ""
+	if k > 1 {
+		prefix = fmt.Sprintf("window x%d: ", k)
+	}
+	fmt.Printf("%scommitted=%d allocs/txn=%.1f bytes/txn=%.0f\n", prefix, m.committed,
+		float64(m.mallocs)/float64(m.committed), float64(m.bytes)/float64(m.committed))
+	return m
 }
 
 // check exits on an error from writing a profile.

@@ -45,6 +45,24 @@ type Gate struct {
 
 	inflight int
 	queue    []waiter
+	// free holds the slots no admitted transaction occupies.
+	free []*slot
+}
+
+// slot is an admitted transaction's place in the gate, reused by the next one
+// once it completes. gen counts the slot's uses, and use n hands the protocol
+// the callback fire[n%2]: a completion counts only while its callback is the
+// current use's, so a callback that fires again late — its use completed, and
+// the slot is idle or taken by the next use — is ignored. (One that fires two
+// uses late is not told apart: a protocol completes a transaction once.) Both
+// callbacks are bound when the slot is made, so admitting allocates nothing.
+type slot struct {
+	g      *Gate
+	gen    uint64
+	done   func(txn.Result) // nil while the slot is idle
+	start  func(*txn.Txn, func(txn.Result))
+	queued time.Duration
+	fire   [2]func(txn.Result)
 }
 
 type waiter struct {
@@ -60,7 +78,7 @@ func (g *Gate) Depth() int { return len(g.queue) }
 func (g *Gate) Inflight() int { return g.inflight }
 
 // Submit admits, queues, or sheds t. start launches an admitted transaction
-// into the protocol; the done callback it receives is wrapped so that when
+// into the protocol; the done callback it receives is its slot's, so that when
 // the protocol reports the final outcome the slot is released, the result
 // carries the measured queue wait, and the next queued transaction (if any)
 // launches. Shed transactions get done(Result{Aborted: true, Shed: true})
@@ -88,18 +106,32 @@ func (g *Gate) launch(t *txn.Txn, done func(txn.Result), queued time.Duration, s
 	// through at the same instant).
 	t.Trace.Mark(g.Now(), trace.PhaseQueue)
 	g.inflight++
-	released := false
-	start(t, func(r txn.Result) {
-		// Protocol retries reuse the wrapped callback, so release the
-		// slot exactly once even if done were ever invoked again.
-		if !released {
-			released = true
-			g.inflight--
-		}
-		r.Queued = queued
-		done(r)
-		g.drain(start)
-	})
+	var s *slot
+	if n := len(g.free); n > 0 {
+		s, g.free = g.free[n-1], g.free[:n-1]
+	} else {
+		s = &slot{g: g}
+		s.fire = [2]func(txn.Result){func(r txn.Result) { s.complete(0, r) }, func(r txn.Result) { s.complete(1, r) }}
+	}
+	s.done, s.start, s.queued = done, start, queued
+	start(t, s.fire[s.gen%2])
+}
+
+// complete is the protocol's report through fire[use]: it releases the slot
+// exactly once per use, hands the caller the result with its queue wait, and
+// launches what the freed capacity admits.
+func (s *slot) complete(use uint64, r txn.Result) {
+	if s.done == nil || s.gen%2 != use {
+		return // a late callback of a use that already completed
+	}
+	g, done, start := s.g, s.done, s.start
+	r.Queued = s.queued
+	s.gen++
+	s.done, s.start = nil, nil
+	g.free = append(g.free, s)
+	g.inflight--
+	done(r)
+	g.drain(start)
 }
 
 func (g *Gate) drain(start func(*txn.Txn, func(txn.Result))) {

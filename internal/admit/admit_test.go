@@ -109,6 +109,47 @@ func TestSlotReleasedOnce(t *testing.T) {
 	}
 }
 
+// TestStaleCallbackFiresLate: a transaction's callback that fires again after
+// its slot went to the next transaction neither releases that transaction's
+// slot nor reaches the caller twice; the slot is released once per use.
+func TestStaleCallbackFiresLate(t *testing.T) {
+	g, _ := gate(1, 1)
+	p := &fakeProto{}
+	var got []txn.Result
+	submit(g, p, &got)
+	submit(g, p, &got) // queued behind the first
+	p.finish(0)        // releases the slot; the second launches into it
+	if g.Inflight() != 1 || len(p.launched) != 2 || len(got) != 1 {
+		t.Fatalf("after the first completion: inflight=%d launched=%d results=%d, want 1/2/1", g.Inflight(), len(p.launched), len(got))
+	}
+	p.finish(0) // the first transaction's callback, late
+	if g.Inflight() != 1 || len(got) != 1 {
+		t.Fatalf("a late callback released the slot's next use: inflight=%d results=%d, want 1/1", g.Inflight(), len(got))
+	}
+	p.finish(1)
+	p.finish(0)
+	if g.Inflight() != 0 || len(got) != 2 {
+		t.Fatalf("after both completions: inflight=%d results=%d, want 0/2", g.Inflight(), len(got))
+	}
+}
+
+// TestAdmittingAllocatesNothing: once its slot exists, admitting and
+// completing a transaction allocates nothing.
+func TestAdmittingAllocatesNothing(t *testing.T) {
+	g, _ := gate(4, 0)
+	var last func(txn.Result)
+	start := func(_ *txn.Txn, done func(txn.Result)) { last = done }
+	tx, done := &txn.Txn{}, func(txn.Result) {}
+	cycle := func() {
+		g.Submit(tx, done, start)
+		last(txn.Result{OK: true})
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("admitting a transaction allocates %.0f objects", allocs)
+	}
+}
+
 // TestZeroQueueShedsAtCap: Queue 0 sheds immediately once the cap is reached.
 func TestZeroQueueShedsAtCap(t *testing.T) {
 	g, _ := gate(1, 0)

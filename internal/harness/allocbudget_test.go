@@ -57,7 +57,7 @@ var txnPathBudget = []struct {
 	{"budget/closed", 8.3, 11685},
 	{"budget/open", 8.5, 11875},
 	{"budget/closed-100k", 4.8, 9116},
-	{"budget/closed-tpcc", 37.1, 23148},
+	{"budget/closed-tpcc", 15.2, 22799},
 	{"budget/open-reads", 6.1, 6268},
 	{"budget/closed-2pl", 19.8, 6290},
 	{"budget/closed-occ", 22.2, 6293},

@@ -339,11 +339,12 @@ func (en *engine) enqueue(d *dtxn) {
 }
 
 // pack appends one access set of a piece as (shard, KeyID, write) words, the
-// ids being those of this region's copy of the shard (store.IDs), so a name
+// ids being those of this region's copy of the shard (store.ID), so a name
 // and an id of one key share a wait list.
 func (en *engine) pack(ks []uint64, shard int, names []string, ids []txn.KeyID, write uint64) []uint64 {
-	for _, id := range en.sts[shard].IDs(names, ids) {
-		ks = append(ks, (uint64(shard)<<32|uint64(id))<<1|write)
+	st := en.sts[shard]
+	for i := range names {
+		ks = append(ks, (uint64(shard)<<32|uint64(st.ID(names, ids, i)))<<1|write)
 	}
 	return ks
 }

@@ -87,7 +87,9 @@ type replica struct {
 	applied  map[txn.ID]bool
 	// writes is the buffered execution's scratch: a prepare drops the write
 	// set and a decision applies it at once, so neither keeps it.
-	writes      []store.Write
+	writes []store.Write
+	// keys is resolve's scratch: a piece's declared keys as ids of st.
+	keys        []txn.KeyID
 	prepareReps *pool.Free[prepareRep]
 	decideAcks  *pool.Free[decideAck]
 }
@@ -163,12 +165,11 @@ func (rp *replica) onPrepare(m prepareMsg) {
 	if rp.applied[id] {
 		return
 	}
-	reads, writes := rp.st.IDs(piece.ReadSet, piece.ReadIDs), rp.st.IDs(piece.WriteSet, piece.WriteIDs)
-	locked := func(k txn.KeyID) bool {
+	keys, writes := rp.resolve(piece)
+	ok := !slices.ContainsFunc(keys, func(k txn.KeyID) bool {
 		owner, held := rp.pkeys[k]
 		return held && owner != id
-	}
-	ok := !slices.ContainsFunc(reads, locked) && !slices.ContainsFunc(writes, locked)
+	})
 	rep := rp.prepareReps.Get()
 	*rep = prepareRep{src: rp, ID: id, Try: m.Try, OK: ok}
 	if ok {
@@ -181,11 +182,25 @@ func (rp *replica) onPrepare(m prepareMsg) {
 	rp.node.Send(m.Coord, rep)
 }
 
+// resolve returns p's declared keys as ids of rp's store (store.ID), reads then
+// writes, and the writes alone; both are rp's scratch until the next call.
+func (rp *replica) resolve(p *txn.Piece) (keys, writes []txn.KeyID) {
+	keys = rp.keys[:0]
+	for i := range p.ReadSet {
+		keys = append(keys, rp.st.ID(p.ReadSet, p.ReadIDs, i))
+	}
+	for i := range p.WriteSet {
+		keys = append(keys, rp.st.ID(p.WriteSet, p.WriteIDs, i))
+	}
+	rp.keys = keys
+	return keys, keys[len(p.ReadSet):]
+}
+
 func (rp *replica) onDecide(m decideMsg) {
 	id := m.ID
 	if t, ok := rp.prepared[id]; ok {
-		p := t.Piece(rp.shard)
-		for _, k := range rp.st.IDs(p.WriteSet, p.WriteIDs) {
+		_, writes := rp.resolve(t.Piece(rp.shard))
+		for _, k := range writes {
 			if rp.pkeys[k] == id {
 				delete(rp.pkeys, k)
 			}

@@ -462,8 +462,8 @@ func (r *Replica) serve(to simnet.NodeID, m *Req, waited, arriveS time.Duration)
 		rep.Pruned = true
 	} else {
 		r.Node.Work(r.ExecCost)
-		for _, id := range r.Store.IDs(m.Keys, m.KeyIDs) {
-			val, seen, _ := r.Store.GetAtID(id, m.At)
+		for i := range m.Keys {
+			val, seen, _ := r.Store.GetAtID(r.Store.ID(m.Keys, m.KeyIDs, i), m.At)
 			rep.Vals, rep.Seen = append(rep.Vals, val), append(rep.Seen, seen)
 		}
 		rep.Waited, rep.ArriveS, rep.ServedS = waited, arriveS, r.Node.Busy()

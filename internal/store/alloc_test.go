@@ -87,3 +87,43 @@ func TestRetainWritePruneCycleAllocatesNothing(t *testing.T) {
 		t.Errorf("the slab grew from %d to %d chunks after the warm-up", chunks, s.vers.Chunks())
 	}
 }
+
+// TestKeptBytesNeverChange: the values and results pieces build in a store's
+// bytes are never handed out again. A piece that writes an integer above
+// txn.SmallInts and returns a 16-byte result runs 10 000 times, each time
+// through ExecuteID and through ExecuteBuffered; every result and every value
+// read back after an execution still decodes, at the end, to what it was.
+func TestKeptBytesNeverChange(t *testing.T) {
+	s, keys := seedN(t, 2)
+	p := &txn.Piece{ReadSet: keys, WriteSet: keys, ReadIDs: []txn.KeyID{0, 1}, WriteIDs: []txn.KeyID{0, 1},
+		Exec: func(kv txn.KV) []byte {
+			v := txn.DecodeInt(kv.GetID(0)) + txn.SmallInts
+			kv.PutID(0, txn.Int(kv, v))
+			kv.PutID(1, txn.AppendInt(txn.AppendInt(kv.Bytes(16), v), -v))
+			return txn.AppendInt(txn.AppendInt(kv.Bytes(16), -v), v)
+		}}
+	type kept struct {
+		ret, val0, val1 []byte
+		v               int64
+	}
+	var all []kept
+	var ws []Write
+	for i := 1; i <= 10000; i++ {
+		ret := s.ExecuteID(id(uint64(i)), ts(int64(i)), p)
+		s.Commit(id(uint64(i)))
+		all = append(all, kept{ret, s.GetID(0), s.GetID(1), txn.DecodeInt(s.GetID(0))})
+		var bret []byte
+		bret, ws = s.ExecuteBuffered(ws[:0], p)
+		s.Apply(ws)
+		all = append(all, kept{bret, s.GetID(0), s.GetID(1), txn.DecodeInt(s.GetID(0))})
+	}
+	for i, k := range all {
+		if want := int64(i+1) * txn.SmallInts; k.v != want {
+			t.Fatalf("execution %d left %d, want %d", i, k.v, want)
+		}
+		if txn.DecodeInt(k.ret) != -k.v || txn.DecodeInt(k.ret[8:]) != k.v ||
+			txn.DecodeInt(k.val0) != k.v || txn.DecodeInt(k.val1) != k.v || txn.DecodeInt(k.val1[8:]) != -k.v {
+			t.Fatalf("execution %d: its result %v and values %v %v were overwritten (it wrote %d)", i, k.ret, k.val0, k.val1, k.v)
+		}
+	}
+}

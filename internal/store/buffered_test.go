@@ -9,37 +9,33 @@ import (
 	"tiga/internal/txn"
 )
 
-// IDs hands a fully numbered set back as it is — Tiga's attach tells by that
-// whether a record needs sets of its own — and otherwise fills the gaps from
-// the name map, so a name and an id of one key resolve alike.
+// ID resolves a declared key to this store's id: the id it came with, else
+// the id its name is interned under, so a name and an id of one key resolve
+// alike. It never writes into the piece's own slices.
 func TestIDs(t *testing.T) {
 	s, keys := seedN(t, 6)
-	numbered := []txn.KeyID{4, 1}
-	if got := s.IDs([]string{keys[4], keys[1]}, numbered); &got[0] != &numbered[0] || len(got) != 2 {
-		t.Fatalf("a numbered set was copied: %v", got)
-	}
-	if got := s.IDs(nil, nil); got != nil {
-		t.Fatalf("IDs of an empty set = %v", got)
-	}
+	names := []string{keys[4], keys[1]}
 	for name, ids := range map[string][]txn.KeyID{
-		"no ids": nil, "short ids": {4}, "a gap": {4, txn.NoKeyID}, "all gaps": {txn.NoKeyID, txn.NoKeyID},
+		"numbered": {4, 1}, "no ids": nil, "short ids": {4}, "a gap": {4, txn.NoKeyID}, "all gaps": {txn.NoKeyID, txn.NoKeyID},
 	} {
-		in := append([]txn.KeyID(nil), ids...)
-		got := s.IDs([]string{keys[4], keys[1]}, ids)
-		if len(got) != 2 || got[0] != 4 || got[1] != 1 {
-			t.Errorf("%s: IDs = %v, want [4 1]", name, got)
-		}
-		for i := range in {
-			if ids[i] != in[i] {
-				t.Errorf("%s: IDs wrote into the piece's own slice: %v", name, ids)
+		in := slices.Clone(ids)
+		for i, want := range []txn.KeyID{4, 1} {
+			if got := s.ID(names, ids, i); got != want {
+				t.Errorf("%s: ID of key %d = %d, want %d", name, i, got, want)
 			}
+		}
+		if !slices.Equal(ids, in) {
+			t.Errorf("%s: ID wrote into the piece's own slice: %v", name, ids)
 		}
 	}
 	// A name the store never saw gets the next id, once, and stores nothing.
-	a := s.IDs([]string{"row"}, []txn.KeyID{txn.NoKeyID})
-	b := s.IDs([]string{keys[0], "row"}, nil)
-	if a[0] != 6 || b[1] != 6 || b[0] != 0 || s.Interned() != 7 || s.Len() != 6 || s.Get("row") != nil {
-		t.Fatalf("inserted row resolved to %v then %v; %d interned, %d present", a, b, s.Interned(), s.Len())
+	a := s.ID([]string{"row"}, []txn.KeyID{txn.NoKeyID}, 0)
+	b := s.ID([]string{keys[0], "row"}, nil, 1)
+	if a != 6 || b != 6 || s.Interned() != 7 || s.Len() != 6 || s.Get("row") != nil {
+		t.Fatalf("inserted row resolved to %d then %d; %d interned, %d present", a, b, s.Interned(), s.Len())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.ID(names, []txn.KeyID{4, txn.NoKeyID}, 1) }); allocs != 0 {
+		t.Fatalf("resolving a known name allocates %.0f objects", allocs)
 	}
 }
 

@@ -113,26 +113,6 @@ func (s *refStore) GetID(id txn.KeyID) []byte {
 	return vs[len(vs)-1].val
 }
 
-// IDs returns a declared access set as ids of this store: ids itself when it
-// numbers every key of names (nothing is copied or hashed), otherwise a copy
-// in which every key that came without an id — beyond the end of ids, or
-// marked txn.NoKeyID — has the id its name is interned under. A name and an id
-// of one key therefore always resolve to the same id.
-func (s *refStore) IDs(names []string, ids []txn.KeyID) []txn.KeyID {
-	if len(ids) == len(names) && !slices.Contains(ids, txn.NoKeyID) {
-		return ids
-	}
-	out := make([]txn.KeyID, len(names))
-	for i, name := range names {
-		if i < len(ids) && ids[i] != txn.NoKeyID {
-			out[i] = ids[i]
-		} else {
-			out[i] = s.Intern(name)
-		}
-	}
-	return out
-}
-
 // Seed installs an initial committed value (workload pre-population),
 // replacing whatever the key held. Use SeedBulk to pre-populate a keyspace:
 // it lays the batch out in shared arrays and fixes the ids to the batch order.
@@ -216,6 +196,8 @@ type refView struct {
 func (v *refView) Get(key string) []byte { return v.s.Get(key) }
 
 func (v *refView) GetID(id txn.KeyID) []byte { return v.s.GetID(id) }
+
+func (v *refView) Bytes(n int) []byte { return make([]byte, 0, n) }
 
 func (v *refView) Put(key string, val []byte) { v.PutID(v.s.Intern(key), val) }
 

@@ -13,8 +13,8 @@
 // index), so hot loops (GetID/PutID through a view, GetAtID) never hash a
 // string; a name that shows up later (an inserted row, a hand-built string
 // piece) is given the next id by Intern. This package is the one place where
-// the two forms of a key meet: IDs turns a piece's declared access set into
-// this store's ids, both views accept either form for the same key, and a
+// the two forms of a key meet: ID turns a key of a piece's declared access set
+// into this store's id, both views accept either form for the same key, and a
 // buffered write that arrived by name carries the name along (Write), because
 // the id a store gave an inserted row means nothing on another store. Execute
 // reuses one transaction view plus freelisted write-set slices across
@@ -27,12 +27,22 @@
 // drops — collapsed by the default-mode Commit, revoked, pruned, overwritten by
 // Seed or the default-mode ApplyAt — so a rewritten key reuses a freed entry.
 // Writing costs an allocation per chunk of new versions, not one per key, and
-// Versions is a subtraction. Values are not part of that: they are the caller's
-// immutable []byte, aliased by read and piece results, and are never copied
-// into reusable memory. One value may be shared across keys, stores and nodes
-// — every replica's seed values come from one image, and txn.EncodeInt hands
-// out small integers from one package-level table — so nothing may write into
-// a stored value's bytes; a new value is a new slice.
+// Versions is a subtraction. Values are not part of that: they are immutable
+// []byte, aliased by read and piece results, and never written into reusable
+// memory. One value may be shared across keys, stores and nodes — every
+// replica's seed values come from one image, txn.Int hands out small integers
+// from one package-level table, and a buffered write set is applied to the
+// shard's other copies — so nothing may write into a stored value's bytes; a
+// new value is a new slice. A piece builds the values it writes and the result
+// it returns in the store's own bytes (txn.KV's Bytes), and a view keeps a value
+// it is given as the shared small integer it encodes or as a copy of its own
+// (keep). Both come from pool.Arenas of small chunks that are never reused, so
+// writing an integer costs an allocation per chunk, not one per value, and what
+// a piece handed on stays as it was. They are two arenas because what they hold
+// lives apart: a kept value lives until the key is overwritten, often for the
+// whole run, a result as long as its transaction's record, and an arena's chunk
+// stays reachable while anything carved from it does — in one arena every
+// chunk holding a kept value would keep the results beside it reachable too.
 //
 // A shard's replicas start byte-identical, so what they start from is held
 // once: an Image is a shard's name → id map and seed values, built by the
@@ -58,7 +68,6 @@
 package store
 
 import (
-	"slices"
 	"sync"
 	"time"
 
@@ -152,6 +161,10 @@ type Store struct {
 	view     txnView
 	buf      bufView
 	pendFree [][]txn.KeyID
+	// bytes is what the views' Bytes carve, the results and the scratch of
+	// the values pieces build; vals holds the copies of values the store keeps
+	// (keep). Their chunks are never reused.
+	bytes, vals pool.Arena[byte]
 	// retain switches Commit from garbage-collecting old versions to
 	// keeping the full committed history, which snapshot reads need.
 	retain bool
@@ -168,7 +181,29 @@ func New() *Store {
 		index:    make(map[string]txn.KeyID),
 		pending:  make(map[txn.ID][]txn.KeyID),
 		executed: make(map[txn.ID]bool),
+		bytes:    pool.NewArena[byte](bytesChunk),
+		vals:     pool.NewArena[byte](bytesChunk),
 	}
+}
+
+// bytesChunk sizes the chunks of a store's two arenas: 128 eight-byte values.
+// A store that writes few large integers pays for little it does not use.
+const bytesChunk = 1 << 10
+
+// carve returns an empty buffer of the store's with room for n bytes.
+func (s *Store) carve(n int) []byte { return s.bytes.Carve(n)[:0] }
+
+// keep returns the bytes the store keeps for val, a value a view was given:
+// val's shared encoding when it is a small integer (txn.Int), otherwise a copy
+// in the store's values arena. Empty values are kept as they are.
+func (s *Store) keep(val []byte) []byte {
+	switch v := txn.DecodeInt(val); {
+	case len(val) == 0:
+		return val
+	case len(val) == 8 && -txn.SmallInts <= v && v < txn.SmallInts:
+		return txn.EncodeInt(v)
+	}
+	return append(s.vals.Carve(len(val))[:0], val...)
 }
 
 // EnableSnapshots switches the store into version-retaining mode: Commit
@@ -259,24 +294,16 @@ func (s *Store) GetID(id txn.KeyID) []byte {
 	return s.at(top).val
 }
 
-// IDs returns a declared access set as ids of this store: ids itself when it
-// numbers every key of names (nothing is copied or hashed), otherwise a copy
-// in which every key that came without an id — beyond the end of ids, or
-// marked txn.NoKeyID — has the id its name is interned under. A name and an id
-// of one key therefore always resolve to the same id.
-func (s *Store) IDs(names []string, ids []txn.KeyID) []txn.KeyID {
-	if len(ids) == len(names) && !slices.Contains(ids, txn.NoKeyID) {
-		return ids
+// ID returns this store's id of key i of a declared access set, whose names
+// and ids are positionally parallel: ids[i] when the key came with one,
+// otherwise — beyond the end of ids, or marked txn.NoKeyID — the id names[i]
+// is interned under. A name and an id of one key therefore always resolve to
+// the same id, and resolving a set key by key copies nothing.
+func (s *Store) ID(names []string, ids []txn.KeyID, i int) txn.KeyID {
+	if i < len(ids) && ids[i] != txn.NoKeyID {
+		return ids[i]
 	}
-	out := make([]txn.KeyID, len(names))
-	for i, name := range names {
-		if i < len(ids) && ids[i] != txn.NoKeyID {
-			out[i] = ids[i]
-		} else {
-			out[i] = s.Intern(name)
-		}
-	}
-	return out
+	return s.Intern(names[i])
 }
 
 // Seed installs an initial committed value (workload pre-population),
@@ -392,9 +419,11 @@ func (v *txnView) GetID(id txn.KeyID) []byte { return v.s.GetID(id) }
 func (v *txnView) Put(key string, val []byte) { v.PutID(v.s.Intern(key), val) }
 
 func (v *txnView) PutID(id txn.KeyID, val []byte) {
-	v.s.push(id, version{writer: v.writer, ts: v.ts, val: val, uncommitted: true})
+	v.s.push(id, version{writer: v.writer, ts: v.ts, val: v.s.keep(val), uncommitted: true})
 	v.ids = append(v.ids, id)
 }
+
+func (v *txnView) Bytes(n int) []byte { return v.s.carve(n) }
 
 // Write is one buffered write. ID is the key's id in the store that executed
 // the piece. Name is set when the piece wrote the key by name — an inserted
@@ -457,7 +486,10 @@ func (v *bufView) Put(key string, val []byte) { v.put(Write{v.s.Intern(key), key
 
 func (v *bufView) PutID(id txn.KeyID, val []byte) { v.put(Write{ID: id, Val: val}) }
 
+func (v *bufView) Bytes(n int) []byte { return v.s.carve(n) }
+
 func (v *bufView) put(w Write) {
+	w.Val = v.s.keep(w.Val)
 	for i := v.base; i < len(v.writes); i++ {
 		if old := &v.writes[i]; old.ID == w.ID {
 			old.Val = w.Val

@@ -78,6 +78,15 @@ func (sh *shadowSets) reset() {
 	sh.parked = 0
 }
 
+// storeIDs resolves a declared set to st's ids, key by key (store.ID).
+func storeIDs(st *store.Store, names []string, ids []txn.KeyID) []txn.KeyID {
+	out := make([]txn.KeyID, len(names))
+	for i := range names {
+		out[i] = st.ID(names, ids, i)
+	}
+	return out
+}
+
 func (sh *shadowSets) on(ev conflictEvent) {
 	s, t := sh.s, sh.t
 	if s.st != sh.st {
@@ -90,7 +99,7 @@ func (sh *shadowSets) on(ev conflictEvent) {
 		return
 	}
 	p := ev.piece
-	reads, writes := s.st.IDs(p.ReadSet, p.ReadIDs), s.st.IDs(p.WriteSet, p.WriteIDs)
+	reads, writes := storeIDs(s.st, p.ReadSet, p.ReadIDs), storeIDs(s.st, p.WriteSet, p.WriteIDs)
 	fail := func(what string, got, want any) {
 		t.Helper()
 		t.Fatalf("shard %d replica %d at %v: %s on reads %v writes %v (ts %v) = %v, the maps say %v",

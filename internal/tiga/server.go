@@ -384,18 +384,18 @@ func (s *Server) handle(from simnet.NodeID, msg simnet.Message) {
 // ---- §3.2 Conflict detection and timestamp update ----
 
 // attach gives r its piece of the transaction and resolves the piece's keys,
-// once, to their conflict-table entries: to KeyIDs of this server's store first
-// (store.IDs: a name and an id of the same key always meet in one entry), then
-// through the table's index. The ids are the current store's: installLog
-// rebuilds the table and every record when it replaces the store.
+// once, to their conflict-table entries: each to its KeyID of this server's
+// store first (store.ID: a name and an id of the same key always meet in one
+// entry), then through the table's index. The ids are the current store's:
+// installLog rebuilds the table and every record when it replaces the store.
 func (s *Server) attach(r *rec, p *txn.Piece) {
-	reads, writes := s.st.IDs(p.ReadSet, p.ReadIDs), s.st.IDs(p.WriteSet, p.WriteIDs)
-	r.piece, r.refs, r.nr = p, s.keys.arena.Carve(len(reads)+len(writes)), uint32(len(reads))
-	for i, k := range reads {
-		r.refs[i] = s.keys.entry(k)
+	nr := len(p.ReadSet)
+	r.piece, r.refs, r.nr = p, s.keys.arena.Carve(nr+len(p.WriteSet)), uint32(nr)
+	for i := range p.ReadSet {
+		r.refs[i] = s.keys.entry(s.st.ID(p.ReadSet, p.ReadIDs, i))
 	}
-	for i, k := range writes {
-		r.refs[len(reads)+i] = s.keys.entry(k)
+	for i := range p.WriteSet {
+		r.refs[nr+i] = s.keys.entry(s.st.ID(p.WriteSet, p.WriteIDs, i))
 	}
 }
 

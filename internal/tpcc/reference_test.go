@@ -34,6 +34,11 @@ func (g *Gen) refNext(rng *rand.Rand) workload.Job {
 	}
 }
 
+// The names of the rows the reference inserts, one string each.
+func kOrder(w, d int, uid uint64) string   { return key("o", int64(w), int64(d), int64(uid)) }
+func kOTotal(w, d int, uid uint64) string  { return key("o_total", int64(w), int64(d), int64(uid)) }
+func kOCarrier(w, d int, idx int64) string { return key("o_carrier", int64(w), int64(d), idx) }
+
 func newKeyset(n int) keyset {
 	return keyset{names: make([]string, 0, n), ids: make([]txn.KeyID, 0, n)}
 }

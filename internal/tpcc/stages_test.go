@@ -3,6 +3,7 @@ package tpcc
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -200,8 +201,10 @@ func TestFailedPaymentMatchesTheReference(t *testing.T) {
 }
 
 // TestStagesAllocatePerStage pins what building each TPC-C transaction's
-// stages costs: an arena and an executor per stage, a draw per chain, the
-// names of the rows it inserts — nothing per key. One warehouse, so no
+// stages costs: an executor per stage, a Next per chain, one string for the
+// names of the rows a draw or a stage inserts — nothing per key, and no
+// arena of its own: every stage is carved from the generator's arenas, whose
+// chunks add less than half an allocation a draw. One warehouse, so no
 // New-Order has a remote line and every count is fixed.
 func TestStagesAllocatePerStage(t *testing.T) {
 	g := New(TestConfig(1))
@@ -225,20 +228,28 @@ func TestStagesAllocatePerStage(t *testing.T) {
 	var sink *txn.Txn
 	cases := []struct {
 		label string
-		want  float64 // arena + executor per stage, Interactive + Next per chain, inserted rows' names
+		want  float64 // executor per stage, Next per chain, one string of inserted rows' names
 		build func()
 	}{
-		{"neworder", 7, func() { sink = g.NewOrder(rng) }},                                              // arena, names, ids, pieces, executor, order + total rows
-		{"payment", 6, func() { sink = chain(g.Payment(rng), balance, charged) }},                       // 2 + history row; read: arena; write: arena, executor
-		{"orderstatus", 8, func() { sink = chain(g.OrderStatus(rng), lastOrder, nil) }},                 // 2; 2; 2 + order + total rows
-		{"delivery", 7 + float64(g.cfg.Districts), func() { sink = chain(g.Delivery(rng), scan, nil) }}, // 3 with the customers drawn; 2; 2 + a carrier row per district
-		{"stocklevel", 2, func() { sink = g.StockLevel(rng) }},                                          // arena, executor
+		{"neworder", 2, func() { sink = g.NewOrder(rng) }},                              // executor, order + total rows
+		{"payment", 3, func() { sink = chain(g.Payment(rng), balance, charged) }},       // Next + history row; read: none; write: executor
+		{"orderstatus", 4, func() { sink = chain(g.OrderStatus(rng), lastOrder, nil) }}, // Next; executor; executor + order + total rows
+		{"delivery", 4, func() { sink = chain(g.Delivery(rng), scan, nil) }},            // Next; executor; executor + every carrier row
+		{"stocklevel", 1, func() { sink = g.StockLevel(rng) }},                          // executor
 	}
+	const runs = 400
 	for _, c := range cases {
-		got := testing.AllocsPerRun(200, c.build)
-		t.Logf("%s: %.0f allocations", c.label, got)
-		if got != c.want {
-			t.Errorf("building a %s allocates %.1f objects, want %.0f", c.label, got, c.want)
+		c.build() // warm up
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for range runs {
+			c.build()
+		}
+		runtime.ReadMemStats(&m1)
+		got := float64(m1.Mallocs-m0.Mallocs) / runs
+		t.Logf("%s: %.2f allocations", c.label, got)
+		if got < c.want || got >= c.want+0.5 {
+			t.Errorf("building a %s allocates %.2f objects, want %.0f and less than half a chunk", c.label, got, c.want)
 		}
 	}
 	_ = sink

@@ -20,6 +20,7 @@ import (
 	"slices"
 	"strconv"
 
+	"tiga/internal/pool"
 	"tiga/internal/protocol"
 	"tiga/internal/store"
 	"tiga/internal/txn"
@@ -67,6 +68,34 @@ type Gen struct {
 	// Next takes its ReadSet/WriteSet names from it instead of formatting them,
 	// and Seed attaches every replica's store to the image.
 	keys workload.KeyCache
+	// The arenas a draw is carved from (pool.Arena: one allocation a chunk):
+	// its stages' transactions, pieces and declared sets, and its chain's
+	// state. A Gen is private to one experiment point (workload.KeyCache), so
+	// it owns them. Chunks are never reused, so a stage stays as built for as
+	// long as anything holds it — Tiga's log keeps every stage's transaction —
+	// and a restarted chain's stages are fresh ones.
+	setNames   pool.Arena[string]
+	setIDs     pool.Arena[txn.KeyID]
+	pieces     pool.Arena[txn.Piece]
+	singles    pool.Arena[single]
+	orders     pool.Arena[newOrder]
+	payments   pool.Arena[payment]
+	payWrites  pool.Arena[paymentWrite]
+	statuses   pool.Arena[orderStatus]
+	deliveries pool.Arena[delivery]
+	runs       pool.Arena[deliveryRun]
+}
+
+// carve returns a fresh zero entry of a.
+func carve[T any](a *pool.Arena[T]) *T { return &a.Carve(1)[0] }
+
+// room returns the room for n keys out of g's arenas, which sets are cut from.
+func (g *Gen) room(n int) keyset { return keyset{g.setNames.Carve(n), g.setIDs.Carve(n)} }
+
+// set returns an empty set with room for n keys out of g's arenas.
+func (g *Gen) set(n int) keyset {
+	room := g.room(n)
+	return room.cut(n)
 }
 
 // Column offsets within their group.
@@ -93,6 +122,10 @@ func New(cfg Config) *Gen {
 	}
 	perD := dCols + cCols*cfg.Customers
 	g := &Gen{cfg: cfg, perD: perD, perW: wCols + cfg.Districts*perD + iCols*cfg.Items}
+	// A New-Order's sets take 43 to 113 names at once. In the zero value's
+	// chunks of 512 the tail such a carve does not fit in lost a tenth of
+	// every chunk; in chunks of 4 096 it loses little.
+	g.setNames = pool.NewArena[string](4096)
 	g.keys = workload.KeyCache{Build: g.names, Value: func(id int) []byte { return txn.EncodeInt(g.seedValue(id)) }}
 	return g
 }
@@ -152,14 +185,18 @@ func (g *Gen) seedValue(id int) int64 {
 
 // ---- column keys ----
 
-// key formats prefix:a:b:…, the name of every column and row.
-func key(prefix string, parts ...int64) string {
-	b := make([]byte, 0, 40)
+// appendKey appends prefix:a:b:…, the name of every column and row, to b.
+func appendKey(b []byte, prefix string, parts ...int64) []byte {
 	b = append(b, prefix...)
 	for _, p := range parts {
 		b = strconv.AppendInt(append(b, ':'), p, 10)
 	}
-	return string(b)
+	return b
+}
+
+// key formats one name.
+func key(prefix string, parts ...int64) string {
+	return string(appendKey(make([]byte, 0, 40), prefix, parts...))
 }
 
 func kWTax(w int) string         { return key("w_tax", int64(w)) }
@@ -178,11 +215,18 @@ func kSQty(w, i int) string      { return key("s_qty", int64(w), int64(i)) }
 func kSYtd(w, i int) string      { return key("s_ytd", int64(w), int64(i)) }
 func kSCnt(w, i int) string      { return key("s_cnt", int64(w), int64(i)) }
 
-// The rows transactions insert: named, never numbered ahead of time.
-func kOrder(w, d int, uid uint64) string   { return key("o", int64(w), int64(d), int64(uid)) }
-func kOTotal(w, d int, uid uint64) string  { return key("o_total", int64(w), int64(d), int64(uid)) }
-func kOCarrier(w, d int, idx int64) string { return key("o_carrier", int64(w), int64(d), idx) }
+// The rows transactions insert: named, never numbered ahead of time. A draw
+// that inserts more than one row names them all in one string.
 func kHistory(w, d int, uid uint64) string { return key("h", int64(w), int64(d), int64(uid)) }
+
+// orderRows names order uid of district (w, d) and its total, o:w:d:uid and
+// o_total:w:d:uid, in one string.
+func orderRows(w, d int, uid uint64) (order, total string) {
+	b := appendKey(make([]byte, 0, 64), "o", int64(w), int64(d), int64(uid))
+	n := len(b)
+	rows := string(appendKey(b, "o_total", int64(w), int64(d), int64(uid)))
+	return rows[:n], rows[n:]
+}
 
 // tab returns a shard's key names in id order, building them on first use.
 func (g *Gen) tab(shard int) []string { return g.keys.Shard(shard) }
@@ -256,10 +300,12 @@ func (s *single) one(label string, readOnly bool, p txn.Piece) *txn.Txn {
 	return &s.t
 }
 
-// getInt and putInt read and write a seeded numeric column.
+// getInt and putInt read and write a seeded numeric column. Every value and
+// result a piece builds is the store's (txn.Int, KV.Bytes), so executing a
+// piece allocates nothing.
 func getInt(kv txn.KV, id txn.KeyID) int64 { return txn.DecodeInt(kv.GetID(id)) }
 
-func putInt(kv txn.KV, id txn.KeyID, v int64) { kv.PutID(id, txn.EncodeInt(v)) }
+func putInt(kv txn.KV, id txn.KeyID, v int64) { kv.PutID(id, txn.Int(kv, v)) }
 
 // Next draws a transaction per the TPC-C mix: New-Order 45%, Payment 43%,
 // Order-Status 4%, Delivery 4%, Stock-Level 4%.
@@ -292,7 +338,8 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 	w := g.randWarehouse(rng)
 	d := 1 + rng.Intn(g.cfg.Districts)
 	c := 1 + rng.Intn(g.cfg.Customers)
-	o := &newOrder{uid: g.nextUID(rng)}
+	o := carve(&g.orders)
+	o.uid = g.nextUID(rng)
 	o.n = 5 + rng.Intn(11)
 	lines := o.lines[:o.n]
 	for i := range lines {
@@ -302,12 +349,12 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 				sw = g.randWarehouse(rng)
 			}
 		}
-		lines[i] = line{shard: g.ShardOf(sw), item: g.iID(sw, 1+rng.Intn(g.cfg.Items)), qty: int64(1 + rng.Intn(10))}
+		lines[i] = line{shard: int32(g.ShardOf(sw)), item: g.iID(sw, 1+rng.Intn(g.cfg.Items)), qty: int32(1 + rng.Intn(10))}
 	}
 	home := g.ShardOf(w)
 	o.wTax, o.dTax, o.dNext = g.wID(w)+colWTax, g.dID(w, d)+colDTax, g.dID(w, d)+colDNextOID
 	o.cDisc, o.cLast = g.cID(w, d, c)+colCDisc, g.cID(w, d, c)+colCLast
-	o.order, o.total = kOrder(w, d, o.uid), kOTotal(w, d, o.uid)
+	o.order, o.total = orderRows(w, d, o.uid)
 
 	// The lines grouped by shard, each shard's in the order drawn.
 	slices.SortStableFunc(lines, func(a, b line) int { return cmp.Compare(a.shard, b.shard) })
@@ -316,22 +363,20 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 		if i == 0 || lines[i].shard != lines[i-1].shard {
 			n++
 		}
-		local = local || lines[i].shard == home
+		local = local || int(lines[i].shard) == home
 	}
 	if !local {
 		n++ // the home district's columns make a piece of their own
 	}
 	// A line declares four columns read (its price and its three stock
 	// columns) and three written; the home district four read, four written.
-	keys := 7*len(lines) + 8
-	room := keyset{make([]string, keys), make([]txn.KeyID, keys)}
-	pieces := make([]txn.Piece, 0, n)
+	room, pieces := g.room(7*len(lines)+8), g.pieces.Carve(n)[:0]
 	for i := 0; i < len(lines); {
 		j := i + 1
 		for j < len(lines) && lines[j].shard == lines[i].shard {
 			j++
 		}
-		pieces = append(pieces, o.piece(g, lines[i].shard, lines[i:j:j], home, &room))
+		pieces = append(pieces, o.piece(g, int(lines[i].shard), lines[i:j:j], home, &room))
 		i = j
 	}
 	if !local {
@@ -344,16 +389,17 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 // maxLines is the most order lines a New-Order draws.
 const maxLines = 15
 
-// line is one New-Order order line.
+// line is one New-Order order line, packed into 12 bytes: a draw lives as long
+// as its transaction, which Tiga's log keeps.
 type line struct {
-	shard int
+	shard int32
 	item  txn.KeyID // the item's i_price column; the stock columns follow it
-	qty   int64
+	qty   int32
 }
 
-// newOrder is a New-Order's arena: the transaction, its lines, and the home
+// newOrder is a New-Order's draw: the transaction, its lines, and the home
 // district's columns and rows. The declared sets and the pieces, whose sizes
-// are drawn, are made beside it: one names, one ids and one pieces backing.
+// are drawn, are carved beside it: one names, one ids and one pieces backing.
 type newOrder struct {
 	t                               txn.Txn
 	lines                           [maxLines]line
@@ -391,13 +437,13 @@ func (o *newOrder) piece(g *Gen, sh int, lns []line, home int, room *keyset) txn
 		writes.add(tab, o.cLast)
 		exec = func(kv txn.KV) []byte {
 			if len(lns) == 0 {
-				return txn.EncodeInt(o.insert(kv))
+				return txn.Int(kv, o.insert(kv))
 			}
-			out := txn.AppendInt(make([]byte, 0, 16), stock(kv, lns))
+			out := txn.AppendInt(kv.Bytes(16), stock(kv, lns))
 			return txn.AppendInt(out, o.insert(kv))
 		}
 	} else {
-		exec = func(kv txn.KV) []byte { return txn.EncodeInt(stock(kv, lns)) }
+		exec = func(kv txn.KV) []byte { return txn.Int(kv, stock(kv, lns)) }
 	}
 	return txn.Piece{
 		ReadSet: reads.names, ReadIDs: reads.ids,
@@ -411,14 +457,14 @@ func stock(kv txn.KV, lns []line) int64 {
 	var total int64
 	for _, ln := range lns {
 		price := getInt(kv, ln.item+colIPrice)
-		qty := getInt(kv, ln.item+colSQty) - ln.qty
+		qty := getInt(kv, ln.item+colSQty) - int64(ln.qty)
 		if qty < 10 {
 			qty += 91
 		}
 		putInt(kv, ln.item+colSQty, qty)
-		putInt(kv, ln.item+colSYtd, getInt(kv, ln.item+colSYtd)+ln.qty)
+		putInt(kv, ln.item+colSYtd, getInt(kv, ln.item+colSYtd)+int64(ln.qty))
 		putInt(kv, ln.item+colSCnt, getInt(kv, ln.item+colSCnt)+1)
-		total += price * ln.qty
+		total += price * int64(ln.qty)
 	}
 	return total
 }
@@ -429,8 +475,8 @@ func stock(kv txn.KV, lns []line) int64 {
 func (o *newOrder) insert(kv txn.KV) int64 {
 	oid := getInt(kv, o.dNext)
 	putInt(kv, o.dNext, oid+1)
-	kv.Put(o.order, txn.EncodeInt(oid))
-	kv.Put(o.total, txn.EncodeInt(int64(o.n)))
+	kv.Put(o.order, txn.Int(kv, oid))
+	kv.Put(o.total, txn.Int(kv, int64(o.n)))
 	putInt(kv, o.cLast, int64(o.uid))
 	return oid*1000 + getInt(kv, o.wTax) + getInt(kv, o.dTax) + getInt(kv, o.cDisc)
 }
@@ -440,9 +486,9 @@ func (g *Gen) nextUID(rng *rand.Rand) uint64 {
 	return g.uid<<20 | uint64(rng.Intn(1<<20))
 }
 
-// concat returns a followed by b in one buffer of its own.
-func concat(a, b []byte) []byte {
-	return append(append(make([]byte, 0, len(a)+len(b)), a...), b...)
+// concat returns a followed by b in the store's bytes.
+func concat(kv txn.KV, a, b []byte) []byte {
+	return append(append(kv.Bytes(len(a)+len(b)), a...), b...)
 }
 
 // Payment is a multi-shot transaction (decomposed per Appendix F): stage 0
@@ -460,9 +506,9 @@ func (g *Gen) Payment(rng *rand.Rand) *txn.Interactive {
 		}
 	}
 	c := 1 + rng.Intn(g.cfg.Customers)
-	p := &payment{amount: int64(1 + rng.Intn(5000)), home: g.ShardOf(w), cust: g.ShardOf(cw)}
+	p := carve(&g.payments)
+	p.g, p.amount, p.home, p.cust = g, int64(1+rng.Intn(5000)), g.ShardOf(w), g.ShardOf(cw)
 	p.history = kHistory(w, d, g.nextUID(rng))
-	p.homeTab, p.custTab = g.tab(p.home), g.tab(p.cust)
 	p.wYtd, p.dYtd = g.wID(w)+colWYtd, g.dID(w, d)+colDYtd
 	p.cBal, p.cYtd, p.cCnt = g.cID(cw, d, c)+colCBal, g.cID(cw, d, c)+colCYtd, g.cID(cw, d, c)+colCCnt
 	p.Interactive = txn.Interactive{Label: "payment", Next: p.next}
@@ -472,9 +518,9 @@ func (g *Gen) Payment(rng *rand.Rand) *txn.Interactive {
 // payment is one Payment's draw, which every stage of its chain is built from.
 type payment struct {
 	txn.Interactive
+	g                            *Gen
 	home, cust                   int
 	amount                       int64
-	homeTab, custTab             []string
 	wYtd, dYtd, cBal, cYtd, cCnt txn.KeyID
 	history                      string
 }
@@ -482,12 +528,9 @@ type payment struct {
 func (p *payment) next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 	switch stage {
 	case 0:
-		a := &struct {
-			single
-			name [1]string
-			id   [1]txn.KeyID
-		}{name: [1]string{p.custTab[p.cBal]}, id: [1]txn.KeyID{p.cBal}}
-		return a.one("payment-read", true, txn.Tagged(txn.OpRead, a.name[:], a.id[:]).On(p.cust)), false, false
+		read := p.g.set(1)
+		read.add(p.g.tab(p.cust), p.cBal)
+		return carve(&p.g.singles).one("payment-read", true, txn.Tagged(txn.OpRead, read.names, read.ids).On(p.cust)), false, false
 	case 1:
 		return p.write(txn.DecodeInt(prev.Ret(p.cust))), false, false
 	default:
@@ -522,17 +565,19 @@ type paymentWrite struct {
 
 // write builds stage 1 given the balance stage 0 read.
 func (p *payment) write(seen int64) *txn.Txn {
-	a := &paymentWrite{payment: p, seen: seen}
+	a := carve(&p.g.payWrites)
+	a.payment, a.seen = p, seen
+	homeTab, custTab := p.g.tab(p.home), p.g.tab(p.cust)
 	room := keyset{a.names[:], a.ids[:]}
 	pieces := a.pieces[:]
 	if p.home == p.cust {
 		// One piece, whose sets list the warehouse's columns, then the
 		// customer's.
 		reads, writes := room.cut(5), room.cut(6)
-		reads.add(p.homeTab, p.wYtd, p.dYtd, p.cBal, p.cYtd, p.cCnt)
-		writes.add(p.homeTab, p.wYtd, p.dYtd)
+		reads.add(homeTab, p.wYtd, p.dYtd, p.cBal, p.cYtd, p.cCnt)
+		writes.add(homeTab, p.wYtd, p.dYtd)
 		writes.insert(p.history)
-		writes.add(p.custTab, p.cBal, p.cYtd, p.cCnt)
+		writes.add(custTab, p.cBal, p.cYtd, p.cCnt)
 		pieces = pieces[:1]
 		pieces[0] = txn.Piece{
 			ReadSet: reads.names, ReadIDs: reads.ids,
@@ -541,10 +586,10 @@ func (p *payment) write(seen int64) *txn.Txn {
 		}.On(p.home)
 	} else {
 		reads, writes, cust := room.cut(2), room.cut(3), room.cut(3)
-		reads.add(p.homeTab, p.wYtd, p.dYtd)
-		writes.add(p.homeTab, p.wYtd, p.dYtd)
+		reads.add(homeTab, p.wYtd, p.dYtd)
+		writes.add(homeTab, p.wYtd, p.dYtd)
 		writes.insert(p.history)
-		cust.add(p.custTab, p.cBal, p.cYtd, p.cCnt)
+		cust.add(custTab, p.cBal, p.cYtd, p.cCnt)
 		pieces[0] = txn.Piece{
 			ReadSet: reads.names, ReadIDs: reads.ids,
 			WriteSet: writes.names, WriteIDs: writes.ids,
@@ -563,7 +608,7 @@ func (p *payment) write(seen int64) *txn.Txn {
 // payWarehouse is the home shard's piece when the customer is elsewhere.
 func (a *paymentWrite) payWarehouse(kv txn.KV) []byte {
 	a.credit(kv)
-	return txn.EncodeInt(0)
+	return txn.Int(kv, 0)
 }
 
 // payCustomer is the customer's shard's piece when the warehouse is
@@ -572,9 +617,9 @@ func (a *paymentWrite) payWarehouse(kv txn.KV) []byte {
 func (a *paymentWrite) payCustomer(kv txn.KV) []byte {
 	cur := getInt(kv, a.cBal)
 	if cur != a.seen {
-		return txn.EncodeInt(-1) // validation failed
+		return txn.Int(kv, -1) // validation failed
 	}
-	return txn.EncodeInt(a.debit(kv, cur))
+	return txn.Int(kv, a.debit(kv, cur))
 }
 
 // payBoth is the one piece when warehouse and customer share a shard. It
@@ -583,7 +628,7 @@ func (a *paymentWrite) payCustomer(kv txn.KV) []byte {
 // returns what the two pieces would, side by side: 0, then -1 or the new
 // balance.
 func (a *paymentWrite) payBoth(kv txn.KV) []byte {
-	out := txn.AppendInt(make([]byte, 0, 16), 0)
+	out := txn.AppendInt(kv.Bytes(16), 0)
 	cur := getInt(kv, a.cBal)
 	if cur != a.seen {
 		return txn.AppendInt(out, -1) // validation failed
@@ -597,7 +642,7 @@ func (a *paymentWrite) payBoth(kv txn.KV) []byte {
 func (a *paymentWrite) credit(kv txn.KV) {
 	putInt(kv, a.wYtd, getInt(kv, a.wYtd)+a.amount)
 	putInt(kv, a.dYtd, getInt(kv, a.dYtd)+a.amount)
-	kv.Put(a.history, txn.EncodeInt(a.amount))
+	kv.Put(a.history, txn.Int(kv, a.amount))
 }
 
 // debit takes the payment off the customer's balance cur and returns the new
@@ -612,49 +657,50 @@ func (a *paymentWrite) debit(kv txn.KV, cur int64) int64 {
 // OrderStatus is a read-only multi-shot transaction: stage 0 reads the
 // customer's balance and last order id; stage 1 reads that order.
 func (g *Gen) OrderStatus(rng *rand.Rand) *txn.Interactive {
-	w := g.randWarehouse(rng)
-	d := 1 + rng.Intn(g.cfg.Districts)
+	o := carve(&g.statuses)
+	o.g, o.w = g, g.randWarehouse(rng)
+	o.d = 1 + rng.Intn(g.cfg.Districts)
 	c := 1 + rng.Intn(g.cfg.Customers)
-	sh := g.ShardOf(w)
-	tab := g.tab(sh)
-	cBal, cLast := g.cID(w, d, c)+colCBal, g.cID(w, d, c)+colCLast
-	return &txn.Interactive{
-		Label: "orderstatus",
-		Next: func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
-			switch stage {
-			case 0:
-				a := &struct {
-					single
-					names [2]string
-					ids   [2]txn.KeyID
-				}{}
-				reads := keyset{a.names[:0], a.ids[:0]}
-				reads.add(tab, cBal, cLast)
-				return a.one("orderstatus-c", true, txn.Piece{
-					ReadSet: reads.names, ReadIDs: reads.ids,
-					Exec: func(kv txn.KV) []byte { return concat(kv.GetID(cBal), kv.GetID(cLast)) },
-				}.On(sh)), false, false
-			case 1:
-				var last uint64
-				if prev != nil && len(prev.Ret(sh)) >= 16 {
-					last = uint64(txn.DecodeInt(prev.Ret(sh)[8:16]))
-				}
-				if last == 0 {
-					return nil, true, false // customer has no orders yet
-				}
-				// The order rows were inserted: names only, no ids.
-				a := &struct {
-					single
-					names [2]string
-				}{names: [2]string{kOrder(w, d, last), kOTotal(w, d, last)}}
-				return a.one("orderstatus-o", true, txn.Piece{
-					ReadSet: a.names[:],
-					Exec:    func(kv txn.KV) []byte { return concat(kv.Get(a.names[0]), kv.Get(a.names[1])) },
-				}.On(sh)), false, false
-			default:
-				return nil, true, false
-			}
-		},
+	o.sh = g.ShardOf(o.w)
+	o.cBal, o.cLast = g.cID(o.w, o.d, c)+colCBal, g.cID(o.w, o.d, c)+colCLast
+	o.Interactive = txn.Interactive{Label: "orderstatus", Next: o.next}
+	return &o.Interactive
+}
+
+// orderStatus is one Order-Status' draw.
+type orderStatus struct {
+	txn.Interactive
+	g           *Gen
+	w, d, sh    int
+	cBal, cLast txn.KeyID
+}
+
+func (o *orderStatus) next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
+	switch stage {
+	case 0:
+		reads := o.g.set(2)
+		reads.add(o.g.tab(o.sh), o.cBal, o.cLast)
+		return carve(&o.g.singles).one("orderstatus-c", true, txn.Piece{
+			ReadSet: reads.names, ReadIDs: reads.ids,
+			Exec: func(kv txn.KV) []byte { return concat(kv, kv.GetID(o.cBal), kv.GetID(o.cLast)) },
+		}.On(o.sh)), false, false
+	case 1:
+		var last uint64
+		if prev != nil && len(prev.Ret(o.sh)) >= 16 {
+			last = uint64(txn.DecodeInt(prev.Ret(o.sh)[8:16]))
+		}
+		if last == 0 {
+			return nil, true, false // customer has no orders yet
+		}
+		// The order rows were inserted: names only, no ids.
+		names := o.g.setNames.Carve(2)
+		names[0], names[1] = orderRows(o.w, o.d, last)
+		return carve(&o.g.singles).one("orderstatus-o", true, txn.Piece{
+			ReadSet: names,
+			Exec:    func(kv txn.KV) []byte { return concat(kv, kv.Get(names[0]), kv.Get(names[1])) },
+		}.On(o.sh)), false, false
+	default:
+		return nil, true, false
 	}
 }
 
@@ -663,102 +709,127 @@ func (g *Gen) OrderStatus(rng *rand.Rand) *txn.Interactive {
 // delivery head of every district with undelivered orders, assigns carriers,
 // and credits customer balances (the full 10-district sweep of the spec).
 func (g *Gen) Delivery(rng *rand.Rand) *txn.Interactive {
-	w := g.randWarehouse(rng)
-	sh := g.ShardOf(w)
-	carrier := int64(1 + rng.Intn(10))
-	custs := make([]int, g.cfg.Districts+1)
+	dl := carve(&g.deliveries)
+	dl.g, dl.w = g, g.randWarehouse(rng)
+	dl.sh = g.ShardOf(dl.w)
+	dl.carrier = int64(1 + rng.Intn(10))
 	for d := 1; d <= g.cfg.Districts; d++ {
-		custs[d] = 1 + rng.Intn(g.cfg.Customers)
+		dl.custs[d] = 1 + rng.Intn(g.cfg.Customers)
 	}
-	nd := g.cfg.Districts
-	tab := g.tab(sh)
-	return &txn.Interactive{
-		Label: "delivery",
-		Next: func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
-			switch stage {
-			case 0:
-				a := &struct {
-					single
-					names [2 * maxDistricts]string
-					ids   [2 * maxDistricts]txn.KeyID
-				}{}
-				room := keyset{a.names[:], a.ids[:]}
-				reads := room.cut(2 * nd)
-				for d := 1; d <= nd; d++ {
-					reads.add(tab, g.dID(w, d)+colNoHead, g.dID(w, d)+colDNextOID)
+	dl.Interactive = txn.Interactive{Label: "delivery", Next: dl.next}
+	return &dl.Interactive
+}
+
+// delivery is one Delivery's draw: its warehouse, carrier and the customer
+// drawn in each district.
+type delivery struct {
+	txn.Interactive
+	g       *Gen
+	w, sh   int
+	carrier int64
+	custs   [maxDistricts + 1]int
+}
+
+// deliveryRun is Delivery's second stage: its transaction and the districts
+// it delivers in.
+type deliveryRun struct {
+	single
+	todo    [maxDistricts]district
+	n       int
+	carrier int64
+}
+
+// district is one district a Delivery's second stage delivers in: the
+// delivery head stage 0 read, the columns it moves and the carrier row of the
+// order at head+1.
+type district struct {
+	head         int64
+	noHead, cBal txn.KeyID
+	carrierRow   string
+}
+
+func (dl *delivery) next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
+	g, w, nd := dl.g, dl.w, dl.g.cfg.Districts
+	tab := g.tab(dl.sh)
+	switch stage {
+	case 0:
+		reads := g.set(2 * nd)
+		for d := 1; d <= nd; d++ {
+			reads.add(tab, g.dID(w, d)+colNoHead, g.dID(w, d)+colDNextOID)
+		}
+		ids := reads.ids
+		return carve(&g.singles).one("delivery-scan", true, txn.Piece{
+			ReadSet: reads.names, ReadIDs: ids,
+			Exec: func(kv txn.KV) []byte {
+				out := kv.Bytes(16 * nd)
+				for _, id := range ids {
+					out = append(out, kv.GetID(id)...)
 				}
-				ids := reads.ids
-				return a.one("delivery-scan", true, txn.Piece{
-					ReadSet: reads.names, ReadIDs: ids,
-					Exec: func(kv txn.KV) []byte {
-						out := make([]byte, 0, 16*nd)
-						for _, id := range ids {
-							out = append(out, kv.GetID(id)...)
-						}
-						return out
-					},
-				}.On(sh)), false, false
-			case 1:
-				buf := prev.Ret(sh)
-				type dd struct {
-					head         int64
-					noHead, cBal txn.KeyID
-					carrierRow   string // o_carrier of the order at head+1
-				}
-				var todo [maxDistricts]dd
-				n := 0
-				for d := 1; d <= nd; d++ {
-					off := (d - 1) * 16
-					if len(buf) < off+16 {
-						break
-					}
-					head := txn.DecodeInt(buf[off : off+8])
-					next := txn.DecodeInt(buf[off+8 : off+16])
-					if head+1 < next {
-						todo[n] = dd{head: head, noHead: g.dID(w, d) + colNoHead,
-							cBal: g.cID(w, d, custs[d]) + colCBal, carrierRow: kOCarrier(w, d, head+1)}
-						n++
-					}
-				}
-				if n == 0 {
-					return nil, true, false
-				}
-				a := &struct {
-					single
-					todo  [maxDistricts]dd
-					names [5 * maxDistricts]string
-					ids   [5 * maxDistricts]txn.KeyID
-				}{todo: todo}
-				room := keyset{a.names[:], a.ids[:]}
-				reads, writes := room.cut(2*n), room.cut(3*n)
-				for _, x := range a.todo[:n] {
-					reads.add(tab, x.noHead, x.cBal)
-					writes.add(tab, x.noHead)
-					writes.insert(x.carrierRow)
-					writes.add(tab, x.cBal)
-				}
-				return a.one("delivery-run", false, txn.Piece{
-					ReadSet: reads.names, ReadIDs: reads.ids,
-					WriteSet: writes.names, WriteIDs: writes.ids,
-					Exec: func(kv txn.KV) []byte {
-						var done int64
-						for _, x := range a.todo[:n] {
-							if getInt(kv, x.noHead) != x.head {
-								continue // another delivery got here first
-							}
-							putInt(kv, x.noHead, x.head+1)
-							kv.Put(x.carrierRow, txn.EncodeInt(carrier))
-							putInt(kv, x.cBal, getInt(kv, x.cBal)+100)
-							done++
-						}
-						return txn.EncodeInt(done)
-					},
-				}.On(sh)), false, false
-			default:
-				return nil, true, false
+				return out
+			},
+		}.On(dl.sh)), false, false
+	case 1:
+		buf := prev.Ret(dl.sh)
+		var todo [maxDistricts]district
+		n := 0
+		// The carrier rows' names, in one string: name i ends at ends[i].
+		rows := make([]byte, 0, 32*maxDistricts)
+		var ends [maxDistricts]int
+		for d := 1; d <= nd; d++ {
+			off := (d - 1) * 16
+			if len(buf) < off+16 {
+				break
 			}
-		},
+			head := txn.DecodeInt(buf[off : off+8])
+			next := txn.DecodeInt(buf[off+8 : off+16])
+			if head+1 < next {
+				todo[n] = district{head: head, noHead: g.dID(w, d) + colNoHead, cBal: g.cID(w, d, dl.custs[d]) + colCBal}
+				rows = appendKey(rows, "o_carrier", int64(w), int64(d), head+1)
+				ends[n] = len(rows)
+				n++
+			}
+		}
+		if n == 0 {
+			return nil, true, false
+		}
+		r := carve(&g.runs)
+		r.todo, r.n, r.carrier = todo, n, dl.carrier
+		names, start := string(rows), 0
+		room := g.room(5 * n)
+		reads, writes := room.cut(2*n), room.cut(3*n)
+		for i := range r.todo[:n] {
+			x := &r.todo[i]
+			x.carrierRow, start = names[start:ends[i]], ends[i]
+			reads.add(tab, x.noHead, x.cBal)
+			writes.add(tab, x.noHead)
+			writes.insert(x.carrierRow)
+			writes.add(tab, x.cBal)
+		}
+		return r.one("delivery-run", false, txn.Piece{
+			ReadSet: reads.names, ReadIDs: reads.ids,
+			WriteSet: writes.names, WriteIDs: writes.ids,
+			Exec: r.run,
+		}.On(dl.sh)), false, false
+	default:
+		return nil, true, false
 	}
+}
+
+// run is Delivery's second-stage piece: it delivers the oldest undelivered
+// order of every district whose head has not moved since stage 0, and returns
+// how many it delivered.
+func (r *deliveryRun) run(kv txn.KV) []byte {
+	var done int64
+	for _, x := range r.todo[:r.n] {
+		if getInt(kv, x.noHead) != x.head {
+			continue // another delivery got here first
+		}
+		putInt(kv, x.noHead, x.head+1)
+		kv.Put(x.carrierRow, txn.Int(kv, r.carrier))
+		putInt(kv, x.cBal, getInt(kv, x.cBal)+100)
+		done++
+	}
+	return txn.Int(kv, done)
 }
 
 // StockLevel is the one-shot read-only analysis transaction: it reads the
@@ -770,26 +841,22 @@ func (g *Gen) StockLevel(rng *rand.Rand) *txn.Txn {
 	sh := g.ShardOf(w)
 	threshold := int64(10 + rng.Intn(11))
 	tab := g.tab(sh)
-	a := &struct {
-		single
-		names [21]string
-		ids   [21]txn.KeyID
-	}{}
-	reads := keyset{a.names[:0], a.ids[:0]}
+	reads := g.set(21)
 	reads.add(tab, g.dID(w, d)+colDNextOID)
 	for i := 0; i < 20; i++ {
 		reads.add(tab, g.iID(w, 1+rng.Intn(g.cfg.Items))+colSQty)
 	}
-	return a.one("stocklevel", true, txn.Piece{
+	items := reads.ids[1:]
+	return carve(&g.singles).one("stocklevel", true, txn.Piece{
 		ReadSet: reads.names, ReadIDs: reads.ids,
 		Exec: func(kv txn.KV) []byte {
 			var low int64
-			for _, id := range a.ids[1:] {
+			for _, id := range items {
 				if getInt(kv, id) < threshold {
 					low++
 				}
 			}
-			return txn.EncodeInt(low)
+			return txn.Int(kv, low)
 		},
 	}.On(sh))
 }

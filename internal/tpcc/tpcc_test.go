@@ -117,6 +117,7 @@ type trackingKV struct {
 
 func (k *trackingKV) GetID(id txn.KeyID) []byte    { return k.Get(k.names[id]) }
 func (k *trackingKV) PutID(id txn.KeyID, v []byte) { k.Put(k.names[id], v) }
+func (k *trackingKV) Bytes(n int) []byte           { return make([]byte, 0, n) }
 
 func (k *trackingKV) Get(key string) []byte {
 	if !k.declared[key] {

@@ -65,11 +65,22 @@ func (a Timestamp) Max(b Timestamp) Timestamp {
 // write made under a key's name when the key is read by its id, and the other
 // way round. internal/store has the only two implementations, the view of an
 // optimistic execution and the write-buffering one.
+//
+// Bytes is where a piece builds what it hands on: a value it puts, the result
+// it returns. It returns an empty buffer with room for n bytes, which the
+// executing store owns and carves from chunks it never reuses, so the piece may
+// fill it once and give it away: a result outlives the execution (a replica
+// keeps it for a retransmission, a coordinator hands it to its caller), and no
+// two calls share bytes. Nothing may append past n, or write into the bytes
+// once they are put or returned. A value put through a view is immutable from
+// then on; the store may keep it as it is, as the shared encoding of the same
+// bytes, or as a copy of its own. Int encodes an integer this way.
 type KV interface {
 	Get(key string) []byte
 	Put(key string, val []byte)
 	GetID(id KeyID) []byte
 	PutID(id KeyID, val []byte)
+	Bytes(n int) []byte
 }
 
 // KeyID is a dense per-shard interned key index: key i of a shard's seeded
@@ -86,7 +97,7 @@ type KeyID = uint32
 
 // NoKeyID marks a position of ReadIDs/WriteIDs whose key has no id the
 // workload could know (an inserted row): the shard's store supplies one by
-// name (store.IDs).
+// name (store.ID).
 const NoKeyID = ^KeyID(0)
 
 // PieceFunc executes one shard's piece of a transaction against the shard's
@@ -149,7 +160,7 @@ func (p *Piece) Run(kv KV) []byte {
 	case OpIncrement:
 		var out []byte
 		for _, id := range p.WriteIDs {
-			out = EncodeInt(DecodeInt(kv.GetID(id)) + 1)
+			out = Int(kv, DecodeInt(kv.GetID(id))+1)
 			kv.PutID(id, out)
 		}
 		return out
@@ -342,15 +353,36 @@ type Interactive struct {
 // nothing may write into. Stored values are immutable, so every key, store and
 // node that holds such a value shares the table's bytes.
 func EncodeInt(v int64) []byte {
-	if -SmallInts <= v && v < SmallInts {
-		i := (v + SmallInts) * 8
-		return smallInts[i : i+8 : i+8]
+	if b := small(v); b != nil {
+		return b
 	}
 	return AppendInt(make([]byte, 0, 8), v)
 }
 
+// Int is EncodeInt for a piece: a value outside the shared table is encoded
+// into 8 of the executing store's bytes (KV.Bytes) instead of an allocation of
+// its own. The encodings are the same byte for byte.
+func Int(kv KV, v int64) []byte {
+	if b := small(v); b != nil {
+		return b
+	}
+	return AppendInt(kv.Bytes(8), v)
+}
+
+// small returns v's slice of the shared table, nil when v is outside it.
+func small(v int64) []byte {
+	if -SmallInts <= v && v < SmallInts {
+		i := (v + SmallInts) * 8
+		return smallInts[i : i+8 : i+8]
+	}
+	return nil
+}
+
 // SmallInts bounds the values EncodeInt serves from its table. It covers every
-// TPC-C seed value (±1000), stock quantities and MicroBench counters; see
+// TPC-C seed value (±1000), stock quantities and MicroBench counters. It does
+// not cover what TPC-C's payments accumulate (year-to-date sums, customer
+// balances) nor a customer's last order (c_last_o, a draw's unique id above 20
+// random bits): a piece encodes those with Int, into its store's bytes. See
 // EXPERIMENTS.md for the histogram of values encoded per workload.
 const SmallInts = 1024
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -242,6 +243,33 @@ func TestSmallIntsAreShared(t *testing.T) {
 	}
 }
 
+// TestIntMatchesEncodeInt: Int encodes every value as EncodeInt does, byte for
+// byte and len = cap = 8, taking the store's bytes only outside the shared
+// table: at the table's edges and at the ends of int64.
+func TestIntMatchesEncodeInt(t *testing.T) {
+	for _, v := range []int64{math.MinInt64, -SmallInts - 1, -SmallInts, -1, 0, SmallInts - 1, SmallInts, math.MaxInt64} {
+		kv := &bytesKV{}
+		got, want := Int(kv, v), EncodeInt(v)
+		if !bytes.Equal(got, want) || len(got) != 8 || cap(got) != 8 {
+			t.Errorf("Int(%d) = %v (len %d, cap %d), EncodeInt %v", v, got, len(got), cap(got), want)
+		}
+		if shared := -SmallInts <= v && v < SmallInts; kv.carved != !shared || (shared && &got[0] != &want[0]) {
+			t.Errorf("Int(%d): took the store's bytes %v, shares the table's %v", v, kv.carved, &got[0] == &want[0])
+		}
+	}
+}
+
+// bytesKV records whether a piece took its bytes.
+type bytesKV struct {
+	fakeKV
+	carved bool
+}
+
+func (k *bytesKV) Bytes(n int) []byte {
+	k.carved = true
+	return make([]byte, 0, n)
+}
+
 // fakeKV has no interner: an id is just another name.
 type fakeKV map[string][]byte
 
@@ -249,6 +277,7 @@ func (m fakeKV) Get(k string) []byte      { return m[k] }
 func (m fakeKV) Put(k string, v []byte)   { m[k] = v }
 func (m fakeKV) GetID(id KeyID) []byte    { return m[fmt.Sprint("#", id)] }
 func (m fakeKV) PutID(id KeyID, v []byte) { m[fmt.Sprint("#", id)] = v }
+func (m fakeKV) Bytes(n int) []byte       { return make([]byte, 0, n) }
 
 func TestIncrementPiece(t *testing.T) {
 	kv := fakeKV{}
