@@ -33,8 +33,9 @@ import (
 // closed row on three of the layered baselines, whose replication is
 // internal/paxos (the first two also share lockocc's lock table), closed-ncc
 // on NCC without replication, closed-janus and closed-tapir on Janus and
-// Tapir, and closed-detock on Detock; every one of them pools its replies and
-// coordinator records. All run at 150 transactions a second per coordinator:
+// Tapir, closed-detock on Detock and closed-calvin on Calvin+; every one of
+// them pools its replies and coordinator records and carves its multicast
+// payloads. All run at 150 transactions a second per coordinator:
 // below their saturation at this shape, so every tick submits and nothing
 // aborts. The lockocc rows' bytes include what the 600 commits of a row leave
 // unused of each leader's last commit-record slab chunk (64 KB) and
@@ -59,13 +60,14 @@ var txnPathBudget = []struct {
 	{"budget/closed-100k", 4.8, 9116},
 	{"budget/closed-tpcc", 15.2, 22799},
 	{"budget/open-reads", 6.1, 6268},
-	{"budget/closed-2pl", 19.8, 6290},
-	{"budget/closed-occ", 22.2, 6293},
-	{"budget/closed-ncc", 5.5, 2420},
-	{"budget/closed-ncc+", 12.3, 4553},
-	{"budget/closed-janus", 32.5, 5604},
-	{"budget/closed-tapir", 12.3, 3700},
-	{"budget/closed-detock", 16.5, 2384},
+	{"budget/closed-2pl", 16.2, 6290},
+	{"budget/closed-occ", 16.1, 6293},
+	{"budget/closed-ncc", 3.1, 2420},
+	{"budget/closed-ncc+", 8.7, 4553},
+	{"budget/closed-janus", 28.8, 5604},
+	{"budget/closed-tapir", 8.0, 3700},
+	{"budget/closed-detock", 14.1, 2384},
+	{"budget/closed-calvin", 3.2, 2020},
 }
 
 const (

@@ -180,6 +180,7 @@ func registerShapes() *registry.Set[Shape] {
 		budgetShape("closed-janus", "Janus's closed loop below saturation", "Janus", 150, nil),
 		budgetShape("closed-tapir", "Tapir's closed loop below saturation, retrying until commit", "Tapir", 150, retryUntilCommit("Tapir")),
 		budgetShape("closed-detock", "Detock's closed loop below saturation", "Detock", 150, nil),
+		budgetShape("closed-calvin", "Calvin+'s closed loop below saturation", "Calvin+", 150, nil),
 	)
 	set := registry.New[Shape]("shape")
 	for _, s := range out {

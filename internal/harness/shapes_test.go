@@ -24,8 +24,8 @@ func TestShapes(t *testing.T) {
 		}
 		Build(spec) // panics on an unknown knob or workload parameter
 	}
-	if n := len(Shapes()); n != 24 || sweep != 9 {
-		t.Errorf("%d shapes, %d of them sweep-nine points; want 24 and 9", n, sweep)
+	if n := len(Shapes()); n != 25 || sweep != 9 {
+		t.Errorf("%d shapes, %d of them sweep-nine points; want 25 and 9", n, sweep)
 	}
 
 	// Scale 1 is the shape as measured; the scale rule floors keys at 1 000.

@@ -34,6 +34,12 @@ func (a *Arena[T]) Carve(n int) []T {
 	return a.buf[at : at+n : at+n]
 }
 
+// New carves one entry, sets it to v and returns it. The baselines send a
+// message that several destinations read this way instead of boxing it into
+// an interface: the entry is never reused, so a copy delivered after its
+// transaction ended still reads what was sent.
+func (a *Arena[T]) New(v T) *T { p := &a.Carve(1)[0]; *p = v; return p }
+
 func (a *Arena[T]) chunkLen() int {
 	if a.chunk > 0 {
 		return a.chunk

@@ -30,7 +30,9 @@
 //     server's or leader's list, carry the sender, and the coordinator's
 //     handle puts each back there once it has copied the fields out; so do
 //     Detock's sequence exchanges, replication acks and results, which come
-//     from the sending engine's list,
+//     from the sending engine's list, and Calvin+'s submissions (the
+//     coordinator's list, put back by the sequencer), results and batch
+//     fetches (the executor's),
 //   - a snapshot-read request (internal/snapread): the replica recycles it once
 //     the read is served — a read queued behind the watermark holds it until
 //     then — and the coordinator a reply once it has copied the answer out,
@@ -39,9 +41,12 @@
 //     refilled on reuse (Detock's write sets, one copy per region and shard,
 //     refilled with append(r.Writes[:0], ...), applied, acked and put back
 //     by the receiver); an immutable payload that every receiver copies out
-//     or only reads (Janus, Tapir, lockocc, NCC's requests and commit notes,
-//     and Detock's home requests) is boxed once and shared instead, and never
-//     pooled,
+//     or only reads (Janus', Tapir's, lockocc's and NCC's coordinator
+//     requests, commit notes and decisions, Detock's home requests, Calvin+'s
+//     epoch batches, which the sequencer also keeps to re-send) is carved
+//     once from the sender's Arena (Arena.New) and shared by pointer: an
+//     arena never reuses an entry, so a copy delivered after its transaction
+//     ended reads what was sent, and nothing puts it back,
 //   - coordinator-local records: every baseline files its attempts in a
 //     coord.Table (internal/protocol/coord), which recycles a record in
 //     Finish, before it calls the completion callback, or in Retry once the

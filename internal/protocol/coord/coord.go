@@ -94,9 +94,15 @@ func (tb *Table[P, R]) file(p R) {
 // Get returns the record filed under id, nil once its attempt has ended.
 func (tb *Table[P, R]) Get(id txn.ID) R { return tb.live[id] }
 
+// PayloadChunk is the chunk, in entries, of the pool.Arena a coordinator
+// carves each kind of multicast payload from: one allocation per 64 sends, and
+// little left unused of the last chunk at the end of a short run.
+const PayloadChunk = 64
+
 // Multicast sends m to every node of to[shard] for each of t's pieces, in
-// piece order and then to's order. The payload is boxed once, by the call,
-// and shared by every destination.
+// piece order and then to's order. m is a pointer the caller carved from one
+// of its payload arenas (pool.Arena.New), shared by every destination, which
+// only reads it.
 func (tb *Table[P, R]) Multicast(t *txn.Txn, m simnet.Message, to [][]simnet.NodeID) {
 	for i := range t.Pieces {
 		for _, n := range to[t.Pieces[i].Shard()] {

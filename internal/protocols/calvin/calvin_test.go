@@ -2,7 +2,9 @@ package calvin
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -19,6 +21,12 @@ func TestMain(m *testing.M) {
 
 func build(t *testing.T, seed int64, epoch time.Duration) (*simnet.Sim, *System) {
 	t.Helper()
+	return buildResending(t, seed, epoch, 0)
+}
+
+// buildResending is build with the retransmission timer armed at resend.
+func buildResending(t *testing.T, seed int64, epoch, resend time.Duration) (*simnet.Sim, *System) {
+	t.Helper()
 	sim := simnet.NewSim(seed)
 	net := simnet.NewNetwork(sim, simnet.GeoConfig(500*time.Microsecond, 0))
 	sys := New(Spec{
@@ -29,7 +37,7 @@ func build(t *testing.T, seed int64, epoch time.Duration) (*simnet.Sim, *System)
 				st.Seed(fmt.Sprintf("c%d-%d", shard, i), txn.EncodeInt(0))
 			}
 		},
-		ExecCost: time.Microsecond, Epoch: epoch,
+		ExecCost: time.Microsecond, Epoch: epoch, Resend: resend,
 	})
 	sys.Start()
 	return sim, sys
@@ -222,5 +230,178 @@ func TestResendSurvivesLoss(t *testing.T) {
 				t.Fatalf("region %d shard %d diverged under retransmission", reg, sh)
 			}
 		}
+	}
+}
+
+// TestBatchesExecuteOnceInEpochThenRegionOrder hands one executor 41 epochs of
+// batches from three regions in a shuffled order: one batch 40 epochs ahead
+// of the executor comes first, past its merge-barrier window, and one batch
+// arrives twice before its epoch can run and once more after. Every piece must
+// execute exactly once, epoch by epoch and, within an epoch, region by region
+// in submission order; the results must all come home.
+func TestBatchesExecuteOnceInEpochThenRegionOrder(t *testing.T) {
+	const epochs, regions, perBatch = 41, 3, 2
+	sim := simnet.NewSim(5)
+	sys := New(Spec{
+		Shards: 1, Regions: regions, Net: simnet.NewNetwork(sim, simnet.GeoConfig(500*time.Microsecond, 0)),
+		CoordRegions: []simnet.Region{0},
+		ExecCost:     time.Microsecond, Epoch: 10 * time.Millisecond,
+	})
+	ex, co := sys.execs[0][0], sys.coords[0]
+	if co.home != ex.region {
+		t.Fatalf("the coordinator's home is region %d, want the executor's %d", co.home, ex.region)
+	}
+	type step struct{ epoch, region, i int }
+	var ran []step
+	var batches []*epochBatch
+	for e := 0; e < epochs; e++ {
+		for r := 0; r < regions; r++ {
+			b := &epochBatch{Region: r, Epoch: e}
+			for i := 0; i < perBatch; i++ {
+				s := step{e, r, i}
+				p := txn.Piece{Exec: func(txn.KV) []byte {
+					ran = append(ran, s)
+					return nil
+				}}.On(0)
+				tx := &txn.Txn{ID: txn.ID{Coord: 1, Seq: uint64(len(batches)*perBatch + i + 1)}, Pieces: txn.ByShard(p)}
+				b.Txns = append(b.Txns, submitMsg{src: co, T: tx})
+			}
+			batches = append(batches, b)
+		}
+	}
+	// Epoch 40's region-1 batch comes first, past the window; epoch 3's
+	// region-0 batch twice before its epoch can run; epoch 3's region-2 batch
+	// last of all, so the barrier holds at epoch 3, a duplicate in hand,
+	// while every later epoch arrives.
+	far, dup, last := batches[len(batches)-2], batches[3*regions], batches[3*regions+2]
+	deliver := []*epochBatch{far, dup, dup}
+	for _, i := range rand.New(rand.NewSource(9)).Perm(len(batches)) {
+		if b := batches[i]; b != far && b != dup && b != last {
+			deliver = append(deliver, b)
+		}
+	}
+	for k, b := range deliver {
+		ex.handle(0, b)
+		if k == 0 && len(ex.window) < epochs {
+			t.Fatalf("a batch %d epochs ahead left the window at %d slots", epochs-1, len(ex.window))
+		}
+	}
+	if ex.next != last.Epoch {
+		t.Fatalf("without epoch %d's last batch the executor ran %d epochs, want %d", last.Epoch, ex.next, last.Epoch)
+	}
+	ex.handle(0, last)
+	if ex.next != epochs {
+		t.Fatalf("the executor ran %d epochs, want %d", ex.next, epochs)
+	}
+	ex.handle(0, dup) // after its epoch ran
+	if len(ran) != epochs*regions*perBatch {
+		t.Fatalf("%d pieces ran, want %d", len(ran), epochs*regions*perBatch)
+	}
+	for k, s := range ran {
+		if want := (step{k / (regions * perBatch), k / perBatch % regions, k % perBatch}); s != want {
+			t.Fatalf("piece %d ran as (epoch, region, index) %v, want %v", k, s, want)
+		}
+	}
+	for i, s := range ex.window {
+		if s.n != 0 || slices.ContainsFunc(s.from, func(b *epochBatch) bool { return b != nil }) {
+			t.Fatalf("window slot %d still holds %d batches after every epoch ran", i, s.n)
+		}
+	}
+	sim.Run(time.Second)
+	if ex.results.News == 0 || ex.results.News != ex.results.Idle() {
+		t.Fatalf("%d results allocated, %d back", ex.results.News, ex.results.Idle())
+	}
+}
+
+// TestMessagesComeHome: after a lossless run that committed everything, every
+// submission and result is back on the list it came from, and so is every
+// fetch a sequencer received. The fetch timer is shorter than a WAN's one-way
+// delay, so executors fetch batches that are still in flight.
+func TestMessagesComeHome(t *testing.T) {
+	sim, sys := buildResending(t, 4, 10*time.Millisecond, 20*time.Millisecond)
+	received := map[*executor]int{}
+	for _, sq := range sys.seqs {
+		sq.node.SetHandler(func(from simnet.NodeID, msg simnet.Message) {
+			if f, ok := msg.(*fetchMsg); ok {
+				received[f.src]++
+			}
+			sq.handle(from, msg)
+		})
+	}
+	const n = 60
+	committed := 0
+	for i := 0; i < n; i++ {
+		sim.At(time.Duration(50+i*3)*time.Millisecond, func() {
+			sys.Submit(i%3, tx(i), func(r txn.Result) {
+				if r.OK {
+					committed++
+				}
+			})
+		})
+	}
+	sim.Run(3 * time.Second)
+	if committed != n {
+		t.Fatalf("committed %d of %d", committed, n)
+	}
+	checkDrained(t, sys)
+	fetches := 0
+	for _, co := range sys.coords {
+		if co.subs.News == 0 || co.subs.News != co.subs.Idle() {
+			t.Errorf("coordinator: %d submissions allocated, %d back", co.subs.News, co.subs.Idle())
+		}
+	}
+	for _, regExecs := range sys.execs {
+		for _, ex := range regExecs {
+			// Gets counts the fetches sent; those not received are in
+			// flight, and only they may be out.
+			out, inFlight := ex.fetches.News-ex.fetches.Idle(), ex.fetches.Gets-received[ex]
+			if ex.results.News != ex.results.Idle() || out != inFlight {
+				t.Errorf("executor %d/%d: %d of %d results back; %d fetches out, %d in flight", ex.region, ex.shard,
+					ex.results.Idle(), ex.results.News, out, inFlight)
+			}
+			fetches += received[ex]
+		}
+	}
+	if fetches == 0 {
+		t.Error("no sequencer received a fetch: the run never exercised the fetch path")
+	}
+}
+
+// TestSteadyEpochsAllocateNothing: once warm, a Calvin+ deployment runs an
+// epoch — six submissions, three sequencer flushes, eighteen batch
+// deliveries, the executions and the results — without allocating; arena
+// chunks and the coordinators' result arenas amortise below one allocation an
+// epoch.
+func TestSteadyEpochsAllocateNothing(t *testing.T) {
+	defer func(prev bool) { pool.Check = prev }(pool.Check)
+	pool.Check = false // its id maps allocate per Put
+	const epoch, perEpoch, warm, runs = 10 * time.Millisecond, 6, 50, 100
+	sim, sys := build(t, 6, epoch)
+	txns := make([]*txn.Txn, (warm+runs+1)*perEpoch)
+	for i := range txns {
+		txns[i] = tx(i)
+	}
+	committed := 0
+	done := func(r txn.Result) {
+		if r.OK {
+			committed++
+		}
+	}
+	next := 0
+	runEpoch := func() {
+		for i := 0; i < perEpoch; i++ {
+			sys.Submit(next%3, txns[next], done)
+			next++
+		}
+		sim.Run(sim.Now() + epoch)
+	}
+	for i := 0; i < warm; i++ {
+		runEpoch()
+	}
+	if allocs := testing.AllocsPerRun(runs, runEpoch); allocs != 0 {
+		t.Fatalf("a steady epoch allocated %v times, want 0", allocs)
+	}
+	if committed < (warm+runs)*perEpoch/2 {
+		t.Fatalf("only %d transactions committed", committed)
 	}
 }

@@ -52,12 +52,12 @@ type homeSet uint64
 
 func (hs homeSet) len() int { return bits.OnesCount64(uint64(hs)) }
 
-// Message ownership. A coordinator's homeReq is boxed once per transaction and
-// shared by its home engines, which keep its Txn. The four unicast
-// messages below are drawn from the sending engine's list and carry it as src;
-// the receiver copies the fields out (a replWrite is applied first) and puts
-// the message back there. A replWrite is one per destination and shard, so
-// its Writes buffer is that copy's own.
+// Message ownership. A coordinator's *homeReq is carved once per transaction
+// from its arena (coordinator.homeReqs) and shared by its home engines, which
+// keep its Txn. The four unicast messages below are drawn from the sending
+// engine's list and carry it as src; the receiver copies the fields out (a
+// replWrite is applied first) and puts the message back there. A replWrite is
+// one per destination and shard, so its Writes buffer is that copy's own.
 type homeReq struct {
 	T     *txn.Txn
 	Coord simnet.NodeID
@@ -222,7 +222,8 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{node: node, tab: coord.New[pending](int32(len(sys.coords)+1), node)}
+		co := &coordinator{node: node, tab: coord.New[pending](int32(len(sys.coords)+1), node),
+			homeReqs: pool.NewArena[homeReq](coord.PayloadChunk)}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -248,8 +249,8 @@ func (sys *System) homesOf(t *txn.Txn) homeSet {
 
 func (en *engine) handle(from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
-	case homeReq:
-		en.onHomeReq(m)
+	case *homeReq:
+		en.onHomeReq(*m)
 	case *seqInfo:
 		en.onSeqInfo(m)
 	case *replWrite:
@@ -643,8 +644,9 @@ type pending struct {
 }
 
 type coordinator struct {
-	node *simnet.Node
-	tab  *coord.Table[pending, *pending]
+	node     *simnet.Node
+	tab      *coord.Table[pending, *pending]
+	homeReqs pool.Arena[homeReq]
 }
 
 // Submit dispatches t to the engines of its home regions.
@@ -652,7 +654,7 @@ func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
 	co := sys.coords[ci]
 	homes := sys.homesOf(t)
 	co.tab.Begin(t, done).homes = homes.len()
-	var m simnet.Message = homeReq{T: t, Coord: co.node.ID(), Homes: homes}
+	m := co.homeReqs.New(homeReq{T: t, Coord: co.node.ID(), Homes: homes})
 	for hs := homes; hs != 0; hs &= hs - 1 {
 		co.node.Send(sys.engines[bits.TrailingZeros64(uint64(hs))].node.ID(), m)
 	}

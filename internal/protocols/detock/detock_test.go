@@ -179,7 +179,7 @@ func (en *refEngine) work(d *refTxn, exec bool, w time.Duration) {
 
 func (en *refEngine) handle(msg simnet.Message) {
 	switch m := msg.(type) {
-	case homeReq:
+	case *homeReq:
 		id := tid(m.T.ID)
 		d := en.txns[id]
 		if d == nil {
@@ -534,7 +534,7 @@ func TestEngineMatchesReferenceOnEqualKeys(t *testing.T) {
 			}
 			tx.Pieces = txn.ByShard(pieces...)
 			homes := sys.homesOf(tx)
-			msgs = append(msgs, homeReq{T: tx, Homes: homes})
+			msgs = append(msgs, &homeReq{T: tx, Homes: homes})
 			for hs := homes &^ 1; hs != 0; hs &= hs - 1 {
 				h := bits.TrailingZeros64(uint64(hs))
 				m := sys.engines[h].infos.Get()
@@ -906,10 +906,10 @@ func TestMessagesComeHome(t *testing.T) {
 
 // TestSteadyCommitAllocatesPerTransaction: once the freelists are warm, a
 // transaction with a piece homed in each of three regions allocates per
-// transaction and not per message or per region: the home request boxed once
-// for its three engines (1). The result list handed to the caller comes from
-// the coordinator table's arena, and the maps that index the engines' records
-// and the coordinator's pending transactions grow, both amortised.
+// transaction and not per message or per region: nothing but amortised growth.
+// The home request its three engines share and the result list handed to the
+// caller are carved from the coordinator's arenas, and the maps that index the
+// engines' records and the coordinator's pending transactions grow.
 func TestSteadyCommitAllocatesPerTransaction(t *testing.T) {
 	pool.Check = false // its id maps allocate
 	defer func() { pool.Check = true }()
@@ -961,7 +961,7 @@ func TestSteadyCommitAllocatesPerTransaction(t *testing.T) {
 	}
 	checkDrained(t, sys)
 	t.Logf("%.2f allocations per transaction", allocs)
-	if allocs > 2 {
-		t.Fatalf("%.2f allocations per transaction, want 1 and the amortised growth", allocs)
+	if allocs > 1 {
+		t.Fatalf("%.2f allocations per transaction, want the amortised growth alone", allocs)
 	}
 }

@@ -15,8 +15,9 @@
 // the coordinator's handle copies the fields out and puts it back before it
 // acts on them. A reply the network drops is simply never put back. The
 // multicast pre-accept, accept and commit messages share one payload between
-// their destinations, and the dependency lists they carry are retained by
-// every replica's record, so neither is pooled.
+// their destinations, carved from the coordinator's arenas and never
+// recycled; the dependency lists they carry are retained by every replica's
+// record, so those are never pooled either.
 package janus
 
 import (
@@ -157,7 +158,9 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords)+1), node)}
+		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords)+1), node),
+			preaccepts: pool.NewArena[preaccept](coord.PayloadChunk), accepts: pool.NewArena[acceptMsg](coord.PayloadChunk),
+			commits: pool.NewArena[commitMsg](coord.PayloadChunk)}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -185,12 +188,12 @@ func own(deps []uint64) []uint64 {
 
 func (rp *replica) handle(from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
-	case preaccept:
-		rp.onPreaccept(m)
-	case acceptMsg:
-		rp.onAccept(m)
-	case commitMsg:
-		rp.onCommit(m)
+	case *preaccept:
+		rp.onPreaccept(*m)
+	case *acceptMsg:
+		rp.onAccept(*m)
+	case *commitMsg:
+		rp.onCommit(*m)
 	}
 }
 
@@ -404,13 +407,17 @@ type coordinator struct {
 	// union collects the votes' dependencies before they are sorted,
 	// deduplicated and copied into the transaction's own list.
 	union []uint64
+	// preaccepts, accepts and commits carve the multicast payloads.
+	preaccepts pool.Arena[preaccept]
+	accepts    pool.Arena[acceptMsg]
+	commits    pool.Arena[commitMsg]
 }
 
 // Submit runs Janus's pre-accept/accept/commit protocol for t.
 func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
 	co := sys.coords[ci]
 	co.tab.Begin(t, done).reset(2*sys.spec.F+1, sys.spec.FastPath)
-	co.tab.Multicast(t, preaccept{T: t, Coord: co.node.ID()}, sys.nodes)
+	co.tab.Multicast(t, co.preaccepts.New(preaccept{T: t, Coord: co.node.ID()}), sys.nodes)
 }
 
 func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
@@ -444,7 +451,7 @@ func (co *coordinator) onPreacceptRep(src *replica, id txn.ID, deps []uint64) {
 	}
 	// Accept round with the union dependencies.
 	p.phase = 1
-	co.tab.Multicast(p.T, acceptMsg{ID: p.T.ID, Deps: p.deps, Coord: co.node.ID()}, co.sys.nodes)
+	co.tab.Multicast(p.T, co.accepts.New(acceptMsg{ID: p.T.ID, Deps: p.deps, Coord: co.node.ID()}), co.sys.nodes)
 }
 
 // tallyPreaccept records replica rep of shard's vote and reports whether the
@@ -530,7 +537,7 @@ func (co *coordinator) tallyAccept(p *pending, shard, rep int) bool {
 
 func (co *coordinator) commit(p *pending) {
 	p.phase = 2
-	co.tab.Multicast(p.T, commitMsg{ID: p.T.ID, T: p.T, Deps: p.deps, Coord: co.node.ID()}, co.sys.nodes)
+	co.tab.Multicast(p.T, co.commits.New(commitMsg{ID: p.T.ID, T: p.T, Deps: p.deps, Coord: co.node.ID()}), co.sys.nodes)
 }
 
 func (co *coordinator) onResult(shard int, id txn.ID, ret []byte) {

@@ -161,7 +161,7 @@ func TestStaleVoteTimersStayInert(t *testing.T) {
 			for sh := range sys.servers {
 				srv := sys.servers[sh][0]
 				srv.node.SetHandler(func(from simnet.NodeID, msg simnet.Message) {
-					if m, ok := msg.(commitReq); ok {
+					if m, ok := msg.(*commitReq); ok {
 						if seen[m.ID] {
 							resent++
 						}
@@ -201,6 +201,9 @@ func TestStaleVoteTimersStayInert(t *testing.T) {
 						t.Fatalf("s%d-%d = %d, want %d commits", sh, k, got, want)
 					}
 				}
+			}
+			if len(seen) == 0 {
+				t.Fatal("no leader received a commit request: the filter matches no message")
 			}
 			if committed != c.committed || aborted != c.aborted || int(sys.PresumedAborts) != c.presumed || resent != c.sent {
 				t.Fatalf("got %d committed, %d aborted, %d presumed aborts, %d re-sent; want %d, %d, %d, %d",

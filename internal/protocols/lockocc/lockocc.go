@@ -88,16 +88,18 @@ type Spec struct {
 
 // ---- messages ----
 //
-// Who owns each message. The coordinator's requests (reqExec, commitReq,
-// abortReq) are values boxed once per multicast: every destination leader
-// receives the same immutable payload and copies it out, so nothing recycles
-// them. A leader's replies (*voteMsg, *committedMsg) come from that leader's
-// freelists (server.votes, server.acks) and carry their sender; the
-// coordinator's handle copies the fields out and puts the message back on its
-// sender's list before it acts on them. A reply the network drops is never put
-// back. A commit record stays in every replica's Paxos log for good, so it
-// never comes from a freelist: the proposing leader takes it from its slab and
-// copies its write set into its write arena (server.propose).
+// Who owns each message. The coordinator's requests (*reqExec, *commitReq,
+// *abortReq) are carved once per multicast from its arenas (coordinator.reqs,
+// .commits, .aborts): every destination leader receives the same immutable
+// payload and copies it out, so nothing recycles them. A leader's replies
+// (*voteMsg, *committedMsg) come from that leader's freelists (server.votes,
+// server.acks) and carry their sender; the coordinator's handle copies the
+// fields out and puts the message back on its sender's list before it acts on
+// them. A reply the network drops is never put back. A commit record stays in
+// every replica's Paxos log for good, so it never comes from a freelist: the
+// proposing leader takes it from its slab and copies its write set into its
+// write arena (server.propose). The local-read path's timer-driven messages
+// (snapreads.go: *safeT, *safeTAck, *decisionQuery) are allocated per send.
 
 // reqExec asks a shard leader to prepare its piece of T.
 type reqExec struct {
@@ -284,7 +286,8 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node}
+		co := &coordinator{sys: sys, node: node, reqs: pool.NewArena[reqExec](coord.PayloadChunk),
+			commits: pool.NewArena[commitReq](coord.PayloadChunk), aborts: pool.NewArena[abortReq](coord.PayloadChunk)}
 		co.tab = coord.New[pendingCo](int32(len(sys.coords)+1), node).Retrying(spec.MaxRetries, spec.RetryBackoff, co.send)
 		co.reads = snapread.Coordinator{
 			Node: node, Net: spec.Net,
@@ -405,11 +408,11 @@ func (s *server) handle(from simnet.NodeID, msg simnet.Message) {
 	// local reads too — so it must precede the replica-0 gate below. Dropped
 	// requests (rejoining replicas) are re-driven by coordinator retries.
 	switch m := msg.(type) {
-	case safeT:
-		s.onSafeT(m)
+	case *safeT:
+		s.onSafeT(*m)
 		return
-	case safeTAck:
-		s.onSafeTAck(m)
+	case *safeTAck:
+		s.onSafeTAck(*m)
 		return
 	case *snapread.Req:
 		s.onSnapRead(from, m)
@@ -422,11 +425,11 @@ func (s *server) handle(from simnet.NodeID, msg simnet.Message) {
 		return // dropped requests are re-driven by coordinator timers
 	}
 	switch m := msg.(type) {
-	case reqExec:
-		s.onReqExec(m)
-	case commitReq:
-		s.onCommitReq(m)
-	case abortReq:
+	case *reqExec:
+		s.onReqExec(*m)
+	case *commitReq:
+		s.onCommitReq(*m)
+	case *abortReq:
 		s.abortLocal(m.ID)
 	}
 }
@@ -739,6 +742,11 @@ type coordinator struct {
 
 	// reads drives local snapshot reads (Spec.LocalReads, see snapreads.go).
 	reads snapread.Coordinator
+
+	// reqs, commits and aborts carve the requests (see the messages section).
+	reqs    pool.Arena[reqExec]
+	commits pool.Arena[commitReq]
+	aborts  pool.Arena[abortReq]
 }
 
 // Submit runs the layered commit protocol for t, behind the coordinator's
@@ -773,7 +781,7 @@ func (co *coordinator) send(p *pendingCo) {
 	k := len(p.T.Pieces)
 	p.votes, p.acked = coord.Zeroed(p.votes, k), coord.Zeroed(p.acked, k)
 	p.phase, p.ts, p.nvoted, p.nacked = 0, txn.Timestamp{}, 0, 0
-	co.tab.Multicast(p.T, reqExec{T: p.T, Prio: p.prio, Coord: co.node.ID()}, co.sys.leaders)
+	co.tab.Multicast(p.T, co.reqs.New(reqExec{T: p.T, Prio: p.prio, Coord: co.node.ID()}), co.sys.leaders)
 	if vt := co.sys.spec.VoteTimeout; vt > 0 {
 		co.node.AfterGate(vt, &p.gen, p.gen, p.check)
 	}
@@ -797,7 +805,7 @@ func (co *coordinator) checkProgress(p *pendingCo) {
 		co.abort(p, co.sys.spec.RetryBackoff*time.Duration(p.T.ID.Coord)/2)
 		return
 	}
-	var m simnet.Message = commitReq{ID: p.T.ID, Coord: co.node.ID(), T: p.T, Prio: p.prio, TS: p.ts}
+	m := co.commits.New(commitReq{ID: p.T.ID, Coord: co.node.ID(), T: p.T, Prio: p.prio, TS: p.ts})
 	for i := range p.T.Pieces {
 		if !p.acked[i] {
 			co.node.Send(co.sys.leaderNode(p.T.Pieces[i].Shard()), m)
@@ -821,8 +829,8 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 		co.onCommitted(c)
 	case *snapread.Rep:
 		co.reads.OnRep(m)
-	case decisionQuery:
-		co.onDecisionQuery(from, m)
+	case *decisionQuery:
+		co.onDecisionQuery(from, *m)
 	}
 }
 
@@ -851,7 +859,7 @@ func (co *coordinator) onVote(m voteMsg) {
 	if co.sys.spec.LocalReads {
 		p.ts = txn.Timestamp{Time: co.sys.spec.Net.Sim().Now(), Coord: m.ID.Coord, Seq: m.ID.Seq}
 	}
-	co.tab.Multicast(p.T, commitReq{ID: m.ID, Coord: co.node.ID(), T: p.T, Prio: p.prio, TS: p.ts}, co.sys.leaders)
+	co.tab.Multicast(p.T, co.commits.New(commitReq{ID: m.ID, Coord: co.node.ID(), T: p.T, Prio: p.prio, TS: p.ts}), co.sys.leaders)
 }
 
 func (co *coordinator) onCommitted(m committedMsg) {
@@ -896,7 +904,7 @@ func (co *coordinator) onCommitted(m committedMsg) {
 // abort releases every shard and retries with backoff (plus the caller's
 // stagger; 0 for ordinary wound/validation aborts) until the budget runs out.
 func (co *coordinator) abort(p *pendingCo, stagger time.Duration) {
-	co.tab.Multicast(p.T, abortReq{ID: p.T.ID}, co.sys.leaders)
+	co.tab.Multicast(p.T, co.aborts.New(abortReq{ID: p.T.ID}), co.sys.leaders)
 	p.gen++ // disarm the vote timeout
 	co.tab.Retry(p, stagger)
 }

@@ -398,10 +398,10 @@ func TestKeptWriteSetsDoNotAlias(t *testing.T) {
 
 // TestSteadyCommitAllocatesPerTransaction: once the freelists are warm, a
 // two-shard transaction on three replicas a shard allocates per transaction
-// and not per message: the multicast request and commit payloads (2). The
-// result list handed to the caller comes from the coordinator table's arena,
-// and the commit records, their write sets, the Paxos logs and the maps that
-// index applied transactions grow, all amortised.
+// and not per message: nothing but amortised growth. The multicast request
+// and commit payloads and the result list handed to the caller are carved
+// from the coordinator's arenas, and the commit records, their write sets, the
+// Paxos logs and the maps that index applied transactions grow.
 func TestSteadyCommitAllocatesPerTransaction(t *testing.T) {
 	pool.Check = false // its id maps allocate
 	defer func() { pool.Check = true }()
@@ -451,8 +451,8 @@ func TestSteadyCommitAllocatesPerTransaction(t *testing.T) {
 				t.Fatalf("t1-7 = %d on a follower after %d transactions", got, next)
 			}
 			t.Logf("%.2f allocations per transaction", allocs)
-			if allocs > 3 {
-				t.Fatalf("%.2f allocations per transaction, want 2 and amortised growth", allocs)
+			if allocs > 1 {
+				t.Fatalf("%.2f allocations per transaction, want the amortised growth alone", allocs)
 			}
 		})
 	}

@@ -67,7 +67,7 @@ func (s *server) broadcastSafeT() {
 	if s.sys.spec.VersionGC {
 		s.reads.AdvanceGC()
 	}
-	m := safeT{W: s.reads.Watermark(), N: s.pax.Applied(), GC: s.reads.GCHorizon()}
+	m := &safeT{W: s.reads.Watermark(), N: s.pax.Applied(), GC: s.reads.GCHorizon()}
 	for r, id := range s.sys.nodes[s.shard] {
 		if r != s.replica {
 			s.node.Send(id, m)
@@ -91,7 +91,7 @@ func (s *server) onSafeT(m safeT) {
 	}
 	s.reads.Offer(snapread.Pair(m), s.pax.Applied())
 	if s.sys.spec.VersionGC {
-		s.node.Send(s.sys.nodes[s.shard][0], safeTAck{Replica: s.replica, W: s.reads.Watermark()})
+		s.node.Send(s.sys.nodes[s.shard][0], &safeTAck{Replica: s.replica, W: s.reads.Watermark()})
 	}
 }
 
@@ -106,7 +106,7 @@ type decisionQuery struct{ ID txn.ID }
 
 func (co *coordinator) onDecisionQuery(from simnet.NodeID, m decisionQuery) {
 	if co.tab.Get(m.ID) == nil {
-		co.node.Send(from, abortReq{ID: m.ID})
+		co.node.Send(from, co.aborts.New(abortReq{ID: m.ID}))
 	}
 }
 
@@ -125,7 +125,7 @@ func (s *server) armDecisionQuery(id txn.ID) {
 		if p == nil || !p.voted || p.proposed || p.relocking {
 			return
 		}
-		s.node.Send(p.coord, decisionQuery{ID: id})
+		s.node.Send(p.coord, &decisionQuery{ID: id})
 		s.armDecisionQuery(id)
 	})
 }

@@ -39,15 +39,15 @@ type Spec struct {
 
 // ---- messages ----
 //
-// Who owns each message. The coordinator's execReq and commitNote are values
-// boxed once per multicast: every destination server receives the same
-// immutable payload and copies it out, so nothing recycles them. An NCC+
-// server proposes the execReq it received, as boxed, so its Paxos log and
-// every follower's keep that one value. A server's *execRep comes from its
-// freelist (server.reps) and carries its sender; the coordinator's handle
-// copies the fields out and puts it back on its sender's list before it acts
-// on them, also when the transaction has already completed (a recovery
-// replay's reply). A reply the network drops is never put back. A server
+// Who owns each message. The coordinator's *execReq and *commitNote are
+// carved once per multicast from its arenas (coordinator.execs, .notes): every
+// destination server receives the same immutable payload and copies it out,
+// so nothing recycles them. An NCC+ server proposes the *execReq it received,
+// so its Paxos log and every follower's keep that one pointer. A server's
+// *execRep comes from its freelist (server.reps) and carries its sender; the
+// coordinator's handle copies the fields out and puts it back on its sender's
+// list before it acts on them, also when the transaction has already
+// completed (a recovery replay's reply). A reply the network drops is never put back. A server
 // keeps the record of every transaction it executed for good (dedup and
 // RTC), so records come from its slab (server.recs), never from a freelist.
 
@@ -143,7 +143,8 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords)+1), node)}
+		co := &coordinator{sys: sys, node: node, tab: coord.New[pending](int32(len(sys.coords)+1), node),
+			execs: pool.NewArena[execReq](coord.PayloadChunk), notes: pool.NewArena[commitNote](coord.PayloadChunk)}
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
 	}
@@ -231,10 +232,10 @@ func (s *server) handle(from simnet.NodeID, msg simnet.Message) {
 		return // a rebooted server serves nothing until its log is installed
 	}
 	switch m := msg.(type) {
-	case execReq:
-		s.onExec(m, msg)
-	case commitNote:
-		s.onCommitNote(m)
+	case *execReq:
+		s.onExec(m)
+	case *commitNote:
+		s.onCommitNote(*m)
 	}
 }
 
@@ -246,9 +247,9 @@ func (s *server) newRec(id txn.ID, r pendingSrv) *pendingSrv {
 	return p
 }
 
-// onExec executes in arrival order and applies RTC gating. msg is m as
-// received, which an NCC+ server proposes without boxing it again.
-func (s *server) onExec(m execReq, msg simnet.Message) {
+// onExec executes in arrival order and applies RTC gating. An NCC+ server
+// proposes m as received.
+func (s *server) onExec(m *execReq) {
 	id := m.T.ID
 	if _, dup := s.pending[id]; dup {
 		return
@@ -281,7 +282,7 @@ func (s *server) onExec(m execReq, msg simnet.Message) {
 	if s.pax != nil {
 		// The replicated command carries the coordinator so a rebooted
 		// server can re-answer replayed slots during recovery.
-		slot := s.pax.Propose(msg)
+		slot := s.pax.Propose(m)
 		s.onSlot[slot] = id
 	}
 	s.maybeReply(p)
@@ -319,7 +320,7 @@ func (s *server) onPaxosCommit(slot int, cmd paxos.Command) {
 	// coordinator that already completed ignores it. The entry is recorded
 	// as committed so RTC gates new transactions correctly and duplicate
 	// commit notes stay idempotent.
-	m := cmd.(execReq)
+	m := cmd.(*execReq)
 	id := m.T.ID
 	if _, dup := s.pending[id]; dup {
 		return
@@ -365,13 +366,17 @@ type coordinator struct {
 	sys  *System
 	node *simnet.Node
 	tab  *coord.Table[pending, *pending]
+	// execs and notes carve the multicast payloads (see the messages
+	// section).
+	execs pool.Arena[execReq]
+	notes pool.Arena[commitNote]
 }
 
 // Submit sends t to its shard servers and commits once all reply.
 func (sys *System) Submit(ci int, t *txn.Txn, done func(txn.Result)) {
 	co := sys.coords[ci]
 	co.tab.Begin(t, done)
-	co.tab.Multicast(t, execReq{T: t, Coord: co.node.ID()}, sys.leaders)
+	co.tab.Multicast(t, co.execs.New(execReq{T: t, Coord: co.node.ID()}), sys.leaders)
 }
 
 // handle takes a server's reply: it copies the fields out and puts the
@@ -385,7 +390,7 @@ func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
 	m.src.reps.Put(m)
 	if p := co.tab.Get(id); p != nil && co.tab.Fold(p, shard, ret) {
 		// Commit: notify servers (releases RTC-gated successors), then reply.
-		co.tab.Multicast(p.T, commitNote{ID: id}, co.sys.leaders)
+		co.tab.Multicast(p.T, co.notes.New(commitNote{ID: id}), co.sys.leaders)
 		co.tab.Finish(p, txn.Result{OK: true})
 	}
 }

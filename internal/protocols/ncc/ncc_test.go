@@ -143,12 +143,14 @@ func TestNCCPlusPaysReplication(t *testing.T) {
 // rtcRig is one plain-NCC shard in South Carolina on a jitter-free WAN, with
 // a coordinator beside it (0) and one in Hong Kong (1). It records, for every
 // transaction, the commit note during whose handling the server sent its
-// reply, and how many conflicting predecessors RTC made it wait on.
+// reply, how many conflicting predecessors RTC made it wait on, and how many
+// commit notes the server handled.
 type rtcRig struct {
 	sim       *simnet.Sim
 	sys       *System
 	repliedOn map[txn.ID][]txn.ID
 	waitedOn  map[txn.ID]int
+	notes     int
 }
 
 func newRTCRig() *rtcRig {
@@ -171,11 +173,15 @@ func newRTCRig() *rtcRig {
 			sent[id] = p.sent
 		}
 		s.handle(from, msg)
+		n, isNote := msg.(*commitNote)
+		if isNote {
+			r.notes++
+		}
 		for id, p := range s.pending {
 			if _, seen := sent[id]; !seen {
 				r.waitedOn[id] = p.waitingOn
 			}
-			if n, ok := msg.(commitNote); ok && p.sent && !sent[id] {
+			if isNote && p.sent && !sent[id] {
 				r.repliedOn[id] = append(r.repliedOn[id], n.ID)
 			}
 		}
@@ -223,6 +229,9 @@ func TestRTCWaitsOnceOnAPredecessorInBothSets(t *testing.T) {
 	lat2 := r.submit(200*time.Millisecond, 0, t2)
 	for r.sim.Step() {
 	}
+	if r.notes == 0 {
+		t.Fatal("the server handled no commit note: the rig's filter matches no message")
+	}
 	if got := r.waitedOn[t2.ID]; got != 1 {
 		t.Fatalf("t2 waited on %d predecessors, want 1 (t1, through both sets)", got)
 	}
@@ -253,6 +262,9 @@ func TestRTCWaitsOnEveryPredecessor(t *testing.T) {
 	lat2 := r.submit(200*time.Millisecond, 0, t2)
 	lat3 := r.submit(200*time.Millisecond+100*time.Microsecond, 0, t3)
 	for r.sim.Step() {
+	}
+	if r.notes == 0 {
+		t.Fatal("the server handled no commit note: the rig's filter matches no message")
 	}
 	if got := r.waitedOn[t3.ID]; got != 2 {
 		t.Fatalf("t3 waited on %d predecessors, want 2 (t1 through its read set, t2 through its write set)", got)

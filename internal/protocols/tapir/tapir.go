@@ -16,8 +16,8 @@
 // message carries its sender and so the list it came from, and the
 // coordinator's handle copies the fields out and puts it back before it acts
 // on them. A reply the network drops is simply never put back. The multicast
-// PREPARE and decision share one payload between their destinations, so
-// neither is pooled.
+// PREPARE and decision share one payload between their destinations, carved
+// from the coordinator's arenas and never recycled.
 package tapir
 
 import (
@@ -129,7 +129,8 @@ func New(spec Spec) *System {
 	}
 	for _, reg := range spec.CoordRegions {
 		node := spec.Net.AddNode(reg, nil)
-		co := &coordinator{sys: sys, node: node}
+		co := &coordinator{sys: sys, node: node,
+			prepares: pool.NewArena[prepareMsg](coord.PayloadChunk), decides: pool.NewArena[decideMsg](coord.PayloadChunk)}
 		co.tab = coord.New[pending](int32(len(sys.coords)+1), node).Retrying(spec.MaxRetries, spec.RetryBackoff, co.start)
 		node.SetHandler(co.handle)
 		sys.coords = append(sys.coords, co)
@@ -149,10 +150,10 @@ func (sys *System) superQuorum() int { return 1 + sys.spec.F + (sys.spec.F+1)/2 
 
 func (rp *replica) handle(from simnet.NodeID, msg simnet.Message) {
 	switch m := msg.(type) {
-	case prepareMsg:
-		rp.onPrepare(m)
-	case decideMsg:
-		rp.onDecide(m)
+	case *prepareMsg:
+		rp.onPrepare(*m)
+	case *decideMsg:
+		rp.onDecide(*m)
 	}
 }
 
@@ -241,6 +242,9 @@ type coordinator struct {
 	sys  *System
 	node *simnet.Node
 	tab  *coord.Table[pending, *pending]
+	// prepares and decides carve the multicast payloads.
+	prepares pool.Arena[prepareMsg]
+	decides  pool.Arena[decideMsg]
 }
 
 // Submit runs TAPIR's prepare/decide protocol for t.
@@ -256,7 +260,7 @@ func (co *coordinator) start(p *pending) {
 	p.slow, p.decided = false, false
 	p.rets = slices.Grow(p.rets[:0], k*n)[:k*n] // a slot is read only once its bit is set
 	p.voted, p.oks, p.acked = coord.Zeroed(p.voted, k), coord.Zeroed(p.oks, k), coord.Zeroed(p.acked, k)
-	co.tab.Multicast(p.T, prepareMsg{T: p.T, Coord: co.node.ID(), Try: p.Retries}, co.sys.nodes)
+	co.tab.Multicast(p.T, co.prepares.New(prepareMsg{T: p.T, Coord: co.node.ID(), Try: p.Retries}), co.sys.nodes)
 }
 
 func (co *coordinator) handle(from simnet.NodeID, msg simnet.Message) {
@@ -331,7 +335,7 @@ func (co *coordinator) decide(p *pending, commit bool) {
 			co.tab.Fold(p, p.T.Pieces[i].Shard(), p.rets[i*n+bits.TrailingZeros64(p.oks[i])])
 		}
 	}
-	co.tab.Multicast(p.T, decideMsg{ID: p.T.ID, T: p.T, Commit: commit, Slow: p.slow, Coord: co.node.ID(), Try: p.Retries}, co.sys.nodes)
+	co.tab.Multicast(p.T, co.decides.New(decideMsg{ID: p.T.ID, T: p.T, Commit: commit, Slow: p.slow, Coord: co.node.ID(), Try: p.Retries}), co.sys.nodes)
 	switch {
 	case p.slow:
 		// onAck finishes it

@@ -276,10 +276,10 @@ func TestMessagesComeHome(t *testing.T) {
 
 // TestSteadyCommitAllocatesPerTransaction: once the freelists are warm, a
 // two-shard transaction on three replicas a shard allocates per transaction
-// and not per replica or per vote: the multicast PREPARE and decision payloads
-// (2). The result list handed to the caller comes from the coordinator table's
-// arena, and the maps that index prepared and applied transactions grow, both
-// amortised.
+// and not per replica or per vote: nothing but amortised growth. The
+// multicast PREPARE and decision payloads and the result list handed to the
+// caller are carved from the coordinator's arenas, and the maps that index
+// prepared and applied transactions grow.
 func TestSteadyCommitAllocatesPerTransaction(t *testing.T) {
 	pool.Check = false // its id maps allocate
 	defer func() { pool.Check = true }()
@@ -323,8 +323,8 @@ func TestSteadyCommitAllocatesPerTransaction(t *testing.T) {
 		t.Fatalf("t1-7 = %d on a follower after %d transactions", got, next)
 	}
 	t.Logf("%.2f allocations per transaction", allocs)
-	if allocs > 3 {
-		t.Fatalf("%.2f allocations per transaction, want 2 and the amortised growth", allocs)
+	if allocs > 1 {
+		t.Fatalf("%.2f allocations per transaction, want the amortised growth alone", allocs)
 	}
 }
 
