@@ -1,14 +1,20 @@
-// Package coord is a baseline coordinator's client side: its id sequence,
-// under each id it minted the protocol's pooled record of the attempt, and the
-// steps every baseline takes the same way. Begin starts an attempt, Multicast
-// sends one message to each piece's shard, Fold collects the pieces' returns,
-// Finish reports the outcome and Retry aborts and backs off. Tallies,
-// decisions and the protocol's own timers stay in the protocol. A Table is
-// used only from its simulation's event loop, so ids and record reuse are a
-// pure function of the seed.
+// Package coord is the client side of the coordinators of all nine
+// protocols, Tiga and the eight baselines, and of their local snapshot reads
+// (internal/snapread): its id sequence, under each id the protocol's pooled
+// record of the attempt, and the steps every protocol takes the same way.
+// Begin starts an attempt (Mint, then File; snapread files a read under the
+// id its protocol minted), Multicast sends one message to each piece's shard,
+// Arm sets the attempt's timeout, Fold collects the pieces' returns, Finish
+// reports the outcome and Retry aborts and backs off under a fresh id. Tiga's
+// Appendix-B retry keeps the id instead: its timeout resends and Arms again.
+// Oldest is the done watermark Tiga's multicasts carry, and InOrder the live
+// ids in sequence order, for walks that send. Tallies, quorum checks and
+// decisions stay in the protocol. A Table is used only from its simulation's
+// event loop, so ids, record reuse and timers are a pure function of the seed.
 package coord
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -25,6 +31,11 @@ type Attempt struct {
 	results []txn.ShardRet // the folded returns, handed on as PerShard
 	done    func(txn.Result)
 	again   func() // Retry's timer callback, bound once per record
+	// gen gates Arm's timer: every end of an attempt bumps it, so an arm left
+	// by an ended attempt never fires on the record's next one. File keeps
+	// it. fire is the timer's callback, bound once per record.
+	gen  uint64
+	fire func()
 }
 
 func (a *Attempt) attempt() *Attempt { return a }
@@ -41,7 +52,12 @@ type Table[P any, R Record[P]] struct {
 	seq  uint64
 	node *simnet.Node
 	live map[txn.ID]R
-	free *pool.Free[P]
+	// order holds the filed ids in filing order from order[head] on, the
+	// oldest live one first (Oldest); every end pops what is no longer live.
+	order []txn.ID
+	head  int
+	ids   []txn.ID // InOrder's scratch
+	free  *pool.Free[P]
 	// rets holds the folded returns, which Finish hands on as PerShard: a
 	// record's own buffer could not be, since Finish recycles the record
 	// before the callback runs.
@@ -50,6 +66,7 @@ type Table[P any, R Record[P]] struct {
 	max     int
 	backoff time.Duration
 	resend  func(R)
+	timeout func(R) // Arm's callback, set by OnTimeout
 }
 
 // New returns coordinator idx's empty table, sending from node: its ids are
@@ -66,33 +83,82 @@ func (tb *Table[P, R]) Retrying(max int, backoff time.Duration, resend func(R)) 
 	return tb
 }
 
+// OnTimeout sets the callback of every Arm on the table's records. It returns
+// tb.
+func (tb *Table[P, R]) OnTimeout(timeout func(R)) *Table[P, R] {
+	tb.timeout = timeout
+	return tb
+}
+
 // Mint gives t the coordinator's next id and files nothing under it.
 func (tb *Table[P, R]) Mint(t *txn.Txn) {
 	tb.seq++
 	t.ID = txn.ID{Coord: tb.idx, Seq: tb.seq}
 }
 
-// Begin starts t's first attempt: it mints t a fresh id and files a pooled
-// record under it, whose Attempt is new and whose other fields are as the
-// record's last use left them: overwrite every one you read. done gets the
-// outcome from Finish or Retry.
+// Begin starts t's first attempt under a fresh id: Mint, then File.
 func (tb *Table[P, R]) Begin(t *txn.Txn, done func(txn.Result)) R {
+	tb.Mint(t)
+	return tb.File(t, done)
+}
+
+// File starts t's first attempt under t.ID, which its owner has minted and
+// files nothing else under, and mints nothing. The pooled record's Attempt is
+// new and its other fields are as the record's last use left them: overwrite
+// every one you read. done gets the outcome from Finish or Retry.
+func (tb *Table[P, R]) File(t *txn.Txn, done func(txn.Result)) R {
 	p := R(tb.free.Get())
 	a := p.attempt()
-	*a = Attempt{T: t, done: done, again: a.again}
+	*a = Attempt{T: t, done: done, again: a.again, gen: a.gen, fire: a.fire}
 	tb.file(p)
 	return p
 }
 
-// file mints p's transaction a fresh id and files p under it.
+// file files p under its transaction's id.
 func (tb *Table[P, R]) file(p R) {
-	t := p.attempt().T
-	tb.Mint(t)
-	tb.live[t.ID] = p
+	id := p.attempt().T.ID
+	tb.live[id] = p
+	tb.order = append(tb.order, id)
 }
 
 // Get returns the record filed under id, nil once its attempt has ended.
 func (tb *Table[P, R]) Get(id txn.ID) R { return tb.live[id] }
+
+// Oldest returns the id of the oldest attempt in flight, the zero id when
+// there is none. Ids are filed in the order they were minted, so every live
+// id is at least Oldest's: a server may retire what an older id names.
+func (tb *Table[P, R]) Oldest() txn.ID {
+	if tb.head == len(tb.order) {
+		return txn.ID{}
+	}
+	return tb.order[tb.head]
+}
+
+// InOrder returns the ids of the attempts in flight in sequence order. The
+// slice is the table's scratch, valid until the next call: an attempt that
+// ends or begins during a walk over it does not change it, so walk the ids and
+// Get each.
+func (tb *Table[P, R]) InOrder() []txn.ID {
+	ids := tb.ids[:0]
+	for id := range tb.live {
+		ids = append(ids, id)
+	}
+	slices.SortFunc(ids, func(a, b txn.ID) int {
+		return cmp.Or(cmp.Compare(a.Coord, b.Coord), cmp.Compare(a.Seq, b.Seq))
+	})
+	tb.ids = ids
+	return ids
+}
+
+// Arm runs the table's timeout callback on p after d, unless p's attempt has
+// ended by then. An attempt may re-arm from the callback.
+func (tb *Table[P, R]) Arm(p R, d time.Duration) {
+	a := p.attempt()
+	if a.fire == nil {
+		a.fire = func() { tb.timeout(p) }
+	}
+	tb.node.AfterGate(d, &a.gen, a.gen, a.fire)
+}
 
 // PayloadChunk is the chunk, in entries, of the pool.Arena a coordinator
 // carves each kind of multicast payload from: one allocation per 64 sends, and
@@ -143,10 +209,11 @@ func (tb *Table[P, R]) Retry(p R, stagger time.Duration) {
 		tb.Finish(p, txn.Result{Aborted: true})
 		return
 	}
-	delete(tb.live, a.T.ID)
+	tb.forget(a)
 	a.Retries++
 	if a.again == nil {
 		a.again = func() {
+			tb.Mint(p.attempt().T)
 			tb.file(p)
 			tb.resend(p)
 		}
@@ -158,9 +225,28 @@ func (tb *Table[P, R]) Retry(p R, stagger time.Duration) {
 // the callback and the returns.
 func (tb *Table[P, R]) end(p R) {
 	a := p.attempt()
-	delete(tb.live, a.T.ID)
-	*a = Attempt{again: a.again}
+	tb.forget(a)
+	*a = Attempt{again: a.again, gen: a.gen, fire: a.fire}
 	tb.free.Put((*P)(p))
+}
+
+// forget unfiles a's attempt, disarms its timer and advances Oldest past the
+// ids no longer live, each popped once. Once the popped prefix is half the
+// slice it is copied down, which keeps filing free of allocations after
+// warm-up.
+func (tb *Table[P, R]) forget(a *Attempt) {
+	delete(tb.live, a.T.ID)
+	a.gen++
+	for tb.head < len(tb.order) {
+		if _, ok := tb.live[tb.order[tb.head]]; ok {
+			break
+		}
+		tb.head++
+	}
+	if tb.head > 0 && 2*tb.head >= len(tb.order) {
+		n := copy(tb.order, tb.order[tb.head:])
+		tb.order, tb.head = tb.order[:n], 0
+	}
 }
 
 // InFlight reports how many attempts have begun and not ended.

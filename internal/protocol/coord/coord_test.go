@@ -182,3 +182,117 @@ func TestRetryBacksOffThenAborts(t *testing.T) {
 		t.Fatalf("%d in flight, %d of %d records back; want none and all", tb.InFlight(), tb.Idle(), tb.News())
 	}
 }
+
+// TestArmOfAnEndedAttemptNeverFires: an arm left by an attempt that finished
+// or retried never fires on the record's next attempt, also when the callback
+// of Finish begins that attempt on the same record at once. The first arm is
+// taken at gen 0, so a Begin that reset gen to 0 would revive it.
+func TestArmOfAnEndedAttemptNeverFires(t *testing.T) {
+	sim, tb := table(1)
+	var fired []txn.ID
+	tb.OnTimeout(func(p *rec) { fired = append(fired, p.T.ID) })
+	tb.Retrying(1, 50*time.Millisecond, func(*rec) {})
+	first, next := pieces(0), pieces(1)
+	var q *rec
+	p := tb.Begin(first, func(txn.Result) { q = tb.Begin(next, nil) })
+	tb.Arm(p, 10*time.Millisecond)
+	tb.Finish(p, txn.Result{OK: true})
+	if q != p {
+		t.Fatal("the callback's Begin did not reuse the finished record")
+	}
+	tb.Arm(q, 30*time.Millisecond)
+	sim.Run(20 * time.Millisecond)
+	if len(fired) != 0 {
+		t.Fatalf("the finished attempt's arm fired on %v", fired)
+	}
+	sim.Run(40 * time.Millisecond)
+	if len(fired) != 1 || fired[0] != next.ID {
+		t.Fatalf("fired on %v, want the live attempt's own arm once, on %v", fired, next.ID)
+	}
+	// An arm left by Retry never fires on the resent attempt.
+	tb.Arm(q, 10*time.Millisecond)
+	tb.Retry(q, 0)
+	sim.Run(200 * time.Millisecond)
+	if len(fired) != 1 || tb.Get(next.ID) != q {
+		t.Fatalf("after the retry: fired on %v, resent %v; want no more firings and the attempt resent", fired, tb.Get(next.ID) == q)
+	}
+}
+
+// TestOldestSkipsEndedAttempts: Oldest is the oldest id in flight when
+// attempts finish out of order, an attempt waiting out a Retry's backoff is not
+// in flight, and its resend is in flight under its fresh id.
+func TestOldestSkipsEndedAttempts(t *testing.T) {
+	sim, tb := table(2)
+	tb.Retrying(1, 10*time.Millisecond, func(*rec) {})
+	if got := tb.Oldest(); !got.IsZero() {
+		t.Fatalf("Oldest of an empty table = %v, want the zero id", got)
+	}
+	var a, b, c, d txn.Txn
+	pa, pb, pc := tb.Begin(&a, func(txn.Result) {}), tb.Begin(&b, func(txn.Result) {}), tb.Begin(&c, func(txn.Result) {})
+	step := func(name string, want txn.ID) {
+		t.Helper()
+		if got := tb.Oldest(); got != want {
+			t.Fatalf("after %s: Oldest = %v, want %v", name, got, want)
+		}
+	}
+	tb.Finish(pb, txn.Result{OK: true})
+	step("the middle one finishes", a.ID)
+	tb.Retry(pa, 0)
+	step("the oldest retries", c.ID)
+	tb.Begin(&d, func(txn.Result) {})
+	sim.Run(time.Second)
+	if tb.Get(a.ID) != pa || a.ID.Seq <= d.ID.Seq {
+		t.Fatalf("the retried attempt was resent under %v, want a fresh id after %v", a.ID, d.ID)
+	}
+	step("the retried one is resent", c.ID)
+	tb.Finish(pc, txn.Result{OK: true})
+	step("the oldest finishes", d.ID)
+	tb.Finish(tb.Get(d.ID), txn.Result{OK: true})
+	step("all but the resent one finish", a.ID)
+	tb.Finish(pa, txn.Result{OK: true})
+	step("every attempt ends", txn.ID{})
+}
+
+// TestInOrderIsASnapshot: a walk over InOrder visits exactly the attempts in
+// flight when it began, in sequence order, also when finishing one of them
+// begins the next attempt on its record during the walk.
+func TestInOrderIsASnapshot(t *testing.T) {
+	_, tb := table(1)
+	var txns [3]txn.Txn
+	var next [3]txn.Txn
+	for i := range txns {
+		tb.Begin(&txns[i], func(txn.Result) { tb.Begin(&next[i], nil) })
+	}
+	tb.Finish(tb.Get(txns[1].ID), txn.Result{OK: true}) // out of order: next[1] is newer than txns[2]
+	want := []txn.ID{txns[0].ID, txns[2].ID, next[1].ID}
+	var got []txn.ID
+	for _, id := range tb.InOrder() {
+		got = append(got, id)
+		if p := tb.Get(id); p != nil && p.done != nil {
+			tb.Finish(p, txn.Result{OK: true})
+		}
+	}
+	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
+		t.Fatalf("walked %v, want %v", got, want)
+	}
+	if tb.InFlight() != 3 || tb.Get(next[0].ID) == nil || tb.Get(next[2].ID) == nil {
+		t.Fatalf("%d in flight after the walk, want the three attempts it began and the one before", tb.InFlight())
+	}
+}
+
+// TestFileMintsNothing: File files a record under the id its owner minted and
+// draws nothing from the table's sequence, whose next Mint continues it.
+func TestFileMintsNothing(t *testing.T) {
+	_, tb := table(4)
+	var a, read, b txn.Txn
+	tb.Mint(&a)
+	read.ID = txn.ID{Coord: 9, Seq: 70}
+	p := tb.File(&read, nil)
+	tb.Mint(&b)
+	if read.ID != (txn.ID{Coord: 9, Seq: 70}) || tb.Get(read.ID) != p {
+		t.Fatalf("File changed the id to %v or did not file under it", read.ID)
+	}
+	if a.ID != (txn.ID{Coord: 4, Seq: 1}) || b.ID != (txn.ID{Coord: 4, Seq: 2}) {
+		t.Fatalf("Mints around a File gave %v and %v, want {4 1} and {4 2}", a.ID, b.ID)
+	}
+}

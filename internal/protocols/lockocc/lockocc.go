@@ -288,7 +288,7 @@ func New(spec Spec) *System {
 		node := spec.Net.AddNode(reg, nil)
 		co := &coordinator{sys: sys, node: node, reqs: pool.NewArena[reqExec](coord.PayloadChunk),
 			commits: pool.NewArena[commitReq](coord.PayloadChunk), aborts: pool.NewArena[abortReq](coord.PayloadChunk)}
-		co.tab = coord.New[pendingCo](int32(len(sys.coords)+1), node).Retrying(spec.MaxRetries, spec.RetryBackoff, co.send)
+		co.tab = coord.New[pendingCo](int32(len(sys.coords)+1), node).Retrying(spec.MaxRetries, spec.RetryBackoff, co.send).OnTimeout(co.checkProgress)
 		co.reads = snapread.Coordinator{
 			Node: node, Net: spec.Net,
 			Clock: spec.Net.Sim().Now, Staleness: spec.ReadStaleness, RetryEvery: readRetryEvery,
@@ -718,20 +718,14 @@ type pendingCo struct {
 	nacked int
 	phase  int           // 0 = exec, 1 = commit
 	ts     txn.Timestamp // minted at the commit decision (LocalReads)
-	// gen gates the attempt's vote-timeout timer (AfterGate): every end of
-	// an attempt bumps it first, so an arm left pending by an ended attempt
-	// never runs on the record's next one. check is the timer's callback,
-	// bound once per record (send).
-	gen   uint64
-	check func()
 }
 
 type coordinator struct {
 	sys  *System
 	node *simnet.Node
-	// tab files the attempts in flight, recycles their records and retries
-	// aborted ones (send resends them); the vote-timeout timer is gated on
-	// the record's gen.
+	// tab files the attempts in flight, recycles their records, retries
+	// aborted ones (send resends them) and arms the vote timeout
+	// (checkProgress).
 	tab *coord.Table[pendingCo, *pendingCo]
 
 	// gate is the admission-control gate (Spec.AdmitCap etc.); disabled by
@@ -775,15 +769,12 @@ func (co *coordinator) send(p *pendingCo) {
 		// also advances the trace cursor past the dead attempt's stamps.
 		p.T.Trace.Mark(co.sys.spec.Net.Sim().Now(), trace.PhaseRetry)
 	}
-	if p.check == nil {
-		p.check = func() { co.checkProgress(p) }
-	}
 	k := len(p.T.Pieces)
 	p.votes, p.acked = coord.Zeroed(p.votes, k), coord.Zeroed(p.acked, k)
 	p.phase, p.ts, p.nvoted, p.nacked = 0, txn.Timestamp{}, 0, 0
 	co.tab.Multicast(p.T, co.reqs.New(reqExec{T: p.T, Prio: p.prio, Coord: co.node.ID()}), co.sys.leaders)
 	if vt := co.sys.spec.VoteTimeout; vt > 0 {
-		co.node.AfterGate(vt, &p.gen, p.gen, p.check)
+		co.tab.Arm(p, vt)
 	}
 }
 
@@ -811,7 +802,7 @@ func (co *coordinator) checkProgress(p *pendingCo) {
 			co.node.Send(co.sys.leaderNode(p.T.Pieces[i].Shard()), m)
 		}
 	}
-	co.node.AfterGate(co.sys.spec.VoteTimeout, &p.gen, p.gen, p.check)
+	co.tab.Arm(p, co.sys.spec.VoteTimeout)
 }
 
 // handle dispatches the coordinator's deliveries. A leader's reply is copied
@@ -897,7 +888,6 @@ func (co *coordinator) onCommitted(m committedMsg) {
 	for i := range p.votes {
 		co.tab.Fold(p, p.T.Pieces[i].Shard(), p.votes[i].Ret)
 	}
-	p.gen++ // disarm the vote timeout
 	co.tab.Finish(p, txn.Result{OK: true, TS: p.ts})
 }
 
@@ -905,6 +895,5 @@ func (co *coordinator) onCommitted(m committedMsg) {
 // stagger; 0 for ordinary wound/validation aborts) until the budget runs out.
 func (co *coordinator) abort(p *pendingCo, stagger time.Duration) {
 	co.tab.Multicast(p.T, co.aborts.New(abortReq{ID: p.T.ID}), co.sys.leaders)
-	p.gen++ // disarm the vote timeout
 	co.tab.Retry(p, stagger)
 }

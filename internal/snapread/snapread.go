@@ -23,6 +23,7 @@ import (
 
 	"tiga/internal/pool"
 	"tiga/internal/protocol"
+	"tiga/internal/protocol/coord"
 	"tiga/internal/simnet"
 	"tiga/internal/store"
 	"tiga/internal/trace"
@@ -42,13 +43,12 @@ var Knobs = protocol.Schema{
 }
 
 // Req asks one replica of a shard for the values of Keys at snapshot
-// timestamp At. (Coord, Seq) identify the read-only transaction; Seq is the
-// coordinator's own sequence, so replies can be matched to the pending read.
-// A Req travels by pointer and comes from the cluster's Msgs.
+// timestamp At for the read-only transaction ID, whose reply is matched to the
+// pending read by it. A Req travels by pointer and comes from the cluster's
+// Msgs.
 type Req struct {
 	Shard int
-	Coord int32
-	Seq   uint64
+	ID    txn.ID
 	At    time.Duration
 	Keys  []string
 	// KeyIDs is what the transaction's piece knows of the ids of Keys (its
@@ -65,7 +65,7 @@ type Req struct {
 // and Seen keep their capacity from one use to the next.
 type Rep struct {
 	Shard int
-	Seq   uint64
+	ID    txn.ID
 	At    time.Duration
 	// Pruned means the replica's version GC has already passed At: it holds
 	// no trustworthy history there, so it answers nothing and the
@@ -100,38 +100,25 @@ func NewMsgs() *Msgs { return &Msgs{Req: pool.New[Req](), Rep: pool.New[Rep]()} 
 
 // ---- coordinator half ----
 
-// pendingRead tracks one outstanding read-only transaction: one snapshot
-// request per involved shard, each sent to that shard's nearest replica. It is
-// drawn from the coordinator's freelist at Submit and recycled when the read
-// completes; vals and reads are carved afresh for every read, since the
-// result hands them on.
+// pendingRead tracks one outstanding read-only transaction, a record of the
+// coordinator's coord.Table: one snapshot request per involved shard, each
+// sent to that shard's nearest replica. reads is carved afresh for every
+// read, since the result hands it on.
 type pendingRead struct {
-	t    *txn.Txn
-	at   time.Duration // snapshot timestamp
-	done func(txn.Result)
+	coord.Attempt
+	at time.Duration // snapshot timestamp
 	// got marks the shards that answered the current snapshot, by position in
-	// t.Pieces like vals (dedups retried replies). Its storage is the
-	// record's, reused from one read to the next.
-	got     []bool
-	vals    []txn.ShardRet
-	waited  time.Duration // max SAFETIME delay across shards
-	reads   []txn.ReadObs
-	retries int
-	// gen gates the re-drive timer (AfterGate): the read's completion bumps
-	// it, so a timer armed for a completed read never runs on the record's
-	// next one. redrive is the timer's body, bound at the record's first use
-	// and re-armed every RetryEvery.
-	gen     uint64
-	redrive func()
+	// T.Pieces (dedups retried replies). A restart clears it, so every shard
+	// folds its answer again over the dead snapshot's.
+	got    []bool
+	waited time.Duration // max SAFETIME delay across shards
+	reads  []txn.ReadObs
 }
 
 // restart forgets every answer: the read starts over at snapshot at.
 func (pr *pendingRead) restart(at time.Duration) {
 	pr.at = at
 	clear(pr.got)
-	for i := range pr.vals {
-		pr.vals[i].Ret = nil
-	}
 	pr.reads, pr.waited = pr.reads[:0], 0
 }
 
@@ -139,8 +126,8 @@ func (pr *pendingRead) restart(at time.Duration) {
 // it fans a snapshot request out to the nearest replica of every shard the
 // transaction touches, folds the replies, re-drives unanswered shards every
 // RetryEvery, and assembles the txn.Result. The owning protocol fills the
-// exported fields once, mints t.ID, calls Submit, and routes every Rep its
-// node receives to OnRep.
+// exported fields once, mints t.ID from its own table, calls Submit, and
+// routes every Rep its node receives to OnRep.
 type Coordinator struct {
 	Node *simnet.Node
 	Net  *simnet.Network
@@ -158,13 +145,12 @@ type Coordinator struct {
 	// Msgs is the cluster's message freelists.
 	Msgs *Msgs
 
-	reads   map[uint64]*pendingRead // by t.ID.Seq
-	nearest map[int]int             // shard -> cached lowest-RTT replica
-	// free recycles the pending reads; vals and obs hold the results'
-	// PerShard and Reads, which the callers keep.
-	free *pool.Free[pendingRead]
-	vals pool.Arena[txn.ShardRet]
-	obs  pool.Arena[txn.ReadObs]
+	// tab files the pending reads under the ids their owner minted, re-drives
+	// them and folds their values; obs holds the results' Reads, which the
+	// callers keep.
+	tab     *coord.Table[pendingRead, *pendingRead]
+	nearest map[int]int // shard -> cached lowest-RTT replica
+	obs     pool.Arena[txn.ReadObs]
 }
 
 // Submit serves t (read-only, t.ID already minted) at one snapshot timestamp
@@ -172,55 +158,49 @@ type Coordinator struct {
 // replicas block until their watermarks cover "now"; a positive bound trades
 // that wait for bounded staleness.
 func (c *Coordinator) Submit(t *txn.Txn, done func(txn.Result)) {
-	if c.reads == nil {
-		c.reads = make(map[uint64]*pendingRead)
+	if c.tab == nil {
+		c.tab = coord.New[pendingRead](0, c.Node).OnTimeout(c.redrive)
 		c.nearest = make(map[int]int)
-		c.free = pool.New[pendingRead]()
 	}
-	n, keys := len(t.Pieces), 0
+	keys := 0
 	for i := range t.Pieces {
 		keys += len(t.Pieces[i].ReadSet)
 	}
-	pr := c.free.Get()
-	pr.t, pr.done, pr.retries = t, done, 0
-	pr.vals, pr.reads = c.vals.Carve(n), c.obs.Carve(keys)
-	for i := range t.Pieces {
-		pr.vals[i].Shard = t.Pieces[i].Shard()
-	}
-	pr.got = slices.Grow(pr.got[:0], n)[:n]
+	pr := c.tab.File(t, done)
+	pr.reads = c.obs.Carve(keys)
+	pr.got = coord.Zeroed(pr.got, len(t.Pieces))
 	pr.restart(c.snapshot())
-	if pr.redrive == nil {
-		pr.redrive = func() {
-			c.retry(pr)
-			c.Node.AfterGate(c.RetryEvery, &pr.gen, pr.gen, pr.redrive)
-		}
-	}
-	c.reads[t.ID.Seq] = pr
 	c.send(pr)
-	c.Node.AfterGate(c.RetryEvery, &pr.gen, pr.gen, pr.redrive)
+	c.tab.Arm(pr, c.RetryEvery)
 }
 
 func (c *Coordinator) snapshot() time.Duration { return max(c.Clock()-c.Staleness, 0) }
 
 // send asks every shard that has not answered pr's current snapshot.
 func (c *Coordinator) send(pr *pendingRead) {
-	for i := range pr.t.Pieces {
+	for i := range pr.T.Pieces {
 		if pr.got[i] {
 			continue
 		}
-		piece := &pr.t.Pieces[i]
+		piece := &pr.T.Pieces[i]
 		sh := piece.Shard()
 		m := c.Msgs.Req.Get()
-		*m = Req{Shard: sh, Coord: pr.t.ID.Coord, Seq: pr.t.ID.Seq,
-			At: pr.at, Keys: piece.ReadSet, KeyIDs: piece.ReadIDs}
+		*m = Req{Shard: sh, ID: pr.T.ID, At: pr.at, Keys: piece.ReadSet, KeyIDs: piece.ReadIDs}
 		c.Node.Send(c.Replica(sh, c.nearestReplica(sh)), m)
 	}
 }
 
 func (c *Coordinator) retry(pr *pendingRead) {
-	pr.retries++
-	pr.t.Trace.Mark(c.Net.Sim().Now(), trace.PhaseRetry)
+	pr.Retries++
+	pr.T.Trace.Mark(c.Net.Sim().Now(), trace.PhaseRetry)
 	c.send(pr)
+}
+
+// redrive is the table's timeout: it asks the shards that have not answered
+// again, every RetryEvery until the read completes.
+func (c *Coordinator) redrive(pr *pendingRead) {
+	c.retry(pr)
+	c.tab.Arm(pr, c.RetryEvery)
 }
 
 // OnRep folds one shard's answer into its pending read, completes the
@@ -231,11 +211,11 @@ func (c *Coordinator) OnRep(m *Rep) {
 }
 
 func (c *Coordinator) fold(m *Rep) {
-	pr, ok := c.reads[m.Seq]
-	if !ok || m.At != pr.at {
+	pr := c.tab.Get(m.ID)
+	if pr == nil || m.At != pr.at {
 		return
 	}
-	i := pr.t.Pos(m.Shard)
+	i := pr.T.Pos(m.Shard)
 	if i < 0 || pr.got[i] {
 		return
 	}
@@ -250,38 +230,32 @@ func (c *Coordinator) fold(m *Rep) {
 	if m.Waited > pr.waited {
 		pr.waited = m.Waited
 	}
-	keys := pr.t.Pieces[i].ReadSet
+	keys := pr.T.Pieces[i].ReadSet
 	for k := range keys {
 		if k < len(m.Seen) {
 			pr.reads = append(pr.reads, txn.ReadObs{Key: keys[k], TS: m.Seen[k]})
 		}
 	}
+	var val []byte
 	if len(m.Vals) > 0 {
-		pr.vals[i].Ret = m.Vals[0]
+		val = m.Vals[0]
 	}
+	c.tab.Fold(pr, m.Shard, val)
 	if slices.Contains(pr.got, false) {
 		return
 	}
-	delete(c.reads, m.Seq)
-	pr.gen++
 	// The decisive reply is this one — it completed the read. Its stamps
 	// split the round trip into flight out, SAFETIME wait at the replica
 	// (watermark lag, including the serve cost), and flight back.
-	if tr := pr.t.Trace; tr != nil {
+	if tr := pr.T.Trace; tr != nil {
 		tr.Mark(m.ArriveS, trace.PhaseFlight)
 		tr.Mark(m.ServedS, trace.PhaseSafeTime)
 		tr.Mark(c.Net.Sim().Now(), trace.PhaseFlight)
 	}
-	res := txn.Result{
-		OK: true, FastPath: true, Retries: pr.retries, PerShard: pr.vals,
-		SnapshotAt: pr.at, Waited: pr.waited, Reads: pr.reads,
-	}
-	// Recycle before the callback, which may Submit the next read: an idle
-	// record holds on to no transaction, callback or result.
-	done := pr.done
-	pr.t, pr.done, pr.vals, pr.reads = nil, nil, nil, nil
-	c.free.Put(pr)
-	done(res)
+	// An idle record holds on to no result.
+	reads := pr.reads
+	pr.reads = nil
+	c.tab.Finish(pr, txn.Result{OK: true, FastPath: true, SnapshotAt: pr.at, Waited: pr.waited, Reads: reads})
 }
 
 // nearestReplica picks (and caches) the lowest-RTT replica of a shard from
@@ -457,7 +431,7 @@ func (r *Replica) OnReq(from simnet.NodeID, m *Req) (queued bool) {
 // for waited, and recycles it.
 func (r *Replica) serve(to simnet.NodeID, m *Req, waited, arriveS time.Duration) {
 	rep := r.Msgs.Rep.Get()
-	*rep = Rep{Shard: r.Shard, Seq: m.Seq, At: m.At, Vals: rep.Vals[:0], Seen: rep.Seen[:0]}
+	*rep = Rep{Shard: r.Shard, ID: m.ID, At: m.At, Vals: rep.Vals[:0], Seen: rep.Seen[:0]}
 	if m.At < r.gcHorizon {
 		rep.Pruned = true
 	} else {

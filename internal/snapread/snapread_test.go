@@ -34,11 +34,11 @@ func scribbleRep(m *Rep) {
 	for i := range seen {
 		seen[i] = txn.Timestamp{Time: -1, Coord: -1}
 	}
-	*m = Rep{Shard: -1, Seq: ^uint64(0), At: -1, Pruned: true, Vals: vals, Seen: seen}
+	*m = Rep{Shard: -1, ID: txn.ID{Coord: -1, Seq: ^uint64(0)}, At: -1, Pruned: true, Vals: vals, Seen: seen}
 }
 
 // scribbleReq does the same to a request the replica has served and recycled.
-func scribbleReq(m *Req) { *m = Req{Shard: -1, Seq: ^uint64(0), At: -1} }
+func scribbleReq(m *Req) { *m = Req{Shard: -1, ID: txn.ID{Coord: -1, Seq: ^uint64(0)}, At: -1} }
 
 // allHome fails the test unless every message the pools ever made is back on
 // its freelist, except lostReq requests and lostRep replies that were dropped
@@ -214,7 +214,7 @@ func (r *coordRig) submit(at time.Duration) {
 // answer replies to m with a version stamped by the shard and the snapshot.
 func (r *coordRig) answer(rep *simnet.Node, to simnet.NodeID, m Req) {
 	out := r.co.Msgs.Rep.Get()
-	*out = Rep{Shard: m.Shard, Seq: m.Seq, At: m.At,
+	*out = Rep{Shard: m.Shard, ID: m.ID, At: m.At,
 		Vals: append(out.Vals[:0], []byte{byte(m.Shard)}),
 		Seen: append(out.Seen[:0], txn.Timestamp{Time: m.At, Seq: uint64(m.Shard)})}
 	rep.Send(to, out)
@@ -278,7 +278,7 @@ func TestCoordinatorRestartsAtOneFreshSnapshotWhenPruned(t *testing.T) {
 			// snapshot it kills (+20 ms): that answer must be forgotten.
 			rep.After(5*ms, func() {
 				out := r.co.Msgs.Rep.Get()
-				*out = Rep{Shard: 1, Seq: m.Seq, At: m.At, Pruned: true, Vals: out.Vals[:0], Seen: out.Seen[:0]}
+				*out = Rep{Shard: 1, ID: m.ID, At: m.At, Pruned: true, Vals: out.Vals[:0], Seen: out.Seen[:0]}
 				rep.Send(from, out)
 			})
 		case m.Shard == 0 && nth == 1:
@@ -342,8 +342,8 @@ func TestRecycledReadsRedriveStaysInert(t *testing.T) {
 	// moves, that timer would run on the idle record.
 	r.net.Sim().Run(175 * ms)
 
-	if len(r.results) != 2 || r.co.free.News != 1 {
-		t.Fatalf("%d results from %d records, want two reads through one recycled record", len(r.results), r.co.free.News)
+	if len(r.results) != 2 || r.co.tab.News() != 1 {
+		t.Fatalf("%d results from %d records, want two reads through one recycled record", len(r.results), r.co.tab.News())
 	}
 	if res := r.results[1]; !res.OK || res.Retries != 0 || len(r.reqs[0]) != 2 || len(r.reqs[1]) != 2 {
 		t.Errorf("the second read reports %d retries and shards 0/1 got %d/%d requests: the first read's re-drive ran on it, want 0 and 2/2",
@@ -385,13 +385,13 @@ func newReplicaRig(self, replicas int) *replicaRig {
 // is still queued after the network has drained.
 func (r *replicaRig) read(seq uint64, at time.Duration) *Rep {
 	m := r.rep.Msgs.Req.Get()
-	*m = Req{Shard: 4, Seq: seq, At: at, Keys: []string{"k"}}
+	*m = Req{Shard: 4, ID: txn.ID{Seq: seq}, At: at, Keys: []string{"k"}}
 	if !r.rep.OnReq(r.client.ID(), m) {
 		scribbleReq(m)
 	}
 	r.net.Sim().Run(r.net.Sim().Now() + 10*ms)
 	for i := range r.got {
-		if r.got[i].Seq == seq {
+		if r.got[i].ID.Seq == seq {
 			return &r.got[i]
 		}
 	}

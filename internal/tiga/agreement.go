@@ -1,6 +1,7 @@
 package tiga
 
 import (
+	"cmp"
 	"slices"
 
 	"tiga/internal/simnet"
@@ -232,6 +233,12 @@ func (s *Server) finishAgreement(r *rec) {
 	if !r.executed {
 		s.schedulePump(r.ts.Time)
 	}
+}
+
+// compareIDs orders transaction ids by coordinator, then sequence number: the
+// order every id-ordered walk that feeds a message send uses.
+func compareIDs(a, b txn.ID) int {
+	return cmp.Or(cmp.Compare(a.Coord, b.Coord), cmp.Compare(a.Seq, b.Seq))
 }
 
 // resendAgreements re-broadcasts notifications for stalled agreements

@@ -1,38 +1,33 @@
 package tiga
 
 import (
-	"cmp"
-	"slices"
 	"time"
 
 	"tiga/internal/admit"
 	"tiga/internal/clocks"
-	"tiga/internal/pool"
+	"tiga/internal/protocol/coord"
 	"tiga/internal/simnet"
 	"tiga/internal/snapread"
 	"tiga/internal/trace"
 	"tiga/internal/txn"
 )
 
-// pendingTxn tracks one outstanding transaction at the coordinator. It is
-// drawn from the coordinator's freelist at launch and recycled at finish, so
-// the reply arrays are reused across transactions: fast/slow hold the newest
-// reply per (involved shard, replica), indexed t.Pos(shard)*replicas+replica,
-// with the parallel set flags distinguishing "no reply yet" from a zero one.
+// pendingTxn tracks one outstanding transaction at the coordinator: a record
+// of the coordinator's coord.Table, reused across transactions. slots hold
+// the newest replies per (involved shard, replica), indexed
+// t.Pos(shard)*replicas+replica.
 type pendingTxn struct {
-	t       *txn.Txn
-	ts      txn.Timestamp
-	done    func(txn.Result)
-	retries int
-	fast    []fastReply
-	fastSet []bool
-	slow    []slowReply
-	slowSet []bool
-	// gen gates the retry timer (AfterGate): finish bumps it, so a timer
-	// armed for a finished transaction never runs on the record's next one.
-	// retry is the timer's body, bound at the record's first arm.
-	gen   uint64
-	retry func()
+	coord.Attempt
+	ts    txn.Timestamp
+	slots []replySlot
+}
+
+// replySlot is one replica's newest fast and slow reply for one piece; the
+// set flags distinguish "no reply yet" from a zero one.
+type replySlot struct {
+	fast             fastReply
+	slow             slowReply
+	fastSet, slowSet bool
 }
 
 // Coordinator submits transactions per §3.1 (future-timestamp initialization)
@@ -45,9 +40,6 @@ type Coordinator struct {
 	node    *simnet.Node
 	clock   clocks.Clock
 
-	idx int32 // coordinator id; txn.ID.Coord
-	seq uint64
-
 	view globalView
 
 	// owd holds the EWMA one-way-delay estimate per server node, measured
@@ -55,13 +47,10 @@ type Coordinator struct {
 	// these estimates, which is how bad clocks hurt Tiga's latency (§5.7).
 	owd map[simnet.NodeID]time.Duration
 
-	pending map[txn.ID]*pendingTxn
-	// launched holds the sequence numbers of launched transactions in launch
-	// order from launched[head] on, the oldest one still pending first: it is
-	// the done watermark every multicast carries (txnMsg.Done). finish pops
-	// what is no longer pending; the slice is compacted in place.
-	launched []uint64
-	head     int
+	// tab mints the ids (local reads' too), files the pending transactions
+	// and arms their retry timeouts; its Oldest is the done watermark every
+	// multicast carries (txnMsg.Done).
+	tab *coord.Table[pendingTxn, *pendingTxn]
 
 	// reads drives local snapshot reads (Config.LocalReads, snapreads.go).
 	reads snapread.Coordinator
@@ -73,15 +62,9 @@ type Coordinator struct {
 	// launchFn is launch, bound once: the gate's launch callback.
 	launchFn func(*txn.Txn, func(txn.Result))
 
-	// ptPool recycles pendingTxn envelopes (launch -> finish lifecycle, all
-	// on this coordinator), and rets holds the committed results' PerShard,
-	// which the callers keep. The scratch slices below back headroom's OWD
-	// sort, pendingInOrder's deterministic ordering, and inquireSlow's
+	// The scratch slices back headroom's OWD sort and inquireSlow's
 	// involved-shard set — per-call allocations otherwise.
-	ptPool     *pool.Free[pendingTxn]
-	rets       pool.Arena[txn.ShardRet]
 	owdScratch []time.Duration
-	idScratch  []txn.ID
 	shardSeen  []bool
 
 	// Retries counts protocol-level re-submissions (stats for the harness).
@@ -90,12 +73,11 @@ type Coordinator struct {
 
 func newCoordinator(c *Cluster, idx int32, node *simnet.Node, clk clocks.Clock) *Coordinator {
 	co := &Coordinator{
-		cfg: c.Cfg, cluster: c, node: node, clock: clk, idx: idx,
-		view:    c.initial.copy(),
-		owd:     make(map[simnet.NodeID]time.Duration),
-		pending: make(map[txn.ID]*pendingTxn),
-		ptPool:  pool.New[pendingTxn](),
+		cfg: c.Cfg, cluster: c, node: node, clock: clk,
+		view: c.initial.copy(),
+		owd:  make(map[simnet.NodeID]time.Duration),
 	}
+	co.tab = coord.New[pendingTxn](idx, node).OnTimeout(co.retryTimedOut)
 	co.launchFn = co.launch
 	co.gate = admit.Gate{
 		Cap: c.Cfg.AdmitCap, Queue: c.Cfg.AdmitQueue,
@@ -213,73 +195,43 @@ func (co *Coordinator) Submit(t *txn.Txn, done func(txn.Result)) {
 // launch multicasts t to every replica of its involved shards with a future
 // timestamp and invokes done when the transaction commits.
 func (co *Coordinator) launch(t *txn.Txn, done func(txn.Result)) {
-	co.seq++
-	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
-	p := co.ptPool.Get()
-	p.t = t
-	p.ts = txn.Timestamp{}
-	p.done = done
-	p.retries = 0
-	n := len(t.Pieces) * co.cfg.Replicas()
-	if cap(p.fast) < n {
-		p.fast = make([]fastReply, n)
-		p.fastSet = make([]bool, n)
-		p.slow = make([]slowReply, n)
-		p.slowSet = make([]bool, n)
-	} else {
-		p.fast = p.fast[:n]
-		p.fastSet = p.fastSet[:n]
-		p.slow = p.slow[:n]
-		p.slowSet = p.slowSet[:n]
-		clear(p.fast) // drop stale Ret references along with the flags
-		clear(p.fastSet)
-		clear(p.slow)
-		clear(p.slowSet)
-	}
-	co.pending[t.ID] = p
-	co.launched = append(co.launched, co.seq)
+	p := co.tab.Begin(t, done)
+	p.slots = coord.Zeroed(p.slots, len(t.Pieces)*co.cfg.Replicas())
 	co.multicast(p)
-	co.armRetry(p)
+	co.tab.Arm(p, co.cfg.RetryTimeout)
 }
 
 func (co *Coordinator) multicast(p *pendingTxn) {
-	p.t.Trace.Mark(co.cluster.Net.Sim().Now(), trace.PhaseDispatch)
+	p.T.Trace.Mark(co.cluster.Net.Sim().Now(), trace.PhaseDispatch)
 	sendClock := co.now()
 	// Retries carry a fresh, larger timestamp (Appendix B): servers
 	// re-position the pending transaction to it, which re-converges the
 	// leaders' queue orders when local timestamp bumps made them diverge.
-	p.ts = txn.Timestamp{Time: sendClock + co.headroom(p.t), Coord: co.idx, Seq: p.t.ID.Seq}
-	for i := range p.t.Pieces {
-		sh := p.t.Pieces[i].Shard()
+	p.ts = txn.Timestamp{Time: sendClock + co.headroom(p.T), Coord: p.T.ID.Coord, Seq: p.T.ID.Seq}
+	done := co.tab.Oldest().Seq
+	for i := range p.T.Pieces {
+		sh := p.T.Pieces[i].Shard()
 		for rep := 0; rep < co.cfg.Replicas(); rep++ {
 			m := co.cluster.msgs.txn.Get()
-			*m = txnMsg{T: p.t, TS: p.ts, SendClock: sendClock, Coord: co.node.ID(), GView: co.view.GView, Retry: p.retries, Done: co.launched[co.head]}
+			*m = txnMsg{T: p.T, TS: p.ts, SendClock: sendClock, Coord: co.node.ID(), GView: co.view.GView, Retry: p.Retries, Done: done}
 			co.node.Send(co.cluster.serverNode(sh, rep), m)
 		}
 	}
 }
 
-// armRetry arms p's retry timeout, which finish disarms.
-func (co *Coordinator) armRetry(p *pendingTxn) {
-	if p.retry == nil {
-		p.retry = func() { co.retryTimedOut(p) }
-	}
-	co.node.AfterGate(co.cfg.RetryTimeout, &p.gen, p.gen, p.retry)
-}
-
 // retryTimedOut resubmits p, still pending a retry timeout after its last
-// submission, and re-arms the timeout.
+// submission, under the same id (Appendix B), and re-arms the timeout.
 func (co *Coordinator) retryTimedOut(p *pendingTxn) {
-	p.retries++
+	p.Retries++
 	co.Retries++
 	// The wait that expired into this timeout is retry-attributed: the
 	// mark advances the trace cursor, so stale stamps from the abandoned
 	// attempt clamp to zero in the breakdown walk.
-	p.t.Trace.Mark(co.cluster.Net.Sim().Now(), trace.PhaseRetry)
+	p.T.Trace.Mark(co.cluster.Net.Sim().Now(), trace.PhaseRetry)
 	// The view may have changed under us — refresh, then resubmit.
 	co.node.Send(co.cluster.vmLeaderNode(), vmInquire{From: co.node.ID()})
 	co.multicast(p)
-	co.armRetry(p)
+	co.tab.Arm(p, co.cfg.RetryTimeout)
 }
 
 func (co *Coordinator) onFastReply(from simnet.NodeID, m *fastReply) {
@@ -290,21 +242,21 @@ func (co *Coordinator) onFastReply(from simnet.NodeID, m *fastReply) {
 	if m.GView != co.view.GView || m.LView != co.view.GVec[m.Shard] {
 		return
 	}
-	p, ok := co.pending[m.ID]
-	if !ok {
+	p := co.tab.Get(m.ID)
+	if p == nil {
 		return
 	}
 	if m.OWD > 0 {
 		co.updateOWD(from, m.OWD)
 	}
-	if i := p.t.Pos(m.Shard); i >= 0 {
-		j := i*co.cfg.Replicas() + m.Replica
-		if p.fastSet[j] && m.TS.Less(p.fast[j].TS) {
+	if i := p.T.Pos(m.Shard); i >= 0 {
+		s := &p.slots[i*co.cfg.Replicas()+m.Replica]
+		if s.fastSet && m.TS.Less(s.fast.TS) {
 			return // stale (a newer reply with a larger timestamp already arrived)
 		}
-		p.fast[j] = *m // copy: the message is recycled after return
-		p.fast[j].RecvS = co.cluster.Net.Sim().Now()
-		p.fastSet[j] = true
+		s.fast = *m // copy: the message is recycled after return
+		s.fast.RecvS = co.cluster.Net.Sim().Now()
+		s.fastSet = true
 	}
 	co.evaluate(p)
 }
@@ -313,18 +265,18 @@ func (co *Coordinator) onSlowReply(m *slowReply) {
 	if m.GView != co.view.GView || m.LView != co.view.GVec[m.Shard] {
 		return
 	}
-	p, ok := co.pending[m.ID]
-	if !ok {
+	p := co.tab.Get(m.ID)
+	if p == nil {
 		return
 	}
-	if i := p.t.Pos(m.Shard); i >= 0 {
-		j := i*co.cfg.Replicas() + m.Replica
-		if p.slowSet[j] && m.TS.Less(p.slow[j].TS) {
+	if i := p.T.Pos(m.Shard); i >= 0 {
+		s := &p.slots[i*co.cfg.Replicas()+m.Replica]
+		if s.slowSet && m.TS.Less(s.slow.TS) {
 			return
 		}
-		p.slow[j] = *m
-		p.slow[j].RecvS = co.cluster.Net.Sim().Now()
-		p.slowSet[j] = true
+		s.slow = *m
+		s.slow.RecvS = co.cluster.Net.Sim().Now()
+		s.slowSet = true
 	}
 	co.evaluate(p)
 }
@@ -332,15 +284,16 @@ func (co *Coordinator) onSlowReply(m *slowReply) {
 // inquireSlow implements the Appendix E optimization: instead of per-entry
 // slow replies, periodically ask followers for their sync-points.
 func (co *Coordinator) inquireSlow() {
-	if len(co.pending) == 0 {
+	if co.tab.InFlight() == 0 {
 		return
 	}
 	if co.shardSeen == nil {
 		co.shardSeen = make([]bool, co.cfg.Shards)
 	}
-	for _, p := range co.pending {
-		for i := range p.t.Pieces {
-			co.shardSeen[p.t.Pieces[i].Shard()] = true
+	for _, id := range co.tab.InOrder() {
+		t := co.tab.Get(id).T
+		for i := range t.Pieces {
+			co.shardSeen[t.Pieces[i].Shard()] = true
 		}
 	}
 	// Deterministic send order: the simulation's event order follows it.
@@ -367,54 +320,29 @@ func (co *Coordinator) onSlowInquiryRep(from simnet.NodeID, m slowInquiryRep) {
 	// reply without a position (executed, not yet released) vouches for none.
 	R := co.cfg.Replicas()
 	leaderRep := co.view.GVec[m.Shard] % R
-	for _, p := range co.pending {
-		i := p.t.Pos(m.Shard) // -1: the inquiry went to every pending shard, p may not touch this one
-		if i < 0 || !p.fastSet[i*R+leaderRep] {
+	ids := co.tab.InOrder()
+	for _, id := range ids {
+		p := co.tab.Get(id)
+		i := p.T.Pos(m.Shard) // -1: the inquiry went to every pending shard, p may not touch this one
+		if i < 0 || !p.slots[i*R+leaderRep].fastSet {
 			continue
 		}
-		lf := &p.fast[i*R+leaderRep]
+		lf := &p.slots[i*R+leaderRep].fast
 		if lf.LogPos < 0 || m.SyncPoint <= lf.LogPos {
 			continue
 		}
-		j := i*R + m.Replica
-		p.slow[j] = slowReply{viewInfo: m.viewInfo, Shard: m.Shard, Replica: m.Replica, ID: p.t.ID, TS: lf.TS,
+		s := &p.slots[i*R+m.Replica]
+		s.slow = slowReply{viewInfo: m.viewInfo, Shard: m.Shard, Replica: m.Replica, ID: p.T.ID, TS: lf.TS,
 			RecvS: co.cluster.Net.Sim().Now()}
-		p.slowSet[j] = true
+		s.slowSet = true
 	}
 	// Evaluate in submission order: completions run client callbacks and
-	// sends, so map-iteration order here would diverge runs.
-	for _, id := range co.pendingInOrder() {
-		if p, ok := co.pending[id]; ok {
+	// sends, which may end and begin attempts.
+	for _, id := range ids {
+		if p := co.tab.Get(id); p != nil {
 			co.evaluate(p)
 		}
 	}
-}
-
-// sortIDs orders transaction IDs deterministically by (Coord, Seq) — the
-// canonical ordering every map-keyed scan must apply before its results feed
-// message sends or callbacks, or whole simulation runs diverge.
-func sortIDs(ids []txn.ID) { slices.SortFunc(ids, compareIDs) }
-
-// compareIDs orders transaction ids by coordinator, then sequence number: the
-// order every id-ordered walk that feeds a message send uses.
-func compareIDs(a, b txn.ID) int {
-	if c := cmp.Compare(a.Coord, b.Coord); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.Seq, b.Seq)
-}
-
-// pendingInOrder returns the pending transaction IDs in submission (sequence)
-// order; all of a coordinator's IDs share its Coord component. The returned
-// slice is coordinator-owned scratch, valid until the next call.
-func (co *Coordinator) pendingInOrder() []txn.ID {
-	ids := co.idScratch[:0]
-	for id := range co.pending {
-		ids = append(ids, id)
-	}
-	sortIDs(ids)
-	co.idScratch = ids
-	return ids
 }
 
 // evaluate runs Algorithm 3's quorum checks and completes the transaction
@@ -427,23 +355,23 @@ func (co *Coordinator) evaluate(p *pendingTxn) {
 	fastPath := true
 	mismatch := false
 	R := co.cfg.Replicas()
-	for i := range p.t.Pieces {
-		leaderRep := co.view.GVec[p.t.Pieces[i].Shard()] % R
-		if !p.fastSet[i*R+leaderRep] {
+	for i := range p.T.Pieces {
+		leaderRep := co.view.GVec[p.T.Pieces[i].Shard()] % R
+		if !p.slots[i*R+leaderRep].fastSet {
 			return // no leader reply yet (line 15–16)
 		}
-		lf := &p.fast[i*R+leaderRep]
+		lf := &p.slots[i*R+leaderRep].fast
 		fastQ := 1 // the leader
 		slowQ := 0
 		for rep := 0; rep < R; rep++ {
 			if rep == leaderRep {
 				continue
 			}
-			j := i*R + rep
-			if p.fastSet[j] && p.fast[j].Hash == lf.Hash && p.fast[j].TS.Equal(lf.TS) {
+			s := &p.slots[i*R+rep]
+			if s.fastSet && s.fast.Hash == lf.Hash && s.fast.TS.Equal(lf.TS) {
 				fastQ++
 			}
-			if p.slowSet[j] && p.slow[j].TS.Equal(lf.TS) {
+			if s.slowSet && s.slow.TS.Equal(lf.TS) {
 				slowQ++
 			}
 		}
@@ -465,17 +393,16 @@ func (co *Coordinator) evaluate(p *pendingTxn) {
 		if co.cfg.EpsilonBound > 0 {
 			// Coordination-free mode has no agreement to converge the
 			// timestamps; abort and let the application retry (§6).
-			co.finish(p, txn.Result{Aborted: true, Retries: p.retries})
+			co.tab.Finish(p, txn.Result{Aborted: true})
 		}
 		return
 	}
-	results := co.rets.Carve(len(p.t.Pieces))
-	for i := range results {
-		sh := p.t.Pieces[i].Shard()
-		results[i] = txn.ShardRet{Shard: sh, Ret: p.fast[i*R+co.view.GVec[sh]%R].Ret}
+	for i := range p.T.Pieces {
+		sh := p.T.Pieces[i].Shard()
+		co.tab.Fold(p, sh, p.slots[i*R+co.view.GVec[sh]%R].fast.Ret)
 	}
 	co.traceCommitPath(p, fastPath)
-	co.finish(p, txn.Result{OK: true, PerShard: results, FastPath: fastPath, Retries: p.retries, TS: agreedTS})
+	co.tab.Finish(p, txn.Result{OK: true, FastPath: fastPath, TS: agreedTS})
 }
 
 // traceCommitPath reconstructs the committing transaction's critical path
@@ -488,14 +415,14 @@ func (co *Coordinator) evaluate(p *pendingTxn) {
 // cursor (stale attempts superseded by a retry) clamp to zero in the
 // breakdown walk, so the sum invariant holds unconditionally.
 func (co *Coordinator) traceCommitPath(p *pendingTxn, fastPath bool) {
-	tr := p.t.Trace
+	tr := p.T.Trace
 	if tr == nil {
 		return
 	}
 	var dec *fastReply
-	for j := range p.fast {
-		if p.fastSet[j] && (dec == nil || p.fast[j].RecvS > dec.RecvS) {
-			dec = &p.fast[j]
+	for j := range p.slots {
+		if s := &p.slots[j]; s.fastSet && (dec == nil || s.fast.RecvS > dec.RecvS) {
+			dec = &s.fast
 		}
 	}
 	if dec != nil {
@@ -507,45 +434,14 @@ func (co *Coordinator) traceCommitPath(p *pendingTxn, fastPath bool) {
 	}
 	if !fastPath {
 		var srecv time.Duration
-		for j := range p.slow {
-			if p.slowSet[j] && p.slow[j].RecvS > srecv {
-				srecv = p.slow[j].RecvS
+		for j := range p.slots {
+			if s := &p.slots[j]; s.slowSet && s.slow.RecvS > srecv {
+				srecv = s.slow.RecvS
 			}
 		}
 		tr.Mark(srecv, trace.PhaseRepl)
 	}
 	tr.Mark(co.cluster.Net.Sim().Now(), trace.PhaseDecision)
-}
-
-func (co *Coordinator) finish(p *pendingTxn, res txn.Result) {
-	delete(co.pending, p.t.ID)
-	p.gen++
-	co.popDone()
-	if p.done != nil {
-		p.done(res)
-	}
-	// Recycle after the callback: done may synchronously submit the next
-	// transaction (closed-loop clients), which draws from the same pool. An
-	// idle record holds on to no transaction and no callback.
-	p.t, p.done = nil, nil
-	co.ptPool.Put(p)
-}
-
-// popDone advances the done watermark past the transactions that are no longer
-// pending, each popped once, so amortised O(1) per finish. Once the popped
-// prefix is half the slice it is copied down, which keeps launch free of
-// allocations after warm-up.
-func (co *Coordinator) popDone() {
-	for co.head < len(co.launched) {
-		if _, ok := co.pending[txn.ID{Coord: co.idx, Seq: co.launched[co.head]}]; ok {
-			break
-		}
-		co.head++
-	}
-	if co.head > 0 && 2*co.head >= len(co.launched) {
-		n := copy(co.launched, co.launched[co.head:])
-		co.launched, co.head = co.launched[:n], 0
-	}
 }
 
 func (co *Coordinator) adoptView(v globalView) {
@@ -556,12 +452,9 @@ func (co *Coordinator) adoptView(v globalView) {
 	// Replies gathered under the old view are useless; resubmit in the new
 	// view (§4: "In case of a view change, the coordinator retries"), in
 	// deterministic submission order.
-	for _, id := range co.pendingInOrder() {
-		p := co.pending[id]
-		clear(p.fast)
-		clear(p.fastSet)
-		clear(p.slow)
-		clear(p.slowSet)
+	for _, id := range co.tab.InOrder() {
+		p := co.tab.Get(id)
+		p.slots = coord.Zeroed(p.slots, len(p.T.Pieces)*co.cfg.Replicas())
 		co.multicast(p)
 	}
 }

@@ -35,12 +35,12 @@ func TestRecycledRecordsRetryTimerStaysInert(t *testing.T) {
 					secondDone = sim.Now()
 					results = append(results, r)
 				})
-				if co.pending[second.ID] != rec {
+				if co.tab.Get(second.ID) != rec {
 					t.Error("the second transaction did not reuse the first one's record")
 				}
 			})
 		})
-		rec = co.pending[first.ID]
+		rec = co.tab.Get(first.ID)
 	})
 	// Stop before the second transaction's own timeout: on a record whose
 	// gen never moves, that timer would run on the idle record.

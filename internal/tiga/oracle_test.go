@@ -2,6 +2,7 @@ package tiga
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -505,7 +506,7 @@ func TestLateNotificationAllocatesNothing(t *testing.T) {
 	for id := range l.recs {
 		ids = append(ids, id)
 	}
-	sortIDs(ids)
+	slices.SortFunc(ids, compareIDs)
 	gets, recs := c.agreements.Gets, len(l.recs)
 	for _, id := range ids {
 		for round := 1; round <= 2; round++ {

@@ -20,8 +20,7 @@ import (
 // SubmitLocalRead implements protocol.SnapshotReadable.
 func (c *Cluster) SubmitLocalRead(coord int, t *txn.Txn, done func(txn.Result)) {
 	co := c.Coords[coord]
-	co.seq++
-	t.ID = txn.ID{Coord: co.idx, Seq: co.seq}
+	co.tab.Mint(t)
 	co.reads.Submit(t, done)
 }
 
