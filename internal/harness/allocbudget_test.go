@@ -64,10 +64,10 @@ var txnPathBudget = []struct {
 	{"budget/closed-occ", 16.1, 6293},
 	{"budget/closed-ncc", 3.1, 2420},
 	{"budget/closed-ncc+", 8.7, 4553},
-	{"budget/closed-janus", 28.8, 5604},
+	{"budget/closed-janus", 8.3, 4384},
 	{"budget/closed-tapir", 8.0, 3700},
 	{"budget/closed-detock", 14.1, 2384},
-	{"budget/closed-calvin", 3.2, 2020},
+	{"budget/closed-calvin", 3.0, 1229},
 }
 
 const (

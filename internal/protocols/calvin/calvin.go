@@ -316,6 +316,7 @@ func (ex *executor) runEpoch(from []*epochBatch) {
 			ex.node.Work(ex.sys.spec.ExecCost)
 			ret := ex.st.ExecuteID(sm.T.ID, txn.Timestamp{}, piece)
 			ex.st.Commit(sm.T.ID)
+			ex.st.Forget(sm.T.ID) // an epoch runs exactly once
 			if sm.src.home == ex.region {
 				r := ex.results.Get()
 				*r = resultMsg{src: ex, ID: sm.T.ID, Ret: ret}

@@ -62,15 +62,19 @@ func tx(i int) *txn.Txn {
 }
 
 // TestDeterministicExecution: all regions' replicas converge on the same
-// state — the merged epoch order is deterministic.
+// state — the merged epoch order is deterministic — and no store keeps an
+// executed mark for a committed transaction: an epoch runs once, so the
+// executor forgets each mark as it commits.
 func TestDeterministicExecution(t *testing.T) {
 	sim, sys := build(t, 1, 10*time.Millisecond)
 	const n = 30
 	committed := 0
+	txns := make([]*txn.Txn, n)
 	for i := 0; i < n; i++ {
 		i := i
+		txns[i] = tx(i)
 		sim.At(time.Duration(50+i*7)*time.Millisecond, func() {
-			sys.Submit(i%3, tx(i), func(r txn.Result) {
+			sys.Submit(i%3, txns[i], func(r txn.Result) {
 				if r.OK {
 					committed++
 				}
@@ -87,6 +91,15 @@ func TestDeterministicExecution(t *testing.T) {
 		for reg := 1; reg < 3; reg++ {
 			if !base.Equal(sys.Store(reg, sh)) {
 				t.Fatalf("region %d shard %d diverged from region 0", reg, sh)
+			}
+		}
+	}
+	for _, x := range txns {
+		for reg := 0; reg < 3; reg++ {
+			for sh := 0; sh < 2; sh++ {
+				if sys.Store(reg, sh).Executed(x.ID) {
+					t.Fatalf("region %d shard %d keeps the executed mark of %v", reg, sh, x.ID)
+				}
 			}
 		}
 	}

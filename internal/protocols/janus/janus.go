@@ -17,7 +17,20 @@
 // multicast pre-accept, accept and commit messages share one payload between
 // their destinations, carved from the coordinator's arenas and never
 // recycled; the dependency lists they carry are retained by every replica's
-// record, so those are never pooled either.
+// record, so those are never pooled either: a replica's list and the
+// coordinator's union of the votes are carved from the node's own arena.
+//
+// A replica's commit path allocates nothing once warm. The cycle resolver
+// builds the committed closure in one graph.Graph per replica, Reset and
+// reused by every call, with a reused worklist beside it; emptied waiter
+// lists go onto a free list; and the store forgets a transaction's executed
+// mark once it commits, since the record's executed flag is the only
+// at-most-once guard Janus reads. The resolver's scratch is not re-entrant:
+// SCC's result lives in that graph, so nothing that maybeResolveCycle calls
+// while it iterates the result (execute and its wake loop) may resolve
+// another cycle. Resolving from the wake loop, as the stranded-cycle fix
+// will (TestStrandedCycleExecutes), must first finish with the result or give
+// the nested call a graph of its own.
 package janus
 
 import (
@@ -113,9 +126,16 @@ type replica struct {
 	// it, so a commit only wakes its dependents instead of rescanning the
 	// whole graph.
 	waiters map[uint64][]uint64
+	// idle holds emptied waiter lists for the next transaction to wait.
+	idle [][]uint64
 	// scratch collects a pre-accept's dependencies before they are sorted,
-	// deduplicated and copied out.
+	// deduplicated and carved from deps, which holds every record's list.
 	scratch []uint64
+	deps    pool.Arena[uint64]
+	// g and closure are maybeResolveCycle's scratch: the committed closure
+	// as a graph, and its vertices in the order the walk found them.
+	g       *graph.Graph
+	closure []uint64
 
 	preacceptReps *pool.Free[preacceptRep]
 	acceptReps    *pool.Free[acceptRep]
@@ -146,7 +166,7 @@ func New(spec Spec) *System {
 			sys.nodes[s] = append(sys.nodes[s], node.ID())
 			rp := &replica{sys: sys, shard: s, rep: r, node: node, st: store.New(),
 				lastKey: make(map[string]uint64), txns: make(map[uint64]*jtxn),
-				waiters:       make(map[uint64][]uint64),
+				waiters: make(map[uint64][]uint64), g: graph.New(),
 				preacceptReps: pool.New[preacceptRep](), acceptReps: pool.New[acceptRep](),
 				results: pool.New[execResult]()}
 			if spec.Seed != nil {
@@ -175,13 +195,15 @@ func (sys *System) Store(shard, rep int) *store.Store { return sys.replicas[shar
 
 func (sys *System) superQuorum() int { return 1 + sys.spec.F + (sys.spec.F+1)/2 }
 
-// own returns a copy of deps that outlives the scratch it was collected in,
-// or nil when there is nothing to copy.
-func own(deps []uint64) []uint64 {
+// own returns a copy of deps, carved from a, that outlives the scratch it was
+// collected in, or nil when there is nothing to copy.
+func own(a *pool.Arena[uint64], deps []uint64) []uint64 {
 	if len(deps) == 0 {
 		return nil
 	}
-	return slices.Clone(deps)
+	out := a.Carve(len(deps))
+	copy(out, deps)
+	return out
 }
 
 // ---- replica ----
@@ -219,7 +241,7 @@ func (rp *replica) onPreaccept(m preaccept) {
 	slices.Sort(deps)
 	deps = slices.Compact(deps)
 	rp.scratch = deps
-	deps = own(deps) // the record and the reply keep it
+	deps = own(&rp.deps, deps) // the record and the reply keep it
 	if rp.txns[id] == nil {
 		*rp.newRec(id) = jtxn{t: m.T, deps: deps, coord: m.Coord}
 	}
@@ -274,7 +296,12 @@ func (rp *replica) onCommit(m commitMsg) {
 			continue // foreign or already-executed dependency
 		}
 		jt.pending++
-		rp.waiters[d] = append(rp.waiters[d], id)
+		ws := rp.waiters[d]
+		if ws == nil && len(rp.idle) > 0 {
+			ws = rp.idle[len(rp.idle)-1]
+			rp.idle = rp.idle[:len(rp.idle)-1]
+		}
+		rp.waiters[d] = append(ws, id)
 	}
 	if jt.pending == 0 {
 		rp.execute(id)
@@ -287,29 +314,28 @@ func (rp *replica) onCommit(m commitMsg) {
 // transitively reachable unexecuted dependency is itself committed, the
 // blockage is a conflict cycle; resolve it deterministically via SCC.
 func (rp *replica) maybeResolveCycle(start uint64) {
-	// Collect the committed closure reachable from start.
-	closure := map[uint64]bool{start: true}
-	stack := []uint64{start}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, d := range rp.txns[id].deps {
+	// Collect the committed closure reachable from start; the graph's
+	// vertices are its members.
+	g := rp.g
+	g.Reset()
+	g.AddNode(start)
+	rp.closure = append(rp.closure[:0], start)
+	for i := 0; i < len(rp.closure); i++ {
+		for _, d := range rp.txns[rp.closure[i]].deps {
 			dt := rp.txns[d]
-			if dt == nil || dt.executed || closure[d] {
+			if dt == nil || dt.executed || g.Has(d) {
 				continue
 			}
 			if !dt.committed {
 				return // genuinely waiting on an uncommitted dependency
 			}
-			closure[d] = true
-			stack = append(stack, d)
+			g.AddNode(d)
+			rp.closure = append(rp.closure, d)
 		}
 	}
-	g := graph.New()
-	for id := range closure {
-		g.AddNode(id)
+	for _, id := range rp.closure {
 		for _, d := range rp.txns[id].deps {
-			if closure[d] {
+			if g.Has(d) {
 				g.AddEdge(id, d)
 			}
 		}
@@ -358,6 +384,8 @@ func (rp *replica) execute(id uint64) {
 	rp.node.Work(rp.sys.spec.ExecCost)
 	ret := rp.st.ExecuteID(jt.t.ID, txn.Timestamp{Time: time.Duration(id)}, jt.t.Piece(rp.shard))
 	rp.st.Commit(jt.t.ID)
+	// jt.executed is the at-most-once guard: the store need not keep a mark.
+	rp.st.Forget(jt.t.ID)
 	if rp.rep == 0 { // the shard leader reports the execution result
 		r := rp.results.Get()
 		*r = execResult{src: rp, ID: jt.t.ID, Ret: ret}
@@ -372,6 +400,9 @@ func (rp *replica) execute(id uint64) {
 		if wt.pending == 0 && wt.committed && !wt.executed {
 			rp.execute(w)
 		}
+	}
+	if ws != nil {
+		rp.idle = append(rp.idle, ws[:0])
 	}
 }
 
@@ -405,8 +436,9 @@ type coordinator struct {
 	node *simnet.Node
 	tab  *coord.Table[pending, *pending]
 	// union collects the votes' dependencies before they are sorted,
-	// deduplicated and copied into the transaction's own list.
+	// deduplicated and carved from deps as the transaction's own list.
 	union []uint64
+	deps  pool.Arena[uint64]
 	// preaccepts, accepts and commits carve the multicast payloads.
 	preaccepts pool.Arena[preaccept]
 	accepts    pool.Arena[acceptMsg]
@@ -489,7 +521,7 @@ func (co *coordinator) tallyPreaccept(p *pending, shard, rep int, deps []uint64)
 	slices.Sort(u)
 	u = slices.Compact(u)
 	co.union = u
-	p.deps = own(u) // every replica keeps it through the commit
+	p.deps = own(&co.deps, u) // every replica keeps it through the commit
 	return true
 }
 
