@@ -71,12 +71,6 @@ type waiter struct {
 	at   time.Duration
 }
 
-// Depth returns the current queue length (tests).
-func (g *Gate) Depth() int { return len(g.queue) }
-
-// Inflight returns the number of admitted, unfinished transactions (tests).
-func (g *Gate) Inflight() int { return g.inflight }
-
 // Submit admits, queues, or sheds t. start launches an admitted transaction
 // into the protocol; the done callback it receives is its slot's, so that when
 // the protocol reports the final outcome the slot is released, the result

@@ -52,30 +52,6 @@ const (
 	OpClockUnfreeze
 )
 
-func (o Op) String() string {
-	switch o {
-	case OpCrash:
-		return "crash"
-	case OpReboot:
-		return "reboot"
-	case OpPartition:
-		return "partition"
-	case OpHeal:
-		return "heal"
-	case OpDegradeLink:
-		return "degrade-link"
-	case OpRestoreLink:
-		return "restore-link"
-	case OpClockStep:
-		return "clock-step"
-	case OpClockFreeze:
-		return "clock-freeze"
-	case OpClockUnfreeze:
-		return "clock-unfreeze"
-	}
-	return fmt.Sprintf("Op(%d)", int(o))
-}
-
 // AllClocks targets every deployment clock in a clock event.
 const AllClocks = -1
 

@@ -163,9 +163,6 @@ func (c *Counter) Verify(get func(key string) int64) error {
 	return nil
 }
 
-// Expected exposes the number of tracked keys (tests).
-func (c *Counter) Expected() int { return len(c.expected) }
-
 // VerifyAtLeast checks no committed effect was lost: each key's value must be
 // at least the tracked count (use when effects outside the measurement
 // window — warmup or in-flight at shutdown — may also be present).

@@ -23,22 +23,9 @@ type Clock interface {
 	WhenReads(target, simNow time.Duration) time.Duration
 }
 
-// Perfect is an exactly synchronized clock (error = 0).
-type Perfect struct{}
-
-// Read implements Clock.
-func (Perfect) Read(now time.Duration) time.Duration { return now }
-
-// WhenReads implements Clock.
-func (Perfect) WhenReads(target, now time.Duration) time.Duration {
-	if target < now {
-		return now
-	}
-	return target
-}
-
 // Offset is a clock with a constant offset from true time. A positive offset
-// means the clock runs ahead.
+// means the clock runs ahead; the zero Offset is an exactly synchronized
+// clock (error = 0).
 type Offset struct{ Off time.Duration }
 
 // Read implements Clock.
@@ -212,9 +199,6 @@ func (a *Adjustable) Unfreeze(now time.Duration) {
 // Offset reports the accumulated step offset (tests, diagnostics).
 func (a *Adjustable) Offset() time.Duration { return a.off }
 
-// Frozen reports whether the clock is currently frozen.
-func (a *Adjustable) Frozen() bool { return a.frozen }
-
 // Model names the clock-synchronization services from the paper's Table 3.
 type Model int
 
@@ -289,7 +273,7 @@ func (f *Factory) Adjustables() []*Adjustable { return f.made }
 func (f *Factory) newBase() Clock {
 	switch f.Model {
 	case ModelPerfect:
-		return Perfect{}
+		return Offset{}
 	case ModelHuygens:
 		// Microsecond-level error: a small constant offset captures it.
 		u := f.rng.Float64()*2 - 1
@@ -302,7 +286,7 @@ func (f *Factory) newBase() Clock {
 		// Unstable NTP: large offsets that change abruptly.
 		return NewWandering(f.rng, ModelBad.Err(), 5*time.Second, f.Horizon)
 	}
-	return Perfect{}
+	return Offset{}
 }
 
 // MeasureError estimates the mean absolute synchronization error across a set

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPerfectClock(t *testing.T) {
-	c := Perfect{}
+	c := NewFactory(ModelPerfect, time.Minute, 1).newBase()
 	if c.Read(5*time.Second) != 5*time.Second {
 		t.Fatal("perfect clock should read true time")
 	}
@@ -154,7 +154,7 @@ func TestAdjustableTransparent(t *testing.T) {
 // plateaus at the high-water mark (monotonic contract) until true time
 // catches up.
 func TestAdjustableStep(t *testing.T) {
-	a := NewAdjustable(Perfect{})
+	a := NewAdjustable(Offset{})
 	if got := a.Read(10 * time.Millisecond); got != 10*time.Millisecond {
 		t.Fatalf("pre-step Read = %v", got)
 	}
@@ -176,7 +176,7 @@ func TestAdjustableStep(t *testing.T) {
 // TestAdjustableFreeze: a frozen clock pins its reading; unfreezing resumes
 // from the frozen value, leaving the clock behind by the freeze duration.
 func TestAdjustableFreeze(t *testing.T) {
-	a := NewAdjustable(Perfect{})
+	a := NewAdjustable(Offset{})
 	a.Freeze(20 * time.Millisecond)
 	if !a.Frozen() {
 		t.Fatal("Frozen() = false after Freeze")
@@ -197,7 +197,7 @@ func TestAdjustableFreeze(t *testing.T) {
 // WhenReads extrapolates at rate 1 (the waiter polls), and after a step the
 // wait time reflects the shifted clock.
 func TestAdjustableWhenReadsUnderFault(t *testing.T) {
-	a := NewAdjustable(Perfect{})
+	a := NewAdjustable(Offset{})
 	a.Freeze(10 * time.Millisecond)
 	at := a.WhenReads(30*time.Millisecond, 15*time.Millisecond)
 	if at != 35*time.Millisecond {
@@ -243,7 +243,7 @@ func TestFactoryAdjustables(t *testing.T) {
 // pinned value and survives the unfreeze (ntp-insanity steps random clocks,
 // including the one it froze).
 func TestAdjustableStepWhileFrozen(t *testing.T) {
-	a := NewAdjustable(Perfect{})
+	a := NewAdjustable(Offset{})
 	a.Freeze(20 * time.Millisecond)
 	a.Step(30 * time.Millisecond)
 	if got := a.Read(25 * time.Millisecond); got != 50*time.Millisecond {

@@ -36,14 +36,6 @@ func EnableTracing(cfg trace.Config) {
 	traceSink = nil
 }
 
-// DisableTracing disarms the sink and drops any collected summaries.
-func DisableTracing() {
-	traceSinkMu.Lock()
-	defer traceSinkMu.Unlock()
-	traceSinkCfg = nil
-	traceSink = nil
-}
-
 // CollectTraces drains the sink, sorted deterministically (label, then
 // summary content), ready for trace.WriteChrome.
 func CollectTraces() []*trace.Summary {

@@ -28,9 +28,6 @@ func (h Hash) XOR(o Hash) Hash {
 	return out
 }
 
-// IsZero reports whether the hash is the empty-log hash.
-func (h Hash) IsZero() bool { return h == Hash{} }
-
 // EntryHash hashes a single log entry from its identifying fields: the
 // coordinator id, sequence number, and agreed timestamp (Appendix D).
 func EntryHash(id txn.ID, ts txn.Timestamp) Hash {
@@ -59,13 +56,3 @@ func (i *Incremental) Sum() Hash { return i.h }
 
 // Reset clears the digest.
 func (i *Incremental) Reset() { i.h = Hash{} }
-
-// OfLog computes the digest of a full log from scratch (reference
-// implementation used by tests to validate the incremental path).
-func OfLog(ids []txn.ID, tss []txn.Timestamp) Hash {
-	var h Hash
-	for i := range ids {
-		h = h.XOR(EntryHash(ids[i], tss[i]))
-	}
-	return h
-}

@@ -221,12 +221,6 @@ func (t *Table) grantWaiters(key string, l *lock) {
 	}
 }
 
-// Holds reports whether id currently holds key.
-func (t *Table) Holds(key string, id txn.ID) bool {
-	l := t.locks[key]
-	return l != nil && slices.ContainsFunc(l.holders, func(h holder) bool { return h.id == id })
-}
-
 // Outstanding returns the number of keys with holders or waiters.
 func (t *Table) Outstanding() int {
 	n := 0

@@ -55,18 +55,6 @@ func (l *Latency) Percentile(p float64) time.Duration {
 	return l.samples[idx]
 }
 
-// Mean returns the average sample.
-func (l *Latency) Mean() time.Duration {
-	if len(l.samples) == 0 {
-		return 0
-	}
-	var sum time.Duration
-	for _, s := range l.samples {
-		sum += s
-	}
-	return sum / time.Duration(len(l.samples))
-}
-
 // Counters tracks outcome counts for one run.
 type Counters struct {
 	Submitted int64
@@ -91,14 +79,6 @@ func (c *Counters) CommitRate() float64 {
 		return 0
 	}
 	return 100 * float64(c.Committed) / float64(c.Submitted)
-}
-
-// RollbackRate returns rollbacks/committed as a percentage (Fig 13).
-func (c *Counters) RollbackRate() float64 {
-	if c.Committed == 0 {
-		return 0
-	}
-	return 100 * float64(c.Rollbacks) / float64(c.Committed)
 }
 
 // Run aggregates the metrics for one experiment run, optionally keeping
@@ -149,15 +129,6 @@ func (p *PhaseLat) Mean(i int) time.Duration {
 		return 0
 	}
 	return p.NS[i] / time.Duration(p.Count)
-}
-
-// Total returns the summed attribution across buckets.
-func (p *PhaseLat) Total() time.Duration {
-	var t time.Duration
-	for _, d := range p.NS {
-		t += d
-	}
-	return t
 }
 
 // NewRun returns an initialized Run.

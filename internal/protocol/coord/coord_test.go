@@ -224,7 +224,7 @@ func TestArmOfAnEndedAttemptNeverFires(t *testing.T) {
 func TestOldestSkipsEndedAttempts(t *testing.T) {
 	sim, tb := table(2)
 	tb.Retrying(1, 10*time.Millisecond, func(*rec) {})
-	if got := tb.Oldest(); !got.IsZero() {
+	if got := tb.Oldest(); got != (txn.ID{}) {
 		t.Fatalf("Oldest of an empty table = %v, want the zero id", got)
 	}
 	var a, b, c, d txn.Txn

@@ -194,9 +194,6 @@ func (sys *System) Start() {
 	}
 }
 
-// Store exposes a region's shard store (tests).
-func (sys *System) Store(region, shard int) *store.Store { return sys.execs[region][shard].st }
-
 // ---- sequencer ----
 
 func (sq *sequencer) handle(from simnet.NodeID, msg simnet.Message) {

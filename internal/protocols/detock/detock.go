@@ -233,9 +233,6 @@ func New(spec Spec) *System {
 // Start is a no-op.
 func (sys *System) Start() {}
 
-// Store exposes a region's copy of a shard (tests).
-func (sys *System) Store(region, shard int) *store.Store { return sys.engines[region].sts[shard] }
-
 // homesOf returns the home regions involved in t.
 func (sys *System) homesOf(t *txn.Txn) homeSet {
 	var hs homeSet

@@ -190,9 +190,6 @@ func New(spec Spec) *System {
 // Start is a no-op.
 func (sys *System) Start() {}
 
-// Store exposes a replica store (tests).
-func (sys *System) Store(shard, rep int) *store.Store { return sys.replicas[shard][rep].st }
-
 func (sys *System) superQuorum() int { return 1 + sys.spec.F + (sys.spec.F+1)/2 }
 
 // own returns a copy of deps, carved from a, that outlives the scratch it was

@@ -37,13 +37,6 @@ const (
 	OCC
 )
 
-func (c CC) String() string {
-	if c == TwoPL {
-		return "2PL+Paxos"
-	}
-	return "OCC+Paxos"
-}
-
 // Spec describes the deployment.
 type Spec struct {
 	CC           CC
@@ -378,9 +371,6 @@ func (sys *System) RestartServer(shard, replica int) {
 	sys.servers[shard][replica] = srv
 	srv.pax.Rejoin(func() { srv.catchingUp = srv.pax.Committed() < srv.pax.LogLen() })
 }
-
-// Store exposes a shard leader's store (tests).
-func (sys *System) Store(shard int) *store.Store { return sys.servers[shard][0].st }
 
 // TotalVersions sums retained committed-version counts across every replica
 // store — the version-GC tests' memory signal (leaders prune on the safe-time

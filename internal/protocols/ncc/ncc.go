@@ -174,9 +174,6 @@ func newServer(sys *System, sh int) *server {
 // Start is a no-op.
 func (sys *System) Start() {}
 
-// Store exposes a shard store (tests).
-func (sys *System) Store(shard int) *store.Store { return sys.servers[shard].st }
-
 // ServerGrid reports the replica grid (protocol.Faultable): every shard
 // exposes the full 2F+1 addresses even under plain NCC, whose unmaterialized
 // followers make the extra addresses no-ops.

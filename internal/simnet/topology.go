@@ -44,9 +44,6 @@ type Topology struct {
 	DefaultLoss   float64
 }
 
-// NumRegions returns the total region count.
-func (t *Topology) NumRegions() int { return len(t.RegionNames) }
-
 // RegionName returns the topology's human-readable name for r.
 func (t *Topology) RegionName(r Region) string {
 	if int(r) < 0 || int(r) >= len(t.RegionNames) {

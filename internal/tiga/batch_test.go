@@ -54,7 +54,7 @@ func TestBatchedSlowPathWaitsForTheLogPosition(t *testing.T) {
 		mode       Mode
 		maxRetried int // measured: 90 and 0; 99 and 0 without the re-send
 	}{
-		{"rotated", RotatedPlacement(regions, 3), ModeDetective, 90},
+		{"rotated", Placement{ServerRegion: simnet.ServerPlacement(serverRegions, true), CoordRegions: regions}, ModeDetective, 90},
 		{"colocated", ColocatedPlacement(regions), ModePreventive, 0},
 	} {
 		t.Run(pl.name, func(t *testing.T) {

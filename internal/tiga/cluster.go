@@ -30,12 +30,6 @@ func ColocatedPlacement(coordRegions []simnet.Region) Placement {
 	return Placement{ServerRegion: simnet.ServerPlacement(serverRegions, false), CoordRegions: coordRegions}
 }
 
-// RotatedPlacement rotates shard/replica ids so servers with the same
-// replica-id land in different regions — the §5.5 "leaders separated" setup.
-func RotatedPlacement(coordRegions []simnet.Region, regions int) Placement {
-	return Placement{ServerRegion: simnet.ServerPlacement(regions, true), CoordRegions: coordRegions}
-}
-
 // Cluster is a complete Tiga deployment inside one simulated network.
 type Cluster struct {
 	Cfg Config
@@ -130,7 +124,7 @@ func (c *Cluster) chooseMode(newLeaders []int) Mode {
 		for b := a + 1; b < c.Cfg.Shards; b++ {
 			ra := c.Net.Node(c.serverNodes[a][newLeaders[a]]).Region()
 			rb := c.Net.Node(c.serverNodes[b][newLeaders[b]]).Region()
-			if c.Net.BaseOWD(ra, rb) > c.Cfg.ColocationThreshold {
+			if c.Net.BaseOWD(ra, rb) > colocationThreshold {
 				return ModeDetective
 			}
 		}

@@ -89,9 +89,6 @@ type Config struct {
 	// sketched in §6: leaders skip inter-leader timestamp agreement and
 	// instead hold each transaction until their clock passes T.t + ε.
 	EpsilonBound time.Duration
-	// ColocationThreshold is the maximum inter-leader OWD for which the view
-	// manager still chooses the preventive mode (10 ms in the paper, §3.8).
-	ColocationThreshold time.Duration
 	// ExecCost is the CPU time charged per piece execution.
 	ExecCost time.Duration
 	// PQCost is the CPU time charged per priority-queue operation.
@@ -140,19 +137,22 @@ type Config struct {
 	AdmitQueue int
 }
 
+// colocationThreshold is the maximum inter-leader OWD for which the view
+// manager still chooses the preventive mode (10 ms in the paper, §3.8).
+const colocationThreshold = 10 * time.Millisecond
+
 // DefaultConfig returns the configuration used throughout the evaluation.
 func DefaultConfig(shards, f int) Config {
 	return Config{
-		Shards:              shards,
-		F:                   f,
-		Mode:                ModeAuto,
-		Delta:               10 * time.Millisecond,
-		ColocationThreshold: 10 * time.Millisecond,
-		ExecCost:            1200 * time.Nanosecond,
-		PQCost:              300 * time.Nanosecond,
-		RetryTimeout:        1200 * time.Millisecond,
-		SyncPointEvery:      5 * time.Millisecond,
-		CheckpointEvery:     2000,
+		Shards:          shards,
+		F:               f,
+		Mode:            ModeAuto,
+		Delta:           10 * time.Millisecond,
+		ExecCost:        1200 * time.Nanosecond,
+		PQCost:          300 * time.Nanosecond,
+		RetryTimeout:    1200 * time.Millisecond,
+		SyncPointEvery:  5 * time.Millisecond,
+		CheckpointEvery: 2000,
 	}
 }
 

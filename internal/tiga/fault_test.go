@@ -246,7 +246,7 @@ func TestHeadroomControlsRollbacks(t *testing.T) {
 		cfg.Mode = ModeDetective
 		cfg.HeadroomDelta = delta
 		cfg.ZeroHeadroom = zero
-		sim, c := testCluster(t, 59, cfg, RotatedPlacement([]simnet.Region{0, 1, 2}, 3), clocks.ModelChrony)
+		sim, c := testCluster(t, 59, cfg, Placement{ServerRegion: simnet.ServerPlacement(serverRegions, true), CoordRegions: []simnet.Region{0, 1, 2}}, clocks.ModelChrony)
 		armShadows(t, c)
 		committed := 0
 		const n = 60

@@ -46,7 +46,7 @@ func TestMixedFormPiecesSerialize(t *testing.T) {
 			}
 			pl := ColocatedPlacement([]simnet.Region{0, 1})
 			if tc.mode == ModeDetective {
-				pl = RotatedPlacement([]simnet.Region{0, 1}, 3)
+				pl = Placement{ServerRegion: simnet.ServerPlacement(serverRegions, true), CoordRegions: []simnet.Region{0, 1}}
 			}
 			// Bulk-seeded, as the workload generators seed: k<shard>-<i> is id i.
 			const key = 7

@@ -299,7 +299,7 @@ func TestOracleNearTimeZero(t *testing.T) {
 			coords := []simnet.Region{0, 0, 1, 1, 2, 2}
 			pl := ColocatedPlacement(coords)
 			if mode == ModeDetective {
-				pl = RotatedPlacement(coords, 3)
+				pl = Placement{ServerRegion: simnet.ServerPlacement(serverRegions, true), CoordRegions: coords}
 			}
 			sim, c := testCluster(t, 101, cfg, pl, clocks.ModelChrony)
 			var sc scanCheck
@@ -490,7 +490,7 @@ func TestOracleInstallLogRenumbersInsertedKeys(t *testing.T) {
 func TestLateNotificationAllocatesNothing(t *testing.T) {
 	cfg := DefaultConfig(3, 1)
 	cfg.Mode = ModeDetective
-	sim, c := testCluster(t, 109, cfg, RotatedPlacement([]simnet.Region{0, 1, 2}, 3), clocks.ModelChrony)
+	sim, c := testCluster(t, 109, cfg, Placement{ServerRegion: simnet.ServerPlacement(serverRegions, true), CoordRegions: []simnet.Region{0, 1, 2}}, clocks.ModelChrony)
 	committed := 0
 	n := saturate(sim, c, 1000, 100*time.Millisecond, 200*time.Millisecond, 5*time.Millisecond, &committed)
 	sim.Run(10 * time.Second)

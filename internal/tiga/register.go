@@ -30,8 +30,6 @@ func init() {
 				Doc: "use the sending time directly as the timestamp (Fig 13's 0-Hdrm baseline)"},
 			{Name: "epsilon-bound", Type: protocol.KnobDuration, Default: def.EpsilonBound,
 				Doc: "trusted clock-error bound ε enabling the coordination-free mode (§6); 0 keeps timestamp agreement"},
-			{Name: "colocation-threshold", Type: protocol.KnobDuration, Default: def.ColocationThreshold,
-				Doc: "max inter-leader OWD for which the view manager still picks the preventive mode (§3.8)"},
 			{Name: "retry-timeout", Type: protocol.KnobDuration, Default: def.RetryTimeout, Min: time.Millisecond,
 				Doc: "coordinator wait before re-submitting a transaction"},
 			{Name: "sync-point-every", Type: protocol.KnobDuration, Default: def.SyncPointEvery, Min: time.Millisecond,
@@ -49,7 +47,6 @@ func init() {
 			cfg.HeadroomDelta = ctx.Knobs.Duration("headroom-delta")
 			cfg.ZeroHeadroom = ctx.Knobs.Bool("zero-headroom")
 			cfg.EpsilonBound = ctx.Knobs.Duration("epsilon-bound")
-			cfg.ColocationThreshold = ctx.Knobs.Duration("colocation-threshold")
 			cfg.RetryTimeout = ctx.Knobs.Duration("retry-timeout")
 			cfg.SyncPointEvery = ctx.Knobs.Duration("sync-point-every")
 			cfg.BatchSlowReplies = ctx.Knobs.Bool("batch-slow-replies")

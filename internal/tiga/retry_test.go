@@ -39,7 +39,7 @@ func oneTimestampPerTxn(t *testing.T, c *Cluster) {
 // The fix may move golden cells, so it is its own change.
 func TestRetryRepositionsAReleasedRecord(t *testing.T) {
 	t.Skip("known fault: a retry moves a record another leader already released")
-	sim, c := testCluster(t, 11, DefaultConfig(3, 1), RotatedPlacement([]simnet.Region{0, 1, 2}, 3), clocks.ModelChrony)
+	sim, c := testCluster(t, 11, DefaultConfig(3, 1), Placement{ServerRegion: simnet.ServerPlacement(serverRegions, true), CoordRegions: []simnet.Region{0, 1, 2}}, clocks.ModelChrony)
 	const n = 32
 	committed := 0
 	for i := 0; i < n; i++ {

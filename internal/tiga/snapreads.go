@@ -151,6 +151,3 @@ func (s *Server) scheduleSafeFlush(at time.Duration) {
 	// periodic tick will flush it.
 	s.node.AfterGate(when-simNow, &s.flushSeq, s.flushSeq, s.flushFire)
 }
-
-// SafeTime exposes the replica's current watermark (tests).
-func (s *Server) SafeTime() time.Duration { return s.reads.Watermark() }

@@ -211,7 +211,7 @@ func parkedCluster(t *testing.T, sc *scanCheck) (*simnet.Sim, *Cluster) {
 	cfg := DefaultConfig(3, 1)
 	cfg.Mode = ModeDetective
 	cfg.RetryTimeout = 10 * time.Second // queueing delay must not turn into retries
-	sim, c := testCluster(t, 71, cfg, RotatedPlacement([]simnet.Region{0, 1, 2}, 3), clocks.ModelChrony)
+	sim, c := testCluster(t, 71, cfg, Placement{ServerRegion: simnet.ServerPlacement(serverRegions, true), CoordRegions: []simnet.Region{0, 1, 2}}, clocks.ModelChrony)
 	armAll(t, c, sc)
 	return sim, c
 }
@@ -321,7 +321,7 @@ func TestParkedPumpLateArrivals(t *testing.T) {
 			coords := []simnet.Region{0, 0, 1, 1, 2, 2, 3, 3}
 			pl := ColocatedPlacement(coords)
 			if tc.mode == ModeDetective {
-				pl = RotatedPlacement(coords, 3)
+				pl = Placement{ServerRegion: simnet.ServerPlacement(serverRegions, true), CoordRegions: coords}
 			}
 			sim := simnet.NewSim(79)
 			net := simnet.NewNetwork(sim, simnet.GeoConfig(500*time.Microsecond, tc.loss))

@@ -134,7 +134,7 @@ func TestConflictingTxnsAllCommitAndReplicasConverge(t *testing.T) {
 
 func TestDetectiveModeRotatedLeaders(t *testing.T) {
 	cfg := DefaultConfig(3, 1)
-	sim, c := testCluster(t, 11, cfg, RotatedPlacement([]simnet.Region{0, 1, 2}, 3), clocks.ModelChrony)
+	sim, c := testCluster(t, 11, cfg, Placement{ServerRegion: simnet.ServerPlacement(serverRegions, true), CoordRegions: []simnet.Region{0, 1, 2}}, clocks.ModelChrony)
 	if c.Mode() != ModeDetective {
 		t.Fatalf("expected detective mode for rotated leaders, got %v", c.Mode())
 	}

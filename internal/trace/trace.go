@@ -239,9 +239,6 @@ func (t *T) walk() (fine [NumPhases]time.Duration) {
 	return fine
 }
 
-// Phases returns the fine-grained phase attribution (sums to End-Start).
-func (t *T) Phases() [NumPhases]time.Duration { return t.walk() }
-
 // Breakdown rolls the fine-grained walk into reporting buckets (sums to
 // End-Start).
 func (t *T) Breakdown() Breakdown {

@@ -22,9 +22,6 @@ type ID struct {
 	Seq   uint64
 }
 
-// IsZero reports whether the ID is unset.
-func (id ID) IsZero() bool { return id.Coord == 0 && id.Seq == 0 }
-
 // Timestamp is Tiga's transaction timestamp. Time is the future timestamp in
 // simulated nanoseconds; (Coord, Seq) break ties deterministically so the
 // timestamp order is total.
@@ -50,14 +47,6 @@ func (a Timestamp) Equal(b Timestamp) bool { return a == b }
 
 // IsZero reports whether the timestamp is unset.
 func (a Timestamp) IsZero() bool { return a == Timestamp{} }
-
-// Max returns the larger of a and b.
-func (a Timestamp) Max(b Timestamp) Timestamp {
-	if a.Less(b) {
-		return b
-	}
-	return a
-}
 
 // KV is the store view a piece executes against: the keys a workload numbered
 // are read and written by id, everything else — a hand-built piece, a row the
