@@ -16,7 +16,8 @@
 #   ci/reach.sh check      print "reach: N of M functions" and fail on an
 #                          unreached function the allowlist does not name, or
 #                          on an allowlist line that names no unreached one
-#   ci/reach.sh all        build, the quick -exp all sweep, smokes, versiongc,
+#   ci/reach.sh all        build, the quick -exp all sweep (its artifact must be
+#                          cmp-equal to ci/all-quick.json), smokes, versiongc,
 #                          check (about 8 min on 2 cores)
 #
 # Every run writes its counters under GOCOVERDIR=$REACH/cov; $REACH defaults
@@ -141,6 +142,7 @@ versiongc) versiongc ;;
 all)
 	build
 	"$BIN/tigabench" -exp all -quick -keys 1000 -seed 42 -format json -out "$REACH/BENCH.json"
+	cmp "$REACH/BENCH.json" ci/all-quick.json
 	smokes
 	versiongc
 	check

@@ -68,14 +68,14 @@ func transferTxn(fs, fa, ts, ta int, amount int64) *txn.Txn {
 
 // addPiece adds deltas[i] to keys[i], in order, and returns the last new balance.
 func addPiece(keys []string, deltas ...int64) txn.Piece {
-	return txn.Piece{ReadSet: keys, WriteSet: keys, Exec: func(kv txn.KV) []byte {
+	return txn.Piece{ReadSet: keys, WriteSet: keys, Exec: txn.Func(func(kv txn.KV) []byte {
 		var bal int64
 		for i, k := range keys {
 			bal = txn.DecodeInt(kv.Get(k)) + deltas[i]
 			kv.Put(k, txn.EncodeInt(bal))
 		}
 		return txn.EncodeInt(bal)
-	}}
+	})}
 }
 
 // auditTxn reads every account on every shard in one transaction — a
@@ -89,13 +89,13 @@ func auditTxn() *txn.Txn {
 		}
 		pieces[s] = txn.Piece{
 			ReadSet: keys,
-			Exec: func(kv txn.KV) []byte {
+			Exec: txn.Func(func(kv txn.KV) []byte {
 				var sum int64
 				for _, k := range keys {
 					sum += txn.DecodeInt(kv.Get(k))
 				}
 				return txn.EncodeInt(sum)
-			},
+			}),
 		}.On(s)
 	}
 	return &txn.Txn{Label: "audit", Pieces: txn.ByShard(pieces...)}

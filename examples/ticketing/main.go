@@ -64,14 +64,14 @@ func bookTxn(event, seat int, buyer int64) *txn.Txn {
 	k := seatKey(event, seat)
 	return &txn.Txn{Label: "book", Pieces: txn.ByShard(txn.Piece{
 		ReadSet: []string{k}, WriteSet: []string{k},
-		Exec: func(kv txn.KV) []byte {
+		Exec: txn.Func(func(kv txn.KV) []byte {
 			owner := txn.DecodeInt(kv.Get(k))
 			if owner != 0 {
 				return txn.EncodeInt(-owner) // already sold
 			}
 			kv.Put(k, txn.EncodeInt(buyer))
 			return txn.EncodeInt(buyer)
-		},
+		}),
 	}.On(shardOf(event)))}
 }
 

@@ -58,7 +58,7 @@ var txnPathBudget = []struct {
 	{"budget/closed", 8.3, 11685},
 	{"budget/open", 8.5, 11875},
 	{"budget/closed-100k", 4.8, 9116},
-	{"budget/closed-tpcc", 15.2, 22799},
+	{"budget/closed-tpcc", 10.8, 22833},
 	{"budget/open-reads", 6.1, 6268},
 	{"budget/closed-2pl", 16.2, 6290},
 	{"budget/closed-occ", 16.1, 6293},

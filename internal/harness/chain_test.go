@@ -15,7 +15,7 @@ import (
 // recursive closure, and a new closure per stage. It is kept verbatim
 // (renamed) as the reference TestChainMatchesTheReference compares runChain
 // with.
-func refRunChain(d *Deployment, coord int, ic *txn.Interactive, restarts, maxRestarts int,
+func refRunChain(d *Deployment, coord int, ic txn.Interactive, restarts, maxRestarts int,
 	finish func(txn.Result, *txn.Txn)) {
 
 	var stage func(n int, prev *txn.Result, retries int)
@@ -84,8 +84,8 @@ func (s *scripted) Submit(coord int, t *txn.Txn, done func(txn.Result)) {
 // validation fails after a stage with probability 0.2; each stage's label
 // names what the previous one returned, so a stage built from the wrong result
 // shows. starts counts the times it is run from stage 0.
-func scriptedChain(rng *rand.Rand, stages int, starts *int) *txn.Interactive {
-	return &txn.Interactive{Label: "scripted", Next: func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
+func scriptedChain(rng *rand.Rand, stages int, starts *int) txn.Interactive {
+	return chainFunc(func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 		if stage == 0 {
 			*starts++
 		}
@@ -100,8 +100,13 @@ func scriptedChain(rng *rand.Rand, stages int, starts *int) *txn.Interactive {
 			after = fmt.Sprintf("%+v", *prev)
 		}
 		return &txn.Txn{Label: fmt.Sprintf("stage %d after %s", stage, after)}, false, false
-	}}
+	})
 }
+
+// chainFunc is a chain a test writes as a closure.
+type chainFunc func(stage int, prev *txn.Result) (*txn.Txn, bool, bool)
+
+func (f chainFunc) Next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) { return f(stage, prev) }
 
 // TestChainMatchesTheReference: runChain and the driver it replaced finish
 // the same chains at the same simulated times with the same results —
@@ -113,7 +118,7 @@ func TestChainMatchesTheReference(t *testing.T) {
 	pool.Check = true
 	defer func() { pool.Check = false }()
 	const n = 400
-	type driver func(d *Deployment, coord int, ic *txn.Interactive, maxRestarts int, finish func(txn.Result, *txn.Txn))
+	type driver func(d *Deployment, coord int, ic txn.Interactive, maxRestarts int, finish func(txn.Result, *txn.Txn))
 	finishes := func(run driver) (out []string, starts, aborted int) {
 		sim := simnet.NewSim(1)
 		rng := rand.New(rand.NewSource(7))
@@ -132,7 +137,7 @@ func TestChainMatchesTheReference(t *testing.T) {
 		return out, starts, aborted
 	}
 	var st *loadState
-	got, _, _ := finishes(func(d *Deployment, coord int, ic *txn.Interactive, maxRestarts int, finish func(txn.Result, *txn.Txn)) {
+	got, _, _ := finishes(func(d *Deployment, coord int, ic txn.Interactive, maxRestarts int, finish func(txn.Result, *txn.Txn)) {
 		if st == nil {
 			st = &loadState{d: d, chains: pool.New[chain]()}
 		}
@@ -141,7 +146,7 @@ func TestChainMatchesTheReference(t *testing.T) {
 	if out := st.chains.News - st.chains.Idle(); out != 0 {
 		t.Errorf("%d of %d chain records never came back to the pool", out, st.chains.News)
 	}
-	want, starts, aborted := finishes(func(d *Deployment, coord int, ic *txn.Interactive, maxRestarts int, finish func(txn.Result, *txn.Txn)) {
+	want, starts, aborted := finishes(func(d *Deployment, coord int, ic txn.Interactive, maxRestarts int, finish func(txn.Result, *txn.Txn)) {
 		refRunChain(d, coord, ic, 0, maxRestarts, finish)
 	})
 	if len(want) != n || starts == n || aborted == 0 || aborted == n {

@@ -585,7 +585,7 @@ const maxChainRestarts = 10
 // coord: it submits the stages produced by Next in sequence, restarting the
 // whole chain when a validation stage aborts (Appendix F). The chain is a
 // pooled record, recycled as it finishes.
-func (st *loadState) runChain(coord int, ic *txn.Interactive, maxRestarts int, finish func(txn.Result, *txn.Txn)) {
+func (st *loadState) runChain(coord int, ic txn.Interactive, maxRestarts int, finish func(txn.Result, *txn.Txn)) {
 	c := st.chains.Get()
 	if c.st == nil {
 		c.st = st
@@ -602,7 +602,7 @@ func (st *loadState) runChain(coord int, ic *txn.Interactive, maxRestarts int, f
 type chain struct {
 	st          *loadState
 	coord       int
-	ic          *txn.Interactive
+	ic          txn.Interactive
 	maxRestarts int
 	finish      func(txn.Result, *txn.Txn)
 	submitted   func(txn.Result)

@@ -118,7 +118,7 @@ func (p *payments) Next(rng *rand.Rand) workload.Job {
 		return job
 	}
 	next, row := job.I.Next, ""
-	job.I.Next = func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
+	job.I = chainFunc(func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 		t, done, abort := next(stage, prev)
 		switch {
 		case abort && len(prev.PerShard) == 1:
@@ -137,7 +137,7 @@ func (p *payments) Next(rng *rand.Rand) workload.Job {
 			}
 		}
 		return t, done, abort
-	}
+	})
 	return job
 }
 

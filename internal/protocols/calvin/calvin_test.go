@@ -272,10 +272,10 @@ func TestBatchesExecuteOnceInEpochThenRegionOrder(t *testing.T) {
 			b := &epochBatch{Region: r, Epoch: e}
 			for i := 0; i < perBatch; i++ {
 				s := step{e, r, i}
-				p := txn.Piece{Exec: func(txn.KV) []byte {
+				p := txn.Piece{Exec: txn.Func(func(txn.KV) []byte {
 					ran = append(ran, s)
 					return nil
-				}}.On(0)
+				})}.On(0)
 				tx := &txn.Txn{ID: txn.ID{Coord: 1, Seq: uint64(len(batches)*perBatch + i + 1)}, Pieces: txn.ByShard(p)}
 				b.Txns = append(b.Txns, submitMsg{src: co, T: tx})
 			}

@@ -394,16 +394,16 @@ func randomPiece(rng *rand.Rand, shard int, hotShare float64, fresh *int) *txn.P
 		return txn.ReadPiece(ka)
 	case 5: // reads a, writes b; only the write is numbered
 		return &txn.Piece{ReadSet: []string{ka}, WriteSet: []string{kb},
-			ReadIDs: []txn.KeyID{txn.NoKeyID}, WriteIDs: []txn.KeyID{idb}, Exec: nop}
+			ReadIDs: []txn.KeyID{txn.NoKeyID}, WriteIDs: []txn.KeyID{idb}, Exec: txn.Func(nop)}
 	case 6: // numbered reads of two keys, one of them also written
 		return &txn.Piece{ReadSet: []string{ka, kb}, WriteSet: []string{kb},
-			ReadIDs: []txn.KeyID{ida, idb}, WriteIDs: []txn.KeyID{idb}, Exec: nop}
+			ReadIDs: []txn.KeyID{ida, idb}, WriteIDs: []txn.KeyID{idb}, Exec: txn.Func(nop)}
 	default: // inserts a row, reads a seeded key
 		*fresh++
 		row := fmt.Sprintf("row%d-%d", shard, *fresh%6)
 		return &txn.Piece{ReadSet: []string{ka}, WriteSet: []string{row},
 			ReadIDs: []txn.KeyID{ida}, WriteIDs: []txn.KeyID{txn.NoKeyID},
-			Exec: func(kv txn.KV) []byte { kv.Put(row, txn.EncodeInt(1)); return nil }}
+			Exec: txn.Func(func(kv txn.KV) []byte { kv.Put(row, txn.EncodeInt(1)); return nil })}
 	}
 }
 

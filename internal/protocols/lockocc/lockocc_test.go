@@ -115,7 +115,7 @@ func replicateTPCC(t *testing.T, cc CC, localReads bool) {
 	}
 	committed, ordersRead := 0, 0
 	var next func()
-	var stage func(ic *txn.Interactive, i int, prev *txn.Result)
+	var stage func(ic txn.Interactive, i int, prev *txn.Result)
 	submit := func(tx *txn.Txn, then func(*txn.Result)) {
 		sys.Submit(0, tx, func(r txn.Result) {
 			if !r.OK {
@@ -132,7 +132,7 @@ func replicateTPCC(t *testing.T, cc CC, localReads bool) {
 			then(&r)
 		})
 	}
-	stage = func(ic *txn.Interactive, i int, prev *txn.Result) {
+	stage = func(ic txn.Interactive, i int, prev *txn.Result) {
 		switch tx, done, abort := ic.Next(i, prev); {
 		case abort:
 			stage(ic, 0, nil)

@@ -207,11 +207,11 @@ func (r *rtcRig) submit(at time.Duration, coord int, t *txn.Txn) *time.Duration 
 func readWrite(from, to string) *txn.Txn {
 	return &txn.Txn{Pieces: txn.ByShard(txn.Piece{
 		ReadSet: []string{from}, WriteSet: []string{to},
-		Exec: func(kv txn.KV) []byte {
+		Exec: txn.Func(func(kv txn.KV) []byte {
 			v := kv.Get(from)
 			kv.Put(to, v)
 			return v
-		},
+		}),
 	}.On(0))}
 }
 

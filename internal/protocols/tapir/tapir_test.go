@@ -165,7 +165,7 @@ func replicasConvergeOnTPCC(t *testing.T) {
 	}
 	committed, ordersRead := 0, 0
 	var next func()
-	var stage func(ic *txn.Interactive, i int, prev *txn.Result)
+	var stage func(ic txn.Interactive, i int, prev *txn.Result)
 	submit := func(tx *txn.Txn, then func(*txn.Result)) {
 		// Let the decision reach every replica before the next prepare does.
 		sim.After(200*time.Millisecond, func() {
@@ -185,7 +185,7 @@ func replicasConvergeOnTPCC(t *testing.T) {
 			})
 		})
 	}
-	stage = func(ic *txn.Interactive, i int, prev *txn.Result) {
+	stage = func(ic txn.Interactive, i int, prev *txn.Result) {
 		switch tx, done, abort := ic.Next(i, prev); {
 		case abort:
 			stage(ic, 0, nil)

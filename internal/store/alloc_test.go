@@ -28,10 +28,10 @@ func blindWrites(t *testing.T, n int) (*Store, []*txn.Piece) {
 	pieces := make([]*txn.Piece, n)
 	for i := range pieces {
 		kid := txn.KeyID(i)
-		pieces[i] = &txn.Piece{WriteSet: keys[i : i+1], WriteIDs: []txn.KeyID{kid}, Exec: func(kv txn.KV) []byte {
+		pieces[i] = &txn.Piece{WriteSet: keys[i : i+1], WriteIDs: []txn.KeyID{kid}, Exec: txn.Func(func(kv txn.KV) []byte {
 			kv.PutID(kid, val)
 			return nil
-		}}
+		})}
 	}
 	return s, pieces
 }
@@ -96,12 +96,12 @@ func TestRetainWritePruneCycleAllocatesNothing(t *testing.T) {
 func TestKeptBytesNeverChange(t *testing.T) {
 	s, keys := seedN(t, 2)
 	p := &txn.Piece{ReadSet: keys, WriteSet: keys, ReadIDs: []txn.KeyID{0, 1}, WriteIDs: []txn.KeyID{0, 1},
-		Exec: func(kv txn.KV) []byte {
+		Exec: txn.Func(func(kv txn.KV) []byte {
 			v := txn.DecodeInt(kv.GetID(0)) + txn.SmallInts
 			kv.PutID(0, txn.Int(kv, v))
 			kv.PutID(1, txn.AppendInt(txn.AppendInt(kv.Bytes(16), v), -v))
 			return txn.AppendInt(txn.AppendInt(kv.Bytes(16), -v), v)
-		}}
+		})}
 	type kept struct {
 		ret, val0, val1 []byte
 		v               int64

@@ -45,7 +45,7 @@ func TestBufferedViewReadsItsOwnWritesInEitherForm(t *testing.T) {
 	s, keys := seedN(t, 4)
 	var seen []int64
 	look := func(b []byte) { seen = append(seen, txn.DecodeInt(b)) }
-	p := &txn.Piece{Exec: func(kv txn.KV) []byte {
+	p := &txn.Piece{Exec: txn.Func(func(kv txn.KV) []byte {
 		kv.Put(keys[2], txn.EncodeInt(7))
 		look(kv.GetID(2)) // 7: written by name, read by id
 		kv.PutID(1, txn.EncodeInt(8))
@@ -57,7 +57,7 @@ func TestBufferedViewReadsItsOwnWritesInEitherForm(t *testing.T) {
 		kv.PutID(2, txn.EncodeInt(10))
 		look(kv.Get(keys[2])) // 10: the second write of key 2 replaced the first
 		return nil
-	}}
+	})}
 	_, ws := s.ExecuteBuffered(nil, p)
 	if want := []int64{7, 8, 9, 0, 0, 10}; len(seen) != len(want) {
 		t.Fatalf("saw %v", seen)
@@ -94,12 +94,12 @@ func TestBufferedExecutionLeavesTheStoreUntouched(t *testing.T) {
 		}
 		s.ExecuteID(id(1), ts(10), txn.IncrementPieceID(keys[0], 0)) // one pending version
 		n, vs := s.Len(), s.Versions()
-		ret, ws := s.ExecuteBuffered(nil, &txn.Piece{WriteSet: []string{keys[0], keys[1], "row"}, Exec: func(kv txn.KV) []byte {
+		ret, ws := s.ExecuteBuffered(nil, &txn.Piece{WriteSet: []string{keys[0], keys[1], "row"}, Exec: txn.Func(func(kv txn.KV) []byte {
 			kv.PutID(0, txn.EncodeInt(50))
 			kv.Put(keys[1], txn.EncodeInt(51))
 			kv.Put("row", txn.EncodeInt(52))
 			return kv.GetID(0)
-		}})
+		})})
 		if txn.DecodeInt(ret) != 50 || len(ws) != 3 {
 			t.Fatalf("retain=%v: ret %d, %d writes", retain, txn.DecodeInt(ret), len(ws))
 		}
@@ -128,13 +128,13 @@ func TestApplyOntoAStoreWithAnotherInternOrder(t *testing.T) {
 	a.Intern("row1") // 3 on a
 	b.Intern("row2") // 3 on b
 	b.Intern("other")
-	p := &txn.Piece{Exec: func(kv txn.KV) []byte {
+	p := &txn.Piece{Exec: txn.Func(func(kv txn.KV) []byte {
 		kv.PutID(1, txn.EncodeInt(11))
 		kv.Put("row1", txn.EncodeInt(21))
 		kv.Put("row2", txn.EncodeInt(22))
 		kv.Put(keys[2], txn.EncodeInt(12))
 		return nil
-	}}
+	})}
 	_, ws := a.ExecuteBuffered(nil, p)
 	vs := a.Versions()
 	a.Apply(ws)
@@ -173,11 +173,11 @@ func TestApplyAtKeepsHistoryInRetainMode(t *testing.T) {
 	a.EnableSnapshots()
 	b.EnableSnapshots()
 	for i, at := range []int64{10, 20} {
-		_, ws := a.ExecuteBuffered(nil, &txn.Piece{Exec: func(kv txn.KV) []byte {
+		_, ws := a.ExecuteBuffered(nil, &txn.Piece{Exec: txn.Func(func(kv txn.KV) []byte {
 			kv.PutID(1, txn.EncodeInt(txn.DecodeInt(kv.GetID(1))+1))
 			kv.Put("row", txn.EncodeInt(int64(100+i)))
 			return nil
-		}})
+		})})
 		a.ApplyAt(ts(at), ws)
 		b.ApplyAt(ts(at), ws)
 	}
@@ -267,12 +267,12 @@ func TestBufferedIntoAWarmDstMatchesAFreshOne(t *testing.T) {
 		{"closure increment", txn.IncrementPiece(keys[3])},
 		{"tagged, reads its own write", &multi},
 		{"closure, reads its own write", txn.IncrementPiece(keys[4], keys[4])},
-		{"a key by name and by id, an inserted row", &txn.Piece{Exec: func(kv txn.KV) []byte {
+		{"a key by name and by id, an inserted row", &txn.Piece{Exec: txn.Func(func(kv txn.KV) []byte {
 			kv.Put(keys[1], txn.EncodeInt(7))
 			kv.PutID(1, txn.EncodeInt(txn.DecodeInt(kv.Get(keys[1]))+1))
 			kv.Put("row", kv.GetID(1))
 			return kv.Get("row")
-		}}},
+		})}},
 	}
 	// A warm buffer with stale entries for the same keys, longer than any
 	// write set below, and a prefix of entries for keys the pieces read.

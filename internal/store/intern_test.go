@@ -28,11 +28,11 @@ func TestInternedPathsMatchStringPaths(t *testing.T) {
 	p := &txn.Piece{
 		ReadSet: keys[3:4], WriteSet: keys[3:4],
 		ReadIDs: []txn.KeyID{3}, WriteIDs: []txn.KeyID{3},
-		Exec: func(kv txn.KV) []byte {
+		Exec: txn.Func(func(kv txn.KV) []byte {
 			v := txn.EncodeInt(txn.DecodeInt(kv.GetID(3)) + 1)
 			kv.PutID(3, v)
 			return v
-		},
+		}),
 	}
 	s.ExecuteID(id(1), ts(5), p)
 	if txn.DecodeInt(s.Get(keys[3])) != 1 || txn.DecodeInt(s.GetID(3)) != 1 {
@@ -62,11 +62,11 @@ func TestInternedRevokeAndRetain(t *testing.T) {
 		return &txn.Piece{
 			ReadSet: keys[kid : kid+1], WriteSet: keys[kid : kid+1],
 			ReadIDs: []txn.KeyID{kid}, WriteIDs: []txn.KeyID{kid},
-			Exec: func(kv txn.KV) []byte {
+			Exec: txn.Func(func(kv txn.KV) []byte {
 				v := txn.EncodeInt(txn.DecodeInt(kv.GetID(kid)) + 1)
 				kv.PutID(kid, v)
 				return v
-			},
+			}),
 		}
 	}
 	for i := uint64(1); i <= 3; i++ {

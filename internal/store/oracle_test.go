@@ -234,21 +234,21 @@ func (r *opRun) piece(w *world) (*txn.Piece, error) {
 				return nil, err
 			}
 		}
-		return &txn.Piece{ReadSet: names, WriteSet: names, ReadIDs: ids, WriteIDs: ids, Exec: func(kv txn.KV) []byte {
+		return &txn.Piece{ReadSet: names, WriteSet: names, ReadIDs: ids, WriteIDs: ids, Exec: txn.Func(func(kv txn.KV) []byte {
 			var out []byte
 			for _, id := range ids {
 				out = txn.EncodeInt(txn.DecodeInt(kv.GetID(id)) + 1)
 				kv.PutID(id, out)
 			}
 			return out
-		}}, nil
+		})}, nil
 	case 2: // blind write by id
 		name, id, err := r.id(w)
 		val := r.val()
-		return &txn.Piece{WriteSet: []string{name}, WriteIDs: []txn.KeyID{id}, Exec: func(kv txn.KV) []byte {
+		return &txn.Piece{WriteSet: []string{name}, WriteIDs: []txn.KeyID{id}, Exec: txn.Func(func(kv txn.KV) []byte {
 			kv.PutID(id, val)
 			return nil
-		}}, err
+		})}, err
 	case 3: // read-modify-write by name, of names the store may not know
 		a, b := r.name(w), r.name(w)
 		w.note(a)
@@ -261,11 +261,11 @@ func (r *opRun) piece(w *world) (*txn.Piece, error) {
 	case 5: // one key written twice, by id and by name
 		name, id, err := r.id(w)
 		v1, v2 := r.val(), r.val()
-		return &txn.Piece{WriteSet: []string{name}, WriteIDs: []txn.KeyID{id}, Exec: func(kv txn.KV) []byte {
+		return &txn.Piece{WriteSet: []string{name}, WriteIDs: []txn.KeyID{id}, Exec: txn.Func(func(kv txn.KV) []byte {
 			kv.PutID(id, v1)
 			kv.Put(name, v2)
 			return kv.GetID(id)
-		}}, err
+		})}, err
 	case 6: // read only
 		name := r.name(w)
 		w.note(name)
@@ -274,11 +274,11 @@ func (r *opRun) piece(w *world) (*txn.Piece, error) {
 		name, id, err := r.id(w)
 		other := r.name(w)
 		w.note(other)
-		return &txn.Piece{ReadSet: []string{name}, ReadIDs: []txn.KeyID{id}, WriteSet: []string{other}, Exec: func(kv txn.KV) []byte {
+		return &txn.Piece{ReadSet: []string{name}, ReadIDs: []txn.KeyID{id}, WriteSet: []string{other}, Exec: txn.Func(func(kv txn.KV) []byte {
 			v := kv.GetID(id)
 			kv.Put(other, v)
 			return v
-		}}, err
+		})}, err
 	}
 }
 

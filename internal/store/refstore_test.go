@@ -279,7 +279,7 @@ func (s *refStore) ExecuteID(id txn.ID, ts txn.Timestamp, p *txn.Piece) []byte {
 	}
 	v := &s.view
 	v.s, v.writer, v.ts, v.ids = s, id, ts, s.getPend()
-	out := p.Exec(v)
+	out := p.Run(v)
 	if len(v.ids) > 0 {
 		s.pending[id] = v.ids
 	} else {

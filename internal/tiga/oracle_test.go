@@ -323,7 +323,7 @@ func TestOracleNearTimeZero(t *testing.T) {
 							// Reads a key nothing writes, writes its own.
 							rk, wk := fmt.Sprintf("k%d-99", sh), fmt.Sprintf("k%d-%d", sh, 10+co)
 							return &txn.Piece{ReadSet: []string{rk}, WriteSet: []string{wk},
-								Exec: func(kv txn.KV) []byte { kv.Put(wk, kv.Get(rk)); return nil }}
+								Exec: txn.Func(func(kv txn.KV) []byte { kv.Put(wk, kv.Get(rk)); return nil })}
 						}
 						return txn.IncrementPiece(fmt.Sprintf("k%d-%d", sh, i%3))
 					})
@@ -381,10 +381,10 @@ func TestOracleKeyOnlyEverRead(t *testing.T) {
 	piece := func(sh, key, co int, write bool) *txn.Piece {
 		k, own := fmt.Sprintf("k%d-%d", sh, key), fmt.Sprintf("k%d-%d", sh, 50+co)
 		if write {
-			return &txn.Piece{WriteSet: []string{k}, Exec: func(kv txn.KV) []byte { kv.Put(k, txn.EncodeInt(1)); return nil }}
+			return &txn.Piece{WriteSet: []string{k}, Exec: txn.Func(func(kv txn.KV) []byte { kv.Put(k, txn.EncodeInt(1)); return nil })}
 		}
 		return &txn.Piece{ReadSet: []string{k}, WriteSet: []string{own},
-			Exec: func(kv txn.KV) []byte { kv.Put(own, kv.Get(k)); return nil }}
+			Exec: txn.Func(func(kv txn.KV) []byte { kv.Put(own, kv.Get(k)); return nil })}
 	}
 	for i := 0; i < 400; i++ {
 		for co := 0; co < 2; co++ {

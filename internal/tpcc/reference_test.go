@@ -34,7 +34,13 @@ func (g *Gen) refNext(rng *rand.Rand) workload.Job {
 	}
 }
 
+// chainFunc is the chain a reference builder returns: its closure.
+type chainFunc func(stage int, prev *txn.Result) (*txn.Txn, bool, bool)
+
+func (f chainFunc) Next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) { return f(stage, prev) }
+
 // The names of the rows the reference inserts, one string each.
+func kHistory(w, d int, uid uint64) string { return key("h", int64(w), int64(d), int64(uid)) }
 func kOrder(w, d int, uid uint64) string   { return key("o", int64(w), int64(d), int64(uid)) }
 func kOTotal(w, d int, uid uint64) string  { return key("o_total", int64(w), int64(d), int64(uid)) }
 func kOCarrier(w, d int, idx int64) string { return key("o_carrier", int64(w), int64(d), idx) }
@@ -89,7 +95,7 @@ func (g *Gen) refNewOrder(rng *rand.Rand) *txn.Txn {
 		pieces = append(pieces, txn.Piece{
 			ReadSet: reads.names, ReadIDs: reads.ids,
 			WriteSet: writes.names, WriteIDs: writes.ids,
-			Exec: func(kv txn.KV) []byte {
+			Exec: txn.Func(func(kv txn.KV) []byte {
 				var total int64
 				for _, ln := range lns {
 					price := getInt(kv, ln.item+colIPrice)
@@ -103,7 +109,7 @@ func (g *Gen) refNewOrder(rng *rand.Rand) *txn.Txn {
 					total += price * ln.qty
 				}
 				return txn.EncodeInt(total)
-			},
+			}),
 		}.On(sh))
 	}
 
@@ -121,14 +127,14 @@ func (g *Gen) refNewOrder(rng *rand.Rand) *txn.Txn {
 	homePiece := txn.Piece{
 		ReadSet: reads.names, ReadIDs: reads.ids,
 		WriteSet: writes.names, WriteIDs: writes.ids,
-		Exec: func(kv txn.KV) []byte {
+		Exec: txn.Func(func(kv txn.KV) []byte {
 			oid := getInt(kv, dNext)
 			putInt(kv, dNext, oid+1)
 			kv.Put(order, txn.EncodeInt(oid))
 			kv.Put(total, txn.EncodeInt(int64(nItems)))
 			putInt(kv, cLast, int64(uid))
 			return txn.EncodeInt(oid*1000 + getInt(kv, wTax) + getInt(kv, dTax) + getInt(kv, cDisc))
-		},
+		}),
 	}.On(home)
 	if i := slices.IndexFunc(pieces, func(p txn.Piece) bool { return p.Shard() == home }); i >= 0 {
 		pieces[i] = refMergePieces(pieces[i], homePiece)
@@ -149,13 +155,13 @@ func refMergePieces(a, b txn.Piece) txn.Piece {
 		WriteSet: append(append([]string(nil), a.WriteSet...), b.WriteSet...),
 		ReadIDs:  append(append([]txn.KeyID(nil), a.ReadIDs...), b.ReadIDs...),
 		WriteIDs: append(append([]txn.KeyID(nil), a.WriteIDs...), b.WriteIDs...),
-		Exec: func(kv txn.KV) []byte {
-			return append(execA(kv), execB(kv)...)
-		},
+		Exec: txn.Func(func(kv txn.KV) []byte {
+			return append((*execA).Run(kv), (*execB).Run(kv)...)
+		}),
 	}.On(a.Shard())
 }
 
-func (g *Gen) refPayment(rng *rand.Rand) *txn.Interactive {
+func (g *Gen) refPayment(rng *rand.Rand) txn.Interactive {
 	w := g.randWarehouse(rng)
 	d := 1 + rng.Intn(g.cfg.Districts)
 	cw := w
@@ -172,9 +178,8 @@ func (g *Gen) refPayment(rng *rand.Rand) *txn.Interactive {
 	wYtd, dYtd := g.wID(w)+colWYtd, g.dID(w, d)+colDYtd
 	cBal, cYtd, cCnt := g.cID(cw, d, c)+colCBal, g.cID(cw, d, c)+colCYtd, g.cID(cw, d, c)+colCCnt
 
-	return &txn.Interactive{
-		Label: "payment",
-		Next: func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
+	return chainFunc(
+		func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 			switch stage {
 			case 0:
 				t := &txn.Txn{Label: "payment-read", ReadOnly: true,
@@ -187,7 +192,7 @@ func (g *Gen) refPayment(rng *rand.Rand) *txn.Interactive {
 				custPiece := txn.Piece{
 					ReadSet: custKeys.names, ReadIDs: custKeys.ids,
 					WriteSet: custKeys.names, WriteIDs: custKeys.ids,
-					Exec: func(kv txn.KV) []byte {
+					Exec: txn.Func(func(kv txn.KV) []byte {
 						cur := getInt(kv, cBal)
 						if cur != seen {
 							return txn.EncodeInt(-1) // validation failed
@@ -196,7 +201,7 @@ func (g *Gen) refPayment(rng *rand.Rand) *txn.Interactive {
 						putInt(kv, cYtd, getInt(kv, cYtd)+amount)
 						putInt(kv, cCnt, getInt(kv, cCnt)+1)
 						return txn.EncodeInt(cur - amount)
-					},
+					}),
 				}.On(cust)
 				history := kHistory(w, d, uid)
 				reads, writes := newKeyset(2), newKeyset(3)
@@ -206,12 +211,12 @@ func (g *Gen) refPayment(rng *rand.Rand) *txn.Interactive {
 				homePiece := txn.Piece{
 					ReadSet: reads.names, ReadIDs: reads.ids,
 					WriteSet: writes.names, WriteIDs: writes.ids,
-					Exec: func(kv txn.KV) []byte {
+					Exec: txn.Func(func(kv txn.KV) []byte {
 						putInt(kv, wYtd, getInt(kv, wYtd)+amount)
 						putInt(kv, dYtd, getInt(kv, dYtd)+amount)
 						kv.Put(history, txn.EncodeInt(amount))
 						return txn.EncodeInt(0)
-					},
+					}),
 				}.On(home)
 				t := &txn.Txn{Label: "payment-write"}
 				if home == cust {
@@ -236,28 +241,27 @@ func (g *Gen) refPayment(rng *rand.Rand) *txn.Interactive {
 				return nil, true, false
 			}
 		},
-	}
+	)
 }
 
-func (g *Gen) refOrderStatus(rng *rand.Rand) *txn.Interactive {
+func (g *Gen) refOrderStatus(rng *rand.Rand) txn.Interactive {
 	w := g.randWarehouse(rng)
 	d := 1 + rng.Intn(g.cfg.Districts)
 	c := 1 + rng.Intn(g.cfg.Customers)
 	sh := g.ShardOf(w)
 	tab := g.tab(sh)
 	cBal, cLast := g.cID(w, d, c)+colCBal, g.cID(w, d, c)+colCLast
-	return &txn.Interactive{
-		Label: "orderstatus",
-		Next: func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
+	return chainFunc(
+		func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 			switch stage {
 			case 0:
 				reads := newKeyset(2)
 				reads.add(tab, cBal, cLast)
 				t := &txn.Txn{Label: "orderstatus-c", ReadOnly: true, Pieces: txn.ByShard(txn.Piece{
 					ReadSet: reads.names, ReadIDs: reads.ids,
-					Exec: func(kv txn.KV) []byte {
+					Exec: txn.Func(func(kv txn.KV) []byte {
 						return append(kv.GetID(cBal), kv.GetID(cLast)...)
-					},
+					}),
 				}.On(sh))}
 				return t, false, false
 			case 1:
@@ -272,19 +276,19 @@ func (g *Gen) refOrderStatus(rng *rand.Rand) *txn.Interactive {
 				order, total := kOrder(w, d, last), kOTotal(w, d, last)
 				t := &txn.Txn{Label: "orderstatus-o", ReadOnly: true, Pieces: txn.ByShard(txn.Piece{
 					ReadSet: []string{order, total},
-					Exec: func(kv txn.KV) []byte {
+					Exec: txn.Func(func(kv txn.KV) []byte {
 						return append(kv.Get(order), kv.Get(total)...)
-					},
+					}),
 				}.On(sh))}
 				return t, false, false
 			default:
 				return nil, true, false
 			}
 		},
-	}
+	)
 }
 
-func (g *Gen) refDelivery(rng *rand.Rand) *txn.Interactive {
+func (g *Gen) refDelivery(rng *rand.Rand) txn.Interactive {
 	w := g.randWarehouse(rng)
 	sh := g.ShardOf(w)
 	carrier := int64(1 + rng.Intn(10))
@@ -294,9 +298,8 @@ func (g *Gen) refDelivery(rng *rand.Rand) *txn.Interactive {
 	}
 	nd := g.cfg.Districts
 	tab := g.tab(sh)
-	return &txn.Interactive{
-		Label: "delivery",
-		Next: func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
+	return chainFunc(
+		func(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 			switch stage {
 			case 0:
 				reads := newKeyset(2 * nd)
@@ -305,13 +308,13 @@ func (g *Gen) refDelivery(rng *rand.Rand) *txn.Interactive {
 				}
 				t := &txn.Txn{Label: "delivery-scan", ReadOnly: true, Pieces: txn.ByShard(txn.Piece{
 					ReadSet: reads.names, ReadIDs: reads.ids,
-					Exec: func(kv txn.KV) []byte {
+					Exec: txn.Func(func(kv txn.KV) []byte {
 						out := make([]byte, 0, 16*nd)
 						for _, id := range reads.ids {
 							out = append(out, kv.GetID(id)...)
 						}
 						return out
-					},
+					}),
 				}.On(sh))}
 				return t, false, false
 			case 1:
@@ -347,7 +350,7 @@ func (g *Gen) refDelivery(rng *rand.Rand) *txn.Interactive {
 				t := &txn.Txn{Label: "delivery-run", Pieces: txn.ByShard(txn.Piece{
 					ReadSet: reads.names, ReadIDs: reads.ids,
 					WriteSet: writes.names, WriteIDs: writes.ids,
-					Exec: func(kv txn.KV) []byte {
+					Exec: txn.Func(func(kv txn.KV) []byte {
 						var n int64
 						for _, x := range todo {
 							if getInt(kv, x.noHead) != x.head {
@@ -359,14 +362,14 @@ func (g *Gen) refDelivery(rng *rand.Rand) *txn.Interactive {
 							n++
 						}
 						return txn.EncodeInt(n)
-					},
+					}),
 				}.On(sh))}
 				return t, false, false
 			default:
 				return nil, true, false
 			}
 		},
-	}
+	)
 }
 
 func (g *Gen) refStockLevel(rng *rand.Rand) *txn.Txn {
@@ -382,7 +385,7 @@ func (g *Gen) refStockLevel(rng *rand.Rand) *txn.Txn {
 	}
 	return &txn.Txn{Label: "stocklevel", ReadOnly: true, Pieces: txn.ByShard(txn.Piece{
 		ReadSet: reads.names, ReadIDs: reads.ids,
-		Exec: func(kv txn.KV) []byte {
+		Exec: txn.Func(func(kv txn.KV) []byte {
 			var low int64
 			for _, id := range reads.ids[1:] {
 				if getInt(kv, id) < threshold {
@@ -390,6 +393,6 @@ func (g *Gen) refStockLevel(rng *rand.Rand) *txn.Txn {
 				}
 			}
 			return txn.EncodeInt(low)
-		},
+		}),
 	}.On(sh))}
 }

@@ -19,6 +19,7 @@ import (
 	"math/rand"
 	"slices"
 	"strconv"
+	"unsafe"
 
 	"tiga/internal/pool"
 	"tiga/internal/protocol"
@@ -69,21 +70,28 @@ type Gen struct {
 	// and Seed attaches every replica's store to the image.
 	keys workload.KeyCache
 	// The arenas a draw is carved from (pool.Arena: one allocation a chunk):
-	// its stages' transactions, pieces and declared sets, and its chain's
-	// state. A Gen is private to one experiment point (workload.KeyCache), so
-	// it owns them. Chunks are never reused, so a stage stays as built for as
-	// long as anything holds it — Tiga's log keeps every stage's transaction —
-	// and a restarted chain's stages are fresh ones.
-	setNames   pool.Arena[string]
-	setIDs     pool.Arena[txn.KeyID]
-	pieces     pool.Arena[txn.Piece]
-	singles    pool.Arena[single]
-	orders     pool.Arena[newOrder]
-	payments   pool.Arena[payment]
-	payWrites  pool.Arena[paymentWrite]
-	statuses   pool.Arena[orderStatus]
-	deliveries pool.Arena[delivery]
-	runs       pool.Arena[deliveryRun]
+	// its stages' transactions, pieces, executors and declared sets, its
+	// chain's state and the names of the rows it inserts. A Gen is private to
+	// one experiment point (workload.KeyCache), so it owns them. Chunks are
+	// never reused, so a stage stays as built for as long as anything holds it
+	// — Tiga's log keeps every stage's transaction, a store every inserted
+	// row's name — and a restarted chain's stages are fresh ones.
+	setNames    pool.Arena[string]
+	setIDs      pool.Arena[txn.KeyID]
+	pieces      pool.Arena[txn.Piece]
+	rows        pool.Arena[byte]
+	singles     pool.Arena[single]
+	orders      pool.Arena[newOrder]
+	orderPieces pool.Arena[orderPiece]
+	payments    pool.Arena[payment]
+	payWrites   pool.Arena[paymentWrite]
+	statuses    pool.Arena[orderStatus]
+	custReads   pool.Arena[statusCustomer]
+	orderReads  pool.Arena[statusOrder]
+	deliveries  pool.Arena[delivery]
+	scans       pool.Arena[deliveryScan]
+	runs        pool.Arena[deliveryRun]
+	stockLevels pool.Arena[stockLevel]
 }
 
 // carve returns a fresh zero entry of a.
@@ -216,15 +224,33 @@ func kSYtd(w, i int) string      { return key("s_ytd", int64(w), int64(i)) }
 func kSCnt(w, i int) string      { return key("s_cnt", int64(w), int64(i)) }
 
 // The rows transactions insert: named, never numbered ahead of time. A draw
-// that inserts more than one row names them all in one string.
-func kHistory(w, d int, uid uint64) string { return key("h", int64(w), int64(d), int64(uid)) }
+// formats their names on its stack and carves them into the generator's row
+// bytes, all of a draw's or a stage's in one string (rowNames).
+
+// rowNames returns b copied into g's row bytes, as a string a draw cuts its
+// inserted rows' names from. The string reads the arena's bytes in place
+// (unsafe.String): an arena never hands a chunk's bytes out twice, and nothing
+// writes to them after this copy, so the names read the same for as long as a
+// store keeps a row under them.
+func (g *Gen) rowNames(b []byte) string {
+	c := g.rows.Carve(len(b))
+	copy(c, b)
+	return unsafe.String(unsafe.SliceData(c), len(c))
+}
+
+// history names the history row h:w:d:uid of a Payment in district (w, d).
+func (g *Gen) history(w, d int, uid uint64) string {
+	var buf [48]byte
+	return g.rowNames(appendKey(buf[:0], "h", int64(w), int64(d), int64(uid)))
+}
 
 // orderRows names order uid of district (w, d) and its total, o:w:d:uid and
 // o_total:w:d:uid, in one string.
-func orderRows(w, d int, uid uint64) (order, total string) {
-	b := appendKey(make([]byte, 0, 64), "o", int64(w), int64(d), int64(uid))
+func (g *Gen) orderRows(w, d int, uid uint64) (order, total string) {
+	var buf [96]byte
+	b := appendKey(buf[:0], "o", int64(w), int64(d), int64(uid))
 	n := len(b)
-	rows := string(appendKey(b, "o_total", int64(w), int64(d), int64(uid)))
+	rows := g.rowNames(appendKey(b, "o_total", int64(w), int64(d), int64(uid)))
 	return rows[:n], rows[n:]
 }
 
@@ -286,15 +312,21 @@ func (s *keyset) insert(name string) {
 	s.ids = append(s.ids, txn.NoKeyID)
 }
 
-// single is a one-piece stage's transaction and piece, the head of the
-// stage's arena.
+// single is a one-piece stage's transaction, piece and executor, the head of
+// the stage's arena entry.
 type single struct {
-	t txn.Txn
-	p [1]txn.Piece
+	t    txn.Txn
+	p    [1]txn.Piece
+	exec txn.Executor
 }
 
-// one returns the arena's transaction, running p.
-func (s *single) one(label string, readOnly bool, p txn.Piece) *txn.Txn {
+// one returns the arena's transaction, running p, whose Exec is e — the stage
+// the single heads, as a rule — or a tagged op when e is nil.
+func (s *single) one(label string, readOnly bool, p txn.Piece, e txn.Executor) *txn.Txn {
+	if e != nil {
+		s.exec = e
+		p.Exec = &s.exec
+	}
 	s.p[0] = p
 	s.t = txn.Txn{Label: label, ReadOnly: readOnly, Pieces: txn.ByShard(s.p[:]...)}
 	return &s.t
@@ -354,7 +386,7 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 	home := g.ShardOf(w)
 	o.wTax, o.dTax, o.dNext = g.wID(w)+colWTax, g.dID(w, d)+colDTax, g.dID(w, d)+colDNextOID
 	o.cDisc, o.cLast = g.cID(w, d, c)+colCDisc, g.cID(w, d, c)+colCLast
-	o.order, o.total = orderRows(w, d, o.uid)
+	o.order, o.total = g.orderRows(w, d, o.uid)
 
 	// The lines grouped by shard, each shard's in the order drawn.
 	slices.SortStableFunc(lines, func(a, b line) int { return cmp.Compare(a.shard, b.shard) })
@@ -370,17 +402,17 @@ func (g *Gen) NewOrder(rng *rand.Rand) *txn.Txn {
 	}
 	// A line declares four columns read (its price and its three stock
 	// columns) and three written; the home district four read, four written.
-	room, pieces := g.room(7*len(lines)+8), g.pieces.Carve(n)[:0]
+	room, pieces, execs := g.room(7*len(lines)+8), g.pieces.Carve(n)[:0], g.orderPieces.Carve(n)
 	for i := 0; i < len(lines); {
 		j := i + 1
 		for j < len(lines) && lines[j].shard == lines[i].shard {
 			j++
 		}
-		pieces = append(pieces, o.piece(g, int(lines[i].shard), lines[i:j:j], home, &room))
+		pieces = append(pieces, o.piece(g, int(lines[i].shard), i, j, home, &room, &execs[len(pieces)]))
 		i = j
 	}
 	if !local {
-		pieces = append(pieces, o.piece(g, home, nil, home, &room))
+		pieces = append(pieces, o.piece(g, home, 0, 0, home, &room, &execs[len(pieces)]))
 	}
 	o.t = txn.Txn{Label: "neworder", Pieces: txn.ByShard(pieces...)}
 	return &o.t
@@ -398,8 +430,9 @@ type line struct {
 }
 
 // newOrder is a New-Order's draw: the transaction, its lines, and the home
-// district's columns and rows. The declared sets and the pieces, whose sizes
-// are drawn, are carved beside it: one names, one ids and one pieces backing.
+// district's columns and rows. The declared sets, the pieces and their
+// executors, whose sizes are drawn, are carved beside it: one names, one ids,
+// one pieces and one executors backing.
 type newOrder struct {
 	t                               txn.Txn
 	lines                           [maxLines]line
@@ -409,15 +442,18 @@ type newOrder struct {
 	order, total                    string
 }
 
-// piece builds the New-Order piece of shard sh: the stock updates of lns and,
-// on the home shard, the home district's order insertion after them. Its read
-// set lists the lines' prices, their stock columns, then the home district's
-// columns; its write set the stock columns, then the home district's columns
-// and rows.
-func (o *newOrder) piece(g *Gen, sh int, lns []line, home int, room *keyset) txn.Piece {
+// piece builds the New-Order piece of shard sh, which x executes: the stock
+// updates of lines lo to hi and, on the home shard, the home district's order
+// insertion after them. Its read set lists the lines' prices, their stock
+// columns, then the home district's columns; its write set the stock columns,
+// then the home district's columns and rows.
+func (o *newOrder) piece(g *Gen, sh, lo, hi, home int, room *keyset, x *orderPiece) txn.Piece {
+	*x = orderPiece{o: o, lo: uint8(lo), hi: uint8(hi), home: sh == home}
+	x.exec = x
+	lns := o.lines[lo:hi]
 	tab := g.tab(sh)
 	nr, nw := 4*len(lns), 3*len(lns)
-	if sh == home {
+	if x.home {
 		nr, nw = nr+4, nw+4
 	}
 	reads, writes := room.cut(nr), room.cut(nw)
@@ -428,28 +464,43 @@ func (o *newOrder) piece(g *Gen, sh int, lns []line, home int, room *keyset) txn
 		writes.add(tab, ln.item+colSQty, ln.item+colSYtd, ln.item+colSCnt)
 	}
 	reads.add(tab, writes.ids...)
-	var exec txn.PieceFunc
-	if sh == home {
+	if x.home {
 		reads.add(tab, o.wTax, o.dTax, o.cDisc, o.dNext)
 		writes.add(tab, o.dNext)
 		writes.insert(o.order)
 		writes.insert(o.total)
 		writes.add(tab, o.cLast)
-		exec = func(kv txn.KV) []byte {
-			if len(lns) == 0 {
-				return txn.Int(kv, o.insert(kv))
-			}
-			out := txn.AppendInt(kv.Bytes(16), stock(kv, lns))
-			return txn.AppendInt(out, o.insert(kv))
-		}
-	} else {
-		exec = func(kv txn.KV) []byte { return txn.Int(kv, stock(kv, lns)) }
 	}
 	return txn.Piece{
 		ReadSet: reads.names, ReadIDs: reads.ids,
 		WriteSet: writes.names, WriteIDs: writes.ids,
-		Exec: exec,
+		Exec: &x.exec,
 	}.On(sh)
+}
+
+// orderPiece executes a New-Order's piece on one shard: the stock updates of
+// the draw's lines lo to hi and, on the home shard, the order's insertion
+// after them. exec holds the orderPiece itself; the piece points at it.
+type orderPiece struct {
+	exec   txn.Executor
+	o      *newOrder
+	lo, hi uint8
+	home   bool
+}
+
+// Run returns the lines' total, then on the home shard the inserted order's
+// id with the taxes and the discount folded in; a home piece without lines
+// returns the latter alone.
+func (x *orderPiece) Run(kv txn.KV) []byte {
+	lns := x.o.lines[x.lo:x.hi]
+	switch {
+	case !x.home:
+		return txn.Int(kv, stock(kv, lns))
+	case len(lns) == 0:
+		return txn.Int(kv, x.o.insert(kv))
+	}
+	out := txn.AppendInt(kv.Bytes(16), stock(kv, lns))
+	return txn.AppendInt(out, x.o.insert(kv))
 }
 
 // stock applies the stock updates of lns and returns the lines' total.
@@ -495,8 +546,8 @@ func concat(kv txn.KV, a, b []byte) []byte {
 // reads the customer balance; stage 1 updates warehouse/district YTD and the
 // customer, validating the balance read in stage 0 (abort and restart on a
 // conflicting intervening write). 15% of customers belong to a remote
-// warehouse.
-func (g *Gen) Payment(rng *rand.Rand) *txn.Interactive {
+// warehouse. The chain is the draw, carved from g's arenas.
+func (g *Gen) Payment(rng *rand.Rand) txn.Interactive {
 	w := g.randWarehouse(rng)
 	d := 1 + rng.Intn(g.cfg.Districts)
 	cw := w
@@ -508,16 +559,14 @@ func (g *Gen) Payment(rng *rand.Rand) *txn.Interactive {
 	c := 1 + rng.Intn(g.cfg.Customers)
 	p := carve(&g.payments)
 	p.g, p.amount, p.home, p.cust = g, int64(1+rng.Intn(5000)), g.ShardOf(w), g.ShardOf(cw)
-	p.history = kHistory(w, d, g.nextUID(rng))
+	p.history = g.history(w, d, g.nextUID(rng))
 	p.wYtd, p.dYtd = g.wID(w)+colWYtd, g.dID(w, d)+colDYtd
 	p.cBal, p.cYtd, p.cCnt = g.cID(cw, d, c)+colCBal, g.cID(cw, d, c)+colCYtd, g.cID(cw, d, c)+colCCnt
-	p.Interactive = txn.Interactive{Label: "payment", Next: p.next}
-	return &p.Interactive
+	return p
 }
 
-// payment is one Payment's draw, which every stage of its chain is built from.
+// payment is one Payment's draw and chain, which every stage is built from.
 type payment struct {
-	txn.Interactive
 	g                            *Gen
 	home, cust                   int
 	amount                       int64
@@ -525,12 +574,13 @@ type payment struct {
 	history                      string
 }
 
-func (p *payment) next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
+// Next builds the chain's stages: the balance read, then the payment.
+func (p *payment) Next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 	switch stage {
 	case 0:
 		read := p.g.set(1)
 		read.add(p.g.tab(p.cust), p.cBal)
-		return carve(&p.g.singles).one("payment-read", true, txn.Tagged(txn.OpRead, read.names, read.ids).On(p.cust)), false, false
+		return carve(&p.g.singles).one("payment-read", true, txn.Tagged(txn.OpRead, read.names, read.ids).On(p.cust), nil), false, false
 	case 1:
 		return p.write(txn.DecodeInt(prev.Ret(p.cust))), false, false
 	default:
@@ -550,18 +600,27 @@ func (p *payment) next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 	}
 }
 
-// paymentWrite is the arena of Payment's second stage: the transaction, its
-// pieces — one when the customer's warehouse is on the home shard, two
-// otherwise — their sets, and the balance stage 0 read, which the customer's
-// check holds the store to.
+// paymentWrite is the arena entry of Payment's second stage: the
+// transaction, its pieces — one when the customer's warehouse is on the home
+// shard, two otherwise — their sets and executors, and the balance stage 0
+// read, which the customer's check holds the store to. The executors are the
+// entry itself, as one of the three named types below.
 type paymentWrite struct {
 	t      txn.Txn
 	pieces [2]txn.Piece
+	execs  [2]txn.Executor
 	names  [11]string
 	ids    [11]txn.KeyID
 	*payment
 	seen int64
 }
+
+// The executors of Payment's second stage, one type per piece it can run.
+type (
+	payBoth      paymentWrite
+	payWarehouse paymentWrite
+	payCustomer  paymentWrite
+)
 
 // write builds stage 1 given the balance stage 0 read.
 func (p *payment) write(seen int64) *txn.Txn {
@@ -579,10 +638,11 @@ func (p *payment) write(seen int64) *txn.Txn {
 		writes.insert(p.history)
 		writes.add(custTab, p.cBal, p.cYtd, p.cCnt)
 		pieces = pieces[:1]
+		a.execs[0] = (*payBoth)(a)
 		pieces[0] = txn.Piece{
 			ReadSet: reads.names, ReadIDs: reads.ids,
 			WriteSet: writes.names, WriteIDs: writes.ids,
-			Exec: a.payBoth,
+			Exec: &a.execs[0],
 		}.On(p.home)
 	} else {
 		reads, writes, cust := room.cut(2), room.cut(3), room.cut(3)
@@ -590,44 +650,46 @@ func (p *payment) write(seen int64) *txn.Txn {
 		writes.add(homeTab, p.wYtd, p.dYtd)
 		writes.insert(p.history)
 		cust.add(custTab, p.cBal, p.cYtd, p.cCnt)
+		a.execs[0], a.execs[1] = (*payWarehouse)(a), (*payCustomer)(a)
 		pieces[0] = txn.Piece{
 			ReadSet: reads.names, ReadIDs: reads.ids,
 			WriteSet: writes.names, WriteIDs: writes.ids,
-			Exec: a.payWarehouse,
+			Exec: &a.execs[0],
 		}.On(p.home)
 		pieces[1] = txn.Piece{
 			ReadSet: cust.names, ReadIDs: cust.ids,
 			WriteSet: cust.names, WriteIDs: cust.ids,
-			Exec: a.payCustomer,
+			Exec: &a.execs[1],
 		}.On(p.cust)
 	}
 	a.t = txn.Txn{Label: "payment-write", Pieces: txn.ByShard(pieces...)}
 	return &a.t
 }
 
-// payWarehouse is the home shard's piece when the customer is elsewhere.
-func (a *paymentWrite) payWarehouse(kv txn.KV) []byte {
-	a.credit(kv)
+// Run is the home shard's piece when the customer is elsewhere.
+func (x *payWarehouse) Run(kv txn.KV) []byte {
+	(*paymentWrite)(x).credit(kv)
 	return txn.Int(kv, 0)
 }
 
-// payCustomer is the customer's shard's piece when the warehouse is
-// elsewhere: -1 when the balance is no longer the one stage 0 read, and then
-// it writes nothing; the new balance otherwise.
-func (a *paymentWrite) payCustomer(kv txn.KV) []byte {
-	cur := getInt(kv, a.cBal)
-	if cur != a.seen {
+// Run is the customer's shard's piece when the warehouse is elsewhere: -1
+// when the balance is no longer the one stage 0 read, and then it writes
+// nothing; the new balance otherwise.
+func (x *payCustomer) Run(kv txn.KV) []byte {
+	cur := getInt(kv, x.cBal)
+	if cur != x.seen {
 		return txn.Int(kv, -1) // validation failed
 	}
-	return txn.Int(kv, a.debit(kv, cur))
+	return txn.Int(kv, (*paymentWrite)(x).debit(kv, cur))
 }
 
-// payBoth is the one piece when warehouse and customer share a shard. It
+// Run is the one piece when warehouse and customer share a shard. It
 // validates before it writes: when the balance is no longer the one stage 0
 // read, it writes nothing, and the restarted chain is the one that pays. It
 // returns what the two pieces would, side by side: 0, then -1 or the new
 // balance.
-func (a *paymentWrite) payBoth(kv txn.KV) []byte {
+func (x *payBoth) Run(kv txn.KV) []byte {
+	a := (*paymentWrite)(x)
 	out := txn.AppendInt(kv.Bytes(16), 0)
 	cur := getInt(kv, a.cBal)
 	if cur != a.seen {
@@ -655,35 +717,59 @@ func (a *paymentWrite) debit(kv txn.KV, cur int64) int64 {
 }
 
 // OrderStatus is a read-only multi-shot transaction: stage 0 reads the
-// customer's balance and last order id; stage 1 reads that order.
-func (g *Gen) OrderStatus(rng *rand.Rand) *txn.Interactive {
+// customer's balance and last order id; stage 1 reads that order. The chain
+// is the draw, carved from g's arenas.
+func (g *Gen) OrderStatus(rng *rand.Rand) txn.Interactive {
 	o := carve(&g.statuses)
 	o.g, o.w = g, g.randWarehouse(rng)
 	o.d = 1 + rng.Intn(g.cfg.Districts)
 	c := 1 + rng.Intn(g.cfg.Customers)
 	o.sh = g.ShardOf(o.w)
 	o.cBal, o.cLast = g.cID(o.w, o.d, c)+colCBal, g.cID(o.w, o.d, c)+colCLast
-	o.Interactive = txn.Interactive{Label: "orderstatus", Next: o.next}
-	return &o.Interactive
+	return o
 }
 
-// orderStatus is one Order-Status' draw.
+// orderStatus is one Order-Status' draw and chain.
 type orderStatus struct {
-	txn.Interactive
 	g           *Gen
 	w, d, sh    int
 	cBal, cLast txn.KeyID
 }
 
-func (o *orderStatus) next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
+// statusCustomer is Order-Status' first stage, which reads the customer's
+// balance and last order.
+type statusCustomer struct {
+	single
+	cBal, cLast txn.KeyID
+}
+
+// Run returns the balance, then the last order.
+func (x *statusCustomer) Run(kv txn.KV) []byte {
+	return concat(kv, kv.GetID(x.cBal), kv.GetID(x.cLast))
+}
+
+// statusOrder is Order-Status' second stage, which reads the order's rows.
+type statusOrder struct {
+	single
+	rows [2]string // the order's and its total's
+}
+
+// Run returns the order's id, then its line count.
+func (x *statusOrder) Run(kv txn.KV) []byte {
+	return concat(kv, kv.Get(x.rows[0]), kv.Get(x.rows[1]))
+}
+
+// Next builds the chain's stages: the customer's read, then the order's.
+func (o *orderStatus) Next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 	switch stage {
 	case 0:
 		reads := o.g.set(2)
 		reads.add(o.g.tab(o.sh), o.cBal, o.cLast)
-		return carve(&o.g.singles).one("orderstatus-c", true, txn.Piece{
+		x := carve(&o.g.custReads)
+		x.cBal, x.cLast = o.cBal, o.cLast
+		return x.one("orderstatus-c", true, txn.Piece{
 			ReadSet: reads.names, ReadIDs: reads.ids,
-			Exec: func(kv txn.KV) []byte { return concat(kv, kv.GetID(o.cBal), kv.GetID(o.cLast)) },
-		}.On(o.sh)), false, false
+		}.On(o.sh), x), false, false
 	case 1:
 		var last uint64
 		if prev != nil && len(prev.Ret(o.sh)) >= 16 {
@@ -693,12 +779,9 @@ func (o *orderStatus) next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 			return nil, true, false // customer has no orders yet
 		}
 		// The order rows were inserted: names only, no ids.
-		names := o.g.setNames.Carve(2)
-		names[0], names[1] = orderRows(o.w, o.d, last)
-		return carve(&o.g.singles).one("orderstatus-o", true, txn.Piece{
-			ReadSet: names,
-			Exec:    func(kv txn.KV) []byte { return concat(kv, kv.Get(names[0]), kv.Get(names[1])) },
-		}.On(o.sh)), false, false
+		x := carve(&o.g.orderReads)
+		x.rows[0], x.rows[1] = o.g.orderRows(o.w, o.d, last)
+		return x.one("orderstatus-o", true, txn.Piece{ReadSet: x.rows[:]}.On(o.sh), x), false, false
 	default:
 		return nil, true, false
 	}
@@ -707,8 +790,9 @@ func (o *orderStatus) next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 // Delivery decomposes because its read set is data-dependent: stage 0 reads
 // each district's delivered-count and next-order-id; stage 1 advances the
 // delivery head of every district with undelivered orders, assigns carriers,
-// and credits customer balances (the full 10-district sweep of the spec).
-func (g *Gen) Delivery(rng *rand.Rand) *txn.Interactive {
+// and credits customer balances (the full 10-district sweep of the spec). The
+// chain is the draw, carved from g's arenas.
+func (g *Gen) Delivery(rng *rand.Rand) txn.Interactive {
 	dl := carve(&g.deliveries)
 	dl.g, dl.w = g, g.randWarehouse(rng)
 	dl.sh = g.ShardOf(dl.w)
@@ -716,18 +800,32 @@ func (g *Gen) Delivery(rng *rand.Rand) *txn.Interactive {
 	for d := 1; d <= g.cfg.Districts; d++ {
 		dl.custs[d] = 1 + rng.Intn(g.cfg.Customers)
 	}
-	dl.Interactive = txn.Interactive{Label: "delivery", Next: dl.next}
-	return &dl.Interactive
+	return dl
 }
 
-// delivery is one Delivery's draw: its warehouse, carrier and the customer
-// drawn in each district.
+// delivery is one Delivery's draw and chain: its warehouse, carrier and the
+// customer drawn in each district.
 type delivery struct {
-	txn.Interactive
 	g       *Gen
 	w, sh   int
 	carrier int64
 	custs   [maxDistricts + 1]int
+}
+
+// deliveryScan is Delivery's first stage, which reads every district's
+// delivery head and next order id.
+type deliveryScan struct {
+	single
+	ids []txn.KeyID // head, next order id per district
+}
+
+// Run returns the columns' values back to back.
+func (x *deliveryScan) Run(kv txn.KV) []byte {
+	out := kv.Bytes(8 * len(x.ids))
+	for _, id := range x.ids {
+		out = append(out, kv.GetID(id)...)
+	}
+	return out
 }
 
 // deliveryRun is Delivery's second stage: its transaction and the districts
@@ -748,7 +846,8 @@ type district struct {
 	carrierRow   string
 }
 
-func (dl *delivery) next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
+// Next builds the chain's stages: the scan, then the deliveries.
+func (dl *delivery) Next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 	g, w, nd := dl.g, dl.w, dl.g.cfg.Districts
 	tab := g.tab(dl.sh)
 	switch stage {
@@ -757,23 +856,18 @@ func (dl *delivery) next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 		for d := 1; d <= nd; d++ {
 			reads.add(tab, g.dID(w, d)+colNoHead, g.dID(w, d)+colDNextOID)
 		}
-		ids := reads.ids
-		return carve(&g.singles).one("delivery-scan", true, txn.Piece{
-			ReadSet: reads.names, ReadIDs: ids,
-			Exec: func(kv txn.KV) []byte {
-				out := kv.Bytes(16 * nd)
-				for _, id := range ids {
-					out = append(out, kv.GetID(id)...)
-				}
-				return out
-			},
-		}.On(dl.sh)), false, false
+		x := carve(&g.scans)
+		x.ids = reads.ids
+		return x.one("delivery-scan", true, txn.Piece{
+			ReadSet: reads.names, ReadIDs: reads.ids,
+		}.On(dl.sh), x), false, false
 	case 1:
 		buf := prev.Ret(dl.sh)
 		var todo [maxDistricts]district
 		n := 0
 		// The carrier rows' names, in one string: name i ends at ends[i].
-		rows := make([]byte, 0, 32*maxDistricts)
+		var rowBuf [40 * maxDistricts]byte
+		rows := rowBuf[:0]
 		var ends [maxDistricts]int
 		for d := 1; d <= nd; d++ {
 			off := (d - 1) * 16
@@ -794,7 +888,7 @@ func (dl *delivery) next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 		}
 		r := carve(&g.runs)
 		r.todo, r.n, r.carrier = todo, n, dl.carrier
-		names, start := string(rows), 0
+		names, start := g.rowNames(rows), 0
 		room := g.room(5 * n)
 		reads, writes := room.cut(2*n), room.cut(3*n)
 		for i := range r.todo[:n] {
@@ -808,17 +902,16 @@ func (dl *delivery) next(stage int, prev *txn.Result) (*txn.Txn, bool, bool) {
 		return r.one("delivery-run", false, txn.Piece{
 			ReadSet: reads.names, ReadIDs: reads.ids,
 			WriteSet: writes.names, WriteIDs: writes.ids,
-			Exec: r.run,
-		}.On(dl.sh)), false, false
+		}.On(dl.sh), r), false, false
 	default:
 		return nil, true, false
 	}
 }
 
-// run is Delivery's second-stage piece: it delivers the oldest undelivered
+// Run is Delivery's second-stage piece: it delivers the oldest undelivered
 // order of every district whose head has not moved since stage 0, and returns
 // how many it delivered.
-func (r *deliveryRun) run(kv txn.KV) []byte {
+func (r *deliveryRun) Run(kv txn.KV) []byte {
 	var done int64
 	for _, x := range r.todo[:r.n] {
 		if getInt(kv, x.noHead) != x.head {
@@ -846,17 +939,26 @@ func (g *Gen) StockLevel(rng *rand.Rand) *txn.Txn {
 	for i := 0; i < 20; i++ {
 		reads.add(tab, g.iID(w, 1+rng.Intn(g.cfg.Items))+colSQty)
 	}
-	items := reads.ids[1:]
-	return carve(&g.singles).one("stocklevel", true, txn.Piece{
-		ReadSet: reads.names, ReadIDs: reads.ids,
-		Exec: func(kv txn.KV) []byte {
-			var low int64
-			for _, id := range items {
-				if getInt(kv, id) < threshold {
-					low++
-				}
-			}
-			return txn.Int(kv, low)
-		},
-	}.On(sh))
+	x := carve(&g.stockLevels)
+	x.items, x.threshold = reads.ids[1:], threshold
+	return x.one("stocklevel", true, txn.Piece{ReadSet: reads.names, ReadIDs: reads.ids}.On(sh), x)
+}
+
+// stockLevel is Stock-Level's stage: the stock columns it counts and the
+// threshold it counts them below.
+type stockLevel struct {
+	single
+	items     []txn.KeyID
+	threshold int64
+}
+
+// Run returns how many of the items' stock is below the threshold.
+func (x *stockLevel) Run(kv txn.KV) []byte {
+	var low int64
+	for _, id := range x.items {
+		if getInt(kv, id) < x.threshold {
+			low++
+		}
+	}
+	return txn.Int(kv, low)
 }

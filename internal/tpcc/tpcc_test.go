@@ -442,8 +442,8 @@ func TestIDAndNamePathsAgree(t *testing.T) {
 		}
 		return ra
 	}
-	var chain func(label string, a, b *txn.Interactive, sabotage bool)
-	chain = func(label string, a, b *txn.Interactive, sabotage bool) {
+	var chain func(label string, a, b txn.Interactive, sabotage bool)
+	chain = func(label string, a, b txn.Interactive, sabotage bool) {
 		t.Helper()
 		var prev *txn.Result
 		for stage := 0; ; stage++ {

@@ -89,19 +89,37 @@ type KeyID = uint32
 // name (store.ID).
 const NoKeyID = ^KeyID(0)
 
-// PieceFunc executes one shard's piece of a transaction against the shard's
-// store and returns an opaque per-shard result.
+// Executor runs one shard's piece of a transaction against the shard's store
+// and returns an opaque per-shard result. A generator implements it on the
+// draw it carves: the piece points at an interface value beside it, which holds
+// a pointer and so costs no allocation. A hand-written piece wraps a closure
+// in a PieceFunc.
+type Executor interface {
+	Run(kv KV) []byte
+}
+
+// PieceFunc is the Executor of a hand-written piece: a closure.
 type PieceFunc func(kv KV) []byte
 
-// Op tags what a piece does when it runs. The two operations every workload
+// Run calls f.
+func (f PieceFunc) Run(kv KV) []byte { return f(kv) }
+
+// Func returns f as a piece's Exec, in an allocation of its own: the adapter a
+// hand-written piece (an example, a test, the string helpers below) uses.
+func Func(f PieceFunc) *Executor {
+	e := Executor(f)
+	return &e
+}
+
+// Op tags what a piece does when it runs. The two operations every synthetic
 // generator emits are tagged values dispatched by Piece.Run, so generating
-// them allocates no closure; OpExec remains as the escape hatch for pieces
-// written by hand (TPC-C's executors, the examples, tests). The rule: a
-// generator's piece carries an op, a hand-written piece carries a closure.
+// them allocates nothing; OpExec runs the piece's Executor. The rule: a
+// generator's piece carries an op or an executor carved with its draw (TPC-C's
+// pieces), a hand-written piece carries a closure (Func).
 type Op uint8
 
 const (
-	// OpExec runs the piece's Exec closure.
+	// OpExec runs the piece's Exec.
 	OpExec Op = iota
 	// OpRead returns the value of the one key the piece numbers in ReadIDs.
 	OpRead
@@ -123,8 +141,11 @@ type Piece struct {
 	// to the string sets, with NoKeyID where only the name is known.
 	ReadIDs  []KeyID
 	WriteIDs []KeyID
-	// Exec is what an OpExec piece runs; the tagged ops leave it nil.
-	Exec PieceFunc
+	// Exec points at what an OpExec piece runs; the tagged ops leave it nil.
+	// One word, not an interface's two: the value it points at lives beside
+	// the piece (in the draw that built it, or Func's allocation), and a Piece
+	// stays in its size class.
+	Exec *Executor
 	Op   Op
 	// shard is where the piece runs, in four bytes of the padding beside Op: a
 	// Piece stays in its size class.
@@ -154,7 +175,7 @@ func (p *Piece) Run(kv KV) []byte {
 		}
 		return out
 	}
-	return p.Exec(kv)
+	return (*p.Exec).Run(kv)
 }
 
 // Tagged returns the piece that runs op (OpRead or OpIncrement) on keys, whose
@@ -329,10 +350,11 @@ type ReadObs struct {
 // Interactive is a multi-shot (dependent) transaction decomposed into a chain
 // of one-shot transactions per Appendix F. Next produces stage i given the
 // results of stage i-1; done=true ends the chain; abort=true means the
-// validation stage failed and the whole chain must restart from stage 0.
-type Interactive struct {
-	Label string
-	Next  func(stage int, prev *Result) (t *Txn, done bool, abort bool)
+// validation stage failed and the whole chain must restart from stage 0. A
+// generator implements it on the draw it carves, so a chain costs no
+// allocation of its own.
+type Interactive interface {
+	Next(stage int, prev *Result) (t *Txn, done bool, abort bool)
 }
 
 // EncodeInt encodes an int64 as an 8-byte little-endian value — the value
@@ -405,14 +427,14 @@ func IncrementPiece(keys ...string) *Piece {
 	return &Piece{
 		ReadSet:  ks,
 		WriteSet: ks,
-		Exec: func(kv KV) []byte {
+		Exec: Func(func(kv KV) []byte {
 			var last int64
 			for _, k := range ks {
 				last = DecodeInt(kv.Get(k)) + 1
 				kv.Put(k, EncodeInt(last))
 			}
 			return EncodeInt(last)
-		},
+		}),
 	}
 }
 
@@ -437,7 +459,7 @@ func IncrementPieceID(key string, id KeyID) *Piece { return newNumbered(OpIncrem
 func ReadPiece(key string) *Piece {
 	return &Piece{
 		ReadSet: []string{key},
-		Exec:    func(kv KV) []byte { return kv.Get(key) },
+		Exec:    Func(func(kv KV) []byte { return kv.Get(key) }),
 	}
 }
 
@@ -448,9 +470,9 @@ func ReadPieceID(key string, id KeyID) *Piece { return newNumbered(OpRead, key, 
 func WritePiece(key string, val []byte) *Piece {
 	return &Piece{
 		WriteSet: []string{key},
-		Exec: func(kv KV) []byte {
+		Exec: Func(func(kv KV) []byte {
 			kv.Put(key, val)
 			return nil
-		},
+		}),
 	}
 }

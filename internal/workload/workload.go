@@ -19,7 +19,7 @@ import (
 // (multi-shot) transaction chain.
 type Job struct {
 	T     *txn.Txn
-	I     *txn.Interactive
+	I     txn.Interactive
 	Label string
 }
 
