@@ -22,7 +22,6 @@ package paxos
 
 import (
 	"math/bits"
-	"slices"
 	"time"
 
 	"tiga/internal/pool"
@@ -78,7 +77,9 @@ type Replica struct {
 	leader int
 	f      int
 
-	log      []Command
+	// log is kept for the whole run, so it lives in slab chunks that never
+	// move: a slice grown by append would copy all of it at each growth.
+	log      pool.Slab[Command]
 	commitTo int
 	applied  int
 	applying bool // apply is running (see apply)
@@ -120,8 +121,7 @@ func (r *Replica) IsLeader() bool { return r.me == r.leader }
 // also retransmits the oldest uncommitted slots, so lost accepts/acks are
 // recovered as long as traffic keeps flowing (call Tick during idle periods).
 func (r *Replica) Propose(cmd Command) int {
-	slot := len(r.log)
-	r.log = append(r.log, cmd)
+	slot := int(r.log.Append(cmd))
 	r.await(slot)
 	for i, p := range r.peers {
 		if i != r.me {
@@ -143,8 +143,8 @@ func (r *Replica) Tick() {
 }
 
 func (r *Replica) retransmit(max int) {
-	for s := r.commitTo; s < len(r.log) && s < r.commitTo+max; s++ {
-		if s == len(r.log)-1 {
+	for s := r.commitTo; s < r.log.Len() && s < r.commitTo+max; s++ {
+		if s == r.log.Len()-1 {
 			break // just sent
 		}
 		held := r.held(s)
@@ -183,7 +183,7 @@ func (r *Replica) held(slot int) uint64 {
 
 func (r *Replica) sendAccept(to simnet.NodeID, slot int) {
 	m := r.accepts.Get()
-	*m = accept{src: r, Slot: slot, CommitTo: r.commitTo, Cmd: r.log[slot]}
+	*m = accept{src: r, Slot: slot, CommitTo: r.commitTo, Cmd: *r.log.At(uint32(slot))}
 	r.node.Send(to, m)
 }
 
@@ -208,10 +208,10 @@ func (r *Replica) Handle(from simnet.NodeID, msg simnet.Message) bool {
 		}
 		slot, to, cmd := m.Slot, m.CommitTo, m.Cmd
 		m.src.accepts.Put(m)
-		for len(r.log) <= slot {
-			r.log = append(r.log, nil)
+		for r.log.Len() <= slot {
+			r.log.Add()
 		}
-		r.log[slot] = cmd
+		*r.log.At(uint32(slot)) = cmd
 		r.advanceCommit(to)
 		a := r.acks.Get()
 		*a = ack{src: r, Slot: slot}
@@ -240,7 +240,9 @@ func (r *Replica) Handle(from simnet.NodeID, msg simnet.Message) bool {
 		if m.Tag != r.Tag {
 			return false
 		}
-		r.node.Send(from, &snapRep{Tag: r.Tag, Member: r.me, Log: slices.Clone(r.log), CommitTo: r.commitTo})
+		n := r.log.Len()
+		log := r.log.AppendTo(make([]Command, 0, n), 0, uint32(n))
+		r.node.Send(from, &snapRep{Tag: r.Tag, Member: r.me, Log: log, CommitTo: r.commitTo})
 		return true
 	case *snapRep:
 		if m.Tag != r.Tag {
@@ -256,7 +258,7 @@ func (r *Replica) maybeCommit(slot int) {
 	if !r.IsLeader() || slot != r.commitTo {
 		return
 	}
-	for r.commitTo < len(r.log) && bits.OnesCount64(r.held(r.commitTo)) >= r.f+1 {
+	for r.commitTo < r.log.Len() && bits.OnesCount64(r.held(r.commitTo)) >= r.f+1 {
 		r.commitTo++
 	}
 	r.apply()
@@ -282,12 +284,13 @@ func (r *Replica) apply() {
 	}
 	r.applying = true
 	defer func() { r.applying = false }()
-	for r.applied < r.commitTo && r.applied < len(r.log) {
-		if r.log[r.applied] == nil {
+	for r.applied < r.commitTo && r.applied < r.log.Len() {
+		cmd := *r.log.At(uint32(r.applied))
+		if cmd == nil {
 			return // gap: wait for retransmission via later accepts
 		}
 		if r.OnCommit != nil {
-			r.OnCommit(r.applied, r.log[r.applied])
+			r.OnCommit(r.applied, cmd)
 		}
 		r.applied++
 	}
@@ -303,7 +306,7 @@ func (r *Replica) Committed() int { return r.commitTo }
 func (r *Replica) Applied() int { return r.applied }
 
 // LogLen returns the log length, committed or not (recovery catch-up gate).
-func (r *Replica) LogLen() int { return len(r.log) }
+func (r *Replica) LogLen() int { return r.log.Len() }
 
 // Rejoin rebuilds the log of a replica built to replace a crashed member,
 // then calls done (if non-nil). It asks every other member for its log, and
@@ -382,15 +385,16 @@ func (r *Replica) onSnapshot(m *snapRep) {
 // also pushes the commit point to the followers and re-proposes the adopted
 // uncommitted tail under fresh acks; a follower only adopts it.
 func (r *Replica) installLog(log []Command, commitTo int) {
-	r.log = append(r.log[:0], log...)
-	if commitTo > len(r.log) {
-		commitTo = len(r.log) // defensive: a commit point past every survivor's log
-	}
-	for s := commitTo; s < len(r.log); s++ {
-		if r.log[s] == nil {
-			r.log = r.log[:s]
+	commitTo = min(commitTo, len(log)) // defensive: a commit point past every survivor's log
+	for s := commitTo; s < len(log); s++ {
+		if log[s] == nil {
+			log = log[:s]
 			break
 		}
+	}
+	r.log = pool.Slab[Command]{}
+	for _, c := range log {
+		r.log.Append(c)
 	}
 	r.commitTo = commitTo
 	r.proposedTo = commitTo
@@ -400,7 +404,7 @@ func (r *Replica) installLog(log []Command, commitTo int) {
 		return
 	}
 	r.broadcastCommit()
-	for s := r.commitTo; s < len(r.log); s++ {
+	for s := r.commitTo; s < r.log.Len(); s++ {
 		r.await(s)
 		for i, p := range r.peers {
 			if i != r.me {

@@ -339,7 +339,12 @@ func (g *rig) reboot(i int, done func()) *Replica {
 // hold sets member i's log and commit point by hand, as if it had taken part
 // in the run so far and applied its committed prefix.
 func (g *rig) hold(i int, commitTo int, log ...Command) {
-	g.reps[i].log, g.reps[i].commitTo, g.reps[i].applied = log, commitTo, commitTo
+	r := g.reps[i]
+	r.log = pool.Slab[Command]{}
+	for _, c := range log {
+		r.log.Append(c)
+	}
+	r.commitTo, r.applied = commitTo, commitTo
 }
 
 func TestRejoin(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package pool provides the transaction path's deterministic allocators: Free,
 // a freelist of objects that come and go, Slab (slab.go), the chunked slab
-// behind everything a run keeps by the million — store versions, Tiga's records
-// and conflict entries — where an allocation per object is the cost to avoid,
+// behind everything a run keeps by the million — store versions, Tiga's records,
+// conflict entries and log, the Paxos log, the simulator's events — where an
+// allocation per object, or a slice's re-copy at each growth, is the cost to avoid,
 // and Arena (arena.go), which carves slices that are handed on and kept out of
 // chunks it never reuses.
 // A slab can also start over another slab's chunks (Over) and read them as the

@@ -4,21 +4,25 @@ const (
 	// slabBits fixes every slab's chunk at 1024 entries: with an entry size that
 	// is a multiple of eight bytes a chunk is then a whole number of 8 KB pages,
 	// which is how Go sizes an allocation above 32 KB, so a chunk of 72-byte store
-	// versions (72 KB), of 64-byte conflict entries (64 KB) or of 192-byte Tiga
-	// records (192 KB) loses nothing to rounding; 512 versions (36 KB) would be
-	// rounded up to five pages, a tenth more.
+	// versions (72 KB), of 64-byte conflict entries or simulator events (64 KB),
+	// of 48-byte Tiga log entries (48 KB) or of 192-byte Tiga records (192 KB)
+	// loses nothing to rounding; 512 versions (36 KB) would be rounded up to
+	// five pages, a tenth more.
 	slabBits  = 10
 	SlabChunk = 1 << slabBits
 )
 
-// Slab is a chunked slab of T: the layout behind the store's version chains,
-// Tiga's conflict entries and its transaction records. Entries are numbered
-// from zero in the order Add hands them out, live in fixed-size chunks, and
-// never move — the slab grows a chunk at a time — so an entry's number, or a
-// pointer to it, stays good for the slab's life and n entries cost n/SlabChunk
-// allocations. The slab has no notion of a free entry: an owner that takes
-// entries back threads its own free list through them (store.Store does, via
-// version.prev) or keeps one beside them (Tiga's Server.free). Like a Free, a
+// Slab is a chunked slab of T: the layout behind what a run grows and keeps —
+// the store's version chains, Tiga's conflict entries, transaction records and
+// log, the layered baselines' Paxos log, and the simulator's pending events —
+// where a slice grown by append would copy everything it holds at each growth.
+// Entries are numbered from zero in the order Add hands them out, live in
+// fixed-size chunks, and never move — the slab grows a chunk at a time — so an
+// entry's number, or a pointer to it, stays good for the slab's life and n
+// entries cost n/SlabChunk allocations. The slab has no notion of a free
+// entry: an owner that takes entries back threads its own free list through
+// them (store.Store does, via version.prev; simnet's event queue via a freed
+// event's gseq) or keeps one beside them (Tiga's Server.free). Like a Free, a
 // Slab belongs to one simulated cluster's event loop, so the numbers it hands
 // out are a pure function of the seed. The zero value is an empty slab;
 // dropping a slab whole is assigning the zero value.
@@ -57,6 +61,26 @@ func (s *Slab[T]) Add() uint32 {
 	}
 	s.n++
 	return s.n - 1
+}
+
+// Append hands out the next entry's number with v in it: a slab used as a log
+// that only grows.
+func (s *Slab[T]) Append(v T) uint32 {
+	i := s.Add()
+	*s.At(i) = v
+	return i
+}
+
+// AppendTo appends entries from through to-1 to dst, a chunk's run at a time,
+// and returns the extended slice: a copy that owes nothing to the slab.
+func (s *Slab[T]) AppendTo(dst []T, from, to uint32) []T {
+	for from < to {
+		lo := from & (SlabChunk - 1)
+		n := min(to-from, SlabChunk-lo)
+		dst = append(dst, s.chunks[from>>slabBits][lo:lo+n]...)
+		from += n
+	}
+	return dst
 }
 
 // Shared returns the first entry number that is the slab's own: zero unless

@@ -90,3 +90,33 @@ func TestSlabOverReadsTheBaseAndOwnsTheRest(t *testing.T) {
 		t.Fatal("a slab over an empty one is not an empty slab")
 	}
 }
+
+// TestSlabAppendAndAppendTo: Append numbers entries as Add does and fills
+// them; AppendTo copies any run of them out, across chunk boundaries, into a
+// slice that shares nothing with the slab.
+func TestSlabAppendAndAppendTo(t *testing.T) {
+	var s Slab[int]
+	const n = 2*SlabChunk + 7
+	for i := 0; i < n; i++ {
+		if got := s.Append(i * 3); got != uint32(i) {
+			t.Fatalf("Append #%d returned entry %d", i, got)
+		}
+	}
+	for _, r := range [][2]uint32{{0, n}, {0, 0}, {5, 6}, {SlabChunk - 1, SlabChunk + 1}, {3, 2*SlabChunk + 2}, {SlabChunk, 2 * SlabChunk}} {
+		prefix := []int{-1}
+		got := s.AppendTo(prefix, r[0], r[1])
+		if len(got) != 1+int(r[1]-r[0]) || got[0] != -1 {
+			t.Fatalf("AppendTo(%d, %d) returned %d entries after the prefix", r[0], r[1], len(got)-1)
+		}
+		for i, v := range got[1:] {
+			if want := (int(r[0]) + i) * 3; v != want {
+				t.Fatalf("AppendTo(%d, %d)[%d] = %d, want %d", r[0], r[1], i, v, want)
+			}
+		}
+	}
+	out := s.AppendTo(nil, 0, n)
+	out[0] = 99
+	if *s.At(0) != 0 {
+		t.Fatal("AppendTo's copy aliases the slab")
+	}
+}

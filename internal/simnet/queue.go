@@ -1,6 +1,10 @@
 package simnet
 
-import "time"
+import (
+	"time"
+
+	"tiga/internal/pool"
+)
 
 // eventKind tags what a scheduled event does when it fires. The common cases
 // of the simulation hot path — message delivery, node timers, work waiting
@@ -25,17 +29,15 @@ const (
 	evStart
 )
 
-// event is one scheduled occurrence, ordered by (at, seq): seq is the global
-// scheduling counter, so same-instant events fire in scheduling order. The
-// struct is stored flat in the queue's slice — pushing and popping moves
-// values, never boxes them into an interface. It is 80 bytes, five of its ten
-// words pointers (node, fn, msg's two, gate): it fit one 64-byte cache line
-// until gate and gseq were added, and every sift of the heap copies it whole,
-// so its size is pinned (TestEventSizeIsADecision) — a field more is a choice
+// event is what one scheduled occurrence does; when it happens is its key's
+// (eventKey). Events live in the queue's slab, where they stay put from push
+// to pop: the heap sifts keys, and an event is copied once on the way in and
+// once on the way out. It is 64 bytes, one cache line, five of its eight words
+// pointers (node, fn, msg's two, gate), so a chunk of 1024 is 64 KB with
+// nothing lost to rounding. Every pending event costs its slot and its key,
+// so the size is pinned (TestEventSizeIsADecision): a field more is a choice
 // to make on purpose.
 type event struct {
-	at   time.Duration
-	seq  uint64
 	node *Node
 	fn   func()
 	msg  Message
@@ -53,79 +55,103 @@ type event struct {
 	gseq uint64
 }
 
+// eventKey is what the heap orders, (at, seq), and the number of the event's
+// slot in the slab: at is the fire time and seq the global scheduling
+// counter, so same-instant events fire in scheduling order.
+type eventKey struct {
+	at  time.Duration
+	seq uint64
+	idx uint32
+}
+
 // before is the queue's strict total order: time, then scheduling order.
-func (e *event) before(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
+func (k *eventKey) before(o *eventKey) bool {
+	if k.at != o.at {
+		return k.at < o.at
 	}
-	return e.seq < o.seq
+	return k.seq < o.seq
 }
 
-// eventQueue is a hand-inlined 4-ary min-heap over a flat event slice. A
-// 4-ary layout halves the tree depth of a binary heap and keeps each node's
-// children on one cache line, and the flat slice doubles as the free list:
-// pop vacates a zeroed slot at the tail that the next push reuses, so
-// steady-state scheduling allocates nothing once the queue has reached its
-// high-water capacity.
+// eventQueue is a hand-inlined 4-ary min-heap of event keys over a slab of
+// events. A 4-ary layout halves the tree depth of a binary heap and keeps each
+// node's children on one cache line. The slab never moves an event, so a
+// queue that grows copies only its keys; pop zeroes the popped slot — no
+// references outlive it — and threads it onto a free list through its gseq
+// field (1 + the next free slot's number, 0 at the end), which the next push
+// takes first. Steady-state scheduling allocates nothing once the queue has
+// reached its high-water mark.
 type eventQueue struct {
-	ev []event
+	keys []eventKey
+	ev   pool.Slab[event]
+	free uint32 // 1 + the number of the last slot popped; 0 when none is free
 }
 
-func (q *eventQueue) len() int { return len(q.ev) }
+func (q *eventQueue) len() int { return len(q.keys) }
 
 // min returns the earliest pending time; the queue must be non-empty.
-func (q *eventQueue) min() time.Duration { return q.ev[0].at }
+func (q *eventQueue) min() time.Duration { return q.keys[0].at }
 
-func (q *eventQueue) push(e event) {
-	q.ev = append(q.ev, e)
+// push schedules e at (at, seq).
+func (q *eventQueue) push(at time.Duration, seq uint64, e event) {
+	var idx uint32
+	if q.free != 0 {
+		idx = q.free - 1
+		q.free = uint32(q.ev.At(idx).gseq)
+	} else {
+		idx = q.ev.Add()
+	}
+	*q.ev.At(idx) = e
+	k := eventKey{at: at, seq: seq, idx: idx}
+	q.keys = append(q.keys, k)
 	// Sift the new tail up to its slot.
-	ev := q.ev
-	i := len(ev) - 1
+	keys := q.keys
+	i := len(keys) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !e.before(&ev[p]) {
+		if !k.before(&keys[p]) {
 			break
 		}
-		ev[i] = ev[p]
+		keys[i] = keys[p]
 		i = p
 	}
-	ev[i] = e
+	keys[i] = k
 }
 
-func (q *eventQueue) pop() event {
-	ev := q.ev
-	top := ev[0]
-	n := len(ev) - 1
-	e := ev[n]
-	ev[n] = event{} // zero the vacated slot: drop msg/fn/node references
-	q.ev = ev[:n]
-	if n == 0 {
-		return top
-	}
-	// Sift the displaced tail element down from the root.
-	ev = q.ev
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= n {
-			break
-		}
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		m := first
-		for c := first + 1; c < last; c++ {
-			if ev[c].before(&ev[m]) {
-				m = c
+// pop removes the earliest event and returns it with its key, whose slot is
+// free again by then; the queue must be non-empty.
+func (q *eventQueue) pop() (eventKey, event) {
+	keys := q.keys
+	top := keys[0]
+	n := len(keys) - 1
+	k := keys[n]
+	q.keys = keys[:n]
+	if n > 0 {
+		// Sift the displaced tail key down from the root.
+		keys = q.keys
+		i := 0
+		for {
+			first := 4*i + 1
+			if first >= n {
+				break
 			}
+			last := min(first+4, n)
+			m := first
+			for c := first + 1; c < last; c++ {
+				if keys[c].before(&keys[m]) {
+					m = c
+				}
+			}
+			if !keys[m].before(&k) {
+				break
+			}
+			keys[i] = keys[m]
+			i = m
 		}
-		if !ev[m].before(&e) {
-			break
-		}
-		ev[i] = ev[m]
-		i = m
+		keys[i] = k
 	}
-	ev[i] = e
-	return top
+	slot := q.ev.At(top.idx)
+	e := *slot
+	*slot = event{gseq: uint64(q.free)}
+	q.free = top.idx + 1
+	return top, e
 }

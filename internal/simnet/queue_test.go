@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"bytes"
 	"container/heap"
 	"math/rand"
 	"testing"
@@ -10,12 +11,13 @@ import (
 
 // refEvent / refHeap is a container/heap reference implementation with the
 // exact comparison the pre-rewrite simulator used: order by (at, seq). The
-// specialized 4-ary queue must pop in the identical total order — that
-// equivalence is what keeps every golden output byte-identical across the
-// rewrite.
+// specialized 4-ary queue must pop in the identical total order, each event
+// with the payload it was pushed with — that equivalence is what keeps every
+// golden output byte-identical across the rewrite.
 type refEvent struct {
 	at  time.Duration
 	seq uint64
+	ev  event // the payload pushed with (at, seq)
 }
 
 type refHeap []refEvent
@@ -37,50 +39,122 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// TestEventSizeIsADecision: the queue stores events by value and every sift
-// copies one, so the struct's size is part of the queue's cost. It is 80 bytes
-// (ten words, five of them pointers); a change that moves it should say so here.
+// TestEventSizeIsADecision: a sift no longer copies events — it moves their
+// 24-byte keys — but every pending event holds a slab slot beside its key, and
+// push and pop copy it once each, so both sizes are part of the queue's cost
+// and of the live heap a saturated run keeps. The event is 64 bytes (eight
+// words, five of them pointers; 80 while it also carried its own at and seq,
+// which the key holds now); a change that moves either size should say so here.
 func TestEventSizeIsADecision(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 80 {
-		t.Errorf("event is %d bytes, not the 80 the queue's cost was measured with", got)
+	if got := unsafe.Sizeof(event{}); got != 64 {
+		t.Errorf("event is %d bytes, not the 64 the queue's cost was measured with", got)
+	}
+	if got := unsafe.Sizeof(eventKey{}); got != 24 {
+		t.Errorf("eventKey is %d bytes, not the 24 a sift was measured moving", got)
 	}
 }
 
-// TestEventQueueMatchesHeapReference drives the 4-ary queue and the
-// container/heap reference through randomized interleaved push/pop workloads
-// with heavy timestamp ties and checks every popped (at, seq) pair matches.
+// queueScript drives the 4-ary queue and the container/heap reference through
+// one push/pop script and fails on the first difference. Each byte is an
+// operation: a low two bits of 0 pop (when anything is pending), anything else
+// pushes an event at one of eight instants — a time domain small enough that
+// ties are the rule, the case the seq tie-break exists for — with a payload
+// drawn from the byte: a node, a message, a kind, a gate and a body that
+// reports which push it came from. Each pop must return the reference's
+// (at, seq) and the payload pushed with it, including through slots the queue
+// has freed and handed out again, and must leave its slot holding no
+// references. The queue is drained at the end.
+func queueScript(t *testing.T, script []byte) {
+	var q eventQueue
+	var ref refHeap
+	nodes := []*Node{{}, {}, {}}
+	gates := []*uint64{nil, new(uint64)}
+	fired := uint64(0)
+	seq := uint64(0)
+	check := func() {
+		k, got := q.pop()
+		want := heap.Pop(&ref).(refEvent)
+		if k.at != want.at || k.seq != want.seq {
+			t.Fatalf("pop = (%v, %d), reference heap = (%v, %d)", k.at, k.seq, want.at, want.seq)
+		}
+		w := want.ev
+		if got.node != w.node || got.msg != w.msg || got.kind != w.kind || got.from != w.from ||
+			got.epoch != w.epoch || got.gate != w.gate || got.gseq != w.gseq {
+			t.Fatalf("event (%v, %d) popped with payload %+v, pushed with %+v", k.at, k.seq, got, w)
+		}
+		fired = 0
+		got.fn()
+		if fired != want.seq {
+			t.Fatalf("event (%v, %d) popped with the body of push %d", k.at, k.seq, fired)
+		}
+		if q.free != k.idx+1 {
+			t.Fatalf("popped slot %d is not the head of the free list (%d)", k.idx, q.free)
+		}
+		if slot := q.ev.At(k.idx); slot.node != nil || slot.fn != nil || slot.msg != nil || slot.gate != nil {
+			t.Fatalf("popped slot %d still holds references: %+v", k.idx, *slot)
+		}
+	}
+	for _, b := range script {
+		if b&3 == 0 {
+			if q.len() > 0 {
+				check()
+			}
+			continue
+		}
+		seq++
+		id := seq
+		at := time.Duration(b>>5) * time.Millisecond
+		e := event{
+			node:  nodes[int(b>>2)%len(nodes)],
+			fn:    func() { fired = id },
+			msg:   Message(int(b)),
+			from:  int32(b & 3),
+			epoch: int32(b >> 4),
+			kind:  eventKind(b & 3),
+			gate:  gates[int(b>>3)&1],
+			gseq:  uint64(b),
+		}
+		q.push(at, seq, e)
+		heap.Push(&ref, refEvent{at: at, seq: seq, ev: e})
+	}
+	for q.len() > 0 {
+		check()
+	}
+	if ref.Len() != 0 {
+		t.Fatalf("reference heap has %d leftover events", ref.Len())
+	}
+}
+
+// TestEventQueueMatchesHeapReference runs queueScript on randomized
+// interleaved push/pop workloads: two pushes to each pop, so the longer
+// scripts grow the queue past a slab chunk while freed slots are reused all
+// along.
 func TestEventQueueMatchesHeapReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 100; trial++ {
-		var q eventQueue
-		var ref refHeap
-		seq := uint64(0)
-		check := func() {
-			got := q.pop()
-			want := heap.Pop(&ref).(refEvent)
-			if got.at != want.at || got.seq != want.seq {
-				t.Fatalf("trial %d: pop = (%v, %d), reference heap = (%v, %d)",
-					trial, got.at, got.seq, want.at, want.seq)
-			}
+		n := 400
+		if trial%10 == 0 {
+			n = 4000
 		}
-		for i := 0; i < 400; i++ {
-			// A tiny time domain forces same-instant ties, the case the
-			// seq tie-break exists for.
-			at := time.Duration(rng.Intn(16)) * time.Millisecond
-			seq++
-			q.push(event{at: at, seq: seq})
-			heap.Push(&ref, refEvent{at: at, seq: seq})
+		script := make([]byte, n)
+		rng.Read(script)
+		for i := range script {
 			if rng.Intn(3) == 0 {
-				check()
+				script[i] &^= 3 // a pop, a third of the time
+			} else if script[i]&3 == 0 {
+				script[i] |= 1
 			}
 		}
-		for q.len() > 0 {
-			check()
-		}
-		if ref.Len() != 0 {
-			t.Fatalf("trial %d: reference heap has %d leftover events", trial, ref.Len())
-		}
+		queueScript(t, script)
 	}
+}
+
+// FuzzEventQueue runs queueScript on arbitrary push/pop scripts.
+func FuzzEventQueue(f *testing.F) {
+	f.Add([]byte{1, 5, 0, 0, 0})
+	f.Add([]byte{0xff, 0xfd, 0x01, 0x21, 0x41, 0x00, 0x61, 0x00, 0x00, 0xe1})
+	f.Add(bytes.Repeat([]byte{0x25, 0x25, 0x24}, 700))
+	f.Fuzz(func(t *testing.T, script []byte) { queueScript(t, script) })
 }
 
 // TestEventQueueSameInstantFIFO pins the determinism contract at the queue
@@ -90,13 +164,13 @@ func TestEventQueueSameInstantFIFO(t *testing.T) {
 	var q eventQueue
 	const at = 5 * time.Millisecond
 	for seq := uint64(1); seq <= 64; seq++ {
-		q.push(event{at: at, seq: seq})
+		q.push(at, seq, event{})
 		// Interleave events at other instants to shuffle the heap shape.
-		q.push(event{at: time.Duration(seq%7) * time.Millisecond, seq: 1000 + seq})
+		q.push(time.Duration(seq%7)*time.Millisecond, 1000+seq, event{})
 	}
 	last := uint64(0)
 	for q.len() > 0 {
-		e := q.pop()
+		e, _ := q.pop()
 		if e.seq >= 1000 { // filler event
 			continue
 		}

@@ -29,9 +29,10 @@ type Handler func(from NodeID, msg Message)
 // Sim is the discrete-event simulation core: a virtual clock plus an ordered
 // event queue. Events scheduled for the same instant run in scheduling order,
 // which keeps runs deterministic. The queue is a specialized 4-ary heap of
-// tagged event structs (see queue.go): the hot-path cases — message delivery,
-// node timers, deferred CPU starts — schedule and dispatch without allocating
-// a closure or boxing through an interface.
+// small keys over a slab of tagged event structs (see queue.go): the hot-path
+// cases — message delivery, node timers, deferred CPU starts — schedule and
+// dispatch without allocating a closure or boxing through an interface, and a
+// sift moves keys, never events.
 type Sim struct {
 	now time.Duration
 	q   eventQueue
@@ -47,18 +48,15 @@ func NewSim(seed int64) *Sim {
 // Now returns the current virtual time.
 func (s *Sim) Now() time.Duration { return s.now }
 
-// schedule stamps e with the clamped fire time and the next global sequence
-// number and pushes it. Every scheduling path funnels through here, so seq
-// assignment — and with it the order of same-instant events — is exactly the
-// scheduling order.
+// schedule pushes e at the clamped fire time with the next global sequence
+// number. Every scheduling path funnels through here, so seq assignment — and
+// with it the order of same-instant events — is exactly the scheduling order.
 func (s *Sim) schedule(t time.Duration, e event) {
 	if t < s.now {
 		t = s.now
 	}
 	s.seq++
-	e.at = t
-	e.seq = s.seq
-	s.q.push(e)
+	s.q.push(t, s.seq, e)
 }
 
 // At schedules fn to run at virtual time t. Times in the past run "now".
@@ -74,8 +72,8 @@ func (s *Sim) Step() bool {
 	if s.q.len() == 0 {
 		return false
 	}
-	e := s.q.pop()
-	s.now = e.at
+	k, e := s.q.pop()
+	s.now = k.at
 	s.dispatch(&e)
 	return true
 }

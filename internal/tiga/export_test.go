@@ -10,7 +10,7 @@ import (
 )
 
 // Log returns a copy of the server's log entries (tests).
-func (s *Server) Log() []logEntry { return append([]logEntry(nil), s.log...) }
+func (s *Server) Log() []logEntry { return s.logCopy(0) }
 
 // SyncPoint returns the current sync-point (tests).
 func (s *Server) SyncPoint() int { return s.syncPoint }
@@ -47,7 +47,7 @@ func (s *Server) StateSizes() StateSizes {
 		Agreements:      len(s.agreements),
 		TailRecords:     s.tails,
 		BufferedSyncs:   len(s.pendingSync),
-		LogLen:          len(s.log),
+		LogLen:          s.log.Len(),
 		EraseFallbacks:  s.pq.fallbacks,
 	}
 }

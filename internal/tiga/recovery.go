@@ -15,8 +15,7 @@ import (
 // ordered by timestamp, appended after the synced prefix (Algorithm 5 lines
 // 7–9). It does not mutate the server's own log.
 func (s *Server) flushLog() []logEntry {
-	out := make([]logEntry, 0, len(s.log)+s.tails+s.pq.len())
-	out = append(out, s.log...)
+	out := s.logCopy(s.tails + s.pq.len())
 	var extra []logEntry
 	if s.tails > 0 {
 		// The tail is a flag on the records; timestamps are unique, so the
@@ -32,6 +31,13 @@ func (s *Server) flushLog() []logEntry {
 	}
 	sort.Slice(extra, func(i, j int) bool { return extra[i].TS.Less(extra[j].TS) })
 	return append(out, extra...)
+}
+
+// logCopy returns a copy of the log, with room for extra entries after it:
+// what a message carries must not read the server's slab.
+func (s *Server) logCopy(extra int) []logEntry {
+	n := s.log.Len()
+	return s.log.AppendTo(make([]logEntry, 0, n+extra), 0, uint32(n))
 }
 
 func (s *Server) onViewChangeReq(m viewChangeReq) {
@@ -59,7 +65,7 @@ func (s *Server) viewChange() viewChangeMsg {
 
 // startView is the new leader's start-view message: its view and its log.
 func (s *Server) startView() startViewMsg {
-	return startViewMsg{globalView: s.view.copy(), LView: s.lview, Shard: s.shard, Log: s.log}
+	return startViewMsg{globalView: s.view.copy(), LView: s.lview, Shard: s.shard, Log: s.logCopy(0)}
 }
 
 // adoptView takes v as the server's view and its own shard's local view.
@@ -276,7 +282,7 @@ func (s *Server) installLog(log []logEntry) {
 	if !s.checkpointValid(log) {
 		s.checkpointPos = 0
 	}
-	s.log = append([]logEntry(nil), log...)
+	s.log = pool.Slab[logEntry]{}
 	s.tails = 0
 	s.pq = prioQueue{fallbacks: s.pq.fallbacks}
 	s.pendingSync = make(map[int]logSyncMsg)
@@ -295,8 +301,8 @@ func (s *Server) installLog(log []logEntry) {
 
 	s.st = s.cluster.newStore(s.shard)
 	s.reads.Store = s.st
-	for i := 0; i < len(s.log); i++ {
-		e := s.log[i]
+	for i, e := range log {
+		s.log.Append(e)
 		var res []byte
 		if p := e.T.Piece(s.shard); p != nil {
 			if i >= s.checkpointPos {
@@ -314,9 +320,9 @@ func (s *Server) installLog(log []logEntry) {
 			s.keys.note(r, e.TS)
 		}
 	}
-	s.syncPoint = len(s.log)
-	s.commitPoint = len(s.log)
-	s.applied = len(s.log)
+	s.syncPoint = len(log)
+	s.commitPoint = len(log)
+	s.applied = len(log)
 }
 
 // checkpointValid reports whether the incoming log's prefix matches the basis
@@ -327,8 +333,8 @@ func (s *Server) checkpointValid(log []logEntry) bool {
 	if s.checkpointPos > len(log) {
 		return false
 	}
-	for i, e := range s.log[:s.checkpointPos] {
-		if log[i].ID != e.ID {
+	for i := 0; i < s.checkpointPos; i++ {
+		if log[i].ID != s.log.At(uint32(i)).ID {
 			return false
 		}
 	}
@@ -362,7 +368,7 @@ func (s *Server) onStateTransferReq(from simnet.NodeID, m stateTransferReq) {
 	if s.status != statusNormal || m.GView != s.view.GView || m.LView != s.lview || !s.IsLeader() {
 		return
 	}
-	s.node.Send(from, stateTransferRep{GView: s.view.GView, LView: s.lview, Log: s.log, SyncPoint: s.syncPoint})
+	s.node.Send(from, stateTransferRep{GView: s.view.GView, LView: s.lview, Log: s.logCopy(0), SyncPoint: s.syncPoint})
 }
 
 func (s *Server) onStateTransferRep(m stateTransferRep) {

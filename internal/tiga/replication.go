@@ -69,9 +69,8 @@ func (s *Server) applySync(m *logSyncMsg) {
 	}
 	r.released = true
 	r.ts = m.TS
-	r.pos = uint32(len(s.log))
-	s.log = append(s.log, logEntry{ID: m.ID, TS: m.TS, T: m.T})
-	s.syncPoint = len(s.log)
+	r.pos = s.log.Append(logEntry{ID: m.ID, TS: m.TS, T: m.T})
+	s.syncPoint = s.log.Len()
 	// The conflict timestamps must also reflect synced entries: through the
 	// record's keys, attached when the transaction arrived here (the usual
 	// case) or now, for an entry first heard of through the log.
@@ -107,7 +106,7 @@ func (s *Server) advanceCommitPoint(cp int) {
 	}
 	s.commitPoint = cp
 	for ; s.applied < cp; s.applied++ {
-		e := s.log[s.applied]
+		e := s.log.At(uint32(s.applied))
 		if p := e.T.Piece(s.shard); p != nil && !s.st.Executed(e.ID) {
 			s.node.Work(s.cfg.ExecCost)
 			s.st.ExecuteID(e.ID, e.TS, p)
@@ -207,7 +206,7 @@ func (s *Server) onSyncPoint(m *syncPointMsg) {
 	if !s.IsLeader() || m.GView != s.view.GView || m.LView != s.lview {
 		return
 	}
-	for pos := m.SyncPoint; pos < min(m.SyncPoint+32, len(s.log)); pos++ {
+	for pos := m.SyncPoint; pos < min(m.SyncPoint+32, s.log.Len()); pos++ {
 		s.sendLogSync(m.Replica, pos)
 	}
 	if m.SyncPoint > s.followerSP[m.Replica] {
@@ -227,7 +226,7 @@ func (s *Server) onSyncPoint(m *syncPointMsg) {
 
 // sendLogSync sends the leader's log entry pos to replica rep (§3.7).
 func (s *Server) sendLogSync(rep, pos int) {
-	e := s.log[pos]
+	e := s.log.At(uint32(pos))
 	m := s.cluster.msgs.logSync.Get()
 	*m = logSyncMsg{
 		viewInfo: s.views(), Shard: s.shard,

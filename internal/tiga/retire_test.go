@@ -73,8 +73,8 @@ func TestLiveRecordsDoNotGrowWithTheRun(t *testing.T) {
 			t.Errorf("shard %d replica %d: %d live records after %v, %d after %v (%d retired); want fewer than %d more",
 				s.shard, s.replica, atW[s], w, n, 2*w, z.Retired, bound)
 		}
-		for i := max(0, s.checkpointPos-cfg.CheckpointEvery); i < len(s.log); i++ {
-			if s.recs[s.log[i].ID] == nil {
+		for i := max(0, s.checkpointPos-cfg.CheckpointEvery); i < s.log.Len(); i++ {
+			if s.recs[s.log.At(uint32(i)).ID] == nil {
 				t.Fatalf("shard %d replica %d: log entry %d retired with the checkpoint at %d", s.shard, s.replica, i, s.checkpointPos)
 			}
 		}
@@ -99,7 +99,7 @@ func TestLateMessagesForRetiredTransactions(t *testing.T) {
 	}
 	l, peer := c.Leader(0), c.Leader(1)
 	f := c.Servers[0][(l.replica+1)%cfg.Replicas()]
-	e := l.log[0]
+	e := *l.log.At(0)
 	for _, s := range []*Server{l, f} {
 		if s.recs[e.ID] != nil || s.StateSizes().Retired == 0 {
 			t.Fatalf("shard 0 replica %d still holds the record of its first log entry (%d retired)", s.replica, s.StateSizes().Retired)

@@ -181,9 +181,12 @@ type Server struct {
 	// (agreement.slot); resendAgreements sorts it by id before it walks it.
 	agreements []*agreement
 
-	// log is the leader's log, a follower's synced prefix. A follower's
-	// optimistic tail (§3.3) is the records flagged rec.tail; tails counts them.
-	log     []logEntry
+	// log is the leader's log, a follower's synced prefix: entry i is position
+	// i. It is kept for the whole run (§4's checkpoint is a position in it), so
+	// it lives in slab chunks that never move instead of a slice that copies
+	// all of it at each growth. A follower's optimistic tail (§3.3) is the
+	// records flagged rec.tail; tails counts them.
+	log     pool.Slab[logEntry]
 	tails   int
 	relHash hashlog.Incremental
 
@@ -268,9 +271,9 @@ func (s *Server) Store() *store.Store { return s.st }
 
 // LogIDs returns the ids of synced log entries in order (tests).
 func (s *Server) LogIDs() []txn.ID {
-	out := make([]txn.ID, len(s.log))
-	for i, e := range s.log {
-		out[i] = e.ID
+	out := make([]txn.ID, s.log.Len())
+	for i := range out {
+		out[i] = s.log.At(uint32(i)).ID
 	}
 	return out
 }
@@ -523,7 +526,7 @@ func (s *Server) resendReply(r *rec) {
 		// one waiting for agreement has no position yet.
 		pos := -1
 		if r.released {
-			pos = len(s.log)
+			pos = s.log.Len()
 		}
 		s.leaderReply(r, pos, false)
 	} else if r.released {
@@ -757,7 +760,7 @@ func (s *Server) executeLeader(r *rec, release bool) {
 		s.leaderReply(r, -1, true)
 		return
 	}
-	s.leaderReply(r, len(s.log), true)
+	s.leaderReply(r, s.log.Len(), true)
 	s.releaseLeader(r)
 }
 
@@ -767,7 +770,7 @@ func (s *Server) executeLeader(r *rec, release bool) {
 func (s *Server) releaseAgreed(r *rec) {
 	s.releaseLeader(r)
 	if s.cfg.BatchSlowReplies {
-		s.leaderReply(r, len(s.log)-1, false)
+		s.leaderReply(r, s.log.Len()-1, false)
 	}
 }
 
@@ -778,12 +781,11 @@ func (s *Server) releaseLeader(r *rec) {
 	s.erase(r)
 	s.node.Work(s.cfg.PQCost)
 	r.released = true
-	r.pos = uint32(len(s.log))
-	s.log = append(s.log, logEntry{ID: r.id, TS: r.ts, T: r.t})
-	s.syncPoint = len(s.log)
+	r.pos = s.log.Append(logEntry{ID: r.id, TS: r.ts, T: r.t})
+	s.syncPoint = s.log.Len()
 	for rep := 0; rep < s.cfg.Replicas(); rep++ {
 		if rep != s.replica {
-			s.sendLogSync(rep, len(s.log)-1)
+			s.sendLogSync(rep, int(r.pos))
 		}
 	}
 	if s.cfg.LocalReads {

@@ -118,7 +118,7 @@ func TestInstallLogAbandonsTheRecordSlab(t *testing.T) {
 		if len(l.agreements) == 0 || l.pq.len() == 0 {
 			t.Fatalf("shard %d leader: %d live agreements, %d queued mid-run", sh, len(l.agreements), l.pq.len())
 		}
-		l.installLog(l.log)
+		l.installLog(l.Log())
 		for id, r := range l.recs {
 			if old[r] {
 				t.Errorf("shard %d: the record of %v is an entry of the abandoned slab", sh, id)
@@ -183,7 +183,7 @@ func TestFetchStopsWhenItsRecordIsReplaced(t *testing.T) {
 	if before < 4 || l.recs[ghost] == nil {
 		t.Fatalf("%d fetches in three retry timeouts, placeholder %v: the chain is not running", before, l.recs[ghost])
 	}
-	l.installLog(l.log)
+	l.installLog(l.Log())
 	if l.recs[ghost] != nil || l.status != statusNormal {
 		t.Fatalf("installLog kept the placeholder (status %v)", l.status)
 	}
@@ -220,5 +220,84 @@ func TestFetchStopsWhenItsRecordIsReplaced(t *testing.T) {
 	if fetches[peer] != before || fetches[other] < 4 {
 		t.Fatalf("%d fetch requests to shard 1's leader after %v's record retired, want none; %d to shard 2's, want its own chain's",
 			fetches[peer]-before, fetched, fetches[other])
+	}
+}
+
+// TestLongLogCopiesOut: a log of more than two slab chunks goes out of the
+// server intact and owing it nothing. A flush, a start-view message and a
+// state transfer each carry the leader's log ids in order, in a slice of their
+// own: writing to it leaves the leader's log as it was. A follower that
+// installs the start-view log, and one that rejoins by state transfer, end up
+// with the leader's ids, and writing to the message afterwards leaves the
+// follower's log as it was too.
+func TestLongLogCopiesOut(t *testing.T) {
+	cfg := DefaultConfig(3, 1)
+	sim, c := testCluster(t, 11, cfg, ColocatedPlacement([]simnet.Region{0, 1, 2}), clocks.ModelChrony)
+	committed := 0
+	n := saturate(sim, c, 100, 100*time.Millisecond, 900*time.Millisecond, time.Millisecond, &committed)
+	sim.Run(5 * time.Second)
+	if committed != n {
+		t.Fatalf("committed %d of %d", committed, n)
+	}
+	l := c.Leader(0)
+	want := l.LogIDs()
+	if len(want) <= 2*pool.SlabChunk {
+		t.Fatalf("the leader's log holds %d entries, want more than %d", len(want), 2*pool.SlabChunk)
+	}
+	ids := func(log []logEntry) []txn.ID {
+		out := make([]txn.ID, len(log))
+		for i, e := range log {
+			out[i] = e.ID
+		}
+		return out
+	}
+	// owned checks that log carries the leader's ids and that a write to it
+	// does not reach the leader's log.
+	owned := func(what string, log []logEntry) {
+		t.Helper()
+		if got := ids(log); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s carries %d entries, not the leader's %d in order", what, len(got), len(want))
+		}
+		last := len(log) - 1
+		saved := log[last]
+		log[0].ID, log[last].ID = txn.ID{}, txn.ID{}
+		if got := l.LogIDs(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("writing to the log of a %s changed the leader's", what)
+		}
+		log[0].ID, log[last] = want[0], saved
+	}
+	owned("flush", l.flushLog())
+	sv := l.startView().Log
+	owned("start-view message", sv)
+
+	f := c.Servers[0][(l.replica+1)%cfg.Replicas()]
+	f.installLog(sv)
+	sv[len(sv)-1].ID = txn.ID{}
+	if got := f.LogIDs(); !reflect.DeepEqual(got, want) {
+		t.Fatal("the follower that installed the start-view log does not hold the leader's ids, or shares the message's entries")
+	}
+
+	rejoin := (l.replica + 2) % cfg.Replicas()
+	c.KillServer(0, rejoin)
+	c.RestartServer(0, rejoin)
+	r := c.Servers[0][rejoin]
+	var transfers []stateTransferRep
+	r.node.SetHandler(func(from simnet.NodeID, msg simnet.Message) {
+		if m, ok := msg.(stateTransferRep); ok {
+			transfers = append(transfers, m)
+		}
+		r.handle(from, msg)
+	})
+	sim.Run(sim.Now() + 5*time.Second)
+	if len(transfers) != 1 || r.status != statusNormal {
+		t.Fatalf("%d state transfers, rejoined server's status %v", len(transfers), r.status)
+	}
+	if got := r.LogIDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("the rejoined server holds %d entries, not the leader's %d in order", len(got), len(want))
+	}
+	owned("state transfer", transfers[0].Log)
+	transfers[0].Log[0].ID = txn.ID{}
+	if got := r.LogIDs(); !reflect.DeepEqual(got, want) {
+		t.Fatal("the rejoined server shares the state transfer's entries")
 	}
 }

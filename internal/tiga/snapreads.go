@@ -70,11 +70,9 @@ func (s *Server) advanceSafeTime() {
 	}
 	// The log is release-ordered, not timestamp-ordered, so scan the whole
 	// undurable suffix (bounded by the replication lag) for its minimum.
-	if s.commitPoint < len(s.log) {
-		for _, e := range s.log[s.commitPoint:] {
-			if m := e.TS.Time - 1; m < w {
-				w = m
-			}
+	for i := s.commitPoint; i < s.log.Len(); i++ {
+		if m := s.log.At(uint32(i)).TS.Time - 1; m < w {
+			w = m
 		}
 	}
 	s.reads.Advance(w)
@@ -97,7 +95,7 @@ func (s *Server) broadcastSafeTime() {
 		m := s.cluster.msgs.safeTime.Get()
 		*m = safeTimeMsg{
 			viewInfo: s.views(), Shard: s.shard,
-			W: s.reads.Watermark(), N: len(s.log), CP: s.commitPoint, GC: s.reads.GCHorizon(),
+			W: s.reads.Watermark(), N: s.log.Len(), CP: s.commitPoint, GC: s.reads.GCHorizon(),
 		}
 		s.node.Send(s.cluster.serverNode(s.shard, rep), m)
 	}

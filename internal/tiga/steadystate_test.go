@@ -255,7 +255,7 @@ func TestInstallLogClearsParkedSets(t *testing.T) {
 		if l.keys.parked == 0 {
 			t.Fatalf("shard %d leader has nothing parked mid-run", sh)
 		}
-		l.installLog(l.log)
+		l.installLog(l.Log())
 		if l.keys.parked != 0 || l.pq.len() != 0 {
 			t.Errorf("shard %d: installLog left %d parked keys, %d queued", sh, l.keys.parked, l.pq.len())
 		}
@@ -444,18 +444,18 @@ func TestLazyCheckpointViewChange(t *testing.T) {
 			// falls back to a full replay and resets the position.
 			f := c.Servers[0][1]
 			pos, busy := f.checkpointPos, f.node.Busy()
-			f.installLog(f.log)
-			if got, want := f.node.Busy()-busy, time.Duration(len(f.log)-pos)*cfg.ExecCost; got != want {
-				t.Errorf("replay from checkpoint %d of %d charged %v, want %v", pos, len(f.log), got, want)
+			f.installLog(f.Log())
+			if got, want := f.node.Busy()-busy, time.Duration(f.log.Len()-pos)*cfg.ExecCost; got != want {
+				t.Errorf("replay from checkpoint %d of %d charged %v, want %v", pos, f.log.Len(), got, want)
 			}
 			if f.checkpointPos != pos || !f.Store().Equal(c.Leader(0).Store()) {
 				t.Errorf("replay from checkpoint moved it (%d -> %d) or diverged", pos, f.checkpointPos)
 			}
-			swapped := append([]logEntry(nil), f.log...)
+			swapped := f.Log()
 			swapped[0], swapped[1] = swapped[1], swapped[0]
 			busy = f.node.Busy()
 			f.installLog(swapped)
-			if got, want := f.node.Busy()-busy, time.Duration(len(f.log))*cfg.ExecCost; got != want || f.checkpointPos != 0 {
+			if got, want := f.node.Busy()-busy, time.Duration(f.log.Len())*cfg.ExecCost; got != want || f.checkpointPos != 0 {
 				t.Errorf("replay past an invalid checkpoint charged %v (position %d), want %v (position 0)", got, f.checkpointPos, want)
 			}
 		})

@@ -202,26 +202,13 @@ func appendKey(b []byte, prefix string, parts ...int64) []byte {
 	return b
 }
 
-// key formats one name.
-func key(prefix string, parts ...int64) string {
-	return string(appendKey(make([]byte, 0, 40), prefix, parts...))
-}
-
-func kWTax(w int) string         { return key("w_tax", int64(w)) }
-func kWYtd(w int) string         { return key("w_ytd", int64(w)) }
-func kDTax(w, d int) string      { return key("d_tax", int64(w), int64(d)) }
-func kDYtd(w, d int) string      { return key("d_ytd", int64(w), int64(d)) }
-func kDNextOID(w, d int) string  { return key("d_next_o_id", int64(w), int64(d)) }
-func kNoHead(w, d int) string    { return key("no_head", int64(w), int64(d)) }
-func kCBal(w, d, c int) string   { return key("c_bal", int64(w), int64(d), int64(c)) }
-func kCYtd(w, d, c int) string   { return key("c_ytd", int64(w), int64(d), int64(c)) }
-func kCCnt(w, d, c int) string   { return key("c_cnt", int64(w), int64(d), int64(c)) }
-func kCDisc(w, d, c int) string  { return key("c_disc", int64(w), int64(d), int64(c)) }
-func kCLastO(w, d, c int) string { return key("c_last_o", int64(w), int64(d), int64(c)) }
-func kIPrice(w, i int) string    { return key("i_price", int64(w), int64(i)) }
-func kSQty(w, i int) string      { return key("s_qty", int64(w), int64(i)) }
-func kSYtd(w, i int) string      { return key("s_ytd", int64(w), int64(i)) }
-func kSCnt(w, i int) string      { return key("s_cnt", int64(w), int64(i)) }
+// The seeded columns' name prefixes, by column, in each row's id order.
+var (
+	wPrefix = [wCols]string{colWTax: "w_tax", colWYtd: "w_ytd"}
+	dPrefix = [dCols]string{colDTax: "d_tax", colDYtd: "d_ytd", colDNextOID: "d_next_o_id", colNoHead: "no_head"}
+	cPrefix = [cCols]string{colCBal: "c_bal", colCYtd: "c_ytd", colCCnt: "c_cnt", colCDisc: "c_disc", colCLast: "c_last_o"}
+	iPrefix = [iCols]string{colIPrice: "i_price", colSQty: "s_qty", colSYtd: "s_ytd", colSCnt: "s_cnt"}
+)
 
 // The rows transactions insert: named, never numbered ahead of time. A draw
 // formats their names on its stack and carves them into the generator's row
@@ -258,22 +245,48 @@ func (g *Gen) orderRows(w, d int, uid uint64) (order, total string) {
 func (g *Gen) tab(shard int) []string { return g.keys.Shard(shard) }
 
 // names builds a shard's key names in id order: non-nil even for a shard
-// without warehouses (built, and empty).
+// without warehouses (built, and empty). A shard names a few hundred thousand
+// columns, so it formats them twice, on its stack: once to size one buffer and
+// once to fill it, and each name is a string over its bytes in place
+// (unsafe.String), made once they are written and never written again. The
+// shard costs four allocations, not one a name.
 func (g *Gen) names(shard int) []string {
-	names := make([]string, 0, (g.cfg.Warehouses-shard+g.cfg.Shards-1)/g.cfg.Shards*g.perW)
+	size, n := 0, 0
+	g.eachName(shard, func(name []byte) { size, n = size+len(name), n+1 })
+	buf, names := make([]byte, size), make([]string, 0, n)
+	at := 0
+	g.eachName(shard, func(name []byte) {
+		copy(buf[at:], name)
+		names = append(names, unsafe.String(&buf[at], len(name)))
+		at += len(name)
+	})
+	return names
+}
+
+// eachName formats the shard's key names in id order, each into the same
+// stack buffer, and hands each to emit.
+func (g *Gen) eachName(shard int, emit func(name []byte)) {
+	var b [48]byte
 	for w := shard + 1; w <= g.cfg.Warehouses; w += g.cfg.Shards {
-		names = append(names, kWTax(w), kWYtd(w))
+		for _, p := range wPrefix {
+			emit(appendKey(b[:0], p, int64(w)))
+		}
 		for d := 1; d <= g.cfg.Districts; d++ {
-			names = append(names, kDTax(w, d), kDYtd(w, d), kDNextOID(w, d), kNoHead(w, d))
+			for _, p := range dPrefix {
+				emit(appendKey(b[:0], p, int64(w), int64(d)))
+			}
 			for c := 1; c <= g.cfg.Customers; c++ {
-				names = append(names, kCBal(w, d, c), kCYtd(w, d, c), kCCnt(w, d, c), kCDisc(w, d, c), kCLastO(w, d, c))
+				for _, p := range cPrefix {
+					emit(appendKey(b[:0], p, int64(w), int64(d), int64(c)))
+				}
 			}
 		}
 		for i := 1; i <= g.cfg.Items; i++ {
-			names = append(names, kIPrice(w, i), kSQty(w, i), kSYtd(w, i), kSCnt(w, i))
+			for _, p := range iPrefix {
+				emit(appendKey(b[:0], p, int64(w), int64(i)))
+			}
 		}
 	}
-	return names
 }
 
 // Seed pre-populates one shard's store, which must be empty, with its

@@ -297,6 +297,28 @@ func TestShardOf(t *testing.T) {
 	}
 }
 
+// key formats one name by itself, as the generator once formatted each seeded
+// column's: the reference the carved names are checked against.
+func key(prefix string, parts ...int64) string {
+	return string(appendKey(make([]byte, 0, 40), prefix, parts...))
+}
+
+func kWTax(w int) string         { return key("w_tax", int64(w)) }
+func kWYtd(w int) string         { return key("w_ytd", int64(w)) }
+func kDTax(w, d int) string      { return key("d_tax", int64(w), int64(d)) }
+func kDYtd(w, d int) string      { return key("d_ytd", int64(w), int64(d)) }
+func kDNextOID(w, d int) string  { return key("d_next_o_id", int64(w), int64(d)) }
+func kNoHead(w, d int) string    { return key("no_head", int64(w), int64(d)) }
+func kCBal(w, d, c int) string   { return key("c_bal", int64(w), int64(d), int64(c)) }
+func kCYtd(w, d, c int) string   { return key("c_ytd", int64(w), int64(d), int64(c)) }
+func kCCnt(w, d, c int) string   { return key("c_cnt", int64(w), int64(d), int64(c)) }
+func kCDisc(w, d, c int) string  { return key("c_disc", int64(w), int64(d), int64(c)) }
+func kCLastO(w, d, c int) string { return key("c_last_o", int64(w), int64(d), int64(c)) }
+func kIPrice(w, i int) string    { return key("i_price", int64(w), int64(i)) }
+func kSQty(w, i int) string      { return key("s_qty", int64(w), int64(i)) }
+func kSYtd(w, i int) string      { return key("s_ytd", int64(w), int64(i)) }
+func kSCnt(w, i int) string      { return key("s_cnt", int64(w), int64(i)) }
+
 // eachColumn calls f with the id the layout gives every seeded column and
 // the name and initial value the specification (the k* formatters and the
 // pre-population rules) gives it.
@@ -355,6 +377,40 @@ func TestSeedInternsTheLayout(t *testing.T) {
 			if st.Interned() != rows[sh] || st.Len() != rows[sh] {
 				t.Errorf("shard %d: %d interned, %d present, want %d rows", sh, st.Interned(), st.Len(), rows[sh])
 			}
+		}
+	}
+}
+
+// TestSeededNamesAreCarved: a shard's name table, cut from one buffer, holds
+// in id order exactly the names the k* formatters give its columns one by one,
+// and building it costs the same few allocations however many columns the
+// shard has.
+func TestSeededNamesAreCarved(t *testing.T) {
+	small := Config{Shards: 2, Warehouses: 5, Districts: 3, Customers: 7, Items: 1100}
+	g := New(small)
+	want := make([][]string, small.Shards)
+	eachColumn(g, func(sh int, id txn.KeyID, name string, _ int64) {
+		for len(want[sh]) <= int(id) {
+			want[sh] = append(want[sh], "")
+		}
+		want[sh][id] = name
+	})
+	for sh := range want {
+		if got := g.names(sh); !slices.Equal(got, want[sh]) {
+			t.Fatalf("shard %d: %d carved names differ from the %d formatted one by one", sh, len(got), len(want[sh]))
+		}
+	}
+	if got := New(Config{Shards: 4, Warehouses: 2, Districts: 1, Customers: 1, Items: 1}).names(3); got == nil || len(got) != 0 {
+		t.Fatalf("a shard without warehouses got names %v, want an empty non-nil table", got)
+	}
+	big := small
+	big.Warehouses, big.Customers, big.Items = 9, 60, 5000
+	for _, cfg := range []Config{small, big} {
+		g := New(cfg)
+		// The buffer, the table, and eachName's stack buffer, which a pass
+		// hands to a func value and so moves to the heap, once a pass.
+		if allocs := testing.AllocsPerRun(3, func() { g.names(0) }); allocs > 4 {
+			t.Errorf("building %d names cost %v allocations, want at most 4", len(g.names(0)), allocs)
 		}
 	}
 }
