@@ -44,9 +44,9 @@ import (
 // allocs and bytes are per committed transaction, recorded with go1.24 (the
 // toolchain CI pins: the map implementation moves the counts) at the commit
 // that last changed them, as this test measures them: pool.Check's id maps are
-// in: on budget/closed that is 7.6 allocations and 10 109 bytes against the
-// 7.6 and 9 970 that cmd/allocprof -shape budget/closed prints (+139 bytes or
-// +1.4 %). They repeat to ±0.1 allocation and ±0.1 % bytes (the lockocc rows'
+// in: on budget/closed that is 3.4 allocations and 10 130 bytes against the
+// 3.3 and 9 915 that cmd/allocprof -shape budget/closed prints (+215 bytes or
+// +2.2 %). They repeat to ±0.1 allocation and ±0.1 % bytes (the lockocc rows'
 // bytes to ±0.7 %). A rise beyond BENCHMARK.json's bounds for
 // host_allocs_per_txn / host_bytes_per_txn fails; so does a fall of more than
 // 10 %, until the recorded value is lowered — the next rise is then measured
@@ -55,19 +55,19 @@ var txnPathBudget = []struct {
 	shape         string
 	allocs, bytes float64
 }{
-	{"budget/closed", 8.3, 10109},
-	{"budget/open", 8.5, 9394},
-	{"budget/closed-100k", 4.8, 7575},
-	{"budget/closed-tpcc", 10.8, 22833},
-	{"budget/open-reads", 6.1, 6268},
-	{"budget/closed-2pl", 16.2, 5375},
-	{"budget/closed-occ", 16.1, 5370},
-	{"budget/closed-ncc", 3.1, 2420},
-	{"budget/closed-ncc+", 8.7, 3880},
-	{"budget/closed-janus", 8.3, 4384},
-	{"budget/closed-tapir", 8.0, 3700},
-	{"budget/closed-detock", 14.1, 2384},
-	{"budget/closed-calvin", 3.0, 1229},
+	{"budget/closed", 3.4, 10109},
+	{"budget/open", 3.3, 9394},
+	{"budget/closed-100k", 2.3, 7575},
+	{"budget/closed-tpcc", 5.1, 22833},
+	{"budget/open-reads", 3.5, 6268},
+	{"budget/closed-2pl", 9.4, 5375},
+	{"budget/closed-occ", 8.9, 5370},
+	{"budget/closed-ncc", 2.4, 2420},
+	{"budget/closed-ncc+", 3.6, 3880},
+	{"budget/closed-janus", 5.9, 4384},
+	{"budget/closed-tapir", 5.3, 3700},
+	{"budget/closed-detock", 10.1, 2384},
+	{"budget/closed-calvin", 2.3, 1229},
 }
 
 const (

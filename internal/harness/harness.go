@@ -346,6 +346,9 @@ type loadJob struct {
 	t           *txn.Txn
 	tr          *trace.T
 
+	// The completion callbacks of the three paths a job can take, each bound
+	// at its first use by this envelope (chainDone, submitted, readDone), so
+	// an envelope pays only for the paths it takes.
 	finish      func(txn.Result, *txn.Txn)
 	finishSub   func(txn.Result)
 	finishLocal func(txn.Result)
@@ -353,13 +356,33 @@ type loadJob struct {
 
 func (st *loadState) get() *loadJob {
 	j := st.jobs.Get()
-	if j.st == nil {
-		j.st = st
+	j.st = st
+	return j
+}
+
+// chainDone is the completion callback of an interactive chain.
+func (j *loadJob) chainDone() func(txn.Result, *txn.Txn) {
+	if j.finish == nil {
 		j.finish = func(r txn.Result, t *txn.Txn) { j.complete(r, t, false) }
+	}
+	return j.finish
+}
+
+// submitted is the completion callback of a transaction submitted to the
+// protocol.
+func (j *loadJob) submitted() func(txn.Result) {
+	if j.finishSub == nil {
 		j.finishSub = func(r txn.Result) { j.complete(r, j.t, false) }
+	}
+	return j.finishSub
+}
+
+// readDone is the completion callback of a local snapshot read.
+func (j *loadJob) readDone() func(txn.Result) {
+	if j.finishLocal == nil {
 		j.finishLocal = func(r txn.Result) { j.complete(r, j.t, true) }
 	}
-	return j
+	return j.finishLocal
 }
 
 // complete accounts one finished job. local marks a local snapshot read,
@@ -562,12 +585,12 @@ func RunLoad(d *Deployment, gen workload.Generator, spec LoadSpec) *RunResult {
 			}
 			if job.T != nil {
 				if useLocal && job.T.ReadOnly {
-					snap.SubmitLocalRead(ci, job.T, j.finishLocal)
+					snap.SubmitLocalRead(ci, job.T, j.readDone())
 				} else {
-					d.Sys.Submit(ci, job.T, j.finishSub)
+					d.Sys.Submit(ci, job.T, j.submitted())
 				}
 			} else {
-				st.runChain(ci, job.I, maxChainRestarts, j.finish)
+				st.runChain(ci, job.I, maxChainRestarts, j.chainDone())
 			}
 		}
 		d.Sim.After(first, tick)

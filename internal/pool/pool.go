@@ -1,5 +1,7 @@
 // Package pool provides the transaction path's deterministic allocators: Free,
-// a freelist of objects that come and go, Slab (slab.go), the chunked slab
+// a freelist of objects that come and go, filled a chunk of freeChunk objects at
+// a time so that warming a list up to its high-water mark costs one allocation
+// per chunk rather than one per object, Slab (slab.go), the chunked slab
 // behind everything a run keeps by the million — store versions, Tiga's records,
 // conflict entries and log, the Paxos log, the simulator's events — where an
 // allocation per object, or a slice's re-copy at each growth, is the cost to avoid,
@@ -69,7 +71,7 @@
 //     at retirement — once the record's log entry lies a checkpoint interval
 //     behind and its coordinator has finished the transaction — and drained
 //     by the next new record before the slab grows (a Free would allocate
-//     each record on its own),
+//     sixteen records at a time, where a slab chunk holds 1 024),
 //   - anything retained by a server log (e.g. *txn.Txn): never pooled. A
 //     log-retained record comes from a slab, never from a freelist: lockocc's
 //     commit records come from the proposing leader's Slab, their write sets
@@ -86,14 +88,22 @@ package pool
 // allocation per tracked Put).
 var Check bool
 
+// freeChunk is how many objects a Free allocates at once when its list runs
+// dry. Sixteen keeps a chunk's unused tail small beside the objects in use,
+// even for a list that never grows past a handful (8 KB chunks raised the bytes
+// per transaction of the smallest deployment measured by 29 %), while a list
+// that fills to thousands pays a sixteenth of the allocations.
+const freeChunk = 16
+
 // Free is a LIFO freelist of *T. The zero value is NOT ready to use; create
 // pools with New so the Check snapshot is taken consistently.
 type Free[T any] struct {
 	free  []*T
+	fresh []T         // the current chunk's objects not yet handed out
 	inUse map[*T]bool // nil unless Check was set at New time
 
-	// Gets / News count pool hits and misses for the alloc-profile
-	// harness; they are not part of any golden output.
+	// Gets / News count pool hits and misses (objects, not chunks) for the
+	// alloc-profile harness; they are not part of any golden output.
 	Gets, News int
 }
 
@@ -107,14 +117,20 @@ func New[T any]() *Free[T] {
 	return f
 }
 
-// Get pops the most recently freed object, or allocates a fresh one when the
-// freelist is empty. The caller must overwrite every field it reads.
+// Get pops the most recently freed object or, when the freelist is empty,
+// hands out the next zero object of the current chunk, allocating a chunk of
+// freeChunk objects when that one is used up. The caller must overwrite every
+// field it reads.
 func (f *Free[T]) Get() *T {
 	f.Gets++
 	n := len(f.free)
 	if n == 0 {
 		f.News++
-		p := new(T)
+		if len(f.fresh) == 0 {
+			f.fresh = make([]T, freeChunk)
+		}
+		p := &f.fresh[0]
+		f.fresh = f.fresh[1:]
 		if f.inUse != nil {
 			f.inUse[p] = true
 		}

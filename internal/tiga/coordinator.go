@@ -5,6 +5,7 @@ import (
 
 	"tiga/internal/admit"
 	"tiga/internal/clocks"
+	"tiga/internal/pool"
 	"tiga/internal/protocol/coord"
 	"tiga/internal/simnet"
 	"tiga/internal/snapread"
@@ -15,7 +16,8 @@ import (
 // pendingTxn tracks one outstanding transaction at the coordinator: a record
 // of the coordinator's coord.Table, reused across transactions. slots hold
 // the newest replies per (involved shard, replica), indexed
-// t.Pos(shard)*replicas+replica.
+// t.Pos(shard)*replicas+replica; the record keeps them across transactions
+// (resetSlots).
 type pendingTxn struct {
 	coord.Attempt
 	ts    txn.Timestamp
@@ -61,6 +63,9 @@ type Coordinator struct {
 
 	// launchFn is launch, bound once: the gate's launch callback.
 	launchFn func(*txn.Txn, func(txn.Result))
+
+	// slots carves the records' reply slots (resetSlots).
+	slots pool.Arena[replySlot]
 
 	// The scratch slices back headroom's OWD sort and inquireSlow's
 	// involved-shard set — per-call allocations otherwise.
@@ -196,7 +201,7 @@ func (co *Coordinator) Submit(t *txn.Txn, done func(txn.Result)) {
 // timestamp and invokes done when the transaction commits.
 func (co *Coordinator) launch(t *txn.Txn, done func(txn.Result)) {
 	p := co.tab.Begin(t, done)
-	p.slots = coord.Zeroed(p.slots, len(t.Pieces)*co.cfg.Replicas())
+	co.resetSlots(p)
 	co.multicast(p)
 	co.tab.Arm(p, co.cfg.RetryTimeout)
 }
@@ -454,7 +459,22 @@ func (co *Coordinator) adoptView(v globalView) {
 	// deterministic submission order.
 	for _, id := range co.tab.InOrder() {
 		p := co.tab.Get(id)
-		p.slots = coord.Zeroed(p.slots, len(p.T.Pieces)*co.cfg.Replicas())
+		co.resetSlots(p)
 		co.multicast(p)
 	}
+}
+
+// resetSlots gives p one unset reply slot per (piece, replica) of its
+// transaction. A record reuses the slots it holds when they are enough;
+// otherwise it carves new ones from the coordinator's arena, and the ones it
+// held are never handed out again. A coordinator's records thus fill chunks
+// of the arena, not an allocation each.
+func (co *Coordinator) resetSlots(p *pendingTxn) {
+	k := len(p.T.Pieces) * co.cfg.Replicas()
+	if k > cap(p.slots) {
+		p.slots = co.slots.Carve(k)
+		return
+	}
+	p.slots = p.slots[:k]
+	clear(p.slots)
 }

@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
+	"unsafe"
 
 	"tiga/internal/protocol"
 	"tiga/internal/store"
@@ -75,6 +77,30 @@ func (z *Zipfian) Next(rng *rand.Rand) int {
 
 // Key names a synthetic workload's key.
 func Key(shard, idx int) string { return fmt.Sprintf("k%d-%d", shard, idx) }
+
+// keyNames returns Key(shard, i) for the shard's keys keys in id order. A shard
+// names up to a million keys, so they are formatted twice on the stack, once to
+// size one buffer and once to fill it, and each name is a string over its bytes
+// in place (unsafe.String), never written again: two allocations a shard, not
+// one a name.
+func keyNames(shard, keys int) []string {
+	var b [48]byte
+	name := func(i int) []byte {
+		k := strconv.AppendInt(append(b[:0], 'k'), int64(shard), 10)
+		return strconv.AppendInt(append(k, '-'), int64(i), 10)
+	}
+	size := 0
+	for i := range keys {
+		size += len(name(i))
+	}
+	buf, names := make([]byte, 0, size), make([]string, keys)
+	for i := range names {
+		at := len(buf)
+		buf = append(buf, name(i)...)
+		names[i] = unsafe.String(&buf[at], len(buf)-at)
+	}
+	return names
+}
 
 // KeyID is the interned form of a key: its dense index within one shard's
 // seeded keyspace. Every shard is seeded from a store.Image of its KeyCache's
@@ -196,13 +222,7 @@ func newSynthetic(label string, shards, keys, txnKeys int, zipf *Zipfian, readRa
 	return &Synthetic{shards: shards, keys: keys, txnKeys: min(max(txnKeys, 1), shards),
 		zipf: zipf, readRatio: readRatio, coin: coin, label: label,
 		names: KeyCache{
-			Build: func(shard int) []string {
-				names := make([]string, keys)
-				for i := range names {
-					names[i] = Key(shard, i)
-				}
-				return names
-			},
+			Build: func(shard int) []string { return keyNames(shard, keys) },
 			Value: func(int) []byte { return txn.EncodeInt(0) },
 		}}
 }

@@ -231,3 +231,25 @@ func TestGeneratorsAllocatePerJob(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestSyntheticNamesAreCarved: a shard's carved name table holds Key(shard, i)
+// at id i, and building it costs the same few allocations however many keys
+// the shard has.
+func TestSyntheticNamesAreCarved(t *testing.T) {
+	for _, shard := range []int{0, 7, 12} {
+		for _, keys := range []int{0, 1, 11, 1000, 25_000} {
+			got := keyNames(shard, keys)
+			if len(got) != keys {
+				t.Fatalf("shard %d: %d names, want %d", shard, len(got), keys)
+			}
+			for i, name := range got {
+				if want := Key(shard, i); name != want {
+					t.Fatalf("shard %d: name %d is %q, want %q", shard, i, name, want)
+				}
+			}
+			if allocs := testing.AllocsPerRun(3, func() { keyNames(shard, keys) }); allocs > 4 {
+				t.Errorf("shard %d: building %d names cost %v allocations, want at most 4", shard, keys, allocs)
+			}
+		}
+	}
+}
